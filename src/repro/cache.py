@@ -135,11 +135,6 @@ class ResultCache:
         cache block can be merged into a service's flat counter dict
         without colliding with other subsystems (the schema every
         endpoint follows; see ``repro.service.server.ServiceStats``).
-
-        .. deprecated::
-            The bare ``hits`` / ``misses`` / ``stores`` / ``hit_rate``
-            keys are still emitted for one release; read the
-            ``cache_``-prefixed names.
         """
         counts = self.counters.snapshot()
         lookups = counts["hits"] + counts["misses"]
@@ -150,7 +145,4 @@ class ResultCache:
             "cache_misses": counts["misses"],
             "cache_stores": counts["stores"],
             "cache_hit_rate": hit_rate,
-            # Legacy aliases (one release): prefer the cache_* keys.
-            **counts,
-            "hit_rate": hit_rate,
         }

@@ -24,8 +24,13 @@ Legacy                                                 Facade
 ``repro.sim.wormhole.check_edge_simple`` (removed)     ``repro.sim.engine.check_edge_simple``
 ``repro.sim.cut_through.pad_paths`` (removed)          ``repro.sim.engine.pad_paths``
 ``repro.sim.restricted.check_edge_simple`` (removed)   ``repro.sim.engine.check_edge_simple``
+``run(record_trace=True)`` (removed)                   ``simulate(..., telemetry=[TraceSnapshotCollector()])`` -> ``collector.matrix``
+``run(record_contention=True)`` (removed)              ``simulate(..., telemetry=[EdgeContentionCollector()])`` -> ``collector.denied``
+``repro.sim.engine.StepLoop`` (removed)                ``repro.sim.engine.BatchStepLoop`` at ``T = 1``
+``repro.sim.engine.SlotArbiter`` (removed)             ``repro.sim.engine.BatchSlotArbiter`` with one trial
 bare ``SimulationResult`` return                       :class:`SimResult` (attribute-compatible wrapper)
-``metrics["makespan"]`` dict access                    ``result.makespan`` (``result["makespan"]`` still works, with a ``DeprecationWarning``)
+``result["makespan"]`` dict access (removed)           ``result.makespan``
+``ResultCache.snapshot()["hits"]`` etc. (removed)      ``snapshot()["cache_hits"]`` / ``cache_misses`` / ``cache_stores`` / ``cache_hit_rate``
 ``metrics["steps"]``                                   ``result.steps``
 ``metrics["delivered"]`` count                         ``result.num_delivered``
 ``metrics["completion_digest"]`` / raw times           ``result.delays``
@@ -33,9 +38,9 @@ bare ``SimulationResult`` return                       :class:`SimResult` (attri
 =====================================================  =====================================
 
 Passing ``batch=[seed, ...]`` runs one lockstep trial per seed through
-the model's batch kernel (:mod:`repro.sim.batch`; every flit-level
-router) and returns a list of results, each bit-identical to the
-serial ``seed=...`` call.
+the model's driver (:mod:`repro.sim.batch`; every flit-level router)
+and returns a list of results, each bit-identical to the ``seed=...``
+call — which is the same driver with one seed.
 
 ``problem`` may be:
 
@@ -61,13 +66,13 @@ upper makespan bounds) computed in microseconds.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from .network.graph import NetworkError
+from .sim.batch import LOCKSTEP_MODELS, run_model
 from .sim.sweep import WORKLOADS, Workload, _build_workload
 
 __all__ = ["MODELS", "SIMULATE_MODES", "SimResult", "simulate"]
@@ -100,10 +105,6 @@ class SimResult:
         The :class:`~repro.analysis.estimate.DelayEnvelope` (estimate
         runs only); its ``lower`` / ``upper`` / ``tightness`` fields
         are likewise reachable directly.
-
-    ``result["key"]`` dict-style access is supported for legacy metric
-    consumers but deprecated — use the attributes (see the migration
-    table in the module docstring).
     """
 
     mode: str
@@ -147,48 +148,9 @@ class SimResult:
             f"{name!r}"
         )
 
-    def __getitem__(self, key: str) -> Any:
-        warnings.warn(
-            "dict-style access to simulate() results is deprecated; use "
-            f"attribute access (result.{key}) — see the migration table "
-            "in repro.facade",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        try:
-            return getattr(self, key)
-        except AttributeError:
-            raise KeyError(key) from None
-
-    def get(self, key: str, default: Any = None) -> Any:
-        """Dict-compat ``get`` (deprecated, like ``__getitem__``)."""
-        try:
-            return self[key]
-        except KeyError:
-            return default
 
 #: The models :func:`simulate` dispatches across, in paper order.
-MODELS = (
-    "wormhole",
-    "cut_through",
-    "store_forward",
-    "restricted",
-    "adaptive",
-    "continuous",
-)
-
-#: Models whose ``run`` accepts :mod:`repro.telemetry` probes.
-_TELEMETRY_MODELS = frozenset(
-    {"wormhole", "cut_through", "store_forward", "adaptive"}
-)
-
-#: Per-model arbitration default — the sweep runner's choices, so the
-#: facade and ``run_sweep`` agree on what an unadorned trial means.
-_PRIORITY_DEFAULTS = {
-    "wormhole": "random",
-    "cut_through": "random",
-    "store_forward": "farthest",
-}
+MODELS = (*LOCKSTEP_MODELS, "continuous")
 
 
 def _as_workload(problem: Any, model: str, workload_params) -> Workload:
@@ -205,7 +167,7 @@ def _as_workload(problem: Any, model: str, workload_params) -> Workload:
         return _build_workload(problem, tuple(sorted(params.items())))
     if isinstance(problem, tuple) and len(problem) == 2:
         first, second = problem
-        if model == "adaptive":
+        if LOCKSTEP_MODELS[model].kind == "mesh":
             return Workload(
                 net=getattr(first, "network", first),
                 cube=first,
@@ -218,243 +180,66 @@ def _as_workload(problem: Any, model: str, workload_params) -> Workload:
     )
 
 
-def _run_wormhole(
-    wl, *, B, L, seed, priority, telemetry, max_steps, release, vc_ids=None
-):
-    from .sim.wormhole import WormholeSimulator
+def _simulate_continuous(problem: Any, kwargs: dict[str, Any]):
+    """The steady-state model's own entry (it is not a lockstep model)."""
+    from .sim.continuous import ContinuousWormholeSimulator
 
-    sim = WormholeSimulator(
-        wl.net, num_virtual_channels=B, priority=priority, seed=seed
-    )
-    return sim.run(
-        wl.paths,
-        message_length=L,
-        release_times=release,
-        max_steps=max_steps,
-        vc_ids=vc_ids,
-        telemetry=telemetry,
-    )
-
-
-def _run_cut_through(wl, *, B, L, seed, priority, telemetry, max_steps, release):
-    from .sim.cut_through import CutThroughSimulator
-
-    sim = CutThroughSimulator(
-        wl.net, buffer_flits=B, priority=priority, seed=seed
-    )
-    return sim.run(
-        wl.paths,
-        message_length=L,
-        release_times=release,
-        max_steps=max_steps,
-        telemetry=telemetry,
-    )
-
-
-def _run_store_forward(wl, *, B, L, seed, priority, telemetry, max_steps, release):
-    from .sim.store_forward import StoreForwardSimulator
-
-    sim = StoreForwardSimulator(
-        wl.net, bandwidth_flits_per_step=B, priority=priority, seed=seed
-    )
-    return sim.run(
-        wl.paths,
-        message_length=L,
-        release_times=release,
-        max_steps=max_steps,
-        telemetry=telemetry,
-    )
-
-
-def _run_restricted(wl, *, B, L, seed, priority, telemetry, max_steps, release):
-    from .sim.restricted import RestrictedWormholeSimulator
-
-    sim = RestrictedWormholeSimulator(wl.net, num_buffers=B, seed=seed)
-    return sim.run(
-        wl.paths, message_length=L, release_times=release, max_steps=max_steps
-    )
-
-
-_PATH_RUNNERS = {
-    "wormhole": _run_wormhole,
-    "cut_through": _run_cut_through,
-    "store_forward": _run_store_forward,
-    "restricted": _run_restricted,
-}
-
-
-def _simulate_batch(problem: Any, kwargs: dict[str, Any]) -> list:
-    """Lockstep execution of one problem under many seeds (``batch=``)."""
-    from .sim import batch as _batch
-
-    model = kwargs["model"]
-    if model not in _batch.BATCHED_MODELS:
-        raise NetworkError(
-            f"model {model!r} has no lockstep batch runner; batched "
-            f"models: {', '.join(sorted(_batch.BATCHED_MODELS))}"
+    if not (isinstance(problem, tuple) and len(problem) == 3):
+        raise TypeError(
+            "the continuous model takes problem=(net, num_sources, path_of)"
         )
-    vc_ids = kwargs.get("vc_ids")
-    if vc_ids is not None and model != "wormhole":
-        raise NetworkError(
-            f"vc_ids (per-hop virtual-channel classes) are a wormhole-model "
-            f"feature; model {model!r} does not accept them"
-        )
-    seeds = list(kwargs["batch"])
-    B = int(kwargs["B"])
-    wl = _as_workload(problem, model, kwargs.get("workload_params"))
+    net, num_sources, path_of = problem
+    rate, horizon = kwargs.get("rate"), kwargs.get("horizon")
+    if rate is None or horizon is None:
+        raise TypeError("the continuous model needs rate=... and horizon=...")
     L = kwargs.get("message_length")
     if L is None:
-        if isinstance(problem, (str, Workload)):
-            L = wl.default_length
-        else:
-            raise NetworkError(
-                "message_length is required with a (net, paths) problem"
-            )
-    common: dict[str, Any] = {
-        "seeds": seeds,
-        "release_times": kwargs.get("release_times"),
-        "max_steps": kwargs.get("max_steps"),
-    }
-    priority = kwargs.get("priority") or _PRIORITY_DEFAULTS.get(model)
-    if model == "adaptive":
-        if wl.cube is None or wl.demands is None:
-            raise NetworkError(
-                f"the adaptive model needs a mesh problem (a (cube, demands)"
-                f" tuple or a mesh workload), got {problem!r}"
-            )
-        runs = _batch.run_adaptive_batch(
-            wl.cube,
-            wl.demands,
-            message_length=L,
-            num_virtual_channels=B,
-            policy=kwargs.get("policy") or "west-first",
-            **common,
-        )
-        return [r.result for r in runs]
-    paths = wl.padded_paths()
-    if model == "wormhole":
-        return _batch.run_wormhole_batch(
-            wl.net,
-            paths,
-            message_length=L,
-            num_virtual_channels=B,
-            priority=priority,
-            vc_ids=vc_ids,
-            **common,
-        )
-    if model == "cut_through":
-        return _batch.run_cut_through_batch(
-            wl.net,
-            paths,
-            message_length=L,
-            buffer_flits=B,
-            priority=priority,
-            **common,
-        )
-    if model == "store_forward":
-        return _batch.run_store_forward_batch(
-            wl.net,
-            paths,
-            message_length=L,
-            bandwidth_flits_per_step=B,
-            priority=priority,
-            **common,
-        )
-    return _batch.run_restricted_batch(
-        wl.net, paths, message_length=L, num_buffers=B, **common
+        raise NetworkError("the continuous model needs message_length")
+    sim = ContinuousWormholeSimulator(
+        net, num_sources, num_virtual_channels=int(kwargs["B"]), seed=kwargs["seed"]
     )
+    return sim.run(
+        rate,
+        L,
+        path_of,
+        horizon=int(horizon),
+        sample_every=int(kwargs.get("sample_every", 50)),
+    )
+
+
+def _default_length(problem: Any, wl: Workload, message_length):
+    """``L`` for the run: explicit, else the workload's recommendation."""
+    if message_length is not None:
+        return message_length
+    if isinstance(problem, (str, Workload)):
+        return wl.default_length
+    raise NetworkError("message_length is required with a (net, paths) problem")
 
 
 def _simulate_local(problem: Any, kwargs: dict[str, Any]):
-    """The in-process execution path (also the process-backend payload)."""
-    if kwargs.get("batch") is not None:
-        return _simulate_batch(problem, kwargs)
+    """The in-process execution path (also the process-backend payload).
+
+    Every lockstep model — one seed or a ``batch=`` of them — is one
+    :func:`repro.sim.batch.run_model` call.
+    """
     model = kwargs["model"]
-    B = int(kwargs["B"])
-    seed = kwargs["seed"]
-    telemetry = kwargs.get("telemetry")
-    max_steps = kwargs.get("max_steps")
-    release = kwargs.get("release_times")
-
     if model == "continuous":
-        from .sim.continuous import ContinuousWormholeSimulator
-
-        if not (isinstance(problem, tuple) and len(problem) == 3):
-            raise TypeError(
-                "the continuous model takes problem=(net, num_sources, "
-                "path_of)"
-            )
-        net, num_sources, path_of = problem
-        rate, horizon = kwargs.get("rate"), kwargs.get("horizon")
-        if rate is None or horizon is None:
-            raise TypeError(
-                "the continuous model needs rate=... and horizon=..."
-            )
-        L = kwargs.get("message_length")
-        if L is None:
-            raise NetworkError("the continuous model needs message_length")
-        sim = ContinuousWormholeSimulator(
-            net, num_sources, num_virtual_channels=B, seed=seed
-        )
-        return sim.run(
-            rate,
-            L,
-            path_of,
-            horizon=int(horizon),
-            sample_every=int(kwargs.get("sample_every", 50)),
-        )
-
+        return _simulate_continuous(problem, kwargs)
+    batch = kwargs.get("batch")
     wl = _as_workload(problem, model, kwargs.get("workload_params"))
-    L = kwargs.get("message_length")
-    if L is None:
-        if isinstance(problem, (str, Workload)):
-            L = wl.default_length
-        else:
-            raise NetworkError(
-                "message_length is required with a (net, paths) problem"
-            )
-
-    if model == "adaptive":
-        from .sim.adaptive import AdaptiveMeshRouter
-
-        if wl.cube is None or wl.demands is None:
-            raise NetworkError(
-                f"the adaptive model needs a mesh problem (a (cube, demands)"
-                f" tuple or a mesh workload), got {problem!r}"
-            )
-        router = AdaptiveMeshRouter(
-            wl.cube,
-            num_virtual_channels=B,
-            policy=kwargs.get("policy") or "west-first",
-            seed=seed,
-        )
-        return router.run(
-            wl.demands,
-            message_length=L,
-            release_times=release,
-            max_steps=max_steps,
-            telemetry=telemetry,
-        ).result
-
-    priority = kwargs.get("priority") or _PRIORITY_DEFAULTS.get(model)
-    vc_ids = kwargs.get("vc_ids")
-    if vc_ids is not None and model != "wormhole":
-        raise NetworkError(
-            f"vc_ids (per-hop virtual-channel classes) are a wormhole-model "
-            f"feature; model {model!r} does not accept them"
-        )
-    extra = {"vc_ids": vc_ids} if model == "wormhole" else {}
-    return _PATH_RUNNERS[model](
+    results = run_model(
+        model,
         wl,
-        B=B,
-        L=L,
-        seed=seed,
-        priority=priority,
-        telemetry=telemetry,
-        max_steps=max_steps,
-        release=release,
-        **extra,
+        _default_length(problem, wl, kwargs.get("message_length")),
+        seeds=[kwargs["seed"]] if batch is None else batch,
+        B=int(kwargs["B"]),
+        options={"priority": kwargs.get("priority"), "policy": kwargs.get("policy")},
+        release_times=kwargs.get("release_times"),
+        max_steps=kwargs.get("max_steps"),
+        vc_ids=kwargs.get("vc_ids"),
+        telemetry=kwargs.get("telemetry"),
     )
+    return results[0] if batch is None else results
 
 
 def _simulate_payload(payload: tuple[Any, dict[str, Any]]):
@@ -519,7 +304,7 @@ def simulate(
         one lockstep batch through the model's kernel
         (:mod:`repro.sim.batch`; every flit-level router) and a *list*
         of results comes back, one per seed, each bit-identical to the
-        serial ``seed=...`` call.  ``seed`` is ignored; ``telemetry``
+        ``seed=...`` call.  ``seed`` is ignored; ``telemetry``
         is rejected (probes attach to a single trial).
     vc_ids:
         Per-hop virtual-channel class assignment (e.g. a Dally–Seitz
@@ -572,19 +357,20 @@ def simulate(
                     "single closed-form evaluations"
                 )
         wl = _as_workload(problem, model, workload_params)
-        L = message_length
-        if L is None:
-            if isinstance(problem, (str, Workload)):
-                L = wl.default_length
-            else:
-                raise NetworkError(
-                    "message_length is required with a (net, paths) problem"
-                )
         env = estimate_workload(
-            wl, model, B=int(B), message_length=L, release_times=release_times
+            wl,
+            model,
+            B=int(B),
+            message_length=_default_length(problem, wl, message_length),
+            release_times=release_times,
         )
         return SimResult(mode="estimate", provenance="estimate", envelope=env)
-    if telemetry is not None and model not in _TELEMETRY_MODELS:
+    if batch is not None and model not in LOCKSTEP_MODELS:
+        raise NetworkError(
+            f"model {model!r} has no lockstep batch runner; batched "
+            f"models: {', '.join(LOCKSTEP_MODELS)}"
+        )
+    if telemetry is not None and model not in LOCKSTEP_MODELS:
         raise NetworkError(
             f"model {model!r} does not support telemetry probes"
         )

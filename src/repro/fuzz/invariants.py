@@ -350,7 +350,7 @@ def check_batch_matches_serial(
     Both sequences are per-trial metric dicts (as produced by
     ``repro.sim.sweep``'s ``_result_metrics``) in the same trial order;
     ``model`` names the simulator under test (every entry of
-    ``repro.sim.batch.BATCHED_MODELS`` is held to this invariant).
+    ``repro.sim.batch.LOCKSTEP_MODELS`` is held to this invariant).
     """
     if len(batch_metrics) != len(serial_metrics):
         return Violation(

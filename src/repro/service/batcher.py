@@ -18,9 +18,10 @@ inference servers use.  One asyncio task loops forever:
    responses — cancellation before compute is wasted on them), and run
    the rest through the configured :mod:`repro.exec` backend: one
    lockstep ``run_*_batch`` call for trials of any flit-level router
-   (:data:`repro.sim.batch.BATCHED_MODELS` — mixed ``B`` / seeds /
-   root seeds in one grid), the sweep's per-trial path for everything
-   else (the ``schedule`` pipeline and singleton groups).
+   (:data:`repro.sim.batch.LOCKSTEP_MODELS` — mixed ``B`` / seeds /
+   root seeds in one grid; a lone request is a batch of one), trial by
+   trial for the ``schedule`` pipeline — the sweep's own
+   :func:`repro.sim.sweep.execute_compatible`, re-exported here.
 
 The batcher never blocks the event loop: a single dispatch thread hosts
 the backend's (blocking, fault-tolerant) ``run`` call, so batches
@@ -46,15 +47,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..sim.batch import batch_compat_key
-from ..sim.sweep import (
-    _BATCH_SIMULATORS,
-    TrialSpec,
-    _build_workload,
-    _execute_trial,
-    _run_batch_model,
-    _sim_seed,
-    trial_seed,
-)
+from ..sim.sweep import TrialSpec, execute_compatible
 from .admission import AdmissionQueue, PendingRequest
 from .protocol import error_response, expired_response, ok_response
 
@@ -80,38 +73,6 @@ class BatchPolicy:
             raise ValueError(
                 f"max_wait_ms must be >= 0, got {self.max_wait_ms}"
             )
-
-
-def execute_compatible(
-    items: list[tuple[TrialSpec, int]],
-) -> list[dict[str, Any]]:
-    """Run compatible ``(spec, root_seed)`` trials; metrics in input order.
-
-    All items must share :func:`batch_compat_key`.  Trials of any
-    batch-capable simulator (every flit-level router — see
-    :data:`repro.sim.batch.BATCHED_MODELS`) run as one lockstep batch
-    (per-item seeds derived exactly as the sweep does, so mixed root
-    seeds are fine); other simulators, and singleton groups, take the
-    sweep's per-trial path.  Either way the metrics are bit-identical
-    to a serial replay of each item.
-    """
-    spec0 = items[0][0]
-    if len(items) == 1 or spec0.simulator not in _BATCH_SIMULATORS:
-        return [_execute_trial(item)[0] for item in items]
-    wl = _build_workload(spec0.workload, spec0.workload_params)
-    L = (
-        wl.default_length
-        if spec0.message_length is None
-        else spec0.message_length
-    )
-    sp = dict(spec0.sim_params)
-    seeds = [
-        _sim_seed(dict(spec.sim_params), trial_seed(spec, root_seed))
-        for spec, root_seed in items
-    ]
-    return _run_batch_model(
-        spec0.simulator, wl, L, sp, seeds, [spec.B for spec, _ in items]
-    )
 
 
 class DynamicBatcher:

@@ -2,9 +2,12 @@
 
 from .adaptive import AdaptiveMeshRouter, AdaptiveRunResult
 from .batch import (
-    BATCHED_MODELS,
+    LOCKSTEP_MODELS,
+    default_step_cap,
+    resolve_step_cap,
     run_adaptive_batch,
     run_cut_through_batch,
+    run_model,
     run_restricted_batch,
     run_store_forward_batch,
     run_wormhole_batch,
@@ -23,13 +26,9 @@ from .engine import (
     BatchSlotArbiter,
     BatchStepLoop,
     PaddedPaths,
-    SlotArbiter,
-    StepLoop,
     check_edge_simple,
-    default_step_cap,
     grant_free_slots,
     pad_paths,
-    resolve_step_cap,
 )
 from .restricted import RestrictedWormholeSimulator
 from .stats import SimulationResult, summarize_latencies
@@ -40,18 +39,16 @@ from .wormhole import WormholeSimulator
 __all__ = [
     "AdaptiveMeshRouter",
     "AdaptiveRunResult",
-    "BATCHED_MODELS",
     "BatchSlotArbiter",
     "BatchStepLoop",
     "CircuitSwitchResult",
     "ContinuousResult",
     "ContinuousWormholeSimulator",
     "CutThroughSimulator",
+    "LOCKSTEP_MODELS",
     "PaddedPaths",
     "RestrictedWormholeSimulator",
     "SimulationResult",
-    "SlotArbiter",
-    "StepLoop",
     "StoreForwardSimulator",
     "SweepResult",
     "TrialResult",
@@ -69,6 +66,7 @@ __all__ = [
     "resolve_step_cap",
     "run_adaptive_batch",
     "run_cut_through_batch",
+    "run_model",
     "run_restricted_batch",
     "run_store_forward_batch",
     "run_sweep",

@@ -25,41 +25,27 @@ release) except the head extends its path one chosen edge at a time.  A
 head is *blocked* only when every direction its policy allows is full;
 this is where adaptivity pays — the worm routes around congestion.
 
-Slot occupancy lives in a shared :class:`~repro.sim.engine.SlotArbiter`
-(scalar claim path — grants happen sequentially in a random order as
-each head picks among its free directions) and the step protocol in the
-shared :class:`~repro.sim.engine.StepLoop`.
+Route selection and slot occupancy live in
+:class:`~repro.sim.kernels.AdaptiveKernel` (grants happen sequentially
+in a random head order as each head picks among its free directions) and
+the step protocol in the shared
+:class:`~repro.sim.engine.BatchStepLoop`.  :class:`AdaptiveMeshRouter`
+is the single-trial front end of
+:func:`repro.sim.batch.run_adaptive_batch`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 import numpy as np
 
-from ..network.graph import NetworkError
 from ..network.mesh import KAryNCube
-from ..telemetry.probe import Probe, ProbeSet, RunMeta
-from .engine import StepLoop, resolve_step_cap
-from .kernels import AdaptiveKernel, serial_state
-from .stats import SimulationResult
+from ..telemetry.probe import Probe, ProbeSet
+from . import batch
+from .stats import AdaptiveRunResult
 
 __all__ = ["AdaptiveMeshRouter", "AdaptiveRunResult"]
-
-_POLICIES = ("dimension", "west-first", "fully-adaptive")
-
-
-@dataclass
-class AdaptiveRunResult:
-    """A :class:`SimulationResult` plus the adaptively chosen routes."""
-
-    result: SimulationResult
-    taken_paths: list[list[int]]  # edge ids actually traversed per message
-
-    @property
-    def all_delivered(self) -> bool:
-        return self.result.all_delivered
 
 
 class AdaptiveMeshRouter:
@@ -86,53 +72,13 @@ class AdaptiveMeshRouter:
         policy: str = "west-first",
         seed: int | None = 0,
     ) -> None:
-        if cube.n != 2 or cube.wrap:
-            raise NetworkError("adaptive routing is implemented for 2-D meshes")
-        if num_virtual_channels < 1:
-            raise NetworkError("need at least one virtual channel")
-        if policy not in _POLICIES:
-            raise NetworkError(f"policy must be one of {_POLICIES}")
+        batch.check_mesh(cube)
+        batch.LOCKSTEP_MODELS["adaptive"].check(num_virtual_channels, policy)
         self.cube = cube
         self.net = cube.network
         self.B = int(num_virtual_channels)
         self.policy = policy
         self._rng = np.random.default_rng(seed)
-
-    # ------------------------------------------------------------------
-    def _allowed_moves(self, node: int, dst: int) -> list[int]:
-        """Edge ids of the productive moves this policy allows at ``node``.
-
-        Coordinates are (x, y) with dimension 0 = x; "west" decreases x.
-        """
-        x, y = self.cube.coords(node)
-        dx_, dy_ = self.cube.coords(dst)
-        dx, dy = dx_ - x, dy_ - y
-        moves: list[tuple[int, int]] = []
-        if self.policy == "dimension":
-            if dx != 0:
-                moves = [(1 if dx > 0 else -1, 0)]
-            elif dy != 0:
-                moves = [(0, 1 if dy > 0 else -1)]
-        elif self.policy == "west-first":
-            if dx < 0:
-                moves = [(-1, 0)]  # go fully west first, deterministically
-            else:
-                if dx > 0:
-                    moves.append((1, 0))
-                if dy != 0:
-                    moves.append((0, 1 if dy > 0 else -1))
-        else:  # fully-adaptive
-            if dx != 0:
-                moves.append((1 if dx > 0 else -1, 0))
-            if dy != 0:
-                moves.append((0, 1 if dy > 0 else -1))
-        edges = []
-        for mx, my in moves:
-            nxt = self.cube.node((x + mx, y + my))
-            e = self.net.edge_between(node, nxt)
-            assert e is not None
-            edges.append(e)
-        return edges
 
     # ------------------------------------------------------------------
     def run(
@@ -150,75 +96,14 @@ class AdaptiveMeshRouter:
         head reports the first edge its policy allowed as the edge it
         wanted.
         """
-        L = int(message_length)
-        if L < 1:
-            raise NetworkError("message length L must be >= 1")
-        M = len(demands)
-        release = (
-            np.zeros(M, dtype=np.int64)
-            if release_times is None
-            else np.asarray(release_times, dtype=np.int64)
-        )
-        if M == 0:
-            return AdaptiveRunResult(
-                SimulationResult(
-                    np.full(0, -1, dtype=np.int64),
-                    -1,
-                    0,
-                    np.zeros(0, dtype=np.int64),
-                ),
-                [],
-            )
-
-        # Minimal routes all have the Manhattan length.
-        dists = np.asarray(
-            [
-                sum(
-                    abs(a - b)
-                    for a, b in zip(self.cube.coords(s), self.cube.coords(d))
-                )
-                for s, d in demands
-            ],
-            dtype=np.int64,
-        )
-        max_steps = resolve_step_cap(
-            max_steps,
-            "adaptive",
-            release=release,
-            lengths=dists,
-            message_length=L,
-        )
-
-        probes = ProbeSet.coerce(telemetry)
-        if probes is not None:
-            probes.on_run_start(
-                RunMeta(
-                    simulator="adaptive",
-                    num_messages=M,
-                    num_edges=self.net.num_edges,
-                    num_virtual_channels=self.B,
-                    paths=None,
-                    lengths=dists,
-                    message_length=np.full(M, L, dtype=np.int64),
-                    release=release,
-                    extra={"flits_per_grant": L, "policy": self.policy},
-                )
-            )
-
-        loop = StepLoop(M, release, max_steps, probes)
-        loop.done |= dists == 0
-        loop.completion[dists == 0] = release[dists == 0]
-
-        kernel = AdaptiveKernel(
-            serial_state(loop),
-            cube=self.cube,
-            demands=demands,
-            message_length=L,
-            dists=dists,
-            capacities=np.full(1, self.B, dtype=np.int64),
+        return batch.run_adaptive_batch(
+            self.cube,
+            demands,
+            message_length,
+            seeds=[self._rng],
+            num_virtual_channels=self.B,
             policy=self.policy,
-            rngs=[self._rng],
-            probes=probes,
-        )
-        result = loop.run(kernel.serial_body)
-        return AdaptiveRunResult(result, kernel.taken_paths(0))
+            release_times=release_times,
+            max_steps=max_steps,
+            telemetry=telemetry,
+        )[0]

@@ -24,10 +24,12 @@ State per message is the vector ``c[i]`` = number of its flits that have
 crossed path edge ``i``; the buffer at the head of edge ``i`` holds
 ``c[i] - c[i+1]`` flits.  One flit may cross each owned edge per step.
 
-The step protocol (release gating, gap skipping, deadlock declaration,
-step caps, result assembly) comes from the shared
-:class:`~repro.sim.engine.StepLoop`; only the ownership-based advance
-rule lives here.
+The ownership-based advance rule lives in
+:class:`~repro.sim.kernels.CutThroughKernel`; the step protocol (release
+gating, gap skipping, deadlock declaration, step caps, result assembly)
+comes from the shared :class:`~repro.sim.engine.BatchStepLoop`.
+:class:`CutThroughSimulator` is the single-trial front end of
+:func:`repro.sim.batch.run_cut_through_batch`.
 """
 
 from __future__ import annotations
@@ -36,16 +38,10 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from ..network.graph import Network, NetworkError
+from ..network.graph import Network
 from ..routing.paths import Path
-from ..telemetry.probe import Probe, ProbeSet, RunMeta
-from .engine import (
-    PaddedPaths,
-    StepLoop,
-    compat_check_edge_simple,
-    resolve_step_cap,
-)
-from .kernels import CutThroughKernel, serial_state
+from ..telemetry.probe import Probe, ProbeSet
+from . import batch
 from .stats import SimulationResult
 
 __all__ = ["CutThroughSimulator"]
@@ -74,10 +70,7 @@ class CutThroughSimulator:
         priority: str = "random",
         seed: int | None = 0,
     ) -> None:
-        if buffer_flits < 1:
-            raise NetworkError("buffer must hold at least one flit")
-        if priority not in ("random", "index"):
-            raise NetworkError("priority must be 'random' or 'index'")
+        batch.LOCKSTEP_MODELS["cut_through"].check(buffer_flits, priority)
         self.net = net
         self.num_edges = net.num_edges
         self.buffer_flits = int(buffer_flits)
@@ -100,65 +93,14 @@ class CutThroughSimulator:
         ``L`` flits will stream across the edge), releases fire when
         ownership is surrendered.
         """
-        pp = PaddedPaths.from_paths(paths)
-        padded, D = pp.padded, pp.lengths
-        M = D.size
-        L_arr = np.broadcast_to(
-            np.asarray(message_length, dtype=np.int64), (M,)
-        ).copy()
-        if M and L_arr.min() < 1:
-            raise NetworkError("message length L must be >= 1")
-        if M == 0:
-            return SimulationResult(
-                np.full(0, -1, dtype=np.int64), -1, 0, np.zeros(0, dtype=np.int64)
-            )
-        pp.require_edge_simple()
-
-        release = (
-            np.zeros(M, dtype=np.int64)
-            if release_times is None
-            else np.asarray(release_times, dtype=np.int64).copy()
-        )
-        probes = ProbeSet.coerce(telemetry)
-        if probes is not None:
-            probes.on_run_start(
-                RunMeta(
-                    simulator="cut_through",
-                    num_messages=M,
-                    num_edges=self.num_edges,
-                    num_virtual_channels=1,
-                    paths=padded,
-                    lengths=D,
-                    message_length=L_arr,
-                    release=release,
-                    extra={"flits_per_grant": L_arr},
-                )
-            )
-        trivial = D == 0
-        max_steps = resolve_step_cap(
-            max_steps,
-            "cut_through",
-            release=release,
-            lengths=D,
-            message_length=L_arr,
-            num_messages=M,
-        )
-
-        loop = StepLoop(M, release, max_steps, probes)
-        loop.mark_trivial(trivial, release)
-
-        kernel = CutThroughKernel(
-            serial_state(loop),
-            num_edges=self.num_edges,
-            padded=padded,
-            lengths=D,
-            message_length=L_arr,
-            buffer_flits=np.full(1, self.buffer_flits, dtype=np.int64),
+        return batch.run_cut_through_batch(
+            self.net,
+            paths,
+            message_length,
+            seeds=[self._rng],
+            buffer_flits=self.buffer_flits,
             priority=self.priority,
-            rngs=[self._rng],
-            probes=probes,
-        )
-        return loop.run(kernel.serial_body)
-
-    # Back-compat alias: the single engine shim behind the old name.
-    _check_edge_simple = staticmethod(compat_check_edge_simple)
+            release_times=release_times,
+            max_steps=max_steps,
+            telemetry=telemetry,
+        )[0]

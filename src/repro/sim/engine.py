@@ -2,40 +2,31 @@
 
 The five routers (wormhole, cut-through, store-and-forward, restricted,
 adaptive) implement different *buffer models* but share one synchronous
-step protocol and one arbitration kernel.  This module owns that shared
-machinery so each router contributes only its advance rule:
+step protocol and one arbitration kernel.  This module owns that shared,
+model-agnostic machinery; each router contributes only its advance rule
+(a :mod:`repro.sim.kernels` class) and one row of the model table in
+:mod:`repro.sim.batch`:
 
 :func:`pad_paths` / :func:`check_edge_simple` / :class:`PaddedPaths`
-    Path packing and validation (formerly private to the wormhole
-    module; re-exported there for back compatibility).
-    :class:`PaddedPaths` caches one packed-and-validated matrix so
-    repeated runs of the same workload (every seed of a sweep grid
-    cell) skip the re-pack and re-check.
-:func:`grant_free_slots` / :class:`SlotArbiter`
+    Path packing and validation.  :class:`PaddedPaths` caches one
+    packed-and-validated matrix so repeated runs of the same workload
+    (every seed of a sweep grid cell) skip the re-pack and re-check.
+:func:`grant_free_slots` / :class:`BatchSlotArbiter`
     The vectorized contend/rank/grant kernel — sort the contenders by
     ``(slot, priority)``, rank each contender within its slot group, and
     grant the first ``free`` of every group — plus occupancy tracking
     for slot models that hold grants across steps (capacity-``B`` edges,
-    or capacity-1 ``(edge, VC-class)`` pairs).  **This is the only place
-    in** ``repro.sim`` **where the kernel exists**; the circuit and
-    continuous simulators call it too.
-:class:`StepLoop`
-    The synchronous step protocol: time advance, release gating,
-    idle-gap skipping, step caps, deadlock declaration, telemetry abort
-    handling, and :class:`~repro.sim.stats.SimulationResult` assembly.
-:class:`BatchSlotArbiter` / :class:`BatchStepLoop`
-    The batched (many independent trials in lockstep) counterparts of
-    :class:`SlotArbiter` and :class:`StepLoop`, used by
-    :mod:`repro.sim.batch`: one flat occupancy array over the combined
-    ``(trial, slot)`` key space and one shared clock with per-trial
-    completion / deadlock / step-cap masking, bit-exact per trial with
-    the serial loop.
-:func:`default_step_cap` / :func:`resolve_step_cap`
-    The documented per-model ``max_steps`` bounds with one shared
-    override path.
-:func:`legacy_record_probes` / :func:`legacy_extra`
-    The deprecation shim behind the pre-telemetry ``record_trace`` /
-    ``record_contention`` keywords.
+    or capacity-1 ``(edge, VC-class)`` pairs), laid out as one flat
+    array over the combined ``(trial, slot)`` key space.  **This is the
+    only place in** ``repro.sim`` **where the kernel exists**; the
+    circuit and continuous simulators call it too.
+:class:`BatchStepLoop`
+    The synchronous step protocol for ``T`` independent trials in
+    lockstep: one shared clock, release gating, idle-gap skipping,
+    per-trial completion / deadlock / step-cap masking, the telemetry
+    probe lifecycle, and :class:`~repro.sim.stats.SimulationResult`
+    assembly.  A serial run is the ``T = 1`` case of this loop — there
+    is no second step loop and no second slot pool.
 
 Bit-exactness contract
 ----------------------
@@ -58,14 +49,13 @@ well-defined — the message simply queues at that edge again.  See
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable, Sequence
 
 import numpy as np
 
 from ..network.graph import NetworkError
 from ..routing.paths import Path
-from ..telemetry.probe import Probe, ProbeSet
+from ..telemetry.probe import ProbeSet
 from . import fastpath
 from .stats import SimulationResult
 
@@ -73,18 +63,11 @@ __all__ = [
     "BatchSlotArbiter",
     "BatchStepLoop",
     "PaddedPaths",
-    "SlotArbiter",
-    "StepLoop",
     "age_priorities",
     "check_edge_simple",
-    "compat_check_edge_simple",
-    "default_step_cap",
     "grant_free_slots",
     "grant_free_slots_reference",
-    "legacy_extra",
-    "legacy_record_probes",
     "pad_paths",
-    "resolve_step_cap",
 ]
 
 
@@ -110,17 +93,6 @@ def check_edge_simple(
     bad = np.flatnonzero(dup.any(axis=1))
     if bad.size:
         raise NetworkError(what.format(m=int(bad[0])))
-
-
-def compat_check_edge_simple(
-    padded: np.ndarray,
-    lengths: np.ndarray,
-    what: str = "path of message {m} is not edge-simple",
-) -> None:
-    """The single back-compat shim behind the former per-router
-    ``_check_edge_simple(padded, lengths)`` staticmethods."""
-    del lengths  # encoded by the -1 padding already
-    check_edge_simple(padded, what)
 
 
 def pad_paths(paths: Sequence[Path] | Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -208,7 +180,7 @@ def grant_free_slots(
     ``capacity - occupancy[slot]`` contenders are granted.  Returns the
     boolean granted mask aligned with the input order.  Occupancy is
     **not** updated — callers that hold grants across steps acquire via
-    :class:`SlotArbiter`.
+    :class:`BatchSlotArbiter`.
 
     ``capacity`` may be a per-contender array (constant within each
     slot group) — this is how :class:`BatchSlotArbiter` arbitrates
@@ -271,61 +243,20 @@ def age_priorities(release: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(release.size), release)).argsort()
 
 
-class SlotArbiter:
-    """Capacity-limited slot pool with the shared arbitration kernel.
+class BatchSlotArbiter:
+    """``T`` independent slot pools arbitrated in one kernel call.
 
     A *slot* is whatever a router's buffer model holds across steps: a
     physical edge with capacity ``B`` (interchangeable virtual
     channels), or an ``(edge, VC-class)`` pair with capacity 1 (the
-    Dally-Seitz mechanism).  The arbiter tracks per-slot occupancy and
-    answers contention rounds with :meth:`contend`, which applies
-    :func:`grant_free_slots` against the current occupancy.
-    """
-
-    def __init__(self, num_slots: int, capacity: int = 1) -> None:
-        if capacity < 1:
-            raise NetworkError("slot capacity must be >= 1")
-        self.num_slots = int(num_slots)
-        self.capacity = int(capacity)
-        self.occupancy = np.zeros(self.num_slots, dtype=np.int64)
-
-    # -- vectorized round ----------------------------------------------
-    def contend(self, slots: np.ndarray, prio: np.ndarray) -> np.ndarray:
-        """Granted mask for one contention round (does not acquire)."""
-        if slots.size == 0:
-            return np.zeros(0, dtype=bool)
-        return grant_free_slots(slots, prio, self.capacity, self.occupancy)
-
-    def acquire(self, slots: np.ndarray) -> None:
-        """Occupy ``slots`` (duplicates accumulate)."""
-        np.add.at(self.occupancy, slots, 1)
-
-    def vacate(self, slots: np.ndarray) -> None:
-        """Release previously acquired ``slots``."""
-        np.add.at(self.occupancy, slots, -1)
-
-    # -- scalar path (sequential / adaptive arbitration) ---------------
-    def has_free(self, slot: int) -> bool:
-        return bool(self.occupancy[slot] < self.capacity)
-
-    def acquire_one(self, slot: int) -> None:
-        self.occupancy[slot] += 1
-
-    def vacate_one(self, slot: int) -> None:
-        self.occupancy[slot] -= 1
-
-
-class BatchSlotArbiter:
-    """``T`` independent slot pools arbitrated in one kernel call.
-
-    Trial ``i`` owns ``num_slots[i]`` slots with capacity
-    ``capacities[i]``; the pools are laid out back to back in one flat
-    occupancy array, and every contention round runs
+    Dally-Seitz mechanism).  Trial ``i`` owns ``num_slots[i]`` slots
+    with capacity ``capacities[i]``; the pools are laid out back to
+    back in one flat occupancy array, and every contention round runs
     :func:`grant_free_slots` once over the combined ``(trial, slot)``
     key ``offset[trial] + slot``.  Because keys never collide across
-    trials, the grants for each trial are exactly what its own
-    :class:`SlotArbiter` would have produced — trials may even have
-    different capacities (a mixed-``B`` batch).
+    trials, the grants for each trial are exactly what arbitrating its
+    pool alone would have produced — trials may even have different
+    capacities (a mixed-``B`` batch).
     """
 
     def __init__(
@@ -371,293 +302,64 @@ class BatchSlotArbiter:
 
 
 # ----------------------------------------------------------------------
-# Per-model step caps.
-# ----------------------------------------------------------------------
-
-
-def _wormhole_cap(*, release, total_moves, trivial, **_):
-    # Every step, at least one pending message moves (else deadlock is
-    # declared), and each message needs L + D - 1 moves.
-    if not (~trivial).any():
-        return 0
-    return int(release.max() + total_moves[~trivial].sum() + 1)
-
-
-def _cut_through_cap(*, release, lengths, message_length, num_messages, **_):
-    # Worst case is full serialization with per-hop drain lag.
-    max_d = int(lengths.max())
-    return int(
-        release.max()
-        + (int(message_length.max()) + 2 * max_d + 2) * num_messages
-        + 10
-    )
-
-
-def _restricted_cap(*, release, lengths, message_length, num_messages, **_):
-    # One flit per edge per step: full serialization costs about
-    # L * D per message in the worst case.
-    max_d = int(lengths.max())
-    return int(
-        release.max()
-        + (int(message_length.max()) * (max_d + 2) + 4) * num_messages
-        + 10
-    )
-
-
-def _store_forward_cap(*, release, lengths, **_):
-    # Greedy store-and-forward always grants one message per contended
-    # edge, so the schedule needs at most sum(D) message steps of work.
-    return int(release.max() + lengths.sum() + 1)
-
-
-def _adaptive_cap(*, release, lengths, message_length, **_):
-    # Minimal adaptive routes have Manhattan length `lengths`; pad per
-    # message for drain and injection slack.
-    return int(release.max() + (message_length + lengths + 2).sum() + 10)
-
-
-_STEP_CAPS: dict[str, Callable[..., int]] = {
-    "wormhole": _wormhole_cap,
-    "cut_through": _cut_through_cap,
-    "restricted": _restricted_cap,
-    "store_forward": _store_forward_cap,
-    "adaptive": _adaptive_cap,
-}
-
-
-def default_step_cap(model: str, **dims) -> int:
-    """The documented per-model ``max_steps`` bound.
-
-    Each bound is generous enough that any *live* simulation of that
-    buffer model finishes under it, so hitting the cap means livelock
-    (or a deadlock the model cannot itself declare).  Accepted ``dims``
-    (all NumPy arrays unless noted): ``release``, ``lengths`` (path /
-    Manhattan lengths ``D_m``), ``message_length`` (per-message ``L``),
-    ``num_messages`` (int), ``total_moves`` (``L + D - 1``),
-    ``trivial`` (zero-length-path mask).  Units are the model's native
-    steps (flit steps; message steps for store-and-forward).
-    """
-    try:
-        cap = _STEP_CAPS[model]
-    except KeyError:
-        raise NetworkError(f"no step-cap bound for model {model!r}") from None
-    return cap(**dims)
-
-
-def resolve_step_cap(max_steps: int | None, model: str, **dims) -> int:
-    """The shared override path: an explicit ``max_steps`` wins,
-    otherwise the model's :func:`default_step_cap` applies."""
-    if max_steps is not None:
-        return int(max_steps)
-    return default_step_cap(model, **dims)
-
-
-# ----------------------------------------------------------------------
-# Legacy record_* keyword shim.
-# ----------------------------------------------------------------------
-
-
-def legacy_record_probes(
-    record_trace: bool, record_contention: bool, stacklevel: int = 3
-) -> tuple[list[Probe], "Probe | None", "Probe | None"]:
-    """Engine-level shim for the deprecated ``record_*`` run keywords.
-
-    Returns ``(extra_probes, trace_probe, contention_probe)`` to pass to
-    :meth:`ProbeSet.coerce` and :func:`legacy_extra`; emits the same
-    DeprecationWarnings the routers used to emit inline.
-    """
-    legacy: list[Probe] = []
-    trace_probe = contention_probe = None
-    if record_trace:
-        warnings.warn(
-            "record_trace is deprecated; attach a repro.telemetry."
-            "TraceSnapshotCollector via telemetry= instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        from ..telemetry.collectors import TraceSnapshotCollector
-
-        trace_probe = TraceSnapshotCollector()
-        legacy.append(trace_probe)
-    if record_contention:
-        warnings.warn(
-            "record_contention is deprecated; attach a repro.telemetry."
-            "EdgeContentionCollector via telemetry= instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        from ..telemetry.collectors import EdgeContentionCollector
-
-        contention_probe = EdgeContentionCollector()
-        legacy.append(contention_probe)
-    return legacy, trace_probe, contention_probe
-
-
-def legacy_extra(trace_probe, contention_probe) -> dict:
-    """``extra`` keys for the deprecated ``record_*`` kwargs."""
-    extra: dict = {}
-    if trace_probe is not None:
-        extra["trace"] = trace_probe.matrix
-    if contention_probe is not None:
-        extra["edge_contention"] = contention_probe.denied
-    return extra
-
-
-# ----------------------------------------------------------------------
-# The synchronous step loop.
-# ----------------------------------------------------------------------
-
-
-class StepLoop:
-    """The synchronous step protocol shared by every router.
-
-    The loop owns everything that is *not* the buffer model: time
-    advance, release gating (a message released at ``r`` first contends
-    at step ``r + 1``), idle-gap skipping (when nothing is released the
-    clock jumps to the next release), the step cap, deadlock
-    declaration, telemetry abort handling, and result assembly.  The
-    router supplies a ``body(t, active)`` callback that advances its
-    buffer model for one step:
-
-    * ``active`` is the boolean mask of released, unfinished messages;
-    * the body mutates :attr:`completion`, :attr:`done`, and
-      :attr:`blocked` in place and dispatches its own probe events
-      (grant/block/release/complete/step — their order is part of each
-      router's contract);
-    * it returns ``True`` iff any message moved this step.
-
-    When the body reports no movement while every pending message is
-    already released, the configuration can never change again and the
-    loop declares deadlock (``detect_deadlock=False`` opts out for
-    models that cannot deadlock, e.g. greedy store-and-forward).  The
-    ``on_deadlock`` / ``on_run_end`` lifecycle events and the
-    ``telemetry_abort`` annotation are dispatched here so routers
-    cannot drift apart in their protocol behavior.
-    """
-
-    def __init__(
-        self,
-        num_messages: int,
-        release: np.ndarray,
-        max_steps: int,
-        probes: "ProbeSet | None" = None,
-        *,
-        detect_deadlock: bool = True,
-        time_scale: int = 1,
-    ) -> None:
-        self.M = int(num_messages)
-        self.release = release
-        self.max_steps = int(max_steps)
-        self.probes = probes
-        self.detect_deadlock = detect_deadlock
-        self.time_scale = int(time_scale)
-        self.completion = np.full(self.M, -1, dtype=np.int64)
-        self.blocked = np.zeros(self.M, dtype=np.int64)
-        self.done = np.zeros(self.M, dtype=bool)
-        self.t = 0
-
-    @property
-    def pending(self) -> int:
-        return int(self.M - self.done.sum())
-
-    def mark_trivial(self, trivial: np.ndarray, completion: np.ndarray) -> None:
-        """Deliver zero-length-path messages at their release time."""
-        self.done |= trivial
-        self.completion[trivial] = completion[trivial]
-
-    def run(
-        self,
-        body: Callable[[int, np.ndarray], bool],
-        extra_factory: Callable[[], dict] | None = None,
-    ) -> SimulationResult:
-        release, done, probes = self.release, self.done, self.probes
-        t = self.t
-        while (self.M - done.sum()) and t < self.max_steps:
-            t += 1
-            active = ~done & (release < t)
-            if not active.any():
-                # Jump to the next release to avoid idling through gaps.
-                t = int(release[~done].min())
-                continue
-            moved = body(t, active)
-            if probes is not None and probes.aborted:
-                break
-            if (
-                not moved
-                and self.detect_deadlock
-                and bool((release[~done] < t).all())
-            ):
-                # Nothing moved and every pending message is already
-                # released: the configuration can never change.
-                self.t = t
-                result = self._result(True, False, extra_factory)
-                if probes is not None:
-                    probes.on_deadlock(t, np.flatnonzero(~done))
-                    probes.on_run_end(result)
-                return result
-        self.t = t
-        result = self._result(False, self.pending > 0, extra_factory)
-        if probes is not None:
-            if probes.aborted:
-                result.extra["telemetry_abort"] = probes.abort_reason
-            probes.on_run_end(result)
-        return result
-
-    def _result(
-        self,
-        deadlocked: bool,
-        hit_step_cap: bool,
-        extra_factory: Callable[[], dict] | None,
-    ) -> SimulationResult:
-        return SimulationResult(
-            completion_times=self.completion,
-            makespan=int(self.completion.max()),
-            steps_executed=self.t * self.time_scale,
-            blocked_steps=self.blocked,
-            deadlocked=deadlocked,
-            hit_step_cap=hit_step_cap,
-            extra=extra_factory() if extra_factory is not None else {},
-        )
-
-
-# ----------------------------------------------------------------------
-# The batched (lockstep) step loop.
+# The synchronous (lockstep) step loop.
 # ----------------------------------------------------------------------
 
 _FAR_FUTURE = np.iinfo(np.int64).max
 
 
 class BatchStepLoop:
-    """The :class:`StepLoop` protocol for ``T`` independent trials.
+    """The synchronous step protocol, for ``T`` independent trials.
 
+    The loop owns everything that is *not* the buffer model: time
+    advance, release gating (a message released at ``r`` first contends
+    at step ``r + 1``), idle-gap skipping, the step caps, deadlock
+    declaration, the telemetry probe lifecycle, and result assembly.
     All trials share one clock and one ``body(t, active)`` call per
-    step; per-trial state lives in stacked ``(T, M)`` arrays.  The loop
-    reproduces the serial protocol *per trial*:
+    step; per-trial state lives in stacked ``(T, M)`` arrays:
 
     * ``active`` is the ``(T, M)`` mask of released, unfinished
       messages of still-running trials; the body mutates
-      :attr:`completion` / :attr:`done` / :attr:`blocked` in place and
-      returns the ``(T,)`` mask of trials in which any message moved;
+      :attr:`completion` / :attr:`done` / :attr:`blocked` in place,
+      dispatches its own probe events (grant/block/release/complete/
+      step — their order is part of each kernel's contract) and returns
+      the ``(T,)`` mask of trials in which any message moved;
     * a trial whose last message completes at step ``t`` is finalized
       with ``steps = t`` and drops out of the active set — the batch
       never stalls on it again;
     * a trial that executed a step without movement while every one of
-      its pending messages was already released is declared deadlocked
-      at that step (``detect_deadlock=False`` opts out);
+      its pending messages was already released can never change
+      configuration again and is declared deadlocked at that step
+      (``detect_deadlock=False`` opts out for models that cannot
+      deadlock, e.g. greedy store-and-forward);
     * each trial has its own step cap; a trial that is still pending
-      after executing step ``max_steps[i]`` is finalized with the cap
-      flag, exactly like the serial loop's exit condition;
+      after executing step ``max_steps[i]`` (or before any step, when
+      the cap is not positive) is finalized with the cap flag;
     * idle trials (pending messages, none released yet) wait without
       consuming work; when *every* live trial is idle the shared clock
-      jumps to the earliest next release, mirroring the serial loop's
-      idle-gap skip.  A trial whose next release lies at or beyond its
-      step cap is finalized with ``steps`` = that release time and the
-      cap flag set — the serial loop's jump-past-the-cap exit.
+      jumps to the earliest next release.  A trial whose next release
+      lies at or beyond its step cap is finalized with ``steps`` = that
+      release time and the cap flag set.
 
-    Bit-exactness per trial holds because a trial's state evolves only
-    in steps where it has active messages, and those steps happen at
-    the same ``t`` with the same inputs as in its own serial run; the
-    steps it merely waits through touch none of its state.
+    Trials are independent: a trial's state evolves only in steps where
+    it has active messages, and the steps it merely waits through touch
+    none of its state, so trial ``i`` of a batch is bit-identical to the
+    same trial run alone — a *serial* run is simply ``T = 1``.
+
+    Probes (``probes=``, a :class:`~repro.telemetry.probe.ProbeSet`) are
+    a ``T = 1`` contract: a multi-trial event stream would interleave
+    trials.  With probes attached the loop stops at the end of the step
+    in which one requests an abort (``hit_step_cap`` then reports
+    whether messages were still pending, and
+    ``extra["telemetry_abort"]`` carries the reason), and dispatches
+    ``on_deadlock`` before ``on_run_end`` so kernels cannot drift apart
+    in their lifecycle behaviour.
+
+    The per-step mask work is guarded by scalars the loop maintains
+    itself (the live-trial count, the count of delivered messages,
+    ``moved.all()``, the smallest live cap): the guards depend only on
+    loop state, so every ``T`` takes the same path and a lone trial does
+    not pay for masks that can only matter to a batch.
     """
 
     def __init__(
@@ -667,27 +369,35 @@ class BatchStepLoop:
         release: np.ndarray,
         max_steps: np.ndarray | int,
         *,
+        probes: "ProbeSet | None" = None,
         detect_deadlock: bool = True,
         time_scale: int | np.ndarray = 1,
     ) -> None:
         self.T = int(num_trials)
         self.M = int(num_messages)
+        if probes is not None and self.T != 1:
+            # A bare ``assert`` would vanish under ``python -O`` and
+            # silently emit a garbled multi-trial event stream instead.
+            raise NetworkError(
+                "telemetry probes are supported on single-trial runs only "
+                f"(T = 1), got T = {self.T}"
+            )
+        self.probes = probes
         # Releases may differ per trial (store-and-forward converts flit
         # steps to per-trial message steps): accept (M,) or (T, M).
         self.release = np.broadcast_to(
             np.asarray(release, dtype=np.int64), (self.T, self.M)
         )
-        self.max_steps = np.broadcast_to(
-            np.asarray(max_steps, dtype=np.int64), (self.T,)
-        ).copy()
+        self.max_steps = np.empty(self.T, dtype=np.int64)
+        self.max_steps[:] = max_steps
         self.detect_deadlock = detect_deadlock
-        self.time_scale = np.broadcast_to(
-            np.asarray(time_scale, dtype=np.int64), (self.T,)
-        ).copy()
+        self.time_scale = np.empty(self.T, dtype=np.int64)
+        self.time_scale[:] = time_scale
         self.completion = np.full((self.T, self.M), -1, dtype=np.int64)
         self.blocked = np.zeros((self.T, self.M), dtype=np.int64)
         self.done = np.zeros((self.T, self.M), dtype=bool)
         self.live = np.ones(self.T, dtype=bool)
+        self.num_live = self.T
         self.steps = np.zeros(self.T, dtype=np.int64)
         self.deadlocked = np.zeros(self.T, dtype=bool)
         self.hit_cap = np.zeros(self.T, dtype=bool)
@@ -695,53 +405,99 @@ class BatchStepLoop:
 
     def mark_trivial(self, trivial: np.ndarray, completion: np.ndarray) -> None:
         """Deliver zero-length-path messages at their release time."""
-        completion = np.broadcast_to(
-            np.asarray(completion, dtype=np.int64), (self.T, self.M)
+        if trivial.any():
+            self.done[:, trivial] = True
+            self.completion[:, trivial] = np.asarray(completion)[..., trivial]
+
+    def _finalize(self, which: np.ndarray, steps: "int | np.ndarray") -> None:
+        """Retire trials ``which`` (a mask or index array) at ``steps``."""
+        self.steps[which] = steps
+        self.live[which] = False
+        self.num_live = int(np.count_nonzero(self.live))
+
+    def _apply_caps(self, t: int) -> None:
+        capped = self.live & (t >= self.max_steps)
+        self.hit_cap[capped] = True
+        self._finalize(capped, t)
+
+    def run(
+        self,
+        body: Callable[[int, np.ndarray], np.ndarray],
+        extra_factory: Callable[[int], dict] | None = None,
+    ) -> list[SimulationResult]:
+        """Step every trial to its end; per-trial results in trial order.
+
+        ``extra_factory(i)`` supplies trial ``i``'s ``extra`` dict (see
+        :meth:`results`).
+        """
+        probes = self.probes
+        self._advance(body)
+        results = self.results(extra_factory)
+        if probes is not None:
+            if self.deadlocked[0]:
+                probes.on_deadlock(
+                    int(self.steps[0]), np.flatnonzero(~self.done[0])
+                )
+            elif probes.aborted:
+                results[0].extra["telemetry_abort"] = probes.abort_reason
+            probes.on_run_end(results[0])
+        return results
+
+    def _advance(self, body: Callable[[int, np.ndarray], np.ndarray]) -> None:
+        release, done, live, probes = (
+            self.release, self.done, self.live, self.probes
         )
-        self.done[:, trivial] = True
-        self.completion[:, trivial] = completion[:, trivial]
-
-    def _finalize(self, mask: np.ndarray, t: int) -> None:
-        self.steps[mask] = t
-        self.live[mask] = False
-
-    def run(self, body: Callable[[int, np.ndarray], np.ndarray]) -> None:
-        release, done, live = self.release, self.done, self.live
+        T, detect_deadlock = self.T, self.detect_deadlock
         t = self.t
-        # Trials with nothing to do (all paths trivial) end at step 0.
-        self._finalize(live & done.all(axis=1), t)
-        while live.any():
+        # Trials with nothing to do (all paths trivial) end at step 0, as
+        # do trials whose cap leaves them no step at all.
+        self._finalize(done.all(axis=1), t)
+        self._apply_caps(t)
+        # A lower bound on every live trial's cap; refreshed when reached.
+        min_cap = int(self.max_steps[live].min()) if self.num_live else 0
+        delivered = int(np.count_nonzero(done))
+        while self.num_live:
             t += 1
-            active = live[:, None] & ~done & (release < t)
+            active = ~done & (release < t)
+            if self.num_live < T:
+                active &= live[:, None]
             act_any = active.any(axis=1)
-            idle = live & ~act_any
-            if idle.any():
-                # The serial loop jumps an idle trial's clock to its next
-                # release; a jump landing at or past the trial's step cap
-                # exits right there with the cap flag set.
-                rows = np.flatnonzero(idle)
+            # Only live rows can be active, so a short count means a
+            # live trial is idle (pending messages, none released yet).
+            if np.count_nonzero(act_any) != self.num_live:
+                # An idle trial's clock jumps to its next release; a
+                # jump landing at or past the trial's step cap exits
+                # right there with the cap flag set.
+                rows = np.flatnonzero(live & ~act_any)
                 minrel = np.where(
                     done[rows], _FAR_FUTURE, release[rows]
                 ).min(axis=1)
                 over = minrel >= self.max_steps[rows]
                 if over.any():
-                    self.steps[rows[over]] = minrel[over]
                     self.hit_cap[rows[over]] = True
-                    live[rows[over]] = False
+                    self._finalize(rows[over], minrel[over])
                 if not act_any.any():
                     if not over.all():
                         # Every surviving trial is idle: jump the shared
                         # clock to the earliest next release.
                         t = int(minrel[~over].min())
                     continue
-                active &= live[:, None]
             moved = body(t, active)
+            if probes is not None and probes.aborted:
+                # Stop at the end of this step (T = 1); messages still
+                # pending mark the run as cut short.
+                self.hit_cap[live] = ~done[live].all(axis=1)
+                self._finalize(live.copy(), t)
+                break
             # 1) trials whose last message finished this step
-            self._finalize(live & done.all(axis=1), t)
+            now_delivered = int(np.count_nonzero(done))
+            if now_delivered != delivered:
+                delivered = now_delivered
+                self._finalize(live & done.all(axis=1), t)
             # 2) deadlock: a trial that executed this step without any
             # movement while all its pending messages were released can
             # never change configuration again.
-            if self.detect_deadlock:
+            if detect_deadlock and not moved.all():
                 stuck = live & act_any & ~moved
                 if stuck.any():
                     unreleased = (~done & (release >= t)).any(axis=1)
@@ -749,9 +505,11 @@ class BatchStepLoop:
                     self.deadlocked |= dead
                     self._finalize(dead, t)
             # 3) per-trial step caps.
-            capped = live & (t >= self.max_steps)
-            self.hit_cap[capped] = True
-            self._finalize(capped, t)
+            if t >= min_cap:
+                self._apply_caps(t)
+                min_cap = (
+                    int(self.max_steps[live].min()) if self.num_live else 0
+                )
         self.t = t
 
     def results(

@@ -1,4 +1,4 @@
-"""Model-parameterized batched kernels: one body per router, two drivers.
+"""Model-parameterized lockstep kernels: one body per buffer model.
 
 Every router in :mod:`repro.sim` advances the same struct-of-arrays
 state shape — per-(trial, message) integers stacked as ``(T, M)``
@@ -12,28 +12,23 @@ for adaptive meshes.  This module holds those semantics as five kernel
 classes, each exposing one vectorized ``body(t, active)`` over ``(T, M)``
 state.
 
-The same body drives both execution paths:
-
-* **batched** — :mod:`repro.sim.batch` builds the kernel at ``T`` trials
-  over a :class:`~repro.sim.engine.BatchStepLoop` and steps all trials
-  in lockstep (one contend/rank/grant call per step over the combined
-  ``(trial, slot)`` key space);
-* **serial** — each legacy simulator class builds the kernel at
-  ``T = 1`` over the scalar :class:`~repro.sim.engine.StepLoop` (which
-  owns the probe lifecycle) through :func:`serial_state`, a ``(1, M)``
-  view of the loop's flat arrays.  There is exactly one arbitration
-  implementation per model.
+There is one execution path: :mod:`repro.sim.batch` builds the kernel
+over a :class:`~repro.sim.engine.BatchStepLoop` at ``T`` trials and the
+loop steps them in lockstep (one contend/rank/grant call per step over
+the combined ``(trial, slot)`` key space).  The legacy simulator classes
+are the ``T = 1`` case of the same drivers, so there is exactly one
+arbitration implementation per model and one step protocol for all.
 
 Bit-exactness contract
 ----------------------
-Trial ``i`` of a batch is bit-identical to the serial simulator run with
-the same parameters and ``seeds[i]``: each trial draws from its **own**
-RNG in exactly the serial order (draws happen only in steps/phases where
-that trial acts), the combined arbitration key space keeps trials'
-slot groups disjoint, and a trial's state is only read or written where
-it has active messages.  Telemetry probes are supported at ``T = 1``
-only (the serial path), where each kernel reproduces the legacy event
-stream call for call, in the same order.
+Trial ``i`` of a batch is bit-identical to the same trial run alone with
+``seeds[i]``: each trial draws from its **own** RNG in a fixed order
+(draws happen only in steps/phases where that trial acts), the combined
+arbitration key space keeps trials' slot groups disjoint, and a trial's
+state is only read or written where it has active messages.  Telemetry
+probes ride on the loop (``state.probes``) and are supported at
+``T = 1`` only, where each kernel reproduces the legacy event stream
+call for call, in the same order.
 """
 
 from __future__ import annotations
@@ -54,7 +49,6 @@ __all__ = [
     "RestrictedKernel",
     "StoreForwardKernel",
     "WormholeKernel",
-    "serial_state",
     "validate_vc_ids",
 ]
 
@@ -66,26 +60,6 @@ _EMPTY_IDX = np.zeros(0, dtype=np.int64)
 # admission stamps sort below _HDR_BASE, header keys at _HDR_BASE + site,
 # ineligible entries at _FAR.
 _HDR_BASE = np.int64(1) << 40
-
-
-class _SerialState:
-    """``(1, M)`` views of a serial :class:`StepLoop`'s state arrays.
-
-    Basic-indexing views, so kernel writes propagate straight into the
-    loop's ``completion`` / ``done`` / ``blocked`` arrays.
-    """
-
-    __slots__ = ("completion", "done", "blocked")
-
-    def __init__(self, loop) -> None:
-        self.completion = loop.completion[None, :]
-        self.done = loop.done[None, :]
-        self.blocked = loop.blocked[None, :]
-
-
-def serial_state(loop) -> _SerialState:
-    """Adapt a scalar :class:`~repro.sim.engine.StepLoop` for a kernel."""
-    return _SerialState(loop)
 
 
 def validate_vc_ids(
@@ -103,19 +77,6 @@ def validate_vc_ids(
     return vc_padded
 
 
-def _check_serial_probes(probes, T: int) -> None:
-    """Probes are a serial-path (``T = 1``) contract; hard-fail otherwise.
-
-    A bare ``assert`` here would vanish under ``python -O`` and silently
-    emit a garbled multi-trial event stream instead.
-    """
-    if probes is not None and T != 1:
-        raise NetworkError(
-            "telemetry probes are supported on the serial path only "
-            f"(T = 1), got T = {T}"
-        )
-
-
 class _RandomBlock:
     """Buffered per-trial uniform draws, bit-identical to per-call draws.
 
@@ -130,9 +91,10 @@ class _RandomBlock:
     but amortize over ~``block / M`` rounds.
 
     Only used at ``T > 1``: batch RNGs are created per batch run and
-    discarded, so the over-drawn tail is unobservable.  The serial path
-    keeps its one-draw-per-round call — serial simulator instances can
-    be run twice on one continuing stream.
+    discarded, so the over-drawn tail is unobservable.  A lone trial
+    keeps its one-draw-per-round call — a simulator instance passes its
+    own generator as the seed and can be run twice on one continuing
+    stream.
     """
 
     __slots__ = ("rngs", "T", "block", "buf", "cur")
@@ -163,13 +125,9 @@ class _RandomBlock:
 
 
 class _Kernel:
-    """Common driver plumbing: a ``(T,) -> bool`` adapter for ``T = 1``."""
+    """Common kernel plumbing: per-trial random priorities."""
 
-    probes = None
     _rand_block: "_RandomBlock | None" = None
-
-    def serial_body(self, t: int, active: np.ndarray) -> bool:
-        return bool(self.body(t, active[None, :])[0])
 
     def _random_prio(self, rows: np.ndarray) -> np.ndarray:
         """One uniform priority per contender, in serial draw order.
@@ -216,10 +174,8 @@ class WormholeKernel(_Kernel):
         priority: str,
         rngs: list,
         vc_padded: np.ndarray | None = None,
-        probes=None,
     ) -> None:
         T, M = len(rngs), int(lengths.size)
-        _check_serial_probes(probes, T)
         self.state = state
         self.T, self.M = T, M
         self.padded = padded
@@ -228,7 +184,7 @@ class WormholeKernel(_Kernel):
         self.B = capacities
         self.priority = priority
         self.rngs = rngs
-        self.probes = probes
+        self.probes = state.probes
         self.vc_padded = vc_padded
         self._moved = np.zeros(T, dtype=bool)
         # Slot model per trial: without VC classes a slot is an edge with
@@ -356,10 +312,8 @@ class CutThroughKernel(_Kernel):
         buffer_flits: np.ndarray,
         priority: str,
         rngs: list,
-        probes=None,
     ) -> None:
         T, M = len(rngs), int(lengths.size)
-        _check_serial_probes(probes, T)
         self.state = state
         self.T, self.M = T, M
         self.num_edges = int(num_edges)
@@ -369,7 +323,7 @@ class CutThroughKernel(_Kernel):
         self.B = buffer_flits
         self.priority = priority
         self.rngs = rngs
-        self.probes = probes
+        self.probes = state.probes
         self.max_D = int(padded.shape[1])
         maxD = self.max_D
         # The movement phase runs in TAIL-FIRST, SCAN-AXIS-FIRST layout:
@@ -648,10 +602,8 @@ class StoreForwardKernel(_Kernel):
         hop: np.ndarray,
         priority: str,
         rngs: list,
-        probes=None,
     ) -> None:
         T, M = len(rngs), int(lengths.size)
-        _check_serial_probes(probes, T)
         self.state = state
         self.T, self.M = T, M
         self.num_edges = int(num_edges)
@@ -664,7 +616,7 @@ class StoreForwardKernel(_Kernel):
         self.hop = hop
         self.priority = priority
         self.rngs = rngs
-        self.probes = probes
+        self.probes = state.probes
         self.hops_done = np.zeros((T, M), dtype=np.int64)
         self.max_queue = np.zeros(T, dtype=np.int64)
 
@@ -741,11 +693,8 @@ class RestrictedKernel(_Kernel):
         message_length: np.ndarray,
         capacities: np.ndarray,
         rngs: list,
-        probes=None,
     ) -> None:
         T, M = len(rngs), int(lengths.size)
-        if probes is not None:
-            raise NetworkError("restricted model has no telemetry hooks")
         self.state = state
         self.T, self.M = T, M
         self.num_edges = int(num_edges)
@@ -976,10 +925,8 @@ class AdaptiveKernel(_Kernel):
         capacities: np.ndarray,
         policy: str,
         rngs: list,
-        probes=None,
     ) -> None:
         T, M = len(rngs), len(demands)
-        _check_serial_probes(probes, T)
         self.state = state
         self.T, self.M = T, M
         self.L = int(message_length)
@@ -987,7 +934,7 @@ class AdaptiveKernel(_Kernel):
         self.B = capacities
         self.policy = policy
         self.rngs = rngs
-        self.probes = probes
+        self.probes = state.probes
         net = cube.network
         V = cube.num_nodes
         kk = cube.k

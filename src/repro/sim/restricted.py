@@ -24,10 +24,13 @@ like the cut-through engine:
 * a header may cross edge ``i`` only if a slot is free
   (``residents < B``).
 
-The rotating-service advance rule is this router's contribution; the
-step protocol (release gating, gap skipping, deadlock declaration, step
-caps, result assembly) comes from the shared
-:class:`~repro.sim.engine.StepLoop`.
+The rotating-service advance rule is this router's contribution
+(:class:`~repro.sim.kernels.RestrictedKernel`); the step protocol
+(release gating, gap skipping, deadlock declaration, step caps, result
+assembly) comes from the shared
+:class:`~repro.sim.engine.BatchStepLoop`.
+:class:`RestrictedWormholeSimulator` is the single-trial front end of
+:func:`repro.sim.batch.run_restricted_batch`.
 """
 
 from __future__ import annotations
@@ -36,14 +39,9 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..network.graph import Network, NetworkError
+from ..network.graph import Network
 from ..routing.paths import Path
-from .engine import (
-    PaddedPaths,
-    StepLoop,
-    resolve_step_cap,
-)
-from .kernels import RestrictedKernel, serial_state
+from . import batch
 from .stats import SimulationResult
 
 __all__ = ["RestrictedWormholeSimulator"]
@@ -70,8 +68,7 @@ class RestrictedWormholeSimulator:
         num_buffers: int = 1,
         seed: int | None = 0,
     ) -> None:
-        if num_buffers < 1:
-            raise NetworkError("need at least one buffer slot per edge")
+        batch.LOCKSTEP_MODELS["restricted"].check(num_buffers, None)
         self.net = net
         self.num_edges = net.num_edges
         self.B = int(num_buffers)
@@ -88,45 +85,12 @@ class RestrictedWormholeSimulator:
 
         ``message_length`` may be a scalar or a per-message array.
         """
-        pp = PaddedPaths.from_paths(paths)
-        padded, D = pp.padded, pp.lengths
-        M = D.size
-        L_arr = np.broadcast_to(
-            np.asarray(message_length, dtype=np.int64), (M,)
-        ).copy()
-        if M and L_arr.min() < 1:
-            raise NetworkError("message length L must be >= 1")
-        if M == 0:
-            return SimulationResult(
-                np.full(0, -1, dtype=np.int64), -1, 0, np.zeros(0, dtype=np.int64)
-            )
-        pp.require_edge_simple()
-
-        release = (
-            np.zeros(M, dtype=np.int64)
-            if release_times is None
-            else np.asarray(release_times, dtype=np.int64).copy()
-        )
-        trivial = D == 0
-        max_steps = resolve_step_cap(
-            max_steps,
-            "restricted",
-            release=release,
-            lengths=D,
-            message_length=L_arr,
-            num_messages=M,
-        )
-
-        loop = StepLoop(M, release, max_steps)
-        loop.mark_trivial(trivial, release)
-
-        kernel = RestrictedKernel(
-            serial_state(loop),
-            num_edges=self.num_edges,
-            padded=padded,
-            lengths=D,
-            message_length=L_arr,
-            capacities=np.full(1, self.B, dtype=np.int64),
-            rngs=[self._rng],
-        )
-        return loop.run(kernel.serial_body)
+        return batch.run_restricted_batch(
+            self.net,
+            paths,
+            message_length,
+            seeds=[self._rng],
+            num_buffers=self.B,
+            release_times=release_times,
+            max_steps=max_steps,
+        )[0]

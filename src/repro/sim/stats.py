@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["SimulationResult", "summarize_latencies"]
+__all__ = ["AdaptiveRunResult", "SimulationResult", "summarize_latencies"]
 
 
 @dataclass
@@ -75,6 +75,18 @@ class SimulationResult:
         if release_times is not None:
             times = times - np.asarray(release_times, dtype=np.float64)[mask]
         return times
+
+
+@dataclass
+class AdaptiveRunResult:
+    """A :class:`SimulationResult` plus the adaptively chosen routes."""
+
+    result: SimulationResult
+    taken_paths: list[list[int]]  # edge ids actually traversed per message
+
+    @property
+    def all_delivered(self) -> bool:
+        return self.result.all_delivered
 
 
 def summarize_latencies(latencies: np.ndarray) -> dict[str, float]:

@@ -29,7 +29,9 @@ exemption is part of the engine's validation contract (see
 
 The greedy protocol also cannot deadlock — every contended edge forwards
 exactly one message per message step — so the shared
-:class:`~repro.sim.engine.StepLoop` runs with deadlock detection off.
+:class:`~repro.sim.engine.BatchStepLoop` runs with deadlock detection
+off.  :class:`StoreForwardSimulator` is the single-trial front end of
+:func:`repro.sim.batch.run_store_forward_batch`.
 """
 
 from __future__ import annotations
@@ -38,16 +40,13 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from ..network.graph import Network, NetworkError
+from ..network.graph import Network
 from ..routing.paths import Path
-from ..telemetry.probe import Probe, ProbeSet, RunMeta
-from .engine import StepLoop, pad_paths, resolve_step_cap
-from .kernels import StoreForwardKernel, serial_state
+from ..telemetry.probe import Probe, ProbeSet
+from . import batch
 from .stats import SimulationResult
 
 __all__ = ["StoreForwardSimulator"]
-
-_PRIORITIES = ("random", "age", "farthest")
 
 
 class StoreForwardSimulator:
@@ -77,10 +76,9 @@ class StoreForwardSimulator:
         priority: str = "farthest",
         seed: int | None = 0,
     ) -> None:
-        if bandwidth_flits_per_step < 1:
-            raise NetworkError("bandwidth must be >= 1 flit per step")
-        if priority not in _PRIORITIES:
-            raise NetworkError(f"priority must be one of {_PRIORITIES}")
+        batch.LOCKSTEP_MODELS["store_forward"].check(
+            bandwidth_flits_per_step, priority
+        )
         self.net = net
         self.bandwidth = int(bandwidth_flits_per_step)
         self.priority = priority
@@ -106,73 +104,15 @@ class StoreForwardSimulator:
         (``meta.extra["flit_steps_per_step"]`` converts); each grant
         means the whole ``L``-flit message crosses the edge this step.
         """
-        if message_length < 1:
-            raise NetworkError("message length L must be >= 1")
-        padded, D = pad_paths(paths)
-        M = D.size
-        hop = -(-message_length // self.bandwidth)  # ceil(L / B) flit steps
-        if M == 0:
-            return SimulationResult(
-                np.full(0, -1, dtype=np.int64), -1, 0, np.zeros(0, dtype=np.int64)
-            )
-
-        release_fs = (
-            np.zeros(M, dtype=np.int64)
-            if release_times is None
-            else np.asarray(release_times, dtype=np.int64)
-        )
-        # Convert to message steps, rounding release up to a step boundary.
-        release = -(-release_fs // hop)
-        if delay_range > 0:
-            release = release + self._rng.integers(0, delay_range, size=M)
-
-        trivial = D == 0
-        max_steps = resolve_step_cap(
-            max_steps, "store_forward", release=release, lengths=D
-        )
-
-        probes = ProbeSet.coerce(telemetry)
-        if probes is not None:
-            probes.on_run_start(
-                RunMeta(
-                    simulator="store_forward",
-                    num_messages=M,
-                    num_edges=self.net.num_edges,
-                    num_virtual_channels=1,
-                    paths=padded,
-                    lengths=D,
-                    message_length=np.full(M, message_length, dtype=np.int64),
-                    release=release,
-                    extra={
-                        "flits_per_grant": int(message_length),
-                        "flit_steps_per_step": hop,
-                    },
-                )
-            )
-
-        # Greedy store-and-forward cannot deadlock: every contended edge
-        # forwards one message per step, so progress is unconditional.
-        loop = StepLoop(
-            M, release, max_steps, probes, detect_deadlock=False, time_scale=hop
-        )
-        loop.done |= trivial
-        loop.completion[trivial] = release[trivial] * hop
-
-        kernel = StoreForwardKernel(
-            serial_state(loop),
-            num_edges=self.net.num_edges,
-            padded=padded,
-            lengths=D,
-            release=release,
-            hop=np.full(1, hop, dtype=np.int64),
+        return batch.run_store_forward_batch(
+            self.net,
+            paths,
+            message_length,
+            seeds=[self._rng],
+            bandwidth_flits_per_step=self.bandwidth,
             priority=self.priority,
-            rngs=[self._rng],
-            probes=probes,
-        )
-        return loop.run(
-            kernel.serial_body,
-            lambda: {
-                "max_queue": int(kernel.max_queue[0]),
-                "message_step_flits": hop,
-            },
-        )
+            delay_range=delay_range,
+            release_times=release_times,
+            max_steps=max_steps,
+            telemetry=telemetry,
+        )[0]

@@ -13,12 +13,14 @@ handful of scalars.  This module centralizes that loop as a *trial grid*:
   (``workers``/``backend`` arguments) — with a content-hash on-disk
   result cache (change one axis of a grid and only the delta is
   recomputed);
-* cells of any flit-level router (:data:`repro.sim.batch.BATCHED_MODELS`)
+* cells of any flit-level router (:data:`repro.sim.batch.LOCKSTEP_MODELS`)
   that share a workload shape (same workload, params, ``L``, and sim
   params) are packed into *batches* and run in lockstep by the
-  per-model ``run_*_batch`` runners in :mod:`repro.sim.batch` —
-  bit-identical to the per-trial path, several times faster
-  (``batch_size``/``--batch-size``; ``1`` disables batching);
+  per-model ``run_*_batch`` drivers in :mod:`repro.sim.batch` — a
+  single trial is a batch of one through the same driver, so results
+  are bit-identical at every width and wide batches are several times
+  faster (``batch_size``/``--batch-size``; ``1`` runs every trial
+  alone);
 * each worker process memoizes built workloads and their packed path
   matrices (:meth:`Workload.padded_paths`), so repeated trials of one
   grid cell pay for path padding and edge-simplicity validation once;
@@ -49,7 +51,7 @@ import numpy as np
 from ..cache import CACHE_VERSION as _CACHE_VERSION
 from ..cache import ResultCache, load_entry, store_entry
 from ..network.graph import NetworkError
-from .batch import BATCHED_MODELS, batch_compat_key
+from .batch import LOCKSTEP_MODELS, batch_compat_key, run_model
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
@@ -59,6 +61,7 @@ __all__ = [
     "WORKLOADS",
     "SIMULATORS",
     "Workload",
+    "execute_compatible",
     "register_workload",
     "run_sweep",
     "sweep_grid",
@@ -403,76 +406,6 @@ def _sim_seed(sp: dict[str, Any], ss: np.random.SeedSequence):
     return sp["seed"] if "seed" in sp else ss
 
 
-def _run_wormhole(wl: Workload, spec: TrialSpec, ss, L: int) -> dict[str, Any]:
-    from .wormhole import WormholeSimulator
-
-    sp = dict(spec.sim_params)
-    sim = WormholeSimulator(
-        wl.net,
-        num_virtual_channels=spec.B,
-        priority=sp.get("priority", "random"),
-        seed=_sim_seed(sp, ss),
-    )
-    return _result_metrics(sim.run(wl.padded_paths(), message_length=L))
-
-
-def _run_cut_through(wl: Workload, spec: TrialSpec, ss, L: int) -> dict[str, Any]:
-    from .cut_through import CutThroughSimulator
-
-    sp = dict(spec.sim_params)
-    sim = CutThroughSimulator(
-        wl.net,
-        buffer_flits=spec.B,
-        priority=sp.get("priority", "random"),
-        seed=_sim_seed(sp, ss),
-    )
-    return _result_metrics(sim.run(wl.padded_paths(), message_length=L))
-
-
-def _run_store_forward(wl: Workload, spec: TrialSpec, ss, L: int) -> dict[str, Any]:
-    from .store_forward import StoreForwardSimulator
-
-    sp = dict(spec.sim_params)
-    sim = StoreForwardSimulator(
-        wl.net,
-        bandwidth_flits_per_step=spec.B,
-        priority=sp.get("priority", "farthest"),
-        seed=_sim_seed(sp, ss),
-    )
-    res = sim.run(wl.padded_paths(), message_length=L)
-    out = _result_metrics(res)
-    out["max_queue"] = int(res.extra["max_queue"])
-    return out
-
-
-def _run_restricted(wl: Workload, spec: TrialSpec, ss, L: int) -> dict[str, Any]:
-    from .restricted import RestrictedWormholeSimulator
-
-    sp = dict(spec.sim_params)
-    sim = RestrictedWormholeSimulator(
-        wl.net, num_buffers=spec.B, seed=_sim_seed(sp, ss)
-    )
-    return _result_metrics(sim.run(wl.padded_paths(), message_length=L))
-
-
-def _run_adaptive(wl: Workload, spec: TrialSpec, ss, L: int) -> dict[str, Any]:
-    from .adaptive import AdaptiveMeshRouter
-
-    if wl.cube is None or wl.demands is None:
-        raise NetworkError(
-            f"workload {spec.workload!r} has no mesh demands; "
-            "the adaptive router needs a mesh workload (e.g. mesh-permutation)"
-        )
-    sp = dict(spec.sim_params)
-    router = AdaptiveMeshRouter(
-        wl.cube,
-        num_virtual_channels=spec.B,
-        policy=sp.get("policy", "west-first"),
-        seed=_sim_seed(sp, ss),
-    )
-    return _result_metrics(router.run(wl.demands, message_length=L).result)
-
-
 def _run_schedule(wl: Workload, spec: TrialSpec, ss, L: int) -> dict[str, Any]:
     """E1's pipeline: build a Theorem 2.1.6 schedule, then execute it."""
     from ..core.schedule import execute_schedule
@@ -499,14 +432,67 @@ def _run_schedule(wl: Workload, spec: TrialSpec, ss, L: int) -> dict[str, Any]:
     return out
 
 
-SIMULATORS: dict[str, Callable[..., dict[str, Any]]] = {
-    "wormhole": _run_wormhole,
-    "cut_through": _run_cut_through,
-    "store_forward": _run_store_forward,
-    "restricted": _run_restricted,
-    "adaptive": _run_adaptive,
+#: Non-lockstep pipelines, each with its own per-trial entry.  Only
+#: ``schedule`` (whose per-trial work is dominated by the LLL scheduler,
+#: not the simulator) lives here; every flit-level router is a row of
+#: :data:`repro.sim.batch.LOCKSTEP_MODELS`.
+_PIPELINES: dict[str, Callable[..., dict[str, Any]]] = {
     "schedule": _run_schedule,
 }
+
+#: Every simulator name a :class:`TrialSpec` may carry.
+SIMULATORS: tuple[str, ...] = (*LOCKSTEP_MODELS, *_PIPELINES)
+
+#: Default trials per lockstep batch when ``batch_size`` is ``None``.
+#: With the SoA kernels the per-step cost is almost flat in the trial
+#: count, so wider batches are nearly free wall-clock-wise and slash
+#: the number of per-batch Python setups; 128 still splits big sweeps
+#: into enough batches to load-balance across worker processes.
+DEFAULT_BATCH_SIZE = 128
+
+
+def execute_compatible(
+    items: Sequence[tuple[TrialSpec, int]],
+) -> list[dict[str, Any]]:
+    """Run compatible ``(spec, root_seed)`` trials; metrics in input order.
+
+    All items must share :func:`~repro.sim.batch.batch_compat_key`, so
+    they share the workload, ``L`` and the sim params; ``B`` and the
+    derived seed vary per trial (mixed root seeds are fine).  A lockstep
+    model runs them as one :func:`~repro.sim.batch.run_model` call — one
+    trial is a batch of one through the same driver — and a pipeline
+    runs them one by one.  Trials are independent inside a batch, so
+    the metrics are bit-identical to running each item alone.  The
+    sweep's work units and the service batcher both execute through
+    this function, so offline and online execution cannot drift.
+    """
+    spec0 = items[0][0]
+    wl = _build_workload(spec0.workload, spec0.workload_params)
+    L = wl.default_length if spec0.message_length is None else spec0.message_length
+    pipeline = _PIPELINES.get(spec0.simulator)
+    if pipeline is not None:
+        return [
+            _finish_metrics(pipeline(wl, spec, trial_seed(spec, root), L), wl, L)
+            for spec, root in items
+        ]
+    results = run_model(
+        spec0.simulator,
+        wl,
+        L,
+        seeds=[
+            _sim_seed(dict(spec.sim_params), trial_seed(spec, root))
+            for spec, root in items
+        ],
+        B=[spec.B for spec, _ in items],
+        options=dict(spec0.sim_params),
+    )
+    out = []
+    for res in results:
+        metrics = _result_metrics(res)
+        if "max_queue" in res.extra:
+            metrics["max_queue"] = int(res.extra["max_queue"])
+        out.append(_finish_metrics(metrics, wl, L))
+    return out
 
 
 def _finish_metrics(metrics: dict[str, Any], wl: Workload, L: int) -> dict[str, Any]:
@@ -517,111 +503,10 @@ def _finish_metrics(metrics: dict[str, Any], wl: Workload, L: int) -> dict[str, 
 
 
 def _execute_trial(item: tuple[TrialSpec, int]) -> tuple[dict[str, Any], float]:
-    """Top-level worker entry point (must be picklable)."""
-    spec, root_seed = item
+    """One trial's ``(metrics, seconds)`` — a batch of one."""
     start = time.perf_counter()
-    wl = _build_workload(spec.workload, spec.workload_params)
-    L = wl.default_length if spec.message_length is None else spec.message_length
-    ss = trial_seed(spec, root_seed)
-    metrics = SIMULATORS[spec.simulator](wl, spec, ss, L)
-    return _finish_metrics(metrics, wl, L), time.perf_counter() - start
-
-
-# ----------------------------------------------------------------------
-# Batched execution
-# ----------------------------------------------------------------------
-
-#: Simulators eligible for lockstep batching (see ``repro.sim.batch``).
-#: Every flit-level router is batched; only ``schedule`` (whose per-trial
-#: work is dominated by the LLL scheduler, not the simulator) runs serial.
-_BATCH_SIMULATORS = BATCHED_MODELS
-
-#: Default trials per lockstep batch when ``batch_size`` is ``None``.
-#: With the SoA kernels the per-step cost is almost flat in the trial
-#: count, so wider batches are nearly free wall-clock-wise and slash
-#: the number of per-batch Python setups; 128 still splits big sweeps
-#: into enough batches to load-balance across worker processes.
-DEFAULT_BATCH_SIZE = 128
-
-
-# Grid cells batchable together: everything but ``B`` and ``repeat``.
-# The definition of "compatible" is owned by ``repro.sim.batch`` and
-# shared with the online service batcher so the two cannot drift.
-_batch_key = batch_compat_key
-
-
-def _run_batch_model(
-    model: str, wl: Workload, L: int, sp: dict[str, Any], seeds: list, knobs: list
-) -> list[dict[str, Any]]:
-    """One lockstep call of ``model``'s batch runner; metrics per trial.
-
-    ``knobs`` is the per-trial ``B`` axis (virtual channels, buffer
-    flits, bandwidth, ...) — the one simulator parameter every runner
-    vectorizes over trials.  Shared by the sweep's batch worker and the
-    service's :func:`repro.service.batcher.execute_compatible` so the
-    two dispatch tables cannot drift.
-    """
-    from . import batch as _batch
-
-    if model == "wormhole":
-        results = _batch.run_wormhole_batch(
-            wl.net,
-            wl.padded_paths(),
-            message_length=L,
-            seeds=seeds,
-            num_virtual_channels=knobs,
-            priority=sp.get("priority", "random"),
-        )
-    elif model == "cut_through":
-        results = _batch.run_cut_through_batch(
-            wl.net,
-            wl.padded_paths(),
-            message_length=L,
-            seeds=seeds,
-            buffer_flits=knobs,
-            priority=sp.get("priority", "random"),
-        )
-    elif model == "store_forward":
-        results = _batch.run_store_forward_batch(
-            wl.net,
-            wl.padded_paths(),
-            message_length=L,
-            seeds=seeds,
-            bandwidth_flits_per_step=knobs,
-            priority=sp.get("priority", "farthest"),
-        )
-    elif model == "restricted":
-        results = _batch.run_restricted_batch(
-            wl.net,
-            wl.padded_paths(),
-            message_length=L,
-            seeds=seeds,
-            num_buffers=knobs,
-        )
-    elif model == "adaptive":
-        if wl.cube is None or wl.demands is None:
-            raise NetworkError(
-                "this workload has no mesh demands; the adaptive router "
-                "needs a mesh workload (e.g. mesh-permutation)"
-            )
-        runs = _batch.run_adaptive_batch(
-            wl.cube,
-            wl.demands,
-            message_length=L,
-            seeds=seeds,
-            num_virtual_channels=knobs,
-            policy=sp.get("policy", "west-first"),
-        )
-        results = [r.result for r in runs]
-    else:  # pragma: no cover - callers only batch _BATCH_SIMULATORS
-        raise NetworkError(f"simulator {model!r} has no batch runner")
-    out = []
-    for res in results:
-        metrics = _result_metrics(res)
-        if model == "store_forward":
-            metrics["max_queue"] = int(res.extra["max_queue"])
-        out.append(_finish_metrics(metrics, wl, L))
-    return out
+    (metrics,) = execute_compatible([item])
+    return metrics, time.perf_counter() - start
 
 
 def _execute_batch(
@@ -630,14 +515,7 @@ def _execute_batch(
     """Run one lockstep batch; per-trial metrics in input order."""
     specs, root_seed = item
     start = time.perf_counter()
-    spec0 = specs[0]
-    wl = _build_workload(spec0.workload, spec0.workload_params)
-    L = wl.default_length if spec0.message_length is None else spec0.message_length
-    sp = dict(spec0.sim_params)
-    seeds = [_sim_seed(dict(s.sim_params), trial_seed(s, root_seed)) for s in specs]
-    metrics = _run_batch_model(
-        spec0.simulator, wl, L, sp, seeds, [s.B for s in specs]
-    )
+    metrics = execute_compatible([(spec, root_seed) for spec in specs])
     elapsed = (time.perf_counter() - start) / len(specs)
     return [(m, elapsed) for m in metrics]
 
@@ -647,9 +525,8 @@ def _execute_unit(
 ) -> list[tuple[dict[str, Any], float]]:
     """Top-level worker entry point for mixed single/batch work units."""
     kind, payload, root_seed = unit
-    if kind == "batch":
-        return _execute_batch((payload, root_seed))
-    return [_execute_trial((payload, root_seed))]
+    specs = payload if kind == "batch" else (payload,)
+    return _execute_batch((specs, root_seed))
 
 
 def _pack_units(
@@ -657,17 +534,18 @@ def _pack_units(
 ) -> list[tuple[tuple[str, Any, int], list[int]]]:
     """Group pending trials into (work unit, pending-index list) pairs.
 
-    Batchable trials sharing a :func:`_batch_key` are chunked into
-    lockstep batches of at most ``batch_size``; everything else (and all
-    trials when ``batch_size == 1``) becomes a single-trial unit.
+    Lockstep-model trials sharing a :func:`~repro.sim.batch
+    .batch_compat_key` are chunked into batches of at most
+    ``batch_size``; everything else (and all trials when
+    ``batch_size == 1``) becomes a single-trial unit.
     """
     units: list[tuple[tuple[str, Any, int], list[int]]] = []
     groups: dict[tuple, list[int]] = {}
     singles: list[int] = []
     for i in pending:
         spec = specs[i]
-        if batch_size >= 2 and spec.simulator in _BATCH_SIMULATORS:
-            groups.setdefault(_batch_key(spec), []).append(i)
+        if batch_size >= 2 and spec.simulator in LOCKSTEP_MODELS:
+            groups.setdefault(batch_compat_key(spec), []).append(i)
         else:
             singles.append(i)
     for idxs in groups.values():
@@ -838,11 +716,11 @@ def run_sweep(
     force:
         Ignore (and overwrite) existing cache entries.
     batch_size:
-        Trials per lockstep batch for batch-capable simulators (every
+        Trials per lockstep batch for the lockstep models (every
         flit-level router; see :mod:`repro.sim.batch`).  ``None`` picks
-        :data:`DEFAULT_BATCH_SIZE`; ``1`` disables batching and runs
-        every trial through the per-trial path.  Results, seeds, and
-        cache entries are bit-identical at every setting.
+        :data:`DEFAULT_BATCH_SIZE`; ``1`` runs every trial as a batch
+        of one.  Results, seeds, and cache entries are bit-identical at
+        every setting.
     backend:
         Execution substrate: ``None`` (derive from ``workers`` as
         above), an :mod:`repro.exec` backend name (``"inline"``,

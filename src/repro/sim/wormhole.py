@@ -34,42 +34,31 @@ simulation of this model:
 * the worm finishes after ``L + D_m - 1`` moves, matching the paper's
   unobstructed latency ``D + L - 1``.
 
-The per-step state update is fully vectorized and built on the shared
-:mod:`repro.sim.engine` core: the :class:`~repro.sim.engine.SlotArbiter`
-owns the contend/rank/grant kernel and slot occupancy, and the
-:class:`~repro.sim.engine.StepLoop` owns release gating, step caps,
-deadlock declaration, and result assembly.
+The per-step state update is fully vectorized and lives in
+:class:`~repro.sim.kernels.WormholeKernel`; the shared
+:mod:`repro.sim.engine` core owns the rest — the
+:class:`~repro.sim.engine.BatchSlotArbiter` the contend/rank/grant
+kernel and slot occupancy, the :class:`~repro.sim.engine.BatchStepLoop`
+release gating, step caps, deadlock declaration, the probe lifecycle and
+result assembly.  :class:`WormholeSimulator` is the single-trial front
+end of :func:`repro.sim.batch.run_wormhole_batch`: one ``run()`` is that
+driver with one seed.
 """
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from ..network.graph import Network, NetworkError
+from ..network.graph import Network
 from ..routing.paths import Path
-from ..telemetry.probe import Probe, ProbeSet, RunMeta
-from .engine import (
-    PaddedPaths,
-    StepLoop,
-    compat_check_edge_simple,
-    legacy_extra,
-    legacy_record_probes,
-    resolve_step_cap,
-)
-from .kernels import WormholeKernel, serial_state, validate_vc_ids
+from ..telemetry.probe import Probe, ProbeSet
+from . import batch
+from .engine import PaddedPaths
 from .stats import SimulationResult
 
 __all__ = ["PaddedPaths", "WormholeSimulator"]
-
-_PRIORITIES = ("random", "age", "index", "rank")
-
-_EDGE_SIMPLE_WHAT = (
-    "path of message {m} is not edge-simple; a worm cannot "
-    "hold two virtual channels on one edge"
-)
 
 
 class WormholeSimulator:
@@ -108,12 +97,7 @@ class WormholeSimulator:
         priority: str = "random",
         seed: int | None = 0,
     ) -> None:
-        if num_virtual_channels < 1:
-            raise NetworkError(
-                f"need at least one virtual channel, got {num_virtual_channels}"
-            )
-        if priority not in _PRIORITIES:
-            raise NetworkError(f"priority must be one of {_PRIORITIES}")
+        batch.LOCKSTEP_MODELS["wormhole"].check(num_virtual_channels, priority)
         self.net = net
         self.num_edges = net.num_edges
         self.B = int(num_virtual_channels)
@@ -127,9 +111,7 @@ class WormholeSimulator:
         message_length: int | np.ndarray,
         release_times: np.ndarray | None = None,
         max_steps: int | None = None,
-        record_trace: bool = False,
         vc_ids: np.ndarray | Sequence[Sequence[int]] | None = None,
-        record_contention: bool = False,
         telemetry: "ProbeSet | Probe | Iterable[Probe] | None" = None,
     ) -> SimulationResult:
         """Route all messages; returns a :class:`SimulationResult`.
@@ -152,13 +134,7 @@ class WormholeSimulator:
             executed.
         max_steps:
             Safety cap; defaults to the engine's documented wormhole
-            bound (see :func:`repro.sim.engine.default_step_cap`).
-        record_trace:
-            Deprecated — attach a :class:`~repro.telemetry.collectors
-            .TraceSnapshotCollector` via ``telemetry=`` instead.  Stores
-            each message's completed-move count after every flit step in
-            ``result.extra["trace"]`` (shape ``(steps, M)``, ``-1``
-            before release).
+            bound (see :func:`repro.sim.batch.default_step_cap`).
         vc_ids:
             Optional per-hop virtual-channel *class* assignment — the
             Dally-Seitz mechanism proper.  Ragged per-message sequences
@@ -169,11 +145,6 @@ class WormholeSimulator:
             Section 1.1 reading).  Class assignments are what make
             deadlock-freedom *provable* (acyclic CDG); interchangeable
             slots merely make deadlock unlikely.
-        record_contention:
-            Deprecated — attach a :class:`~repro.telemetry.collectors
-            .EdgeContentionCollector` via ``telemetry=`` instead.
-            Stores, per physical edge, how many header requests were
-            denied over the run in ``result.extra["edge_contention"]``.
         telemetry:
             Probes to instrument the run — a
             :class:`~repro.telemetry.probe.ProbeSet`, a single
@@ -183,94 +154,15 @@ class WormholeSimulator:
             collectors never perturb the simulation (no RNG draws, no
             state writes), so results are bit-identical either way.
         """
-        pp = PaddedPaths.from_paths(paths)
-        padded, D = pp.padded, pp.lengths
-        M = D.size
-        L = np.broadcast_to(
-            np.asarray(message_length, dtype=np.int64), (M,)
-        ).copy()
-        if M and L.min() < 1:
-            raise NetworkError("message length L must be >= 1")
-        pp.require_edge_simple(_EDGE_SIMPLE_WHAT)
-        release = (
-            np.zeros(M, dtype=np.int64)
-            if release_times is None
-            else np.asarray(release_times, dtype=np.int64).copy()
-        )
-        if release.shape != (M,):
-            raise NetworkError(f"release_times must have shape ({M},)")
-        if M and release.min() < 0:
-            raise NetworkError("release times must be >= 0")
-
-        legacy, trace_probe, contention_probe = legacy_record_probes(
-            record_trace, record_contention
-        )
-        probes = ProbeSet.coerce(telemetry, extra=legacy)
-        if probes is not None:
-            probes.on_run_start(
-                RunMeta(
-                    simulator="wormhole",
-                    num_messages=M,
-                    num_edges=self.num_edges,
-                    num_virtual_channels=self.B,
-                    paths=padded,
-                    lengths=D,
-                    message_length=L,
-                    release=release,
-                )
-            )
-
-        total_moves = L + D - 1  # moves needed to deliver the whole worm
-        if M == 0:
-            result = SimulationResult(
-                completion_times=np.full(0, -1, dtype=np.int64),
-                makespan=-1,
-                steps_executed=0,
-                blocked_steps=np.zeros(0, dtype=np.int64),
-            )
-            if probes is not None:
-                probes.on_run_end(result)
-            return result
-
-        # Zero-length paths (source == destination): delivered at release.
-        trivial = D == 0
-        max_steps = resolve_step_cap(
-            max_steps,
-            "wormhole",
-            release=release,
-            total_moves=total_moves,
-            trivial=trivial,
-        )
-
-        # Slot model: without VC classes, a slot is an edge with capacity
-        # B; with classes, a slot is an (edge, class) pair with capacity 1.
-        vc_padded = (
-            None if vc_ids is None else validate_vc_ids(padded, D, vc_ids, self.B)
-        )
-
-        loop = StepLoop(M, release, max_steps, probes)
-        loop.mark_trivial(trivial, release)
-
-        kernel = WormholeKernel(
-            serial_state(loop),
-            num_edges=self.num_edges,
-            padded=padded,
-            lengths=D,
-            message_length=L,
-            release=release,
-            capacities=np.full(1, self.B, dtype=np.int64),
+        return batch.run_wormhole_batch(
+            self.net,
+            paths,
+            message_length,
+            seeds=[self._rng],
+            num_virtual_channels=self.B,
             priority=self.priority,
-            rngs=[self._rng],
-            vc_padded=vc_padded,
-            probes=probes,
-        )
-        return loop.run(
-            kernel.serial_body, lambda: legacy_extra(trace_probe, contention_probe)
-        )
-
-    # ------------------------------------------------------------------
-    # Back-compat aliases (single engine shims behind the old names).
-    _legacy_extra = staticmethod(legacy_extra)
-    _check_edge_simple = staticmethod(
-        functools.partial(compat_check_edge_simple, what=_EDGE_SIMPLE_WHAT)
-    )
+            release_times=release_times,
+            max_steps=max_steps,
+            vc_ids=vc_ids,
+            telemetry=telemetry,
+        )[0]

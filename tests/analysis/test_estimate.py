@@ -285,9 +285,9 @@ def test_envelope_holds_on_fuzz_cases():
 
 
 def test_estimatable_models_cover_batched_kernels():
-    from repro.sim.batch import BATCHED_MODELS
+    from repro.sim.batch import LOCKSTEP_MODELS
 
-    assert set(ESTIMATABLE_MODELS) == set(BATCHED_MODELS)
+    assert set(ESTIMATABLE_MODELS) == set(LOCKSTEP_MODELS)
 
 
 def test_envelope_is_frozen():

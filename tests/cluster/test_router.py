@@ -102,8 +102,8 @@ def test_sharded_tier_is_bit_exact_caches_and_drains():
     # Pass 2: answered from the shared cache, still bit-exact.
     assert second["ok"] == 18, second["statuses"]
     assert second["bit_exact"] is True, second["mismatches"]
-    assert health["cache"]["hits"] >= 18
-    assert health["cache"]["stores"] == 18
+    assert health["cache"]["cache_hits"] >= 18
+    assert health["cache"]["cache_stores"] == 18
     assert router.stats.counters["cache_served"] >= 18
 
     # Aggregated introspection.

@@ -26,7 +26,7 @@ def _spec(**overrides):
 
 
 def test_sweep_uses_the_shared_helper():
-    assert sweep._batch_key is batch.batch_compat_key
+    assert sweep.batch_compat_key is batch.batch_compat_key
 
 
 def test_service_uses_the_shared_helper():

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -142,21 +141,22 @@ def wormhole_probes():
 
 
 def wormhole_legacy_kwargs():
+    """The arrays the retired ``record_trace`` / ``record_contention``
+    kwargs used to put in ``result.extra``, now read off their collectors
+    (the golden entry predates the removal and is unchanged)."""
     from repro.sim.wormhole import WormholeSimulator
+    from repro.telemetry import EdgeContentionCollector, TraceSnapshotCollector
 
     net, paths = _chain_workload()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        res = WormholeSimulator(net, 2, priority="random", seed=1).run(
-            paths,
-            message_length=12,
-            record_trace=True,
-            record_contention=True,
-        )
+    snapshots, contention = TraceSnapshotCollector(), EdgeContentionCollector()
+    res = WormholeSimulator(net, 2, priority="random", seed=1).run(
+        paths, message_length=12, telemetry=[snapshots, contention]
+    )
+    extra = {"trace": snapshots.matrix, "edge_contention": contention.denied}
     out = _summarize(res)
-    out["extra_keys"] = sorted(res.extra)
-    out["trace_matrix_digest"] = _digest(res.extra["trace"])
-    out["contention_digest"] = _digest(res.extra["edge_contention"])
+    out["extra_keys"] = sorted(extra)
+    out["trace_matrix_digest"] = _digest(extra["trace"])
+    out["contention_digest"] = _digest(extra["edge_contention"])
     return out
 
 

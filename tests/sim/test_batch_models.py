@@ -1,7 +1,7 @@
 """Batch-vs-serial bit-exactness for the non-wormhole lockstep runners.
 
 Companion to ``test_batch.py`` (which pins ``run_wormhole_batch``):
-every other entry of :data:`repro.sim.batch.BATCHED_MODELS` — cut
+every other entry of :data:`repro.sim.batch.LOCKSTEP_MODELS` — cut
 through, store-and-forward, restricted, adaptive — must produce trials
 bit-identical to its serial simulator run with the same ``(B, seed)``.
 On top of the per-model suites, the degenerate shapes every kernel must
@@ -10,16 +10,22 @@ lengths at the padding boundary, all-deadlocked batches, and per-trial
 step-cap masking.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golden_cases import _layered_workload, _ring, _stagger
+from repro import simulate
 from repro.network.graph import Network, NetworkError
 from repro.network.mesh import KAryNCube
+from repro.sim import batch as batch_module
 from repro.sim.adaptive import AdaptiveMeshRouter
 from repro.sim.batch import (
+    LOCKSTEP_MODELS,
+    default_step_cap,
     run_adaptive_batch,
     run_cut_through_batch,
     run_restricted_batch,
@@ -28,6 +34,9 @@ from repro.sim.batch import (
 from repro.sim.cut_through import CutThroughSimulator
 from repro.sim.restricted import RestrictedWormholeSimulator
 from repro.sim.store_forward import StoreForwardSimulator
+from repro.sim.sweep import SIMULATORS, TrialSpec, run_sweep
+from repro.sim.wormhole import WormholeSimulator
+from repro.telemetry.probe import Probe
 
 
 def _assert_equal(batch_res, serial_res, label=""):
@@ -429,3 +438,200 @@ def test_random_adaptive_matches_serial(data):
     )
     max_steps = data.draw(st.one_of(st.none(), st.integers(1, 40)), label="cap")
     _check_adaptive(cube, demands, L, trials, policy=policy, max_steps=max_steps)
+
+
+# ----------------------------------------------------------------------
+# One model table, one validation: every front end reaches a model
+# through LOCKSTEP_MODELS and raises the driver's own NetworkError
+# ----------------------------------------------------------------------
+
+FRONT_ENDS = {
+    "wormhole": WormholeSimulator,
+    "cut_through": CutThroughSimulator,
+    "store_forward": StoreForwardSimulator,
+    "restricted": RestrictedWormholeSimulator,
+    "adaptive": AdaptiveMeshRouter,
+}
+MODEL_NAMES = list(LOCKSTEP_MODELS)
+
+
+def _problem(model, layered, mesh):
+    """``(net | cube, routes | demands, L)`` for ``model``."""
+    if LOCKSTEP_MODELS[model].kind == "mesh":
+        return (*mesh, 4)
+    return (*layered, 8)
+
+
+def _via_class(model, problem, B=1, message_length=None, **run_kw):
+    first, second, L = problem
+    L = L if message_length is None else message_length
+    return FRONT_ENDS[model](first, B).run(second, L, **run_kw)
+
+
+def _via_driver(model, problem, B=1, message_length=None, seeds=(0,), **kw):
+    first, second, L = problem
+    spec = LOCKSTEP_MODELS[model]
+    L = L if message_length is None else message_length
+    return spec.driver(first, second, L, seeds=list(seeds), **{spec.knob: B}, **kw)
+
+
+def _via_simulate(model, problem, B=1, message_length=None, **kw):
+    first, second, L = problem
+    L = L if message_length is None else message_length
+    return simulate((first, second), model=model, B=B, message_length=L, **kw)
+
+
+def _via_sweep(model, B=1, message_length=8):
+    """A raw spec (``TrialSpec.make`` would pre-check ``B``) run alone."""
+    mesh_model = LOCKSTEP_MODELS[model].kind == "mesh"
+    spec = TrialSpec(
+        workload="mesh-permutation" if mesh_model else "chain-bundle",
+        simulator=model,
+        B=B,
+        workload_params=(
+            (("k", 4),)
+            if mesh_model
+            else (("chains", 2), ("depth", 4), ("messages", 3))
+        ),
+        message_length=message_length,
+    )
+    return run_sweep([spec], batch_size=1)
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_validation_is_the_drivers_on_every_path(model, layered, mesh):
+    problem = _problem(model, layered, mesh)
+    M = len(problem[1])
+    through_run = (_via_class, _via_driver, _via_simulate)
+    bad_inputs = [
+        ("release times must be >= 0", {"release_times": np.full(M, -1)}),
+        ("release_times must have shape", {"release_times": np.zeros(M + 1)}),
+        ("message_length must be a scalar", {"message_length": np.ones(M + 1)}),
+        ("message length L must be >= 1", {"message_length": 0}),
+        (LOCKSTEP_MODELS[model].knob_error, {"B": 0}),
+    ]
+    for match, bad in bad_inputs:
+        for path in through_run:
+            with pytest.raises(NetworkError, match=match):
+                path(model, problem, **bad)
+    # run_sweep carries B and a scalar L only.
+    with pytest.raises(NetworkError, match=LOCKSTEP_MODELS[model].knob_error):
+        _via_sweep(model, B=0)
+    with pytest.raises(NetworkError, match="message length L must be >= 1"):
+        _via_sweep(model, message_length=0)
+    # An empty batch is expressible where seeds are: driver and facade.
+    with pytest.raises(NetworkError, match="seeds is empty"):
+        _via_driver(model, problem, seeds=())
+    with pytest.raises(NetworkError, match="seeds is empty"):
+        _via_simulate(model, problem, batch=[])
+
+
+def test_model_table_is_complete():
+    from repro.analysis.estimate import ESTIMATABLE_MODELS, estimate_paths
+    from repro.facade import MODELS
+
+    assert MODEL_NAMES == [
+        "wormhole", "cut_through", "store_forward", "restricted", "adaptive",
+    ]
+    assert set(ESTIMATABLE_MODELS) == set(LOCKSTEP_MODELS)
+    dims = {
+        "release": np.array([0, 3], dtype=np.int64),
+        "lengths": np.array([2, 4], dtype=np.int64),
+        "message_length": np.array([5, 5], dtype=np.int64),
+    }
+    for name, spec in LOCKSTEP_MODELS.items():
+        assert spec.name == name and name in MODELS and name in SIMULATORS
+        # driver + knob (+ the keywords every front end passes)
+        assert spec.driver is getattr(batch_module, f"run_{name}_batch")
+        params = inspect.signature(spec.driver).parameters
+        assert {spec.knob, "seeds", "release_times", "max_steps", "telemetry"} <= set(
+            params
+        )
+        assert spec.kind in ("paths", "mesh")
+        assert ("vc_ids" in params) == spec.vc_classes
+        # cap rule, shifted by the release like every documented bound
+        cap = default_step_cap(name, **dims)
+        assert cap > 0
+        assert default_step_cap(name, **{**dims, "release": dims["release"] + 7}) == cap + 7
+        # facade / sweep default of the arbitration option
+        if spec.option is None:
+            assert spec.default is None and not spec.choices
+        else:
+            assert spec.default in spec.choices
+            assert params[spec.option].default == spec.default
+        # estimator formula
+        env = estimate_paths(
+            name,
+            message_length=4,
+            B=2,
+            path_lengths=[2, 3],
+            congestion=None if spec.kind == "mesh" else 2,
+        )
+        assert env.model == name and env.upper >= 4 + 3 - 1
+
+
+# ----------------------------------------------------------------------
+# A simulator instance is the T = 1 driver on its own generator
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_two_runs_on_one_instance_continue_one_rng_stream(model, layered, mesh):
+    first, second, L = _problem(model, layered, mesh)
+    spec = LOCKSTEP_MODELS[model]
+    # An arbitration that draws every step, where the model has one.
+    option = {"priority": "random"} if spec.option == "priority" else {}
+    sim = FRONT_ENDS[model](first, 2, seed=5, **option)
+    runs = [sim.run(second, L), sim.run(second, L)]
+    # The same two calls straight on the driver, sharing one generator.
+    rng = np.random.default_rng(5)
+    for got in runs:
+        (want,) = spec.driver(
+            first, second, L, seeds=[rng], **{spec.knob: 2}, **option
+        )
+        _assert_equal(
+            getattr(got, "result", got), getattr(want, "result", want), model
+        )
+    state = sim._rng.bit_generator.state
+    assert state == rng.bit_generator.state
+    assert state != np.random.default_rng(5).bit_generator.state  # it advanced
+    if model != "store_forward":  # identical greedy hops need no second look
+        fresh = FRONT_ENDS[model](first, 2, seed=5, **option).run(second, L)
+        assert not np.array_equal(
+            getattr(runs[1], "result", runs[1]).completion_times,
+            getattr(fresh, "result", fresh).completion_times,
+        ), "the second run restarted the stream instead of continuing it"
+
+
+def test_single_trial_draws_are_not_block_buffered(layered):
+    """``_RandomBlock`` over-draws, so it must stay a ``T > 1`` device:
+    one wormhole trial consumes exactly one double per header request."""
+    net, paths = layered
+    sim = WormholeSimulator(net, 2, priority="random", seed=11)
+    res = sim.run(paths, 8)
+    requests = sum(len(p.edges) for p in paths) + res.total_blocked_steps
+    rng = np.random.default_rng(11)
+    rng.random(requests)
+    assert sim._rng.bit_generator.state == rng.bit_generator.state
+
+
+class _Started(Probe):
+    started = False
+
+    def on_run_start(self, meta):
+        self.started = True
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_probes_are_a_single_trial_contract(model, layered, mesh):
+    problem = _problem(model, layered, mesh)
+    probe = _Started()
+    if not LOCKSTEP_MODELS[model].telemetry:
+        with pytest.raises(NetworkError, match="does not support telemetry"):
+            _via_driver(model, problem, telemetry=[probe])
+    else:
+        with pytest.raises(NetworkError, match="T = 1"):
+            _via_driver(model, problem, seeds=(0, 1), telemetry=[probe])
+        with pytest.raises(NetworkError, match="single trial"):
+            _via_simulate(model, problem, batch=[0, 1], telemetry=[probe])
+    assert not probe.started

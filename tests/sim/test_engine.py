@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 
 from repro.network.graph import NetworkError
+from repro.sim.batch import default_step_cap, resolve_step_cap
 from repro.sim.engine import (
-    SlotArbiter,
-    StepLoop,
+    BatchSlotArbiter,
+    BatchStepLoop,
     age_priorities,
     check_edge_simple,
-    compat_check_edge_simple,
-    default_step_cap,
     grant_free_slots,
-    legacy_extra,
-    legacy_record_probes,
+    grant_free_slots_reference,
     pad_paths,
-    resolve_step_cap,
 )
+from repro.telemetry.probe import Probe, ProbeSet
 
 
 # ----------------------------------------------------------------------
@@ -62,38 +60,46 @@ def test_grant_full_slot_admits_nobody():
 
 
 # ----------------------------------------------------------------------
-# SlotArbiter
+# BatchSlotArbiter, one trial
 # ----------------------------------------------------------------------
 
 
 def test_arbiter_contend_acquire_vacate_roundtrip():
-    arb = SlotArbiter(3, capacity=1)
+    arb = BatchSlotArbiter([3], [1])
     slots = np.array([0, 0, 2], dtype=np.int64)
+    trials = np.zeros(3, dtype=np.int64)
     prio = np.array([0.9, 0.1, 0.5])
-    granted = arb.contend(slots, prio)
+    granted = arb.contend(trials, slots, prio)
     assert granted.tolist() == [False, True, True]
-    arb.acquire(slots[granted])
+    arb.acquire(trials[granted], slots[granted])
     assert arb.occupancy.tolist() == [1, 0, 1]
     # Slot 0 is now full: nobody else gets in.
-    again = arb.contend(np.array([0], dtype=np.int64), np.array([0.0]))
+    again = arb.contend(trials[:1], slots[:1], np.array([0.0]))
     assert again.tolist() == [False]
-    arb.vacate(slots[granted])
+    arb.vacate(trials[granted], slots[granted])
     assert arb.occupancy.tolist() == [0, 0, 0]
 
 
 def test_arbiter_scalar_interface():
-    arb = SlotArbiter(2, capacity=2)
-    assert arb.has_free(1)
-    arb.acquire_one(1)
-    arb.acquire_one(1)
-    assert not arb.has_free(1)
-    arb.vacate_one(1)
-    assert arb.has_free(1)
+    """One contender at a time: a capacity-2 slot fills after two grants."""
+    arb = BatchSlotArbiter([2], [2])
+    trial, slot = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+
+    def has_free():
+        return bool(arb.contend(trial, slot, np.zeros(1))[0])
+
+    assert has_free()
+    arb.acquire(trial, slot)
+    arb.acquire(trial, slot)
+    assert not has_free()
+    arb.vacate(trial, slot)
+    assert has_free()
 
 
 def test_arbiter_duplicate_slots_in_one_acquire():
-    arb = SlotArbiter(1, capacity=2)
-    arb.acquire(np.array([0, 0], dtype=np.int64))
+    arb = BatchSlotArbiter([1], [2])
+    both = np.zeros(2, dtype=np.int64)
+    arb.acquire(both, both)
     assert arb.occupancy.tolist() == [2]
 
 
@@ -119,14 +125,6 @@ def test_check_edge_simple_custom_message():
     padded, _ = pad_paths([[5, 5]])
     with pytest.raises(NetworkError, match="worm 0 loops"):
         check_edge_simple(padded, what="worm {m} loops")
-
-
-def test_compat_shim_drops_lengths_argument():
-    padded, lengths = pad_paths([[1, 2], [2, 1]])
-    compat_check_edge_simple(padded, lengths)  # legacy two-arg call
-    bad, bad_len = pad_paths([[7, 7]])
-    with pytest.raises(NetworkError):
-        compat_check_edge_simple(bad, bad_len)
 
 
 # ----------------------------------------------------------------------
@@ -176,53 +174,32 @@ def test_default_cap_unknown_model():
 
 
 # ----------------------------------------------------------------------
-# legacy telemetry shims
+# The step loop, one trial (a serial run is T = 1 of the lockstep loop)
 # ----------------------------------------------------------------------
 
 
-def test_legacy_record_probes_warns_once_per_flag():
-    with pytest.warns(DeprecationWarning, match="record_trace is deprecated"):
-        extra, trace, contention = legacy_record_probes(True, False, stacklevel=2)
-    assert trace is not None and contention is None and extra == [trace]
-    with pytest.warns(
-        DeprecationWarning, match="record_contention is deprecated"
-    ):
-        extra, trace, contention = legacy_record_probes(False, True, stacklevel=2)
-    assert trace is None and contention is not None and extra == [contention]
+def _deliver_all(loop, scale=1):
+    """A body that delivers every active message in the step it sees."""
 
+    def body(t, active):
+        loop.completion[active] = t * scale
+        loop.done[active] = True
+        return active.any(axis=1)
 
-def test_legacy_record_probes_silent_when_unused():
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        extra, trace, contention = legacy_record_probes(False, False)
-    assert extra == [] and trace is None and contention is None
-
-
-def test_legacy_extra_keys():
-    with pytest.warns(DeprecationWarning):
-        _, trace, contention = legacy_record_probes(True, True, stacklevel=2)
-    extra = legacy_extra(trace, contention)
-    assert set(extra) == {"trace", "edge_contention"}
-
-
-# ----------------------------------------------------------------------
-# StepLoop
-# ----------------------------------------------------------------------
+    return body
 
 
 def test_steploop_counts_steps_and_assembles_result():
     release = np.zeros(2, dtype=np.int64)
-    loop = StepLoop(2, release, max_steps=100)
+    loop = BatchStepLoop(1, 2, release, 100)
 
     def body(t, active):
         if t >= 3:
             loop.completion[:] = t
             loop.done[:] = True
-        return True
+        return np.ones(1, dtype=bool)
 
-    result = loop.run(body)
+    (result,) = loop.run(body)
     assert result.makespan == 3
     assert result.steps_executed == 3
     assert result.all_delivered and not result.deadlocked
@@ -230,14 +207,13 @@ def test_steploop_counts_steps_and_assembles_result():
 
 def test_steploop_skips_idle_gap():
     release = np.array([10], dtype=np.int64)
-    loop = StepLoop(1, release, max_steps=100)
+    loop = BatchStepLoop(1, 1, release, 100)
     seen = []
+    deliver = _deliver_all(loop)
 
     def body(t, active):
         seen.append(t)
-        loop.completion[:] = t
-        loop.done[:] = True
-        return True
+        return deliver(t, active)
 
     loop.run(body)
     # t jumps straight past the idle prefix: first working step is 11.
@@ -246,8 +222,8 @@ def test_steploop_skips_idle_gap():
 
 def test_steploop_declares_deadlock_when_nothing_moves():
     release = np.zeros(1, dtype=np.int64)
-    loop = StepLoop(1, release, max_steps=100)
-    result = loop.run(lambda t, active: False)
+    loop = BatchStepLoop(1, 1, release, 100)
+    (result,) = loop.run(lambda t, active: np.zeros(1, dtype=bool))
     assert result.deadlocked and not result.hit_step_cap
     assert result.steps_executed == 1
     assert result.completion_times.tolist() == [-1]
@@ -255,52 +231,111 @@ def test_steploop_declares_deadlock_when_nothing_moves():
 
 def test_steploop_detect_deadlock_off_hits_cap_instead():
     release = np.zeros(1, dtype=np.int64)
-    loop = StepLoop(1, release, max_steps=5, detect_deadlock=False)
-    result = loop.run(lambda t, active: False)
+    loop = BatchStepLoop(1, 1, release, 5, detect_deadlock=False)
+    (result,) = loop.run(lambda t, active: np.zeros(1, dtype=bool))
     assert not result.deadlocked and result.hit_step_cap
     assert result.steps_executed == 5
 
 
 def test_steploop_time_scale_multiplies_steps():
     release = np.zeros(1, dtype=np.int64)
-    loop = StepLoop(1, release, max_steps=50, time_scale=4)
-
-    def body(t, active):
-        loop.completion[:] = t * 4
-        loop.done[:] = True
-        return True
-
-    result = loop.run(body)
+    loop = BatchStepLoop(1, 1, release, 50, time_scale=4)
+    (result,) = loop.run(_deliver_all(loop, scale=4))
     assert result.steps_executed == 4
     assert result.makespan == 4
 
 
 def test_steploop_mark_trivial_completes_without_stepping():
     release = np.array([2, 0], dtype=np.int64)
-    loop = StepLoop(2, release, max_steps=10)
+    loop = BatchStepLoop(1, 2, release, 10)
     loop.mark_trivial(np.array([True, False]), release)
-
-    def body(t, active):
-        loop.completion[1] = t
-        loop.done[1] = True
-        return True
-
-    result = loop.run(body)
-    assert result.completion_times[0] == 2
+    (result,) = loop.run(_deliver_all(loop))
+    assert result.completion_times.tolist() == [2, 1]
     assert result.all_delivered
 
 
 def test_steploop_extra_factory_populates_result():
     release = np.zeros(1, dtype=np.int64)
-    loop = StepLoop(1, release, max_steps=10)
+    loop = BatchStepLoop(1, 1, release, 10)
+    (result,) = loop.run(_deliver_all(loop), lambda i: {"marker": 7 + i})
+    assert result.extra == {"marker": 7}
+
+
+@pytest.mark.parametrize("cap, steps", [(0, 0), (-3, 0), (1, 1)])
+def test_steploop_spent_cap_executes_no_step(cap, steps):
+    """``while pending and t < max_steps``: a cap that is not positive
+    leaves no step to execute, at any batch width."""
+    release = np.zeros(1, dtype=np.int64)
+    for T in (1, 3):
+        loop = BatchStepLoop(T, 1, release, cap, detect_deadlock=False)
+        calls = []
+
+        def body(t, active):
+            calls.append(t)
+            return np.zeros(T, dtype=bool)
+
+        results = loop.run(body)
+        assert calls == list(range(1, steps + 1))
+        assert [r.steps_executed for r in results] == [steps] * T
+        assert all(r.hit_step_cap and not r.deadlocked for r in results)
+
+
+class _Lifecycle(Probe):
+    """Records the lifecycle events the loop (not the kernel) dispatches."""
+
+    def __init__(self, abort_at=None):
+        super().__init__()
+        self.events = []
+        self.abort_at = abort_at
+
+    def on_step(self, t, movers, k):
+        if t == self.abort_at:
+            self.request_abort("enough")
+
+    def on_deadlock(self, t, pending):
+        self.events.append(("deadlock", t, pending.tolist()))
+
+    def on_run_end(self, result):
+        self.events.append(("run_end", result.steps_executed))
+
+
+def test_steploop_dispatches_deadlock_then_run_end():
+    probe = _Lifecycle()
+    release = np.zeros(2, dtype=np.int64)
+    loop = BatchStepLoop(1, 2, release, 100, probes=ProbeSet([probe]))
+    loop.mark_trivial(np.array([True, False]), release)
+    (result,) = loop.run(lambda t, active: np.zeros(1, dtype=bool))
+    assert result.deadlocked
+    assert probe.events == [("deadlock", 1, [1]), ("run_end", 1)]
+    assert "telemetry_abort" not in result.extra
+
+
+@pytest.mark.parametrize("finish_at, pending", [(None, True), (3, False)])
+def test_steploop_telemetry_abort_stops_at_end_of_step(finish_at, pending):
+    probe = _Lifecycle(abort_at=3)
+    probes = ProbeSet([probe])
+    release = np.zeros(1, dtype=np.int64)
+    loop = BatchStepLoop(1, 1, release, 100, probes=probes)
 
     def body(t, active):
-        loop.completion[:] = t
-        loop.done[:] = True
-        return True
+        if t == finish_at:
+            loop.completion[:] = t
+            loop.done[:] = True
+        probes.on_step(t, np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
+        return np.ones(1, dtype=bool)
 
-    result = loop.run(body, lambda: {"marker": 7})
-    assert result.extra == {"marker": 7}
+    (result,) = loop.run(body)
+    # The abort is honoured after the body call, before any deadlock or
+    # cap bookkeeping; the cap flag says whether work was left behind.
+    assert result.steps_executed == 3
+    assert result.hit_step_cap is pending and not result.deadlocked
+    assert result.extra["telemetry_abort"] == "enough"
+    assert probe.events == [("run_end", 3)]
+
+
+def test_steploop_rejects_probes_on_a_batch():
+    with pytest.raises(NetworkError, match="T = 1"):
+        BatchStepLoop(2, 1, np.zeros(1, dtype=np.int64), 10, probes=ProbeSet([Probe()]))
 
 
 def test_age_priorities_orders_by_release_then_index():
@@ -369,8 +404,6 @@ def test_padded_paths_validates_once_and_caches():
 
 
 def test_grant_accepts_per_contender_capacity():
-    from repro.sim.engine import grant_free_slots
-
     slots = np.array([0, 0, 0, 5, 5], dtype=np.int64)
     prio = np.array([0.3, 0.1, 0.2, 0.9, 0.8])
     cap = np.array([2, 2, 2, 1, 1], dtype=np.int64)
@@ -380,13 +413,12 @@ def test_grant_accepts_per_contender_capacity():
 
 
 def test_batch_arbiter_matches_independent_serial_arbiters():
-    from repro.sim.engine import BatchSlotArbiter
-
+    """Each trial's grants equal the naive oracle run on its pool alone."""
     rng = np.random.default_rng(0)
     num_slots = np.array([4, 6, 4], dtype=np.int64)
     caps = np.array([1, 2, 3], dtype=np.int64)
     batch = BatchSlotArbiter(num_slots, caps)
-    serial = [SlotArbiter(int(n), int(c)) for n, c in zip(num_slots, caps)]
+    alone = [np.zeros(int(n), dtype=np.int64) for n in num_slots]
     for _ in range(50):
         n = int(rng.integers(1, 10))
         trials = rng.integers(0, 3, size=n).astype(np.int64)
@@ -399,26 +431,22 @@ def test_batch_arbiter_matches_independent_serial_arbiters():
         for tr in range(3):
             sel = trials == tr
             if sel.any():
-                want[sel] = serial[tr].contend(slots[sel], prio[sel])
+                want[sel] = grant_free_slots_reference(
+                    slots[sel], prio[sel], int(caps[tr]), alone[tr]
+                )
         assert np.array_equal(got, want)
         batch.acquire(trials[got], slots[got])
-        for tr in range(3):
-            sel = (trials == tr) & got
-            serial[tr].acquire(slots[sel])
         # Randomly vacate some grants to keep occupancy in flux.
         drop = got & (rng.random(n) < 0.5)
         batch.vacate(trials[drop], slots[drop])
         for tr in range(3):
-            sel = (trials == tr) & drop
-            serial[tr].vacate(slots[sel])
-        for tr in range(3):
+            np.add.at(alone[tr], slots[(trials == tr) & got], 1)
+            np.add.at(alone[tr], slots[(trials == tr) & drop], -1)
             lo, hi = batch.offsets[tr], batch.offsets[tr + 1]
-            assert np.array_equal(batch.occupancy[lo:hi], serial[tr].occupancy)
+            assert np.array_equal(batch.occupancy[lo:hi], alone[tr])
 
 
 def test_batch_arbiter_rejects_bad_shapes():
-    from repro.sim.engine import BatchSlotArbiter
-
     with pytest.raises(NetworkError, match="equal length"):
         BatchSlotArbiter(np.array([2, 3]), np.array([1]))
     with pytest.raises(NetworkError, match="capacity"):
@@ -431,8 +459,6 @@ def test_batch_arbiter_rejects_bad_shapes():
 
 
 def test_batchsteploop_finalizes_trials_independently():
-    from repro.sim.engine import BatchStepLoop
-
     release = np.zeros(1, dtype=np.int64)
     # Trial 0 finishes at step 2, trial 1 deadlocks at step 1, trial 2
     # runs to its cap of 3.
@@ -460,8 +486,6 @@ def test_batchsteploop_finalizes_trials_independently():
 
 
 def test_batchsteploop_jumps_shared_clock_over_idle_gap():
-    from repro.sim.engine import BatchStepLoop
-
     release = np.array([50], dtype=np.int64)
     loop = BatchStepLoop(2, 1, release, np.array([100, 100]))
     seen = []
@@ -478,8 +502,6 @@ def test_batchsteploop_jumps_shared_clock_over_idle_gap():
 
 
 def test_batchsteploop_release_at_or_past_cap_sets_cap_flag():
-    from repro.sim.engine import BatchStepLoop
-
     release = np.array([40], dtype=np.int64)
     loop = BatchStepLoop(2, 1, release, np.array([10, 100]))
 

@@ -122,7 +122,8 @@ class TestOtherEngineInvariance:
 
 
 class TestDeprecatedShims:
-    """The legacy record_* kwargs still work, warn, and match exactly."""
+    """The retired record_* kwargs are gone from ``run()``; the collectors
+    that replaced them attach without perturbing the run."""
 
     def make(self):
         net, walks = chain_bundle(2, 3, 3)
@@ -131,36 +132,40 @@ class TestDeprecatedShims:
 
     def test_record_trace_shim(self):
         net, paths = self.make()
-        with pytest.deprecated_call(match="record_trace"):
-            legacy = WormholeSimulator(net, 1, seed=0).run(
-                paths, 4, record_trace=True
-            )
+        with pytest.raises(TypeError, match="record_trace"):
+            WormholeSimulator(net, 1, seed=0).run(paths, 4, record_trace=True)
+        bare = WormholeSimulator(net, 1, seed=0).run(paths, 4)
         snap = TraceSnapshotCollector()
         modern = WormholeSimulator(net, 1, seed=0).run(
             paths, 4, telemetry=[snap]
         )
-        assert_results_identical(legacy, modern)
-        assert np.array_equal(legacy.extra["trace"], snap.matrix)
+        assert_results_identical(bare, modern)
+        assert snap.matrix.shape == (modern.steps_executed, len(paths))
+        assert np.array_equal(
+            snap.matrix[-1], np.full(len(paths), 4 + 3 - 1)
+        )  # every worm ends at L + D - 1 completed moves
 
     def test_record_contention_shim(self):
         net, paths = self.make()
-        with pytest.deprecated_call(match="record_contention"):
-            legacy = WormholeSimulator(net, 1, seed=0).run(
+        with pytest.raises(TypeError, match="record_contention"):
+            WormholeSimulator(net, 1, seed=0).run(
                 paths, 4, record_contention=True
             )
+        bare = WormholeSimulator(net, 1, seed=0).run(paths, 4)
         cont = EdgeContentionCollector()
         modern = WormholeSimulator(net, 1, seed=0).run(
             paths, 4, telemetry=[cont]
         )
-        assert_results_identical(legacy, modern)
-        assert np.array_equal(legacy.extra["edge_contention"], cont.denied)
+        assert_results_identical(bare, modern)
+        assert cont.denied.shape == (net.num_edges,)
+        assert cont.denied.sum() == modern.total_blocked_steps
 
     def test_shims_compose_with_telemetry(self):
         net, paths = self.make()
-        cont = EdgeContentionCollector()
-        with pytest.deprecated_call(match="record_trace"):
-            res = WormholeSimulator(net, 1, seed=0).run(
-                paths, 4, record_trace=True, telemetry=[cont]
-            )
-        assert "trace" in res.extra
+        snap, cont = TraceSnapshotCollector(), EdgeContentionCollector()
+        res = WormholeSimulator(net, 1, seed=0).run(
+            paths, 4, telemetry=[snap, cont]
+        )
+        assert res.extra == {}  # collectors keep their arrays themselves
+        assert snap.matrix.shape[0] == res.steps_executed
         assert cont.denied.sum() == res.total_blocked_steps

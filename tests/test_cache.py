@@ -32,8 +32,14 @@ def test_roundtrip_and_counters(tmp_path):
     assert cache.load(key, spec.key()) == metrics
     assert len(cache) == 1
     snap = cache.snapshot()
-    assert snap["hits"] == 1 and snap["misses"] == 1 and snap["stores"] == 1
-    assert snap["hit_rate"] == pytest.approx(0.5)
+    assert (snap["cache_hits"], snap["cache_misses"], snap["cache_stores"]) == (
+        1, 1, 1,
+    )
+    assert snap["cache_hit_rate"] == pytest.approx(0.5)
+    # The bare hits / misses / stores / hit_rate aliases are retired.
+    assert set(snap) == {
+        "dir", "cache_hits", "cache_misses", "cache_stores", "cache_hit_rate",
+    }
 
 
 def test_identity_mismatch_is_a_miss_not_a_wrong_answer(tmp_path):

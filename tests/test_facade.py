@@ -270,16 +270,13 @@ class TestSimResultAndModes:
         assert all(isinstance(r, repro.SimResult) for r in out)
         assert all(r.mode == "exact" for r in out)
 
-    def test_dict_access_warns_once_per_key(self, butterfly_problem):
+    def test_dict_access_removed(self, butterfly_problem):
         res = simulate(butterfly_problem, model="wormhole", B=2,
                        message_length=L, seed=SEED)
-        with pytest.warns(DeprecationWarning, match="makespan"):
-            assert res["makespan"] == res.makespan
-        with pytest.warns(DeprecationWarning):
-            assert res.get("nope", 42) == 42
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(KeyError):
-                res["not_a_field"]
+        with pytest.raises(TypeError):
+            res["makespan"]
+        with pytest.raises(AttributeError):
+            res.get("makespan")
 
     def test_simulate_modes_exported(self):
         assert repro.SIMULATE_MODES == ("exact", "estimate")
