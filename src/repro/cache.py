@@ -134,7 +134,7 @@ class ResultCache:
         ``cache_misses``, ``cache_stores``, ``cache_hit_rate`` — so a
         cache block can be merged into a service's flat counter dict
         without colliding with other subsystems (the schema every
-        endpoint follows; see ``repro.service.server.ServiceStats``).
+        endpoint follows; see ``repro.service.endpoint.Endpoint``).
         """
         counts = self.counters.snapshot()
         lookups = counts["hits"] + counts["misses"]

@@ -1111,7 +1111,7 @@ def _sweep_dry_run(specs, root_seed, batch_size, cache_dir, force) -> None:
 def _cmd_serve(args: argparse.Namespace) -> None:
     import asyncio
 
-    from repro.service import ServiceConfig, serve
+    from repro.service import ServiceConfig, SimulationService, serve
 
     config = ServiceConfig(
         host=args.host,
@@ -1125,7 +1125,7 @@ def _cmd_serve(args: argparse.Namespace) -> None:
         port_file=args.port_file,
     )
     try:
-        asyncio.run(serve(config))
+        asyncio.run(serve(SimulationService(config)))
     except KeyboardInterrupt:
         pass  # signal handler already drained; double-^C lands here
 
@@ -1133,31 +1133,25 @@ def _cmd_serve(args: argparse.Namespace) -> None:
 def _cmd_cluster(args: argparse.Namespace) -> None:
     import asyncio
 
-    from repro.cluster import (
-        ClusterConfig,
-        ClusterWorkerConfig,
-        serve_cluster,
-    )
+    from repro.cluster import ClusterConfig, ClusterRouter
+    from repro.service import ServiceConfig, serve
 
-    worker = ClusterWorkerConfig(
-        workers=args.workers,
-        host=args.host,
-        queue_limit=args.queue_limit,
-        max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
-        backend=args.backend,
-        backend_workers=args.backend_workers,
-        runtime_dir=args.runtime_dir,
-    )
     config = ClusterConfig(
         host=args.host,
         port=args.port,
         workers=args.workers,
         cache_dir=args.cache_dir,
-        worker=worker,
+        runtime_dir=args.runtime_dir,
+        worker=ServiceConfig(
+            queue_limit=args.queue_limit,
+            max_batch=args.max_batch,
+            max_wait_ms=args.max_wait_ms,
+            backend=args.backend,
+            workers=args.backend_workers,
+        ),
     )
     try:
-        asyncio.run(serve_cluster(config))
+        asyncio.run(serve(ClusterRouter(config)))
     except KeyboardInterrupt:
         pass  # signal handler already drained; double-^C lands here
 

@@ -15,10 +15,11 @@ onto one physical link:
   serve`` subprocesses on ephemeral ports, watch liveness, respawn
   crashed workers with bounded exponential backoff (the
   :mod:`repro.exec` crash-recovery discipline, one level up);
-* :mod:`~repro.cluster.router` — the acceptor: admission, a
-  persistent cross-worker :class:`~repro.cache.ResultCache` consulted
-  before any forward, per-request retry/fallback so a worker crash
-  never drops an accepted request, aggregated ``health``/``stats``.
+* :mod:`~repro.cluster.router` — the :class:`~repro.service.endpoint
+  .Endpoint` whose ``dispatch`` routes: a persistent cross-worker
+  :class:`~repro.cache.ResultCache` consulted before any forward,
+  per-request retry/fallback so a worker crash never drops an accepted
+  request, aggregated ``health``/``stats``.
 
 Usage::
 
@@ -30,15 +31,13 @@ Usage::
 """
 
 from .hashing import HashRing
-from .router import ClusterConfig, ClusterRouter, serve_cluster
-from .worker import ClusterWorkerConfig, WorkerHandle, WorkerSupervisor
+from .router import ClusterConfig, ClusterRouter
+from .worker import WorkerHandle, WorkerSupervisor
 
 __all__ = [
     "ClusterConfig",
     "ClusterRouter",
-    "ClusterWorkerConfig",
     "HashRing",
     "WorkerHandle",
     "WorkerSupervisor",
-    "serve_cluster",
 ]

@@ -26,7 +26,6 @@ from typing import Any
 
 from ..service.client import LoadgenConfig, run_loadgen
 from .router import ClusterConfig, ClusterRouter
-from .worker import ClusterWorkerConfig
 
 __all__ = ["run_cluster_bench"]
 
@@ -54,13 +53,7 @@ async def _run_tier(
     workers: int, config: LoadgenConfig, *, passes: int = 1
 ) -> tuple[list[dict[str, Any]], dict[str, Any]]:
     """Spin a tier up, drive it ``passes`` times, drain it."""
-    router = ClusterRouter(
-        ClusterConfig(
-            port=0,
-            workers=workers,
-            worker=ClusterWorkerConfig(workers=workers),
-        )
-    )
+    router = ClusterRouter(ClusterConfig(port=0, workers=workers))
     task = asyncio.create_task(router.run())
     await router.started.wait()
     try:
@@ -72,7 +65,7 @@ async def _run_tier(
     finally:
         router.request_shutdown()
         await task
-    return reports, router._health()
+    return reports, router.health()
 
 
 def _pass_summary(report: dict[str, Any]) -> dict[str, Any]:

@@ -1,8 +1,9 @@
 """The cluster front-end: one v1-protocol endpoint over N workers.
 
-:class:`ClusterRouter` is wire-compatible with a single
-:class:`~repro.service.server.SimulationService` — ``repro loadgen``
-and every existing client work unchanged — but behind the acceptor it:
+:class:`ClusterRouter` is the same :class:`~repro.service.endpoint
+.Endpoint` as a single :class:`~repro.service.server.SimulationService`
+— ``repro loadgen`` and every existing client work unchanged — but its
+``dispatch``:
 
 1. answers repeat ``run`` requests from the shared
    :class:`~repro.cache.ResultCache` (keyed by
@@ -36,32 +37,30 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..cache import ResultCache
-from ..telemetry.metrics import EventCounter, LatencyRecorder
 from ..service.batcher import batch_compat_key
 from ..service.client import ServiceClient, ServiceConnectionError
+from ..service.endpoint import Endpoint
 from ..service.protocol import (
-    MODE_ESTIMATE,
     PROTOCOL_VERSION,
     STATUS_OK,
-    ProtocolError,
     RunRequest,
-    UnknownModeError,
-    UnsupportedVersionError,
-    check_version,
-    decode_message,
-    encode_message,
-    error_response,
-    ok_response,
-    parse_run_request,
     reject_response,
-    unknown_mode_response,
-    unsupported_version_response,
 )
-from ..service.server import MAX_LINE_BYTES
+from ..service.server import ServiceConfig
 from .hashing import HashRing
-from .worker import ClusterWorkerConfig, WorkerSupervisor
+from .worker import SPAWN_TIMEOUT_S, WorkerSupervisor
 
-__all__ = ["ClusterConfig", "ClusterRouter", "serve_cluster"]
+__all__ = ["ClusterConfig", "ClusterRouter"]
+
+#: Per-forward exchange budget; a worker that neither answers nor dies
+#: within this window counts as a failed attempt.
+FORWARD_TIMEOUT_S = 300.0
+#: Forward attempts per request before the structured reject.
+MAX_FORWARD_ATTEMPTS = 4
+#: Base of the between-attempt backoff (doubles per attempt).
+RETRY_BACKOFF_S = 0.05
+#: ``retry_after_ms`` hint when the attempt budget is exhausted.
+UNAVAILABLE_RETRY_AFTER_MS = 500.0
 
 
 @dataclass(frozen=True)
@@ -75,120 +74,62 @@ class ClusterConfig:
     #: supervisor's runtime dir (fresh per tier); point several tiers
     #: at one directory to share results across routers.
     cache_dir: str | None = None
-    #: Per-forward exchange budget; a worker that neither answers nor
-    #: dies within this window counts as a failed attempt.
-    forward_timeout_s: float = 300.0
-    #: Forward attempts per request before the structured reject.
-    max_forward_attempts: int = 4
-    #: Base of the between-attempt backoff (doubles per attempt).
-    retry_backoff_s: float = 0.05
-    drain_retry_after_ms: float = 1000.0
-    #: ``retry_after_ms`` hint when the attempt budget is exhausted.
-    unavailable_retry_after_ms: float = 500.0
-    #: The worker tier (spawn/respawn policy, per-worker service knobs).
-    worker: ClusterWorkerConfig = field(default_factory=ClusterWorkerConfig)
-
-    def worker_config(self) -> ClusterWorkerConfig:
-        """The tier config with the router's worker count applied."""
-        if self.worker.workers == self.workers:
-            return self.worker
-        from dataclasses import replace
-
-        return replace(self.worker, workers=self.workers)
+    #: Port files + worker logs live here (a tempdir when unset).
+    runtime_dir: str | None = None
+    #: Template every worker's ``repro serve`` argv is rendered from
+    #: (``queue_limit``/``max_batch``/``max_wait_ms``/``backend``/
+    #: ``workers``; host, port and port file are set per slot).  Workers
+    #: are already separate processes, so the in-worker pool stays at 1.
+    worker: ServiceConfig = field(
+        default_factory=lambda: ServiceConfig(workers=1)
+    )
 
 
-class RouterStats:
-    """Router-side counters (worker internals stay on the workers)."""
+class ClusterRouter(Endpoint):
+    """One router instance: call :meth:`run` (blocks until drained).
 
-    def __init__(self) -> None:
-        self.counters = EventCounter(
-            "requests_total",
-            "completed",
-            "estimated",
-            "cache_served",
-            "forwarded",
-            "forward_retries",
-            "rejected_draining",
-            "rejected_unavailable",
-            "errors",
-            "protocol_errors",
-        )
-        self.latency = LatencyRecorder()
-
-
-class ClusterRouter:
-    """One router instance: call :meth:`run` (blocks until drained)."""
+    Tier counters on top of the endpoint's (worker internals stay on
+    the workers): ``cache_served``, ``forwarded``, ``forward_retries``,
+    ``rejected_unavailable``.
+    """
 
     def __init__(self, config: ClusterConfig | None = None) -> None:
         self.config = config or ClusterConfig()
-        if self.config.workers < 1:
-            raise ValueError(f"need >= 1 worker, got {self.config.workers}")
-        self.supervisor = WorkerSupervisor(self.config.worker_config())
+        super().__init__(
+            self.config.host,
+            self.config.port,
+            "cache_served",
+            "forwarded",
+            "forward_retries",
+            "rejected_unavailable",
+        )
+        self.supervisor = WorkerSupervisor(
+            self.config.workers,
+            host=self.config.host,
+            service=self.config.worker,
+            runtime_dir=self.config.runtime_dir,
+        )
         self.cache = ResultCache(
             self.config.cache_dir or self.supervisor.runtime_dir / "cache"
         )
         self.ring = HashRing(range(self.config.workers))
-        self.stats = RouterStats()
-        self.started = asyncio.Event()
-        self.port: int | None = None
-        self._shutdown = asyncio.Event()
-        self._draining = False
-        self._writers: set[asyncio.StreamWriter] = set()
-        self._conn_tasks: set[asyncio.Task] = set()
-        self._in_flight = 0
-        self._all_flushed = asyncio.Event()
-        self._all_flushed.set()
-        self._started_at: float | None = None
         #: Idle pooled connections per (slot, generation).
         self._pool: dict[tuple[int, int], list[ServiceClient]] = {}
 
     # -- lifecycle -----------------------------------------------------
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
-    def request_shutdown(self) -> None:
-        """Begin the graceful drain (idempotent, callable from signals)."""
-        self._draining = True
-        self._shutdown.set()
-
-    async def run(self) -> None:
-        """Spawn the tier, listen, route, drain; returns when done."""
-        loop = asyncio.get_running_loop()
-        self._started_at = loop.time()
+    async def startup(self) -> None:
         await self.supervisor.start()
-        monitor = asyncio.create_task(
+        self._monitor = asyncio.create_task(
             self.supervisor.monitor(), name="repro-cluster-monitor"
         )
-        server = await asyncio.start_server(
-            self._handle_connection,
-            self.config.host,
-            self.config.port,
-            limit=MAX_LINE_BYTES,
-        )
-        self.port = server.sockets[0].getsockname()[1]
-        self.started.set()
-        try:
-            await self._shutdown.wait()
-        finally:
-            self.request_shutdown()
-            # 1. Stop accepting new connections; new runs on live
-            #    connections are rejected as draining.
-            server.close()
-            await server.wait_closed()
-            # 2. Let every in-flight forward resolve and flush.
-            await self._all_flushed.wait()
-            # 3. Drain the worker tier (their own queued work flushes).
-            monitor.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await monitor
-            await self._close_pool()
-            await self.supervisor.stop()
-            # 4. Close lingering connections; handlers exit on EOF.
-            for writer in list(self._writers):
-                writer.close()
-            if self._conn_tasks:
-                await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+
+    async def teardown(self) -> None:
+        # Drain the worker tier (their own queued work flushes).
+        self._monitor.cancel()
+        with contextlib.suppress(asyncio.CancelledError):
+            await self._monitor
+        await self._close_pool()
+        await self.supervisor.stop()
 
     # -- worker connection pool ----------------------------------------
     async def _acquire(self, slot: int) -> tuple[ServiceClient, int]:
@@ -221,152 +162,15 @@ class ClusterRouter:
                 await client.close()
         self._pool.clear()
 
-    # -- connection handling (mirrors SimulationService) ---------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
-        self._writers.add(writer)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (
-                    asyncio.LimitOverrunError,
-                    asyncio.IncompleteReadError,
-                    ConnectionResetError,
-                ):
-                    break
-                if not line:
-                    break
-                await self._handle_line(line, writer)
-        except ConnectionResetError:
-            pass
-        finally:
-            self._writers.discard(writer)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-
-    async def _handle_line(
-        self, line: bytes, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            msg = decode_message(line)
-        except ProtocolError as exc:
-            self.stats.counters.bump("protocol_errors")
-            await self._send(writer, error_response(None, str(exc)))
-            return
-        op = msg.get("op")
-        req_id = msg.get("id") if isinstance(msg.get("id"), str) else ""
-        try:
-            check_version(msg)
-        except UnsupportedVersionError as exc:
-            self.stats.counters.bump("protocol_errors")
-            await self._send(
-                writer, unsupported_version_response(req_id, exc.got)
-            )
-            return
-        if op == "run":
-            await self._handle_run(msg, writer)
-        elif op == "health":
-            await self._send(
-                writer, {"v": PROTOCOL_VERSION, "id": req_id, **self._health()}
-            )
-        elif op == "stats":
-            snapshot = await self._stats_snapshot()
-            await self._send(
-                writer, {"v": PROTOCOL_VERSION, "id": req_id, **snapshot}
-            )
-        elif op == "shutdown":
-            await self._send(
-                writer,
-                {
-                    "v": PROTOCOL_VERSION,
-                    "id": req_id,
-                    "status": "ok",
-                    "draining": True,
-                },
-            )
-            self.request_shutdown()
-        else:
-            self.stats.counters.bump("protocol_errors")
-            await self._send(
-                writer, error_response(req_id, f"unknown op {op!r}")
-            )
-
     # -- the routed run path -------------------------------------------
-    async def _handle_run(
-        self, msg: dict[str, Any], writer: asyncio.StreamWriter
-    ) -> None:
+    async def dispatch(self, request: RunRequest) -> dict[str, Any]:
+        """Route one run; ``completed``/``latency_ms`` clock the route."""
         loop = asyncio.get_running_loop()
-        self.stats.counters.bump("requests_total")
-        try:
-            request = parse_run_request(msg)
-        except UnknownModeError as exc:
-            self.stats.counters.bump("protocol_errors")
-            await self._send(
-                writer, unknown_mode_response(msg.get("id"), exc.got)
-            )
-            return
-        except ProtocolError as exc:
-            self.stats.counters.bump("protocol_errors")
-            await self._send(writer, error_response(msg.get("id"), str(exc)))
-            return
-        if request.mode == MODE_ESTIMATE:
-            # Estimates are answered on the router from closed form —
-            # bit-stable pure functions of the spec — without touching
-            # any worker's queue or batcher (and, like health/stats,
-            # even while draining).
-            t0 = loop.time()
-            response = self._estimate_response(request)
-            if response.get("status") == STATUS_OK:
-                self.stats.counters.bump("completed")
-                self.stats.latency.record(loop.time() - t0)
-            await self._send(writer, response)
-            return
-        if self._draining:
-            self.stats.counters.bump("rejected_draining")
-            await self._send(
-                writer,
-                reject_response(
-                    request.id,
-                    "draining",
-                    retry_after_ms=self.config.drain_retry_after_ms,
-                ),
-            )
-            return
-        self._in_flight += 1
-        self._all_flushed.clear()
         t0 = loop.time()
-        try:
-            response = await self._route(request)
-        finally:
-            self._in_flight -= 1
-            if self._in_flight == 0:
-                self._all_flushed.set()
+        response = await self._route(request)
         if response.get("status") == STATUS_OK:
-            self.stats.counters.bump("completed")
-            self.stats.latency.record(loop.time() - t0)
-        await self._send(writer, response)
-
-    def _estimate_response(self, request: RunRequest) -> dict[str, Any]:
-        """Answer an estimate request locally from the analytic envelope."""
-        from ..analysis.estimate import estimate_spec
-        from ..network.graph import NetworkError
-
-        try:
-            metrics = estimate_spec(request.spec).to_metrics()
-        except NetworkError as exc:
-            self.stats.counters.bump("errors")
-            return error_response(request.id, str(exc))
-        self.stats.counters.bump("estimated")
-        return ok_response(
-            request.id, metrics, batched=0, queue_ms=0.0, mode=MODE_ESTIMATE
-        )
+            self._completed(loop.time() - t0)
+        return response
 
     async def _route(self, request: RunRequest) -> dict[str, Any]:
         """Cache lookup, then shard-and-forward with retry/fallback."""
@@ -374,7 +178,7 @@ class ClusterRouter:
         cache_key = spec.cache_key(request.root_seed)
         cached = self.cache.load(cache_key, spec.key())
         if cached is not None:
-            self.stats.counters.bump("cache_served")
+            self.counters.bump("cache_served")
             return {
                 "v": PROTOCOL_VERSION,
                 "id": request.id,
@@ -389,24 +193,21 @@ class ClusterRouter:
         # The one run-request schema: re-serialize the parsed request
         # instead of re-assembling a raw dict field by field.
         forward = request.to_wire()
-        timeout_s = self.config.forward_timeout_s
+        timeout_s = FORWARD_TIMEOUT_S
         if request.timeout_s is not None:
             timeout_s = min(timeout_s, request.timeout_s)
         tried_down: set[int] = set()
-        for attempt in range(self.config.max_forward_attempts):
+        for attempt in range(MAX_FORWARD_ATTEMPTS):
             if attempt:
-                self.stats.counters.bump("forward_retries")
-                await asyncio.sleep(
-                    self.config.retry_backoff_s * 2 ** (attempt - 1)
-                )
+                self.counters.bump("forward_retries")
+                await asyncio.sleep(RETRY_BACKOFF_S * 2 ** (attempt - 1))
             slot = self._pick_slot(shard_key, tried_down)
             if slot is None:
                 # Whole tier down right now; wait out a respawn.
                 self.supervisor.changed.clear()
                 with contextlib.suppress(asyncio.TimeoutError, TimeoutError):
                     await asyncio.wait_for(
-                        self.supervisor.changed.wait(),
-                        self.config.worker.spawn_timeout_s,
+                        self.supervisor.changed.wait(), SPAWN_TIMEOUT_S
                     )
                 tried_down.clear()
                 continue
@@ -427,7 +228,7 @@ class ClusterRouter:
                 tried_down.add(slot)
                 continue
             self._release(slot, generation, client)
-            self.stats.counters.bump("forwarded")
+            self.counters.bump("forwarded")
             if response.get("status") == STATUS_OK and isinstance(
                 response.get("metrics"), dict
             ):
@@ -436,11 +237,11 @@ class ClusterRouter:
                 )
             response["worker"] = slot
             return response
-        self.stats.counters.bump("rejected_unavailable")
+        self.counters.bump("rejected_unavailable")
         return reject_response(
             request.id,
             "workers unavailable; request not executed",
-            retry_after_ms=self.config.unavailable_retry_after_ms,
+            retry_after_ms=UNAVAILABLE_RETRY_AFTER_MS,
         )
 
     def _pick_slot(self, shard_key: str, tried_down: set[int]) -> int | None:
@@ -455,28 +256,12 @@ class ClusterRouter:
         except ValueError:
             return None
 
-    async def _send(
-        self, writer: asyncio.StreamWriter, msg: dict[str, Any]
-    ) -> None:
-        try:
-            writer.write(encode_message(msg))
-            await writer.drain()
-        except (ConnectionResetError, BrokenPipeError, RuntimeError):
-            pass  # client went away; the drain ledger still balances
-
     # -- introspection -------------------------------------------------
-    def _uptime(self) -> float:
-        if self._started_at is None:
-            return 0.0
-        return asyncio.get_running_loop().time() - self._started_at
-
-    def _health(self) -> dict[str, Any]:
+    def health(self) -> dict[str, Any]:
         tier = self.supervisor.snapshot()
         return {
-            "status": "draining" if self._draining else "ok",
-            "protocol": PROTOCOL_VERSION,
-            "uptime_s": round(self._uptime(), 3),
-            "in_flight": self._in_flight,
+            **self._preface(),
+            "in_flight": self.in_flight,
             "backend": "cluster",
             "backend_mode": "cluster",
             "workers": tier["slots"],
@@ -485,7 +270,7 @@ class ClusterRouter:
             "cache": self.cache.snapshot(),
         }
 
-    async def _stats_snapshot(self) -> dict[str, Any]:
+    async def stats(self) -> dict[str, Any]:
         """Router counters + best-effort per-worker stats aggregation."""
         worker_stats: list[dict[str, Any] | None] = []
         occupancies: list[tuple[float, int]] = []
@@ -517,12 +302,10 @@ class ClusterRouter:
             total_trials / total_batches if total_batches else 0.0
         )
         return {
-            "status": "draining" if self._draining else "ok",
-            "protocol": PROTOCOL_VERSION,
-            "uptime_s": round(self._uptime(), 3),
-            "in_flight": self._in_flight,
-            "counters": self.stats.counters.snapshot(),
-            "latency_ms": self.stats.latency.summary(),
+            **self._preface(),
+            "in_flight": self.in_flight,
+            "counters": self.counters.snapshot(),
+            "latency_ms": self.latency.summary(),
             "cache": self.cache.snapshot(),
             "tier": self.supervisor.snapshot(),
             "batches": {
@@ -533,35 +316,18 @@ class ClusterRouter:
             "workers": worker_stats,
         }
 
-
-async def serve_cluster(
-    config: ClusterConfig | None = None, *, quiet: bool = False
-) -> None:
-    """Run a router + worker tier until SIGINT/SIGTERM, then drain."""
-    import signal
-
-    router = ClusterRouter(config)
-    loop = asyncio.get_running_loop()
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        with contextlib.suppress(NotImplementedError, RuntimeError):
-            loop.add_signal_handler(sig, router.request_shutdown)
-    runner = asyncio.create_task(router.run())
-    await router.started.wait()
-    if not quiet:
-        cfg = router.config
-        print(
-            f"repro cluster listening on {cfg.host}:{router.port} "
-            f"({cfg.workers} workers, cache {router.cache.root})",
-            flush=True,
+    # -- banners -------------------------------------------------------
+    def listening_banner(self) -> str:
+        cfg = self.config
+        return (
+            f"repro cluster listening on {cfg.host}:{self.port} "
+            f"({cfg.workers} workers, cache {self.cache.root})"
         )
-    await runner
-    if not quiet:
-        counters = router.stats.counters
-        cache = router.cache.snapshot()
-        print(
-            f"repro cluster drained: {counters['completed']} completed "
-            f"({counters['cache_served']} from cache, "
-            f"{counters['forward_retries']} forward retries), "
-            f"cache hit rate {cache['cache_hit_rate']}",
-            flush=True,
+
+    def drained_banner(self) -> str:
+        return (
+            f"repro cluster drained: {self.counters['completed']} completed "
+            f"({self.counters['cache_served']} from cache, "
+            f"{self.counters['forward_retries']} forward retries), "
+            f"cache hit rate {self.cache.snapshot()['cache_hit_rate']}"
         )

@@ -10,7 +10,7 @@ level up the stack: the :class:`~repro.exec.process.ProcessPoolBackend`
 restarts crashed *pool workers* under a batch; the
 :class:`WorkerSupervisor` restarts crashed *service processes* under
 the router, with the same bounded exponential backoff
-(``backoff_base_s * 2**consecutive_failures``) and the same
+(``BACKOFF_BASE_S * 2**consecutive_failures``) and the same
 :class:`~repro.exec.base.ExecStats` counter vocabulary
 (``worker_restarts`` / ``failures``), so ``health`` reads identically
 whichever layer recovered.
@@ -34,31 +34,17 @@ from pathlib import Path
 from typing import Any
 
 from ..exec.base import ExecStats
+from ..service.client import ServiceClient, ServiceConnectionError
+from ..service.server import ServiceConfig
 
-__all__ = ["ClusterWorkerConfig", "WorkerHandle", "WorkerSupervisor"]
+__all__ = ["WorkerHandle", "WorkerSupervisor"]
 
-
-@dataclass(frozen=True)
-class ClusterWorkerConfig:
-    """How to spawn and police one tier of worker processes."""
-
-    workers: int = 2
-    host: str = "127.0.0.1"
-    #: Per-worker service tunables (forwarded to ``repro serve``).
-    queue_limit: int = 64
-    max_batch: int = 32
-    max_wait_ms: float = 2.0
-    #: Execution backend *inside* each worker.  Workers are already
-    #: separate processes, so the in-worker default stays ``thread``.
-    backend: str = "thread"
-    backend_workers: int = 1
-    #: Seconds to wait for a spawned worker to publish its port.
-    spawn_timeout_s: float = 60.0
-    #: Consecutive failed respawns of one slot before giving up on it.
-    max_respawns: int = 5
-    backoff_base_s: float = 0.25
-    #: Port files + worker logs live here (a tempdir when unset).
-    runtime_dir: str | None = None
+#: Seconds to wait for a spawned worker to publish its port.
+SPAWN_TIMEOUT_S = 60.0
+#: Consecutive failed respawns of one slot before giving up on it.
+MAX_RESPAWNS = 5
+#: Base of the respawn backoff (doubles per consecutive failure).
+BACKOFF_BASE_S = 0.25
 
 
 @dataclass
@@ -107,19 +93,28 @@ class WorkerSupervisor:
     escalating to terminate/kill).
     """
 
-    def __init__(self, config: ClusterWorkerConfig | None = None) -> None:
-        self.config = config or ClusterWorkerConfig()
-        if self.config.workers < 1:
-            raise ValueError(f"need >= 1 worker, got {self.config.workers}")
+    def __init__(
+        self,
+        workers: int,
+        *,
+        host: str,
+        service: ServiceConfig,
+        runtime_dir: str | None = None,
+    ) -> None:
+        if workers < 1:
+            raise ValueError(f"need >= 1 worker, got {workers}")
+        self.host = host
+        #: Template for every worker's ``repro serve`` argv; host, port
+        #: and port file are the supervisor's to set per slot.
+        self.service = service
         self.stats = ExecStats("cluster")
         self.handles: list[WorkerHandle] = [
-            WorkerHandle(slot=slot) for slot in range(self.config.workers)
+            WorkerHandle(slot=slot) for slot in range(workers)
         ]
         self._stopping = False
-        self._owns_runtime_dir = self.config.runtime_dir is None
+        #: Port files + worker logs live here (a tempdir when unset).
         self.runtime_dir = Path(
-            self.config.runtime_dir
-            or tempfile.mkdtemp(prefix="repro-cluster-")
+            runtime_dir or tempfile.mkdtemp(prefix="repro-cluster-")
         )
         self.runtime_dir.mkdir(parents=True, exist_ok=True)
         #: Signalled whenever any slot changes liveness (respawn done);
@@ -128,14 +123,14 @@ class WorkerSupervisor:
 
     # -- spawning ------------------------------------------------------
     def _command(self, handle: WorkerHandle) -> list[str]:
-        cfg = self.config
+        cfg = self.service
         return [
             sys.executable,
             "-m",
             "repro",
             "serve",
             "--host",
-            cfg.host,
+            self.host,
             "--port",
             "0",
             "--port-file",
@@ -149,7 +144,7 @@ class WorkerSupervisor:
             "--backend",
             cfg.backend,
             "--workers",
-            str(cfg.backend_workers),
+            str(cfg.workers),
         ]
 
     async def _spawn(self, handle: WorkerHandle) -> None:
@@ -169,7 +164,7 @@ class WorkerSupervisor:
                 cwd=str(self.runtime_dir),
             )
         self.stats.counters.bump("submitted")
-        deadline = time.monotonic() + self.config.spawn_timeout_s
+        deadline = time.monotonic() + SPAWN_TIMEOUT_S
         while time.monotonic() < deadline:
             if handle.process.poll() is not None:
                 raise RuntimeError(
@@ -189,7 +184,7 @@ class WorkerSupervisor:
             await asyncio.sleep(0.05)
         raise RuntimeError(
             f"worker slot {handle.slot} did not publish a port within "
-            f"{self.config.spawn_timeout_s}s (log: {handle.log_file})"
+            f"{SPAWN_TIMEOUT_S}s (log: {handle.log_file})"
         )
 
     async def start(self) -> None:
@@ -201,7 +196,7 @@ class WorkerSupervisor:
         handle = self.handles[slot]
         if handle.port is None:
             raise RuntimeError(f"worker slot {slot} has no port (down)")
-        return self.config.host, handle.port
+        return self.host, handle.port
 
     def live_slots(self) -> list[int]:
         return [h.slot for h in self.handles if h.alive]
@@ -218,15 +213,14 @@ class WorkerSupervisor:
                     self.stats.counters.bump("worker_restarts")
                 handle.port = None
                 handle.consecutive_failures += 1
-                if handle.consecutive_failures > self.config.max_respawns:
+                if handle.consecutive_failures > MAX_RESPAWNS:
                     handle.failed = True
                     self.stats.counters.bump("failures")
                     self.changed.set()
                     continue
-                backoff = self.config.backoff_base_s * (
-                    2 ** (handle.consecutive_failures - 1)
+                await asyncio.sleep(
+                    BACKOFF_BASE_S * 2 ** (handle.consecutive_failures - 1)
                 )
-                await asyncio.sleep(backoff)
                 try:
                     await self._spawn(handle)
                     self.stats.counters.bump("retried")
@@ -239,7 +233,6 @@ class WorkerSupervisor:
     async def stop(self, *, grace_s: float = 10.0) -> None:
         """Drain the tier: shutdown op, then terminate, then kill."""
         self._stopping = True
-        from ..service.client import ServiceClient, ServiceConnectionError
 
         async def drain(handle: WorkerHandle) -> None:
             if handle.process is None:
@@ -247,7 +240,7 @@ class WorkerSupervisor:
             if handle.alive:
                 try:
                     async with await ServiceClient.connect(
-                        self.config.host, handle.port
+                        self.host, handle.port
                     ) as client:
                         await client.request(
                             {"op": "shutdown", "id": "cluster-drain"},

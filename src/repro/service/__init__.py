@@ -13,8 +13,12 @@ generator:
   requests (shared :func:`~repro.sim.batch.batch_compat_key`) into
   :func:`~repro.sim.batch.run_wormhole_batch` calls under a
   max-batch / max-wait policy, with deadline cancellation;
-* :mod:`~repro.service.server` — the acceptor, stats endpoints, and
-  graceful draining shutdown;
+* :mod:`~repro.service.endpoint` — the one v1 endpoint both tiers
+  subclass: acceptor, op table, estimate fast path, graceful draining
+  shutdown, and the :func:`serve` signal/banner scaffold;
+* :mod:`~repro.service.server` — :class:`SimulationService`, the
+  endpoint whose ``dispatch`` admits into the batcher, plus its
+  ``health`` / ``stats`` bodies;
 * :mod:`~repro.service.client` — :class:`ServiceClient` and the
   bit-exactness-verifying load generator behind ``repro loadgen``.
 
@@ -25,7 +29,7 @@ composition the traffic produces.
 Usage::
 
     # server process
-    asyncio.run(repro.service.serve(ServiceConfig(port=7654)))
+    asyncio.run(serve(SimulationService(ServiceConfig(port=7654))))
 
     # client
     async with await ServiceClient.connect("127.0.0.1", 7654) as c:
@@ -43,6 +47,7 @@ from .client import (
     ServiceTimeoutError,
     run_loadgen,
 )
+from .endpoint import Endpoint, serve
 from .protocol import (
     PROTOCOL_VERSION,
     STATUS_ERROR,
@@ -56,12 +61,13 @@ from .protocol import (
     decode_message,
     encode_message,
 )
-from .server import ServiceConfig, ServiceStats, SimulationService, serve
+from .server import ServiceConfig, SimulationService
 
 __all__ = [
     "AdmissionQueue",
     "BatchPolicy",
     "DynamicBatcher",
+    "Endpoint",
     "LoadgenConfig",
     "PROTOCOL_VERSION",
     "PendingRequest",
@@ -75,7 +81,6 @@ __all__ = [
     "ServiceClient",
     "ServiceConfig",
     "ServiceConnectionError",
-    "ServiceStats",
     "ServiceTimeoutError",
     "SimulationService",
     "UnsupportedVersionError",

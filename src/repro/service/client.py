@@ -26,6 +26,7 @@ from typing import Any
 
 from ..sim.sweep import TrialSpec, _execute_trial
 from .protocol import (
+    MAX_LINE_BYTES,
     MODE_EXACT,
     PROTOCOL_VERSION,
     STATUS_OK,
@@ -35,7 +36,6 @@ from .protocol import (
     encode_message,
     spec_payload,
 )
-from .server import MAX_LINE_BYTES
 
 __all__ = [
     "LoadgenConfig",

@@ -1,64 +1,37 @@
-"""The asyncio TCP server: acceptor, admission, stats, graceful drain.
+"""The single-process tier: admission, dynamic batching, stats.
 
-:class:`SimulationService` ties the pieces together:
+:class:`SimulationService` is the :class:`~repro.service.endpoint
+.Endpoint` whose ``dispatch`` runs the trial in this process:
 
-* an ``asyncio.start_server`` acceptor reading newline-delimited JSON
-  (:mod:`repro.service.protocol`) — one in-flight ``run`` per
-  connection (clients open several connections for concurrency, as
-  ``repro loadgen`` does);
 * a bounded :class:`~repro.service.admission.AdmissionQueue` — a full
   queue answers ``rejected`` with a ``retry_after_ms`` drain estimate
   instead of queueing unboundedly;
 * the :class:`~repro.service.batcher.DynamicBatcher` coalescing
   compatible requests into lockstep batches;
-* :class:`ServiceStats` — :mod:`repro.telemetry.metrics` collectors
-  (request counters, queue-depth gauge, batch-occupancy histogram,
-  latency quantiles) behind the ``health`` / ``stats`` endpoints.
+* :mod:`repro.telemetry.metrics` collectors (request counters,
+  queue-depth gauge, batch-occupancy histogram, latency quantiles)
+  behind the ``health`` / ``stats`` endpoints.
 
-Graceful shutdown (``shutdown`` op, or SIGINT/SIGTERM under ``repro
-serve``) follows the drain discipline: stop accepting connections,
-reject new ``run`` admissions with a ``draining`` backpressure
-response, let the batcher flush every queued and in-flight request,
-wait until every response has been written, then close.  No admitted
-request is ever dropped or answered partially.
+The acceptor, line loop, op table, estimate fast path and graceful
+drain are the endpoint's; on shutdown the batcher flushes every queued
+and in-flight request before the endpoint closes.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
+import os
 from dataclasses import dataclass
 from typing import Any
 
-from ..telemetry.metrics import (
-    DepthGauge,
-    EventCounter,
-    LatencyRecorder,
-    SizeHistogram,
-)
+from ..network.graph import NetworkError
+from ..telemetry.metrics import DepthGauge, SizeHistogram
 from .admission import AdmissionQueue, PendingRequest, QueueFullError
 from .batcher import BatchPolicy, DynamicBatcher, batch_compat_key
-from .protocol import (
-    MODE_ESTIMATE,
-    PROTOCOL_VERSION,
-    ProtocolError,
-    RunRequest,
-    UnknownModeError,
-    UnsupportedVersionError,
-    check_version,
-    decode_message,
-    encode_message,
-    error_response,
-    ok_response,
-    parse_run_request,
-    reject_response,
-    unknown_mode_response,
-    unsupported_version_response,
-)
+from .endpoint import Endpoint
+from .protocol import RunRequest, reject_response
 
-__all__ = ["ServiceConfig", "ServiceStats", "SimulationService", "serve"]
-
-MAX_LINE_BYTES = 1 << 20
+__all__ = ["ServiceConfig", "SimulationService"]
 
 
 @dataclass(frozen=True)
@@ -78,8 +51,6 @@ class ServiceConfig:
     queue_limit: int = 64
     max_batch: int = 32
     max_wait_ms: float = 2.0
-    #: Backpressure hint attached to ``draining`` rejects.
-    drain_retry_after_ms: float = 1000.0
     #: Execution substrate for batch compute: ``"inline"`` (event-loop
     #: adjacent dispatch thread), ``"thread"`` (worker thread pool), or
     #: ``"process"`` (fault-tolerant worker processes).
@@ -121,39 +92,56 @@ class ServiceConfig:
         return create_backend(self.backend, workers=self.workers, **options)
 
 
-class ServiceStats:
-    """Cross-request service metrics, snapshot-ready for ``stats``.
+class SimulationService(Endpoint):
+    """One service instance: call :meth:`run` (blocks until drained).
 
-    Counter schema (shared verbatim by the cluster router's
-    :class:`~repro.cluster.router.RouterStats` where the concepts
-    overlap, and merged with :meth:`repro.cache.ResultCache.snapshot`'s
-    ``cache_*`` keys and the exec backends' ``worker_restarts``):
-    ``requests_total`` admissions attempted, ``completed`` answered
-    ``ok`` (exact and estimate alike; ``estimated`` sub-counts the
-    estimate fast path), ``rejected_*`` one key per reject reason,
-    ``deadline_expired``, ``errors``, ``protocol_errors``.
+    Tier counters on top of the endpoint's: ``rejected_queue_full``,
+    ``rejected_infeasible``, ``deadline_expired``.
     """
 
-    def __init__(self) -> None:
-        self.counters = EventCounter(
-            "requests_total",
-            "completed",
-            "estimated",
+    def __init__(self, config: ServiceConfig | None = None) -> None:
+        self.config = config or ServiceConfig()
+        super().__init__(
+            self.config.host,
+            self.config.port,
             "rejected_queue_full",
-            "rejected_draining",
             "rejected_infeasible",
             "deadline_expired",
-            "errors",
-            "protocol_errors",
         )
         self.queue_depth = DepthGauge()
         self.batches = SizeHistogram()
-        self.latency = LatencyRecorder()
+        self.queue = AdmissionQueue(self.config.queue_limit)
+        self.backend = self.config.make_backend()
+        self.batcher = DynamicBatcher(
+            self.queue, self.config.policy(), stats=self, backend=self.backend
+        )
 
-    # -- batcher callbacks --------------------------------------------
+    # -- lifecycle -----------------------------------------------------
+    def request_shutdown(self) -> None:
+        super().request_shutdown()
+        self.batcher.begin_drain()
+
+    async def startup(self) -> None:
+        self._batcher_task = asyncio.create_task(
+            self.batcher.run(), name="repro-batcher"
+        )
+
+    def on_listening(self) -> None:
+        if self.config.port_file:
+            # Atomic write so a polling supervisor never reads a torn file.
+            tmp = f"{self.config.port_file}.tmp{os.getpid()}"
+            with open(tmp, "w") as handle:
+                handle.write(f"{self.port}\n")
+            os.replace(tmp, self.config.port_file)
+
+    async def teardown(self) -> None:
+        # Draining, with an empty queue: the batcher loop exits and
+        # releases its dispatch thread and backend.
+        await self._batcher_task
+
+    # -- batcher callbacks ---------------------------------------------
     def note_completed(self, *, latency_s: float, batch_size: int) -> None:
-        self.counters.bump("completed")
-        self.latency.record(latency_s)
+        self._completed(latency_s)
 
     def note_batch(self, size: int) -> None:
         if size:
@@ -165,231 +153,43 @@ class ServiceStats:
     def note_errors(self, n: int) -> None:
         self.counters.bump("errors", n)
 
-    # ------------------------------------------------------------------
-    def snapshot(
-        self, *, draining: bool, uptime_s: float, queue: AdmissionQueue,
-        in_flight: int, exec_stats: dict[str, Any] | None = None,
-    ) -> dict[str, Any]:
-        self.queue_depth.set(len(queue))
-        return {
-            "status": "draining" if draining else "ok",
-            "protocol": PROTOCOL_VERSION,
-            "uptime_s": round(uptime_s, 3),
-            "queue": {**self.queue_depth.snapshot(), "limit": queue.limit},
-            "in_flight": in_flight,
-            "counters": self.counters.snapshot(),
-            "batches": self.batches.snapshot(),
-            "latency_ms": self.latency.summary(),
-            "exec": exec_stats or {},
-        }
+    # -- the run path --------------------------------------------------
+    def screen(self, request: RunRequest) -> dict[str, Any] | None:
+        """Estimator-driven admission control (``step_cost_ms``).
 
+        Rejects ``infeasible_deadline`` — carrying the minimum feasible
+        deadline as ``retry_after_ms`` — when the request's own deadline
+        is provably too small.  Proceeds when the screen is off, the
+        request carries no deadline, the spec has no envelope, or the
+        deadline is feasible.  Uses the *lower* envelope: rejection only
+        when even a contention-free run could not finish in time.
+        """
+        if self.config.step_cost_ms is None or request.deadline_ms is None:
+            return None
+        from ..analysis.estimate import estimate_spec
 
-class SimulationService:
-    """One service instance: call :meth:`run` (blocks until drained)."""
-
-    def __init__(self, config: ServiceConfig | None = None) -> None:
-        self.config = config or ServiceConfig()
-        self.stats = ServiceStats()
-        self.queue = AdmissionQueue(self.config.queue_limit)
-        self.backend = self.config.make_backend()
-        self.batcher = DynamicBatcher(
-            self.queue,
-            self.config.policy(),
-            stats=self.stats,
-            backend=self.backend,
+        try:
+            envelope = estimate_spec(request.spec)
+        except NetworkError:
+            return None  # not estimable (e.g. schedule): admit normally
+        lower = envelope.lower
+        if lower is None:  # adaptive: fall back to the per-message floor
+            lower = max(envelope.per_message_lower, default=0)
+        floor_ms = lower * self.config.step_cost_ms
+        if floor_ms <= request.deadline_ms:
+            return None
+        self.counters.bump("rejected_infeasible")
+        return reject_response(
+            request.id, "infeasible_deadline", retry_after_ms=floor_ms
         )
-        self.started = asyncio.Event()
-        self.port: int | None = None
-        self._shutdown = asyncio.Event()
-        self._draining = False
-        self._writers: set[asyncio.StreamWriter] = set()
-        self._conn_tasks: set[asyncio.Task] = set()
-        self._responses_pending = 0
-        self._all_flushed = asyncio.Event()
-        self._all_flushed.set()
-        self._started_at: float | None = None
 
-    # -- lifecycle -----------------------------------------------------
-    @property
-    def draining(self) -> bool:
-        return self._draining
+    async def dispatch(self, request: RunRequest) -> dict[str, Any]:
+        """Admit the request and await the batcher's answer.
 
-    def request_shutdown(self) -> None:
-        """Begin the graceful drain (idempotent, callable from signals)."""
-        self._draining = True
-        self._shutdown.set()
-        self.batcher.begin_drain()
-
-    async def run(self) -> None:
-        """Listen, serve, drain; returns once fully shut down."""
+        ``completed`` and ``latency_ms`` come from the batcher callbacks
+        (enqueue → resolved), so they exclude the socket write.
+        """
         loop = asyncio.get_running_loop()
-        self._started_at = loop.time()
-        batcher_task = asyncio.create_task(
-            self.batcher.run(), name="repro-batcher"
-        )
-        server = await asyncio.start_server(
-            self._handle_connection,
-            self.config.host,
-            self.config.port,
-            limit=MAX_LINE_BYTES,
-        )
-        self.port = server.sockets[0].getsockname()[1]
-        if self.config.port_file:
-            self._write_port_file(self.config.port_file, self.port)
-        self.started.set()
-        try:
-            await self._shutdown.wait()
-        finally:
-            self.request_shutdown()
-            # 1. Stop accepting new connections.
-            server.close()
-            await server.wait_closed()
-            # 2. Drain: the batcher flushes every queued + in-flight
-            #    request (admissions are already rejected as draining).
-            await batcher_task
-            # 3. Wait until every resolved response has been written.
-            await self._all_flushed.wait()
-            # 4. Close lingering connections; handlers exit on EOF.
-            for writer in list(self._writers):
-                writer.close()
-            if self._conn_tasks:
-                await asyncio.gather(
-                    *self._conn_tasks, return_exceptions=True
-                )
-
-    @staticmethod
-    def _write_port_file(path: str, port: int) -> None:
-        """Atomic write so a polling supervisor never reads a torn file."""
-        import os
-
-        tmp = f"{path}.tmp{os.getpid()}"
-        with open(tmp, "w") as handle:
-            handle.write(f"{port}\n")
-        os.replace(tmp, path)
-
-    # -- connection handling -------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
-        self._writers.add(writer)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (
-                    asyncio.LimitOverrunError,
-                    asyncio.IncompleteReadError,
-                    ConnectionResetError,
-                ):
-                    break
-                if not line:
-                    break
-                await self._handle_line(line, writer)
-        except ConnectionResetError:
-            pass
-        finally:
-            self._writers.discard(writer)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-
-    async def _handle_line(
-        self, line: bytes, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            msg = decode_message(line)
-        except ProtocolError as exc:
-            self.stats.counters.bump("protocol_errors")
-            await self._send(writer, error_response(None, str(exc)))
-            return
-        op = msg.get("op")
-        req_id = msg.get("id") if isinstance(msg.get("id"), str) else ""
-        try:
-            check_version(msg)
-        except UnsupportedVersionError as exc:
-            self.stats.counters.bump("protocol_errors")
-            await self._send(
-                writer, unsupported_version_response(req_id, exc.got)
-            )
-            return
-        if op == "run":
-            await self._handle_run(msg, writer)
-        elif op == "health":
-            await self._send(
-                writer, {"v": PROTOCOL_VERSION, "id": req_id, **self._health()}
-            )
-        elif op == "stats":
-            await self._send(
-                writer,
-                {"v": PROTOCOL_VERSION, "id": req_id, **self._stats_snapshot()},
-            )
-        elif op == "shutdown":
-            await self._send(
-                writer,
-                {
-                    "v": PROTOCOL_VERSION,
-                    "id": req_id,
-                    "status": "ok",
-                    "draining": True,
-                },
-            )
-            self.request_shutdown()
-        else:
-            self.stats.counters.bump("protocol_errors")
-            await self._send(
-                writer, error_response(req_id, f"unknown op {op!r}")
-            )
-
-    async def _handle_run(
-        self, msg: dict[str, Any], writer: asyncio.StreamWriter
-    ) -> None:
-        loop = asyncio.get_running_loop()
-        self.stats.counters.bump("requests_total")
-        try:
-            request = parse_run_request(msg)
-        except UnknownModeError as exc:
-            self.stats.counters.bump("protocol_errors")
-            await self._send(
-                writer, unknown_mode_response(msg.get("id"), exc.got)
-            )
-            return
-        except ProtocolError as exc:
-            self.stats.counters.bump("protocol_errors")
-            await self._send(writer, error_response(msg.get("id"), str(exc)))
-            return
-        if request.mode == MODE_ESTIMATE:
-            # Estimates are closed-form and never touch the queue or the
-            # batcher, so — like health/stats — they are served even
-            # while draining.
-            await self._send(writer, self._estimate_response(request, loop))
-            return
-        infeasible = self._infeasible_floor_ms(request)
-        if infeasible is not None:
-            self.stats.counters.bump("rejected_infeasible")
-            await self._send(
-                writer,
-                reject_response(
-                    request.id,
-                    "infeasible_deadline",
-                    retry_after_ms=infeasible,
-                ),
-            )
-            return
-        if self._draining:
-            self.stats.counters.bump("rejected_draining")
-            await self._send(
-                writer,
-                reject_response(
-                    request.id,
-                    "draining",
-                    retry_after_ms=self.config.drain_retry_after_ms,
-                ),
-            )
-            return
         now = loop.time()
         pending = PendingRequest(
             request=request,
@@ -406,99 +206,18 @@ class SimulationService:
         try:
             self.queue.admit(pending)
         except QueueFullError as exc:
-            self.stats.counters.bump("rejected_queue_full")
-            await self._send(
-                writer,
-                reject_response(
-                    request.id,
-                    "queue full",
-                    retry_after_ms=exc.retry_after_ms,
-                ),
+            self.counters.bump("rejected_queue_full")
+            return reject_response(
+                request.id, "queue full", retry_after_ms=exc.retry_after_ms
             )
-            return
-        self.stats.queue_depth.set(len(self.queue))
-        self._responses_pending += 1
-        self._all_flushed.clear()
-        try:
-            response = await pending.future
-            await self._send(writer, response)
-        finally:
-            self._responses_pending -= 1
-            if self._responses_pending == 0:
-                self._all_flushed.set()
-
-    def _estimate_response(
-        self, request: RunRequest, loop: asyncio.AbstractEventLoop
-    ) -> dict[str, Any]:
-        """Answer an estimate request synchronously from closed form."""
-        from ..analysis.estimate import estimate_spec
-        from ..network.graph import NetworkError
-
-        start = loop.time()
-        try:
-            metrics = estimate_spec(request.spec).to_metrics()
-        except NetworkError as exc:
-            self.stats.counters.bump("errors")
-            return error_response(request.id, str(exc))
-        self.stats.counters.bump("estimated")
-        self.stats.note_completed(
-            latency_s=loop.time() - start, batch_size=0
-        )
-        return ok_response(
-            request.id,
-            metrics,
-            batched=0,
-            queue_ms=0.0,
-            mode=MODE_ESTIMATE,
-        )
-
-    def _infeasible_floor_ms(self, request: RunRequest) -> float | None:
-        """The minimum feasible deadline, when the request's own one is
-        provably too small (estimator-driven admission control).
-
-        Returns ``None`` when the screen is off (no ``step_cost_ms``),
-        the request carries no deadline, the spec has no envelope, or
-        the deadline is feasible.  Uses the *lower* envelope: rejection
-        only when even a contention-free run could not finish in time.
-        """
-        if self.config.step_cost_ms is None or request.deadline_ms is None:
-            return None
-        from ..analysis.estimate import estimate_spec
-        from ..network.graph import NetworkError
-
-        try:
-            envelope = estimate_spec(request.spec)
-        except NetworkError:
-            return None  # not estimable (e.g. schedule): admit normally
-        lower = envelope.lower
-        if lower is None:  # adaptive: fall back to the per-message floor
-            lower = max(envelope.per_message_lower, default=0)
-        floor_ms = lower * self.config.step_cost_ms
-        if floor_ms <= request.deadline_ms:
-            return None
-        return floor_ms
-
-    async def _send(
-        self, writer: asyncio.StreamWriter, msg: dict[str, Any]
-    ) -> None:
-        try:
-            writer.write(encode_message(msg))
-            await writer.drain()
-        except (ConnectionResetError, BrokenPipeError, RuntimeError):
-            pass  # client went away; the drain ledger still balances
+        self.queue_depth.set(len(self.queue))
+        return await pending.future
 
     # -- introspection endpoints ---------------------------------------
-    def _uptime(self) -> float:
-        if self._started_at is None:
-            return 0.0
-        return asyncio.get_running_loop().time() - self._started_at
-
-    def _health(self) -> dict[str, Any]:
+    def health(self) -> dict[str, Any]:
         exec_stats = self.backend.stats_snapshot()
         return {
-            "status": "draining" if self._draining else "ok",
-            "protocol": PROTOCOL_VERSION,
-            "uptime_s": round(self._uptime(), 3),
+            **self._preface(),
             "queue_depth": len(self.queue),
             "in_flight": self.batcher.in_flight,
             "backend": exec_stats["backend"],
@@ -506,47 +225,31 @@ class SimulationService:
             "worker_restarts": exec_stats["worker_restarts"],
         }
 
-    def _stats_snapshot(self) -> dict[str, Any]:
-        return self.stats.snapshot(
-            draining=self._draining,
-            uptime_s=self._uptime(),
-            queue=self.queue,
-            in_flight=self.batcher.in_flight,
-            exec_stats=self.backend.stats_snapshot(),
-        )
+    async def stats(self) -> dict[str, Any]:
+        self.queue_depth.set(len(self.queue))
+        return {
+            **self._preface(),
+            "queue": {**self.queue_depth.snapshot(), "limit": self.queue.limit},
+            "in_flight": self.batcher.in_flight,
+            "counters": self.counters.snapshot(),
+            "batches": self.batches.snapshot(),
+            "latency_ms": self.latency.summary(),
+            "exec": self.backend.stats_snapshot(),
+        }
 
-
-async def serve(config: ServiceConfig | None = None, *, quiet: bool = False) -> None:
-    """Run a service until SIGINT/SIGTERM (or a ``shutdown`` op), then drain."""
-    import signal
-
-    service = SimulationService(config)
-    loop = asyncio.get_running_loop()
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        with contextlib.suppress(NotImplementedError, RuntimeError):
-            loop.add_signal_handler(sig, service.request_shutdown)
-    runner = asyncio.create_task(service.run())
-    await service.started.wait()
-    if not quiet:
-        cfg = service.config
-        print(
-            f"repro service listening on {cfg.host}:{service.port} "
+    # -- banners -------------------------------------------------------
+    def listening_banner(self) -> str:
+        cfg = self.config
+        pool = f" x{cfg.workers}" if cfg.backend in ("thread", "process") else ""
+        return (
+            f"repro service listening on {cfg.host}:{self.port} "
             f"(queue limit {cfg.queue_limit}, max batch {cfg.max_batch}, "
-            f"max wait {cfg.max_wait_ms} ms, backend {cfg.backend}"
-            + (
-                f" x{cfg.workers}"
-                if cfg.backend in ("thread", "process")
-                else ""
-            )
-            + ")",
-            flush=True,
+            f"max wait {cfg.max_wait_ms} ms, backend {cfg.backend}{pool})"
         )
-    await runner
-    if not quiet:
-        counters = service.stats.counters
-        print(
-            f"repro service drained: {counters['completed']} completed, "
-            f"{counters['rejected_queue_full']} queue-full rejects, "
-            f"{counters['deadline_expired']} expired",
-            flush=True,
+
+    def drained_banner(self) -> str:
+        return (
+            f"repro service drained: {self.counters['completed']} completed, "
+            f"{self.counters['rejected_queue_full']} queue-full rejects, "
+            f"{self.counters['deadline_expired']} expired"
         )

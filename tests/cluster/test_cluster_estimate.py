@@ -10,7 +10,7 @@ import asyncio
 import contextlib
 
 from repro.analysis.estimate import estimate_spec
-from repro.cluster import ClusterConfig, ClusterRouter, ClusterWorkerConfig
+from repro.cluster import ClusterConfig, ClusterRouter
 from repro.service import LoadgenConfig, ServiceClient, run_loadgen
 
 WORKLOAD_PARAMS = {"chains": 2, "depth": 4, "messages": 3}
@@ -23,7 +23,6 @@ def run_async(coro, timeout=240):
 @contextlib.asynccontextmanager
 async def cluster(workers=2, **overrides):
     overrides.setdefault("port", 0)
-    overrides.setdefault("worker", ClusterWorkerConfig(workers=workers))
     router = ClusterRouter(ClusterConfig(workers=workers, **overrides))
     task = asyncio.create_task(router.run())
     await router.started.wait()

