@@ -7,8 +7,9 @@ dispatch across trials.  These benchmarks time both execution paths of
 assert the batched path is substantially faster *and* bit-identical —
 the same grid, seeds, and metrics either way.
 
-``repro bench`` runs the same comparison standalone and records it to
-``BENCH_sim.json``.
+The figure to cite is perfbench's ``sweep_batched`` vs ``sweep_serial``
+(``ns_per_msg_step``); this file is the pytest-benchmark view of the
+same comparison.
 """
 
 import pytest

@@ -41,6 +41,7 @@ from .telemetry.metrics import EventCounter
 __all__ = [
     "CACHE_VERSION",
     "ResultCache",
+    "entry_path",
     "load_entry",
     "store_entry",
 ]
@@ -49,6 +50,11 @@ __all__ = [
 #: entry (they fail the version check and are recomputed), which is the
 #: correct response to any change in metric semantics.
 CACHE_VERSION = 1
+
+
+def entry_path(root: Path, key: str) -> Path:
+    """The file holding the entry for ``key`` under cache directory ``root``."""
+    return root / f"{key}.json"
 
 
 def load_entry(path: Path, identity: dict[str, Any]) -> dict[str, Any] | None:
@@ -103,12 +109,9 @@ class ResultCache:
         self.root.mkdir(parents=True, exist_ok=True)
         self.counters = EventCounter("hits", "misses", "stores")
 
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
-
     def load(self, key: str, identity: dict[str, Any]) -> dict[str, Any] | None:
         """Metrics for ``key`` if present and identity-verified, else ``None``."""
-        metrics = load_entry(self._path(key), identity)
+        metrics = load_entry(entry_path(self.root, key), identity)
         self.counters.bump("hits" if metrics is not None else "misses")
         return metrics
 
@@ -120,7 +123,7 @@ class ResultCache:
         root_seed: int,
     ) -> None:
         """Record ``metrics`` under ``key`` (atomic, last writer wins)."""
-        store_entry(self._path(key), identity, metrics, root_seed)
+        store_entry(entry_path(self.root, key), identity, metrics, root_seed)
         self.counters.bump("stores")
 
     def __len__(self) -> int:

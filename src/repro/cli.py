@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Small, reproducible demonstrations of the package's main pipelines:
+Paper pipelines, each a small reproducible demonstration:
 
 ``info``
     Package, model, and inventory summary.
@@ -14,24 +14,43 @@ Small, reproducible demonstrations of the package's main pipelines:
     Build and route the Theorem 2.2.1 instance; compare with the bound.
 ``spacetime``
     Worm spacetime diagram of a small contended run.
+``experiment`` / ``reproduce``
+    Regenerate one paper experiment (``e1``..``e18``, ``perf``) from
+    ``benchmarks/``, or all of them into ``ALL_RESULTS.txt``.
+
+Simulation tooling:
+
 ``profile``
-    Instrument a workload with the :mod:`repro.telemetry` collectors and
-    print the utilization / occupancy / stall-blame report.
+    Instrument a workload, scenario or fuzz artifact with the
+    :mod:`repro.telemetry` collectors and print the utilization /
+    occupancy / stall-blame report.
 ``sweep``
     Run a (simulator, workload, B, seed) trial grid through
-    :mod:`repro.sim.sweep` — optionally parallel and result-cached.
-``bench``
-    Time the batched lockstep sweep path against the per-trial path
-    (plus the perf microbenchmarks) and record ``BENCH_sim.json``.
+    :mod:`repro.sim.sweep` — optionally parallel and result-cached;
+    ``--dry-run`` prints the batch plan only.
+``scenario``
+    The :mod:`repro.scenarios` library: ``list``, ``show NAME``, and
+    ``run NAME`` (simulate and verify the declared expectations).
+``fuzz``
+    The :mod:`repro.fuzz` seeded cross-model invariant fuzzer; writes a
+    shrunk replayable artifact per violation, ``--replay`` re-runs one.
+
+Serving:
+
 ``serve``
     Run the :mod:`repro.service` asyncio trial server (dynamic request
     batching, bounded admission, graceful drain on SIGINT/SIGTERM).
+``cluster serve``
+    Run the :mod:`repro.cluster` router: the same protocol in front of
+    N supervised ``serve`` workers with a shared result cache.
 ``loadgen``
-    Drive a running server with concurrent traffic, verify every
-    response bit-identical to a serial replay, and record
-    ``BENCH_service.json``.
+    Drive either tier with concurrent traffic and verify every response
+    bit-identical to a serial replay (or to the local estimator under
+    ``--mode estimate``); ``--output`` saves the full JSON report.
 
-Every command accepts ``--seed`` and prints deterministic output.
+Timing is not measured here: the repository's one benchmark is
+``python -m perfbench`` (see ``perfbench/README.md``).  Every command
+that draws randomness accepts ``--seed`` and prints deterministic output.
 """
 
 from __future__ import annotations
@@ -151,7 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated simulator names",
     )
     p.add_argument(
-        "--channels", default="1,2,4", help="comma-separated B values"
+        "--channels",
+        type=_int_list,
+        default="1,2,4",
+        help="comma-separated B values",
     )
     p.add_argument(
         "--length", type=int, default=0, help="flits per message (0 = auto)"
@@ -190,60 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the packed batch plan (cells per batch, cache hits) "
         "without executing any trial",
-    )
-    p.add_argument("--seed", type=int, default=0, help="root seed")
-
-    p = sub.add_parser(
-        "bench",
-        help="benchmark batched vs serial sweep execution; "
-        "write machine-readable results",
-    )
-    p.add_argument(
-        "--output",
-        default=None,
-        help="result file (default BENCH_sim.json, or BENCH_exec.json "
-        "with --backend)",
-    )
-    p.add_argument(
-        "--repeats",
-        type=int,
-        default=30,
-        help="trials per (B,) grid cell (default 30)",
-    )
-    p.add_argument(
-        "--quick",
-        action="store_true",
-        help="small grid, skip microbenchmarks (CI smoke)",
-    )
-    p.add_argument(
-        "--no-micro",
-        action="store_true",
-        help="skip the pytest perf microbenchmarks",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="worker processes for both timed paths (0 = serial)",
-    )
-    p.add_argument(
-        "--backend",
-        action="store_true",
-        help="compare execution backends (inline vs thread vs process) "
-        "on one grid instead of batched-vs-serial; writes BENCH_exec.json",
-    )
-    p.add_argument(
-        "--cluster",
-        action="store_true",
-        help="benchmark the sharded service tier (throughput at "
-        "1/2/4 workers + cache hit rate); writes BENCH_cluster.json",
-    )
-    p.add_argument(
-        "--estimate",
-        action="store_true",
-        help="benchmark the analytic estimator against exact trials "
-        "(latency + envelope tightness per model); writes "
-        "BENCH_estimate.json",
     )
     p.add_argument("--seed", type=int, default=0, help="root seed")
 
@@ -357,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "loadgen",
         help="drive a running trial server; verify bit-exactness against "
-        "serial replays; write BENCH_service.json",
+        "serial replays",
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7654)
@@ -380,7 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="workload parameter override (repeatable)",
     )
     p.add_argument(
-        "--channels", default="1,2,4", help="comma-separated B values to cycle"
+        "--channels",
+        type=_int_list,
+        default="1,2,4",
+        help="comma-separated B values to cycle",
     )
     p.add_argument(
         "--length", type=int, default=0, help="flits per message (0 = auto)"
@@ -393,6 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--lengths",
+        type=_int_list,
         default=None,
         help="comma-separated message lengths to cycle (multi-key "
         "traffic; overrides --length)",
@@ -433,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--output",
-        default="BENCH_service.json",
-        help="result file (default BENCH_service.json)",
+        default=None,
+        help="also write the full JSON report to this file",
     )
     p.add_argument("--seed", type=int, default=0, help="root seed")
 
@@ -457,7 +429,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="model to run under (default: the scenario's first declared)",
     )
     pr.add_argument(
-        "--channels", default="1,2,4", help="comma-separated B values"
+        "--channels",
+        type=_int_list,
+        default="1,2,4",
+        help="comma-separated B values",
     )
     pr.add_argument(
         "--param",
@@ -518,7 +493,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "spacetime": _cmd_spacetime,
         "profile": _cmd_profile,
         "sweep": _cmd_sweep,
-        "bench": _cmd_bench,
         "serve": _cmd_serve,
         "cluster": _cmd_cluster,
         "loadgen": _cmd_loadgen,
@@ -865,14 +839,9 @@ def _cmd_scenario(args: argparse.Namespace) -> None:
     # run
     try:
         params = dict(_parse_param(p) for p in args.param)
-        channels = [int(b) for b in args.channels.split(",") if b.strip()]
-        if not channels:
-            raise SystemExit(
-                "repro scenario: --channels must name at least one B"
-            )
         runs = [
             scen.run(B=B, model=args.model, seed=args.seed, **params)
-            for B in channels
+            for B in args.channels
         ]
     except NetworkError as exc:
         raise SystemExit(f"repro scenario: {exc}")
@@ -958,6 +927,19 @@ def _cmd_fuzz(args: argparse.Namespace) -> None:
     )
 
 
+def _int_list(text: str) -> tuple[int, ...]:
+    """argparse ``type=``: comma-separated integers, at least one."""
+    try:
+        values = tuple(int(v) for v in text.split(",") if v.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+    if not values:
+        raise argparse.ArgumentTypeError("must name at least one integer")
+    return values
+
+
 def _parse_param(text: str):
     """``KEY=VAL`` with VAL coerced to int, then float, then str."""
     if "=" not in text:
@@ -973,6 +955,7 @@ def _parse_param(text: str):
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
     from repro import Table
+    from repro.network.graph import NetworkError
     from repro.sim.sweep import WORKLOADS, run_sweep, sweep_grid
 
     if args.workload not in WORKLOADS:
@@ -982,15 +965,17 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
         )
     workload_params = dict(_parse_param(p) for p in args.param)
     simulators = [s.strip() for s in args.simulators.split(",") if s.strip()]
-    channels = [int(b) for b in args.channels.split(",") if b.strip()]
-    specs = sweep_grid(
-        args.workload,
-        simulators,
-        channels,
-        workload_params=workload_params,
-        message_length=args.length or None,
-        repeats=args.repeats,
-    )
+    try:
+        specs = sweep_grid(
+            args.workload,
+            simulators,
+            args.channels,
+            workload_params=workload_params,
+            message_length=args.length or None,
+            repeats=args.repeats,
+        )
+    except NetworkError as exc:
+        raise SystemExit(f"repro sweep: {exc}")
     if args.batch_size == "auto":
         batch_size = None
     else:
@@ -1051,7 +1036,8 @@ def _sweep_dry_run(specs, root_seed, batch_size, cache_dir, force) -> None:
     from pathlib import Path
 
     from repro import Table
-    from repro.sim.sweep import DEFAULT_BATCH_SIZE, _cache_load, _pack_units
+    from repro.cache import entry_path, load_entry
+    from repro.sim.sweep import DEFAULT_BATCH_SIZE, _pack_units
 
     if batch_size is None:
         batch_size = DEFAULT_BATCH_SIZE
@@ -1060,8 +1046,8 @@ def _sweep_dry_run(specs, root_seed, batch_size, cache_dir, force) -> None:
     pending = []
     for i, spec in enumerate(specs):
         if cache_path is not None and not force:
-            entry = cache_path / f"{spec.cache_key(root_seed)}.json"
-            if _cache_load(entry, spec.key()) is not None:
+            entry = entry_path(cache_path, spec.cache_key(root_seed))
+            if load_entry(entry, spec.key()) is not None:
                 cached += 1
                 continue
         pending.append(i)
@@ -1163,9 +1149,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> None:
 
     from repro.service import LoadgenConfig, run_loadgen
 
-    channels = tuple(int(b) for b in args.channels.split(",") if b.strip())
-    if not channels:
-        raise SystemExit("repro loadgen: --channels must name at least one B")
     if args.scenario is not None:
         from repro.network.graph import NetworkError
         from repro.scenarios import get_scenario
@@ -1177,16 +1160,13 @@ def _cmd_loadgen(args: argparse.Namespace) -> None:
     simulators = tuple(
         s.strip() for s in (args.simulators or "").split(",") if s.strip()
     )
-    lengths = tuple(
-        int(v) for v in (args.lengths or "").split(",") if v.strip()
-    )
     config = LoadgenConfig(
         workload=args.workload,
         workload_params=dict(_parse_param(p) for p in args.param),
         scenario=args.scenario,
-        channels=channels,
+        channels=args.channels,
         simulators=simulators,
-        lengths=lengths,
+        lengths=args.lengths or (),
         message_length=args.length or None,
         requests=args.requests,
         concurrency=args.concurrency,
@@ -1203,7 +1183,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> None:
         raise SystemExit(
             f"repro loadgen: cannot reach {args.host}:{args.port}: {exc}"
         )
-    Path(args.output).write_text(json.dumps(report, indent=1) + "\n")
+    if args.output is not None:
+        Path(args.output).write_text(json.dumps(report, indent=1) + "\n")
     lat = report["latency_ms"]
     server = report.get("server") or {}
     occupancy = (server.get("batches") or {}).get("mean_occupancy")
@@ -1217,446 +1198,13 @@ def _cmd_loadgen(args: argparse.Namespace) -> None:
         f"  mean batch occupancy: client={report['client_mean_batch']}"
         + (f" server={occupancy}" if occupancy is not None else "")
         + f"\n  bit-exact vs {oracle}: {report['bit_exact']} "
-        f"({report['verified']} verified)\n"
-        f"written to {args.output}"
+        f"({report['verified']} verified)"
+        + (f"\nwritten to {args.output}" if args.output is not None else "")
     )
     if report["mismatches"]:
         for line in report["mismatches"][:5]:
             print(f"  MISMATCH: {line}")
         raise SystemExit(f"repro loadgen: responses diverged from {oracle}")
-
-
-def _bench_micro(bench_dir) -> list[dict]:
-    """Run the perf microbenchmarks via pytest-benchmark; return stats."""
-    import json
-    import subprocess
-    import sys
-    import tempfile
-    from pathlib import Path
-
-    with tempfile.TemporaryDirectory() as tmp:
-        report = Path(tmp) / "micro.json"
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "pytest",
-                str(bench_dir / "test_perf_micro.py"),
-                str(bench_dir / "test_perf_batch.py"),
-                "--benchmark-only",
-                "--benchmark-disable-gc",
-                f"--benchmark-json={report}",
-                "-q",
-            ],
-            cwd=bench_dir.parent,
-        )
-        if proc.returncode != 0:
-            raise SystemExit("repro bench: microbenchmark run failed")
-        payload = json.loads(report.read_text())
-    return [
-        {
-            "name": b["name"],
-            "mean_s": b["stats"]["mean"],
-            "stddev_s": b["stats"]["stddev"],
-            "rounds": b["stats"]["rounds"],
-        }
-        for b in payload.get("benchmarks", [])
-    ]
-
-
-def _machine_info() -> dict:
-    """JSON-safe host provenance shared by the bench payloads."""
-    import os
-    import platform
-
-    from repro.sim import fastpath
-
-    return {
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "cpus": os.cpu_count(),
-        "fastpath": fastpath.active_backend(),
-    }
-
-
-def _bench_backends(args: argparse.Namespace) -> None:
-    """Time the same sweep grid on each exec backend; write BENCH_exec.json.
-
-    Units are single trials (``batch_size=1``) — the granularity the
-    simulation service dispatches — so the comparison isolates backend
-    overhead: GIL hand-offs between worker threads versus pickle
-    round-trips to isolated worker processes.
-    """
-    import json
-    import time
-    from pathlib import Path
-
-    from repro.exec import BACKENDS, create_backend
-    from repro.sim.sweep import run_sweep, sweep_grid
-
-    repeats = 6 if args.quick else max(args.repeats, 12)
-    workers = max(args.workers, 2)
-    rounds = 2 if args.quick else 4
-    channels = (1, 2, 4)
-    workload_params = {"chains": 4, "depth": 12, "messages": 8}
-    specs = sweep_grid(
-        "chain-bundle",
-        "wormhole",
-        channels,
-        workload_params=workload_params,
-        message_length=24,
-        repeats=repeats,
-    )
-    trials = len(specs)
-
-    # Interleave timing rounds across backends (and keep the best of
-    # each) so ambient machine noise drifts across all of them alike
-    # instead of biasing whichever ran last.
-    backends = {n: create_backend(n, workers=workers) for n in BACKENDS}
-    walls = {n: float("inf") for n in BACKENDS}
-    metrics_by: dict[str, list] = {}
-    try:
-        for _ in range(rounds):
-            for name, backend in backends.items():
-                t0 = time.perf_counter()
-                out = run_sweep(
-                    specs,
-                    root_seed=args.seed,
-                    workers=workers,
-                    backend=backend,
-                    batch_size=1,
-                )
-                walls[name] = min(walls[name], time.perf_counter() - t0)
-                metrics_by[name] = [t.metrics for t in out]
-    finally:
-        for backend in backends.values():
-            backend.close()
-    baseline = metrics_by["inline"]
-    results = {
-        name: {
-            "wall_s": round(walls[name], 6),
-            "trials_per_s": round(trials / walls[name], 2),
-            "bit_identical": metrics_by[name] == baseline,
-        }
-        for name in BACKENDS
-    }
-
-    output = args.output or "BENCH_exec.json"
-    payload = {
-        "machine": _machine_info(),
-        "grid": {
-            "workload": "chain-bundle",
-            "workload_params": workload_params,
-            "message_length": 24,
-            "channels": list(channels),
-            "repeats": repeats,
-            "trials": trials,
-            "workers": workers,
-            "batch_size": 1,
-        },
-        "backends": results,
-        "process_vs_thread_speedup": round(
-            results["thread"]["wall_s"] / results["process"]["wall_s"], 2
-        ),
-    }
-    Path(output).write_text(json.dumps(payload, indent=1) + "\n")
-    print(f"bench: {trials} wormhole trials on each backend, {workers} workers")
-    for name in BACKENDS:
-        r = results[name]
-        print(
-            f"  {name:8s} {r['wall_s']:.3f}s  {r['trials_per_s']:8.1f} "
-            f"trials/s  bit-identical: {r['bit_identical']}"
-        )
-    print(
-        f"  process vs thread speedup: "
-        f"{payload['process_vs_thread_speedup']}x\nwritten to {output}"
-    )
-    if not all(r["bit_identical"] for r in results.values()):
-        raise SystemExit("repro bench: backends diverged")
-
-
-#: The ``repro bench`` grid, one row per batched model.  Path-based
-#: routers share the chain-bundle workload; the adaptive router times on
-#: the permutation mesh it requires.
-_BENCH_MODELS: "tuple[tuple[str, str, dict, int], ...]" = (
-    ("wormhole", "chain-bundle", {"chains": 4, "depth": 12, "messages": 8}, 24),
-    ("cut_through", "chain-bundle", {"chains": 4, "depth": 12, "messages": 8}, 24),
-    ("store_forward", "chain-bundle", {"chains": 4, "depth": 12, "messages": 8}, 24),
-    ("restricted", "chain-bundle", {"chains": 4, "depth": 12, "messages": 8}, 24),
-    ("adaptive", "mesh-permutation", {"k": 6}, 6),
-)
-
-
-def _bench_estimate(args: argparse.Namespace) -> None:
-    """Time the analytic estimator against exact trials per model.
-
-    Writes ``BENCH_estimate.json``: per ``(model, B)`` the estimator's
-    call latency, the exact trial's latency, the envelope's bounds and
-    tightness (``upper / lower``), and whether the measured makespan
-    landed inside the envelope.  The headline numbers — overall p50/p95
-    estimate latency — are what CI pins (p95 < 1 ms) and what an
-    operator uses to calibrate ``step_cost_ms`` for deadline screening.
-    """
-    import json
-    import time
-    from pathlib import Path
-
-    from repro.analysis.estimate import estimate_spec
-    from repro.sim.sweep import TrialSpec, _execute_trial
-
-    channels = (1, 2, 4)
-    reps = 50 if args.quick else 200
-    models: dict[str, dict] = {}
-    lines = []
-    all_inside = True
-    all_est_us: list[float] = []
-    for model, workload, workload_params, L in _BENCH_MODELS:
-        per_b: dict[str, dict] = {}
-        for B in channels:
-            spec = TrialSpec.make(
-                workload,
-                model,
-                B=B,
-                workload_params=workload_params,
-                message_length=L,
-            )
-            env = estimate_spec(spec)  # warm the workload cache
-            walls = []
-            for _ in range(reps):
-                t0 = time.perf_counter()
-                env = estimate_spec(spec)
-                walls.append(time.perf_counter() - t0)
-            est_us = [w * 1e6 for w in walls]
-            all_est_us.extend(est_us)
-            t0 = time.perf_counter()
-            metrics, _ = _execute_trial((spec, args.seed))
-            exact_ms = (time.perf_counter() - t0) * 1e3
-            makespan = int(metrics["makespan"])
-            inside = env.check(makespan)
-            all_inside &= inside
-            p50_us = float(np.percentile(est_us, 50))
-            per_b[str(B)] = {
-                "estimate_p50_us": round(p50_us, 2),
-                "estimate_p95_us": round(float(np.percentile(est_us, 95)), 2),
-                "exact_ms": round(exact_ms, 3),
-                "speedup_vs_exact": round(exact_ms * 1e3 / p50_us, 1),
-                "makespan": makespan,
-                "lower": env.lower,
-                "upper": env.upper,
-                "tightness": (
-                    None if env.tightness is None else round(env.tightness, 3)
-                ),
-                "within_envelope": inside,
-            }
-        models[model] = {
-            "workload": workload,
-            "workload_params": workload_params,
-            "message_length": L,
-            "per_B": per_b,
-        }
-        mid = per_b[str(channels[len(channels) // 2])]
-        lines.append(
-            f"  {model:<14} estimate p50 {mid['estimate_p50_us']:8.1f}us  "
-            f"exact {mid['exact_ms']:8.2f}ms  "
-            f"speedup {mid['speedup_vs_exact']:>9.1f}x  "
-            f"tightness {mid['tightness'] or '-'}  "
-            f"inside: {mid['within_envelope']}"
-        )
-    payload = {
-        "machine": _machine_info(),
-        "grid": {
-            "channels": list(channels),
-            "models": [m for m, *_ in _BENCH_MODELS],
-            "latency_samples_per_cell": reps,
-            "root_seed": args.seed,
-        },
-        "estimate_latency_us": {
-            "count": len(all_est_us),
-            "p50": round(float(np.percentile(all_est_us, 50)), 2),
-            "p95": round(float(np.percentile(all_est_us, 95)), 2),
-            "max": round(max(all_est_us), 2),
-        },
-        "models": models,
-        "envelope_holds": all_inside,
-    }
-    output = Path(args.output or "BENCH_estimate.json")
-    output.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    lat = payload["estimate_latency_us"]
-    print(
-        f"bench estimate: {len(all_est_us)} estimator calls, "
-        f"p50={lat['p50']}us p95={lat['p95']}us"
-    )
-    print("\n".join(lines))
-    print(
-        f"  envelope holds: {all_inside}\nwritten to {output}"
-    )
-    if not all_inside:
-        raise SystemExit(
-            "repro bench: a measured makespan escaped its analytic envelope"
-        )
-
-
-def _cmd_bench(args: argparse.Namespace) -> None:
-    """Time batched vs per-trial sweeps per model; write BENCH_sim.json."""
-    import json
-    import time
-    from pathlib import Path
-
-    from repro.sim.sweep import DEFAULT_BATCH_SIZE, run_sweep, sweep_grid
-
-    if args.backend:
-        _bench_backends(args)
-        return
-    if args.estimate:
-        _bench_estimate(args)
-        return
-    if args.cluster:
-        import asyncio
-
-        from repro.cluster.bench import run_cluster_bench
-
-        payload = asyncio.run(
-            run_cluster_bench(quick=args.quick, root_seed=args.seed)
-        )
-        payload["machine"] = _machine_info()
-        output = Path(args.output or "BENCH_cluster.json")
-        output.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-        scaling = payload["scaling"]
-        print(
-            "bench cluster: "
-            + " ".join(
-                f"{w}w={scaling[w]['throughput_rps']}rps" for w in scaling
-            )
-            + f" speedup_4v1={payload['speedup_4v1']}x "
-            f"cache_hit_rate={payload['cache']['second_pass']['hit_rate']} "
-            f"bit_exact={payload['bit_exact']}\n"
-            f"written to {output}"
-        )
-        if not payload["bit_exact"]:
-            raise SystemExit(
-                "repro bench: cluster responses diverged from serial replay"
-            )
-        return
-
-    repeats = 6 if args.quick else args.repeats
-    channels = (1, 2, 4)
-
-    def best_of(fn, rounds=3):
-        wall, out = float("inf"), None
-        for _ in range(rounds):
-            t0 = time.perf_counter()
-            out = fn()
-            wall = min(wall, time.perf_counter() - t0)
-        return out, wall
-
-    models: dict[str, dict] = {}
-    lines = []
-    all_identical = True
-    for model, workload, workload_params, L in _BENCH_MODELS:
-        specs = sweep_grid(
-            workload,
-            model,
-            channels,
-            workload_params=workload_params,
-            message_length=L,
-            repeats=repeats,
-        )
-        serial_out, serial_wall = best_of(
-            lambda: run_sweep(
-                specs, root_seed=args.seed, workers=args.workers, batch_size=1
-            )
-        )
-        batched_out, batched_wall = best_of(
-            lambda: run_sweep(specs, root_seed=args.seed, workers=args.workers)
-        )
-        identical = [t.metrics for t in serial_out] == [
-            t.metrics for t in batched_out
-        ]
-        all_identical &= identical
-        speedup = serial_wall / batched_wall
-        trials = len(specs)
-
-        # Single-trial latency: what one isolated trial costs end to end
-        # (the granularity the online service dispatches).  Each repeat
-        # of the middle channel count is timed on its own so the
-        # percentiles reflect per-call latency, not amortized throughput.
-        lat_b = channels[len(channels) // 2]
-        lat_specs = [s for s in specs if s.B == lat_b]
-        lat_walls = []
-        for spec in lat_specs:
-            t0 = time.perf_counter()
-            run_sweep([spec], root_seed=args.seed, workers=1, batch_size=1)
-            lat_walls.append(time.perf_counter() - t0)
-        latency = {
-            "batch_size": 1,
-            "channels": lat_b,
-            "samples": len(lat_walls),
-            "p50_ms": round(float(np.percentile(lat_walls, 50)) * 1e3, 3),
-            "p95_ms": round(float(np.percentile(lat_walls, 95)) * 1e3, 3),
-        }
-
-        models[model] = {
-            "workload": workload,
-            "workload_params": workload_params,
-            "message_length": L,
-            "trials": trials,
-            "serial_wall_s": round(serial_wall, 6),
-            "batched_wall_s": round(batched_wall, 6),
-            "serial_trials_per_s": round(trials / serial_wall, 2),
-            "batched_trials_per_s": round(trials / batched_wall, 2),
-            "speedup": round(speedup, 2),
-            "bit_identical": identical,
-            "latency": latency,
-        }
-        lines.append(
-            f"  {model:<14} serial {serial_wall:7.3f}s  "
-            f"batched {batched_wall:7.3f}s  speedup {speedup:5.2f}x  "
-            f"p50 {latency['p50_ms']:7.2f}ms  "
-            f"bit-identical: {identical}"
-        )
-
-    worm = models["wormhole"]
-    trials = worm["trials"]
-    payload = {
-        "machine": _machine_info(),
-        "grid": {
-            "workload": "chain-bundle",
-            "workload_params": _BENCH_MODELS[0][2],
-            "message_length": 24,
-            "channels": list(channels),
-            "repeats": repeats,
-            "trials": trials,
-            "workers": args.workers if args.workers >= 2 else 1,
-        },
-        # The wormhole row keeps the legacy top-level shape so the
-        # BENCH_sim.json trajectory stays comparable across revisions.
-        "serial": {
-            "batch_size": 1,
-            "wall_s": worm["serial_wall_s"],
-            "trials_per_s": worm["serial_trials_per_s"],
-        },
-        "batched": {
-            "batch_size": DEFAULT_BATCH_SIZE,
-            "wall_s": worm["batched_wall_s"],
-            "trials_per_s": worm["batched_trials_per_s"],
-        },
-        "speedup": worm["speedup"],
-        "models": models,
-        "bit_identical": all_identical,
-    }
-    if not (args.quick or args.no_micro):
-        payload["micro"] = _bench_micro(_find_bench_dir())
-    output = args.output or "BENCH_sim.json"
-    Path(output).write_text(json.dumps(payload, indent=1) + "\n")
-    print(
-        f"bench: {trials} trials per model, B={channels}, "
-        f"batch_size={DEFAULT_BATCH_SIZE}"
-    )
-    print("\n".join(lines))
-    print(f"  bit-identical: {all_identical}\nwritten to {output}")
-    if not all_identical:
-        raise SystemExit("repro bench: batched metrics diverged from serial")
 
 
 def _cmd_experiment(args: argparse.Namespace) -> None:

@@ -13,7 +13,7 @@ replays every accepted trial through the sweep runner's serial path
 derived seed) and demands byte-identical metrics.  Any divergence —
 a batching bug, a seed-derivation drift, a cross-trial state leak —
 fails the run.  The latency/throughput/occupancy report it assembles
-is what ``repro loadgen`` writes to ``BENCH_service.json``.
+is what ``repro loadgen --output`` saves.
 """
 
 from __future__ import annotations
@@ -322,7 +322,7 @@ class LoadgenConfig:
 async def run_loadgen(
     host: str, port: int, config: LoadgenConfig
 ) -> dict[str, Any]:
-    """Drive a running server; return the ``BENCH_service.json`` payload.
+    """Drive a running server; return the loadgen report.
 
     Opens ``concurrency`` connections, issues ``requests`` unique trial
     requests across them (paced to ``rate`` req/s when set), measures

@@ -71,7 +71,8 @@ class ServiceConfig:
     #: if even the optimistic ``lower * step_cost_ms`` floor exceeds
     #: the deadline, the request is rejected ``infeasible_deadline``
     #: before it ever queues.  ``None`` disables the screen.  Calibrate
-    #: from ``BENCH_estimate.json`` (exact latency / simulated steps).
+    #: from perfbench's ``ns_per_msg_step`` on ``service_closed`` (times
+    #: the trial's message count, over 1e6).
     step_cost_ms: float | None = None
 
     def policy(self) -> BatchPolicy:

@@ -49,7 +49,7 @@ from typing import Any
 import numpy as np
 
 from ..cache import CACHE_VERSION as _CACHE_VERSION
-from ..cache import ResultCache, load_entry, store_entry
+from ..cache import ResultCache
 from ..network.graph import NetworkError
 from .batch import LOCKSTEP_MODELS, batch_compat_key, run_model
 
@@ -657,13 +657,6 @@ def sweep_grid(
         for B in Bs
         for r in range(repeats)
     ]
-
-
-# The on-disk cache implementation lives in the shared ``repro.cache``
-# module (the cluster router fronts the same tier); these aliases keep
-# the sweep's historical private surface working.
-_cache_load = load_entry
-_cache_store = store_entry
 
 
 def _resolve_backend(backend, workers: int):

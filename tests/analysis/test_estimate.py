@@ -195,22 +195,69 @@ def test_to_metrics_digest_tracks_per_message_floors():
 # ----------------------------------------------------------------------
 
 
+#: The estimator grid behind README's "Estimate vs exact" table: the E5
+#: chain bundle for the fixed-route models, the permutation mesh the
+#: adaptive router needs.  ``model -> (workload, workload_params, L)``.
+_CHAINS = ("chain-bundle", {"chains": 4, "depth": 12, "messages": 8}, 24)
+ESTIMATE_GRID = {
+    "wormhole": _CHAINS,
+    "cut_through": _CHAINS,
+    "store_forward": _CHAINS,
+    "restricted": _CHAINS,
+    "adaptive": ("mesh-permutation", {"k": 6}, 6),
+}
+
+
 def test_envelope_holds_on_e5_grid():
     """lower <= simulated makespan <= upper on the full E5 sweep grid."""
-    specs = sweep_grid(
-        "chain-bundle",
-        ["wormhole", "cut_through", "store_forward", "restricted"],
-        (1, 2, 4),
-        workload_params={"chains": 4, "depth": 12, "messages": 8},
-        sim_params={"seed": 0},
-        message_length=24,
-    )
+    specs = [
+        spec
+        for model, (workload, params, L) in ESTIMATE_GRID.items()
+        for spec in sweep_grid(
+            workload,
+            model,
+            (1, 2, 4),
+            workload_params=params,
+            sim_params={"seed": 0},
+            message_length=L,
+        )
+    ]
+    assert len(specs) == 15
     for trial in run_sweep(specs):
         env = estimate_spec(trial.spec)
         makespan = trial.metrics["makespan"]
-        assert env.lower <= makespan <= env.upper, (
+        assert env.check(makespan), (
             f"{trial.spec.label()}: {env.lower} <= {makespan} <= {env.upper}"
         )
+
+
+@pytest.mark.parametrize(
+    "model, lower, upper, tightness",
+    [
+        ("wormhole", 96, 1120, 11.7),
+        ("cut_through", 192, 9216, 48.0),
+        ("store_forward", 144, 4608, 32.0),
+        ("restricted", 192, 9216, 48.0),
+        ("adaptive", None, 325, None),  # upper bound only
+    ],
+)
+def test_readme_estimator_table_at_b2(model, lower, upper, tightness):
+    """The B=2 rows of README's "Estimate vs exact" table, as data.
+
+    Tightness is a closed form of ``estimate_spec``, so a formula change
+    that moves a published number fails here, not in a timing file.
+    """
+    workload, params, L = ESTIMATE_GRID[model]
+    env = estimate_spec(
+        TrialSpec.make(
+            workload, model, B=2, workload_params=params, message_length=L
+        )
+    )
+    assert (env.lower, env.upper) == (lower, upper)
+    if tightness is None:
+        assert env.tightness is None
+    else:
+        assert round(env.tightness, 1) == tightness
 
 
 def test_envelope_holds_on_fuzz_cases():

@@ -84,11 +84,21 @@ def test_map_survives_crash_with_no_dropped_units(tmp_path):
 def test_external_worker_kill_recovers():
     backend = ProcessPoolBackend(workers=2, backoff_base_s=0.01)
     try:
-        os.kill(backend.worker_pids()[0], signal.SIGKILL)
-        # Every unit admitted after the kill still completes.
-        assert backend.map(_echo, list(range(4))) == [0, 1, 2, 3]
-        assert backend.stats_snapshot()["worker_restarts"] >= 1
-        assert len(backend.worker_pids()) == 2
+        victim = backend.worker_pids()[0]
+        os.kill(victim, signal.SIGKILL)
+        # SIGKILL is asynchronous: a map can finish on the surviving
+        # worker before the executor sees the dead one, and it is the
+        # next submit that trips the restart.  Every unit admitted after
+        # the kill completes either way; the restart must follow.
+        deadline = time.monotonic() + 30.0
+        while True:
+            assert backend.map(_echo, list(range(4))) == [0, 1, 2, 3]
+            if backend.stats_snapshot()["worker_restarts"] >= 1:
+                break
+            assert time.monotonic() < deadline, "dead worker never noticed"
+            time.sleep(0.01)
+        pids = backend.worker_pids()
+        assert len(pids) == 2 and victim not in pids
     finally:
         backend.close()
 

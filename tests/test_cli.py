@@ -239,42 +239,58 @@ class TestCommands:
         assert args.max_batch == 32 and args.max_wait_ms == 2.0
         args = build_parser().parse_args(["loadgen"])
         assert args.requests == 32 and args.concurrency == 8
-        assert args.channels == "1,2,4" and args.rate == 0.0
-        assert args.output == "BENCH_service.json"
+        assert args.channels == (1, 2, 4) and args.rate == 0.0
+        assert args.output is None and args.lengths is None
         assert not args.no_verify and not args.shutdown
 
-    def test_loadgen_rejects_empty_channels(self):
-        with pytest.raises(SystemExit, match="channels"):
+    def test_loadgen_rejects_empty_channels(self, capsys):
+        with pytest.raises(SystemExit):
             main(["loadgen", "--channels", ","])
+        assert "repro loadgen: error: argument --channels" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["sweep", "--channels", "1,x"],
+                "repro sweep: error: argument --channels: expected "
+                "comma-separated integers",
+            ),
+            (
+                ["sweep", "--channels", ""],
+                "repro sweep: error: argument --channels: must name at "
+                "least one integer",
+            ),
+            (
+                ["loadgen", "--lengths", "8,x"],
+                "repro loadgen: error: argument --lengths: expected "
+                "comma-separated integers",
+            ),
+            (
+                ["sweep", "--simulators", "nope"],
+                "repro sweep: unknown simulator 'nope'",
+            ),
+        ],
+        ids=[
+            "sweep-channels-not-int",
+            "sweep-channels-empty",
+            "loadgen-lengths-not-int",
+            "sweep-unknown-simulator",
+        ],
+    )
+    def test_malformed_list_flag_is_a_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code not in (0, None)
+        # argparse prints to stderr and exits 2; handlers exit with the text.
+        assert message in capsys.readouterr().err + str(exc.value.code)
 
     def test_loadgen_unreachable_server_is_a_clean_error(self):
         # Port 1 on loopback is never listening; connect fails fast.
         with pytest.raises(SystemExit, match="cannot reach"):
             main(["loadgen", "--port", "1", "--requests", "1"])
-
-    def test_bench_quick_writes_report(self, capsys, tmp_path):
-        out_file = tmp_path / "bench.json"
-        assert main(
-            ["bench", "--quick", "--output", str(out_file)]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "bit-identical: True" in out
-        import json
-
-        payload = json.loads(out_file.read_text())
-        assert payload["bit_identical"] is True
-        assert payload["grid"]["trials"] == 18
-        assert payload["serial"]["trials_per_s"] > 0
-        assert payload["batched"]["trials_per_s"] > 0
-        # Every batched model reports its own serial-vs-lockstep row.
-        for model in (
-            "wormhole", "cut_through", "store_forward", "restricted",
-            "adaptive",
-        ):
-            row = payload["models"][model]
-            assert row["bit_identical"] is True
-            assert row["speedup"] > 0
-        assert "micro" not in payload  # --quick skips microbenchmarks
 
     def test_experiment_unknown_name(self):
         with pytest.raises(SystemExit, match="no benchmark"):
