@@ -1187,7 +1187,10 @@ def _cmd_loadgen(args: argparse.Namespace) -> None:
         Path(args.output).write_text(json.dumps(report, indent=1) + "\n")
     lat = report["latency_ms"]
     server = report.get("server") or {}
-    occupancy = (server.get("batches") or {}).get("mean_occupancy")
+    batches = server.get("batches") or {}
+    occupancy = batches.get("mean_occupancy")
+    # A router aggregates occupancy only; closed_by stays per worker.
+    closed_by = batches.get("closed_by")
     oracle = "local estimate" if args.mode == "estimate" else "serial replay"
     print(
         f"loadgen: {report['ok']}/{config.requests} ok "
@@ -1197,6 +1200,12 @@ def _cmd_loadgen(args: argparse.Namespace) -> None:
         f"max={lat['max']}\n"
         f"  mean batch occupancy: client={report['client_mean_batch']}"
         + (f" server={occupancy}" if occupancy is not None else "")
+        + (
+            "\n  windows closed by: "
+            + " ".join(f"{k}={v}" for k, v in closed_by.items())
+            if closed_by
+            else ""
+        )
         + f"\n  bit-exact vs {oracle}: {report['bit_exact']} "
         f"({report['verified']} verified)"
         + (f"\nwritten to {args.output}" if args.output is not None else "")

@@ -55,6 +55,11 @@ __all__ = ["ClusterConfig", "ClusterRouter"]
 #: Per-forward exchange budget; a worker that neither answers nor dies
 #: within this window counts as a failed attempt.
 FORWARD_TIMEOUT_S = 300.0
+#: A pooled worker connection idle this long is surplus from an earlier
+#: burst and is closed the next time its slot forwards a request: every
+#: idle socket on a worker is a peer its batcher waits ``max_wait_ms``
+#: for (:meth:`~repro.service.server.SimulationService.idle_peers`).
+POOL_IDLE_S = 1.0
 #: Forward attempts per request before the structured reject.
 MAX_FORWARD_ATTEMPTS = 4
 #: Base of the between-attempt backoff (doubles per attempt).
@@ -113,8 +118,11 @@ class ClusterRouter(Endpoint):
             self.config.cache_dir or self.supervisor.runtime_dir / "cache"
         )
         self.ring = HashRing(range(self.config.workers))
-        #: Idle pooled connections per (slot, generation).
-        self._pool: dict[tuple[int, int], list[ServiceClient]] = {}
+        #: Idle pooled connections per (slot, generation), each with its
+        #: release time; appended on release, so oldest first.
+        self._pool: dict[
+            tuple[int, int], list[tuple[float, ServiceClient]]
+        ] = {}
 
     # -- lifecycle -----------------------------------------------------
     async def startup(self) -> None:
@@ -136,7 +144,14 @@ class ClusterRouter(Endpoint):
         generation = self.supervisor.handles[slot].generation
         idle = self._pool.get((slot, generation))
         if idle:
-            return idle.pop(), generation
+            # LIFO on purpose: steady traffic keeps reusing the same few
+            # connections, so a burst's surplus ages at the front — and
+            # is closed here, before this forward reaches the worker.
+            _, client = idle.pop()
+            cutoff = asyncio.get_running_loop().time() - POOL_IDLE_S
+            while idle and idle[0][0] < cutoff:
+                await idle.pop(0)[1].close()
+            return client, generation
         host, port = self.supervisor.address(slot)
         client = await ServiceClient.connect(host, port)
         return client, generation
@@ -148,17 +163,19 @@ class ClusterRouter(Endpoint):
         ):
             asyncio.ensure_future(client.close())
             return
-        self._pool.setdefault((slot, generation), []).append(client)
+        self._pool.setdefault((slot, generation), []).append(
+            (asyncio.get_running_loop().time(), client)
+        )
 
     async def _discard_pool(self, slot: int) -> None:
         """Close every idle connection to a slot (it just died)."""
         for key in [k for k in self._pool if k[0] == slot]:
-            for client in self._pool.pop(key):
+            for _, client in self._pool.pop(key):
                 await client.close()
 
     async def _close_pool(self) -> None:
-        for clients in self._pool.values():
-            for client in clients:
+        for idle in self._pool.values():
+            for _, client in idle:
                 await client.close()
         self._pool.clear()
 

@@ -137,5 +137,5 @@ class AdmissionQueue:
             pass
 
     def kick(self) -> None:
-        """Wake any waiter (used when the service starts draining)."""
+        """Wake any waiter without an arrival (drain began, a peer left)."""
         self._arrival.set()

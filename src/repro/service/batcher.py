@@ -7,11 +7,30 @@ inference servers use.  One asyncio task loops forever:
 2. take the *oldest* request's compatibility key
    (:func:`repro.sim.batch.batch_compat_key` — shared verbatim with the
    sweep packer, so offline and online batching can never disagree on
-   what "compatible" means) and hold a coalescing window open: dispatch
-   as soon as ``max_batch`` compatible requests are queued, or when
-   ``max_wait_ms`` has passed since the oldest request was admitted,
-   whichever comes first.  While a previous batch is still executing,
-   new arrivals accumulate in the queue, so under load the window never
+   what "compatible" means) and hold a coalescing window open until
+   the first of three conditions, checked in this order, closes it:
+
+   * **full** — ``max_batch`` compatible requests are queued;
+   * **idle** — no open connection is left that could still send: the
+     v1 endpoint serves one in-flight ``run`` per connection
+     (``_handle_line`` awaits ``dispatch`` before it reads the next
+     line) and nothing executes while a window is open, so every
+     unanswered run is in the queue and *open connections − queued
+     runs* is a hard upper bound on the requests existing peers can add
+     to this window.  At zero the wait is provably for nobody and the
+     batch launches at once.  The count is the server's
+     (:meth:`~repro.service.server.SimulationService.idle_peers`),
+     injected as ``idle_peers=``;
+   * **timeout** — ``max_wait_ms`` has passed since the oldest request
+     was admitted: the cap on waiting for a peer that is connected but
+     silent.
+
+   The bound is exact for connected peers.  It is blind only to a peer
+   that connects *after* the window closed and to a client pipelining
+   a second run onto a busy connection (unread until the first is
+   answered): either rides the next batch — a smaller batch, never a
+   different answer.  While a previous batch is still executing, new
+   arrivals accumulate in the queue, so under load the window never
    adds latency — the next batch fills "for free";
 3. take the compatible requests out of the queue, drop any whose
    deadline expired while queued (they get ``deadline_exceeded``
@@ -51,16 +70,24 @@ from ..sim.sweep import TrialSpec, execute_compatible
 from .admission import AdmissionQueue, PendingRequest
 from .protocol import error_response, expired_response, ok_response
 
-__all__ = ["BatchPolicy", "DynamicBatcher", "execute_compatible"]
+__all__ = ["BatchPolicy", "CLOSED_BY", "DynamicBatcher", "execute_compatible"]
+
+#: Why a coalescing window closed, in the order the conditions are
+#: checked (``drain``: shutdown flushed it without waiting).
+CLOSED_BY = ("full", "idle", "timeout", "drain")
 
 
 @dataclass(frozen=True)
 class BatchPolicy:
     """When a coalescing window closes.
 
-    ``max_batch`` caps trials per lockstep call; ``max_wait_ms`` caps
-    how long the *oldest* queued request may wait for company before its
-    batch launches anyway.
+    Three conditions, first one wins: ``max_batch`` compatible requests
+    are queued (caps trials per lockstep call); every open connection
+    already has a run queued, so nobody is left who could join (no
+    knob — exact, because the endpoint reads a connection's next line
+    only after answering its last); or ``max_wait_ms`` has passed since
+    the *oldest* queued request was admitted — the cap on how long it
+    waits for company while some connected peer sits idle.
     """
 
     max_batch: int = 32
@@ -83,6 +110,7 @@ class DynamicBatcher:
         queue: AdmissionQueue,
         policy: BatchPolicy,
         *,
+        idle_peers,
         stats=None,
         backend=None,
         own_backend: bool = True,
@@ -92,6 +120,9 @@ class DynamicBatcher:
         self._queue = queue
         self._policy = policy
         self._stats = stats
+        #: ``() -> int``: open connections with no run queued, i.e. how
+        #: many requests could still join a window.
+        self._idle_peers = idle_peers
         self.backend = backend if backend is not None else InlineBackend()
         self._own_backend = own_backend if backend is not None else True
         # One dispatch thread: batches execute in admission order, the
@@ -124,33 +155,41 @@ class DynamicBatcher:
                         return
                     await self._queue.wait_arrival()
                     continue
-                await self._coalesce(loop)
+                closed_by = await self._coalesce(loop)
                 batch = self._take_batch(loop)
                 if batch:
-                    await self._dispatch_batch(loop, batch)
+                    await self._dispatch_batch(loop, batch, closed_by)
         finally:
             self._dispatch.shutdown(wait=True)
             if self._own_backend:
                 self.backend.close()
 
     # ------------------------------------------------------------------
-    async def _coalesce(self, loop) -> None:
-        """Hold the window open until the batch fills or the wait expires.
+    async def _coalesce(self, loop) -> str:
+        """Hold the window open; returns which :data:`CLOSED_BY` ended it.
 
-        The window is anchored at the *oldest* request's admission time,
-        so time spent queued behind an executing batch counts toward it
-        — a full queue dispatches immediately.  Draining skips the wait
-        entirely: shutdown flushes with whatever is already queued.
+        The batch fills, or nobody is left who could add to it, or the
+        wait expires.  The window is anchored at the *oldest* request's
+        admission time, so time spent queued behind an executing batch
+        counts toward it — a full queue dispatches immediately.  Every
+        event that can change the answer (an admission on any key, a
+        peer disconnecting, the drain) sets the queue's arrival event,
+        so the loop re-evaluates instead of sleeping out the remainder.
+        Draining skips the wait entirely: shutdown flushes with whatever
+        is already queued.
         """
         first = self._queue.peek()
         window_closes = first.enqueued_at + self._policy.max_wait_ms / 1000.0
         while not self._draining:
             if self._queue.count_compatible(first.key) >= self._policy.max_batch:
-                return
+                return "full"
+            if self._idle_peers() <= 0:
+                return "idle"
             remaining = window_closes - loop.time()
             if remaining <= 0:
-                return
+                return "timeout"
             await self._queue.wait_arrival(remaining)
+        return "drain"
 
     def _take_batch(self, loop) -> list[PendingRequest]:
         """Pull the dispatchable batch; expire stale requests in passing."""
@@ -173,7 +212,9 @@ class DynamicBatcher:
                 live.append(p)
         return live
 
-    async def _dispatch_batch(self, loop, batch: list[PendingRequest]) -> None:
+    async def _dispatch_batch(
+        self, loop, batch: list[PendingRequest], closed_by: str
+    ) -> None:
         items = [(p.request.spec, p.request.root_seed) for p in batch]
         self.in_flight = len(batch)
         started = loop.time()
@@ -214,7 +255,7 @@ class DynamicBatcher:
                     latency_s=now - p.enqueued_at, batch_size=len(batch)
                 )
         if self._stats is not None:
-            self._stats.note_batch(len(batch))
+            self._stats.note_batch(len(batch), closed_by)
 
     @staticmethod
     def _resolve(pending: PendingRequest, response: dict[str, Any]) -> None:

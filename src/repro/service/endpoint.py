@@ -131,6 +131,9 @@ class Endpoint(abc.ABC):
     def on_listening(self) -> None:
         """The socket is bound (``self.port`` set), not yet announced."""
 
+    def on_disconnect(self) -> None:
+        """A connection just left :attr:`open_connections`."""
+
     async def teardown(self) -> None:
         """Stop what the tier owns; every admitted run has flushed."""
 
@@ -143,6 +146,11 @@ class Endpoint(abc.ABC):
         """Begin the graceful drain (idempotent, callable from signals)."""
         self._draining = True
         self._shutdown.set()
+
+    @property
+    def open_connections(self) -> int:
+        """Connections accepted and not yet closed, whatever they await."""
+        return len(self._writers)
 
     async def run(self) -> None:
         """Listen, serve, drain; returns once fully shut down."""
@@ -210,6 +218,7 @@ class Endpoint(abc.ABC):
             pass
         finally:
             self._writers.discard(writer)
+            self.on_disconnect()
             writer.close()
             with contextlib.suppress(Exception):
                 await writer.wait_closed()

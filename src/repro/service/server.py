@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..network.graph import NetworkError
-from ..telemetry.metrics import DepthGauge, SizeHistogram
+from ..telemetry.metrics import DepthGauge, EventCounter, SizeHistogram
 from .admission import AdmissionQueue, PendingRequest, QueueFullError
-from .batcher import BatchPolicy, DynamicBatcher, batch_compat_key
+from .batcher import CLOSED_BY, BatchPolicy, DynamicBatcher, batch_compat_key
 from .endpoint import Endpoint
 from .protocol import RunRequest, reject_response
 
@@ -111,10 +111,15 @@ class SimulationService(Endpoint):
         )
         self.queue_depth = DepthGauge()
         self.batches = SizeHistogram()
+        self.closed_by = EventCounter(*CLOSED_BY)
         self.queue = AdmissionQueue(self.config.queue_limit)
         self.backend = self.config.make_backend()
         self.batcher = DynamicBatcher(
-            self.queue, self.config.policy(), stats=self, backend=self.backend
+            self.queue,
+            self.config.policy(),
+            idle_peers=self.idle_peers,
+            stats=self,
+            backend=self.backend,
         )
 
     # -- lifecycle -----------------------------------------------------
@@ -135,18 +140,37 @@ class SimulationService(Endpoint):
                 handle.write(f"{self.port}\n")
             os.replace(tmp, self.config.port_file)
 
+    def on_disconnect(self) -> None:
+        # A peer leaving mid-window can leave nobody who could still
+        # send: have the batcher look again instead of sleeping it out.
+        self.queue.kick()
+
     async def teardown(self) -> None:
         # Draining, with an empty queue: the batcher loop exits and
         # releases its dispatch thread and backend.
         await self._batcher_task
 
     # -- batcher callbacks ---------------------------------------------
+    def idle_peers(self) -> int:
+        """Open connections with no run queued: who could still send one.
+
+        The line loop reads a connection's next line only after its last
+        run was answered, so each queued run pins one connection, and
+        while a window is open every unanswered run is queued (the
+        batcher executes nothing meanwhile).  The difference is a hard
+        upper bound on the runs existing peers can add to the window; a
+        peer whose reply was just resolved counts as able to send —
+        its next request is one round trip away.
+        """
+        return self.open_connections - len(self.queue)
+
     def note_completed(self, *, latency_s: float, batch_size: int) -> None:
         self._completed(latency_s)
 
-    def note_batch(self, size: int) -> None:
+    def note_batch(self, size: int, closed_by: str) -> None:
         if size:
             self.batches.record(size)
+            self.closed_by.bump(closed_by)
 
     def note_expired(self) -> None:
         self.counters.bump("deadline_expired")
@@ -233,7 +257,10 @@ class SimulationService(Endpoint):
             "queue": {**self.queue_depth.snapshot(), "limit": self.queue.limit},
             "in_flight": self.batcher.in_flight,
             "counters": self.counters.snapshot(),
-            "batches": self.batches.snapshot(),
+            "batches": {
+                **self.batches.snapshot(),
+                "closed_by": self.closed_by.snapshot(),
+            },
             "latency_ms": self.latency.summary(),
             "exec": self.backend.stats_snapshot(),
         }

@@ -172,3 +172,66 @@ def test_worker_sigkill_mid_run_loses_no_accepted_request():
 
     assert follow_up["ok"] == 12, follow_up["statuses"]
     assert follow_up["bit_exact"] is True, follow_up["mismatches"]
+
+
+def test_one_client_never_waits_out_a_worker_window(monkeypatch):
+    """The idle-aware window holds through the router, surplus or not.
+
+    The worker's window is far longer than the test, so any window that
+    waits fails the ``wait_for``; the asserts are on ``closed_by`` counts
+    and pool contents, never on wall-clock.  Part 1: one closed-loop
+    client uses one pooled connection, the worker's only peer.  Part 2:
+    a burst leaves surplus pooled connections — idle peers the worker
+    would wait for — and the next acquire reaps them.
+    """
+    from repro.cluster import router as router_mod
+    from repro.service import ServiceConfig
+
+    def spec(repeat):
+        return {
+            "workload": "chain-bundle",
+            "workload_params": WORKLOAD_PARAMS,
+            "B": 2,
+            "repeat": repeat,
+        }
+
+    async def drive():
+        worker = ServiceConfig(workers=1, max_wait_ms=60_000.0)
+        async with cluster(workers=1, worker=worker) as router:
+            async with await ServiceClient.connect(
+                "127.0.0.1", router.port
+            ) as client:
+                replies = [await client.run_trial(spec(r)) for r in range(4)]
+                first = await router.stats()
+
+                # A burst's worth of pooled connections, newest last.
+                key = (0, router.supervisor.handles[0].generation)
+                held = [await router._acquire(0) for _ in range(3)]
+                for pooled, generation in held:
+                    router._release(0, generation, pooled)
+                newest = router._pool[key][-1][1]
+                reused, generation = await router._acquire(0)
+                router._release(0, generation, reused)
+                pool_after_burst = len(router._pool[key])
+
+                monkeypatch.setattr(router_mod, "POOL_IDLE_S", 0.05)
+                await asyncio.sleep(0.1)
+                replies.append(await client.run_trial(spec(4)))
+                pool_after_reap = len(router._pool[key])
+                second = await router.stats()
+        return replies, first, second, reused is newest, (
+            pool_after_burst,
+            pool_after_reap,
+        )
+
+    replies, first, second, lifo, pools = run_async(drive(), timeout=60)
+    assert [r["status"] for r in replies] == ["ok"] * 5
+    assert [r["batched"] for r in replies] == [1] * 5
+    assert first["workers"][0]["batches"]["closed_by"] == {
+        "full": 0, "idle": 4, "timeout": 0, "drain": 0
+    }
+    assert lifo  # the most recently released connection is reused first
+    assert pools == (3, 1)
+    assert second["workers"][0]["batches"]["closed_by"] == {
+        "full": 0, "idle": 5, "timeout": 0, "drain": 0
+    }

@@ -12,6 +12,7 @@ not change a single answer.
 
 import asyncio
 import contextlib
+import threading
 
 import pytest
 
@@ -296,6 +297,202 @@ def test_responses_carry_protocol_version():
     ok, health = run_async(drive())
     assert ok["v"] == 1
     assert health["v"] == 1
+
+
+# ----------------------------------------------------------------------
+# Idle-aware window: full -> nobody left who could send -> max_wait_ms.
+# Every test asserts on ``closed_by`` counts and batch sizes, never on
+# wall-clock; NEVER_MS turns a window that waits into a test timeout.
+# ----------------------------------------------------------------------
+
+NEVER_MS = 60_000.0
+
+
+def _closed_by(svc):
+    """The non-zero ``batches.closed_by`` counters."""
+    return {k: n for k, n in svc.closed_by.snapshot().items() if n}
+
+
+async def _registered(*clients):
+    """A round trip each: the server-side handlers are counted."""
+    for c in clients:
+        await c.health()
+
+
+def test_lone_closed_loop_client_never_waits_out_the_window():
+    """One connection, one request at a time: nobody else could send."""
+
+    async def drive():
+        async with service(max_wait_ms=NEVER_MS) as svc:
+            async with await ServiceClient.connect("127.0.0.1", svc.port) as c:
+                replies = [await c.run_trial(_spec(repeat=r)) for r in range(5)]
+            stats = await svc.stats()
+        return replies, stats
+
+    replies, stats = run_async(drive(), timeout=30)
+    assert [r["status"] for r in replies] == [STATUS_OK] * 5
+    assert [r["batched"] for r in replies] == [1] * 5
+    assert stats["batches"]["closed_by"] == {
+        "full": 0, "idle": 5, "timeout": 0, "drain": 0
+    }
+    assert stats["batches"]["count"] == 5
+
+
+def test_two_closed_loop_clients_always_coalesce():
+    """The window closes when the second request lands — every round.
+
+    Before the idle condition two closed-loop connections settled into
+    either coalescing (occupancy 2) or alternating (occupancy 1) and
+    stayed there; now the only stable state is the coalescing one,
+    whatever the first exchange looked like.
+    """
+
+    async def drive():
+        async with service(max_wait_ms=NEVER_MS) as svc:
+            a = await ServiceClient.connect("127.0.0.1", svc.port)
+            b = await ServiceClient.connect("127.0.0.1", svc.port)
+            try:
+                await _registered(a, b)
+
+                async def closed_loop(client, offset):
+                    return [
+                        (await client.run_trial(_spec(repeat=offset + r)))["batched"]
+                        for r in range(51)
+                    ]
+
+                sizes = await asyncio.gather(
+                    closed_loop(a, 0), closed_loop(b, 100)
+                )
+            finally:
+                await a.close()
+                await b.close()
+            return sizes, _closed_by(svc)
+
+    (sizes_a, sizes_b), closed_by = run_async(drive(), timeout=60)
+    assert sizes_a[1:] == [2] * 50
+    assert sizes_b[1:] == [2] * 50
+    assert set(closed_by) == {"idle"}
+
+
+def test_alternating_clients_converge_to_coalescing():
+    """Start in the old 'alternating' regime; one round later it is gone.
+
+    ``a``'s run executes alone (``b`` not yet connected); ``b``'s lands
+    while it computes.  When ``a`` resolves, ``a`` is a peer that can
+    send again, so ``b``'s window waits for it instead of alternating.
+    """
+
+    async def drive():
+        async with service(max_wait_ms=NEVER_MS) as svc:
+            # Hold the first batch in the backend until b's run is queued.
+            gate = threading.Event()
+            run = svc.backend.run
+            svc.backend.run = lambda fn, items: gate.wait(20) and run(fn, items)
+            a = await ServiceClient.connect("127.0.0.1", svc.port)
+            try:
+                first = asyncio.create_task(a.run_trial(_spec(repeat=0)))
+                while not svc.batcher.in_flight:
+                    await asyncio.sleep(0.001)
+                b = await ServiceClient.connect("127.0.0.1", svc.port)
+                try:
+                    queued = asyncio.create_task(b.run_trial(_spec(repeat=1)))
+                    await _wait_for_depth(svc, 1)
+                    gate.set()
+                    solo = await first
+                    follow = await a.run_trial(_spec(repeat=2))
+                    joined = await queued
+                finally:
+                    await b.close()
+            finally:
+                await a.close()
+        return solo, follow, joined
+
+    solo, follow, joined = run_async(drive(), timeout=30)
+    assert solo["batched"] == 1
+    assert follow["batched"] == 2 and joined["batched"] == 2
+
+
+def test_idle_peer_holds_the_window_to_max_wait():
+    """Fallback is the old behaviour: a silent peer might still send."""
+
+    async def drive():
+        async with service(max_wait_ms=20.0) as svc:
+            c = await ServiceClient.connect("127.0.0.1", svc.port)
+            idle = await ServiceClient.connect("127.0.0.1", svc.port)
+            try:
+                await _registered(c, idle)
+                replies = [await c.run_trial(_spec(repeat=r)) for r in range(3)]
+            finally:
+                await c.close()
+                await idle.close()
+            return replies, _closed_by(svc)
+
+    replies, closed_by = run_async(drive(), timeout=30)
+    assert [r["batched"] for r in replies] == [1] * 3
+    assert closed_by == {"timeout": 3}
+
+
+def test_idle_peer_disconnecting_mid_window_dispatches_at_once():
+    async def drive():
+        async with service(max_wait_ms=NEVER_MS) as svc:
+            c = await ServiceClient.connect("127.0.0.1", svc.port)
+            idle = await ServiceClient.connect("127.0.0.1", svc.port)
+            try:
+                await _registered(c, idle)
+                pending = asyncio.create_task(c.run_trial(_spec()))
+                await _wait_for_depth(svc, 1)
+                await asyncio.sleep(0.05)
+                held = len(svc.queue), svc.batches.count
+                await idle.close()
+                reply = await pending
+            finally:
+                await c.close()
+            return held, reply, _closed_by(svc)
+
+    held, reply, closed_by = run_async(drive(), timeout=30)
+    assert held == (1, 0)  # the idle peer really held the window open
+    assert reply["status"] == STATUS_OK and reply["batched"] == 1
+    assert closed_by == {"idle": 1}
+
+
+def test_admission_on_another_key_wakes_the_window():
+    """The last idle peer sending *anything* closes the window.
+
+    Its run is incompatible (another simulator, another batch), but it
+    is no longer a peer that could join, so the first window closes
+    ``idle`` on its admission — not on a compatible arrival.
+    """
+
+    async def drive():
+        other = TrialSpec.make(
+            "chain-bundle",
+            "store_forward",
+            B=2,
+            workload_params=WORKLOAD_PARAMS,
+            message_length=8,
+        )
+        async with service(max_wait_ms=NEVER_MS) as svc:
+            a = await ServiceClient.connect("127.0.0.1", svc.port)
+            b = await ServiceClient.connect("127.0.0.1", svc.port)
+            try:
+                await _registered(a, b)
+                held = asyncio.create_task(a.run_trial(_spec()))
+                await _wait_for_depth(svc, 1)
+                late = asyncio.create_task(b.run_trial(other))
+                replies = [await held]
+                # ``a`` is answered, so it could send again: ``b``'s
+                # window holds for it until it hangs up.
+                await a.close()
+                replies.append(await late)
+            finally:
+                await a.close()
+                await b.close()
+            return replies, _closed_by(svc)
+
+    replies, closed_by = run_async(drive(), timeout=30)
+    assert [r["status"] for r in replies] == [STATUS_OK] * 2
+    assert [r["batched"] for r in replies] == [1, 1]
+    assert closed_by == {"idle": 2}
 
 
 class TestProcessBackendService:
