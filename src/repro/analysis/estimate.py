@@ -65,6 +65,7 @@ from typing import Any
 import numpy as np
 
 from ..network.graph import NetworkError
+from ..sim.batch import LOCKSTEP_MODELS
 
 __all__ = [
     "ESTIMATABLE_MODELS",
@@ -77,13 +78,7 @@ __all__ = [
 
 #: Simulator names with a closed-form envelope.  ``adaptive`` yields an
 #: upper bound only (its routes are chosen online).
-ESTIMATABLE_MODELS = (
-    "wormhole",
-    "cut_through",
-    "store_forward",
-    "restricted",
-    "adaptive",
-)
+ESTIMATABLE_MODELS = tuple(LOCKSTEP_MODELS)
 
 
 class EstimateError(NetworkError):
@@ -262,22 +257,6 @@ def estimate_paths(
     )
 
 
-def _cube_distances(cube: Any, demands: Sequence[tuple[int, int]]) -> list[int]:
-    """Minimal hop counts of mesh demands (the adaptive router's routes
-    are minimal, so these are exact per-message path lengths)."""
-    dists = []
-    for src, dst in demands:
-        a, b = cube.coords(int(src)), cube.coords(int(dst))
-        d = 0
-        for x, y in zip(a, b):
-            step = abs(x - y)
-            if getattr(cube, "wrap", False):
-                step = min(step, cube.k - step)
-            d += step
-        dists.append(d)
-    return dists
-
-
 def estimate_workload(
     workload: Any,
     model: str,
@@ -297,7 +276,9 @@ def estimate_workload(
             model,
             message_length=L,
             B=B,
-            path_lengths=_cube_distances(workload.cube, workload.demands),
+            # The adaptive router's routes are minimal, so the mesh
+            # distances are the exact per-message path lengths.
+            path_lengths=workload.cube.distances(workload.demands),
             release_times=release_times,
         )
     if workload.paths is None:

@@ -1058,11 +1058,11 @@ def _sweep_dry_run(specs, root_seed, batch_size, cache_dir, force) -> None:
     )
     batches = singles = 0
     by_model: dict[str, list[int]] = {}
-    for n, (unit, idxs) in enumerate(units):
-        kind = unit[0]
+    for n, (_, idxs) in enumerate(units):
+        lockstep = len(idxs) > 1
         spec0 = specs[idxs[0]]
         counts = by_model.setdefault(spec0.simulator, [0, 0])
-        if kind == "batch":
+        if lockstep:
             batches += 1
             counts[0] += 1
         else:
@@ -1071,7 +1071,7 @@ def _sweep_dry_run(specs, root_seed, batch_size, cache_dir, force) -> None:
         table.add_row(
             [
                 n,
-                "lockstep" if kind == "batch" else "single",
+                "lockstep" if lockstep else "single",
                 spec0.simulator,
                 spec0.workload,
                 len(idxs),

@@ -89,6 +89,18 @@ class KAryNCube:
             out.append(c)
         return tuple(reversed(out))
 
+    def distances(self, demands) -> list[int]:
+        """Minimal hop count of each ``(source, destination)`` demand —
+        the Manhattan distance, taking the shorter way round on a torus."""
+        dists = []
+        for src, dst in demands:
+            d = 0
+            for x, y in zip(self.coords(int(src)), self.coords(int(dst))):
+                step = abs(x - y)
+                d += min(step, self.k - step) if self.wrap else step
+            dists.append(d)
+        return dists
+
     @staticmethod
     def _with(coords: tuple[int, ...], dim: int, value: int) -> tuple[int, ...]:
         lst = list(coords)

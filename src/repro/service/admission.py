@@ -43,7 +43,6 @@ class PendingRequest:
 
     request: RunRequest
     key: tuple
-    batchable: bool
     enqueued_at: float
     expires_at: float | None
     future: "asyncio.Future[dict[str, Any]]" = field(repr=False, default=None)

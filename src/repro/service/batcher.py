@@ -66,7 +66,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..sim.batch import batch_compat_key
-from ..sim.sweep import TrialSpec, execute_compatible
+from ..sim.sweep import execute_compatible
 from .admission import AdmissionQueue, PendingRequest
 from .protocol import error_response, expired_response, ok_response
 
@@ -134,11 +134,6 @@ class DynamicBatcher:
         self._draining = False
         self.in_flight = 0
         self.batches_executed = 0
-
-    @staticmethod
-    def compat_key(spec: TrialSpec) -> tuple:
-        """The batch-compatibility key (shared with the sweep packer)."""
-        return batch_compat_key(spec)
 
     def begin_drain(self) -> None:
         """Stop after the queue empties; wake the loop if it's waiting."""

@@ -34,7 +34,6 @@ from .protocol import (
     RunRequest,
     decode_message,
     encode_message,
-    spec_payload,
 )
 
 __all__ = [
@@ -200,12 +199,6 @@ class ServiceClient:
 
     async def shutdown(self) -> dict[str, Any]:
         return await self.request({"op": "shutdown", "id": "shutdown"})
-
-
-# The wire-format spec builder now lives with the rest of the schema in
-# ``repro.service.protocol``; this alias keeps the historical private
-# import path (e.g. older embedding code) working.
-_spec_payload = spec_payload
 
 
 # ----------------------------------------------------------------------

@@ -219,7 +219,6 @@ class SimulationService(Endpoint):
         pending = PendingRequest(
             request=request,
             key=batch_compat_key(request.spec),
-            batchable=True,
             enqueued_at=now,
             expires_at=(
                 None

@@ -43,6 +43,7 @@ import numpy as np
 from ..network.mesh import KAryNCube
 from ..telemetry.probe import Probe, ProbeSet
 from . import batch
+from .kernels import check_mesh
 from .stats import AdaptiveRunResult
 
 __all__ = ["AdaptiveMeshRouter", "AdaptiveRunResult"]
@@ -72,7 +73,7 @@ class AdaptiveMeshRouter:
         policy: str = "west-first",
         seed: int | None = 0,
     ) -> None:
-        batch.check_mesh(cube)
+        check_mesh(cube)
         batch.LOCKSTEP_MODELS["adaptive"].check(num_virtual_channels, policy)
         self.cube = cube
         self.net = cube.network

@@ -1,4 +1,4 @@
-"""Lockstep drivers and the model table: the one way a trial runs.
+"""The lockstep driver and the model table: the one way a trial runs.
 
 Every sweep in this repository (E1/E2/E5, ``repro sweep``) runs many
 *independent* trials over the same workload — one per ``(B, seed)``
@@ -6,11 +6,11 @@ grid cell — and each trial's engine state is nothing but flat integer
 arrays per message.  This module stacks ``T`` such trials into
 ``(T, M)`` state arrays and steps them in lockstep, for **every** router
 model, and it is also how a *single* trial runs: the simulator classes
-(:class:`~repro.sim.wormhole.WormholeSimulator`, ...) call their driver
-with one seed.
+(:class:`~repro.sim.wormhole.WormholeSimulator`, ...) call their entry
+point with one seed.
 
 ======================  =============================================
-driver                  ``T = 1`` front end
+typed entry point       ``T = 1`` front end
 ======================  =============================================
 :func:`run_wormhole_batch`       :class:`~repro.sim.wormhole.WormholeSimulator`
 :func:`run_cut_through_batch`    :class:`~repro.sim.cut_through.CutThroughSimulator`
@@ -19,10 +19,12 @@ driver                  ``T = 1`` front end
 :func:`run_adaptive_batch`       :class:`~repro.sim.adaptive.AdaptiveMeshRouter`
 ======================  =============================================
 
-Each driver validates its inputs through one shared prologue (the only
-input validation any path performs), builds the matching
-:mod:`repro.sim.kernels` kernel at ``T`` trials and steps a
-:class:`~repro.sim.engine.BatchStepLoop`:
+Each ``run_<model>_batch`` is a signature, a docstring and one call of
+:func:`_drive`, the single driver body: the shared prologue
+(:func:`_begin`) and the model's ``Kernel.pack`` are the only input
+validation any path performs, then the matching :mod:`repro.sim.kernels`
+kernel is built at ``T`` trials over a
+:class:`~repro.sim.engine.BatchStepLoop` and stepped:
 
 * one vectorized contend/rank/grant arbitration per step over the
   combined ``(trial, slot)`` key space
@@ -33,11 +35,12 @@ input validation any path performs), builds the matching
   stalling the batch.
 
 :data:`LOCKSTEP_MODELS` is the model table: one :class:`ModelSpec` row
-per buffer model (driver, per-trial knob keyword, arbitration option and
-its default, problem kind, telemetry capability, step-cap rule), and
-:func:`run_model` is the one dispatch over it — the sweep runner, the
-service batcher and :func:`repro.simulate` all reach a model through it,
-so a new buffer model is one kernel class, one driver and one row.
+per buffer model (kernel class, per-trial knob keyword, arbitration
+option and its default, problem kind, telemetry capability, step-cap
+rule), and :func:`run_model` is the one dispatch over it — the sweep
+runner, the service batcher and :func:`repro.simulate` all reach a model
+through it, so a new buffer model is one kernel class and one row;
+``run_<model>_batch`` is its typed name.
 
 Bit-exactness contract
 ----------------------
@@ -83,14 +86,14 @@ from ..network.graph import Network, NetworkError
 from ..network.mesh import KAryNCube
 from ..routing.paths import Path
 from ..telemetry.probe import Probe, ProbeSet, RunMeta
-from .engine import BatchStepLoop, PaddedPaths, pad_paths
+from .engine import BatchStepLoop, PaddedPaths
 from .kernels import (
     AdaptiveKernel,
     CutThroughKernel,
+    Packed,
     RestrictedKernel,
     StoreForwardKernel,
     WormholeKernel,
-    validate_vc_ids,
 )
 from .stats import AdaptiveRunResult, SimulationResult
 
@@ -107,12 +110,6 @@ __all__ = [
     "run_store_forward_batch",
     "run_wormhole_batch",
 ]
-
-_EDGE_SIMPLE_WHAT = (
-    "path of message {m} is not edge-simple; a worm cannot "
-    "hold two virtual channels on one edge"
-)
-
 
 # ----------------------------------------------------------------------
 # Per-model step caps.  Each bound is generous enough that any *live*
@@ -168,7 +165,11 @@ class ModelSpec:
     Attributes
     ----------
     name:
-        The model name; its driver is ``run_<name>_batch``.
+        The model name; ``run_<name>_batch`` is its typed entry point.
+    kernel:
+        The :mod:`repro.sim.kernels` class holding the buffer semantics:
+        ``pack`` (problem validation and packing), the constructor and
+        the per-step ``body``.
     knob:
         Driver keyword of the per-trial ``B`` axis (virtual channels,
         buffer flits, bandwidth, buffer slots) — the one parameter every
@@ -192,6 +193,7 @@ class ModelSpec:
     """
 
     name: str
+    kernel: type
     knob: str
     knob_error: str
     step_cap: Callable[..., Any]
@@ -224,6 +226,7 @@ LOCKSTEP_MODELS: dict[str, ModelSpec] = {
     for spec in (
         ModelSpec(
             "wormhole",
+            WormholeKernel,
             knob="num_virtual_channels",
             knob_error="need at least one virtual channel",
             step_cap=_wormhole_cap,
@@ -233,6 +236,7 @@ LOCKSTEP_MODELS: dict[str, ModelSpec] = {
         ),
         ModelSpec(
             "cut_through",
+            CutThroughKernel,
             knob="buffer_flits",
             knob_error="buffer must hold at least one flit",
             step_cap=_cut_through_cap,
@@ -241,6 +245,7 @@ LOCKSTEP_MODELS: dict[str, ModelSpec] = {
         ),
         ModelSpec(
             "store_forward",
+            StoreForwardKernel,
             knob="bandwidth_flits_per_step",
             knob_error="bandwidth must be >= 1 flit per step",
             step_cap=_store_forward_cap,
@@ -249,6 +254,7 @@ LOCKSTEP_MODELS: dict[str, ModelSpec] = {
         ),
         ModelSpec(
             "restricted",
+            RestrictedKernel,
             knob="num_buffers",
             knob_error="need at least one buffer slot per edge",
             step_cap=_restricted_cap,
@@ -257,6 +263,7 @@ LOCKSTEP_MODELS: dict[str, ModelSpec] = {
         ),
         ModelSpec(
             "adaptive",
+            AdaptiveKernel,
             knob="num_virtual_channels",
             knob_error="need at least one virtual channel",
             step_cap=_adaptive_cap,
@@ -378,24 +385,25 @@ def run_model(
 
 
 # ----------------------------------------------------------------------
-# The shared prologue: the only input validation any path performs.
+# The one driver body.
 # ----------------------------------------------------------------------
 
 
-def _begin(model: str, seeds, knob, option, telemetry):
+def _begin(spec: ModelSpec, seeds, knob, option, telemetry):
     """Per-trial generators, the per-trial knob array, the probe set."""
-    spec = LOCKSTEP_MODELS[model]
     seeds = list(seeds)
     if not seeds:
         raise NetworkError(
             "seeds is empty: a batch needs at least one trial "
-            f"(run_{model}_batch simulates one trial per seed)"
+            f"(run_{spec.name}_batch simulates one trial per seed)"
         )
     rngs = [np.random.default_rng(s) for s in seeds]
     B = _per_trial(knob, len(rngs), spec.knob)
     spec.check(B, option)
     if telemetry is not None and not spec.telemetry:
-        raise NetworkError(f"model {model!r} does not support telemetry probes")
+        raise NetworkError(
+            f"model {spec.name!r} does not support telemetry probes"
+        )
     return rngs, B, ProbeSet.coerce(telemetry)
 
 
@@ -412,109 +420,89 @@ def _per_trial(value, T: int, name: str) -> np.ndarray:
     return arr.copy()
 
 
-def _shared_lengths(message_length, M: int) -> np.ndarray:
-    """Per-message ``L`` (scalar or ``(M,)``), shared by all trials."""
-    try:
-        L = np.broadcast_to(
-            np.asarray(message_length, dtype=np.int64), (M,)
-        ).copy()
-    except ValueError:
-        raise NetworkError(
-            f"message_length must be a scalar or have shape ({M},), got "
-            f"shape {np.asarray(message_length).shape}"
-        ) from None
-    if M and L.min() < 1:
-        raise NetworkError("message length L must be >= 1")
-    return L
-
-
-def _scalar_length(message_length) -> int:
-    """One ``L`` for every message (whole-message / mesh models)."""
-    L = np.asarray(message_length)
-    if L.ndim != 0:
-        raise NetworkError(
-            f"message_length must be a scalar for this model, got shape "
-            f"{L.shape}"
-        )
-    if L < 1:
-        raise NetworkError("message length L must be >= 1")
-    return int(L)
-
-
-def _shared_release(release_times, M: int) -> np.ndarray:
-    """Per-message release times shared by all trials."""
-    release = (
-        np.zeros(M, dtype=np.int64)
-        if release_times is None
-        else np.asarray(release_times, dtype=np.int64).copy()
-    )
-    if release.shape != (M,):
-        raise NetworkError(
-            f"release_times must have shape ({M},), got shape {release.shape}"
-        )
-    if M and release.min() < 0:
-        raise NetworkError("release times must be >= 0")
-    return release
-
-
-def _pack_routes(paths, message_length, release_times, what: str | None = None):
-    """Pack and validate a slot-holding model's shared routes."""
-    pp = PaddedPaths.from_paths(paths)
-    L = _shared_lengths(message_length, pp.num_messages)
-    pp.require_edge_simple(what)
-    release = _shared_release(release_times, pp.num_messages)
-    return pp.padded, pp.lengths, L, release
-
-
 def _start(
-    model: str,
-    rngs: list,
-    probes,
-    release: np.ndarray,
-    lengths: np.ndarray,
-    message_length,
-    max_steps: int | None,
-    meta: dict[str, Any],
-    **loop_options,
+    model: str, T: int, probes, packed: Packed, max_steps: int | None
 ) -> BatchStepLoop:
     """Open the step loop (caps resolved) and announce the run to probes.
 
-    ``meta`` carries the model-specific :class:`RunMeta` fields
-    (``num_edges``, ``num_virtual_channels``, ``paths``, ``extra``);
-    with no message to route the loop is born finished and
+    With no message to route the loop is born finished and
     ``loop.run(None)`` yields the empty results.
     """
+    release, lengths, L = packed.release, packed.lengths, packed.message_length
     M = int(lengths.size)
     caps = (
         resolve_step_cap(
-            max_steps,
-            model,
-            release=release,
-            lengths=lengths,
-            message_length=message_length,
+            max_steps, model, release=release, lengths=lengths, message_length=L
         )
         if M
         else 0
     )
-    loop = BatchStepLoop(len(rngs), M, release, caps, probes=probes, **loop_options)
+    loop = BatchStepLoop(
+        T, M, release, caps, probes=probes, **packed.loop_options
+    )
     if probes is not None:
         probes.on_run_start(
             RunMeta(
                 simulator=model,
                 num_messages=M,
+                num_edges=packed.num_edges,
+                num_virtual_channels=packed.num_virtual_channels,
+                paths=packed.padded,
                 lengths=lengths,
                 message_length=np.broadcast_to(
-                    np.asarray(message_length, dtype=np.int64), (M,)
+                    np.asarray(L, dtype=np.int64), (M,)
                 ).copy(),
                 release=release if release.ndim == 1 else release[0],
-                **meta,
+                extra=dict(packed.extra),
             )
         )
     return loop
 
 
+def _drive(
+    model: str,
+    problem,
+    routes,
+    message_length,
+    *,
+    seeds,
+    knob,
+    option=None,
+    release_times,
+    max_steps,
+    telemetry,
+    **own,
+) -> list:
+    """The body of every ``run_<model>_batch``: validate, pack, open, step.
+
+    ``(problem, routes)`` is ``(net, paths)`` or ``(cube, demands)``,
+    ``knob`` / ``option`` are the model's ``B`` axis and arbitration
+    choice under their table-neutral names, and ``own`` carries the
+    keywords only this model's ``pack`` takes.
+    """
+    spec = LOCKSTEP_MODELS[model]
+    rngs, B, probes = _begin(spec, seeds, knob, option, telemetry)
+    packed = spec.kernel.pack(
+        problem, routes, message_length, release_times,
+        B=B, option=option, rngs=rngs, **own,
+    )
+    loop = _start(model, len(rngs), probes, packed, max_steps)
+    kernel = None
+    if loop.M:  # else the loop is born finished: nothing to build or step
+        loop.mark_trivial(
+            packed.lengths == 0, loop.release * loop.time_scale[:, None]
+        )
+        kernel = spec.kernel(loop, packed, B=B, option=option, rngs=rngs)
+    body = kernel.body if kernel else None
+    extra_factory = kernel.extra_factory if kernel else None
+    return spec.kernel.finish(loop.run(body, extra_factory), kernel)
+
+
 # ----------------------------------------------------------------------
-# Wormhole (Section 1.1: B virtual channels per edge).
+# The typed entry points, in paper order: Section 1.1's B virtual
+# channels, Section 1.4's B-flit cut-through buffer, Section 1's
+# store-and-forward, the Section 1.4 Remarks' restricted multiplexing,
+# and Section 1.3.4's adaptive category.
 # ----------------------------------------------------------------------
 
 
@@ -568,46 +556,12 @@ def run_wormhole_batch(
     list[SimulationResult]
         Per-trial results, each bit-identical to that trial run alone.
     """
-    rngs, B, probes = _begin(
-        "wormhole", seeds, num_virtual_channels, priority, telemetry
+    return _drive(
+        "wormhole", net, paths, message_length,
+        seeds=seeds, knob=num_virtual_channels, option=priority,
+        release_times=release_times, max_steps=max_steps,
+        telemetry=telemetry, vc_ids=vc_ids,
     )
-    padded, D, L, release = _pack_routes(
-        paths, message_length, release_times, _EDGE_SIMPLE_WHAT
-    )
-    vc_padded = (
-        None
-        if vc_ids is None
-        else validate_vc_ids(padded, D, vc_ids, int(B.min()))
-    )
-    loop = _start(
-        "wormhole", rngs, probes, release, D, L, max_steps,
-        {
-            "num_edges": net.num_edges,
-            "num_virtual_channels": int(B[0]),
-            "paths": padded,
-        },
-    )
-    if not loop.M:
-        return loop.run(None)
-    loop.mark_trivial(D == 0, release)
-    kernel = WormholeKernel(
-        loop,
-        num_edges=net.num_edges,
-        padded=padded,
-        lengths=D,
-        message_length=L,
-        release=release,
-        capacities=B,
-        priority=priority,
-        rngs=rngs,
-        vc_padded=vc_padded,
-    )
-    return loop.run(kernel.body)
-
-
-# ----------------------------------------------------------------------
-# Virtual cut-through (Section 1.4: B flits of one message per edge).
-# ----------------------------------------------------------------------
 
 
 def run_cut_through_batch(
@@ -627,38 +581,12 @@ def run_cut_through_batch(
     grants are edge-ownership claims (each implying the owning message's
     ``L`` flits will stream across the edge); releases fire when
     ownership is surrendered."""
-    rngs, B, probes = _begin(
-        "cut_through", seeds, buffer_flits, priority, telemetry
+    return _drive(
+        "cut_through", net, paths, message_length,
+        seeds=seeds, knob=buffer_flits, option=priority,
+        release_times=release_times, max_steps=max_steps,
+        telemetry=telemetry,
     )
-    padded, D, L, release = _pack_routes(paths, message_length, release_times)
-    loop = _start(
-        "cut_through", rngs, probes, release, D, L, max_steps,
-        {
-            "num_edges": net.num_edges,
-            "num_virtual_channels": 1,
-            "paths": padded,
-            "extra": {"flits_per_grant": L},
-        },
-    )
-    if not loop.M:
-        return loop.run(None)
-    loop.mark_trivial(D == 0, release)
-    kernel = CutThroughKernel(
-        loop,
-        num_edges=net.num_edges,
-        padded=padded,
-        lengths=D,
-        message_length=L,
-        buffer_flits=B,
-        priority=priority,
-        rngs=rngs,
-    )
-    return loop.run(kernel.body)
-
-
-# ----------------------------------------------------------------------
-# Store-and-forward (Section 1: whole-message hops).
-# ----------------------------------------------------------------------
 
 
 def run_store_forward_batch(
@@ -681,63 +609,12 @@ def run_store_forward_batch(
     Probe events use message steps as the time axis
     (``meta.extra["flit_steps_per_step"]`` converts); each grant means
     the whole ``L``-flit message crosses the edge this step."""
-    rngs, BW, probes = _begin(
-        "store_forward", seeds, bandwidth_flits_per_step, priority, telemetry
+    return _drive(
+        "store_forward", net, paths, message_length,
+        seeds=seeds, knob=bandwidth_flits_per_step, option=priority,
+        release_times=release_times, max_steps=max_steps,
+        telemetry=telemetry, delay_range=delay_range,
     )
-    L = _scalar_length(message_length)
-    # Deliberately no edge-simplicity check: see the store_forward
-    # module docstring (an edge is held only within the step it
-    # transmits, so repeated edges just queue twice).
-    padded, D = pad_paths(paths)
-    M = int(D.size)
-    hop = -(-L // BW)  # per-trial ceil(L / B) flit steps per message step
-    # Releases in per-trial message steps, rounded up to a boundary.
-    release = -(-_shared_release(release_times, M)[None, :] // hop[:, None])
-    if delay_range > 0:
-        release = release + np.stack(
-            [rng.integers(0, delay_range, size=M) for rng in rngs]
-        )
-    # Greedy store-and-forward cannot deadlock: every contended edge
-    # forwards one message per step, so progress is unconditional.
-    loop = _start(
-        "store_forward", rngs, probes, release, D, L, max_steps,
-        {
-            "num_edges": net.num_edges,
-            "num_virtual_channels": 1,
-            "paths": padded,
-            "extra": {
-                "flits_per_grant": L,
-                "flit_steps_per_step": int(hop[0]),
-            },
-        },
-        detect_deadlock=False,
-        time_scale=hop,
-    )
-    if not M:
-        return loop.run(None)
-    loop.mark_trivial(D == 0, release * hop[:, None])
-    kernel = StoreForwardKernel(
-        loop,
-        num_edges=net.num_edges,
-        padded=padded,
-        lengths=D,
-        release=release,
-        hop=hop,
-        priority=priority,
-        rngs=rngs,
-    )
-    return loop.run(
-        kernel.body,
-        lambda i: {
-            "max_queue": int(kernel.max_queue[i]),
-            "message_step_flits": int(hop[i]),
-        },
-    )
-
-
-# ----------------------------------------------------------------------
-# Restricted multiplexing (Section 1.4 Remarks: buffers without wires).
-# ----------------------------------------------------------------------
 
 
 def run_restricted_batch(
@@ -755,33 +632,12 @@ def run_restricted_batch(
     .RestrictedWormholeSimulator` trials — one per seed, with per-trial
     buffer counts ``B``.  The kernel has no telemetry hooks, so any
     probe is rejected."""
-    rngs, B, probes = _begin("restricted", seeds, num_buffers, None, telemetry)
-    padded, D, L, release = _pack_routes(paths, message_length, release_times)
-    loop = _start("restricted", rngs, probes, release, D, L, max_steps, {})
-    if not loop.M:
-        return loop.run(None)
-    loop.mark_trivial(D == 0, release)
-    kernel = RestrictedKernel(
-        loop,
-        num_edges=net.num_edges,
-        padded=padded,
-        lengths=D,
-        message_length=L,
-        capacities=B,
-        rngs=rngs,
+    return _drive(
+        "restricted", net, paths, message_length,
+        seeds=seeds, knob=num_buffers,
+        release_times=release_times, max_steps=max_steps,
+        telemetry=telemetry,
     )
-    return loop.run(kernel.body)
-
-
-# ----------------------------------------------------------------------
-# Adaptive mesh routing (Section 1.3.4's category).
-# ----------------------------------------------------------------------
-
-
-def check_mesh(cube: KAryNCube) -> None:
-    """Turn models are stated for 2-D meshes without wraparound."""
-    if cube.n != 2 or cube.wrap:
-        raise NetworkError("adaptive routing is implemented for 2-D meshes")
 
 
 def run_adaptive_batch(
@@ -802,44 +658,9 @@ def run_adaptive_batch(
     adaptively chosen routes stay inspectable.  Because routes are
     chosen online, probes see ``meta.paths = None``; a blocked head
     reports the first edge its policy allowed as the edge it wanted."""
-    rngs, B, probes = _begin(
-        "adaptive", seeds, num_virtual_channels, policy, telemetry
+    return _drive(
+        "adaptive", cube, demands, message_length,
+        seeds=seeds, knob=num_virtual_channels, option=policy,
+        release_times=release_times, max_steps=max_steps,
+        telemetry=telemetry,
     )
-    check_mesh(cube)
-    L = _scalar_length(message_length)
-    M = len(demands)
-    release = _shared_release(release_times, M)
-    # Minimal routes all have the Manhattan length.
-    dists = np.asarray(
-        [
-            sum(abs(a - b) for a, b in zip(cube.coords(s), cube.coords(d)))
-            for s, d in demands
-        ],
-        dtype=np.int64,
-    )
-    loop = _start(
-        "adaptive", rngs, probes, release, dists, L, max_steps,
-        {
-            "num_edges": cube.network.num_edges,
-            "num_virtual_channels": int(B[0]),
-            "paths": None,
-            "extra": {"flits_per_grant": L, "policy": policy},
-        },
-    )
-    if not M:
-        return [AdaptiveRunResult(res, []) for res in loop.run(None)]
-    loop.mark_trivial(dists == 0, release)
-    kernel = AdaptiveKernel(
-        loop,
-        cube=cube,
-        demands=demands,
-        message_length=L,
-        dists=dists,
-        capacities=B,
-        policy=policy,
-        rngs=rngs,
-    )
-    return [
-        AdaptiveRunResult(res, kernel.taken_paths(i))
-        for i, res in enumerate(loop.run(kernel.body))
-    ]

@@ -9,15 +9,21 @@ single-owner edges with ``B``-flit compression for cut-through,
 whole-packet hops for store-and-forward, one-flit-per-edge rotating
 service for the restricted model, and mask-based online route selection
 for adaptive meshes.  This module holds those semantics as five kernel
-classes, each exposing one vectorized ``body(t, active)`` over ``(T, M)``
-state.
+classes with one construction contract (see :class:`_Kernel`): a
+``pack(...)`` classmethod that validates and packs the model's problem
+into a :class:`Packed`, one ``__init__(loop, packed, *, B, option,
+rngs)``, and one vectorized ``body(t, active)`` over ``(T, M)`` state.
+A buffer model is one such class and one
+:data:`repro.sim.batch.LOCKSTEP_MODELS` row; ``run_<model>_batch`` is
+its typed name.
 
-There is one execution path: :mod:`repro.sim.batch` builds the kernel
-over a :class:`~repro.sim.engine.BatchStepLoop` at ``T`` trials and the
-loop steps them in lockstep (one contend/rank/grant call per step over
-the combined ``(trial, slot)`` key space).  The legacy simulator classes
-are the ``T = 1`` case of the same drivers, so there is exactly one
-arbitration implementation per model and one step protocol for all.
+There is one execution path: the driver body in :mod:`repro.sim.batch`
+builds the kernel over a :class:`~repro.sim.engine.BatchStepLoop` at
+``T`` trials and the loop steps them in lockstep (one contend/rank/grant
+call per step over the combined ``(trial, slot)`` key space).  The
+simulator classes are the ``T = 1`` case of the same driver, so there is
+exactly one arbitration implementation per model and one step protocol
+for all.
 
 Bit-exactness contract
 ----------------------
@@ -33,15 +39,19 @@ call for call, in the same order.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from ..network.graph import NetworkError
 from .engine import (
     BatchSlotArbiter,
+    PaddedPaths,
     age_priorities,
     grant_free_slots,
     pad_paths,
 )
+from .stats import AdaptiveRunResult
 
 __all__ = [
     "AdaptiveKernel",
@@ -49,7 +59,6 @@ __all__ = [
     "RestrictedKernel",
     "StoreForwardKernel",
     "WormholeKernel",
-    "validate_vc_ids",
 ]
 
 _FAR = np.iinfo(np.int64).max
@@ -62,19 +71,95 @@ _EMPTY_IDX = np.zeros(0, dtype=np.int64)
 _HDR_BASE = np.int64(1) << 40
 
 
-def validate_vc_ids(
-    padded: np.ndarray, lengths: np.ndarray, vc_ids, b_min: int
-) -> np.ndarray:
-    """Validate and pack per-hop virtual-channel class assignments."""
-    vc_padded, vc_lengths = pad_paths([list(v) for v in vc_ids])
-    if not np.array_equal(vc_lengths, lengths):
-        raise NetworkError("vc_ids must match the path lengths")
-    valid = padded >= 0
-    if valid.any() and (
-        vc_padded[valid].min() < 0 or vc_padded[valid].max() >= b_min
-    ):
-        raise NetworkError(f"vc ids must lie in [0, {b_min})")
-    return vc_padded
+# ----------------------------------------------------------------------
+# Problem packing: the input validation every path performs.
+# ----------------------------------------------------------------------
+
+
+class Packed(SimpleNamespace):
+    """One call's validated, packed problem — what ``pack`` returns.
+
+    The driver reads ``lengths`` (path / Manhattan lengths ``D_m``),
+    ``message_length`` (per-message ``L`` or a scalar), ``release``
+    (``(M,)``, or per-trial ``(T, M)``, in loop steps), ``num_edges``
+    and ``padded`` (the shared route matrix; ``None`` when routes are
+    chosen online), plus the optional fields defaulted below.  Any
+    other attribute is the packing kernel's own.
+    """
+
+    #: :class:`~repro.telemetry.probe.RunMeta` fields probes are told.
+    num_virtual_channels: int = 1
+    extra: dict = {}
+    #: :class:`~repro.sim.engine.BatchStepLoop` keywords.
+    loop_options: dict = {}
+
+
+def _shared_lengths(message_length, M: int) -> np.ndarray:
+    """Per-message ``L`` (scalar or ``(M,)``), shared by all trials."""
+    try:
+        L = np.broadcast_to(
+            np.asarray(message_length, dtype=np.int64), (M,)
+        ).copy()
+    except ValueError:
+        raise NetworkError(
+            f"message_length must be a scalar or have shape ({M},), got "
+            f"shape {np.asarray(message_length).shape}"
+        ) from None
+    if M and L.min() < 1:
+        raise NetworkError("message length L must be >= 1")
+    return L
+
+
+def _scalar_length(message_length) -> int:
+    """One ``L`` for every message (whole-message / mesh models)."""
+    L = np.asarray(message_length)
+    if L.ndim != 0:
+        raise NetworkError(
+            f"message_length must be a scalar for this model, got shape "
+            f"{L.shape}"
+        )
+    if L < 1:
+        raise NetworkError("message length L must be >= 1")
+    return int(L)
+
+
+def _shared_release(release_times, M: int) -> np.ndarray:
+    """Per-message release times shared by all trials."""
+    release = (
+        np.zeros(M, dtype=np.int64)
+        if release_times is None
+        else np.asarray(release_times, dtype=np.int64).copy()
+    )
+    if release.shape != (M,):
+        raise NetworkError(
+            f"release_times must have shape ({M},), got shape {release.shape}"
+        )
+    if M and release.min() < 0:
+        raise NetworkError("release times must be >= 0")
+    return release
+
+
+def _pack_routes(
+    net, paths, message_length, release_times, what: str | None = None
+) -> Packed:
+    """Pack and validate a slot-holding model's shared routes (``what``
+    is the model's own wording of an edge-simplicity violation)."""
+    pp = PaddedPaths.from_paths(paths)
+    L = _shared_lengths(message_length, pp.num_messages)
+    pp.require_edge_simple(what)
+    return Packed(
+        lengths=pp.lengths,
+        message_length=L,
+        release=_shared_release(release_times, pp.num_messages),
+        num_edges=net.num_edges,
+        padded=pp.padded,
+    )
+
+
+def check_mesh(cube) -> None:
+    """Turn models are stated for 2-D meshes without wraparound."""
+    if cube.n != 2 or cube.wrap:
+        raise NetworkError("adaptive routing is implemented for 2-D meshes")
 
 
 class _RandomBlock:
@@ -125,9 +210,46 @@ class _RandomBlock:
 
 
 class _Kernel:
-    """Common kernel plumbing: per-trial random priorities."""
+    """The construction contract every kernel shares, and common plumbing.
+
+    ``pack(problem, routes, message_length, release_times, *, B, option,
+    rngs, **own)`` validates one call's problem and packs it into a
+    :class:`Packed` (setup draws that shape the problem itself are made
+    here, trial by trial); ``__init__(loop, packed, *, B, option, rngs)``
+    then builds the ``(T, M)`` state over the opened loop (setup draws
+    that shape arbitration are made here).  ``B`` is the validated
+    per-trial ``(T,)`` knob array and ``option`` the arbitration choice.
+    """
 
     _rand_block: "_RandomBlock | None" = None
+    #: Optional ``extra_factory(i) -> dict`` for trial ``i``'s result
+    #: ``extra`` (see :meth:`~repro.sim.engine.BatchStepLoop.run`).
+    extra_factory = None
+
+    def __init__(self, loop, packed: Packed, *, B, option, rngs) -> None:
+        self.state = loop
+        self.T, self.M = loop.T, loop.M
+        self.num_edges = int(packed.num_edges)
+        self.padded = packed.padded
+        self.D = packed.lengths
+        self.L = packed.message_length
+        self.B = B
+        self.option = option
+        self.rngs = rngs
+        self.probes = loop.probes
+
+    @classmethod
+    def pack(
+        cls, net, paths, message_length, release_times, *, B, option, rngs
+    ) -> Packed:
+        """Default: shared edge-simple routes, per-message ``L``."""
+        return _pack_routes(net, paths, message_length, release_times)
+
+    @staticmethod
+    def finish(results: list, kernel: "_Kernel | None") -> list:
+        """The driver's return value; ``kernel`` is ``None`` when there
+        was no message to route."""
+        return results
 
     def _random_prio(self, rows: np.ndarray) -> np.ndarray:
         """One uniform priority per contender, in serial draw order.
@@ -161,50 +283,55 @@ class WormholeKernel(_Kernel):
     ``k - L - 1``, and the final edge's slot frees at completion.
     """
 
-    def __init__(
-        self,
-        state,
-        *,
-        num_edges: int,
-        padded: np.ndarray,
-        lengths: np.ndarray,
-        message_length: np.ndarray,
-        release: np.ndarray,
-        capacities: np.ndarray,
-        priority: str,
-        rngs: list,
-        vc_padded: np.ndarray | None = None,
-    ) -> None:
-        T, M = len(rngs), int(lengths.size)
-        self.state = state
-        self.T, self.M = T, M
-        self.padded = padded
-        self.D = lengths
-        self.L = message_length
-        self.B = capacities
-        self.priority = priority
-        self.rngs = rngs
-        self.probes = state.probes
-        self.vc_padded = vc_padded
+    @classmethod
+    def pack(
+        cls, net, paths, message_length, release_times, *, B, option, rngs,
+        vc_ids=None,
+    ) -> Packed:
+        packed = _pack_routes(
+            net, paths, message_length, release_times,
+            "path of message {m} is not edge-simple; a worm cannot "
+            "hold two virtual channels on one edge",
+        )
+        packed.num_virtual_channels = int(B[0])
+        packed.vc_padded = None
+        if vc_ids is not None:
+            # Per-hop virtual-channel classes: one id per path edge,
+            # below every trial's B.
+            vc_padded, vc_lengths = pad_paths([list(v) for v in vc_ids])
+            if not np.array_equal(vc_lengths, packed.lengths):
+                raise NetworkError("vc_ids must match the path lengths")
+            valid, b_min = packed.padded >= 0, int(B.min())
+            if valid.any() and (
+                vc_padded[valid].min() < 0 or vc_padded[valid].max() >= b_min
+            ):
+                raise NetworkError(f"vc ids must lie in [0, {b_min})")
+            packed.vc_padded = vc_padded
+        return packed
+
+    def __init__(self, loop, packed: Packed, *, B, option, rngs) -> None:
+        super().__init__(loop, packed, B=B, option=option, rngs=rngs)
+        T, M = self.T, self.M
+        self.vc_padded = packed.vc_padded
         self._moved = np.zeros(T, dtype=bool)
         # Slot model per trial: without VC classes a slot is an edge with
         # capacity B[i]; with classes, an (edge, class) pair, capacity 1.
-        if vc_padded is None:
+        if self.vc_padded is None:
             self.arbiter = BatchSlotArbiter(
-                np.full(T, num_edges, dtype=np.int64), capacities
+                np.full(T, self.num_edges, dtype=np.int64), B
             )
         else:
             self.arbiter = BatchSlotArbiter(
-                num_edges * capacities, np.ones(T, dtype=np.int64)
+                self.num_edges * B, np.ones(T, dtype=np.int64)
             )
-        self.total_moves = message_length + lengths - 1
+        self.total_moves = self.L + self.D - 1
         self.k = np.zeros((T, M), dtype=np.int64)
         self.age_priority = (
-            age_priorities(release) if priority == "age" else None
+            age_priorities(packed.release) if option == "age" else None
         )
         self.rank_priority = (
             np.stack([rng.permutation(M) for rng in rngs])
-            if priority == "rank"
+            if option == "rank"
             else None
         )
 
@@ -230,11 +357,11 @@ class WormholeKernel(_Kernel):
             ccols = cols[needs_edge]
             hop = k_ac[needs_edge]
             slots = self._slots(crows, ccols, hop)
-            if self.priority == "random":
+            if self.option == "random":
                 prio = self._random_prio(crows)
-            elif self.priority == "age":
+            elif self.option == "age":
                 prio = self.age_priority[ccols]
-            elif self.priority == "rank":
+            elif self.option == "rank":
                 prio = self.rank_priority[crows, ccols]
             else:
                 prio = ccols
@@ -301,29 +428,18 @@ class CutThroughKernel(_Kernel):
     of ``T * M`` tiny ``maxD`` segments.
     """
 
-    def __init__(
-        self,
-        state,
-        *,
-        num_edges: int,
-        padded: np.ndarray,
-        lengths: np.ndarray,
-        message_length: np.ndarray,
-        buffer_flits: np.ndarray,
-        priority: str,
-        rngs: list,
-    ) -> None:
-        T, M = len(rngs), int(lengths.size)
-        self.state = state
-        self.T, self.M = T, M
-        self.num_edges = int(num_edges)
-        self.padded = padded
-        self.D = lengths
-        self.L = message_length
-        self.B = buffer_flits
-        self.priority = priority
-        self.rngs = rngs
-        self.probes = state.probes
+    @classmethod
+    def pack(
+        cls, net, paths, message_length, release_times, *, B, option, rngs
+    ) -> Packed:
+        packed = _pack_routes(net, paths, message_length, release_times)
+        packed.extra = {"flits_per_grant": packed.message_length}
+        return packed
+
+    def __init__(self, loop, packed: Packed, *, B, option, rngs) -> None:
+        super().__init__(loop, packed, B=B, option=option, rngs=rngs)
+        T, M = self.T, self.M
+        num_edges, padded = self.num_edges, self.padded
         self.max_D = int(padded.shape[1])
         maxD = self.max_D
         # The movement phase runs in TAIL-FIRST, SCAN-AXIS-FIRST layout:
@@ -335,16 +451,16 @@ class CutThroughKernel(_Kernel):
         self.crossed = np.zeros((maxD, T, M), dtype=np.int32)
         self.owner = np.full((T, num_edges), -1, dtype=np.int64)
         self.msg_ids = np.arange(M)
-        self.last_idx = np.maximum(lengths - 1, 0)
+        self.last_idx = np.maximum(self.D - 1, 0)
         # Per-trial / per-message constants are pre-broadcast to full
         # (T, M) (or (maxD, T, M)) slabs: a stride-0 axis in the middle
         # of an operand defeats numpy's loop-merging and reintroduces
         # the tiny-segment overhead the layout exists to avoid.
         self.L32 = np.ascontiguousarray(
-            np.broadcast_to(message_length.astype(np.int32)[None, :], (T, M))
+            np.broadcast_to(self.L.astype(np.int32)[None, :], (T, M))
         )
         self.B32 = np.ascontiguousarray(
-            np.broadcast_to(buffer_flits.astype(np.int32)[:, None], (T, M))
+            np.broadcast_to(B.astype(np.int32)[:, None], (T, M))
         )
         # Static per-(message, path-index) tables plus preallocated
         # (max_D, T, M) scratch so the body allocates nothing
@@ -353,7 +469,7 @@ class CutThroughKernel(_Kernel):
         # claim/release/advance events) instead of being re-derived
         # from `owner`/`crossed` every step.
         idx = np.arange(maxD)
-        self.rev_last = maxD - lengths  # r of each message's last edge
+        self.rev_last = maxD - self.D  # r of each message's last edge
         self.is_last_rev = np.ascontiguousarray(
             np.broadcast_to(
                 (idx[:, None, None] == self.rev_last[None, None, :]),
@@ -405,7 +521,7 @@ class CutThroughKernel(_Kernel):
         if claim.any():
             c_t, c_m = np.nonzero(claim)
             c_e = want_edge[c_t, c_m]
-            if self.priority == "random":
+            if self.option == "random":
                 prio = self._random_prio(c_t)
             else:  # "index": claimer-list position, ascending m per trial
                 prio = c_m.astype(np.float64)
@@ -591,43 +707,60 @@ class StoreForwardKernel(_Kernel):
     length ``hop[i] = ceil(L / B[i])`` flit steps.
     """
 
-    def __init__(
-        self,
-        state,
-        *,
-        num_edges: int,
-        padded: np.ndarray,
-        lengths: np.ndarray,
-        release: np.ndarray,
-        hop: np.ndarray,
-        priority: str,
-        rngs: list,
-    ) -> None:
-        T, M = len(rngs), int(lengths.size)
-        self.state = state
-        self.T, self.M = T, M
-        self.num_edges = int(num_edges)
-        self.padded = padded
-        self.D = lengths
-        # Release times in *message steps*, per trial: (T, M) or (M,).
-        self.release = np.broadcast_to(
-            np.asarray(release, dtype=np.int64), (T, M)
+    @classmethod
+    def pack(
+        cls, net, paths, message_length, release_times, *, B, option, rngs,
+        delay_range: int = 0,
+    ) -> Packed:
+        L = _scalar_length(message_length)
+        # Deliberately no edge-simplicity check: see the store_forward
+        # module docstring (an edge is held only within the step it
+        # transmits, so repeated edges just queue twice).
+        padded, D = pad_paths(paths)
+        M = int(D.size)
+        hop = -(-L // B)  # per-trial ceil(L / B) flit steps per message step
+        # Releases in per-trial message steps, rounded up to a boundary.
+        release = -(-_shared_release(release_times, M)[None, :] // hop[:, None])
+        if delay_range > 0:
+            release = release + np.stack(
+                [rng.integers(0, delay_range, size=M) for rng in rngs]
+            )
+        return Packed(
+            lengths=D,
+            message_length=L,
+            release=release,
+            num_edges=net.num_edges,
+            padded=padded,
+            hop=hop,
+            extra={"flits_per_grant": L, "flit_steps_per_step": int(hop[0])},
+            # Greedy store-and-forward cannot deadlock: every contended
+            # edge forwards one message per step, so progress is
+            # unconditional.
+            loop_options={"detect_deadlock": False, "time_scale": hop},
         )
-        self.hop = hop
-        self.priority = priority
-        self.rngs = rngs
-        self.probes = state.probes
-        self.hops_done = np.zeros((T, M), dtype=np.int64)
-        self.max_queue = np.zeros(T, dtype=np.int64)
+
+    def __init__(self, loop, packed: Packed, *, B, option, rngs) -> None:
+        super().__init__(loop, packed, B=B, option=option, rngs=rngs)
+        # Release times in *message steps*, per trial.
+        self.release = loop.release
+        self.hop = packed.hop
+        self.hops_done = np.zeros((self.T, self.M), dtype=np.int64)
+        self.max_queue = np.zeros(self.T, dtype=np.int64)
+
+    def extra_factory(self, i: int) -> dict:
+        return {
+            "max_queue": int(self.max_queue[i]),
+            "message_step_flits": int(self.hop[i]),
+        }
 
     def body(self, t: int, active: np.ndarray) -> np.ndarray:
         D, probes = self.D, self.probes
         rows, cols = np.nonzero(active)
         hd = self.hops_done[rows, cols]
         edges = self.padded[cols, hd]
-        if self.priority == "random":
+        if self.option == "random":
             prio = self._random_prio(rows)
-        elif self.priority == "age":
+        elif self.option == "age":
             prio = self.release[rows, cols].astype(np.float64)
         else:  # farthest to go first
             prio = -(D[cols] - hd).astype(np.float64)
@@ -683,26 +816,10 @@ class RestrictedKernel(_Kernel):
     (extra visits to edges it has no candidates on are no-ops).
     """
 
-    def __init__(
-        self,
-        state,
-        *,
-        num_edges: int,
-        padded: np.ndarray,
-        lengths: np.ndarray,
-        message_length: np.ndarray,
-        capacities: np.ndarray,
-        rngs: list,
-    ) -> None:
-        T, M = len(rngs), int(lengths.size)
-        self.state = state
-        self.T, self.M = T, M
-        self.num_edges = int(num_edges)
-        self.padded = padded
-        self.D = lengths
-        self.L = message_length
-        self.B = capacities
-        self.rngs = rngs
+    def __init__(self, loop, packed: Packed, *, B, option, rngs) -> None:
+        super().__init__(loop, packed, B=B, option=option, rngs=rngs)
+        T, M = self.T, self.M
+        num_edges, padded = self.num_edges, self.padded
         self.max_D = int(padded.shape[1])
         # Flattened (message, path-index) sites, grouped per edge and
         # sorted by message id — edge-simplicity makes each (edge,
@@ -712,7 +829,7 @@ class RestrictedKernel(_Kernel):
         site_e = padded[site_m, site_i]
         self.site_m, self.site_i, self.site_e = site_m, site_i, site_e
         self._site_fi = site_m * self.max_D + site_i
-        self._site_L = message_length[site_m]
+        self._site_L = self.L[site_m]
         order = np.lexsort((site_m, site_e))
         se, sm, si = site_e[order], site_m[order], site_i[order]
         self._all_edges = np.unique(se)
@@ -727,7 +844,7 @@ class RestrictedKernel(_Kernel):
         for e in self._all_edges:
             lo, hi = starts[e], starts[e + 1]
             sm_e, si_e = sm[lo:hi], si[lo:hi]
-            is_last = si_e == lengths[sm_e] - 1
+            is_last = si_e == self.D[sm_e] - 1
             si_next = np.where(is_last, si_e, si_e + 1)
             self._edge_tabs[int(e)] = (
                 sm_e,
@@ -736,7 +853,7 @@ class RestrictedKernel(_Kernel):
                 sm_e * self.max_D + si_next,
                 sm_e * self.max_D + np.maximum(si_e - 1, 0),
                 si_e == 0,
-                message_length[sm_e],
+                self.L[sm_e],
                 is_last,
                 _HDR_BASE + np.arange(sm_e.size),
             )
@@ -914,27 +1031,36 @@ class AdaptiveKernel(_Kernel):
     ``integers(n_free)`` per head with a non-empty free set).
     """
 
-    def __init__(
-        self,
-        state,
-        *,
-        cube,
-        demands,
-        message_length: int,
-        dists: np.ndarray,
-        capacities: np.ndarray,
-        policy: str,
-        rngs: list,
-    ) -> None:
-        T, M = len(rngs), len(demands)
-        self.state = state
-        self.T, self.M = T, M
-        self.L = int(message_length)
-        self.dists = dists
-        self.B = capacities
-        self.policy = policy
-        self.rngs = rngs
-        self.probes = state.probes
+    @classmethod
+    def pack(
+        cls, cube, demands, message_length, release_times, *, B, option, rngs
+    ) -> Packed:
+        check_mesh(cube)
+        L = _scalar_length(message_length)
+        return Packed(
+            # Minimal routes all have the Manhattan length.
+            lengths=np.asarray(cube.distances(demands), dtype=np.int64),
+            message_length=L,
+            release=_shared_release(release_times, len(demands)),
+            num_edges=cube.network.num_edges,
+            padded=None,
+            cube=cube,
+            demands=demands,
+            num_virtual_channels=int(B[0]),
+            extra={"flits_per_grant": L, "policy": option},
+        )
+
+    @staticmethod
+    def finish(results, kernel):
+        return [
+            AdaptiveRunResult(res, kernel.taken_paths(i) if kernel else [])
+            for i, res in enumerate(results)
+        ]
+
+    def __init__(self, loop, packed: Packed, *, B, option, rngs) -> None:
+        super().__init__(loop, packed, B=B, option=option, rngs=rngs)
+        T, M = self.T, self.M
+        cube, demands, dists = packed.cube, packed.demands, self.D
         net = cube.network
         V = cube.num_nodes
         kk = cube.k
@@ -996,12 +1122,12 @@ class AdaptiveKernel(_Kernel):
         xn = np.where(dx != 0, self.dir_node[pos, xi], -1)
         ye = np.where(dy != 0, self.dir_edge[pos, yi], -1)
         yn = np.where(dy != 0, self.dir_node[pos, yi], -1)
-        if self.policy == "dimension":
+        if self.option == "dimension":
             o1e = np.where(dx != 0, xe, ye)
             o1n = np.where(dx != 0, xn, yn)
             o2e = np.full_like(o1e, -1)
             o2n = o2e
-        elif self.policy == "west-first":
+        elif self.option == "west-first":
             # Destination west: go fully west, deterministically.
             west = dx < 0
             o1e, o1n = xe, xn
@@ -1013,7 +1139,7 @@ class AdaptiveKernel(_Kernel):
 
     def body(self, t: int, active: np.ndarray) -> np.ndarray:
         T, M, L = self.T, self.M, self.L
-        dists, probes = self.dists, self.probes
+        dists, probes = self.D, self.probes
         occ, B, k = self.occ, self.B, self.k
         # Per-trial head-service order: each trial with active messages
         # shuffles them with its own RNG (the serial draw, one
@@ -1118,7 +1244,7 @@ class AdaptiveKernel(_Kernel):
         finished: list[int] = []
         for m in movers0:
             km = int(pre_k[m]) + 1
-            d = int(self.dists[m])
+            d = int(self.D[m])
             rel_i = km - L - 1
             if 0 <= rel_i < d - 1:
                 releases.append((m, int(self.taken[0, m, rel_i])))

@@ -502,44 +502,39 @@ def _finish_metrics(metrics: dict[str, Any], wl: Workload, L: int) -> dict[str, 
     return metrics
 
 
-def _execute_trial(item: tuple[TrialSpec, int]) -> tuple[dict[str, Any], float]:
-    """One trial's ``(metrics, seconds)`` — a batch of one."""
-    start = time.perf_counter()
-    (metrics,) = execute_compatible([item])
-    return metrics, time.perf_counter() - start
-
-
-def _execute_batch(
-    item: tuple[tuple[TrialSpec, ...], int],
+def _execute_unit(
+    unit: tuple[tuple[TrialSpec, ...], int],
 ) -> list[tuple[dict[str, Any], float]]:
-    """Run one lockstep batch; per-trial metrics in input order."""
-    specs, root_seed = item
+    """Top-level (picklable) worker entry point: run one work unit.
+
+    A unit is ``(specs, root_seed)`` — compatible trials that ride in
+    one :func:`execute_compatible` call.  Returns per-trial
+    ``(metrics, seconds)`` in input order, the call's wall time shared
+    evenly.
+    """
+    specs, root_seed = unit
     start = time.perf_counter()
     metrics = execute_compatible([(spec, root_seed) for spec in specs])
     elapsed = (time.perf_counter() - start) / len(specs)
     return [(m, elapsed) for m in metrics]
 
 
-def _execute_unit(
-    unit: tuple[str, Any, int],
-) -> list[tuple[dict[str, Any], float]]:
-    """Top-level worker entry point for mixed single/batch work units."""
-    kind, payload, root_seed = unit
-    specs = payload if kind == "batch" else (payload,)
-    return _execute_batch((specs, root_seed))
+def _execute_trial(item: tuple[TrialSpec, int]) -> tuple[dict[str, Any], float]:
+    """One trial's ``(metrics, seconds)`` — a unit of one."""
+    spec, root_seed = item
+    return _execute_unit(((spec,), root_seed))[0]
 
 
 def _pack_units(
     specs: list[TrialSpec], pending: list[int], root_seed: int, batch_size: int
-) -> list[tuple[tuple[str, Any, int], list[int]]]:
+) -> list[tuple[tuple[tuple[TrialSpec, ...], int], list[int]]]:
     """Group pending trials into (work unit, pending-index list) pairs.
 
     Lockstep-model trials sharing a :func:`~repro.sim.batch
-    .batch_compat_key` are chunked into batches of at most
-    ``batch_size``; everything else (and all trials when
-    ``batch_size == 1``) becomes a single-trial unit.
+    .batch_compat_key` are chunked into units of at most ``batch_size``
+    trials; everything else (and all trials when ``batch_size == 1``)
+    becomes a one-trial unit, listed after the multi-trial ones.
     """
-    units: list[tuple[tuple[str, Any, int], list[int]]] = []
     groups: dict[tuple, list[int]] = {}
     singles: list[int] = []
     for i in pending:
@@ -548,16 +543,18 @@ def _pack_units(
             groups.setdefault(batch_compat_key(spec), []).append(i)
         else:
             singles.append(i)
+    chunks: list[list[int]] = []
     for idxs in groups.values():
         for j in range(0, len(idxs), batch_size):
             chunk = idxs[j : j + batch_size]
             if len(chunk) == 1:
                 singles.extend(chunk)
             else:
-                payload = tuple(specs[i] for i in chunk)
-                units.append((("batch", payload, root_seed), chunk))
-    units.extend((("single", specs[i], root_seed), [i]) for i in singles)
-    return units
+                chunks.append(chunk)
+    chunks.extend([i] for i in singles)
+    return [
+        ((tuple(specs[i] for i in chunk), root_seed), chunk) for chunk in chunks
+    ]
 
 
 # ----------------------------------------------------------------------

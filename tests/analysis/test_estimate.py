@@ -318,13 +318,11 @@ def test_envelope_holds_on_fuzz_cases():
             seed=case.sim_seed, max_steps=200_000,
         )
         if not (res.deadlocked or res.hit_step_cap):
-            from repro.analysis.estimate import _cube_distances
-
             env = estimate_paths(
                 "adaptive",
                 message_length=L,
                 B=B,
-                path_lengths=_cube_distances(cube, demands),
+                path_lengths=cube.distances(demands),
             )
             assert env.check(int(res.makespan))
             checked += 1

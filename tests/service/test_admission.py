@@ -11,7 +11,6 @@ def _pending(key=("k",), enqueued_at=0.0, expires_at=None):
     return PendingRequest(
         request=None,
         key=key,
-        batchable=True,
         enqueued_at=enqueued_at,
         expires_at=expires_at,
         future=None,

@@ -9,7 +9,6 @@ so the two can never drift apart on what is batchable.
 from repro.sim import batch, sweep
 from repro.sim.sweep import TrialSpec
 from repro.service import batcher as service_batcher
-from repro.service.batcher import DynamicBatcher
 
 
 def _spec(**overrides):
@@ -31,8 +30,6 @@ def test_sweep_uses_the_shared_helper():
 
 def test_service_uses_the_shared_helper():
     assert service_batcher.batch_compat_key is batch.batch_compat_key
-    spec = _spec()
-    assert DynamicBatcher.compat_key(spec) == batch.batch_compat_key(spec)
 
 
 def test_key_ignores_B_and_repeat_but_not_workload():

@@ -527,13 +527,23 @@ def test_validation_is_the_drivers_on_every_path(model, layered, mesh):
 
 
 def test_model_table_is_complete():
+    from golden_cases import CASES
     from repro.analysis.estimate import ESTIMATABLE_MODELS, estimate_paths
     from repro.facade import MODELS
+    from repro.sim import kernels
 
     assert MODEL_NAMES == [
         "wormhole", "cut_through", "store_forward", "restricted", "adaptive",
     ]
     assert set(ESTIMATABLE_MODELS) == set(LOCKSTEP_MODELS)
+    # The class names perfbench rebinds ``body`` on, model by model.
+    kernel_names = {
+        "wormhole": "WormholeKernel",
+        "cut_through": "CutThroughKernel",
+        "store_forward": "StoreForwardKernel",
+        "restricted": "RestrictedKernel",
+        "adaptive": "AdaptiveKernel",
+    }
     dims = {
         "release": np.array([0, 3], dtype=np.int64),
         "lengths": np.array([2, 4], dtype=np.int64),
@@ -541,6 +551,13 @@ def test_model_table_is_complete():
     }
     for name, spec in LOCKSTEP_MODELS.items():
         assert spec.name == name and name in MODELS and name in SIMULATORS
+        # kernel class: one construction contract, pinned by a golden case
+        assert spec.kernel is getattr(kernels, kernel_names[name])
+        assert callable(spec.kernel.pack) and callable(spec.kernel.body)
+        assert list(inspect.signature(spec.kernel.__init__).parameters) == [
+            "self", "loop", "packed", "B", "option", "rngs",
+        ]
+        assert any(case.startswith(name) for case in CASES)
         # driver + knob (+ the keywords every front end passes)
         assert spec.driver is getattr(batch_module, f"run_{name}_batch")
         params = inspect.signature(spec.driver).parameters
@@ -568,6 +585,53 @@ def test_model_table_is_complete():
             congestion=None if spec.kind == "mesh" else 2,
         )
         assert env.model == name and env.upper >= 4 + 3 - 1
+
+
+class _MetaProbe(Probe):
+    """Keeps the :class:`RunMeta` the driver announces."""
+
+    meta = None
+
+    def on_run_start(self, meta):
+        self.meta = meta
+
+
+@pytest.mark.parametrize(
+    "model", [m for m in MODEL_NAMES if LOCKSTEP_MODELS[m].telemetry]
+)
+def test_run_meta_announced_at_t1(model, layered, mesh):
+    """What ``telemetry.collectors`` weights grants by, model by model."""
+    first, second, L = _problem(model, layered, mesh)
+    spec = LOCKSTEP_MODELS[model]
+    probe = _MetaProbe()
+    (run,) = spec.driver(
+        first, second, L, seeds=[0], telemetry=probe, **{spec.knob: 3}
+    )
+    meta = probe.meta
+    M = len(second)
+    net = first.network if spec.kind == "mesh" else first
+    assert meta.simulator == model
+    assert meta.num_messages == M and meta.num_edges == net.num_edges
+    assert meta.message_length.tolist() == [L] * M
+    assert meta.release.tolist() == [0] * M
+    if spec.kind == "mesh":
+        assert meta.paths is None
+        assert meta.lengths.tolist() == [len(p) for p in run.taken_paths]
+    else:
+        assert meta.paths.shape[0] == M
+        assert meta.lengths.tolist() == [len(p.edges) for p in second]
+    # B slots per edge where grants are per flit slot; one owner otherwise.
+    want_vcs = {"wormhole": 3, "cut_through": 1, "store_forward": 1, "adaptive": 3}
+    assert meta.num_virtual_channels == want_vcs[model]
+    extra = dict(meta.extra)
+    if model == "cut_through":  # per-message L, as an array
+        assert extra.pop("flits_per_grant").tolist() == [L] * M
+    assert extra == {
+        "wormhole": {},
+        "cut_through": {},
+        "store_forward": {"flits_per_grant": L, "flit_steps_per_step": -(-L // 3)},
+        "adaptive": {"flits_per_grant": L, "policy": "west-first"},
+    }[model]
 
 
 # ----------------------------------------------------------------------

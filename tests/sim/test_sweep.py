@@ -312,14 +312,13 @@ def test_batching_only_groups_compatible_cells():
         simulators=("store_forward",), Bs=(1,)
     )
     units = _pack_units(specs, list(range(len(specs))), 0, batch_size=4)
-    kinds = sorted(kind for (kind, _, _) in (u for u, _ in units))
-    # 6 wormhole trials -> batches of 4 and 2; 1 store_forward single.
-    assert kinds == ["batch", "batch", "single"]
+    # 6 wormhole trials -> units of 4 and 2; 1 store_forward unit of one.
+    assert sorted(len(idxs) for _, idxs in units) == [1, 2, 4]
     covered = sorted(i for _, idxs in units for i in idxs)
     assert covered == list(range(len(specs)))
-    for (kind, payload, _), idxs in units:
-        if kind == "batch":
-            assert len(payload) == len(idxs) >= 2
+    for (payload, root_seed), idxs in units:
+        assert root_seed == 0 and payload == tuple(specs[i] for i in idxs)
+        if len(idxs) >= 2:
             assert all(s.simulator == "wormhole" for s in payload)
 
 
@@ -328,8 +327,8 @@ def test_singleton_batch_tail_runs_as_single():
 
     specs = wormhole_grid(repeats=3, Bs=(1,))
     units = _pack_units(specs, list(range(3)), 0, batch_size=2)
-    kinds = sorted(kind for (kind, _, _) in (u for u, _ in units))
-    assert kinds == ["batch", "single"]
+    # Multi-trial units first, the one-trial tail after them.
+    assert [len(idxs) for _, idxs in units] == [2, 1]
 
 
 def test_batch_size_validation():
