@@ -304,8 +304,8 @@ def estimate_spec(spec: Any) -> DelayEnvelope:
     affect arbitration, never the bounds — so estimate responses are
     bit-stable across processes and safe to serve from any replica.
     """
-    from ..sim.sweep import _build_workload
+    from ..sim.sweep import build_workload
 
-    wl = _build_workload(spec.workload, spec.workload_params)
+    wl = build_workload(spec.workload, spec.workload_params)
     L = wl.default_length if spec.message_length is None else spec.message_length
     return estimate_workload(wl, spec.simulator, B=spec.B, message_length=L)

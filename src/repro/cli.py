@@ -56,455 +56,238 @@ that draws randomness accepts ``--seed`` and prints deterministic output.
 from __future__ import annotations
 
 import argparse
-from collections.abc import Sequence
+import dataclasses
+from collections.abc import Callable, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["main", "build_parser"]
+__all__ = ["COMMANDS", "FLAGS", "build_parser", "main"]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description=(
-            "Reproduction of Cole, Maggs & Sitaraman: On the Benefit of "
-            "Supporting Virtual Channels in Wormhole Routers (SPAA 1996)."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _int_list(text: str) -> tuple[int, ...]:
+    """argparse ``type=``: comma-separated integers, at least one."""
+    try:
+        values = tuple(int(v) for v in text.split(",") if v.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+    if not values:
+        raise argparse.ArgumentTypeError("must name at least one integer")
+    return values
 
-    sub.add_parser("info", help="package and model summary")
 
-    p = sub.add_parser("demo", help="quickstart: butterfly permutation vs B")
-    p.add_argument("--n", type=int, default=8, help="butterfly inputs")
-    p.add_argument("--length", type=int, default=16, help="flits per message")
-    p.add_argument("--seed", type=int, default=0)
+def _param(text: str):
+    """argparse ``type=``: ``KEY=VAL``, VAL coerced to int, then float,
+    then str."""
+    key, sep, raw = text.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"needs KEY=VAL, got {text!r}")
+    for cast in (int, float):
+        try:
+            return key, cast(raw)
+        except ValueError:
+            pass
+    return key, raw
 
-    p = sub.add_parser("butterfly", help="Section 3.1 q-relation router")
-    p.add_argument("--n", type=int, default=64)
-    p.add_argument("--q", type=int, default=4)
-    p.add_argument("--channels", type=int, default=2, help="B")
-    p.add_argument("--length", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("schedule", help="Theorem 2.1.6 schedule pipeline")
-    p.add_argument("--width", type=int, default=10)
-    p.add_argument("--depth", type=int, default=10)
-    p.add_argument("--messages", type=int, default=120)
-    p.add_argument("--length", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+def _arg(type, default, help=None, **extra) -> dict:
+    """One :data:`FLAGS` entry: a flag's argparse keywords (``bool`` is a
+    ``store_true`` switch)."""
+    if type is bool:
+        return dict(action="store_true", help=help)
+    return dict(type=type, default=default, help=help, **extra)
 
-    p = sub.add_parser("hard-instance", help="Theorem 2.2.1 lower bound")
-    p.add_argument("--congestion", type=int, default=8, help="C")
-    p.add_argument("--dilation", type=int, default=15, help="D")
-    p.add_argument("--channels", type=int, default=1, help="B")
-    p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("spacetime", help="worm spacetime diagram")
-    p.add_argument("--worms", type=int, default=3)
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--length", type=int, default=5)
-    p.add_argument("--channels", type=int, default=1, help="B")
-
-    p = sub.add_parser(
-        "profile",
-        help="telemetry report (utilization, occupancy, stall blame)",
-    )
-    p.add_argument(
-        "--workload",
-        choices=("hard-instance", "demo", "schedule"),
-        default="hard-instance",
-        help="what to instrument (default: the Theorem 2.2.1 instance)",
-    )
-    p.add_argument(
-        "--scenario",
-        default=None,
-        metavar="NAME",
-        help="instrument a registered adversarial scenario instead of "
-        "--workload",
-    )
-    p.add_argument(
-        "--artifact",
-        default=None,
+#: Every flag (and the one positional) by the name ``add_argument`` takes.
+FLAGS: dict[str, dict] = {
+    "name": dict(help="scenario name (see 'repro scenario list')"),
+    "--n": _arg(int, 8, "butterfly inputs"),
+    "--q": _arg(int, 4),
+    "--channels": _arg(int, 1, "B"),
+    "--length": _arg(int, 8, "flits per message"),
+    "--seed": _arg(int, 0),
+    "--width": _arg(int, 10),
+    "--depth": _arg(int, 10),
+    "--messages": _arg(int, 120),
+    "--congestion": _arg(int, 8, "C"),
+    "--dilation": _arg(int, 15, "D"),
+    "--worms": _arg(int, 3),
+    "--workload": _arg(str, "chain-bundle", "registered workload name"),
+    "--scenario": _arg(
+        str, None, metavar="NAME",
+        help="instrument a registered adversarial scenario instead of --workload",
+    ),
+    "--artifact": _arg(
+        str, None, metavar="PATH",
+        help="instrument the case stored in a fuzz repro artifact instead "
+        "of --workload",
+    ),
+    "--top": _arg(int, 5, "rows per report table"),
+    "--trace": _arg(
+        str, None, "also record an event trace to PATH (.jsonl or .npz)",
         metavar="PATH",
-        help="instrument the case stored in a fuzz repro artifact "
-        "instead of --workload",
-    )
-    p.add_argument("--congestion", type=int, default=8, help="C (hard-instance)")
-    p.add_argument("--dilation", type=int, default=15, help="D (hard-instance)")
-    p.add_argument("--channels", type=int, default=1, help="B")
-    p.add_argument("--n", type=int, default=8, help="butterfly inputs (demo)")
-    p.add_argument(
-        "--length", type=int, default=0, help="flits per message (0 = auto)"
-    )
-    p.add_argument("--top", type=int, default=5, help="rows per report table")
-    p.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="also record an event trace to PATH (.jsonl or .npz)",
-    )
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser(
-        "sweep",
-        help="run a (simulator, workload, B, seed) trial grid, "
-        "optionally in parallel and cached",
-    )
-    p.add_argument(
-        "--workload",
-        default="chain-bundle",
-        help="registered workload name (layered, hard-instance, "
-        "chain-bundle, butterfly-bitrev, mesh-permutation)",
-    )
-    p.add_argument(
-        "--param",
-        action="append",
-        default=[],
-        metavar="KEY=VAL",
-        help="workload parameter override (repeatable)",
-    )
-    p.add_argument(
-        "--simulators",
-        default="wormhole,cut_through,store_forward",
-        help="comma-separated simulator names",
-    )
-    p.add_argument(
-        "--channels",
-        type=_int_list,
-        default="1,2,4",
-        help="comma-separated B values",
-    )
-    p.add_argument(
-        "--length", type=int, default=0, help="flits per message (0 = auto)"
-    )
-    p.add_argument("--repeats", type=int, default=1, help="trials per cell")
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="worker processes (0 = serial; results are identical)",
-    )
-    p.add_argument(
-        "--backend",
-        choices=("inline", "thread", "process"),
-        default=None,
-        help="execution backend (default: process when --workers >= 2, "
-        "inline otherwise; results are identical)",
-    )
-    p.add_argument(
-        "--cache-dir",
-        default=None,
-        help="reuse/populate a per-trial result cache in this directory",
-    )
-    p.add_argument(
-        "--force", action="store_true", help="recompute cached trials"
-    )
-    p.add_argument(
-        "--batch-size",
-        default="auto",
-        help="trials per lockstep batch, for every flit-level router "
-        "('auto', or a positive integer; 1 disables batching — results "
-        "are identical either way)",
-    )
-    p.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="print the packed batch plan (cells per batch, cache hits) "
-        "without executing any trial",
-    )
-    p.add_argument("--seed", type=int, default=0, help="root seed")
-
-    p = sub.add_parser(
-        "serve",
-        help="run the asyncio trial service (dynamic batching, "
-        "backpressure, graceful drain)",
-    )
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=7654, help="0 = ephemeral")
-    p.add_argument(
-        "--queue-limit",
-        type=int,
-        default=64,
-        help="admission queue depth; a full queue rejects with Retry-After",
-    )
-    p.add_argument(
-        "--max-batch",
-        type=int,
-        default=32,
-        help="max compatible trials per lockstep batch",
-    )
-    p.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=2.0,
-        help="max time the oldest queued request waits for batch company",
-    )
-    p.add_argument(
-        "--backend",
-        choices=("inline", "thread", "process"),
-        default="thread",
-        help="batch execution backend (process = fault-isolated workers "
-        "with crash recovery)",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="worker threads/processes for the batch backend",
-    )
-    p.add_argument(
-        "--batch-timeout-s",
-        type=float,
-        default=None,
-        help="per-batch execution timeout (process backend only)",
-    )
-    p.add_argument(
-        "--port-file",
-        default=None,
-        metavar="PATH",
-        help="write the bound port here once listening (pairs with "
-        "--port 0; how a supervisor finds an ephemeral-port worker)",
-    )
-
-    p = sub.add_parser(
-        "cluster",
-        help="sharded multi-worker service tier: consistent-hash router "
-        "over supervised workers with a shared result cache",
-    )
-    csub = p.add_subparsers(dest="cluster_command", required=True)
-    pc = csub.add_parser(
-        "serve",
-        help="run a v1-protocol router fronting N supervised "
-        "'repro serve' worker processes",
-    )
-    pc.add_argument("--host", default="127.0.0.1")
-    pc.add_argument("--port", type=int, default=7900, help="0 = ephemeral")
-    pc.add_argument(
-        "--workers", type=int, default=2, help="worker service processes"
-    )
-    pc.add_argument(
-        "--cache-dir",
-        default=None,
-        help="shared cross-worker result cache directory "
-        "(default: fresh per-tier tempdir)",
-    )
-    pc.add_argument(
-        "--queue-limit", type=int, default=64, help="per-worker queue depth"
-    )
-    pc.add_argument(
-        "--max-batch",
-        type=int,
-        default=32,
-        help="per-worker max compatible trials per lockstep batch",
-    )
-    pc.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=2.0,
-        help="per-worker max wait for batch company",
-    )
-    pc.add_argument(
-        "--backend",
-        choices=("inline", "thread", "process"),
-        default="thread",
-        help="execution backend inside each worker process",
-    )
-    pc.add_argument(
-        "--backend-workers",
-        type=int,
-        default=1,
-        help="threads/processes inside each worker's backend",
-    )
-    pc.add_argument(
-        "--runtime-dir",
-        default=None,
-        help="port files + worker logs (default: tempdir)",
-    )
-
-    p = sub.add_parser(
-        "loadgen",
-        help="drive a running trial server; verify bit-exactness against "
-        "serial replays",
-    )
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=7654)
-    p.add_argument(
-        "--workload", default="chain-bundle", help="registered workload name"
-    )
-    p.add_argument(
-        "--scenario",
-        default=None,
-        metavar="NAME",
-        help="replay a registered adversarial scenario instead of "
-        "--workload (arrival-trace scenarios also pace the request "
-        "stream)",
-    )
-    p.add_argument(
-        "--param",
-        action="append",
-        default=[],
-        metavar="KEY=VAL",
-        help="workload parameter override (repeatable)",
-    )
-    p.add_argument(
-        "--channels",
-        type=_int_list,
-        default="1,2,4",
-        help="comma-separated B values to cycle",
-    )
-    p.add_argument(
-        "--length", type=int, default=0, help="flits per message (0 = auto)"
-    )
-    p.add_argument(
-        "--simulators",
-        default=None,
-        help="comma-separated simulators to cycle (multi-key traffic "
-        "for a sharded tier; default: wormhole only)",
-    )
-    p.add_argument(
-        "--lengths",
-        type=_int_list,
-        default=None,
-        help="comma-separated message lengths to cycle (multi-key "
-        "traffic; overrides --length)",
-    )
-    p.add_argument("--requests", type=int, default=32, help="total requests")
-    p.add_argument(
-        "--concurrency", type=int, default=8, help="concurrent connections"
-    )
-    p.add_argument(
-        "--rate",
-        type=float,
-        default=0.0,
-        help="aggregate request rate in req/s (0 = as fast as possible)",
-    )
-    p.add_argument(
-        "--deadline-ms",
-        type=float,
-        default=None,
-        help="per-request queueing deadline",
-    )
-    p.add_argument(
-        "--mode",
-        default="exact",
-        choices=("exact", "estimate"),
-        help="request mode: 'exact' runs trials through the batcher, "
-        "'estimate' asks for the analytic delay envelope (verified "
-        "against the local estimator instead of a serial replay)",
-    )
-    p.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="skip the serial-replay bit-exactness check",
-    )
-    p.add_argument(
-        "--shutdown",
-        action="store_true",
-        help="send a graceful-shutdown op to the server when done",
-    )
-    p.add_argument(
-        "--output",
-        default=None,
-        help="also write the full JSON report to this file",
-    )
-    p.add_argument("--seed", type=int, default=0, help="root seed")
-
-    p = sub.add_parser(
-        "scenario",
-        help="adversarial scenario library: curated hard cases with "
-        "declared invariant expectations",
-    )
-    ssub = p.add_subparsers(dest="scenario_command", required=True)
-    ssub.add_parser("list", help="registered scenarios, one line each")
-    ps = ssub.add_parser("show", help="one scenario's parameters and checks")
-    ps.add_argument("name", help="scenario name (see 'repro scenario list')")
-    pr = ssub.add_parser(
-        "run", help="build and simulate a scenario; verify its expectations"
-    )
-    pr.add_argument("name", help="scenario name (see 'repro scenario list')")
-    pr.add_argument(
-        "--model",
-        default=None,
-        help="model to run under (default: the scenario's first declared)",
-    )
-    pr.add_argument(
-        "--channels",
-        type=_int_list,
-        default="1,2,4",
-        help="comma-separated B values",
-    )
-    pr.add_argument(
-        "--param",
-        action="append",
-        default=[],
-        metavar="KEY=VAL",
-        help="builder parameter override (repeatable)",
-    )
-    pr.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser(
-        "fuzz",
-        help="seeded cross-model invariant fuzzer; writes a shrunk "
-        "replayable artifact per violation",
-    )
-    p.add_argument("--rounds", type=int, default=50, help="cases to generate")
-    p.add_argument("--seed", type=int, default=0, help="root seed")
-    p.add_argument(
-        "--families",
-        default=None,
-        help="comma-separated case families (default: all; see "
-        "repro.fuzz.FAMILIES)",
-    )
-    p.add_argument(
-        "--artifact-dir",
-        default="fuzz-artifacts",
-        help="where violation repro artifacts are written",
-    )
-    p.add_argument(
-        "--replay",
-        metavar="PATH",
-        default=None,
-        help="re-run the exact case stored in a repro artifact instead "
-        "of fuzzing",
-    )
-
-    p = sub.add_parser(
-        "experiment",
-        help="regenerate one of the paper experiments (e1..e18, perf)",
-    )
-    p.add_argument("name", help="experiment id, e.g. e2 or e11")
-
-    sub.add_parser(
-        "reproduce",
-        help="run every experiment and assemble benchmarks/results/ALL_RESULTS.txt",
-    )
-    return parser
+    ),
+    "--param": _arg(
+        _param, [], "workload parameter override (repeatable)",
+        action="append", metavar="KEY=VAL",
+    ),
+    "--simulators": _arg(
+        str, None,
+        "comma-separated simulators to cycle (multi-key traffic for a sharded "
+        "tier; default: wormhole only)",
+    ),
+    "--repeats": _arg(int, 1, "trials per cell"),
+    "--workers": _arg(
+        int, 2, "worker processes in the batch backend's pool (process backend only)"
+    ),
+    "--backend": _arg(
+        str, "inline", choices=("inline", "process"),
+        help="batch execution backend (process = fault-isolated workers with "
+        "crash recovery)",
+    ),
+    "--cache-dir": _arg(
+        str, None, "reuse/populate a per-trial result cache in this directory"
+    ),
+    "--force": _arg(bool, False, "recompute cached trials"),
+    "--batch-size": _arg(
+        str, "auto",
+        "trials per lockstep batch, for every flit-level router ('auto', or a "
+        "positive integer; 1 disables batching — results are identical either way)",
+    ),
+    "--dry-run": _arg(
+        bool, False,
+        "print the packed batch plan (cells per batch, cache hits) without "
+        "executing any trial",
+    ),
+    "--host": _arg(str, "127.0.0.1"),
+    "--port": _arg(int, 7654, "0 = ephemeral"),
+    "--queue-limit": _arg(
+        int, 64, "admission queue depth; a full queue rejects with Retry-After"
+    ),
+    "--max-batch": _arg(int, 32, "max compatible trials per lockstep batch"),
+    "--max-wait-ms": _arg(
+        float, 2.0, "max time the oldest queued request waits for batch company"
+    ),
+    "--batch-timeout-s": _arg(
+        float, None, "per-batch execution timeout (process backend only)"
+    ),
+    "--port-file": _arg(
+        str, None, metavar="PATH",
+        help="write the bound port here once listening (pairs with --port 0; "
+        "how a supervisor finds an ephemeral-port worker)",
+    ),
+    "--backend-workers": _arg(
+        int, 1,
+        "worker processes in each worker's backend pool (process backend only)",
+    ),
+    "--runtime-dir": _arg(str, None, "port files + worker logs (default: tempdir)"),
+    "--lengths": _arg(
+        _int_list, None,
+        "comma-separated message lengths to cycle (multi-key traffic; overrides "
+        "--length)",
+    ),
+    "--requests": _arg(int, 32, "total requests"),
+    "--concurrency": _arg(int, 8, "concurrent connections"),
+    "--rate": _arg(
+        float, 0.0, "aggregate request rate in req/s (0 = as fast as possible)"
+    ),
+    "--deadline-ms": _arg(float, None, "per-request queueing deadline"),
+    "--mode": _arg(
+        str, "exact", choices=("exact", "estimate"),
+        help="request mode: 'exact' runs trials through the batcher, 'estimate' "
+        "asks for the analytic delay envelope (verified against the local "
+        "estimator instead of a serial replay)",
+    ),
+    "--no-verify": _arg(bool, False, "skip the serial-replay bit-exactness check"),
+    "--shutdown": _arg(
+        bool, False, "send a graceful-shutdown op to the server when done"
+    ),
+    "--output": _arg(str, None, "also write the full JSON report to this file"),
+    "--model": _arg(
+        str, None, "model to run under (default: the scenario's first declared)"
+    ),
+    "--rounds": _arg(int, 50, "cases to generate"),
+    "--families": _arg(
+        str, None,
+        "comma-separated case families (default: all; see repro.fuzz.FAMILIES)",
+    ),
+    "--artifact-dir": _arg(
+        str, "fuzz-artifacts", "where violation repro artifacts are written"
+    ),
+    "--replay": _arg(
+        str, None, metavar="PATH",
+        help="re-run the exact case stored in a repro artifact instead of fuzzing",
+    ),
+}
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    handler = {
-        "info": _cmd_info,
-        "demo": _cmd_demo,
-        "butterfly": _cmd_butterfly,
-        "schedule": _cmd_schedule,
-        "hard-instance": _cmd_hard_instance,
-        "spacetime": _cmd_spacetime,
-        "profile": _cmd_profile,
-        "sweep": _cmd_sweep,
-        "serve": _cmd_serve,
-        "cluster": _cmd_cluster,
-        "loadgen": _cmd_loadgen,
-        "scenario": _cmd_scenario,
-        "fuzz": _cmd_fuzz,
-        "experiment": _cmd_experiment,
-        "reproduce": _cmd_reproduce,
-    }[args.command]
-    handler(args)
-    return 0
+_AUTO_LENGTH = "flits per message (0 = auto)"
+_B_LIST = dict(type=_int_list, help="comma-separated B values")
+
+#: Help line of each command group (a two-word row key names its group).
+GROUPS = {
+    "cluster": "sharded multi-worker service tier: consistent-hash router "
+    "over supervised workers with a shared result cache",
+    "scenario": "adversarial scenario library: curated hard cases with "
+    "declared invariant expectations",
+}
 
 
+class Command(NamedTuple):
+    """One row of the front end: ``repro <key>`` runs ``handler(args)``."""
+
+    help: str
+    handler: Callable[[argparse.Namespace], None]
+    #: dest -> (``add_argument`` name, argparse keywords), in --help order.
+    flags: dict[str, tuple[str, dict]]
+
+
+COMMANDS: dict[str, Command] = {}
+
+
+def command(key: str, help: str, flags: str = "", **overrides):
+    """Register the decorated handler as the ``repro <key>`` row.
+
+    ``flags`` names the row's :data:`FLAGS` by dest, in ``--help`` order;
+    ``dest=VALUE`` gives this command's default (a string, which argparse
+    converts by the flag's ``type``).  ``overrides`` maps a dest to the
+    command's own help text, or to a dict of the argparse keywords it changes.
+    """
+    row: dict[str, tuple[str, dict]] = {}
+    for item in flags.split():
+        dest, given, default = item.partition("=")
+        name = "--" + dest.replace("_", "-")
+        name = name if name in FLAGS else dest  # the one positional
+        changed = overrides.pop(dest, {})
+        changed = {"help": changed} if isinstance(changed, str) else {**changed}
+        if given:
+            changed["default"] = default
+        row[dest] = name, {**FLAGS[name], **changed}
+    assert not overrides, f"overrides for flags the row does not name: {overrides}"
+
+    def register(handler):
+        COMMANDS[key] = Command(help, handler, row)
+        return handler
+
+    return register
+
+
+def _names(text: str | None) -> tuple[str, ...]:
+    """The names in a comma-separated flag value (none when unset)."""
+    return tuple(s.strip() for s in (text or "").split(",") if s.strip())
+
+
+def _config(cls, args: argparse.Namespace, **fields):
+    """A config dataclass from the parsed flags: every flag whose dest is
+    one of ``cls``'s fields, plus the explicitly converted ``fields``."""
+    flags = vars(args)
+    named = {f.name: flags[f.name] for f in dataclasses.fields(cls) if f.name in flags}
+    return cls(**{**named, **fields})
+
+
+@command("info", "package and model summary")
 def _cmd_info(args: argparse.Namespace) -> None:
     import repro
 
@@ -531,22 +314,23 @@ def _cmd_info(args: argparse.Namespace) -> None:
     print("See DESIGN.md for the system inventory, EXPERIMENTS.md for results.")
 
 
+@command("demo", "quickstart: butterfly permutation vs B", "n length=16 seed")
 def _cmd_demo(args: argparse.Namespace) -> None:
-    from repro import Butterfly, Table, WormholeSimulator, bit_reversal_permutation
+    from repro import Table, simulate
+    from repro.sim.sweep import build_workload
 
-    bf = Butterfly(args.n)
-    inst = bit_reversal_permutation(args.n)
-    paths = [list(r) for r in bf.path_edges_batch(inst.sources, inst.dests)]
+    wl = build_workload("butterfly-bitrev", {"n": args.n})
     table = Table(
         f"Bit-reversal on an {args.n}-input butterfly (L={args.length})",
         ["B", "makespan", "blocked flit steps"],
     )
     for B in (1, 2, 4):
-        res = WormholeSimulator(bf, B, seed=args.seed).run(paths, args.length)
+        res = simulate(wl, B=B, message_length=args.length, seed=args.seed)
         table.add_row([B, res.makespan, res.total_blocked_steps])
     print(table.render())
 
 
+@command("butterfly", "Section 3.1 q-relation router", "n=64 q channels=2 length seed")
 def _cmd_butterfly(args: argparse.Namespace) -> None:
     from repro import ButterflyRouter, Table, bounds, random_q_relation
 
@@ -573,29 +357,32 @@ def _cmd_butterfly(args: argparse.Namespace) -> None:
     )
 
 
+@command(
+    "schedule", "Theorem 2.1.6 schedule pipeline", "width depth messages length=10 seed"
+)
 def _cmd_schedule(args: argparse.Namespace) -> None:
-    from repro import Table, execute_schedule, lll_schedule
-    from repro.network.random_networks import layered_network, random_walk_paths
-    from repro.routing.paths import congestion, dilation, paths_from_node_walks
+    from repro import Table
+    from repro.core.scheduler import run_lll_schedule
+    from repro.sim.sweep import build_workload
 
-    rng = np.random.default_rng(args.seed)
-    net = layered_network(args.width, args.depth, 3, rng)
-    walks = random_walk_paths(net, args.width, args.depth, args.messages, rng)
-    paths = paths_from_node_walks(net, walks)
+    dests = ("width", "depth", "messages", "seed")
+    wl = build_workload("layered", {dest: getattr(args, dest) for dest in dests})
     table = Table(
-        f"LLL schedules: C={congestion(paths)}, D={dilation(paths)}, "
+        f"LLL schedules: C={wl.info['congestion']}, D={wl.info['dilation']}, "
         f"L={args.length}, {args.messages} messages",
         ["B", "classes", "makespan", "blocked"],
     )
     for B in (1, 2, 4):
-        build = lll_schedule(
-            paths, args.length, B=B, rng=np.random.default_rng(B), mode="direct"
+        build, res = run_lll_schedule(
+            wl.net, wl.paths, args.length, B, rng=np.random.default_rng(B)
         )
-        res = execute_schedule(net, paths, build.schedule, B=B)
         table.add_row([B, build.num_classes, res.makespan, res.total_blocked_steps])
     print(table.render())
 
 
+@command(
+    "hard-instance", "Theorem 2.2.1 lower bound", "congestion dilation channels seed"
+)
 def _cmd_hard_instance(args: argparse.Namespace) -> None:
     from repro import (
         WormholeSimulator,
@@ -618,18 +405,20 @@ def _cmd_hard_instance(args: argparse.Namespace) -> None:
     print(f"Omega bound (L-D)M/B: {hard_instance_lower_bound(inst, L):.0f}")
 
 
+@command("spacetime", "worm spacetime diagram", "worms depth=4 length=5 channels")
 def _cmd_spacetime(args: argparse.Namespace) -> None:
+    from repro import simulate
     from repro.analysis.render import render_spacetime
-    from repro.network.random_networks import chain_bundle
-    from repro.routing.paths import paths_from_node_walks
-    from repro.sim.wormhole import WormholeSimulator
     from repro.telemetry import TraceSnapshotCollector
 
-    net, walks = chain_bundle(1, args.depth, args.worms)
-    paths = paths_from_node_walks(net, walks)
     snapshot = TraceSnapshotCollector()
-    WormholeSimulator(net, args.channels, priority="index").run(
-        paths, message_length=args.length, telemetry=[snapshot]
+    simulate(
+        "chain-bundle",
+        workload_params=dict(chains=1, depth=args.depth, messages=args.worms),
+        B=args.channels,
+        message_length=args.length,
+        priority="index",
+        telemetry=[snapshot],
     )
     print(
         f"{args.worms} worms (L={args.length}) sharing a {args.depth}-edge "
@@ -642,6 +431,41 @@ def _cmd_spacetime(args: argparse.Namespace) -> None:
     )
 
 
+#: ``profile --workload`` choice -> (registered workload, the flag dest
+#: behind each builder parameter, report title over the workload's info).
+_PROFILE_WORKLOADS = {
+    "hard-instance": (
+        "hard-instance",
+        {"C": "congestion", "D": "dilation", "B": "channels"},
+        "Theorem 2.2.1 hard instance: C={congestion}, D={dilation}, B={B}, L={L}",
+    ),
+    "demo": (
+        "butterfly-bitrev",
+        {"n": "n"},
+        "Bit-reversal on an {n}-input butterfly: B={B}, L={L}",
+    ),
+    "schedule": (
+        "layered",
+        {"seed": "seed"},
+        "Theorem 2.1.6 schedule: {classes} classes, B={B}, L={L}",
+    ),
+}
+
+
+@command(
+    "profile",
+    "telemetry report (utilization, occupancy, stall blame)",
+    "workload=hard-instance scenario artifact congestion dilation channels n "
+    "length=0 top trace seed",
+    workload=dict(
+        choices=tuple(_PROFILE_WORKLOADS),
+        help="what to instrument (default: the Theorem 2.2.1 instance)",
+    ),
+    congestion="C (hard-instance)",
+    dilation="D (hard-instance)",
+    n="butterfly inputs (demo)",
+    length=_AUTO_LENGTH,
+)
 def _cmd_profile(args: argparse.Namespace) -> None:
     from repro.telemetry import (
         TraceRecorder,
@@ -656,8 +480,6 @@ def _cmd_profile(args: argparse.Namespace) -> None:
         recorder = TraceRecorder()
         probes.append(recorder)
 
-    from repro import WormholeSimulator
-
     if args.scenario is not None and args.artifact is not None:
         raise SystemExit(
             "repro profile: choose --scenario or --artifact, not both"
@@ -666,58 +488,8 @@ def _cmd_profile(args: argparse.Namespace) -> None:
         result, title = _profile_scenario(args, probes)
     elif args.artifact is not None:
         result, title = _profile_artifact(args, probes)
-    elif args.workload == "hard-instance":
-        from repro import build_hard_instance
-
-        inst = build_hard_instance(
-            C=args.congestion, D=args.dilation, B=args.channels
-        )
-        L = args.length or inst.recommended_length()
-        result = WormholeSimulator(
-            inst.network, args.channels, seed=args.seed
-        ).run(inst.paths, message_length=L, telemetry=probes)
-        title = (
-            f"Theorem 2.2.1 hard instance: C={inst.congestion}, "
-            f"D={inst.dilation}, B={inst.B}, L={L}"
-        )
-    elif args.workload == "demo":
-        from repro import Butterfly, bit_reversal_permutation
-
-        bf = Butterfly(args.n)
-        inst = bit_reversal_permutation(args.n)
-        paths = [list(r) for r in bf.path_edges_batch(inst.sources, inst.dests)]
-        L = args.length or 16
-        result = WormholeSimulator(bf, args.channels, seed=args.seed).run(
-            paths, message_length=L, telemetry=probes
-        )
-        title = (
-            f"Bit-reversal on an {args.n}-input butterfly: "
-            f"B={args.channels}, L={L}"
-        )
-    else:  # schedule
-        from repro import execute_schedule, lll_schedule
-        from repro.network.random_networks import (
-            layered_network,
-            random_walk_paths,
-        )
-        from repro.routing.paths import paths_from_node_walks
-
-        rng = np.random.default_rng(args.seed)
-        net = layered_network(10, 10, 3, rng)
-        walks = random_walk_paths(net, 10, 10, 120, rng)
-        paths = paths_from_node_walks(net, walks)
-        L = args.length or 10
-        build = lll_schedule(
-            paths, L, B=args.channels,
-            rng=np.random.default_rng(args.seed), mode="direct",
-        )
-        result = execute_schedule(
-            net, paths, build.schedule, B=args.channels, telemetry=probes
-        )
-        title = (
-            f"Theorem 2.1.6 schedule: {build.num_classes} classes, "
-            f"B={args.channels}, L={L}"
-        )
+    else:
+        result, title = _profile_workload(args, probes)
 
     print(render_report(probes, result, top=args.top, title=title))
     if recorder is not None:
@@ -728,34 +500,41 @@ def _cmd_profile(args: argparse.Namespace) -> None:
         print(f"trace written to {args.trace}")
 
 
+def _profile_workload(args: argparse.Namespace, probes):
+    """Instrument one ``--workload`` choice, built by the sweep registry."""
+    from repro import simulate
+    from repro.core.scheduler import run_lll_schedule
+    from repro.sim.sweep import build_workload
+
+    name, dests, title = _PROFILE_WORKLOADS[args.workload]
+    wl = build_workload(name, {k: getattr(args, d) for k, d in dests.items()})
+    B, L = args.channels, args.length or wl.default_length
+    if args.workload == "schedule":
+        rng = np.random.default_rng(args.seed)
+        build, result = run_lll_schedule(
+            wl.net, wl.paths, L, B, rng=rng, telemetry=probes
+        )
+        return result, title.format(classes=build.num_classes, B=B, L=L)
+    result = simulate(wl, B=B, message_length=L, seed=args.seed, telemetry=probes)
+    return result, title.format(**wl.info, B=B, L=L)
+
+
 def _profile_scenario(args: argparse.Namespace, probes):
     """Instrument a registered scenario run for the profile report."""
-    from repro.network.graph import NetworkError
     from repro.scenarios import get_scenario
+    from repro.sim.batch import LOCKSTEP_MODELS
 
-    try:
-        scen = get_scenario(args.scenario)
-    except NetworkError as exc:
-        raise SystemExit(f"repro profile: {exc}")
-    model = next(
-        (
-            m
-            for m in scen.models
-            if m in ("wormhole", "cut_through", "store_forward", "adaptive")
-        ),
-        None,
-    )
-    if model is None:
+    scen = get_scenario(args.scenario)
+    capable = [
+        m for m in scen.models if m in LOCKSTEP_MODELS and LOCKSTEP_MODELS[m].telemetry
+    ]
+    if not capable:
         raise SystemExit(
             f"repro profile: scenario {args.scenario!r} has no "
             f"telemetry-capable model (declared: {', '.join(scen.models)})"
         )
-    try:
-        run = scen.run(
-            B=args.channels, model=model, seed=args.seed, telemetry=probes
-        )
-    except NetworkError as exc:
-        raise SystemExit(f"repro profile: {exc}")
+    model = capable[0]
+    run = scen.run(B=args.channels, model=model, seed=args.seed, telemetry=probes)
     if not run.ok:
         for v in run.violations:
             print(f"WARNING expectation violated: {v.detail}")
@@ -797,211 +576,57 @@ def _profile_artifact(args: argparse.Namespace, probes):
     return result, f"fuzz artifact: {case.describe()}"
 
 
-def _cmd_scenario(args: argparse.Namespace) -> None:
-    from repro import Table
-    from repro.network.graph import NetworkError
-    from repro.scenarios import SCENARIOS, get_scenario
-
-    if args.scenario_command == "list":
-        table = Table(
-            f"{len(SCENARIOS)} registered scenarios",
-            ["name", "family", "kind", "models", "stresses"],
-        )
-        for name in sorted(SCENARIOS):
-            s = SCENARIOS[name]
-            table.add_row(
-                [s.name, s.family, s.kind, ",".join(s.models), s.theorem]
-            )
-        print(table.render())
-        return
-
-    try:
-        scen = get_scenario(args.name)
-    except NetworkError as exc:
-        raise SystemExit(f"repro scenario: {exc}")
-
-    if args.scenario_command == "show":
-        print(f"{scen.name}  [{scen.family} / {scen.kind}]")
-        print(f"stresses: {scen.theorem}")
-        print(f"models:   {', '.join(scen.models)}")
-        print()
-        print(scen.description)
-        print()
-        print("parameters (defaults):")
-        for k, v in scen.defaults().items():
-            print(f"  {k} = {v}")
-        case = scen.build_case()
-        print("expectations:")
-        for label, _ in case.checks:
-            print(f"  - {label}")
-        return
-
-    # run
-    try:
-        params = dict(_parse_param(p) for p in args.param)
-        runs = [
-            scen.run(B=B, model=args.model, seed=args.seed, **params)
-            for B in args.channels
-        ]
-    except NetworkError as exc:
-        raise SystemExit(f"repro scenario: {exc}")
-    columns = sorted({k for r in runs for k in r.summary()})
-    table = Table(
-        f"scenario {scen.name}: model={runs[0].model}, "
-        f"stresses {scen.theorem}",
-        ["B", *columns, "checks", "verdict"],
-    )
-    for r in runs:
-        summary = r.summary()
-        table.add_row(
-            [
-                r.B,
-                *[summary.get(c, "-") for c in columns],
-                len(r.checked),
-                "ok" if r.ok else f"{len(r.violations)} VIOLATED",
-            ]
-        )
-    print(table.render())
-    info = runs[0].case.info
-    if info:
-        print(
-            "case: "
-            + ", ".join(f"{k}={v}" for k, v in sorted(info.items()))
-        )
-    bad = [v for r in runs for v in r.violations]
-    if bad:
-        for v in bad:
-            print(f"VIOLATION [{v.invariant}] {v.detail}")
-        raise SystemExit(
-            f"repro scenario: {len(bad)} expectation(s) violated"
-        )
-
-
-def _cmd_fuzz(args: argparse.Namespace) -> None:
-    from repro.fuzz import replay_artifact, run_fuzz
-    from repro.network.graph import NetworkError
-
-    if args.replay is not None:
-        try:
-            violations = replay_artifact(args.replay)
-        except (OSError, ValueError, KeyError, NetworkError) as exc:
-            raise SystemExit(f"repro fuzz: cannot replay: {exc}")
-        if not violations:
-            print(f"replay of {args.replay}: clean (violation not reproduced)")
-            return
-        for v in violations:
-            print(f"VIOLATION [{v.invariant}] {v.detail}")
-        raise SystemExit(
-            f"repro fuzz: replay reproduced {len(violations)} violation(s)"
-        )
-
-    families = None
-    if args.families:
-        families = tuple(
-            f.strip() for f in args.families.split(",") if f.strip()
-        )
-    try:
-        report = run_fuzz(
-            args.rounds,
-            seed=args.seed,
-            families=families,
-            artifact_dir=args.artifact_dir,
-        )
-    except NetworkError as exc:
-        raise SystemExit(f"repro fuzz: {exc}")
-    mix = ", ".join(
-        f"{k}={v}" for k, v in sorted(report.cases_by_family.items())
-    )
-    print(
-        f"fuzz: {report.rounds} rounds from seed {report.seed} ({mix})"
-    )
-    if report.ok:
-        print("all invariants held")
-        return
-    for path, payload in zip(report.artifact_paths, report.failures):
-        for v in payload["violations"]:
-            print(f"VIOLATION [{v['invariant']}] {v['detail']}")
-        print(f"  shrunk repro artifact: {path}")
-    raise SystemExit(
-        f"repro fuzz: {len(report.failures)} case(s) violated invariants"
-    )
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    """argparse ``type=``: comma-separated integers, at least one."""
-    try:
-        values = tuple(int(v) for v in text.split(",") if v.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        ) from None
-    if not values:
-        raise argparse.ArgumentTypeError("must name at least one integer")
-    return values
-
-
-def _parse_param(text: str):
-    """``KEY=VAL`` with VAL coerced to int, then float, then str."""
-    if "=" not in text:
-        raise SystemExit(f"repro sweep: --param needs KEY=VAL, got {text!r}")
-    key, raw = text.split("=", 1)
-    for cast in (int, float):
-        try:
-            return key, cast(raw)
-        except ValueError:
-            pass
-    return key, raw
-
-
+@command(
+    "sweep",
+    "run a (simulator, workload, B, seed) trial grid, "
+    "optionally in parallel and cached",
+    "workload param simulators=wormhole,cut_through,store_forward channels=1,2,4 "
+    "length=0 repeats workers=0 backend cache_dir force batch_size dry_run seed",
+    workload="registered workload name (layered, hard-instance, "
+    "chain-bundle, butterfly-bitrev, mesh-permutation)",
+    simulators="comma-separated simulator names",
+    channels=_B_LIST,
+    length=_AUTO_LENGTH,
+    workers="worker processes (0 = serial; results are identical)",
+    backend=dict(
+        choices=("inline", "thread", "process"), default=None,
+        help="execution backend (default: process when --workers >= 2, "
+        "inline otherwise; results are identical)",
+    ),
+    seed="root seed",
+)
 def _cmd_sweep(args: argparse.Namespace) -> None:
     from repro import Table
-    from repro.network.graph import NetworkError
-    from repro.sim.sweep import WORKLOADS, run_sweep, sweep_grid
+    from repro.sim.sweep import plan_sweep, run_sweep, sweep_grid
 
-    if args.workload not in WORKLOADS:
-        raise SystemExit(
-            f"repro sweep: unknown workload {args.workload!r}; "
-            f"available: {', '.join(sorted(WORKLOADS))}"
-        )
-    workload_params = dict(_parse_param(p) for p in args.param)
-    simulators = [s.strip() for s in args.simulators.split(",") if s.strip()]
+    workload_params = dict(args.param)
+    specs = sweep_grid(
+        args.workload,
+        _names(args.simulators),
+        args.channels,
+        workload_params=workload_params,
+        message_length=args.length or None,
+        repeats=args.repeats,
+    )
     try:
-        specs = sweep_grid(
-            args.workload,
-            simulators,
-            args.channels,
-            workload_params=workload_params,
-            message_length=args.length or None,
-            repeats=args.repeats,
+        batch_size = None if args.batch_size == "auto" else int(args.batch_size)
+    except ValueError:
+        batch_size = 0
+    if batch_size is not None and batch_size < 1:
+        raise SystemExit(
+            f"repro sweep: --batch-size must be 'auto' or a positive "
+            f"integer, got {args.batch_size!r}"
         )
-    except NetworkError as exc:
-        raise SystemExit(f"repro sweep: {exc}")
-    if args.batch_size == "auto":
-        batch_size = None
-    else:
-        try:
-            batch_size = int(args.batch_size)
-        except ValueError:
-            raise SystemExit(
-                f"repro sweep: --batch-size must be 'auto' or a positive "
-                f"integer, got {args.batch_size!r}"
-            ) from None
-        if batch_size < 1:
-            raise SystemExit(
-                "repro sweep: --batch-size must be >= 1"
-            )
-    if args.dry_run:
-        _sweep_dry_run(specs, args.seed, batch_size, args.cache_dir, args.force)
-        return
-    out = run_sweep(
-        specs,
+    shared = dict(
         root_seed=args.seed,
-        workers=args.workers,
         cache_dir=args.cache_dir,
         force=args.force,
         batch_size=batch_size,
-        backend=args.backend,
     )
+    if args.dry_run:
+        _print_sweep_plan(specs, plan_sweep(specs, **shared))
+        return
+    out = run_sweep(specs, workers=args.workers, backend=args.backend, **shared)
 
     params = ", ".join(f"{k}={v}" for k, v in sorted(workload_params.items()))
     title = f"sweep: {args.workload}" + (f" ({params})" if params else "")
@@ -1031,117 +656,99 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
     )
 
 
-def _sweep_dry_run(specs, root_seed, batch_size, cache_dir, force) -> None:
-    """Print the packed batch plan without executing any trial."""
-    from pathlib import Path
+def _print_sweep_plan(specs, plan) -> None:
+    """``--dry-run``: the plan ``run_sweep`` would execute, unexecuted."""
+    from collections import Counter
 
     from repro import Table
-    from repro.cache import entry_path, load_entry
-    from repro.sim.sweep import DEFAULT_BATCH_SIZE, _pack_units
 
-    if batch_size is None:
-        batch_size = DEFAULT_BATCH_SIZE
-    cache_path = Path(cache_dir) if cache_dir is not None else None
-    cached = 0
-    pending = []
-    for i, spec in enumerate(specs):
-        if cache_path is not None and not force:
-            entry = entry_path(cache_path, spec.cache_key(root_seed))
-            if load_entry(entry, spec.key()) is not None:
-                cached += 1
-                continue
-        pending.append(i)
-    units = _pack_units(specs, pending, root_seed, batch_size)
     table = Table(
-        f"sweep plan (dry run, batch size {batch_size})",
+        f"sweep plan (dry run, batch size {plan.batch_size})",
         ["unit", "kind", "simulator", "workload", "trials", "B values"],
     )
-    batches = singles = 0
-    by_model: dict[str, list[int]] = {}
-    for n, (_, idxs) in enumerate(units):
-        lockstep = len(idxs) > 1
+    labels = {"lockstep": "lockstep batch(es)", "single": "single(s)"}
+    units: Counter = Counter()  # (simulator | None for all, kind) -> units
+    for n, (_, idxs) in enumerate(plan.units):
         spec0 = specs[idxs[0]]
-        counts = by_model.setdefault(spec0.simulator, [0, 0])
-        if lockstep:
-            batches += 1
-            counts[0] += 1
-        else:
-            singles += 1
-            counts[1] += 1
+        kind = "lockstep" if len(idxs) > 1 else "single"
+        units[spec0.simulator, kind] += 1
+        units[None, kind] += 1
+        B_values = ",".join(str(specs[i].B) for i in idxs)
         table.add_row(
-            [
-                n,
-                "lockstep" if lockstep else "single",
-                spec0.simulator,
-                spec0.workload,
-                len(idxs),
-                ",".join(str(specs[i].B) for i in idxs),
-            ]
+            [n, kind, spec0.simulator, spec0.workload, len(idxs), B_values]
         )
     print(table.render())
-    for sim in sorted(by_model):
-        nb, ns = by_model[sim]
-        parts = []
-        if nb:
-            parts.append(f"{nb} lockstep batch(es)")
-        if ns:
-            parts.append(f"{ns} single(s)")
+    for sim in sorted({sim for sim, _ in units if sim is not None}):
+        parts = [f"{units[sim, k]} {labels[k]}" for k in labels if units[sim, k]]
         print(f"  {sim}: {' + '.join(parts)}")
     print(
-        f"{len(specs)} trials: {cached} cache hits, {len(pending)} to "
-        f"execute in {batches} lockstep batch(es) + {singles} single(s); "
+        f"{len(specs)} trials: {len(plan.cached)} cache hits, "
+        f"{len(specs) - len(plan.cached)} to execute in "
+        f"{' + '.join(f'{units[None, k]} {labels[k]}' for k in labels)}; "
         f"nothing executed (dry run)"
     )
 
 
+def _serve(endpoint) -> None:
+    """Run one serving tier until it has drained."""
+    import asyncio
+
+    from repro.service import serve
+
+    try:
+        asyncio.run(serve(endpoint))
+    except KeyboardInterrupt:
+        pass  # signal handler already drained; double-^C lands here
+
+
+@command(
+    "serve",
+    "run the asyncio trial service (dynamic batching, "
+    "backpressure, graceful drain)",
+    "host port queue_limit max_batch max_wait_ms backend workers batch_timeout_s "
+    "port_file",
+)
 def _cmd_serve(args: argparse.Namespace) -> None:
-    import asyncio
+    from repro.service import ServiceConfig, SimulationService
 
-    from repro.service import ServiceConfig, SimulationService, serve
-
-    config = ServiceConfig(
-        host=args.host,
-        port=args.port,
-        queue_limit=args.queue_limit,
-        max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
-        backend=args.backend,
-        workers=args.workers,
-        batch_timeout_s=args.batch_timeout_s,
-        port_file=args.port_file,
-    )
-    try:
-        asyncio.run(serve(SimulationService(config)))
-    except KeyboardInterrupt:
-        pass  # signal handler already drained; double-^C lands here
+    _serve(SimulationService(_config(ServiceConfig, args)))
 
 
-def _cmd_cluster(args: argparse.Namespace) -> None:
-    import asyncio
-
+@command(
+    "cluster serve",
+    "run a v1-protocol router fronting N supervised "
+    "'repro serve' worker processes",
+    "host port=7900 workers cache_dir queue_limit max_batch max_wait_ms backend "
+    "backend_workers runtime_dir",
+    workers="worker service processes",
+    cache_dir="shared cross-worker result cache directory "
+    "(default: fresh per-tier tempdir)",
+    queue_limit="per-worker queue depth",
+    max_batch="per-worker max compatible trials per lockstep batch",
+    max_wait_ms="per-worker max wait for batch company",
+    backend="execution backend inside each worker process",
+)
+def _cmd_cluster_serve(args: argparse.Namespace) -> None:
     from repro.cluster import ClusterConfig, ClusterRouter
-    from repro.service import ServiceConfig, serve
+    from repro.service import ServiceConfig
 
-    config = ClusterConfig(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        runtime_dir=args.runtime_dir,
-        worker=ServiceConfig(
-            queue_limit=args.queue_limit,
-            max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
-            backend=args.backend,
-            workers=args.backend_workers,
-        ),
-    )
-    try:
-        asyncio.run(serve(ClusterRouter(config)))
-    except KeyboardInterrupt:
-        pass  # signal handler already drained; double-^C lands here
+    worker = _config(ServiceConfig, args, workers=args.backend_workers)
+    _serve(ClusterRouter(_config(ClusterConfig, args, worker=worker)))
 
 
+@command(
+    "loadgen",
+    "drive a running trial server; verify bit-exactness against "
+    "serial replays",
+    "host port workload scenario param channels=1,2,4 length=0 simulators lengths "
+    "requests concurrency rate deadline_ms mode no_verify shutdown output seed",
+    port=dict(help=None),
+    scenario="replay a registered adversarial scenario instead of --workload "
+    "(arrival-trace scenarios also pace the request stream)",
+    channels={**_B_LIST, "help": "comma-separated B values to cycle"},
+    length=_AUTO_LENGTH,
+    seed="root seed",
+)
 def _cmd_loadgen(args: argparse.Namespace) -> None:
     import asyncio
     import json
@@ -1149,33 +756,15 @@ def _cmd_loadgen(args: argparse.Namespace) -> None:
 
     from repro.service import LoadgenConfig, run_loadgen
 
-    if args.scenario is not None:
-        from repro.network.graph import NetworkError
-        from repro.scenarios import get_scenario
-
-        try:
-            get_scenario(args.scenario)
-        except NetworkError as exc:
-            raise SystemExit(f"repro loadgen: {exc}")
-    simulators = tuple(
-        s.strip() for s in (args.simulators or "").split(",") if s.strip()
-    )
-    config = LoadgenConfig(
-        workload=args.workload,
-        workload_params=dict(_parse_param(p) for p in args.param),
-        scenario=args.scenario,
-        channels=args.channels,
-        simulators=simulators,
+    config = _config(
+        LoadgenConfig,
+        args,
+        workload_params=dict(args.param),
+        simulators=_names(args.simulators),
         lengths=args.lengths or (),
         message_length=args.length or None,
-        requests=args.requests,
-        concurrency=args.concurrency,
-        rate=args.rate,
         root_seed=args.seed,
-        deadline_ms=args.deadline_ms,
-        mode=args.mode,
         verify=not args.no_verify,
-        shutdown=args.shutdown,
     )
     try:
         report = asyncio.run(run_loadgen(args.host, args.port, config))
@@ -1216,11 +805,147 @@ def _cmd_loadgen(args: argparse.Namespace) -> None:
         raise SystemExit(f"repro loadgen: responses diverged from {oracle}")
 
 
+@command("scenario list", "registered scenarios, one line each")
+def _cmd_scenario_list(args: argparse.Namespace) -> None:
+    from repro import Table
+    from repro.scenarios import SCENARIOS
+
+    table = Table(
+        f"{len(SCENARIOS)} registered scenarios",
+        ["name", "family", "kind", "models", "stresses"],
+    )
+    for name in sorted(SCENARIOS):
+        s = SCENARIOS[name]
+        table.add_row(
+            [s.name, s.family, s.kind, ",".join(s.models), s.theorem]
+        )
+    print(table.render())
+
+
+@command("scenario show", "one scenario's parameters and checks", "name")
+def _cmd_scenario_show(args: argparse.Namespace) -> None:
+    from repro.scenarios import get_scenario
+
+    scen = get_scenario(args.name)
+    print(f"{scen.name}  [{scen.family} / {scen.kind}]")
+    print(f"stresses: {scen.theorem}")
+    print(f"models:   {', '.join(scen.models)}")
+    print()
+    print(scen.description)
+    print()
+    print("parameters (defaults):")
+    for k, v in scen.defaults().items():
+        print(f"  {k} = {v}")
+    case = scen.build_case()
+    print("expectations:")
+    for label, _ in case.checks:
+        print(f"  - {label}")
+
+
+@command(
+    "scenario run",
+    "build and simulate a scenario; verify its expectations",
+    "name model channels=1,2,4 param seed",
+    channels=_B_LIST,
+    param="builder parameter override (repeatable)",
+)
+def _cmd_scenario_run(args: argparse.Namespace) -> None:
+    from repro import Table
+    from repro.scenarios import get_scenario
+
+    scen = get_scenario(args.name)
+    runs = [
+        scen.run(B=B, model=args.model, seed=args.seed, **dict(args.param))
+        for B in args.channels
+    ]
+    columns = sorted({k for r in runs for k in r.summary()})
+    table = Table(
+        f"scenario {scen.name}: model={runs[0].model}, "
+        f"stresses {scen.theorem}",
+        ["B", *columns, "checks", "verdict"],
+    )
+    for r in runs:
+        summary = r.summary()
+        table.add_row(
+            [
+                r.B,
+                *[summary.get(c, "-") for c in columns],
+                len(r.checked),
+                "ok" if r.ok else f"{len(r.violations)} VIOLATED",
+            ]
+        )
+    print(table.render())
+    info = runs[0].case.info
+    if info:
+        print(
+            "case: "
+            + ", ".join(f"{k}={v}" for k, v in sorted(info.items()))
+        )
+    bad = [v for r in runs for v in r.violations]
+    if bad:
+        for v in bad:
+            print(f"VIOLATION [{v.invariant}] {v.detail}")
+        raise SystemExit(
+            f"repro scenario: {len(bad)} expectation(s) violated"
+        )
+
+
+@command(
+    "fuzz",
+    "seeded cross-model invariant fuzzer; writes a shrunk "
+    "replayable artifact per violation",
+    "rounds seed families artifact_dir replay",
+    seed="root seed",
+)
+def _cmd_fuzz(args: argparse.Namespace) -> None:
+    from repro.fuzz import replay_artifact, run_fuzz
+
+    if args.replay is not None:
+        try:
+            violations = replay_artifact(args.replay)
+        except (OSError, ValueError, KeyError) as exc:
+            raise SystemExit(f"repro fuzz: cannot replay: {exc}")
+        if not violations:
+            print(f"replay of {args.replay}: clean (violation not reproduced)")
+            return
+        for v in violations:
+            print(f"VIOLATION [{v.invariant}] {v.detail}")
+        raise SystemExit(
+            f"repro fuzz: replay reproduced {len(violations)} violation(s)"
+        )
+
+    report = run_fuzz(
+        args.rounds,
+        seed=args.seed,
+        families=_names(args.families) or None,
+        artifact_dir=args.artifact_dir,
+    )
+    mix = ", ".join(
+        f"{k}={v}" for k, v in sorted(report.cases_by_family.items())
+    )
+    print(
+        f"fuzz: {report.rounds} rounds from seed {report.seed} ({mix})"
+    )
+    if report.ok:
+        print("all invariants held")
+        return
+    for path, payload in zip(report.artifact_paths, report.failures):
+        for v in payload["violations"]:
+            print(f"VIOLATION [{v['invariant']}] {v['detail']}")
+        print(f"  shrunk repro artifact: {path}")
+    raise SystemExit(
+        f"repro fuzz: {len(report.failures)} case(s) violated invariants"
+    )
+
+
+@command(
+    "experiment",
+    "regenerate one of the paper experiments (e1..e18, perf)",
+    "name",
+    name="experiment id, e.g. e2 or e11",
+)
 def _cmd_experiment(args: argparse.Namespace) -> None:
     """Run one experiment's benchmark file and print its saved tables."""
-    import subprocess
-    import sys
-
     bench_dir = _find_bench_dir()
     name = args.name.lower()
     matches = sorted(bench_dir.glob(f"test_{name}_*.py")) + sorted(
@@ -1233,20 +958,8 @@ def _cmd_experiment(args: argparse.Namespace) -> None:
         raise SystemExit(
             f"no benchmark for {args.name!r}; available: {', '.join(available)}"
         )
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "pytest",
-            *[str(m) for m in matches],
-            "--benchmark-only",
-            "-q",
-            "--benchmark-disable-gc",
-            "--no-header",
-        ],
-        cwd=bench_dir.parent,
-        capture_output=True,
-        text=True,
+    proc = _run_benchmarks(
+        bench_dir, *map(str, matches), "--benchmark-disable-gc", "--no-header"
     )
     results_dir = bench_dir / "results"
     printed = False
@@ -1261,18 +974,14 @@ def _cmd_experiment(args: argparse.Namespace) -> None:
         print(proc.stdout[-2000:])
 
 
+@command(
+    "reproduce",
+    "run every experiment and assemble benchmarks/results/ALL_RESULTS.txt",
+)
 def _cmd_reproduce(args: argparse.Namespace) -> None:
     """Run the full benchmark suite, then bundle every result table."""
-    import subprocess
-    import sys
-
     bench_dir = _find_bench_dir()
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", str(bench_dir), "--benchmark-only", "-q"],
-        cwd=bench_dir.parent,
-        capture_output=True,
-        text=True,
-    )
+    proc = _run_benchmarks(bench_dir, str(bench_dir))
     summary = next(
         (ln for ln in reversed(proc.stdout.splitlines()) if "passed" in ln),
         proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else "",
@@ -1283,26 +992,62 @@ def _cmd_reproduce(args: argparse.Namespace) -> None:
         raise SystemExit("reproduction run failed")
     results_dir = bench_dir / "results"
     bundle = results_dir / "ALL_RESULTS.txt"
-    parts = []
-    for table_file in sorted(results_dir.glob("e*.txt")):
-        if table_file.name == "ALL_RESULTS.txt":
-            continue
-        parts.append(table_file.read_text().rstrip())
+    # "e*.txt" never matches the bundle itself.
+    parts = [f.read_text().rstrip() for f in sorted(results_dir.glob("e*.txt"))]
     bundle.write_text("\n\n".join(parts) + "\n")
     print(f"{len(parts)} tables bundled into {bundle}")
+
+
+def _run_benchmarks(bench_dir, *pytest_args: str):
+    """``pytest --benchmark-only -q`` on ``benchmarks/`` targets, captured."""
+    import subprocess
+    import sys
+
+    argv = [sys.executable, "-m", "pytest", *pytest_args, "--benchmark-only", "-q"]
+    return subprocess.run(argv, cwd=bench_dir.parent, capture_output=True, text=True)
 
 
 def _find_bench_dir():
     from pathlib import Path
 
-    candidates = [
-        Path(__file__).resolve().parents[2] / "benchmarks",
-        Path(__file__).resolve().parents[2].parent / "benchmarks",
-    ]
-    for c in candidates:
-        if c.is_dir():
-            return c
-    raise SystemExit("benchmarks directory not found (source checkout required)")
+    bench_dir = Path(__file__).resolve().parents[2] / "benchmarks"
+    if not bench_dir.is_dir():
+        raise SystemExit("benchmarks directory not found (source checkout required)")
+    return bench_dir
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description=(
+            "Reproduction of Cole, Maggs & Sitaraman: On the Benefit of "
+            "Supporting Virtual Channels in Wormhole Routers (SPAA 1996)."
+        ),
+    )
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for key, row in COMMANDS.items():
+        group, _, leaf = key.rpartition(" ")
+        if group not in groups:
+            groups[group] = groups[""].add_parser(
+                group, help=GROUPS[group]
+            ).add_subparsers(dest=f"{group}_command", required=True)
+        sub = groups[group].add_parser(leaf, help=row.help)
+        for name, keywords in row.flags.values():
+            sub.add_argument(name, **keywords)
+    return parser
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    from repro.network.graph import NetworkError
+
+    args = build_parser().parse_args(argv)
+    leaf = getattr(args, f"{args.command}_command", None)
+    row = COMMANDS[args.command if leaf is None else f"{args.command} {leaf}"]
+    try:
+        row.handler(args)
+    except NetworkError as exc:
+        raise SystemExit(f"repro {args.command}: {exc}") from None
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -82,9 +82,9 @@ class ClusterConfig:
     #: Port files + worker logs live here (a tempdir when unset).
     runtime_dir: str | None = None
     #: Template every worker's ``repro serve`` argv is rendered from
-    #: (``queue_limit``/``max_batch``/``max_wait_ms``/``backend``/
-    #: ``workers``; host, port and port file are set per slot).  Workers
-    #: are already separate processes, so the in-worker pool stays at 1.
+    #: (every field ``repro serve`` has a flag for; host, port and port
+    #: file are set per slot).  Workers are already separate processes,
+    #: so the in-worker pool stays at 1.
     worker: ServiceConfig = field(
         default_factory=lambda: ServiceConfig(workers=1)
     )

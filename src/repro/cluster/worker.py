@@ -24,6 +24,7 @@ keys simply wait out (or fall back around, see
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import os
 import subprocess
 import sys
@@ -33,6 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+from ..cli import COMMANDS
 from ..exec.base import ExecStats
 from ..service.client import ServiceClient, ServiceConnectionError
 from ..service.server import ServiceConfig
@@ -104,8 +106,9 @@ class WorkerSupervisor:
         if workers < 1:
             raise ValueError(f"need >= 1 worker, got {workers}")
         self.host = host
-        #: Template for every worker's ``repro serve`` argv; host, port
-        #: and port file are the supervisor's to set per slot.
+        #: Template for every worker's ``repro serve`` argv (rendered
+        #: from the ``serve`` row of :data:`repro.cli.COMMANDS`); host,
+        #: port and port file are the supervisor's to set per slot.
         self.service = service
         self.stats = ExecStats("cluster")
         self.handles: list[WorkerHandle] = [
@@ -123,29 +126,17 @@ class WorkerSupervisor:
 
     # -- spawning ------------------------------------------------------
     def _command(self, handle: WorkerHandle) -> list[str]:
-        cfg = self.service
-        return [
-            sys.executable,
-            "-m",
-            "repro",
-            "serve",
-            "--host",
-            self.host,
-            "--port",
-            "0",
-            "--port-file",
-            str(handle.port_file),
-            "--queue-limit",
-            str(cfg.queue_limit),
-            "--max-batch",
-            str(cfg.max_batch),
-            "--max-wait-ms",
-            str(cfg.max_wait_ms),
-            "--backend",
-            cfg.backend,
-            "--workers",
-            str(cfg.workers),
-        ]
+        config = dataclasses.replace(
+            self.service, host=self.host, port=0, port_file=str(handle.port_file)
+        )
+        argv = [sys.executable, "-m", "repro", "serve"]
+        # The row's dests are ServiceConfig's field names; a flag whose
+        # value is None stays at its (unset) default.
+        for dest, (flag, _) in COMMANDS["serve"].flags.items():
+            value = getattr(config, dest)
+            if value is not None:
+                argv += [flag, str(value)]
+        return argv
 
     async def _spawn(self, handle: WorkerHandle) -> None:
         """(Re)launch one slot and wait for it to publish its port."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..network.graph import Network, NetworkError
-from ..routing.paths import Path, dilation
+from ..routing.paths import Path
 from ..sim.stats import SimulationResult
 from ..sim.wormhole import WormholeSimulator
 
@@ -119,11 +119,3 @@ def execute_schedule(
             )
     return result
 
-
-def schedule_for_paths(
-    paths: Sequence[Path], message_length: int, colors: np.ndarray
-) -> ColorClassSchedule:
-    """Convenience: canonical schedule with ``D`` measured from ``paths``."""
-    return ColorClassSchedule.from_colors(
-        colors, message_length, dilation(paths)
-    )

@@ -13,7 +13,7 @@ construction beats by a factor of about ``B D^(1 - 1/B)``.
 
 Both produce :class:`~repro.core.schedule.ColorClassSchedule` objects that
 :func:`~repro.core.schedule.execute_schedule` validates on the flit-level
-simulator.
+simulator; :func:`run_lll_schedule` is the two steps as one pipeline.
 """
 
 from __future__ import annotations
@@ -30,9 +30,15 @@ from .coloring import (
     multiplex_size,
     reduce_multiplex_size,
 )
-from .schedule import ColorClassSchedule
+from .schedule import ColorClassSchedule, execute_schedule
 
-__all__ = ["ScheduleBuild", "lll_schedule", "naive_coloring_schedule", "greedy_conflict_coloring"]
+__all__ = [
+    "ScheduleBuild",
+    "lll_schedule",
+    "run_lll_schedule",
+    "naive_coloring_schedule",
+    "greedy_conflict_coloring",
+]
 
 
 @dataclass(frozen=True)
@@ -48,6 +54,15 @@ class ScheduleBuild:
     @property
     def length_bound(self) -> int:
         return self.schedule.length_bound
+
+    def metrics(self) -> dict[str, int]:
+        """The build's scalars, under the names trial metrics report."""
+        return {
+            "classes": int(self.num_classes),
+            "congestion": int(self.congestion),
+            "dilation": int(self.dilation),
+            "length_bound": int(self.length_bound),
+        }
 
 
 def lll_schedule(
@@ -94,6 +109,28 @@ def lll_schedule(
         num_classes=schedule.num_classes,
         trace=trace,
     )
+
+
+def run_lll_schedule(
+    net,
+    paths: Sequence[Path] | Sequence[Sequence[int]],
+    message_length: int,
+    B: int,
+    *,
+    rng: np.random.Generator | None = None,
+    mode: str = "direct",
+    **execute,
+):
+    """The Theorem 2.1.6 pipeline: build the schedule, then execute it.
+
+    ``rng`` / ``mode`` go to :func:`lll_schedule` (every pipeline in the
+    repository refines in one ``"direct"`` stage); ``execute`` — ``seed``,
+    ``require_unblocked``, ``telemetry`` — goes to
+    :func:`~repro.core.schedule.execute_schedule`.  Returns ``(build,
+    result)``; :meth:`ScheduleBuild.metrics` names the build's scalars.
+    """
+    build = lll_schedule(paths, message_length, B=B, rng=rng, mode=mode)
+    return build, execute_schedule(net, paths, build.schedule, B=B, **execute)
 
 
 def greedy_conflict_coloring(

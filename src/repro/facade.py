@@ -73,7 +73,7 @@ import numpy as np
 
 from .network.graph import NetworkError
 from .sim.batch import LOCKSTEP_MODELS, run_model
-from .sim.sweep import WORKLOADS, Workload, _build_workload
+from .sim.sweep import Workload, build_workload
 
 __all__ = ["MODELS", "SIMULATE_MODES", "SimResult", "simulate"]
 
@@ -158,13 +158,7 @@ def _as_workload(problem: Any, model: str, workload_params) -> Workload:
     if isinstance(problem, Workload):
         return problem
     if isinstance(problem, str):
-        if problem not in WORKLOADS:
-            raise NetworkError(
-                f"unknown workload {problem!r}; "
-                f"registered: {', '.join(sorted(WORKLOADS))}"
-            )
-        params = dict(workload_params or {})
-        return _build_workload(problem, tuple(sorted(params.items())))
+        return build_workload(problem, dict(workload_params or {}))
     if isinstance(problem, tuple) and len(problem) == 2:
         first, second = problem
         if LOCKSTEP_MODELS[model].kind == "mesh":

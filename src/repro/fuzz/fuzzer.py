@@ -418,8 +418,7 @@ def _check_routed(case: FuzzCase, telemetry=None) -> list[Violation]:
 def _check_dominance_and_schedule(
     case: FuzzCase, C: int, D: int, worm_makespans: dict[int, int]
 ) -> list[Violation]:
-    from ..core.schedule import execute_schedule
-    from ..core.scheduler import lll_schedule
+    from ..core.scheduler import run_lll_schedule
 
     L = case.message_length
     lengths = [len(p) for p in case.paths]
@@ -479,20 +478,14 @@ def _check_dominance_and_schedule(
 
     # Theorem 2.1.6: build + execute an LLL schedule at each B.
     for B in case.channels:
-        build = lll_schedule(
-            case.paths,
-            message_length=L,
-            B=B,
-            rng=np.random.default_rng(case.sim_seed),
-            mode="direct",
-        )
-        res = execute_schedule(
+        build, res = run_lll_schedule(
             case.network,
             case.paths,
-            build.schedule,
-            B=B,
-            require_unblocked=False,
+            L,
+            B,
+            rng=np.random.default_rng(case.sim_seed),
             seed=case.sim_seed,
+            require_unblocked=False,
         )
         got = inv.check_schedule_bound(
             int(res.makespan), length_bound=int(build.length_bound)

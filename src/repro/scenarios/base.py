@@ -273,21 +273,14 @@ def _execute_case(
 
 def _run_schedule_case(case: ScenarioCase, *, B: int, seed, telemetry):
     """The Theorem 2.1.6 pipeline, reported as the sweep runner's metrics."""
-    from ..core.schedule import execute_schedule
-    from ..core.scheduler import lll_schedule
+    from ..core.scheduler import run_lll_schedule
 
-    build = lll_schedule(
-        case.workload.paths,
-        message_length=case.message_length,
-        B=B,
-        rng=np.random.default_rng(seed),
-        mode="direct",
-    )
-    res = execute_schedule(
+    build, res = run_lll_schedule(
         case.workload.net,
         case.workload.paths,
-        build.schedule,
-        B=B,
+        case.message_length,
+        B,
+        rng=np.random.default_rng(seed),
         require_unblocked=False,
         telemetry=telemetry,
     )
@@ -297,10 +290,7 @@ def _run_schedule_case(case: ScenarioCase, *, B: int, seed, telemetry):
         "delivered": int(res.num_delivered),
         "deadlocked": bool(res.deadlocked),
         "hit_step_cap": bool(res.hit_step_cap),
-        "classes": int(build.num_classes),
-        "congestion": int(build.congestion),
-        "dilation": int(build.dilation),
-        "length_bound": int(build.length_bound),
+        **build.metrics(),
     }
 
 

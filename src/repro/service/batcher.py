@@ -111,20 +111,16 @@ class DynamicBatcher:
         policy: BatchPolicy,
         *,
         idle_peers,
-        stats=None,
-        backend=None,
-        own_backend: bool = True,
+        stats,
+        backend,
     ) -> None:
-        from ..exec import InlineBackend
-
         self._queue = queue
         self._policy = policy
         self._stats = stats
         #: ``() -> int``: open connections with no run queued, i.e. how
         #: many requests could still join a window.
         self._idle_peers = idle_peers
-        self.backend = backend if backend is not None else InlineBackend()
-        self._own_backend = own_backend if backend is not None else True
+        self.backend = backend
         # One dispatch thread: batches execute in admission order, the
         # shared per-process workload memo is never touched concurrently,
         # and the backend's blocking run() stays off the event loop.
@@ -133,7 +129,6 @@ class DynamicBatcher:
         )
         self._draining = False
         self.in_flight = 0
-        self.batches_executed = 0
 
     def begin_drain(self) -> None:
         """Stop after the queue empties; wake the loop if it's waiting."""
@@ -156,8 +151,7 @@ class DynamicBatcher:
                     await self._dispatch_batch(loop, batch, closed_by)
         finally:
             self._dispatch.shutdown(wait=True)
-            if self._own_backend:
-                self.backend.close()
+            self.backend.close()
 
     # ------------------------------------------------------------------
     async def _coalesce(self, loop) -> str:
@@ -201,8 +195,7 @@ class DynamicBatcher:
                         waited_ms=(now - p.enqueued_at) * 1000.0,
                     ),
                 )
-                if self._stats is not None:
-                    self._stats.note_expired()
+                self._stats.note_expired()
             else:
                 live.append(p)
         return live
@@ -225,13 +218,11 @@ class DynamicBatcher:
                         p.request.id, f"trial execution failed: {exc}"
                     ),
                 )
-            if self._stats is not None:
-                self._stats.note_errors(len(batch))
+            self._stats.note_errors(len(batch))
             return
         finally:
             elapsed = loop.time() - started
             self.in_flight = 0
-            self.batches_executed += 1
             self._queue.note_service_time(elapsed, len(batch) or 1)
         now = loop.time()
         for p, m in zip(batch, metrics):
@@ -245,12 +236,10 @@ class DynamicBatcher:
                     queue_ms=queued_for * 1000.0,
                 ),
             )
-            if self._stats is not None:
-                self._stats.note_completed(
-                    latency_s=now - p.enqueued_at, batch_size=len(batch)
-                )
-        if self._stats is not None:
-            self._stats.note_batch(len(batch), closed_by)
+            self._stats.note_completed(
+                latency_s=now - p.enqueued_at, batch_size=len(batch)
+            )
+        self._stats.note_batch(len(batch), closed_by)
 
     @staticmethod
     def _resolve(pending: PendingRequest, response: dict[str, Any]) -> None:

@@ -64,7 +64,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..network.graph import NetworkError
-from ..sim.sweep import SIMULATORS, WORKLOADS, TrialSpec
+from ..sim.sweep import TrialSpec
 
 __all__ = [
     "MODE_ESTIMATE",
@@ -323,22 +323,10 @@ def parse_run_request(msg: dict[str, Any]) -> RunRequest:
     }
     if unknown:
         raise ProtocolError(f"unknown spec fields: {sorted(unknown)}")
-    workload = spec_dict.get("workload")
-    if workload not in WORKLOADS:
-        raise ProtocolError(
-            f"unknown workload {workload!r}; "
-            f"registered: {', '.join(sorted(WORKLOADS))}"
-        )
-    simulator = spec_dict.get("simulator", "wormhole")
-    if simulator not in SIMULATORS:
-        raise ProtocolError(
-            f"unknown simulator {simulator!r}; "
-            f"registered: {', '.join(sorted(SIMULATORS))}"
-        )
     try:
         spec = TrialSpec.make(
-            workload,
-            simulator,
+            spec_dict.get("workload"),
+            spec_dict.get("simulator", "wormhole"),
             B=_require_int(spec_dict, "B", 1),
             workload_params=spec_dict.get("workload_params"),
             sim_params=spec_dict.get("sim_params"),

@@ -51,11 +51,12 @@ class ServiceConfig:
     queue_limit: int = 64
     max_batch: int = 32
     max_wait_ms: float = 2.0
-    #: Execution substrate for batch compute: ``"inline"`` (event-loop
-    #: adjacent dispatch thread), ``"thread"`` (worker thread pool), or
-    #: ``"process"`` (fault-tolerant worker processes).
-    backend: str = "thread"
-    #: Pool width for thread/process backends.
+    #: Execution substrate for batch compute: ``"inline"`` (on the
+    #: batcher's one dispatch thread) or ``"process"`` (fault-tolerant
+    #: worker processes).  The batcher runs one batch at a time on its
+    #: own thread, so a thread pool under it could only add a hop.
+    backend: str = "inline"
+    #: Process-pool width (``backend="process"`` only).
     workers: int = 2
     #: Optional per-batch wall-clock budget (process backend only); a
     #: stalled worker is terminated and the batch retried.
@@ -80,12 +81,11 @@ class ServiceConfig:
 
     def make_backend(self):
         """Build the configured :mod:`repro.exec` backend instance."""
-        from ..exec import BACKENDS, create_backend
+        from ..exec import create_backend
 
-        if self.backend not in BACKENDS:
+        if self.backend not in ("inline", "process"):
             raise ValueError(
-                f"unknown backend {self.backend!r}; choose from "
-                f"{', '.join(BACKENDS)}"
+                f"unknown backend {self.backend!r}; choose from inline, process"
             )
         options = {}
         if self.backend == "process" and self.batch_timeout_s is not None:
@@ -267,7 +267,7 @@ class SimulationService(Endpoint):
     # -- banners -------------------------------------------------------
     def listening_banner(self) -> str:
         cfg = self.config
-        pool = f" x{cfg.workers}" if cfg.backend in ("thread", "process") else ""
+        pool = f" x{cfg.workers}" if cfg.backend == "process" else ""
         return (
             f"repro service listening on {cfg.host}:{self.port} "
             f"(queue limit {cfg.queue_limit}, max batch {cfg.max_batch}, "

@@ -44,24 +44,28 @@ import os
 import time
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Any
+from pathlib import Path
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from ..cache import CACHE_VERSION as _CACHE_VERSION
-from ..cache import ResultCache
+from ..cache import ResultCache, entry_path, load_entry
 from ..network.graph import NetworkError
 from .batch import LOCKSTEP_MODELS, batch_compat_key, run_model
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
+    "SweepPlan",
     "SweepResult",
     "TrialResult",
     "TrialSpec",
     "WORKLOADS",
     "SIMULATORS",
     "Workload",
+    "build_workload",
     "execute_compatible",
+    "plan_sweep",
     "register_workload",
     "run_sweep",
     "sweep_grid",
@@ -121,11 +125,7 @@ class TrialSpec:
         message_length: int | None = None,
         repeat: int = 0,
     ) -> "TrialSpec":
-        if workload not in WORKLOADS:
-            raise NetworkError(
-                f"unknown workload {workload!r}; "
-                f"registered: {', '.join(sorted(WORKLOADS))}"
-            )
+        _builder(workload)
         if simulator not in SIMULATORS:
             raise NetworkError(
                 f"unknown simulator {simulator!r}; "
@@ -264,8 +264,23 @@ _WORKLOAD_CACHE: dict[tuple[Any, tuple[tuple[str, Any], ...]], Workload] = {}
 _WORKLOAD_CACHE_MAX = 8
 
 
-def _build_workload(name: str, params: tuple[tuple[str, Any], ...]) -> Workload:
-    fn = WORKLOADS[name]
+def _builder(name: str) -> Callable[..., Workload]:
+    """The registered builder; every unknown-name error is raised here."""
+    try:
+        return WORKLOADS[name]
+    except KeyError:
+        raise NetworkError(
+            f"unknown workload {name!r}; "
+            f"registered: {', '.join(sorted(WORKLOADS))}"
+        ) from None
+
+
+def build_workload(name: str, params=()) -> Workload:
+    """The built (memoized) workload ``name``; ``params`` is a mapping or
+    a :attr:`TrialSpec.workload_params` tuple of pairs."""
+    fn = _builder(name)
+    if not isinstance(params, tuple):
+        params = tuple(sorted(params.items()))
     key = (fn, params)
     wl = _WORKLOAD_CACHE.get(key)
     if wl is None:
@@ -408,28 +423,20 @@ def _sim_seed(sp: dict[str, Any], ss: np.random.SeedSequence):
 
 def _run_schedule(wl: Workload, spec: TrialSpec, ss, L: int) -> dict[str, Any]:
     """E1's pipeline: build a Theorem 2.1.6 schedule, then execute it."""
-    from ..core.schedule import execute_schedule
-    from ..core.scheduler import lll_schedule
+    from ..core.scheduler import run_lll_schedule
 
     sp = dict(spec.sim_params)
     sched_seed = sp.get("schedule_seed")
-    rng = np.random.default_rng(ss if sched_seed is None else sched_seed)
-    build = lll_schedule(
+    build, res = run_lll_schedule(
+        wl.net,
         wl.paths,
-        message_length=L,
-        B=spec.B,
-        rng=rng,
+        L,
+        spec.B,
+        rng=np.random.default_rng(ss if sched_seed is None else sched_seed),
         mode=sp.get("mode", "direct"),
+        seed=sp.get("seed", 0),
     )
-    res = execute_schedule(
-        wl.net, wl.paths, build.schedule, B=spec.B, seed=sp.get("seed", 0)
-    )
-    out = _result_metrics(res)
-    out["classes"] = int(build.num_classes)
-    out["congestion"] = int(build.congestion)
-    out["dilation"] = int(build.dilation)
-    out["length_bound"] = int(build.length_bound)
-    return out
+    return {**_result_metrics(res), **build.metrics()}
 
 
 #: Non-lockstep pipelines, each with its own per-trial entry.  Only
@@ -467,7 +474,7 @@ def execute_compatible(
     this function, so offline and online execution cannot drift.
     """
     spec0 = items[0][0]
-    wl = _build_workload(spec0.workload, spec0.workload_params)
+    wl = build_workload(spec0.workload, spec0.workload_params)
     L = wl.default_length if spec0.message_length is None else spec0.message_length
     pipeline = _PIPELINES.get(spec0.simulator)
     if pipeline is not None:
@@ -523,38 +530,6 @@ def _execute_trial(item: tuple[TrialSpec, int]) -> tuple[dict[str, Any], float]:
     """One trial's ``(metrics, seconds)`` — a unit of one."""
     spec, root_seed = item
     return _execute_unit(((spec,), root_seed))[0]
-
-
-def _pack_units(
-    specs: list[TrialSpec], pending: list[int], root_seed: int, batch_size: int
-) -> list[tuple[tuple[tuple[TrialSpec, ...], int], list[int]]]:
-    """Group pending trials into (work unit, pending-index list) pairs.
-
-    Lockstep-model trials sharing a :func:`~repro.sim.batch
-    .batch_compat_key` are chunked into units of at most ``batch_size``
-    trials; everything else (and all trials when ``batch_size == 1``)
-    becomes a one-trial unit, listed after the multi-trial ones.
-    """
-    groups: dict[tuple, list[int]] = {}
-    singles: list[int] = []
-    for i in pending:
-        spec = specs[i]
-        if batch_size >= 2 and spec.simulator in LOCKSTEP_MODELS:
-            groups.setdefault(batch_compat_key(spec), []).append(i)
-        else:
-            singles.append(i)
-    chunks: list[list[int]] = []
-    for idxs in groups.values():
-        for j in range(0, len(idxs), batch_size):
-            chunk = idxs[j : j + batch_size]
-            if len(chunk) == 1:
-                singles.extend(chunk)
-            else:
-                chunks.append(chunk)
-    chunks.extend([i] for i in singles)
-    return [
-        ((tuple(specs[i] for i in chunk), root_seed), chunk) for chunk in chunks
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -656,6 +631,68 @@ def sweep_grid(
     ]
 
 
+class SweepPlan(NamedTuple):
+    """What :func:`run_sweep` will do: :func:`plan_sweep`'s answer."""
+
+    batch_size: int  #: the resolved trials-per-lockstep-batch cap
+    cached: dict[int, dict[str, Any]]  #: spec index -> metrics the cache holds
+    #: ``(work unit, spec indexes)`` pairs covering every other trial; a
+    #: unit is the ``(specs, root_seed)`` payload of :func:`_execute_unit`.
+    units: list[tuple[tuple[tuple[TrialSpec, ...], int], list[int]]]
+
+
+def plan_sweep(
+    specs: Sequence[TrialSpec],
+    *,
+    root_seed: int = 0,
+    cache_dir: str | os.PathLike | None = None,
+    force: bool = False,
+    batch_size: int | None = None,
+) -> SweepPlan:
+    """Scan the cache and pack the remaining trials into work units.
+
+    The arguments are :func:`run_sweep`'s.  Lockstep-model trials
+    sharing a :func:`~repro.sim.batch.batch_compat_key` are chunked into
+    units of at most ``batch_size`` trials; everything else (and all
+    trials when ``batch_size == 1``) becomes a one-trial unit, listed
+    after the multi-trial ones.  Planning only reads: a missing
+    ``cache_dir`` is not created, so ``repro sweep --dry-run`` prints
+    exactly the plan a real run then executes.
+    """
+    if batch_size is None:
+        batch_size = DEFAULT_BATCH_SIZE
+    if batch_size < 1:
+        raise NetworkError("batch_size must be >= 1")
+    root = Path(cache_dir) if cache_dir is not None and not force else None
+    cached: dict[int, dict[str, Any]] = {}
+    groups: dict[tuple, list[int]] = {}
+    singles: list[int] = []
+    for i, spec in enumerate(specs):
+        if root is not None:
+            entry = entry_path(root, spec.cache_key(root_seed))
+            metrics = load_entry(entry, spec.key())
+            if metrics is not None:
+                cached[i] = metrics
+                continue
+        if batch_size >= 2 and spec.simulator in LOCKSTEP_MODELS:
+            groups.setdefault(batch_compat_key(spec), []).append(i)
+        else:
+            singles.append(i)
+    chunks: list[list[int]] = []
+    for idxs in groups.values():
+        for j in range(0, len(idxs), batch_size):
+            chunk = idxs[j : j + batch_size]
+            if len(chunk) == 1:
+                singles.extend(chunk)
+            else:
+                chunks.append(chunk)
+    chunks.extend([i] for i in singles)
+    units = [
+        ((tuple(specs[i] for i in chunk), root_seed), chunk) for chunk in chunks
+    ]
+    return SweepPlan(batch_size, cached, units)
+
+
 def _resolve_backend(backend, workers: int):
     """Map ``run_sweep``'s (backend, workers) surface to an exec backend.
 
@@ -720,35 +757,29 @@ def run_sweep(
         The substrate never changes any trial's metrics.
     """
     specs = list(specs)
-    if batch_size is None:
-        batch_size = DEFAULT_BATCH_SIZE
-    if batch_size < 1:
-        raise NetworkError("batch_size must be >= 1")
     started = time.perf_counter()
-    cache: ResultCache | None = None
-    if cache_dir is not None:
-        cache = ResultCache(cache_dir)
-
+    plan = plan_sweep(
+        specs,
+        root_seed=root_seed,
+        cache_dir=cache_dir,
+        force=force,
+        batch_size=batch_size,
+    )
     results: list[TrialResult | None] = [None] * len(specs)
-    pending: list[int] = []
-    for i, spec in enumerate(specs):
-        if cache is not None and not force:
-            metrics = cache.load(spec.cache_key(root_seed), spec.key())
-            if metrics is not None:
-                results[i] = TrialResult(spec, metrics, cached=True)
-                continue
-        pending.append(i)
+    for i, metrics in plan.cached.items():
+        results[i] = TrialResult(specs[i], metrics, cached=True)
 
-    if pending:
-        units = _pack_units(specs, pending, root_seed, batch_size)
-        payloads = [unit for unit, _ in units]
+    if plan.units:
+        cache = ResultCache(cache_dir) if cache_dir is not None else None
         exec_backend, owned = _resolve_backend(backend, workers)
         try:
-            outcomes = exec_backend.map(_execute_unit, payloads)
+            outcomes = exec_backend.map(
+                _execute_unit, [unit for unit, _ in plan.units]
+            )
         finally:
             if owned:
                 exec_backend.close()
-        for (_, idxs), unit_results in zip(units, outcomes):
+        for (_, idxs), unit_results in zip(plan.units, outcomes):
             for i, (metrics, elapsed) in zip(idxs, unit_results):
                 results[i] = TrialResult(
                     specs[i], metrics, cached=False, elapsed=elapsed

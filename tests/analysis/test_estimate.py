@@ -25,7 +25,7 @@ from repro.analysis.estimate import (
     estimate_spec,
     estimate_workload,
 )
-from repro.sim.sweep import TrialSpec, _build_workload, run_sweep, sweep_grid
+from repro.sim.sweep import TrialSpec, build_workload, run_sweep, sweep_grid
 
 # ----------------------------------------------------------------------
 # Formula checks (hand-computed)
@@ -143,7 +143,7 @@ def test_estimate_workload_matches_route_stats():
     from repro.routing.paths import congestion as path_congestion
     from repro.routing.paths import dilation as path_dilation
 
-    wl = _build_workload(
+    wl = build_workload(
         "chain-bundle", (("chains", 3), ("depth", 5), ("messages", 4))
     )
     env = estimate_workload(wl, "wormhole", B=2)
@@ -155,7 +155,7 @@ def test_estimate_workload_matches_route_stats():
 
 def test_estimate_workload_plain_edge_lists():
     # butterfly-bitrev stores plain edge-id lists, not Path objects.
-    wl = _build_workload("butterfly-bitrev", (("n", 8),))
+    wl = build_workload("butterfly-bitrev", (("n", 8),))
     env = estimate_workload(wl, "cut_through", B=2)
     assert env.messages == len(wl.paths)
     assert env.dilation == max(len(p) for p in wl.paths)

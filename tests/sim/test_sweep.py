@@ -43,6 +43,34 @@ def test_spec_params_are_canonicalized():
     assert a.cache_key(0) == b.cache_key(0)
 
 
+def test_unknown_workload_is_one_error_on_every_surface():
+    """``build_workload`` owns the message; spec validation, the facade,
+    the wire protocol and the CLI surface it, registered names included."""
+    from repro import simulate
+    from repro.cli import main
+    from repro.service.protocol import ProtocolError, parse_run_request
+    from repro.sim.sweep import build_workload
+
+    with pytest.raises(NetworkError) as raised:
+        build_workload("zzz", {})
+    message = str(raised.value)
+    assert message.startswith("unknown workload 'zzz'; registered: ")
+    assert all(name in message for name in WORKLOADS)
+
+    with pytest.raises(NetworkError) as raised:
+        TrialSpec.make("zzz", "wormhole")
+    assert str(raised.value) == message
+    with pytest.raises(NetworkError) as raised:
+        simulate("zzz")
+    assert str(raised.value) == message
+    with pytest.raises(ProtocolError) as raised:
+        parse_run_request({"op": "run", "spec": {"workload": "zzz"}})
+    assert str(raised.value) == f"invalid spec: {message}"
+    with pytest.raises(SystemExit) as raised:
+        main(["sweep", "--workload", "zzz"])
+    assert str(raised.value) == f"repro sweep: {message}"
+
+
 def test_spec_rejects_unknown_names_and_bad_values():
     with pytest.raises(NetworkError, match="unknown workload"):
         TrialSpec.make("nope", "wormhole")
@@ -306,12 +334,12 @@ def test_batched_respects_sim_params():
 
 
 def test_batching_only_groups_compatible_cells():
-    from repro.sim.sweep import _pack_units
+    from repro.sim.sweep import plan_sweep
 
     specs = wormhole_grid(repeats=2) + tiny_grid(
         simulators=("store_forward",), Bs=(1,)
     )
-    units = _pack_units(specs, list(range(len(specs))), 0, batch_size=4)
+    units = plan_sweep(specs, batch_size=4).units
     # 6 wormhole trials -> units of 4 and 2; 1 store_forward unit of one.
     assert sorted(len(idxs) for _, idxs in units) == [1, 2, 4]
     covered = sorted(i for _, idxs in units for i in idxs)
@@ -323,10 +351,10 @@ def test_batching_only_groups_compatible_cells():
 
 
 def test_singleton_batch_tail_runs_as_single():
-    from repro.sim.sweep import _pack_units
+    from repro.sim.sweep import plan_sweep
 
     specs = wormhole_grid(repeats=3, Bs=(1,))
-    units = _pack_units(specs, list(range(3)), 0, batch_size=2)
+    units = plan_sweep(specs, batch_size=2).units
     # Multi-trial units first, the one-trial tail after them.
     assert [len(idxs) for _, idxs in units] == [2, 1]
 
@@ -337,18 +365,18 @@ def test_batch_size_validation():
 
 
 def test_workload_cache_reuses_instances():
-    from repro.sim.sweep import _WORKLOAD_CACHE, _build_workload
+    from repro.sim.sweep import _WORKLOAD_CACHE, build_workload
 
     _WORKLOAD_CACHE.clear()
     params = tuple(sorted(TINY_WL.items()))
-    a = _build_workload("chain-bundle", params)
-    b = _build_workload("chain-bundle", params)
+    a = build_workload("chain-bundle", params)
+    b = build_workload("chain-bundle", params)
     assert a is b
     assert a.padded_paths() is b.padded_paths()
 
 
 def test_workload_cache_keyed_on_builder_function():
-    from repro.sim.sweep import _WORKLOAD_CACHE, _build_workload
+    from repro.sim.sweep import _WORKLOAD_CACHE, build_workload
 
     @register_workload("_test_cache")
     def _v1() -> Workload:
@@ -359,7 +387,7 @@ def test_workload_cache_keyed_on_builder_function():
         return Workload(net=net, paths=paths_from_node_walks(net, walks))
 
     try:
-        first = _build_workload("_test_cache", ())
+        first = build_workload("_test_cache", ())
 
         @register_workload("_test_cache")
         def _v2() -> Workload:
@@ -369,7 +397,7 @@ def test_workload_cache_keyed_on_builder_function():
             net, walks = chain_bundle(2, 2, 1)
             return Workload(net=net, paths=paths_from_node_walks(net, walks))
 
-        second = _build_workload("_test_cache", ())
+        second = build_workload("_test_cache", ())
         # Re-registering the name must not serve the stale build.
         assert second is not first
         assert len(second.paths) == 2

@@ -2,7 +2,148 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import COMMANDS, build_parser, main
+
+#: ``vars(build_parser().parse_args([*command]))`` for every bare command
+#: (``x`` for a positional), as recorded before the parser became a table.
+#: The one intended difference since: ``backend`` on ``serve`` / ``cluster
+#: serve`` was ``"thread"``.
+SURFACE = {
+    "info": {"command": "info"},
+    "demo": {"command": "demo", "n": 8, "length": 16, "seed": 0},
+    "butterfly": {
+        "command": "butterfly",
+        "n": 64,
+        "q": 4,
+        "channels": 2,
+        "length": 8,
+        "seed": 0,
+    },
+    "schedule": {
+        "command": "schedule",
+        "width": 10,
+        "depth": 10,
+        "messages": 120,
+        "length": 10,
+        "seed": 0,
+    },
+    "hard-instance": {
+        "command": "hard-instance",
+        "congestion": 8,
+        "dilation": 15,
+        "channels": 1,
+        "seed": 0,
+    },
+    "spacetime": {
+        "command": "spacetime",
+        "worms": 3,
+        "depth": 4,
+        "length": 5,
+        "channels": 1,
+    },
+    "profile": {
+        "command": "profile",
+        "workload": "hard-instance",
+        "scenario": None,
+        "artifact": None,
+        "congestion": 8,
+        "dilation": 15,
+        "channels": 1,
+        "n": 8,
+        "length": 0,
+        "top": 5,
+        "trace": None,
+        "seed": 0,
+    },
+    "sweep": {
+        "command": "sweep",
+        "workload": "chain-bundle",
+        "param": [],
+        "simulators": "wormhole,cut_through,store_forward",
+        "channels": (1, 2, 4),
+        "length": 0,
+        "repeats": 1,
+        "workers": 0,
+        "backend": None,
+        "cache_dir": None,
+        "force": False,
+        "batch_size": "auto",
+        "dry_run": False,
+        "seed": 0,
+    },
+    "serve": {
+        "command": "serve",
+        "host": "127.0.0.1",
+        "port": 7654,
+        "queue_limit": 64,
+        "max_batch": 32,
+        "max_wait_ms": 2.0,
+        "backend": "inline",
+        "workers": 2,
+        "batch_timeout_s": None,
+        "port_file": None,
+    },
+    "cluster serve": {
+        "command": "cluster",
+        "cluster_command": "serve",
+        "host": "127.0.0.1",
+        "port": 7900,
+        "workers": 2,
+        "cache_dir": None,
+        "queue_limit": 64,
+        "max_batch": 32,
+        "max_wait_ms": 2.0,
+        "backend": "inline",
+        "backend_workers": 1,
+        "runtime_dir": None,
+    },
+    "loadgen": {
+        "command": "loadgen",
+        "host": "127.0.0.1",
+        "port": 7654,
+        "workload": "chain-bundle",
+        "scenario": None,
+        "param": [],
+        "channels": (1, 2, 4),
+        "length": 0,
+        "simulators": None,
+        "lengths": None,
+        "requests": 32,
+        "concurrency": 8,
+        "rate": 0.0,
+        "deadline_ms": None,
+        "mode": "exact",
+        "no_verify": False,
+        "shutdown": False,
+        "output": None,
+        "seed": 0,
+    },
+    "scenario list": {"command": "scenario", "scenario_command": "list"},
+    "scenario show": {
+        "command": "scenario",
+        "scenario_command": "show",
+        "name": "x",
+    },
+    "scenario run": {
+        "command": "scenario",
+        "scenario_command": "run",
+        "name": "x",
+        "model": None,
+        "channels": (1, 2, 4),
+        "param": [],
+        "seed": 0,
+    },
+    "fuzz": {
+        "command": "fuzz",
+        "rounds": 50,
+        "seed": 0,
+        "families": None,
+        "artifact_dir": "fuzz-artifacts",
+        "replay": None,
+    },
+    "experiment": {"command": "experiment", "name": "x"},
+    "reproduce": {"command": "reproduce"},
+}
 
 
 class TestParser:
@@ -17,6 +158,47 @@ class TestParser:
     def test_defaults(self):
         args = build_parser().parse_args(["butterfly"])
         assert args.n == 64 and args.channels == 2
+
+    def test_every_row_is_recorded(self):
+        assert list(COMMANDS) == list(SURFACE)
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_bare_command_parses_to_the_recorded_surface(self, command):
+        """Dests, defaults and converted types of every row of the table."""
+        argv = command.split() + ["x"] * ("name" in COMMANDS[command].flags)
+        got = vars(build_parser().parse_args(argv))
+        assert got == SURFACE[command]
+        assert [type(v) for v in got.values()] == [
+            type(v) for v in SURFACE[command].values()
+        ]
+
+    def test_supervisor_argv_round_trips_through_the_serve_row(self, tmp_path):
+        """``WorkerSupervisor._command`` renders the worker template from
+        the ``serve`` row's flags, so parsing it back must rebuild the
+        template with the supervisor's host / port / port file set."""
+        import dataclasses
+
+        from repro.cli import _config
+        from repro.cluster.worker import WorkerSupervisor
+        from repro.service import ServiceConfig
+
+        template = ServiceConfig(
+            queue_limit=7, max_batch=5, max_wait_ms=1.5, backend="process", workers=3
+        )
+        supervisor = WorkerSupervisor(
+            1, host="127.0.0.9", service=template, runtime_dir=str(tmp_path)
+        )
+        handle = supervisor.handles[0]
+        handle.port_file = tmp_path / "worker0.port"
+        argv = supervisor._command(handle)
+        assert argv[1:3] == ["-m", "repro"]
+        # Parsed and rebuilt exactly as `repro serve` does it.
+        rebuilt = _config(ServiceConfig, build_parser().parse_args(argv[3:]))
+        assert rebuilt == dataclasses.replace(
+            template, host="127.0.0.9", port=0, port_file=str(handle.port_file)
+        )
+        # An unset field stays off the argv instead of rendering "None".
+        assert "--batch-timeout-s" not in argv and "None" not in argv
 
 
 class TestCommands:
@@ -128,9 +310,11 @@ class TestCommands:
         with pytest.raises(SystemExit, match="unknown workload"):
             main(["sweep", "--workload", "zzz"])
 
-    def test_sweep_rejects_malformed_param(self):
-        with pytest.raises(SystemExit, match="KEY=VAL"):
+    def test_sweep_rejects_malformed_param(self, capsys):
+        # --param is an argparse type=: a usage error on stderr, exit 2.
+        with pytest.raises(SystemExit):
             main(["sweep", "--param", "oops"])
+        assert "KEY=VAL" in capsys.readouterr().err
 
     def test_sweep_batch_size_matches_serial(self, capsys):
         argv = [
@@ -272,12 +456,22 @@ class TestCommands:
                 ["sweep", "--simulators", "nope"],
                 "repro sweep: unknown simulator 'nope'",
             ),
+            (
+                ["loadgen", "--param", "oops"],
+                "repro loadgen: error: argument --param: needs KEY=VAL",
+            ),
+            (
+                ["scenario", "run", "chain-contention", "--param", "oops"],
+                "repro scenario run: error: argument --param: needs KEY=VAL",
+            ),
         ],
         ids=[
             "sweep-channels-not-int",
             "sweep-channels-empty",
             "loadgen-lengths-not-int",
             "sweep-unknown-simulator",
+            "loadgen-param-names-its-command",
+            "scenario-run-param-names-its-command",
         ],
     )
     def test_malformed_list_flag_is_a_usage_error(self, capsys, argv, message):
@@ -364,9 +558,10 @@ class TestScenarioCommand:
                 ["scenario", "run", "ring-deadlock", "--model", "store_forward"]
             )
 
-    def test_run_bad_param_is_a_clean_error(self):
-        with pytest.raises(SystemExit, match="--param"):
+    def test_run_bad_param_is_a_clean_error(self, capsys):
+        with pytest.raises(SystemExit):
             main(["scenario", "run", "chain-contention", "--param", "chains"])
+        assert "--param" in capsys.readouterr().err
 
     def test_subcommand_required(self):
         with pytest.raises(SystemExit):
