@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
+import numpy as np
+
 from .graph import Network, NetworkError
 
 __all__ = ["KAryNCube", "dimension_order_path"]
@@ -41,6 +43,9 @@ class KAryNCube:
     n: int
     wrap: bool = True
     network: Network = field(init=False)
+    _tables: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.k < 2:
@@ -100,6 +105,43 @@ class KAryNCube:
                 d += min(step, self.k - step) if self.wrap else step
             dists.append(d)
         return dists
+
+    def direction_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(coords, dir_edge, dir_node)`` lookup arrays, built once.
+
+        ``coords[v]`` is node ``v``'s coordinate row.  Column ``2 * dim``
+        of ``dir_edge`` / ``dir_node`` holds the edge leaving ``v``
+        toward, and the neighbour at, ``coords[v][dim] + 1``; column
+        ``2 * dim + 1`` the same for ``- 1``; ``-1`` where the mesh
+        ends.  The last column (``2 * n``) is ``-1`` for every node, so
+        "no move in this dimension" is a direction index too.
+
+        :class:`Network` is append-only, so a built table stays valid;
+        a build that raises caches nothing.
+        """
+        if self._tables is None:
+            net, k = self.network, self.k
+            wraps = self.wrap and k > 2
+            coords = np.asarray(
+                list(product(range(k), repeat=self.n)), dtype=np.int64
+            )
+            dir_edge = np.full((self.num_nodes, 2 * self.n + 1), -1, np.int64)
+            dir_node = dir_edge.copy()
+            for v, at in enumerate(coords.tolist()):
+                for d in range(2 * self.n):
+                    c = at[d // 2] + (-1 if d % 2 else 1)
+                    if not (wraps or 0 <= c < k):
+                        continue
+                    u = self.node(self._with(at, d // 2, c % k))
+                    e = net.edge_between(v, u)
+                    if e is None:
+                        raise NetworkError(
+                            f"mesh is missing the edge between nodes "
+                            f"{v} and {u}"
+                        )
+                    dir_edge[v, d], dir_node[v, d] = e, u
+            self._tables = (coords, dir_edge, dir_node)
+        return self._tables
 
     @staticmethod
     def _with(coords: tuple[int, ...], dim: int, value: int) -> tuple[int, ...]:

@@ -26,9 +26,11 @@ head is *blocked* only when every direction its policy allows is full;
 this is where adaptivity pays — the worm routes around congestion.
 
 Route selection and slot occupancy live in
-:class:`~repro.sim.kernels.AdaptiveKernel` (grants happen sequentially
-in a random head order as each head picks among its free directions) and
-the step protocol in the shared
+:class:`~repro.sim.kernels.AdaptiveKernel` (the model grants
+sequentially in a random head order, each head picking among its free
+directions; the kernel serves every head whose outcome cannot depend on
+an earlier one in the same pass — MODEL.md section 7) and the step
+protocol in the shared
 :class:`~repro.sim.engine.BatchStepLoop`.  :class:`AdaptiveMeshRouter`
 is the single-trial front end of
 :func:`repro.sim.batch.run_adaptive_batch`.

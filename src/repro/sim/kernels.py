@@ -1015,20 +1015,25 @@ class RestrictedKernel(_Kernel):
 # Adaptive: online minimal routing with mask-based misroute selection.
 # ----------------------------------------------------------------------
 
-_DIRS = ((1, 0), (-1, 0), (0, 1), (0, -1))  # +x, -x, +y, -y
+# Direction-table column (KAryNCube.direction_tables) by axis and by the
+# sign of the remaining offset: 0 -> the all-absent column, +1, -1.
+_AXIS_DIR = np.array([[4, 0, 1], [4, 2, 3]])
+_AXES = np.arange(2)
 
 
 class AdaptiveKernel(_Kernel):
-    """Round-based adaptive mesh routing over per-trial head orders.
+    """Adaptive mesh routing over per-trial head orders, in prefix waves.
 
     Each step, every trial shuffles its active messages with its own
-    RNG (the serial head-service order); round ``r`` then processes each
-    trial's ``r``-th message across all trials at once — the geometric
-    option masks (productive directions allowed by the turn-model
-    policy) are computed vectorized from precomputed coordinate and
-    direction-edge tables, while the per-head free-channel draw consumes
-    each trial's RNG exactly as its serial run would (one
-    ``integers(n_free)`` per head with a non-empty free set).
+    RNG (the serial head-service order).  The geometric option masks
+    (productive directions allowed by the turn-model policy) are
+    computed vectorized for every head of every trial from the cube's
+    coordinate and direction-edge tables; heads are then served in
+    *prefix waves* — each pass serves, in every trial at once, the heads
+    ahead of the first one whose free set could still depend on an
+    earlier head (MODEL.md section 7) — while the free-channel draw
+    consumes each trial's RNG exactly as its serial run would (one
+    ``integers(2)`` per head with both channels free, in service order).
     """
 
     @classmethod
@@ -1037,15 +1042,21 @@ class AdaptiveKernel(_Kernel):
     ) -> Packed:
         check_mesh(cube)
         L = _scalar_length(message_length)
+        ends = np.asarray(demands, dtype=np.int64).reshape(-1, 2)
+        bad = (ends < 0) | (ends >= cube.num_nodes)
+        if bad.any():
+            raise NetworkError(f"node id {int(ends[bad][0])} out of range")
+        tables = cube.direction_tables()
+        src, dst = tables[0][ends.T]
         return Packed(
             # Minimal routes all have the Manhattan length.
-            lengths=np.asarray(cube.distances(demands), dtype=np.int64),
+            lengths=np.abs(src - dst).sum(axis=1),
             message_length=L,
             release=_shared_release(release_times, len(demands)),
             num_edges=cube.network.num_edges,
             padded=None,
-            cube=cube,
-            demands=demands,
+            ends=ends,
+            tables=tables,
             num_virtual_channels=int(B[0]),
             extra={"flits_per_grant": L, "policy": option},
         )
@@ -1060,35 +1071,12 @@ class AdaptiveKernel(_Kernel):
     def __init__(self, loop, packed: Packed, *, B, option, rngs) -> None:
         super().__init__(loop, packed, B=B, option=option, rngs=rngs)
         T, M = self.T, self.M
-        cube, demands, dists = packed.cube, packed.demands, self.D
-        net = cube.network
-        V = cube.num_nodes
-        kk = cube.k
-        self.cx = np.empty(V, dtype=np.int64)
-        self.cy = np.empty(V, dtype=np.int64)
-        self.dir_edge = np.full((V, 4), -1, dtype=np.int64)
-        self.dir_node = np.full((V, 4), -1, dtype=np.int64)
-        for v in range(V):
-            x, y = cube.coords(v)
-            self.cx[v], self.cy[v] = x, y
-            for d, (dx, dy) in enumerate(_DIRS):
-                x2, y2 = x + dx, y + dy
-                if 0 <= x2 < kk and 0 <= y2 < kk:
-                    u = cube.node((x2, y2))
-                    e = net.edge_between(v, u)
-                    if e is None:
-                        raise NetworkError(
-                            f"mesh is missing the edge between nodes "
-                            f"{v} and {u}"
-                        )
-                    self.dir_edge[v, d] = e
-                    self.dir_node[v, d] = u
-        src = np.asarray([s for s, _ in demands], dtype=np.int64)
-        self.dest = np.asarray([d for _, d in demands], dtype=np.int64)
-        self.position = np.tile(src, (T, 1))
+        self.coords, self.dir_edge, self.dir_node = packed.tables
+        self.dest = packed.ends[:, 1]
+        self.position = np.tile(packed.ends[:, 0], (T, 1))
         self.k = np.zeros((T, M), dtype=np.int64)
-        self.occ = np.zeros((T, net.num_edges), dtype=np.int64)
-        max_d = int(dists.max()) if M else 0
+        self.occ = np.zeros((T, self.num_edges), dtype=np.int64)
+        max_d = int(self.D.max()) if M else 0
         self.taken = np.zeros((T, M, max(max_d, 1)), dtype=np.int64)
         self.tlen = np.zeros((T, M), dtype=np.int64)
         # Preallocated per-step scratch: the padded shuffle matrices and
@@ -1096,6 +1084,10 @@ class AdaptiveKernel(_Kernel):
         self._ids_mat = np.zeros((T, M), dtype=np.int64)
         self._draw_mat = np.empty((T, M), dtype=np.float64)
         self._mov = np.zeros((T, M), dtype=bool)
+        # Steps that served heads, and the passes they took (tests read
+        # these to see the waves at work).
+        self.head_steps = 0
+        self.head_passes = 0
 
     def taken_paths(self, trial: int) -> list[list[int]]:
         """The edge ids trial ``trial``'s messages actually traversed."""
@@ -1107,38 +1099,47 @@ class AdaptiveKernel(_Kernel):
     def _options(self, trs: np.ndarray, ms: np.ndarray):
         """Vectorized policy-allowed productive moves, in serial order.
 
-        Returns ``(o1e, o1n, o2e, o2n)`` — the first and second option's
-        edge and node ids (``-1`` = absent).  The serial option list
-        appends the x-move before the y-move, so option 1 is the x-move
-        whenever the policy allows one.
+        Returns ``(oe, on)`` — ``(n, 2)`` edge and node ids of each
+        head's x-move and y-move (``-1`` = absent).  The serial option
+        list appends the x-move before the y-move, so a head's first
+        option is its first present column.
         """
         pos = self.position[trs, ms]
-        dst = self.dest[ms]
-        dx = self.cx[dst] - self.cx[pos]
-        dy = self.cy[dst] - self.cy[pos]
-        xi = np.where(dx > 0, 0, 1)
-        yi = np.where(dy > 0, 2, 3)
-        xe = np.where(dx != 0, self.dir_edge[pos, xi], -1)
-        xn = np.where(dx != 0, self.dir_node[pos, xi], -1)
-        ye = np.where(dy != 0, self.dir_edge[pos, yi], -1)
-        yn = np.where(dy != 0, self.dir_node[pos, yi], -1)
-        if self.option == "dimension":
-            o1e = np.where(dx != 0, xe, ye)
-            o1n = np.where(dx != 0, xn, yn)
-            o2e = np.full_like(o1e, -1)
-            o2n = o2e
+        delta = self.coords[self.dest[ms]] - self.coords[pos]
+        d = _AXIS_DIR[_AXES, np.sign(delta)]
+        if self.option == "dimension":  # y only once x is corrected
+            d[delta[:, 0] != 0, 1] = 4
         elif self.option == "west-first":
             # Destination west: go fully west, deterministically.
-            west = dx < 0
-            o1e, o1n = xe, xn
-            o2e = np.where(west, -1, ye)
-            o2n = np.where(west, -1, yn)
-        else:  # fully-adaptive
-            o1e, o1n, o2e, o2n = xe, xn, ye, yn
-        return o1e, o1n, o2e, o2n
+            d[delta[:, 0] < 0, 1] = 4
+        pos = pos[:, None]
+        return self.dir_edge[pos, d], self.dir_node[pos, d]
+
+    def _earlier_claims(self, ht: np.ndarray, oe: np.ndarray) -> np.ndarray:
+        """How many earlier heads of the same trial list each candidate.
+
+        ``oe`` is the ``(n, 2)`` candidate-edge matrix of the heads
+        ``ht`` (trial ids, trial-major in service order; ``-1`` =
+        absent).  A head's two candidates are distinct edges, so the
+        rank of a claim within its ``(trial, edge)`` group, taken in
+        head order, is the count of earlier heads that could acquire
+        that edge before it.  Absent candidates share one group; their
+        rank is never read.
+        """
+        key = np.where(oe >= 0, ht[:, None] * self.num_edges + oe, -1)
+        key = key.ravel()
+        srt = np.argsort(key, kind="stable")  # head order within a group
+        sk = key[srt]
+        idx = np.arange(key.size)
+        first = np.empty(key.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(sk[1:], sk[:-1], out=first[1:])
+        rank = np.empty(key.size, dtype=np.int64)
+        rank[srt] = idx - np.maximum.accumulate(np.where(first, idx, 0))
+        return rank.reshape(oe.shape)
 
     def body(self, t: int, active: np.ndarray) -> np.ndarray:
-        T, M, L = self.T, self.M, self.L
+        T, L = self.T, self.L
         dists, probes = self.D, self.probes
         occ, B, k = self.occ, self.B, self.k
         # Per-trial head-service order: each trial with active messages
@@ -1151,68 +1152,89 @@ class AdaptiveKernel(_Kernel):
         rows, cols = np.nonzero(active)
         starts = np.zeros(T + 1, dtype=np.int64)
         np.cumsum(counts, out=starts[1:])
+        slot = np.arange(rows.size) - starts[rows]
         ids_mat = self._ids_mat
-        ids_mat[rows, np.arange(rows.size) - starts[rows]] = cols
+        ids_mat[rows, slot] = cols
         draw_mat = self._draw_mat[:, :max_len]
         draw_mat[...] = np.inf
         for tr in np.flatnonzero(counts):
             n = counts[tr]
             draw_mat[tr, :n] = self.rngs[tr].random(n)
         perm = np.argsort(draw_mat, axis=1)
-        order_mat = np.take_along_axis(ids_mat[:, :max_len], perm, axis=1)
+        # The service order, flat: trial-major, shuffled within a trial.
+        sm = ids_mat[rows, perm[rows, slot]]
 
-        movers0: list[int] = []
-        grants: list[tuple[int, int]] = []
-        blocks: list[tuple[int, int]] = []
         mov = self._mov
-        mov[:] = False
-        # Round r serves every trial's r-th message at once; a trial
-        # contributes at most one head per round, so all the scatter
-        # updates below hit distinct (trial, *) cells.
-        for r in range(max_len):
-            trs = np.flatnonzero(counts > r)
-            ms = order_mat[trs, r]
-            heads = k[trs, ms] < dists[ms]
-            ht, hm = trs[heads], ms[heads]
-            if ht.size:
-                o1e, o1n, o2e, o2n = self._options(ht, hm)
-                f1 = (o1e >= 0) & (occ[ht, np.maximum(o1e, 0)] < B[ht])
-                f2 = (o2e >= 0) & (occ[ht, np.maximum(o2e, 0)] < B[ht])
-                blk = ~(f1 | f2)
-                if blk.any():
-                    self.state.blocked[ht[blk], hm[blk]] += 1
-                    if probes is not None:
-                        first = np.where(o1e[blk] >= 0, o1e[blk], o2e[blk])
-                        blocks.extend(
-                            (int(m), int(e))
-                            for m, e in zip(hm[blk], first)
-                        )
-                # Free-channel choice: ``integers(1)`` never consumes
-                # RNG state and always returns 0, so only heads with
-                # both options free draw from their trial's stream.
-                ch = np.zeros(ht.size, dtype=np.int64)
-                for i in np.flatnonzero(f1 & f2):
-                    ch[i] = self.rngs[ht[i]].integers(2)
-                win = ~blk
-                use1 = f1 & (ch == 0)
-                e_sel = np.where(use1, o1e, o2e)[win]
-                n_sel = np.where(use1, o1n, o2n)[win]
-                wt, wm = ht[win], hm[win]
-                occ[wt, e_sel] += 1
-                tl = self.tlen[wt, wm]
-                self.taken[wt, wm, tl] = e_sel
-                self.tlen[wt, wm] = tl + 1
-                self.position[wt, wm] = n_sel
-                mov[wt, wm] = True
+        np.greater_equal(k, dists, out=mov)
+        mov &= active  # draining worms always move
+        heads = ~mov[rows, sm]
+        ht, hm = rows[heads], sm[heads]
+        grants: list[tuple[np.ndarray, np.ndarray]] = []
+        blocks: list[tuple[np.ndarray, np.ndarray]] = []
+        if ht.size:
+            self.head_steps += 1
+            oe, on = self._options(ht, hm)
+        # Prefix waves (MODEL.md section 7): a head's outcome can depend
+        # on an earlier head only through an edge whose free lanes the
+        # earlier claims could exhaust.  Occupancy only rises while
+        # heads are served, so "full now" and "free even if every
+        # earlier claimant takes it" are both exact; each pass serves
+        # every trial's heads up to its first undecided one at once.
+        while ht.size:
+            self.head_passes += 1
+            room = B[ht, None] - occ[ht[:, None], oe]  # absent: masked
+            free = (oe >= 0) & (room > 0)
+            und = (free & (self._earlier_claims(ht, oe) >= room)).any(axis=1)
+            f1, f2 = free[:, 0], free[:, 1]
+            win, both = f1 | f2, f1 & f2
+            blk = ~win
+            wave = None
+            if und.any():
+                # A trial's first undecided head closes its wave.
+                stop = np.full(T, ht.size, dtype=np.int64)
+                u = np.flatnonzero(und)
+                np.minimum.at(stop, ht[u], u)
+                wave = np.arange(ht.size) < stop[ht]
+                win &= wave
+                both &= wave
+                blk &= wave
+            if blk.any():
+                bt, bm = ht[blk], hm[blk]
+                self.state.blocked[bt, bm] += 1
                 if probes is not None:
-                    grants.extend(
-                        (int(m), int(e)) for m, e in zip(wm, e_sel)
-                    )
-                    movers0.extend(int(m) for m in wm)
-            dt, dm = trs[~heads], ms[~heads]
-            mov[dt, dm] = True  # draining worms always move
-            if probes is not None:
-                movers0.extend(int(m) for m in dm)
+                    first = np.where(oe[:, 0] >= 0, oe[:, 0], oe[:, 1])
+                    blocks.append((bm, first[blk]))
+            # Free-channel choice: ``integers(1)`` never consumes RNG
+            # state and always returns 0, so only heads with both
+            # options free draw from their trial's stream — one
+            # ``integers(2, size=n)`` per trial, split-exact against
+            # ``n`` scalar draws.
+            ch = np.zeros(ht.size, dtype=np.int64)
+            draw = both.nonzero()[0]
+            if draw.size:
+                need = np.bincount(ht[draw], minlength=T)
+                at = 0
+                for tr in need.nonzero()[0]:
+                    n = need[tr]
+                    ch[draw[at : at + n]] = self.rngs[tr].integers(2, size=n)
+                    at += n
+            w = win.nonzero()[0]
+            col = np.where(f1, ch, 1)[w]
+            e_sel = oe[w, col]
+            wt, wm = ht[w], hm[w]
+            # Several heads of one trial may now take one edge.
+            np.add.at(occ, (wt, e_sel), 1)
+            tl = self.tlen[wt, wm]
+            self.taken[wt, wm, tl] = e_sel
+            self.tlen[wt, wm] = tl + 1
+            self.position[wt, wm] = on[w, col]
+            mov[wt, wm] = True
+            if probes is not None and w.size:
+                grants.append((wm, e_sel))
+            if wave is None:
+                break
+            rest = ~wave
+            ht, hm, oe, on = ht[rest], hm[rest], oe[rest], on[rest]
 
         # -- movement: lock-step advance, strict buffer release ---------
         pre_k = self.k[0].copy() if probes is not None else None
@@ -1234,15 +1256,20 @@ class AdaptiveKernel(_Kernel):
             self.state.done[ft, fm] = True
 
         if probes is not None:
-            self._emit_step_events(t, movers0, pre_k, grants, blocks)
+            # T = 1: the movers in service order.
+            self._emit_step_events(t, sm[mov[0, sm]], pre_k, grants, blocks)
         return mov.any(axis=1)
 
     def _emit_step_events(self, t, movers0, pre_k, grants, blocks):
-        """Reproduce the serial per-step event stream (T = 1 only)."""
+        """Reproduce the serial per-step event stream (T = 1 only).
+
+        ``grants`` / ``blocks`` hold one ``(messages, edges)`` array
+        pair per pass, so their concatenation is in service order.
+        """
         probes, L = self.probes, self.L
         releases: list[tuple[int, int]] = []
         finished: list[int] = []
-        for m in movers0:
+        for m in movers0.tolist():
             km = int(pre_k[m]) + 1
             d = int(self.D[m])
             rel_i = km - L - 1
@@ -1252,14 +1279,12 @@ class AdaptiveKernel(_Kernel):
                 releases.append((m, int(self.taken[0, m, d - 1])))
                 finished.append(m)
         if grants:
-            g = np.asarray(grants, dtype=np.int64)
-            probes.on_grant(t, g[:, 0], g[:, 1])
+            probes.on_grant(t, *map(np.concatenate, zip(*grants)))
         if blocks:
-            b = np.asarray(blocks, dtype=np.int64)
-            probes.on_block(t, b[:, 0], b[:, 1])
+            probes.on_block(t, *map(np.concatenate, zip(*blocks)))
         if releases:
             r = np.asarray(releases, dtype=np.int64)
             probes.on_release(t, r[:, 0], r[:, 1])
         if finished:
             probes.on_complete(t, np.asarray(finished, dtype=np.int64))
-        probes.on_step(t, np.asarray(movers0, dtype=np.int64), self.k[0])
+        probes.on_step(t, movers0, self.k[0])

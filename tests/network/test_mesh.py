@@ -103,3 +103,43 @@ class TestDimensionOrderRouting:
     def test_trivial_path(self):
         cube = KAryNCube(k=3, n=2, wrap=False)
         assert dimension_order_path(cube, 4, 4) == [4]
+
+
+class TestDirectionTables:
+    @pytest.mark.parametrize(
+        "k,n,wrap",
+        [(4, 2, False), (3, 3, False), (4, 2, True), (2, 2, True)],
+    )
+    def test_tables_agree_with_the_scalar_accessors(self, k, n, wrap):
+        cube = KAryNCube(k=k, n=n, wrap=wrap)
+        coords, dir_edge, dir_node = cube.direction_tables()
+        assert dir_edge.shape == dir_node.shape == (cube.num_nodes, 2 * n + 1)
+        assert (dir_edge[:, -1] == -1).all() and (dir_node[:, -1] == -1).all()
+        links = 0
+        for v in range(cube.num_nodes):
+            assert tuple(coords[v]) == cube.coords(v)
+            for d in range(2 * n):
+                e, u = int(dir_edge[v, d]), int(dir_node[v, d])
+                assert (e < 0) == (u < 0)
+                if e < 0:
+                    continue
+                links += 1
+                assert cube.network.edge_between(v, u) == e
+                step = [0] * n
+                step[d // 2] = -1 if d % 2 else 1
+                assert cube.coords(u) == tuple(
+                    (c + s) % k for c, s in zip(cube.coords(v), step)
+                )
+        assert links == cube.network.num_edges
+
+    def test_built_once_per_cube(self):
+        cube = KAryNCube(k=3, n=2, wrap=False)
+        assert cube.direction_tables() is cube.direction_tables()
+        assert KAryNCube(k=3, n=2, wrap=False) == cube  # not part of equality
+
+    def test_failed_build_caches_nothing(self):
+        cube = KAryNCube(k=3, n=2, wrap=False)
+        cube.network = KAryNCube(k=2, n=2, wrap=False).network
+        for _ in range(2):  # raised on every call, not only the first
+            with pytest.raises(NetworkError, match="mesh is missing the edge"):
+                cube.direction_tables()

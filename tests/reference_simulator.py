@@ -1,13 +1,15 @@
-"""A deliberately naive per-flit wormhole reference simulator.
+"""Deliberately naive reference simulators: per-flit wormhole, and a
+per-head adaptive mesh router (:func:`reference_adaptive_run`, below).
 
-This implements the Section 1.1 model with *explicit flit state* — one
-position per flit, edge occupancy computed by inspecting where flits
-actually are — and none of the optimized simulator's derived arithmetic
-(move counters, release windows).  It is slow and first-principles; the
-test suite checks the optimized :class:`repro.sim.wormhole
-.WormholeSimulator` produces *identical* completion times under the same
-deterministic arbitration, pinning the lock-step reduction and the
-buffer-holding windows documented in MODEL.md.
+The wormhole reference implements the Section 1.1 model with *explicit
+flit state* — one position per flit, edge occupancy computed by
+inspecting where flits actually are — and none of the optimized
+simulator's derived arithmetic (move counters, release windows).  It is
+slow and first-principles; the test suite checks the optimized
+:class:`repro.sim.wormhole.WormholeSimulator` produces *identical*
+completion times under the same deterministic arbitration, pinning the
+lock-step reduction and the buffer-holding windows documented in
+MODEL.md.
 
 Per-flit state: ``-1`` waiting at the source; ``i`` in ``[0, D-1)`` = in
 the buffer at the head of path edge ``i``; ``DONE`` delivered.  Crossing
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["reference_run", "DONE"]
+__all__ = ["reference_run", "reference_adaptive_run", "DONE"]
 
 DONE = 1 << 30
 
@@ -117,3 +119,86 @@ def reference_run(paths, L, B, release_times=None, max_steps=100_000):
             if all(p == DONE for p in pos[m]):
                 completion[m] = t
     return np.asarray(completion, dtype=np.int64)
+
+
+def reference_adaptive_run(
+    k, demands, L, B, policy, rng, release_times=None, max_steps=100_000
+):
+    """A naive per-head adaptive mesh router (MODEL.md section 7).
+
+    ``demands`` are ``(source, destination)`` node ids of a ``k x k``
+    mesh, node ``(x, y)`` having id ``x * k + y``; ``policy`` is
+    ``"dimension"``, ``"west-first"`` or ``"fully-adaptive"`` and ``rng``
+    the trial's :class:`numpy.random.Generator`.  Each step the active
+    messages are served one at a time in shuffled order against *live*
+    link occupancy (a dict keyed by the directed link ``(u, v)``); a
+    head lists its x-move before its y-move and draws
+    ``integers(len(free))`` only when two channels are free.
+
+    Returns ``(completion, blocked, walks, deadlocked)``: per-message
+    completion times (``-1`` undelivered), blocked-step counts, the node
+    walk each head took (source first), and whether the run ended with
+    no message able to move.
+    """
+    M = len(demands)
+    release = (
+        [0] * M if release_times is None else [int(r) for r in release_times]
+    )
+    xy = [divmod(int(v), k) for v in range(k * k)]
+    dist = [
+        abs(xy[s][0] - xy[d][0]) + abs(xy[s][1] - xy[d][1]) for s, d in demands
+    ]
+    walks = [[int(s)] for s, _ in demands]
+    moves = [0] * M
+    blocked = [0] * M
+    completion = [release[m] if dist[m] == 0 else -1 for m in range(M)]
+    occupancy: dict[tuple[int, int], int] = {}
+
+    def options(node: int, dst: int) -> list[int]:
+        """Neighbours the policy allows, x-move first."""
+        (x, y), (tx, ty) = xy[node], xy[dst]
+        east_west = [] if tx == x else [(x + (1 if tx > x else -1)) * k + y]
+        north_south = [] if ty == y else [x * k + y + (1 if ty > y else -1)]
+        if policy == "dimension":
+            return east_west or north_south
+        if policy == "west-first" and tx < x:
+            return east_west
+        return east_west + north_south
+
+    t = 0
+    while any(c < 0 for c in completion) and t < max_steps:
+        t += 1
+        pending = [m for m in range(M) if completion[m] < 0]
+        active = [m for m in pending if release[m] < t]
+        if not active:
+            t = min(release[m] for m in pending)
+            continue
+        draws = rng.random(len(active)).tolist()
+        order = [m for _, m in sorted(zip(draws, active))]
+        movers = []
+        for m in order:
+            if moves[m] < dist[m]:  # head still extending its route
+                here = walks[m][-1]
+                free = [
+                    (here, nxt)
+                    for nxt in options(here, demands[m][1])
+                    if occupancy.get((here, nxt), 0) < B
+                ]
+                if not free:
+                    blocked[m] += 1
+                    continue
+                link = free[int(rng.integers(2)) if len(free) == 2 else 0]
+                occupancy[link] = occupancy.get(link, 0) + 1
+                walks[m].append(link[1])
+            movers.append(m)
+        for m in movers:
+            moves[m] += 1
+            vacated = moves[m] - L - 1  # the link the tail flit just left
+            if 0 <= vacated < dist[m] - 1:
+                occupancy[(walks[m][vacated], walks[m][vacated + 1])] -= 1
+            if moves[m] == L + dist[m] - 1:
+                occupancy[(walks[m][-2], walks[m][-1])] -= 1
+                completion[m] = t
+        if not movers and len(active) == len(pending):
+            return completion, blocked, walks, True
+    return completion, blocked, walks, False
