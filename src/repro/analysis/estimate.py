@@ -42,7 +42,9 @@ at least one unit of the budget):
   ``ceil(L / B)`` flit steps each.
 
 Note ``sum_i d_i == sum_e c_e``: the upper bounds are per-edge
-buffer-occupancy sums, the lower bounds are per-edge maxima.
+buffer-occupancy sums, the lower bounds are per-edge maxima.  The
+formulas live in one table row per model (``_TERMS``) whose keys must
+equal :data:`repro.sim.batch.LOCKSTEP_MODELS`.
 
 The adaptive mesh router chooses among *minimal* productive directions
 (:mod:`repro.sim.adaptive`), so each message's hop count is the known
@@ -58,9 +60,9 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -74,6 +76,7 @@ __all__ = [
     "estimate_paths",
     "estimate_spec",
     "estimate_workload",
+    "route_stats",
 ]
 
 #: Simulator names with a closed-form envelope.  ``adaptive`` yields an
@@ -160,6 +163,61 @@ def _as_lengths(path_lengths: Sequence[int] | np.ndarray) -> np.ndarray:
     return lengths
 
 
+class _Terms(NamedTuple):
+    """One model's closed-form terms.  ``hop`` is ``ceil(L / B)``, the
+    flit steps of one store-and-forward message step; ``active`` are the
+    non-zero path lengths."""
+
+    #: ``(lengths, L, hop)`` -> per-message unobstructed flit steps.
+    unobstructed: Callable[..., np.ndarray]
+    #: ``(L, C, B, hop)`` -> flit steps the busiest edge stays occupied;
+    #: ``None`` where routes (hence ``C``) are chosen online: no lower bound.
+    occupancy: Callable[..., int] | None
+    #: ``(active, L, hop)`` -> the progress budget of a clean run.
+    budget: Callable[..., int]
+    #: Progress comes in whole message steps, so a late release waits
+    #: for the next multiple of ``hop``.
+    hop_aligned: bool = False
+
+
+def _pipelined(lengths, L, hop):
+    return np.where(lengths > 0, L + lengths - 1, 0)
+
+
+def _rigid_budget(active, L, hop):
+    return int((L + active - 1).sum())
+
+
+#: One flit per physical edge per step, whatever ``B`` is.
+_SINGLE_FLIT = _Terms(
+    _pipelined,
+    lambda L, C, B, hop: L * C,
+    lambda active, L, hop: L * int(active.sum()),
+)
+
+#: The envelope of every lockstep model: a model without a row here
+#: fails the import, so none can exist without an envelope.
+_TERMS: dict[str, _Terms] = {
+    "wormhole": _Terms(
+        _pipelined, lambda L, C, B, hop: math.ceil(L * C / B), _rigid_budget
+    ),
+    "cut_through": _SINGLE_FLIT,
+    "store_forward": _Terms(
+        lambda lengths, L, hop: lengths * hop,
+        lambda L, C, B, hop: C * hop,
+        lambda active, L, hop: int(active.sum()) * hop,
+        hop_aligned=True,
+    ),
+    "restricted": _SINGLE_FLIT,
+    "adaptive": _Terms(_pipelined, None, _rigid_budget),
+}
+if set(_TERMS) != set(LOCKSTEP_MODELS):
+    raise ImportError(
+        "repro.analysis.estimate._TERMS must have exactly one row per "
+        f"LOCKSTEP_MODELS entry; differing: {set(_TERMS) ^ set(LOCKSTEP_MODELS)}"
+    )
+
+
 def estimate_paths(
     model: str,
     *,
@@ -177,7 +235,8 @@ def estimate_paths(
     per-edge buffer-occupancy maximum over edges equals the congestion
     term because the occupancy formulas are monotone in the edge load.
     """
-    if model not in ESTIMATABLE_MODELS:
+    terms = _TERMS.get(model)
+    if terms is None:
         raise EstimateError(
             f"simulator {model!r} has no analytic envelope; estimable "
             f"models: {', '.join(ESTIMATABLE_MODELS)}"
@@ -199,47 +258,23 @@ def estimate_paths(
         if M and int(release.min()) < 0:
             raise EstimateError("release times must be >= 0")
     max_release = int(release.max(initial=0))
-    D = int(lengths.max(initial=0))
-    total = int(lengths.sum())
     hop = math.ceil(L / B)
 
     # Per-message floors: release + unobstructed time (zero-length paths
     # are delivered at release without entering the network).
-    if model == "store_forward":
-        unobstructed = lengths * hop
-    else:
-        unobstructed = np.where(lengths > 0, L + lengths - 1, 0)
-    per_message = release + unobstructed
+    per_message = release + terms.unobstructed(lengths, L, hop)
+    floor = int(per_message.max(initial=0))
 
     C = None if congestion is None else int(congestion)
-    if model == "adaptive":
-        lower: int | None = None
-    else:
+    lower: int | None = None
+    if terms.occupancy is not None:
         if C is None:
             raise EstimateError(f"model {model!r} needs the route congestion")
-        lower = int(per_message.max(initial=0))
-        if C >= 1:
-            if model == "wormhole":
-                occupancy = math.ceil(L * C / B)
-            elif model == "store_forward":
-                occupancy = C * hop
-            else:  # cut_through / restricted: one flit per edge per step
-                occupancy = L * C
-            lower = max(lower, occupancy)
+        lower = max(floor, terms.occupancy(L, C, B, hop)) if C >= 1 else floor
 
-    # Progress budgets (see module docstring).
-    active = lengths[lengths > 0]
-    if model in ("wormhole", "adaptive"):
-        budget = int((L + active - 1).sum()) if active.size else 0
-    elif model == "store_forward":
-        budget = int(active.sum()) * hop
-    else:
-        budget = L * int(active.sum())
-    if model == "store_forward" and max_release:
-        upper = (math.ceil(max_release / hop)) * hop + budget
-    else:
-        upper = max_release + budget
-    upper = max(upper, int(per_message.max(initial=0)))
+    # Progress budget on top of the last release (see module docstring).
+    start = math.ceil(max_release / hop) * hop if terms.hop_aligned else max_release
+    upper = max(start + terms.budget(lengths[lengths > 0], L, hop), floor)
 
     return DelayEnvelope(
         model=model,
@@ -247,13 +282,38 @@ def estimate_paths(
         message_length=L,
         messages=M,
         congestion=C,
-        dilation=D,
-        total_path_length=total,
+        dilation=int(lengths.max(initial=0)),
+        total_path_length=int(lengths.sum()),
         edges_used=int(edges_used),
         max_release=max_release,
         lower=lower,
         upper=upper,
         per_message_lower=tuple(int(x) for x in per_message),
+    )
+
+
+def route_stats(workload: Any, model: str) -> tuple[Any, int | None, int]:
+    """``(path lengths, congestion, edges used)`` of a built
+    :class:`~repro.sim.sweep.Workload` as ``model`` routes it — the
+    numbers every bound in the package is a function of.  A mesh model
+    chooses minimal routes online, so its lengths are the exact mesh
+    distances and it has no congestion."""
+    spec = LOCKSTEP_MODELS.get(model)
+    if spec is not None and spec.kind == "mesh":
+        if workload.cube is None or workload.demands is None:
+            raise EstimateError(
+                f"the {model} model needs a mesh workload (cube + demands)"
+            )
+        return workload.cube.distances(workload.demands), None, 0
+    if workload.paths is None:
+        raise EstimateError(f"workload has no paths to estimate for {model!r}")
+    # Paths are either routing.paths.Path values or plain edge-id lists.
+    edge_lists = [getattr(p, "edges", p) for p in workload.paths]
+    loads = Counter(edge for edges in edge_lists for edge in edges)
+    return (
+        [len(edges) for edges in edge_lists],
+        max(loads.values(), default=0),
+        len(loads),
     )
 
 
@@ -267,32 +327,14 @@ def estimate_workload(
 ) -> DelayEnvelope:
     """The envelope of a built :class:`~repro.sim.sweep.Workload`."""
     L = workload.default_length if message_length is None else int(message_length)
-    if model == "adaptive":
-        if workload.cube is None or workload.demands is None:
-            raise EstimateError(
-                "the adaptive model needs a mesh workload (cube + demands)"
-            )
-        return estimate_paths(
-            model,
-            message_length=L,
-            B=B,
-            # The adaptive router's routes are minimal, so the mesh
-            # distances are the exact per-message path lengths.
-            path_lengths=workload.cube.distances(workload.demands),
-            release_times=release_times,
-        )
-    if workload.paths is None:
-        raise EstimateError(f"workload has no paths to estimate for {model!r}")
-    # Paths are either routing.paths.Path values or plain edge-id lists.
-    edge_lists = [getattr(p, "edges", p) for p in workload.paths]
-    loads = Counter(edge for edges in edge_lists for edge in edges)
+    lengths, congestion, edges_used = route_stats(workload, model)
     return estimate_paths(
         model,
         message_length=L,
         B=B,
-        path_lengths=[len(edges) for edges in edge_lists],
-        congestion=max(loads.values(), default=0),
-        edges_used=len(loads),
+        path_lengths=lengths,
+        congestion=congestion,
+        edges_used=edges_used,
         release_times=release_times,
     )
 

@@ -550,8 +550,8 @@ def _profile_artifact(args: argparse.Namespace, probes):
     import json
     from pathlib import Path
 
-    from repro.facade import simulate
     from repro.fuzz.fuzzer import case_from_artifact
+    from repro.scenarios.base import execute_case
 
     try:
         payload = json.loads(Path(args.artifact).read_text())
@@ -563,15 +563,12 @@ def _profile_artifact(args: argparse.Namespace, probes):
             "repro profile: continuous-family artifacts carry no routed "
             "paths to instrument"
         )
-    result = simulate(
-        (case.network, case.paths),
+    result = execute_case(
+        case.scenario_case(),
         model="wormhole",
         B=case.channels[0],
-        message_length=case.message_length,
         seed=case.sim_seed,
-        priority=case.priority,
         telemetry=probes,
-        max_steps=200_000,
     )
     return result, f"fuzz artifact: {case.describe()}"
 
@@ -850,12 +847,23 @@ def _cmd_scenario_show(args: argparse.Namespace) -> None:
     param="builder parameter override (repeatable)",
 )
 def _cmd_scenario_run(args: argparse.Namespace) -> None:
+    import inspect
+
     from repro import Table
+    from repro.network.graph import NetworkError
     from repro.scenarios import get_scenario
 
     scen = get_scenario(args.name)
+    params = dict(args.param)
+    own = sorted(set(params) & set(inspect.signature(scen.run).parameters))
+    if own:
+        raise NetworkError(
+            f"--param {own[0]} names one of the run's own options, not a builder "
+            f"parameter of {scen.name!r} (B is --channels, model is --model, "
+            f"seed is --seed)"
+        )
     runs = [
-        scen.run(B=B, model=args.model, seed=args.seed, **dict(args.param))
+        scen.run(B=B, model=args.model, seed=args.seed, **params)
         for B in args.channels
     ]
     columns = sorted({k for r in runs for k in r.summary()})

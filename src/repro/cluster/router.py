@@ -41,9 +41,9 @@ from ..service.batcher import batch_compat_key
 from ..service.client import ServiceClient, ServiceConnectionError
 from ..service.endpoint import Endpoint
 from ..service.protocol import (
-    PROTOCOL_VERSION,
     STATUS_OK,
     RunRequest,
+    ok_response,
     reject_response,
 )
 from ..service.server import ServiceConfig
@@ -197,12 +197,7 @@ class ClusterRouter(Endpoint):
         if cached is not None:
             self.counters.bump("cache_served")
             return {
-                "v": PROTOCOL_VERSION,
-                "id": request.id,
-                "status": STATUS_OK,
-                "metrics": cached,
-                "batched": 0,
-                "queue_ms": 0.0,
+                **ok_response(request.id, cached, batched=0, queue_ms=0.0),
                 "cached": True,
                 "provenance": "cache",
             }

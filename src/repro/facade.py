@@ -20,17 +20,7 @@ Legacy                                                 Facade
 ``AdaptiveMeshRouter(cube, B, pol, s).run(d, L)``      ``simulate((cube, demands), model="adaptive", B=B, policy=pol, seed=s, message_length=L)``
 ``ContinuousWormholeSimulator(net, n, B, s).run(...)`` ``simulate((net, n, path_of), model="continuous", B=B, seed=s, message_length=L, rate=r, horizon=h)``
 ``run_<model>_batch(net, paths, L, seeds=...)``        ``simulate((net, paths), model=..., B=B, batch=seeds, message_length=L)``
-``repro.sim.wormhole.pad_paths`` (removed)             ``repro.sim.engine.pad_paths``
-``repro.sim.wormhole.check_edge_simple`` (removed)     ``repro.sim.engine.check_edge_simple``
-``repro.sim.cut_through.pad_paths`` (removed)          ``repro.sim.engine.pad_paths``
-``repro.sim.restricted.check_edge_simple`` (removed)   ``repro.sim.engine.check_edge_simple``
-``run(record_trace=True)`` (removed)                   ``simulate(..., telemetry=[TraceSnapshotCollector()])`` -> ``collector.matrix``
-``run(record_contention=True)`` (removed)              ``simulate(..., telemetry=[EdgeContentionCollector()])`` -> ``collector.denied``
-``repro.sim.engine.StepLoop`` (removed)                ``repro.sim.engine.BatchStepLoop`` at ``T = 1``
-``repro.sim.engine.SlotArbiter`` (removed)             ``repro.sim.engine.BatchSlotArbiter`` with one trial
 bare ``SimulationResult`` return                       :class:`SimResult` (attribute-compatible wrapper)
-``result["makespan"]`` dict access (removed)           ``result.makespan``
-``ResultCache.snapshot()["hits"]`` etc. (removed)      ``snapshot()["cache_hits"]`` / ``cache_misses`` / ``cache_stores`` / ``cache_hit_rate``
 ``metrics["steps"]``                                   ``result.steps``
 ``metrics["delivered"]`` count                         ``result.num_delivered``
 ``metrics["completion_digest"]`` / raw times           ``result.delays``
@@ -49,9 +39,8 @@ call — which is the same driver with one seed.
   model) plus the routes;
 * a :class:`~repro.sim.sweep.Workload` instance;
 * a registered workload name (see ``repro.sim.sweep.WORKLOADS``), with
-  ``workload_params`` — this form is picklable, so it is the one that
-  can execute on a :mod:`repro.exec` process backend.  Registered
-  scenarios (``repro.scenarios``) appear here as ``scenario:<name>``.
+  ``workload_params``.  Registered scenarios (``repro.scenarios``)
+  appear here as ``scenario:<name>``.
 
 Every model returns a :class:`SimResult` wrapping the underlying
 :class:`~repro.sim.stats.SimulationResult` (the adaptive router's
@@ -174,7 +163,9 @@ def _as_workload(problem: Any, model: str, workload_params) -> Workload:
     )
 
 
-def _simulate_continuous(problem: Any, kwargs: dict[str, Any]):
+def _simulate_continuous(
+    problem: Any, *, B, message_length, seed, rate, horizon, sample_every
+):
     """The steady-state model's own entry (it is not a lockstep model)."""
     from .sim.continuous import ContinuousWormholeSimulator
 
@@ -183,21 +174,19 @@ def _simulate_continuous(problem: Any, kwargs: dict[str, Any]):
             "the continuous model takes problem=(net, num_sources, path_of)"
         )
     net, num_sources, path_of = problem
-    rate, horizon = kwargs.get("rate"), kwargs.get("horizon")
     if rate is None or horizon is None:
         raise TypeError("the continuous model needs rate=... and horizon=...")
-    L = kwargs.get("message_length")
-    if L is None:
+    if message_length is None:
         raise NetworkError("the continuous model needs message_length")
     sim = ContinuousWormholeSimulator(
-        net, num_sources, num_virtual_channels=int(kwargs["B"]), seed=kwargs["seed"]
+        net, num_sources, num_virtual_channels=int(B), seed=seed
     )
     return sim.run(
         rate,
-        L,
+        message_length,
         path_of,
         horizon=int(horizon),
-        sample_every=int(kwargs.get("sample_every", 50)),
+        sample_every=int(sample_every),
     )
 
 
@@ -208,38 +197,6 @@ def _default_length(problem: Any, wl: Workload, message_length):
     if isinstance(problem, (str, Workload)):
         return wl.default_length
     raise NetworkError("message_length is required with a (net, paths) problem")
-
-
-def _simulate_local(problem: Any, kwargs: dict[str, Any]):
-    """The in-process execution path (also the process-backend payload).
-
-    Every lockstep model — one seed or a ``batch=`` of them — is one
-    :func:`repro.sim.batch.run_model` call.
-    """
-    model = kwargs["model"]
-    if model == "continuous":
-        return _simulate_continuous(problem, kwargs)
-    batch = kwargs.get("batch")
-    wl = _as_workload(problem, model, kwargs.get("workload_params"))
-    results = run_model(
-        model,
-        wl,
-        _default_length(problem, wl, kwargs.get("message_length")),
-        seeds=[kwargs["seed"]] if batch is None else batch,
-        B=int(kwargs["B"]),
-        options={"priority": kwargs.get("priority"), "policy": kwargs.get("policy")},
-        release_times=kwargs.get("release_times"),
-        max_steps=kwargs.get("max_steps"),
-        vc_ids=kwargs.get("vc_ids"),
-        telemetry=kwargs.get("telemetry"),
-    )
-    return results[0] if batch is None else results
-
-
-def _simulate_payload(payload: tuple[Any, dict[str, Any]]):
-    """Top-level (hence picklable) unit for :mod:`repro.exec` backends."""
-    problem, kwargs = payload
-    return _simulate_local(problem, kwargs)
 
 
 def simulate(
@@ -255,7 +212,6 @@ def simulate(
     batch: Any = None,
     vc_ids: Any = None,
     telemetry: Any = None,
-    backend: Any = None,
     max_steps: int | None = None,
     release_times: Any = None,
     workload_params: dict[str, Any] | None = None,
@@ -283,8 +239,8 @@ def simulate(
         latency, and the returned :class:`SimResult` carries the
         envelope's ``lower`` / ``upper`` makespan bounds in place of a
         trajectory.  Estimates exist for every batched model (adaptive
-        is upper-bound only); the continuous model and ``batch=`` /
-        ``telemetry`` / ``backend`` options are exact-mode features.
+        is upper-bound only); the continuous model and the ``batch=`` /
+        ``telemetry`` options are exact-mode features.
     message_length:
         Flits per message; defaults to the workload's recommended
         length for name/:class:`Workload` problems, required otherwise.
@@ -306,11 +262,6 @@ def simulate(
     telemetry:
         :mod:`repro.telemetry` probes, for the models that accept them
         (wormhole, cut-through, store-and-forward, adaptive).
-    backend:
-        A :mod:`repro.exec` backend name or instance; the trial runs
-        through it (problem and result travel by pickle for the
-        process backend, so prefer the workload-name problem form).
-        Incompatible with ``telemetry`` (probes are in-process).
     max_steps / release_times:
         Forwarded to the model's ``run``.
     workload_params:
@@ -373,47 +324,33 @@ def simulate(
             "telemetry probes attach to a single trial; run batches "
             "without telemetry"
         )
-    kwargs: dict[str, Any] = {
-        "model": model,
-        "B": B,
-        "message_length": message_length,
-        "seed": seed,
-        "priority": priority,
-        "policy": policy,
-        "batch": None if batch is None else list(batch),
-        "vc_ids": vc_ids,
-        "telemetry": telemetry,
-        "max_steps": max_steps,
-        "release_times": release_times,
-        "workload_params": workload_params,
-        "rate": rate,
-        "horizon": horizon,
-        "sample_every": sample_every,
-    }
-    if backend is None:
-        return _wrap_exact(model, _simulate_local(problem, kwargs))
-    if telemetry is not None:
-        raise NetworkError(
-            "telemetry probes are in-process; run with backend=None"
-        )
-    from .exec import create_backend
-
-    owned = isinstance(backend, str)
-    exec_backend = create_backend(backend) if owned else backend
-    try:
-        return _wrap_exact(
-            model, exec_backend.run(_simulate_payload, (problem, kwargs))
-        )
-    finally:
-        if owned:
-            exec_backend.close()
-
-
-def _wrap_exact(model: str, raw: Any) -> Any:
-    """Wrap simulator output in :class:`SimResult` (continuous results
-    are rate reports with their own shape and stay bare)."""
     if model == "continuous":
-        return raw
-    if isinstance(raw, list):
-        return [SimResult(mode="exact", provenance="exact", result=r) for r in raw]
-    return SimResult(mode="exact", provenance="exact", result=raw)
+        # A rate report with its own shape: returned bare.
+        return _simulate_continuous(
+            problem,
+            B=B,
+            message_length=message_length,
+            seed=seed,
+            rate=rate,
+            horizon=horizon,
+            sample_every=sample_every,
+        )
+    # Every lockstep model — one seed or a ``batch=`` of them — is one
+    # repro.sim.batch.run_model call.
+    wl = _as_workload(problem, model, workload_params)
+    results = [
+        SimResult(mode="exact", provenance="exact", result=raw)
+        for raw in run_model(
+            model,
+            wl,
+            _default_length(problem, wl, message_length),
+            seeds=[seed] if batch is None else list(batch),
+            B=int(B),
+            options={"priority": priority, "policy": policy},
+            release_times=release_times,
+            max_steps=max_steps,
+            vc_ids=vc_ids,
+            telemetry=telemetry,
+        )
+    ]
+    return results[0] if batch is None else results

@@ -1,11 +1,15 @@
 """Property-based invariant fuzzing for the router models.
 
-Two layers:
+Three layers:
 
 * :mod:`repro.fuzz.invariants` — pure oracle functions for every
   invariant the paper (and the batch/continuous subsystems) guarantee;
-* :mod:`repro.fuzz.fuzzer` — the seeded case generator, cross-model
-  checker, shrinker, and replayable-artifact machinery behind
+* :mod:`repro.fuzz.expectations` — the one table of which per-run
+  invariant applies to which run, and the one function that judges a
+  run by it (scenario runs and fuzz cases alike);
+* :mod:`repro.fuzz.fuzzer` — the seeded case generator (a family is a
+  registered scenario plus a parameter sampler), the cross-run
+  invariants, shrinker, and replayable-artifact machinery behind
   ``repro fuzz``.
 
 >>> from repro.fuzz import run_fuzz
@@ -30,6 +34,7 @@ from .invariants import (
 )
 from .fuzzer import (
     FAMILIES,
+    FAMILY_TABLE,
     FuzzCase,
     FuzzReport,
     generate_case,
@@ -41,6 +46,7 @@ from .fuzzer import (
 
 __all__ = [
     "FAMILIES",
+    "FAMILY_TABLE",
     "FuzzCase",
     "FuzzReport",
     "STORE_FORWARD_SLACK",

@@ -1,0 +1,273 @@
+"""The expectation table: which invariant applies to which run.
+
+:mod:`repro.fuzz.invariants` states each bound once, as a pure checker
+over plain numbers.  This module states — also once — *when* a bound
+applies to a run and where its numbers come from: one
+:class:`Expectation` row per per-run invariant, holding its label, the
+``check_*`` it calls, and its applicability as data (the models it
+covers, whether it needs a clean run, the builder-stated ``facts`` it
+needs).  :func:`evaluate` is the one function that judges a run against
+rows; ``Scenario.run`` (through the ``(label, fn)`` list
+:func:`expectations` makes), the fuzzer's ``run_case`` and ``repro
+profile`` all go through it, so a registered scenario, a generated fuzz
+case and a structurally shrunk one are judged by the same code.
+Congestion, dilation and the path lengths are measured from the routes
+at evaluation time (:func:`repro.analysis.estimate.route_stats`), never
+carried along.  README *Scenarios & fuzzing* tabulates the rows.
+
+Facts a builder may state: ``acyclic`` (is the channel dependency graph
+acyclic), ``built_B`` and ``dilation`` (the Theorem 2.2.1 instance was
+built for this ``B`` and pads every path to this ``D``),
+``expect_deadlock`` and ``why`` (the deadlock verdict the construction
+forces, and the reason shown in the label).
+"""
+
+from __future__ import annotations
+
+from collections.abc import Callable, Iterable, Mapping
+from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Any
+
+from ..analysis.estimate import ESTIMATABLE_MODELS, estimate_paths, route_stats
+from ..sim.batch import LOCKSTEP_MODELS
+from ..sim.sweep import _result_metrics
+from . import invariants as inv
+from .invariants import Violation
+
+__all__ = ["EXPECTATIONS", "Expectation", "evaluate", "expectations"]
+
+#: Models that route a fixed message set (the schedule pipeline executes
+#: on the wormhole simulator), and those among them whose routes are
+#: given rather than chosen online.
+_ROUTED = (*LOCKSTEP_MODELS, "schedule")
+_FIXED_ROUTE = tuple(
+    m for m in _ROUTED if m == "schedule" or LOCKSTEP_MODELS[m].kind == "paths"
+)
+
+
+@dataclass(frozen=True)
+class Expectation:
+    """One per-run invariant and when it applies.
+
+    ``check`` and ``when`` read the run ``r`` :func:`evaluate` assembles:
+    the outcome's scalars (``r.makespan``, ``r.delivered``, ...), the
+    ``r.model`` / ``r.B`` / ``r.L`` it ran at, the case's ``r.facts``,
+    and ``r.lengths`` / ``r.C`` / ``r.D`` measured from its routes
+    (``C`` is ``None`` where they were chosen online).
+    """
+
+    #: The row's key in :data:`EXPECTATIONS`.
+    name: str
+    #: What ``repro scenario show`` prints (a callable words it from the
+    #: case's facts).
+    label: str | Callable[[Mapping[str, Any]], str]
+    #: The :mod:`~repro.fuzz.invariants` call.
+    check: Callable[[Any], Violation | None]
+    #: Models the row covers.
+    models: tuple[str, ...]
+    #: Only runs that neither deadlocked nor hit their step cap.
+    clean_only: bool = False
+    #: Facts the case must state for the row to apply at all.
+    needs: tuple[str, ...] = ()
+    #: Any further condition on the run (the ``B`` a bound is stated at).
+    when: Callable[[Any], bool] | None = None
+
+    def applies(self, r: Any) -> bool:
+        return (
+            r.model in self.models
+            and (r.clean or not self.clean_only)
+            and all(fact in r.facts for fact in self.needs)
+            and (self.when is None or self.when(r))
+        )
+
+    def __call__(self, outcome: Any, ctx: Mapping[str, Any]) -> Violation | None:
+        """The row as a scenario ``CheckFn``, over ``Scenario.run``'s context."""
+        verdicts = evaluate(
+            outcome, ctx["case"], model=ctx["model"], B=ctx["B"], rows=(self,)
+        )
+        return verdicts[0][1] if verdicts else None
+
+
+def _envelope(r) -> Violation | None:
+    env = estimate_paths(
+        r.model, message_length=r.L, B=r.B, path_lengths=r.lengths, congestion=r.C
+    )
+    return inv.check_estimate_envelope(
+        r.makespan, lower=env.lower, upper=env.upper, model=r.model
+    )
+
+
+def _deadlock_as_expected(r) -> Violation | None:
+    want = bool(r.facts["expect_deadlock"])
+    if r.deadlocked == want:
+        return None
+    return Violation(
+        "ring-deadlock-determinism",
+        f"{r.model} ring at B={r.B}, L={r.L}: expected deadlocked={want} "
+        f"({r.facts['why']}), observed deadlocked={r.deadlocked}",
+        observed=r.deadlocked,
+        bound=want,
+    )
+
+
+#: Every per-run invariant, by row name.
+EXPECTATIONS: dict[str, Expectation] = {
+    row.name: row
+    for row in (
+        Expectation(
+            "delivery",
+            "clean runs deliver every message",
+            lambda r: inv.check_delivery(
+                delivered=r.delivered,
+                messages=r.messages,
+                deadlocked=r.deadlocked,
+                hit_step_cap=r.hit_step_cap,
+                model=r.model,
+            ),
+            models=_ROUTED,
+        ),
+        Expectation(
+            "unobstructed",
+            "makespan >= the unobstructed time (Section 1.1)",
+            lambda r: inv.check_unobstructed(
+                r.makespan,
+                message_length=r.L,
+                path_lengths=r.lengths,
+                B=r.B,
+                model=r.model,
+            ),
+            models=_FIXED_ROUTE,
+            clean_only=True,
+        ),
+        Expectation(
+            "congestion",
+            "makespan >= ceil(L*C/B) (edge capacity)",
+            lambda r: inv.check_congestion_bound(
+                r.makespan, message_length=r.L, congestion=r.C, B=r.B
+            ),
+            models=("wormhole",),
+            clean_only=True,
+        ),
+        Expectation(
+            "envelope",
+            "makespan inside the analytic delay envelope (repro.analysis.estimate)",
+            _envelope,
+            models=ESTIMATABLE_MODELS,
+            clean_only=True,
+        ),
+        Expectation(
+            "gadget",
+            "makespan >= (L-D)M/B (Theorem 2.2.1)",
+            lambda r: inv.check_gadget_bound(
+                r.makespan,
+                lower_bound=(r.L - r.facts["dilation"]) * len(r.lengths) / r.B,
+            ),
+            models=("wormhole",),
+            clean_only=True,
+            needs=("built_B", "dilation"),
+            when=lambda r: r.B == r.facts["built_B"],
+        ),
+        Expectation(
+            "sf-envelope",
+            "store-and-forward stays O(L(C+D)) (Rothvoss et al.)",
+            lambda r: inv.check_store_forward_envelope(
+                r.makespan, message_length=r.L, congestion=r.C, dilation=r.D
+            ),
+            models=("store_forward",),
+            clean_only=True,
+            when=lambda r: r.B == 1,
+        ),
+        Expectation(
+            "schedule",
+            "executed schedule meets its length bound (Theorem 2.1.6)",
+            lambda r: inv.check_schedule_bound(
+                r.makespan, length_bound=r.length_bound
+            ),
+            models=("schedule",),
+        ),
+        Expectation(
+            "deadlock-free",
+            lambda facts: (
+                "acyclic channel dependency graph forbids deadlock (Dally-Seitz)"
+                if facts["acyclic"]
+                else "cyclic channel dependency graph: deadlock is permitted"
+            ),
+            lambda r: inv.check_deadlock_consistency(
+                r.deadlocked, cdg_acyclic=bool(r.facts["acyclic"]), model=r.model
+            ),
+            models=_ROUTED,
+            needs=("acyclic",),
+        ),
+        Expectation(
+            "ring-determinism",
+            lambda facts: f"deadlock is deterministic here: {facts['why']}",
+            _deadlock_as_expected,
+            models=("wormhole",),
+            needs=("expect_deadlock", "why"),
+            # The verdict presumes worms long enough to wrap the cycle shut.
+            when=lambda r: r.L > r.B,
+        ),
+        Expectation(
+            "conservation",
+            "generated == delivered + backlog (conservation)",
+            lambda r: inv.check_conservation(
+                generated=r.generated, delivered=r.delivered, backlog=r.final_backlog
+            ),
+            models=("continuous",),
+        ),
+    )
+}
+
+
+def _scalars(outcome: Any) -> Mapping[str, Any]:
+    """The outcome's numbers by name: a trial's under the sweep runner's
+    metric names (the schedule pipeline's dict already is that), an
+    open-loop rate report's under its own field names."""
+    if isinstance(outcome, Mapping):
+        return outcome
+    if hasattr(outcome, "final_backlog"):  # ContinuousResult
+        return vars(outcome)
+    return _result_metrics(outcome)
+
+
+def evaluate(
+    outcome: Any,
+    case: Any,
+    *,
+    model: str,
+    B: int,
+    rows: Iterable[Expectation] | None = None,
+) -> list[tuple[Expectation, Violation | None]]:
+    """Judge one run: ``(row, violation or None)`` per applicable row.
+
+    ``outcome`` is whatever the single-case runner returned for ``case``
+    (a :class:`~repro.scenarios.ScenarioCase`: its ``workload``'s
+    routes, ``message_length`` and builder-stated ``facts`` are read)
+    under ``model`` at ``B``; ``rows`` defaults to the whole table.
+    Rows that do not apply to this run (wrong model, unclean run, a
+    missing fact) are skipped, not reported.
+    """
+    scalars = {"deadlocked": False, "hit_step_cap": False, **_scalars(outcome)}
+    r = SimpleNamespace(
+        **scalars, model=model, B=int(B), L=int(case.message_length), facts=case.facts
+    )
+    r.clean = not (r.deadlocked or r.hit_step_cap)
+    if model in _ROUTED:
+        r.lengths, r.C, _ = route_stats(case.workload, model)
+        r.D = max(r.lengths, default=0)
+    if rows is None:
+        rows = EXPECTATIONS.values()
+    return [(row, row.check(r)) for row in rows if row.applies(r)]
+
+
+def expectations(names: Iterable[str], facts: Mapping[str, Any]) -> list[tuple[str, Any]]:
+    """The public ``(label, fn)`` list of a case stating ``facts``: the
+    named rows whose needed facts are among them.  A row is its own
+    ``fn(outcome, ctx)`` and reads the facts off ``ctx["case"]``, so the
+    case must carry the same ``facts``."""
+    return [
+        (row.label(facts) if callable(row.label) else row.label, row)
+        for row in (EXPECTATIONS[name] for name in names)
+        if all(fact in facts for fact in row.needs)
+    ]

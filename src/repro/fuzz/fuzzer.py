@@ -1,32 +1,27 @@
 """Seeded cross-model invariant fuzzer: ``repro fuzz --rounds N --seed S``.
 
-Each round draws a random case from one of five families —
+A fuzz *family* is a registered scenario (:mod:`repro.scenarios`) plus a
+parameter sampler — one :data:`FAMILY_TABLE` row — so the fuzzer builds
+no instance of its own: each round draws a family, the sampler draws the
+scenario builder's keyword parameters (and ``L`` / the arbitration
+priority where the family varies them), and the built case is flattened
+into a serialisable :class:`FuzzCase`.  ``layered`` is the Theorem 2.1.6
+substrate (random leveled network, random-walk paths, the LLL schedule
+pipeline), ``chain`` bundles with exactly dialed congestion and
+dilation, ``gadget`` the Theorem 2.2.1 hard instance run at the ``B`` it
+was built for, ``ring`` cyclic traffic whose deadlock is deterministic
+(``deadlocked iff B < hops`` given ``L > B``), ``continuous`` constant
+or square-wave arrival traces through the open-loop simulator.
 
-``layered``
-    random leveled network + random-walk paths (the Theorem 2.1.6
-    substrate), cross-checked for delivery, unobstructed time, the
-    ``ceil(L C / B)`` capacity bound, B-monotonicity (wormhole and
-    store-and-forward), full-vs-restricted dominance, the LLL schedule
-    length bound, Dally-Seitz consistency, batched == serial
-    bit-exactness for every batched model (all five lockstep kernels,
-    the adaptive one on a derived permutation mesh), the
-    store-and-forward ``O(L (C + D))`` envelope, and the
-    ``repro.analysis.estimate`` delay envelope (``lower <= makespan
-    <= upper``) on every clean wormhole / store-and-forward /
-    restricted run;
-``chain``
-    :func:`~repro.network.random_networks.chain_bundle` bundles with
-    exactly dialed congestion/dilation, same oracles;
-``gadget``
-    the Theorem 2.2.1 hard instance at a random ``(C, D, B)``, plus the
-    explicit ``(L - D) M / B`` lower bound;
-``ring``
-    cyclic ring traffic where deadlock is *deterministic*
-    (``deadlocked iff B < hops`` given ``L > B``) and the dateline VC
-    assignment must restore delivery;
-``continuous``
-    open-loop arrival traces through the continuous simulator, checked
-    for message conservation.
+Every run — each model the scenario declares, at each of the case's
+``B`` values, through the single-case runner
+:func:`repro.scenarios.base.execute_case` — is judged by every row of
+the expectation table that applies to it
+(:func:`repro.fuzz.expectations.evaluate`).  Only the invariants that
+compare *several* runs live here: ``B``-monotonicity (wormhole and
+store-and-forward), full-vs-restricted dominance, and batched == serial
+bit-exactness for every lockstep kernel (the adaptive one on a
+permutation mesh derived from the case seed).
 
 Every case is reproducible from ``(root seed, round index)`` alone.  On
 a violation the fuzzer *shrinks* — greedily dropping path chunks and
@@ -37,44 +32,136 @@ case.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
-from dataclasses import dataclass, field
-from typing import Any
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from ..network.graph import Network, NetworkError
+from ..network.random_networks import random_walk_route
+from ..sim.batch import LOCKSTEP_MODELS
+from ..sim.sweep import WORKLOADS, Workload, _result_metrics
 from . import invariants as inv
+from .expectations import evaluate
 from .invariants import Violation
 
 __all__ = [
+    "FAMILIES",
+    "FAMILY_TABLE",
     "FuzzCase",
     "FuzzReport",
-    "FAMILIES",
     "replay_artifact",
     "run_case",
     "run_fuzz",
     "shrink_case",
 ]
 
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
 
-#: Case families, in draw order.  ``weights`` biases the draw toward the
-#: cheap high-yield families.
-FAMILIES = ("layered", "chain", "gadget", "ring", "continuous")
-_FAMILY_WEIGHTS = (0.35, 0.25, 0.15, 0.15, 0.10)
+
+class Family(NamedTuple):
+    """One fuzz family: a registered scenario and how to vary it."""
+
+    #: The :data:`repro.scenarios.SCENARIOS` entry that builds the case.
+    scenario: str
+    #: ``sampler(rng) -> (builder params, L, priority)``: ``None`` keeps the
+    #: built case's own; a sampled ``B`` is the one ``B`` the case runs at.
+    sampler: Callable[[np.random.Generator], tuple[dict[str, Any], Any, Any]]
+    #: Draw weight (biased toward the cheap high-yield families).
+    weight: float
+    #: Any subset of the routes is again an instance: the shrinker may
+    #: drop paths, and the legs that presume nothing but ``(network,
+    #: paths, L)`` — dominance, batched == serial — apply.
+    structural: bool = False
+
+
+def _ints(rng: np.random.Generator, **ranges) -> dict[str, int]:
+    """One ``[lo, hi)`` integer draw per keyword, in keyword order."""
+    return {k: int(rng.integers(lo, hi)) for k, (lo, hi) in ranges.items()}
+
+
+def _priority(rng: np.random.Generator) -> str:
+    return str(rng.choice(["random", "age"]))
+
+
+def _sample_layered(rng):
+    params = _ints(
+        rng, width=(4, 7), depth=(3, 6), out_degree=(2, 4), messages=(6, 17),
+        seed=(0, 2**31),
+    )
+    return params, int(rng.integers(4, 13)), _priority(rng)
+
+
+def _sample_chain(rng):
+    params = _ints(rng, chains=(2, 5), depth=(3, 9), messages=(2, 7))
+    return params, int(rng.integers(4, 13)), _priority(rng)
+
+
+def _sample_gadget(rng):
+    B = int(rng.choice([1, 2]))
+    params = dict(
+        B=B,
+        C=(B + 1) * int(rng.integers(2, 4)),
+        D=int(rng.integers(max(7, B + 2), 12)),
+        length_factor=float(rng.uniform(1.5, 2.5)),
+    )
+    return params, None, _priority(rng)
+
+
+def _sample_ring(rng):
+    n = int(rng.integers(3, 7))
+    hops = int(rng.integers(2, n + 1))
+    B = int(rng.choice([1, 2, 3]))
+    # L > B, so worms can wrap the cycle shut.
+    return dict(B=B, n=n, hops=hops), hops + B + int(rng.integers(1, 4)), None
+
+
+def _sample_continuous(rng):
+    params = _ints(
+        rng, width=(4, 7), depth=(3, 5), out_degree=(2, 4), horizon=(150, 301),
+        message_length=(3, 9), net_seed=(0, 2**31),
+    )
+    params["B"] = int(rng.choice([1, 2, 4]))
+    if rng.choice(["constant", "burst"]) == "burst":
+        params["period"] = period = int(rng.integers(40, 90))
+        params["burst_len"] = int(rng.integers(10, period // 2 + 1))
+        params["burst_rate"] = float(rng.uniform(0.3, 0.7))
+    else:  # burst_rate == idle_rate is the constant shape
+        params["burst_rate"] = params["idle_rate"] = float(rng.uniform(0.05, 0.4))
+    return params, None, None
+
+
+def _scenario(family: str):
+    """The registered scenario ``family`` varies."""
+    from ..scenarios import get_scenario  # the registry imports repro.fuzz
+
+    return get_scenario(FAMILY_TABLE[family].scenario)
+
+
+#: The families, in draw order.
+FAMILY_TABLE: dict[str, Family] = {
+    "layered": Family("layered-schedule", _sample_layered, 0.35, structural=True),
+    "chain": Family("chain-contention", _sample_chain, 0.25, structural=True),
+    "gadget": Family("lower-bound-gadget", _sample_gadget, 0.15),
+    "ring": Family("ring-deadlock", _sample_ring, 0.15),
+    "continuous": Family("bursty-arrivals", _sample_continuous, 0.10),
+}
+FAMILIES = tuple(FAMILY_TABLE)
 
 
 @dataclass
 class FuzzCase:
     """One generated case: a network, routes, and run parameters.
 
-    ``extra`` carries family-specific facts the checkers need (the
-    gadget's lower bound, the ring's expected-deadlock verdict, the
-    continuous trace, ...).  A case is fully serializable: the network
-    travels as its insertion-ordered edge list, so
-    ``Network.add_edge`` replay rebuilds identical edge ids.
+    ``extra`` carries the built case's facts (the gadget's ``built_B``
+    and dilation, the ring's forced deadlock verdict, ...) and, for the
+    continuous family, the arrival trace.  A case is fully
+    serializable: the network travels as its insertion-ordered edge
+    list, so ``Network.add_edge`` replay rebuilds identical edge ids.
     """
 
     family: str
@@ -91,6 +178,31 @@ class FuzzCase:
             f"{self.family}: {self.network.num_nodes} nodes, "
             f"{self.network.num_edges} edges, {len(self.paths)} paths, "
             f"L={self.message_length}, channels={list(self.channels)}"
+        )
+
+    def scenario_case(self):
+        """The case in the form :func:`~repro.scenarios.base.execute_case`
+        runs — rebuilt from the serialisable fields alone, so a shrunk or
+        replayed case runs exactly as a generated one."""
+        from ..scenarios import ScenarioCase
+
+        if "rate_trace" not in self.extra:
+            return ScenarioCase(
+                workload=Workload(net=self.network, paths=self.paths),
+                message_length=self.message_length,
+                priority=self.priority,
+                facts=self.extra,
+            )
+        rate = np.asarray(self.extra["rate_trace"], dtype=np.float64)
+        return ScenarioCase(
+            kind="continuous",
+            workload=Workload(net=self.network),
+            message_length=self.message_length,
+            num_sources=int(self.extra["width"]),
+            path_of=random_walk_route(self.network, int(self.extra["depth"])),
+            rate=rate,
+            horizon=len(rate),
+            facts=self.extra,
         )
 
 
@@ -110,192 +222,40 @@ class FuzzReport:
         return not self.failures
 
 
-class _PathShim:
-    """Duck-typed stand-in for :class:`repro.routing.paths.Path`.
-
-    ``congestion`` / ``dilation`` / ``channel_dependency_graph`` only
-    read ``.edges`` and ``.length`` — a shim avoids re-walking node
-    sequences for every generated case.
-    """
-
-    __slots__ = ("edges", "length")
-
-    def __init__(self, edges):
-        self.edges = tuple(int(e) for e in edges)
-        self.length = len(self.edges)
-
-
-def _stats(paths: list[list[int]]) -> tuple[int, int]:
-    from ..routing.paths import congestion, dilation
-
-    shims = [_PathShim(p) for p in paths]
-    return congestion(shims), dilation(shims)
-
-
-# ----------------------------------------------------------------------
-# Case generators (one per family, driven by a spawned Generator)
-# ----------------------------------------------------------------------
-
-
-def _gen_layered(rng: np.random.Generator) -> FuzzCase:
-    from ..network.random_networks import layered_network, random_walk_paths
-
-    width = int(rng.integers(4, 7))
-    depth = int(rng.integers(3, 6))
-    out_degree = int(rng.integers(2, 4))
-    messages = int(rng.integers(6, 17))
-    net = layered_network(width, depth, out_degree, rng)
-    walks = random_walk_paths(net, width, depth, messages, rng)
-    paths = [_edges_of_walk(net, w) for w in walks]
-    return FuzzCase(
-        family="layered",
-        network=net,
-        paths=paths,
-        message_length=int(rng.integers(4, 13)),
-        priority=str(rng.choice(["random", "age"])),
-        sim_seed=int(rng.integers(0, 2**31)),
-        channels=(1, 2, 4),
-        extra={"acyclic": True},  # leveled networks: forward-only CDG
-    )
-
-
-def _edges_of_walk(net: Network, walk) -> list[int]:
-    edges = []
-    for u, v in zip(walk[:-1], walk[1:]):
-        edges.append(net.edge_between(int(u), int(v)))
-    return edges
-
-
-def _gen_chain(rng: np.random.Generator) -> FuzzCase:
-    from ..network.random_networks import chain_bundle
-
-    chains = int(rng.integers(2, 5))
-    depth = int(rng.integers(3, 9))
-    messages = int(rng.integers(2, 7))
-    net, walks = chain_bundle(chains, depth, messages)
-    paths = [_edges_of_walk(net, w) for w in walks]
-    return FuzzCase(
-        family="chain",
-        network=net,
-        paths=paths,
-        message_length=int(rng.integers(4, 13)),
-        priority=str(rng.choice(["random", "age"])),
-        sim_seed=int(rng.integers(0, 2**31)),
-        channels=(1, 2, 4),
-        extra={"acyclic": True},
-    )
-
-
-def _gen_gadget(rng: np.random.Generator) -> FuzzCase:
-    from ..core.lower_bound import (
-        build_hard_instance,
-        hard_instance_lower_bound,
-    )
-
-    B = int(rng.choice([1, 2]))
-    C = (B + 1) * int(rng.integers(2, 4))
-    D = int(rng.integers(max(7, B + 2), 12))
-    inst = build_hard_instance(C=C, D=D, B=B)
-    L = inst.recommended_length(float(rng.uniform(1.5, 2.5)))
-    bound = hard_instance_lower_bound(inst, L)
-    return FuzzCase(
-        family="gadget",
-        network=inst.network,
-        paths=[list(p) for p in inst.paths],
-        message_length=L,
-        priority=str(rng.choice(["random", "age"])),
-        sim_seed=int(rng.integers(0, 2**31)),
-        channels=(B,),
-        extra={
-            "built_B": B,
-            "dilation": inst.dilation,
-            "acyclic": True,
-        },
-    )
-
-
-def _gen_ring(rng: np.random.Generator) -> FuzzCase:
-    n = int(rng.integers(3, 7))
-    hops = int(rng.integers(2, n + 1))
-    B = int(rng.choice([1, 2, 3]))
-    L = hops + B + int(rng.integers(1, 4))  # L > B: worms can wrap shut
-    net = Network(name=f"fuzz-ring({n})")
-    nodes = net.add_nodes(range(n))
-    ring = [net.add_edge(nodes[i], nodes[(i + 1) % n]) for i in range(n)]
-    paths = [[ring[(s + j) % n] for j in range(hops)] for s in range(n)]
-    return FuzzCase(
-        family="ring",
-        network=net,
-        paths=paths,
-        message_length=L,
-        priority="index",
-        sim_seed=int(rng.integers(0, 2**31)),
-        channels=(B,),
-        extra={"hops": hops, "expect_deadlock": B < hops},
-    )
-
-
-def _gen_continuous(rng: np.random.Generator) -> FuzzCase:
-    from ..network.random_networks import layered_network
-
-    width = int(rng.integers(4, 7))
-    depth = int(rng.integers(3, 5))
-    net = layered_network(width, depth, int(rng.integers(2, 4)), rng)
-    horizon = int(rng.integers(150, 301))
-    shape = str(rng.choice(["constant", "burst"]))
-    if shape == "burst":
-        period = int(rng.integers(40, 90))
-        burst = int(rng.integers(10, period // 2 + 1))
-        t = np.arange(horizon)
-        trace = np.where(
-            (t % period) < burst, float(rng.uniform(0.3, 0.7)), 0.02
-        )
-    else:
-        trace = np.full(horizon, float(rng.uniform(0.05, 0.4)))
-    return FuzzCase(
-        family="continuous",
-        network=net,
-        paths=[],
-        message_length=int(rng.integers(3, 9)),
-        priority="random",
-        sim_seed=int(rng.integers(0, 2**31)),
-        channels=(int(rng.choice([1, 2, 4])),),
-        extra={
-            "width": width,
-            "depth": depth,
-            "horizon": horizon,
-            "rate_trace": [round(float(r), 6) for r in trace],
-        },
-    )
-
-
-_GENERATORS = {
-    "layered": _gen_layered,
-    "chain": _gen_chain,
-    "gadget": _gen_gadget,
-    "ring": _gen_ring,
-    "continuous": _gen_continuous,
-}
-
-
 def generate_case(
     root_seed: int, round_index: int, families: tuple[str, ...] = FAMILIES
 ) -> FuzzCase:
     """The case for ``(root_seed, round_index)`` — stable by construction.
 
     Each round gets its own :class:`numpy.random.SeedSequence` spawn, so
-    inserting new draw sites in one generator never perturbs any other
-    round.
+    inserting new draw sites in one sampler never perturbs any other
+    round; the family is the round's first draw.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=root_seed, spawn_key=(round_index,))
     )
     if families == FAMILIES:
-        weights = np.asarray(_FAMILY_WEIGHTS)
+        weights = np.asarray([fam.weight for fam in FAMILY_TABLE.values()])
     else:
         weights = np.ones(len(families)) / len(families)
     family = str(rng.choice(list(families), p=weights / weights.sum()))
-    return _GENERATORS[family](rng)
+    params, L, priority = FAMILY_TABLE[family].sampler(rng)
+    built = _scenario(family).build_case(**params)
+    paths, extra = [], dict(built.facts)
+    if built.kind == "continuous":
+        extra["rate_trace"] = [round(float(r), 6) for r in built.rate]
+    else:
+        paths = [list(map(int, getattr(p, "edges", p))) for p in built.workload.paths]
+    return FuzzCase(
+        family=family,
+        network=built.workload.net,
+        paths=paths,
+        message_length=int(built.message_length if L is None else L),
+        priority=priority or built.priority or "random",
+        sim_seed=int(rng.integers(0, 2**31)),
+        channels=(params["B"],) if "B" in params else (1, 2, 4),
+        extra=extra,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -303,246 +263,89 @@ def generate_case(
 # ----------------------------------------------------------------------
 
 
-def _run_model(case: FuzzCase, model: str, B: int, telemetry=None):
-    from ..facade import simulate
+def _check_case(case: FuzzCase, telemetry=None) -> list[Violation]:
+    """Every declared model at every ``B``, then the cross-run legs."""
+    from ..analysis.estimate import route_stats
+    from ..scenarios.base import execute_case
 
-    return simulate(
-        (case.network, case.paths),
-        model=model,
-        B=B,
-        message_length=case.message_length,
-        seed=case.sim_seed,
-        priority=case.priority,
-        telemetry=telemetry,
-        max_steps=200_000,
-    )
-
-
-def _envelope_check(
-    case: FuzzCase, model: str, B: int, res: Any, C: int
-) -> Violation | None:
-    """Clean run inside the ``repro.analysis.estimate`` envelope.
-
-    Skips deadlocked / step-capped runs: the upper budget is
-    conditioned on clean delivery (a stalled run's makespan measures
-    the stall, not the routing).
-    """
-    if res.deadlocked or res.hit_step_cap:
-        return None
-    from ..analysis.estimate import estimate_paths
-
-    env = estimate_paths(
-        model,
-        message_length=case.message_length,
-        B=B,
-        path_lengths=[len(p) for p in case.paths],
-        congestion=C,
-    )
-    return inv.check_estimate_envelope(
-        int(res.makespan), lower=env.lower, upper=env.upper, model=model
-    )
-
-
-def _check_routed(case: FuzzCase, telemetry=None) -> list[Violation]:
-    """The wormhole-family oracles on one routed case."""
-    C, D = _stats(case.paths)
-    lengths = [len(p) for p in case.paths]
-    L = case.message_length
+    built = case.scenario_case()
+    models = _scenario(case.family).models
     out: list[Violation] = []
+    runs: dict[tuple[str, int], Any] = {}
 
-    worm_makespans: dict[int, int] = {}
-    for B in case.channels:
-        res = _run_model(case, "wormhole", B, telemetry=telemetry)
-        f_deadlocked = bool(res.deadlocked)
-        f_cap = bool(res.hit_step_cap)
-        out.extend(
-            v
-            for v in (
-                inv.check_delivery(
-                    delivered=int(res.num_delivered),
-                    messages=int(res.num_messages),
-                    deadlocked=f_deadlocked,
-                    hit_step_cap=f_cap,
-                ),
-                None
-                if (f_deadlocked or f_cap)
-                else inv.check_unobstructed(
-                    int(res.makespan),
-                    message_length=L,
-                    path_lengths=lengths,
-                    B=B,
-                ),
-                None
-                if (f_deadlocked or f_cap)
-                else inv.check_congestion_bound(
-                    int(res.makespan),
-                    message_length=L,
-                    congestion=C,
-                    B=B,
-                ),
-                _envelope_check(case, "wormhole", B, res, C),
-                inv.check_deadlock_consistency(
-                    f_deadlocked,
-                    cdg_acyclic=bool(case.extra.get("acyclic", False)),
-                ),
+    def judged(model: str, B: int):
+        """The outcome of ``model`` at ``B``, run and judged once."""
+        if (model, B) not in runs:
+            runs[model, B] = outcome = execute_case(
+                built,
+                model=model,
+                B=B,
+                seed=case.sim_seed,
+                telemetry=telemetry if model == "wormhole" else None,
             )
-            if v is not None
-        )
-        if case.extra.get("expect_deadlock") is not None:
-            want = B < int(case.extra["hops"])
-            if f_deadlocked != want:
-                out.append(
-                    Violation(
-                        "ring-deadlock-determinism",
-                        f"ring case with hops={case.extra['hops']}, B={B}, "
-                        f"L={L}: expected deadlocked={want}, "
-                        f"observed {f_deadlocked}",
-                        observed=f_deadlocked,
-                        bound=want,
-                    )
-                )
-        if not (f_deadlocked or f_cap):
-            worm_makespans[B] = int(res.makespan)
-        if case.extra.get("built_B") == B and not (f_deadlocked or f_cap):
-            bound = (L - int(case.extra["dilation"])) * len(case.paths) / B
-            got = inv.check_gadget_bound(int(res.makespan), lower_bound=bound)
-            if got is not None:
-                out.append(got)
-    out.extend(inv.check_b_monotonicity(worm_makespans, model="wormhole"))
+            verdicts = evaluate(outcome, built, model=model, B=B)
+            out.extend(v for _, v in verdicts if v is not None)
+        return runs[model, B]
 
-    if case.family in ("layered", "chain"):
-        out.extend(_check_dominance_and_schedule(case, C, D, worm_makespans))
-    return out
+    def clean(res) -> bool:
+        return not (res.deadlocked or res.hit_step_cap)
 
-
-def _check_dominance_and_schedule(
-    case: FuzzCase, C: int, D: int, worm_makespans: dict[int, int]
-) -> list[Violation]:
-    from ..core.scheduler import run_lll_schedule
-
-    L = case.message_length
-    lengths = [len(p) for p in case.paths]
-    out: list[Violation] = []
-
-    # Store-and-forward: monotone in bandwidth + asymptotic envelope.
-    sf_makespans: dict[int, int] = {}
-    for B in case.channels:
-        res = _run_model(case, "store_forward", B)
-        if res.deadlocked or res.hit_step_cap:
+    for model in models:
+        for B in case.channels:
+            judged(model, B)
+    for model in ("wormhole", "store_forward"):
+        if model not in models:
             continue
-        sf_makespans[B] = int(res.makespan)
-        got = _envelope_check(case, "store_forward", B, res, C)
-        if got is not None:
-            out.append(got)
-        got = inv.check_unobstructed(
-            int(res.makespan),
-            message_length=L,
-            path_lengths=lengths,
-            B=B,
-            model="store_forward",
-        )
-        if got is not None:
-            out.append(got)
-        if B == 1:
-            got = inv.check_store_forward_envelope(
-                int(res.makespan), message_length=L, congestion=C, dilation=D
-            )
-            if got is not None:
-                out.append(got)
-    out.extend(
-        inv.check_b_monotonicity(sf_makespans, model="store_forward")
-    )
+        makespans = {
+            B: int(runs[model, B].makespan)
+            for B in case.channels
+            if clean(runs[model, B])
+        }
+        out.extend(inv.check_b_monotonicity(makespans, model=model))
+    if not FAMILY_TABLE[case.family].structural:
+        return out
 
-    # Section 1.4: full B=C multiplexing dominates the restricted model.
+    # Section 1.4: full B = C multiplexing dominates the restricted model.
     B_low = case.channels[0]
-    if C >= 1 and B_low in worm_makespans:
-        restricted = _run_model(case, "restricted", B_low)
-        full = _run_model(case, "wormhole", max(C, 1))
-        if not (
-            restricted.deadlocked
-            or restricted.hit_step_cap
-            or full.deadlocked
-            or full.hit_step_cap
-        ):
+    _, C, _ = route_stats(built.workload, "wormhole")
+    if C >= 1:
+        restricted, full = judged("restricted", B_low), judged("wormhole", C)
+        if clean(restricted) and clean(full):
             got = inv.check_full_vs_restricted(
-                int(full.makespan),
-                int(restricted.makespan),
-                B=B_low,
-                congestion=C,
+                int(full.makespan), int(restricted.makespan), B=B_low, congestion=C
             )
             if got is not None:
                 out.append(got)
-            got = _envelope_check(case, "restricted", B_low, restricted, C)
-            if got is not None:
-                out.append(got)
-
-    # Theorem 2.1.6: build + execute an LLL schedule at each B.
-    for B in case.channels:
-        build, res = run_lll_schedule(
-            case.network,
-            case.paths,
-            L,
-            B,
-            rng=np.random.default_rng(case.sim_seed),
-            seed=case.sim_seed,
-            require_unblocked=False,
-        )
-        got = inv.check_schedule_bound(
-            int(res.makespan), length_bound=int(build.length_bound)
-        )
-        if got is not None:
-            out.append(got)
-        got = inv.check_delivery(
-            delivered=int(res.num_delivered),
-            messages=int(res.num_messages),
-            deadlocked=bool(res.deadlocked),
-            hit_step_cap=bool(res.hit_step_cap),
-            model="schedule",
-        )
-        if got is not None:
-            out.append(got)
-
-    # Batched lockstep == serial, at the lowest channel count.
-    out.extend(_check_batch_serial(case, B_low))
+    out.extend(_check_batch_serial(case, built.workload, B_low))
     return out
 
 
-def _check_batch_serial(case: FuzzCase, B: int) -> list[Violation]:
-    """Lockstep batch == serial replay, for *every* batched model.
+def _check_batch_serial(case: FuzzCase, routed: Workload, B: int) -> list[Violation]:
+    """Lockstep batch == serial replay, for *every* row of the model table.
 
     The path-based models run on the case's own network and routes,
-    each under an arbitration discipline it accepts (cut-through has no
-    age priority; restricted and adaptive take none).  The adaptive
-    router needs a mesh, so it runs on a small permutation mesh derived
-    from the case seed — the invariant still exercises all five kernels
-    every round.
+    under the case's priority where their arbitration offers it; a mesh
+    model runs on the registered permutation mesh seeded from the case,
+    so the invariant still exercises every kernel every round.
     """
     from ..facade import simulate
-    from ..network.mesh import KAryNCube
-    from ..sim.sweep import _result_metrics
 
     seeds = [case.sim_seed, case.sim_seed + 1, case.sim_seed + 2]
-    routed = (case.network, case.paths)
-    ct_priority = case.priority if case.priority in ("random", "index") else "random"
-    cube = KAryNCube(4, 2, wrap=False)
-    perm = np.random.default_rng(case.sim_seed).permutation(cube.num_nodes)
-    demands = [(i, int(d)) for i, d in enumerate(perm) if i != int(d)]
-    jobs: list[tuple[str, Any, int, dict[str, Any]]] = [
-        ("wormhole", routed, case.message_length, {"priority": case.priority}),
-        ("cut_through", routed, case.message_length, {"priority": ct_priority}),
-        ("store_forward", routed, case.message_length, {}),
-        ("restricted", routed, case.message_length, {}),
-        ("adaptive", (cube, demands), min(case.message_length, 6), {}),
-    ]
+    mesh = WORKLOADS["mesh-permutation"](k=4, seed=case.sim_seed)
     out: list[Violation] = []
-    for model, problem, L, kw in jobs:
-        batch = simulate(
-            problem, model=model, B=B, batch=seeds, message_length=L, **kw
+    for model, spec in LOCKSTEP_MODELS.items():
+        problem, L = routed, case.message_length
+        if spec.kind == "mesh":
+            problem, L = mesh, min(L, 6)
+        run = functools.partial(
+            simulate,
+            problem,
+            model=model,
+            B=B,
+            message_length=L,
+            priority=case.priority if case.priority in spec.choices else None,
         )
-        serial = [
-            simulate(problem, model=model, B=B, seed=s, message_length=L, **kw)
-            for s in seeds
-        ]
+        batch, serial = run(batch=seeds), [run(seed=s) for s in seeds]
         got = inv.check_batch_matches_serial(
             [_result_metrics(r) for r in batch],
             [_result_metrics(r) for r in serial],
@@ -553,51 +356,10 @@ def _check_batch_serial(case: FuzzCase, B: int) -> list[Violation]:
     return out
 
 
-def _check_continuous(case: FuzzCase) -> list[Violation]:
-    from ..facade import simulate
-
-    width = int(case.extra["width"])
-    depth = int(case.extra["depth"])
-    net = case.network
-    rate = np.asarray(case.extra["rate_trace"], dtype=np.float64)
-
-    def path_of(source: int, prng: np.random.Generator) -> list[int]:
-        node = int(source)
-        edges: list[int] = []
-        for _ in range(depth):
-            out = net.out_edges(node)
-            e = out[int(prng.integers(len(out)))]
-            edges.append(e)
-            node = net.head(e)
-        return edges
-
-    res = simulate(
-        (net, width, path_of),
-        model="continuous",
-        B=case.channels[0],
-        message_length=case.message_length,
-        seed=case.sim_seed,
-        rate=rate,
-        horizon=int(case.extra["horizon"]),
-    )
-    got = inv.check_conservation(
-        generated=int(res.generated),
-        delivered=int(res.delivered),
-        backlog=int(res.final_backlog),
-    )
-    return [got] if got is not None else []
-
-
 #: Dispatch table for :func:`run_case`.  Module-level on purpose: tests
 #: monkeypatch entries here to prove a sabotaged invariant is caught,
 #: shrunk, and serialized without touching any simulator.
-CASE_CHECKERS: dict[str, Any] = {
-    "layered": _check_routed,
-    "chain": _check_routed,
-    "gadget": _check_routed,
-    "ring": _check_routed,
-    "continuous": lambda case, telemetry=None: _check_continuous(case),
-}
+CASE_CHECKERS: dict[str, Any] = dict.fromkeys(FAMILIES, _check_case)
 
 
 def run_case(case: FuzzCase, telemetry: Any = None) -> list[Violation]:
@@ -617,19 +379,6 @@ def _still_fails(case: FuzzCase, invariant: str) -> bool:
         return False  # a shrink that breaks preconditions is not smaller
 
 
-def _with(case: FuzzCase, *, paths=None, L=None) -> FuzzCase:
-    return FuzzCase(
-        family=case.family,
-        network=case.network,
-        paths=case.paths if paths is None else paths,
-        message_length=case.message_length if L is None else L,
-        priority=case.priority,
-        sim_seed=case.sim_seed,
-        channels=case.channels,
-        extra=dict(case.extra),
-    )
-
-
 def shrink_case(case: FuzzCase, invariant: str, max_probes: int = 80) -> FuzzCase:
     """Greedy delta-debugging: smallest case still violating ``invariant``.
 
@@ -641,7 +390,7 @@ def shrink_case(case: FuzzCase, invariant: str, max_probes: int = 80) -> FuzzCas
     deadlock-determinism rule — so those families shrink ``L`` only.
     """
     probes = 0
-    structural = case.family in ("layered", "chain")
+    structural = FAMILY_TABLE[case.family].structural
 
     def fails(c: FuzzCase) -> bool:
         nonlocal probes
@@ -658,7 +407,7 @@ def shrink_case(case: FuzzCase, invariant: str, max_probes: int = 80) -> FuzzCas
             while i < len(best.paths):
                 trial_paths = best.paths[:i] + best.paths[i + chunk :]
                 if trial_paths:
-                    cand = _with(best, paths=trial_paths)
+                    cand = replace(best, paths=trial_paths)
                     if fails(cand):
                         best = cand
                         shrunk = True
@@ -667,14 +416,13 @@ def shrink_case(case: FuzzCase, invariant: str, max_probes: int = 80) -> FuzzCas
             if not shrunk:
                 chunk //= 2
 
-    # Reduce L (gadget keeps L > D so the bound stays applicable).
-    L_floor = 1
-    if case.family == "gadget":
-        L_floor = int(case.extra.get("dilation", 0)) + 1
+    # Reduce L (a case stating its dilation — the gadget — keeps L > D,
+    # so its bound stays applicable).
+    L_floor = int(case.extra.get("dilation", 0)) + 1
     L = best.message_length
     while L > L_floor:
         step = max((L - L_floor) // 2, 1)
-        cand = _with(best, L=L - step)
+        cand = replace(best, message_length=L - step)
         if fails(cand):
             best = cand
             L = best.message_length

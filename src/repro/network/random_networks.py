@@ -12,6 +12,8 @@ families of networks and path sets whose ``C`` and ``D`` we can dial in:
 * :func:`random_walk_paths` — random level-0 to level-``depth`` paths in a
   layered network, whose congestion concentrates near
   ``num_messages / width``;
+* :func:`random_walk_route` — the same walk drawn per message, as the
+  route generator the open-loop (continuous) simulator asks for;
 * :func:`chain_bundle` — disjoint parallel chains giving *exact* control
   of ``C`` and ``D`` (all messages on a chain share every edge).
 """
@@ -22,7 +24,12 @@ import numpy as np
 
 from .graph import Network, NetworkError
 
-__all__ = ["layered_network", "random_walk_paths", "chain_bundle"]
+__all__ = [
+    "layered_network",
+    "random_walk_paths",
+    "random_walk_route",
+    "chain_bundle",
+]
 
 
 def layered_network(
@@ -80,6 +87,25 @@ def random_walk_paths(
             walk.append(node)
         paths.append(walk)
     return paths
+
+
+def random_walk_route(net: Network, depth: int):
+    """``path_of(source, rng) -> edge ids``: a uniformly random
+    ``depth``-edge walk down a :func:`layered_network` from ``source``,
+    drawn from the caller's generator (the ``path_of`` argument of
+    :meth:`~repro.sim.continuous.ContinuousWormholeSimulator.run`)."""
+
+    def path_of(source: int, rng: np.random.Generator) -> list[int]:
+        node = int(source)
+        edges: list[int] = []
+        for _ in range(int(depth)):
+            out = net.out_edges(node)
+            e = out[int(rng.integers(len(out)))]
+            edges.append(e)
+            node = net.head(e)
+        return edges
+
+    return path_of
 
 
 def chain_bundle(

@@ -3,8 +3,9 @@
 ``repro.scenarios`` packages the paper's worst-case constructions (and the
 deadlock / open-loop hard cases around them) as registry entries that can
 be built for any virtual-channel count, run through :func:`repro.simulate`
-on any declared model or backend, and judged against the theorem-derived
-invariants in :mod:`repro.fuzz.invariants`.
+on any declared model, and judged by the expectation table in
+:mod:`repro.fuzz.expectations` (the theorem-derived invariants of
+:mod:`repro.fuzz.invariants`, each with the runs it applies to).
 
 >>> from repro.scenarios import get_scenario
 >>> run = get_scenario("lower-bound-gadget").run(B=2)
@@ -18,6 +19,7 @@ from .base import (
     Scenario,
     ScenarioCase,
     ScenarioRun,
+    execute_case,
     get_scenario,
     register_scenario,
 )
@@ -29,6 +31,7 @@ __all__ = [
     "Scenario",
     "ScenarioCase",
     "ScenarioRun",
+    "execute_case",
     "get_scenario",
     "register_scenario",
 ]

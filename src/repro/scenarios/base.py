@@ -5,11 +5,14 @@ literature around it) packaged three ways at once:
 
 * a **builder** — ``build(B=..., **params) -> ScenarioCase`` producing a
   concrete :class:`~repro.sim.sweep.Workload` (or an open-loop arrival
-  trace) for the requested virtual-channel count;
-* a set of **expectations** — labelled invariant checks from
-  :mod:`repro.fuzz.invariants` that the outcome must satisfy (the
-  Theorem 2.2.1 lower bound, the Theorem 2.1.6 length bound,
-  deadlock determinism, message conservation, ...);
+  trace) for the requested virtual-channel count, read from the
+  registered :data:`~repro.sim.sweep.WORKLOADS` builders so an instance
+  is constructed in one place;
+* a set of **expectations** — rows of the one table in
+  :mod:`repro.fuzz.expectations` (the Theorem 2.2.1 lower bound, the
+  Theorem 2.1.6 length bound, the analytic delay envelope, deadlock
+  determinism, message conservation, ...), named by the builder next to
+  the ``facts`` they need (``acyclic``, ``built_B``, ...);
 * a **sweep workload** — every trial-shaped scenario auto-registers as
   ``scenario:<name>`` in :data:`repro.sim.sweep.WORKLOADS`, so scenario
   cells drop into ``repro sweep``, the service loadgen, and the process
@@ -24,17 +27,21 @@ Registration mirrors :func:`repro.sim.sweep.register_workload`::
         models=("wormhole", "cut_through", "store_forward", "restricted"),
     )
     def _build(B=1, chains=4, depth=12, messages=8):
-        ...
-        return ScenarioCase(workload=wl, message_length=L, checks=[...])
+        wl = WORKLOADS["chain-bundle"](chains=chains, depth=depth, messages=messages)
+        facts = {"acyclic": True}
+        checks = expectations(("congestion", "deadlock-free", "envelope"), facts)
+        return ScenarioCase(workload=wl, facts=facts, checks=checks, ...)
 
-Run one with :meth:`Scenario.run` (dispatches through
-:func:`repro.simulate`, so any model/backend the scenario declares works,
-and :mod:`repro.telemetry` probes attach unchanged), or from the CLI:
-``repro scenario list | show <name> | run <name>``.
+:func:`execute_case` is the single-case runner: :meth:`Scenario.run`,
+the fuzzer's ``run_case`` and ``repro profile`` all reach a simulator
+through it, and every outcome is judged by
+:func:`repro.fuzz.expectations.evaluate`.  From the CLI: ``repro
+scenario list | show <name> | run <name>``.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -44,7 +51,8 @@ import numpy as np
 
 from ..fuzz.invariants import Violation
 from ..network.graph import NetworkError
-from ..sim.sweep import Workload, register_workload
+from ..sim.batch import LOCKSTEP_MODELS
+from ..sim.sweep import Workload, call_builder, register_workload, schedule_metrics
 
 __all__ = [
     "CheckFn",
@@ -52,6 +60,7 @@ __all__ = [
     "ScenarioCase",
     "ScenarioRun",
     "SCENARIOS",
+    "execute_case",
     "get_scenario",
     "register_scenario",
 ]
@@ -93,6 +102,10 @@ class ScenarioCase:
     path_of: Any = None
     rate: Any = None
     horizon: int | None = None
+    #: What the builder knows about the instance that the expectation
+    #: rows need (JSON-safe: a fuzz artifact stores them).
+    facts: dict[str, Any] = field(default_factory=dict)
+    #: Declared expectations (:func:`repro.fuzz.expectations.expectations`).
     checks: list[tuple[str, CheckFn]] = field(default_factory=list)
     info: dict[str, Any] = field(default_factory=dict)
 
@@ -159,7 +172,9 @@ class Scenario:
         }
 
     def build_case(self, *, B: int = 1, **params: Any) -> ScenarioCase:
-        return self.build(B=B, **params)
+        """The case built for ``B`` (a parameter the builder cannot take
+        is a :class:`NetworkError` naming the ones it does)."""
+        return call_builder(f"scenario {self.name!r}", self.build, {"B": B, **params})
 
     def run(
         self,
@@ -168,16 +183,15 @@ class Scenario:
         model: str | None = None,
         seed: int | None = 0,
         telemetry: Any = None,
-        backend: Any = None,
         max_steps: int | None = None,
         **params: Any,
     ) -> ScenarioRun:
         """Build the case for ``B`` and simulate it under ``model``.
 
         ``model`` defaults to the scenario's first declared model; any
-        declared model is accepted.  ``telemetry`` / ``backend`` /
-        ``max_steps`` forward to :func:`repro.simulate` (telemetry only
-        where the model supports probes).
+        declared model is accepted.  ``telemetry`` / ``max_steps``
+        forward to :func:`repro.simulate` (telemetry only where the
+        model supports probes).
         """
         if model is None:
             model = self.models[0]
@@ -187,15 +201,8 @@ class Scenario:
                 f"declared: {', '.join(self.models)}"
             )
         case = self.build_case(B=B, **params)
-        outcome = _execute_case(
-            self,
-            case,
-            model=model,
-            B=B,
-            seed=seed,
-            telemetry=telemetry,
-            backend=backend,
-            max_steps=max_steps,
+        outcome = execute_case(
+            case, model=model, B=B, seed=seed, telemetry=telemetry, max_steps=max_steps
         )
         ctx = {
             "model": model,
@@ -223,25 +230,26 @@ class Scenario:
         )
 
 
-def _execute_case(
-    scen: Scenario,
+def execute_case(
     case: ScenarioCase,
     *,
     model: str,
     B: int,
     seed,
-    telemetry,
-    backend,
-    max_steps,
+    telemetry=None,
+    max_steps: int | None = None,
 ):
+    """Run one built case once: the single-case runner.
+
+    A continuous case drives the open-loop simulator over its arrival
+    trace, ``model="schedule"`` the Theorem 2.1.6 pipeline (reported as
+    the sweep runner's schedule metrics), any lockstep model one
+    :func:`repro.simulate` trial — under the case's ``priority`` where
+    the model's arbitration offers it, its table default where not.
+    """
     from ..facade import simulate
 
     if case.kind == "continuous":
-        if backend is not None:
-            raise NetworkError(
-                "continuous scenarios run in-process (path generators "
-                "are not picklable); use backend=None"
-            )
         return simulate(
             (case.workload.net, case.num_sources, case.path_of),
             model="continuous",
@@ -251,47 +259,31 @@ def _execute_case(
             rate=case.rate,
             horizon=case.horizon,
         )
-
-    if case.kind == "schedule" and model == "schedule":
-        return _run_schedule_case(case, B=B, seed=seed, telemetry=telemetry)
-
+    if model == "schedule":
+        return schedule_metrics(
+            case.workload,
+            case.message_length,
+            B,
+            rng=np.random.default_rng(seed),
+            require_unblocked=False,
+            telemetry=telemetry,
+        )
+    priority = case.priority
+    if model in LOCKSTEP_MODELS and priority not in LOCKSTEP_MODELS[model].choices:
+        priority = None
     return simulate(
         case.workload,
         model=model,
         B=B,
         message_length=case.message_length,
         seed=seed,
-        priority=case.priority,
+        priority=priority,
         policy=case.policy,
         vc_ids=case.vc_ids,
         release_times=case.release_times,
         telemetry=telemetry,
-        backend=backend,
         max_steps=max_steps,
     )
-
-
-def _run_schedule_case(case: ScenarioCase, *, B: int, seed, telemetry):
-    """The Theorem 2.1.6 pipeline, reported as the sweep runner's metrics."""
-    from ..core.scheduler import run_lll_schedule
-
-    build, res = run_lll_schedule(
-        case.workload.net,
-        case.workload.paths,
-        case.message_length,
-        B,
-        rng=np.random.default_rng(seed),
-        require_unblocked=False,
-        telemetry=telemetry,
-    )
-    return {
-        "makespan": int(res.makespan),
-        "messages": int(res.num_messages),
-        "delivered": int(res.num_delivered),
-        "deadlocked": bool(res.deadlocked),
-        "hit_step_cap": bool(res.hit_step_cap),
-        **build.metrics(),
-    }
 
 
 # ----------------------------------------------------------------------
@@ -339,6 +331,9 @@ def register_scenario(
         SCENARIOS[name] = scen
         if kind in ("trial", "schedule"):
 
+            # wraps: build_workload checks outside parameters against
+            # the signature, which must read as the builder's.
+            @functools.wraps(build_fn)
             def _workload(**params: Any) -> Workload:
                 case = build_fn(**params)
                 wl = case.workload
@@ -346,7 +341,6 @@ def register_scenario(
                     wl.default_length = int(case.message_length)
                 return wl
 
-            _workload.__name__ = f"_wl_scenario_{name.replace('-', '_')}"
             register_workload(f"scenario:{name}")(_workload)
         return scen
 

@@ -24,189 +24,74 @@ Families and the results they stress:
     for the continuous model (square-wave bursts, Pareto-modulated
     rates), checked for message conservation.
 
-Every expectation delegates to a :mod:`repro.fuzz.invariants` checker, so
-a scenario failure and a fuzzer failure mean the same thing.
+Every builder reads its instance from the registered
+:data:`~repro.sim.sweep.WORKLOADS` builder where one exists, and every
+expectation is a row of :mod:`repro.fuzz.expectations` — the table the
+fuzzer judges its generated cases by — so a scenario failure and a
+fuzzer failure mean the same thing.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ..fuzz import invariants as inv
-from ..fuzz.invariants import Violation
+from ..fuzz.expectations import expectations
 from ..network.graph import Network
-from ..sim.sweep import Workload
+from ..network.random_networks import random_walk_route
+from ..sim.sweep import WORKLOADS, Workload
 from .base import ScenarioCase, register_scenario
 
 __all__: list[str] = []  # scenarios are reached through the registry
 
 
-# ----------------------------------------------------------------------
-# Check helpers (close over builder-time facts, read run-time ctx)
-# ----------------------------------------------------------------------
-
-
-def _fields(outcome) -> dict:
-    """Uniform scalars across SimulationResult / schedule-metric dicts."""
-    if isinstance(outcome, dict):
-        return outcome
-    return {
-        "makespan": int(outcome.makespan),
-        "messages": int(outcome.num_messages),
-        "delivered": int(outcome.num_delivered),
-        "deadlocked": bool(outcome.deadlocked),
-        "hit_step_cap": bool(outcome.hit_step_cap),
-    }
-
-
-def _clean(f: dict) -> bool:
-    return not (f["deadlocked"] or f["hit_step_cap"])
-
-
-def _delivery_check():
-    def check(outcome, ctx):
-        f = _fields(outcome)
-        return inv.check_delivery(
-            delivered=f["delivered"],
-            messages=f["messages"],
-            deadlocked=f["deadlocked"],
-            hit_step_cap=f["hit_step_cap"],
-            model=ctx["model"],
-        )
-
-    return ("clean runs deliver every message", check)
-
-
-def _unobstructed_check(path_lengths):
-    lengths = tuple(int(d) for d in path_lengths)
-
-    def check(outcome, ctx):
-        f = _fields(outcome)
-        if not _clean(f):
-            return None
-        model = (
-            "store_forward" if ctx["model"] == "store_forward" else "wormhole"
-        )
-        return inv.check_unobstructed(
-            f["makespan"],
-            message_length=ctx["L"],
-            path_lengths=lengths,
-            B=ctx["B"],
-            model=model,
-        )
-
-    return ("makespan >= the unobstructed time (Section 1.1)", check)
-
-
-def _congestion_check(C):
-    def check(outcome, ctx):
-        if ctx["model"] != "wormhole":
-            return None
-        f = _fields(outcome)
-        if not _clean(f):
-            return None
-        return inv.check_congestion_bound(
-            f["makespan"], message_length=ctx["L"], congestion=int(C), B=ctx["B"]
-        )
-
-    return ("makespan >= ceil(L*C/B) (edge capacity)", check)
-
-
-def _gadget_check(lower_bound_of_B, built_B):
-    """Theorem 2.2.1: applies to the wormhole model at the built ``B``."""
-
-    def check(outcome, ctx):
-        if ctx["model"] != "wormhole" or ctx["B"] != built_B:
-            return None
-        f = _fields(outcome)
-        if not _clean(f):
-            return None
-        return inv.check_gadget_bound(
-            f["makespan"], lower_bound=float(lower_bound_of_B)
-        )
-
-    return ("makespan >= (L-D)M/B (Theorem 2.2.1)", check)
-
-
-def _sf_envelope_check(C, D):
-    def check(outcome, ctx):
-        if ctx["model"] != "store_forward" or ctx["B"] != 1:
-            return None
-        f = _fields(outcome)
-        if not _clean(f):
-            return None
-        return inv.check_store_forward_envelope(
-            f["makespan"],
-            message_length=ctx["L"],
-            congestion=int(C),
-            dilation=int(D),
-        )
-
-    return ("store-and-forward stays O(L(C+D)) (Rothvoss et al.)", check)
-
-
-def _schedule_bound_check():
-    def check(outcome, ctx):
-        if not isinstance(outcome, dict):
-            return None  # run on a plain greedy model: no schedule to bound
-        return inv.check_schedule_bound(
-            outcome["makespan"], length_bound=outcome["length_bound"]
-        )
-
-    return ("executed schedule meets its length bound (Theorem 2.1.6)", check)
-
-
-def _deadlock_consistency_check(cdg_acyclic: bool):
-    acyclic = bool(cdg_acyclic)
-
-    def check(outcome, ctx):
-        f = _fields(outcome)
-        return inv.check_deadlock_consistency(
-            f["deadlocked"], cdg_acyclic=acyclic, model=ctx["model"]
-        )
-
-    label = (
-        "acyclic channel dependency graph forbids deadlock (Dally-Seitz)"
-        if acyclic
-        else "cyclic channel dependency graph: deadlock is permitted"
+def _routed_case(wl: Workload, rows, facts=None, info=None, **fields) -> ScenarioCase:
+    """A routed case over ``wl`` at its default ``L``, expecting the named
+    :data:`~repro.fuzz.expectations.EXPECTATIONS` rows under the builder's
+    ``facts`` (``info`` defaults to the ``C`` / ``D`` / ``L`` line)."""
+    facts = facts or {}
+    return ScenarioCase(
+        workload=wl,
+        message_length=wl.default_length,
+        facts=facts,
+        checks=expectations(rows, facts),
+        info=info
+        or {
+            "C": wl.info["congestion"],
+            "D": wl.info["dilation"],
+            "L": wl.default_length,
+        },
+        **fields,
     )
-    return (label, check)
-
-
-def _deadlock_expected_check(expected: bool, why: str):
-    want = bool(expected)
-
-    def check(outcome, ctx):
-        if ctx["model"] != "wormhole":
-            return None
-        f = _fields(outcome)
-        if f["deadlocked"] == want:
-            return None
-        return Violation(
-            "ring-deadlock-determinism",
-            f"wormhole ring: expected deadlocked={want} ({why}), "
-            f"observed deadlocked={f['deadlocked']}",
-            observed=f["deadlocked"],
-            bound=want,
-        )
-
-    return (f"deadlock is deterministic here: {why}", check)
-
-
-def _conservation_check():
-    def check(outcome, ctx):
-        return inv.check_conservation(
-            generated=int(outcome.generated),
-            delivered=int(outcome.delivered),
-            backlog=int(outcome.final_backlog),
-        )
-
-    return ("generated == delivered + backlog (conservation)", check)
 
 
 # ----------------------------------------------------------------------
 # lower-bound family (Theorem 2.2.1)
 # ----------------------------------------------------------------------
+
+
+def _gadget_case(wl: Workload, rows, B, length_factor, **info) -> ScenarioCase:
+    """A hard-instance workload at ``L = ceil(length_factor * D)``, with
+    the facts and the explicit ``(L - D) M / B`` figure of the bound."""
+    C, D, M = (wl.info[k] for k in ("congestion", "dilation", "messages"))
+    wl.default_length = L = math.ceil(float(length_factor) * D)
+    return _routed_case(
+        wl,
+        rows,
+        # Every message visits its primary edges in one global
+        # (lexicographic) order, so the dependency graph is acyclic.
+        facts={"built_B": int(B), "dilation": D, "acyclic": True},
+        info={
+            "C": C,
+            "D": D,
+            "M": M,
+            "L": L,
+            "built_B": int(B),
+            "lower_bound": (L - D) * M / int(B),
+            **info,
+        },
+    )
 
 
 @register_scenario(
@@ -221,41 +106,9 @@ def _build_lower_bound_gadget(
     """The paper's hard instance, built *for* the requested ``B``: every
     ``B+1`` messages share a primary edge, so at most ``B`` make progress
     per flit step and routing needs ``(L-D)M/B`` steps."""
-    from ..core.lower_bound import build_hard_instance, hard_instance_lower_bound
-
-    inst = build_hard_instance(C=int(C), D=int(D), B=int(B))
-    L = inst.recommended_length(float(length_factor))
-    wl = Workload(
-        net=inst.network,
-        paths=inst.paths,
-        default_length=L,
-        info={
-            "congestion": inst.congestion,
-            "dilation": inst.dilation,
-            "messages": inst.num_messages,
-            "m_prime": inst.m_prime,
-        },
-    )
-    bound = hard_instance_lower_bound(inst, L)
-    lengths = [len(p) for p in inst.paths]
-    return ScenarioCase(
-        workload=wl,
-        message_length=L,
-        checks=[
-            _gadget_check(bound, int(B)),
-            _congestion_check(inst.congestion),
-            _unobstructed_check(lengths),
-            _delivery_check(),
-        ],
-        info={
-            "C": inst.congestion,
-            "D": inst.dilation,
-            "M": inst.num_messages,
-            "L": L,
-            "built_B": int(B),
-            "lower_bound": bound,
-        },
-    )
+    wl = WORKLOADS["hard-instance"](C=int(C), D=int(D), B=int(B))
+    rows = ("gadget", "congestion", "unobstructed", "delivery", "envelope")
+    return _gadget_case(wl, rows, B, length_factor)
 
 
 @register_scenario(
@@ -277,48 +130,16 @@ def _build_gadget_hotspot(
     bases (they share that subset's primary edge) or repeat a base (the
     copies share *all* of its primary edges) — so the ``(L-D)M/B`` bound
     holds with the inflated ``M``."""
-    from ..core.lower_bound import build_hard_instance
-
-    inst = build_hard_instance(C=int(C), D=int(D), B=int(B))
-    L = inst.recommended_length(float(length_factor))
-    base0 = [
-        list(inst.paths[i])
-        for i in range(len(inst.paths))
-        if inst.base_message_of[i] == 0
-    ]
-    paths = [list(p) for p in inst.paths]
-    for i in range(int(hotspot_extra)):
-        paths.append(list(base0[i % len(base0)]))
-    M = len(paths)
-    bound = (L - inst.dilation) * M / int(B)
-    wl = Workload(
-        net=inst.network,
-        paths=paths,
-        default_length=L,
-        info={
-            "congestion": inst.congestion + int(hotspot_extra),
-            "dilation": inst.dilation,
-            "messages": M,
-        },
-    )
-    return ScenarioCase(
-        workload=wl,
-        message_length=L,
-        checks=[
-            _gadget_check(bound, int(B)),
-            _unobstructed_check([len(p) for p in paths]),
-            _delivery_check(),
-        ],
-        info={
-            "C": inst.congestion + int(hotspot_extra),
-            "D": inst.dilation,
-            "M": M,
-            "L": L,
-            "built_B": int(B),
-            "lower_bound": bound,
-            "hotspot_extra": int(hotspot_extra),
-        },
-    )
+    wl = WORKLOADS["hard-instance"](C=int(C), D=int(D), B=int(B))
+    # Path 0 is a replica of base message 0; replicas share their path.
+    wl.paths = [*wl.paths, *(list(wl.paths[0]) for _ in range(int(hotspot_extra)))]
+    wl.info = {
+        "congestion": wl.info["congestion"] + int(hotspot_extra),
+        "dilation": wl.info["dilation"],
+        "messages": len(wl.paths),
+    }
+    rows = ("gadget", "unobstructed", "delivery", "envelope")
+    return _gadget_case(wl, rows, B, length_factor, hotspot_extra=int(hotspot_extra))
 
 
 # ----------------------------------------------------------------------
@@ -338,33 +159,11 @@ def _build_chain_contention(
     """Disjoint chains with ``messages`` worms each: congestion is exactly
     ``messages`` and dilation exactly ``depth``, the cleanest instance for
     the ``ceil(L C / B)`` capacity bound and the unobstructed time."""
-    from ..network.random_networks import chain_bundle
-    from ..routing.paths import paths_from_node_walks
-
-    net, walks = chain_bundle(int(chains), int(depth), int(messages))
-    paths = paths_from_node_walks(net, walks)
-    L = 2 * int(depth)
-    wl = Workload(
-        net=net,
-        paths=paths,
-        default_length=L,
-        info={
-            "congestion": int(messages),
-            "dilation": int(depth),
-            "messages": len(paths),
-        },
-    )
-    return ScenarioCase(
-        workload=wl,
-        message_length=L,
-        checks=[
-            _congestion_check(messages),
-            _unobstructed_check([p.length for p in paths]),
-            _sf_envelope_check(messages, depth),
-            _deadlock_consistency_check(True),  # chains: acyclic CDG
-            _delivery_check(),
-        ],
-        info={"C": int(messages), "D": int(depth), "L": L},
+    wl = WORKLOADS["chain-bundle"](chains=chains, depth=depth, messages=messages)
+    return _routed_case(
+        wl,
+        ("congestion", "unobstructed", "sf-envelope", "deadlock-free", "delivery", "envelope"),
+        facts={"acyclic": True},  # disjoint chains
     )
 
 
@@ -391,32 +190,15 @@ def _build_layered_schedule(
     """A random leveled workload run through the LLL schedule pipeline:
     the executed schedule must deliver everything, unblocked, within its
     ``num_classes * phase_length`` bound."""
-    from ..network.random_networks import layered_network, random_walk_paths
-    from ..routing.paths import congestion, dilation, paths_from_node_walks
-
-    rng = np.random.default_rng(int(seed))
-    net = layered_network(int(width), int(depth), int(out_degree), rng)
-    walks = random_walk_paths(net, int(width), int(depth), int(messages), rng)
-    paths = paths_from_node_walks(net, walks)
-    C, D = congestion(paths), dilation(paths)
-    L = int(depth)
-    wl = Workload(
-        net=net,
-        paths=paths,
-        default_length=L,
-        info={"congestion": C, "dilation": D, "messages": len(paths)},
+    wl = WORKLOADS["layered"](
+        width=width, depth=depth, out_degree=out_degree, messages=messages, seed=seed
     )
-    return ScenarioCase(
+    wl.default_length = int(depth)
+    return _routed_case(
+        wl,
+        ("schedule", "unobstructed", "deadlock-free", "delivery", "envelope"),
+        facts={"acyclic": True},  # leveled: every edge goes one level down
         kind="schedule",
-        workload=wl,
-        message_length=L,
-        checks=[
-            _schedule_bound_check(),
-            _unobstructed_check([p.length for p in paths]),
-            _deadlock_consistency_check(True),  # leveled: acyclic CDG
-            _delivery_check(),
-        ],
-        info={"C": C, "D": D, "L": L},
     )
 
 
@@ -425,25 +207,26 @@ def _build_layered_schedule(
 # ----------------------------------------------------------------------
 
 
-def _ring_case(n: int, hops: int, L: int, dateline_B: int | None):
-    """Ring network, one message per node, each covering ``hops`` edges.
+def _ring_case(B, n, hops, *, dateline: bool) -> ScenarioCase:
+    """Ring network, one message per node, each covering ``hops`` edges,
+    at ``L = hops + B + 1`` (``L > B``, so worms can wrap the cycle shut).
 
-    Returns ``(net, paths, vc_ids, cdg_acyclic)``; with ``dateline_B >= 2``
-    the classic dateline assignment (switch to VC 1 after crossing edge
-    ``n-1``) is applied and the CDG is re-checked under it.
+    With ``dateline`` and ``B >= 2`` the classic dateline assignment
+    (switch to VC 1 after crossing edge ``n-1``) is applied and the
+    channel dependency graph is re-checked under it.
     """
     from ..routing.paths import Path
     from ..sim.deadlock import is_deadlock_free
 
+    B, n, hops = int(B), int(n), int(hops)
     net = Network(name=f"ring(n={n})")
     nodes = net.add_nodes(range(n))
     edges = [net.add_edge(nodes[i], nodes[(i + 1) % n]) for i in range(n)]
     raw = [[edges[(s + j) % n] for j in range(hops)] for s in range(n)]
     paths = [Path.from_edges(net, p) for p in raw]
 
-    vc_ids = None
-    vc_of = None
-    if dateline_B is not None and dateline_B >= 2:
+    vc_ids = vc_of = None
+    if dateline and B >= 2:
         vc_ids = []
         for p in raw:
             vcs, crossed = [], False
@@ -452,18 +235,37 @@ def _ring_case(n: int, hops: int, L: int, dateline_B: int | None):
                 if e == n - 1:
                     crossed = True
             vc_ids.append(vcs)
-        vc_of = _ring_vc_assignment(raw, vc_ids)
+        index_of = {tuple(p): i for i, p in enumerate(raw)}
+
+        def vc_of(path, hop):
+            return vc_ids[index_of[tuple(path.edges)]][hop]
+
+    wl = Workload(
+        net=net,
+        paths=paths,
+        default_length=hops + B + 1,
+        info={"n": n, "hops": hops, "messages": len(paths)},
+    )
     acyclic = is_deadlock_free(paths, vc_of)
-    return net, paths, vc_ids, acyclic
-
-
-def _ring_vc_assignment(raw, vc_ids):
-    index_of = {tuple(p): i for i, p in enumerate(raw)}
-
-    def vc_of(path, hop):
-        return vc_ids[index_of[tuple(path.edges)]][hop]
-
-    return vc_of
+    facts = {"acyclic": acyclic}
+    info = {"n": n, "hops": hops, "L": wl.default_length}
+    if not dateline:
+        verdict = B < hops
+        facts["why"] = f"B={B} {'<' if verdict else '>='} hops={hops}"
+        facts["expect_deadlock"] = info["expect_deadlock"] = verdict
+    else:
+        info.update(dateline=vc_ids is not None, cdg_acyclic=acyclic)
+        if vc_ids is not None:  # at B = 1 it is the plain ring: nothing declared
+            facts["why"] = f"dateline VC classes break the cycle at B={B}"
+            facts["expect_deadlock"] = False
+    return _routed_case(
+        wl,
+        ("ring-determinism", "deadlock-free", "delivery", "envelope"),
+        facts=facts,
+        priority="index",
+        vc_ids=vc_ids,
+        info=info,
+    )
 
 
 @register_scenario(
@@ -477,29 +279,7 @@ def _build_ring_deadlock(B: int = 1, n: int = 6, hops: int = 6) -> ScenarioCase:
     worm per node each spanning ``hops`` edges and ``L > B``, the run
     deadlocks exactly when ``B < hops`` — the failure mode virtual
     channels exist to prevent."""
-    n, hops = int(n), int(hops)
-    L = hops + int(B) + 1  # keeps L > B so worms can wrap the cycle shut
-    net, paths, _, acyclic = _ring_case(n, hops, L, dateline_B=None)
-    expected = int(B) < hops
-    wl = Workload(
-        net=net,
-        paths=paths,
-        default_length=L,
-        info={"n": n, "hops": hops, "messages": len(paths)},
-    )
-    return ScenarioCase(
-        workload=wl,
-        message_length=L,
-        priority="index",
-        checks=[
-            _deadlock_expected_check(
-                expected, f"B={int(B)} {'<' if expected else '>='} hops={hops}"
-            ),
-            _deadlock_consistency_check(acyclic),
-            _delivery_check(),
-        ],
-        info={"n": n, "hops": hops, "L": L, "expect_deadlock": expected},
-    )
+    return _ring_case(B, n, hops, dateline=False)
 
 
 @register_scenario(
@@ -513,37 +293,7 @@ def _build_ring_dateline(B: int = 2, n: int = 6, hops: int = 6) -> ScenarioCase:
     switch to VC class 1 after crossing the wrap edge, the CDG becomes
     acyclic, and the run must deliver (needs ``B >= 2``; at ``B = 1``
     the scenario degrades to the deadlocking configuration)."""
-    n, hops = int(n), int(hops)
-    L = hops + int(B) + 1
-    net, paths, vc_ids, acyclic = _ring_case(n, hops, L, dateline_B=int(B))
-    wl = Workload(
-        net=net,
-        paths=paths,
-        default_length=L,
-        info={"n": n, "hops": hops, "messages": len(paths)},
-    )
-    checks = [_deadlock_consistency_check(acyclic), _delivery_check()]
-    if int(B) >= 2:
-        checks.insert(
-            0,
-            _deadlock_expected_check(
-                False, f"dateline VC classes break the cycle at B={int(B)}"
-            ),
-        )
-    return ScenarioCase(
-        workload=wl,
-        message_length=L,
-        priority="index",
-        vc_ids=vc_ids,
-        checks=checks,
-        info={
-            "n": n,
-            "hops": hops,
-            "L": L,
-            "dateline": vc_ids is not None,
-            "cdg_acyclic": acyclic,
-        },
-    )
+    return _ring_case(B, n, hops, dateline=True)
 
 
 @register_scenario(
@@ -577,26 +327,24 @@ def _build_hotspot_mesh(
         )
         if s != d
     ]
-    L = 2 * int(k)
     wl = Workload(
         net=cube.network,
         demands=demands,
         cube=cube,
-        default_length=L,
+        default_length=2 * int(k),
         info={"k": int(k), "messages": len(demands)},
     )
-    return ScenarioCase(
-        workload=wl,
-        message_length=L,
+    return _routed_case(
+        wl,
+        ("delivery", "envelope"),
         policy=str(policy),
-        checks=[_delivery_check()],
         info={
             "k": int(k),
             "hotspot": int(hotspot),
             "fraction": float(fraction),
             "policy": str(policy),
             "messages": len(demands),
-            "L": L,
+            "L": wl.default_length,
         },
     )
 
@@ -606,25 +354,34 @@ def _build_hotspot_mesh(
 # ----------------------------------------------------------------------
 
 
-def _layered_arrival_case(
-    width: int, depth: int, out_degree: int, net_seed: int
-):
+def _arrival_case(
+    width, depth, out_degree, net_seed, rate: np.ndarray, message_length, **info
+) -> ScenarioCase:
+    """An open-loop case: one injector per level-0 node of a random
+    leveled network, every message on a fresh random walk to the last
+    level, arrivals following the per-step ``rate`` trace."""
     from ..network.random_networks import layered_network
 
+    width, depth = int(width), int(depth)
     rng = np.random.default_rng(int(net_seed))
-    net = layered_network(int(width), int(depth), int(out_degree), rng)
-
-    def path_of(source: int, prng: np.random.Generator) -> list[int]:
-        node = int(source)
-        edges: list[int] = []
-        for _ in range(int(depth)):
-            out = net.out_edges(node)
-            e = out[int(prng.integers(len(out)))]
-            edges.append(e)
-            node = net.head(e)
-        return edges
-
-    return net, path_of
+    net = layered_network(width, depth, int(out_degree), rng)
+    return ScenarioCase(
+        kind="continuous",
+        workload=Workload(net=net, info={"width": width, "depth": depth}),
+        message_length=int(message_length),
+        num_sources=width,
+        path_of=random_walk_route(net, depth),
+        rate=rate,
+        horizon=len(rate),
+        facts={"width": width, "depth": depth},  # what rebuilds ``path_of``
+        checks=expectations(("conservation",), {}),
+        info={
+            "mean_rate": float(rate.mean()),
+            "horizon": len(rate),
+            "L": int(message_length),
+            **info,
+        },
+    )
 
 
 @register_scenario(
@@ -650,28 +407,13 @@ def _build_bursty_arrivals(
     """A square-wave arrival trace: ``burst_len`` steps at ``burst_rate``
     then quiet at ``idle_rate``, repeating every ``period`` steps — the
     open-loop analogue of batch bursts, for backlog-drain behaviour."""
-    net, path_of = _layered_arrival_case(width, depth, out_degree, net_seed)
     t = np.arange(int(horizon))
     rate = np.where(
         (t % int(period)) < int(burst_len), float(burst_rate), float(idle_rate)
     )
-    wl = Workload(net=net, info={"width": int(width), "depth": int(depth)})
-    return ScenarioCase(
-        kind="continuous",
-        workload=wl,
-        message_length=int(message_length),
-        num_sources=int(width),
-        path_of=path_of,
-        rate=rate,
-        horizon=int(horizon),
-        checks=[_conservation_check()],
-        info={
-            "mean_rate": float(rate.mean()),
-            "burst_rate": float(burst_rate),
-            "period": int(period),
-            "horizon": int(horizon),
-            "L": int(message_length),
-        },
+    return _arrival_case(
+        width, depth, out_degree, net_seed, rate, message_length,
+        burst_rate=float(burst_rate), period=int(period),
     )
 
 
@@ -698,28 +440,13 @@ def _build_heavy_tail_arrivals(
     """A Pareto-modulated arrival trace (``alpha < 2``: infinite-variance
     bursts), seeded and deterministic — heavy-tailed load the uniform
     Bernoulli model never produces."""
-    net, path_of = _layered_arrival_case(width, depth, out_degree, net_seed)
     rng = np.random.default_rng(int(trace_seed))
     rate = np.clip(
         float(base_rate) * (1.0 + rng.pareto(float(alpha), int(horizon))),
         0.0,
         float(cap),
     )
-    wl = Workload(net=net, info={"width": int(width), "depth": int(depth)})
-    return ScenarioCase(
-        kind="continuous",
-        workload=wl,
-        message_length=int(message_length),
-        num_sources=int(width),
-        path_of=path_of,
-        rate=rate,
-        horizon=int(horizon),
-        checks=[_conservation_check()],
-        info={
-            "mean_rate": float(rate.mean()),
-            "max_rate": float(rate.max()),
-            "alpha": float(alpha),
-            "horizon": int(horizon),
-            "L": int(message_length),
-        },
+    return _arrival_case(
+        width, depth, out_degree, net_seed, rate, message_length,
+        max_rate=float(rate.max()), alpha=float(alpha),
     )

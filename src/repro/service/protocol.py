@@ -77,7 +77,6 @@ __all__ = [
     "STATUS_REJECTED",
     "ProtocolError",
     "RunRequest",
-    "RunResponse",
     "UnknownModeError",
     "UnsupportedVersionError",
     "check_version",
@@ -221,72 +220,6 @@ class RunRequest:
             msg["deadline_ms"] = float(self.deadline_ms)
         if self.timeout_s is not None:
             msg["timeout_s"] = float(self.timeout_s)
-        return msg
-
-
-@dataclass(frozen=True)
-class RunResponse:
-    """A structured run response, decoupled from the wire dict.
-
-    ``status`` is one of the ``STATUS_*`` constants; the remaining
-    fields mirror the response-builder keys (absent fields are
-    ``None``).  :meth:`from_wire` is the one place response dicts are
-    interpreted, so the router and client agree on every field.
-    """
-
-    id: str
-    status: str
-    metrics: dict[str, Any] | None = None
-    mode: str = MODE_EXACT
-    batched: int | None = None
-    queue_ms: float | None = None
-    error: str | None = None
-    retry_after_ms: float | None = None
-    waited_ms: float | None = None
-    supported_modes: tuple[str, ...] | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status == STATUS_OK
-
-    @classmethod
-    def from_wire(cls, msg: dict[str, Any]) -> "RunResponse":
-        status = msg.get("status")
-        if not isinstance(status, str):
-            raise ProtocolError(f"response has no status: {msg!r}")
-        metrics = msg.get("metrics")
-        if metrics is not None and not isinstance(metrics, dict):
-            raise ProtocolError("'metrics' must be an object")
-        modes = msg.get("supported_modes")
-        return cls(
-            id=str(msg.get("id", "")),
-            status=status,
-            metrics=metrics,
-            mode=str(msg.get("mode", MODE_EXACT)),
-            batched=msg.get("batched"),
-            queue_ms=msg.get("queue_ms"),
-            error=msg.get("error"),
-            retry_after_ms=msg.get("retry_after_ms"),
-            waited_ms=msg.get("waited_ms"),
-            supported_modes=None if modes is None else tuple(modes),
-        )
-
-    def to_wire(self) -> dict[str, Any]:
-        msg: dict[str, Any] = {
-            "v": PROTOCOL_VERSION,
-            "id": self.id,
-            "status": self.status,
-        }
-        if self.metrics is not None:
-            msg["metrics"] = self.metrics
-        if self.mode != MODE_EXACT:
-            msg["mode"] = self.mode
-        for key in ("batched", "queue_ms", "error", "retry_after_ms", "waited_ms"):
-            value = getattr(self, key)
-            if value is not None:
-                msg[key] = value
-        if self.supported_modes is not None:
-            msg["supported_modes"] = list(self.supported_modes)
         return msg
 
 

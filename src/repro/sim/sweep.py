@@ -39,6 +39,7 @@ can be registered with :func:`register_workload`.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import os
 import time
@@ -64,10 +65,12 @@ __all__ = [
     "SIMULATORS",
     "Workload",
     "build_workload",
+    "call_builder",
     "execute_compatible",
     "plan_sweep",
     "register_workload",
     "run_sweep",
+    "schedule_metrics",
     "sweep_grid",
     "trial_seed",
 ]
@@ -275,6 +278,31 @@ def _builder(name: str) -> Callable[..., Workload]:
         ) from None
 
 
+def call_builder(what: str, fn: Callable[..., Any], params: dict[str, Any]):
+    """``fn(**params)`` where ``params`` came from outside the program.
+
+    A name the builder's signature lacks, or a value it cannot use (its
+    ``TypeError`` / ``ValueError``), is the one :class:`NetworkError`
+    naming ``what`` and its legal parameters; a builder's own
+    :class:`NetworkError` already says what is wrong and passes through.
+    """
+    accepted = inspect.signature(fn).parameters.values()
+    legal = [p.name for p in accepted if p.kind is not p.VAR_KEYWORD]
+    unknown = sorted(set(params) - set(legal))
+    try:
+        if unknown and len(legal) == len(accepted):
+            raise TypeError(f"no parameter named {', '.join(unknown)}")
+        return fn(**params)
+    except NetworkError:
+        raise
+    except (TypeError, ValueError) as exc:
+        given = ", ".join(f"{k}={v!r}" for k, v in sorted(params.items()))
+        raise NetworkError(
+            f"{what} cannot be built with {given}: {exc}; "
+            f"parameters: {', '.join(legal)}"
+        ) from None
+
+
 def build_workload(name: str, params=()) -> Workload:
     """The built (memoized) workload ``name``; ``params`` is a mapping or
     a :attr:`TrialSpec.workload_params` tuple of pairs."""
@@ -284,7 +312,7 @@ def build_workload(name: str, params=()) -> Workload:
     key = (fn, params)
     wl = _WORKLOAD_CACHE.get(key)
     if wl is None:
-        wl = fn(**dict(params))
+        wl = call_builder(f"workload {name!r}", fn, dict(params))
         if len(_WORKLOAD_CACHE) >= _WORKLOAD_CACHE_MAX:
             _WORKLOAD_CACHE.pop(next(iter(_WORKLOAD_CACHE)))
         _WORKLOAD_CACHE[key] = wl
@@ -421,22 +449,27 @@ def _sim_seed(sp: dict[str, Any], ss: np.random.SeedSequence):
     return sp["seed"] if "seed" in sp else ss
 
 
-def _run_schedule(wl: Workload, spec: TrialSpec, ss, L: int) -> dict[str, Any]:
-    """E1's pipeline: build a Theorem 2.1.6 schedule, then execute it."""
+def schedule_metrics(wl: Workload, L: int, B: int, **pipeline) -> dict[str, Any]:
+    """E1's pipeline — build a Theorem 2.1.6 schedule, then execute it —
+    as trial metrics; ``pipeline`` is :func:`~repro.core.scheduler
+    .run_lll_schedule`'s keywords (``rng``, ``mode``, ``seed``, ...)."""
     from ..core.scheduler import run_lll_schedule
 
+    build, res = run_lll_schedule(wl.net, wl.paths, L, B, **pipeline)
+    return {**_result_metrics(res), **build.metrics()}
+
+
+def _run_schedule(wl: Workload, spec: TrialSpec, ss, L: int) -> dict[str, Any]:
     sp = dict(spec.sim_params)
     sched_seed = sp.get("schedule_seed")
-    build, res = run_lll_schedule(
-        wl.net,
-        wl.paths,
+    return schedule_metrics(
+        wl,
         L,
         spec.B,
         rng=np.random.default_rng(ss if sched_seed is None else sched_seed),
         mode=sp.get("mode", "direct"),
         seed=sp.get("seed", 0),
     )
-    return {**_result_metrics(res), **build.metrics()}
 
 
 #: Non-lockstep pipelines, each with its own per-trial entry.  Only

@@ -1,0 +1,113 @@
+"""The expectation table: one evaluator, one catalogue, full coverage."""
+
+import inspect
+
+import numpy as np
+import pytest
+
+from repro.fuzz import fuzzer as fz
+from repro.fuzz.expectations import EXPECTATIONS, evaluate, expectations
+from repro.scenarios import SCENARIOS, ScenarioCase
+from repro.sim.sweep import WORKLOADS
+
+#: ``(row, model)`` pairs ``run_fuzz(50, seed=0)`` must evaluate.  The
+#: first block is what the fuzzer's hand-applied checks covered before
+#: the table existed (recorded by instrumenting that commit); the second
+#: is what running every declared model through the table added.
+REQUIRED_PAIRS = {
+    ("delivery", "wormhole"),
+    ("delivery", "schedule"),
+    ("unobstructed", "wormhole"),
+    ("unobstructed", "store_forward"),
+    ("congestion", "wormhole"),
+    ("envelope", "wormhole"),
+    ("envelope", "store_forward"),
+    ("envelope", "restricted"),
+    ("gadget", "wormhole"),
+    ("sf-envelope", "store_forward"),
+    ("schedule", "schedule"),
+    ("deadlock-free", "wormhole"),
+    ("ring-determinism", "wormhole"),
+    ("conservation", "continuous"),
+} | {
+    ("delivery", "cut_through"),
+    ("unobstructed", "cut_through"),
+    ("envelope", "cut_through"),
+    ("delivery", "store_forward"),
+    ("delivery", "restricted"),
+}
+
+
+def test_fuzz_evaluates_the_committed_matrix(monkeypatch, tmp_path):
+    seen = set()
+
+    def recording(outcome, case, *, model, **kw):
+        verdicts = evaluate(outcome, case, model=model, **kw)
+        seen.update((row.name, model) for row, _ in verdicts)
+        return verdicts
+
+    monkeypatch.setattr(fz, "evaluate", recording)
+    report = fz.run_fuzz(50, seed=0, artifact_dir=str(tmp_path))
+    assert report.ok, report.failures
+    assert REQUIRED_PAIRS <= seen, sorted(REQUIRED_PAIRS - seen)
+
+
+@pytest.mark.parametrize("family", fz.FAMILIES)
+def test_family_is_a_registered_scenario_plus_a_sampler(family):
+    fam = fz.FAMILY_TABLE[family]
+    accepted = set(inspect.signature(SCENARIOS[fam.scenario].build).parameters)
+    for seed in range(25):
+        params, _, _ = fam.sampler(np.random.default_rng(seed))
+        assert set(params) <= accepted, set(params) - accepted
+
+
+def _outcome(makespan, *, deadlocked=False):
+    messages = 3
+    return {
+        "makespan": makespan,
+        "messages": messages,
+        "delivered": 0 if deadlocked else messages,
+        "deadlocked": deadlocked,
+        "hit_step_cap": False,
+    }
+
+
+class TestEvaluate:
+    # Three worms down one 4-edge chain: C = 3, D = 4.
+    wl = WORKLOADS["chain-bundle"](chains=1, depth=4, messages=3)
+
+    def judge(self, outcome, model="wormhole", B=1, facts=()):
+        case = ScenarioCase(workload=self.wl, message_length=8, facts=dict(facts))
+        return {
+            row.name: v for row, v in evaluate(outcome, case, model=model, B=B)
+        }
+
+    def test_bounds_are_measured_from_the_routes(self):
+        # ceil(L C / B) = 24: no fact carried C here, the routes did.
+        got = self.judge(_outcome(23))
+        assert got["congestion"].bound == 24
+        assert self.judge(_outcome(24))["congestion"] is None
+
+    def test_rows_apply_by_model(self):
+        assert "congestion" not in self.judge(_outcome(24), model="cut_through")
+        assert "sf-envelope" in self.judge(_outcome(64), model="store_forward")
+        assert "sf-envelope" not in self.judge(_outcome(64), model="store_forward", B=2)
+
+    def test_unclean_runs_skip_the_clean_only_rows(self):
+        got = self.judge(_outcome(3, deadlocked=True), facts={"acyclic": True})
+        assert set(got) == {"delivery", "deadlock-free"}
+        assert got["delivery"] is None  # a deadlocked run owes no delivery
+        assert got["deadlock-free"].invariant == "deadlock-freedom"
+
+    def test_a_row_needs_its_facts(self):
+        assert "deadlock-free" not in self.judge(_outcome(24))
+        assert "gadget" not in self.judge(_outcome(24), facts={"built_B": 1})
+        facts = {"built_B": 1, "dilation": 4}
+        assert self.judge(_outcome(11), facts=facts)["gadget"].bound == 12.0
+        assert "gadget" not in self.judge(_outcome(11), B=2, facts=facts)
+
+    def test_checks_list_is_the_named_rows_whose_facts_are_stated(self):
+        labels = [label for label, _ in expectations(EXPECTATIONS, {"acyclic": False})]
+        assert "cyclic channel dependency graph: deadlock is permitted" in labels
+        assert EXPECTATIONS["envelope"].label in labels
+        assert EXPECTATIONS["gadget"].label not in labels

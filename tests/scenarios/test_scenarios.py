@@ -3,8 +3,10 @@
 import pytest
 
 from repro.facade import simulate
+from repro.fuzz.expectations import EXPECTATIONS
 from repro.network.graph import NetworkError
 from repro.scenarios import SCENARIOS, get_scenario, register_scenario
+from repro.sim.batch import LOCKSTEP_MODELS
 from repro.sim.sweep import WORKLOADS, TrialSpec, _execute_trial
 
 
@@ -48,12 +50,31 @@ class TestRegistry:
             get_scenario("ring-deadlock").run(B=1, model="store_forward")
 
 
+#: Every registered trial/schedule scenario x declared model x B.
+RUN_GRID = [
+    (name, model, B)
+    for name, scen in sorted(SCENARIOS.items())
+    if scen.kind != "continuous"
+    for model in scen.models
+    for B in (1, 2, 4)
+]
+
+
 class TestRunsClean:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_default_run_satisfies_expectations(self, name):
         run = get_scenario(name).run()
         assert run.ok, [v.detail for v in run.violations]
         assert run.checked  # every scenario declares expectations
+
+    @pytest.mark.parametrize("name, model, B", RUN_GRID)
+    def test_every_declared_cell_satisfies_expectations(self, name, model, B):
+        run = get_scenario(name).run(model=model, B=B)
+        assert run.ok, [v.detail for v in run.violations]
+        out = run.outcome
+        if model in LOCKSTEP_MODELS and not (out.deadlocked or out.hit_step_cap):
+            # No clean lockstep run escapes the analytic envelope.
+            assert EXPECTATIONS["envelope"].label in run.checked
 
     def test_checked_labels_match_case_checks(self):
         run = get_scenario("chain-contention").run(B=2)
@@ -127,10 +148,6 @@ class TestArrivalFamily:
         assert run.ok
         out = run.outcome
         assert out.generated == out.delivered + out.final_backlog
-
-    def test_continuous_rejects_backend(self):
-        with pytest.raises(NetworkError, match="in-process"):
-            get_scenario("bursty-arrivals").run(B=1, backend="inline")
 
     def test_heavy_tail_trace_is_seeded_deterministic(self):
         a = get_scenario("heavy-tail-arrivals").run(B=1)

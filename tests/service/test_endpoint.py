@@ -89,6 +89,8 @@ SHARED_CASES = (
     "unknown_mode",
     "list_id",
     "bad_spec",
+    "bad_param_estimate",
+    "bad_type_estimate",
     "shutdown",
     "estimate_draining",
     "run_draining",
@@ -172,6 +174,14 @@ async def _converse(tier):
     t["bad_spec"] = await conn.ask(
         op="run", id="w", spec={"workload": "no-such-workload"}
     )
+    # A workload parameter the builder does not take, or cannot use,
+    # is only discovered when the workload is built — past the parser.
+    for case, params in (("bad_param", {"nosuch": 1}), ("bad_type", {"chains": "x"})):
+        spec = {**SPEC, "workload_params": params}
+        t[f"{case}_estimate"] = await conn.ask(
+            op="run", id=case, spec=spec, mode="estimate"
+        )
+        t[f"{case}_exact"] = await conn.ask(op="run", id=case, spec=spec)
     t["health"] = await conn.ask(op="health", id="h")
     t["stats"] = await conn.ask(op="stats", id="s2")
     # One write: the handler answers buffered lines back to back, so the
@@ -243,7 +253,7 @@ def test_unsupported_version(tier):
     # The connection survived (later cases ran on it) and no run was
     # attempted on the message's behalf.
     assert t["health"]["status"] == "ok"
-    assert t["counters"]["requests_total"] == 6
+    assert t["counters"]["requests_total"] == 10
 
 
 @pytest.mark.parametrize("tier", TIERS)
@@ -263,9 +273,32 @@ def test_invalid_spec_is_answered_at_the_endpoint(tier):
     t = transcript(tier)
     _error(t, "bad_spec", "w", "unknown workload")
     if tier == "cluster":
-        # Protocol errors are answered at the router, never forwarded.
-        assert t["counters"]["forwarded"] == 0
+        # Protocol errors are answered at the router, never forwarded:
+        # only the two exact runs with a bad workload parameter were.
+        assert t["counters"]["forwarded"] == 2
         assert t["health"]["workers_alive"] == 1
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("mode", ("estimate", "exact"))
+@pytest.mark.parametrize("case", ("bad_param", "bad_type"))
+def test_bad_workload_parameter_is_a_structured_error(tier, mode, case):
+    """Found only when the workload is built, in either mode: still one
+    error reply naming the workload and what it takes — not a dropped
+    connection (``health`` is answered on the same one right after)."""
+    t = transcript(tier)
+    reply = _error(t, f"{case}_{mode}", case, "workload 'chain-bundle'")
+    assert "parameters: chains, depth, messages" in reply["error"]
+    assert "_wl_" not in reply["error"] and "()" not in reply["error"]
+    assert t["health"]["status"] == "ok"
+    # Two estimate errors at the endpoint; the two exact ones where the
+    # trial ran (the router's worker counts its own).
+    errors = t["stats"]["counters"]["errors"]
+    if tier == "serve":
+        assert errors == 4
+    else:
+        assert errors == 2
+        assert t["stats"]["workers"][0]["counters"]["errors"] == 2
 
 
 @pytest.mark.parametrize("tier", TIERS)
@@ -341,7 +374,7 @@ def test_health_and_stats_key_sets(tier):
 def test_every_line_answered_once_and_nothing_left_pending(tier):
     t = transcript(tier)
     # One response line per line sent, on every connection ...
-    assert t["lines"] == [(1, 1), (13, 13)]
+    assert t["lines"] == [(1, 1), (17, 17)]
     # ... no stray extra line before the drain closed the connection ...
     assert t["conn_rest"] == b""
     # ... and no connection task outlived the drain.

@@ -8,7 +8,6 @@ from repro.service.protocol import (
     PROTOCOL_VERSION,
     RUN_MODES,
     RunRequest,
-    RunResponse,
     UnknownModeError,
     unknown_mode_response,
 )
@@ -251,17 +250,3 @@ class TestModes:
             mode=MODE_ESTIMATE,
         )
         assert est["mode"] == MODE_ESTIMATE
-
-    def test_run_response_round_trip(self):
-        wire = ok_response(
-            "a", {"makespan_upper": 9}, batched=0, queue_ms=0.5,
-            mode=MODE_ESTIMATE,
-        )
-        resp = RunResponse.from_wire(wire)
-        assert resp.ok and resp.mode == MODE_ESTIMATE
-        assert resp.metrics == {"makespan_upper": 9}
-        assert resp.to_wire()["status"] == STATUS_OK
-        rej = RunResponse.from_wire(
-            reject_response("a", "queue full", retry_after_ms=5)
-        )
-        assert not rej.ok and rej.retry_after_ms == 5

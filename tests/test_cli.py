@@ -464,6 +464,27 @@ class TestCommands:
                 ["scenario", "run", "chain-contention", "--param", "oops"],
                 "repro scenario run: error: argument --param: needs KEY=VAL",
             ),
+            (
+                ["sweep", "--param", "nosuch=1", "--channels", "1"],
+                "repro sweep: workload 'chain-bundle' cannot be built with "
+                "nosuch=1: no parameter named nosuch; parameters: chains, "
+                "depth, messages",
+            ),
+            (
+                ["sweep", "--param", "chains=x", "--channels", "1"],
+                "repro sweep: workload 'chain-bundle' cannot be built with "
+                "chains='x'",
+            ),
+            (
+                ["scenario", "run", "chain-contention", "--param", "nosuch=1"],
+                "repro scenario: scenario 'chain-contention' cannot be built "
+                "with B=1, nosuch=1: no parameter named nosuch; parameters: "
+                "B, chains, depth, messages",
+            ),
+            (
+                ["scenario", "run", "lower-bound-gadget", "--param", "B=2"],
+                "repro scenario: --param B names one of the run's own options",
+            ),
         ],
         ids=[
             "sweep-channels-not-int",
@@ -472,6 +493,10 @@ class TestCommands:
             "sweep-unknown-simulator",
             "loadgen-param-names-its-command",
             "scenario-run-param-names-its-command",
+            "sweep-unknown-workload-param",
+            "sweep-ill-typed-workload-param",
+            "scenario-run-unknown-builder-param",
+            "scenario-run-param-shadows-run-option",
         ],
     )
     def test_malformed_list_flag_is_a_usage_error(self, capsys, argv, message):

@@ -125,13 +125,6 @@ class TestProblemForms:
         )
         assert small.num_messages == 4  # 2 chains * 2 messages
 
-    def test_backend_execution_bit_identical(self):
-        local = simulate("chain-bundle", model="wormhole", B=2, seed=5)
-        via = simulate(
-            "chain-bundle", model="wormhole", B=2, seed=5, backend="process"
-        )
-        _same(local, via)
-
     def test_continuous_model(self):
         bf = Butterfly(8)
 
