@@ -184,24 +184,23 @@ def grant_free_slots(
 
     ``capacity`` may be a per-contender array (constant within each
     slot group) — this is how :class:`BatchSlotArbiter` arbitrates
-    trials with different ``B`` in one call.
+    trials with different ``B`` in one call.  A scalar reaches the scan
+    as a scalar.
 
     The post-sort rank/grant scan runs on the backend selected by
     :mod:`repro.sim.fastpath` (pure NumPy, or a numba jit of the same
     linear scan); both produce bit-identical masks.
     """
-    order = np.lexsort((prio, slots))
-    if order.size == 0:
+    if slots.size == 0:
         return np.zeros(0, dtype=bool)
+    order = np.lexsort((prio, slots))
     sorted_slots = slots[order]
+    # Materialising a scalar capacity per contender costs more than
+    # scanning the handful of contenders a lone trial has.
     if isinstance(capacity, np.ndarray):
-        sorted_caps = capacity[order]
-    else:
-        sorted_caps = np.broadcast_to(
-            np.int64(capacity), (order.size,)
-        )
+        capacity = capacity[order]
     granted_sorted = fastpath.segmented_grant(
-        sorted_slots, sorted_caps, occupancy
+        sorted_slots, capacity, occupancy
     )
     granted = np.empty(order.size, dtype=bool)
     granted[order] = granted_sorted
@@ -273,6 +272,12 @@ class BatchSlotArbiter:
         if num_slots.size and self.capacities.min() < 1:
             raise NetworkError("slot capacity must be >= 1")
         self.num_trials = int(num_slots.size)
+        # One capacity for every pool (a lone trial, a one-``B`` batch)
+        # is handed to the grant as the scalar it is.
+        caps = self.capacities
+        self._uniform = (
+            int(caps[0]) if caps.size and (caps == caps[0]).all() else None
+        )
         self.offsets = np.zeros(self.num_trials + 1, dtype=np.int64)
         np.cumsum(num_slots, out=self.offsets[1:])
         self.occupancy = np.zeros(int(self.offsets[-1]), dtype=np.int64)
@@ -285,13 +290,11 @@ class BatchSlotArbiter:
         self, trials: np.ndarray, slots: np.ndarray, prio: np.ndarray
     ) -> np.ndarray:
         """Granted mask for one combined round (does not acquire)."""
-        if slots.size == 0:
-            return np.zeros(0, dtype=bool)
+        capacity = self._uniform
+        if capacity is None:
+            capacity = self.capacities[trials]
         return grant_free_slots(
-            self.keys(trials, slots),
-            prio,
-            self.capacities[trials],
-            self.occupancy,
+            self.keys(trials, slots), prio, capacity, self.occupancy
         )
 
     def acquire(self, trials: np.ndarray, slots: np.ndarray) -> None:
@@ -356,10 +359,27 @@ class BatchStepLoop:
     in their lifecycle behaviour.
 
     The per-step mask work is guarded by scalars the loop maintains
-    itself (the live-trial count, the count of delivered messages,
-    ``moved.all()``, the smallest live cap): the guards depend only on
-    loop state, so every ``T`` takes the same path and a lone trial does
-    not pay for masks that can only matter to a batch.
+    itself (the live-trial count :attr:`num_live`, the count of
+    delivered messages, the count of trials that moved, the smallest
+    live cap): the guards depend only on loop state, so every ``T``
+    takes the same path and a lone trial does not pay for masks that
+    can only matter to a batch.  Two more serve the kernels and the
+    prologue (DESIGN decision 21):
+
+    * :attr:`hi`, 1 + the highest live trial row, kept by ``_finalize``
+      next to :attr:`num_live` — trials never come back to life, so a
+      kernel may slice its per-step work to ``[:hi]``, and
+      ``num_live < hi`` says whether a finalized trial sits below it;
+    * ``last_release``, read once.  While ``t <= last_release`` the
+      loop builds ``active = released & ~done``, scans for idle trials
+      and may jump the clock; once ``t > last_release`` every pending
+      message is released and every live trial has one (a trial whose
+      messages are all delivered is finalized in that same step), so
+      ``active`` is just ``~done``, no trial can be idle, and the scan
+      is skipped.
+
+    ``active`` is one buffer the loop overwrites each step: a body must
+    not keep it across calls.
     """
 
     def __init__(
@@ -398,6 +418,9 @@ class BatchStepLoop:
         self.done = np.zeros((self.T, self.M), dtype=bool)
         self.live = np.ones(self.T, dtype=bool)
         self.num_live = self.T
+        #: 1 + the highest live trial row: kernels slice their per-step
+        #: work to ``[:hi]`` (trials never come back to life).
+        self.hi = self.T
         self.steps = np.zeros(self.T, dtype=np.int64)
         self.deadlocked = np.zeros(self.T, dtype=bool)
         self.hit_cap = np.zeros(self.T, dtype=bool)
@@ -411,9 +434,14 @@ class BatchStepLoop:
 
     def _finalize(self, which: np.ndarray, steps: "int | np.ndarray") -> None:
         """Retire trials ``which`` (a mask or index array) at ``steps``."""
+        live = self.live
         self.steps[which] = steps
-        self.live[which] = False
-        self.num_live = int(np.count_nonzero(self.live))
+        live[which] = False
+        self.num_live = int(np.count_nonzero(live))
+        hi = self.hi
+        while hi and not live[hi - 1]:
+            hi -= 1
+        self.hi = hi
 
     def _apply_caps(self, t: int) -> None:
         capped = self.live & (t >= self.max_steps)
@@ -456,15 +484,24 @@ class BatchStepLoop:
         # A lower bound on every live trial's cap; refreshed when reached.
         min_cap = int(self.max_steps[live].min()) if self.num_live else 0
         delivered = int(np.count_nonzero(done))
+        # Past the last release no live trial can be idle (class
+        # docstring): ``active`` is ``~done`` and the idle scan is moot.
+        last_release = int(release.max()) if self.num_live else 0
+        active = np.empty((T, self.M), dtype=bool)
         while self.num_live:
             t += 1
-            active = ~done & (release < t)
+            all_released = t > last_release
+            if all_released:
+                np.logical_not(done, out=active)
+            else:
+                np.less(release, t, out=active)
+                np.greater(active, done, out=active)  # released & ~done
             if self.num_live < T:
                 active &= live[:, None]
-            act_any = active.any(axis=1)
+            act_any = live if all_released else active.any(axis=1)
             # Only live rows can be active, so a short count means a
             # live trial is idle (pending messages, none released yet).
-            if np.count_nonzero(act_any) != self.num_live:
+            if not all_released and np.count_nonzero(act_any) != self.num_live:
                 # An idle trial's clock jumps to its next release; a
                 # jump landing at or past the trial's step cap exits
                 # right there with the cap flag set.
@@ -497,7 +534,7 @@ class BatchStepLoop:
             # 2) deadlock: a trial that executed this step without any
             # movement while all its pending messages were released can
             # never change configuration again.
-            if detect_deadlock and not moved.all():
+            if detect_deadlock and np.count_nonzero(moved) != T:
                 stuck = live & act_any & ~moved
                 if stuck.any():
                     unreleased = (~done & (release >= t)).any(axis=1)

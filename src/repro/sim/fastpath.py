@@ -87,7 +87,8 @@ def segmented_grant_numpy(
 
     ``sorted_slots`` holds the contenders' slot ids in lexsorted
     ``(slot, priority)`` order, ``sorted_caps`` the per-contender slot
-    capacity in the same order (constant within a slot group).  Returns
+    capacity in the same order (constant within a slot group) or one
+    scalar capacity for every slot.  Returns
     the granted mask *in sorted order*: contender ``i`` is granted iff
     its rank within its slot group is below the group's free capacity
     (``capacity - occupancy[slot]``).
@@ -99,7 +100,7 @@ def segmented_grant_numpy(
     new_group[0] = True
     np.not_equal(sorted_slots[1:], sorted_slots[:-1], out=new_group[1:])
     arange = np.arange(n)
-    group_start = np.maximum.accumulate(np.where(new_group, arange, 0))
+    group_start = np.maximum.accumulate(arange * new_group)
     rank = arange - group_start
     if occupancy is None:
         return rank < sorted_caps
@@ -133,9 +134,12 @@ def _build_numba_scan():  # pragma: no cover - exercised on the numba CI leg
 
     def segmented_grant_numba(sorted_slots, sorted_caps, occupancy):
         out = np.empty(sorted_slots.size, dtype=np.bool_)
-        # Callers may pass a stride-0 broadcast of a scalar capacity;
-        # the jitted scan wants a real contiguous array.
-        sorted_caps = np.ascontiguousarray(sorted_caps)
+        # The jitted scan indexes a real contiguous array; a scalar
+        # capacity (0-d under ``ascontiguousarray``) is spread out here.
+        if np.ndim(sorted_caps) == 0:
+            sorted_caps = np.full(sorted_slots.size, sorted_caps, dtype=np.int64)
+        else:
+            sorted_caps = np.ascontiguousarray(sorted_caps)
         if occupancy is None:
             _scan(sorted_slots, sorted_caps, _empty_occ, False, out)
         else:

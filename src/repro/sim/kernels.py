@@ -280,7 +280,10 @@ class WormholeKernel(_Kernel):
     State is one integer per (trial, message): the completed-move count
     ``k``.  Headers contend for the slot on path edge ``k`` each step;
     granted worms advance, the tail's vacated slot frees after move
-    ``k - L - 1``, and the final edge's slot frees at completion.
+    ``k - L - 1``, and the final edge's slot frees at completion.  The
+    per-step masks (who needs an edge, who moves, whose tail or head
+    reached an event) are dense ``(T, M)`` ``out=`` ops; index lists
+    are built only in a phase whose mask counts non-zero.
     """
 
     @classmethod
@@ -314,6 +317,9 @@ class WormholeKernel(_Kernel):
         T, M = self.T, self.M
         self.vc_padded = packed.vc_padded
         self._moved = np.zeros(T, dtype=bool)
+        self._needs = np.empty((T, M), dtype=bool)
+        self._mov = np.empty((T, M), dtype=bool)
+        self._ev = np.empty((T, M), dtype=bool)
         # Slot model per trial: without VC classes a slot is an edge with
         # capacity B[i]; with classes, an (edge, class) pair, capacity 1.
         if self.vc_padded is None:
@@ -345,17 +351,20 @@ class WormholeKernel(_Kernel):
         return edges * self.B[trials] + self.vc_padded[msgs, hop]
 
     def body(self, t: int, active: np.ndarray) -> np.ndarray:
-        k, D, L, probes = self.k, self.D, self.L, self.probes
-        rows, cols = np.nonzero(active)
-        k_ac = k[rows, cols]
-        needs_edge = k_ac < D[cols]
-        movers_local = np.zeros(rows.size, dtype=bool)
-        movers_local[~needs_edge] = True  # draining worms always move
+        k, D, probes = self.k, self.D, self.probes
+        loop, arbiter = self.state, self.arbiter
+        # Dense (T, M) masks guarded by their own counts: a step pays
+        # index lists only for the phases in which something happens.
+        needs, mov, ev = self._needs, self._mov, self._ev
+        np.less(k, D, out=needs)
+        np.logical_and(needs, active, out=needs)
+        np.greater(active, needs, out=mov)  # draining worms always move
 
-        if needs_edge.any():
-            crows = rows[needs_edge]
-            ccols = cols[needs_edge]
-            hop = k_ac[needs_edge]
+        if np.count_nonzero(needs):
+            # Row-major contender order: per trial, ascending message —
+            # the serial draw order.
+            crows, ccols = needs.nonzero()
+            hop = k[crows, ccols]
             slots = self._slots(crows, ccols, hop)
             if self.option == "random":
                 prio = self._random_prio(crows)
@@ -365,48 +374,46 @@ class WormholeKernel(_Kernel):
                 prio = self.rank_priority[crows, ccols]
             else:
                 prio = ccols
-            granted = self.arbiter.contend(crows, slots, prio)
-            movers_local[needs_edge] = granted
-            self.arbiter.acquire(crows[granted], slots[granted])
-            self.state.blocked[crows[~granted], ccols[~granted]] += 1
+            granted = arbiter.contend(crows, slots, prio)
+            grows, gcols = crows[granted], ccols[granted]
+            mov[grows, gcols] = True
+            arbiter.acquire(grows, slots[granted])
             if probes is not None:
                 raw = self.padded[ccols, hop]
-                probes.on_grant(t, ccols[granted], raw[granted])
-                if (~granted).any():
-                    probes.on_block(t, ccols[~granted], raw[~granted])
+                probes.on_grant(t, gcols, raw[granted])
+                if grows.size != crows.size:
+                    lost = ~granted
+                    probes.on_block(t, ccols[lost], raw[lost])
+            # Contenders that did not move were refused.
+            np.greater(needs, mov, out=needs)
+            np.add(loop.blocked, needs, out=loop.blocked)
 
-        mrows, mcols = rows[movers_local], cols[movers_local]
-        k[mrows, mcols] += 1
-        new_k = k[mrows, mcols]
-        # Release the buffer the tail just vacated; the final edge's
-        # slot is released at completion instead (same rule as serial).
-        rel_idx = new_k - L[mcols] - 1
-        sel = (rel_idx >= 0) & (rel_idx < D[mcols] - 1)
-        if sel.any():
-            self.arbiter.vacate(
-                mrows[sel], self._slots(mrows[sel], mcols[sel], rel_idx[sel])
-            )
+        np.add(k, mov, out=k)
+        # Release the buffer the tail just vacated, path index
+        # k - L - 1 >= 0; k never exceeds L + D - 1, so that index stays
+        # below the final edge, whose slot is released at completion
+        # instead (same rule as serial).
+        np.greater(k, self.L, out=ev)
+        np.logical_and(ev, mov, out=ev)
+        if np.count_nonzero(ev):
+            vrows, vcols = ev.nonzero()
+            rel_idx = k[vrows, vcols] - self.L[vcols] - 1
+            arbiter.vacate(vrows, self._slots(vrows, vcols, rel_idx))
             if probes is not None:
-                probes.on_release(
-                    t, mcols[sel], self.padded[mcols[sel], rel_idx[sel]]
-                )
-        finished = new_k == self.total_moves[mcols]
-        if finished.any():
-            frows, fcols = mrows[finished], mcols[finished]
-            self.state.completion[frows, fcols] = t
-            self.state.done[frows, fcols] = True
-            self.arbiter.vacate(
-                frows, self._slots(frows, fcols, D[fcols] - 1)
-            )
+                probes.on_release(t, vcols, self.padded[vcols, rel_idx])
+        np.equal(k, self.total_moves, out=ev)
+        np.logical_and(ev, mov, out=ev)
+        if np.count_nonzero(ev):
+            frows, fcols = ev.nonzero()
+            loop.completion[frows, fcols] = t
+            loop.done[frows, fcols] = True
+            arbiter.vacate(frows, self._slots(frows, fcols, D[fcols] - 1))
             if probes is not None:
                 probes.on_release(t, fcols, self.padded[fcols, D[fcols] - 1])
                 probes.on_complete(t, fcols)
         if probes is not None:
-            probes.on_step(t, mcols, k[0])
-        moved = self._moved
-        moved[:] = False
-        moved[mrows] = True
-        return moved
+            probes.on_step(t, np.flatnonzero(mov[0]), k[0])
+        return np.logical_or.reduce(mov, axis=1, out=self._moved)
 
 
 # ----------------------------------------------------------------------
@@ -426,6 +433,41 @@ class CutThroughKernel(_Kernel):
     step refills this step.  The scan axis leads the layout so every
     per-step ufunc touches ``maxD`` contiguous ``T * M`` slabs instead
     of ``T * M`` tiny ``maxD`` segments.
+
+    A step pays for what can change (DESIGN decision 21).  Everything
+    that moves only at sparse events is *maintained* where the event
+    happens, never re-derived from ``crossed`` / ``owner``:
+
+    * ``_h[t, m]``, the header's next uncrossed path index, and the two
+      flat gather indices that follow it — ``_hv`` into the advance mask
+      ``v`` and ``_want``, the ``owner`` key of the edge the header
+      needs next — are updated in the steps a header moves;
+    * ``_owned[r, t, m]`` (does the message own that path edge) is set
+      at the grant and cleared at the release;
+    * the row-sliced views of all scratch (``_slice``) are rebuilt only
+      when ``loop.hi`` moves.
+
+    Three sentinels make the per-step masks unconditional.  ``owner``
+    has one extra column ``num_edges`` that is always owned, and the
+    route table ``_routes`` maps path padding and a delivered header
+    (``h == D``) to it, so ``claim = active & (owner[want] < 0)`` needs
+    no ``h < D`` gate.  ``v`` has one always-zero guard slab in front,
+    so a header at ``h == D == maxD`` reads "did not move" (for
+    ``D < maxD`` it reads a slab beyond the path, which is zero
+    anyway).  ``_cap`` holds ``B`` inside a path and int32 max on its
+    last edge — delivery drains instantly — so buffer slack is one
+    compare.
+
+    Ownership needs no ``& active`` mask: **a message owns edges only
+    while it is released and undelivered.**  It claims only when active
+    (released, pending, trial live); edge ``i - 1`` is released in the
+    step edge ``i`` carries its ``L``-th flit, counts are non-increasing
+    along a path, and the last edge reaching ``L`` *is* delivery and
+    releases both itself and the edge before it — so at delivery every
+    edge is already surrendered.  What remains below ``hi`` is trials
+    the loop finalized early (step cap, deadlock): they are masked
+    under the scalar guard ``num_live < hi``, so a finalized trial's
+    state is frozen.
     """
 
     @classmethod
@@ -448,10 +490,21 @@ class CutThroughKernel(_Kernel):
         # 0 and every elementwise op streams maxD contiguous (T, M)
         # slabs.  Counts fit comfortably in int32; narrow dtypes matter
         # at batch width, where the phase is memory-bound.
-        self.crossed = np.zeros((maxD, T, M), dtype=np.int32)
-        self.owner = np.full((T, num_edges), -1, dtype=np.int64)
-        self.msg_ids = np.arange(M)
-        self.last_idx = np.maximum(self.D - 1, 0)
+        shape = (maxD, T, M)
+        self.crossed = np.zeros(shape, dtype=np.int32)
+        # Column `num_edges` is the sentinel edge: owned from the start,
+        # by no message, and never written again.
+        self.owner = np.full((T, num_edges + 1), -1, dtype=np.int64)
+        self.owner[:, num_edges] = M
+        self._owner_flat = self.owner.reshape(-1)
+        self._row0 = np.arange(T)[:, None] * (num_edges + 1)
+        # Route table with the sentinel for padding and for column maxD
+        # (a delivered header of a full-length path).
+        self._routes = np.full((M, maxD + 1), num_edges, dtype=np.int64)
+        np.copyto(self._routes[:, :maxD], padded, where=padded >= 0)
+        self._routes_flat = self._routes.reshape(-1)
+        self.padded_rev = np.ascontiguousarray(padded[:, ::-1])
+        self.rev_last = maxD - self.D  # r of each message's last edge
         # Per-trial / per-message constants are pre-broadcast to full
         # (T, M) (or (maxD, T, M)) slabs: a stride-0 axis in the middle
         # of an operand defeats numpy's loop-merging and reintroduces
@@ -459,91 +512,111 @@ class CutThroughKernel(_Kernel):
         self.L32 = np.ascontiguousarray(
             np.broadcast_to(self.L.astype(np.int32)[None, :], (T, M))
         )
-        self.B32 = np.ascontiguousarray(
-            np.broadcast_to(B.astype(np.int32)[:, None], (T, M))
-        )
-        # Static per-(message, path-index) tables plus preallocated
-        # (max_D, T, M) scratch so the body allocates nothing
-        # proportional to the state per step.  Ownership and the header
-        # index are maintained incrementally (updated at the sparse
-        # claim/release/advance events) instead of being re-derived
-        # from `owner`/`crossed` every step.
         idx = np.arange(maxD)
-        self.rev_last = maxD - self.D  # r of each message's last edge
-        self.is_last_rev = np.ascontiguousarray(
-            np.broadcast_to(
-                (idx[:, None, None] == self.rev_last[None, None, :]),
-                (maxD, T, M),
-            )
+        self._cap = np.where(
+            idx[:, None, None] > self.rev_last[None, None, :],
+            B.astype(np.int32)[None, :, None],
+            np.int32(np.iinfo(np.int32).max),
         )
-        self.padded_rev = np.ascontiguousarray(padded[:, ::-1])
-        shape = (maxD, T, M)
-        self._owned = np.zeros(shape, dtype=bool)
-        self._trows = np.arange(T)[:, None]
+        # Header state (see the class docstring); h = 0 sits at r =
+        # maxD - 1, i.e. slab maxD of the guarded advance mask.
         self._h = np.zeros((T, M), dtype=np.int64)
-        self._hsafe = np.empty((T, M), dtype=np.int64)
-        self._hrev = np.empty((T, M), dtype=np.int64)
-        self._hmask = np.empty((T, M), dtype=bool)
-        self._hflat = np.empty((T, M), dtype=np.int64)
-        self._mrow = np.arange(T)[:, None] * M + self.msg_ids[None, :]
+        self._hv = maxD * T * M + np.arange(T * M).reshape(T, M)
+        self._want = self._row0 + self._routes[:, 0]
+        self._route0 = np.ascontiguousarray(
+            np.broadcast_to(np.arange(M) * (maxD + 1), (T, M))
+        )
+        self._TM = np.int64(T * M)
+        # Preallocated scratch so the body allocates nothing
+        # proportional to the state per step.
+        self._owned = np.zeros(shape, dtype=bool)
         self._c = np.empty(shape, dtype=bool)
         self._open = np.empty(shape, dtype=bool)
         self._s = np.empty(shape, dtype=bool)
-        self._newly = np.empty(shape, dtype=bool)
-        self._prog = np.empty((T, M), dtype=bool)
         self._inbuf = np.zeros(shape, dtype=np.int32)
         # Parity-encoded prefix scan (see body): v must hold 2*maxD + 1.
         vdt = np.int16 if 2 * maxD + 1 < np.iinfo(np.int16).max else np.int64
-        self._v = np.empty(shape, dtype=vdt)
-        self._htake = np.empty((T, M), dtype=vdt)
+        self._v = np.zeros((maxD + 1, T, M), dtype=vdt)  # slab 0: guard
+        self._v_flat = self._v.reshape(-1)
         self._idx2 = (2 * idx).astype(vdt)[:, None, None]
+        self._adv = np.empty((T, M), dtype=vdt)
+        self._i64 = np.empty((T, M), dtype=np.int64)
+        self._own = np.empty((T, M), dtype=np.int64)
+        self._claim = np.empty((T, M), dtype=bool)
+        self._prog = np.empty((T, M), dtype=bool)
+        self._ret = np.zeros(T, dtype=bool)
+        self._hi = -1
+        self._views = None
+
+    def _slice(self, hi: int) -> None:
+        """Re-cut every per-step operand to the rows that can still act.
+
+        Trials never come back to life, so ``loop.hi`` only falls; the
+        views are rebuilt when it does, not once per step.
+        """
+        self._hi = hi
+        self._ret[hi:] = False
+        snap = self.crossed[:, :hi]
+        c = self._c[:, :hi]
+        self._views = (
+            snap, snap[:-1], snap[1:], snap[-1], self.L32[:hi],
+            c, c[:-1], c[-1], self._owned[:, :hi],
+            self.state.live[None, :hi, None],
+            self._inbuf[:, :hi], self._inbuf[1:, :hi], self._cap[:, :hi],
+            self._open[:, :hi], self._s[:, :hi], self._v[1:, :hi],
+            self._prog[:hi], self._ret[:hi],
+            self._h[:hi], self._hv[:hi], self._want[:hi], self._route0[:hi],
+            self._row0[:hi], self._adv[:hi], self._i64[:hi],
+            self._own[:hi], self._claim[:hi], self.state.blocked[:hi],
+        )
 
     def body(self, t: int, active: np.ndarray) -> np.ndarray:
-        crossed, owner, owned = self.crossed, self.owner, self._owned
-        padded, D, probes = self.padded, self.D, self.probes
+        loop, probes = self.state, self.probes
+        hi = loop.hi
+        if hi != self._hi:
+            self._slice(hi)
+        (
+            snap, snap_lo, snap_up, snap_last, L32,
+            c, c_lo, c_last, owned, live,
+            inbuf, inbuf_up, cap, open_, s, v,
+            progressed, ret,
+            h, hv, want, route0, row0, adv, i64,
+            own, claim, blocked,
+        ) = self._views
+        act = active[:hi]
 
         # -- header claims: contend for unowned edges, capacity 1 -------
-        # `h` (next uncrossed path index) is maintained incrementally:
-        # counts are non-increasing along the path, so an advance can
-        # turn a zero count positive only at the header's own edge.
-        hi = self._active_hi(active)
-        h = self._h
-        h_safe = np.minimum(
-            h[:hi], self.last_idx[None, :], out=self._hsafe[:hi]
-        )
-        np.subtract(self.max_D - 1, h_safe, out=self._hrev[:hi])
-        wants = np.less(h[:hi], D[None, :], out=self._hmask[:hi])
-        wants &= active[:hi]
-        want_edge = np.where(
-            wants, padded[self.msg_ids[None, :], h_safe], 0
-        )
-        claim = wants & (owner[self._trows[:hi], want_edge] < 0)
-        if claim.any():
-            c_t, c_m = np.nonzero(claim)
-            c_e = want_edge[c_t, c_m]
+        # `want` is the owner key of the edge each header needs next
+        # (the always-owned sentinel once it is delivered).  The flat
+        # indices are in range by construction; "clip" only spares
+        # take() the buffering "raise" does behind an `out=`.
+        self._owner_flat.take(want, out=own, mode="clip")
+        np.less(own, 0, out=claim)
+        np.logical_and(claim, act, out=claim)
+        if np.count_nonzero(claim):
+            c_t, c_m = claim.nonzero()
+            keys = self._want[c_t, c_m]  # (trial, edge), stride E + 1
             if self.option == "random":
                 prio = self._random_prio(c_t)
             else:  # "index": claimer-list position, ascending m per trial
                 prio = c_m.astype(np.float64)
-            granted = grant_free_slots(
-                c_t * self.num_edges + c_e, prio, 1
-            )
-            g_t, g_m = c_t[granted], c_m[granted]
-            owner[g_t, c_e[granted]] = g_m
-            owned[self._hrev[g_t, g_m], g_t, g_m] = True
-            if probes is not None and granted.any():
+            granted = grant_free_slots(keys, prio, 1)
+            g_t, g_m, g_k = c_t[granted], c_m[granted], keys[granted]
+            self._owner_flat[g_k] = g_m
+            self._owned[self.max_D - 1 - self._h[g_t, g_m], g_t, g_m] = True
+            if probes is not None:
                 # Serial appends grants in ascending-priority order.
                 order = np.argsort(prio[granted], kind="stable")
                 probes.on_grant(
-                    t, g_m[order], c_e[granted][order]
+                    t, g_m[order], (g_k - self._row0[g_t, 0])[order]
                 )
 
         # -- flit movement: one flit per owned edge, head-first ---------
         # The descending-index service loop is a pure suffix recurrence:
         # with c = owned & has_flit (a movable flit, start-of-step
-        # counts), open = last-edge or start-of-step buffer slack, and
-        # full = buffer exactly at B (open and full are disjoint and
-        # exhaustive because a buffer never exceeds B),
+        # counts), open = start-of-step buffer slack (always, on a last
+        # edge) and full = buffer exactly at B (open and full are
+        # disjoint and exhaustive because a buffer never exceeds B),
         #
         #     adv[i] = c[i] & (open[i] | (full[i] & adv[i+1]))
         #
@@ -554,33 +627,22 @@ class CutThroughKernel(_Kernel):
         # and each g site 0, so the running max at r is dominated by
         # j's score and its low bit is exactly s[j(i)] = adv[i] (sites
         # with no movable flit score even, so no c-gate is needed on
-        # the result).  The serial loop's mid-iteration ownership
-        # releases are provably no-ops for adv: a release of edge i-1
-        # requires snapshot[i-1] == L, which leaves no movable flit
-        # there.  Work is sliced to the rows that still have active
-        # trials (trials never reactivate into movement; `active`
-        # gates everything row-wise).
-        snap = crossed[:, :hi]  # start-of-step counts (updated below)
-        c = self._c[:, :hi]
-        np.less(snap[:-1], snap[1:], out=c[:-1])
-        np.less(snap[-1], self.L32[:hi], out=c[-1])
-        np.logical_and(c, owned[:, :hi], out=c)
-        np.logical_and(c, active[None, :hi], out=c)
-        inbuf = self._inbuf[:, :hi]
-        np.subtract(snap[1:], snap[:-1], out=inbuf[1:])
-        open_ = self._open[:, :hi]
-        np.less(inbuf, self.B32[None, :hi], out=open_)
-        np.logical_or(open_, self.is_last_rev[:, :hi], out=open_)
-        s = self._s[:, :hi]
+        # the result).  g itself is never built: not-g is c <= open.
+        # The serial loop's mid-iteration ownership releases are
+        # provably no-ops for adv: a release of edge i-1 requires
+        # snapshot[i-1] == L, which leaves no movable flit there.
+        np.less(snap_lo, snap_up, out=c_lo)
+        np.less(snap_last, L32, out=c_last)
+        np.logical_and(c, owned, out=c)
+        if loop.num_live < hi:
+            # Trials finalized early still own edges; freeze them.
+            np.logical_and(c, live, out=c)
+        np.subtract(snap_up, snap_lo, out=inbuf_up)
+        np.less(inbuf, cap, out=open_)
         np.logical_and(c, open_, out=s)
-        g = open_  # reused: g = c & ~open
-        np.logical_not(open_, out=g)
-        np.logical_and(g, c, out=g)
-        v = self._v[:, :hi]
-        np.add(self._idx2, s, out=v)
-        notg = c  # reused: c is folded into s and g already
-        np.logical_not(g, out=notg)
-        np.multiply(v, notg, out=v)
+        np.less_equal(c, open_, out=c)  # c is now not-g
+        np.multiply(self._idx2, c, out=v)
+        np.add(v, s, out=v)
         # Running max along axis 0.  ufunc.accumulate scans one lane at
         # a time, so at batch width the explicit slab-by-slab maximum
         # (identical result: integer max, same order) is far faster;
@@ -592,35 +654,36 @@ class CutThroughKernel(_Kernel):
             np.maximum.accumulate(v, axis=0, out=v)
         np.bitwise_and(v, 1, out=v)  # v is now adv as 0/1 ints
         np.add(snap, v, out=snap)
-        progressed = self._prog[:hi]
-        np.any(v, axis=0, out=progressed)
+        np.logical_or.reduce(v, axis=0, out=progressed)
 
-        # Header advance for next step (uses this step's pre-move h).
-        # Flat C-order index of (r, t, m) in the full (maxD, T, M)
-        # scratch; rows beyond hi are never referenced.
-        hflat = np.multiply(
-            self._hrev[:hi], self.T * self.M, out=self._hflat[:hi]
-        )
-        hflat += self._mrow[:hi]
-        moved_h = np.take(self._v.reshape(-1), hflat, out=self._htake[:hi])
-        hmask = np.less(h[:hi], D[None, :], out=self._hmask[:hi])
-        np.logical_and(hmask, moved_h, out=hmask)
-        h[:hi] += hmask
+        # -- header advance for next step -------------------------------
+        # Counts are non-increasing along the path, so an advance turns
+        # a zero count positive only at the header's own edge.
+        self._v_flat.take(hv, out=adv, mode="clip")
+        if np.count_nonzero(adv):
+            np.add(h, adv, out=h)
+            np.multiply(adv, self._TM, out=i64)
+            np.subtract(hv, i64, out=hv)
+            np.add(route0, h, out=i64)
+            self._routes_flat.take(i64, out=want, mode="clip")
+            np.add(want, row0, out=want)
 
-        # Release ownership once the last flit moves on: the previous
+        # -- releases and deliveries ------------------------------------
+        # Ownership ends once the last flit moves on: the previous
         # edge's buffer is drained for good, and the final edge
         # delivers instantly.  At most one edge per message newly
         # reaches L per step (the unique snapshot L-to-(L-1) boundary).
         rel_events: list[tuple[int, int, int]] = []  # (phase, m, e), T=1
-        newly = self._newly[:, :hi]
-        np.equal(snap, self.L32[:hi], out=newly)
+        delivered_m = _EMPTY_IDX
+        newly = open_  # reused
+        np.equal(snap, L32, out=newly)
         np.logical_and(newly, v, out=newly)
-        delivered_t = delivered_m = _EMPTY_IDX
-        if newly.any():
+        if np.count_nonzero(newly):
+            owner, owned_all = self.owner, self._owned
             padded_rev = self.padded_rev
-            nr, nt, nm = np.nonzero(newly)
+            nr, nt, nm = newly.nonzero()
             inner = nr < self.max_D - 1  # path index i = maxD-1-r > 0
-            if inner.any():
+            if np.count_nonzero(inner):
                 pt, pm = nt[inner], nm[inner]
                 pr = nr[inner] + 1  # upstream edge i-1 sits at r+1
                 prev_e = padded_rev[pm, pr]
@@ -629,57 +692,46 @@ class CutThroughKernel(_Kernel):
                 # `owned` stays in sync unconditionally: where the ok
                 # guard fails, the message's claim there is already
                 # cleared, so re-clearing is a no-op.
-                owned[pr, pt, pm] = False
+                owned_all[pr, pt, pm] = False
                 if probes is not None:
                     rel_events.extend(
                         (0, int(m), int(e))
                         for m, e in zip(pm[ok], prev_e[ok])
                     )
             last = nr == self.rev_last[nm]
-            if last.any():
+            if np.count_nonzero(last):
                 lt, lm = nt[last], nm[last]
                 lr = nr[last]
                 le = padded_rev[lm, lr]
                 owner[lt, le] = -1
-                owned[lr, lt, lm] = False
+                owned_all[lr, lt, lm] = False
                 # Reaching L on the final edge IS delivery: the old
                 # active & (last count == L) scan finds exactly these.
-                delivered_t, delivered_m = lt, lm
+                loop.completion[lt, lm] = t
+                loop.done[lt, lm] = True
+                delivered_m = lm
                 if probes is not None:
                     rel_events.extend(
                         (1, int(m), int(e)) for m, e in zip(lm, le)
                     )
 
-        self.state.completion[delivered_t, delivered_m] = t
-        self.state.done[delivered_t, delivered_m] = True
-        self.state.blocked[:hi] += active[:hi] & ~progressed
-
+        stalled = claim  # reused: active messages that did not progress
+        np.greater(act, progressed, out=stalled)
+        np.add(blocked, stalled, out=blocked)
         if probes is not None:
-            self._emit_step_events(
-                t, active, progressed, rel_events, delivered_m
-            )
-        ret = np.zeros(self.T, dtype=bool)
-        np.any(progressed, axis=1, out=ret[:hi])
-        return ret
+            self._emit_step_events(t, stalled, progressed, rel_events, delivered_m)
+        np.logical_or.reduce(progressed, axis=1, out=ret)
+        return self._ret
 
-    def _active_hi(self, active: np.ndarray) -> int:
-        """1 + the highest trial row with any active message."""
-        rows = np.flatnonzero(active.any(axis=1))
-        return int(rows[-1]) + 1 if rows.size else 0
-
-    def _emit_step_events(self, t, active, progressed, rel_events, finished):
+    def _emit_step_events(self, t, stalled, progressed, rel_events, finished):
         """Reproduce the serial per-step event stream (T = 1 only)."""
-        probes, crossed, padded, D = (
-            self.probes, self.crossed[:, 0].T, self.padded, self.D,
-        )
-        stalled = np.flatnonzero(active[0] & ~progressed[0])
+        probes, h = self.probes, self._h[0]
+        stalled = np.flatnonzero(stalled[0])
         if stalled.size:
-            h = (crossed[stalled] > 0).sum(axis=1)
-            wanted = np.where(
-                h < D[stalled],
-                padded[stalled, np.minimum(h, self.last_idx[stalled])],
-                -1,
-            )
+            # A stalled header reports the edge it waits for; a stalled
+            # body (header delivered: the sentinel) reports none.
+            wanted = self._routes[stalled, h[stalled]]
+            wanted[wanted == self.num_edges] = -1
             probes.on_block(t, stalled, wanted)
         if rel_events:
             # Serial order: ascending message, prev-edge release before
@@ -689,8 +741,7 @@ class CutThroughKernel(_Kernel):
             probes.on_release(t, r[:, 1], r[:, 2])
         if finished.size:
             probes.on_complete(t, finished)
-        movers = np.flatnonzero(progressed[0])
-        probes.on_step(t, movers, (crossed > 0).sum(axis=1))
+        probes.on_step(t, np.flatnonzero(progressed[0]), h)
 
 
 # ----------------------------------------------------------------------

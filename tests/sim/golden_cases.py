@@ -84,6 +84,15 @@ def _ring(k):
     return net, edges, paths
 
 
+def _line(num_edges):
+    """A directed line of ``num_edges`` edges: ``(net, edges)``."""
+    from repro.network.graph import Network
+
+    net = Network()
+    nodes = net.add_nodes(range(num_edges + 1))
+    return net, [net.add_edge(a, b) for a, b in zip(nodes[:-1], nodes[1:])]
+
+
 def _stagger(m, period=7):
     """Deterministic staggered releases with an idle gap mid-run."""
     release = (np.arange(m, dtype=np.int64) % 3) * period

@@ -123,6 +123,56 @@ def test_segmented_grant_matches_reference_build():
         assert np.array_equal(a, b)
 
 
+def _scalar_capacity_cases():
+    """Sorted-order scan inputs with one capacity for every slot, and the
+    naive per-slot oracle's answer in the same order."""
+    rng = np.random.default_rng(1)
+    for case in range(60):
+        n = int(rng.integers(1, 40))
+        slots = rng.integers(0, 8, size=n)
+        prio = rng.random(n)
+        cap = int(rng.integers(1, 5))
+        occ = rng.integers(0, cap + 1, size=8) if case % 2 else None
+        order = np.lexsort((prio, slots))
+        want = grant_free_slots_reference(slots, prio, cap, occ)[order]
+        yield slots[order], cap, occ, want
+
+
+def test_segmented_grant_numpy_scalar_capacity():
+    """A lone trial's grant hands the scan its capacity as a scalar."""
+    for sorted_slots, cap, occ, want in _scalar_capacity_cases():
+        got = fastpath.segmented_grant_numpy(sorted_slots, cap, occ)
+        assert got.dtype == bool and np.array_equal(got, want)
+        as_array = fastpath.segmented_grant_numpy(
+            sorted_slots, np.full(sorted_slots.size, cap), occ
+        )
+        assert np.array_equal(got, as_array)
+
+
+def test_segmented_grant_numba_scalar_capacity():
+    """The jitted wrapper spreads a scalar capacity out itself
+    (``np.ascontiguousarray`` of a scalar is 0-d and cannot be indexed
+    per contender)."""
+    pytest.importorskip("numba")
+    scan = fastpath._build_numba_scan()
+    for sorted_slots, cap, occ, want in _scalar_capacity_cases():
+        for capacity in (cap, np.int64(cap)):
+            got = scan(sorted_slots, capacity, occ)
+            assert got.dtype == bool and np.array_equal(got, want)
+
+
+def test_grant_free_slots_empty_is_checked_before_the_sort(monkeypatch):
+    """No contenders: no lexsort, no scan call."""
+    def boom(*a, **k):  # pragma: no cover - must not run
+        raise AssertionError("sorted / scanned an empty round")
+
+    monkeypatch.setattr(np, "lexsort", boom)
+    monkeypatch.setattr(fastpath, "segmented_grant", boom)
+    empty = np.zeros(0, dtype=np.int64)
+    out = grant_free_slots(empty, np.zeros(0), 1)
+    assert out.shape == (0,) and out.dtype == bool
+
+
 # ----------------------------------------------------------------------
 # grant_free_slots vs naive reference (hypothesis)
 # ----------------------------------------------------------------------
