@@ -7,7 +7,9 @@ before optimizing, and keep regressions visible.
 * flit-level simulation throughput on a congested workload;
 * vectorized butterfly path generation;
 * one Moser-Tardos refinement stage;
-* a full level-synchronized butterfly subround.
+* a full level-synchronized butterfly subround;
+* one 2 000-contender grant round of each class (all full, uncontested,
+  contested — DESIGN decision 22).
 """
 
 import numpy as np
@@ -17,6 +19,7 @@ from repro import Butterfly, WormholeSimulator, arbitrate_levels
 from repro.core.coloring import MessageEdgeIncidence, refine_colors
 from repro.network.random_networks import layered_network, random_walk_paths
 from repro.routing.paths import paths_from_node_walks
+from repro.sim.engine import grant_free_slots, grant_free_slots_reference
 
 
 @pytest.fixture(scope="module")
@@ -72,3 +75,24 @@ def test_perf_subround_arbitration(benchmark):
 
     alive = benchmark(arbitrate_levels, edges, 2, np.random.default_rng(4))
     assert alive.any()
+
+
+@pytest.mark.parametrize("kind", ["all_full", "uncontested", "contested"])
+def test_perf_grant_round(benchmark, kind):
+    """One batched wormhole round: 2 000 contenders over a 128 x 48 slot
+    space at B = 2.  Only the contested class sorts."""
+    rng = np.random.default_rng(5)
+    space, n, B = 128 * 48, 2000, 2
+    if kind == "contested":
+        slots = rng.integers(0, space, size=n) // 8 * 8  # ~2.6 a slot
+    else:
+        slots = rng.permutation(space)[:n]  # one contender a slot
+    prio = rng.random(n)
+    occupancy = np.full(space, B if kind == "all_full" else B - 1)
+
+    granted = benchmark(grant_free_slots, slots, prio, B, occupancy)
+    assert np.array_equal(
+        granted, grant_free_slots_reference(slots, prio, B, occupancy)
+    )
+    assert granted.any() == (kind != "all_full")
+    assert granted.all() == (kind == "uncontested")

@@ -64,11 +64,14 @@ def load_entry(path: Path, identity: dict[str, Any]) -> dict[str, Any] | None:
     :meth:`~repro.sim.sweep.TrialSpec.key`).  A missing or unreadable
     file, a stale format version, or a stored identity differing from
     the requested one (a hash collision) all return ``None`` — the
-    caller recomputes, it never serves a wrong answer.
+    caller recomputes, it never serves a wrong answer.  So does a file
+    whose JSON is not an object (``[]``, ``null``, a number, a string).
     """
     try:
         payload = json.loads(path.read_text())
     except (OSError, ValueError):
+        return None
+    if not isinstance(payload, dict):
         return None
     if payload.get("v") != CACHE_VERSION or payload.get("spec") != identity:
         return None  # hash collision or stale format: recompute

@@ -12,9 +12,10 @@ model-agnostic machinery; each router contributes only its advance rule
     packed-and-validated matrix so repeated runs of the same workload
     (every seed of a sweep grid cell) skip the re-pack and re-check.
 :func:`grant_free_slots` / :class:`BatchSlotArbiter`
-    The vectorized contend/rank/grant kernel — sort the contenders by
-    ``(slot, priority)``, rank each contender within its slot group, and
-    grant the first ``free`` of every group — plus occupancy tracking
+    The vectorized contend/rank/grant kernel — refuse the contenders of
+    full slots, grant every slot with seats to spare, and sort by
+    ``(slot, priority)`` and rank only the contenders of over-subscribed
+    slots, granting the first ``free`` of each — plus occupancy tracking
     for slot models that hold grants across steps (capacity-``B`` edges,
     or capacity-1 ``(edge, VC-class)`` pairs), laid out as one flat
     array over the combined ``(trial, slot)`` key space.  **This is the
@@ -175,35 +176,75 @@ def grant_free_slots(
     """The vectorized contend/rank/grant kernel shared by every router.
 
     ``slots[i]`` is the slot id contender ``i`` requests and ``prio[i]``
-    its priority (smaller wins).  Contenders are sorted by
-    ``(slot, priority)``; within each slot group the first
-    ``capacity - occupancy[slot]`` contenders are granted.  Returns the
-    boolean granted mask aligned with the input order.  Occupancy is
-    **not** updated — callers that hold grants across steps acquire via
+    its priority (smaller wins).  Within each slot group the
+    ``capacity - occupancy[slot]`` contenders of smallest priority (ties
+    in input order) are granted.  Returns the boolean granted mask
+    aligned with the input order.  Occupancy is **not** updated —
+    callers that hold grants across steps go through
     :class:`BatchSlotArbiter`.
+
+    A round pays for contested seats only (DESIGN decision 22).  Ranking
+    inside a slot group reads that group's priorities and nothing else,
+    so the mask can be settled group by group:
+
+    1. a contender of a slot with no free seat (``occupancy >=
+       capacity``, over-occupied included) is refused from one occupancy
+       gather;
+    2. a slot with no more viable contenders than free seats grants them
+       all, unsorted;
+    3. only the contenders of over-subscribed slots are sorted by
+       ``(slot, priority)`` and ranked by the scan.
+
+    Without ``occupancy`` every contender is viable and stage 1 is
+    skipped.  The scan runs on the backend selected by
+    :mod:`repro.sim.fastpath` (pure NumPy, or a numba jit of the same
+    linear scan; bit-identical masks) and is called exactly once per
+    non-empty round, with the contested contenders — possibly none.
 
     ``capacity`` may be a per-contender array (constant within each
     slot group) — this is how :class:`BatchSlotArbiter` arbitrates
     trials with different ``B`` in one call.  A scalar reaches the scan
     as a scalar.
 
-    The post-sort rank/grant scan runs on the backend selected by
-    :mod:`repro.sim.fastpath` (pure NumPy, or a numba jit of the same
-    linear scan); both produce bit-identical masks.
+    Slot ids must be non-negative and bounded by the caller's slot space
+    (``occupancy.size``; ``T * num_edges`` for the kernels): per-slot
+    counts come from ``np.bincount``, whose scratch is one integer per
+    slot id up to the largest, and which raises ``ValueError`` on a
+    negative id.
     """
-    if slots.size == 0:
+    n = slots.size
+    if n == 0:
         return np.zeros(0, dtype=bool)
-    order = np.lexsort((prio, slots))
-    sorted_slots = slots[order]
+    live, live_slots = None, slots  # input positions in play (None = all)
+    if occupancy is None:
+        granted, free = np.ones(n, dtype=bool), capacity
+    else:
+        free = capacity - occupancy[slots]
+        granted = free > 0
+        viable = np.count_nonzero(granted)
+        if viable == 0:
+            fastpath.segmented_grant(slots[:0], capacity, occupancy)
+            return granted
+        if viable != n:
+            live = granted.nonzero()[0]
+            live_slots, free = slots[live], free[live]
+    over = np.bincount(live_slots)[live_slots] > free
+    if np.count_nonzero(over) == 0:
+        fastpath.segmented_grant(slots[:0], capacity, occupancy)
+        return granted
+    contested = over.nonzero()[0]
+    if live is not None:
+        contested = live[contested]
+    sub = slots[contested]
+    order = np.lexsort((prio[contested], sub))
+    contested = contested[order]
     # Materialising a scalar capacity per contender costs more than
     # scanning the handful of contenders a lone trial has.
     if isinstance(capacity, np.ndarray):
-        capacity = capacity[order]
-    granted_sorted = fastpath.segmented_grant(
-        sorted_slots, capacity, occupancy
+        capacity = capacity[contested]
+    granted[contested] = fastpath.segmented_grant(
+        sub[order], capacity, occupancy
     )
-    granted = np.empty(order.size, dtype=bool)
-    granted[order] = granted_sorted
     return granted
 
 
@@ -286,19 +327,20 @@ class BatchSlotArbiter:
         """Combined ``(trial, slot)`` keys into the flat occupancy."""
         return self.offsets[trials] + slots
 
-    def contend(
+    def grant(
         self, trials: np.ndarray, slots: np.ndarray, prio: np.ndarray
-    ) -> np.ndarray:
-        """Granted mask for one combined round (does not acquire)."""
+    ) -> tuple[np.ndarray, int]:
+        """One combined round: ``(granted mask, number granted)``, the
+        winners' seats acquired.  Nothing is written when nobody won."""
+        keys = self.keys(trials, slots)
         capacity = self._uniform
         if capacity is None:
             capacity = self.capacities[trials]
-        return grant_free_slots(
-            self.keys(trials, slots), prio, capacity, self.occupancy
-        )
-
-    def acquire(self, trials: np.ndarray, slots: np.ndarray) -> None:
-        np.add.at(self.occupancy, self.keys(trials, slots), 1)
+        granted = grant_free_slots(keys, prio, capacity, self.occupancy)
+        won = int(np.count_nonzero(granted))
+        if won:
+            np.add.at(self.occupancy, keys[granted], 1)
+        return granted, won
 
     def vacate(self, trials: np.ndarray, slots: np.ndarray) -> None:
         np.add.at(self.occupancy, self.keys(trials, slots), -1)

@@ -4,7 +4,9 @@ The single hottest primitive in :mod:`repro.sim` is the segmented grant
 scan at the heart of :func:`repro.sim.engine.grant_free_slots`: given
 contenders sorted by ``(slot, priority)``, rank each contender within
 its slot group and grant the first ``capacity - occupancy`` of every
-group.  This module provides two interchangeable builds of that scan:
+group.  The caller hands it only the contenders of over-subscribed
+slots — possibly none (DESIGN decision 22).  This module provides two
+interchangeable builds of that scan:
 
 ``"numpy"``
     The pure-NumPy segmented scan (group boundaries via a shifted

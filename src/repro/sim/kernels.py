@@ -262,8 +262,10 @@ class _Kernel:
         if self.T == 1:
             return self.rngs[0].random(rows.size)
         if self._rand_block is None:
+            # A refill is a few µs of Python whatever its size: the
+            # floor is what amortises it when M is small.
             self._rand_block = _RandomBlock(
-                self.rngs, max(4 * self.M, 64)
+                self.rngs, max(4 * self.M, 512)
             )
         counts = np.bincount(rows, minlength=self.T)
         return self._rand_block.draw(rows, counts)
@@ -374,14 +376,13 @@ class WormholeKernel(_Kernel):
                 prio = self.rank_priority[crows, ccols]
             else:
                 prio = ccols
-            granted = arbiter.contend(crows, slots, prio)
-            grows, gcols = crows[granted], ccols[granted]
-            mov[grows, gcols] = True
-            arbiter.acquire(grows, slots[granted])
+            granted, won = arbiter.grant(crows, slots, prio)
+            if won:
+                mov[crows[granted], ccols[granted]] = True
             if probes is not None:
                 raw = self.padded[ccols, hop]
-                probes.on_grant(t, gcols, raw[granted])
-                if grows.size != crows.size:
+                probes.on_grant(t, ccols[granted], raw[granted])
+                if won != crows.size:
                     lost = ~granted
                     probes.on_block(t, ccols[lost], raw[lost])
             # Contenders that did not move were refused.
@@ -601,7 +602,9 @@ class CutThroughKernel(_Kernel):
             else:  # "index": claimer-list position, ascending m per trial
                 prio = c_m.astype(np.float64)
             granted = grant_free_slots(keys, prio, 1)
-            g_t, g_m, g_k = c_t[granted], c_m[granted], keys[granted]
+            g_t, g_m, g_k = c_t, c_m, keys
+            if np.count_nonzero(granted) != keys.size:
+                g_t, g_m, g_k = c_t[granted], c_m[granted], keys[granted]
             self._owner_flat[g_k] = g_m
             self._owned[self.max_D - 1 - self._h[g_t, g_m], g_t, g_m] = True
             if probes is not None:
@@ -681,7 +684,9 @@ class CutThroughKernel(_Kernel):
         if np.count_nonzero(newly):
             owner, owned_all = self.owner, self._owned
             padded_rev = self.padded_rev
-            nr, nt, nm = newly.nonzero()
+            # Flat scan + two divmods: an N-d nonzero walks coordinates.
+            nr, nt = np.divmod(newly.reshape(-1).nonzero()[0], hi * self.M)
+            nt, nm = np.divmod(nt, self.M)
             inner = nr < self.max_D - 1  # path index i = maxD-1-r > 0
             if np.count_nonzero(inner):
                 pt, pm = nt[inner], nm[inner]
@@ -821,11 +826,14 @@ class StoreForwardKernel(_Kernel):
         counts = np.bincount(keys)
         np.maximum.at(self.max_queue, rows, counts[keys])
 
-        mrows, mcols = rows[winners], cols[winners]
+        mrows, mcols = rows, cols
+        lost = np.count_nonzero(winners) != keys.size
+        if lost:
+            mrows, mcols = rows[winners], cols[winners]
+            losers = ~winners
+            lrows = rows[losers]
+            self.state.blocked[lrows, cols[losers]] += self.hop[lrows]
         self.hops_done[mrows, mcols] += 1
-        self.state.blocked[rows[~winners], cols[~winners]] += self.hop[
-            rows[~winners]
-        ]
         fin = self.hops_done[mrows, mcols] == D[mcols]
         if fin.any():
             frows, fcols = mrows[fin], mcols[fin]
@@ -833,12 +841,13 @@ class StoreForwardKernel(_Kernel):
             self.state.done[frows, fcols] = True
 
         if probes is not None:
-            probes.on_grant(t, mcols, edges[winners])
-            if (~winners).any():
-                probes.on_block(t, cols[~winners], edges[~winners])
+            medges = edges[winners]
+            probes.on_grant(t, mcols, medges)
+            if lost:
+                probes.on_block(t, cols[losers], edges[losers])
             # A store-and-forward edge is held only within the step it
             # transmits, so the grant's slot frees immediately.
-            probes.on_release(t, mcols, edges[winners])
+            probes.on_release(t, mcols, medges)
             if fin.any():
                 probes.on_complete(t, mcols[fin])
             probes.on_step(t, mcols, self.hops_done[0])

@@ -64,18 +64,18 @@ def test_grant_full_slot_admits_nobody():
 # ----------------------------------------------------------------------
 
 
-def test_arbiter_contend_acquire_vacate_roundtrip():
+def test_arbiter_grant_vacate_roundtrip():
     arb = BatchSlotArbiter([3], [1])
     slots = np.array([0, 0, 2], dtype=np.int64)
     trials = np.zeros(3, dtype=np.int64)
     prio = np.array([0.9, 0.1, 0.5])
-    granted = arb.contend(trials, slots, prio)
-    assert granted.tolist() == [False, True, True]
-    arb.acquire(trials[granted], slots[granted])
+    granted, won = arb.grant(trials, slots, prio)
+    assert granted.tolist() == [False, True, True] and won == 2
     assert arb.occupancy.tolist() == [1, 0, 1]
-    # Slot 0 is now full: nobody else gets in.
-    again = arb.contend(trials[:1], slots[:1], np.array([0.0]))
-    assert again.tolist() == [False]
+    # Slot 0 is now full: nobody else gets in, and nothing is written.
+    again, won = arb.grant(trials[:1], slots[:1], np.array([0.0]))
+    assert again.tolist() == [False] and won == 0
+    assert arb.occupancy.tolist() == [1, 0, 1]
     arb.vacate(trials[granted], slots[granted])
     assert arb.occupancy.tolist() == [0, 0, 0]
 
@@ -85,21 +85,22 @@ def test_arbiter_scalar_interface():
     arb = BatchSlotArbiter([2], [2])
     trial, slot = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
 
-    def has_free():
-        return bool(arb.contend(trial, slot, np.zeros(1))[0])
+    def grant():
+        return arb.grant(trial, slot, np.zeros(1))[1]
 
-    assert has_free()
-    arb.acquire(trial, slot)
-    arb.acquire(trial, slot)
-    assert not has_free()
+    assert grant() == 1
+    assert grant() == 1
+    assert grant() == 0
     arb.vacate(trial, slot)
-    assert has_free()
+    assert grant() == 1
+    assert arb.occupancy.tolist() == [0, 2]
 
 
-def test_arbiter_duplicate_slots_in_one_acquire():
+def test_arbiter_duplicate_slots_in_one_grant():
     arb = BatchSlotArbiter([1], [2])
     both = np.zeros(2, dtype=np.int64)
-    arb.acquire(both, both)
+    granted, won = arb.grant(both, both, np.zeros(2))
+    assert granted.all() and won == 2
     assert arb.occupancy.tolist() == [2]
 
 
@@ -426,7 +427,7 @@ def test_batch_arbiter_matches_independent_serial_arbiters():
             [rng.integers(0, num_slots[tr]) for tr in trials], dtype=np.int64
         )
         prio = rng.random(n)
-        got = batch.contend(trials, slots, prio)
+        got, won = batch.grant(trials, slots, prio)
         want = np.zeros(n, dtype=bool)
         for tr in range(3):
             sel = trials == tr
@@ -434,8 +435,7 @@ def test_batch_arbiter_matches_independent_serial_arbiters():
                 want[sel] = grant_free_slots_reference(
                     slots[sel], prio[sel], int(caps[tr]), alone[tr]
                 )
-        assert np.array_equal(got, want)
-        batch.acquire(trials[got], slots[got])
+        assert np.array_equal(got, want) and won == want.sum()
         # Randomly vacate some grants to keep occupancy in flux.
         drop = got & (rng.random(n) < 0.5)
         batch.vacate(trials[drop], slots[drop])

@@ -1,0 +1,164 @@
+"""The wormhole kernel over a grant that arbitrates only contested seats.
+
+:func:`~repro.sim.engine.grant_free_slots` settles a round class by
+class (DESIGN decision 22): contenders of a full slot are refused
+unranked, a slot with seats to spare grants unsorted, and only
+over-subscribed slots are sorted.  In a mixed-``B`` batch one combined
+round holds trials of all three kinds at once, so this suite builds a
+batch in which — within a single step — one trial has no viable
+contender, one is uncontested and one is contested, and holds every row
+to its single run and to a per-message reference written from MODEL.md.
+
+The reference draws one uniform per contender per round, hopeless
+contenders included: a header on a full channel is refused without
+being ranked, but its draw is still consumed, so a second run on the
+same continuing ``Generator`` starts at exactly the stream position a
+ranked round would have left.
+"""
+
+import numpy as np
+import pytest
+
+from golden_cases import _line
+from repro.sim.batch import run_wormhole_batch
+from repro.sim.wormhole import WormholeSimulator
+
+REFUSED, UNCONTESTED, CONTESTED = "refused", "uncontested", "contested"
+
+
+def _reference(paths, L, B, release, rng, priority, vc_ids=None, max_steps=500):
+    """Per-message wormhole run: ``(completion, blocked, class per step)``.
+
+    Each step the released, undelivered headers with path left contend
+    (ascending message = draw order); in priority order a header is
+    granted while its slot holds fewer than its capacity, counting this
+    step's earlier grants.  A slot is an edge with ``B`` seats, or an
+    ``(edge, class)`` pair with one.
+    """
+    M = len(paths)
+    D = [len(p) for p in paths]
+    rank = rng.permutation(M) if priority == "rank" else None
+    cap = B if vc_ids is None else 1
+    slot = (lambda m, i: paths[m][i]) if vc_ids is None else (
+        lambda m, i: (paths[m][i], vc_ids[m][i])
+    )
+    k = [0] * M
+    held: dict = {}
+    completion = [int(release[m]) if D[m] == 0 else -1 for m in range(M)]
+    blocked = [0] * M
+    classes = {}
+    for t in range(1, max_steps + 1):
+        pending = [m for m in range(M) if completion[m] < 0]
+        if not pending:
+            break
+        active = [m for m in pending if release[m] < t]
+        heads = [m for m in active if k[m] < D[m]]
+        movers = [m for m in active if k[m] >= D[m]]
+        if heads:
+            prio = (
+                rng.random(len(heads)) if priority == "random"
+                else [rank[m] for m in heads]
+            )
+            want = [slot(m, k[m]) for m in heads]
+            free = {s: cap - held.get(s, 0) for s in want}
+            viable = [s for s in want if free[s] > 0]
+            if not viable:
+                classes[t] = REFUSED
+            elif any(viable.count(s) > free[s] for s in viable):
+                classes[t] = CONTESTED
+            else:
+                classes[t] = UNCONTESTED
+            for j in sorted(range(len(heads)), key=lambda j: prio[j]):
+                if free[want[j]] > 0:
+                    free[want[j]] -= 1
+                    held[want[j]] = held.get(want[j], 0) + 1
+                    movers.append(heads[j])
+                else:
+                    blocked[heads[j]] += 1
+        for m in movers:
+            k[m] += 1
+            if k[m] > L[m]:  # the tail left path edge k - L - 1
+                held[slot(m, k[m] - L[m] - 1)] -= 1
+            if k[m] == L[m] + D[m] - 1:
+                held[slot(m, D[m] - 1)] -= 1
+                completion[m] = t
+    return completion, blocked, classes
+
+
+def _problem():
+    """Three long worms over a short path, then stragglers behind them.
+
+    The first three are granted (or not) at step 1 and, ``L`` exceeding
+    their path, sit on edge 0 while they drain; the three released at
+    step 3 meet that edge at step 4 holding ``min(B, 3)`` worms — full
+    at ``B <= 3``, one seat for three at ``B = 4``, room for all at
+    ``B = 8``.
+    """
+    net, edges = _line(3)
+    paths = [edges[:2]] * 3 + [edges, edges[:2], edges, edges[1:]]
+    L = np.array([6, 6, 6, 3, 4, 2, 3])
+    release = np.array([0, 0, 0, 3, 3, 3, 11])
+    return net, paths, L, release
+
+
+BS, SEEDS = [1, 8, 4, 2], [21, 22, 23, 24]
+
+
+def _vc_ids(paths, b_min):
+    return [[(m + i) % b_min for i in range(len(p))] for m, p in enumerate(paths)]
+
+
+@pytest.mark.parametrize(
+    "priority, classes", [("random", False), ("rank", False), ("random", True)]
+)
+def test_a_step_holding_all_three_classes_leaves_every_row_its_single_run(
+    priority, classes
+):
+    net, paths, L, release = _problem()
+    Bs = [2, 4, 3, 2] if classes else BS  # classes: (edge, class), one seat
+    vc_ids = _vc_ids(paths, min(Bs)) if classes else None
+    kw = dict(priority=priority, release_times=release, vc_ids=vc_ids)
+    batch = run_wormhole_batch(
+        net, paths, L, seeds=SEEDS, num_virtual_channels=Bs, **kw
+    )
+    timelines = []
+    for row, B, seed in zip(batch, Bs, SEEDS):
+        (alone,) = run_wormhole_batch(
+            net, paths, L, seeds=[seed], num_virtual_channels=B, **kw
+        )
+        completion, blocked, timeline = _reference(
+            paths, L, B, release, np.random.default_rng(seed), priority, vc_ids
+        )
+        for got in (row, alone):
+            assert got.completion_times.tolist() == completion
+            assert got.blocked_steps.tolist() == blocked
+        assert (row.steps_executed, row.deadlocked, row.hit_step_cap) == (
+            alone.steps_executed, alone.deadlocked, alone.hit_step_cap
+        )
+        timelines.append(timeline)
+    if not classes:
+        # One combined round really held all three kinds of trial.
+        assert [tl[4] for tl in timelines] == [
+            REFUSED, UNCONTESTED, CONTESTED, REFUSED
+        ]
+
+
+@pytest.mark.parametrize("B", [1, 2])
+def test_a_refused_round_still_consumes_its_draws(B):
+    """Two runs on one continuing generator == two reference runs on
+    another: the stream position is exact even where no value is used
+    (at ``B = 1`` most rounds have no viable contender)."""
+    net, paths, L, release = _problem()
+    sim = WormholeSimulator(net, B, priority="random", seed=7)
+    rng = np.random.default_rng(7)
+    seen = set()
+    for _ in range(2):
+        got = sim.run(paths, L, release_times=release)
+        completion, blocked, timeline = _reference(
+            paths, L, B, release, rng, "random"
+        )
+        assert got.completion_times.tolist() == completion
+        assert got.blocked_steps.tolist() == blocked
+        seen |= set(timeline.values())
+        assert sim._rng.bit_generator.state == rng.bit_generator.state
+    assert REFUSED in seen and CONTESTED in seen

@@ -1,4 +1,7 @@
-"""State audit of what :class:`~repro.sim.kernels.CutThroughKernel` maintains.
+"""State audits: what a kernel maintains == its definition, every step.
+
+:class:`~repro.sim.kernels.CutThroughKernel`
+--------------------------------------------
 
 The kernel no longer re-derives, each step, the state that only changes
 at sparse events (DESIGN decision 21): the header index ``_h``, the two
@@ -10,6 +13,12 @@ recomputes all of it from first principles — the flit counts
 ``crossed``, the ``owner`` table and the routes — and demands equality,
 together with the sentinels the unconditional masks rest on and the
 ownership argument that replaced the ``& active`` mask.
+
+:class:`~repro.sim.kernels.WormholeKernel`
+------------------------------------------
+The arbiter's flat ``occupancy`` is written only where somebody won a
+seat or a worm let one go (DESIGN decision 22); after every step it is
+recounted from the move counts ``k``, ``L`` and the routes.
 """
 
 import numpy as np
@@ -17,8 +26,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golden_cases import _line, _ring
-from repro.sim.batch import run_cut_through_batch
-from repro.sim.kernels import CutThroughKernel
+from repro.sim.batch import run_cut_through_batch, run_wormhole_batch
+from repro.sim.kernels import CutThroughKernel, WormholeKernel
 
 
 def _audit(kernel, t):
@@ -69,7 +78,7 @@ def _audit(kernel, t):
 
 
 @st.composite
-def _problems(draw):
+def _problems(draw, priorities=("random", "index")):
     n = draw(st.integers(2, 6))
     ring = draw(st.booleans())
     net, edges = (_ring(n) if ring else _line(n))[:2]
@@ -89,37 +98,87 @@ def _problems(draw):
         release=np.asarray(
             draw(st.lists(st.integers(0, 9), min_size=M, max_size=M))
         ),
-        priority=draw(st.sampled_from(["random", "index"])),
+        priority=draw(st.sampled_from(priorities)),
         max_steps=draw(st.one_of(st.none(), st.integers(1, 25))),
         seed=draw(st.integers(0, 2**16)),
     )
 
 
-@settings(max_examples=120, deadline=None)
-@given(problem=_problems())
-def test_cut_through_maintained_state_equals_its_definition(problem):
+def _run_audited(kernel_cls, audit, run, problem, **knob):
+    """Run ``problem`` with ``audit(kernel, t)`` after every step."""
     steps = []
-    original = CutThroughKernel.body
+    original = kernel_cls.body
 
     def audited(self, t, active):
         moved = original(self, t, active)
-        _audit(self, t)
+        audit(self, t)
         steps.append(t)
         return moved
 
-    CutThroughKernel.body = audited
+    kernel_cls.body = audited
     try:
         T = len(problem["B"])
-        results = run_cut_through_batch(
+        results = run(
             problem["net"], problem["paths"], problem["L"],
             seeds=[problem["seed"] + i for i in range(T)],
-            buffer_flits=problem["B"],
             priority=problem["priority"],
             release_times=problem["release"],
             max_steps=problem["max_steps"],
+            **knob,
         )
     finally:
-        CutThroughKernel.body = original
+        kernel_cls.body = original
     assert len(results) == T
     if any(len(p) for p in problem["paths"]) and problem["max_steps"] is None:
         assert steps, "the audit never ran"
+
+
+@settings(max_examples=120, deadline=None)
+@given(problem=_problems())
+def test_cut_through_maintained_state_equals_its_definition(problem):
+    _run_audited(
+        CutThroughKernel, _audit, run_cut_through_batch, problem,
+        buffer_flits=problem["B"],
+    )
+
+
+def _audit_occupancy(kernel, t):
+    """The arbiter's flat occupancy == the seats the worms hold.
+
+    After ``k`` moves a worm has acquired path edges ``0 .. min(k, D) -
+    1`` and let go of ``0 .. k - L - 1``; the final edge goes at
+    completion (``k == L + D - 1``).
+    """
+    arbiter, k, D, L = kernel.arbiter, kernel.k, kernel.D, kernel.L
+    want = np.zeros_like(arbiter.occupancy)
+    for tr in range(kernel.T):
+        for m in range(kernel.M):
+            moves = int(k[tr, m])
+            if moves == L[m] + D[m] - 1:
+                continue  # delivered (or a trivial path): holds nothing
+            held = np.arange(max(0, moves - L[m]), min(moves, D[m]))
+            rows = np.full(held.size, tr)
+            slots = kernel._slots(rows, np.full(held.size, m), held)
+            np.add.at(want, arbiter.keys(rows, slots), 1)
+    assert np.array_equal(arbiter.occupancy, want)
+    per_slot = np.repeat(arbiter.capacities, np.diff(arbiter.offsets))
+    assert (arbiter.occupancy <= per_slot).all(), "a slot over its capacity"
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    problem=_problems(priorities=("random", "index", "age", "rank")),
+    classes=st.booleans(),
+)
+def test_wormhole_occupancy_equals_the_seats_worms_hold(problem, classes):
+    knob = {"num_virtual_channels": problem["B"]}
+    if classes:
+        # One VC class per hop, below every trial's B.
+        b_min = min(problem["B"])
+        knob["vc_ids"] = [
+            [(m + i) % b_min for i in range(len(p))]
+            for m, p in enumerate(problem["paths"])
+        ]
+    _run_audited(
+        WormholeKernel, _audit_occupancy, run_wormhole_batch, problem, **knob
+    )

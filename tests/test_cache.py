@@ -74,6 +74,28 @@ def test_stale_version_and_corrupt_files_are_misses(tmp_path):
     assert load_entry(tmp_path / "absent.json", spec.key()) is None
 
 
+@pytest.mark.parametrize("body", ["[]", "null", "42", '"x"', None])
+def test_a_file_that_is_not_a_json_object_is_a_miss_and_a_recompute(
+    tmp_path, body
+):
+    """``load_entry`` used to call ``.get`` on whatever parsed, raising
+    ``AttributeError`` into the caller's request (``None``: truncated)."""
+    spec = _spec()
+    (fresh,) = run_sweep([spec], root_seed=3)
+    cache = ResultCache(tmp_path)
+    key = spec.cache_key(3)
+    cache.store(key, spec.key(), fresh.metrics, root_seed=3)
+    path = tmp_path / f"{key}.json"
+    stored = path.read_text()
+    path.write_text(stored[: len(stored) // 2] if body is None else body)
+
+    assert cache.load(key, spec.key()) is None
+    assert cache.snapshot()["cache_misses"] == 1
+    (again,) = run_sweep([spec], root_seed=3, cache_dir=tmp_path)
+    assert not again.cached and again.metrics == fresh.metrics
+    assert cache.load(key, spec.key()) == fresh.metrics  # rewritten whole
+
+
 def test_sweep_entries_are_readable_through_result_cache(tmp_path):
     """Cross-consumer compatibility: the sweep writes, the cluster reads.
 
