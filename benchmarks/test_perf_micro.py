@@ -9,7 +9,9 @@ before optimizing, and keep regressions visible.
 * one Moser-Tardos refinement stage;
 * a full level-synchronized butterfly subround;
 * one 2 000-contender grant round of each class (all full, uncontested,
-  contested — DESIGN decision 22).
+  contested — DESIGN decision 22);
+* one 128-trial lockstep run per batched kernel on perfbench's
+  ``sweep_batched`` shapes, reported per step (DESIGN decision 23).
 """
 
 import numpy as np
@@ -19,7 +21,9 @@ from repro import Butterfly, WormholeSimulator, arbitrate_levels
 from repro.core.coloring import MessageEdgeIncidence, refine_colors
 from repro.network.random_networks import layered_network, random_walk_paths
 from repro.routing.paths import paths_from_node_walks
+from repro.sim.batch import run_model
 from repro.sim.engine import grant_free_slots, grant_free_slots_reference
+from repro.sim.sweep import build_workload
 
 
 @pytest.fixture(scope="module")
@@ -96,3 +100,32 @@ def test_perf_grant_round(benchmark, kind):
     )
     assert granted.any() == (kind != "all_full")
     assert granted.all() == (kind == "uncontested")
+
+
+#: perfbench's sweep_batched shapes: (workload, parameters, L) per model.
+_BATCH_SHAPES = {
+    "wormhole": ("chain-bundle", {"chains": 4, "depth": 12, "messages": 8}, 24),
+    "cut_through": ("chain-bundle", {"chains": 4, "depth": 12, "messages": 8}, 24),
+    "adaptive": ("mesh-permutation", {"k": 6}, 6),
+}
+
+
+@pytest.mark.parametrize("model", sorted(_BATCH_SHAPES))
+def test_perf_batch_step(benchmark, model):
+    """One lockstep run of 128 trials at B = 2 (random priorities for the
+    path models); ``extra_info`` holds the steps it took, so the report
+    reads per step and per message-step."""
+    name, params, L = _BATCH_SHAPES[model]
+    workload = build_workload(name, params)
+    seeds = list(range(128))
+
+    def run():
+        return run_model(model, workload, L, seeds=seeds, B=2)
+
+    results = benchmark(run)
+    steps = max(r.steps_executed for r in results)
+    messages = results[0].completion_times.size
+    benchmark.extra_info.update(steps=steps, msg_steps=steps * messages)
+    assert all(r.all_delivered for r in results)
+    (alone,) = run_model(model, workload, L, seeds=seeds[-1:], B=2)
+    assert np.array_equal(alone.completion_times, results[-1].completion_times)

@@ -126,8 +126,10 @@ class ContinuousWormholeSimulator:
         traces — with a scalar run being bit-identical to the equivalent
         constant trace (the RNG draw schedule does not change).
         Sources inject FIFO: a source's next message contends for its
-        path's first edge only once all earlier messages from that source
-        have fully left the injection buffer (entered the network).
+        path's first edge from the step after its predecessor's *first*
+        move (the predecessor's header has entered the network; its
+        other flits may still sit in the injection buffer), as MODEL.md
+        section 1 states.
         """
         if horizon < 1:
             raise NetworkError("horizon must be >= 1")

@@ -169,7 +169,7 @@ class PaddedPaths:
 
 def grant_free_slots(
     slots: np.ndarray,
-    prio: np.ndarray,
+    prio,
     capacity: int | np.ndarray,
     occupancy: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -196,10 +196,14 @@ def grant_free_slots(
        ``(slot, priority)`` and ranked by the scan.
 
     Without ``occupancy`` every contender is viable and stage 1 is
-    skipped.  The scan runs on the backend selected by
-    :mod:`repro.sim.fastpath` (pure NumPy, or a numba jit of the same
-    linear scan; bit-identical masks) and is called exactly once per
-    non-empty round, with the contested contenders — possibly none.
+    skipped.  ``prio`` is read only as ``prio[contested]``, so any
+    object that gathers by an index array will do — a batched kernel
+    passes its reserved random draws, which materialise only the values
+    asked for (DESIGN decision 23).  The scan runs on the backend
+    selected by :mod:`repro.sim.fastpath` (pure NumPy, or a numba jit
+    of the same linear scan; bit-identical masks) and is called exactly
+    once per non-empty round, with the contested contenders — possibly
+    none.
 
     ``capacity`` may be a per-contender array (constant within each
     slot group) — this is how :class:`BatchSlotArbiter` arbitrates
@@ -293,10 +297,13 @@ class BatchSlotArbiter:
     with capacity ``capacities[i]``; the pools are laid out back to
     back in one flat occupancy array, and every contention round runs
     :func:`grant_free_slots` once over the combined ``(trial, slot)``
-    key ``offset[trial] + slot``.  Because keys never collide across
-    trials, the grants for each trial are exactly what arbitrating its
-    pool alone would have produced — trials may even have different
-    capacities (a mixed-``B`` batch).
+    key ``offset[trial] + slot`` (:meth:`keys`).  Because keys never
+    collide across trials, the grants for each trial are exactly what
+    arbitrating its pool alone would have produced — trials may even
+    have different capacities (a mixed-``B`` batch), read per key from
+    a per-slot capacity table.  :meth:`grant` and :meth:`vacate` take
+    combined keys, so a caller that tabulates them once never pays for
+    building them per round.
     """
 
     def __init__(
@@ -322,28 +329,29 @@ class BatchSlotArbiter:
         self.offsets = np.zeros(self.num_trials + 1, dtype=np.int64)
         np.cumsum(num_slots, out=self.offsets[1:])
         self.occupancy = np.zeros(int(self.offsets[-1]), dtype=np.int64)
+        self._slot_cap = (
+            None if self._uniform is not None else np.repeat(caps, num_slots)
+        )
 
     def keys(self, trials: np.ndarray, slots: np.ndarray) -> np.ndarray:
         """Combined ``(trial, slot)`` keys into the flat occupancy."""
         return self.offsets[trials] + slots
 
-    def grant(
-        self, trials: np.ndarray, slots: np.ndarray, prio: np.ndarray
-    ) -> tuple[np.ndarray, int]:
-        """One combined round: ``(granted mask, number granted)``, the
-        winners' seats acquired.  Nothing is written when nobody won."""
-        keys = self.keys(trials, slots)
+    def grant(self, keys: np.ndarray, prio) -> tuple[np.ndarray, int]:
+        """One combined round over ``keys``: ``(granted mask, number
+        granted)``, the winners' seats acquired.  Nothing is written when
+        nobody won."""
         capacity = self._uniform
         if capacity is None:
-            capacity = self.capacities[trials]
+            capacity = self._slot_cap.take(keys)
         granted = grant_free_slots(keys, prio, capacity, self.occupancy)
         won = int(np.count_nonzero(granted))
         if won:
             np.add.at(self.occupancy, keys[granted], 1)
         return granted, won
 
-    def vacate(self, trials: np.ndarray, slots: np.ndarray) -> None:
-        np.add.at(self.occupancy, self.keys(trials, slots), -1)
+    def vacate(self, keys: np.ndarray) -> None:
+        np.add.at(self.occupancy, keys, -1)
 
 
 # ----------------------------------------------------------------------

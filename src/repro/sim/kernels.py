@@ -175,6 +175,11 @@ class _RandomBlock:
     the block up (split-exactness again), so they stay O(T) Python work
     but amortize over ~``block / M`` rounds.
 
+    A round *reserves* its values instead of drawing them, and the
+    grant reads only those it compares (DESIGN decision 23): a read
+    comes before the next reservation, and only a reservation refills,
+    so it finds exactly the value a full draw would have served.
+
     Only used at ``T > 1``: batch RNGs are created per batch run and
     discarded, so the over-drawn tail is unobservable.  A lone trial
     keeps its one-draw-per-round call — a simulator instance passes its
@@ -182,7 +187,7 @@ class _RandomBlock:
     stream.
     """
 
-    __slots__ = ("rngs", "T", "block", "buf", "cur")
+    __slots__ = ("rngs", "T", "block", "buf", "cur", "_base", "_rows")
 
     def __init__(self, rngs: list, block: int) -> None:
         self.rngs = rngs
@@ -191,8 +196,14 @@ class _RandomBlock:
         self.buf = np.empty((self.T, self.block), dtype=np.float64)
         self.cur = np.full(self.T, self.block, dtype=np.int64)
 
-    def draw(self, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """Serve ``counts[tr]`` values per trial along sorted ``rows``."""
+    def reserve(self, rows: np.ndarray, counts: np.ndarray) -> "_RandomBlock":
+        """Reserve ``counts[tr]`` values per trial along sorted ``rows``.
+
+        Contender ``j``, the ``j - starts[tr]``-th of trial ``tr``, owns
+        cell ``tr * block + cur[tr] + j - starts[tr]`` of the buffer.
+        Returns the block itself as the view of this reservation:
+        ``block[idx]`` gathers contenders ``idx`` until the next one.
+        """
         cur = self.cur
         lack = np.flatnonzero(cur + counts > self.block)
         for tr in lack:
@@ -201,12 +212,15 @@ class _RandomBlock:
                 self.buf[tr, :rem] = self.buf[tr, cur[tr] :]
             self.buf[tr, rem:] = self.rngs[tr].random(self.block - rem)
             cur[tr] = 0
-        starts = np.zeros(self.T + 1, dtype=np.int64)
-        np.cumsum(counts, out=starts[1:])
-        within = np.arange(rows.size) - starts[rows]
-        vals = self.buf[rows, cur[rows] + within]
+        self._base = np.arange(0, self.buf.size, self.block) + cur
+        self._base -= np.cumsum(counts) - counts  # each trial's first
+        self._rows = rows
         cur += counts
-        return vals
+        return self
+
+    def __getitem__(self, idx: np.ndarray) -> np.ndarray:
+        cells = self._base.take(self._rows.take(idx)) + idx
+        return self.buf.reshape(-1).take(cells)
 
 
 class _Kernel:
@@ -237,6 +251,14 @@ class _Kernel:
         self.option = option
         self.rngs = rngs
         self.probes = loop.probes
+        # Per-step index lists are flat positions p = t * M + m into the
+        # (T, M) state; trial and message of a position are read from
+        # these tables (DESIGN decision 23).
+        self._t_of = np.repeat(np.arange(self.T, dtype=np.int64), self.M)
+        self._m_of = np.tile(np.arange(self.M, dtype=np.int64), self.T)
+        self._completion = loop.completion.reshape(-1)
+        self._done = loop.done.reshape(-1)
+        self._blocked = loop.blocked.reshape(-1)
 
     @classmethod
     def pack(
@@ -251,24 +273,28 @@ class _Kernel:
         was no message to route."""
         return results
 
-    def _random_prio(self, rows: np.ndarray) -> np.ndarray:
+    def _random_prio(self, pos: np.ndarray):
         """One uniform priority per contender, in serial draw order.
 
-        ``rows`` is the trial id per contender, sorted (``np.nonzero``
-        order), so each trial's contenders are contiguous and in
+        ``pos`` are the contenders' flat positions, ascending (a flat
+        ``nonzero``), so each trial's contenders are contiguous and in
         message-index order — the serial draw order.  Trials without
-        contenders draw nothing, exactly like their serial runs.
+        contenders draw nothing, exactly like their serial runs.  A
+        batch gets a reserved view (:meth:`_RandomBlock.reserve`), which
+        only ``[idx]`` may read.
         """
         if self.T == 1:
-            return self.rngs[0].random(rows.size)
+            return self.rngs[0].random(pos.size)
         if self._rand_block is None:
             # A refill is a few µs of Python whatever its size: the
             # floor is what amortises it when M is small.
             self._rand_block = _RandomBlock(
                 self.rngs, max(4 * self.M, 512)
             )
-        counts = np.bincount(rows, minlength=self.T)
-        return self._rand_block.draw(rows, counts)
+        rows = self._t_of.take(pos)
+        return self._rand_block.reserve(
+            rows, np.bincount(rows, minlength=self.T)
+        )
 
 
 # ----------------------------------------------------------------------
@@ -285,7 +311,9 @@ class WormholeKernel(_Kernel):
     ``k - L - 1``, and the final edge's slot frees at completion.  The
     per-step masks (who needs an edge, who moves, whose tail or head
     reached an event) are dense ``(T, M)`` ``out=`` ops; index lists
-    are built only in a phase whose mask counts non-zero.
+    are built only in a phase whose mask counts non-zero, as flat
+    positions ``p = t * M + m``, and every arbiter key they need is one
+    ``take`` from the flat ``(T, M, maxD)`` key table ``_keys``.
     """
 
     @classmethod
@@ -334,14 +362,29 @@ class WormholeKernel(_Kernel):
             )
         self.total_moves = self.L + self.D - 1
         self.k = np.zeros((T, M), dtype=np.int64)
-        self.age_priority = (
-            age_priorities(packed.release) if option == "age" else None
-        )
-        self.rank_priority = (
-            np.stack([rng.permutation(M) for rng in rngs])
-            if option == "rank"
-            else None
-        )
+        # One arbiter key per (trial, message, hop) cell, position p's
+        # row starting at _row[p]: a contender's key is cell _row[p] +
+        # k[p], a vacated hop's _row[p] + k[p] - L - 1, the final edge's
+        # _row[p] + D - 1 (the last two offsets tabulated; padding cells
+        # are never read).
+        maxD = self.padded.shape[1]
+        tr = np.arange(T)[:, None, None]
+        self._keys = self.arbiter.keys(
+            tr, self._slots(tr, np.arange(M)[:, None], np.arange(maxD))
+        ).reshape(-1)
+        self._row = np.arange(T * M, dtype=np.int64) * maxD
+        self._rel_row = self._row - np.tile(self.L + 1, T)
+        self._last_cell = self._row + np.tile(self.D - 1, T)
+        self._k_flat = self.k.reshape(-1)
+        self._needs_flat = self._needs.reshape(-1)
+        self._mov_flat = self._mov.reshape(-1)
+        self._ev_flat = self._ev.reshape(-1)
+        if option == "age":
+            self._prio = np.tile(age_priorities(packed.release), T)
+        elif option == "rank":
+            self._prio = np.concatenate([rng.permutation(M) for rng in rngs])
+        else:
+            self._prio = self._m_of
 
     def _slots(
         self, trials: np.ndarray, msgs: np.ndarray, hop: np.ndarray
@@ -354,7 +397,7 @@ class WormholeKernel(_Kernel):
 
     def body(self, t: int, active: np.ndarray) -> np.ndarray:
         k, D, probes = self.k, self.D, self.probes
-        loop, arbiter = self.state, self.arbiter
+        loop, arbiter, keys = self.state, self.arbiter, self._keys
         # Dense (T, M) masks guarded by their own counts: a step pays
         # index lists only for the phases in which something happens.
         needs, mov, ev = self._needs, self._mov, self._ev
@@ -363,28 +406,24 @@ class WormholeKernel(_Kernel):
         np.greater(active, needs, out=mov)  # draining worms always move
 
         if np.count_nonzero(needs):
-            # Row-major contender order: per trial, ascending message —
+            # Ascending flat positions: per trial, ascending message —
             # the serial draw order.
-            crows, ccols = needs.nonzero()
-            hop = k[crows, ccols]
-            slots = self._slots(crows, ccols, hop)
+            cp = self._needs_flat.nonzero()[0]
+            hop = self._k_flat.take(cp)
+            ckeys = keys.take(self._row.take(cp) + hop)
             if self.option == "random":
-                prio = self._random_prio(crows)
-            elif self.option == "age":
-                prio = self.age_priority[ccols]
-            elif self.option == "rank":
-                prio = self.rank_priority[crows, ccols]
+                prio = self._random_prio(cp)
             else:
-                prio = ccols
-            granted, won = arbiter.grant(crows, slots, prio)
+                prio = self._prio.take(cp)
+            granted, won = arbiter.grant(ckeys, prio)
             if won:
-                mov[crows[granted], ccols[granted]] = True
-            if probes is not None:
-                raw = self.padded[ccols, hop]
-                probes.on_grant(t, ccols[granted], raw[granted])
-                if won != crows.size:
+                self._mov_flat[cp[granted]] = True
+            if probes is not None:  # T = 1: a position is its message
+                raw = self.padded[cp, hop]
+                probes.on_grant(t, cp[granted], raw[granted])
+                if won != cp.size:
                     lost = ~granted
-                    probes.on_block(t, ccols[lost], raw[lost])
+                    probes.on_block(t, cp[lost], raw[lost])
             # Contenders that did not move were refused.
             np.greater(needs, mov, out=needs)
             np.add(loop.blocked, needs, out=loop.blocked)
@@ -397,24 +436,47 @@ class WormholeKernel(_Kernel):
         np.greater(k, self.L, out=ev)
         np.logical_and(ev, mov, out=ev)
         if np.count_nonzero(ev):
-            vrows, vcols = ev.nonzero()
-            rel_idx = k[vrows, vcols] - self.L[vcols] - 1
-            arbiter.vacate(vrows, self._slots(vrows, vcols, rel_idx))
-            if probes is not None:
-                probes.on_release(t, vcols, self.padded[vcols, rel_idx])
+            vp = self._ev_flat.nonzero()[0]
+            cell = self._rel_row.take(vp) + self._k_flat.take(vp)
+            arbiter.vacate(keys.take(cell))
+            if probes is not None:  # T = 1: the same cell of `padded`
+                probes.on_release(t, vp, self.padded.reshape(-1)[cell])
         np.equal(k, self.total_moves, out=ev)
         np.logical_and(ev, mov, out=ev)
         if np.count_nonzero(ev):
-            frows, fcols = ev.nonzero()
-            loop.completion[frows, fcols] = t
-            loop.done[frows, fcols] = True
-            arbiter.vacate(frows, self._slots(frows, fcols, D[fcols] - 1))
+            fp = self._ev_flat.nonzero()[0]
+            self._completion[fp] = t
+            self._done[fp] = True
+            arbiter.vacate(keys.take(self._last_cell.take(fp)))
             if probes is not None:
-                probes.on_release(t, fcols, self.padded[fcols, D[fcols] - 1])
-                probes.on_complete(t, fcols)
+                probes.on_release(t, fp, self.padded[fp, D[fp] - 1])
+                probes.on_complete(t, fp)
         if probes is not None:
             probes.on_step(t, np.flatnonzero(mov[0]), k[0])
         return np.logical_or.reduce(mov, axis=1, out=self._moved)
+
+    def audit(self, t: int) -> None:
+        """Recount what the body maintains, after step ``t``: the
+        arbiter's occupancy from ``k`` / ``L`` / the routes, and the key
+        tables from :meth:`_slots`.
+
+        After ``k`` moves a worm has acquired path edges ``0 .. min(k,
+        D) - 1`` and let go of ``0 .. k - L - 1``; the final edge goes at
+        completion (``k == L + D - 1``).
+        """
+        arbiter, D, L = self.arbiter, self.D, self.L
+        want = np.zeros_like(arbiter.occupancy)
+        for p, (tr, m) in enumerate(np.ndindex(self.T, self.M)):
+            hop, trs = np.arange(D[m]), np.full(D[m], tr)
+            keys = arbiter.keys(trs, self._slots(trs, np.full(D[m], m), hop))
+            assert np.array_equal(self._keys[self._row[p] + hop], keys)
+            assert not D[m] or self._keys[self._last_cell[p]] == keys[-1]
+            moves = int(self.k[tr, m])
+            if moves < L[m] + D[m] - 1:  # else delivered: holds nothing
+                np.add.at(want, keys[max(0, moves - L[m]) : moves], 1)
+        assert np.array_equal(arbiter.occupancy, want)
+        per_slot = np.repeat(arbiter.capacities, np.diff(arbiter.offsets))
+        assert (arbiter.occupancy <= per_slot).all(), "a slot over capacity"
 
 
 # ----------------------------------------------------------------------
@@ -445,14 +507,20 @@ class CutThroughKernel(_Kernel):
       needs next — are updated in the steps a header moves;
     * ``_owned[r, t, m]`` (does the message own that path edge) is set
       at the grant and cleared at the release;
+    * the tail watch ``_f[t, m]``, the number of leading path edges that
+      carried all ``L`` flits, and its flat index ``_fi`` into
+      ``crossed``: only edge ``_f`` can newly reach ``L`` in a step
+      (MODEL.md section 8), so releases and deliveries are found by one
+      ``(T, M)`` gather;
     * the row-sliced views of all scratch (``_slice``) are rebuilt only
       when ``loop.hi`` moves.
 
     Three sentinels make the per-step masks unconditional.  ``owner``
     has one extra column ``num_edges`` that is always owned, and the
-    route table ``_routes`` maps path padding and a delivered header
-    (``h == D``) to it, so ``claim = active & (owner[want] < 0)`` needs
-    no ``h < D`` gate.  ``v`` has one always-zero guard slab in front,
+    owner-key table ``_okey`` (one row of ``maxD + 1`` keys per flat
+    position) maps path padding and a delivered header (``h == D``) to
+    it, so ``claim = active & (owner[want] < 0)`` needs no ``h < D``
+    gate.  ``v`` has one always-zero guard slab in front,
     so a header at ``h == D == maxD`` reads "did not move" (for
     ``D < maxD`` it reads a slab beyond the path, which is zero
     anyway).  ``_cap`` holds ``B`` inside a path and int32 max on its
@@ -498,14 +566,17 @@ class CutThroughKernel(_Kernel):
         self.owner = np.full((T, num_edges + 1), -1, dtype=np.int64)
         self.owner[:, num_edges] = M
         self._owner_flat = self.owner.reshape(-1)
-        self._row0 = np.arange(T)[:, None] * (num_edges + 1)
-        # Route table with the sentinel for padding and for column maxD
-        # (a delivered header of a full-length path).
-        self._routes = np.full((M, maxD + 1), num_edges, dtype=np.int64)
-        np.copyto(self._routes[:, :maxD], padded, where=padded >= 0)
-        self._routes_flat = self._routes.reshape(-1)
-        self.padded_rev = np.ascontiguousarray(padded[:, ::-1])
-        self.rev_last = maxD - self.D  # r of each message's last edge
+        # Owner keys of each position's route, with the sentinel for
+        # padding and for column maxD (a delivered header of a
+        # full-length path): path edge i of position p is cell
+        # _obase[p] + i.
+        routes = np.full((M, maxD + 1), num_edges, dtype=np.int64)
+        np.copyto(routes[:, :maxD], padded, where=padded >= 0)
+        self._okey = (
+            np.arange(T)[:, None, None] * (num_edges + 1) + routes
+        ).reshape(-1)
+        self._obase = np.arange(T * M).reshape(T, M) * (maxD + 1)
+        rev_last = maxD - self.D  # r of each message's last edge
         # Per-trial / per-message constants are pre-broadcast to full
         # (T, M) (or (maxD, T, M)) slabs: a stride-0 axis in the middle
         # of an operand defeats numpy's loop-merging and reintroduces
@@ -515,7 +586,7 @@ class CutThroughKernel(_Kernel):
         )
         idx = np.arange(maxD)
         self._cap = np.where(
-            idx[:, None, None] > self.rev_last[None, None, :],
+            idx[:, None, None] > rev_last[None, None, :],
             B.astype(np.int32)[None, :, None],
             np.int32(np.iinfo(np.int32).max),
         )
@@ -523,14 +594,21 @@ class CutThroughKernel(_Kernel):
         # maxD - 1, i.e. slab maxD of the guarded advance mask.
         self._h = np.zeros((T, M), dtype=np.int64)
         self._hv = maxD * T * M + np.arange(T * M).reshape(T, M)
-        self._want = self._row0 + self._routes[:, 0]
-        self._route0 = np.ascontiguousarray(
-            np.broadcast_to(np.arange(M) * (maxD + 1), (T, M))
-        )
+        self._want = self._okey[self._obase]
+        # Tail watch: f = 0 sits at r = maxD - 1 of crossed.
+        self._f = np.zeros((T, M), dtype=np.int64)
+        self._fi = self._hv - T * M
         self._TM = np.int64(T * M)
+        self._owned = np.zeros(shape, dtype=bool)
+        self._owned_flat = self._owned.reshape(-1)
+        self._crossed_flat = self.crossed.reshape(-1)
+        self._obase_flat = self._obase.reshape(-1)
+        self._want_flat = self._want.reshape(-1)
+        self._hv_flat = self._hv.reshape(-1)
+        self._f_flat = self._f.reshape(-1)
+        self._fi_flat = self._fi.reshape(-1)
         # Preallocated scratch so the body allocates nothing
         # proportional to the state per step.
-        self._owned = np.zeros(shape, dtype=bool)
         self._c = np.empty(shape, dtype=bool)
         self._open = np.empty(shape, dtype=bool)
         self._s = np.empty(shape, dtype=bool)
@@ -543,6 +621,7 @@ class CutThroughKernel(_Kernel):
         self._adv = np.empty((T, M), dtype=vdt)
         self._i64 = np.empty((T, M), dtype=np.int64)
         self._own = np.empty((T, M), dtype=np.int64)
+        self._tail = np.empty((T, M), dtype=np.int32)
         self._claim = np.empty((T, M), dtype=bool)
         self._prog = np.empty((T, M), dtype=bool)
         self._ret = np.zeros(T, dtype=bool)
@@ -566,9 +645,10 @@ class CutThroughKernel(_Kernel):
             self._inbuf[:, :hi], self._inbuf[1:, :hi], self._cap[:, :hi],
             self._open[:, :hi], self._s[:, :hi], self._v[1:, :hi],
             self._prog[:hi], self._ret[:hi],
-            self._h[:hi], self._hv[:hi], self._want[:hi], self._route0[:hi],
-            self._row0[:hi], self._adv[:hi], self._i64[:hi],
-            self._own[:hi], self._claim[:hi], self.state.blocked[:hi],
+            self._h[:hi], self._hv[:hi], self._want[:hi], self._obase[:hi],
+            self._fi[:hi], self._tail[:hi], self._adv[:hi], self._i64[:hi],
+            self._own[:hi], self._claim[:hi], self._claim[:hi].reshape(-1),
+            self.state.blocked[:hi],
         )
 
     def body(self, t: int, active: np.ndarray) -> np.ndarray:
@@ -581,38 +661,39 @@ class CutThroughKernel(_Kernel):
             c, c_lo, c_last, owned, live,
             inbuf, inbuf_up, cap, open_, s, v,
             progressed, ret,
-            h, hv, want, route0, row0, adv, i64,
-            own, claim, blocked,
+            h, hv, want, obase, fi, tail, adv, i64,
+            own, claim, claim_flat, blocked,
         ) = self._views
         act = active[:hi]
+        owner, TM = self._owner_flat, self._TM
 
         # -- header claims: contend for unowned edges, capacity 1 -------
         # `want` is the owner key of the edge each header needs next
         # (the always-owned sentinel once it is delivered).  The flat
         # indices are in range by construction; "clip" only spares
         # take() the buffering "raise" does behind an `out=`.
-        self._owner_flat.take(want, out=own, mode="clip")
+        owner.take(want, out=own, mode="clip")
         np.less(own, 0, out=claim)
         np.logical_and(claim, act, out=claim)
         if np.count_nonzero(claim):
-            c_t, c_m = claim.nonzero()
-            keys = self._want[c_t, c_m]  # (trial, edge), stride E + 1
+            cp = claim_flat.nonzero()[0]
+            keys = self._want_flat.take(cp)  # (trial, edge), stride E + 1
+            msgs = self._m_of.take(cp)
             if self.option == "random":
-                prio = self._random_prio(c_t)
+                prio = self._random_prio(cp)
             else:  # "index": claimer-list position, ascending m per trial
-                prio = c_m.astype(np.float64)
+                prio = msgs
             granted = grant_free_slots(keys, prio, 1)
-            g_t, g_m, g_k = c_t, c_m, keys
+            gp, gm, gk = cp, msgs, keys
             if np.count_nonzero(granted) != keys.size:
-                g_t, g_m, g_k = c_t[granted], c_m[granted], keys[granted]
-            self._owner_flat[g_k] = g_m
-            self._owned[self.max_D - 1 - self._h[g_t, g_m], g_t, g_m] = True
-            if probes is not None:
+                gp, gm, gk = cp[granted], msgs[granted], keys[granted]
+            owner[gk] = gm
+            # Edge h sits one slab below the header's advance-mask slab.
+            self._owned_flat[self._hv_flat.take(gp) - TM] = True
+            if probes is not None:  # T = 1: a key is its edge
                 # Serial appends grants in ascending-priority order.
                 order = np.argsort(prio[granted], kind="stable")
-                probes.on_grant(
-                    t, g_m[order], (g_k - self._row0[g_t, 0])[order]
-                )
+                probes.on_grant(t, gm[order], gk[order])
 
         # -- flit movement: one flit per owned edge, head-first ---------
         # The descending-index service loop is a pure suffix recurrence:
@@ -665,60 +746,63 @@ class CutThroughKernel(_Kernel):
         self._v_flat.take(hv, out=adv, mode="clip")
         if np.count_nonzero(adv):
             np.add(h, adv, out=h)
-            np.multiply(adv, self._TM, out=i64)
+            np.multiply(adv, TM, out=i64)
             np.subtract(hv, i64, out=hv)
-            np.add(route0, h, out=i64)
-            self._routes_flat.take(i64, out=want, mode="clip")
-            np.add(want, row0, out=want)
+            np.add(obase, h, out=i64)
+            self._okey.take(i64, out=want, mode="clip")
 
         # -- releases and deliveries ------------------------------------
         # Ownership ends once the last flit moves on: the previous
         # edge's buffer is drained for good, and the final edge
-        # delivers instantly.  At most one edge per message newly
-        # reaches L per step (the unique snapshot L-to-(L-1) boundary).
+        # delivers instantly.  Only edge f (the first not yet at L) can
+        # newly reach L in a step (MODEL.md section 8), so one gather at
+        # its flat index finds every event; a delivered message (f ==
+        # D, its index clipped) is not active.
         rel_events: list[tuple[int, int, int]] = []  # (phase, m, e), T=1
         delivered_m = _EMPTY_IDX
-        newly = open_  # reused
-        np.equal(snap, L32, out=newly)
-        np.logical_and(newly, v, out=newly)
+        self._crossed_flat.take(fi, out=tail, mode="clip")
+        newly = claim  # reused
+        np.equal(tail, L32, out=newly)
+        np.logical_and(newly, act, out=newly)
         if np.count_nonzero(newly):
-            owner, owned_all = self.owner, self._owned
-            padded_rev = self.padded_rev
-            # Flat scan + two divmods: an N-d nonzero walks coordinates.
-            nr, nt = np.divmod(newly.reshape(-1).nonzero()[0], hi * self.M)
-            nt, nm = np.divmod(nt, self.M)
-            inner = nr < self.max_D - 1  # path index i = maxD-1-r > 0
+            owned_all, okey = self._owned_flat, self._okey
+            ep = claim_flat.nonzero()[0]
+            f = self._f_flat.take(ep)
+            efi = self._fi_flat.take(ep)
+            cell = self._obase_flat.take(ep) + f  # edge f's owner-key cell
+            em = self._m_of.take(ep)
+            inner = f > 0
             if np.count_nonzero(inner):
-                pt, pm = nt[inner], nm[inner]
-                pr = nr[inner] + 1  # upstream edge i-1 sits at r+1
-                prev_e = padded_rev[pm, pr]
-                ok = owner[pt, prev_e] == pm
-                owner[pt[ok], prev_e[ok]] = -1
+                pm = em[inner]
+                prev_k = okey.take(cell[inner] - 1)
+                ok = owner.take(prev_k) == pm
+                owner[prev_k[ok]] = -1
                 # `owned` stays in sync unconditionally: where the ok
                 # guard fails, the message's claim there is already
-                # cleared, so re-clearing is a no-op.
-                owned_all[pr, pt, pm] = False
-                if probes is not None:
+                # cleared, so re-clearing is a no-op.  Edge f - 1 sits
+                # one slab above edge f.
+                owned_all[efi[inner] + TM] = False
+                if probes is not None:  # T = 1: a key is its edge
                     rel_events.extend(
                         (0, int(m), int(e))
-                        for m, e in zip(pm[ok], prev_e[ok])
+                        for m, e in zip(pm[ok], prev_k[ok])
                     )
-            last = nr == self.rev_last[nm]
+            last = f == self.D.take(em) - 1
             if np.count_nonzero(last):
-                lt, lm = nt[last], nm[last]
-                lr = nr[last]
-                le = padded_rev[lm, lr]
-                owner[lt, le] = -1
-                owned_all[lr, lt, lm] = False
-                # Reaching L on the final edge IS delivery: the old
-                # active & (last count == L) scan finds exactly these.
-                loop.completion[lt, lm] = t
-                loop.done[lt, lm] = True
-                delivered_m = lm
+                # Reaching L on the final edge IS delivery.
+                lk = okey.take(cell[last])
+                owner[lk] = -1
+                owned_all[efi[last]] = False
+                lp = ep[last]
+                self._completion[lp] = t
+                self._done[lp] = True
+                delivered_m = em[last]
                 if probes is not None:
                     rel_events.extend(
-                        (1, int(m), int(e)) for m, e in zip(lm, le)
+                        (1, int(m), int(e)) for m, e in zip(delivered_m, lk)
                     )
+            self._f_flat[ep] = f + 1
+            self._fi_flat[ep] = efi - TM
 
         stalled = claim  # reused: active messages that did not progress
         np.greater(act, progressed, out=stalled)
@@ -733,9 +817,10 @@ class CutThroughKernel(_Kernel):
         probes, h = self.probes, self._h[0]
         stalled = np.flatnonzero(stalled[0])
         if stalled.size:
-            # A stalled header reports the edge it waits for; a stalled
-            # body (header delivered: the sentinel) reports none.
-            wanted = self._routes[stalled, h[stalled]]
+            # A stalled header reports the edge it waits for (its owner
+            # key, at T = 1); a stalled body (header delivered: the
+            # sentinel) reports none.
+            wanted = self._want[0, stalled]
             wanted[wanted == self.num_edges] = -1
             probes.on_block(t, stalled, wanted)
         if rel_events:
@@ -747,6 +832,47 @@ class CutThroughKernel(_Kernel):
         if finished.size:
             probes.on_complete(t, finished)
         probes.on_step(t, np.flatnonzero(progressed[0]), h)
+
+    def audit(self, t: int) -> None:
+        """Everything maintained == its definition, after step ``t``:
+        recomputed from ``crossed``, ``owner`` and the routes."""
+        loop, T, M, E = self.state, self.T, self.M, self.num_edges
+        padded, D, maxD = self.padded, self.D, self.max_D
+        pos = np.arange(T * M).reshape(T, M)
+        # crossed[r, t, m] counts path edge i = maxD - 1 - r: flip it.
+        crossed = self.crossed[::-1].transpose(1, 2, 0)
+        on_path = np.arange(maxD)[None, :] < D[:, None]
+        assert not crossed[:, ~on_path].any(), "flits beyond a path's end"
+        assert (np.diff(crossed, axis=2)[:, on_path[:, 1:]] <= 0).all()
+        # The header sits at the first edge no flit has crossed, the
+        # tail watch at the first edge that has not carried all L.
+        h = (crossed > 0).sum(axis=2)
+        assert np.array_equal(self._h, h) and (h <= D).all()
+        at_L = (crossed == self.L[None, :, None]) & on_path
+        f = np.cumprod(at_L, axis=2).sum(axis=2)
+        assert np.array_equal(self._f, f)
+        # ... and their flat indices are affine in them.
+        assert np.array_equal(self._hv, (maxD - h) * T * M + pos)
+        assert np.array_equal(self._fi, (maxD - 1 - f) * T * M + pos)
+        edge = np.where(h < D, padded[np.arange(M), np.minimum(h, maxD - 1)], E)
+        assert np.array_equal(self._want, np.arange(T)[:, None] * (E + 1) + edge)
+        # A delivered header must read "did not move" and "edge owned".
+        assert not self._v[0].any(), "guard slab written"
+        assert (self.owner[:, E] == M).all(), "sentinel edge changed hands"
+        assert (self._v_flat[self._hv[h == D]] == 0).all()
+        # Ownership mask == the owner table read along each route.
+        owned = np.zeros((T, M, maxD), dtype=bool)
+        for m in range(M):
+            owned[:, m, : D[m]] = self.owner[:, padded[m, : D[m]]] == m
+        assert np.array_equal(self._owned[::-1].transpose(1, 2, 0), owned)
+        held = self.owner[:, :E]
+        assert ((held >= -1) & (held < M)).all()
+        for tr, e in zip(*np.nonzero(held >= 0)):
+            assert e in padded[held[tr, e], : D[held[tr, e]]]
+        # A message owns edges only while released and undelivered (what
+        # lets the movement phase drop its `& active`), in live trials.
+        may_own = (loop.release < t) & ~loop.done
+        assert (self._owned.any(axis=0) <= may_own)[loop.live].all()
 
 
 # ----------------------------------------------------------------------
@@ -797,11 +923,22 @@ class StoreForwardKernel(_Kernel):
 
     def __init__(self, loop, packed: Packed, *, B, option, rngs) -> None:
         super().__init__(loop, packed, B=B, option=option, rngs=rngs)
-        # Release times in *message steps*, per trial.
-        self.release = loop.release
+        T, M = self.T, self.M
+        maxD = self.padded.shape[1]
         self.hop = packed.hop
-        self.hops_done = np.zeros((self.T, self.M), dtype=np.int64)
-        self.max_queue = np.zeros(self.T, dtype=np.int64)
+        self.max_queue = np.zeros(T, dtype=np.int64)
+        # Flat by position p = t * M + m: hops done, the grant key (trial,
+        # edge) of every path cell, read at _row[p] + hops_done[p], and
+        # per-position D / hop.
+        self.hops_done = np.zeros(T * M, dtype=np.int64)
+        self._keys = (
+            np.arange(T)[:, None, None] * self.num_edges + self.padded
+        ).reshape(-1)
+        self._row = np.arange(T * M, dtype=np.int64) * maxD
+        self._D_of = np.tile(self.D, T)
+        self._hop_of = np.repeat(self.hop, M)
+        # Release times in *message steps*, per trial.
+        self._release = np.ascontiguousarray(loop.release).reshape(-1)
 
     def extra_factory(self, i: int) -> dict:
         return {
@@ -810,49 +947,48 @@ class StoreForwardKernel(_Kernel):
         }
 
     def body(self, t: int, active: np.ndarray) -> np.ndarray:
-        D, probes = self.D, self.probes
-        rows, cols = np.nonzero(active)
-        hd = self.hops_done[rows, cols]
-        edges = self.padded[cols, hd]
+        probes, hops = self.probes, self.hops_done
+        pos = active.reshape(-1).nonzero()[0]
+        rows = self._t_of.take(pos)
+        hd = hops.take(pos)
+        keys = self._keys.take(self._row.take(pos) + hd)
         if self.option == "random":
-            prio = self._random_prio(rows)
+            prio = self._random_prio(pos)
         elif self.option == "age":
-            prio = self.release[rows, cols].astype(np.float64)
+            prio = self._release.take(pos)
         else:  # farthest to go first
-            prio = -(D[cols] - hd).astype(np.float64)
-        keys = rows * self.num_edges + edges
+            prio = hd - self._D_of.take(pos)
         winners = grant_free_slots(keys, prio, 1)  # one message per edge
         # Queue-depth bookkeeping: contenders per edge this step.
         counts = np.bincount(keys)
         np.maximum.at(self.max_queue, rows, counts[keys])
 
-        mrows, mcols = rows, cols
+        mp = pos
         lost = np.count_nonzero(winners) != keys.size
         if lost:
-            mrows, mcols = rows[winners], cols[winners]
+            mp = pos[winners]
             losers = ~winners
-            lrows = rows[losers]
-            self.state.blocked[lrows, cols[losers]] += self.hop[lrows]
-        self.hops_done[mrows, mcols] += 1
-        fin = self.hops_done[mrows, mcols] == D[mcols]
+            lp = pos[losers]
+            self._blocked[lp] += self._hop_of.take(lp)
+        hops[mp] += 1
+        fin = hops.take(mp) == self._D_of.take(mp)
         if fin.any():
-            frows, fcols = mrows[fin], mcols[fin]
-            self.state.completion[frows, fcols] = t * self.hop[frows]
-            self.state.done[frows, fcols] = True
+            fp = mp[fin]
+            self._completion[fp] = t * self._hop_of.take(fp)
+            self._done[fp] = True
 
-        if probes is not None:
-            medges = edges[winners]
-            probes.on_grant(t, mcols, medges)
+        if probes is not None:  # T = 1: positions are messages, keys edges
+            probes.on_grant(t, mp, keys[winners])
             if lost:
-                probes.on_block(t, cols[losers], edges[losers])
+                probes.on_block(t, lp, keys[losers])
             # A store-and-forward edge is held only within the step it
             # transmits, so the grant's slot frees immediately.
-            probes.on_release(t, mcols, medges)
+            probes.on_release(t, mp, keys[winners])
             if fin.any():
-                probes.on_complete(t, mcols[fin])
-            probes.on_step(t, mcols, self.hops_done[0])
+                probes.on_complete(t, mp[fin])
+            probes.on_step(t, mp, hops)
         # A contended edge always forwards someone.
-        return np.bincount(rows, minlength=self.T) > 0
+        return np.logical_or.reduce(active, axis=1)
 
 
 # ----------------------------------------------------------------------
@@ -1133,17 +1269,27 @@ class AdaptiveKernel(_Kernel):
         T, M = self.T, self.M
         self.coords, self.dir_edge, self.dir_node = packed.tables
         self.dest = packed.ends[:, 1]
-        self.position = np.tile(packed.ends[:, 0], (T, 1))
+        # Per-message state is flat, by position p = t * M + m (DESIGN
+        # decision 23): node, route length and taken route (hop i is cell
+        # _taken_row[p] + i; a tail vacates hop _rel_row[p] + k[p]), and
+        # the occupancy of edge e is cell _occ_row[p] + e.
+        self.position = np.tile(packed.ends[:, 0], T)
         self.k = np.zeros((T, M), dtype=np.int64)
-        self.occ = np.zeros((T, self.num_edges), dtype=np.int64)
-        max_d = int(self.D.max()) if M else 0
-        self.taken = np.zeros((T, M, max(max_d, 1)), dtype=np.int64)
-        self.tlen = np.zeros((T, M), dtype=np.int64)
-        # Preallocated per-step scratch: the padded shuffle matrices and
+        self.occ = np.zeros(T * self.num_edges, dtype=np.int64)
+        max_d = max(int(self.D.max()) if M else 0, 1)
+        self.taken = np.zeros((T * M, max_d), dtype=np.int64)
+        self.tlen = np.zeros(T * M, dtype=np.int64)
+        self._occ_row = self._t_of * self.num_edges
+        self._taken_row = np.arange(T * M, dtype=np.int64) * max_d
+        self._rel_row = self._taken_row - (self.L + 1)
+        self._last_cell = self._taken_row + np.tile(self.D - 1, T)
+        # Preallocated per-step scratch: the padded shuffle matrix and
         # the movement mask (no per-step (T, M) allocations).
-        self._ids_mat = np.zeros((T, M), dtype=np.int64)
         self._draw_mat = np.empty((T, M), dtype=np.float64)
         self._mov = np.zeros((T, M), dtype=bool)
+        self._k_flat = self.k.reshape(-1)
+        self._taken_flat = self.taken.reshape(-1)
+        self._mov_flat = self._mov.reshape(-1)
         # Steps that served heads, and the passes they took (tests read
         # these to see the waves at work).
         self.head_steps = 0
@@ -1151,20 +1297,19 @@ class AdaptiveKernel(_Kernel):
 
     def taken_paths(self, trial: int) -> list[list[int]]:
         """The edge ids trial ``trial``'s messages actually traversed."""
-        return [
-            self.taken[trial, m, : self.tlen[trial, m]].tolist()
-            for m in range(self.M)
-        ]
+        rows = range(trial * self.M, (trial + 1) * self.M)
+        return [self.taken[p, : self.tlen[p]].tolist() for p in rows]
 
-    def _options(self, trs: np.ndarray, ms: np.ndarray):
+    def _options(self, hp: np.ndarray, ms: np.ndarray):
         """Vectorized policy-allowed productive moves, in serial order.
 
-        Returns ``(oe, on)`` — ``(n, 2)`` edge and node ids of each
-        head's x-move and y-move (``-1`` = absent).  The serial option
-        list appends the x-move before the y-move, so a head's first
-        option is its first present column.
+        Returns ``(oe, on)`` — ``(n, 2)`` edge and node ids of the x-move
+        and y-move of each head (flat positions ``hp``, messages ``ms``;
+        ``-1`` = absent).  The serial option list appends the x-move
+        before the y-move, so a head's first option is its first present
+        column.
         """
-        pos = self.position[trs, ms]
+        pos = self.position.take(hp)
         delta = self.coords[self.dest[ms]] - self.coords[pos]
         d = _AXIS_DIR[_AXES, np.sign(delta)]
         if self.option == "dimension":  # y only once x is corrected
@@ -1175,28 +1320,31 @@ class AdaptiveKernel(_Kernel):
         pos = pos[:, None]
         return self.dir_edge[pos, d], self.dir_node[pos, d]
 
-    def _earlier_claims(self, ht: np.ndarray, oe: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _earlier_claims(key: np.ndarray) -> np.ndarray:
         """How many earlier heads of the same trial list each candidate.
 
-        ``oe`` is the ``(n, 2)`` candidate-edge matrix of the heads
-        ``ht`` (trial ids, trial-major in service order; ``-1`` =
-        absent).  A head's two candidates are distinct edges, so the
-        rank of a claim within its ``(trial, edge)`` group, taken in
-        head order, is the count of earlier heads that could acquire
-        that edge before it.  Absent candidates share one group; their
-        rank is never read.
+        ``key`` is the ``(n, 2)`` matrix of the heads' candidate
+        ``(trial, edge)`` occupancy keys, trial-major in service order
+        (``-1`` = absent).  A head's two candidates are distinct edges,
+        so the rank of a claim within its key group, taken in head
+        order, is the count of earlier heads that could acquire that
+        edge before it.  Absent candidates share one group; their rank
+        is never read.
         """
-        key = np.where(oe >= 0, ht[:, None] * self.num_edges + oe, -1)
-        key = key.ravel()
-        srt = np.argsort(key, kind="stable")  # head order within a group
-        sk = key[srt]
+        key = key.reshape(-1)
         idx = np.arange(key.size)
+        # Head order within a group without a stable sort: the keys
+        # key * n + position are unique, so their one order is the
+        # stable order of `key`.
+        srt = np.argsort(key * key.size + idx)
+        sk = key[srt]
         first = np.empty(key.size, dtype=bool)
         first[:1] = True
         np.not_equal(sk[1:], sk[:-1], out=first[1:])
         rank = np.empty(key.size, dtype=np.int64)
         rank[srt] = idx - np.maximum.accumulate(np.where(first, idx, 0))
-        return rank.reshape(oe.shape)
+        return rank.reshape(-1, 2)
 
     def body(self, t: int, active: np.ndarray) -> np.ndarray:
         T, L = self.T, self.L
@@ -1205,35 +1353,34 @@ class AdaptiveKernel(_Kernel):
         # Per-trial head-service order: each trial with active messages
         # shuffles them with its own RNG (the serial draw, one
         # ``random(n)`` per trial), but the argsort runs batched over a
-        # +inf-padded (T, max_len) matrix and the active-id scatter is
-        # one vectorized write.
-        counts = active.sum(axis=1)
+        # +inf-padded (T, max_len) matrix.
+        counts = np.count_nonzero(active, axis=1)
         max_len = int(counts.max())
-        rows, cols = np.nonzero(active)
-        starts = np.zeros(T + 1, dtype=np.int64)
-        np.cumsum(counts, out=starts[1:])
-        slot = np.arange(rows.size) - starts[rows]
-        ids_mat = self._ids_mat
-        ids_mat[rows, slot] = cols
+        pos = active.reshape(-1).nonzero()[0]
+        rows = self._t_of.take(pos)
+        first = (np.cumsum(counts) - counts).take(rows)  # trial's 1st entry
         draw_mat = self._draw_mat[:, :max_len]
         draw_mat[...] = np.inf
         for tr in np.flatnonzero(counts):
             n = counts[tr]
             draw_mat[tr, :n] = self.rngs[tr].random(n)
-        perm = np.argsort(draw_mat, axis=1)
-        # The service order, flat: trial-major, shuffled within a trial.
-        sm = ids_mat[rows, perm[rows, slot]]
+        perm = np.argsort(draw_mat, axis=1).reshape(-1)
+        # The service order, flat: trial-major, shuffled within a trial
+        # (entry i of trial r is served the perm[r, i]-th active message).
+        i = np.arange(pos.size) - first
+        sp = pos.take(first + perm.take(rows * max_len + i))
 
         mov = self._mov
         np.greater_equal(k, dists, out=mov)
         mov &= active  # draining worms always move
-        heads = ~mov[rows, sm]
-        ht, hm = rows[heads], sm[heads]
+        heads = ~self._mov_flat.take(sp)
+        ht, hp = rows[heads], sp[heads]
+        hm = self._m_of.take(hp)
         grants: list[tuple[np.ndarray, np.ndarray]] = []
         blocks: list[tuple[np.ndarray, np.ndarray]] = []
         if ht.size:
             self.head_steps += 1
-            oe, on = self._options(ht, hm)
+            oe, on = self._options(hp, hm)
         # Prefix waves (MODEL.md section 7): a head's outcome can depend
         # on an earlier head only through an edge whose free lanes the
         # earlier claims could exhaust.  Occupancy only rises while
@@ -1242,9 +1389,12 @@ class AdaptiveKernel(_Kernel):
         # every trial's heads up to its first undecided one at once.
         while ht.size:
             self.head_passes += 1
-            room = B[ht, None] - occ[ht[:, None], oe]  # absent: masked
-            free = (oe >= 0) & (room > 0)
-            und = (free & (self._earlier_claims(ht, oe) >= room)).any(axis=1)
+            okey = self._occ_row.take(hp)[:, None] + oe  # absent: masked
+            room = B.take(ht)[:, None] - occ.take(okey)
+            present = oe >= 0
+            free = present & (room > 0)
+            claims = self._earlier_claims(np.where(present, okey, -1))
+            und = (free & (claims >= room)).any(axis=1)
             f1, f2 = free[:, 0], free[:, 1]
             win, both = f1 | f2, f1 & f2
             blk = ~win
@@ -1259,11 +1409,10 @@ class AdaptiveKernel(_Kernel):
                 both &= wave
                 blk &= wave
             if blk.any():
-                bt, bm = ht[blk], hm[blk]
-                self.state.blocked[bt, bm] += 1
+                self._blocked[hp[blk]] += 1
                 if probes is not None:
-                    first = np.where(oe[:, 0] >= 0, oe[:, 0], oe[:, 1])
-                    blocks.append((bm, first[blk]))
+                    wanted = np.where(oe[:, 0] >= 0, oe[:, 0], oe[:, 1])
+                    blocks.append((hm[blk], wanted[blk]))
             # Free-channel choice: ``integers(1)`` never consumes RNG
             # state and always returns 0, so only heads with both
             # options free draw from their trial's stream — one
@@ -1279,22 +1428,23 @@ class AdaptiveKernel(_Kernel):
                     ch[draw[at : at + n]] = self.rngs[tr].integers(2, size=n)
                     at += n
             w = win.nonzero()[0]
-            col = np.where(f1, ch, 1)[w]
-            e_sel = oe[w, col]
-            wt, wm = ht[w], hm[w]
+            sel = 2 * w + np.where(f1, ch, 1)[w]  # flat (head, column)
+            e_sel = oe.reshape(-1).take(sel)
+            wp = hp[w]
             # Several heads of one trial may now take one edge.
-            np.add.at(occ, (wt, e_sel), 1)
-            tl = self.tlen[wt, wm]
-            self.taken[wt, wm, tl] = e_sel
-            self.tlen[wt, wm] = tl + 1
-            self.position[wt, wm] = on[w, col]
-            mov[wt, wm] = True
+            np.add.at(occ, okey.reshape(-1).take(sel), 1)
+            tl = self.tlen.take(wp)
+            self._taken_flat[self._taken_row.take(wp) + tl] = e_sel
+            self.tlen[wp] = tl + 1
+            self.position[wp] = on.reshape(-1).take(sel)
+            self._mov_flat[wp] = True
             if probes is not None and w.size:
-                grants.append((wm, e_sel))
+                grants.append((hm[w], e_sel))
             if wave is None:
                 break
             rest = ~wave
-            ht, hm, oe, on = ht[rest], hm[rest], oe[rest], on[rest]
+            ht, hp, hm = ht[rest], hp[rest], hm[rest]
+            oe, on = oe[rest], on[rest]
 
         # -- movement: lock-step advance, strict buffer release ---------
         pre_k = self.k[0].copy() if probes is not None else None
@@ -1302,22 +1452,24 @@ class AdaptiveKernel(_Kernel):
         rel = self.k - L - 1
         vac = mov & (rel >= 0) & (rel < dists[None, :] - 1)
         if vac.any():
-            vt, vm = np.nonzero(vac)
-            np.subtract.at(
-                self.occ, (vt, self.taken[vt, vm, rel[vt, vm]]), 1
+            vp = vac.reshape(-1).nonzero()[0]
+            e = self._taken_flat.take(
+                self._rel_row.take(vp) + self._k_flat.take(vp)
             )
+            np.subtract.at(occ, self._occ_row.take(vp) + e, 1)
         fin = mov & (self.k == L + dists[None, :] - 1)
         if fin.any():
-            ft, fm = np.nonzero(fin)
-            np.subtract.at(
-                self.occ, (ft, self.taken[ft, fm, dists[fm] - 1]), 1
-            )
-            self.state.completion[ft, fm] = t
-            self.state.done[ft, fm] = True
+            fp = fin.reshape(-1).nonzero()[0]
+            e = self._taken_flat.take(self._last_cell.take(fp))
+            np.subtract.at(occ, self._occ_row.take(fp) + e, 1)
+            self._completion[fp] = t
+            self._done[fp] = True
 
         if probes is not None:
-            # T = 1: the movers in service order.
-            self._emit_step_events(t, sm[mov[0, sm]], pre_k, grants, blocks)
+            # T = 1: the movers in service order (positions are messages).
+            self._emit_step_events(
+                t, sp[self._mov_flat.take(sp)], pre_k, grants, blocks
+            )
         return mov.any(axis=1)
 
     def _emit_step_events(self, t, movers0, pre_k, grants, blocks):
@@ -1334,9 +1486,9 @@ class AdaptiveKernel(_Kernel):
             d = int(self.D[m])
             rel_i = km - L - 1
             if 0 <= rel_i < d - 1:
-                releases.append((m, int(self.taken[0, m, rel_i])))
+                releases.append((m, int(self.taken[m, rel_i])))
             if km == L + d - 1:
-                releases.append((m, int(self.taken[0, m, d - 1])))
+                releases.append((m, int(self.taken[m, d - 1])))
                 finished.append(m)
         if grants:
             probes.on_grant(t, *map(np.concatenate, zip(*grants)))

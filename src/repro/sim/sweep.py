@@ -181,6 +181,11 @@ _SEED_CACHE: dict[
     tuple[np.random.SeedSequence, list[np.random.SeedSequence]],
 ] = {}
 _SEED_CACHE_MAX = 4096
+#: Per-process memo of the configuration digest, keyed on a repr of the
+#: spec less its ``repeat``: hashing JSON costs more than everything
+#: else a cached call does, and values that compare equal but encode
+#: differently (1, 1.0 and True; 0.0 and -0.0) have different reprs.
+_DIGEST_CACHE: dict[str, bytes] = {}
 
 
 def trial_seed(spec: TrialSpec, root_seed: int) -> np.random.SeedSequence:
@@ -192,14 +197,23 @@ def trial_seed(spec: TrialSpec, root_seed: int) -> np.random.SeedSequence:
     prefix sequence, so repeat ``i`` never changes when more repeats are
     added).  Execution order and worker count cannot influence this.
 
-    Returned sequences are memoized per process; they are safe to share
-    because every consumer treats them read-only (``default_rng`` and
-    ``generate_state`` never mutate a :class:`SeedSequence`).
+    Returned sequences and configuration digests are memoized per
+    process; the sequences are safe to share because every consumer
+    treats them read-only (``default_rng`` and ``generate_state`` never
+    mutate a :class:`SeedSequence`).
     """
-    config = spec.key()
-    config.pop("repeat")
-    blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(blob.encode()).digest()
+    fields = repr((
+        spec.workload, spec.simulator, spec.B, spec.workload_params,
+        spec.sim_params, spec.message_length,
+    ))
+    digest = _DIGEST_CACHE.get(fields)
+    if digest is None:
+        if len(_DIGEST_CACHE) >= _SEED_CACHE_MAX:
+            _DIGEST_CACHE.clear()
+        config = spec.key()
+        config.pop("repeat")
+        blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
+        digest = _DIGEST_CACHE[fields] = hashlib.sha256(blob.encode()).digest()
     key = (int(root_seed), digest[:16])
     entry = _SEED_CACHE.get(key)
     if entry is None:

@@ -79,6 +79,34 @@ class TestBasics:
         with pytest.raises(NetworkError):
             ContinuousWormholeSimulator(net, 1, 0)
 
+    def test_next_message_contends_the_step_after_the_first_move(
+        self, monkeypatch
+    ):
+        """FIFO injection pops a source's queue at its head message's
+        *first* move, not once all L flits have left the injection
+        buffer (MODEL.md section 1)."""
+        import repro.sim.continuous as continuous
+
+        rounds = []
+        grant = continuous.grant_free_slots
+
+        def spy(slots, prio, capacity, occupancy):
+            rounds.append(slots.tolist())
+            return grant(slots, prio, capacity, occupancy)
+
+        monkeypatch.setattr(continuous, "grant_free_slots", spy)
+        # One source; messages arrive at steps 1 and 2 and route 0 -> 1.
+        sim = ContinuousWormholeSimulator(line(3), num_sources=1, seed=0)
+        res = sim.run(
+            [1.0, 1.0] + [0.0] * 18, message_length=4,
+            path_of=line_path_gen(2), horizon=20,
+        )
+        assert res.generated == res.delivered == 2
+        # Step 2: message 0 takes edge 0, its first move (1 of L = 4
+        # flits out).  Step 3: message 0 wants edge 1 and message 1 —
+        # arrived at the end of step 2 — already contends for edge 0.
+        assert rounds[:2] == [[0], [1, 0]]
+
 
 class TestButterflyTraffic:
     def path_gen(self, bf):

@@ -69,14 +69,14 @@ def test_arbiter_grant_vacate_roundtrip():
     slots = np.array([0, 0, 2], dtype=np.int64)
     trials = np.zeros(3, dtype=np.int64)
     prio = np.array([0.9, 0.1, 0.5])
-    granted, won = arb.grant(trials, slots, prio)
+    granted, won = arb.grant(arb.keys(trials, slots), prio)
     assert granted.tolist() == [False, True, True] and won == 2
     assert arb.occupancy.tolist() == [1, 0, 1]
     # Slot 0 is now full: nobody else gets in, and nothing is written.
-    again, won = arb.grant(trials[:1], slots[:1], np.array([0.0]))
+    again, won = arb.grant(arb.keys(trials[:1], slots[:1]), np.array([0.0]))
     assert again.tolist() == [False] and won == 0
     assert arb.occupancy.tolist() == [1, 0, 1]
-    arb.vacate(trials[granted], slots[granted])
+    arb.vacate(arb.keys(trials[granted], slots[granted]))
     assert arb.occupancy.tolist() == [0, 0, 0]
 
 
@@ -86,12 +86,12 @@ def test_arbiter_scalar_interface():
     trial, slot = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
 
     def grant():
-        return arb.grant(trial, slot, np.zeros(1))[1]
+        return arb.grant(arb.keys(trial, slot), np.zeros(1))[1]
 
     assert grant() == 1
     assert grant() == 1
     assert grant() == 0
-    arb.vacate(trial, slot)
+    arb.vacate(arb.keys(trial, slot))
     assert grant() == 1
     assert arb.occupancy.tolist() == [0, 2]
 
@@ -99,7 +99,7 @@ def test_arbiter_scalar_interface():
 def test_arbiter_duplicate_slots_in_one_grant():
     arb = BatchSlotArbiter([1], [2])
     both = np.zeros(2, dtype=np.int64)
-    granted, won = arb.grant(both, both, np.zeros(2))
+    granted, won = arb.grant(arb.keys(both, both), np.zeros(2))
     assert granted.all() and won == 2
     assert arb.occupancy.tolist() == [2]
 
@@ -427,7 +427,7 @@ def test_batch_arbiter_matches_independent_serial_arbiters():
             [rng.integers(0, num_slots[tr]) for tr in trials], dtype=np.int64
         )
         prio = rng.random(n)
-        got, won = batch.grant(trials, slots, prio)
+        got, won = batch.grant(batch.keys(trials, slots), prio)
         want = np.zeros(n, dtype=bool)
         for tr in range(3):
             sel = trials == tr
@@ -438,7 +438,7 @@ def test_batch_arbiter_matches_independent_serial_arbiters():
         assert np.array_equal(got, want) and won == want.sum()
         # Randomly vacate some grants to keep occupancy in flux.
         drop = got & (rng.random(n) < 0.5)
-        batch.vacate(trials[drop], slots[drop])
+        batch.vacate(batch.keys(trials[drop], slots[drop]))
         for tr in range(3):
             np.add.at(alone[tr], slots[(trials == tr) & got], 1)
             np.add.at(alone[tr], slots[(trials == tr) & drop], -1)

@@ -1,9 +1,12 @@
 """Tests for the parallel trial-grid runner (:mod:`repro.sim.sweep`)."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.network.graph import NetworkError
 from repro.sim.sweep import (
@@ -99,6 +102,80 @@ def test_trial_seed_ignores_grid_membership():
     spec = TrialSpec.make("layered", "wormhole", repeat=2)
     direct = trial_seed(spec, 0)
     assert direct.spawn_key == trial_seed(spec, 0).spawn_key
+
+
+def _seed_unmemoised(spec, root_seed):
+    """``trial_seed`` from its definition: a digest of the spec less its
+    repeat, keyed with the root seed; repeat ``i`` is child ``i``."""
+    config = spec.key()
+    config.pop("repeat")
+    blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(blob.encode()).digest()
+    entropy = [root_seed & 0xFFFFFFFF, int.from_bytes(digest[:16], "little")]
+    return np.random.SeedSequence(entropy, spawn_key=(spec.repeat,))
+
+
+def _assert_seeds_match(specs, root_seed):
+    for spec in specs:
+        got, want = trial_seed(spec, root_seed), _seed_unmemoised(spec, root_seed)
+        assert (got.entropy, got.spawn_key) == (want.entropy, want.spawn_key)
+        assert np.array_equal(got.generate_state(4), want.generate_state(4))
+
+
+def test_trial_seed_memo_serves_the_definition_on_the_sweep_grids():
+    """Every spec of the four lockstep sweep grids perfbench times (three
+    chain-bundle models and the adaptive mesh, B in {1, 2, 4}, 128
+    repeats), asked twice: a memo hit serves what a miss computed."""
+    chain = {"chains": 4, "depth": 12, "messages": 8}
+    specs = sweep_grid(
+        "chain-bundle", ["wormhole", "cut_through", "store_forward"],
+        (1, 2, 4), workload_params=chain, message_length=24, repeats=128,
+    ) + sweep_grid(
+        "mesh-permutation", ["adaptive"], (1, 2, 4),
+        workload_params={"k": 6}, message_length=6, repeats=128,
+    )
+    for root_seed in (0, 7, 0):
+        _assert_seeds_match(specs, root_seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    value=st.one_of(
+        st.integers(-3, 3), st.booleans(), st.sampled_from([1.0, 0.0, -0.0]),
+        st.none(), st.text(max_size=3),
+    ),
+    B=st.integers(1, 4),
+    repeat=st.integers(0, 5),
+    root_seed=st.integers(0, 2**40),
+)
+def test_trial_seed_memo_keeps_equal_values_of_other_types_apart(
+    value, B, repeat, root_seed
+):
+    """1, 1.0 and True compare equal but encode differently: each gets
+    its own digest however the memo was filled before."""
+    specs = [
+        TrialSpec.make(
+            "layered", "wormhole", B=B, repeat=repeat,
+            workload_params={"x": v},
+        )
+        for v in (value, 1, 1.0, True, 0.0, -0.0)
+    ]
+    _assert_seeds_match(specs, root_seed)
+
+
+def test_trial_seed_memo_stays_bounded(monkeypatch):
+    from repro.sim import sweep
+
+    monkeypatch.setattr(sweep, "_SEED_CACHE_MAX", 8)
+    monkeypatch.setattr(sweep, "_DIGEST_CACHE", {})
+    monkeypatch.setattr(sweep, "_SEED_CACHE", {})
+    specs = [
+        TrialSpec.make("layered", "wormhole", workload_params={"x": i})
+        for i in range(30)
+    ]
+    _assert_seeds_match(specs, 3)
+    assert 0 < len(sweep._DIGEST_CACHE) <= 8
+    assert 0 < len(sweep._SEED_CACHE) <= 8
 
 
 def test_sweep_grid_shape():
