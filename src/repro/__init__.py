@@ -21,201 +21,114 @@ Quickstart
 True
 """
 
-from . import exec  # noqa: A004 - the subpackage is deliberately ``repro.exec``
-from . import telemetry
-from .analysis.balls_bins import lemma_3_2_3_bound, prob_no_bin_exceeds
-from .facade import MODELS, SIMULATE_MODES, SimResult, simulate
-from .analysis.lll import chernoff_upper_tail, lll_condition
-from .analysis.fitting import PowerLawFit, fit_power_law, loglog_slope
-from .analysis.render import render_butterfly, render_route, render_spacetime
-from .analysis.tables import Table
-from .core import bounds
-from .core.butterfly_lower_bound import (
-    OnePassOutcome,
-    collides,
-    one_pass_route,
-    phase_partition,
-    subset_collision_rate,
-    truncated_paths,
-)
-from .core.benes_routing import route_permutation_benes, route_q_relation_benes
-from .core.butterfly_routing import (
-    ButterflyRouter,
-    ButterflyRoutingResult,
-    arbitrate_levels,
-)
-from .core.coloring import (
-    MessageEdgeIncidence,
-    multiplex_size,
-    reduce_multiplex_size,
-)
-from .core.hypercube_routing import (
-    HypercubeRoutingResult,
-    route_hypercube_permutation,
-)
-from .core.leveled import leveled_bound, random_delay_release, route_leveled_greedy
-from .core.multibutterfly_routing import MultibutterflyRouter
-from .core.online_routing import online_window, route_online_random_delays
-from .core.lower_bound import (
-    HardInstance,
-    build_hard_instance,
-    hard_instance_lower_bound,
-    max_m_prime,
-)
-from .core.schedule import ColorClassSchedule, execute_schedule
-from .core.scheduler import (
-    ScheduleBuild,
-    lll_schedule,
-    naive_coloring_schedule,
-)
-from .network.benes import Benes, waksman_paths
-from .network.butterfly import Butterfly, wrapped_butterfly
-from .network.debruijn import DeBruijn, ShuffleExchange, debruijn_path
-from .network.graph import Network, NetworkError
-from .network.hypercube import Hypercube, bit_fixing_path
-from .network.mesh import KAryNCube, dimension_order_path
-from .network.multibutterfly import Multibutterfly
-from .network.random_networks import (
-    chain_bundle,
-    layered_network,
-    random_walk_paths,
-)
-from .network.tree import CompleteTree, tree_path
-from .routing.decompose import decompose_q_relation
-from .routing.paths import Path, congestion, dilation, path_set_stats
-from .routing.problems import (
-    RoutingInstance,
-    bit_reversal_permutation,
-    random_destinations,
-    random_permutation,
-    random_q_relation,
-    transpose_permutation,
-)
-from .routing.select import select_paths
-from .routing.shortest import bfs_path, shortest_paths
-from .routing.valiant import valiant_path, valiant_paths
-from .sim.adaptive import AdaptiveMeshRouter, AdaptiveRunResult
-from .sim.circuit import CircuitSwitchResult, circuit_switch_butterfly
-from .sim.continuous import ContinuousResult, ContinuousWormholeSimulator
-from .sim.cut_through import CutThroughSimulator
-from .sim.deadlock import (
-    channel_dependency_graph,
-    dateline_vc_assignment,
-    is_deadlock_free,
-)
-from .sim.restricted import RestrictedWormholeSimulator
-from .sim.stats import SimulationResult
-from .sim.store_forward import StoreForwardSimulator
-from .sim.wormhole import WormholeSimulator
+from ._lazy import attach
 
-# Imported last: scenarios build on the facade and the sweep registry,
-# and importing them registers every ``scenario:<name>`` sweep workload
-# (including in the process-backend workers, which import ``repro`` when
-# they unpickle a trial spec).
-from . import fuzz  # noqa: E402
-from . import scenarios  # noqa: E402
+# Public name -> defining submodule, imported on first access.  Importing
+# ``repro`` itself loads nothing else; ``scenario:<name>`` sweep workloads
+# register the first time :mod:`repro.sim.sweep` misses a workload name.
+_EXPORTS = {
+    "AdaptiveMeshRouter": ".sim.adaptive",
+    "AdaptiveRunResult": ".sim.adaptive",
+    "Benes": ".network.benes",
+    "Butterfly": ".network.butterfly",
+    "ButterflyRouter": ".core.butterfly_routing",
+    "ButterflyRoutingResult": ".core.butterfly_routing",
+    "CircuitSwitchResult": ".sim.circuit",
+    "ColorClassSchedule": ".core.schedule",
+    "CompleteTree": ".network.tree",
+    "ContinuousResult": ".sim.continuous",
+    "ContinuousWormholeSimulator": ".sim.continuous",
+    "CutThroughSimulator": ".sim.cut_through",
+    "DeBruijn": ".network.debruijn",
+    "HardInstance": ".core.lower_bound",
+    "Hypercube": ".network.hypercube",
+    "HypercubeRoutingResult": ".core.hypercube_routing",
+    "KAryNCube": ".network.mesh",
+    "MODELS": ".facade",
+    "MessageEdgeIncidence": ".core.coloring",
+    "Multibutterfly": ".network.multibutterfly",
+    "MultibutterflyRouter": ".core.multibutterfly_routing",
+    "Network": ".network.graph",
+    "NetworkError": ".network.graph",
+    "OnePassOutcome": ".core.butterfly_lower_bound",
+    "Path": ".routing.paths",
+    "PowerLawFit": ".analysis.fitting",
+    "RestrictedWormholeSimulator": ".sim.restricted",
+    "RoutingInstance": ".routing.problems",
+    "SIMULATE_MODES": ".facade",
+    "ScheduleBuild": ".core.scheduler",
+    "ShuffleExchange": ".network.debruijn",
+    "SimResult": ".facade",
+    "SimulationResult": ".sim.stats",
+    "StoreForwardSimulator": ".sim.store_forward",
+    "Table": ".analysis.tables",
+    "WormholeSimulator": ".sim.wormhole",
+    "arbitrate_levels": ".core.butterfly_routing",
+    "bfs_path": ".routing.shortest",
+    "bit_fixing_path": ".network.hypercube",
+    "bit_reversal_permutation": ".routing.problems",
+    "bounds": ".core.bounds",
+    "build_hard_instance": ".core.lower_bound",
+    "chain_bundle": ".network.random_networks",
+    "channel_dependency_graph": ".sim.deadlock",
+    "chernoff_upper_tail": ".analysis.lll",
+    "circuit_switch_butterfly": ".sim.circuit",
+    "collides": ".core.butterfly_lower_bound",
+    "congestion": ".routing.paths",
+    "dateline_vc_assignment": ".sim.deadlock",
+    "debruijn_path": ".network.debruijn",
+    "decompose_q_relation": ".routing.decompose",
+    "dilation": ".routing.paths",
+    "dimension_order_path": ".network.mesh",
+    "exec": ".exec",
+    "execute_schedule": ".core.schedule",
+    "fit_power_law": ".analysis.fitting",
+    "fuzz": ".fuzz",
+    "hard_instance_lower_bound": ".core.lower_bound",
+    "is_deadlock_free": ".sim.deadlock",
+    "layered_network": ".network.random_networks",
+    "lemma_3_2_3_bound": ".analysis.balls_bins",
+    "leveled_bound": ".core.leveled",
+    "lll_condition": ".analysis.lll",
+    "lll_schedule": ".core.scheduler",
+    "loglog_slope": ".analysis.fitting",
+    "max_m_prime": ".core.lower_bound",
+    "multiplex_size": ".core.coloring",
+    "naive_coloring_schedule": ".core.scheduler",
+    "one_pass_route": ".core.butterfly_lower_bound",
+    "online_window": ".core.online_routing",
+    "path_set_stats": ".routing.paths",
+    "phase_partition": ".core.butterfly_lower_bound",
+    "prob_no_bin_exceeds": ".analysis.balls_bins",
+    "random_delay_release": ".core.leveled",
+    "random_destinations": ".routing.problems",
+    "random_permutation": ".routing.problems",
+    "random_q_relation": ".routing.problems",
+    "random_walk_paths": ".network.random_networks",
+    "reduce_multiplex_size": ".core.coloring",
+    "render_butterfly": ".analysis.render",
+    "render_route": ".analysis.render",
+    "render_spacetime": ".analysis.render",
+    "route_hypercube_permutation": ".core.hypercube_routing",
+    "route_leveled_greedy": ".core.leveled",
+    "route_online_random_delays": ".core.online_routing",
+    "route_permutation_benes": ".core.benes_routing",
+    "route_q_relation_benes": ".core.benes_routing",
+    "scenarios": ".scenarios",
+    "select_paths": ".routing.select",
+    "shortest_paths": ".routing.shortest",
+    "simulate": ".facade",
+    "subset_collision_rate": ".core.butterfly_lower_bound",
+    "telemetry": ".telemetry",
+    "transpose_permutation": ".routing.problems",
+    "tree_path": ".network.tree",
+    "truncated_paths": ".core.butterfly_lower_bound",
+    "valiant_path": ".routing.valiant",
+    "valiant_paths": ".routing.valiant",
+    "waksman_paths": ".network.benes",
+    "wrapped_butterfly": ".network.butterfly",
+}
+__getattr__, __dir__ = attach(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "AdaptiveMeshRouter",
-    "AdaptiveRunResult",
-    "Benes",
-    "Butterfly",
-    "ButterflyRouter",
-    "ButterflyRoutingResult",
-    "CircuitSwitchResult",
-    "ColorClassSchedule",
-    "CompleteTree",
-    "ContinuousResult",
-    "ContinuousWormholeSimulator",
-    "CutThroughSimulator",
-    "DeBruijn",
-    "HardInstance",
-    "Hypercube",
-    "HypercubeRoutingResult",
-    "KAryNCube",
-    "MODELS",
-    "MessageEdgeIncidence",
-    "Multibutterfly",
-    "MultibutterflyRouter",
-    "Network",
-    "NetworkError",
-    "OnePassOutcome",
-    "Path",
-    "PowerLawFit",
-    "RestrictedWormholeSimulator",
-    "RoutingInstance",
-    "SIMULATE_MODES",
-    "ScheduleBuild",
-    "ShuffleExchange",
-    "SimResult",
-    "SimulationResult",
-    "StoreForwardSimulator",
-    "Table",
-    "WormholeSimulator",
-    "arbitrate_levels",
-    "bfs_path",
-    "bit_fixing_path",
-    "bit_reversal_permutation",
-    "bounds",
-    "build_hard_instance",
-    "chain_bundle",
-    "channel_dependency_graph",
-    "chernoff_upper_tail",
-    "circuit_switch_butterfly",
-    "collides",
-    "congestion",
-    "dateline_vc_assignment",
-    "debruijn_path",
-    "decompose_q_relation",
-    "dilation",
-    "dimension_order_path",
-    "exec",
-    "execute_schedule",
-    "fit_power_law",
-    "fuzz",
-    "hard_instance_lower_bound",
-    "is_deadlock_free",
-    "layered_network",
-    "lemma_3_2_3_bound",
-    "leveled_bound",
-    "lll_condition",
-    "lll_schedule",
-    "loglog_slope",
-    "max_m_prime",
-    "multiplex_size",
-    "naive_coloring_schedule",
-    "one_pass_route",
-    "online_window",
-    "path_set_stats",
-    "phase_partition",
-    "prob_no_bin_exceeds",
-    "random_delay_release",
-    "random_destinations",
-    "random_permutation",
-    "random_q_relation",
-    "random_walk_paths",
-    "reduce_multiplex_size",
-    "render_butterfly",
-    "render_route",
-    "render_spacetime",
-    "route_hypercube_permutation",
-    "route_leveled_greedy",
-    "route_online_random_delays",
-    "route_permutation_benes",
-    "route_q_relation_benes",
-    "scenarios",
-    "select_paths",
-    "shortest_paths",
-    "simulate",
-    "subset_collision_rate",
-    "telemetry",
-    "transpose_permutation",
-    "tree_path",
-    "truncated_paths",
-    "valiant_path",
-    "valiant_paths",
-    "waksman_paths",
-    "wrapped_butterfly",
-]

@@ -1,62 +1,35 @@
 """Probabilistic toolbox and experiment reporting."""
 
-from .balls_bins import (
-    lemma_3_2_3_bound,
-    max_load_samples,
-    per_bin_overflow_lower_bound,
-    prob_no_bin_exceeds,
-)
-from .circuit_recursion import (
-    edge_load_distribution,
-    expected_survivors,
-    kruskal_snir_b1_probability,
-)
-from .estimate import (
-    ESTIMATABLE_MODELS,
-    DelayEnvelope,
-    EstimateError,
-    estimate_paths,
-    estimate_spec,
-    estimate_workload,
-)
-from .fitting import PowerLawFit, fit_power_law, loglog_slope
-from .lll import (
-    bad_event_probability_case12,
-    bad_event_probability_case3,
-    binomial,
-    chernoff_upper_tail,
-    lll_condition,
-    log_binomial,
-)
-from .render import render_butterfly, render_route, render_spacetime
-from .tables import Table, format_value
+from .._lazy import attach
 
-__all__ = [
-    "DelayEnvelope",
-    "ESTIMATABLE_MODELS",
-    "EstimateError",
-    "PowerLawFit",
-    "Table",
-    "bad_event_probability_case12",
-    "bad_event_probability_case3",
-    "binomial",
-    "chernoff_upper_tail",
-    "edge_load_distribution",
-    "estimate_paths",
-    "estimate_spec",
-    "estimate_workload",
-    "expected_survivors",
-    "fit_power_law",
-    "format_value",
-    "kruskal_snir_b1_probability",
-    "lemma_3_2_3_bound",
-    "lll_condition",
-    "log_binomial",
-    "loglog_slope",
-    "max_load_samples",
-    "per_bin_overflow_lower_bound",
-    "prob_no_bin_exceeds",
-    "render_butterfly",
-    "render_route",
-    "render_spacetime",
-]
+_EXPORTS = {
+    "DelayEnvelope": ".estimate",
+    "ESTIMATABLE_MODELS": ".estimate",
+    "EstimateError": ".estimate",
+    "PowerLawFit": ".fitting",
+    "Table": ".tables",
+    "bad_event_probability_case12": ".lll",
+    "bad_event_probability_case3": ".lll",
+    "binomial": ".lll",
+    "chernoff_upper_tail": ".lll",
+    "edge_load_distribution": ".circuit_recursion",
+    "estimate_paths": ".estimate",
+    "estimate_spec": ".estimate",
+    "estimate_workload": ".estimate",
+    "expected_survivors": ".circuit_recursion",
+    "fit_power_law": ".fitting",
+    "format_value": ".tables",
+    "kruskal_snir_b1_probability": ".circuit_recursion",
+    "lemma_3_2_3_bound": ".balls_bins",
+    "lll_condition": ".lll",
+    "log_binomial": ".lll",
+    "loglog_slope": ".fitting",
+    "max_load_samples": ".balls_bins",
+    "per_bin_overflow_lower_bound": ".balls_bins",
+    "prob_no_bin_exceeds": ".balls_bins",
+    "render_butterfly": ".render",
+    "render_route": ".render",
+    "render_spacetime": ".render",
+}
+__getattr__, __dir__ = attach(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

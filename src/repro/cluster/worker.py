@@ -43,6 +43,8 @@ __all__ = ["WorkerHandle", "WorkerSupervisor"]
 
 #: Seconds to wait for a spawned worker to publish its port.
 SPAWN_TIMEOUT_S = 60.0
+#: Seconds between checks for that port; a worker starts in ~0.2 s.
+SPAWN_POLL_S = 0.01
 #: Consecutive failed respawns of one slot before giving up on it.
 MAX_RESPAWNS = 5
 #: Base of the respawn backoff (doubles per consecutive failure).
@@ -172,7 +174,7 @@ class WorkerSupervisor:
                 handle.consecutive_failures = 0
                 self.stats.counters.bump("completed")
                 return
-            await asyncio.sleep(0.05)
+            await asyncio.sleep(SPAWN_POLL_S)
         raise RuntimeError(
             f"worker slot {handle.slot} did not publish a port within "
             f"{SPAWN_TIMEOUT_S}s (log: {handle.log_file})"

@@ -282,7 +282,15 @@ _WORKLOAD_CACHE_MAX = 8
 
 
 def _builder(name: str) -> Callable[..., Workload]:
-    """The registered builder; every unknown-name error is raised here."""
+    """The registered builder; every unknown-name error is raised here.
+
+    ``scenario:<name>`` builders register when :mod:`repro.scenarios` is
+    imported, so a miss pulls it in before giving up — a process that
+    never touched the scenario library (a tier, a pool worker) still
+    resolves them, and the error lists them.
+    """
+    if name not in WORKLOADS:
+        from .. import scenarios  # noqa: F401
     try:
         return WORKLOADS[name]
     except KeyError:

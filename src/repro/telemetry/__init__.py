@@ -27,62 +27,35 @@ Usage::
     print(render_report(probes, result))
 """
 
-from .collectors import (
-    BufferOccupancyCollector,
-    ChannelUtilizationCollector,
-    EdgeContentionCollector,
-    StallAttributionCollector,
-    ThroughputCollector,
-    TraceSnapshotCollector,
-    standard_collectors,
-)
-from .metrics import (
-    DepthGauge,
-    EventCounter,
-    LatencyRecorder,
-    SizeHistogram,
-    StateGauge,
-    quantile,
-)
-from .probe import Probe, ProbeSet, RunMeta
-from .report import render_report
-from .trace import (
-    TRACE_FORMAT,
-    TRACE_VERSION,
-    Trace,
-    TraceError,
-    TraceRecorder,
-    load_trace,
-    replay_check,
-    write_trace,
-)
-from .watchdog import Watchdog
+from .._lazy import attach
 
-__all__ = [
-    "BufferOccupancyCollector",
-    "ChannelUtilizationCollector",
-    "DepthGauge",
-    "EdgeContentionCollector",
-    "EventCounter",
-    "LatencyRecorder",
-    "Probe",
-    "ProbeSet",
-    "RunMeta",
-    "SizeHistogram",
-    "StallAttributionCollector",
-    "StateGauge",
-    "ThroughputCollector",
-    "TRACE_FORMAT",
-    "TRACE_VERSION",
-    "Trace",
-    "TraceError",
-    "TraceRecorder",
-    "TraceSnapshotCollector",
-    "Watchdog",
-    "load_trace",
-    "quantile",
-    "render_report",
-    "replay_check",
-    "standard_collectors",
-    "write_trace",
-]
+_EXPORTS = {
+    "BufferOccupancyCollector": ".collectors",
+    "ChannelUtilizationCollector": ".collectors",
+    "DepthGauge": ".metrics",
+    "EdgeContentionCollector": ".collectors",
+    "EventCounter": ".metrics",
+    "LatencyRecorder": ".metrics",
+    "Probe": ".probe",
+    "ProbeSet": ".probe",
+    "RunMeta": ".probe",
+    "SizeHistogram": ".metrics",
+    "StallAttributionCollector": ".collectors",
+    "StateGauge": ".metrics",
+    "ThroughputCollector": ".collectors",
+    "TRACE_FORMAT": ".trace",
+    "TRACE_VERSION": ".trace",
+    "Trace": ".trace",
+    "TraceError": ".trace",
+    "TraceRecorder": ".trace",
+    "TraceSnapshotCollector": ".collectors",
+    "Watchdog": ".watchdog",
+    "load_trace": ".trace",
+    "quantile": ".metrics",
+    "render_report": ".report",
+    "replay_check": ".trace",
+    "standard_collectors": ".collectors",
+    "write_trace": ".trace",
+}
+__getattr__, __dir__ = attach(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)
