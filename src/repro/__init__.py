@@ -49,7 +49,7 @@ _EXPORTS = {
     "Multibutterfly": ".network.multibutterfly",
     "MultibutterflyRouter": ".core.multibutterfly_routing",
     "Network": ".network.graph",
-    "NetworkError": ".network.graph",
+    "NetworkError": ".network.errors",
     "OnePassOutcome": ".core.butterfly_lower_bound",
     "Path": ".routing.paths",
     "PowerLawFit": ".analysis.fitting",

@@ -16,7 +16,8 @@ Paper pipelines, each a small reproducible demonstration:
     Worm spacetime diagram of a small contended run.
 ``experiment`` / ``reproduce``
     Regenerate one paper experiment (``e1``..``e18``, ``perf``) from
-    ``benchmarks/``, or all of them into ``ALL_RESULTS.txt``.
+    ``benchmarks/``, or all of them; each rewrites its own tables in
+    ``benchmarks/results/``.
 
 Simulation tooling:
 
@@ -59,8 +60,6 @@ import argparse
 import dataclasses
 from collections.abc import Callable, Sequence
 from typing import NamedTuple
-
-import numpy as np
 
 __all__ = ["COMMANDS", "FLAGS", "build_parser", "main"]
 
@@ -332,6 +331,8 @@ def _cmd_demo(args: argparse.Namespace) -> None:
 
 @command("butterfly", "Section 3.1 q-relation router", "n=64 q channels=2 length seed")
 def _cmd_butterfly(args: argparse.Namespace) -> None:
+    import numpy as np
+
     from repro import ButterflyRouter, Table, bounds, random_q_relation
 
     inst = random_q_relation(args.n, args.q, np.random.default_rng(args.seed))
@@ -361,6 +362,8 @@ def _cmd_butterfly(args: argparse.Namespace) -> None:
     "schedule", "Theorem 2.1.6 schedule pipeline", "width depth messages length=10 seed"
 )
 def _cmd_schedule(args: argparse.Namespace) -> None:
+    import numpy as np
+
     from repro import Table
     from repro.core.scheduler import run_lll_schedule
     from repro.sim.sweep import build_workload
@@ -502,6 +505,8 @@ def _cmd_profile(args: argparse.Namespace) -> None:
 
 def _profile_workload(args: argparse.Namespace, probes):
     """Instrument one ``--workload`` choice, built by the sweep registry."""
+    import numpy as np
+
     from repro import simulate
     from repro.core.scheduler import run_lll_schedule
     from repro.sim.sweep import build_workload
@@ -850,7 +855,7 @@ def _cmd_scenario_run(args: argparse.Namespace) -> None:
     import inspect
 
     from repro import Table
-    from repro.network.graph import NetworkError
+    from repro.network.errors import NetworkError
     from repro.scenarios import get_scenario
 
     scen = get_scenario(args.name)
@@ -984,10 +989,10 @@ def _cmd_experiment(args: argparse.Namespace) -> None:
 
 @command(
     "reproduce",
-    "run every experiment and assemble benchmarks/results/ALL_RESULTS.txt",
+    "run every experiment, rewriting each table in benchmarks/results/",
 )
 def _cmd_reproduce(args: argparse.Namespace) -> None:
-    """Run the full benchmark suite, then bundle every result table."""
+    """Run the full benchmark suite; each experiment writes its tables."""
     bench_dir = _find_bench_dir()
     proc = _run_benchmarks(bench_dir, str(bench_dir))
     summary = next(
@@ -998,12 +1003,6 @@ def _cmd_reproduce(args: argparse.Namespace) -> None:
     if proc.returncode != 0:
         print(proc.stdout[-3000:])
         raise SystemExit("reproduction run failed")
-    results_dir = bench_dir / "results"
-    bundle = results_dir / "ALL_RESULTS.txt"
-    # "e*.txt" never matches the bundle itself.
-    parts = [f.read_text().rstrip() for f in sorted(results_dir.glob("e*.txt"))]
-    bundle.write_text("\n\n".join(parts) + "\n")
-    print(f"{len(parts)} tables bundled into {bundle}")
 
 
 def _run_benchmarks(bench_dir, *pytest_args: str):
@@ -1046,7 +1045,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    from repro.network.graph import NetworkError
+    from repro.network.errors import NetworkError
 
     args = build_parser().parse_args(argv)
     leaf = getattr(args, f"{args.command}_command", None)

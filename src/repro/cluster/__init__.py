@@ -8,7 +8,7 @@ onto one physical link:
 
 * :mod:`~repro.cluster.hashing` — a deterministic consistent-hash
   ring over worker slots, keyed by
-  :func:`~repro.sim.batch.batch_compat_key`, so *compatible* requests
+  :func:`~repro.sim.spec.batch_compat_key`, so *compatible* requests
   land on the same worker and coalesce into the large lockstep batches
   the kernels are fast at;
 * :mod:`~repro.cluster.worker` — worker lifecycle: spawn ``repro
@@ -21,6 +21,10 @@ onto one physical link:
   per-request retry/fallback so a worker crash never drops an accepted
   request, aggregated ``health``/``stats``.
 
+The router holds no simulator: it parses, keys, hashes and forwards
+trials through the NumPy-free :mod:`repro.sim.spec`, and the workers
+run them.
+
 Usage::
 
     # router + 2 workers, one process tree
@@ -30,14 +34,14 @@ Usage::
     repro loadgen --port 7900 --requests 64 --shutdown
 """
 
-from .hashing import HashRing
-from .router import ClusterConfig, ClusterRouter
-from .worker import WorkerHandle, WorkerSupervisor
+from .._lazy import attach
 
-__all__ = [
-    "ClusterConfig",
-    "ClusterRouter",
-    "HashRing",
-    "WorkerHandle",
-    "WorkerSupervisor",
-]
+_EXPORTS = {
+    "ClusterConfig": ".router",
+    "ClusterRouter": ".router",
+    "HashRing": ".hashing",
+    "WorkerHandle": ".worker",
+    "WorkerSupervisor": ".worker",
+}
+__getattr__, __dir__ = attach(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -1,7 +1,7 @@
 """Consistent hashing of batch-compat keys onto worker slots.
 
 The router shards ``run`` requests by their
-:func:`~repro.sim.batch.batch_compat_key` — the tuple that decides
+:func:`~repro.sim.spec.batch_compat_key` — the tuple that decides
 whether two trials may share a lockstep batch.  Routing on *that* key
 (rather than on the request id or a round-robin counter) is what makes
 sharding compose with batching: every request that could coalesce into

@@ -7,11 +7,11 @@
 
 1. answers repeat ``run`` requests from the shared
    :class:`~repro.cache.ResultCache` (keyed by
-   :meth:`~repro.sim.sweep.TrialSpec.cache_key`, the sweep's content
+   :meth:`~repro.sim.spec.TrialSpec.cache_key`, the sweep's content
    hash) *before* spending any worker compute — cache hits carry
    ``"cached": true`` and ``batched: 0``;
 2. shards misses across workers by consistent hashing on
-   :func:`~repro.service.batcher.batch_compat_key`, so every request
+   :func:`~repro.sim.spec.batch_compat_key`, so every request
    that *could* share a lockstep batch reaches the same worker's
    :class:`~repro.service.batcher.DynamicBatcher` and actually does;
 3. retries a forward whose worker died mid-flight: the
@@ -27,6 +27,12 @@
 hit/miss + per-slot liveness + summed worker batch occupancy, with
 ``worker_restarts`` surfaced top-level exactly like the process
 backend's, so the crash-recovery smoke reads either layer the same way.
+
+The router process imports no simulator: parsing, keys and the ring go
+through :mod:`repro.sim.spec`, which needs no NumPy.  Only two requests
+pull more in, each on first use: a ``scenario:`` workload name
+(:mod:`repro.scenarios` registers those) and a ``mode=estimate`` run
+(:mod:`repro.analysis.estimate`).
 """
 
 from __future__ import annotations
@@ -37,8 +43,8 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..cache import ResultCache
-from ..service.batcher import batch_compat_key
 from ..service.client import ServiceClient, ServiceConnectionError
+from ..service.config import ServiceConfig
 from ..service.endpoint import Endpoint
 from ..service.protocol import (
     STATUS_OK,
@@ -46,7 +52,7 @@ from ..service.protocol import (
     ok_response,
     reject_response,
 )
-from ..service.server import ServiceConfig
+from ..sim.spec import batch_compat_key
 from .hashing import HashRing
 from .worker import SPAWN_TIMEOUT_S, WorkerSupervisor
 

@@ -37,13 +37,15 @@ from typing import Any
 from ..cli import COMMANDS
 from ..exec.base import ExecStats
 from ..service.client import ServiceClient, ServiceConnectionError
-from ..service.server import ServiceConfig
+from ..service.config import ServiceConfig
 
 __all__ = ["WorkerHandle", "WorkerSupervisor"]
 
 #: Seconds to wait for a spawned worker to publish its port.
 SPAWN_TIMEOUT_S = 60.0
-#: Seconds between checks for that port; a worker starts in ~0.2 s.
+#: Seconds between checks for that port.  On a 2-core host one worker
+#: started alone publishes it in ~0.25 s; two started together share the
+#: cores and take ~0.35-0.45 s.
 SPAWN_POLL_S = 0.01
 #: Consecutive failed respawns of one slot before giving up on it.
 MAX_RESPAWNS = 5

@@ -20,24 +20,17 @@ to a serial :class:`~repro.sim.wormhole.WormholeSimulator` run, which
 is what the service's loadgen gate and the sweep's golden tests pin.
 """
 
-from .base import (
-    BACKENDS,
-    ExecStats,
-    ExecutionBackend,
-    ExecutionError,
-    create_backend,
-)
-from .inline import InlineBackend
-from .process import ProcessPoolBackend
-from .thread import ThreadBackend
+from .._lazy import attach
 
-__all__ = [
-    "BACKENDS",
-    "ExecStats",
-    "ExecutionBackend",
-    "ExecutionError",
-    "InlineBackend",
-    "ProcessPoolBackend",
-    "ThreadBackend",
-    "create_backend",
-]
+_EXPORTS = {
+    "BACKENDS": ".base",
+    "ExecStats": ".base",
+    "ExecutionBackend": ".base",
+    "ExecutionError": ".base",
+    "InlineBackend": ".inline",
+    "ProcessPoolBackend": ".process",
+    "ThreadBackend": ".thread",
+    "create_backend": ".base",
+}
+__getattr__, __dir__ = attach(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -1,36 +1,30 @@
 """Topology substrate: networks the paper's algorithms run on."""
 
-from .benes import Benes, looping_assignment, waksman_paths
-from .butterfly import Butterfly, is_power_of_two, wrapped_butterfly
-from .debruijn import DeBruijn, ShuffleExchange, debruijn_path
-from .graph import EdgeView, Network, NetworkError
-from .hypercube import Hypercube, bit_fixing_path
-from .mesh import KAryNCube, dimension_order_path
-from .multibutterfly import Multibutterfly
-from .random_networks import chain_bundle, layered_network, random_walk_paths
-from .tree import CompleteTree, tree_path
+from .._lazy import attach
 
-__all__ = [
-    "Benes",
-    "Butterfly",
-    "CompleteTree",
-    "DeBruijn",
-    "EdgeView",
-    "Hypercube",
-    "KAryNCube",
-    "Multibutterfly",
-    "Network",
-    "NetworkError",
-    "ShuffleExchange",
-    "bit_fixing_path",
-    "chain_bundle",
-    "debruijn_path",
-    "dimension_order_path",
-    "is_power_of_two",
-    "layered_network",
-    "looping_assignment",
-    "random_walk_paths",
-    "tree_path",
-    "waksman_paths",
-    "wrapped_butterfly",
-]
+_EXPORTS = {
+    "Benes": ".benes",
+    "Butterfly": ".butterfly",
+    "CompleteTree": ".tree",
+    "DeBruijn": ".debruijn",
+    "EdgeView": ".graph",
+    "Hypercube": ".hypercube",
+    "KAryNCube": ".mesh",
+    "Multibutterfly": ".multibutterfly",
+    "Network": ".graph",
+    "NetworkError": ".errors",
+    "ShuffleExchange": ".debruijn",
+    "bit_fixing_path": ".hypercube",
+    "chain_bundle": ".random_networks",
+    "debruijn_path": ".debruijn",
+    "dimension_order_path": ".mesh",
+    "is_power_of_two": ".butterfly",
+    "layered_network": ".random_networks",
+    "looping_assignment": ".benes",
+    "random_walk_paths": ".random_networks",
+    "tree_path": ".tree",
+    "waksman_paths": ".benes",
+    "wrapped_butterfly": ".butterfly",
+}
+__getattr__, __dir__ = attach(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -32,11 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NetworkError
+
 __all__ = ["Network", "NetworkError", "EdgeView"]
-
-
-class NetworkError(ValueError):
-    """Raised for structurally invalid network operations."""
 
 
 @dataclass(frozen=True)

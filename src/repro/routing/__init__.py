@@ -1,64 +1,37 @@
 """Path substrate: routes, routing problems, and path selection."""
 
-from .decompose import decompose_q_relation
-from .paths import (
-    Path,
-    PathSetStats,
-    check_edge_simple,
-    congestion,
-    dilation,
-    edge_loads,
-    path_set_stats,
-    paths_from_node_walks,
-)
-from .problems import (
-    RoutingInstance,
-    bit_reversal_permutation,
-    is_q_relation,
-    random_destinations,
-    random_permutation,
-    random_q_relation,
-    transpose_permutation,
-)
-from .select import SelectionResult, min_penalty_path, select_paths
-from .traffic import (
-    bit_complement_traffic,
-    hotspot_traffic,
-    neighbor_traffic,
-    tornado_traffic,
-    uniform_traffic,
-)
-from .shortest import bfs_path, bfs_tree, shortest_paths
-from .valiant import valiant_path, valiant_paths
+from .._lazy import attach
 
-__all__ = [
-    "Path",
-    "PathSetStats",
-    "RoutingInstance",
-    "SelectionResult",
-    "bfs_path",
-    "bfs_tree",
-    "bit_complement_traffic",
-    "bit_reversal_permutation",
-    "check_edge_simple",
-    "congestion",
-    "decompose_q_relation",
-    "dilation",
-    "edge_loads",
-    "hotspot_traffic",
-    "is_q_relation",
-    "min_penalty_path",
-    "neighbor_traffic",
-    "path_set_stats",
-    "paths_from_node_walks",
-    "random_destinations",
-    "random_permutation",
-    "random_q_relation",
-    "select_paths",
-    "shortest_paths",
-    "tornado_traffic",
-    "transpose_permutation",
-    "uniform_traffic",
-    "valiant_path",
-    "valiant_paths",
-]
+_EXPORTS = {
+    "Path": ".paths",
+    "PathSetStats": ".paths",
+    "RoutingInstance": ".problems",
+    "SelectionResult": ".select",
+    "bfs_path": ".shortest",
+    "bfs_tree": ".shortest",
+    "bit_complement_traffic": ".traffic",
+    "bit_reversal_permutation": ".problems",
+    "check_edge_simple": ".paths",
+    "congestion": ".paths",
+    "decompose_q_relation": ".decompose",
+    "dilation": ".paths",
+    "edge_loads": ".paths",
+    "hotspot_traffic": ".traffic",
+    "is_q_relation": ".problems",
+    "min_penalty_path": ".select",
+    "neighbor_traffic": ".traffic",
+    "path_set_stats": ".paths",
+    "paths_from_node_walks": ".paths",
+    "random_destinations": ".problems",
+    "random_permutation": ".problems",
+    "random_q_relation": ".problems",
+    "select_paths": ".select",
+    "shortest_paths": ".shortest",
+    "tornado_traffic": ".traffic",
+    "transpose_permutation": ".problems",
+    "uniform_traffic": ".traffic",
+    "valiant_path": ".valiant",
+    "valiant_paths": ".valiant",
+}
+__getattr__, __dir__ = attach(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

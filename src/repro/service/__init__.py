@@ -10,17 +10,23 @@ generator:
 * :mod:`~repro.service.admission` — the bounded admission queue whose
   full-queue rejects carry a drain-time estimate (backpressure);
 * :mod:`~repro.service.batcher` — dynamic batching of compatible
-  requests (shared :func:`~repro.sim.batch.batch_compat_key`) into
+  requests (shared :func:`~repro.sim.spec.batch_compat_key`) into
   :func:`~repro.sim.batch.run_wormhole_batch` calls under a
   max-batch / max-wait policy, with deadline cancellation;
 * :mod:`~repro.service.endpoint` — the one v1 endpoint both tiers
   subclass: acceptor, op table, estimate fast path, graceful draining
   shutdown, and the :func:`serve` signal/banner scaffold;
+* :mod:`~repro.service.config` — :class:`ServiceConfig` and
+  :class:`BatchPolicy`, the tier's tunables as pure data;
 * :mod:`~repro.service.server` — :class:`SimulationService`, the
   endpoint whose ``dispatch`` admits into the batcher, plus its
   ``health`` / ``stats`` bodies;
 * :mod:`~repro.service.client` — :class:`ServiceClient` and the
   bit-exactness-verifying load generator behind ``repro loadgen``.
+
+Names resolve on first access (:mod:`repro._lazy`), so a process that
+only speaks the protocol — the cluster router — never loads the batcher
+or the simulator behind it.
 
 Responses are bit-identical to serial :class:`~repro.sim.wormhole
 .WormholeSimulator` runs with sweep-derived seeds, whatever batch
@@ -38,56 +44,35 @@ Usage::
         )
 """
 
-from .admission import AdmissionQueue, PendingRequest, QueueFullError
-from .batcher import BatchPolicy, DynamicBatcher, execute_compatible
-from .client import (
-    LoadgenConfig,
-    ServiceClient,
-    ServiceConnectionError,
-    ServiceTimeoutError,
-    run_loadgen,
-)
-from .endpoint import Endpoint, serve
-from .protocol import (
-    PROTOCOL_VERSION,
-    STATUS_ERROR,
-    STATUS_EXPIRED,
-    STATUS_OK,
-    STATUS_REJECTED,
-    ProtocolError,
-    RunRequest,
-    UnsupportedVersionError,
-    check_version,
-    decode_message,
-    encode_message,
-)
-from .server import ServiceConfig, SimulationService
+from .._lazy import attach
 
-__all__ = [
-    "AdmissionQueue",
-    "BatchPolicy",
-    "DynamicBatcher",
-    "Endpoint",
-    "LoadgenConfig",
-    "PROTOCOL_VERSION",
-    "PendingRequest",
-    "ProtocolError",
-    "QueueFullError",
-    "RunRequest",
-    "STATUS_ERROR",
-    "STATUS_EXPIRED",
-    "STATUS_OK",
-    "STATUS_REJECTED",
-    "ServiceClient",
-    "ServiceConfig",
-    "ServiceConnectionError",
-    "ServiceTimeoutError",
-    "SimulationService",
-    "UnsupportedVersionError",
-    "check_version",
-    "decode_message",
-    "encode_message",
-    "execute_compatible",
-    "run_loadgen",
-    "serve",
-]
+_EXPORTS = {
+    "AdmissionQueue": ".admission",
+    "BatchPolicy": ".config",
+    "DynamicBatcher": ".batcher",
+    "Endpoint": ".endpoint",
+    "LoadgenConfig": ".client",
+    "PROTOCOL_VERSION": ".protocol",
+    "PendingRequest": ".admission",
+    "ProtocolError": ".protocol",
+    "QueueFullError": ".admission",
+    "RunRequest": ".protocol",
+    "STATUS_ERROR": ".protocol",
+    "STATUS_EXPIRED": ".protocol",
+    "STATUS_OK": ".protocol",
+    "STATUS_REJECTED": ".protocol",
+    "ServiceClient": ".client",
+    "ServiceConfig": ".config",
+    "ServiceConnectionError": ".client",
+    "ServiceTimeoutError": ".client",
+    "SimulationService": ".server",
+    "UnsupportedVersionError": ".protocol",
+    "check_version": ".protocol",
+    "decode_message": ".protocol",
+    "encode_message": ".protocol",
+    "execute_compatible": ".batcher",
+    "run_loadgen": ".client",
+    "serve": ".endpoint",
+}
+__getattr__, __dir__ = attach(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

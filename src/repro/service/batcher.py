@@ -5,7 +5,7 @@ inference servers use.  One asyncio task loops forever:
 
 1. wait for the admission queue to be non-empty;
 2. take the *oldest* request's compatibility key
-   (:func:`repro.sim.batch.batch_compat_key` — shared verbatim with the
+   (:func:`repro.sim.spec.batch_compat_key` — shared verbatim with the
    sweep packer, so offline and online batching can never disagree on
    what "compatible" means) and hold a coalescing window open until
    the first of three conditions, checked in this order, closes it:
@@ -62,12 +62,12 @@ from __future__ import annotations
 
 import asyncio
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Any
 
-from ..sim.batch import batch_compat_key
+from ..sim.spec import batch_compat_key
 from ..sim.sweep import execute_compatible
 from .admission import AdmissionQueue, PendingRequest
+from .config import BatchPolicy
 from .protocol import error_response, expired_response, ok_response
 
 __all__ = ["BatchPolicy", "CLOSED_BY", "DynamicBatcher", "execute_compatible"]
@@ -75,31 +75,6 @@ __all__ = ["BatchPolicy", "CLOSED_BY", "DynamicBatcher", "execute_compatible"]
 #: Why a coalescing window closed, in the order the conditions are
 #: checked (``drain``: shutdown flushed it without waiting).
 CLOSED_BY = ("full", "idle", "timeout", "drain")
-
-
-@dataclass(frozen=True)
-class BatchPolicy:
-    """When a coalescing window closes.
-
-    Three conditions, first one wins: ``max_batch`` compatible requests
-    are queued (caps trials per lockstep call); every open connection
-    already has a run queued, so nobody is left who could join (no
-    knob — exact, because the endpoint reads a connection's next line
-    only after answering its last); or ``max_wait_ms`` has passed since
-    the *oldest* queued request was admitted — the cap on how long it
-    waits for company while some connected peer sits idle.
-    """
-
-    max_batch: int = 32
-    max_wait_ms: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_wait_ms < 0:
-            raise ValueError(
-                f"max_wait_ms must be >= 0, got {self.max_wait_ms}"
-            )
 
 
 class DynamicBatcher:

@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..sim.sweep import TrialSpec, _execute_trial
+from ..sim.spec import TrialSpec
 from .protocol import (
     MAX_LINE_BYTES,
     MODE_EXACT,
@@ -405,6 +405,8 @@ async def run_loadgen(
                 local = estimate_spec(spec).to_metrics()
                 oracle = "local estimate"
             else:
+                from ..sim.sweep import _execute_trial
+
                 local, _ = _execute_trial((spec, config.root_seed))
                 oracle = "serial replay"
             verified += 1

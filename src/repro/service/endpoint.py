@@ -21,7 +21,9 @@ Graceful shutdown (``shutdown`` op, or SIGINT/SIGTERM under
 connections, reject new ``run`` admissions with a ``draining``
 backpressure response, wait until every admitted run has resolved and
 its response has been written, let the tier stop what it owns, then
-close.  No admitted request is ever dropped or answered partially.
+close.  No admitted request is ever dropped or answered partially; a
+peer that stops reading is hung up on after :data:`SEND_TIMEOUT_S`, so
+it cannot hold the drain open.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import contextlib
 import signal
 from typing import Any
 
-from ..network.graph import NetworkError
+from ..network.errors import NetworkError
 from ..telemetry.metrics import EventCounter, LatencyRecorder
 from .protocol import (
     MAX_LINE_BYTES,
@@ -61,6 +63,9 @@ DRAIN_RETRY_AFTER_MS = 1000.0
 #: the error reply.  Closing with the sender's bytes still unread resets
 #: the connection, which can destroy the reply before it is read.
 OVERLONG_LINGER_S = 1.0
+#: How long a reply may wait for a peer that is not reading it; on
+#: expiry the connection is aborted.
+SEND_TIMEOUT_S = 30.0
 
 
 class Endpoint(abc.ABC):
@@ -189,7 +194,9 @@ class Endpoint(abc.ABC):
         task.add_done_callback(self._conn_tasks.discard)
         self._writers.add(writer)
         try:
-            while True:
+            # A closing writer (``_send`` aborted a peer that stopped
+            # reading) can answer nothing: leave its buffered lines unread.
+            while not writer.is_closing():
                 try:
                     line = await reader.readline()
                 except ValueError:
@@ -345,7 +352,18 @@ class Endpoint(abc.ABC):
     ) -> None:
         try:
             writer.write(encode_message(msg))
-            await writer.drain()
+            drain = writer.drain()
+            if writer.transport.get_write_buffer_size():
+                # The socket did not take the whole reply, so the peer is
+                # behind and drain() may block.  Only then is the wait
+                # bounded: wait_for costs a task, and the usual reply
+                # leaves the buffer empty.
+                drain = asyncio.wait_for(drain, SEND_TIMEOUT_S)
+            await drain
+        except asyncio.TimeoutError:
+            # A peer that stopped reading: hang up on it rather than let
+            # it hold ``in_flight`` and the graceful drain open forever.
+            writer.transport.abort()
         except (ConnectionResetError, BrokenPipeError, RuntimeError):
             pass  # client went away; the drain ledger still balances
 

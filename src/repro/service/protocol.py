@@ -63,8 +63,8 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-from ..network.graph import NetworkError
-from ..sim.sweep import TrialSpec
+from ..network.errors import NetworkError
+from ..sim.spec import TrialSpec
 
 __all__ = [
     "MODE_ESTIMATE",

@@ -39,8 +39,12 @@ per buffer model (kernel class, per-trial knob keyword, arbitration
 option and its default, problem kind, telemetry capability, step-cap
 rule), and :func:`run_model` is the one dispatch over it — the sweep
 runner, the service batcher and :func:`repro.simulate` all reach a model
-through it, so a new buffer model is one kernel class and one row;
-``run_<model>_batch`` is its typed name.
+through it, so a new buffer model is one kernel class and one row (plus
+its name in the NumPy-free :data:`repro.sim.spec.SIMULATORS`, which
+:mod:`repro.sim.sweep` checks against this table at import);
+``run_<model>_batch`` is its typed name.  :func:`batch_compat_key`,
+which decides who may share a call, lives in :mod:`repro.sim.spec` and
+is re-exported here.
 
 Bit-exactness contract
 ----------------------
@@ -95,6 +99,7 @@ from .kernels import (
     StoreForwardKernel,
     WormholeKernel,
 )
+from .spec import batch_compat_key
 from .stats import AdaptiveRunResult, SimulationResult
 
 __all__ = [
@@ -304,32 +309,6 @@ def resolve_step_cap(max_steps: int | None, model: str, **dims):
     if max_steps is not None:
         return int(max_steps)
     return default_step_cap(model, **dims)
-
-
-def batch_compat_key(spec) -> tuple:
-    """What makes two sweep cells / service requests lockstep-compatible.
-
-    Trials sharing this key can ride in one ``run_<model>_batch`` call:
-    they share the model, the workload (hence the path matrix), ``L``,
-    and the sim params (hence the priority discipline), while the
-    per-trial knob (``B``, buffer size, bandwidth) varies per trial via
-    the batch engine's per-trial capacities and seeds stay per-trial by
-    construction.  ``repeat`` only separates derived seeds, so it never
-    splits a batch.
-
-    Both packers — :func:`repro.sim.sweep.run_sweep` and the
-    :class:`repro.service.batcher.DynamicBatcher` — key on this one
-    helper, so "compatible" cannot drift between the offline and online
-    paths.  ``spec`` is any object with the :class:`~repro.sim.sweep
-    .TrialSpec` identity fields.
-    """
-    return (
-        spec.simulator,
-        spec.workload,
-        spec.workload_params,
-        spec.message_length,
-        spec.sim_params,
-    )
 
 
 def run_model(

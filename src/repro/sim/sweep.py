@@ -6,7 +6,9 @@ handful of scalars.  This module centralizes that loop as a *trial grid*:
 
 * a :class:`TrialSpec` names one (workload, simulator, ``B``, repeat)
   cell declaratively — everything needed to run the trial is in the spec,
-  so trials can be shipped to worker processes or keyed into a cache;
+  so trials can be shipped to worker processes or keyed into a cache
+  (the spec and the registries it names live in the NumPy-free
+  :mod:`repro.sim.spec`; this module re-exports them);
 * :func:`run_sweep` executes a list of specs on any
   :mod:`repro.exec` backend — inline, thread pool, or the
   fault-tolerant :class:`~repro.exec.process.ProcessPoolBackend`
@@ -44,16 +46,24 @@ import json
 import os
 import time
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, NamedTuple
 
 import numpy as np
 
-from ..cache import CACHE_VERSION as _CACHE_VERSION
 from ..cache import ResultCache, entry_path, load_entry
-from ..network.graph import NetworkError
-from .batch import LOCKSTEP_MODELS, batch_compat_key, run_model
+from ..network.errors import NetworkError
+from .batch import LOCKSTEP_MODELS, run_model
+from .spec import (
+    SIMULATORS,
+    WORKLOADS,
+    TrialSpec,
+    Workload,
+    _builder,
+    batch_compat_key,
+    register_workload,
+)
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
@@ -74,101 +84,6 @@ __all__ = [
     "sweep_grid",
     "trial_seed",
 ]
-
-_Scalar = (str, int, float, bool, type(None))
-
-
-def _check_params(params: dict[str, Any], what: str) -> tuple[tuple[str, Any], ...]:
-    """Normalize a parameter dict to a sorted, JSON-safe tuple of pairs."""
-    items = []
-    for key in sorted(params):
-        value = params[key]
-        if isinstance(value, (bool, np.bool_)):
-            value = bool(value)
-        elif isinstance(value, np.integer):
-            value = int(value)
-        elif isinstance(value, np.floating):
-            value = float(value)
-        if not isinstance(value, _Scalar):
-            raise NetworkError(
-                f"{what} parameter {key!r} must be a JSON scalar, "
-                f"got {type(value).__name__}"
-            )
-        items.append((str(key), value))
-    return tuple(items)
-
-
-@dataclass(frozen=True)
-class TrialSpec:
-    """One cell of a sweep grid.
-
-    A spec is pure data: workload and simulator are registry *names*, the
-    parameter tuples are sorted ``(key, value)`` pairs of JSON scalars.
-    Two specs with equal fields denote the same trial — same derived
-    seed, same cache entry.
-    """
-
-    workload: str
-    simulator: str
-    B: int = 1
-    workload_params: tuple[tuple[str, Any], ...] = ()
-    sim_params: tuple[tuple[str, Any], ...] = ()
-    message_length: int | None = None
-    repeat: int = 0
-
-    @classmethod
-    def make(
-        cls,
-        workload: str,
-        simulator: str,
-        *,
-        B: int = 1,
-        workload_params: dict[str, Any] | None = None,
-        sim_params: dict[str, Any] | None = None,
-        message_length: int | None = None,
-        repeat: int = 0,
-    ) -> "TrialSpec":
-        _builder(workload)
-        if simulator not in SIMULATORS:
-            raise NetworkError(
-                f"unknown simulator {simulator!r}; "
-                f"registered: {', '.join(sorted(SIMULATORS))}"
-            )
-        if B < 1:
-            raise NetworkError("B must be >= 1")
-        if repeat < 0:
-            raise NetworkError("repeat must be >= 0")
-        return cls(
-            workload=workload,
-            simulator=simulator,
-            B=int(B),
-            workload_params=_check_params(workload_params or {}, "workload"),
-            sim_params=_check_params(sim_params or {}, "simulator"),
-            message_length=None if message_length is None else int(message_length),
-            repeat=int(repeat),
-        )
-
-    def key(self) -> dict[str, Any]:
-        """The trial's canonical identity (JSON-ready)."""
-        return {
-            "workload": self.workload,
-            "workload_params": list(map(list, self.workload_params)),
-            "simulator": self.simulator,
-            "sim_params": list(map(list, self.sim_params)),
-            "B": self.B,
-            "message_length": self.message_length,
-            "repeat": self.repeat,
-        }
-
-    def cache_key(self, root_seed: int) -> str:
-        payload = {"v": _CACHE_VERSION, "root_seed": int(root_seed), **self.key()}
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
-
-    def label(self) -> str:
-        rep = f" r{self.repeat}" if self.repeat else ""
-        return f"{self.simulator}/{self.workload} B={self.B}{rep}"
-
 
 #: Per-process memo for :func:`trial_seed`: (root_seed, config digest)
 #: -> (base sequence, children spawned so far).  Spawned children are a
@@ -231,47 +146,6 @@ def trial_seed(spec: TrialSpec, root_seed: int) -> np.random.SeedSequence:
     return children[spec.repeat]
 
 
-# ----------------------------------------------------------------------
-# Workload registry
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class Workload:
-    """A built instance, ready to route.
-
-    ``paths`` serve the path-routed simulators; ``demands``/``cube``
-    serve the adaptive mesh router.  ``default_length`` supplies ``L``
-    when the spec leaves ``message_length`` unset, and ``info`` carries
-    JSON-safe provenance (C, D, M, ...) copied into trial metrics.
-    """
-
-    net: Any
-    paths: list | None = None
-    demands: list | None = None
-    cube: Any = None
-    default_length: int = 8
-    info: dict[str, Any] = field(default_factory=dict)
-    _padded: Any = field(default=None, repr=False, compare=False)
-
-    def padded_paths(self):
-        """The packed :class:`~repro.sim.engine.PaddedPaths`, built once.
-
-        Repeated trials of the same grid cell share the padded matrix and
-        its one-time edge-simplicity validation instead of re-packing the
-        path lists per trial.
-        """
-        if self.paths is None:
-            raise NetworkError("workload has no paths")
-        if self._padded is None:
-            from .engine import PaddedPaths
-
-            self._padded = PaddedPaths.from_paths(self.paths)
-        return self._padded
-
-
-WORKLOADS: dict[str, Callable[..., Workload]] = {}
-
 # Per-process memo of built workloads: builders are pure functions of
 # their parameters, so trials of the same grid cell (and batches) share
 # one instance — and with it the cached padded-path matrix.  Keyed on the
@@ -279,25 +153,6 @@ WORKLOADS: dict[str, Callable[..., Workload]] = {}
 # can never serve a stale build.
 _WORKLOAD_CACHE: dict[tuple[Any, tuple[tuple[str, Any], ...]], Workload] = {}
 _WORKLOAD_CACHE_MAX = 8
-
-
-def _builder(name: str) -> Callable[..., Workload]:
-    """The registered builder; every unknown-name error is raised here.
-
-    ``scenario:<name>`` builders register when :mod:`repro.scenarios` is
-    imported, so a miss pulls it in before giving up — a process that
-    never touched the scenario library (a tier, a pool worker) still
-    resolves them, and the error lists them.
-    """
-    if name not in WORKLOADS:
-        from .. import scenarios  # noqa: F401
-    try:
-        return WORKLOADS[name]
-    except KeyError:
-        raise NetworkError(
-            f"unknown workload {name!r}; "
-            f"registered: {', '.join(sorted(WORKLOADS))}"
-        ) from None
 
 
 def call_builder(what: str, fn: Callable[..., Any], params: dict[str, Any]):
@@ -339,107 +194,6 @@ def build_workload(name: str, params=()) -> Workload:
             _WORKLOAD_CACHE.pop(next(iter(_WORKLOAD_CACHE)))
         _WORKLOAD_CACHE[key] = wl
     return wl
-
-
-def register_workload(name: str) -> Callable:
-    """Register ``fn(**params) -> Workload`` under ``name``."""
-
-    def deco(fn: Callable[..., Workload]) -> Callable[..., Workload]:
-        WORKLOADS[name] = fn
-        return fn
-
-    return deco
-
-
-@register_workload("layered")
-def _wl_layered(
-    width: int = 10,
-    depth: int = 10,
-    out_degree: int = 3,
-    messages: int = 120,
-    seed: int = 0,
-) -> Workload:
-    from ..network.random_networks import layered_network, random_walk_paths
-    from ..routing.paths import congestion, dilation, paths_from_node_walks
-
-    rng = np.random.default_rng(seed)
-    net = layered_network(width, depth, out_degree, rng)
-    walks = random_walk_paths(net, width, depth, messages, rng)
-    paths = paths_from_node_walks(net, walks)
-    C, D = congestion(paths), dilation(paths)
-    return Workload(
-        net=net,
-        paths=paths,
-        default_length=D,
-        info={"congestion": C, "dilation": D, "messages": len(paths)},
-    )
-
-
-@register_workload("hard-instance")
-def _wl_hard_instance(C: int = 8, D: int = 15, B: int = 1) -> Workload:
-    from ..core.lower_bound import build_hard_instance
-
-    inst = build_hard_instance(C=C, D=D, B=B)
-    return Workload(
-        net=inst.network,
-        paths=inst.paths,
-        default_length=inst.recommended_length(),
-        info={
-            "congestion": inst.congestion,
-            "dilation": inst.dilation,
-            "messages": inst.num_messages,
-            "m_prime": inst.m_prime,
-        },
-    )
-
-
-@register_workload("chain-bundle")
-def _wl_chain_bundle(
-    chains: int = 4, depth: int = 12, messages: int = 8
-) -> Workload:
-    from ..network.random_networks import chain_bundle
-    from ..routing.paths import paths_from_node_walks
-
-    net, walks = chain_bundle(chains, depth, messages)
-    paths = paths_from_node_walks(net, walks)
-    return Workload(
-        net=net,
-        paths=paths,
-        default_length=2 * depth,
-        info={"congestion": messages, "dilation": depth, "messages": len(paths)},
-    )
-
-
-@register_workload("butterfly-bitrev")
-def _wl_butterfly_bitrev(n: int = 8) -> Workload:
-    from ..network.butterfly import Butterfly
-    from ..routing.problems import bit_reversal_permutation
-
-    bf = Butterfly(n)
-    inst = bit_reversal_permutation(n)
-    paths = [list(r) for r in bf.path_edges_batch(inst.sources, inst.dests)]
-    return Workload(
-        net=bf,
-        paths=paths,
-        default_length=16,
-        info={"n": n, "messages": len(paths)},
-    )
-
-
-@register_workload("mesh-permutation")
-def _wl_mesh_permutation(k: int = 6, seed: int = 0) -> Workload:
-    from ..network.mesh import KAryNCube
-
-    cube = KAryNCube(k, 2, wrap=False)
-    perm = np.random.default_rng(seed).permutation(k * k)
-    demands = [(i, int(d)) for i, d in enumerate(perm) if i != int(d)]
-    return Workload(
-        net=cube.network,
-        demands=demands,
-        cube=cube,
-        default_length=k,
-        info={"k": k, "messages": len(demands)},
-    )
 
 
 # ----------------------------------------------------------------------
@@ -502,8 +256,14 @@ _PIPELINES: dict[str, Callable[..., dict[str, Any]]] = {
     "schedule": _run_schedule,
 }
 
-#: Every simulator name a :class:`TrialSpec` may carry.
-SIMULATORS: tuple[str, ...] = (*LOCKSTEP_MODELS, *_PIPELINES)
+#: :data:`SIMULATORS` names the models without importing a kernel; a
+#: model row or pipeline it does not name in this order fails the import.
+if SIMULATORS != (*LOCKSTEP_MODELS, *_PIPELINES):
+    raise ImportError(
+        "repro.sim.spec.SIMULATORS must list the LOCKSTEP_MODELS rows, then "
+        f"the sweep pipelines; got {SIMULATORS}, want "
+        f"{(*LOCKSTEP_MODELS, *_PIPELINES)}"
+    )
 
 #: Default trials per lockstep batch when ``batch_size`` is ``None``.
 #: With the SoA kernels the per-step cost is almost flat in the trial
@@ -518,7 +278,7 @@ def execute_compatible(
 ) -> list[dict[str, Any]]:
     """Run compatible ``(spec, root_seed)`` trials; metrics in input order.
 
-    All items must share :func:`~repro.sim.batch.batch_compat_key`, so
+    All items must share :func:`~repro.sim.spec.batch_compat_key`, so
     they share the workload, ``L`` and the sim params; ``B`` and the
     derived seed vary per trial (mixed root seeds are fine).  A lockstep
     model runs them as one :func:`~repro.sim.batch.run_model` call — one
@@ -707,7 +467,7 @@ def plan_sweep(
     """Scan the cache and pack the remaining trials into work units.
 
     The arguments are :func:`run_sweep`'s.  Lockstep-model trials
-    sharing a :func:`~repro.sim.batch.batch_compat_key` are chunked into
+    sharing a :func:`~repro.sim.spec.batch_compat_key` are chunked into
     units of at most ``batch_size`` trials; everything else (and all
     trials when ``batch_size == 1``) becomes a one-trial unit, listed
     after the multi-trial ones.  Planning only reads: a missing

@@ -1,9 +1,10 @@
 """The batch-compatibility key is defined once and shared everywhere.
 
-``repro.sim.batch.batch_compat_key`` owns the definition of "these
-trials may share a lockstep batch".  Both consumers — the offline sweep
-packer and the online service batcher — must use that exact function,
-so the two can never drift apart on what is batchable.
+``repro.sim.spec.batch_compat_key`` owns the definition of "these
+trials may share a lockstep batch" (``repro.sim.batch`` re-exports it).
+Both consumers — the offline sweep packer and the online service
+batcher — must use that exact function, so the two can never drift
+apart on what is batchable.
 """
 
 from repro.sim import batch, sweep

@@ -16,6 +16,7 @@ checked against what actually crossed the wire.
 import asyncio
 import functools
 import json
+import socket
 
 import pytest
 
@@ -381,6 +382,53 @@ def test_every_line_answered_once_and_nothing_left_pending(tier):
     assert t["tasks_left"] == 0
     # Seven malformed lines, each counted exactly once.
     assert t["counters"]["protocol_errors"] == 7
+
+
+#: A stalled peer pipelines this many estimate runs and never reads.
+#: Each carries a 64 KiB id, which every reply echoes, so a few dozen
+#: replies fill the socket buffers and the rest cannot be written.
+STALL_RUNS = 256
+STALL_ID = "p" * (1 << 16)
+
+
+async def _stall(tier):
+    endpoint = _make(tier)
+    task = asyncio.create_task(endpoint.run())
+    await endpoint.started.wait()
+    sock = socket.socket()
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    sock.setblocking(False)
+    await asyncio.get_running_loop().sock_connect(sock, ("127.0.0.1", endpoint.port))
+    _, writer = await asyncio.open_connection(sock=sock, limit=MAX_LINE_BYTES)
+    writer.transport.pause_reading()
+    line = _line(op="run", id=STALL_ID, spec=SPEC, mode="estimate")
+    writer.write(line * STALL_RUNS)
+    try:
+        # The tier hangs up once a reply has waited SEND_TIMEOUT_S.
+        while endpoint.open_connections:
+            await asyncio.sleep(0.01)
+        in_flight = endpoint.in_flight
+        endpoint.request_shutdown()
+        await task
+    finally:
+        # A reset frees a tier still stuck on this peer, so a failure
+        # here ends in a timeout rather than a hang.
+        writer.transport.abort()
+    return in_flight, endpoint.counters.snapshot()
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_a_peer_that_stops_reading_cannot_pin_the_drain(tier, monkeypatch):
+    monkeypatch.setattr("repro.service.endpoint.SEND_TIMEOUT_S", 0.1)
+    in_flight, counters = asyncio.run(asyncio.wait_for(_stall(tier), 60))
+    assert in_flight == 0
+    # The peer was cut off mid-pipeline, not answered in full ...
+    assert 0 < counters["estimated"] < STALL_RUNS
+    # ... every run read before that was answered exactly once, and the
+    # half-read rest was dropped, not parsed as a malformed line.
+    assert counters["requests_total"] == counters["estimated"]
+    assert counters["completed"] == counters["estimated"]
+    assert counters["protocol_errors"] == 0
 
 
 def test_tiers_answer_identically():

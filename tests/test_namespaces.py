@@ -17,7 +17,31 @@ import pytest
 import repro
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
-LAZY_PACKAGES = ["repro", "repro.sim", "repro.telemetry", "repro.analysis"]
+LAZY_PACKAGES = [
+    "repro",
+    "repro.analysis",
+    "repro.cluster",
+    "repro.exec",
+    "repro.network",
+    "repro.routing",
+    "repro.service",
+    "repro.sim",
+    "repro.telemetry",
+]
+#: Modules that mean "this process loaded the simulator".
+SIMULATOR = [
+    "numpy",
+    "repro.sim.sweep",
+    "repro.sim.batch",
+    "repro.network.graph",
+    "repro.service.batcher",
+]
+SPEC = {
+    "workload": "chain-bundle",
+    "simulator": "wormhole",
+    "B": 2,
+    "workload_params": {"chains": 2, "depth": 4, "messages": 3},
+}
 
 
 def run_fresh(code: str) -> str:
@@ -45,6 +69,73 @@ def test_serving_imports_leave_the_offline_stack_unloaded():
         """
     )
     assert out.split() == []
+
+
+# -- the router process holds no simulator ------------------------------
+# It parses, keys, hashes and forwards trials; the workers run them.
+
+
+def test_router_parses_keys_and_hashes_without_the_simulator():
+    out = run_fresh(
+        f"""
+        import sys
+        import repro.cli, repro.cluster.router
+        from repro.cluster import ClusterConfig
+        from repro.service.protocol import parse_run_request
+        from repro.sim.spec import batch_compat_key
+
+        ClusterConfig(port=0, workers=2)
+        request = parse_run_request(
+            {{"op": "run", "id": "a", "spec": {SPEC!r}, "root_seed": 3}}
+        )
+        assert len(request.spec.cache_key(request.root_seed)) == 64
+        assert batch_compat_key(request.spec)[:2] == ("wormhole", "chain-bundle")
+        print(" ".join(m for m in {SIMULATOR!r} if m in sys.modules))
+        """
+    )
+    assert out.split() == []
+
+
+def test_router_forwards_a_run_without_loading_the_simulator(tmp_path):
+    out = run_fresh(
+        f"""
+        import asyncio, sys
+        from repro.cluster import ClusterConfig, ClusterRouter
+        from repro.service import ServiceClient
+
+        async def forward_one():
+            router = ClusterRouter(
+                ClusterConfig(port=0, workers=1, runtime_dir={str(tmp_path)!r})
+            )
+            task = asyncio.create_task(router.run())
+            await router.started.wait()
+            async with await ServiceClient.connect("127.0.0.1", router.port) as c:
+                reply = await c.run_trial({SPEC!r}, root_seed=1)
+            router.request_shutdown()
+            await task
+            return reply, router.counters["forwarded"]
+
+        reply, forwarded = asyncio.run(forward_one())
+        assert reply["status"] == "ok" and reply["worker"] == 0, reply
+        assert forwarded == 1
+        print(" ".join(m for m in {SIMULATOR!r} if m in sys.modules))
+        """
+    )
+    assert out.split() == []
+
+
+def test_a_model_the_spec_does_not_name_fails_the_sweep_import():
+    out = run_fresh(
+        """
+        import repro.sim.spec as spec
+        spec.SIMULATORS = spec.SIMULATORS[:-1]
+        try:
+            import repro.sim.sweep
+        except ImportError as exc:
+            print(exc)
+        """
+    )
+    assert out.startswith("repro.sim.spec.SIMULATORS must list the LOCKSTEP_MODELS")
 
 
 @pytest.mark.parametrize("package", LAZY_PACKAGES)
