@@ -496,6 +496,7 @@ def run_wormhole_batch(
     release_times: np.ndarray | None = None,
     max_steps: int | None = None,
     vc_ids: np.ndarray | Sequence[Sequence[int]] | None = None,
+    sources: np.ndarray | Sequence[int] | None = None,
     telemetry: ProbeSet | Probe | Iterable[Probe] | None = None,
 ) -> list[SimulationResult]:
     """Simulate ``T = len(seeds)`` independent wormhole trials in lockstep.
@@ -527,6 +528,9 @@ def run_wormhole_batch(
         As in :meth:`WormholeSimulator.run`, shared by all trials.  With
         ``vc_ids``, every trial's ``B`` must exceed the largest assigned
         class id.
+    sources:
+        Per-message injection-queue ids, FIFO in message-index order
+        (MODEL.md section 1); ``None`` gives each message its own queue.
     telemetry:
         :mod:`repro.telemetry` probes; single-trial calls only.
 
@@ -539,7 +543,7 @@ def run_wormhole_batch(
         "wormhole", net, paths, message_length,
         seeds=seeds, knob=num_virtual_channels, option=priority,
         release_times=release_times, max_steps=max_steps,
-        telemetry=telemetry, vc_ids=vc_ids,
+        telemetry=telemetry, vc_ids=vc_ids, sources=sources,
     )
 
 

@@ -10,11 +10,11 @@ per flit step), routed by a caller-supplied path generator, and the
 run reports sustained throughput, latency, and backlog so experiments
 can locate the stability knee as a function of ``B``.
 
-The flit-step dynamics are identical to the batch simulator (same
-lock-step worm reduction, synchronous arbitration, B slots per edge);
-only injection differs: a source's messages queue FIFO in its external
-injection buffer, and the backlog statistic is the paper-model analogue
-of "the network is unstable at this rate".
+Arrivals do not read network state, so a run is a wormhole *workload*:
+one :func:`~repro.sim.batch.run_wormhole_batch` call over arrivals and
+routes drawn up front (release = arrival step, one injection queue per
+source), and the backlog statistic is the paper-model analogue of "the
+network is unstable at this rate".
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..network.graph import Network, NetworkError
-from .engine import grant_free_slots
+from .batch import run_wormhole_batch
 
 __all__ = ["ContinuousResult", "ContinuousWormholeSimulator"]
 
@@ -89,7 +89,8 @@ class ContinuousWormholeSimulator:
     num_virtual_channels:
         The ``B`` of the model.
     seed:
-        Drives arrivals, path generation, and arbitration.
+        Drives arrivals, path generation, and arbitration: three child
+        streams of one generator per ``run()``.
     """
 
     def __init__(
@@ -133,6 +134,8 @@ class ContinuousWormholeSimulator:
         """
         if horizon < 1:
             raise NetworkError("horizon must be >= 1")
+        if sample_every < 1:
+            raise NetworkError("sample_every must be >= 1")
         rates = np.asarray(rate, dtype=np.float64)
         if rates.ndim == 0:
             rates = np.full(int(horizon), float(rates))
@@ -147,95 +150,26 @@ class ContinuousWormholeSimulator:
         if L < 1:
             raise NetworkError("message length L must be >= 1")
 
-        occupancy = np.zeros(self.num_edges, dtype=np.int64)
-        # Per-message dynamic state (lists; the population is unbounded).
-        paths: list[np.ndarray] = []
-        k: list[int] = []  # completed moves
-        state: list[int] = []  # 0 queued, 1 active, 2 done
-        arrival: list[int] = []
-        completion: list[int] = []
-        # FIFO queues per source (indices into the message arrays).
-        queues: list[list[int]] = [[] for _ in range(self.num_sources)]
-        active: list[int] = []
-        delivered = 0
-        latency_sum = 0.0
-        samples: list[int] = []
+        seq = np.random.SeedSequence(self._rng.integers(1 << 32, size=4))
+        arrivals, routes, arbitration = map(np.random.default_rng, seq.spawn(3))
+        # One block of draws equals one draw per step, in step order.
+        hits = arrivals.random((int(horizon), self.num_sources)) < rates[:, None]
+        step, source = np.nonzero(hits)
+        arrival = step + 1
+        paths = [path_of(int(s), routes) for s in source]
+        completion = run_wormhole_batch(
+            self.net, paths, L,
+            seeds=[arbitration], num_virtual_channels=self.B,
+            release_times=arrival, max_steps=int(horizon), sources=source,
+        )[0].completion_times
 
-        for t in range(1, horizon + 1):
-            # Candidates: heads of source queues (injection) + active.
-            # (Arrivals are processed at the end of the step, so a message
-            # arriving at step t first contends at t + 1 — matching the
-            # batch simulator's release semantics.)
-            inject_cands = [q[0] for q in queues if q]
-            contenders: list[int] = []
-            edges: list[int] = []
-            movers: list[int] = []
-            for m in active:
-                if k[m] < paths[m].size:
-                    contenders.append(m)
-                    edges.append(int(paths[m][k[m]]))
-                else:
-                    movers.append(m)  # draining, always moves
-            for m in inject_cands:
-                contenders.append(m)
-                edges.append(int(paths[m][0]))
-
-            if contenders:
-                edges_arr = np.asarray(edges, dtype=np.int64)
-                prio = self._rng.random(len(contenders))
-                granted = grant_free_slots(edges_arr, prio, self.B, occupancy)
-                for idx, m in enumerate(contenders):
-                    if granted[idx]:
-                        occupancy[paths[m][k[m]]] += 1
-                        movers.append(m)
-
-            # Apply moves.
-            for m in movers:
-                if state[m] == 0:  # injected this step
-                    state[m] = 1
-                    for q in queues:
-                        if q and q[0] == m:
-                            q.pop(0)
-                            break
-                    active.append(m)
-                k[m] += 1
-                path = paths[m]
-                d = path.size
-                rel = k[m] - L - 1
-                if 0 <= rel < d - 1:
-                    occupancy[path[rel]] -= 1
-                if k[m] == L + d - 1:
-                    occupancy[path[d - 1]] -= 1
-                    state[m] = 2
-                    completion[m] = t
-                    delivered += 1
-                    latency_sum += t - arrival[m]
-                    active.remove(m)
-
-            # Arrivals for this step.
-            arrivals = np.flatnonzero(
-                self._rng.random(self.num_sources) < rates[t - 1]
-            )
-            for s in arrivals:
-                path = np.asarray(path_of(int(s), self._rng), dtype=np.int64)
-                m = len(paths)
-                paths.append(path)
-                k.append(0)
-                state.append(0)
-                arrival.append(t)
-                completion.append(-1)
-                if path.size == 0:
-                    state[m] = 2
-                    completion[m] = t
-                    delivered += 1
-                else:
-                    queues[s].append(m)
-
-            if t % sample_every == 0:
-                backlog = sum(len(q) for q in queues) + len(active)
-                samples.append(backlog)
-
-        backlog = sum(len(q) for q in queues) + len(active)
+        done = completion >= 0
+        delivered = int(np.count_nonzero(done))
+        latency_sum = int((completion[done] - arrival[done]).sum())
+        at = np.arange(sample_every, int(horizon) + 1, sample_every)
+        samples = np.searchsorted(arrival, at, "right")
+        samples -= np.searchsorted(np.sort(completion[done]), at, "right")
+        backlog = len(paths) - delivered
         return ContinuousResult(
             generated=len(paths),
             delivered=delivered,

@@ -19,8 +19,7 @@ model-agnostic machinery; each router contributes only its advance rule
     for slot models that hold grants across steps (capacity-``B`` edges,
     or capacity-1 ``(edge, VC-class)`` pairs), laid out as one flat
     array over the combined ``(trial, slot)`` key space.  **This is the
-    only place in** ``repro.sim`` **where the kernel exists**; the
-    circuit and continuous simulators call it too.
+    only place in** ``repro.sim`` **where the kernel exists**.
 :class:`BatchStepLoop`
     The synchronous step protocol for ``T`` independent trials in
     lockstep: one shared clock, release gating, idle-gap skipping,
@@ -128,16 +127,17 @@ class PaddedPaths:
     sweep runner does this per worker process).
 
     Instances are simulator-agnostic: validation is cached by
-    :meth:`require_edge_simple` after the first successful check, and
+    :meth:`require_edge_simple` and :meth:`require_edges_in`, and
     the ``padded`` / ``lengths`` arrays must be treated as read-only.
     """
 
-    __slots__ = ("padded", "lengths", "_edge_simple")
+    __slots__ = ("padded", "lengths", "_edge_simple", "_edges_needed")
 
     def __init__(self, padded: np.ndarray, lengths: np.ndarray) -> None:
         self.padded = padded
         self.lengths = lengths
         self._edge_simple = False
+        self._edges_needed: int | None = None
 
     @classmethod
     def from_paths(
@@ -159,6 +159,21 @@ class PaddedPaths:
             else:
                 check_edge_simple(self.padded, what)
             self._edge_simple = True
+        return self
+
+    def require_edges_in(self, num_edges: int) -> "PaddedPaths":
+        """Raise unless every hop names one of ``num_edges`` edges;
+        cached as the fewest edges the routes need."""
+        if self._edges_needed is None or num_edges < self._edges_needed:
+            hop = np.arange(self.padded.shape[1]) < self.lengths[:, None]
+            bad = hop & ((self.padded < 0) | (self.padded >= num_edges))
+            if bad.any():
+                m, i = np.argwhere(bad)[0]
+                raise NetworkError(
+                    f"path of message {m} names edge {self.padded[m, i]}, "
+                    f"but the network's edges are 0..{num_edges - 1}"
+                )
+            self._edges_needed = int(self.padded.max(initial=-1)) + 1
         return self
 
 

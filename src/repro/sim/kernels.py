@@ -146,7 +146,7 @@ def _pack_routes(
     is the model's own wording of an edge-simplicity violation)."""
     pp = PaddedPaths.from_paths(paths)
     L = _shared_lengths(message_length, pp.num_messages)
-    pp.require_edge_simple(what)
+    pp.require_edges_in(net.num_edges).require_edge_simple(what)
     return Packed(
         lengths=pp.lengths,
         message_length=L,
@@ -154,6 +154,32 @@ def _pack_routes(
         num_edges=net.num_edges,
         padded=pp.padded,
     )
+
+
+def _injection_queues(sources, lengths, release, T: int):
+    """MODEL.md section 1's FIFO queues as flat position tables: the
+    ``(gated, predecessor)`` positions ``t * M + m`` of each queued
+    message and of the one ahead of it (``None`` if nobody waits).  A
+    zero-length message is delivered at release: it is in no queue."""
+    M = lengths.size
+    queue_of = np.asarray(sources, dtype=np.int64)
+    if queue_of.shape != (M,):
+        raise NetworkError(f"sources must have shape ({M},), got {queue_of.shape}")
+    live = np.flatnonzero(lengths > 0)
+    order = live[np.argsort(queue_of[live], kind="stable")]
+    same = queue_of[order[1:]] == queue_of[order[:-1]]
+    pred, succ = order[:-1][same], order[1:][same]
+    late = release[succ] < release[pred]
+    if late.any():
+        m, ahead = succ[late][0], pred[late][0]
+        raise NetworkError(
+            f"message {m} is released before message {ahead}, which is "
+            f"ahead of it in injection queue {queue_of[m]} (FIFO by index)"
+        )
+    if not succ.size:
+        return None
+    base = np.arange(T, dtype=np.int64)[:, None] * M
+    return (base + succ).reshape(-1), (base + pred).reshape(-1)
 
 
 def check_mesh(cube) -> None:
@@ -319,7 +345,7 @@ class WormholeKernel(_Kernel):
     @classmethod
     def pack(
         cls, net, paths, message_length, release_times, *, B, option, rngs,
-        vc_ids=None,
+        vc_ids=None, sources=None,
     ) -> Packed:
         packed = _pack_routes(
             net, paths, message_length, release_times,
@@ -340,12 +366,17 @@ class WormholeKernel(_Kernel):
             ):
                 raise NetworkError(f"vc ids must lie in [0, {b_min})")
             packed.vc_padded = vc_padded
+        packed.queues = None if sources is None else _injection_queues(
+            sources, packed.lengths, packed.release, B.size
+        )
         return packed
 
     def __init__(self, loop, packed: Packed, *, B, option, rngs) -> None:
         super().__init__(loop, packed, B=B, option=option, rngs=rngs)
         T, M = self.T, self.M
         self.vc_padded = packed.vc_padded
+        self._gate = packed.queues
+        self._act = np.empty((T, M), dtype=bool)
         self._moved = np.zeros(T, dtype=bool)
         self._needs = np.empty((T, M), dtype=bool)
         self._mov = np.empty((T, M), dtype=bool)
@@ -395,7 +426,21 @@ class WormholeKernel(_Kernel):
             return edges
         return edges * self.B[trials] + self.vc_padded[msgs, hop]
 
+    def _hold_queued(self, active: np.ndarray) -> np.ndarray:
+        """``active`` less the queued messages whose predecessor has not
+        moved; a pair whose predecessor has moved is dropped for good."""
+        gated, pred = self._gate
+        held = self._k_flat.take(pred) == 0
+        if not held.all():
+            gated, pred = gated[held], pred[held]
+            self._gate = (gated, pred) if gated.size else None
+        np.copyto(self._act, active)
+        self._act.reshape(-1)[gated] = False
+        return self._act
+
     def body(self, t: int, active: np.ndarray) -> np.ndarray:
+        if self._gate is not None:  # held: neither contends nor drains
+            active = self._hold_queued(active)
         k, D, probes = self.k, self.D, self.probes
         loop, arbiter, keys = self.state, self.arbiter, self._keys
         # Dense (T, M) masks guarded by their own counts: a step pays
@@ -898,7 +943,8 @@ class StoreForwardKernel(_Kernel):
         # Deliberately no edge-simplicity check: see the store_forward
         # module docstring (an edge is held only within the step it
         # transmits, so repeated edges just queue twice).
-        padded, D = pad_paths(paths)
+        pp = PaddedPaths.from_paths(paths).require_edges_in(net.num_edges)
+        padded, D = pp.padded, pp.lengths
         M = int(D.size)
         hop = -(-L // B)  # per-trial ceil(L / B) flit steps per message step
         # Releases in per-trial message steps, rounded up to a boundary.

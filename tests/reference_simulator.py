@@ -1,5 +1,6 @@
-"""Deliberately naive reference simulators: per-flit wormhole, and a
-per-head adaptive mesh router (:func:`reference_adaptive_run`, below).
+"""Deliberately naive reference simulators: per-flit wormhole, a
+per-head adaptive mesh router (:func:`reference_adaptive_run`, below)
+and a per-message open-loop wormhole loop (:func:`reference_open_loop`).
 
 The wormhole reference implements the Section 1.1 model with *explicit
 flit state* — one position per flit, edge occupancy computed by
@@ -30,14 +31,19 @@ Rules applied each step — worm lock-step *emerges*, it is not assumed:
   handover; cross-message handover needs a fresh grant next step);
 * only the header may cross the final edge (one flit per virtual
   channel per step; trailing flits become the header as their
-  predecessors deliver).
+  predecessors deliver);
+* with injection queues (``sources``), a header may leave its injection
+  buffer only once its queue predecessor's header is in the network
+  (MODEL.md section 1).
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
-__all__ = ["reference_run", "reference_adaptive_run", "DONE"]
+__all__ = ["reference_run", "reference_adaptive_run", "reference_open_loop", "DONE"]
 
 DONE = 1 << 30
 
@@ -48,17 +54,29 @@ def _advance(p: int, d: int) -> int:
     return nxt if nxt <= d - 2 else DONE
 
 
-def reference_run(paths, L, B, release_times=None, max_steps=100_000):
+def reference_run(
+    paths, L, B, release_times=None, max_steps=100_000, sources=None
+):
     """Simulate; returns per-message completion times (-1 undelivered).
 
     ``paths``: per-message edge-id lists.  Arbitration: lowest message
     index first (the optimized simulator's ``priority="index"``).
+    ``sources``: per-message injection-queue ids (FIFO in index order);
+    ``None`` puts every message in its own queue.
     """
     M = len(paths)
     D = [len(p) for p in paths]
     release = (
         [0] * M if release_times is None else [int(r) for r in release_times]
     )
+    # The message ahead in each queue; a zero-length message never
+    # enters the network, so it is nobody's predecessor.
+    ahead = [None] * M
+    last_in_queue = {}
+    for m in range(M):
+        if sources is not None and D[m]:
+            ahead[m] = last_in_queue.get(sources[m])
+            last_in_queue[sources[m]] = m
     pos = [[-1] * L for _ in range(M)]
     completion = [-1] * M
     for m in range(M):
@@ -95,6 +113,8 @@ def reference_run(paths, L, B, release_times=None, max_steps=100_000):
         for m in range(M):
             if completion[m] >= 0 or release[m] >= t:
                 continue
+            if ahead[m] is not None and snapshot[ahead[m]][0] == -1:
+                continue  # still behind its predecessor's header
             h = next(j for j in range(L) if snapshot[m][j] != DONE)
             crossing_edge = paths[m][snapshot[m][h] + 1]
             # A message already holding a virtual channel on the edge
@@ -202,3 +222,91 @@ def reference_adaptive_run(
         if not movers and len(active) == len(pending):
             return completion, blocked, walks, True
     return completion, blocked, walks, False
+
+
+def reference_open_loop(
+    num_edges, num_sources, B, rate, L, path_of, horizon, seed,
+    sample_every=50,
+):
+    """A per-message open-loop wormhole loop over Bernoulli arrivals.
+
+    Each step: the contenders — worms in the network whose header has
+    edges left, and each source queue's head — draw one uniform
+    priority each in ascending message index from the arbitration
+    stream, and every edge admits the ``B - occupancy`` best of its
+    requesters; movers advance one move, a tail frees the edge it left
+    (move ``k - L - 1``), and the final edge frees at completion (move
+    ``L + D - 1``).  A queue's head is popped at its first move, so
+    the next message contends from the following step.  Then each
+    source draws its arrival on the arrival stream (one
+    ``random(num_sources)`` per step); a new message's route comes
+    from ``path_of(source, route stream)``, and it first contends the
+    step after it arrives (zero-length routes are delivered on
+    arrival).
+
+    The three streams are children of ``default_rng(seed)``, split as
+    ``ContinuousWormholeSimulator.run`` splits them.  Returns
+    per-message ``arrival`` / ``completion`` (``-1`` undelivered) in
+    creation order, plus the report's counts, mean latency and backlog
+    series.
+    """
+    entropy = np.random.default_rng(seed).integers(1 << 32, size=4)
+    arrivals, routes, arbitration = (
+        np.random.default_rng(child)
+        for child in np.random.SeedSequence(entropy).spawn(3)
+    )
+    rates = np.broadcast_to(np.asarray(rate, dtype=np.float64), (horizon,))
+    occupancy = [0] * num_edges
+    paths, k, arrival, completion = [], [], [], []
+    queues = [[] for _ in range(num_sources)]
+    active = []  # in the network, undelivered
+    samples = []
+    for t in range(1, horizon + 1):
+        heads = [q[0] for q in queues if q]
+        contenders = sorted(
+            [m for m in active if k[m] < len(paths[m])] + heads
+        )
+        movers = [m for m in active if k[m] >= len(paths[m])]  # draining
+        if contenders:
+            prio = arbitration.random(len(contenders))
+            for i in sorted(range(len(contenders)), key=lambda i: prio[i]):
+                m = contenders[i]
+                edge = paths[m][k[m]]
+                if occupancy[edge] < B:
+                    occupancy[edge] += 1
+                    movers.append(m)
+        for m in movers:
+            if k[m] == 0:  # first move: leaves the head of its queue
+                for q in queues:
+                    if q and q[0] == m:
+                        q.pop(0)
+                active.append(m)
+            k[m] += 1
+            d = len(paths[m])
+            if 0 <= k[m] - L - 1 < d - 1:
+                occupancy[paths[m][k[m] - L - 1]] -= 1
+            if k[m] == L + d - 1:
+                occupancy[paths[m][d - 1]] -= 1
+                completion[m] = t
+                active.remove(m)
+        for s in np.flatnonzero(arrivals.random(num_sources) < rates[t - 1]):
+            m = len(paths)
+            paths.append([int(e) for e in path_of(int(s), routes)])
+            k.append(0)
+            arrival.append(t)
+            completion.append(t if not paths[m] else -1)
+            if paths[m]:
+                queues[s].append(m)
+        if t % sample_every == 0:
+            samples.append(sum(len(q) for q in queues) + len(active))
+    delivered = [m for m, c in enumerate(completion) if c >= 0]
+    latency = sum(completion[m] - arrival[m] for m in delivered)
+    return SimpleNamespace(
+        arrival=np.asarray(arrival, dtype=np.int64),
+        completion=np.asarray(completion, dtype=np.int64),
+        generated=len(paths),
+        delivered=len(delivered),
+        mean_latency=latency / len(delivered) if delivered else 0.0,
+        final_backlog=sum(len(q) for q in queues) + len(active),
+        backlog_series=np.asarray(samples, dtype=np.int64),
+    )

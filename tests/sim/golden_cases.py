@@ -93,6 +93,16 @@ def _line(num_edges):
     return net, [net.add_edge(a, b) for a, b in zip(nodes[:-1], nodes[1:])]
 
 
+def fifo_release(sources, release):
+    """``release`` raised to be non-decreasing along each injection
+    queue in message-index order, as a FIFO queue requires."""
+    out = np.asarray(release, dtype=np.int64).copy()
+    latest: dict = {}
+    for m, queue in enumerate(sources):
+        out[m] = latest[queue] = max(int(out[m]), latest.get(queue, 0))
+    return out
+
+
 def _stagger(m, period=7):
     """Deterministic staggered releases with an idle gap mid-run."""
     release = (np.arange(m, dtype=np.int64) % 3) * period

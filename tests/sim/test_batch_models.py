@@ -341,6 +341,27 @@ def test_validation_errors(layered):
         )
 
 
+@pytest.mark.parametrize(
+    "model",
+    [name for name, spec in LOCKSTEP_MODELS.items() if spec.kind == "paths"],
+)
+@pytest.mark.parametrize("T", [1, 2])
+@pytest.mark.parametrize("edge", ["num_edges", -3])
+def test_a_route_naming_a_missing_edge_is_rejected(model, T, edge):
+    """Not a deadlock, a delivery or an IndexError: a route over an edge
+    the network does not have is a bad problem."""
+    net, _ = _line_net(3)
+    bad = net.num_edges if edge == "num_edges" else edge
+    with pytest.raises(NetworkError, match=f"message 0 names edge {bad}"):
+        LOCKSTEP_MODELS[model].driver(net, [[0, bad]], 2, seeds=range(T))
+
+
+def test_a_missing_edge_is_rejected_through_the_facade():
+    net, _ = _line_net(3)
+    with pytest.raises(NetworkError, match="names edge 9"):
+        simulate((net, [[0], [0, 9]]), model="wormhole", message_length=2)
+
+
 # ----------------------------------------------------------------------
 # Randomized equivalence sweeps
 # ----------------------------------------------------------------------

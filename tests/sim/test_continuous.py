@@ -1,10 +1,21 @@
 """Unit tests for the continuous (steady-state) wormhole harness."""
 
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from reference_simulator import reference_open_loop  # noqa: E402
+
+import repro.sim.continuous as continuous
 from repro.network.butterfly import Butterfly
 from repro.network.graph import Network, NetworkError
+from repro.scenarios import get_scenario
+from repro.sim.batch import run_wormhole_batch
 from repro.sim.continuous import ContinuousWormholeSimulator
+from repro.telemetry.probe import Probe
 
 
 def line(n):
@@ -74,38 +85,139 @@ class TestBasics:
             sim.run(0.5, 0, line_path_gen(2), 10)
         with pytest.raises(NetworkError):
             sim.run(0.5, 3, line_path_gen(2), 0)
+        with pytest.raises(NetworkError, match="sample_every"):
+            sim.run(0.5, 3, line_path_gen(2), 10, sample_every=0)
+        with pytest.raises(NetworkError, match="names edge"):
+            sim.run(1.0, 3, line_path_gen(5), 10)
         with pytest.raises(NetworkError):
             ContinuousWormholeSimulator(net, 0)
         with pytest.raises(NetworkError):
             ContinuousWormholeSimulator(net, 1, 0)
 
-    def test_next_message_contends_the_step_after_the_first_move(
-        self, monkeypatch
-    ):
+    def test_next_message_contends_the_step_after_the_first_move(self):
         """FIFO injection pops a source's queue at its head message's
         *first* move, not once all L flits have left the injection
         buffer (MODEL.md section 1)."""
-        import repro.sim.continuous as continuous
-
-        rounds = []
-        grant = continuous.grant_free_slots
-
-        def spy(slots, prio, capacity, occupancy):
-            rounds.append(slots.tolist())
-            return grant(slots, prio, capacity, occupancy)
-
-        monkeypatch.setattr(continuous, "grant_free_slots", spy)
         # One source; messages arrive at steps 1 and 2 and route 0 -> 1.
-        sim = ContinuousWormholeSimulator(line(3), num_sources=1, seed=0)
-        res = sim.run(
-            [1.0, 1.0] + [0.0] * 18, message_length=4,
-            path_of=line_path_gen(2), horizon=20,
-        )
-        assert res.generated == res.delivered == 2
+        probe = Contenders()
+        res = run_wormhole_batch(
+            line(3), [[0, 1], [0, 1]], 4, seeds=[0],
+            release_times=[1, 2], sources=[0, 0], telemetry=probe,
+        )[0]
+        assert (res.completion_times >= 0).all()
         # Step 2: message 0 takes edge 0, its first move (1 of L = 4
         # flits out).  Step 3: message 0 wants edge 1 and message 1 —
         # arrived at the end of step 2 — already contends for edge 0.
-        assert rounds[:2] == [[0], [1, 0]]
+        assert probe.granted[2] == [(0, 0)]
+        assert sorted(probe.contended[3]) == [(0, 1), (1, 0)]
+        assert min(probe.contended) == 2
+
+    def test_a_held_message_neither_contends_nor_drains(self):
+        """Released together in one queue, the second message waits
+        until the first has moved; in separate queues both contend."""
+        net, paths = line(3), [[0, 1], [0, 1]]
+        queued, apart = Contenders(), Contenders()
+        run_wormhole_batch(
+            net, paths, 2, seeds=[0], num_virtual_channels=2,
+            sources=[7, 7], telemetry=queued,
+        )
+        run_wormhole_batch(
+            net, paths, 2, seeds=[0], num_virtual_channels=2,
+            telemetry=apart,
+        )
+        assert queued.contended[1] == [(0, 0)]
+        assert queued.moved[1] == [0]
+        assert sorted(queued.contended[2]) == [(0, 1), (1, 0)]
+        assert sorted(apart.contended[1]) == [(0, 0), (1, 0)]
+
+    def test_later_runs_continue_the_stream(self):
+        net = line(4)
+        a = ContinuousWormholeSimulator(net, 1, seed=8)
+        b = ContinuousWormholeSimulator(net, 1, seed=8)
+        runs = [sim.run(0.3, 2, line_path_gen(3), 200) for sim in (a, a, b)]
+        assert runs[0].backlog_series.tolist() == runs[2].backlog_series.tolist()
+        assert runs[0].generated != runs[1].generated
+
+
+class Contenders(Probe):
+    """Per step: the (message, edge) pairs granted and contending, and
+    the messages that moved."""
+
+    def __init__(self):
+        super().__init__()
+        self.granted, self.contended, self.moved = {}, {}, {}
+
+    def on_grant(self, t, messages, edges):
+        pairs = list(zip(messages.tolist(), edges.tolist()))
+        self.granted.setdefault(t, []).extend(pairs)
+        self.contended.setdefault(t, []).extend(pairs)
+
+    def on_block(self, t, messages, edges):
+        pairs = list(zip(messages.tolist(), edges.tolist()))
+        self.contended.setdefault(t, []).extend(pairs)
+
+    def on_step(self, t, movers, k):
+        self.moved[t] = movers.tolist()
+
+
+def _front_end_and_reference(
+    monkeypatch, net, num_sources, B, rate, L, path_of, horizon, seed,
+    sample_every,
+):
+    """Run the front end and the moved loop on one cell; the front
+    end's per-message completion times are taken off its kernel call."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(run_wormhole_batch(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(continuous, "run_wormhole_batch", spy)
+    sim = ContinuousWormholeSimulator(net, num_sources, B, seed=seed)
+    res = sim.run(rate, L, path_of, horizon, sample_every=sample_every)
+    ref = reference_open_loop(
+        net.num_edges, num_sources, B, rate, L, path_of, horizon, seed,
+        sample_every=sample_every,
+    )
+    assert len(calls) == 1
+    return res, ref, calls[0][0].completion_times
+
+
+def _assert_same_run(res, ref, completion):
+    assert np.array_equal(completion, ref.completion)
+    assert res.generated == ref.generated
+    assert res.delivered == ref.delivered
+    assert res.mean_latency == ref.mean_latency
+    assert res.final_backlog == ref.final_backlog
+    assert np.array_equal(res.backlog_series, ref.backlog_series)
+
+
+class TestFrontEndEqualsTheMovedLoop:
+    """The open-loop front end (pre-drawn arrivals on the wormhole
+    kernel) equals the per-message loop it replaced, run on the same
+    three streams, bit for bit."""
+
+    @pytest.mark.parametrize("B", [1, 2, 4])
+    def test_e11_grid_at_a_short_horizon(self, monkeypatch, B):
+        bf = Butterfly(32)
+
+        def path_of(source, rng):
+            return list(bf.path_edges(source, int(rng.integers(bf.n))))
+
+        for rate in (0.01, 0.02, 0.04, 0.08, 0.16, 0.32):
+            _assert_same_run(*_front_end_and_reference(
+                monkeypatch, bf, bf.n, B, rate, 6, path_of, 300, 17, 100
+            ))
+
+    @pytest.mark.parametrize("name", ["bursty-arrivals", "heavy-tail-arrivals"])
+    def test_arrival_scenarios_at_their_defaults(self, monkeypatch, name):
+        case = get_scenario(name).build_case()
+        for B in (1, 2):
+            _assert_same_run(*_front_end_and_reference(
+                monkeypatch, case.workload.net, case.num_sources, B,
+                case.rate, case.message_length, case.path_of, case.horizon,
+                seed=0, sample_every=50,
+            ))
 
 
 class TestButterflyTraffic:

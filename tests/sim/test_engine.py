@@ -399,6 +399,19 @@ def test_padded_paths_validates_once_and_caches():
         PaddedPaths.from_paths([[1, 1]]).require_edge_simple("worm 0")
 
 
+def test_padded_paths_checks_edge_ids_once():
+    from repro.sim.engine import PaddedPaths
+
+    pp = PaddedPaths.from_paths([[0, 4], [2], []])
+    assert pp._edges_needed is None
+    assert pp.require_edges_in(5) is pp
+    assert pp._edges_needed == 5  # later calls compare two integers
+    with pytest.raises(NetworkError, match="message 0 names edge 4"):
+        pp.require_edges_in(4)
+    with pytest.raises(NetworkError, match="message 1 names edge -1"):
+        PaddedPaths.from_paths([[0], [-1]]).require_edges_in(3)
+
+
 # ----------------------------------------------------------------------
 # batched arbitration
 # ----------------------------------------------------------------------

@@ -12,21 +12,24 @@ state from first principles and asserts equality.
   sentinels the unconditional masks rest on and the ownership argument
   that replaced the ``& active`` mask.
 * :meth:`~repro.sim.kernels.WormholeKernel.audit` — the arbiter's flat
-  ``occupancy`` recounted from ``k``, ``L`` and the routes, and the flat
+  ``occupancy`` recounted from ``k``, ``L`` and the routes, the flat
   key tables checked against ``arbiter.keys`` of ``_slots`` for every
-  on-path cell (VC classes and mixed ``B`` included).
+  on-path cell (VC classes and mixed ``B`` included), and, with
+  injection queues, FIFO order and the held pairs from ``k``.
 
 This suite wraps ``body`` for every :data:`~repro.sim.batch.LOCKSTEP_MODELS`
 row whose kernel defines ``audit`` and runs hypothesis-drawn problems with
 the audit after every step.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from golden_cases import _line, _ring
+from golden_cases import _line, _ring, fifo_release
 from repro.sim.batch import LOCKSTEP_MODELS
 
 AUDITED = [
@@ -67,6 +70,12 @@ def _problem(draw, spec):
             [(m + i) % min(B) for i in range(len(p))]
             for m, p in enumerate(paths)
         ]
+    if "sources" in inspect.signature(spec.kernel.pack).parameters and draw(
+        st.booleans()
+    ):
+        # Injection queues: FIFO in index order, releases to match.
+        kw["sources"] = draw(st.lists(st.integers(0, 2), min_size=M, max_size=M))
+        kw["release_times"] = fifo_release(kw["sources"], kw["release_times"])
     L = np.asarray(draw(st.lists(st.integers(1, 5), min_size=M, max_size=M)))
     seed = draw(st.integers(0, 2**16))
     return net, paths, L, [seed + i for i in range(T)], kw

@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from reference_simulator import reference_run  # noqa: E402
 
+from golden_cases import _line, _ring, fifo_release  # noqa: E402
 from repro.network.random_networks import chain_bundle, layered_network, random_walk_paths
 from repro.routing.paths import paths_from_node_walks
+from repro.sim.batch import run_wormhole_batch
 from repro.sim.wormhole import WormholeSimulator
 
 
@@ -120,3 +122,50 @@ class TestPropertyEquivalence:
         ref = reference_run(edge_lists, L=L, B=B, release_times=release)
         opt = optimized_run(net, paths, L, B, release)
         assert np.array_equal(ref, opt)
+
+
+class TestInjectionQueues:
+    """The kernel's FIFO gate (``sources=``) against the per-flit
+    reference, which states MODEL.md section 1 on flit positions: a
+    header leaves its injection buffer only once its queue
+    predecessor's header is in the network."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_gated_kernel_matches_reference(self, data):
+        draw = data.draw
+        n = draw(st.integers(2, 5))
+        ring = draw(st.booleans())
+        net, edges = (_ring(n) if ring else _line(n))[:2]
+        M = draw(st.integers(1, 6))
+        paths = []
+        for _ in range(M):
+            start = draw(st.integers(0, n - 1))
+            room = n if ring else n - start
+            length = draw(st.integers(0, room))  # 0: delivered at release
+            paths.append([edges[(start + j) % n] for j in range(length)])
+        sources = draw(st.lists(st.integers(0, 2), min_size=M, max_size=M))
+        release = fifo_release(
+            sources, draw(st.lists(st.integers(0, 8), min_size=M, max_size=M))
+        )
+        L = draw(st.integers(1, 4))
+        T = draw(st.sampled_from([1, 4]))
+        B = draw(st.lists(st.integers(1, 3), min_size=T, max_size=T))
+        kw = dict(release_times=release, sources=sources)
+        batch = run_wormhole_batch(
+            net, paths, L, seeds=range(T), num_virtual_channels=B,
+            priority="index", **kw,
+        )
+        for i, (res, b) in enumerate(zip(batch, B)):
+            # A worm that deadlocks stays undelivered in both; every
+            # live run here ends well inside the reference's horizon.
+            ref = reference_run(paths, L, b, release, 150, sources=sources)
+            assert np.array_equal(res.completion_times, ref)
+            alone = run_wormhole_batch(
+                net, paths, L, seeds=[i], num_virtual_channels=b,
+                priority="index", **kw,
+            )[0]
+            assert np.array_equal(res.completion_times, alone.completion_times)
+            assert np.array_equal(res.blocked_steps, alone.blocked_steps)
+            assert res.steps_executed == alone.steps_executed
+            assert res.deadlocked == alone.deadlocked
