@@ -9,7 +9,9 @@
    :class:`~repro.cache.ResultCache` (keyed by
    :meth:`~repro.sim.spec.TrialSpec.cache_key`, the sweep's content
    hash) *before* spending any worker compute — cache hits carry
-   ``"cached": true`` and ``batched: 0``;
+   ``"cached": true`` and ``batched: 0``; a forwarded answer is written
+   to the cache after its reply, and a write the disk refuses is only
+   counted (``cache_store_errors``);
 2. shards misses across workers by consistent hashing on
    :func:`~repro.sim.spec.batch_compat_key`, so every request
    that *could* share a lockstep batch reaches the same worker's
@@ -26,7 +28,7 @@
 ``health``/``stats`` aggregate the tier: router counters + cache
 hit/miss + per-slot liveness + summed worker batch occupancy, with
 ``worker_restarts`` surfaced top-level exactly like the process
-backend's, so the crash-recovery smoke reads either layer the same way.
+backend's, so a client reads either layer the same way.
 
 The router process imports no simulator: parsing, keys and the ring go
 through :mod:`repro.sim.spec`, which needs no NumPy.  Only two requests
@@ -250,8 +252,16 @@ class ClusterRouter(Endpoint):
             if response.get("status") == STATUS_OK and isinstance(
                 response.get("metrics"), dict
             ):
-                self.cache.store(
-                    cache_key, spec.key(), response["metrics"], request.root_seed
+                # Written after the reply: ``dispatch`` returns, and the
+                # endpoint writes the reply, in this same task step, and
+                # the callback runs before the next socket read — so a
+                # repeat request still finds the entry.
+                asyncio.get_running_loop().call_soon(
+                    self.cache.store,
+                    cache_key,
+                    spec.key(),
+                    response["metrics"],
+                    request.root_seed,
                 )
             response["worker"] = slot
             return response

@@ -10,11 +10,13 @@ so each test drives one tier hard rather than many tiers lightly.
 
 import asyncio
 import contextlib
+import json
 import os
 import signal
 
 from repro.cluster import ClusterConfig, ClusterRouter
 from repro.service import LoadgenConfig, ServiceClient, run_loadgen
+from repro.sim.sweep import TrialSpec, run_sweep
 
 WORKLOAD_PARAMS = {"chains": 2, "depth": 4, "messages": 3}
 
@@ -235,3 +237,65 @@ def test_one_client_never_waits_out_a_worker_window(monkeypatch):
     assert second["workers"][0]["batches"]["closed_by"] == {
         "full": 0, "idle": 5, "timeout": 0, "drain": 0
     }
+
+
+
+TRIAL = TrialSpec.make(
+    "chain-bundle", "wormhole", B=2, workload_params=WORKLOAD_PARAMS, message_length=8
+)
+
+
+def _one_worker_session(exchange):
+    """``await exchange(router, client)`` against a live 1-worker tier."""
+
+    async def drive():
+        async with cluster(workers=1) as router:
+            async with await ServiceClient.connect(
+                "127.0.0.1", router.port
+            ) as client:
+                return await exchange(router, client)
+
+    return run_async(drive(), timeout=60)
+
+
+def test_a_refused_cache_write_costs_the_entry_not_the_answer(full_cache_disk):
+    """A full cache directory used to raise out of ``dispatch``: the
+    client saw the connection close and the request vanished from the
+    ledger (forwarded, never completed, never an error)."""
+
+    async def exchange(router, client):
+        reply = await client.run_trial(TRIAL, root_seed=5)
+        return reply, await client.health(), router.counters.snapshot()
+
+    reply, health, counters = _one_worker_session(exchange)
+    (local,) = run_sweep([TRIAL], root_seed=5)
+    assert reply["status"] == "ok" and reply["metrics"] == local.metrics
+    assert health["status"] == "ok"
+    assert health["cache"]["cache_store_errors"] == 1
+    assert counters["requests_total"] == counters["completed"] == 1
+    assert counters["errors"] == 0
+
+
+def test_cache_entry_is_written_after_the_reply_and_verified_on_read():
+    """The entry lands before a repeat sent right after the reply is
+    read; an entry whose metrics were edited on disk is recomputed."""
+
+    async def exchange(router, client):
+        replies = [await client.run_trial(TRIAL, root_seed=5) for _ in "ab"]
+        path = router.cache.root / f"{TRIAL.cache_key(5)}.json"
+        payload = json.loads(path.read_text())
+        payload["metrics"]["makespan"] += 1
+        path.write_text(json.dumps(payload))
+        replies.append(await client.run_trial(TRIAL, root_seed=5))
+        return replies, (await client.health())["cache"]
+
+    (first, repeat, recomputed), cache = _one_worker_session(exchange)
+    (local,) = run_sweep([TRIAL], root_seed=5)
+    assert [r.get("cached") for r in (first, repeat, recomputed)] == [
+        None, True, None,
+    ]
+    assert all(
+        r["metrics"] == local.metrics for r in (first, repeat, recomputed)
+    )
+    assert (cache["cache_hits"], cache["cache_corrupt"]) == (1, 1)
+    assert cache["cache_stores"] == 2

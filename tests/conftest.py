@@ -1,5 +1,8 @@
 """Shared fixtures for the repro test suite."""
 
+import errno
+import os
+
 import numpy as np
 import pytest
 
@@ -35,3 +38,16 @@ def layered_workload(rng):
     net = layered_network(width=8, depth=6, out_degree=2, rng=rng)
     walks = random_walk_paths(net, 8, 6, 60, rng)
     return net, paths_from_node_walks(net, walks)
+
+
+@pytest.fixture
+def full_cache_disk(monkeypatch):
+    """Cache entries are refused as by a full disk, after the temp write."""
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if str(dst).endswith(".json"):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(dst))
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)

@@ -554,8 +554,9 @@ class TestProcessBackendService:
         assert before["status"] == STATUS_OK
         assert [r["status"] for r in after] == [STATUS_OK] * 3
         # Bit-exactness survives the crash: replay each spec serially.
-        serial, _ = _execute_trial((_spec(repeat=0), 13))
-        assert after[0]["metrics"] == serial
+        serial = [_execute_trial((_spec(repeat=r), 13))[0] for r in range(3)]
+        assert [r["metrics"] for r in after] == serial
+        assert before["metrics"] == serial[0]
         assert stats["exec"]["worker_restarts"] >= 1
         assert health["worker_restarts"] >= 1
         assert health["backend_mode"] == "process"  # never degraded

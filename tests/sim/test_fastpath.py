@@ -19,6 +19,7 @@ optional numba jit.  These tests pin three things:
    exactly one scan call.
 """
 
+import os
 import subprocess
 import sys
 
@@ -40,8 +41,6 @@ def _probe(env_value):
     code = (
         "from repro.sim import fastpath; print(fastpath.active_backend())"
     )
-    import os
-
     env = dict(os.environ)
     if env_value is None:
         env.pop("REPRO_FASTPATH", None)
@@ -57,6 +56,16 @@ def _probe(env_value):
 
 def test_import_without_numba_resolves_a_backend():
     assert fastpath.active_backend() in ("numpy", "numba")
+
+
+@pytest.mark.skipif(
+    os.environ.get("REPRO_FASTPATH", "").strip().lower() in ("", "auto"),
+    reason="REPRO_FASTPATH names no backend",
+)
+def test_this_process_runs_the_backend_the_environment_names():
+    """CI sets ``REPRO_FASTPATH`` per matrix leg: the leg runs that build."""
+    expected = os.environ["REPRO_FASTPATH"].strip().lower()
+    assert fastpath.active_backend() == expected
 
 
 def test_auto_backend_matches_numba_availability():

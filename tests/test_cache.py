@@ -38,8 +38,15 @@ def test_roundtrip_and_counters(tmp_path):
     assert snap["cache_hit_rate"] == pytest.approx(0.5)
     # The bare hits / misses / stores / hit_rate aliases are retired.
     assert set(snap) == {
-        "dir", "cache_hits", "cache_misses", "cache_stores", "cache_hit_rate",
+        "dir",
+        "cache_hits",
+        "cache_misses",
+        "cache_stores",
+        "cache_store_errors",
+        "cache_corrupt",
+        "cache_hit_rate",
     }
+    assert (snap["cache_store_errors"], snap["cache_corrupt"]) == (0, 0)
 
 
 def test_identity_mismatch_is_a_miss_not_a_wrong_answer(tmp_path):
@@ -60,10 +67,11 @@ def test_stale_version_and_corrupt_files_are_misses(tmp_path):
 
     store_entry(path, spec.key(), {"makespan": 3}, root_seed=0)
     payload = json.loads(path.read_text())
-    assert payload["v"] == CACHE_VERSION
-    payload["v"] = CACHE_VERSION + 1
-    path.write_text(json.dumps(payload))
-    assert load_entry(path, spec.key()) is None  # stale format
+    assert payload["v"] == CACHE_VERSION == 2
+    for stale in (1, CACHE_VERSION + 1):  # 1: written before the digest
+        payload["v"] = stale
+        path.write_text(json.dumps(payload))
+        assert load_entry(path, spec.key()) is None  # stale format
 
     path.write_text("{not json")
     assert load_entry(path, spec.key()) is None  # corrupt
@@ -94,6 +102,36 @@ def test_a_file_that_is_not_a_json_object_is_a_miss_and_a_recompute(
     (again,) = run_sweep([spec], root_seed=3, cache_dir=tmp_path)
     assert not again.cached and again.metrics == fresh.metrics
     assert cache.load(key, spec.key()) == fresh.metrics  # rewritten whole
+
+
+def test_damaged_metrics_are_a_counted_miss_not_a_wrong_answer(tmp_path):
+    """Valid JSON, right identity, edited metrics: the digest catches it."""
+    spec = _spec()
+    (fresh,) = run_sweep([spec], root_seed=3, cache_dir=tmp_path)
+    path = tmp_path / f"{spec.cache_key(3)}.json"
+    payload = json.loads(path.read_text())
+    payload["metrics"]["makespan"] += 1
+    path.write_text(json.dumps(payload))
+
+    cache = ResultCache(tmp_path)
+    assert cache.load(spec.cache_key(3), spec.key()) is None
+    snap = cache.snapshot()
+    assert (snap["cache_misses"], snap["cache_corrupt"]) == (1, 1)
+    (again,) = run_sweep([spec], root_seed=3, cache_dir=tmp_path)
+    assert not again.cached and again.metrics == fresh.metrics
+
+
+def test_a_refused_write_is_counted_never_raised(tmp_path, full_cache_disk):
+    """A full cache directory costs the entries, never the results."""
+    specs = [_spec(B=1), _spec(B=2)]
+    results = run_sweep(specs, root_seed=5, cache_dir=tmp_path)
+    serial = run_sweep(specs, root_seed=5)
+    assert [r.metrics for r in results] == [r.metrics for r in serial]
+    cache = ResultCache(tmp_path)
+    cache.store(specs[0].cache_key(5), specs[0].key(), {"makespan": 1}, 5)
+    snap = cache.snapshot()
+    assert (snap["cache_stores"], snap["cache_store_errors"]) == (0, 1)
+    assert list(tmp_path.iterdir()) == []  # no entry, no stray temp file
 
 
 def test_sweep_entries_are_readable_through_result_cache(tmp_path):

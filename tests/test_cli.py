@@ -146,6 +146,23 @@ SURFACE = {
 }
 
 
+#: The batched == serial grid of every lockstep model.  Eight messages a
+#: chain at B in {1, 2, 4}: batched rounds read none, some and all of
+#: their reserved random priorities (DESIGN decision 23).  The adaptive
+#: router needs a mesh.
+CHAINS_OF_EIGHT = (
+    "--workload chain-bundle --param chains=2 --param depth=5 "
+    "--param messages=8 --length 8 --channels 1,2,4"
+).split()
+BATCH_GRIDS = {
+    **dict.fromkeys(
+        ("wormhole", "cut_through", "store_forward", "restricted"),
+        CHAINS_OF_EIGHT,
+    ),
+    "adaptive": "--workload mesh-permutation --param k=4 --channels 1,2".split(),
+}
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -171,6 +188,16 @@ class TestParser:
         assert [type(v) for v in got.values()] == [
             type(v) for v in SURFACE[command].values()
         ]
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_every_row_renders_its_help(self, command, capsys):
+        """argparse interpolates help strings only when it renders them,
+        and a row's defaults go through each flag's ``type=`` differently
+        on 3.10 and 3.12, so every row's help is rendered for real."""
+        with pytest.raises(SystemExit) as exc:
+            main([*command.split(), "--help"])
+        assert exc.value.code == 0
+        assert f"usage: repro {command}" in capsys.readouterr().out
 
     def test_supervisor_argv_round_trips_through_the_serve_row(self, tmp_path):
         """``WorkerSupervisor._command`` renders the worker template from
@@ -296,15 +323,16 @@ class TestCommands:
             "--param", "depth=5",
             "--param", "messages=3",
             "--length", "8",
-            "--simulators", "wormhole",
-            "--channels", "1",
+            "--simulators", "wormhole,cut_through,store_forward",
+            "--channels", "1,2",
             "--cache-dir", str(tmp_path),
         ]
-        assert main(argv) == 0
-        capsys.readouterr()
+        # The entries a worker pool writes serve a serial rerun.
+        assert main(argv + ["--workers", "2"]) == 0
+        assert "6 trials (0 cached, 6 executed)" in capsys.readouterr().out
         assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "1 trials (1 cached, 0 executed)" in out
+        assert "6 trials (6 cached, 0 executed)" in out
 
     def test_sweep_rejects_unknown_workload(self):
         with pytest.raises(SystemExit, match="unknown workload"):
@@ -316,25 +344,18 @@ class TestCommands:
             main(["sweep", "--param", "oops"])
         assert "KEY=VAL" in capsys.readouterr().err
 
-    def test_sweep_batch_size_matches_serial(self, capsys):
-        argv = [
-            "sweep",
-            "--workload", "chain-bundle",
-            "--param", "chains=2",
-            "--param", "depth=5",
-            "--param", "messages=3",
-            "--length", "8",
-            "--simulators", "wormhole",
-            "--channels", "1,2",
-            "--repeats", "2",
-        ]
+    @pytest.mark.parametrize("simulator", list(BATCH_GRIDS))
+    def test_sweep_batch_size_matches_serial(self, capsys, simulator):
+        grid = BATCH_GRIDS[simulator]
+        argv = ["sweep", *grid, "--simulators", simulator, "--repeats", "2"]
         assert main(argv + ["--batch-size", "1"]) == 0
         serial = capsys.readouterr().out
         assert main(argv + ["--batch-size", "4"]) == 0
         batched = capsys.readouterr().out
         # Identical tables either way (the footer's wall time may jitter).
         assert serial.splitlines()[:-1] == batched.splitlines()[:-1]
-        assert "4 trials (0 cached, 4 executed)" in batched
+        trials = 2 * len(grid[grid.index("--channels") + 1].split(","))
+        assert f"{trials} trials (0 cached, {trials} executed)" in batched
 
     def test_sweep_rejects_bad_batch_size(self):
         with pytest.raises(SystemExit, match="batch-size"):
@@ -505,6 +526,10 @@ class TestCommands:
         assert exc.value.code not in (0, None)
         # argparse prints to stderr and exits 2; handlers exit with the text.
         assert message in capsys.readouterr().err + str(exc.value.code)
+        if isinstance(exc.value.code, str):
+            # What a shell sees: one line naming the command, no traceback.
+            assert exc.value.code.startswith(f"repro {argv[0]}: ")
+            assert "\n" not in exc.value.code
 
     def test_loadgen_unreachable_server_is_a_clean_error(self):
         # Port 1 on loopback is never listening; connect fails fast.
