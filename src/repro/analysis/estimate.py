@@ -68,6 +68,8 @@ import numpy as np
 
 from ..network.graph import NetworkError
 from ..sim.batch import LOCKSTEP_MODELS
+from ..sim.kernels import exact_int64
+from ..sim.spec import exact_int
 
 __all__ = [
     "ESTIMATABLE_MODELS",
@@ -241,10 +243,10 @@ def estimate_paths(
             f"simulator {model!r} has no analytic envelope; estimable "
             f"models: {', '.join(ESTIMATABLE_MODELS)}"
         )
-    L = int(message_length)
+    L = exact_int(message_length, "message_length")
     if L < 1:
         raise EstimateError("message_length must be >= 1")
-    B = int(B)
+    B = exact_int(B, "B")
     if B < 1:
         raise EstimateError("B must be >= 1")
     lengths = _as_lengths(path_lengths)
@@ -252,7 +254,7 @@ def estimate_paths(
     if release_times is None:
         release = np.zeros(M, dtype=np.int64)
     else:
-        release = np.asarray(release_times, dtype=np.int64)
+        release = exact_int64(release_times, "release_times")
         if release.shape != lengths.shape:
             raise EstimateError("release_times must match path_lengths")
         if M and int(release.min()) < 0:
@@ -326,7 +328,7 @@ def estimate_workload(
     release_times: Sequence[int] | np.ndarray | None = None,
 ) -> DelayEnvelope:
     """The envelope of a built :class:`~repro.sim.sweep.Workload`."""
-    L = workload.default_length if message_length is None else int(message_length)
+    L = workload.default_length if message_length is None else message_length
     lengths, congestion, edges_used = route_stats(workload, model)
     return estimate_paths(
         model,

@@ -62,6 +62,7 @@ import numpy as np
 
 from .network.graph import NetworkError
 from .sim.batch import LOCKSTEP_MODELS, run_model
+from .sim.spec import exact_int
 from .sim.sweep import Workload, build_workload
 
 __all__ = ["MODELS", "SIMULATE_MODES", "SimResult", "simulate"]
@@ -179,7 +180,7 @@ def _simulate_continuous(
     if message_length is None:
         raise NetworkError("the continuous model needs message_length")
     sim = ContinuousWormholeSimulator(
-        net, num_sources, num_virtual_channels=int(B), seed=seed
+        net, num_sources, num_virtual_channels=B, seed=seed
     )
     return sim.run(
         rate,
@@ -305,7 +306,7 @@ def simulate(
         env = estimate_workload(
             wl,
             model,
-            B=int(B),
+            B=exact_int(B, "B"),
             message_length=_default_length(problem, wl, message_length),
             release_times=release_times,
         )
@@ -345,7 +346,7 @@ def simulate(
             wl,
             _default_length(problem, wl, message_length),
             seeds=[seed] if batch is None else list(batch),
-            B=int(B),
+            B=exact_int(B, "B"),
             options={"priority": priority, "policy": policy},
             release_times=release_times,
             max_steps=max_steps,

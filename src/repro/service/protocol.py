@@ -223,8 +223,11 @@ class RunRequest:
         return msg
 
 
-def _require_int(msg: dict, key: str, default: int) -> int:
+def _require_int(msg: dict, key: str, default: int | None) -> int | None:
+    """``msg[key]`` as a JSON integer (``None`` only if that is the default)."""
     value = msg.get(key, default)
+    if value is None and default is None:
+        return None
     if isinstance(value, bool) or not isinstance(value, int):
         raise ProtocolError(f"{key!r} must be an integer, got {value!r}")
     return value
@@ -263,7 +266,7 @@ def parse_run_request(msg: dict[str, Any]) -> RunRequest:
             B=_require_int(spec_dict, "B", 1),
             workload_params=spec_dict.get("workload_params"),
             sim_params=spec_dict.get("sim_params"),
-            message_length=spec_dict.get("message_length"),
+            message_length=_require_int(spec_dict, "message_length", None),
             repeat=_require_int(spec_dict, "repeat", 0),
         )
     except (NetworkError, TypeError) as exc:

@@ -98,6 +98,7 @@ from .kernels import (
     RestrictedKernel,
     StoreForwardKernel,
     WormholeKernel,
+    exact_int64,
 )
 from .spec import batch_compat_key
 from .stats import AdaptiveRunResult, SimulationResult
@@ -217,7 +218,7 @@ class ModelSpec:
 
     def check(self, knob: "int | np.ndarray", option: str | None) -> None:
         """Validate a knob value (or per-trial array) and the option."""
-        low = int(np.min(knob))
+        low = int(np.min(exact_int64(knob, self.knob)))
         if low < 1:
             raise NetworkError(f"{self.knob_error}, got {low}")
         if self.option is not None and option not in self.choices:
@@ -388,7 +389,7 @@ def _begin(spec: ModelSpec, seeds, knob, option, telemetry):
 
 def _per_trial(value, T: int, name: str) -> np.ndarray:
     """Broadcast a scalar or per-trial sequence to a ``(T,)`` array."""
-    arr = np.asarray(value, dtype=np.int64)
+    arr = exact_int64(value, name)
     if arr.ndim == 0:
         return np.full(T, int(arr), dtype=np.int64)
     if arr.shape != (T,):
@@ -396,7 +397,7 @@ def _per_trial(value, T: int, name: str) -> np.ndarray:
             f"{name} must be a scalar or match the {T} seeds "
             f"(one entry per trial), got shape {arr.shape}"
         )
-    return arr.copy()
+    return arr
 
 
 def _start(

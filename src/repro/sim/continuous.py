@@ -26,6 +26,7 @@ import numpy as np
 
 from ..network.graph import Network, NetworkError
 from .batch import run_wormhole_batch
+from .spec import exact_int
 
 __all__ = ["ContinuousResult", "ContinuousWormholeSimulator"]
 
@@ -100,6 +101,7 @@ class ContinuousWormholeSimulator:
         num_virtual_channels: int = 1,
         seed: int | None = 0,
     ) -> None:
+        num_virtual_channels = exact_int(num_virtual_channels, "num_virtual_channels")
         if num_virtual_channels < 1:
             raise NetworkError("need at least one virtual channel")
         if num_sources < 1:
@@ -107,7 +109,7 @@ class ContinuousWormholeSimulator:
         self.net = net
         self.num_edges = net.num_edges
         self.num_sources = int(num_sources)
-        self.B = int(num_virtual_channels)
+        self.B = num_virtual_channels
         self._rng = np.random.default_rng(seed)
 
     def run(
@@ -146,7 +148,7 @@ class ContinuousWormholeSimulator:
             )
         if not (np.all(rates >= 0.0) and np.all(rates <= 1.0)):
             raise NetworkError("rate must be in [0, 1]")
-        L = int(message_length)
+        L = exact_int(message_length, "message_length")
         if L < 1:
             raise NetworkError("message length L must be >= 1")
 

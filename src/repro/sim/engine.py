@@ -214,11 +214,9 @@ def grant_free_slots(
     skipped.  ``prio`` is read only as ``prio[contested]``, so any
     object that gathers by an index array will do — a batched kernel
     passes its reserved random draws, which materialise only the values
-    asked for (DESIGN decision 23).  The scan runs on the backend
-    selected by :mod:`repro.sim.fastpath` (pure NumPy, or a numba jit
-    of the same linear scan; bit-identical masks) and is called exactly
-    once per non-empty round, with the contested contenders — possibly
-    none.
+    asked for (DESIGN decision 23).  The scan is
+    :func:`repro.sim.fastpath.segmented_grant`, called exactly once per
+    non-empty round with the contested contenders — possibly none.
 
     ``capacity`` may be a per-contender array (constant within each
     slot group) — this is how :class:`BatchSlotArbiter` arbitrates

@@ -94,12 +94,27 @@ class Packed(SimpleNamespace):
     loop_options: dict = {}
 
 
+def exact_int64(value, name: str) -> np.ndarray:
+    """``value`` as a new int64 array; a fraction, ``nan``, bool or
+    string is an error, never truncated (``2.0`` is ``2``)."""
+    src = np.asarray(value)
+    if src.dtype.kind in "iu":
+        return src.astype(np.int64)
+    bad = src.ravel()
+    if src.dtype.kind == "f":
+        with np.errstate(invalid="ignore"):
+            arr = src.astype(np.int64)
+        bad = src[arr != src]
+        if not bad.size:
+            return arr
+    raise NetworkError(f"{name} must be an integer, got {bad.tolist()[0]!r}")
+
+
 def _shared_lengths(message_length, M: int) -> np.ndarray:
     """Per-message ``L`` (scalar or ``(M,)``), shared by all trials."""
+    L = exact_int64(message_length, "message_length")
     try:
-        L = np.broadcast_to(
-            np.asarray(message_length, dtype=np.int64), (M,)
-        ).copy()
+        L = np.broadcast_to(L, (M,)).copy()
     except ValueError:
         raise NetworkError(
             f"message_length must be a scalar or have shape ({M},), got "
@@ -112,7 +127,7 @@ def _shared_lengths(message_length, M: int) -> np.ndarray:
 
 def _scalar_length(message_length) -> int:
     """One ``L`` for every message (whole-message / mesh models)."""
-    L = np.asarray(message_length)
+    L = exact_int64(message_length, "message_length")
     if L.ndim != 0:
         raise NetworkError(
             f"message_length must be a scalar for this model, got shape "
@@ -128,7 +143,7 @@ def _shared_release(release_times, M: int) -> np.ndarray:
     release = (
         np.zeros(M, dtype=np.int64)
         if release_times is None
-        else np.asarray(release_times, dtype=np.int64).copy()
+        else exact_int64(release_times, "release_times")
     )
     if release.shape != (M,):
         raise NetworkError(
@@ -1314,12 +1329,12 @@ class AdaptiveKernel(_Kernel):
         super().__init__(loop, packed, B=B, option=option, rngs=rngs)
         T, M = self.T, self.M
         self.coords, self.dir_edge, self.dir_node = packed.tables
-        self.dest = packed.ends[:, 1]
+        self.source, self.dest = packed.ends.T
         # Per-message state is flat, by position p = t * M + m (DESIGN
         # decision 23): node, route length and taken route (hop i is cell
         # _taken_row[p] + i; a tail vacates hop _rel_row[p] + k[p]), and
         # the occupancy of edge e is cell _occ_row[p] + e.
-        self.position = np.tile(packed.ends[:, 0], T)
+        self.position = np.tile(self.source, T)
         self.k = np.zeros((T, M), dtype=np.int64)
         self.occ = np.zeros(T * self.num_edges, dtype=np.int64)
         max_d = max(int(self.D.max()) if M else 0, 1)
@@ -1345,6 +1360,35 @@ class AdaptiveKernel(_Kernel):
         """The edge ids trial ``trial``'s messages actually traversed."""
         rows = range(trial * self.M, (trial + 1) * self.M)
         return [self.taken[p, : self.tlen[p]].tolist() for p in rows]
+
+    def audit(self, t: int) -> None:
+        """Recount what the body maintains, after step ``t``: ``occ``
+        from each message's taken route, ``k`` and ``L``, and ``tlen`` /
+        ``position`` against the taken route.
+
+        A head takes one edge per move until it has ``D`` of them, each
+        leaving the node the last one entered and one hop nearer the
+        destination; the route's edges are held in
+        :meth:`WormholeKernel.audit`'s window.
+        """
+        T, M, E, L = self.T, self.M, self.num_edges, self.L
+        want = np.zeros_like(self.occ)
+        for p, (tr, m) in enumerate(np.ndindex(T, M)):
+            moves, d, n = int(self.k[tr, m]), int(self.D[m]), int(self.tlen[p])
+            assert n == min(moves, d), "a route length off the move count"
+            route, node = self.taken[p, :n], self.source[m]
+            for e in route:  # one direction out of ``node`` is ``e``
+                (hop,) = np.flatnonzero(self.dir_edge[node] == e)
+                node = self.dir_node[node, hop]
+            left = np.abs(self.coords[self.dest[m]] - self.coords[node]).sum()
+            assert left == d - n, "a taken hop is not productive"
+            assert self.position[p] == node, "a head off its taken route"
+            if moves < L + d - 1:  # else delivered: holds nothing
+                np.add.at(want, tr * E + route[max(0, moves - L) :], 1)
+        assert np.array_equal(self.occ, want)
+        assert (self.occ.reshape(T, E) <= self.B[:, None]).all(), (
+            "a channel over capacity"
+        )
 
     def _options(self, hp: np.ndarray, ms: np.ndarray):
         """Vectorized policy-allowed productive moves, in serial order.

@@ -82,6 +82,18 @@ def _check_params(params: dict[str, Any], what: str) -> tuple[tuple[str, Any], .
     return tuple(items)
 
 
+def exact_int(value: Any, name: str) -> int:
+    """``value`` as an ``int``; a fraction, string or ``nan`` is an
+    error, never truncated (``2.0`` is ``2``)."""
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError):
+        as_int = None
+    if as_int is None or as_int != value:
+        raise NetworkError(f"{name} must be an integer, got {value!r}")
+    return as_int
+
+
 @dataclass(frozen=True)
 class TrialSpec:
     """One cell of a sweep grid.
@@ -118,6 +130,9 @@ class TrialSpec:
                 f"unknown simulator {simulator!r}; "
                 f"registered: {', '.join(sorted(SIMULATORS))}"
             )
+        B, repeat = exact_int(B, "B"), exact_int(repeat, "repeat")
+        if message_length is not None:
+            message_length = exact_int(message_length, "message_length")
         if B < 1:
             raise NetworkError("B must be >= 1")
         if repeat < 0:
@@ -125,11 +140,11 @@ class TrialSpec:
         return cls(
             workload=workload,
             simulator=simulator,
-            B=int(B),
+            B=B,
             workload_params=_check_params(workload_params or {}, "workload"),
             sim_params=_check_params(sim_params or {}, "simulator"),
-            message_length=None if message_length is None else int(message_length),
-            repeat=int(repeat),
+            message_length=message_length,
+            repeat=repeat,
         )
 
     def key(self) -> dict[str, Any]:

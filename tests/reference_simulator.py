@@ -1,6 +1,9 @@
 """Deliberately naive reference simulators: per-flit wormhole, a
-per-head adaptive mesh router (:func:`reference_adaptive_run`, below)
-and a per-message open-loop wormhole loop (:func:`reference_open_loop`).
+per-head adaptive mesh router (:func:`reference_adaptive_run`, below),
+a per-message open-loop wormhole loop (:func:`reference_open_loop`) and
+a per-message wormhole loop with random or rank priorities, classed
+channels and any ``B`` (:func:`reference_message_run`).  None of them
+imports ``repro.sim``.
 
 The wormhole reference implements the Section 1.1 model with *explicit
 flit state* — one position per flit, edge occupancy computed by
@@ -35,6 +38,14 @@ Rules applied each step — worm lock-step *emerges*, it is not assumed:
 * with injection queues (``sources``), a header may leave its injection
   buffer only once its queue predecessor's header is in the network
   (MODEL.md section 1).
+
+:func:`reference_message_run` does *not* track each flit: it counts
+moves per message (``k``), and a message holds its edge ``i`` from its
+move ``i + 1`` until move ``i + L + 1`` (the last edge until
+completion at move ``L + D - 1``) — the holding window MODEL.md states.
+It is the suite's only witness for random and rank priorities, for
+``(edge, class)`` slots and for a batch of mixed ``B``
+(``tests/sim/test_grant_classes.py``).
 """
 
 from __future__ import annotations
@@ -43,9 +54,23 @@ from types import SimpleNamespace
 
 import numpy as np
 
-__all__ = ["reference_run", "reference_adaptive_run", "reference_open_loop", "DONE"]
+__all__ = [
+    "reference_run",
+    "reference_adaptive_run",
+    "reference_open_loop",
+    "reference_message_run",
+    "DONE",
+    "REFUSED",
+    "UNCONTESTED",
+    "CONTESTED",
+]
 
 DONE = 1 << 30
+
+#: The classes of a :func:`reference_message_run` step: no contending
+#: header could be granted, every viable one was, or some slot had more
+#: viable contenders than free seats.
+REFUSED, UNCONTESTED, CONTESTED = "refused", "uncontested", "contested"
 
 
 def _advance(p: int, d: int) -> int:
@@ -310,3 +335,69 @@ def reference_open_loop(
         final_backlog=sum(len(q) for q in queues) + len(active),
         backlog_series=np.asarray(samples, dtype=np.int64),
     )
+
+
+def reference_message_run(
+    paths, L, B, release, rng, priority, vc_ids=None, max_steps=500
+):
+    """Per-message wormhole run: ``(completion, blocked, class per step)``.
+
+    ``priority`` is ``"random"`` (one ``rng.random`` per contending
+    header per round, hopeless ones included) or ``"rank"`` (one
+    ``rng.permutation(M)`` up front); the class of a step is
+    :data:`REFUSED`, :data:`UNCONTESTED` or :data:`CONTESTED`.
+
+    Each step the released, undelivered headers with path left contend
+    (ascending message = draw order); in priority order a header is
+    granted while its slot holds fewer than its capacity, counting this
+    step's earlier grants.  A slot is an edge with ``B`` seats, or an
+    ``(edge, class)`` pair with one.
+    """
+    M = len(paths)
+    D = [len(p) for p in paths]
+    rank = rng.permutation(M) if priority == "rank" else None
+    cap = B if vc_ids is None else 1
+    slot = (lambda m, i: paths[m][i]) if vc_ids is None else (
+        lambda m, i: (paths[m][i], vc_ids[m][i])
+    )
+    k = [0] * M
+    held: dict = {}
+    completion = [int(release[m]) if D[m] == 0 else -1 for m in range(M)]
+    blocked = [0] * M
+    classes = {}
+    for t in range(1, max_steps + 1):
+        pending = [m for m in range(M) if completion[m] < 0]
+        if not pending:
+            break
+        active = [m for m in pending if release[m] < t]
+        heads = [m for m in active if k[m] < D[m]]
+        movers = [m for m in active if k[m] >= D[m]]
+        if heads:
+            prio = (
+                rng.random(len(heads)) if priority == "random"
+                else [rank[m] for m in heads]
+            )
+            want = [slot(m, k[m]) for m in heads]
+            free = {s: cap - held.get(s, 0) for s in want}
+            viable = [s for s in want if free[s] > 0]
+            if not viable:
+                classes[t] = REFUSED
+            elif any(viable.count(s) > free[s] for s in viable):
+                classes[t] = CONTESTED
+            else:
+                classes[t] = UNCONTESTED
+            for j in sorted(range(len(heads)), key=lambda j: prio[j]):
+                if free[want[j]] > 0:
+                    free[want[j]] -= 1
+                    held[want[j]] = held.get(want[j], 0) + 1
+                    movers.append(heads[j])
+                else:
+                    blocked[heads[j]] += 1
+        for m in movers:
+            k[m] += 1
+            if k[m] > L[m]:  # the tail left path edge k - L - 1
+                held[slot(m, k[m] - L[m] - 1)] -= 1
+            if k[m] == L[m] + D[m] - 1:
+                held[slot(m, D[m] - 1)] -= 1
+                completion[m] = t
+    return completion, blocked, classes

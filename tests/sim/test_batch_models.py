@@ -35,6 +35,7 @@ from repro.sim.cut_through import CutThroughSimulator
 from repro.sim.restricted import RestrictedWormholeSimulator
 from repro.sim.store_forward import StoreForwardSimulator
 from repro.sim.sweep import SIMULATORS, TrialSpec, run_sweep
+from repro.service.protocol import ProtocolError, parse_run_request
 from repro.sim.wormhole import WormholeSimulator
 from repro.telemetry.probe import Probe
 
@@ -545,6 +546,59 @@ def test_validation_is_the_drivers_on_every_path(model, layered, mesh):
         _via_driver(model, problem, seeds=())
     with pytest.raises(NetworkError, match="seeds is empty"):
         _via_simulate(model, problem, batch=[])
+
+
+#: An integer parameter, a fraction for it and an integral float for it.
+#: ``repeat`` is a spec field only; release times are a driver input only.
+INTEGER_FIELDS = {
+    "B": (1.5, 2.0),
+    "message_length": (2.5, 3.0),
+    "release_times": (0.5, 1.0),
+    "repeat": (1.5, 2.0),
+}
+
+
+def _completion(res):
+    """Completion times of whatever a path returns (list, wrapper, run)."""
+    res = res[0] if isinstance(res, list) else res
+    return getattr(res, "result", res).completion_times.tolist()
+
+
+@pytest.mark.parametrize("field", list(INTEGER_FIELDS))
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_a_fraction_is_rejected_not_truncated_on_every_path(
+    model, field, layered, mesh
+):
+    """``B``, ``L``, ``repeat`` and release times are integers.  A
+    fraction, truncated, answered a different question (``L = 2.5`` ran
+    as ``L = 2``); on every path it is an error naming the parameter,
+    while an integral float is still the integer it equals."""
+    fraction, whole = INTEGER_FIELDS[field]
+    if field != "repeat":
+        problem = _problem(model, layered, mesh)
+        M = len(problem[1])
+        if field == "release_times":
+            bad, good, same = ({field: np.full(M, v)} for v in (fraction, whole, 1))
+        else:
+            bad, good, same = {field: fraction}, {field: whole}, {field: int(whole)}
+        knob = LOCKSTEP_MODELS[model].knob if field == "B" else field
+        for path in (_via_class, _via_driver, _via_simulate):
+            name = field if path is _via_simulate else knob  # simulate's B
+            with pytest.raises(NetworkError, match=f"{name} must be an integer"):
+                path(model, problem, **bad)
+            assert _completion(path(model, problem, **good)) == _completion(
+                path(model, problem, **same)
+            )
+    if field != "release_times":
+        with pytest.raises(NetworkError, match=f"{field} must be an integer"):
+            TrialSpec.make("chain-bundle", model, **{field: fraction})
+        assert TrialSpec.make("chain-bundle", model, **{field: whole}) == (
+            TrialSpec.make("chain-bundle", model, **{field: int(whole)})
+        )
+        for wire in (fraction, str(int(whole)), True):
+            spec = {"workload": "chain-bundle", "simulator": model, field: wire}
+            with pytest.raises(ProtocolError, match=f"'{field}' must be an integer"):
+                parse_run_request({"op": "run", "spec": spec})
 
 
 def test_model_table_is_complete():

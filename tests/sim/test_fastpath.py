@@ -1,27 +1,20 @@
-"""Parity and backend-selection tests for :mod:`repro.sim.fastpath`.
+"""Parity tests for :mod:`repro.sim.fastpath` and the grant that calls it.
 
-The fastpath module swaps the inner rank/grant scan of
-:func:`repro.sim.engine.grant_free_slots` between a NumPy build and an
-optional numba jit.  These tests pin three things:
+The fastpath module holds the inner rank/grant scan of
+:func:`repro.sim.engine.grant_free_slots`.  These tests pin three things:
 
-1. the module imports and resolves a backend without numba installed;
-2. the ``REPRO_FASTPATH`` override is honoured (and rejected when it
-   cannot be, or is garbage) — checked in subprocesses because the
-   choice is made at import time;
-3. the production grant kernel is bit-identical to the naive per-slot
+1. the scan, on its own, equals the naive per-slot reference for scalar
+   and per-contender capacities, with and without occupancy;
+2. the production grant kernel is bit-identical to the naive per-slot
    reference across every priority shape the routers feed it (random
    floats, age counters, rank permutations), mixed per-contender
    capacities, pre-existing occupancy, and degenerate boundaries;
-4. the grant pays for contested seats only: cases drawn to land in each
+3. the grant pays for contested seats only: cases drawn to land in each
    of its classes (all full, viable and uncontested, mixed,
    over-occupied) equal the reference, the sort sees nothing but the
    contenders of over-subscribed slots, and every non-empty round makes
    exactly one scan call.
 """
-
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -32,97 +25,20 @@ from repro.sim import fastpath
 from repro.sim.engine import grant_free_slots, grant_free_slots_reference
 
 # ----------------------------------------------------------------------
-# backend selection
-# ----------------------------------------------------------------------
-
-
-def _probe(env_value):
-    """Import fastpath in a subprocess with REPRO_FASTPATH=env_value."""
-    code = (
-        "from repro.sim import fastpath; print(fastpath.active_backend())"
-    )
-    env = dict(os.environ)
-    if env_value is None:
-        env.pop("REPRO_FASTPATH", None)
-    else:
-        env["REPRO_FASTPATH"] = env_value
-    return subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-
-
-def test_import_without_numba_resolves_a_backend():
-    assert fastpath.active_backend() in ("numpy", "numba")
-
-
-@pytest.mark.skipif(
-    os.environ.get("REPRO_FASTPATH", "").strip().lower() in ("", "auto"),
-    reason="REPRO_FASTPATH names no backend",
-)
-def test_this_process_runs_the_backend_the_environment_names():
-    """CI sets ``REPRO_FASTPATH`` per matrix leg: the leg runs that build."""
-    expected = os.environ["REPRO_FASTPATH"].strip().lower()
-    assert fastpath.active_backend() == expected
-
-
-def test_auto_backend_matches_numba_availability():
-    try:
-        import numba  # noqa: F401
-
-        expected = "numba"
-    except ImportError:
-        expected = "numpy"
-    proc = _probe(None)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == expected
-
-
-def test_forced_numpy_always_wins():
-    proc = _probe("numpy")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "numpy"
-
-
-def test_forced_numba_without_numba_raises():
-    try:
-        import numba  # noqa: F401
-
-        pytest.skip("numba is installed; the failure leg needs it absent")
-    except ImportError:
-        pass
-    proc = _probe("numba")
-    assert proc.returncode != 0
-    assert "REPRO_FASTPATH" in proc.stderr
-
-
-def test_invalid_backend_value_raises():
-    proc = _probe("cython")
-    assert proc.returncode != 0
-    assert "REPRO_FASTPATH" in proc.stderr
-
-
-def test_case_and_whitespace_insensitive():
-    proc = _probe("  NumPy ")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "numpy"
-
-
-# ----------------------------------------------------------------------
-# scan build parity (sorted-order interface)
+# the scan on its own (sorted-order interface)
 # ----------------------------------------------------------------------
 
 
 def test_segmented_grant_numpy_empty():
-    out = fastpath.segmented_grant_numpy(
+    out = fastpath.segmented_grant(
         np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), None
     )
     assert out.shape == (0,) and out.dtype == bool
 
 
 def test_segmented_grant_matches_reference_build():
+    """Per-contender capacity arrays against the naive per-slot oracle:
+    equal priorities grant in input order, which is the sorted order."""
     rng = np.random.default_rng(0)
     for _ in range(50):
         n = int(rng.integers(0, 40))
@@ -132,9 +48,9 @@ def test_segmented_grant_matches_reference_build():
         for s in np.unique(sorted_slots):
             caps[sorted_slots == s] = caps[sorted_slots == s][0]
         occ = rng.integers(0, 3, size=8)
-        a = fastpath.segmented_grant(sorted_slots, caps, occ)
-        b = fastpath.segmented_grant_numpy(sorted_slots, caps, occ)
-        assert np.array_equal(a, b)
+        got = fastpath.segmented_grant(sorted_slots, caps, occ)
+        want = grant_free_slots_reference(sorted_slots, np.zeros(n), caps, occ)
+        assert got.dtype == bool and np.array_equal(got, want)
 
 
 def _scalar_capacity_cases():
@@ -155,24 +71,12 @@ def _scalar_capacity_cases():
 def test_segmented_grant_numpy_scalar_capacity():
     """A lone trial's grant hands the scan its capacity as a scalar."""
     for sorted_slots, cap, occ, want in _scalar_capacity_cases():
-        got = fastpath.segmented_grant_numpy(sorted_slots, cap, occ)
+        got = fastpath.segmented_grant(sorted_slots, cap, occ)
         assert got.dtype == bool and np.array_equal(got, want)
-        as_array = fastpath.segmented_grant_numpy(
+        as_array = fastpath.segmented_grant(
             sorted_slots, np.full(sorted_slots.size, cap), occ
         )
         assert np.array_equal(got, as_array)
-
-
-def test_segmented_grant_numba_scalar_capacity():
-    """The jitted wrapper spreads a scalar capacity out itself
-    (``np.ascontiguousarray`` of a scalar is 0-d and cannot be indexed
-    per contender)."""
-    pytest.importorskip("numba")
-    scan = fastpath._build_numba_scan()
-    for sorted_slots, cap, occ, want in _scalar_capacity_cases():
-        for capacity in (cap, np.int64(cap)):
-            got = scan(sorted_slots, capacity, occ)
-            assert got.dtype == bool and np.array_equal(got, want)
 
 
 def test_grant_free_slots_empty_is_checked_before_the_sort(monkeypatch):

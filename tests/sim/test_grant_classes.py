@@ -7,7 +7,8 @@ over-subscribed slots are sorted.  In a mixed-``B`` batch one combined
 round holds trials of all three kinds at once, so this suite builds a
 batch in which — within a single step — one trial has no viable
 contender, one is uncontested and one is contested, and holds every row
-to its single run and to a per-message reference written from MODEL.md.
+to its single run and to the per-message reference written from MODEL.md
+(``tests/reference_simulator.py::reference_message_run``).
 
 The reference draws one uniform per contender per round, hopeless
 contenders included: a header on a full channel is refused without
@@ -16,74 +17,24 @@ same continuing ``Generator`` starts at exactly the stream position a
 ranked round would have left.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from golden_cases import _line
-from repro.sim.batch import run_wormhole_batch
-from repro.sim.wormhole import WormholeSimulator
 
-REFUSED, UNCONTESTED, CONTESTED = "refused", "uncontested", "contested"
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from reference_simulator import (  # noqa: E402
+    CONTESTED,
+    REFUSED,
+    UNCONTESTED,
+    reference_message_run,
+)
 
-
-def _reference(paths, L, B, release, rng, priority, vc_ids=None, max_steps=500):
-    """Per-message wormhole run: ``(completion, blocked, class per step)``.
-
-    Each step the released, undelivered headers with path left contend
-    (ascending message = draw order); in priority order a header is
-    granted while its slot holds fewer than its capacity, counting this
-    step's earlier grants.  A slot is an edge with ``B`` seats, or an
-    ``(edge, class)`` pair with one.
-    """
-    M = len(paths)
-    D = [len(p) for p in paths]
-    rank = rng.permutation(M) if priority == "rank" else None
-    cap = B if vc_ids is None else 1
-    slot = (lambda m, i: paths[m][i]) if vc_ids is None else (
-        lambda m, i: (paths[m][i], vc_ids[m][i])
-    )
-    k = [0] * M
-    held: dict = {}
-    completion = [int(release[m]) if D[m] == 0 else -1 for m in range(M)]
-    blocked = [0] * M
-    classes = {}
-    for t in range(1, max_steps + 1):
-        pending = [m for m in range(M) if completion[m] < 0]
-        if not pending:
-            break
-        active = [m for m in pending if release[m] < t]
-        heads = [m for m in active if k[m] < D[m]]
-        movers = [m for m in active if k[m] >= D[m]]
-        if heads:
-            prio = (
-                rng.random(len(heads)) if priority == "random"
-                else [rank[m] for m in heads]
-            )
-            want = [slot(m, k[m]) for m in heads]
-            free = {s: cap - held.get(s, 0) for s in want}
-            viable = [s for s in want if free[s] > 0]
-            if not viable:
-                classes[t] = REFUSED
-            elif any(viable.count(s) > free[s] for s in viable):
-                classes[t] = CONTESTED
-            else:
-                classes[t] = UNCONTESTED
-            for j in sorted(range(len(heads)), key=lambda j: prio[j]):
-                if free[want[j]] > 0:
-                    free[want[j]] -= 1
-                    held[want[j]] = held.get(want[j], 0) + 1
-                    movers.append(heads[j])
-                else:
-                    blocked[heads[j]] += 1
-        for m in movers:
-            k[m] += 1
-            if k[m] > L[m]:  # the tail left path edge k - L - 1
-                held[slot(m, k[m] - L[m] - 1)] -= 1
-            if k[m] == L[m] + D[m] - 1:
-                held[slot(m, D[m] - 1)] -= 1
-                completion[m] = t
-    return completion, blocked, classes
-
+from repro.sim.batch import run_wormhole_batch  # noqa: E402
+from repro.sim.wormhole import WormholeSimulator  # noqa: E402
 
 def _problem():
     """Three long worms over a short path, then stragglers behind them.
@@ -126,7 +77,7 @@ def test_a_step_holding_all_three_classes_leaves_every_row_its_single_run(
         (alone,) = run_wormhole_batch(
             net, paths, L, seeds=[seed], num_virtual_channels=B, **kw
         )
-        completion, blocked, timeline = _reference(
+        completion, blocked, timeline = reference_message_run(
             paths, L, B, release, np.random.default_rng(seed), priority, vc_ids
         )
         for got in (row, alone):
@@ -154,7 +105,7 @@ def test_a_refused_round_still_consumes_its_draws(B):
     seen = set()
     for _ in range(2):
         got = sim.run(paths, L, release_times=release)
-        completion, blocked, timeline = _reference(
+        completion, blocked, timeline = reference_message_run(
             paths, L, B, release, rng, "random"
         )
         assert got.completion_times.tolist() == completion

@@ -16,10 +16,15 @@ state from first principles and asserts equality.
   key tables checked against ``arbiter.keys`` of ``_slots`` for every
   on-path cell (VC classes and mixed ``B`` included), and, with
   injection queues, FIFO order and the held pairs from ``k``.
+* :meth:`~repro.sim.kernels.AdaptiveKernel.audit` — the flat channel
+  occupancy ``occ`` recounted from each head's taken route, ``k`` and
+  ``L``, and ``tlen`` / ``position`` checked against the taken route,
+  a minimal walk from the source.
 
 This suite wraps ``body`` for every :data:`~repro.sim.batch.LOCKSTEP_MODELS`
-row whose kernel defines ``audit`` and runs hypothesis-drawn problems with
-the audit after every step.
+row whose kernel defines ``audit`` and runs hypothesis-drawn problems —
+line and ring paths, or mesh demands for a ``"mesh"`` row — with the
+audit after every step.
 """
 
 import inspect
@@ -30,6 +35,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golden_cases import _line, _ring, fifo_release
+from repro.network.mesh import KAryNCube
 from repro.sim.batch import LOCKSTEP_MODELS
 
 AUDITED = [
@@ -39,10 +45,33 @@ AUDITED = [
 
 
 def test_the_slot_and_ownership_kernels_are_audited():
-    assert {"wormhole", "cut_through"} <= set(AUDITED)
+    assert {"wormhole", "cut_through", "adaptive"} <= set(AUDITED)
+
+
+def _mesh_problem(draw, spec):
+    """A ``k x k`` mesh, demands (some with source == destination) and
+    one scalar ``L``, as the adaptive kernel takes them."""
+    k = draw(st.integers(2, 4))
+    node = st.integers(0, k * k - 1)
+    demands = draw(st.lists(st.tuples(node, node), min_size=1, max_size=12))
+    T = draw(st.sampled_from([1, 4]))
+    kw = {
+        spec.knob: draw(st.lists(st.integers(1, 3), min_size=T, max_size=T)),
+        spec.option: draw(st.sampled_from(spec.choices)),
+        "release_times": np.asarray(
+            draw(st.lists(st.integers(0, 9), min_size=len(demands),
+                          max_size=len(demands)))
+        ),
+        "max_steps": draw(st.one_of(st.none(), st.integers(1, 25))),
+    }
+    seed = draw(st.integers(0, 2**16))
+    L = draw(st.integers(1, 5))
+    return KAryNCube(k, 2, wrap=False), demands, L, [seed + i for i in range(T)], kw
 
 
 def _problem(draw, spec):
+    if spec.kind == "mesh":
+        return _mesh_problem(draw, spec)
     n = draw(st.integers(2, 6))
     ring = draw(st.booleans())
     net, edges = (_ring(n) if ring else _line(n))[:2]
@@ -102,5 +131,7 @@ def test_maintained_state_equals_its_definition(model, data):
     finally:
         spec.kernel.body = original
     assert len(results) == len(seeds)
-    if any(paths) and kw["max_steps"] is None:
+    if kw["max_steps"] is None and (
+        any(paths) if spec.kind == "paths" else any(s != d for s, d in paths)
+    ):
         assert steps, "the audit never ran"
