@@ -13,7 +13,7 @@ import pytest
 
 from repro import Table
 from repro.network.mesh import KAryNCube
-from repro.sim.adaptive import AdaptiveMeshRouter
+from repro.sim.batch import AdaptiveMeshRouter
 
 K = 6
 L = 6

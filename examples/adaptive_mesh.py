@@ -23,7 +23,7 @@ from repro.routing.traffic import (
     hotspot_traffic,
     uniform_traffic,
 )
-from repro.sim.adaptive import AdaptiveMeshRouter
+from repro.sim.batch import AdaptiveMeshRouter
 
 K, L = 6, 6
 

@@ -27,8 +27,8 @@ from ._lazy import attach
 # ``repro`` itself loads nothing else; ``scenario:<name>`` sweep workloads
 # register the first time :mod:`repro.sim.sweep` misses a workload name.
 _EXPORTS = {
-    "AdaptiveMeshRouter": ".sim.adaptive",
-    "AdaptiveRunResult": ".sim.adaptive",
+    "AdaptiveMeshRouter": ".sim.batch",
+    "AdaptiveRunResult": ".sim.stats",
     "Benes": ".network.benes",
     "Butterfly": ".network.butterfly",
     "ButterflyRouter": ".core.butterfly_routing",
@@ -38,7 +38,7 @@ _EXPORTS = {
     "CompleteTree": ".network.tree",
     "ContinuousResult": ".sim.continuous",
     "ContinuousWormholeSimulator": ".sim.continuous",
-    "CutThroughSimulator": ".sim.cut_through",
+    "CutThroughSimulator": ".sim.batch",
     "DeBruijn": ".network.debruijn",
     "HardInstance": ".core.lower_bound",
     "Hypercube": ".network.hypercube",
@@ -53,16 +53,16 @@ _EXPORTS = {
     "OnePassOutcome": ".core.butterfly_lower_bound",
     "Path": ".routing.paths",
     "PowerLawFit": ".analysis.fitting",
-    "RestrictedWormholeSimulator": ".sim.restricted",
+    "RestrictedWormholeSimulator": ".sim.batch",
     "RoutingInstance": ".routing.problems",
     "SIMULATE_MODES": ".facade",
     "ScheduleBuild": ".core.scheduler",
     "ShuffleExchange": ".network.debruijn",
     "SimResult": ".facade",
     "SimulationResult": ".sim.stats",
-    "StoreForwardSimulator": ".sim.store_forward",
+    "StoreForwardSimulator": ".sim.batch",
     "Table": ".analysis.tables",
-    "WormholeSimulator": ".sim.wormhole",
+    "WormholeSimulator": ".sim.batch",
     "arbitrate_levels": ".core.butterfly_routing",
     "bfs_path": ".routing.shortest",
     "bit_fixing_path": ".network.hypercube",

@@ -20,7 +20,7 @@ import numpy as np
 from ..network.benes import Benes, waksman_paths
 from ..network.graph import NetworkError
 from ..sim.stats import SimulationResult
-from ..sim.wormhole import WormholeSimulator
+from ..sim.batch import WormholeSimulator
 
 __all__ = ["route_permutation_benes", "route_q_relation_benes"]
 

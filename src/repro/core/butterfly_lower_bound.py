@@ -31,7 +31,7 @@ from ..network.butterfly import Butterfly
 from ..network.graph import NetworkError
 from ..routing.problems import RoutingInstance
 from ..sim.stats import SimulationResult
-from ..sim.wormhole import WormholeSimulator
+from ..sim.batch import WormholeSimulator
 from .bounds import butterfly_subset_size
 
 __all__ = [

@@ -32,7 +32,7 @@ from ..network.hypercube import Hypercube, bit_fixing_path
 from ..routing.paths import congestion, paths_from_node_walks
 from ..routing.problems import RoutingInstance
 from ..sim.stats import SimulationResult
-from ..sim.wormhole import WormholeSimulator
+from ..sim.batch import WormholeSimulator
 
 __all__ = ["HypercubeRoutingResult", "route_hypercube_permutation"]
 

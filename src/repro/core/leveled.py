@@ -27,7 +27,7 @@ import numpy as np
 from ..network.graph import Network, NetworkError
 from ..routing.paths import Path
 from ..sim.stats import SimulationResult
-from ..sim.wormhole import WormholeSimulator
+from ..sim.batch import WormholeSimulator
 
 __all__ = ["route_leveled_greedy", "random_delay_release", "leveled_bound"]
 

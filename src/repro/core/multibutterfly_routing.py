@@ -11,7 +11,7 @@ extend level by level, choosing uniformly among the destination-correct
 edges with a free virtual channel; if all ``d`` are full the worm
 stalls (and retries — the network is leveled, so no deadlock is
 possible).  Worm mechanics (lock-step motion, strict buffer release,
-``B`` slots per edge) match :class:`~repro.sim.wormhole
+``B`` slots per edge) match :class:`~repro.sim.batch
 .WormholeSimulator` exactly.
 """
 

@@ -31,7 +31,7 @@ import numpy as np
 from ..network.graph import Network, NetworkError
 from ..routing.paths import Path, congestion, dilation
 from ..sim.stats import SimulationResult
-from ..sim.wormhole import WormholeSimulator
+from ..sim.batch import WormholeSimulator
 
 __all__ = ["online_window", "route_online_random_delays"]
 
@@ -58,7 +58,7 @@ def route_online_random_delays(
     Parameters
     ----------
     net, paths, message_length, B:
-        As for :class:`~repro.sim.wormhole.WormholeSimulator`.
+        As for :class:`~repro.sim.batch.WormholeSimulator`.
     alpha:
         Window constant when ``window`` is derived from ``C, D, B``.
     window:

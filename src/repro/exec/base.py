@@ -29,7 +29,7 @@ The three implementations — :class:`~repro.exec.inline.InlineBackend`,
 construction: a backend only moves *where* ``fn`` runs, never what it
 computes, and every trial's randomness is derived from its spec, so the
 correctness anchor "responses identical to a serial
-:class:`~repro.sim.wormhole.WormholeSimulator` run" holds regardless of
+:class:`~repro.sim.batch.WormholeSimulator` run" holds regardless of
 substrate.
 """
 

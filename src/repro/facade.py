@@ -1,36 +1,15 @@
 """One front door for the router simulators: :func:`repro.simulate`.
 
-The package grew five flit-level router models, each with its own
-constructor knob for "buffering per physical channel" (virtual
-channels, buffer flits, link bandwidth, buffer slots) and its own
-``run`` shape.  :func:`simulate` is the unified entry point: one
-``problem``, one ``model`` name, one ``B``, and per-model defaults that
-match what the sweep runner uses — so a facade call is bit-identical
-to constructing the simulator directly with the same seed.
-
-Migration table — legacy entry point to facade call:
-
-=====================================================  =====================================
-Legacy                                                 Facade
-=====================================================  =====================================
-``WormholeSimulator(net, B, p, s).run(paths, L)``      ``simulate((net, paths), model="wormhole", B=B, priority=p, seed=s, message_length=L)``
-``CutThroughSimulator(net, B, p, s).run(paths, L)``    ``simulate((net, paths), model="cut_through", B=B, priority=p, seed=s, message_length=L)``
-``StoreForwardSimulator(net, B, p, s).run(paths, L)``  ``simulate((net, paths), model="store_forward", B=B, priority=p, seed=s, message_length=L)``
-``RestrictedWormholeSimulator(net, B, s).run(p, L)``   ``simulate((net, paths), model="restricted", B=B, seed=s, message_length=L)``
-``AdaptiveMeshRouter(cube, B, pol, s).run(d, L)``      ``simulate((cube, demands), model="adaptive", B=B, policy=pol, seed=s, message_length=L)``
-``ContinuousWormholeSimulator(net, n, B, s).run(...)`` ``simulate((net, n, path_of), model="continuous", B=B, seed=s, message_length=L, rate=r, horizon=h)``
-``run_<model>_batch(net, paths, L, seeds=...)``        ``simulate((net, paths), model=..., B=B, batch=seeds, message_length=L)``
-bare ``SimulationResult`` return                       :class:`SimResult` (attribute-compatible wrapper)
-``metrics["steps"]``                                   ``result.steps``
-``metrics["delivered"]`` count                         ``result.num_delivered``
-``metrics["completion_digest"]`` / raw times           ``result.delays``
-(no legacy equivalent)                                 ``result.mode`` / ``result.provenance`` / ``simulate(..., mode="estimate")`` -> ``result.envelope``
-=====================================================  =====================================
-
-Passing ``batch=[seed, ...]`` runs one lockstep trial per seed through
-the model's driver (:mod:`repro.sim.batch`; every flit-level router)
-and returns a list of results, each bit-identical to the ``seed=...``
-call — which is the same driver with one seed.
+Each flit-level router model names its "buffering per physical
+channel" knob in its own words (virtual channels, buffer flits, link
+bandwidth, buffer slots).  :func:`simulate` dispatches by model name:
+one ``problem``, one ``model``, one ``B``, and per-model defaults that
+match what the sweep runner uses.  A lockstep model's call is one
+:func:`~repro.sim.batch.run_model` call of its ``run_<model>_batch``
+driver, the same call a simulator class (``WormholeSimulator``, ...)
+makes with one seed, so the two are bit-identical.  Passing
+``batch=[seed, ...]`` runs one lockstep trial per seed and returns a
+list of results, each bit-identical to the ``seed=...`` call.
 
 ``problem`` may be:
 
@@ -45,7 +24,7 @@ call — which is the same driver with one seed.
 Every model returns a :class:`SimResult` wrapping the underlying
 :class:`~repro.sim.stats.SimulationResult` (the adaptive router's
 chosen routes are dropped — use
-:class:`~repro.sim.adaptive.AdaptiveMeshRouter` directly if you need
+:class:`~repro.sim.batch.AdaptiveMeshRouter` directly if you need
 ``taken_paths``) except ``"continuous"``, which returns its
 :class:`~repro.sim.continuous.ContinuousResult` rate report unwrapped.
 With ``mode="estimate"`` no simulation runs at all: the result carries
@@ -183,11 +162,7 @@ def _simulate_continuous(
         net, num_sources, num_virtual_channels=B, seed=seed
     )
     return sim.run(
-        rate,
-        message_length,
-        path_of,
-        horizon=int(horizon),
-        sample_every=int(sample_every),
+        rate, message_length, path_of, horizon=horizon, sample_every=sample_every
     )
 
 
@@ -250,6 +225,7 @@ def simulate(
         would, so facade results are bit-identical to constructing the
         simulator yourself.  ``priority`` defaults per model to the
         sweep runner's choice; ``policy`` is the adaptive turn model.
+        An option the model does not take is an error, not ignored.
     batch:
         A sequence of per-trial seeds.  When given, the problem runs as
         one lockstep batch through the model's kernel

@@ -28,7 +28,7 @@ Names resolve on first access (:mod:`repro._lazy`), so a process that
 only speaks the protocol — the cluster router — never loads the batcher
 or the simulator behind it.
 
-Responses are bit-identical to serial :class:`~repro.sim.wormhole
+Responses are bit-identical to serial :class:`~repro.sim.batch
 .WormholeSimulator` runs with sweep-derived seeds, whatever batch
 composition the traffic produces.
 

@@ -9,7 +9,7 @@ The load generator is also the service's *correctness harness*: after
 driving ``concurrency`` connections at an optional request rate, it
 replays every accepted trial through the sweep runner's serial path
 (:func:`repro.sim.sweep._execute_trial` — a plain
-:class:`~repro.sim.wormhole.WormholeSimulator` run with the identical
+:class:`~repro.sim.batch.WormholeSimulator` run with the identical
 derived seed) and demands byte-identical metrics.  Any divergence —
 a batching bug, a seed-derivation drift, a cross-trial state leak —
 fails the run.  The latency/throughput/occupancy report it assembles

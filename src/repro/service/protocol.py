@@ -17,10 +17,11 @@ Requests are ``{"op": ..., "id": ..., "v": 1}`` objects:
     Execute one trial.  Carries a ``spec`` (the :class:`~repro.sim
     .sweep.TrialSpec` identity fields: ``workload``, ``simulator``,
     ``B``, ``workload_params``, ``sim_params``, ``message_length``,
-    ``repeat``), a ``root_seed``, an optional ``deadline_ms`` (maximum
-    queueing delay before the request is abandoned), an optional
-    ``timeout_s`` (client-side transport patience, echoed so proxies
-    can honor it), and a ``mode`` — one of :data:`RUN_MODES`.
+    ``repeat``), a ``root_seed`` (an integer in ``[0, 2**32)``), an
+    optional ``deadline_ms`` (maximum queueing delay before the request
+    is abandoned), an optional ``timeout_s`` (client-side transport
+    patience, echoed so proxies can honor it), and a ``mode`` — one of
+    :data:`RUN_MODES`.
     ``"exact"`` (the default) simulates; ``"estimate"`` answers from
     the analytic delay envelope (:mod:`repro.analysis.estimate`)
     without touching the batcher or the queue.  ``mode`` is a
@@ -29,7 +30,7 @@ Requests are ``{"op": ..., "id": ..., "v": 1}`` objects:
     seed derives from ``(spec, root_seed)`` exactly as in
     :func:`repro.sim.sweep.trial_seed`, so a response is bit-identical
     to the same spec run through ``run_sweep`` or a serial
-    :class:`~repro.sim.wormhole.WormholeSimulator` replay; estimate
+    :class:`~repro.sim.batch.WormholeSimulator` replay; estimate
     responses are a pure function of the spec alone and therefore
     bit-stable across replicas.  A request carrying an unknown mode is
     answered with a structured ``error`` response listing
@@ -64,7 +65,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..network.errors import NetworkError
-from ..sim.spec import TrialSpec
+from ..sim.spec import TrialSpec, check_root_seed
 
 __all__ = [
     "MODE_ESTIMATE",
@@ -271,7 +272,10 @@ def parse_run_request(msg: dict[str, Any]) -> RunRequest:
         )
     except (NetworkError, TypeError) as exc:
         raise ProtocolError(f"invalid spec: {exc}") from None
-    root_seed = _require_int(msg, "root_seed", 0)
+    try:
+        root_seed = check_root_seed(_require_int(msg, "root_seed", 0))
+    except NetworkError as exc:
+        raise ProtocolError(str(exc)) from None
     deadline_ms = _optional_number(msg, "deadline_ms")
     timeout_s = _optional_number(msg, "timeout_s")
     mode = msg.get("mode", MODE_EXACT)

@@ -6,17 +6,17 @@ grid cell — and each trial's engine state is nothing but flat integer
 arrays per message.  This module stacks ``T`` such trials into
 ``(T, M)`` state arrays and steps them in lockstep, for **every** router
 model, and it is also how a *single* trial runs: the simulator classes
-(:class:`~repro.sim.wormhole.WormholeSimulator`, ...) call their entry
-point with one seed.
+at the end of this module are each their model's driver called with one
+seed.
 
 ======================  =============================================
 typed entry point       ``T = 1`` front end
 ======================  =============================================
-:func:`run_wormhole_batch`       :class:`~repro.sim.wormhole.WormholeSimulator`
-:func:`run_cut_through_batch`    :class:`~repro.sim.cut_through.CutThroughSimulator`
-:func:`run_store_forward_batch`  :class:`~repro.sim.store_forward.StoreForwardSimulator`
-:func:`run_restricted_batch`     :class:`~repro.sim.restricted.RestrictedWormholeSimulator`
-:func:`run_adaptive_batch`       :class:`~repro.sim.adaptive.AdaptiveMeshRouter`
+:func:`run_wormhole_batch`       :class:`WormholeSimulator`
+:func:`run_cut_through_batch`    :class:`CutThroughSimulator`
+:func:`run_store_forward_batch`  :class:`StoreForwardSimulator`
+:func:`run_restricted_batch`     :class:`RestrictedWormholeSimulator`
+:func:`run_adaptive_batch`       :class:`AdaptiveMeshRouter`
 ======================  =============================================
 
 Each ``run_<model>_batch`` is a signature, a docstring and one call of
@@ -98,14 +98,21 @@ from .kernels import (
     RestrictedKernel,
     StoreForwardKernel,
     WormholeKernel,
+    check_mesh,
+    exact_count,
     exact_int64,
 )
 from .spec import batch_compat_key
 from .stats import AdaptiveRunResult, SimulationResult
 
 __all__ = [
+    "AdaptiveMeshRouter",
+    "CutThroughSimulator",
     "LOCKSTEP_MODELS",
     "ModelSpec",
+    "RestrictedWormholeSimulator",
+    "StoreForwardSimulator",
+    "WormholeSimulator",
     "batch_compat_key",
     "default_step_cap",
     "resolve_step_cap",
@@ -305,10 +312,11 @@ def default_step_cap(model: str, **dims):
 
 
 def resolve_step_cap(max_steps: int | None, model: str, **dims):
-    """The shared override path: an explicit ``max_steps`` wins,
-    otherwise the model's :func:`default_step_cap` applies."""
+    """The shared override path: an explicit ``max_steps`` (an integer
+    ``>= 0``) wins, otherwise the model's :func:`default_step_cap`
+    applies."""
     if max_steps is not None:
-        return int(max_steps)
+        return exact_count(max_steps, "max_steps")
     return default_step_cap(model, **dims)
 
 
@@ -331,10 +339,23 @@ def run_model(
     ``net`` / ``padded_paths()``, or ``cube`` / ``demands`` for mesh
     models); ``B`` is the per-trial knob and ``options`` may carry the
     model's arbitration keyword (missing or ``None`` means the table
-    default).  One seed is a single trial; the adaptive model's chosen
-    routes are dropped (call :func:`run_adaptive_batch` for them).
+    default).  Any other key with a value is an error, never dropped.
+    One seed is a single trial; the adaptive model's chosen routes are
+    dropped (call :func:`run_adaptive_batch` for them).
     """
     spec = _spec(model)
+    given = {k: v for k, v in (options or {}).items() if v is not None}
+    stray = sorted(set(given) - {spec.option})
+    if stray:
+        takes = (
+            f"its one option is {spec.option!r}"
+            if spec.option is not None
+            else "it has no arbitration option"
+        )
+        raise NetworkError(
+            f"model {model!r} does not take {', '.join(map(repr, stray))}; "
+            f"{takes}"
+        )
     kwargs: dict[str, Any] = {
         "seeds": seeds,
         spec.knob: B,
@@ -343,7 +364,7 @@ def run_model(
         "telemetry": telemetry,
     }
     if spec.option is not None:
-        kwargs[spec.option] = (options or {}).get(spec.option) or spec.default
+        kwargs[spec.option] = given.get(spec.option, spec.default)
     if vc_ids is not None:
         if not spec.vc_classes:
             raise NetworkError(
@@ -507,10 +528,14 @@ def run_wormhole_batch(
     net:
         The shared network (only ``num_edges`` is used).
     paths:
-        The shared per-message routes (or a pre-packed
-        :class:`~repro.sim.engine.PaddedPaths`); every trial routes the
-        same workload — batch *grids* over workloads by batching each
-        workload's cells separately (see :func:`repro.sim.sweep.run_sweep`).
+        The shared per-message routes — :class:`Path` objects, raw
+        edge-id sequences, or a pre-packed
+        :class:`~repro.sim.engine.PaddedPaths` (which skips the per-run
+        re-pack and caches the edge-simplicity check across runs).
+        Paths must be edge-simple (a worm cannot hold two virtual
+        channels on one edge).  Every trial routes the same workload —
+        batch *grids* over workloads by batching each workload's cells
+        separately (see :func:`repro.sim.sweep.run_sweep`).
     message_length:
         The paper's ``L`` (scalar or per-message), shared by all trials.
     seeds:
@@ -522,18 +547,42 @@ def run_wormhole_batch(
         The ``B`` of each trial — a scalar or a per-trial sequence, so
         one batch can cover a whole ``B`` sweep of a grid.
     priority:
-        The arbitration discipline, shared by the batch (``"random"``,
-        ``"age"``, ``"index"``, or ``"rank"`` — see
-        :class:`~repro.sim.wormhole.WormholeSimulator`).
-    release_times / max_steps / vc_ids:
-        As in :meth:`WormholeSimulator.run`, shared by all trials.  With
-        ``vc_ids``, every trial's ``B`` must exceed the largest assigned
-        class id.
+        Arbitration among headers contending for the free slots of one
+        edge, shared by the batch: ``"random"`` (fresh random priorities
+        each step), ``"age"`` (earlier-released message wins, ties by
+        index), ``"index"`` (message index order, fully deterministic),
+        or ``"rank"`` (a random rank drawn once per message and kept for
+        the whole run — the fixed-priority discipline of Greenberg and
+        Oh's universal wormhole algorithm [19]).
+    release_times:
+        Flit step at which each message becomes available for injection
+        (default: all 0; injection is attempted from step ``release + 1``
+        on), shared by all trials.  This is how Theorem 2.1.6 schedules
+        are executed.
+    max_steps:
+        Safety cap, an integer ``>= 0``; defaults to the model's
+        documented bound (:func:`default_step_cap`).
+    vc_ids:
+        Optional per-hop virtual-channel *class* assignment — the
+        Dally–Seitz mechanism proper (MODEL.md section 5).  Ragged
+        per-message sequences (same lengths as ``paths``) of integers in
+        ``[0, B)``; a header may then only enter the *assigned* virtual
+        channel of each edge (one buffer slot per (edge, class)), so
+        every trial's ``B`` must exceed the largest assigned class id.
+        Without it, the ``B`` slots of an edge are interchangeable (the
+        paper's Section 1.1 reading).
     sources:
         Per-message injection-queue ids, FIFO in message-index order
         (MODEL.md section 1); ``None`` gives each message its own queue.
     telemetry:
-        :mod:`repro.telemetry` probes; single-trial calls only.
+        Probes to instrument the run — a
+        :class:`~repro.telemetry.probe.ProbeSet`, a single
+        :class:`~repro.telemetry.probe.Probe`, or an iterable of probes
+        (see :mod:`repro.telemetry`); single-trial calls only.  With
+        nothing attached the hot loop performs no probe dispatch at all,
+        and attached collectors never perturb the simulation (no RNG
+        draws, no state writes), so results are bit-identical either
+        way.
 
     Returns
     -------
@@ -560,8 +609,8 @@ def run_cut_through_batch(
     max_steps: int | None = None,
     telemetry: ProbeSet | Probe | Iterable[Probe] | None = None,
 ) -> list[SimulationResult]:
-    """Lockstep :class:`~repro.sim.cut_through.CutThroughSimulator`
-    trials — one per seed, with per-trial ``buffer_flits``.  Probe
+    """Lockstep :class:`CutThroughSimulator` trials — one per seed,
+    with per-trial ``buffer_flits``.  Probe
     grants are edge-ownership claims (each implying the owning message's
     ``L`` flits will stream across the edge); releases fire when
     ownership is surrendered."""
@@ -586,11 +635,14 @@ def run_store_forward_batch(
     max_steps: int | None = None,
     telemetry: ProbeSet | Probe | Iterable[Probe] | None = None,
 ) -> list[SimulationResult]:
-    """Lockstep :class:`~repro.sim.store_forward.StoreForwardSimulator`
-    trials — one per seed, with per-trial bandwidth ``B`` (so the shared
-    clock counts *message steps* whose flit-step length ``ceil(L / B)``
-    differs per trial; per-trial results are reported in flit steps).
-    Probe events use message steps as the time axis
+    """Lockstep :class:`StoreForwardSimulator` trials — one per seed,
+    with per-trial bandwidth ``B`` (so the shared clock counts *message
+    steps* whose flit-step length ``ceil(L / B)`` differs per trial;
+    per-trial results are reported in flit steps).  ``release_times``
+    are in flit steps and are rounded up to message steps.
+    ``delay_range > 0`` adds a uniform random delay of
+    ``[0, delay_range)`` message steps per message (an integer ``>=
+    0``).  Probe events use message steps as the time axis
     (``meta.extra["flit_steps_per_step"]`` converts); each grant means
     the whole ``L``-flit message crosses the edge this step."""
     return _drive(
@@ -612,9 +664,8 @@ def run_restricted_batch(
     max_steps: int | None = None,
     telemetry: ProbeSet | Probe | Iterable[Probe] | None = None,
 ) -> list[SimulationResult]:
-    """Lockstep :class:`~repro.sim.restricted
-    .RestrictedWormholeSimulator` trials — one per seed, with per-trial
-    buffer counts ``B``.  The kernel has no telemetry hooks, so any
+    """Lockstep :class:`RestrictedWormholeSimulator` trials — one per
+    seed, with per-trial buffer counts ``B``.  The kernel has no telemetry hooks, so any
     probe is rejected."""
     return _drive(
         "restricted", net, paths, message_length,
@@ -636,8 +687,8 @@ def run_adaptive_batch(
     max_steps: int | None = None,
     telemetry: ProbeSet | Probe | Iterable[Probe] | None = None,
 ) -> list[AdaptiveRunResult]:
-    """Lockstep :class:`~repro.sim.adaptive.AdaptiveMeshRouter` trials —
-    one per seed, with per-trial ``B``.  Returns
+    """Lockstep :class:`AdaptiveMeshRouter` trials — one per seed, with
+    per-trial ``B``.  Returns
     :class:`~repro.sim.stats.AdaptiveRunResult` objects so each trial's
     adaptively chosen routes stay inspectable.  Because routes are
     chosen online, probes see ``meta.paths = None``; a blocked head
@@ -648,3 +699,188 @@ def run_adaptive_batch(
         release_times=release_times, max_steps=max_steps,
         telemetry=telemetry,
     )
+
+
+# ----------------------------------------------------------------------
+# The simulator classes: one row's driver with one seed.
+# ----------------------------------------------------------------------
+
+
+class _Simulator:
+    """A single-trial front end of one :data:`LOCKSTEP_MODELS` row.
+
+    The constructor checks ``B`` and the option against the row and
+    keeps one generator, so successive :meth:`run` calls continue one
+    random stream.
+    """
+
+    model: str
+
+    def __init__(self, problem, B, option, seed) -> None:
+        LOCKSTEP_MODELS[self.model].check(B, option)
+        self.problem = problem
+        self.B = int(B)
+        self.option = option
+        self._rng = np.random.default_rng(seed)
+
+    def run(self, routes, message_length, release_times=None, **options):
+        """One trial: the row's driver called with ``seeds=[self._rng]``.
+        The driver's signature lists the keywords ``options`` may carry,
+        and it rejects any other."""
+        spec = LOCKSTEP_MODELS[self.model]
+        own = {spec.knob: self.B}
+        if spec.option is not None:
+            own[spec.option] = self.option
+        return spec.driver(
+            self.problem, routes, message_length, seeds=[self._rng],
+            release_times=release_times, **own, **options,
+        )[0]
+
+
+class WormholeSimulator(_Simulator):
+    """The paper's machine model (Section 1.1; MODEL.md sections 1–5):
+    ``run`` is :func:`run_wormhole_batch` with one seed.
+
+    Parameters
+    ----------
+    net:
+        The network; only its edge count is used, so arithmetic
+        topologies may pass any object with a ``num_edges`` attribute.
+    num_virtual_channels:
+        The paper's ``B >= 1``.
+    priority:
+        ``"random"``, ``"age"``, ``"index"`` or ``"rank"`` (see
+        :func:`run_wormhole_batch`).
+    seed:
+        Seed of the run's random stream.
+    """
+
+    model = "wormhole"
+
+    def __init__(
+        self,
+        net: Network,
+        num_virtual_channels: int = 1,
+        priority: str = "random",
+        seed: int | None = 0,
+    ) -> None:
+        super().__init__(net, num_virtual_channels, priority, seed)
+
+
+class CutThroughSimulator(_Simulator):
+    """Virtual cut-through (Kermani–Kleinrock [21]; Section 1.4; MODEL.md
+    sections 6 and 8): ``run`` is :func:`run_cut_through_batch` with one
+    seed.
+
+    Parameters
+    ----------
+    net:
+        The network.
+    buffer_flits:
+        Per-edge buffer capacity in flits of one message (the ``B``).
+    priority:
+        ``"random"`` or ``"index"``, among headers contending for a free
+        edge.
+    seed:
+        Seed for random arbitration.
+    """
+
+    model = "cut_through"
+
+    def __init__(
+        self,
+        net: Network,
+        buffer_flits: int = 1,
+        priority: str = "random",
+        seed: int | None = 0,
+    ) -> None:
+        super().__init__(net, buffer_flits, priority, seed)
+
+
+class StoreForwardSimulator(_Simulator):
+    """Greedy store-and-forward (Section 1; MODEL.md section 6): ``run``
+    is :func:`run_store_forward_batch` with one seed.
+
+    Parameters
+    ----------
+    net:
+        The network.
+    bandwidth_flits_per_step:
+        ``B`` in footnote 4; one hop costs ``ceil(L / B)`` flit steps.
+    priority:
+        ``"random"``, ``"age"`` (earliest injected first) or
+        ``"farthest"`` (longest remaining distance first), among messages
+        queued on one edge.
+    seed:
+        Seed for random arbitration and delays.
+    """
+
+    model = "store_forward"
+
+    def __init__(
+        self,
+        net: Network,
+        bandwidth_flits_per_step: int = 1,
+        priority: str = "farthest",
+        seed: int | None = 0,
+    ) -> None:
+        super().__init__(net, bandwidth_flits_per_step, priority, seed)
+
+
+class RestrictedWormholeSimulator(_Simulator):
+    """The Section 1.4 Remarks' buffering-only model (MODEL.md section
+    6): ``run`` is :func:`run_restricted_batch` with one seed.
+
+    Parameters
+    ----------
+    net:
+        The network (only ``num_edges`` is used).
+    num_buffers:
+        Buffer slots per edge (``B``), each holding one flit of a
+        distinct message; bandwidth is one flit per edge per step.
+    seed:
+        Seed for the rotating service order.
+    """
+
+    model = "restricted"
+
+    def __init__(
+        self,
+        net: Network,
+        num_buffers: int = 1,
+        seed: int | None = 0,
+    ) -> None:
+        super().__init__(net, num_buffers, None, seed)
+
+
+class AdaptiveMeshRouter(_Simulator):
+    """Online adaptive wormhole routing on a 2-D mesh (Section 1.3.4;
+    MODEL.md section 7): ``run(demands, message_length, ...)`` is
+    :func:`run_adaptive_batch` with one seed.
+
+    Parameters
+    ----------
+    cube:
+        A :class:`~repro.network.mesh.KAryNCube` with ``n == 2`` and
+        ``wrap=False`` (turn models are stated for meshes).
+    num_virtual_channels:
+        Slots per edge, as in the main model.
+    policy:
+        ``"dimension"`` (XY), ``"west-first"`` (the Glass–Ni turn model)
+        or ``"fully-adaptive"`` (can deadlock at ``B = 1``).
+    seed:
+        Random tie-breaking among allowed free directions and among
+        contending headers.
+    """
+
+    model = "adaptive"
+
+    def __init__(
+        self,
+        cube: KAryNCube,
+        num_virtual_channels: int = 1,
+        policy: str = "west-first",
+        seed: int | None = 0,
+    ) -> None:
+        check_mesh(cube)
+        super().__init__(cube, num_virtual_channels, policy, seed)

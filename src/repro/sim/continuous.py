@@ -4,7 +4,7 @@ The paper routes *batches*; Scheideler and Vocking [43] showed that for
 *continuous* routing — packets arriving over time by a random process —
 the same ``D^(1/B)`` factor governs the maximum injection rate a
 ``B``-virtual-channel wormhole network can sustain.  This module adds an
-open-loop harness around :class:`~repro.sim.wormhole.WormholeSimulator`'s
+open-loop harness around :class:`~repro.sim.batch.WormholeSimulator`'s
 model: messages are generated over time (Bernoulli arrivals per source
 per flit step), routed by a caller-supplied path generator, and the
 run reports sustained throughput, latency, and backlog so experiments
@@ -26,6 +26,7 @@ import numpy as np
 
 from ..network.graph import Network, NetworkError
 from .batch import run_wormhole_batch
+from .kernels import exact_count
 from .spec import exact_int
 
 __all__ = ["ContinuousResult", "ContinuousWormholeSimulator"]
@@ -104,11 +105,9 @@ class ContinuousWormholeSimulator:
         num_virtual_channels = exact_int(num_virtual_channels, "num_virtual_channels")
         if num_virtual_channels < 1:
             raise NetworkError("need at least one virtual channel")
-        if num_sources < 1:
-            raise NetworkError("need at least one source")
         self.net = net
         self.num_edges = net.num_edges
-        self.num_sources = int(num_sources)
+        self.num_sources = exact_count(num_sources, "num_sources", 1)
         self.B = num_virtual_channels
         self._rng = np.random.default_rng(seed)
 
@@ -134,16 +133,14 @@ class ContinuousWormholeSimulator:
         other flits may still sit in the injection buffer), as MODEL.md
         section 1 states.
         """
-        if horizon < 1:
-            raise NetworkError("horizon must be >= 1")
-        if sample_every < 1:
-            raise NetworkError("sample_every must be >= 1")
+        horizon = exact_count(horizon, "horizon", 1)
+        sample_every = exact_count(sample_every, "sample_every", 1)
         rates = np.asarray(rate, dtype=np.float64)
         if rates.ndim == 0:
-            rates = np.full(int(horizon), float(rates))
-        elif rates.shape != (int(horizon),):
+            rates = np.full(horizon, float(rates))
+        elif rates.shape != (horizon,):
             raise NetworkError(
-                f"per-step rate must have shape ({int(horizon)},), "
+                f"per-step rate must have shape ({horizon},), "
                 f"got {rates.shape}"
             )
         if not (np.all(rates >= 0.0) and np.all(rates <= 1.0)):
@@ -155,20 +152,20 @@ class ContinuousWormholeSimulator:
         seq = np.random.SeedSequence(self._rng.integers(1 << 32, size=4))
         arrivals, routes, arbitration = map(np.random.default_rng, seq.spawn(3))
         # One block of draws equals one draw per step, in step order.
-        hits = arrivals.random((int(horizon), self.num_sources)) < rates[:, None]
+        hits = arrivals.random((horizon, self.num_sources)) < rates[:, None]
         step, source = np.nonzero(hits)
         arrival = step + 1
         paths = [path_of(int(s), routes) for s in source]
         completion = run_wormhole_batch(
             self.net, paths, L,
             seeds=[arbitration], num_virtual_channels=self.B,
-            release_times=arrival, max_steps=int(horizon), sources=source,
+            release_times=arrival, max_steps=horizon, sources=source,
         )[0].completion_times
 
         done = completion >= 0
         delivered = int(np.count_nonzero(done))
         latency_sum = int((completion[done] - arrival[done]).sum())
-        at = np.arange(sample_every, int(horizon) + 1, sample_every)
+        at = np.arange(sample_every, horizon + 1, sample_every)
         samples = np.searchsorted(arrival, at, "right")
         samples -= np.searchsorted(np.sort(completion[done]), at, "right")
         backlog = len(paths) - delivered

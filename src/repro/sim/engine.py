@@ -44,7 +44,7 @@ router is deliberately **exempt**: it holds no per-edge slot across
 steps (an edge is owned only within the message step it transmits) and
 its queues are unbounded, so a path that repeats an edge is still
 well-defined — the message simply queues at that edge again.  See
-:mod:`repro.sim.store_forward`.
+MODEL.md section 6.
 """
 
 from __future__ import annotations

@@ -110,6 +110,15 @@ def exact_int64(value, name: str) -> np.ndarray:
     raise NetworkError(f"{name} must be an integer, got {bad.tolist()[0]!r}")
 
 
+def exact_count(value, name: str, least: int = 0) -> int:
+    """A scalar ``value`` as an ``int >= least``; a fraction, bool,
+    string or smaller value is an error, never truncated or clipped."""
+    count = exact_int64(value, name)
+    if count.ndim or int(count) < least:
+        raise NetworkError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(count)
+
+
 def _shared_lengths(message_length, M: int) -> np.ndarray:
     """Per-message ``L`` (scalar or ``(M,)``), shared by all trials."""
     L = exact_int64(message_length, "message_length")
@@ -955,9 +964,10 @@ class StoreForwardKernel(_Kernel):
         delay_range: int = 0,
     ) -> Packed:
         L = _scalar_length(message_length)
-        # Deliberately no edge-simplicity check: see the store_forward
-        # module docstring (an edge is held only within the step it
-        # transmits, so repeated edges just queue twice).
+        delay_range = exact_count(delay_range, "delay_range")
+        # Deliberately no edge-simplicity check: see MODEL.md section 6
+        # (an edge is held only within the step it transmits, so
+        # repeated edges just queue twice).
         pp = PaddedPaths.from_paths(paths).require_edges_in(net.num_edges)
         padded, D = pp.padded, pp.lengths
         M = int(D.size)

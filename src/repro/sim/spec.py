@@ -6,8 +6,9 @@ JSON scalars — so it can be shipped to a worker process, hashed into a
 cache key or forwarded over the wire.  This module is the one home of
 that identity: the spec and its parameter check, the workload registry
 (:data:`WORKLOADS`, :func:`register_workload`) with its five built-in
-builders, the simulator names (:data:`SIMULATORS`) and
-:func:`batch_compat_key`.
+builders, the simulator names (:data:`SIMULATORS`),
+:func:`batch_compat_key` and the root-seed range
+(:func:`check_root_seed`).
 
 It imports neither NumPy nor the lockstep driver, so a process that
 only parses, keys and forwards trials — the cluster router — never
@@ -36,6 +37,7 @@ __all__ = [
     "WORKLOADS",
     "Workload",
     "batch_compat_key",
+    "check_root_seed",
     "register_workload",
 ]
 
@@ -92,6 +94,17 @@ def exact_int(value: Any, name: str) -> int:
     if as_int is None or as_int != value:
         raise NetworkError(f"{name} must be an integer, got {value!r}")
     return as_int
+
+
+def check_root_seed(root_seed: Any) -> int:
+    """``root_seed`` as an ``int`` in ``[0, 2**32)``, the 32 bits the
+    trial-seed derivation keys on (:func:`repro.sim.sweep.trial_seed`).
+    Anything else is an error: a seed outside the range would rerun the
+    in-range seed it aliases (``2**32`` is ``0``) under a new cache key."""
+    seed = exact_int(root_seed, "root_seed")
+    if not 0 <= seed < 1 << 32:
+        raise NetworkError(f"root_seed must be in [0, 2**32), got {seed}")
+    return seed
 
 
 @dataclass(frozen=True)

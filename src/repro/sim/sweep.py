@@ -62,6 +62,7 @@ from .spec import (
     Workload,
     _builder,
     batch_compat_key,
+    check_root_seed,
     register_workload,
 )
 
@@ -235,8 +236,18 @@ def schedule_metrics(wl: Workload, L: int, B: int, **pipeline) -> dict[str, Any]
     return {**_result_metrics(res), **build.metrics()}
 
 
+#: The sim params the ``schedule`` pipeline reads; any other is an error.
+_SCHEDULE_PARAMS = ("mode", "schedule_seed", "seed")
+
+
 def _run_schedule(wl: Workload, spec: TrialSpec, ss, L: int) -> dict[str, Any]:
     sp = dict(spec.sim_params)
+    stray = sorted(set(sp) - set(_SCHEDULE_PARAMS))
+    if stray:
+        raise NetworkError(
+            f"the schedule pipeline does not take {', '.join(map(repr, stray))}; "
+            f"its sim params are {', '.join(_SCHEDULE_PARAMS)}"
+        )
     sched_seed = sp.get("schedule_seed")
     return schedule_metrics(
         wl,
@@ -306,7 +317,7 @@ def execute_compatible(
             for spec, root in items
         ],
         B=[spec.B for spec, _ in items],
-        options=dict(spec0.sim_params),
+        options={k: v for k, v in spec0.sim_params if k != "seed"},
     )
     out = []
     for res in results:
@@ -542,8 +553,9 @@ def run_sweep(
     specs:
         The grid (see :func:`sweep_grid` / :meth:`TrialSpec.make`).
     root_seed:
-        Root entropy for :func:`trial_seed`; one sweep at two different
-        root seeds is two independent replications of the whole grid.
+        Root entropy for :func:`trial_seed`, an integer in ``[0, 2**32)``;
+        one sweep at two different root seeds is two independent
+        replications of the whole grid.
     workers:
         Pool width for thread/process backends.  With the default
         ``backend=None``, ``0`` or ``1`` runs serially in-process and
@@ -572,6 +584,7 @@ def run_sweep(
         The substrate never changes any trial's metrics.
     """
     specs = list(specs)
+    root_seed = check_root_seed(root_seed)
     started = time.perf_counter()
     plan = plan_sweep(
         specs,

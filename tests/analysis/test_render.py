@@ -7,7 +7,7 @@ from repro.analysis.render import render_butterfly, render_route, render_spaceti
 from repro.network.butterfly import Butterfly
 from repro.network.random_networks import chain_bundle
 from repro.routing.paths import paths_from_node_walks
-from repro.sim.wormhole import WormholeSimulator
+from repro.sim.batch import WormholeSimulator
 from repro.telemetry import TraceSnapshotCollector
 
 

@@ -11,7 +11,7 @@ from repro.routing.problems import (
     random_permutation,
     random_q_relation,
 )
-from repro.sim.wormhole import WormholeSimulator
+from repro.sim.batch import WormholeSimulator
 
 
 class TestArbitrateLevels:

@@ -13,7 +13,7 @@ from repro.core.lower_bound import (
 )
 from repro.network.graph import NetworkError
 from repro.routing.paths import Path
-from repro.sim.wormhole import WormholeSimulator
+from repro.sim.batch import WormholeSimulator
 from repro.telemetry import TraceSnapshotCollector
 
 

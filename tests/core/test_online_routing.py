@@ -53,7 +53,7 @@ class TestProtocol:
             net, paths, message_length=4, window=1, seed=0
         )
         # Window 1 means no delays at all: equals greedy injection.
-        from repro.sim.wormhole import WormholeSimulator
+        from repro.sim.batch import WormholeSimulator
 
         greedy = WormholeSimulator(net, 1, seed=0).run(paths, 4)
         assert res.makespan == greedy.makespan

@@ -137,7 +137,7 @@ class TestWaksman:
 
     def test_wormhole_time_is_unobstructed(self, rng):
         """Waksman routes give L + D - 1 wormhole time at B = 1 ([48])."""
-        from repro.sim.wormhole import WormholeSimulator
+        from repro.sim.batch import WormholeSimulator
 
         n, L = 16, 10
         b = Benes(n)

@@ -116,7 +116,7 @@ def _stagger(m, period=7):
 
 
 def wormhole_priorities():
-    from repro.sim.wormhole import WormholeSimulator
+    from repro.sim.batch import WormholeSimulator
 
     net, paths = _layered_workload()
     out = {}
@@ -130,7 +130,7 @@ def wormhole_priorities():
 
 
 def wormhole_staggered():
-    from repro.sim.wormhole import WormholeSimulator
+    from repro.sim.batch import WormholeSimulator
 
     net, paths = _layered_workload()
     release = _stagger(len(paths))
@@ -144,7 +144,7 @@ def wormhole_staggered():
 
 
 def wormhole_probes():
-    from repro.sim.wormhole import WormholeSimulator
+    from repro.sim.batch import WormholeSimulator
     from repro.telemetry import TraceRecorder, standard_collectors
 
     net, paths = _chain_workload()
@@ -163,7 +163,7 @@ def wormhole_legacy_kwargs():
     """The arrays the retired ``record_trace`` / ``record_contention``
     kwargs used to put in ``result.extra``, now read off their collectors
     (the golden entry predates the removal and is unchanged)."""
-    from repro.sim.wormhole import WormholeSimulator
+    from repro.sim.batch import WormholeSimulator
     from repro.telemetry import EdgeContentionCollector, TraceSnapshotCollector
 
     net, paths = _chain_workload()
@@ -180,7 +180,7 @@ def wormhole_legacy_kwargs():
 
 
 def wormhole_vc_classes():
-    from repro.sim.wormhole import WormholeSimulator
+    from repro.sim.batch import WormholeSimulator
 
     k = 6
     net, edges, paths = _ring(k)
@@ -203,7 +203,7 @@ def wormhole_vc_classes():
 
 
 def wormhole_deadlock():
-    from repro.sim.wormhole import WormholeSimulator
+    from repro.sim.batch import WormholeSimulator
     from repro.telemetry import TraceRecorder
 
     net, edges, paths = _ring(4)
@@ -215,7 +215,7 @@ def wormhole_deadlock():
 
 
 def cut_through_suite():
-    from repro.sim.cut_through import CutThroughSimulator
+    from repro.sim.batch import CutThroughSimulator
 
     net, paths = _chain_workload()
     out = {}
@@ -234,7 +234,7 @@ def cut_through_suite():
 
 
 def cut_through_probes():
-    from repro.sim.cut_through import CutThroughSimulator
+    from repro.sim.batch import CutThroughSimulator
     from repro.telemetry import TraceRecorder
 
     net, paths = _chain_workload()
@@ -246,7 +246,7 @@ def cut_through_probes():
 
 
 def store_forward_suite():
-    from repro.sim.store_forward import StoreForwardSimulator
+    from repro.sim.batch import StoreForwardSimulator
 
     net, paths = _chain_workload()
     out = {}
@@ -271,7 +271,7 @@ def store_forward_suite():
 
 
 def store_forward_probes():
-    from repro.sim.store_forward import StoreForwardSimulator
+    from repro.sim.batch import StoreForwardSimulator
     from repro.telemetry import TraceRecorder
 
     net, paths = _chain_workload()
@@ -283,7 +283,7 @@ def store_forward_probes():
 
 
 def restricted_suite():
-    from repro.sim.restricted import RestrictedWormholeSimulator
+    from repro.sim.batch import RestrictedWormholeSimulator
     from repro.network.random_networks import chain_bundle
     from repro.routing.paths import paths_from_node_walks
 
@@ -305,7 +305,7 @@ def restricted_suite():
 
 def adaptive_suite():
     from repro.network.mesh import KAryNCube
-    from repro.sim.adaptive import AdaptiveMeshRouter
+    from repro.sim.batch import AdaptiveMeshRouter
 
     cube = KAryNCube(6, 2, wrap=False)
     n = cube.num_nodes
@@ -335,7 +335,7 @@ def adaptive_suite():
 
 def adaptive_probes():
     from repro.network.mesh import KAryNCube
-    from repro.sim.adaptive import AdaptiveMeshRouter
+    from repro.sim.batch import AdaptiveMeshRouter
     from repro.telemetry import TraceRecorder
 
     cube = KAryNCube(5, 2, wrap=False)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.network.graph import NetworkError
 from repro.network.mesh import KAryNCube
-from repro.sim.adaptive import AdaptiveMeshRouter
+from repro.sim.batch import AdaptiveMeshRouter
 
 
 @pytest.fixture

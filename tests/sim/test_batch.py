@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 
 from golden_cases import _layered_workload, _ring, _stagger
 from repro.network.graph import Network, NetworkError
-from repro.sim.batch import run_wormhole_batch
-from repro.sim.wormhole import WormholeSimulator
+from repro.sim.batch import WormholeSimulator, run_wormhole_batch
 
 
 def _serial(net, paths, L, *, B, seed, priority="random", **kw):

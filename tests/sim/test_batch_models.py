@@ -10,7 +10,9 @@ lengths at the padding boundary, all-deadlocked batches, and per-trial
 step-cap masking.
 """
 
+import asyncio
 import inspect
+import json
 
 import numpy as np
 import pytest
@@ -22,21 +24,21 @@ from repro import simulate
 from repro.network.graph import Network, NetworkError
 from repro.network.mesh import KAryNCube
 from repro.sim import batch as batch_module
-from repro.sim.adaptive import AdaptiveMeshRouter
 from repro.sim.batch import (
+    AdaptiveMeshRouter,
+    CutThroughSimulator,
     LOCKSTEP_MODELS,
+    RestrictedWormholeSimulator,
+    StoreForwardSimulator,
+    WormholeSimulator,
     default_step_cap,
     run_adaptive_batch,
     run_cut_through_batch,
     run_restricted_batch,
     run_store_forward_batch,
 )
-from repro.sim.cut_through import CutThroughSimulator
-from repro.sim.restricted import RestrictedWormholeSimulator
-from repro.sim.store_forward import StoreForwardSimulator
 from repro.sim.sweep import SIMULATORS, TrialSpec, run_sweep
 from repro.service.protocol import ProtocolError, parse_run_request
-from repro.sim.wormhole import WormholeSimulator
 from repro.telemetry.probe import Probe
 
 
@@ -599,6 +601,151 @@ def test_a_fraction_is_rejected_not_truncated_on_every_path(
             spec = {"workload": "chain-bundle", "simulator": model, field: wire}
             with pytest.raises(ProtocolError, match=f"'{field}' must be an integer"):
                 parse_run_request({"op": "run", "spec": spec})
+
+
+#: A count that must be a whole number >= 0, and values that once ran as
+#: a different one (11.5 as 11, "12" as 12, True as 1, -3 as 0).
+NOT_A_COUNT = (11.5, "12", True, -3)
+
+
+def _line_paths(_source, _rng):
+    return [0, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "knob",
+    [f"max_steps-{m}" for m in MODEL_NAMES]
+    + ["delay_range", "horizon", "sample_every", "num_sources"],
+)
+def test_a_count_is_rejected_not_truncated_on_every_path(knob, layered, mesh):
+    """``max_steps``, store-and-forward's ``delay_range`` and the
+    open-loop ``horizon`` / ``sample_every`` / ``num_sources`` are
+    counts: a fraction, a string, a bool or a negative number is an
+    error naming the knob, never the count it truncates or clips to."""
+    from repro.sim.continuous import ContinuousWormholeSimulator
+
+    name, _, model = knob.partition("-")
+    if name == "max_steps":
+        problem = _problem(model, layered, mesh)
+        for value in NOT_A_COUNT:
+            for path in (_via_class, _via_driver, _via_simulate):
+                with pytest.raises(NetworkError, match="max_steps must be an integer"):
+                    path(model, problem, max_steps=value)
+        # A zero cap still means "stop before the first step".
+        res = _via_class(model, problem, max_steps=0)
+        res = getattr(res, "result", res)
+        assert res.hit_step_cap and res.steps_executed == 0
+        return
+    if name == "delay_range":
+        problem = _problem("store_forward", layered, mesh)
+        for value in (3.7, -2, "3", True):
+            for path in (_via_class, _via_driver):
+                with pytest.raises(NetworkError, match="delay_range must be an integer"):
+                    path("store_forward", problem, delay_range=value)
+        return
+    net = Network()
+    nodes = net.add_nodes(range(4))
+    for u, v in zip(nodes[:-1], nodes[1:]):
+        net.add_edge(u, v)
+    for value in (4.5, "4", True, 0):
+        kw = {"num_sources": 2, "horizon": 200, "sample_every": 50, name: value}
+        with pytest.raises(NetworkError, match=f"{name} must be an integer"):
+            ContinuousWormholeSimulator(net, kw["num_sources"]).run(
+                0.2, 3, _line_paths,
+                horizon=kw["horizon"], sample_every=kw["sample_every"],
+            )
+        with pytest.raises(NetworkError, match=f"{name} must be an integer"):
+            simulate(
+                (net, kw["num_sources"], _line_paths), model="continuous",
+                rate=0.2, message_length=3, horizon=kw["horizon"],
+                sample_every=kw["sample_every"],
+            )
+
+
+#: An arbitration option the model does not take, and what the error
+#: says.  The parent ran each as if it were absent (or, for ``""``, as
+#: the default).
+STRAY_OPTIONS = {
+    "priority-on-restricted": (
+        "restricted", {"priority": "index"}, "has no arbitration option",
+    ),
+    "policy-on-wormhole": (
+        "wormhole", {"policy": "dimension"}, "does not take 'policy'",
+    ),
+    "empty-priority": ("wormhole", {"priority": ""}, "priority must be one of"),
+    "misspelt-priority": (
+        "wormhole", {"prioirty": "index"}, "its one option is 'priority'",
+    ),
+    "priority-on-schedule": (
+        "schedule", {"priority": "index"}, "does not take 'priority'",
+    ),
+}
+SMALL_CHAIN = {"chains": 2, "depth": 4, "messages": 3}
+
+
+def _served(case):
+    """The in-process ``repro serve`` endpoint's reply to one exact run."""
+    from repro.service import ServiceConfig, SimulationService
+
+    model, options, _ = STRAY_OPTIONS[case]
+    spec = {
+        "workload": "chain-bundle", "simulator": model, "B": 2,
+        "workload_params": SMALL_CHAIN, "sim_params": options,
+        "message_length": 8,
+    }
+
+    async def converse():
+        service = SimulationService(ServiceConfig(port=0))
+        task = asyncio.create_task(service.run())
+        await service.started.wait()
+        reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
+        replies = []
+        for msg in ({"op": "run", "id": case, "spec": spec}, {"op": "shutdown"}):
+            writer.write(json.dumps(msg).encode() + b"\n")
+            await writer.drain()
+            replies.append(json.loads(await reader.readline()))
+        writer.close()
+        await writer.wait_closed()
+        await asyncio.wait_for(task, 60)
+        return replies[0]
+
+    return asyncio.run(asyncio.wait_for(converse(), 120))
+
+
+@pytest.mark.parametrize(
+    "path, case",
+    [
+        (path, case)
+        for path in ("simulate", "sweep", "endpoint")
+        for case in STRAY_OPTIONS
+        # simulate names its options (a misspelling is a TypeError) and
+        # has no schedule model.
+        if path != "simulate"
+        or case not in ("misspelt-priority", "priority-on-schedule")
+    ],
+)
+def test_an_option_the_model_does_not_take_is_an_error(path, case):
+    """``priority`` on the restricted model, ``policy`` on a path model,
+    a misspelt key or an empty value once ran the default arbitration
+    and answered ``ok``: a wrong number under the asked-for label."""
+    model, options, needle = STRAY_OPTIONS[case]
+    if path == "endpoint":
+        reply = _served(case)
+        assert reply["status"] == "error" and needle in reply["error"]
+        return
+    with pytest.raises(NetworkError, match=needle):
+        if path == "simulate":
+            simulate(
+                "chain-bundle", workload_params=SMALL_CHAIN, model=model,
+                B=2, message_length=8, **options,
+            )
+        else:
+            run_sweep([
+                TrialSpec.make(
+                    "chain-bundle", model, B=2, workload_params=SMALL_CHAIN,
+                    sim_params=options, message_length=8,
+                )
+            ])
 
 
 def test_model_table_is_complete():

@@ -6,7 +6,7 @@ import pytest
 from repro.network.graph import Network, NetworkError
 from repro.network.random_networks import chain_bundle
 from repro.routing.paths import paths_from_node_walks
-from repro.sim.cut_through import CutThroughSimulator
+from repro.sim.batch import CutThroughSimulator
 
 
 def chain_paths(chains, depth, per_chain):

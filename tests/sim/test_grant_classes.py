@@ -33,8 +33,7 @@ from reference_simulator import (  # noqa: E402
     reference_message_run,
 )
 
-from repro.sim.batch import run_wormhole_batch  # noqa: E402
-from repro.sim.wormhole import WormholeSimulator  # noqa: E402
+from repro.sim.batch import WormholeSimulator, run_wormhole_batch  # noqa: E402
 
 def _problem():
     """Three long worms over a short path, then stragglers behind them.

@@ -21,8 +21,7 @@ from reference_simulator import reference_run  # noqa: E402
 from golden_cases import _line, _ring, fifo_release  # noqa: E402
 from repro.network.random_networks import chain_bundle, layered_network, random_walk_paths
 from repro.routing.paths import paths_from_node_walks
-from repro.sim.batch import run_wormhole_batch
-from repro.sim.wormhole import WormholeSimulator
+from repro.sim.batch import WormholeSimulator, run_wormhole_batch
 
 
 def optimized_run(net, paths, L, B, release=None):

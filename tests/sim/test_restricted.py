@@ -6,8 +6,7 @@ import pytest
 from repro.network.graph import Network, NetworkError
 from repro.network.random_networks import chain_bundle
 from repro.routing.paths import paths_from_node_walks
-from repro.sim.restricted import RestrictedWormholeSimulator
-from repro.sim.wormhole import WormholeSimulator
+from repro.sim.batch import RestrictedWormholeSimulator, WormholeSimulator
 
 
 def chain_paths(chains, depth, per_chain):

@@ -6,7 +6,7 @@ import pytest
 from repro.network.graph import NetworkError
 from repro.network.random_networks import chain_bundle
 from repro.routing.paths import paths_from_node_walks
-from repro.sim.store_forward import StoreForwardSimulator
+from repro.sim.batch import StoreForwardSimulator
 
 
 def chain_paths(chains, depth, per_chain):
@@ -25,7 +25,7 @@ class TestBasics:
 
     def test_wormhole_beats_store_forward_unobstructed(self):
         """The paper's headline latency contrast: L+D-1 vs L*D."""
-        from repro.sim.wormhole import WormholeSimulator
+        from repro.sim.batch import WormholeSimulator
 
         net, paths = chain_paths(1, 6, 1)
         L = 8

@@ -240,6 +240,25 @@ def test_cache_keyed_on_root_seed(tmp_path):
     assert out.num_cached == 0  # different root seed is a different trial
 
 
+def test_a_root_seed_outside_32_bits_is_rejected_not_aliased():
+    """The seed derivation keys on 32 bits, so root seeds 0, 2**32 and
+    -2**32 once ran one trial under three cache keys; out of range is
+    now an error on the wire (before any forwarding) and in the sweep."""
+    from repro.service.protocol import ProtocolError, parse_run_request
+
+    specs = tiny_grid(simulators=("wormhole",), Bs=(1,))
+    wire = {"workload": "chain-bundle", "workload_params": TINY_WL}
+    out_of_range = r"root_seed must be in \[0, 2\*\*32\)"
+    for seed in (2**32, -(2**32), -5, 2**40):
+        with pytest.raises(ProtocolError, match=out_of_range):
+            parse_run_request({"op": "run", "spec": wire, "root_seed": seed})
+        with pytest.raises(NetworkError, match=out_of_range):
+            run_sweep(specs, root_seed=seed)
+    for seed in (0, 2**32 - 1):
+        assert parse_run_request({"spec": wire, "root_seed": seed}).root_seed == seed
+    assert run_sweep(specs, root_seed=2**32 - 1).trials[0].metrics["delivered"] == 6
+
+
 def test_cache_rejects_corrupt_entry(tmp_path):
     specs = tiny_grid(simulators=("wormhole",), Bs=(1,))
     run_sweep(specs, cache_dir=tmp_path)

@@ -12,7 +12,7 @@ restrictions (dateline) cannot.
 import pytest
 
 from repro.network.graph import Network, NetworkError
-from repro.sim.wormhole import WormholeSimulator
+from repro.sim.batch import WormholeSimulator
 
 
 def ring(k):

@@ -7,7 +7,7 @@ from repro.network.graph import Network, NetworkError
 from repro.network.random_networks import chain_bundle
 from repro.routing.paths import paths_from_node_walks
 from repro.sim.engine import pad_paths
-from repro.sim.wormhole import WormholeSimulator
+from repro.sim.batch import WormholeSimulator
 from repro.telemetry import EdgeContentionCollector
 
 

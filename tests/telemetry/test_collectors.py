@@ -12,10 +12,12 @@ import pytest
 from repro.network.mesh import KAryNCube
 from repro.network.random_networks import chain_bundle
 from repro.routing.paths import paths_from_node_walks
-from repro.sim.adaptive import AdaptiveMeshRouter
-from repro.sim.cut_through import CutThroughSimulator
-from repro.sim.store_forward import StoreForwardSimulator
-from repro.sim.wormhole import WormholeSimulator
+from repro.sim.batch import (
+    AdaptiveMeshRouter,
+    CutThroughSimulator,
+    StoreForwardSimulator,
+    WormholeSimulator,
+)
 from repro.telemetry import (
     BufferOccupancyCollector,
     ChannelUtilizationCollector,

@@ -5,7 +5,7 @@ import numpy as np
 from repro.network.graph import Network
 from repro.network.random_networks import chain_bundle
 from repro.routing.paths import paths_from_node_walks
-from repro.sim.wormhole import WormholeSimulator
+from repro.sim.batch import WormholeSimulator
 from repro.telemetry import (
     EdgeContentionCollector,
     StallAttributionCollector,

@@ -14,8 +14,7 @@ from repro.network.butterfly import Butterfly
 from repro.network.random_networks import chain_bundle, layered_network, random_walk_paths
 from repro.routing.paths import paths_from_node_walks
 from repro.routing.problems import bit_reversal_permutation
-from repro.sim.store_forward import StoreForwardSimulator
-from repro.sim.wormhole import WormholeSimulator
+from repro.sim.batch import StoreForwardSimulator, WormholeSimulator
 from repro.telemetry import (
     TRACE_FORMAT,
     TRACE_VERSION,

@@ -12,11 +12,13 @@ import repro
 from repro import Butterfly, KAryNCube, simulate
 from repro.network.graph import NetworkError
 from repro.routing.problems import bit_reversal_permutation
-from repro.sim.adaptive import AdaptiveMeshRouter
-from repro.sim.cut_through import CutThroughSimulator
-from repro.sim.restricted import RestrictedWormholeSimulator
-from repro.sim.store_forward import StoreForwardSimulator
-from repro.sim.wormhole import WormholeSimulator
+from repro.sim.batch import (
+    AdaptiveMeshRouter,
+    CutThroughSimulator,
+    RestrictedWormholeSimulator,
+    StoreForwardSimulator,
+    WormholeSimulator,
+)
 
 L = 8
 SEED = 3
@@ -179,21 +181,21 @@ class TestErrors:
 
 
 class TestDeprecations:
-    """The deprecated helper re-exports have completed their cycle."""
+    """Retired modules stay retired; their names live on elsewhere."""
 
     @pytest.mark.parametrize(
         "module", ["wormhole", "cut_through", "restricted"]
     )
     @pytest.mark.parametrize("name", ["pad_paths", "check_edge_simple"])
     def test_shim_removed(self, module, name):
-        """The old module-level aliases are gone; engine is canonical."""
+        """The per-model wrapper modules are gone (their classes live in
+        ``repro.sim.batch``); engine is the home of the path helpers."""
         import importlib
 
         from repro.sim import engine
 
-        mod = importlib.import_module(f"repro.sim.{module}")
-        with pytest.raises(AttributeError):
-            getattr(mod, name)
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(f"repro.sim.{module}")
         assert callable(getattr(engine, name))
 
     def test_package_import_does_not_warn(self):

@@ -20,7 +20,7 @@ from repro.network.butterfly import Butterfly
 from repro.network.hypercube import bit_fixing_path
 from repro.network.random_networks import chain_bundle
 from repro.routing.paths import paths_from_node_walks
-from repro.sim.wormhole import WormholeSimulator
+from repro.sim.batch import WormholeSimulator
 
 # ---------------------------------------------------------------------------
 # strategies

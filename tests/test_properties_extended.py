@@ -8,8 +8,7 @@ from repro.network.mesh import KAryNCube
 from repro.network.multibutterfly import Multibutterfly
 from repro.routing.decompose import decompose_q_relation
 from repro.routing.problems import RoutingInstance, random_q_relation
-from repro.sim.adaptive import AdaptiveMeshRouter
-from repro.sim.wormhole import WormholeSimulator
+from repro.sim.batch import AdaptiveMeshRouter, WormholeSimulator
 
 
 # ---------------------------------------------------------------------------
