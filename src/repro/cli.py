@@ -125,7 +125,7 @@ FLAGS: dict[str, dict] = {
     ),
     "--top": _arg(int, 5, "rows per report table"),
     "--trace": _arg(
-        str, None, "also record an event trace to PATH (.jsonl or .npz)",
+        str, None, "also record a JSONL event trace to PATH",
         metavar="PATH",
     ),
     "--param": _arg(

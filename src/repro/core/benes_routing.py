@@ -21,6 +21,7 @@ from ..network.benes import Benes, waksman_paths
 from ..network.graph import NetworkError
 from ..sim.stats import SimulationResult
 from ..sim.batch import WormholeSimulator
+from ..sim.kernels import exact_count
 
 __all__ = ["route_permutation_benes", "route_q_relation_benes"]
 
@@ -37,9 +38,7 @@ def route_permutation_benes(
     the Waksman construction guarantees cannot happen.
     """
     perm = np.asarray(perm, dtype=np.int64)
-    L = int(message_length)
-    if L < 1:
-        raise NetworkError("message length must be >= 1")
+    L = exact_count(message_length, "message_length", 1)
     benes = Benes(perm.size)
     cols = waksman_paths(perm)
     edges = benes.columns_to_edges(cols)
@@ -71,9 +70,7 @@ def route_q_relation_benes(
     """
     if not perms:
         raise NetworkError("need at least one permutation batch")
-    L = int(message_length)
-    if L < 1:
-        raise NetworkError("message length must be >= 1")
+    L = exact_count(message_length, "message_length", 1)
     n = int(np.asarray(perms[0]).size)
     benes = Benes(n)
     net = benes.to_network()

@@ -42,6 +42,7 @@ import numpy as np
 from ..network.butterfly import Butterfly
 from ..network.graph import NetworkError
 from ..routing.problems import RoutingInstance
+from ..sim.kernels import exact_count
 from .bounds import log2c, num_colors, num_rounds
 
 __all__ = [
@@ -157,20 +158,16 @@ class ButterflyRouter:
         beta: float = 1.0,
         seed: int | None = 0,
     ) -> None:
-        if B < 1:
-            raise NetworkError("B must be >= 1")
-        if message_length < 1:
-            raise NetworkError("message length must be >= 1")
+        self.B = exact_count(B, "B", 1)
+        self.L = exact_count(message_length, "message_length", 1)
         self.bf = Butterfly(n, passes=2)
         self.n = n
         self.log_n = self.bf.log_n
-        self.B = B
-        self.L = int(message_length)
         self.beta = float(beta)
         self._rng = np.random.default_rng(seed)
         llln = log2c(log2c(n))
         lllln = max(log2c(llln), 1.0)
-        self.b_within_theorem = B <= max(llln / lllln, 1.0)
+        self.b_within_theorem = self.B <= max(llln / lllln, 1.0)
 
     # ------------------------------------------------------------------
     def route(

@@ -28,10 +28,11 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..network.graph import Network, NetworkError
+from ..network.graph import Network
 from ..routing.paths import Path, congestion, dilation
 from ..sim.stats import SimulationResult
 from ..sim.batch import WormholeSimulator
+from ..sim.kernels import exact_count
 
 __all__ = ["online_window", "route_online_random_delays"]
 
@@ -66,9 +67,7 @@ def route_online_random_delays(
     rng:
         Randomness for the delays (``seed`` drives arbitration).
     """
-    L = int(message_length)
-    if L < 1:
-        raise NetworkError("message length must be >= 1")
+    L = exact_count(message_length, "message_length", 1)
     path_list = list(paths)
     as_paths = [
         p if isinstance(p, Path) else None for p in path_list

@@ -20,6 +20,7 @@ from ..network.graph import Network, NetworkError
 from ..routing.paths import Path
 from ..sim.stats import SimulationResult
 from ..sim.batch import WormholeSimulator
+from ..sim.kernels import exact_count
 
 __all__ = ["ColorClassSchedule", "execute_schedule"]
 
@@ -58,11 +59,13 @@ class ColorClassSchedule:
         cls, colors: np.ndarray, message_length: int, D: int
     ) -> "ColorClassSchedule":
         """Canonical schedule: one class every ``L + D - 1`` steps."""
+        L = exact_count(message_length, "message_length", 1)
+        D = exact_count(D, "D")
         return cls(
             colors=np.asarray(colors, dtype=np.int64),
-            message_length=int(message_length),
-            dilation=int(D),
-            phase_length=int(message_length) + int(D) - 1 if int(D) > 0 else int(message_length),
+            message_length=L,
+            dilation=D,
+            phase_length=L + D - 1 if D > 0 else L,
         )
 
     @property

@@ -55,9 +55,10 @@ class Multibutterfly:
     rng: np.random.Generator | None = None
     log_n: int = field(init=False)
     network: Network = field(init=False)
-    # up_edges[level][node-index] / down_edges: lists of edge ids.
-    _up: list[list[list[int]]] = field(init=False)
-    _down: list[list[list[int]]] = field(init=False)
+    #: ``(num_nodes, 2, d)`` edge ids: ``candidate_table[v, half, j]`` is
+    #: the ``j``-th edge out of node ``v`` into the upper (``half = 0``)
+    #: or lower (``1``) half of the next-level block; ``-1`` on outputs.
+    candidate_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not is_power_of_two(self.n) or self.n < 4:
@@ -70,12 +71,7 @@ class Multibutterfly:
         for level in range(self.log_n + 1):
             for w in range(self.n):
                 net.add_node((w, level))
-        self._up = [
-            [[] for _ in range(self.n)] for _ in range(self.log_n)
-        ]
-        self._down = [
-            [[] for _ in range(self.n)] for _ in range(self.log_n)
-        ]
+        table = np.full((net.num_nodes, 2, self.d), -1, dtype=np.int64)
         for level in range(self.log_n):
             block_size = self.n >> level
             half = block_size // 2
@@ -86,37 +82,38 @@ class Multibutterfly:
                 # Upper half of the two child blocks: indices [base,
                 # base+half); lower: [base+half, base+block).  d random
                 # matchings per half keep degrees exact.
-                for which, child_base in (("up", base), ("down", base + half)):
-                    store = self._up if which == "up" else self._down
-                    for _ in range(self.d):
+                for which, child_base in enumerate((base, base + half)):
+                    for choice in range(self.d):
                         perm = rng.permutation(block_size)
                         for j, src in enumerate(members):
                             dst_index = child_base + (perm[j] % half)
+                            tail = level * self.n + int(src)
                             e = net.add_edge(
-                                level * self.n + int(src),
-                                (level + 1) * self.n + int(dst_index),
+                                tail, (level + 1) * self.n + int(dst_index)
                             )
-                            store[level][int(src)].append(e)
+                            table[tail, which, choice] = e
         self.network = net
+        self.candidate_table = table
 
     @property
     def num_levels(self) -> int:
         return self.log_n + 1
 
-    @staticmethod
-    def _half_for(dest_column: int, level: int, log_n: int) -> int:
-        """0 = upper half, 1 = lower half at this level (MSB first)."""
-        return (dest_column >> (log_n - 1 - level)) & 1
+    def candidates(self, nodes, dest_columns) -> np.ndarray:
+        """:meth:`candidate_edges` of non-output ``nodes`` toward
+        ``dest_columns`` (arrays of one shape, or scalars), vectorized:
+        shape ``(..., d)``.  Bit ``log n - 1 - level`` of the output
+        column picks the half (MSB first)."""
+        level = np.asarray(nodes) // self.n
+        half = (np.asarray(dest_columns) >> (self.log_n - 1 - level)) & 1
+        return self.candidate_table[nodes, half]
 
     def candidate_edges(self, node: int, dest_column: int) -> list[int]:
         """The ``d`` correct-direction edges out of ``node`` toward
         ``dest_column`` (the adaptive router's choice set)."""
-        level, index = divmod(node, self.n)
-        if level >= self.log_n:
+        if node // self.n >= self.log_n:
             raise NetworkError(f"node {node} is an output; no further edges")
-        half = self._half_for(dest_column, level, self.log_n)
-        store = self._down if half else self._up
-        return list(store[level][index])
+        return self.candidates(node, dest_column).tolist()
 
     def inputs(self) -> np.ndarray:
         return np.arange(self.n, dtype=np.int64)

@@ -88,6 +88,7 @@ import numpy as np
 
 from ..network.graph import Network, NetworkError
 from ..network.mesh import KAryNCube
+from ..network.multibutterfly import Multibutterfly
 from ..routing.paths import Path
 from ..telemetry.probe import Probe, ProbeSet, RunMeta
 from .engine import BatchStepLoop, PaddedPaths
@@ -676,7 +677,7 @@ def run_restricted_batch(
 
 
 def run_adaptive_batch(
-    cube: KAryNCube,
+    cube: KAryNCube | Multibutterfly,
     demands: list[tuple[int, int]],
     message_length: int,
     *,
@@ -687,8 +688,13 @@ def run_adaptive_batch(
     max_steps: int | None = None,
     telemetry: ProbeSet | Probe | Iterable[Probe] | None = None,
 ) -> list[AdaptiveRunResult]:
-    """Lockstep :class:`AdaptiveMeshRouter` trials — one per seed, with
-    per-trial ``B``.  Returns
+    """Lockstep adaptive-routing trials — one per seed, with per-trial
+    ``B`` — over a 2-D mesh (:class:`AdaptiveMeshRouter`; ``demands``
+    are ``(source, destination)`` node ids) or a
+    :class:`~repro.network.multibutterfly.Multibutterfly`
+    (:class:`~repro.core.multibutterfly_routing.MultibutterflyRouter`;
+    ``demands`` are ``(input column, output column)`` pairs, and the
+    policy must be ``"fully-adaptive"``).  Returns
     :class:`~repro.sim.stats.AdaptiveRunResult` objects so each trial's
     adaptively chosen routes stay inspectable.  Because routes are
     chosen online, probes see ``meta.paths = None``; a blocked head

@@ -25,6 +25,7 @@ import numpy as np
 from ..network.butterfly import Butterfly
 from ..network.graph import NetworkError
 from .engine import grant_free_slots
+from .kernels import exact_count
 
 __all__ = ["CircuitSwitchResult", "circuit_switch_butterfly"]
 
@@ -74,8 +75,7 @@ def circuit_switch_butterfly(
     -------
     :class:`CircuitSwitchResult` with the surviving messages.
     """
-    if capacity < 1:
-        raise NetworkError("capacity must be >= 1")
+    capacity = exact_count(capacity, "capacity", 1)
     dests = np.asarray(dests, dtype=np.int64)
     if sources is None:
         if dests.size != bf.n:

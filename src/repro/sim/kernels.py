@@ -8,7 +8,7 @@ capacity-``B`` slots for interchangeable virtual channels (wormhole),
 single-owner edges with ``B``-flit compression for cut-through,
 whole-packet hops for store-and-forward, one-flit-per-edge rotating
 service for the restricted model, and mask-based online route selection
-for adaptive meshes.  This module holds those semantics as five kernel
+for adaptive routing on meshes and multibutterflies.  This module holds those semantics as five kernel
 classes with one construction contract (see :class:`_Kernel`): a
 ``pack(...)`` classmethod that validates and packs the model's problem
 into a :class:`Packed`, one ``__init__(loop, packed, *, B, option,
@@ -33,8 +33,8 @@ Trial ``i`` of a batch is bit-identical to the same trial run alone with
 arbitration key space keeps trials' slot groups disjoint, and a trial's
 state is only read or written where it has active messages.  Telemetry
 probes ride on the loop (``state.probes``) and are supported at
-``T = 1`` only, where each kernel reproduces the legacy event stream
-call for call, in the same order.
+``T = 1`` only, where each kernel dispatches its serial run's event
+stream call for call, in service order.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from ..network.graph import NetworkError
+from ..network.multibutterfly import Multibutterfly
 from .engine import (
     BatchSlotArbiter,
     PaddedPaths,
@@ -1289,40 +1290,59 @@ _AXES = np.arange(2)
 
 
 class AdaptiveKernel(_Kernel):
-    """Adaptive mesh routing over per-trial head orders, in prefix waves.
+    """Online adaptive routing over per-trial head orders, in prefix waves.
 
     Each step, every trial shuffles its active messages with its own
-    RNG (the serial head-service order).  The geometric option masks
-    (productive directions allowed by the turn-model policy) are
-    computed vectorized for every head of every trial from the cube's
-    coordinate and direction-edge tables; heads are then served in
-    *prefix waves* — each pass serves, in every trial at once, the heads
-    ahead of the first one whose free set could still depend on an
-    earlier head (MODEL.md section 7) — while the free-channel draw
+    RNG (the serial head-service order).  Every head's options come
+    from its topology (:meth:`_options`): on a 2-D mesh the productive
+    x- and y-moves the turn-model policy allows, on a
+    :class:`~repro.network.multibutterfly.Multibutterfly` the ``d``
+    edges into the destination's half at the head's level.  They are
+    computed vectorized for every head of every trial; heads are then
+    served in *prefix waves* — each pass serves, in every trial at once,
+    the heads ahead of the first one whose free set could still depend
+    on an earlier head (MODEL.md section 7) — while the free-option draw
     consumes each trial's RNG exactly as its serial run would (one
-    ``integers(2)`` per head with both channels free, in service order).
+    ``integers(k)`` per head with ``k >= 2`` free options, in service
+    order).
     """
 
     @classmethod
     def pack(
-        cls, cube, demands, message_length, release_times, *, B, option, rngs
+        cls, topology, demands, message_length, release_times, *, B, option,
+        rngs,
     ) -> Packed:
-        check_mesh(cube)
         L = _scalar_length(message_length)
         ends = np.asarray(demands, dtype=np.int64).reshape(-1, 2)
-        bad = (ends < 0) | (ends >= cube.num_nodes)
+        mbf = isinstance(topology, Multibutterfly)
+        if mbf and option != "fully-adaptive":
+            raise NetworkError(
+                "policy must be 'fully-adaptive' on a multibutterfly "
+                f"('dimension' and 'west-first' are 2-D mesh turn models), "
+                f"got {option!r}"
+            )
+        if not mbf:
+            check_mesh(topology)
+        bad = (ends < 0) | (ends >= (topology.n if mbf else topology.num_nodes))
         if bad.any():
-            raise NetworkError(f"node id {int(ends[bad][0])} out of range")
-        tables = cube.direction_tables()
-        src, dst = tables[0][ends.T]
-        return Packed(
+            what = "column" if mbf else "node id"
+            raise NetworkError(f"{what} {int(ends[bad][0])} out of range")
+        if mbf:  # (input column, output column): every route has log n hops
+            tables = topology.network.heads_array()
+            lengths = np.full(len(ends), topology.log_n, dtype=np.int64)
+        else:
+            tables = topology.direction_tables()
+            src, dst = tables[0][ends.T]
             # Minimal routes all have the Manhattan length.
-            lengths=np.abs(src - dst).sum(axis=1),
+            lengths = np.abs(src - dst).sum(axis=1)
+        return Packed(
+            lengths=lengths,
             message_length=L,
             release=_shared_release(release_times, len(demands)),
-            num_edges=cube.network.num_edges,
+            num_edges=topology.network.num_edges,
             padded=None,
             ends=ends,
+            topology=topology,
             tables=tables,
             num_virtual_channels=int(B[0]),
             extra={"flits_per_grant": L, "policy": option},
@@ -1338,7 +1358,7 @@ class AdaptiveKernel(_Kernel):
     def __init__(self, loop, packed: Packed, *, B, option, rngs) -> None:
         super().__init__(loop, packed, B=B, option=option, rngs=rngs)
         T, M = self.T, self.M
-        self.coords, self.dir_edge, self.dir_node = packed.tables
+        self.topology, self.tables = packed.topology, packed.tables
         self.source, self.dest = packed.ends.T
         # Per-message state is flat, by position p = t * M + m (DESIGN
         # decision 23): node, route length and taken route (hop i is cell
@@ -1377,7 +1397,8 @@ class AdaptiveKernel(_Kernel):
         ``position`` against the taken route.
 
         A head takes one edge per move until it has ``D`` of them, each
-        leaving the node the last one entered and one hop nearer the
+        one of the options (:meth:`_options`, the policy applied) of the
+        node the last one entered — so each is one hop nearer the
         destination; the route's edges are held in
         :meth:`WormholeKernel.audit`'s window.
         """
@@ -1387,11 +1408,10 @@ class AdaptiveKernel(_Kernel):
             moves, d, n = int(self.k[tr, m]), int(self.D[m]), int(self.tlen[p])
             assert n == min(moves, d), "a route length off the move count"
             route, node = self.taken[p, :n], self.source[m]
-            for e in route:  # one direction out of ``node`` is ``e``
-                (hop,) = np.flatnonzero(self.dir_edge[node] == e)
-                node = self.dir_node[node, hop]
-            left = np.abs(self.coords[self.dest[m]] - self.coords[node]).sum()
-            assert left == d - n, "a taken hop is not productive"
+            for e in route:
+                oe, on = self._options(np.array([node]), np.array([m]))
+                assert e in oe[0], "a taken hop is not an option of its node"
+                node = on[0, oe[0] == e][0]
             assert self.position[p] == node, "a head off its taken route"
             if moves < L + d - 1:  # else delivered: holds nothing
                 np.add.at(want, tr * E + route[max(0, moves - L) :], 1)
@@ -1400,17 +1420,22 @@ class AdaptiveKernel(_Kernel):
             "a channel over capacity"
         )
 
-    def _options(self, hp: np.ndarray, ms: np.ndarray):
-        """Vectorized policy-allowed productive moves, in serial order.
+    def _options(self, pos: np.ndarray, ms: np.ndarray):
+        """Vectorized options of heads at nodes ``pos`` (messages ``ms``),
+        in serial order.
 
-        Returns ``(oe, on)`` — ``(n, 2)`` edge and node ids of the x-move
-        and y-move of each head (flat positions ``hp``, messages ``ms``;
-        ``-1`` = absent).  The serial option list appends the x-move
-        before the y-move, so a head's first option is its first present
-        column.
+        Returns ``(oe, on)`` — ``(n, W)`` edge and node ids (``-1`` =
+        absent).  On a multibutterfly, ``W = d``: the ``d`` edges into
+        the destination's half of the next-level block
+        (:meth:`~repro.network.multibutterfly.Multibutterfly.candidates`).
+        On a mesh, ``W = 2``: the x-move and the y-move the policy
+        allows — the serial option list appends the x-move first.
         """
-        pos = self.position.take(hp)
-        delta = self.coords[self.dest[ms]] - self.coords[pos]
+        if isinstance(self.topology, Multibutterfly):
+            oe = self.topology.candidates(pos, self.dest.take(ms))
+            return oe, self.tables.take(oe)
+        coords, dir_edge, dir_node = self.tables
+        delta = coords[self.dest[ms]] - coords[pos]
         d = _AXIS_DIR[_AXES, np.sign(delta)]
         if self.option == "dimension":  # y only once x is corrected
             d[delta[:, 0] != 0, 1] = 4
@@ -1418,21 +1443,21 @@ class AdaptiveKernel(_Kernel):
             # Destination west: go fully west, deterministically.
             d[delta[:, 0] < 0, 1] = 4
         pos = pos[:, None]
-        return self.dir_edge[pos, d], self.dir_node[pos, d]
+        return dir_edge[pos, d], dir_node[pos, d]
 
     @staticmethod
     def _earlier_claims(key: np.ndarray) -> np.ndarray:
         """How many earlier heads of the same trial list each candidate.
 
-        ``key`` is the ``(n, 2)`` matrix of the heads' candidate
+        ``key`` is the ``(n, W)`` matrix of the heads' candidate
         ``(trial, edge)`` occupancy keys, trial-major in service order
-        (``-1`` = absent).  A head's two candidates are distinct edges,
-        so the rank of a claim within its key group, taken in head
-        order, is the count of earlier heads that could acquire that
-        edge before it.  Absent candidates share one group; their rank
-        is never read.
+        (``-1`` = absent).  A head's candidates are distinct edges, so
+        the rank of a claim within its key group, taken in head order,
+        is the count of earlier heads that could acquire that edge
+        before it.  Absent candidates share one group; their rank is
+        never read.
         """
-        key = key.reshape(-1)
+        shape, key = key.shape, key.reshape(-1)
         idx = np.arange(key.size)
         # Head order within a group without a stable sort: the keys
         # key * n + position are unique, so their one order is the
@@ -1444,7 +1469,7 @@ class AdaptiveKernel(_Kernel):
         np.not_equal(sk[1:], sk[:-1], out=first[1:])
         rank = np.empty(key.size, dtype=np.int64)
         rank[srt] = idx - np.maximum.accumulate(np.where(first, idx, 0))
-        return rank.reshape(-1, 2)
+        return rank.reshape(shape)
 
     def body(self, t: int, active: np.ndarray) -> np.ndarray:
         T, L = self.T, self.L
@@ -1480,7 +1505,7 @@ class AdaptiveKernel(_Kernel):
         blocks: list[tuple[np.ndarray, np.ndarray]] = []
         if ht.size:
             self.head_steps += 1
-            oe, on = self._options(hp, hm)
+            oe, on = self._options(self.position.take(hp), hm)
         # Prefix waves (MODEL.md section 7): a head's outcome can depend
         # on an earlier head only through an edge whose free lanes the
         # earlier claims could exhaust.  Occupancy only rises while
@@ -1495,8 +1520,8 @@ class AdaptiveKernel(_Kernel):
             free = present & (room > 0)
             claims = self._earlier_claims(np.where(present, okey, -1))
             und = (free & (claims >= room)).any(axis=1)
-            f1, f2 = free[:, 0], free[:, 1]
-            win, both = f1 | f2, f1 & f2
+            nfree = np.count_nonzero(free, axis=1)
+            win, many = nfree > 0, nfree > 1
             blk = ~win
             wave = None
             if und.any():
@@ -1506,29 +1531,31 @@ class AdaptiveKernel(_Kernel):
                 np.minimum.at(stop, ht[u], u)
                 wave = np.arange(ht.size) < stop[ht]
                 win &= wave
-                both &= wave
+                many &= wave
                 blk &= wave
             if blk.any():
                 self._blocked[hp[blk]] += 1
-                if probes is not None:
-                    wanted = np.where(oe[:, 0] >= 0, oe[:, 0], oe[:, 1])
+                if probes is not None:  # the first present option
+                    wanted = oe[np.arange(ht.size), present.argmax(axis=1)]
                     blocks.append((hm[blk], wanted[blk]))
-            # Free-channel choice: ``integers(1)`` never consumes RNG
-            # state and always returns 0, so only heads with both
-            # options free draw from their trial's stream — one
-            # ``integers(2, size=n)`` per trial, split-exact against
-            # ``n`` scalar draws.
+            # Free-option choice: ``integers(1)`` never consumes RNG
+            # state and always returns 0, so only heads with k >= 2 free
+            # options draw from their trial's stream — one
+            # ``integers(highs)`` per trial, split-exact against its
+            # per-head scalar ``integers(k)`` draws.
             ch = np.zeros(ht.size, dtype=np.int64)
-            draw = both.nonzero()[0]
+            draw = many.nonzero()[0]
             if draw.size:
                 need = np.bincount(ht[draw], minlength=T)
                 at = 0
                 for tr in need.nonzero()[0]:
-                    n = need[tr]
-                    ch[draw[at : at + n]] = self.rngs[tr].integers(2, size=n)
-                    at += n
+                    mine = draw[at : at + need[tr]]
+                    ch[mine] = self.rngs[tr].integers(nfree[mine])
+                    at += need[tr]
+            # Each winner takes its ch-th free option, in option order.
             w = win.nonzero()[0]
-            sel = 2 * w + np.where(f1, ch, 1)[w]  # flat (head, column)
+            col = (free[w].cumsum(axis=1) > ch[w, None]).argmax(axis=1)
+            sel = oe.shape[1] * w + col  # flat (head, column)
             e_sel = oe.reshape(-1).take(sel)
             wp = hp[w]
             # Several heads of one trial may now take one edge.

@@ -181,13 +181,11 @@ class ProbeSet:
     def coerce(
         cls,
         telemetry: "ProbeSet | Probe | Iterable[Probe] | None",
-        extra: Iterable[Probe] = (),
     ) -> "ProbeSet | None":
         """Normalize a ``telemetry=`` argument; ``None`` when empty.
 
         Accepts ``None``, a single :class:`Probe`, an iterable of
-        probes, or a :class:`ProbeSet`; ``extra`` probes (e.g. legacy
-        keyword shims) are appended.  The caller's objects are never
+        probes, or a :class:`ProbeSet`.  The caller's objects are never
         mutated — a fresh set is built.
         """
         if telemetry is None:
@@ -198,7 +196,6 @@ class ProbeSet:
             probes = [telemetry]
         else:
             probes = list(telemetry)
-        probes.extend(extra)
         return cls(probes) if probes else None
 
     # ------------------------------------------------------------------

@@ -1,15 +1,10 @@
-"""Versioned event traces: record, save (JSONL / NPZ), load, replay.
+"""Versioned event traces: record, save (JSONL), load, replay.
 
 A trace is the grant/block/release/complete event stream of one run
-plus the run's static metadata.  Two interchangeable on-disk formats:
-
-* ``.jsonl`` — line 1 is the meta header (with ``format`` and
-  ``version``), then one line per event batch
-  (``{"t": ..., "ev": "grant", "m": [...], "e": [...]}``), then a final
-  ``{"ev": "end", ...}`` line.  Human-greppable.
-* ``.npz`` — the same data as flat, compressed NumPy arrays (one
-  ``<ev>_t / <ev>_m / <ev>_e`` triple per event type) plus the meta
-  header as a JSON string.  Compact for large runs.
+plus the run's static metadata.  On disk it is JSONL: line 1 is the
+meta header (with ``format`` and ``version``), then one line per event
+batch (``{"t": ..., "ev": "grant", "m": [...], "e": [...]}``), then a
+final ``{"ev": "end", ...}`` line.  Human-greppable.
 
 :func:`replay_check` is the integrity guarantee: for a wormhole-engine
 trace it re-derives every completion time *from the grant events alone*
@@ -178,30 +173,14 @@ class TraceRecorder(Probe):
         return Trace(meta=dict(self._meta), events=events, end=dict(self._end))
 
     def save(self, path: str | Path) -> Path:
-        """Write the trace; format chosen by suffix (.jsonl / .npz)."""
+        """Write the trace as JSONL."""
         return write_trace(self.to_trace(), path)
 
 
 # ----------------------------------------------------------------------
 def write_trace(trace: Trace, path: str | Path) -> Path:
     path = Path(path)
-    if path.suffix == ".npz":
-        payload: dict[str, np.ndarray] = {}
-        for ev in _EDGE_EVENTS:
-            t, m, e = trace.events[ev]
-            payload[f"{ev}_t"], payload[f"{ev}_m"], payload[f"{ev}_e"] = t, m, e
-        for ev in _MSG_EVENTS:
-            t, m = trace.events[ev]
-            payload[f"{ev}_t"], payload[f"{ev}_m"] = t, m
-        header = dict(trace.meta)
-        header["end"] = trace.end
-        payload["meta_json"] = np.frombuffer(
-            json.dumps(header).encode(), dtype=np.uint8
-        )
-        np.savez_compressed(path, **payload)
-        return path
-    # JSONL: group flat arrays back into per-(t, ev) batch lines, in
-    # step order (event types at equal t are written grant, block,
+    # Group flat arrays back into per-(t, ev) batch lines, in step order (event types at equal t are written grant, block,
     # release, complete, deadlock — replay does not depend on intra-step
     # order).
     lines = [json.dumps(trace.meta)]
@@ -231,37 +210,23 @@ def write_trace(trace: Trace, path: str | Path) -> Path:
 
 
 def load_trace(path: str | Path) -> Trace:
+    """Read a JSONL trace; a file that is not one — binary, truncated,
+    foreign or from a newer version — is a :class:`TraceError`."""
     path = Path(path)
-    if path.suffix == ".npz":
-        with np.load(path) as data:
-            header = json.loads(bytes(data["meta_json"]).decode())
-            _check_header(header, path)
-            end = header.pop("end", {})
-            events: dict[str, tuple[np.ndarray, ...]] = {}
-            for ev in _EDGE_EVENTS:
-                events[ev] = (
-                    data[f"{ev}_t"].astype(np.int64),
-                    data[f"{ev}_m"].astype(np.int64),
-                    data[f"{ev}_e"].astype(np.int64),
-                )
-            for ev in _MSG_EVENTS:
-                events[ev] = (
-                    data[f"{ev}_t"].astype(np.int64),
-                    data[f"{ev}_m"].astype(np.int64),
-                )
-        return Trace(meta=header, events=events, end=end)
-
-    lines = path.read_text().splitlines()
-    if not lines:
+    try:
+        records = [
+            json.loads(line) for line in path.read_text().splitlines()
+            if line.strip()
+        ]
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise TraceError(f"{path}: not a JSONL trace ({exc})") from None
+    if not records:
         raise TraceError(f"{path}: empty trace file")
-    header = json.loads(lines[0])
+    header = records[0]
     _check_header(header, path)
     batches: dict[str, list[tuple]] = {ev: [] for ev in _EDGE_EVENTS + _MSG_EVENTS}
     end: dict = {}
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        rec = json.loads(line)
+    for rec in records[1:]:
         ev = rec.get("ev")
         if ev == "end":
             end = {k: v for k, v in rec.items() if k != "ev"}
@@ -297,8 +262,8 @@ def load_trace(path: str | Path) -> Trace:
     return Trace(meta=header, events=events, end=end)
 
 
-def _check_header(header: dict, path: Path) -> None:
-    if header.get("format") != TRACE_FORMAT:
+def _check_header(header, path: Path) -> None:
+    if not isinstance(header, dict) or header.get("format") != TRACE_FORMAT:
         raise TraceError(f"{path}: not a {TRACE_FORMAT} file")
     if int(header.get("version", -1)) > TRACE_VERSION:
         raise TraceError(

@@ -1,9 +1,9 @@
 """Deliberately naive reference simulators: per-flit wormhole, a
-per-head adaptive mesh router (:func:`reference_adaptive_run`, below),
-a per-message open-loop wormhole loop (:func:`reference_open_loop`) and
-a per-message wormhole loop with random or rank priorities, classed
-channels and any ``B`` (:func:`reference_message_run`).  None of them
-imports ``repro.sim``.
+per-head adaptive router for meshes and multibutterflies
+(:func:`reference_adaptive_run`, below), a per-message open-loop
+wormhole loop (:func:`reference_open_loop`) and a per-message wormhole
+loop with random or rank priorities, classed channels and any ``B``
+(:func:`reference_message_run`).  None of them imports ``repro.sim``.
 
 The wormhole reference implements the Section 1.1 model with *explicit
 flit state* — one position per flit, edge occupancy computed by
@@ -167,48 +167,65 @@ def reference_run(
 
 
 def reference_adaptive_run(
-    k, demands, L, B, policy, rng, release_times=None, max_steps=100_000
+    topology, demands, L, B, policy, rng, release_times=None, max_steps=100_000
 ):
-    """A naive per-head adaptive mesh router (MODEL.md section 7).
+    """A naive per-head adaptive router (MODEL.md section 7).
 
-    ``demands`` are ``(source, destination)`` node ids of a ``k x k``
-    mesh, node ``(x, y)`` having id ``x * k + y``; ``policy`` is
-    ``"dimension"``, ``"west-first"`` or ``"fully-adaptive"`` and ``rng``
+    ``topology`` is ``k`` for a ``k x k`` mesh — ``demands`` are then
+    ``(source, destination)`` node ids, node ``(x, y)`` having id
+    ``x * k + y``, and ``policy`` is ``"dimension"``, ``"west-first"``
+    or ``"fully-adaptive"`` — or a multibutterfly, whose ``demands`` are
+    ``(input column, output column)`` pairs and whose options are its
+    ``candidate_edges`` (the policy is then fully adaptive).  ``rng`` is
     the trial's :class:`numpy.random.Generator`.  Each step the active
     messages are served one at a time in shuffled order against *live*
-    link occupancy (a dict keyed by the directed link ``(u, v)``); a
-    head lists its x-move before its y-move and draws
-    ``integers(len(free))`` only when two channels are free.
+    link occupancy (a dict keyed by the link: the directed pair
+    ``(u, v)`` on a mesh, the edge id on a multibutterfly); a head lists
+    its options in order (x-move before y-move on a mesh) and draws
+    ``integers(len(free))`` among the free ones (``integers(1)``
+    consumes nothing).
 
-    Returns ``(completion, blocked, walks, deadlocked)``: per-message
-    completion times (``-1`` undelivered), blocked-step counts, the node
-    walk each head took (source first), and whether the run ended with
-    no message able to move.
+    Returns ``(completion, blocked, links, deadlocked)``: per-message
+    completion times (``-1`` undelivered), blocked-step counts, the
+    links each head took, and whether the run ended with no message
+    able to move.
     """
     M = len(demands)
     release = (
         [0] * M if release_times is None else [int(r) for r in release_times]
     )
-    xy = [divmod(int(v), k) for v in range(k * k)]
-    dist = [
-        abs(xy[s][0] - xy[d][0]) + abs(xy[s][1] - xy[d][1]) for s, d in demands
-    ]
-    walks = [[int(s)] for s, _ in demands]
-    moves = [0] * M
-    blocked = [0] * M
-    completion = [release[m] if dist[m] == 0 else -1 for m in range(M)]
-    occupancy: dict[tuple[int, int], int] = {}
+    if isinstance(topology, int):
+        k = topology
+        xy = [divmod(int(v), k) for v in range(k * k)]
+        dist = [
+            abs(xy[s][0] - xy[d][0]) + abs(xy[s][1] - xy[d][1])
+            for s, d in demands
+        ]
+    else:
+        dist = [topology.log_n] * M
 
-    def options(node: int, dst: int) -> list[int]:
-        """Neighbours the policy allows, x-move first."""
+    def options(node: int, dst: int) -> list[tuple]:
+        """``(link, next node)`` the policy allows, in option order."""
+        if not isinstance(topology, int):
+            net = topology.network
+            return [(e, net.head(e)) for e in topology.candidate_edges(node, dst)]
         (x, y), (tx, ty) = xy[node], xy[dst]
         east_west = [] if tx == x else [(x + (1 if tx > x else -1)) * k + y]
         north_south = [] if ty == y else [x * k + y + (1 if ty > y else -1)]
         if policy == "dimension":
-            return east_west or north_south
-        if policy == "west-first" and tx < x:
-            return east_west
-        return east_west + north_south
+            allowed = east_west or north_south
+        elif policy == "west-first" and tx < x:
+            allowed = east_west
+        else:
+            allowed = east_west + north_south
+        return [((node, nxt), nxt) for nxt in allowed]
+
+    at = [int(s) for s, _ in demands]
+    links = [[] for _ in range(M)]
+    moves = [0] * M
+    blocked = [0] * M
+    completion = [release[m] if dist[m] == 0 else -1 for m in range(M)]
+    occupancy: dict = {}
 
     t = 0
     while any(c < 0 for c in completion) and t < max_steps:
@@ -223,30 +240,29 @@ def reference_adaptive_run(
         movers = []
         for m in order:
             if moves[m] < dist[m]:  # head still extending its route
-                here = walks[m][-1]
                 free = [
-                    (here, nxt)
-                    for nxt in options(here, demands[m][1])
-                    if occupancy.get((here, nxt), 0) < B
+                    (link, nxt)
+                    for link, nxt in options(at[m], demands[m][1])
+                    if occupancy.get(link, 0) < B
                 ]
                 if not free:
                     blocked[m] += 1
                     continue
-                link = free[int(rng.integers(2)) if len(free) == 2 else 0]
+                link, at[m] = free[int(rng.integers(len(free)))]
                 occupancy[link] = occupancy.get(link, 0) + 1
-                walks[m].append(link[1])
+                links[m].append(link)
             movers.append(m)
         for m in movers:
             moves[m] += 1
             vacated = moves[m] - L - 1  # the link the tail flit just left
             if 0 <= vacated < dist[m] - 1:
-                occupancy[(walks[m][vacated], walks[m][vacated + 1])] -= 1
+                occupancy[links[m][vacated]] -= 1
             if moves[m] == L + dist[m] - 1:
-                occupancy[(walks[m][-2], walks[m][-1])] -= 1
+                occupancy[links[m][-1]] -= 1
                 completion[m] = t
         if not movers and len(active) == len(pending):
-            return completion, blocked, walks, True
-    return completion, blocked, walks, False
+            return completion, blocked, links, True
+    return completion, blocked, links, False
 
 
 def reference_open_loop(

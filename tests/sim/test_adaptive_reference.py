@@ -5,7 +5,8 @@ one at a time, in shuffled order, over live occupancy (MODEL.md
 section 7) and never imports ``repro.sim``; the kernel serves them in
 prefix waves.  Both consume one generator per trial, so completion
 times, blocked steps, taken routes and the deadlock flag must be
-*identical* — alone (``T = 1``) and as a trial of a batch.
+*identical* — alone (``T = 1``) and as a trial of a batch, on 2-D
+meshes under each turn model and on multibutterflies.
 """
 
 import sys
@@ -19,34 +20,39 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from reference_simulator import reference_adaptive_run  # noqa: E402
 
+from repro.network.graph import NetworkError
 from repro.network.mesh import KAryNCube
+from repro.network.multibutterfly import Multibutterfly
 from repro.sim import kernels
 from repro.sim.batch import run_adaptive_batch
 
 POLICIES = ("dimension", "west-first", "fully-adaptive")
 
 
-def assert_matches_reference(cube, demands, L, B, policy, seeds, release=None):
-    """Every trial of one lockstep call equals its own reference run."""
+def assert_matches_reference(topo, demands, L, B, policy, seeds, release=None):
+    """Every trial of one lockstep call equals its own reference run
+    (``topo`` is a 2-D mesh cube or a multibutterfly)."""
     outs = run_adaptive_batch(
-        cube, demands, L, seeds=list(seeds), num_virtual_channels=B,
+        topo, demands, L, seeds=list(seeds), num_virtual_channels=B,
         policy=policy,
         release_times=None if release is None else np.asarray(release),
     )
-    net = cube.network
+    mesh = isinstance(topo, KAryNCube)
+    net = topo.network
     for seed, out in zip(seeds, outs):
-        completion, blocked, walks, deadlocked = reference_adaptive_run(
-            cube.k, demands, L, B, policy, np.random.default_rng(seed), release
+        completion, blocked, links, deadlocked = reference_adaptive_run(
+            topo.k if mesh else topo, demands, L, B, policy,
+            np.random.default_rng(seed), release,
         )
         assert not out.result.hit_step_cap
         assert out.result.deadlocked == deadlocked
         assert out.result.completion_times.tolist() == completion
         assert out.result.blocked_steps.tolist() == blocked
         taken = [
-            [src] + [net.head(e) for e in path]
-            for (src, _), path in zip(demands, out.taken_paths)
+            [(net.tail(e), net.head(e)) if mesh else e for e in path]
+            for path in out.taken_paths
         ]
-        assert taken == walks
+        assert taken == links
     return outs
 
 
@@ -78,6 +84,52 @@ def test_kernel_equals_reference(policy, B, T, problem):
     cube = KAryNCube(k, 2, wrap=False)
     seeds = range(seed, seed + T)
     assert_matches_reference(cube, demands, L, B, policy, seeds, release)
+
+
+@st.composite
+def multibutterfly_problems(draw):
+    n, d = draw(st.sampled_from([4, 8, 16])), draw(st.integers(1, 3))
+    column = st.integers(0, n - 1)
+    demands = draw(
+        st.lists(st.tuples(column, column), min_size=1, max_size=3 * n)
+    )
+    release = draw(
+        st.one_of(
+            st.none(),
+            st.lists(
+                st.integers(0, 9),
+                min_size=len(demands), max_size=len(demands),
+            ),
+        )
+    )
+    L, seed = draw(st.integers(1, 6)), draw(st.integers(0, 2**32))
+    mbf = Multibutterfly(n, d=d, rng=np.random.default_rng(seed))
+    return mbf, demands, release, L, seed
+
+
+@pytest.mark.parametrize("T", [1, 4])
+@pytest.mark.parametrize("B", [1, 2, 3])
+@given(problem=multibutterfly_problems())
+@settings(max_examples=12, deadline=None)
+def test_kernel_equals_reference_on_multibutterflies(B, T, problem):
+    """A multibutterfly head's options are the ``d`` edges into its
+    destination's half; at ``d = 3`` a head draws ``integers(3)``."""
+    mbf, demands, release, L, seed = problem
+    seeds = range(seed, seed + T)
+    assert_matches_reference(
+        mbf, demands, L, B, "fully-adaptive", seeds, release
+    )
+
+
+@pytest.mark.parametrize("policy", ["dimension", "west-first"])
+def test_a_multibutterfly_takes_only_the_fully_adaptive_policy(policy):
+    mbf = Multibutterfly(8, d=2, rng=np.random.default_rng(0))
+    with pytest.raises(NetworkError, match="'fully-adaptive'"):
+        run_adaptive_batch(mbf, [(0, 1)], 2, seeds=[0], policy=policy)
+    with pytest.raises(NetworkError, match="column 8 out of range"):
+        run_adaptive_batch(
+            mbf, [(0, 8)], 2, seeds=[0], policy="fully-adaptive"
+        )
 
 
 @pytest.fixture
@@ -147,19 +199,24 @@ class TestPrefixWaves:
 @given(
     seed=st.integers(0, 2**32),
     chunks=st.lists(
-        st.tuples(st.integers(0, 9), st.integers(0, 4)), max_size=12
+        st.tuples(
+            st.lists(st.integers(2, 5), max_size=9), st.integers(0, 4)
+        ),
+        max_size=12,
     ),
 )
 @settings(max_examples=50, deadline=None)
-def test_integers_2_is_split_exact(seed, chunks):
-    """The kernel draws a trial's free-channel choices for one pass as
-    ``integers(2, size=n)``; the serial router drew them one scalar at a
-    time, interleaved with the next step's ``random(m)`` shuffle.  The
-    two must consume the stream identically."""
+def test_integers_highs_is_split_exact(seed, chunks):
+    """The kernel draws a trial's free-option choices for one pass as
+    one ``integers(highs)`` call, ``highs`` being each drawing head's
+    count of free options; the serial router drew them one scalar
+    ``integers(k)`` at a time, interleaved with the next step's
+    ``random(m)`` shuffle.  The two must consume the stream
+    identically."""
     scalar, vector = np.random.default_rng(seed), np.random.default_rng(seed)
-    for n, m in chunks:
-        assert vector.integers(2, size=n).tolist() == [
-            int(scalar.integers(2)) for _ in range(n)
+    for highs, m in chunks:
+        assert vector.integers(np.asarray(highs, dtype=np.int64)).tolist() == [
+            int(scalar.integers(k)) for k in highs
         ]
         assert np.array_equal(vector.random(m), scalar.random(m))
     assert vector.bit_generator.state == scalar.bit_generator.state

@@ -21,8 +21,19 @@ from hypothesis import strategies as st
 
 from golden_cases import _layered_workload, _ring, _stagger
 from repro import simulate
+from repro.core import (
+    ButterflyRouter,
+    ColorClassSchedule,
+    MultibutterflyRouter,
+    route_online_random_delays,
+    route_permutation_benes,
+    route_q_relation_benes,
+)
+from repro.network.butterfly import Butterfly
 from repro.network.graph import Network, NetworkError
 from repro.network.mesh import KAryNCube
+from repro.network.multibutterfly import Multibutterfly
+from repro.routing.problems import random_permutation
 from repro.sim import batch as batch_module
 from repro.sim.batch import (
     AdaptiveMeshRouter,
@@ -37,6 +48,7 @@ from repro.sim.batch import (
     run_restricted_batch,
     run_store_forward_batch,
 )
+from repro.sim.circuit import circuit_switch_butterfly
 from repro.sim.sweep import SIMULATORS, TrialSpec, run_sweep
 from repro.service.protocol import ProtocolError, parse_run_request
 from repro.telemetry.probe import Probe
@@ -660,6 +672,78 @@ def test_a_count_is_rejected_not_truncated_on_every_path(knob, layered, mesh):
                 rate=0.2, message_length=3, horizon=kw["horizon"],
                 sample_every=kw["sample_every"],
             )
+
+
+def _multibutterfly_run(B=1, message_length=4, **run):
+    """A 16-input multibutterfly permutation through its router."""
+    mbf = Multibutterfly(16, d=2, rng=np.random.default_rng(0))
+    inst = random_permutation(16, np.random.default_rng(1))
+    return MultibutterflyRouter(mbf, B).run(inst, message_length, **run)
+
+
+_PERM8 = np.random.default_rng(2).permutation(8)
+_L_ERROR = "message_length must be an integer"
+
+#: A ``core/`` entry point given a value it once truncated (L = 4.9 ran
+#: as 4), accepted (B = 1.5 ran a model that does not exist; a release
+#: of -3 ran) or let escape as a bare ValueError, and the error it owes.
+TRUNCATED_BY_CORE = {
+    "benes-L": (lambda: route_permutation_benes(_PERM8, 4.9), _L_ERROR),
+    "benes-q-L": (lambda: route_q_relation_benes([_PERM8] * 2, 4.6), _L_ERROR),
+    "delays-L": (
+        lambda: route_online_random_delays(*_layered_workload(), 4.8), _L_ERROR
+    ),
+    "butterfly-L": (lambda: ButterflyRouter(16, message_length=3.9), _L_ERROR),
+    "butterfly-B": (lambda: ButterflyRouter(16, B=1.5), "B must be an integer"),
+    "schedule-L": (
+        lambda: ColorClassSchedule.from_colors(np.arange(4), 4.9, 3), _L_ERROR
+    ),
+    "schedule-D": (
+        lambda: ColorClassSchedule.from_colors(np.arange(4), 4, 3.5),
+        "D must be an integer",
+    ),
+    "circuit-capacity": (
+        lambda: circuit_switch_butterfly(
+            Butterfly(16), np.arange(16), 1.7, np.random.default_rng(0)
+        ),
+        "capacity must be an integer",
+    ),
+    "mbf-L": (lambda: _multibutterfly_run(message_length=4.7), _L_ERROR),
+    "mbf-L-str": (lambda: _multibutterfly_run(message_length="4"), _L_ERROR),
+    "mbf-L-bool": (lambda: _multibutterfly_run(message_length=True), _L_ERROR),
+    "mbf-B": (
+        lambda: _multibutterfly_run(B=1.9),
+        "num_virtual_channels must be an integer",
+    ),
+    "mbf-release-fraction": (
+        lambda: _multibutterfly_run(release_times=np.full(16, 2.7)),
+        "release_times must be an integer",
+    ),
+    "mbf-release-negative": (
+        lambda: _multibutterfly_run(release_times=np.full(16, -3)),
+        "release times must be >= 0",
+    ),
+    "mbf-release-shape": (
+        lambda: _multibutterfly_run(release_times=np.zeros(15, dtype=np.int64)),
+        "release_times must have shape",
+    ),
+    "mbf-max-steps": (
+        lambda: _multibutterfly_run(max_steps=2.5),
+        "max_steps must be an integer",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(TRUNCATED_BY_CORE))
+def test_a_core_entry_point_rejects_what_it_once_truncated(case):
+    """The ``core/`` routers, schedules and the circuit switch take
+    ``L``, ``B``, ``D``, capacities, release times and step caps on the
+    simulators' terms: a fraction, a string or a bool is a
+    :class:`NetworkError` naming the parameter, never the number it
+    truncates to."""
+    call, error = TRUNCATED_BY_CORE[case]
+    with pytest.raises(NetworkError, match=error):
+        call()
 
 
 #: An arbitration option the model does not take, and what the error

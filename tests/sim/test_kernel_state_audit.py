@@ -19,12 +19,13 @@ state from first principles and asserts equality.
 * :meth:`~repro.sim.kernels.AdaptiveKernel.audit` — the flat channel
   occupancy ``occ`` recounted from each head's taken route, ``k`` and
   ``L``, and ``tlen`` / ``position`` checked against the taken route,
-  a minimal walk from the source.
+  each hop one of its node's options under the policy.
 
 This suite wraps ``body`` for every :data:`~repro.sim.batch.LOCKSTEP_MODELS`
 row whose kernel defines ``audit`` and runs hypothesis-drawn problems —
-line and ring paths, or mesh demands for a ``"mesh"`` row — with the
-audit after every step.
+line and ring paths, or mesh demands for a ``"mesh"`` row, and
+multibutterfly demands for the adaptive row — with the audit after
+every step.
 """
 
 import inspect
@@ -36,6 +37,7 @@ from hypothesis import strategies as st
 
 from golden_cases import _line, _ring, fifo_release
 from repro.network.mesh import KAryNCube
+from repro.network.multibutterfly import Multibutterfly
 from repro.sim.batch import LOCKSTEP_MODELS
 
 AUDITED = [
@@ -110,12 +112,8 @@ def _problem(draw, spec):
     return net, paths, L, [seed + i for i in range(T)], kw
 
 
-@pytest.mark.parametrize("model", AUDITED)
-@settings(max_examples=120, deadline=None)
-@given(data=st.data())
-def test_maintained_state_equals_its_definition(model, data):
-    spec = LOCKSTEP_MODELS[model]
-    net, paths, L, seeds, kw = _problem(data.draw, spec)
+def _run_audited(spec, net, paths, L, seeds, kw) -> list[int]:
+    """Run ``spec``'s driver with the audit after every step; the steps."""
     steps = []
     original = spec.kernel.body
 
@@ -131,7 +129,46 @@ def test_maintained_state_equals_its_definition(model, data):
     finally:
         spec.kernel.body = original
     assert len(results) == len(seeds)
+    return steps
+
+
+@pytest.mark.parametrize("model", AUDITED)
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_maintained_state_equals_its_definition(model, data):
+    spec = LOCKSTEP_MODELS[model]
+    net, paths, L, seeds, kw = _problem(data.draw, spec)
+    steps = _run_audited(spec, net, paths, L, seeds, kw)
     if kw["max_steps"] is None and (
         any(paths) if spec.kind == "paths" else any(s != d for s, d in paths)
     ):
+        assert steps, "the audit never ran"
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_adaptive_state_on_a_multibutterfly_equals_its_definition(data):
+    """The adaptive audit on multibutterfly demands: every taken hop is
+    one of the ``d`` edges into the destination's half."""
+    draw, spec = data.draw, LOCKSTEP_MODELS["adaptive"]
+    n = draw(st.sampled_from([4, 8]))
+    rng = np.random.default_rng(draw(st.integers(0, 99)))
+    mbf = Multibutterfly(n, d=draw(st.integers(1, 3)), rng=rng)
+    column = st.integers(0, n - 1)
+    demands = draw(
+        st.lists(st.tuples(column, column), min_size=1, max_size=2 * n)
+    )
+    T = draw(st.sampled_from([1, 4]))
+    kw = {
+        spec.knob: draw(st.lists(st.integers(1, 3), min_size=T, max_size=T)),
+        spec.option: "fully-adaptive",
+        "release_times": np.asarray(
+            draw(st.lists(st.integers(0, 9), min_size=len(demands),
+                          max_size=len(demands)))
+        ),
+        "max_steps": draw(st.one_of(st.none(), st.integers(1, 25))),
+    }
+    seeds = [draw(st.integers(0, 2**16)) + i for i in range(T)]
+    steps = _run_audited(spec, mbf, demands, draw(st.integers(1, 5)), seeds, kw)
+    if kw["max_steps"] is None:
         assert steps, "the audit never ran"

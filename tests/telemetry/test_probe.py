@@ -47,17 +47,10 @@ class TestCoerce:
         assert list(ps) == [a, b]
         assert len(ps) == 2 and bool(ps)
 
-    def test_extra_appended_without_mutating_caller(self):
-        a = StepCounter()
-        caller = [a]
-        legacy = GrantCounter()
-        ps = ProbeSet.coerce(caller, extra=[legacy])
-        assert list(ps) == [a, legacy]
-        assert caller == [a]  # the caller's list is untouched
-
     def test_coerce_probeset_copies(self):
         original = ProbeSet([StepCounter()])
-        ps = ProbeSet.coerce(original, extra=[GrantCounter()])
+        ps = ProbeSet.coerce(original)
+        ps.add(GrantCounter())
         assert len(original) == 1 and len(ps) == 2
 
     def test_non_probe_rejected(self):

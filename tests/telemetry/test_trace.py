@@ -37,11 +37,10 @@ def record_chain(B=1, worms=3, depth=4, L=5, release=None, priority="index"):
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("suffix", [".jsonl", ".npz"])
-    def test_save_load_identity(self, tmp_path, suffix):
+    def test_save_load_identity(self, tmp_path):
         recorder, res, _ = record_chain()
         trace = recorder.to_trace()
-        path = recorder.save(tmp_path / f"run{suffix}")
+        path = recorder.save(tmp_path / "run.jsonl")
         loaded = load_trace(path)
         assert loaded.meta == trace.meta
         assert loaded.end == trace.end
@@ -66,6 +65,18 @@ class TestRoundTrip:
         path.write_text('{"format": "something-else"}\n')
         with pytest.raises(TraceError, match="not a"):
             load_trace(path)
+
+    def test_malformed_file_is_a_trace_error(self, tmp_path):
+        """An old binary ``.npz`` trace and a JSONL trace cut short in
+        its header are both refused as traces, not as decoder errors."""
+        old = tmp_path / "run.npz"
+        np.savez_compressed(old, grant_t=np.arange(64), meta_json=np.arange(8))
+        cut = tmp_path / "cut.jsonl"
+        full = record_chain()[0].save(tmp_path / "run.jsonl").read_text()
+        cut.write_text(full[:40])
+        for path in (old, cut):
+            with pytest.raises(TraceError, match="not a JSONL trace"):
+                load_trace(path)
 
     def test_rejects_newer_version(self, tmp_path):
         recorder, _, _ = record_chain()
@@ -100,9 +111,7 @@ class TestReplay:
 
     def test_replay_after_round_trip(self, tmp_path):
         recorder, res, _ = record_chain(B=2, worms=4, depth=3, L=6)
-        for suffix in (".jsonl", ".npz"):
-            path = recorder.save(tmp_path / f"run{suffix}")
-            replay_check(load_trace(path), res)
+        replay_check(load_trace(recorder.save(tmp_path / "run.jsonl")), res)
 
     def test_replay_on_butterfly_matches_reference(self):
         """Acceptance: traced butterfly run replays bit-exactly, and the
