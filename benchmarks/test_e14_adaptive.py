@@ -13,7 +13,7 @@ import pytest
 
 from repro import Table
 from repro.network.mesh import KAryNCube
-from repro.sim.batch import AdaptiveMeshRouter
+from repro.sim.batch import run_adaptive_batch
 
 K = 6
 L = 6
@@ -41,10 +41,10 @@ def test_e14_turn_model_vs_xy(benchmark, save_table):
         rows = []
         for policy in ("dimension", "west-first", "fully-adaptive"):
             spans, blocked = [], []
-            for seed in range(6):
-                out = AdaptiveMeshRouter(mesh, 1, policy=policy, seed=seed).run(
-                    demands, message_length=L
-                )
+            # One lockstep call per policy: trial i is seed i.
+            for out in run_adaptive_batch(
+                mesh, demands, L, seeds=range(6), policy=policy
+            ):
                 assert out.all_delivered
                 spans.append(out.result.makespan)
                 blocked.append(out.result.total_blocked_steps)
@@ -84,10 +84,10 @@ def test_e14_deadlock_landscape(benchmark, save_table):
             ("dimension", 1),
         ]:
             deadlocks = 0
-            for seed in range(30):
-                out = AdaptiveMeshRouter(mesh, B, policy=policy, seed=seed).run(
-                    demands, message_length=4
-                )
+            for out in run_adaptive_batch(
+                mesh, demands, 4, seeds=range(30), num_virtual_channels=B,
+                policy=policy,
+            ):
                 deadlocks += int(out.result.deadlocked)
             rows.append(
                 {"policy": policy, "B": B, "deadlocks/30 runs": deadlocks}

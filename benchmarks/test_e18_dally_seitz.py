@@ -15,10 +15,11 @@ We reproduce the full story on a torus:
 import numpy as np
 import pytest
 
-from repro import Table, WormholeSimulator, dateline_vc_assignment, dimension_order_path
+from repro import Table, dateline_vc_assignment, dimension_order_path
 from repro.network.mesh import KAryNCube
 from repro.routing.paths import paths_from_node_walks
 from repro.routing.traffic import tornado_traffic
+from repro.sim.batch import run_wormhole_batch
 
 
 def build_torus_workload(k):
@@ -43,13 +44,15 @@ def test_e18_dateline_story(benchmark, save_table):
             ("B=2 dateline classes", 2, True),
         ]:
             deadlocks, delivered, spans = 0, 0, []
-            for seed in range(10):
-                sim = WormholeSimulator(cube.network, B, seed=seed)
-                res = sim.run(
-                    paths,
-                    message_length=L,
-                    vc_ids=vcs if use_classes else None,
-                )
+            # One lockstep call per configuration: trial i is seed i.
+            for res in run_wormhole_batch(
+                cube.network,
+                paths,
+                L,
+                seeds=range(10),
+                num_virtual_channels=B,
+                vc_ids=vcs if use_classes else None,
+            ):
                 deadlocks += int(res.deadlocked)
                 delivered += int(res.all_delivered)
                 if res.all_delivered:

@@ -10,7 +10,6 @@ the paper's *superlinear* speedup (> B).
 
 from repro import (
     Table,
-    WormholeSimulator,
     bounds,
     build_hard_instance,
     hard_instance_lower_bound,
@@ -25,11 +24,6 @@ CASES = [
     (2, 12, 19),
     (3, 8, 19),
 ]
-
-
-def route_instance(inst, L, B):
-    sim = WormholeSimulator(inst.network, num_virtual_channels=B, seed=0)
-    return sim.run(inst.paths, message_length=L)
 
 
 def test_e2_measured_vs_omega_bound(benchmark, save_table):

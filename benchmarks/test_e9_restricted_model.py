@@ -11,14 +11,10 @@ instance and on chain workloads.
 import numpy as np
 import pytest
 
-from repro import (
-    RestrictedWormholeSimulator,
-    Table,
-    WormholeSimulator,
-    build_hard_instance,
-)
+from repro import Table, build_hard_instance
 from repro.network.random_networks import chain_bundle
 from repro.routing.paths import paths_from_node_walks
+from repro.sim.batch import run_restricted_batch, run_wormhole_batch
 
 
 def test_e9_buffering_alone_helps(benchmark, save_table):
@@ -27,14 +23,17 @@ def test_e9_buffering_alone_helps(benchmark, save_table):
     L = inst.recommended_length()
 
     def measure():
+        # One lockstep call per model covers the B block; each trial
+        # keeps its seed-0 stream.
+        Bs = [1, 2, 3]
+        fulls = run_wormhole_batch(
+            inst.network, inst.paths, L, seeds=[0] * 3, num_virtual_channels=Bs
+        )
+        restricteds = run_restricted_batch(
+            inst.network, inst.paths, L, seeds=[0] * 3, num_buffers=Bs
+        )
         rows = []
-        for B in (1, 2, 3):
-            full = WormholeSimulator(inst.network, B, seed=0).run(
-                inst.paths, message_length=L
-            )
-            restricted = RestrictedWormholeSimulator(inst.network, B, seed=0).run(
-                inst.paths, message_length=L
-            )
+        for B, full, restricted in zip(Bs, fulls, restricteds):
             assert full.all_delivered and restricted.all_delivered
             rows.append(
                 {
@@ -84,12 +83,15 @@ def test_e9_bandwidth_vs_buffering_decomposition(benchmark, save_table):
     L = 12
 
     def measure():
+        Bs = [1, 2, 4]
+        fulls = run_wormhole_batch(
+            net, paths, L, seeds=[0] * 3, num_virtual_channels=Bs
+        )
+        restricteds = run_restricted_batch(net, paths, L, seeds=[0] * 3, num_buffers=Bs)
         out = {}
-        for B in (1, 2, 4):
-            out[("full", B)] = WormholeSimulator(net, B, seed=0).run(paths, L).makespan
-            out[("restricted", B)] = RestrictedWormholeSimulator(net, B, seed=0).run(
-                paths, L
-            ).makespan
+        for B, full, restricted in zip(Bs, fulls, restricteds):
+            out[("full", B)] = full.makespan
+            out[("restricted", B)] = restricted.makespan
         return out
 
     data = benchmark.pedantic(measure, iterations=1, rounds=1)
@@ -140,10 +142,11 @@ def test_e9c_buffers_relieve_head_of_line_blocking(benchmark, save_table):
 
     def measure():
         out = {}
-        for B in (1, 2, 3):
-            res = RestrictedWormholeSimulator(net, B, seed=0).run(
-                paths, message_length=lengths, release_times=release
-            )
+        runs = run_restricted_batch(
+            net, paths, lengths, seeds=[0] * 3, num_buffers=[1, 2, 3],
+            release_times=release,
+        )
+        for B, res in zip((1, 2, 3), runs):
             assert res.all_delivered
             cross = res.completion_times[2:]
             out[B] = (float(np.mean(cross)), int((res.blocked_steps[2:] > 0).sum()))

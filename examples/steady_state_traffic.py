@@ -8,13 +8,14 @@ increasing per-input rates and shows where the network saturates for
 each virtual-channel count — the steady-state face of the paper's
 ``D^(1/B)`` factor (Scheideler-Vocking studied exactly this regime).
 
-The continuous model is driven through :func:`repro.simulate` with a
-``(net, num_sources, path_of)`` problem, the facade's open-loop form.
+Each cell is one :class:`repro.ContinuousWormholeSimulator` run: the
+arrivals and routes are drawn up front and routed as one wormhole
+trial, then reported as throughput, latency and backlog.
 
 Run:  python examples/steady_state_traffic.py
 """
 
-from repro import Butterfly, Table, simulate
+from repro import Butterfly, ContinuousWormholeSimulator, Table
 
 N, L, HORIZON = 32, 6, 2000
 
@@ -31,16 +32,8 @@ def main() -> None:
     )
     for B in (1, 2, 4):
         for rate in (0.04, 0.16, 0.32):
-            res = simulate(
-                (bf, N, path_of),
-                model="continuous",
-                B=B,
-                seed=11,
-                message_length=L,
-                rate=rate,
-                horizon=HORIZON,
-                sample_every=100,
-            )
+            sim = ContinuousWormholeSimulator(bf, N, B, seed=11)
+            res = sim.run(rate, L, path_of, horizon=HORIZON, sample_every=100)
             trend = "stable" if res.backlog_slope() < 0.05 else "GROWING"
             table.add_row([B, rate, res.throughput, res.mean_latency, trend])
     print(table.render())

@@ -51,8 +51,8 @@ The adaptive mesh router chooses among *minimal* productive directions
 Manhattan distance — but its paths (hence per-edge loads) are chosen
 online, so it gets a conservative **upper** bound only (``lower`` is
 ``None``; the service still uses the unobstructed per-message floor it
-shares with the wormhole model for feasibility).  The ``schedule`` and
-``continuous`` simulators are not estimable: :class:`EstimateError`.
+shares with the wormhole model for feasibility).  The ``schedule``
+pipeline is not estimable: :class:`EstimateError`.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from ..network.graph import NetworkError
-from ..sim.batch import LOCKSTEP_MODELS
+from ..sim.batch import LOCKSTEP_MODELS, workload_fields
 from ..sim.kernels import exact_int64
 from ..sim.spec import exact_int
 
@@ -325,9 +325,12 @@ def estimate_workload(
     *,
     B: int,
     message_length: int | None = None,
-    release_times: Sequence[int] | np.ndarray | None = None,
 ) -> DelayEnvelope:
-    """The envelope of a built :class:`~repro.sim.sweep.Workload`."""
+    """The envelope of a built :class:`~repro.sim.spec.Workload`, from
+    its routes and its ``release_times``; a workload ``model`` cannot
+    run (per-hop classes off the wormhole row, ...) has none."""
+    if model in LOCKSTEP_MODELS:
+        workload_fields(model, workload)
     L = workload.default_length if message_length is None else message_length
     lengths, congestion, edges_used = route_stats(workload, model)
     return estimate_paths(
@@ -337,7 +340,7 @@ def estimate_workload(
         path_lengths=lengths,
         congestion=congestion,
         edges_used=edges_used,
-        release_times=release_times,
+        release_times=workload.release_times,
     )
 
 

@@ -563,11 +563,6 @@ def _profile_artifact(args: argparse.Namespace, probes):
     except (OSError, ValueError) as exc:
         raise SystemExit(f"repro profile: cannot read artifact: {exc}")
     case = case_from_artifact(payload)
-    if not case.paths:
-        raise SystemExit(
-            "repro profile: continuous-family artifacts carry no routed "
-            "paths to instrument"
-        )
     result = execute_case(
         case.scenario_case(),
         model="wormhole",

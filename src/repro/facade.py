@@ -14,27 +14,31 @@ list of results, each bit-identical to the ``seed=...`` call.
 ``problem`` may be:
 
 * a ``(net, paths)`` tuple — the network (or cube + demands for the
-  adaptive model, or ``(net, num_sources, path_of)`` for the continuous
-  model) plus the routes;
+  adaptive model) plus the routes;
 * a :class:`~repro.sim.sweep.Workload` instance;
 * a registered workload name (see ``repro.sim.sweep.WORKLOADS``), with
   ``workload_params``.  Registered scenarios (``repro.scenarios``)
   appear here as ``scenario:<name>``.
 
+Whatever the form, the trial is the one :class:`Workload` it becomes:
+its release times, injection sources and virtual-channel classes reach
+the model exactly as they do through the sweep and the service.
+
 Every model returns a :class:`SimResult` wrapping the underlying
 :class:`~repro.sim.stats.SimulationResult` (the adaptive router's
 chosen routes are dropped — use
 :class:`~repro.sim.batch.AdaptiveMeshRouter` directly if you need
-``taken_paths``) except ``"continuous"``, which returns its
-:class:`~repro.sim.continuous.ContinuousResult` rate report unwrapped.
-With ``mode="estimate"`` no simulation runs at all: the result carries
+``taken_paths``).  An open-loop arrival trace is a wormhole workload
+whose releases are its arrivals (the ``scenario:*-arrivals`` names);
+:class:`~repro.sim.continuous.ContinuousWormholeSimulator` is its
+rate-report front end.  With ``mode="estimate"`` no simulation runs at all: the result carries
 a :class:`~repro.analysis.estimate.DelayEnvelope` (analytic lower /
 upper makespan bounds) computed in microseconds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -119,51 +123,40 @@ class SimResult:
 
 
 #: The models :func:`simulate` dispatches across, in paper order.
-MODELS = (*LOCKSTEP_MODELS, "continuous")
+MODELS = tuple(LOCKSTEP_MODELS)
 
 
-def _as_workload(problem: Any, model: str, workload_params) -> Workload:
-    """Coerce any accepted ``problem`` form into a :class:`Workload`."""
+def _as_workload(problem: Any, model: str, workload_params, **given) -> Workload:
+    """Coerce any accepted ``problem`` form into a :class:`Workload`,
+    with the ``given`` workload fields (``release_times``, ``vc_ids``)
+    folded in; one the problem already states is an error."""
     if isinstance(problem, Workload):
-        return problem
-    if isinstance(problem, str):
-        return build_workload(problem, dict(workload_params or {}))
-    if isinstance(problem, tuple) and len(problem) == 2:
+        wl = problem
+    elif isinstance(problem, str):
+        wl = build_workload(problem, dict(workload_params or {}))
+    elif isinstance(problem, tuple) and len(problem) == 2:
         first, second = problem
         if LOCKSTEP_MODELS[model].kind == "mesh":
-            return Workload(
+            wl = Workload(
                 net=getattr(first, "network", first),
                 cube=first,
                 demands=list(second),
             )
-        return Workload(net=first, paths=list(second))
-    raise TypeError(
-        f"problem must be a workload name, a Workload, or a (net, paths) "
-        f"tuple; got {type(problem).__name__}"
-    )
-
-
-def _simulate_continuous(
-    problem: Any, *, B, message_length, seed, rate, horizon, sample_every
-):
-    """The steady-state model's own entry (it is not a lockstep model)."""
-    from .sim.continuous import ContinuousWormholeSimulator
-
-    if not (isinstance(problem, tuple) and len(problem) == 3):
+        else:
+            wl = Workload(net=first, paths=list(second))
+    else:
         raise TypeError(
-            "the continuous model takes problem=(net, num_sources, path_of)"
+            f"problem must be a workload name, a Workload, or a (net, paths) "
+            f"tuple; got {type(problem).__name__}"
         )
-    net, num_sources, path_of = problem
-    if rate is None or horizon is None:
-        raise TypeError("the continuous model needs rate=... and horizon=...")
-    if message_length is None:
-        raise NetworkError("the continuous model needs message_length")
-    sim = ContinuousWormholeSimulator(
-        net, num_sources, num_virtual_channels=B, seed=seed
-    )
-    return sim.run(
-        rate, message_length, path_of, horizon=horizon, sample_every=sample_every
-    )
+    given = {k: v for k, v in given.items() if v is not None}
+    stated = sorted(k for k in given if getattr(wl, k) is not None)
+    if stated:
+        raise NetworkError(
+            f"the workload already states {', '.join(stated)}; "
+            "give them once, not again to simulate()"
+        )
+    return replace(wl, **given) if given else wl
 
 
 def _default_length(problem: Any, wl: Workload, message_length):
@@ -191,9 +184,6 @@ def simulate(
     max_steps: int | None = None,
     release_times: Any = None,
     workload_params: dict[str, Any] | None = None,
-    rate: Any = None,
-    horizon: int | None = None,
-    sample_every: int = 50,
 ):
     """Simulate ``problem`` under ``model`` with ``B`` channel buffers.
 
@@ -205,7 +195,7 @@ def simulate(
         per-model tuple shapes).
     model:
         One of :data:`MODELS`.  ``B`` maps onto each model's buffering
-        knob: virtual channels (wormhole / adaptive / continuous),
+        knob: virtual channels (wormhole / adaptive),
         buffer flits (cut-through), link bandwidth (store-and-forward),
         or buffer slots (restricted).
     mode:
@@ -214,9 +204,9 @@ def simulate(
         (:mod:`repro.analysis.estimate`) — no simulation, microsecond
         latency, and the returned :class:`SimResult` carries the
         envelope's ``lower`` / ``upper`` makespan bounds in place of a
-        trajectory.  Estimates exist for every batched model (adaptive
-        is upper-bound only); the continuous model and the ``batch=`` /
-        ``telemetry`` options are exact-mode features.
+        trajectory.  Estimates exist for every model (adaptive is
+        upper-bound only); the ``batch=`` / ``telemetry`` options are
+        exact-mode features.
     message_length:
         Flits per message; defaults to the workload's recommended
         length for name/:class:`Workload` problems, required otherwise.
@@ -233,27 +223,24 @@ def simulate(
         of results comes back, one per seed, each bit-identical to the
         ``seed=...`` call.  ``seed`` is ignored; ``telemetry``
         is rejected (probes attach to a single trial).
-    vc_ids:
+    vc_ids / release_times:
         Per-hop virtual-channel class assignment (e.g. a Dally–Seitz
-        dateline), wormhole model only.
+        dateline; wormhole model only) and per-message release steps,
+        folded into the problem's :class:`Workload`.  Giving one the
+        workload already states is an error, not an override.
     telemetry:
         :mod:`repro.telemetry` probes, for the models that accept them
         (wormhole, cut-through, store-and-forward, adaptive).
-    max_steps / release_times:
-        Forwarded to the model's ``run``.
+    max_steps:
+        Forwarded to the model's driver.
     workload_params:
         Builder parameters when ``problem`` is a workload name.
-    rate / horizon / sample_every:
-        Continuous-model load parameters (ignored otherwise); ``rate``
-        is a scalar arrival probability or a ``(horizon,)`` per-step
-        trace.
 
     Returns
     -------
     :class:`SimResult` wrapping the
     :class:`~repro.sim.stats.SimulationResult` (a list of them for
-    ``batch=`` runs) — or the continuous model's bare
-    :class:`~repro.sim.continuous.ContinuousResult`.
+    ``batch=`` runs).
     """
     if model not in MODELS:
         raise NetworkError(
@@ -263,58 +250,32 @@ def simulate(
         raise NetworkError(
             f"unknown mode {mode!r}; supported: {', '.join(SIMULATE_MODES)}"
         )
+    wl = _as_workload(
+        problem, model, workload_params, release_times=release_times, vc_ids=vc_ids
+    )
     if mode == "estimate":
-        from .analysis.estimate import EstimateError, estimate_workload
+        from .analysis.estimate import estimate_workload
 
-        if model == "continuous":
-            raise EstimateError(
-                "the continuous model has no analytic envelope; estimable "
-                "models are the batched routers (see "
-                "repro.analysis.estimate.ESTIMATABLE_MODELS)"
-            )
         for name, value in (("batch", batch), ("telemetry", telemetry)):
             if value is not None:
                 raise NetworkError(
                     f"{name}= is an exact-mode feature; estimates are "
                     "single closed-form evaluations"
                 )
-        wl = _as_workload(problem, model, workload_params)
         env = estimate_workload(
             wl,
             model,
             B=exact_int(B, "B"),
             message_length=_default_length(problem, wl, message_length),
-            release_times=release_times,
         )
         return SimResult(mode="estimate", provenance="estimate", envelope=env)
-    if batch is not None and model not in LOCKSTEP_MODELS:
-        raise NetworkError(
-            f"model {model!r} has no lockstep batch runner; batched "
-            f"models: {', '.join(LOCKSTEP_MODELS)}"
-        )
-    if telemetry is not None and model not in LOCKSTEP_MODELS:
-        raise NetworkError(
-            f"model {model!r} does not support telemetry probes"
-        )
     if batch is not None and telemetry is not None:
         raise NetworkError(
             "telemetry probes attach to a single trial; run batches "
             "without telemetry"
         )
-    if model == "continuous":
-        # A rate report with its own shape: returned bare.
-        return _simulate_continuous(
-            problem,
-            B=B,
-            message_length=message_length,
-            seed=seed,
-            rate=rate,
-            horizon=horizon,
-            sample_every=sample_every,
-        )
-    # Every lockstep model — one seed or a ``batch=`` of them — is one
+    # Every model — one seed or a ``batch=`` of them — is one
     # repro.sim.batch.run_model call.
-    wl = _as_workload(problem, model, workload_params)
     results = [
         SimResult(mode="exact", provenance="exact", result=raw)
         for raw in run_model(
@@ -324,9 +285,7 @@ def simulate(
             seeds=[seed] if batch is None else list(batch),
             B=exact_int(B, "B"),
             options={"priority": priority, "policy": policy},
-            release_times=release_times,
             max_steps=max_steps,
-            vc_ids=vc_ids,
             telemetry=telemetry,
         )
     ]

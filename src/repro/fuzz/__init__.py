@@ -3,7 +3,7 @@
 Three layers:
 
 * :mod:`repro.fuzz.invariants` — pure oracle functions for every
-  invariant the paper (and the batch/continuous subsystems) guarantee;
+  invariant the paper (and the batch subsystem) guarantee;
 * :mod:`repro.fuzz.expectations` — the one table of which per-run
   invariant applies to which run, and the one function that judges a
   run by it (scenario runs and fuzz cases alike);
@@ -23,7 +23,6 @@ from .invariants import (
     check_b_monotonicity,
     check_batch_matches_serial,
     check_congestion_bound,
-    check_conservation,
     check_deadlock_consistency,
     check_delivery,
     check_full_vs_restricted,
@@ -54,7 +53,6 @@ __all__ = [
     "check_b_monotonicity",
     "check_batch_matches_serial",
     "check_congestion_bound",
-    "check_conservation",
     "check_deadlock_consistency",
     "check_delivery",
     "check_full_vs_restricted",

@@ -91,7 +91,12 @@ class Expectation:
 
 def _envelope(r) -> Violation | None:
     env = estimate_paths(
-        r.model, message_length=r.L, B=r.B, path_lengths=r.lengths, congestion=r.C
+        r.model,
+        message_length=r.L,
+        B=r.B,
+        path_lengths=r.lengths,
+        congestion=r.C,
+        release_times=r.release_times,
     )
     return inv.check_estimate_envelope(
         r.makespan, lower=env.lower, upper=env.upper, model=r.model
@@ -208,27 +213,8 @@ EXPECTATIONS: dict[str, Expectation] = {
             # The verdict presumes worms long enough to wrap the cycle shut.
             when=lambda r: r.L > r.B,
         ),
-        Expectation(
-            "conservation",
-            "generated == delivered + backlog (conservation)",
-            lambda r: inv.check_conservation(
-                generated=r.generated, delivered=r.delivered, backlog=r.final_backlog
-            ),
-            models=("continuous",),
-        ),
     )
 }
-
-
-def _scalars(outcome: Any) -> Mapping[str, Any]:
-    """The outcome's numbers by name: a trial's under the sweep runner's
-    metric names (the schedule pipeline's dict already is that), an
-    open-loop rate report's under its own field names."""
-    if isinstance(outcome, Mapping):
-        return outcome
-    if hasattr(outcome, "final_backlog"):  # ContinuousResult
-        return vars(outcome)
-    return _result_metrics(outcome)
 
 
 def evaluate(
@@ -248,9 +234,17 @@ def evaluate(
     Rows that do not apply to this run (wrong model, unclean run, a
     missing fact) are skipped, not reported.
     """
-    scalars = {"deadlocked": False, "hit_step_cap": False, **_scalars(outcome)}
+    # A trial's numbers under the sweep runner's metric names (the
+    # schedule pipeline's dict already is that).
+    if not isinstance(outcome, Mapping):
+        outcome = _result_metrics(outcome)
     r = SimpleNamespace(
-        **scalars, model=model, B=int(B), L=int(case.message_length), facts=case.facts
+        **{"deadlocked": False, "hit_step_cap": False, **outcome},
+        model=model,
+        B=int(B),
+        L=int(case.message_length),
+        facts=case.facts,
+        release_times=case.workload.release_times,
     )
     r.clean = not (r.deadlocked or r.hit_step_cap)
     if model in _ROUTED:

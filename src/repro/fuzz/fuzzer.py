@@ -10,8 +10,9 @@ substrate (random leveled network, random-walk paths, the LLL schedule
 pipeline), ``chain`` bundles with exactly dialed congestion and
 dilation, ``gadget`` the Theorem 2.2.1 hard instance run at the ``B`` it
 was built for, ``ring`` cyclic traffic whose deadlock is deterministic
-(``deadlocked iff B < hops`` given ``L > B``), ``continuous`` constant
-or square-wave arrival traces through the open-loop simulator.
+(``deadlocked iff B < hops`` given ``L > B``), ``arrival`` constant or
+square-wave arrival traces, run as wormhole trials whose releases are
+the arrivals.
 
 Every run — each model the scenario declares, at each of the case's
 ``B`` values, through the single-case runner
@@ -42,7 +43,6 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from ..network.graph import Network, NetworkError
-from ..network.random_networks import random_walk_route
 from ..sim.batch import LOCKSTEP_MODELS
 from ..sim.sweep import WORKLOADS, Workload, _result_metrics
 from . import invariants as inv
@@ -60,7 +60,7 @@ __all__ = [
     "shrink_case",
 ]
 
-ARTIFACT_VERSION = 2
+ARTIFACT_VERSION = 3
 
 
 class Family(NamedTuple):
@@ -120,7 +120,7 @@ def _sample_ring(rng):
     return dict(B=B, n=n, hops=hops), hops + B + int(rng.integers(1, 4)), None
 
 
-def _sample_continuous(rng):
+def _sample_arrival(rng):
     params = _ints(
         rng, width=(4, 7), depth=(3, 5), out_degree=(2, 4), horizon=(150, 301),
         message_length=(3, 9), net_seed=(0, 2**31),
@@ -148,7 +148,7 @@ FAMILY_TABLE: dict[str, Family] = {
     "chain": Family("chain-contention", _sample_chain, 0.25, structural=True),
     "gadget": Family("lower-bound-gadget", _sample_gadget, 0.15),
     "ring": Family("ring-deadlock", _sample_ring, 0.15),
-    "continuous": Family("bursty-arrivals", _sample_continuous, 0.10),
+    "arrival": Family("bursty-arrivals", _sample_arrival, 0.10),
 }
 FAMILIES = tuple(FAMILY_TABLE)
 
@@ -158,10 +158,11 @@ class FuzzCase:
     """One generated case: a network, routes, and run parameters.
 
     ``extra`` carries the built case's facts (the gadget's ``built_B``
-    and dilation, the ring's forced deadlock verdict, ...) and, for the
-    continuous family, the arrival trace.  A case is fully
-    serializable: the network travels as its insertion-ordered edge
-    list, so ``Network.add_edge`` replay rebuilds identical edge ids.
+    and dilation, the ring's forced deadlock verdict, ...);
+    ``release_times`` and ``sources`` the arrival family's drawn trace.
+    A case is fully serializable: the network travels as its
+    insertion-ordered edge list, so ``Network.add_edge`` replay rebuilds
+    identical edge ids.
     """
 
     family: str
@@ -172,6 +173,8 @@ class FuzzCase:
     sim_seed: int
     channels: tuple[int, ...]
     extra: dict[str, Any] = field(default_factory=dict)
+    release_times: list[int] | None = None
+    sources: list[int] | None = None
 
     def describe(self) -> str:
         return (
@@ -186,22 +189,15 @@ class FuzzCase:
         replayed case runs exactly as a generated one."""
         from ..scenarios import ScenarioCase
 
-        if "rate_trace" not in self.extra:
-            return ScenarioCase(
-                workload=Workload(net=self.network, paths=self.paths),
-                message_length=self.message_length,
-                priority=self.priority,
-                facts=self.extra,
-            )
-        rate = np.asarray(self.extra["rate_trace"], dtype=np.float64)
         return ScenarioCase(
-            kind="continuous",
-            workload=Workload(net=self.network),
+            workload=Workload(
+                net=self.network,
+                paths=self.paths,
+                release_times=self.release_times,
+                sources=self.sources,
+            ),
             message_length=self.message_length,
-            num_sources=int(self.extra["width"]),
-            path_of=random_walk_route(self.network, int(self.extra["depth"])),
-            rate=rate,
-            horizon=len(rate),
+            priority=self.priority,
             facts=self.extra,
         )
 
@@ -241,20 +237,22 @@ def generate_case(
     family = str(rng.choice(list(families), p=weights / weights.sum()))
     params, L, priority = FAMILY_TABLE[family].sampler(rng)
     built = _scenario(family).build_case(**params)
-    paths, extra = [], dict(built.facts)
-    if built.kind == "continuous":
-        extra["rate_trace"] = [round(float(r), 6) for r in built.rate]
-    else:
-        paths = [list(map(int, getattr(p, "edges", p))) for p in built.workload.paths]
+    wl = built.workload
+
+    def ints(values):
+        return None if values is None else [int(v) for v in values]
+
     return FuzzCase(
         family=family,
-        network=built.workload.net,
-        paths=paths,
+        network=wl.net,
+        paths=[ints(getattr(p, "edges", p)) for p in wl.paths],
         message_length=int(built.message_length if L is None else L),
         priority=priority or built.priority or "random",
         sim_seed=int(rng.integers(0, 2**31)),
         channels=(params["B"],) if "B" in params else (1, 2, 4),
-        extra=extra,
+        extra=dict(built.facts),
+        release_times=ints(wl.release_times),
+        sources=ints(wl.sources),
     )
 
 
@@ -466,6 +464,8 @@ def case_to_artifact(
         "sim_seed": int(case.sim_seed),
         "channels": [int(b) for b in case.channels],
         "extra": case.extra,
+        "release_times": case.release_times,
+        "sources": case.sources,
         "fuzz": {"root_seed": int(root_seed), "round": int(round_index)},
     }
 
@@ -486,6 +486,8 @@ def case_from_artifact(payload: dict[str, Any]) -> FuzzCase:
         sim_seed=int(payload["sim_seed"]),
         channels=tuple(int(b) for b in payload["channels"]),
         extra=dict(payload.get("extra") or {}),
+        release_times=payload["release_times"],
+        sources=payload["sources"],
     )
 
 

@@ -49,8 +49,6 @@ Checker                        Source
                                ``repro.sim.batch`` contract: batched
                                lockstep trials are bit-identical to
                                serial runs
-:func:`check_conservation`     open-loop bookkeeping: every generated
-                               message is delivered or still backlogged
 =============================  =======================================
 """
 
@@ -68,7 +66,6 @@ __all__ = [
     "check_b_monotonicity",
     "check_batch_matches_serial",
     "check_congestion_bound",
-    "check_conservation",
     "check_deadlock_consistency",
     "check_delivery",
     "check_estimate_envelope",
@@ -378,18 +375,3 @@ def check_batch_matches_serial(
             bound={k: dict(want).get(k) for k in keys},
         )
     return None
-
-
-def check_conservation(
-    *, generated: int, delivered: int, backlog: int
-) -> Violation | None:
-    """Open-loop bookkeeping: ``generated == delivered + backlog``."""
-    if generated == delivered + backlog:
-        return None
-    return Violation(
-        "message-conservation",
-        f"open-loop run generated {generated} messages but accounts for "
-        f"{delivered} delivered + {backlog} backlogged",
-        observed=delivered + backlog,
-        bound=generated,
-    )

@@ -13,7 +13,7 @@ families of networks and path sets whose ``C`` and ``D`` we can dial in:
   layered network, whose congestion concentrates near
   ``num_messages / width``;
 * :func:`random_walk_route` — the same walk drawn per message, as the
-  route generator the open-loop (continuous) simulator asks for;
+  route generator an open-loop arrival trace draws from;
 * :func:`chain_bundle` — disjoint parallel chains giving *exact* control
   of ``C`` and ``D`` (all messages on a chain share every edge).
 """
@@ -93,7 +93,7 @@ def random_walk_route(net: Network, depth: int):
     """``path_of(source, rng) -> edge ids``: a uniformly random
     ``depth``-edge walk down a :func:`layered_network` from ``source``,
     drawn from the caller's generator (the ``path_of`` argument of
-    :meth:`~repro.sim.continuous.ContinuousWormholeSimulator.run`)."""
+    :func:`~repro.sim.continuous.draw_arrivals`)."""
 
     def path_of(source: int, rng: np.random.Generator) -> list[int]:
         node = int(source)

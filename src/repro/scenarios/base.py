@@ -4,19 +4,22 @@ A *scenario* is a curated hard case from the paper (or the interconnect
 literature around it) packaged three ways at once:
 
 * a **builder** — ``build(B=..., **params) -> ScenarioCase`` producing a
-  concrete :class:`~repro.sim.sweep.Workload` (or an open-loop arrival
-  trace) for the requested virtual-channel count, read from the
-  registered :data:`~repro.sim.sweep.WORKLOADS` builders so an instance
-  is constructed in one place;
+  concrete :class:`~repro.sim.sweep.Workload` for the requested
+  virtual-channel count — the whole trial: routes, and any release
+  times (an open-loop arrival trace), injection sources and
+  virtual-channel classes — read from the registered
+  :data:`~repro.sim.sweep.WORKLOADS` builders so an instance is
+  constructed in one place;
 * a set of **expectations** — rows of the one table in
   :mod:`repro.fuzz.expectations` (the Theorem 2.2.1 lower bound, the
   Theorem 2.1.6 length bound, the analytic delay envelope, deadlock
-  determinism, message conservation, ...), named by the builder next to
+  determinism, deadlock freedom, ...), named by the builder next to
   the ``facts`` they need (``acyclic``, ``built_B``, ...);
-* a **sweep workload** — every trial-shaped scenario auto-registers as
+* a **sweep workload** — every scenario auto-registers as
   ``scenario:<name>`` in :data:`repro.sim.sweep.WORKLOADS`, so scenario
   cells drop into ``repro sweep``, the service loadgen, and the process
-  backends unchanged.
+  backends unchanged, and run there exactly as :meth:`Scenario.run`
+  runs them.
 
 Registration mirrors :func:`repro.sim.sweep.register_workload`::
 
@@ -69,9 +72,8 @@ CheckFn = Callable[[Any, dict[str, Any]], "Violation | list[Violation] | None"]
 """An expectation: ``fn(outcome, ctx)`` returning violation(s) or None.
 
 ``outcome`` is the model's result object (a
-:class:`~repro.sim.stats.SimulationResult`, a
-:class:`~repro.sim.continuous.ContinuousResult`, or the schedule
-pipeline's metrics dict); ``ctx`` carries ``model``, ``B``, ``L``,
+:class:`~repro.sim.stats.SimulationResult`, or the schedule pipeline's
+metrics dict); ``ctx`` carries ``model``, ``B``, ``L``,
 ``seed`` and the built :class:`ScenarioCase`.
 """
 
@@ -80,15 +82,15 @@ pipeline's metrics dict); ``ctx`` carries ``model``, ``B``, ``L``,
 class ScenarioCase:
     """One built instance of a scenario, ready to simulate.
 
-    ``kind`` selects the execution shape:
+    ``workload`` is the whole trial but ``B`` and the seed; the case
+    adds only what a workload is not.  ``kind`` selects the execution
+    shape:
 
     * ``"trial"`` — ``workload`` routes through :func:`repro.simulate`
       on any of the scenario's declared models;
     * ``"schedule"`` — the Theorem 2.1.6 pipeline (LLL schedule build +
-      validated execution) over ``workload.paths``;
-    * ``"continuous"`` — the open-loop simulator over ``num_sources``
-      injectors with per-step arrival probabilities ``rate`` (scalar or
-      a ``(horizon,)`` trace).
+      validated execution) over ``workload.paths``, or any declared
+      model as a trial.
     """
 
     kind: str = "trial"
@@ -96,12 +98,6 @@ class ScenarioCase:
     message_length: int | None = None
     priority: str | None = None
     policy: str | None = None
-    vc_ids: Any = None
-    release_times: Any = None
-    num_sources: int | None = None
-    path_of: Any = None
-    rate: Any = None
-    horizon: int | None = None
     #: What the builder knows about the instance that the expectation
     #: rows need (JSON-safe: a fuzz artifact stores them).
     facts: dict[str, Any] = field(default_factory=dict)
@@ -135,13 +131,6 @@ class ScenarioRun:
                 "length_bound": out["length_bound"],
                 "classes": out["classes"],
                 "delivered": f"{out['delivered']}/{out['messages']}",
-            }
-        if hasattr(out, "final_backlog"):  # ContinuousResult
-            return {
-                "generated": out.generated,
-                "delivered": out.delivered,
-                "backlog": out.final_backlog,
-                "throughput": round(out.throughput, 4),
             }
         return {
             "makespan": int(out.makespan),
@@ -241,24 +230,14 @@ def execute_case(
 ):
     """Run one built case once: the single-case runner.
 
-    A continuous case drives the open-loop simulator over its arrival
-    trace, ``model="schedule"`` the Theorem 2.1.6 pipeline (reported as
+    ``model="schedule"`` runs the Theorem 2.1.6 pipeline (reported as
     the sweep runner's schedule metrics), any lockstep model one
-    :func:`repro.simulate` trial — under the case's ``priority`` where
-    the model's arbitration offers it, its table default where not.
+    :func:`repro.simulate` trial of the case's workload — under the
+    case's ``priority`` where the model's arbitration offers it, its
+    table default where not.
     """
     from ..facade import simulate
 
-    if case.kind == "continuous":
-        return simulate(
-            (case.workload.net, case.num_sources, case.path_of),
-            model="continuous",
-            B=B,
-            message_length=case.message_length,
-            seed=seed,
-            rate=case.rate,
-            horizon=case.horizon,
-        )
     if model == "schedule":
         return schedule_metrics(
             case.workload,
@@ -279,8 +258,6 @@ def execute_case(
         seed=seed,
         priority=priority,
         policy=case.policy,
-        vc_ids=case.vc_ids,
-        release_times=case.release_times,
         telemetry=telemetry,
         max_steps=max_steps,
     )
@@ -304,14 +281,14 @@ def register_scenario(
 ) -> Callable:
     """Register ``build(B=..., **params) -> ScenarioCase`` under ``name``.
 
-    Trial- and schedule-shaped scenarios also register their workload as
-    ``scenario:<name>`` in the sweep registry, so they are addressable
+    Every scenario also registers its workload as ``scenario:<name>``
+    in the sweep registry, so it is addressable
     from :class:`~repro.sim.sweep.TrialSpec`, ``repro sweep``, the
     facade's workload-name problem form, and the service loadgen.  The
     builder's ``B`` rides along as an ordinary workload parameter there
     (gadget instances must be built *for* the ``B`` they run at).
     """
-    if kind not in ("trial", "schedule", "continuous"):
+    if kind not in ("trial", "schedule"):
         raise NetworkError(f"unknown scenario kind {kind!r}")
 
     def deco(build_fn: Callable[..., ScenarioCase]) -> Scenario:
@@ -329,19 +306,18 @@ def register_scenario(
             build=build_fn,
         )
         SCENARIOS[name] = scen
-        if kind in ("trial", "schedule"):
 
-            # wraps: build_workload checks outside parameters against
-            # the signature, which must read as the builder's.
-            @functools.wraps(build_fn)
-            def _workload(**params: Any) -> Workload:
-                case = build_fn(**params)
-                wl = case.workload
-                if case.message_length is not None:
-                    wl.default_length = int(case.message_length)
-                return wl
+        # wraps: build_workload checks outside parameters against the
+        # signature, which must read as the builder's.
+        @functools.wraps(build_fn)
+        def _workload(**params: Any) -> Workload:
+            case = build_fn(**params)
+            wl = case.workload
+            if case.message_length is not None:
+                wl.default_length = int(case.message_length)
+            return wl
 
-            register_workload(f"scenario:{name}")(_workload)
+        register_workload(f"scenario:{name}")(_workload)
         return scen
 
     return deco

@@ -21,8 +21,9 @@ Families and the results they stress:
     ``hotspot-mesh`` — hot-spot traffic under the adaptive mesh router.
 ``arrival``
     ``bursty-arrivals`` and ``heavy-tail-arrivals`` — open-loop traces
-    for the continuous model (square-wave bursts, Pareto-modulated
-    rates), checked for message conservation.
+    (square-wave bursts, Pareto-modulated rates) drawn at build time
+    into a wormhole workload whose releases are the arrivals, each
+    source one injection queue; judged like any routed trial.
 
 Every builder reads its instance from the registered
 :data:`~repro.sim.sweep.WORKLOADS` builder where one exists, and every
@@ -40,6 +41,7 @@ import numpy as np
 from ..fuzz.expectations import expectations
 from ..network.graph import Network
 from ..network.random_networks import random_walk_route
+from ..sim.continuous import draw_arrivals
 from ..sim.sweep import WORKLOADS, Workload
 from .base import ScenarioCase, register_scenario
 
@@ -245,6 +247,7 @@ def _ring_case(B, n, hops, *, dateline: bool) -> ScenarioCase:
         paths=paths,
         default_length=hops + B + 1,
         info={"n": n, "hops": hops, "messages": len(paths)},
+        vc_ids=vc_ids,
     )
     acyclic = is_deadlock_free(paths, vc_of)
     facts = {"acyclic": acyclic}
@@ -263,7 +266,6 @@ def _ring_case(B, n, hops, *, dateline: bool) -> ScenarioCase:
         ("ring-determinism", "deadlock-free", "delivery", "envelope"),
         facts=facts,
         priority="index",
-        vc_ids=vc_ids,
         info=info,
     )
 
@@ -350,34 +352,43 @@ def _build_hotspot_mesh(
 
 
 # ----------------------------------------------------------------------
-# arrival family (continuous model / service load profiles)
+# arrival family (open-loop traces / service load profiles)
 # ----------------------------------------------------------------------
 
 
 def _arrival_case(
     width, depth, out_degree, net_seed, rate: np.ndarray, message_length, **info
 ) -> ScenarioCase:
-    """An open-loop case: one injector per level-0 node of a random
-    leveled network, every message on a fresh random walk to the last
-    level, arrivals following the per-step ``rate`` trace."""
+    """An open-loop trace as a wormhole trial: one injection queue per
+    level-0 node of a random leveled network, arrivals following the
+    per-step ``rate`` trace, every message on a fresh random walk to the
+    last level.  Network, arrivals and routes all come from ``net_seed``,
+    drawn by :func:`~repro.sim.continuous.draw_arrivals`."""
     from ..network.random_networks import layered_network
 
     width, depth = int(width), int(depth)
     rng = np.random.default_rng(int(net_seed))
     net = layered_network(width, depth, int(out_degree), rng)
-    return ScenarioCase(
-        kind="continuous",
-        workload=Workload(net=net, info={"width": width, "depth": depth}),
-        message_length=int(message_length),
-        num_sources=width,
-        path_of=random_walk_route(net, depth),
-        rate=rate,
-        horizon=len(rate),
-        facts={"width": width, "depth": depth},  # what rebuilds ``path_of``
-        checks=expectations(("conservation",), {}),
+    release, sources, paths = draw_arrivals(
+        rate, width, random_walk_route(net, depth), rng, rng
+    )
+    wl = Workload(
+        net=net,
+        paths=paths,
+        default_length=int(message_length),
+        info={"width": width, "depth": depth, "messages": len(paths)},
+        release_times=release,
+        sources=sources,
+    )
+    return _routed_case(
+        wl,
+        ("delivery", "unobstructed", "congestion", "envelope", "deadlock-free"),
+        # Leveled: every edge goes one level down.
+        facts={"acyclic": True, "width": width, "depth": depth},
         info={
             "mean_rate": float(rate.mean()),
             "horizon": len(rate),
+            "messages": len(paths),
             "L": int(message_length),
             **info,
         },
@@ -388,8 +399,6 @@ def _arrival_case(
     "bursty-arrivals",
     family="arrival",
     theorem="Scheideler-Vocking [43] (continuous regime)",
-    kind="continuous",
-    models=("continuous",),
 )
 def _build_bursty_arrivals(
     B: int = 1,
@@ -421,8 +430,6 @@ def _build_bursty_arrivals(
     "heavy-tail-arrivals",
     family="arrival",
     theorem="Scheideler-Vocking [43] (continuous regime)",
-    kind="continuous",
-    models=("continuous",),
 )
 def _build_heavy_tail_arrivals(
     B: int = 1,

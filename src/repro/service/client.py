@@ -235,10 +235,11 @@ class LoadgenConfig:
     #: must be bit-stable with what the service returned).
     mode: str = MODE_EXACT
     #: Replay a registered adversarial scenario (``repro.scenarios``)
-    #: instead of ``workload``: trial-shaped scenarios substitute their
-    #: ``scenario:<name>`` sweep workload; arrival-trace scenarios keep
-    #: ``workload`` but pace the request stream to the scenario's
-    #: per-step rate trace (see :meth:`arrival_offsets`).
+    #: instead of ``workload``: scenarios substitute their
+    #: ``scenario:<name>`` sweep workload, except that a scenario whose
+    #: workload has release times (an arrival trace) keeps ``workload``
+    #: and paces the request stream to its arrivals (see
+    #: :meth:`arrival_offsets`).
     scenario: str | None = None
     #: Replay every accepted response against a serial run and compare.
     verify: bool = True
@@ -247,14 +248,17 @@ class LoadgenConfig:
     connect_timeout_s: float = 5.0
 
     def effective_workload(self) -> str:
-        if self.scenario is not None and self._scenario().kind != "continuous":
+        if self.scenario is not None and self._arrivals() is None:
             return f"scenario:{self.scenario}"
         return self.workload
 
-    def _scenario(self):
+    def _arrivals(self):
+        """The scenario workload's release times (``None`` if it has none)."""
         from ..scenarios import get_scenario
 
-        return get_scenario(self.scenario)
+        scen = get_scenario(self.scenario)
+        case = scen.build_case(B=self.channels[0], **self.workload_params)
+        return case.workload.release_times
 
     def specs(self) -> list[TrialSpec]:
         """One unique spec per request.
@@ -287,29 +291,26 @@ class LoadgenConfig:
     def arrival_offsets(self) -> list[float] | None:
         """Per-request send offsets (seconds) from an arrival scenario.
 
-        ``None`` unless ``scenario`` names a continuous-kind scenario.
-        The scenario's per-step rate trace becomes a cumulative arrival
+        ``None`` unless ``scenario`` names a scenario whose workload has
+        release times.  Its sorted releases are a cumulative arrival
         curve; request ``i`` is placed where the curve crosses
-        ``(i + 0.5) / requests`` of its total mass, so bursts in the
-        trace become bursts on the wire.  One trace *step* maps to
-        ``1 / rate`` seconds when ``rate`` is set, else 10 ms.
+        ``(i + 0.5) / requests`` of its messages, so bursts in the trace
+        become bursts on the wire.  One flit *step* maps to ``1 / rate``
+        seconds when ``rate`` is set, else 10 ms.
         """
         if self.scenario is None:
             return None
-        scen = self._scenario()
-        if scen.kind != "continuous":
+        release = self._arrivals()
+        if release is None:
             return None
         import numpy as np
 
-        case = scen.build_case(B=self.channels[0], **self.workload_params)
-        rates = np.asarray(case.rate, dtype=np.float64)
-        cum = np.cumsum(rates)
-        if cum[-1] <= 0:
+        release = np.sort(np.asarray(release, dtype=np.int64))
+        if not release.size:
             return [0.0] * self.requests
-        targets = (np.arange(self.requests) + 0.5) * cum[-1] / self.requests
-        steps = np.searchsorted(cum, targets)
+        at = (np.arange(self.requests) + 0.5) * release.size / self.requests
         step_s = (1.0 / self.rate) if self.rate > 0 else 0.01
-        return [float(s) * step_s for s in steps]
+        return [float(release[int(k)]) * step_s for k in at]
 
 
 async def run_loadgen(

@@ -202,8 +202,9 @@ class ModelSpec:
         ``(cube, demands)`` problems routed online.
     telemetry:
         Whether the kernel dispatches :mod:`repro.telemetry` events.
-    vc_classes:
-        Whether the driver accepts per-hop ``vc_ids``.
+    workload_fields:
+        The wormhole-only :class:`~repro.sim.spec.Workload` fields the
+        driver takes (per-hop ``vc_ids``, per-message ``sources``).
     """
 
     name: str
@@ -216,7 +217,7 @@ class ModelSpec:
     default: str | None = None
     kind: str = "paths"
     telemetry: bool = True
-    vc_classes: bool = False
+    workload_fields: tuple[str, ...] = ()
 
     @property
     def driver(self) -> Callable[..., list]:
@@ -246,7 +247,7 @@ LOCKSTEP_MODELS: dict[str, ModelSpec] = {
             step_cap=_wormhole_cap,
             choices=("random", "age", "index", "rank"),
             default="random",
-            vc_classes=True,
+            workload_fields=("vc_ids", "sources"),
         ),
         ModelSpec(
             "cut_through",
@@ -321,6 +322,28 @@ def resolve_step_cap(max_steps: int | None, model: str, **dims):
     return default_step_cap(model, **dims)
 
 
+#: What each wormhole-only workload field states, for the error message.
+_WORKLOAD_FIELDS = {
+    "vc_ids": "per-hop virtual-channel classes",
+    "sources": "per-message injection queues",
+}
+
+
+def workload_fields(model: str, wl) -> dict[str, Any]:
+    """The wormhole-only fields ``wl`` states, as driver keywords; one
+    ``model``'s row cannot take is an error, never dropped."""
+    spec = _spec(model)
+    given = {name: getattr(wl, name) for name in _WORKLOAD_FIELDS}
+    given = {name: value for name, value in given.items() if value is not None}
+    for name in given:
+        if name not in spec.workload_fields:
+            raise NetworkError(
+                f"workload {name} ({_WORKLOAD_FIELDS[name]}) are a wormhole-"
+                f"model feature; model {model!r} does not accept them"
+            )
+    return given
+
+
 def run_model(
     model: str,
     problem,
@@ -329,20 +352,20 @@ def run_model(
     seeds: Sequence,
     B: int | Sequence[int],
     options: dict[str, Any] | None = None,
-    release_times: np.ndarray | None = None,
     max_steps: int | None = None,
-    vc_ids=None,
     telemetry: ProbeSet | Probe | Iterable[Probe] | None = None,
 ) -> list[SimulationResult]:
     """One lockstep call of ``model``'s driver on a built workload.
 
-    ``problem`` is a :class:`~repro.sim.sweep.Workload` (anything with
-    ``net`` / ``padded_paths()``, or ``cube`` / ``demands`` for mesh
-    models); ``B`` is the per-trial knob and ``options`` may carry the
-    model's arbitration keyword (missing or ``None`` means the table
-    default).  Any other key with a value is an error, never dropped.
-    One seed is a single trial; the adaptive model's chosen routes are
-    dropped (call :func:`run_adaptive_batch` for them).
+    ``problem`` is a :class:`~repro.sim.spec.Workload`: its routes
+    (``padded_paths()``, or ``cube`` / ``demands`` for mesh models),
+    ``release_times``, and the wormhole-only ``vc_ids`` / ``sources``
+    all reach the driver; one the model cannot take is an error.  ``B``
+    is the per-trial knob and ``options`` may carry the model's
+    arbitration keyword (missing or ``None`` means the table default).
+    Any other key with a value is an error, never dropped.  One seed is
+    a single trial; the adaptive model's chosen routes are dropped (call
+    :func:`run_adaptive_batch` for them).
     """
     spec = _spec(model)
     given = {k: v for k, v in (options or {}).items() if v is not None}
@@ -360,19 +383,13 @@ def run_model(
     kwargs: dict[str, Any] = {
         "seeds": seeds,
         spec.knob: B,
-        "release_times": release_times,
+        "release_times": problem.release_times,
         "max_steps": max_steps,
         "telemetry": telemetry,
+        **workload_fields(model, problem),
     }
     if spec.option is not None:
         kwargs[spec.option] = given.get(spec.option, spec.default)
-    if vc_ids is not None:
-        if not spec.vc_classes:
-            raise NetworkError(
-                f"vc_ids (per-hop virtual-channel classes) are a wormhole-"
-                f"model feature; model {model!r} does not accept them"
-            )
-        kwargs["vc_ids"] = vc_ids
     if spec.kind == "mesh":
         if problem.cube is None or problem.demands is None:
             raise NetworkError(

@@ -12,9 +12,11 @@ can locate the stability knee as a function of ``B``.
 
 Arrivals do not read network state, so a run is a wormhole *workload*:
 one :func:`~repro.sim.batch.run_wormhole_batch` call over arrivals and
-routes drawn up front (release = arrival step, one injection queue per
-source), and the backlog statistic is the paper-model analogue of "the
-network is unstable at this rate".
+routes drawn up front by :func:`draw_arrivals` (release = arrival step,
+one injection queue per source), and the backlog statistic is the
+paper-model analogue of "the network is unstable at this rate".  The
+arrival scenarios (``repro.scenarios``) draw their traces with the same
+helper and run them as ordinary wormhole trials.
 """
 
 from __future__ import annotations
@@ -29,10 +31,34 @@ from .batch import run_wormhole_batch
 from .kernels import exact_count
 from .spec import exact_int
 
-__all__ = ["ContinuousResult", "ContinuousWormholeSimulator"]
+__all__ = ["ContinuousResult", "ContinuousWormholeSimulator", "draw_arrivals"]
 
 PathGenerator = Callable[[int, np.random.Generator], Sequence[int]]
 """Maps (source index, rng) -> an edge-id path for a new message."""
+
+
+def draw_arrivals(
+    rates: np.ndarray,
+    num_sources: int,
+    path_of: PathGenerator,
+    arrivals: np.random.Generator,
+    routes: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, list]:
+    """One open-loop trace: ``(release times, sources, paths)``.
+
+    Each of ``num_sources`` sources generates a message at flit step
+    ``t`` (1-based) with probability ``rates[t - 1]``, drawn from
+    ``arrivals``; the message is released at ``t`` and routed by
+    ``path_of(source, routes)``.  Messages are in (step, source) order,
+    so each source's messages are in release order — the FIFO order of
+    its injection queue.
+    """
+    if not (np.all(rates >= 0.0) and np.all(rates <= 1.0)):
+        raise NetworkError("rate must be in [0, 1]")
+    # One block of draws equals one draw per step, in step order.
+    hits = arrivals.random((rates.size, num_sources)) < rates[:, None]
+    step, source = np.nonzero(hits)
+    return step + 1, source, [path_of(int(s), routes) for s in source]
 
 
 @dataclass
@@ -151,11 +177,9 @@ class ContinuousWormholeSimulator:
 
         seq = np.random.SeedSequence(self._rng.integers(1 << 32, size=4))
         arrivals, routes, arbitration = map(np.random.default_rng, seq.spawn(3))
-        # One block of draws equals one draw per step, in step order.
-        hits = arrivals.random((horizon, self.num_sources)) < rates[:, None]
-        step, source = np.nonzero(hits)
-        arrival = step + 1
-        paths = [path_of(int(s), routes) for s in source]
+        arrival, source, paths = draw_arrivals(
+            rates, self.num_sources, path_of, arrivals, routes
+        )
         completion = run_wormhole_batch(
             self.net, paths, L,
             seeds=[arbitration], num_virtual_channels=self.B,

@@ -215,12 +215,18 @@ def batch_compat_key(spec) -> tuple:
 
 @dataclass
 class Workload:
-    """A built instance, ready to route.
+    """A built instance, ready to route: the whole trial but ``B``, ``L``,
+    the arbitration and the seed.
 
     ``paths`` serve the path-routed simulators; ``demands``/``cube``
     serve the adaptive mesh router.  ``default_length`` supplies ``L``
     when the spec leaves ``message_length`` unset, and ``info`` carries
     JSON-safe provenance (C, D, M, ...) copied into trial metrics.
+    ``release_times`` are per-message release steps (an open-loop
+    trace's arrivals); ``sources`` (per-message injection-queue ids)
+    and ``vc_ids`` (per-hop virtual-channel classes) are wormhole-only.
+    Every front door passes all three to the model, so a trial never
+    depends on which door ran it.
     """
 
     net: Any
@@ -229,6 +235,9 @@ class Workload:
     cube: Any = None
     default_length: int = 8
     info: dict[str, Any] = field(default_factory=dict)
+    release_times: Any = None
+    sources: Any = None
+    vc_ids: Any = None
     _padded: Any = field(default=None, repr=False, compare=False)
 
     def padded_paths(self):

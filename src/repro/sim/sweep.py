@@ -232,6 +232,13 @@ def schedule_metrics(wl: Workload, L: int, B: int, **pipeline) -> dict[str, Any]
     .run_lll_schedule`'s keywords (``rng``, ``mode``, ``seed``, ...)."""
     from ..core.scheduler import run_lll_schedule
 
+    fields = ("release_times", "sources", "vc_ids")
+    stated = [f for f in fields if getattr(wl, f) is not None]
+    if stated:
+        raise NetworkError(
+            "the schedule pipeline sets its own release times and channel "
+            f"use; the workload states {', '.join(stated)}"
+        )
     build, res = run_lll_schedule(wl.net, wl.paths, L, B, **pipeline)
     return {**_result_metrics(res), **build.metrics()}
 

@@ -28,7 +28,6 @@ REQUIRED_PAIRS = {
     ("schedule", "schedule"),
     ("deadlock-free", "wormhole"),
     ("ring-determinism", "wormhole"),
-    ("conservation", "continuous"),
 } | {
     ("delivery", "cut_through"),
     ("unobstructed", "cut_through"),
@@ -38,18 +37,9 @@ REQUIRED_PAIRS = {
 }
 
 
-def test_fuzz_evaluates_the_committed_matrix(monkeypatch, tmp_path):
-    seen = set()
-
-    def recording(outcome, case, *, model, **kw):
-        verdicts = evaluate(outcome, case, model=model, **kw)
-        seen.update((row.name, model) for row, _ in verdicts)
-        return verdicts
-
-    monkeypatch.setattr(fz, "evaluate", recording)
-    report = fz.run_fuzz(50, seed=0, artifact_dir=str(tmp_path))
-    assert report.ok, report.failures
-    assert REQUIRED_PAIRS <= seen, sorted(REQUIRED_PAIRS - seen)
+def test_fuzz_evaluates_the_committed_matrix(fuzz_fifty):
+    assert fuzz_fifty.report.ok, fuzz_fifty.report.failures
+    assert REQUIRED_PAIRS <= fuzz_fifty.seen, sorted(REQUIRED_PAIRS - fuzz_fifty.seen)
 
 
 @pytest.mark.parametrize("family", fz.FAMILIES)

@@ -44,12 +44,12 @@ class TestGeneration:
 
 
 class TestCleanRun:
-    def test_fifty_rounds_hold_every_invariant(self, tmp_path):
-        report = run_fuzz(50, seed=0, artifact_dir=str(tmp_path))
+    def test_fifty_rounds_hold_every_invariant(self, fuzz_fifty):
+        report = fuzz_fifty.report
         assert report.ok, report.failures
         assert report.checks_run == 50
         assert sum(report.cases_by_family.values()) == 50
-        assert list(tmp_path.iterdir()) == []  # no artifacts when clean
+        assert list(fuzz_fifty.artifact_dir.iterdir()) == []  # none when clean
 
     def test_unknown_family_rejected(self, tmp_path):
         with pytest.raises(NetworkError, match="unknown fuzz families"):

@@ -196,18 +196,6 @@ class TestBatchMatchesSerial:
         assert v is not None and "count" in v.detail
 
 
-class TestConservation:
-    def test_leaked_message_flagged(self):
-        v = inv.check_conservation(generated=10, delivered=7, backlog=2)
-        assert v is not None and v.invariant == "message-conservation"
-
-    def test_balanced_books_pass(self):
-        assert (
-            inv.check_conservation(generated=10, delivered=7, backlog=3)
-            is None
-        )
-
-
 class TestViolationSerialization:
     def test_to_json_is_numpy_safe(self):
         v = Violation(

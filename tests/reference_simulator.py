@@ -1,9 +1,10 @@
 """Deliberately naive reference simulators: per-flit wormhole, a
 per-head adaptive router for meshes and multibutterflies
 (:func:`reference_adaptive_run`, below), a per-message open-loop
-wormhole loop (:func:`reference_open_loop`) and a per-message wormhole
-loop with random or rank priorities, classed channels and any ``B``
-(:func:`reference_message_run`).  None of them imports ``repro.sim``.
+wormhole loop (:func:`reference_open_loop` over Bernoulli arrivals,
+:func:`reference_queued_run` over any arrival trace) and a per-message
+wormhole loop with random or rank priorities, classed channels and any
+``B`` (:func:`reference_message_run`).  None of them imports ``repro.sim``.
 
 The wormhole reference implements the Section 1.1 model with *explicit
 flit state* — one position per flit, edge occupancy computed by
@@ -58,6 +59,7 @@ __all__ = [
     "reference_run",
     "reference_adaptive_run",
     "reference_open_loop",
+    "reference_queued_run",
     "reference_message_run",
     "DONE",
     "REFUSED",
@@ -297,6 +299,24 @@ def reference_open_loop(
         for child in np.random.SeedSequence(entropy).spawn(3)
     )
     rates = np.broadcast_to(np.asarray(rate, dtype=np.float64), (horizon,))
+
+    def arriving(t):
+        hits = np.flatnonzero(arrivals.random(num_sources) < rates[t - 1])
+        return [(int(s), path_of(int(s), routes)) for s in hits]
+
+    return reference_queued_run(
+        num_edges, num_sources, B, L, arriving, horizon, arbitration,
+        sample_every,
+    )
+
+
+def reference_queued_run(
+    num_edges, num_sources, B, L, arriving, horizon, arbitration,
+    sample_every=50,
+):
+    """:func:`reference_open_loop`'s loop over any arrival trace:
+    ``arriving(t)`` lists the ``(source, path)`` of the messages that
+    arrive at step ``t``, and ``arbitration`` is the priority stream."""
     occupancy = [0] * num_edges
     paths, k, arrival, completion = [], [], [], []
     queues = [[] for _ in range(num_sources)]
@@ -330,9 +350,9 @@ def reference_open_loop(
                 occupancy[paths[m][d - 1]] -= 1
                 completion[m] = t
                 active.remove(m)
-        for s in np.flatnonzero(arrivals.random(num_sources) < rates[t - 1]):
+        for s, path in arriving(t):
             m = len(paths)
-            paths.append([int(e) for e in path_of(int(s), routes)])
+            paths.append([int(e) for e in path])
             k.append(0)
             arrival.append(t)
             completion.append(t if not paths[m] else -1)

@@ -1,5 +1,6 @@
 """The adversarial scenario library: registry, runs, and integration."""
 
+import numpy as np
 import pytest
 
 from repro.facade import simulate
@@ -30,10 +31,8 @@ class TestRegistry:
 
     def test_trial_scenarios_become_sweep_workloads(self):
         for name, scen in SCENARIOS.items():
-            if scen.kind in ("trial", "schedule"):
-                assert f"scenario:{name}" in WORKLOADS
-            else:
-                assert f"scenario:{name}" not in WORKLOADS
+            assert scen.kind in ("trial", "schedule")
+            assert f"scenario:{name}" in WORKLOADS
 
     def test_register_rejects_unknown_kind(self):
         with pytest.raises(NetworkError, match="unknown scenario kind"):
@@ -50,11 +49,10 @@ class TestRegistry:
             get_scenario("ring-deadlock").run(B=1, model="store_forward")
 
 
-#: Every registered trial/schedule scenario x declared model x B.
+#: Every registered scenario x declared model x B.
 RUN_GRID = [
     (name, model, B)
     for name, scen in sorted(SCENARIOS.items())
-    if scen.kind != "continuous"
     for model in scen.models
     for B in (1, 2, 4)
 ]
@@ -146,14 +144,24 @@ class TestArrivalFamily:
     def test_bursty_trace_conserves_messages(self):
         run = get_scenario("bursty-arrivals").run(B=2)
         assert run.ok
-        out = run.outcome
-        assert out.generated == out.delivered + out.final_backlog
+        wl = run.case.workload
+        # Every drawn arrival is a message, and a trial delivers them all.
+        assert len(wl.paths) == len(wl.release_times) == len(wl.sources)
+        assert run.outcome.num_messages == run.case.info["messages"] > 0
+        assert run.outcome.all_delivered
+        # No message completes before its release plus L + D - 1.
+        lengths = np.array([len(p) for p in wl.paths])
+        unobstructed = wl.release_times + run.case.message_length + lengths - 1
+        assert (run.outcome.completion_times >= unobstructed).all()
 
     def test_heavy_tail_trace_is_seeded_deterministic(self):
         a = get_scenario("heavy-tail-arrivals").run(B=1)
         b = get_scenario("heavy-tail-arrivals").run(B=1)
-        assert a.outcome.generated == b.outcome.generated
-        assert a.outcome.delivered == b.outcome.delivered
+        assert np.array_equal(
+            a.case.workload.release_times, b.case.workload.release_times
+        )
+        assert a.case.workload.paths == b.case.workload.paths
+        assert np.array_equal(a.outcome.completion_times, b.outcome.completion_times)
 
 
 class TestIntegration:
@@ -206,13 +214,17 @@ class TestIntegration:
         config = LoadgenConfig(
             scenario="bursty-arrivals", requests=8, channels=(1,)
         )
-        # Arrival-trace scenarios keep the synthetic workload...
+        # A scenario whose workload has release times keeps the
+        # synthetic workload...
         assert config.effective_workload() == config.workload
         offsets = config.arrival_offsets()
-        # ...but pace requests along the cumulative rate trace.
+        # ...but paces requests along its cumulative arrivals: 10 ms a
+        # step, each offset one of the scenario's release steps.
+        release = WORKLOADS["scenario:bursty-arrivals"]().release_times
         assert len(offsets) == 8
         assert offsets == sorted(offsets)
         assert offsets[-1] > offsets[0]
+        assert {round(o / 0.01) for o in offsets} <= set(release.tolist())
 
     def test_telemetry_probes_attach_to_scenario_runs(self):
         from repro.telemetry import standard_collectors
@@ -232,15 +244,14 @@ class TestIntegration:
         }
         sched = get_scenario("layered-schedule").run(B=1, model="schedule")
         assert "length_bound" in sched.summary()
-        cont = get_scenario("bursty-arrivals").run(B=1)
-        assert "backlog" in cont.summary()
+        arrivals = get_scenario("bursty-arrivals").run(B=1)
+        assert set(arrivals.summary()) == set(trial.summary())
 
 
 class TestContinuousArrayRate:
     def test_scalar_and_constant_trace_bit_identical(self):
-        import numpy as np
-
         from repro.network.random_networks import layered_network
+        from repro.sim.continuous import ContinuousWormholeSimulator
 
         rng = np.random.default_rng(0)
         net = layered_network(4, 3, 2, rng)
@@ -255,26 +266,19 @@ class TestContinuousArrayRate:
                 node = net.head(e)
             return edges
 
-        kwargs = dict(
-            model="continuous",
-            B=2,
-            message_length=4,
-            seed=5,
-            horizon=120,
-        )
-        a = simulate((net, 4, path_of), rate=0.2, **kwargs)
-        b = simulate((net, 4, path_of), rate=np.full(120, 0.2), **kwargs)
+        def run(rate):
+            sim = ContinuousWormholeSimulator(net, 4, 2, seed=5)
+            return sim.run(rate, 4, path_of, horizon=120)
+
+        a, b = run(0.2), run(np.full(120, 0.2))
         assert a.generated == b.generated
         assert a.delivered == b.delivered
         assert a.final_backlog == b.final_backlog
         assert a.mean_latency == b.mean_latency
 
     def test_bad_trace_shape_rejected(self):
-        from repro.sim.continuous import ContinuousWormholeSimulator
-
-        import numpy as np
-
         from repro.network.graph import Network
+        from repro.sim.continuous import ContinuousWormholeSimulator
 
         net = Network()
         a, b = net.add_nodes("ab")
@@ -284,8 +288,6 @@ class TestContinuousArrayRate:
             sim.run(np.full(5, 0.1), 4, lambda s, r: [0], horizon=10)
 
     def test_out_of_range_trace_rejected(self):
-        import numpy as np
-
         from repro.network.graph import Network
         from repro.sim.continuous import ContinuousWormholeSimulator
 
@@ -300,13 +302,13 @@ class TestContinuousArrayRate:
 class TestVcIdsFacade:
     def test_vc_ids_rejected_off_wormhole(self):
         case = get_scenario("ring-dateline").build_case(B=2)
+        assert case.workload.vc_ids is not None
         with pytest.raises(NetworkError, match="wormhole"):
             simulate(
                 case.workload,
                 model="store_forward",
                 B=2,
                 message_length=case.message_length,
-                vc_ids=case.vc_ids,
             )
 
     def test_vc_ids_forwarded_to_wormhole(self):
@@ -317,6 +319,16 @@ class TestVcIdsFacade:
             B=2,
             message_length=case.message_length,
             priority="index",
-            vc_ids=case.vc_ids,
         )
         assert res.all_delivered
+        # The same classes given again, or as a tuple's, are one trial.
+        with pytest.raises(NetworkError, match="already states vc_ids"):
+            simulate(case.workload, B=2, vc_ids=case.workload.vc_ids)
+        again = simulate(
+            (case.workload.net, case.workload.paths),
+            B=2,
+            message_length=case.message_length,
+            priority="index",
+            vc_ids=case.workload.vc_ids,
+        )
+        assert np.array_equal(again.completion_times, res.completion_times)

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-from reference_simulator import reference_open_loop  # noqa: E402
+from reference_simulator import (  # noqa: E402
+    reference_open_loop,
+    reference_queued_run,
+)
 
 import repro.sim.continuous as continuous
 from repro.network.butterfly import Butterfly
@@ -210,14 +213,25 @@ class TestFrontEndEqualsTheMovedLoop:
             ))
 
     @pytest.mark.parametrize("name", ["bursty-arrivals", "heavy-tail-arrivals"])
-    def test_arrival_scenarios_at_their_defaults(self, monkeypatch, name):
-        case = get_scenario(name).build_case()
+    def test_arrival_scenarios_at_their_defaults(self, name):
+        """An arrival scenario is a wormhole trial over its drawn trace
+        (releases, one injection queue per source): run to completion,
+        it equals the moved loop fed the same trace."""
+        scen = get_scenario(name)
+        wl = scen.build_case().workload
+        trace = {}
+        for release, source, path in zip(wl.release_times, wl.sources, wl.paths):
+            trace.setdefault(int(release), []).append((int(source), path))
         for B in (1, 2):
-            _assert_same_run(*_front_end_and_reference(
-                monkeypatch, case.workload.net, case.num_sources, B,
-                case.rate, case.message_length, case.path_of, case.horizon,
-                seed=0, sample_every=50,
-            ))
+            res = scen.run(B=B, seed=0).outcome
+            assert res.all_delivered
+            ref = reference_queued_run(
+                wl.net.num_edges, wl.info["width"], B, wl.default_length,
+                lambda t: trace.get(t, []), res.makespan,
+                np.random.default_rng(0),
+            )
+            assert np.array_equal(ref.arrival, wl.release_times)
+            assert np.array_equal(res.completion_times, ref.completion)
 
 
 class TestButterflyTraffic:

@@ -28,8 +28,6 @@ multibutterfly demands for the adaptive row — with the audit after
 every step.
 """
 
-import inspect
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,15 +93,13 @@ def _problem(draw, spec):
     }
     if spec.option is not None:
         kw[spec.option] = draw(st.sampled_from(spec.choices))
-    if spec.vc_classes and draw(st.booleans()):
+    if "vc_ids" in spec.workload_fields and draw(st.booleans()):
         # One VC class per hop, below every trial's B.
         kw["vc_ids"] = [
             [(m + i) % min(B) for i in range(len(p))]
             for m, p in enumerate(paths)
         ]
-    if "sources" in inspect.signature(spec.kernel.pack).parameters and draw(
-        st.booleans()
-    ):
+    if "sources" in spec.workload_fields and draw(st.booleans()):
         # Injection queues: FIFO in index order, releases to match.
         kw["sources"] = draw(st.lists(st.integers(0, 2), min_size=M, max_size=M))
         kw["release_times"] = fifo_release(kw["sources"], kw["release_times"])

@@ -19,6 +19,7 @@ from repro.sim.batch import (
     StoreForwardSimulator,
     WormholeSimulator,
 )
+from repro.sim.sweep import build_workload
 
 L = 8
 SEED = 3
@@ -127,22 +128,30 @@ class TestProblemForms:
         )
         assert small.num_messages == 4  # 2 chains * 2 messages
 
-    def test_continuous_model(self):
-        bf = Butterfly(8)
-
-        def path_of(source, rng):
-            return list(bf.path_edges(source, int(rng.integers(8))))
-
-        res = simulate(
-            (bf, 8, path_of),
-            model="continuous",
+    def test_arrival_trace_is_a_wormhole_workload(self):
+        """An open-loop trace is a wormhole trial whose releases are its
+        arrivals, one injection queue per source: the name, the built
+        workload and its parts as a tuple run the same trial."""
+        wl = build_workload("scenario:heavy-tail-arrivals", {"horizon": 120})
+        assert "continuous" not in repro.MODELS
+        by_name = simulate(
+            "scenario:heavy-tail-arrivals",
             B=2,
-            seed=11,
-            message_length=4,
-            rate=0.05,
-            horizon=100,
+            workload_params={"horizon": 120},
         )
-        assert res.throughput >= 0.0
+        by_workload = simulate(wl, B=2)
+        assert by_name.all_delivered and by_name.num_messages == len(wl.paths)
+        assert np.array_equal(by_name.completion_times, by_workload.completion_times)
+        # The tuple form takes the releases, not the injection queues.
+        as_tuple = simulate(
+            (wl.net, wl.paths),
+            B=2,
+            message_length=wl.default_length,
+            release_times=wl.release_times,
+        )
+        assert (as_tuple.completion_times > wl.release_times).all()
+        with pytest.raises(NetworkError, match="already states release_times"):
+            simulate(wl, B=2, release_times=wl.release_times)
 
     def test_exported_from_top_level(self):
         assert repro.simulate is simulate
