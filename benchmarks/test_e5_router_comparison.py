@@ -17,7 +17,6 @@ Claims reproduced:
 import numpy as np
 
 from repro import (
-    CutThroughSimulator,
     StoreForwardSimulator,
     Table,
     WormholeSimulator,
@@ -25,6 +24,7 @@ from repro import (
 )
 from repro.network.random_networks import chain_bundle
 from repro.routing.paths import paths_from_node_walks
+from repro.sim.batch import run_cut_through_batch
 from repro.sim.sweep import run_sweep, sweep_grid
 
 
@@ -155,14 +155,15 @@ def test_e5c_cut_through_compression(benchmark, save_table):
         wh = WormholeSimulator(net, 1, priority="index").run(
             paths, message_length=lengths, release_times=release
         )
-        out = {"wormhole B=1": wh}
-        for buf in (1, 2, 4, 8):
-            ct = CutThroughSimulator(net, buf, priority="index").run(
-                [list(p) for p in paths], message_length=lengths,
-                release_times=release,
-            )
-            out[f"cut-through buf={buf}"] = ct
-        return out
+        bufs = [1, 2, 4, 8]
+        cts = run_cut_through_batch(
+            net, [list(p) for p in paths], lengths, seeds=[0] * len(bufs),
+            buffer_flits=bufs, priority="index", release_times=release,
+        )
+        return {
+            "wormhole B=1": wh,
+            **{f"cut-through buf={b}": ct for b, ct in zip(bufs, cts)},
+        }
 
     results = benchmark.pedantic(measure, iterations=1, rounds=1)
     table = Table(

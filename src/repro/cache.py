@@ -53,8 +53,9 @@ __all__ = [
 #: On-disk entry format version.  Bumping it invalidates every existing
 #: entry (they fail the version check and are recomputed), which is the
 #: correct response to any change in metric semantics.  Version 2 added
-#: the metrics digest.
-CACHE_VERSION = 2
+#: the metrics digest; version 3 drops the numbers of scenario trials
+#: that ran without their workload's VC classes or arbitration.
+CACHE_VERSION = 3
 
 
 def entry_path(root: Path, key: str) -> Path:

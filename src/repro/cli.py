@@ -564,7 +564,7 @@ def _profile_artifact(args: argparse.Namespace, probes):
         raise SystemExit(f"repro profile: cannot read artifact: {exc}")
     case = case_from_artifact(payload)
     result = execute_case(
-        case.scenario_case(),
+        case,
         model="wormhole",
         B=case.channels[0],
         seed=case.sim_seed,
@@ -580,7 +580,8 @@ def _profile_artifact(args: argparse.Namespace, probes):
     "workload param simulators=wormhole,cut_through,store_forward channels=1,2,4 "
     "length=0 repeats workers=0 backend cache_dir force batch_size dry_run seed",
     workload="registered workload name (layered, hard-instance, "
-    "chain-bundle, butterfly-bitrev, mesh-permutation)",
+    "chain-bundle, butterfly-bitrev, mesh-permutation, or "
+    "scenario:<name> for a registered scenario)",
     simulators="comma-separated simulator names",
     channels=_B_LIST,
     length=_AUTO_LENGTH,

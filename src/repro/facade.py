@@ -215,7 +215,9 @@ def simulate(
         would, so facade results are bit-identical to constructing the
         simulator yourself.  ``priority`` defaults per model to the
         sweep runner's choice; ``policy`` is the adaptive turn model.
-        An option the model does not take is an error, not ignored.
+        A workload's own ``arbitration`` is used where the model offers
+        it; an option given again for it, or one the model does not
+        take, is an error, not ignored.
     batch:
         A sequence of per-trial seeds.  When given, the problem runs as
         one lockstep batch through the model's kernel

@@ -228,8 +228,9 @@ def evaluate(
     """Judge one run: ``(row, violation or None)`` per applicable row.
 
     ``outcome`` is whatever the single-case runner returned for ``case``
-    (a :class:`~repro.scenarios.ScenarioCase`: its ``workload``'s
-    routes, ``message_length`` and builder-stated ``facts`` are read)
+    (a :class:`~repro.scenarios.ScenarioCase` or a fuzz case: its
+    ``workload``'s routes, ``L`` and release times and its
+    builder-stated ``facts`` are read)
     under ``model`` at ``B``; ``rows`` defaults to the whole table.
     Rows that do not apply to this run (wrong model, unclean run, a
     missing fact) are skipped, not reported.
@@ -242,7 +243,7 @@ def evaluate(
         **{"deadlocked": False, "hit_step_cap": False, **outcome},
         model=model,
         B=int(B),
-        L=int(case.message_length),
+        L=int(case.workload.default_length),
         facts=case.facts,
         release_times=case.workload.release_times,
     )

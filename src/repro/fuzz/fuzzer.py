@@ -4,8 +4,9 @@ A fuzz *family* is a registered scenario (:mod:`repro.scenarios`) plus a
 parameter sampler — one :data:`FAMILY_TABLE` row — so the fuzzer builds
 no instance of its own: each round draws a family, the sampler draws the
 scenario builder's keyword parameters (and ``L`` / the arbitration
-priority where the family varies them), and the built case is flattened
-into a serialisable :class:`FuzzCase`.  ``layered`` is the Theorem 2.1.6
+priority where the family varies them), and the built workload — with
+its routes as plain edge-id lists — is the serialisable
+:class:`FuzzCase`.  ``layered`` is the Theorem 2.1.6
 substrate (random leveled network, random-walk paths, the LLL schedule
 pipeline), ``chain`` bundles with exactly dialed congestion and
 dilation, ``gadget`` the Theorem 2.2.1 hard instance run at the ``B`` it
@@ -37,7 +38,7 @@ import functools
 import json
 import os
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -155,50 +156,32 @@ FAMILIES = tuple(FAMILY_TABLE)
 
 @dataclass
 class FuzzCase:
-    """One generated case: a network, routes, and run parameters.
+    """One generated case: a built workload and how to run it.
 
-    ``extra`` carries the built case's facts (the gadget's ``built_B``
-    and dilation, the ring's forced deadlock verdict, ...);
-    ``release_times`` and ``sources`` the arrival family's drawn trace.
-    A case is fully serializable: the network travels as its
-    insertion-ordered edge list, so ``Network.add_edge`` replay rebuilds
-    identical edge ids.
+    ``workload`` is the whole trial — network, routes as edge-id lists,
+    ``L`` (its ``default_length``), priority (its ``arbitration``) and
+    the arrival family's drawn release times and sources; ``facts`` are
+    the built case's (the gadget's ``built_B`` and dilation, the ring's
+    forced deadlock verdict, ...).  Like a
+    :class:`~repro.scenarios.ScenarioCase` it runs through
+    :func:`~repro.scenarios.base.execute_case` and is judged by
+    :func:`~repro.fuzz.expectations.evaluate`.  A case is fully
+    serializable: the network travels as its insertion-ordered edge
+    list, so ``Network.add_edge`` replay rebuilds identical edge ids.
     """
 
     family: str
-    network: Network
-    paths: list[list[int]]  # edge-id sequences
-    message_length: int
-    priority: str
+    workload: Workload
+    facts: dict[str, Any]
     sim_seed: int
     channels: tuple[int, ...]
-    extra: dict[str, Any] = field(default_factory=dict)
-    release_times: list[int] | None = None
-    sources: list[int] | None = None
 
     def describe(self) -> str:
+        wl = self.workload
         return (
-            f"{self.family}: {self.network.num_nodes} nodes, "
-            f"{self.network.num_edges} edges, {len(self.paths)} paths, "
-            f"L={self.message_length}, channels={list(self.channels)}"
-        )
-
-    def scenario_case(self):
-        """The case in the form :func:`~repro.scenarios.base.execute_case`
-        runs — rebuilt from the serialisable fields alone, so a shrunk or
-        replayed case runs exactly as a generated one."""
-        from ..scenarios import ScenarioCase
-
-        return ScenarioCase(
-            workload=Workload(
-                net=self.network,
-                paths=self.paths,
-                release_times=self.release_times,
-                sources=self.sources,
-            ),
-            message_length=self.message_length,
-            priority=self.priority,
-            facts=self.extra,
+            f"{self.family}: {wl.net.num_nodes} nodes, "
+            f"{wl.net.num_edges} edges, {len(wl.paths)} paths, "
+            f"L={wl.default_length}, channels={list(self.channels)}"
         )
 
 
@@ -244,15 +227,17 @@ def generate_case(
 
     return FuzzCase(
         family=family,
-        network=wl.net,
-        paths=[ints(getattr(p, "edges", p)) for p in wl.paths],
-        message_length=int(built.message_length if L is None else L),
-        priority=priority or built.priority or "random",
+        workload=Workload(
+            net=wl.net,
+            paths=[ints(getattr(p, "edges", p)) for p in wl.paths],
+            default_length=int(wl.default_length if L is None else L),
+            arbitration=priority or wl.arbitration or "random",
+            release_times=ints(wl.release_times),
+            sources=ints(wl.sources),
+        ),
+        facts=dict(built.facts),
         sim_seed=int(rng.integers(0, 2**31)),
         channels=(params["B"],) if "B" in params else (1, 2, 4),
-        extra=dict(built.facts),
-        release_times=ints(wl.release_times),
-        sources=ints(wl.sources),
     )
 
 
@@ -266,7 +251,6 @@ def _check_case(case: FuzzCase, telemetry=None) -> list[Violation]:
     from ..analysis.estimate import route_stats
     from ..scenarios.base import execute_case
 
-    built = case.scenario_case()
     models = _scenario(case.family).models
     out: list[Violation] = []
     runs: dict[tuple[str, int], Any] = {}
@@ -275,13 +259,13 @@ def _check_case(case: FuzzCase, telemetry=None) -> list[Violation]:
         """The outcome of ``model`` at ``B``, run and judged once."""
         if (model, B) not in runs:
             runs[model, B] = outcome = execute_case(
-                built,
+                case,
                 model=model,
                 B=B,
                 seed=case.sim_seed,
                 telemetry=telemetry if model == "wormhole" else None,
             )
-            verdicts = evaluate(outcome, built, model=model, B=B)
+            verdicts = evaluate(outcome, case, model=model, B=B)
             out.extend(v for _, v in verdicts if v is not None)
         return runs[model, B]
 
@@ -305,7 +289,7 @@ def _check_case(case: FuzzCase, telemetry=None) -> list[Violation]:
 
     # Section 1.4: full B = C multiplexing dominates the restricted model.
     B_low = case.channels[0]
-    _, C, _ = route_stats(built.workload, "wormhole")
+    _, C, _ = route_stats(case.workload, "wormhole")
     if C >= 1:
         restricted, full = judged("restricted", B_low), judged("wormhole", C)
         if clean(restricted) and clean(full):
@@ -314,17 +298,16 @@ def _check_case(case: FuzzCase, telemetry=None) -> list[Violation]:
             )
             if got is not None:
                 out.append(got)
-    out.extend(_check_batch_serial(case, built.workload, B_low))
+    out.extend(_check_batch_serial(case, B_low))
     return out
 
 
-def _check_batch_serial(case: FuzzCase, routed: Workload, B: int) -> list[Violation]:
+def _check_batch_serial(case: FuzzCase, B: int) -> list[Violation]:
     """Lockstep batch == serial replay, for *every* row of the model table.
 
-    The path-based models run on the case's own network and routes,
-    under the case's priority where their arbitration offers it; a mesh
-    model runs on the registered permutation mesh seeded from the case,
-    so the invariant still exercises every kernel every round.
+    The path-based models run the case's own workload; a mesh model runs
+    the registered permutation mesh seeded from the case, so the
+    invariant still exercises every kernel every round.
     """
     from ..facade import simulate
 
@@ -332,17 +315,10 @@ def _check_batch_serial(case: FuzzCase, routed: Workload, B: int) -> list[Violat
     mesh = WORKLOADS["mesh-permutation"](k=4, seed=case.sim_seed)
     out: list[Violation] = []
     for model, spec in LOCKSTEP_MODELS.items():
-        problem, L = routed, case.message_length
+        problem, L = case.workload, case.workload.default_length
         if spec.kind == "mesh":
             problem, L = mesh, min(L, 6)
-        run = functools.partial(
-            simulate,
-            problem,
-            model=model,
-            B=B,
-            message_length=L,
-            priority=case.priority if case.priority in spec.choices else None,
-        )
+        run = functools.partial(simulate, problem, model=model, B=B, message_length=L)
         batch, serial = run(batch=seeds), [run(seed=s) for s in seeds]
         got = inv.check_batch_matches_serial(
             [_result_metrics(r) for r in batch],
@@ -397,17 +373,20 @@ def shrink_case(case: FuzzCase, invariant: str, max_probes: int = 80) -> FuzzCas
         probes += 1
         return _still_fails(c, invariant)
 
+    def with_workload(c: FuzzCase, **fields) -> FuzzCase:
+        return replace(c, workload=replace(c.workload, **fields))
+
     best = case
     if structural:
-        chunk = max(len(best.paths) // 2, 1)
-        while chunk >= 1 and len(best.paths) > 1:
-            i, shrunk = 0, False
-            while i < len(best.paths):
-                trial_paths = best.paths[:i] + best.paths[i + chunk :]
+        chunk = max(len(best.workload.paths) // 2, 1)
+        while chunk >= 1 and len(best.workload.paths) > 1:
+            paths, i, shrunk = best.workload.paths, 0, False
+            while i < len(paths):
+                trial_paths = paths[:i] + paths[i + chunk :]
                 if trial_paths:
-                    cand = replace(best, paths=trial_paths)
+                    cand = with_workload(best, paths=trial_paths)
                     if fails(cand):
-                        best = cand
+                        best, paths = cand, trial_paths
                         shrunk = True
                         continue  # same i: next chunk slid into place
                 i += chunk
@@ -416,19 +395,19 @@ def shrink_case(case: FuzzCase, invariant: str, max_probes: int = 80) -> FuzzCas
 
     # Reduce L (a case stating its dilation — the gadget — keeps L > D,
     # so its bound stays applicable).
-    L_floor = int(case.extra.get("dilation", 0)) + 1
-    L = best.message_length
+    L_floor = int(case.facts.get("dilation", 0)) + 1
+    L = best.workload.default_length
     while L > L_floor:
         step = max((L - L_floor) // 2, 1)
-        cand = replace(best, message_length=L - step)
+        cand = with_workload(best, default_length=L - step)
         if fails(cand):
             best = cand
-            L = best.message_length
+            L = best.workload.default_length
         elif step == 1:
             break
         else:
             L = L - step + step // 2 + 1  # probe a gentler cut next loop
-            if L >= best.message_length:
+            if L >= best.workload.default_length:
                 break
     return best
 
@@ -445,7 +424,8 @@ def case_to_artifact(
     root_seed: int,
     round_index: int,
 ) -> dict[str, Any]:
-    net = case.network
+    wl = case.workload
+    net = wl.net
     return {
         "version": ARTIFACT_VERSION,
         "family": case.family,
@@ -458,14 +438,14 @@ def case_to_artifact(
                 for e in range(net.num_edges)
             ],
         },
-        "paths": [[int(e) for e in p] for p in case.paths],
-        "message_length": int(case.message_length),
-        "priority": case.priority,
+        "paths": [[int(e) for e in p] for p in wl.paths],
+        "message_length": int(wl.default_length),
+        "priority": wl.arbitration,
         "sim_seed": int(case.sim_seed),
         "channels": [int(b) for b in case.channels],
-        "extra": case.extra,
-        "release_times": case.release_times,
-        "sources": case.sources,
+        "extra": case.facts,
+        "release_times": wl.release_times,
+        "sources": wl.sources,
         "fuzz": {"root_seed": int(root_seed), "round": int(round_index)},
     }
 
@@ -479,15 +459,17 @@ def case_from_artifact(payload: dict[str, Any]) -> FuzzCase:
         net.add_edge(int(tail), int(head))
     return FuzzCase(
         family=payload["family"],
-        network=net,
-        paths=[[int(e) for e in p] for p in payload["paths"]],
-        message_length=int(payload["message_length"]),
-        priority=payload["priority"],
+        workload=Workload(
+            net=net,
+            paths=[[int(e) for e in p] for p in payload["paths"]],
+            default_length=int(payload["message_length"]),
+            arbitration=payload["priority"],
+            release_times=payload["release_times"],
+            sources=payload["sources"],
+        ),
+        facts=dict(payload.get("extra") or {}),
         sim_seed=int(payload["sim_seed"]),
         channels=tuple(int(b) for b in payload["channels"]),
-        extra=dict(payload.get("extra") or {}),
-        release_times=payload["release_times"],
-        sources=payload["sources"],
     )
 
 

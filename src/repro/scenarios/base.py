@@ -5,9 +5,9 @@ literature around it) packaged three ways at once:
 
 * a **builder** — ``build(B=..., **params) -> ScenarioCase`` producing a
   concrete :class:`~repro.sim.sweep.Workload` for the requested
-  virtual-channel count — the whole trial: routes, and any release
-  times (an open-loop arrival trace), injection sources and
-  virtual-channel classes — read from the registered
+  virtual-channel count — the whole trial: routes, ``L``, and any
+  release times (an open-loop arrival trace), injection sources,
+  virtual-channel classes and arbitration — read from the registered
   :data:`~repro.sim.sweep.WORKLOADS` builders so an instance is
   constructed in one place;
 * a set of **expectations** — rows of the one table in
@@ -33,7 +33,7 @@ Registration mirrors :func:`repro.sim.sweep.register_workload`::
         wl = WORKLOADS["chain-bundle"](chains=chains, depth=depth, messages=messages)
         facts = {"acyclic": True}
         checks = expectations(("congestion", "deadlock-free", "envelope"), facts)
-        return ScenarioCase(workload=wl, facts=facts, checks=checks, ...)
+        return ScenarioCase(workload=wl, facts=facts, checks=checks)
 
 :func:`execute_case` is the single-case runner: :meth:`Scenario.run`,
 the fuzzer's ``run_case`` and ``repro profile`` all reach a simulator
@@ -54,7 +54,6 @@ import numpy as np
 
 from ..fuzz.invariants import Violation
 from ..network.graph import NetworkError
-from ..sim.batch import LOCKSTEP_MODELS
 from ..sim.sweep import Workload, call_builder, register_workload, schedule_metrics
 
 __all__ = [
@@ -82,22 +81,13 @@ metrics dict); ``ctx`` carries ``model``, ``B``, ``L``,
 class ScenarioCase:
     """One built instance of a scenario, ready to simulate.
 
-    ``workload`` is the whole trial but ``B`` and the seed; the case
-    adds only what a workload is not.  ``kind`` selects the execution
-    shape:
-
-    * ``"trial"`` — ``workload`` routes through :func:`repro.simulate`
-      on any of the scenario's declared models;
-    * ``"schedule"`` — the Theorem 2.1.6 pipeline (LLL schedule build +
-      validated execution) over ``workload.paths``, or any declared
-      model as a trial.
+    ``workload`` is the whole trial but ``B`` and the seed — routes,
+    ``L`` (its ``default_length``), release times, injection sources,
+    virtual-channel classes and arbitration; the case adds only what a
+    workload is not.
     """
 
-    kind: str = "trial"
-    workload: Workload | None = None
-    message_length: int | None = None
-    priority: str | None = None
-    policy: str | None = None
+    workload: Workload
     #: What the builder knows about the instance that the expectation
     #: rows need (JSON-safe: a fuzz artifact stores them).
     facts: dict[str, Any] = field(default_factory=dict)
@@ -148,6 +138,8 @@ class Scenario:
     family: str
     theorem: str
     description: str
+    #: ``"trial"`` — the workload runs on the declared lockstep models;
+    #: ``"schedule"`` — the Theorem 2.1.6 pipeline is among them too.
     kind: str
     models: tuple[str, ...]
     build: Callable[..., ScenarioCase]
@@ -196,7 +188,7 @@ class Scenario:
         ctx = {
             "model": model,
             "B": int(B),
-            "L": case.message_length,
+            "L": case.workload.default_length,
             "seed": seed,
             "case": case,
         }
@@ -230,36 +222,26 @@ def execute_case(
 ):
     """Run one built case once: the single-case runner.
 
-    ``model="schedule"`` runs the Theorem 2.1.6 pipeline (reported as
-    the sweep runner's schedule metrics), any lockstep model one
-    :func:`repro.simulate` trial of the case's workload — under the
-    case's ``priority`` where the model's arbitration offers it, its
-    table default where not.
+    ``case`` is anything with a ``workload`` (a :class:`ScenarioCase`, a
+    :class:`~repro.fuzz.fuzzer.FuzzCase`).  ``model="schedule"`` runs
+    the Theorem 2.1.6 pipeline (reported as the sweep runner's schedule
+    metrics), any lockstep model one :func:`repro.simulate` trial of the
+    workload, its arbitration included.
     """
     from ..facade import simulate
 
+    wl = case.workload
     if model == "schedule":
         return schedule_metrics(
-            case.workload,
-            case.message_length,
+            wl,
+            wl.default_length,
             B,
             rng=np.random.default_rng(seed),
             require_unblocked=False,
             telemetry=telemetry,
         )
-    priority = case.priority
-    if model in LOCKSTEP_MODELS and priority not in LOCKSTEP_MODELS[model].choices:
-        priority = None
     return simulate(
-        case.workload,
-        model=model,
-        B=B,
-        message_length=case.message_length,
-        seed=seed,
-        priority=priority,
-        policy=case.policy,
-        telemetry=telemetry,
-        max_steps=max_steps,
+        wl, model=model, B=B, seed=seed, telemetry=telemetry, max_steps=max_steps
     )
 
 
@@ -311,11 +293,7 @@ def register_scenario(
         # signature, which must read as the builder's.
         @functools.wraps(build_fn)
         def _workload(**params: Any) -> Workload:
-            case = build_fn(**params)
-            wl = case.workload
-            if case.message_length is not None:
-                wl.default_length = int(case.message_length)
-            return wl
+            return build_fn(**params).workload
 
         register_workload(f"scenario:{name}")(_workload)
         return scen

@@ -39,8 +39,9 @@ import math
 import numpy as np
 
 from ..fuzz.expectations import expectations
-from ..network.graph import Network
+from ..network.graph import Network, NetworkError
 from ..network.random_networks import random_walk_route
+from ..sim.batch import LOCKSTEP_MODELS
 from ..sim.continuous import draw_arrivals
 from ..sim.sweep import WORKLOADS, Workload
 from .base import ScenarioCase, register_scenario
@@ -48,14 +49,13 @@ from .base import ScenarioCase, register_scenario
 __all__: list[str] = []  # scenarios are reached through the registry
 
 
-def _routed_case(wl: Workload, rows, facts=None, info=None, **fields) -> ScenarioCase:
-    """A routed case over ``wl`` at its default ``L``, expecting the named
+def _routed_case(wl: Workload, rows, facts=None, info=None) -> ScenarioCase:
+    """A routed case over ``wl``, expecting the named
     :data:`~repro.fuzz.expectations.EXPECTATIONS` rows under the builder's
     ``facts`` (``info`` defaults to the ``C`` / ``D`` / ``L`` line)."""
     facts = facts or {}
     return ScenarioCase(
         workload=wl,
-        message_length=wl.default_length,
         facts=facts,
         checks=expectations(rows, facts),
         info=info
@@ -64,7 +64,6 @@ def _routed_case(wl: Workload, rows, facts=None, info=None, **fields) -> Scenari
             "D": wl.info["dilation"],
             "L": wl.default_length,
         },
-        **fields,
     )
 
 
@@ -200,7 +199,6 @@ def _build_layered_schedule(
         wl,
         ("schedule", "unobstructed", "deadlock-free", "delivery", "envelope"),
         facts={"acyclic": True},  # leveled: every edge goes one level down
-        kind="schedule",
     )
 
 
@@ -248,6 +246,7 @@ def _ring_case(B, n, hops, *, dateline: bool) -> ScenarioCase:
         default_length=hops + B + 1,
         info={"n": n, "hops": hops, "messages": len(paths)},
         vc_ids=vc_ids,
+        arbitration="index",
     )
     acyclic = is_deadlock_free(paths, vc_of)
     facts = {"acyclic": acyclic}
@@ -265,7 +264,6 @@ def _ring_case(B, n, hops, *, dateline: bool) -> ScenarioCase:
         wl,
         ("ring-determinism", "deadlock-free", "delivery", "envelope"),
         facts=facts,
-        priority="index",
         info=info,
     )
 
@@ -320,6 +318,9 @@ def _build_hotspot_mesh(
     from ..network.mesh import KAryNCube
     from ..routing.traffic import hotspot_traffic
 
+    policy, choices = str(policy), LOCKSTEP_MODELS["adaptive"].choices
+    if policy not in choices:
+        raise NetworkError(f"policy must be one of {choices}, got {policy!r}")
     cube = KAryNCube(int(k), 2, wrap=False)
     rng = np.random.default_rng(int(seed))
     demands = [
@@ -335,16 +336,16 @@ def _build_hotspot_mesh(
         cube=cube,
         default_length=2 * int(k),
         info={"k": int(k), "messages": len(demands)},
+        arbitration=policy,
     )
     return _routed_case(
         wl,
         ("delivery", "envelope"),
-        policy=str(policy),
         info={
             "k": int(k),
             "hotspot": int(hotspot),
             "fraction": float(fraction),
-            "policy": str(policy),
+            "policy": policy,
             "messages": len(demands),
             "L": wl.default_length,
         },

@@ -362,10 +362,13 @@ def run_model(
     ``release_times``, and the wormhole-only ``vc_ids`` / ``sources``
     all reach the driver; one the model cannot take is an error.  ``B``
     is the per-trial knob and ``options`` may carry the model's
-    arbitration keyword (missing or ``None`` means the table default).
-    Any other key with a value is an error, never dropped.  One seed is
-    a single trial; the adaptive model's chosen routes are dropped (call
-    :func:`run_adaptive_batch` for them).
+    arbitration keyword.  The arbitration is the workload's own where
+    the row's ``choices`` offer it, else the option, else the table
+    default; an option given for a workload whose arbitration the row
+    offers is an error (give it once), as is any other key with a
+    value, never dropped.  One seed is a single trial; the adaptive
+    model's chosen routes are dropped (call :func:`run_adaptive_batch`
+    for them).
     """
     spec = _spec(model)
     given = {k: v for k, v in (options or {}).items() if v is not None}
@@ -380,6 +383,13 @@ def run_model(
             f"model {model!r} does not take {', '.join(map(repr, stray))}; "
             f"{takes}"
         )
+    if problem.arbitration in spec.choices:
+        if given:
+            raise NetworkError(
+                f"the workload already states {spec.option} "
+                f"{problem.arbitration!r}; give it once, not again as an option"
+            )
+        given = {spec.option: problem.arbitration}
     kwargs: dict[str, Any] = {
         "seeds": seeds,
         spec.knob: B,

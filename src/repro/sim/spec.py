@@ -215,8 +215,8 @@ def batch_compat_key(spec) -> tuple:
 
 @dataclass
 class Workload:
-    """A built instance, ready to route: the whole trial but ``B``, ``L``,
-    the arbitration and the seed.
+    """A built instance, ready to route: the whole trial but ``B`` and
+    the seed.
 
     ``paths`` serve the path-routed simulators; ``demands``/``cube``
     serve the adaptive mesh router.  ``default_length`` supplies ``L``
@@ -225,8 +225,12 @@ class Workload:
     ``release_times`` are per-message release steps (an open-loop
     trace's arrivals); ``sources`` (per-message injection-queue ids)
     and ``vc_ids`` (per-hop virtual-channel classes) are wormhole-only.
-    Every front door passes all three to the model, so a trial never
-    depends on which door ran it.
+    ``arbitration`` is the instance's own priority or adaptive policy
+    (a Dally-Seitz ring's ``"index"``); a model whose arbitration
+    choices do not offer it runs the caller's option or its table
+    default (:func:`repro.sim.batch.run_model`).  Every front door passes all
+    of these to the model, so a trial never depends on which door ran
+    it.
     """
 
     net: Any
@@ -238,7 +242,10 @@ class Workload:
     release_times: Any = None
     sources: Any = None
     vc_ids: Any = None
-    _padded: Any = field(default=None, repr=False, compare=False)
+    arbitration: str | None = None
+    # Not an init field, so ``dataclasses.replace`` never carries the
+    # pack of the paths it replaces.
+    _padded: Any = field(default=None, init=False, repr=False, compare=False)
 
     def padded_paths(self):
         """The packed :class:`~repro.sim.engine.PaddedPaths`, built once.

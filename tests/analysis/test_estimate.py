@@ -278,19 +278,19 @@ def test_envelope_holds_on_fuzz_cases():
         case = generate_case(11, i)
         if case.family == "continuous":
             continue
-        B = case.channels[0]
-        lengths = [len(p) for p in case.paths]
+        B, wl = case.channels[0], case.workload
+        lengths = [len(p) for p in wl.paths]
         loads = {}
-        for p in case.paths:
+        for p in wl.paths:
             for e in p:
                 loads[e] = loads.get(e, 0) + 1
         C = max(loads.values(), default=0)
         for model in ("wormhole", "cut_through", "store_forward", "restricted"):
             res = simulate(
-                (case.network, case.paths),
+                (wl.net, wl.paths),
                 model=model,
                 B=B,
-                message_length=case.message_length,
+                message_length=wl.default_length,
                 seed=case.sim_seed,
                 max_steps=200_000,
             )
@@ -298,7 +298,7 @@ def test_envelope_holds_on_fuzz_cases():
                 continue
             env = estimate_paths(
                 model,
-                message_length=case.message_length,
+                message_length=wl.default_length,
                 B=B,
                 path_lengths=lengths,
                 congestion=C,
@@ -312,7 +312,7 @@ def test_envelope_holds_on_fuzz_cases():
         cube = KAryNCube(4, 2, wrap=False)
         perm = np.random.default_rng(case.sim_seed).permutation(cube.num_nodes)
         demands = [(s, int(d)) for s, d in enumerate(perm) if s != int(d)]
-        L = min(case.message_length, 6)
+        L = min(wl.default_length, 6)
         res = simulate(
             (cube, demands), model="adaptive", B=B, message_length=L,
             seed=case.sim_seed, max_steps=200_000,

@@ -63,11 +63,11 @@ def _outcome(makespan, *, deadlocked=False):
 
 
 class TestEvaluate:
-    # Three worms down one 4-edge chain: C = 3, D = 4.
+    # Three worms down one 4-edge chain: C = 3, D = 4, L = 2 D = 8.
     wl = WORKLOADS["chain-bundle"](chains=1, depth=4, messages=3)
 
     def judge(self, outcome, model="wormhole", B=1, facts=()):
-        case = ScenarioCase(workload=self.wl, message_length=8, facts=dict(facts))
+        case = ScenarioCase(workload=self.wl, facts=dict(facts))
         return {
             row.name: v for row, v in evaluate(outcome, case, model=model, B=B)
         }

@@ -1,6 +1,7 @@
 """The fuzz driver: determinism, clean runs, sabotage, shrink, replay."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -22,8 +23,8 @@ class TestGeneration:
         a = generate_case(7, 3)
         b = generate_case(7, 3)
         assert a.family == b.family
-        assert a.paths == b.paths
-        assert a.message_length == b.message_length
+        assert a.workload.paths == b.workload.paths
+        assert a.workload.default_length == b.workload.default_length
         assert a.sim_seed == b.sim_seed
 
     def test_rounds_are_independent_of_each_other(self):
@@ -31,7 +32,7 @@ class TestGeneration:
         # rounds 0..4 were ever generated.
         direct = generate_case(0, 5)
         after_others = [generate_case(0, i) for i in range(6)][5]
-        assert direct.paths == after_others.paths
+        assert direct.workload.paths == after_others.workload.paths
         assert direct.sim_seed == after_others.sim_seed
 
     def test_all_families_reachable(self):
@@ -67,12 +68,13 @@ def _sabotage(monkeypatch, family="layered"):
 
     def checker(case, telemetry=None):
         out = list(real(case, telemetry=telemetry))
-        if len(case.paths) >= 2 and case.message_length >= 2:
+        wl = case.workload
+        if len(wl.paths) >= 2 and wl.default_length >= 2:
             out.append(
                 Violation(
                     "sabotaged-dominance",
-                    f"{len(case.paths)} paths at L={case.message_length}",
-                    observed=len(case.paths),
+                    f"{len(wl.paths)} paths at L={wl.default_length}",
+                    observed=len(wl.paths),
                     bound=1,
                 )
             )
@@ -119,27 +121,27 @@ class TestShrinking:
         case = next(
             generate_case(0, i, ("gadget",)) for i in range(20)
         )
-        original_paths = [list(p) for p in case.paths]
+        original_paths = [list(p) for p in case.workload.paths]
 
         def checker(c, telemetry=None):
             return [Violation("always", "x")]
 
         monkeypatch.setitem(fz.CASE_CHECKERS, "gadget", checker)
         shrunk = shrink_case(case, "always")
-        assert shrunk.paths == original_paths
-        assert shrunk.message_length == int(case.extra["dilation"]) + 1
+        assert shrunk.workload.paths == original_paths
+        assert shrunk.workload.default_length == int(case.facts["dilation"]) + 1
 
     def test_shrink_preserves_the_violation(self, monkeypatch):
         case = generate_case(0, 0, ("chain",))
 
         def checker(c, telemetry=None):
-            if len(c.paths) >= 3:
+            if len(c.workload.paths) >= 3:
                 return [Violation("needs-three", "x")]
             return []
 
         monkeypatch.setitem(fz.CASE_CHECKERS, "chain", checker)
         shrunk = shrink_case(case, "needs-three")
-        assert len(shrunk.paths) == 3
+        assert len(shrunk.workload.paths) == 3
         assert run_case(shrunk) != []
 
 
@@ -148,12 +150,13 @@ class TestArtifacts:
         case = generate_case(2, 0, ("layered",))
         payload = fz.case_to_artifact(case, [], root_seed=2, round_index=0)
         rebuilt = fz.case_from_artifact(payload)
-        assert rebuilt.network.num_nodes == case.network.num_nodes
-        assert rebuilt.network.num_edges == case.network.num_edges
-        for e in range(case.network.num_edges):
-            assert rebuilt.network.tail(e) == case.network.tail(e)
-            assert rebuilt.network.head(e) == case.network.head(e)
-        assert rebuilt.paths == case.paths
+        net, again = case.workload.net, rebuilt.workload.net
+        assert again.num_nodes == net.num_nodes
+        assert again.num_edges == net.num_edges
+        for e in range(net.num_edges):
+            assert again.tail(e) == net.tail(e)
+            assert again.head(e) == net.head(e)
+        assert rebuilt.workload.paths == case.workload.paths
         assert rebuilt.sim_seed == case.sim_seed
 
     def test_payload_is_json_safe(self):
@@ -165,6 +168,23 @@ class TestArtifacts:
             round_index=1,
         )
         json.dumps(payload)  # must not raise
+
+    def test_a_committed_artifact_round_trips_and_replays(self):
+        """``data/ring-artifact.json`` is a version-3 artifact of a ring
+        case at index priority: read and written back it is the same
+        payload, and it replays clean."""
+        path = Path(__file__).parent / "data" / "ring-artifact.json"
+        payload = json.loads(path.read_text())
+        case = fz.case_from_artifact(payload)
+        assert case.workload.arbitration == "index"
+        again = fz.case_to_artifact(
+            case,
+            [],
+            root_seed=payload["fuzz"]["root_seed"],
+            round_index=payload["fuzz"]["round"],
+        )
+        assert again == payload
+        assert replay_artifact(str(path)) == []
 
     def test_unsupported_version_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

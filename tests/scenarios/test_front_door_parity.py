@@ -1,10 +1,11 @@
 """One trial through every front door.
 
 A scenario cell is one :class:`~repro.sim.spec.Workload` — routes,
-release times, injection sources and virtual-channel classes — so
-``Scenario.run``, a sweep :class:`~repro.sim.spec.TrialSpec` (what the
-service and the cluster execute too) and ``simulate`` by name must give
-the same numbers.
+release times, injection sources, virtual-channel classes and
+arbitration — so ``Scenario.run``, a sweep
+:class:`~repro.sim.spec.TrialSpec` (what the service and the cluster
+execute too) and ``simulate`` by name must give the same numbers, with
+nothing but the builder parameters passed to any of them.
 """
 
 import pytest
@@ -23,40 +24,68 @@ CELLS = [
     for B in (1, 2)
 ]
 
+#: Cells off the builder defaults: the instance's own arbitration (a
+#: turn model, here fully adaptive) and a smaller dateline ring.
+PARAM_CELLS = [
+    ("hotspot-mesh", "adaptive", B, {"policy": "fully-adaptive"}) for B in (1, 2)
+] + [("ring-dateline", "wormhole", B, {"n": 5, "hops": 4}) for B in (2, 3)]
+
 ARRIVALS = sorted(name for name, s in SCENARIOS.items() if s.family == "arrival")
 
 
-def _options(scen, model, B):
-    """The case's arbitration where the row takes it, as ``Scenario.run``
-    passes it."""
-    from repro.sim.batch import LOCKSTEP_MODELS
-
-    case = scen.build_case(B=B)
-    spec = LOCKSTEP_MODELS[model]
-    chosen = {"priority": case.priority, "policy": case.policy}.get(spec.option)
-    if chosen is None or chosen not in spec.choices:
-        return {}
-    return {spec.option: chosen}
-
-
-@pytest.mark.parametrize("name, model, B", CELLS)
-def test_every_front_door_runs_the_same_trial(name, model, B):
-    scen = get_scenario(name)
-    want = _result_metrics(scen.run(B=B, model=model, seed=0).outcome)
-    options = _options(scen, model, B)
+def _assert_doors_agree(name, model, B, params):
+    want = _result_metrics(
+        get_scenario(name).run(B=B, model=model, seed=0, **params).outcome
+    )
+    workload_params = {"B": B, **params}
     spec = TrialSpec.make(
         f"scenario:{name}",
         model,
         B=B,
-        workload_params={"B": B},
-        sim_params={"seed": 0, **options},
+        workload_params=workload_params,
+        sim_params={"seed": 0},
     )
     swept = run_sweep([spec]).trials[0].metrics
     assert {k: swept[k] for k in want} == want
     by_name = simulate(
-        f"scenario:{name}", model=model, B=B, workload_params={"B": B}, seed=0, **options
+        f"scenario:{name}", model=model, B=B, workload_params=workload_params, seed=0
     )
     assert _result_metrics(by_name) == want
+
+
+@pytest.mark.parametrize("name, model, B", CELLS)
+def test_every_front_door_runs_the_same_trial(name, model, B):
+    _assert_doors_agree(name, model, B, {})
+
+
+@pytest.mark.parametrize("name, model, B, params", PARAM_CELLS)
+def test_a_builder_parameter_reaches_every_front_door(name, model, B, params):
+    _assert_doors_agree(name, model, B, params)
+
+
+def test_a_policy_the_adaptive_row_lacks_is_refused_by_every_door():
+    params = {"policy": "bogus"}
+    with pytest.raises(NetworkError, match="policy"):
+        get_scenario("hotspot-mesh").run(B=1, **params)
+    spec = TrialSpec.make(
+        "scenario:hotspot-mesh", "adaptive", workload_params=params
+    )
+    with pytest.raises(NetworkError, match="policy"):
+        run_sweep([spec])
+    with pytest.raises(NetworkError, match="policy"):
+        simulate("scenario:hotspot-mesh", model="adaptive", workload_params=params)
+
+
+def test_an_arbitration_the_workload_states_is_given_once():
+    """The ring states its index priority: the same option again, from
+    the facade or a sweep's sim params, is an error, not an override."""
+    with pytest.raises(NetworkError, match="already states priority 'index'"):
+        simulate("scenario:ring-deadlock", priority="index")
+    spec = TrialSpec.make(
+        "scenario:ring-deadlock", "wormhole", sim_params={"priority": "random"}
+    )
+    with pytest.raises(NetworkError, match="already states priority"):
+        run_sweep([spec])
 
 
 @pytest.mark.parametrize("name", ARRIVALS)

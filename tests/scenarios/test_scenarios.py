@@ -151,7 +151,7 @@ class TestArrivalFamily:
         assert run.outcome.all_delivered
         # No message completes before its release plus L + D - 1.
         lengths = np.array([len(p) for p in wl.paths])
-        unobstructed = wl.release_times + run.case.message_length + lengths - 1
+        unobstructed = wl.release_times + wl.default_length + lengths - 1
         assert (run.outcome.completion_times >= unobstructed).all()
 
     def test_heavy_tail_trace_is_seeded_deterministic(self):
@@ -304,22 +304,12 @@ class TestVcIdsFacade:
         case = get_scenario("ring-dateline").build_case(B=2)
         assert case.workload.vc_ids is not None
         with pytest.raises(NetworkError, match="wormhole"):
-            simulate(
-                case.workload,
-                model="store_forward",
-                B=2,
-                message_length=case.message_length,
-            )
+            simulate(case.workload, model="store_forward", B=2)
 
     def test_vc_ids_forwarded_to_wormhole(self):
         case = get_scenario("ring-dateline").build_case(B=2)
-        res = simulate(
-            case.workload,
-            model="wormhole",
-            B=2,
-            message_length=case.message_length,
-            priority="index",
-        )
+        # The ring states its index arbitration with the classes.
+        res = simulate(case.workload, model="wormhole", B=2)
         assert res.all_delivered
         # The same classes given again, or as a tuple's, are one trial.
         with pytest.raises(NetworkError, match="already states vc_ids"):
@@ -327,7 +317,7 @@ class TestVcIdsFacade:
         again = simulate(
             (case.workload.net, case.workload.paths),
             B=2,
-            message_length=case.message_length,
+            message_length=case.workload.default_length,
             priority="index",
             vc_ids=case.workload.vc_ids,
         )

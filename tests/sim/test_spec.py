@@ -29,11 +29,12 @@ def _chain(**workload_params):
 
 
 def test_cache_key_is_pinned():
-    # The key hashes the entry format's CACHE_VERSION (2 since entries
-    # carry a metrics digest): only a version bump may move these pins.
+    # The key hashes the entry format's CACHE_VERSION (3 since scenario
+    # trials run their workload's VC classes and arbitration): only a
+    # version bump may move these pins.
     assert (
         _chain(**CHAIN).cache_key(7)
-        == "4fe8747398cd4c2c32d91cfd0a356c186fc02edf82fa0fb9b956cde0be093d35"
+        == "68885b3d2eeded34db1341951c93af2273b45071e15ce6d9a4361ca7e2870154"
     )
 
 
@@ -57,7 +58,7 @@ def test_numpy_scalars_are_stored_as_python_scalars():
     assert [type(v) for v in stored] == [int, int, str, float, bool]
     assert (
         trial.cache_key(0)
-        == "e81719dc23a9cd8557366cb6f9de0a87f1b05a79613ea4065671dcf10fde07c5"
+        == "500e1f9f88f03f697312420e233788aa0d73e3095e5fffa9df349b730f9fdcaf"
     )
 
 
@@ -71,3 +72,13 @@ def test_re_exports_are_the_same_objects():
     assert graph.NetworkError is errors.NetworkError is spec.NetworkError
     assert server.ServiceConfig is config.ServiceConfig
     assert batcher.BatchPolicy is config.BatchPolicy
+
+
+def test_replacing_the_paths_never_keeps_the_old_pack():
+    from dataclasses import replace
+
+    wl = sweep.build_workload("chain-bundle", {})
+    assert wl.padded_paths().num_messages == len(wl.paths) == 32
+    one = replace(wl, paths=wl.paths[:1])
+    assert one.padded_paths().num_messages == 1
+    assert wl.padded_paths().num_messages == 32

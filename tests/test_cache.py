@@ -67,8 +67,10 @@ def test_stale_version_and_corrupt_files_are_misses(tmp_path):
 
     store_entry(path, spec.key(), {"makespan": 3}, root_seed=0)
     payload = json.loads(path.read_text())
-    assert payload["v"] == CACHE_VERSION == 2
-    for stale in (1, CACHE_VERSION + 1):  # 1: written before the digest
+    assert payload["v"] == CACHE_VERSION == 3
+    # 1: written before the digest; 2: before scenario trials ran their
+    # workload's VC classes and arbitration.
+    for stale in (1, 2, CACHE_VERSION + 1):
         payload["v"] = stale
         path.write_text(json.dumps(payload))
         assert load_entry(path, spec.key()) is None  # stale format
