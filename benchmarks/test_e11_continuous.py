@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from repro import Butterfly, Table
-from repro.sim.continuous import ContinuousWormholeSimulator
+from repro.sim.batch import run_model
+from repro.sim.continuous import ContinuousResult, draw_arrivals, open_loop_streams
+from repro.sim.spec import Workload
 
 N = 32
 L = 6
@@ -29,20 +31,43 @@ def path_gen(bf):
     return path_of
 
 
+def open_loop(bf, Bs, rate, horizon, seed):
+    """One arrival trace at ``rate``, run at every ``B`` of ``Bs`` in one
+    lockstep call: the rate report of each trial, in ``Bs`` order."""
+    arrivals, routes, arbitration = open_loop_streams(seed)
+    release, sources, paths = draw_arrivals(
+        np.full(horizon, rate), bf.n, path_gen(bf), arrivals, routes
+    )
+    wl = Workload(
+        net=bf, paths=paths, default_length=L, release_times=release, sources=sources
+    )
+    runs = run_model(
+        "wormhole", wl, L, seeds=[arbitration] * len(Bs), B=Bs, max_steps=horizon
+    )
+    return [
+        ContinuousResult.of(release, run.completion_times, horizon, sample_every=100)
+        for run in runs
+    ]
+
+
 def is_stable(res):
     """Backlog shows no growth trend (queueing fluctuation is fine)."""
     return res.backlog_slope() < 0.05
 
 
-def knee(bf, B):
-    """Largest tested rate that is still stable."""
-    best = 0.0
+def stability_knees(bf, Bs):
+    """Largest tested rate that is still stable, per ``B``: rate-major,
+    a ``B`` leaving the search at its first unstable rate."""
+    best = dict.fromkeys(Bs, 0.0)
     for rate in RATES:
-        sim = ContinuousWormholeSimulator(bf, bf.n, B, seed=17)
-        res = sim.run(rate, L, path_gen(bf), horizon=HORIZON, sample_every=100)
-        if is_stable(res):
-            best = rate
-        else:
+        stable = [
+            B
+            for B, res in zip(Bs, open_loop(bf, Bs, rate, HORIZON, seed=17))
+            if is_stable(res)
+        ]
+        best.update(dict.fromkeys(stable, rate))
+        Bs = stable
+        if not Bs:
             break
     return best
 
@@ -51,7 +76,7 @@ def test_e11_stability_knee(benchmark, save_table):
     bf = Butterfly(N)
 
     def sweep():
-        return {B: knee(bf, B) for B in (1, 2, 4)}
+        return stability_knees(bf, [1, 2, 4])
 
     knees = benchmark.pedantic(sweep, iterations=1, rounds=1)
     table = Table(
@@ -72,11 +97,12 @@ def test_e11_latency_vs_rate(benchmark, save_table):
     bf = Butterfly(N)
 
     def sweep():
+        Bs, rates = [1, 2], (0.02, 0.08, 0.32)
+        cells = {rate: open_loop(bf, Bs, rate, 1500, seed=23) for rate in rates}
         rows = []
-        for B in (1, 2):
-            for rate in (0.02, 0.08, 0.32):
-                sim = ContinuousWormholeSimulator(bf, bf.n, B, seed=23)
-                res = sim.run(rate, L, path_gen(bf), horizon=1500, sample_every=100)
+        for i, B in enumerate(Bs):
+            for rate in rates:
+                res = cells[rate][i]
                 rows.append(
                     {
                         "B": B,

@@ -8,16 +8,22 @@ increasing per-input rates and shows where the network saturates for
 each virtual-channel count — the steady-state face of the paper's
 ``D^(1/B)`` factor (Scheideler-Vocking studied exactly this regime).
 
-Each cell is one :class:`repro.ContinuousWormholeSimulator` run: the
-arrivals and routes are drawn up front and routed as one wormhole
-trial, then reported as throughput, latency and backlog.
+Per rate, one arrival trace is drawn up front into a wormhole workload
+and routed at every virtual-channel count in one lockstep call; each
+trial is then reported as throughput, latency and backlog.
 
 Run:  python examples/steady_state_traffic.py
 """
 
-from repro import Butterfly, ContinuousWormholeSimulator, Table
+import numpy as np
+
+from repro import Butterfly, ContinuousResult, Table
+from repro.sim import run_model
+from repro.sim.continuous import draw_arrivals, open_loop_streams
+from repro.sim.spec import Workload
 
 N, L, HORIZON = 32, 6, 2000
+CHANNELS, RATES = (1, 2, 4), (0.04, 0.16, 0.32)
 
 
 def main() -> None:
@@ -26,14 +32,32 @@ def main() -> None:
     def path_of(source, rng):
         return list(bf.path_edges(source, int(rng.integers(N))))
 
+    reports = {}
+    for rate in RATES:
+        arrivals, routes, arbitration = open_loop_streams(11)
+        release, sources, paths = draw_arrivals(
+            np.full(HORIZON, rate), N, path_of, arrivals, routes
+        )
+        wl = Workload(
+            net=bf, paths=paths, default_length=L,
+            release_times=release, sources=sources,
+        )
+        runs = run_model(
+            "wormhole", wl, L, seeds=[arbitration] * len(CHANNELS),
+            B=list(CHANNELS), max_steps=HORIZON,
+        )
+        for B, run in zip(CHANNELS, runs):
+            reports[B, rate] = ContinuousResult.of(
+                release, run.completion_times, HORIZON, sample_every=100
+            )
+
     table = Table(
         f"n={N} butterfly, L={L}, Bernoulli arrivals, {HORIZON} flit steps",
         ["B", "rate", "throughput (msgs/step)", "mean latency", "backlog trend"],
     )
-    for B in (1, 2, 4):
-        for rate in (0.04, 0.16, 0.32):
-            sim = ContinuousWormholeSimulator(bf, N, B, seed=11)
-            res = sim.run(rate, L, path_of, horizon=HORIZON, sample_every=100)
+    for B in CHANNELS:
+        for rate in RATES:
+            res = reports[B, rate]
             trend = "stable" if res.backlog_slope() < 0.05 else "GROWING"
             table.add_row([B, rate, res.throughput, res.mean_latency, trend])
     print(table.render())

@@ -37,7 +37,6 @@ _EXPORTS = {
     "ColorClassSchedule": ".core.schedule",
     "CompleteTree": ".network.tree",
     "ContinuousResult": ".sim.continuous",
-    "ContinuousWormholeSimulator": ".sim.continuous",
     "CutThroughSimulator": ".sim.batch",
     "DeBruijn": ".network.debruijn",
     "HardInstance": ".core.lower_bound",

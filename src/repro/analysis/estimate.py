@@ -67,7 +67,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from ..network.graph import NetworkError
-from ..sim.batch import LOCKSTEP_MODELS, workload_fields
+from ..sim.batch import LOCKSTEP_MODELS, resolve_arbitration, workload_fields
 from ..sim.kernels import exact_int64
 from ..sim.spec import exact_int
 
@@ -350,9 +350,14 @@ def estimate_spec(spec: Any) -> DelayEnvelope:
     Deterministic in the spec alone — seeds, repeats, and priorities
     affect arbitration, never the bounds — so estimate responses are
     bit-stable across processes and safe to serve from any replica.
+    An arbitration option the exact run would refuse is refused here
+    too.
     """
     from ..sim.sweep import build_workload
 
     wl = build_workload(spec.workload, spec.workload_params)
+    if spec.simulator in LOCKSTEP_MODELS:
+        options = {k: v for k, v in spec.sim_params if k != "seed"}
+        resolve_arbitration(spec.simulator, wl, options)
     L = wl.default_length if spec.message_length is None else spec.message_length
     return estimate_workload(wl, spec.simulator, B=spec.B, message_length=L)

@@ -306,7 +306,6 @@ def _cmd_info(args: argparse.Namespace) -> None:
         "ButterflyRouter",
         "CutThroughSimulator / StoreForwardSimulator",
         "circuit_switch_butterfly",
-        "ContinuousWormholeSimulator",
     ):
         print(f"  - repro.{name}")
     print()

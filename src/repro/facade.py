@@ -30,8 +30,9 @@ chosen routes are dropped — use
 :class:`~repro.sim.batch.AdaptiveMeshRouter` directly if you need
 ``taken_paths``).  An open-loop arrival trace is a wormhole workload
 whose releases are its arrivals (the ``scenario:*-arrivals`` names);
-:class:`~repro.sim.continuous.ContinuousWormholeSimulator` is its
-rate-report front end.  With ``mode="estimate"`` no simulation runs at all: the result carries
+:meth:`~repro.sim.continuous.ContinuousResult.of` reads its rate report
+(throughput, latency, backlog) off the finished trial.  With
+``mode="estimate"`` no simulation runs at all: the result carries
 a :class:`~repro.analysis.estimate.DelayEnvelope` (analytic lower /
 upper makespan bounds) computed in microseconds.
 """
@@ -44,7 +45,7 @@ from typing import Any
 import numpy as np
 
 from .network.graph import NetworkError
-from .sim.batch import LOCKSTEP_MODELS, run_model
+from .sim.batch import LOCKSTEP_MODELS, resolve_arbitration, run_model
 from .sim.spec import exact_int
 from .sim.sweep import Workload, build_workload
 
@@ -264,6 +265,7 @@ def simulate(
                     f"{name}= is an exact-mode feature; estimates are "
                     "single closed-form evaluations"
                 )
+        resolve_arbitration(model, wl, {"priority": priority, "policy": policy})
         env = estimate_workload(
             wl,
             model,

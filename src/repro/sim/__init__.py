@@ -9,7 +9,6 @@ _EXPORTS = {
     "BatchStepLoop": ".engine",
     "CircuitSwitchResult": ".circuit",
     "ContinuousResult": ".continuous",
-    "ContinuousWormholeSimulator": ".continuous",
     "CutThroughSimulator": ".batch",
     "LOCKSTEP_MODELS": ".batch",
     "PaddedPaths": ".engine",

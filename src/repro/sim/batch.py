@@ -230,6 +230,10 @@ class ModelSpec:
         low = int(np.min(exact_int64(knob, self.knob)))
         if low < 1:
             raise NetworkError(f"{self.knob_error}, got {low}")
+        self.check_option(option)
+
+    def check_option(self, option: str | None) -> None:
+        """Validate the arbitration value against the row's ``choices``."""
         if self.option is not None and option not in self.choices:
             raise NetworkError(f"{self.option} must be one of {self.choices}")
 
@@ -344,32 +348,15 @@ def workload_fields(model: str, wl) -> dict[str, Any]:
     return given
 
 
-def run_model(
-    model: str,
-    problem,
-    message_length,
-    *,
-    seeds: Sequence,
-    B: int | Sequence[int],
-    options: dict[str, Any] | None = None,
-    max_steps: int | None = None,
-    telemetry: ProbeSet | Probe | Iterable[Probe] | None = None,
-) -> list[SimulationResult]:
-    """One lockstep call of ``model``'s driver on a built workload.
-
-    ``problem`` is a :class:`~repro.sim.spec.Workload`: its routes
-    (``padded_paths()``, or ``cube`` / ``demands`` for mesh models),
-    ``release_times``, and the wormhole-only ``vc_ids`` / ``sources``
-    all reach the driver; one the model cannot take is an error.  ``B``
-    is the per-trial knob and ``options`` may carry the model's
-    arbitration keyword.  The arbitration is the workload's own where
-    the row's ``choices`` offer it, else the option, else the table
-    default; an option given for a workload whose arbitration the row
-    offers is an error (give it once), as is any other key with a
-    value, never dropped.  One seed is a single trial; the adaptive
-    model's chosen routes are dropped (call :func:`run_adaptive_batch`
-    for them).
-    """
+def resolve_arbitration(
+    model: str, problem, options: dict[str, Any] | None
+) -> dict[str, Any]:
+    """The arbitration keyword of ``model``'s driver for ``problem``:
+    the workload's own where the row's ``choices`` offer it, else the
+    option, else the table default (``{}`` for a row without one).  An
+    option given for a workload whose arbitration the row offers is an
+    error (give it once), as is any other key with a value or a value
+    outside the row's ``choices`` — never dropped."""
     spec = _spec(model)
     given = {k: v for k, v in (options or {}).items() if v is not None}
     stray = sorted(set(given) - {spec.option})
@@ -390,16 +377,45 @@ def run_model(
                 f"{problem.arbitration!r}; give it once, not again as an option"
             )
         given = {spec.option: problem.arbitration}
+    if spec.option is None:
+        return {}
+    value = given.get(spec.option, spec.default)
+    spec.check_option(value)
+    return {spec.option: value}
+
+
+def run_model(
+    model: str,
+    problem,
+    message_length,
+    *,
+    seeds: Sequence,
+    B: int | Sequence[int],
+    options: dict[str, Any] | None = None,
+    max_steps: int | None = None,
+    telemetry: ProbeSet | Probe | Iterable[Probe] | None = None,
+) -> list[SimulationResult]:
+    """One lockstep call of ``model``'s driver on a built workload.
+
+    ``problem`` is a :class:`~repro.sim.spec.Workload`: its routes
+    (``padded_paths()``, or ``cube`` / ``demands`` for mesh models),
+    ``release_times``, and the wormhole-only ``vc_ids`` / ``sources``
+    all reach the driver; one the model cannot take is an error.  ``B``
+    is the per-trial knob and ``options`` may carry the model's
+    arbitration keyword, resolved by :func:`resolve_arbitration`.  One
+    seed is a single trial; the adaptive model's chosen routes are
+    dropped (call :func:`run_adaptive_batch` for them).
+    """
+    spec = _spec(model)
     kwargs: dict[str, Any] = {
         "seeds": seeds,
         spec.knob: B,
         "release_times": problem.release_times,
         "max_steps": max_steps,
         "telemetry": telemetry,
+        **resolve_arbitration(model, problem, options),
         **workload_fields(model, problem),
     }
-    if spec.option is not None:
-        kwargs[spec.option] = given.get(spec.option, spec.default)
     if spec.kind == "mesh":
         if problem.cube is None or problem.demands is None:
             raise NetworkError(

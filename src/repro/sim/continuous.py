@@ -3,20 +3,29 @@
 The paper routes *batches*; Scheideler and Vocking [43] showed that for
 *continuous* routing — packets arriving over time by a random process —
 the same ``D^(1/B)`` factor governs the maximum injection rate a
-``B``-virtual-channel wormhole network can sustain.  This module adds an
-open-loop harness around :class:`~repro.sim.batch.WormholeSimulator`'s
-model: messages are generated over time (Bernoulli arrivals per source
-per flit step), routed by a caller-supplied path generator, and the
-run reports sustained throughput, latency, and backlog so experiments
-can locate the stability knee as a function of ``B``.
+``B``-virtual-channel wormhole network can sustain.  Experiments locate
+that stability knee as a function of ``B`` from open-loop runs:
+messages generated over time (Bernoulli arrivals per source per flit
+step), routed by a caller-supplied path generator, and reported as
+sustained throughput, latency and backlog.
 
-Arrivals do not read network state, so a run is a wormhole *workload*:
-one :func:`~repro.sim.batch.run_wormhole_batch` call over arrivals and
-routes drawn up front by :func:`draw_arrivals` (release = arrival step,
-one injection queue per source), and the backlog statistic is the
-paper-model analogue of "the network is unstable at this rate".  The
-arrival scenarios (``repro.scenarios``) draw their traces with the same
-helper and run them as ordinary wormhole trials.
+Arrivals do not read network state, so an open-loop run is an ordinary
+wormhole :class:`~repro.sim.spec.Workload`:
+
+* :func:`open_loop_streams` splits one seed into the arrival, route and
+  arbitration streams;
+* :func:`draw_arrivals` draws the trace up front — release = arrival
+  step, one injection queue per source — into the workload's
+  ``release_times`` / ``sources`` / ``paths``;
+* one :func:`~repro.sim.batch.run_model` ``("wormhole", ...)`` call with
+  ``max_steps`` = the horizon runs it at every ``B`` in lockstep, each
+  trial seeded from the arbitration child;
+* :meth:`ContinuousResult.of` reads the rate report off each finished
+  trial.  Its backlog statistic is the paper-model analogue of "the
+  network is unstable at this rate".
+
+The arrival scenarios (``repro.scenarios``) draw their traces with the
+same helper and run them as ordinary wormhole trials.
 """
 
 from __future__ import annotations
@@ -26,15 +35,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..network.graph import Network, NetworkError
-from .batch import run_wormhole_batch
+from ..network.graph import NetworkError
 from .kernels import exact_count
-from .spec import exact_int
 
-__all__ = ["ContinuousResult", "ContinuousWormholeSimulator", "draw_arrivals"]
+__all__ = ["ContinuousResult", "draw_arrivals", "open_loop_streams"]
 
 PathGenerator = Callable[[int, np.random.Generator], Sequence[int]]
 """Maps (source index, rng) -> an edge-id path for a new message."""
+
+
+def open_loop_streams(
+    seed,
+) -> tuple[np.random.Generator, np.random.Generator, np.random.SeedSequence]:
+    """One open-loop seed as ``(arrivals, routes, arbitration)``: the
+    generators :func:`draw_arrivals` reads, and the child seed every
+    trial of the run builds its own arbitration generator from."""
+    entropy = np.random.default_rng(seed).integers(1 << 32, size=4)
+    arrivals, routes, arbitration = np.random.SeedSequence(entropy).spawn(3)
+    return np.random.default_rng(arrivals), np.random.default_rng(routes), arbitration
 
 
 def draw_arrivals(
@@ -53,6 +71,7 @@ def draw_arrivals(
     so each source's messages are in release order — the FIFO order of
     its injection queue.
     """
+    num_sources = exact_count(num_sources, "num_sources", 1)
     if not (np.all(rates >= 0.0) and np.all(rates <= 1.0)):
         raise NetworkError("rate must be in [0, 1]")
     # One block of draws equals one draw per step, in step order.
@@ -103,102 +122,29 @@ class ContinuousResult:
         denom = float((x * x).sum())
         return float((x * (y - y.mean())).sum() / denom) if denom else 0.0
 
-
-class ContinuousWormholeSimulator:
-    """Open-loop wormhole simulator with Bernoulli arrivals.
-
-    Parameters
-    ----------
-    net:
-        The network (``num_edges`` is required; sources are caller-level
-        indices passed to ``path_of``).
-    num_sources:
-        Number of injection points.
-    num_virtual_channels:
-        The ``B`` of the model.
-    seed:
-        Drives arrivals, path generation, and arbitration: three child
-        streams of one generator per ``run()``.
-    """
-
-    def __init__(
-        self,
-        net: Network,
-        num_sources: int,
-        num_virtual_channels: int = 1,
-        seed: int | None = 0,
-    ) -> None:
-        num_virtual_channels = exact_int(num_virtual_channels, "num_virtual_channels")
-        if num_virtual_channels < 1:
-            raise NetworkError("need at least one virtual channel")
-        self.net = net
-        self.num_edges = net.num_edges
-        self.num_sources = exact_count(num_sources, "num_sources", 1)
-        self.B = num_virtual_channels
-        self._rng = np.random.default_rng(seed)
-
-    def run(
-        self,
-        rate: float | np.ndarray | Sequence[float],
-        message_length: int,
-        path_of: PathGenerator,
-        horizon: int,
-        sample_every: int = 50,
+    @classmethod
+    def of(
+        cls, release_times, completion_times, horizon: int, sample_every: int = 50
     ) -> ContinuousResult:
-        """Simulate ``horizon`` flit steps at per-source arrival ``rate``.
-
-        Each flit step, each source independently generates a new message
-        with probability ``rate``; its route comes from ``path_of``.
-        ``rate`` may also be a ``(horizon,)`` array giving the arrival
-        probability of each step — bursty or heavy-tailed open-loop
-        traces — with a scalar run being bit-identical to the equivalent
-        constant trace (the RNG draw schedule does not change).
-        Sources inject FIFO: a source's next message contends for its
-        path's first edge from the step after its predecessor's *first*
-        move (the predecessor's header has entered the network; its
-        other flits may still sit in the injection buffer), as MODEL.md
-        section 1 states.
-        """
-        horizon = exact_count(horizon, "horizon", 1)
+        """The report of a trial run for ``horizon`` steps: per-message
+        release and completion times (``-1`` undelivered), the backlog
+        — released, not yet delivered — sampled every ``sample_every``
+        steps."""
         sample_every = exact_count(sample_every, "sample_every", 1)
-        rates = np.asarray(rate, dtype=np.float64)
-        if rates.ndim == 0:
-            rates = np.full(horizon, float(rates))
-        elif rates.shape != (horizon,):
-            raise NetworkError(
-                f"per-step rate must have shape ({horizon},), "
-                f"got {rates.shape}"
-            )
-        if not (np.all(rates >= 0.0) and np.all(rates <= 1.0)):
-            raise NetworkError("rate must be in [0, 1]")
-        L = exact_int(message_length, "message_length")
-        if L < 1:
-            raise NetworkError("message length L must be >= 1")
-
-        seq = np.random.SeedSequence(self._rng.integers(1 << 32, size=4))
-        arrivals, routes, arbitration = map(np.random.default_rng, seq.spawn(3))
-        arrival, source, paths = draw_arrivals(
-            rates, self.num_sources, path_of, arrivals, routes
-        )
-        completion = run_wormhole_batch(
-            self.net, paths, L,
-            seeds=[arbitration], num_virtual_channels=self.B,
-            release_times=arrival, max_steps=horizon, sources=source,
-        )[0].completion_times
-
+        release = np.asarray(release_times, dtype=np.int64)
+        completion = np.asarray(completion_times, dtype=np.int64)
         done = completion >= 0
         delivered = int(np.count_nonzero(done))
-        latency_sum = int((completion[done] - arrival[done]).sum())
+        latency_sum = int((completion[done] - release[done]).sum())
         at = np.arange(sample_every, horizon + 1, sample_every)
-        samples = np.searchsorted(arrival, at, "right")
+        samples = np.searchsorted(np.sort(release), at, "right")
         samples -= np.searchsorted(np.sort(completion[done]), at, "right")
-        backlog = len(paths) - delivered
-        return ContinuousResult(
-            generated=len(paths),
+        return cls(
+            generated=release.size,
             delivered=delivered,
             horizon=horizon,
             mean_latency=latency_sum / delivered if delivered else 0.0,
-            final_backlog=backlog,
-            backlog_series=np.asarray(samples, dtype=np.int64),
+            final_backlog=release.size - delivered,
+            backlog_series=samples.astype(np.int64),
             sample_every=sample_every,
         )

@@ -263,46 +263,35 @@ def test_readme_estimator_table_at_b2(model, lower, upper, tightness):
 def test_envelope_holds_on_fuzz_cases():
     """50 seeded fuzz rounds: every clean run sits inside its envelope.
 
-    Draws the same reproducible cases as ``repro fuzz`` (layered /
-    chain / gadget / ring families) and checks all four fixed-route
-    models at the case's lowest channel count, plus the adaptive model
-    on a derived permutation mesh — the property the fuzzer's
-    ``estimate-envelope`` oracle then watches continuously.
+    Draws the same reproducible cases as ``repro fuzz`` and runs each
+    workload as drawn — release times, injection sources, classes and
+    arbitration included — at the case's lowest channel count under
+    every fixed-route model the fuzzer runs it under: its family's
+    declared models (the arrival and ring families are wormhole only),
+    plus the restricted model on the structural families.  The adaptive
+    model runs on a derived permutation mesh.  This is the property the
+    fuzzer's ``estimate-envelope`` oracle then watches continuously.
     """
     from repro.facade import simulate
-    from repro.fuzz.fuzzer import generate_case
+    from repro.fuzz.fuzzer import FAMILY_TABLE, generate_case
     from repro.network.mesh import KAryNCube
+    from repro.scenarios import get_scenario
 
     checked = 0
     for i in range(50):
         case = generate_case(11, i)
-        if case.family == "continuous":
-            continue
         B, wl = case.channels[0], case.workload
-        lengths = [len(p) for p in wl.paths]
-        loads = {}
-        for p in wl.paths:
-            for e in p:
-                loads[e] = loads.get(e, 0) + 1
-        C = max(loads.values(), default=0)
+        family = FAMILY_TABLE[case.family]
+        models = set(get_scenario(family.scenario).models)
+        if family.structural:
+            models.add("restricted")
         for model in ("wormhole", "cut_through", "store_forward", "restricted"):
-            res = simulate(
-                (wl.net, wl.paths),
-                model=model,
-                B=B,
-                message_length=wl.default_length,
-                seed=case.sim_seed,
-                max_steps=200_000,
-            )
+            if model not in models:
+                continue
+            res = simulate(wl, model=model, B=B, seed=case.sim_seed, max_steps=200_000)
             if res.deadlocked or res.hit_step_cap:
                 continue
-            env = estimate_paths(
-                model,
-                message_length=wl.default_length,
-                B=B,
-                path_lengths=lengths,
-                congestion=C,
-            )
+            env = estimate_workload(wl, model, B=B)
             assert env.check(int(res.makespan)), (
                 f"round {i} {case.family} {model} B={B}: "
                 f"{env.lower} <= {res.makespan} <= {env.upper}"

@@ -10,6 +10,9 @@ from repro.network.butterfly import Butterfly
 from repro.network.graph import Network
 from repro.network.random_networks import layered_network, random_walk_paths
 from repro.routing.paths import paths_from_node_walks
+from repro.sim.batch import run_model
+from repro.sim.continuous import ContinuousResult, draw_arrivals, open_loop_streams
+from repro.sim.spec import Workload
 
 
 @pytest.fixture
@@ -38,6 +41,36 @@ def layered_workload(rng):
     net = layered_network(width=8, depth=6, out_degree=2, rng=rng)
     walks = random_walk_paths(net, 8, 6, 60, rng)
     return net, paths_from_node_walks(net, walks)
+
+
+@pytest.fixture(scope="session")
+def open_loop():
+    """``run(net, num_sources, Bs, rate, L, path_of, horizon, seed,
+    sample_every=50) -> (reports, completion times)``: one open-loop
+    trace at a constant ``rate``, run at every ``B`` of ``Bs`` in one
+    lockstep wormhole call for ``horizon`` steps; one
+    :class:`ContinuousResult` and one completion-time array per ``B``."""
+
+    def run(net, num_sources, Bs, rate, L, path_of, horizon, seed, sample_every=50):
+        arrivals, routes, arbitration = open_loop_streams(seed)
+        release, sources, paths = draw_arrivals(
+            np.full(horizon, rate), num_sources, path_of, arrivals, routes
+        )
+        wl = Workload(
+            net=net, paths=paths, default_length=L,
+            release_times=release, sources=sources,
+        )
+        runs = run_model(
+            "wormhole", wl, L, seeds=[arbitration] * len(Bs), B=list(Bs),
+            max_steps=horizon,
+        )
+        completions = [run.completion_times for run in runs]
+        reports = [
+            ContinuousResult.of(release, c, horizon, sample_every) for c in completions
+        ]
+        return reports, completions
+
+    return run
 
 
 @pytest.fixture

@@ -288,7 +288,10 @@ def reference_open_loop(
     arrival).
 
     The three streams are children of ``default_rng(seed)``, split as
-    ``ContinuousWormholeSimulator.run`` splits them.  Returns
+    ``repro.sim.continuous.open_loop_streams`` splits them (restated
+    here, not imported); the arbitration child seeds one fresh
+    generator, as it seeds each trial of a lockstep open-loop call.
+    Returns
     per-message ``arrival`` / ``completion`` (``-1`` undelivered) in
     creation order, plus the report's counts, mean latency and backlog
     series.

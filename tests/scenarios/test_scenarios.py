@@ -249,54 +249,12 @@ class TestIntegration:
 
 
 class TestContinuousArrayRate:
-    def test_scalar_and_constant_trace_bit_identical(self):
-        from repro.network.random_networks import layered_network
-        from repro.sim.continuous import ContinuousWormholeSimulator
+    def test_out_of_range_trace_rejected(self):
+        from repro.sim.continuous import draw_arrivals
 
         rng = np.random.default_rng(0)
-        net = layered_network(4, 3, 2, rng)
-
-        def path_of(source, prng):
-            node = int(source)
-            edges = []
-            for _ in range(3):
-                out = net.out_edges(node)
-                e = out[int(prng.integers(len(out)))]
-                edges.append(e)
-                node = net.head(e)
-            return edges
-
-        def run(rate):
-            sim = ContinuousWormholeSimulator(net, 4, 2, seed=5)
-            return sim.run(rate, 4, path_of, horizon=120)
-
-        a, b = run(0.2), run(np.full(120, 0.2))
-        assert a.generated == b.generated
-        assert a.delivered == b.delivered
-        assert a.final_backlog == b.final_backlog
-        assert a.mean_latency == b.mean_latency
-
-    def test_bad_trace_shape_rejected(self):
-        from repro.network.graph import Network
-        from repro.sim.continuous import ContinuousWormholeSimulator
-
-        net = Network()
-        a, b = net.add_nodes("ab")
-        net.add_edge(a, b)
-        sim = ContinuousWormholeSimulator(net, 1)
-        with pytest.raises(NetworkError, match="shape"):
-            sim.run(np.full(5, 0.1), 4, lambda s, r: [0], horizon=10)
-
-    def test_out_of_range_trace_rejected(self):
-        from repro.network.graph import Network
-        from repro.sim.continuous import ContinuousWormholeSimulator
-
-        net = Network()
-        a, b = net.add_nodes("ab")
-        net.add_edge(a, b)
-        sim = ContinuousWormholeSimulator(net, 1)
         with pytest.raises(NetworkError, match="rate"):
-            sim.run(np.array([0.1] * 9 + [1.5]), 4, lambda s, r: [0], horizon=10)
+            draw_arrivals(np.array([0.1] * 9 + [1.5]), 1, lambda s, r: [0], rng, rng)
 
 
 class TestVcIdsFacade:

@@ -627,14 +627,15 @@ def _line_paths(_source, _rng):
 @pytest.mark.parametrize(
     "knob",
     [f"max_steps-{m}" for m in MODEL_NAMES]
-    + ["delay_range", "horizon", "sample_every", "num_sources"],
+    + ["delay_range", "sample_every", "num_sources"],
 )
 def test_a_count_is_rejected_not_truncated_on_every_path(knob, layered, mesh):
     """``max_steps``, store-and-forward's ``delay_range`` and the
-    open-loop ``horizon`` / ``sample_every`` / ``num_sources`` are
-    counts: a fraction, a string, a bool or a negative number is an
-    error naming the knob, never the count it truncates or clips to."""
-    from repro.sim.continuous import ContinuousWormholeSimulator
+    open-loop ``num_sources`` (of :func:`draw_arrivals`) and
+    ``sample_every`` (of ``ContinuousResult.of``) are counts: a
+    fraction, a string, a bool or a negative number is an error naming
+    the knob, never the count it truncates or clips to."""
+    from repro.sim.continuous import ContinuousResult, draw_arrivals
 
     name, _, model = knob.partition("-")
     if name == "max_steps":
@@ -655,17 +656,13 @@ def test_a_count_is_rejected_not_truncated_on_every_path(knob, layered, mesh):
                 with pytest.raises(NetworkError, match="delay_range must be an integer"):
                     path("store_forward", problem, delay_range=value)
         return
-    net = Network()
-    nodes = net.add_nodes(range(4))
-    for u, v in zip(nodes[:-1], nodes[1:]):
-        net.add_edge(u, v)
+    rng = np.random.default_rng(0)
     for value in (4.5, "4", True, 0):
-        kw = {"num_sources": 2, "horizon": 200, "sample_every": 50, name: value}
         with pytest.raises(NetworkError, match=f"{name} must be an integer"):
-            ContinuousWormholeSimulator(net, kw["num_sources"]).run(
-                0.2, 3, _line_paths,
-                horizon=kw["horizon"], sample_every=kw["sample_every"],
-            )
+            if name == "num_sources":
+                draw_arrivals(np.full(200, 0.2), value, _line_paths, rng, rng)
+            else:
+                ContinuousResult.of([1, 2], [5, -1], 200, sample_every=value)
 
 
 def _multibutterfly_run(B=1, message_length=4, **run):
@@ -824,6 +821,45 @@ def test_an_option_the_model_does_not_take_is_an_error(path, case):
                     sim_params=options, message_length=8,
                 )
             ])
+
+
+#: Arbitration options ``simulate`` refuses, by problem and model: one
+#: the model does not take, a value outside its choices, and one given
+#: again for a workload that states its own arbitration.
+REFUSED_ARBITRATION = {
+    "priority-on-restricted": (
+        "chain-bundle", "restricted", {"priority": "bogus"},
+        "does not take 'priority'",
+    ),
+    "bogus-priority": (
+        "chain-bundle", "wormhole", {"priority": "bogus"},
+        "priority must be one of",
+    ),
+    "priority-given-twice": (
+        "scenario:ring-deadlock", "wormhole", {"priority": "random"},
+        "already states priority 'index'",
+    ),
+}
+
+
+@pytest.mark.parametrize("path", ["simulate", "spec"])
+@pytest.mark.parametrize("mode", ["exact", "estimate"])
+@pytest.mark.parametrize("case", REFUSED_ARBITRATION)
+def test_both_modes_check_the_arbitration_option(path, mode, case):
+    """An estimate answers for the trial the exact run would simulate,
+    so an option the exact run refuses is refused by the estimate too:
+    through the facade and for a sweep / wire spec."""
+    from repro.analysis.estimate import estimate_spec
+
+    problem, model, options, needle = REFUSED_ARBITRATION[case]
+    spec = TrialSpec.make(problem, model, sim_params=options)
+    with pytest.raises(NetworkError, match=needle):
+        if path == "simulate":
+            simulate(problem, model=model, mode=mode, **options)
+        elif mode == "exact":
+            run_sweep([spec])
+        else:
+            estimate_spec(spec)
 
 
 def test_model_table_is_complete():

@@ -1,4 +1,6 @@
-"""Unit tests for the continuous (steady-state) wormhole harness."""
+"""Unit tests for open-loop (steady-state) wormhole runs: a trace drawn
+by ``draw_arrivals``, one lockstep ``run_model`` call over every ``B``
+(the ``open_loop`` fixture), reported by ``ContinuousResult.of``."""
 
 import sys
 from pathlib import Path
@@ -12,12 +14,10 @@ from reference_simulator import (  # noqa: E402
     reference_queued_run,
 )
 
-import repro.sim.continuous as continuous
 from repro.network.butterfly import Butterfly
 from repro.network.graph import Network, NetworkError
 from repro.scenarios import get_scenario
 from repro.sim.batch import run_wormhole_batch
-from repro.sim.continuous import ContinuousWormholeSimulator
 from repro.telemetry.probe import Probe
 
 
@@ -37,20 +37,14 @@ def line_path_gen(depth):
 
 
 class TestBasics:
-    def test_zero_rate_idles(self):
-        net = line(4)
-        sim = ContinuousWormholeSimulator(net, num_sources=1)
-        res = sim.run(0.0, message_length=3, path_of=line_path_gen(3), horizon=100)
+    def test_zero_rate_idles(self, open_loop):
+        (res,), _ = open_loop(line(4), 1, [1], 0.0, 3, line_path_gen(3), 100, 0)
         assert res.generated == 0
         assert res.throughput == 0.0
         assert res.final_backlog == 0
 
-    def test_single_source_low_rate_delivers_everything(self):
-        net = line(5)
-        sim = ContinuousWormholeSimulator(net, num_sources=1, seed=1)
-        res = sim.run(
-            0.05, message_length=4, path_of=line_path_gen(4), horizon=2000
-        )
+    def test_single_source_low_rate_delivers_everything(self, open_loop):
+        (res,), _ = open_loop(line(5), 1, [1], 0.05, 4, line_path_gen(4), 2000, 1)
         assert res.generated > 0
         # Low rate: everything in flight drains, backlog stays tiny.
         assert res.delivered >= res.generated - 3
@@ -58,44 +52,36 @@ class TestBasics:
         # Latency is at least the unobstructed L + D - 1.
         assert res.mean_latency >= 4 + 4 - 1
 
-    def test_saturation_throughput_capped_by_bandwidth(self):
+    def test_saturation_throughput_capped_by_bandwidth(self, open_loop):
         """A single chain at rate 1.0: one worm per L+1 steps at most."""
-        net = line(3)
-        sim = ContinuousWormholeSimulator(net, num_sources=1, seed=2)
         L = 5
-        res = sim.run(1.0, message_length=L, path_of=line_path_gen(2), horizon=600)
+        (res,), _ = open_loop(line(3), 1, [1], 1.0, L, line_path_gen(2), 600, 2)
         assert res.throughput <= 1.0 / L
         assert res.final_backlog > 10  # clearly unstable
         assert res.backlog_slope() > 0.1
 
-    def test_more_channels_raise_saturation_throughput(self):
-        net = line(3)
-        L = 5
-        out = {}
-        for B in (1, 2, 4):
-            sim = ContinuousWormholeSimulator(net, 1, B, seed=3)
-            out[B] = sim.run(
-                1.0, message_length=L, path_of=line_path_gen(2), horizon=600
-            ).throughput
-        assert out[1] < out[2] < out[4]
+    def test_more_channels_raise_saturation_throughput(self, open_loop):
+        reports, _ = open_loop(line(3), 1, [1, 2, 4], 1.0, 5, line_path_gen(2), 600, 3)
+        out = [res.throughput for res in reports]
+        assert out[0] < out[1] < out[2]
 
-    def test_validation(self):
+    def test_validation(self, open_loop):
+        """Each input is checked where it is used: rates and the source
+        count by the draw, ``L``, ``B`` and the routes by the run, the
+        sampling period by the report."""
         net = line(3)
-        sim = ContinuousWormholeSimulator(net, 1)
-        with pytest.raises(NetworkError):
-            sim.run(1.5, 3, line_path_gen(2), 10)
-        with pytest.raises(NetworkError):
-            sim.run(0.5, 0, line_path_gen(2), 10)
-        with pytest.raises(NetworkError):
-            sim.run(0.5, 3, line_path_gen(2), 0)
-        with pytest.raises(NetworkError, match="sample_every"):
-            sim.run(0.5, 3, line_path_gen(2), 10, sample_every=0)
+        with pytest.raises(NetworkError, match="rate"):
+            open_loop(net, 1, [1], 1.5, 3, line_path_gen(2), 10, 0)
+        with pytest.raises(NetworkError, match="num_sources"):
+            open_loop(net, 0, [1], 0.5, 3, line_path_gen(2), 10, 0)
+        with pytest.raises(NetworkError, match="L must be >= 1"):
+            open_loop(net, 1, [1], 1.0, 0, line_path_gen(2), 10, 0)
+        with pytest.raises(NetworkError, match="virtual channel"):
+            open_loop(net, 1, [0], 1.0, 3, line_path_gen(2), 10, 0)
         with pytest.raises(NetworkError, match="names edge"):
-            sim.run(1.0, 3, line_path_gen(5), 10)
-        with pytest.raises(NetworkError):
-            ContinuousWormholeSimulator(net, 0)
-        with pytest.raises(NetworkError):
-            ContinuousWormholeSimulator(net, 1, 0)
+            open_loop(net, 1, [1], 1.0, 3, line_path_gen(5), 10, 0)
+        with pytest.raises(NetworkError, match="sample_every"):
+            open_loop(net, 1, [1], 0.5, 3, line_path_gen(2), 10, 0, sample_every=0)
 
     def test_next_message_contends_the_step_after_the_first_move(self):
         """FIFO injection pops a source's queue at its head message's
@@ -133,14 +119,6 @@ class TestBasics:
         assert sorted(queued.contended[2]) == [(0, 1), (1, 0)]
         assert sorted(apart.contended[1]) == [(0, 0), (1, 0)]
 
-    def test_later_runs_continue_the_stream(self):
-        net = line(4)
-        a = ContinuousWormholeSimulator(net, 1, seed=8)
-        b = ContinuousWormholeSimulator(net, 1, seed=8)
-        runs = [sim.run(0.3, 2, line_path_gen(3), 200) for sim in (a, a, b)]
-        assert runs[0].backlog_series.tolist() == runs[2].backlog_series.tolist()
-        assert runs[0].generated != runs[1].generated
-
 
 class Contenders(Probe):
     """Per step: the (message, edge) pairs granted and contending, and
@@ -163,54 +141,45 @@ class Contenders(Probe):
         self.moved[t] = movers.tolist()
 
 
-def _front_end_and_reference(
-    monkeypatch, net, num_sources, B, rate, L, path_of, horizon, seed,
-    sample_every,
-):
-    """Run the front end and the moved loop on one cell; the front
-    end's per-message completion times are taken off its kernel call."""
-    calls = []
-
-    def spy(*args, **kwargs):
-        calls.append(run_wormhole_batch(*args, **kwargs))
-        return calls[-1]
-
-    monkeypatch.setattr(continuous, "run_wormhole_batch", spy)
-    sim = ContinuousWormholeSimulator(net, num_sources, B, seed=seed)
-    res = sim.run(rate, L, path_of, horizon, sample_every=sample_every)
-    ref = reference_open_loop(
-        net.num_edges, num_sources, B, rate, L, path_of, horizon, seed,
-        sample_every=sample_every,
-    )
-    assert len(calls) == 1
-    return res, ref, calls[0][0].completion_times
+E11_CHANNELS = [1, 2, 4]
 
 
-def _assert_same_run(res, ref, completion):
-    assert np.array_equal(completion, ref.completion)
-    assert res.generated == ref.generated
-    assert res.delivered == ref.delivered
-    assert res.mean_latency == ref.mean_latency
-    assert res.final_backlog == ref.final_backlog
-    assert np.array_equal(res.backlog_series, ref.backlog_series)
+@pytest.fixture(scope="module")
+def e11_grid(open_loop):
+    """The E11 grid at a short horizon: one lockstep call per rate over
+    every ``B`` of :data:`E11_CHANNELS`, with the route generator."""
+    bf = Butterfly(32)
+
+    def path_of(source, rng):
+        return list(bf.path_edges(source, int(rng.integers(bf.n))))
+
+    calls = {
+        rate: open_loop(bf, bf.n, E11_CHANNELS, rate, 6, path_of, 300, 17, 100)
+        for rate in (0.01, 0.02, 0.04, 0.08, 0.16, 0.32)
+    }
+    return bf, path_of, calls
 
 
 class TestFrontEndEqualsTheMovedLoop:
-    """The open-loop front end (pre-drawn arrivals on the wormhole
-    kernel) equals the per-message loop it replaced, run on the same
-    three streams, bit for bit."""
+    """An open-loop run (a pre-drawn trace on the wormhole kernel, every
+    ``B`` in one lockstep call) equals the per-message loop run on the
+    same three streams, bit for bit."""
 
-    @pytest.mark.parametrize("B", [1, 2, 4])
-    def test_e11_grid_at_a_short_horizon(self, monkeypatch, B):
-        bf = Butterfly(32)
-
-        def path_of(source, rng):
-            return list(bf.path_edges(source, int(rng.integers(bf.n))))
-
-        for rate in (0.01, 0.02, 0.04, 0.08, 0.16, 0.32):
-            _assert_same_run(*_front_end_and_reference(
-                monkeypatch, bf, bf.n, B, rate, 6, path_of, 300, 17, 100
-            ))
+    @pytest.mark.parametrize("B", E11_CHANNELS)
+    def test_e11_grid_at_a_short_horizon(self, e11_grid, B):
+        bf, path_of, calls = e11_grid
+        i = E11_CHANNELS.index(B)
+        for rate, (reports, completions) in calls.items():
+            res = reports[i]
+            ref = reference_open_loop(
+                bf.num_edges, bf.n, B, rate, 6, path_of, 300, 17, sample_every=100
+            )
+            assert np.array_equal(completions[i], ref.completion)
+            assert res.generated == ref.generated
+            assert res.delivered == ref.delivered
+            assert res.mean_latency == ref.mean_latency
+            assert res.final_backlog == ref.final_backlog
+            assert np.array_equal(res.backlog_series, ref.backlog_series)
 
     @pytest.mark.parametrize("name", ["bursty-arrivals", "heavy-tail-arrivals"])
     def test_arrival_scenarios_at_their_defaults(self, name):
@@ -242,31 +211,30 @@ class TestButterflyTraffic:
 
         return path_of
 
-    def test_stable_at_low_rate(self):
+    def test_stable_at_low_rate(self, open_loop):
         bf = Butterfly(16)
-        sim = ContinuousWormholeSimulator(bf, bf.n, 2, seed=4)
-        res = sim.run(0.01, 4, self.path_gen(bf), horizon=1500)
+        (res,), _ = open_loop(bf, bf.n, [2], 0.01, 4, self.path_gen(bf), 1500, 4)
         assert res.delivered > 0
         assert abs(res.backlog_slope()) < 0.02
 
-    def test_unstable_at_high_rate(self):
+    def test_unstable_at_high_rate(self, open_loop):
         bf = Butterfly(16)
-        sim = ContinuousWormholeSimulator(bf, bf.n, 1, seed=5)
-        res = sim.run(0.5, 8, self.path_gen(bf), horizon=1500)
+        (res,), _ = open_loop(bf, bf.n, [1], 0.5, 8, self.path_gen(bf), 1500, 5)
         assert res.backlog_slope() > 0.1
         assert res.final_backlog > 50
 
-    def test_backlog_series_sampling(self):
+    def test_backlog_series_sampling(self, open_loop):
         bf = Butterfly(8)
-        sim = ContinuousWormholeSimulator(bf, bf.n, 1, seed=6)
-        res = sim.run(0.2, 4, self.path_gen(bf), horizon=400, sample_every=100)
+        (res,), _ = open_loop(
+            bf, bf.n, [1], 0.2, 4, self.path_gen(bf), 400, 6, sample_every=100
+        )
         assert res.backlog_series.size == 4
 
-    def test_reproducible(self):
+    def test_reproducible(self, open_loop):
         bf = Butterfly(8)
-        runs = []
-        for _ in range(2):
-            sim = ContinuousWormholeSimulator(bf, bf.n, 2, seed=7)
-            runs.append(sim.run(0.1, 4, self.path_gen(bf), horizon=500))
+        runs = [
+            open_loop(bf, bf.n, [2], 0.1, 4, self.path_gen(bf), 500, 7)[0][0]
+            for _ in range(2)
+        ]
         assert runs[0].generated == runs[1].generated
         assert runs[0].delivered == runs[1].delivered

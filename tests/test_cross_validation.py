@@ -25,7 +25,6 @@ from repro import (
 )
 from repro.network.random_networks import chain_bundle, layered_network, random_walk_paths
 from repro.routing.paths import paths_from_node_walks
-from repro.sim.continuous import ContinuousWormholeSimulator
 
 
 @given(
@@ -81,7 +80,7 @@ def test_restricted_b1_equals_full_b1_on_chains():
 
 
 class TestContinuousConservation:
-    def test_message_conservation(self):
+    def test_message_conservation(self, open_loop):
         """generated == delivered + backlog at every horizon."""
         bf = Butterfly(16)
 
@@ -89,16 +88,16 @@ class TestContinuousConservation:
             return list(bf.path_edges(source, int(rng.integers(16))))
 
         for rate in (0.05, 0.4):
-            sim = ContinuousWormholeSimulator(bf, 16, 1, seed=3)
-            res = sim.run(rate, 5, path_of, horizon=800)
+            (res,), _ = open_loop(bf, 16, [1], rate, 5, path_of, 800, 3)
             assert res.generated == res.delivered + res.final_backlog
+            # The last sample (at the horizon) counts the same backlog.
+            assert res.backlog_series[-1] == res.final_backlog
 
-    def test_throughput_never_exceeds_generation_rate(self):
+    def test_throughput_never_exceeds_generation_rate(self, open_loop):
         bf = Butterfly(16)
 
         def path_of(source, rng):
             return list(bf.path_edges(source, int(rng.integers(16))))
 
-        sim = ContinuousWormholeSimulator(bf, 16, 4, seed=4)
-        res = sim.run(0.1, 4, path_of, horizon=1000)
+        (res,), _ = open_loop(bf, 16, [4], 0.1, 4, path_of, 1000, 4)
         assert res.throughput <= res.generated / res.horizon + 1e-12
