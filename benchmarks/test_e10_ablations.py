@@ -18,9 +18,9 @@ import pytest
 from repro import (
     ButterflyRouter,
     Table,
-    WormholeSimulator,
     lll_schedule,
     random_q_relation,
+    simulate,
 )
 from repro.core.butterfly_lower_bound import one_pass_route
 from repro.network.random_networks import layered_network, random_walk_paths
@@ -126,8 +126,8 @@ def test_e10_arbitration_policies(benchmark, save_table):
         # "rank" is the fixed-random-priority discipline of Greenberg and
         # Oh's universal wormhole algorithm [19].
         for priority in ("random", "age", "index", "rank"):
-            res = WormholeSimulator(net, 2, priority=priority, seed=3).run(
-                paths, message_length=8
+            res = simulate(
+                (net, paths), B=2, message_length=8, priority=priority, seed=3
             )
             assert res.all_delivered
             rows.append(

@@ -12,7 +12,7 @@ and check the measured makespan stays within a small constant of
 import numpy as np
 import pytest
 
-from repro import Table, WormholeSimulator
+from repro import Table, simulate
 from repro.network.tree import CompleteTree, tree_path
 from repro.routing.paths import congestion, dilation, paths_from_node_walks
 
@@ -36,9 +36,7 @@ def test_e15_tree_lc_plus_d(benchmark, save_table):
             rng = np.random.default_rng(height)
             paths = leaf_shuffle_workload(tree, rng, messages)
             C, D = congestion(paths), dilation(paths)
-            res = WormholeSimulator(tree.network, 1, seed=0).run(
-                paths, message_length=L
-            )
+            res = simulate((tree.network, paths), message_length=L)
             assert res.all_delivered
             assert not res.deadlocked
             rows.append(

@@ -15,11 +15,12 @@ coordination levels on matched workloads:
 import numpy as np
 import pytest
 
-from repro import Table, WormholeSimulator, execute_schedule, lll_schedule
+from repro import Table, execute_schedule, lll_schedule
 from repro.core.benes_routing import route_permutation_benes
 from repro.core.online_routing import route_online_random_delays
 from repro.network.random_networks import layered_network, random_walk_paths
 from repro.routing.paths import congestion, dilation, paths_from_node_walks
+from repro.sim.batch import run_wormhole_batch
 
 
 def test_e16_coordination_ladder(benchmark, save_table):
@@ -32,8 +33,12 @@ def test_e16_coordination_ladder(benchmark, save_table):
 
     def measure():
         rows = []
-        for B in (1, 2):
-            greedy = WormholeSimulator(net, B, seed=0).run(paths, L)
+        Bs = (1, 2)
+        # Greedy is one lockstep call over both B, each trial at seed 0.
+        greedies = run_wormhole_batch(
+            net, paths, L, seeds=[0] * len(Bs), num_virtual_channels=Bs
+        )
+        for B, greedy in zip(Bs, greedies):
             online = route_online_random_delays(
                 net, paths, L, B=B, rng=np.random.default_rng(1), seed=0
             )

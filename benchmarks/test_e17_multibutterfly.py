@@ -11,7 +11,7 @@ buys the bound.
 import numpy as np
 import pytest
 
-from repro import Butterfly, Table, WormholeSimulator
+from repro import Butterfly, Table, simulate
 from repro.core.multibutterfly_routing import MultibutterflyRouter
 from repro.network.multibutterfly import Multibutterfly
 from repro.routing.problems import transpose_permutation
@@ -25,9 +25,7 @@ def test_e17_diversity_vs_unique_paths(benchmark, save_table):
         rows = []
         bf = Butterfly(n)
         edges = bf.path_edges_batch(inst.sources, inst.dests)
-        res = WormholeSimulator(bf, 1, seed=0).run(
-            [list(r) for r in edges], message_length=L
-        )
+        res = simulate((bf, [list(r) for r in edges]), message_length=L)
         rows.append(
             {
                 "network": "butterfly (unique paths)",

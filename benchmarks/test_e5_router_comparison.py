@@ -16,12 +16,7 @@ Claims reproduced:
 
 import numpy as np
 
-from repro import (
-    StoreForwardSimulator,
-    Table,
-    WormholeSimulator,
-    build_hard_instance,
-)
+from repro import Table, build_hard_instance, simulate
 from repro.network.random_networks import chain_bundle
 from repro.routing.paths import paths_from_node_walks
 from repro.sim.batch import run_cut_through_batch
@@ -88,14 +83,15 @@ def test_e5_store_forward_crossover(benchmark, save_table):
         # Regime 1: hard instance with C >> D.
         inst = build_hard_instance(C=8, D=7, B=1)
         L1 = inst.recommended_length(3.0)
-        wh1 = WormholeSimulator(inst.network, 1, seed=0).run(inst.paths, L1).makespan
-        sf1 = StoreForwardSimulator(inst.network, 1, seed=0).run(inst.paths, L1).makespan
+        hard = (inst.network, inst.paths)
+        wh1 = simulate(hard, message_length=L1).makespan
+        sf1 = simulate(hard, model="store_forward", message_length=L1).makespan
         # Regime 2: one long quiet path.
         net, walks = chain_bundle(1, 16, 1)
         p2 = paths_from_node_walks(net, walks)
         L2 = 32
-        wh2 = WormholeSimulator(net, 1).run(p2, L2).makespan
-        sf2 = StoreForwardSimulator(net, 1).run(p2, L2).makespan
+        wh2 = simulate((net, p2), message_length=L2).makespan
+        sf2 = simulate((net, p2), model="store_forward", message_length=L2).makespan
         return {
             "congested (C=8, D=7)": (wh1, sf1),
             "quiet long path": (wh2, sf2),
@@ -152,8 +148,9 @@ def test_e5c_cut_through_compression(benchmark, save_table):
 
     def measure():
         # Wormhole B=1: per-message lengths supported directly.
-        wh = WormholeSimulator(net, 1, priority="index").run(
-            paths, message_length=lengths, release_times=release
+        wh = simulate(
+            (net, paths), message_length=lengths, priority="index",
+            release_times=release,
         )
         bufs = [1, 2, 4, 8]
         cts = run_cut_through_batch(

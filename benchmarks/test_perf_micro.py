@@ -17,7 +17,7 @@ before optimizing, and keep regressions visible.
 import numpy as np
 import pytest
 
-from repro import Butterfly, WormholeSimulator, arbitrate_levels
+from repro import Butterfly, arbitrate_levels, simulate
 from repro.core.coloring import MessageEdgeIncidence, refine_colors
 from repro.network.random_networks import layered_network, random_walk_paths
 from repro.routing.paths import paths_from_node_walks
@@ -38,7 +38,7 @@ def test_perf_wormhole_simulation(benchmark, big_workload):
     net, paths = big_workload
 
     def run():
-        return WormholeSimulator(net, 2, seed=0).run(paths, message_length=12)
+        return simulate((net, paths), B=2, message_length=12)
 
     result = benchmark(run)
     assert result.all_delivered

@@ -10,7 +10,7 @@ claims measurable: compare ``test_perf_wormhole_bare`` against
 import numpy as np
 import pytest
 
-from repro import WormholeSimulator
+from repro import simulate
 from repro.network.random_networks import layered_network, random_walk_paths
 from repro.routing.paths import paths_from_node_walks
 from repro.telemetry import TraceRecorder, Watchdog, standard_collectors
@@ -28,7 +28,7 @@ def test_perf_wormhole_bare(benchmark, workload):
     net, paths = workload
 
     def run():
-        return WormholeSimulator(net, 2, seed=0).run(paths, message_length=10)
+        return simulate((net, paths), B=2, message_length=10)
 
     result = benchmark(run)
     assert result.all_delivered
@@ -36,11 +36,12 @@ def test_perf_wormhole_bare(benchmark, workload):
 
 def test_perf_wormhole_instrumented(benchmark, workload):
     net, paths = workload
-    baseline = WormholeSimulator(net, 2, seed=0).run(paths, message_length=10)
+    baseline = simulate((net, paths), B=2, message_length=10)
 
     def run():
-        return WormholeSimulator(net, 2, seed=0).run(
-            paths,
+        return simulate(
+            (net, paths),
+            B=2,
             message_length=10,
             telemetry=standard_collectors() + [Watchdog()],
         )
@@ -55,9 +56,7 @@ def test_perf_trace_recording(benchmark, workload):
 
     def run():
         recorder = TraceRecorder()
-        WormholeSimulator(net, 2, seed=0).run(
-            paths, message_length=10, telemetry=[recorder]
-        )
+        simulate((net, paths), B=2, message_length=10, telemetry=[recorder])
         return recorder.to_trace()
 
     trace = benchmark(run)

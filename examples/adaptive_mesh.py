@@ -17,13 +17,12 @@ Run:  python examples/adaptive_mesh.py
 
 import numpy as np
 
-from repro import KAryNCube, Table
+from repro import KAryNCube, Table, simulate
 from repro.routing.traffic import (
     bit_complement_traffic,
     hotspot_traffic,
     uniform_traffic,
 )
-from repro.sim.batch import AdaptiveMeshRouter
 
 K, L = 6, 6
 
@@ -52,11 +51,12 @@ def main() -> None:
         spans = {"dimension": [], "west-first": []}
         for policy in spans:
             for seed in range(5):
-                out = AdaptiveMeshRouter(mesh, 1, policy=policy, seed=seed).run(
-                    demands, message_length=L
+                out = simulate(
+                    (mesh, demands), model="adaptive", policy=policy,
+                    message_length=L, seed=seed,
                 )
                 assert out.all_delivered
-                spans[policy].append(out.result.makespan)
+                spans[policy].append(out.makespan)
         table.add_row(
             [name, float(np.mean(spans["dimension"])), float(np.mean(spans["west-first"]))]
         )
@@ -75,9 +75,10 @@ def main() -> None:
     print("Square-cycle workload (the classic wormhole deadlock):")
     for policy, B in [("fully-adaptive", 1), ("fully-adaptive", 2), ("west-first", 1)]:
         deadlocks = sum(
-            AdaptiveMeshRouter(mesh, B, policy=policy, seed=s)
-            .run(cycle, message_length=4)
-            .result.deadlocked
+            simulate(
+                (mesh, cycle), model="adaptive", B=B, policy=policy,
+                message_length=4, seed=s,
+            ).deadlocked
             for s in range(30)
         )
         print(f"  {policy:>15} B={B}: {deadlocks}/30 runs deadlock")

@@ -22,10 +22,10 @@ import numpy as np
 from repro import (
     KAryNCube,
     Table,
-    WormholeSimulator,
     dateline_vc_assignment,
     dimension_order_path,
     is_deadlock_free,
+    simulate,
 )
 from repro.routing.paths import congestion, dilation, paths_from_node_walks
 from repro.sim.stats import summarize_latencies
@@ -64,8 +64,7 @@ def main() -> None:
         ["B", "deadlocked", "delivered", "makespan", "mean latency", "p95 latency"],
     )
     for B in (1, 2, 4):
-        sim = WormholeSimulator(net, num_virtual_channels=B, seed=1)
-        res = sim.run(paths, message_length=L)
+        res = simulate((net, paths), B=B, message_length=L, seed=1)
         stats = summarize_latencies(res.latencies())
         table.add_row(
             [

@@ -19,11 +19,11 @@ import numpy as np
 
 from repro import (
     Table,
-    WormholeSimulator,
     bounds,
     execute_schedule,
     lll_schedule,
     naive_coloring_schedule,
+    simulate,
 )
 from repro.network.random_networks import layered_network, random_walk_paths
 from repro.routing.paths import congestion, dilation, paths_from_node_walks
@@ -63,7 +63,7 @@ def main() -> None:
             paths, message_length=L, B=B, rng=np.random.default_rng(B), mode="direct"
         )
         run = execute_schedule(net, paths, build.schedule, B=B)
-        greedy = WormholeSimulator(net, B, seed=0).run(paths, message_length=L)
+        greedy = simulate((net, paths), B=B, message_length=L)
         table.add_row(
             [
                 B,

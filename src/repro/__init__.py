@@ -12,11 +12,10 @@ Section 3 with its lower-bound machinery.
 Quickstart
 ----------
 >>> import numpy as np
->>> from repro import Butterfly, WormholeSimulator
+>>> from repro import Butterfly, simulate
 >>> bf = Butterfly(8)
 >>> edges = bf.path_edges_batch(np.arange(8), np.arange(8)[::-1])
->>> sim = WormholeSimulator(bf, num_virtual_channels=2)
->>> result = sim.run([list(r) for r in edges], message_length=4)
+>>> result = simulate((bf, [list(r) for r in edges]), B=2, message_length=4)
 >>> bool(result.all_delivered)
 True
 """
@@ -27,7 +26,6 @@ from ._lazy import attach
 # ``repro`` itself loads nothing else; ``scenario:<name>`` sweep workloads
 # register the first time :mod:`repro.sim.sweep` misses a workload name.
 _EXPORTS = {
-    "AdaptiveMeshRouter": ".sim.batch",
     "AdaptiveRunResult": ".sim.stats",
     "Benes": ".network.benes",
     "Butterfly": ".network.butterfly",
@@ -37,7 +35,6 @@ _EXPORTS = {
     "ColorClassSchedule": ".core.schedule",
     "CompleteTree": ".network.tree",
     "ContinuousResult": ".sim.continuous",
-    "CutThroughSimulator": ".sim.batch",
     "DeBruijn": ".network.debruijn",
     "HardInstance": ".core.lower_bound",
     "Hypercube": ".network.hypercube",
@@ -52,16 +49,13 @@ _EXPORTS = {
     "OnePassOutcome": ".core.butterfly_lower_bound",
     "Path": ".routing.paths",
     "PowerLawFit": ".analysis.fitting",
-    "RestrictedWormholeSimulator": ".sim.batch",
     "RoutingInstance": ".routing.problems",
     "SIMULATE_MODES": ".facade",
     "ScheduleBuild": ".core.scheduler",
     "ShuffleExchange": ".network.debruijn",
     "SimResult": ".facade",
     "SimulationResult": ".sim.stats",
-    "StoreForwardSimulator": ".sim.batch",
     "Table": ".analysis.tables",
-    "WormholeSimulator": ".sim.batch",
     "arbitrate_levels": ".core.butterfly_routing",
     "bfs_path": ".routing.shortest",
     "bit_fixing_path": ".network.hypercube",

@@ -3,7 +3,7 @@
 A package ``__init__`` declares its public names as one table and hands
 it to :func:`attach`::
 
-    _EXPORTS = {"WormholeSimulator": ".sim.batch", "telemetry": ".telemetry"}
+    _EXPORTS = {"simulate": ".facade", "telemetry": ".telemetry"}
     __getattr__, __dir__ = attach(__name__, _EXPORTS)
     __all__ = list(_EXPORTS)
 

@@ -47,7 +47,7 @@ formulas live in one table row per model (``_TERMS``) whose keys must
 equal :data:`repro.sim.batch.LOCKSTEP_MODELS`.
 
 The adaptive mesh router chooses among *minimal* productive directions
-(:class:`~repro.sim.batch.AdaptiveMeshRouter`), so each message's hop count is the known
+(:func:`~repro.sim.batch.run_adaptive_batch`), so each message's hop count is the known
 Manhattan distance — but its paths (hence per-edge loads) are chosen
 online, so it gets a conservative **upper** bound only (``lower`` is
 ``None``; the service still uses the unobstructed per-message floor it

@@ -7,7 +7,8 @@ Visualization helpers for debugging and for the Figure reproductions:
 * :func:`render_route` — a hop table for one path through a butterfly
   (the Fig. 2 artifact);
 * :func:`render_spacetime` — a worm spacetime diagram from a traced
-  :class:`~repro.sim.batch.WormholeSimulator` run: one row per flit
+  wormhole run (:func:`repro.simulate` with a
+  :class:`~repro.telemetry.TraceSnapshotCollector`): one row per flit
   step, one column per message, showing each worm's head position along
   its path (``.`` = not yet injected, ``*`` = delivered).  Blocking shows
   up as vertically repeated digits.

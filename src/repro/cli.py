@@ -300,11 +300,10 @@ def _cmd_info(args: argparse.Namespace) -> None:
     print()
     print("Main entry points:")
     for name in (
-        "WormholeSimulator",
+        "simulate",
         "lll_schedule / execute_schedule",
         "build_hard_instance",
         "ButterflyRouter",
-        "CutThroughSimulator / StoreForwardSimulator",
         "circuit_switch_butterfly",
     ):
         print(f"  - repro.{name}")
@@ -386,18 +385,15 @@ def _cmd_schedule(args: argparse.Namespace) -> None:
     "hard-instance", "Theorem 2.2.1 lower bound", "congestion dilation channels seed"
 )
 def _cmd_hard_instance(args: argparse.Namespace) -> None:
-    from repro import (
-        WormholeSimulator,
-        build_hard_instance,
-        hard_instance_lower_bound,
-    )
+    from repro import build_hard_instance, hard_instance_lower_bound, simulate
 
     inst = build_hard_instance(
         C=args.congestion, D=args.dilation, B=args.channels
     )
     L = inst.recommended_length()
-    res = WormholeSimulator(inst.network, args.channels, seed=args.seed).run(
-        inst.paths, message_length=L
+    res = simulate(
+        (inst.network, inst.paths), B=args.channels, message_length=L,
+        seed=args.seed,
     )
     print(
         f"Theorem 2.2.1 instance: M'={inst.m_prime}, M={inst.num_messages}, "

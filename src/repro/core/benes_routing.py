@@ -20,7 +20,7 @@ import numpy as np
 from ..network.benes import Benes, waksman_paths
 from ..network.graph import NetworkError
 from ..sim.stats import SimulationResult
-from ..sim.batch import WormholeSimulator
+from ..sim.batch import run_wormhole_batch
 from ..sim.kernels import exact_count
 
 __all__ = ["route_permutation_benes", "route_q_relation_benes"]
@@ -42,8 +42,10 @@ def route_permutation_benes(
     benes = Benes(perm.size)
     cols = waksman_paths(perm)
     edges = benes.columns_to_edges(cols)
-    sim = WormholeSimulator(benes.to_network(), num_virtual_channels=B, seed=seed)
-    result = sim.run([list(r) for r in edges], message_length=L)
+    result = run_wormhole_batch(
+        benes.to_network(), [list(r) for r in edges], L,
+        seeds=[seed], num_virtual_channels=B,
+    )[0]
     expected = L + benes.depth - 1
     if not result.all_delivered or result.total_blocked_steps != 0:
         raise NetworkError("Waksman routing blocked; construction broken")
@@ -83,12 +85,10 @@ def route_q_relation_benes(
         edges = benes.columns_to_edges(waksman_paths(perm))
         all_paths.extend([list(r) for r in edges])
         releases.extend([i * (L + 1)] * n)
-    sim = WormholeSimulator(net, num_virtual_channels=B, seed=seed)
-    result = sim.run(
-        all_paths,
-        message_length=L,
+    result = run_wormhole_batch(
+        net, all_paths, L, seeds=[seed], num_virtual_channels=B,
         release_times=np.asarray(releases, dtype=np.int64),
-    )
+    )[0]
     if not result.all_delivered:
         raise NetworkError("Benes q-relation routing failed to deliver")
     return result

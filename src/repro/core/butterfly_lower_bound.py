@@ -31,7 +31,7 @@ from ..network.butterfly import Butterfly
 from ..network.graph import NetworkError
 from ..routing.problems import RoutingInstance
 from ..sim.stats import SimulationResult
-from ..sim.batch import WormholeSimulator
+from ..sim.batch import run_wormhole_batch
 from .bounds import butterfly_subset_size
 
 __all__ = [
@@ -196,8 +196,9 @@ def one_pass_route(
     is ``completion - (L - 1)``.
     """
     bf, edges = truncated_paths(n, instance, L)
-    sim = WormholeSimulator(bf, num_virtual_channels=B, seed=seed)
-    result = sim.run([list(row) for row in edges], message_length=L)
+    result = run_wormhole_batch(
+        bf, [list(row) for row in edges], L, seeds=[seed], num_virtual_channels=B
+    )[0]
     q = max(instance.max_per_source(), 1)
     s = butterfly_subset_size(n, q, L, B)
     nq = instance.num_messages

@@ -32,7 +32,7 @@ from ..network.hypercube import Hypercube, bit_fixing_path
 from ..routing.paths import congestion, paths_from_node_walks
 from ..routing.problems import RoutingInstance
 from ..sim.stats import SimulationResult
-from ..sim.batch import WormholeSimulator
+from ..sim.batch import run_wormhole_batch
 
 __all__ = ["HypercubeRoutingResult", "route_hypercube_permutation"]
 
@@ -105,9 +105,15 @@ def route_hypercube_permutation(
     paths1 = paths_from_node_walks(cube.network, walks1)
     paths2 = paths_from_node_walks(cube.network, walks2)
 
-    sim = WormholeSimulator(cube.network, num_virtual_channels=B, seed=seed)
-    res1 = sim.run(paths1, message_length=message_length)
-    res2 = sim.run(paths2, message_length=message_length)
+    # Both phases draw arbitration from one continuing stream.
+    arbitration = np.random.default_rng(seed)
+    res1, res2 = (
+        run_wormhole_batch(
+            cube.network, paths, message_length, seeds=[arbitration],
+            num_virtual_channels=B,
+        )[0]
+        for paths in (paths1, paths2)
+    )
     total = int(max(res1.makespan, 0) + max(res2.makespan, 0))
     return HypercubeRoutingResult(
         phase1=res1,

@@ -27,7 +27,7 @@ import numpy as np
 from ..network.graph import Network, NetworkError
 from ..routing.paths import Path
 from ..sim.stats import SimulationResult
-from ..sim.batch import WormholeSimulator
+from ..sim.batch import run_wormhole_batch
 
 __all__ = ["route_leveled_greedy", "random_delay_release", "leveled_bound"]
 
@@ -76,10 +76,10 @@ def route_leveled_greedy(
     """
     if check_leveled and not net.is_leveled():
         raise NetworkError("network is not leveled")
-    sim = WormholeSimulator(net, num_virtual_channels=B, seed=seed)
-    result = sim.run(
-        paths, message_length=message_length, release_times=release_times
-    )
+    result = run_wormhole_batch(
+        net, paths, message_length, seeds=[seed], num_virtual_channels=B,
+        release_times=release_times,
+    )[0]
     if result.deadlocked:  # pragma: no cover - leveledness forbids this
         raise NetworkError("leveled run deadlocked; model invariant broken")
     return result

@@ -13,7 +13,7 @@ stalls (and retries — the network is leveled, so no deadlock is
 possible).  It is the adaptive model of :mod:`repro.sim.batch` with
 policy ``"fully-adaptive"`` (MODEL.md section 7): worm mechanics
 (lock-step motion, strict buffer release, ``B`` slots per edge) match
-:class:`~repro.sim.batch.WormholeSimulator` exactly.
+:func:`~repro.sim.batch.run_wormhole_batch` exactly.
 """
 
 from __future__ import annotations

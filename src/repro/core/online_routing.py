@@ -31,7 +31,7 @@ import numpy as np
 from ..network.graph import Network
 from ..routing.paths import Path, congestion, dilation
 from ..sim.stats import SimulationResult
-from ..sim.batch import WormholeSimulator
+from ..sim.batch import run_wormhole_batch
 from ..sim.kernels import exact_count
 
 __all__ = ["online_window", "route_online_random_delays"]
@@ -59,7 +59,8 @@ def route_online_random_delays(
     Parameters
     ----------
     net, paths, message_length, B:
-        As for :class:`~repro.sim.batch.WormholeSimulator`.
+        As for :func:`~repro.sim.batch.run_wormhole_batch` (``B`` is its
+        ``num_virtual_channels``).
     alpha:
         Window constant when ``window`` is derived from ``C, D, B``.
     window:
@@ -87,5 +88,7 @@ def route_online_random_delays(
     if rng is None:
         rng = np.random.default_rng(seed)
     release = rng.integers(0, window, size=len(path_list)).astype(np.int64) * L
-    sim = WormholeSimulator(net, num_virtual_channels=B, seed=seed)
-    return sim.run(path_list, message_length=L, release_times=release)
+    return run_wormhole_batch(
+        net, path_list, L, seeds=[seed], num_virtual_channels=B,
+        release_times=release,
+    )[0]

@@ -19,7 +19,7 @@ import numpy as np
 from ..network.graph import Network, NetworkError
 from ..routing.paths import Path
 from ..sim.stats import SimulationResult
-from ..sim.batch import WormholeSimulator
+from ..sim.batch import run_wormhole_batch
 from ..sim.kernels import exact_count
 
 __all__ = ["ColorClassSchedule", "execute_schedule"]
@@ -97,16 +97,14 @@ def execute_schedule(
     deliver every message with **zero** blocked steps and finish within
     ``schedule.length_bound``; violations raise :class:`NetworkError`.
 
-    ``telemetry`` is forwarded to :meth:`WormholeSimulator.run` so
-    :mod:`repro.telemetry` probes can observe scheduler-driven runs.
+    ``telemetry`` is forwarded to :func:`~repro.sim.batch.run_wormhole_batch`
+    so :mod:`repro.telemetry` probes can observe scheduler-driven runs.
     """
-    sim = WormholeSimulator(net, num_virtual_channels=B, seed=seed)
-    result = sim.run(
-        paths,
-        message_length=schedule.message_length,
-        release_times=schedule.release_times(),
-        telemetry=telemetry,
-    )
+    result = run_wormhole_batch(
+        net, paths, schedule.message_length,
+        seeds=[seed], num_virtual_channels=B,
+        release_times=schedule.release_times(), telemetry=telemetry,
+    )[0]
     if require_unblocked:
         if not result.all_delivered:
             raise NetworkError("schedule failed to deliver every message")

@@ -16,8 +16,8 @@ Both the online service batcher (``repro serve --backend … --workers
 …``) and the offline sweep runner (:func:`repro.sim.sweep.run_sweep`)
 execute through this seam, so batching policy and execution substrate
 vary independently — and every backend returns results bit-identical
-to a serial :class:`~repro.sim.batch.WormholeSimulator` run, which
-is what the service's loadgen gate and the sweep's golden tests pin.
+to the same trial run alone through :func:`repro.simulate`, which is
+what the service's loadgen gate and the sweep's golden tests pin.
 """
 
 from .._lazy import attach

@@ -28,9 +28,8 @@ The three implementations — :class:`~repro.exec.inline.InlineBackend`,
 :class:`~repro.exec.process.ProcessPoolBackend` — are bit-equivalent by
 construction: a backend only moves *where* ``fn`` runs, never what it
 computes, and every trial's randomness is derived from its spec, so the
-correctness anchor "responses identical to a serial
-:class:`~repro.sim.batch.WormholeSimulator` run" holds regardless of
-substrate.
+correctness anchor "responses identical to the same trial run alone
+through :func:`repro.simulate`" holds regardless of substrate.
 """
 
 from __future__ import annotations

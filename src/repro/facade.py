@@ -4,10 +4,10 @@ Each flit-level router model names its "buffering per physical
 channel" knob in its own words (virtual channels, buffer flits, link
 bandwidth, buffer slots).  :func:`simulate` dispatches by model name:
 one ``problem``, one ``model``, one ``B``, and per-model defaults that
-match what the sweep runner uses.  A lockstep model's call is one
-:func:`~repro.sim.batch.run_model` call of its ``run_<model>_batch``
-driver, the same call a simulator class (``WormholeSimulator``, ...)
-makes with one seed, so the two are bit-identical.  Passing
+match what the sweep runner uses.  Every call is one
+:func:`~repro.sim.batch.run_model` call of the model's
+``run_<model>_batch`` driver with one seed — the same call the sweep,
+the service and the ``repro.core`` routines make.  Passing
 ``batch=[seed, ...]`` runs one lockstep trial per seed and returns a
 list of results, each bit-identical to the ``seed=...`` call.
 
@@ -26,8 +26,8 @@ the model exactly as they do through the sweep and the service.
 
 Every model returns a :class:`SimResult` wrapping the underlying
 :class:`~repro.sim.stats.SimulationResult` (the adaptive router's
-chosen routes are dropped — use
-:class:`~repro.sim.batch.AdaptiveMeshRouter` directly if you need
+chosen routes are dropped — call
+:func:`~repro.sim.batch.run_adaptive_batch` if you need
 ``taken_paths``).  An open-loop arrival trace is a wormhole workload
 whose releases are its arrivals (the ``scenario:*-arrivals`` names);
 :meth:`~repro.sim.continuous.ContinuousResult.of` reads its rate report
@@ -212,10 +212,12 @@ def simulate(
         Flits per message; defaults to the workload's recommended
         length for name/:class:`Workload` problems, required otherwise.
     seed / priority / policy:
-        Passed to the model's constructor exactly as a direct call
-        would, so facade results are bit-identical to constructing the
-        simulator yourself.  ``priority`` defaults per model to the
-        sweep runner's choice; ``policy`` is the adaptive turn model.
+        The trial's seed (anything ``np.random.default_rng`` accepts; a
+        ``Generator`` passes through, so two calls given one continue
+        its stream) and arbitration, passed to the model's
+        ``run_<model>_batch`` driver unchanged.  ``priority`` defaults
+        per model to the sweep runner's choice; ``policy`` is the
+        adaptive turn model.
         A workload's own ``arbitration`` is used where the model offers
         it; an option given again for it, or one the model does not
         take, is an error, not ignored.

@@ -61,7 +61,7 @@ __all__ = [
     "shrink_case",
 ]
 
-ARTIFACT_VERSION = 3
+ARTIFACT_VERSION = 4
 
 
 class Family(NamedTuple):
@@ -227,8 +227,9 @@ def generate_case(
 
     return FuzzCase(
         family=family,
-        workload=Workload(
-            net=wl.net,
+        # Every other field (``vc_ids``, ``info``, ...) is the scenario's own.
+        workload=replace(
+            wl,
             paths=[ints(getattr(p, "edges", p)) for p in wl.paths],
             default_length=int(wl.default_length if L is None else L),
             arbitration=priority or wl.arbitration or "random",
@@ -446,6 +447,9 @@ def case_to_artifact(
         "extra": case.facts,
         "release_times": wl.release_times,
         "sources": wl.sources,
+        "vc_ids": (
+            None if wl.vc_ids is None else [[int(c) for c in p] for p in wl.vc_ids]
+        ),
         "fuzz": {"root_seed": int(root_seed), "round": int(round_index)},
     }
 
@@ -466,6 +470,7 @@ def case_from_artifact(payload: dict[str, Any]) -> FuzzCase:
             arbitration=payload["priority"],
             release_times=payload["release_times"],
             sources=payload["sources"],
+            vc_ids=payload["vc_ids"],
         ),
         facts=dict(payload.get("extra") or {}),
         sim_seed=int(payload["sim_seed"]),

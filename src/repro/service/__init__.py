@@ -28,8 +28,8 @@ Names resolve on first access (:mod:`repro._lazy`), so a process that
 only speaks the protocol — the cluster router — never loads the batcher
 or the simulator behind it.
 
-Responses are bit-identical to serial :class:`~repro.sim.batch
-.WormholeSimulator` runs with sweep-derived seeds, whatever batch
+Responses are bit-identical to the same trials run alone through
+:func:`repro.simulate` with sweep-derived seeds, whatever batch
 composition the traffic produces.
 
 Usage::

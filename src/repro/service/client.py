@@ -8,9 +8,9 @@ exactly what :func:`run_loadgen` does.
 The load generator is also the service's *correctness harness*: after
 driving ``concurrency`` connections at an optional request rate, it
 replays every accepted trial through the sweep runner's serial path
-(:func:`repro.sim.sweep._execute_trial` — a plain
-:class:`~repro.sim.batch.WormholeSimulator` run with the identical
-derived seed) and demands byte-identical metrics.  Any divergence —
+(:func:`repro.sim.sweep._execute_trial` — a one-trial
+:func:`~repro.sim.batch.run_model` call with the identical derived
+seed) and demands byte-identical metrics.  Any divergence —
 a batching bug, a seed-derivation drift, a cross-trial state leak —
 fails the run.  The latency/throughput/occupancy report it assembles
 is what ``repro loadgen --output`` saves.

@@ -29,8 +29,8 @@ Requests are ``{"op": ..., "id": ..., "v": 1}`` objects:
     identity, seed derivation, or cache key.  The exact trial's RNG
     seed derives from ``(spec, root_seed)`` exactly as in
     :func:`repro.sim.sweep.trial_seed`, so a response is bit-identical
-    to the same spec run through ``run_sweep`` or a serial
-    :class:`~repro.sim.batch.WormholeSimulator` replay; estimate
+    to the same spec run through ``run_sweep`` or replayed alone
+    through :func:`repro.simulate`; estimate
     responses are a pure function of the spec alone and therefore
     bit-stable across replicas.  A request carrying an unknown mode is
     answered with a structured ``error`` response listing

@@ -3,22 +3,17 @@
 from .._lazy import attach
 
 _EXPORTS = {
-    "AdaptiveMeshRouter": ".batch",
     "AdaptiveRunResult": ".stats",
     "BatchSlotArbiter": ".engine",
     "BatchStepLoop": ".engine",
     "CircuitSwitchResult": ".circuit",
     "ContinuousResult": ".continuous",
-    "CutThroughSimulator": ".batch",
     "LOCKSTEP_MODELS": ".batch",
     "PaddedPaths": ".engine",
-    "RestrictedWormholeSimulator": ".batch",
     "SimulationResult": ".stats",
-    "StoreForwardSimulator": ".batch",
     "SweepResult": ".sweep",
     "TrialResult": ".sweep",
     "TrialSpec": ".spec",
-    "WormholeSimulator": ".batch",
     "channel_dependency_graph": ".deadlock",
     "check_edge_simple": ".engine",
     "circuit_switch_butterfly": ".circuit",

@@ -5,19 +5,20 @@ Every sweep in this repository (E1/E2/E5, ``repro sweep``) runs many
 grid cell — and each trial's engine state is nothing but flat integer
 arrays per message.  This module stacks ``T`` such trials into
 ``(T, M)`` state arrays and steps them in lockstep, for **every** router
-model, and it is also how a *single* trial runs: the simulator classes
-at the end of this module are each their model's driver called with one
-seed.
+model, and it is also how a *single* trial runs: ``T = 1``, one seed.
 
-======================  =============================================
-typed entry point       ``T = 1`` front end
-======================  =============================================
-:func:`run_wormhole_batch`       :class:`WormholeSimulator`
-:func:`run_cut_through_batch`    :class:`CutThroughSimulator`
-:func:`run_store_forward_batch`  :class:`StoreForwardSimulator`
-:func:`run_restricted_batch`     :class:`RestrictedWormholeSimulator`
-:func:`run_adaptive_batch`       :class:`AdaptiveMeshRouter`
-======================  =============================================
+===============================  =====================================
+typed entry point                model (paper section)
+===============================  =====================================
+:func:`run_wormhole_batch`       ``B`` virtual channels (1.1)
+:func:`run_cut_through_batch`    ``B``-flit cut-through buffer (1.4)
+:func:`run_store_forward_batch`  store-and-forward, bandwidth ``B`` (1)
+:func:`run_restricted_batch`     restricted multiplexing (1.4 Remarks)
+:func:`run_adaptive_batch`       adaptive mesh / multibutterfly (1.3.4)
+===============================  =====================================
+
+Outside ``repro.sim`` and ``repro.core`` a trial is one
+:func:`repro.simulate` call, which reaches the same driver.
 
 Each ``run_<model>_batch`` is a signature, a docstring and one call of
 :func:`_drive`, the single driver body: the shared prologue
@@ -58,8 +59,11 @@ same taken paths).  The load-bearing facts:
   where trial ``i`` has active messages, and the combined arbitration
   key space keeps slot groups of different trials disjoint;
 * each trial keeps its **own** RNG (``np.random.default_rng(seeds[i])``;
-  a ``Generator`` passes through, which is how a simulator instance
-  keeps one continuing stream across ``run()`` calls) and draws from it
+  a ``Generator`` passes through, which is how two calls continue one
+  stream — the two phases of
+  :func:`~repro.core.hypercube_routing.route_hypercube_permutation`, and
+  :class:`~repro.core.multibutterfly_routing.MultibutterflyRouter`'s
+  successive runs) and draws from it
   in a fixed order — per-step draws happen only in steps where that
   trial acts, setup-time draws (rank permutations, rotating-service
   offsets, injection delays) happen once per trial at startup;
@@ -99,7 +103,6 @@ from .kernels import (
     RestrictedKernel,
     StoreForwardKernel,
     WormholeKernel,
-    check_mesh,
     exact_count,
     exact_int64,
 )
@@ -107,13 +110,8 @@ from .spec import batch_compat_key
 from .stats import AdaptiveRunResult, SimulationResult
 
 __all__ = [
-    "AdaptiveMeshRouter",
-    "CutThroughSimulator",
     "LOCKSTEP_MODELS",
     "ModelSpec",
-    "RestrictedWormholeSimulator",
-    "StoreForwardSimulator",
-    "WormholeSimulator",
     "batch_compat_key",
     "default_step_cap",
     "resolve_step_cap",
@@ -653,8 +651,10 @@ def run_cut_through_batch(
     max_steps: int | None = None,
     telemetry: ProbeSet | Probe | Iterable[Probe] | None = None,
 ) -> list[SimulationResult]:
-    """Lockstep :class:`CutThroughSimulator` trials — one per seed,
-    with per-trial ``buffer_flits``.  Probe
+    """Lockstep virtual cut-through trials (Kermani–Kleinrock [21];
+    Section 1.4; MODEL.md sections 6 and 8) — one per seed, with
+    per-trial ``buffer_flits`` (per-edge buffer capacity in flits of
+    one message) and ``priority`` ``"random"`` or ``"index"``.  Probe
     grants are edge-ownership claims (each implying the owning message's
     ``L`` flits will stream across the edge); releases fire when
     ownership is surrendered."""
@@ -679,8 +679,11 @@ def run_store_forward_batch(
     max_steps: int | None = None,
     telemetry: ProbeSet | Probe | Iterable[Probe] | None = None,
 ) -> list[SimulationResult]:
-    """Lockstep :class:`StoreForwardSimulator` trials — one per seed,
-    with per-trial bandwidth ``B`` (so the shared clock counts *message
+    """Lockstep greedy store-and-forward trials (Section 1; MODEL.md
+    section 6) — one per seed, with per-trial bandwidth ``B`` (footnote
+    4: one hop costs ``ceil(L / B)`` flit steps) and ``priority``
+    ``"random"``, ``"age"`` or ``"farthest"`` (longest remaining
+    distance first), so the shared clock counts *message
     steps* whose flit-step length ``ceil(L / B)`` differs per trial;
     per-trial results are reported in flit steps).  ``release_times``
     are in flit steps and are rounded up to message steps.
@@ -708,9 +711,11 @@ def run_restricted_batch(
     max_steps: int | None = None,
     telemetry: ProbeSet | Probe | Iterable[Probe] | None = None,
 ) -> list[SimulationResult]:
-    """Lockstep :class:`RestrictedWormholeSimulator` trials — one per
-    seed, with per-trial buffer counts ``B``.  The kernel has no telemetry hooks, so any
-    probe is rejected."""
+    """Lockstep trials of the Section 1.4 Remarks' buffering-only model
+    (MODEL.md section 6) — one per seed, with per-trial buffer counts
+    ``B``, each slot holding one flit of a distinct message at one flit
+    per edge per step; the seed drives the rotating service order.  The
+    kernel has no telemetry hooks, so any probe is rejected."""
     return _drive(
         "restricted", net, paths, message_length,
         seeds=seeds, knob=num_buffers,
@@ -732,8 +737,11 @@ def run_adaptive_batch(
     telemetry: ProbeSet | Probe | Iterable[Probe] | None = None,
 ) -> list[AdaptiveRunResult]:
     """Lockstep adaptive-routing trials — one per seed, with per-trial
-    ``B`` — over a 2-D mesh (:class:`AdaptiveMeshRouter`; ``demands``
-    are ``(source, destination)`` node ids) or a
+    ``B`` — over a 2-D mesh (Section 1.3.4; MODEL.md section 7: a
+    :class:`~repro.network.mesh.KAryNCube` with ``n == 2`` and no wrap;
+    ``demands`` are ``(source, destination)`` node ids; ``policy`` is
+    ``"dimension"`` (XY), ``"west-first"`` (the Glass–Ni turn model) or
+    ``"fully-adaptive"``, which can deadlock at ``B = 1``) or a
     :class:`~repro.network.multibutterfly.Multibutterfly`
     (:class:`~repro.core.multibutterfly_routing.MultibutterflyRouter`;
     ``demands`` are ``(input column, output column)`` pairs, and the
@@ -748,188 +756,3 @@ def run_adaptive_batch(
         release_times=release_times, max_steps=max_steps,
         telemetry=telemetry,
     )
-
-
-# ----------------------------------------------------------------------
-# The simulator classes: one row's driver with one seed.
-# ----------------------------------------------------------------------
-
-
-class _Simulator:
-    """A single-trial front end of one :data:`LOCKSTEP_MODELS` row.
-
-    The constructor checks ``B`` and the option against the row and
-    keeps one generator, so successive :meth:`run` calls continue one
-    random stream.
-    """
-
-    model: str
-
-    def __init__(self, problem, B, option, seed) -> None:
-        LOCKSTEP_MODELS[self.model].check(B, option)
-        self.problem = problem
-        self.B = int(B)
-        self.option = option
-        self._rng = np.random.default_rng(seed)
-
-    def run(self, routes, message_length, release_times=None, **options):
-        """One trial: the row's driver called with ``seeds=[self._rng]``.
-        The driver's signature lists the keywords ``options`` may carry,
-        and it rejects any other."""
-        spec = LOCKSTEP_MODELS[self.model]
-        own = {spec.knob: self.B}
-        if spec.option is not None:
-            own[spec.option] = self.option
-        return spec.driver(
-            self.problem, routes, message_length, seeds=[self._rng],
-            release_times=release_times, **own, **options,
-        )[0]
-
-
-class WormholeSimulator(_Simulator):
-    """The paper's machine model (Section 1.1; MODEL.md sections 1–5):
-    ``run`` is :func:`run_wormhole_batch` with one seed.
-
-    Parameters
-    ----------
-    net:
-        The network; only its edge count is used, so arithmetic
-        topologies may pass any object with a ``num_edges`` attribute.
-    num_virtual_channels:
-        The paper's ``B >= 1``.
-    priority:
-        ``"random"``, ``"age"``, ``"index"`` or ``"rank"`` (see
-        :func:`run_wormhole_batch`).
-    seed:
-        Seed of the run's random stream.
-    """
-
-    model = "wormhole"
-
-    def __init__(
-        self,
-        net: Network,
-        num_virtual_channels: int = 1,
-        priority: str = "random",
-        seed: int | None = 0,
-    ) -> None:
-        super().__init__(net, num_virtual_channels, priority, seed)
-
-
-class CutThroughSimulator(_Simulator):
-    """Virtual cut-through (Kermani–Kleinrock [21]; Section 1.4; MODEL.md
-    sections 6 and 8): ``run`` is :func:`run_cut_through_batch` with one
-    seed.
-
-    Parameters
-    ----------
-    net:
-        The network.
-    buffer_flits:
-        Per-edge buffer capacity in flits of one message (the ``B``).
-    priority:
-        ``"random"`` or ``"index"``, among headers contending for a free
-        edge.
-    seed:
-        Seed for random arbitration.
-    """
-
-    model = "cut_through"
-
-    def __init__(
-        self,
-        net: Network,
-        buffer_flits: int = 1,
-        priority: str = "random",
-        seed: int | None = 0,
-    ) -> None:
-        super().__init__(net, buffer_flits, priority, seed)
-
-
-class StoreForwardSimulator(_Simulator):
-    """Greedy store-and-forward (Section 1; MODEL.md section 6): ``run``
-    is :func:`run_store_forward_batch` with one seed.
-
-    Parameters
-    ----------
-    net:
-        The network.
-    bandwidth_flits_per_step:
-        ``B`` in footnote 4; one hop costs ``ceil(L / B)`` flit steps.
-    priority:
-        ``"random"``, ``"age"`` (earliest injected first) or
-        ``"farthest"`` (longest remaining distance first), among messages
-        queued on one edge.
-    seed:
-        Seed for random arbitration and delays.
-    """
-
-    model = "store_forward"
-
-    def __init__(
-        self,
-        net: Network,
-        bandwidth_flits_per_step: int = 1,
-        priority: str = "farthest",
-        seed: int | None = 0,
-    ) -> None:
-        super().__init__(net, bandwidth_flits_per_step, priority, seed)
-
-
-class RestrictedWormholeSimulator(_Simulator):
-    """The Section 1.4 Remarks' buffering-only model (MODEL.md section
-    6): ``run`` is :func:`run_restricted_batch` with one seed.
-
-    Parameters
-    ----------
-    net:
-        The network (only ``num_edges`` is used).
-    num_buffers:
-        Buffer slots per edge (``B``), each holding one flit of a
-        distinct message; bandwidth is one flit per edge per step.
-    seed:
-        Seed for the rotating service order.
-    """
-
-    model = "restricted"
-
-    def __init__(
-        self,
-        net: Network,
-        num_buffers: int = 1,
-        seed: int | None = 0,
-    ) -> None:
-        super().__init__(net, num_buffers, None, seed)
-
-
-class AdaptiveMeshRouter(_Simulator):
-    """Online adaptive wormhole routing on a 2-D mesh (Section 1.3.4;
-    MODEL.md section 7): ``run(demands, message_length, ...)`` is
-    :func:`run_adaptive_batch` with one seed.
-
-    Parameters
-    ----------
-    cube:
-        A :class:`~repro.network.mesh.KAryNCube` with ``n == 2`` and
-        ``wrap=False`` (turn models are stated for meshes).
-    num_virtual_channels:
-        Slots per edge, as in the main model.
-    policy:
-        ``"dimension"`` (XY), ``"west-first"`` (the Glass–Ni turn model)
-        or ``"fully-adaptive"`` (can deadlock at ``B = 1``).
-    seed:
-        Random tie-breaking among allowed free directions and among
-        contending headers.
-    """
-
-    model = "adaptive"
-
-    def __init__(
-        self,
-        cube: KAryNCube,
-        num_virtual_channels: int = 1,
-        policy: str = "west-first",
-        seed: int | None = 0,
-    ) -> None:
-        check_mesh(cube)
-        super().__init__(cube, num_virtual_channels, policy, seed)

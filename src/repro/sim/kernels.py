@@ -20,10 +20,9 @@ its typed name.
 There is one execution path: the driver body in :mod:`repro.sim.batch`
 builds the kernel over a :class:`~repro.sim.engine.BatchStepLoop` at
 ``T`` trials and the loop steps them in lockstep (one contend/rank/grant
-call per step over the combined ``(trial, slot)`` key space).  The
-simulator classes are the ``T = 1`` case of the same driver, so there is
-exactly one arbitration implementation per model and one step protocol
-for all.
+call per step over the combined ``(trial, slot)`` key space).  A single
+trial is the ``T = 1`` case of the same driver, so there is exactly one
+arbitration implementation per model and one step protocol for all.
 
 Bit-exactness contract
 ----------------------

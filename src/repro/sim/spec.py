@@ -85,13 +85,13 @@ def _check_params(params: dict[str, Any], what: str) -> tuple[tuple[str, Any], .
 
 
 def exact_int(value: Any, name: str) -> int:
-    """``value`` as an ``int``; a fraction, string or ``nan`` is an
-    error, never truncated (``2.0`` is ``2``)."""
+    """``value`` as an ``int``; a fraction, bool, string or ``nan`` is
+    an error, never truncated (``2.0`` is ``2``, ``True`` is not ``1``)."""
     try:
         as_int = int(value)
     except (TypeError, ValueError, OverflowError):
         as_int = None
-    if as_int is None or as_int != value:
+    if as_int is None or as_int != value or isinstance(value, bool):
         raise NetworkError(f"{name} must be an integer, got {value!r}")
     return as_int
 

@@ -55,6 +55,7 @@ import numpy as np
 from ..cache import ResultCache, entry_path, load_entry
 from ..network.errors import NetworkError
 from .batch import LOCKSTEP_MODELS, run_model
+from .kernels import exact_count
 from .spec import (
     SIMULATORS,
     WORKLOADS,
@@ -492,10 +493,9 @@ def plan_sweep(
     ``cache_dir`` is not created, so ``repro sweep --dry-run`` prints
     exactly the plan a real run then executes.
     """
-    if batch_size is None:
-        batch_size = DEFAULT_BATCH_SIZE
-    if batch_size < 1:
-        raise NetworkError("batch_size must be >= 1")
+    batch_size = exact_count(
+        DEFAULT_BATCH_SIZE if batch_size is None else batch_size, "batch_size", 1
+    )
     root = Path(cache_dir) if cache_dir is not None and not force else None
     cached: dict[int, dict[str, Any]] = {}
     groups: dict[tuple, list[int]] = {}
@@ -592,6 +592,7 @@ def run_sweep(
     """
     specs = list(specs)
     root_seed = check_root_seed(root_seed)
+    workers = exact_count(workers, "workers")
     started = time.perf_counter()
     plan = plan_sweep(
         specs,

@@ -19,11 +19,11 @@ A pluggable observability layer for every simulator in the package:
 
 Usage::
 
-    from repro import WormholeSimulator
+    from repro import simulate
     from repro.telemetry import Watchdog, render_report, standard_collectors
 
     probes = standard_collectors() + [Watchdog()]
-    result = WormholeSimulator(net, B).run(paths, L, telemetry=probes)
+    result = simulate((net, paths), B=B, message_length=L, telemetry=probes)
     print(render_report(probes, result))
 """
 

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from repro import simulate
 from repro.analysis.render import render_butterfly, render_route, render_spacetime
 from repro.network.butterfly import Butterfly
 from repro.network.random_networks import chain_bundle
 from repro.routing.paths import paths_from_node_walks
-from repro.sim.batch import WormholeSimulator
 from repro.telemetry import TraceSnapshotCollector
 
 
@@ -40,9 +40,10 @@ class TestTraceAndSpacetime:
     def traced_run(self):
         net, walks = chain_bundle(1, 3, 2)
         paths = paths_from_node_walks(net, walks)
-        sim = WormholeSimulator(net, 1, priority="index")
         snapshot = TraceSnapshotCollector()
-        res = sim.run(paths, message_length=4, telemetry=[snapshot])
+        res = simulate(
+            (net, paths), message_length=4, priority="index", telemetry=[snapshot],
+        )
         return paths, res, snapshot.matrix
 
     def test_trace_shape(self, traced_run):
@@ -54,7 +55,7 @@ class TestTraceAndSpacetime:
     def test_trace_absent_by_default(self):
         net, walks = chain_bundle(1, 2, 1)
         paths = paths_from_node_walks(net, walks)
-        res = WormholeSimulator(net, 1).run(paths, message_length=2)
+        res = simulate((net, paths), message_length=2)
         assert "trace" not in res.extra
 
     def test_spacetime_rendering(self, traced_run):

@@ -11,7 +11,7 @@ from repro.routing.problems import (
     random_permutation,
     random_q_relation,
 )
-from repro.sim.batch import WormholeSimulator
+from repro import simulate
 
 
 class TestArbitrateLevels:
@@ -47,8 +47,9 @@ class TestArbitrateLevels:
         edges = bf.two_pass_path_edges_batch(src, mid, dst)
         alive = arbitrate_levels(edges, B, np.random.default_rng(0))
         survivors = edges[alive]
-        sim = WormholeSimulator(bf, num_virtual_channels=B, seed=1)
-        res = sim.run([list(r) for r in survivors], message_length=L)
+        res = simulate(
+            (bf, [list(r) for r in survivors]), B=B, message_length=L, seed=1,
+        )
         assert res.all_delivered
         assert res.total_blocked_steps == 0
         assert res.makespan == L + 2 * bf.log_n - 1

@@ -11,9 +11,9 @@ from repro.core.lower_bound import (
     hard_instance_lower_bound,
     max_m_prime,
 )
+from repro import simulate
 from repro.network.graph import NetworkError
 from repro.routing.paths import Path
-from repro.sim.batch import WormholeSimulator
 from repro.telemetry import TraceSnapshotCollector
 
 
@@ -110,8 +110,7 @@ class TestLowerBoundBehavior:
         """Measured routing time meets the Omega bound (any schedule must)."""
         inst = build_hard_instance(C=2 * (B + 1), D=15, B=B)
         L = inst.recommended_length()
-        sim = WormholeSimulator(inst.network, num_virtual_channels=B, seed=0)
-        res = sim.run(inst.paths, message_length=L)
+        res = simulate((inst.network, inst.paths), B=B, message_length=L)
         assert res.all_delivered
         assert res.makespan >= hard_instance_lower_bound(inst, L)
 
@@ -128,9 +127,10 @@ class TestLowerBoundBehavior:
         """
         inst = build_hard_instance(C=2 * (B + 1), D=11, B=B)
         L = inst.recommended_length()
-        sim = WormholeSimulator(inst.network, num_virtual_channels=B, seed=0)
         snapshot = TraceSnapshotCollector()
-        res = sim.run(inst.paths, message_length=L, telemetry=[snapshot])
+        res = simulate(
+            (inst.network, inst.paths), B=B, message_length=L, telemetry=[snapshot],
+        )
         assert res.all_delivered
         trace = snapshot.matrix
         D = inst.dilation
@@ -150,6 +150,7 @@ class TestLowerBoundBehavior:
         L = inst.recommended_length()
         t = {}
         for B_run in (1, 2, 3):
-            sim = WormholeSimulator(inst.network, B_run, seed=0)
-            t[B_run] = sim.run(inst.paths, message_length=L).makespan
+            t[B_run] = simulate(
+                (inst.network, inst.paths), B=B_run, message_length=L
+            ).makespan
         assert t[1] > t[2] > t[3]

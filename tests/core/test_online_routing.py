@@ -53,9 +53,9 @@ class TestProtocol:
             net, paths, message_length=4, window=1, seed=0
         )
         # Window 1 means no delays at all: equals greedy injection.
-        from repro.sim.batch import WormholeSimulator
+        from repro import simulate
 
-        greedy = WormholeSimulator(net, 1, seed=0).run(paths, 4)
+        greedy = simulate((net, paths), message_length=4)
         assert res.makespan == greedy.makespan
 
     def test_smoothing_reduces_blocking(self):

@@ -169,8 +169,31 @@ class TestArtifacts:
         )
         json.dumps(payload)  # must not raise
 
+    def test_a_dateline_case_keeps_its_vc_classes(self, monkeypatch, tmp_path):
+        """A case is its scenario's workload: a ``ring-dateline`` family's
+        per-hop VC classes survive case generation and the artifact round
+        trip, and the replayed case delivers at ``B = 2`` (without its
+        classes the ring deadlocks: ``B = 2 < hops = 4``)."""
+        from repro import simulate
+        from repro.scenarios import get_scenario
+
+        params = {"B": 2, "n": 5, "hops": 4}
+        family = fz.Family("ring-dateline", lambda rng: (params, None, None), 1.0)
+        monkeypatch.setitem(fz.FAMILY_TABLE, "dateline", family)
+        monkeypatch.setitem(fz.CASE_CHECKERS, "dateline", fz._check_case)
+        case = generate_case(0, 0, ("dateline",))
+        classes = get_scenario("ring-dateline").build_case(**params).workload.vc_ids
+        assert classes is not None and case.workload.vc_ids == classes
+        payload = fz.case_to_artifact(case, [], root_seed=0, round_index=0)
+        path = tmp_path / "dateline.json"
+        path.write_text(json.dumps(payload))
+        rebuilt = fz.case_from_artifact(json.loads(path.read_text()))
+        assert rebuilt.workload.vc_ids == classes
+        assert replay_artifact(str(path)) == []
+        assert simulate(rebuilt.workload, B=2, seed=rebuilt.sim_seed).all_delivered
+
     def test_a_committed_artifact_round_trips_and_replays(self):
-        """``data/ring-artifact.json`` is a version-3 artifact of a ring
+        """``data/ring-artifact.json`` is a version-4 artifact of a ring
         case at index priority: read and written back it is the same
         payload, and it replays clean."""
         path = Path(__file__).parent / "data" / "ring-artifact.json"

@@ -137,14 +137,13 @@ class TestWaksman:
 
     def test_wormhole_time_is_unobstructed(self, rng):
         """Waksman routes give L + D - 1 wormhole time at B = 1 ([48])."""
-        from repro.sim.batch import WormholeSimulator
+        from repro import simulate
 
         n, L = 16, 10
         b = Benes(n)
         cols = waksman_paths(rng.permutation(n))
         edges = b.columns_to_edges(cols)
-        sim = WormholeSimulator(b.to_network(), num_virtual_channels=1)
-        res = sim.run([list(r) for r in edges], message_length=L)
+        res = simulate((b.to_network(), [list(r) for r in edges]), message_length=L)
         assert res.all_delivered
         assert res.total_blocked_steps == 0
         assert res.makespan == L + b.depth - 1

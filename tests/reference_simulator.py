@@ -11,7 +11,7 @@ flit state* — one position per flit, edge occupancy computed by
 inspecting where flits actually are — and none of the optimized
 simulator's derived arithmetic (move counters, release windows).  It is
 slow and first-principles; the test suite checks the optimized
-:class:`repro.sim.batch.WormholeSimulator` produces *identical*
+:func:`repro.sim.batch.run_wormhole_batch` produces *identical*
 completion times under the same deterministic arbitration, pinning the
 lock-step reduction and the buffer-holding windows documented in
 MODEL.md.

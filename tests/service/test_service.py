@@ -3,8 +3,8 @@
 These exercise a real :class:`SimulationService` on an ephemeral port
 inside ``asyncio.run`` (no event-loop plugin needed).  The headline
 test is the golden-equivalence run: a concurrent load generator whose
-every response must be bit-identical to a serial
-:class:`~repro.sim.batch.WormholeSimulator` replay, while the
+every response must be bit-identical to a serial one-trial replay
+through the sweep runner, while the
 server's stats endpoint reports mean batch occupancy > 1 — i.e. the
 dynamic batcher really coalesced concurrent requests and really did
 not change a single answer.

@@ -25,6 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import simulate
+from repro.sim.batch import run_store_forward_batch
+
 GOLDEN_PATH = Path(__file__).parent / "golden.json"
 
 
@@ -116,42 +119,41 @@ def _stagger(m, period=7):
 
 
 def wormhole_priorities():
-    from repro.sim.batch import WormholeSimulator
 
     net, paths = _layered_workload()
     out = {}
     for priority in ("random", "age", "index", "rank"):
         for B in (1, 2, 4):
-            res = WormholeSimulator(net, B, priority=priority, seed=9).run(
-                paths, message_length=8
+            res = simulate(
+                (net, paths), B=B, message_length=8, priority=priority, seed=9
             )
             out[f"{priority}/B{B}"] = _summarize(res)
     return out
 
 
 def wormhole_staggered():
-    from repro.sim.batch import WormholeSimulator
 
     net, paths = _layered_workload()
     release = _stagger(len(paths))
     out = {}
     for B in (1, 2):
-        res = WormholeSimulator(net, B, priority="random", seed=4).run(
-            paths, message_length=6, release_times=release
+        res = simulate(
+            (net, paths), B=B, message_length=6, priority="random", seed=4,
+            release_times=release,
         )
         out[f"B{B}"] = _summarize(res)
     return out
 
 
 def wormhole_probes():
-    from repro.sim.batch import WormholeSimulator
     from repro.telemetry import TraceRecorder, standard_collectors
 
     net, paths = _chain_workload()
     recorder = TraceRecorder()
     probes = standard_collectors() + [recorder]
-    res = WormholeSimulator(net, 2, priority="random", seed=1).run(
-        paths, message_length=24, telemetry=probes
+    res = simulate(
+        (net, paths), B=2, message_length=24, priority="random", seed=1,
+        telemetry=probes,
     )
     out = _summarize(res, trace=recorder)
     util = probes[0]
@@ -163,13 +165,13 @@ def wormhole_legacy_kwargs():
     """The arrays the retired ``record_trace`` / ``record_contention``
     kwargs used to put in ``result.extra``, now read off their collectors
     (the golden entry predates the removal and is unchanged)."""
-    from repro.sim.batch import WormholeSimulator
     from repro.telemetry import EdgeContentionCollector, TraceSnapshotCollector
 
     net, paths = _chain_workload()
     snapshots, contention = TraceSnapshotCollector(), EdgeContentionCollector()
-    res = WormholeSimulator(net, 2, priority="random", seed=1).run(
-        paths, message_length=12, telemetry=[snapshots, contention]
+    res = simulate(
+        (net, paths), B=2, message_length=12, priority="random", seed=1,
+        telemetry=[snapshots, contention],
     )
     extra = {"trace": snapshots.matrix, "edge_contention": contention.denied}
     out = _summarize(res)
@@ -180,7 +182,6 @@ def wormhole_legacy_kwargs():
 
 
 def wormhole_vc_classes():
-    from repro.sim.batch import WormholeSimulator
 
     k = 6
     net, edges, paths = _ring(k)
@@ -193,97 +194,99 @@ def wormhole_vc_classes():
                 crossed = True
         dateline.append(vcs)
     out = {}
-    res = WormholeSimulator(net, 2, priority="index").run(
-        paths, message_length=4, vc_ids=dateline
+    res = simulate(
+        (net, paths), B=2, message_length=4, priority="index", vc_ids=dateline
     )
     out["dateline"] = _summarize(res)
-    res = WormholeSimulator(net, 2, priority="index").run(paths, message_length=4)
+    res = simulate((net, paths), B=2, message_length=4, priority="index")
     out["interchangeable"] = _summarize(res)
     return out
 
 
 def wormhole_deadlock():
-    from repro.sim.batch import WormholeSimulator
     from repro.telemetry import TraceRecorder
 
     net, edges, paths = _ring(4)
     recorder = TraceRecorder()
-    res = WormholeSimulator(net, 1, priority="index").run(
-        paths, message_length=3, telemetry=recorder
+    res = simulate(
+        (net, paths), message_length=3, priority="index", telemetry=recorder
     )
     return _summarize(res, trace=recorder)
 
 
 def cut_through_suite():
-    from repro.sim.batch import CutThroughSimulator
 
     net, paths = _chain_workload()
     out = {}
     for priority in ("random", "index"):
         for buf in (1, 2, 4):
-            res = CutThroughSimulator(net, buf, priority=priority, seed=5).run(
-                paths, message_length=24
+            res = simulate(
+                (net, paths), model="cut_through", B=buf, message_length=24,
+                priority=priority, seed=5,
             )
             out[f"{priority}/buf{buf}"] = _summarize(res)
     release = _stagger(len(paths))
-    res = CutThroughSimulator(net, 2, priority="random", seed=5).run(
-        paths, message_length=10, release_times=release
+    res = simulate(
+        (net, paths), model="cut_through", B=2, message_length=10,
+        priority="random", seed=5, release_times=release,
     )
     out["staggered"] = _summarize(res)
     return out
 
 
 def cut_through_probes():
-    from repro.sim.batch import CutThroughSimulator
     from repro.telemetry import TraceRecorder
 
     net, paths = _chain_workload()
     recorder = TraceRecorder()
-    res = CutThroughSimulator(net, 2, priority="random", seed=5).run(
-        paths, message_length=16, telemetry=recorder
+    res = simulate(
+        (net, paths), model="cut_through", B=2, message_length=16,
+        priority="random", seed=5, telemetry=recorder,
     )
     return _summarize(res, trace=recorder)
 
 
 def store_forward_suite():
-    from repro.sim.batch import StoreForwardSimulator
 
     net, paths = _chain_workload()
     out = {}
     for priority in ("random", "age", "farthest"):
         for B in (1, 2):
-            res = StoreForwardSimulator(net, B, priority=priority, seed=6).run(
-                paths, message_length=24
+            res = simulate(
+                (net, paths), model="store_forward", B=B, message_length=24,
+                priority=priority, seed=6,
             )
             summary = _summarize(res)
             summary["max_queue"] = int(res.extra["max_queue"])
             out[f"{priority}/B{B}"] = summary
-    res = StoreForwardSimulator(net, 2, priority="random", seed=6).run(
-        paths, message_length=24, delay_range=3
-    )
+    # Random injection delays are a store-and-forward driver option.
+    res = run_store_forward_batch(
+        net, paths, 24, seeds=[6], bandwidth_flits_per_step=2,
+        priority="random", delay_range=3,
+    )[0]
     out["delayed"] = _summarize(res)
     release = _stagger(len(paths))
-    res = StoreForwardSimulator(net, 1, priority="farthest", seed=6).run(
-        paths, message_length=8, release_times=release
+    res = simulate(
+        (net, paths), model="store_forward", message_length=8,
+        priority="farthest", seed=6, release_times=release,
     )
     out["staggered"] = _summarize(res)
     return out
 
 
 def store_forward_probes():
-    from repro.sim.batch import StoreForwardSimulator
     from repro.telemetry import TraceRecorder
 
     net, paths = _chain_workload()
     recorder = TraceRecorder()
-    res = StoreForwardSimulator(net, 2, priority="random", seed=6).run(
-        paths, message_length=16, telemetry=recorder
+    res = simulate(
+        (net, paths), model="store_forward", B=2, message_length=16,
+        priority="random", seed=6, telemetry=recorder,
     )
     return _summarize(res, trace=recorder)
 
 
 def restricted_suite():
-    from repro.sim.batch import RestrictedWormholeSimulator
     from repro.network.random_networks import chain_bundle
     from repro.routing.paths import paths_from_node_walks
 
@@ -291,13 +294,14 @@ def restricted_suite():
     paths = paths_from_node_walks(net, walks)
     out = {}
     for B in (1, 2, 4):
-        res = RestrictedWormholeSimulator(net, B, seed=8).run(
-            paths, message_length=6
+        res = simulate(
+            (net, paths), model="restricted", B=B, message_length=6, seed=8
         )
         out[f"B{B}"] = _summarize(res)
     release = _stagger(len(paths))
-    res = RestrictedWormholeSimulator(net, 2, seed=8).run(
-        paths, message_length=5, release_times=release
+    res = simulate(
+        (net, paths), model="restricted", B=2, message_length=5, seed=8,
+        release_times=release,
     )
     out["staggered"] = _summarize(res)
     return out
@@ -305,7 +309,7 @@ def restricted_suite():
 
 def adaptive_suite():
     from repro.network.mesh import KAryNCube
-    from repro.sim.batch import AdaptiveMeshRouter
+    from repro.sim.batch import run_adaptive_batch
 
     cube = KAryNCube(6, 2, wrap=False)
     n = cube.num_nodes
@@ -315,8 +319,10 @@ def adaptive_suite():
     out = {}
     for policy in ("dimension", "west-first", "fully-adaptive"):
         for B in (1, 2):
-            run = AdaptiveMeshRouter(cube, B, policy=policy, seed=11).run(
-                demands, message_length=5
+            # The driver, not simulate: the digest needs the taken paths.
+            (run,) = run_adaptive_batch(
+                cube, demands, 5, seeds=[11], num_virtual_channels=B,
+                policy=policy,
             )
             summary = _summarize(run.result)
             summary["taken_digest"] = _digest(
@@ -326,16 +332,17 @@ def adaptive_suite():
             )
             out[f"{policy}/B{B}"] = summary
     release = _stagger(len(demands))
-    run = AdaptiveMeshRouter(cube, 2, policy="west-first", seed=11).run(
-        demands, message_length=4, release_times=release
+    res = simulate(
+        (cube, demands), model="adaptive", B=2, message_length=4,
+        policy="west-first", seed=11, release_times=release,
     )
-    out["staggered"] = _summarize(run.result)
+    out["staggered"] = _summarize(res)
     return out
 
 
 def adaptive_probes():
     from repro.network.mesh import KAryNCube
-    from repro.sim.batch import AdaptiveMeshRouter
+    from repro.sim.batch import run_adaptive_batch
     from repro.telemetry import TraceRecorder
 
     cube = KAryNCube(5, 2, wrap=False)
@@ -344,10 +351,11 @@ def adaptive_probes():
     perm = rng.permutation(n)
     demands = [(int(s), int(perm[s])) for s in range(n)]
     recorder = TraceRecorder()
-    run = AdaptiveMeshRouter(cube, 2, policy="west-first", seed=2).run(
-        demands, message_length=4, telemetry=recorder
+    res = simulate(
+        (cube, demands), model="adaptive", B=2, message_length=4,
+        policy="west-first", seed=2, telemetry=recorder,
     )
-    return _summarize(run.result, trace=recorder)
+    return _summarize(res, trace=recorder)
 
 
 CASES = {

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from repro import simulate
 from repro.network.graph import NetworkError
 from repro.network.mesh import KAryNCube
-from repro.sim.batch import AdaptiveMeshRouter
+from repro.sim.batch import run_adaptive_batch
 
 
 @pytest.fixture
@@ -26,20 +27,36 @@ def square_cycle_demands(cube):
 class TestConstruction:
     def test_requires_2d_mesh(self):
         with pytest.raises(NetworkError):
-            AdaptiveMeshRouter(KAryNCube(k=4, n=3, wrap=False))
+            simulate(
+                (KAryNCube(k=4, n=3, wrap=False), [(0, 1)]), model="adaptive",
+                message_length=2,
+            )
         with pytest.raises(NetworkError):
-            AdaptiveMeshRouter(KAryNCube(k=4, n=2, wrap=True))
+            simulate(
+                (KAryNCube(k=4, n=2, wrap=True), [(0, 1)]), model="adaptive",
+                message_length=2,
+            )
 
     def test_policy_validation(self, mesh):
         with pytest.raises(NetworkError):
-            AdaptiveMeshRouter(mesh, policy="bogus")
+            simulate(
+                (mesh, [(0, 5)]), model="adaptive", message_length=2,
+                policy="bogus",
+            )
         with pytest.raises(NetworkError):
-            AdaptiveMeshRouter(mesh, num_virtual_channels=0)
+            simulate((mesh, [(0, 5)]), model="adaptive", B=0, message_length=2)
 
     def test_bad_length(self, mesh):
-        router = AdaptiveMeshRouter(mesh)
         with pytest.raises(NetworkError):
-            router.run([(0, 5)], message_length=0)
+            simulate((mesh, [(0, 5)]), model="adaptive", message_length=0)
+
+
+def route(mesh, demands, L, B=1, policy="west-first", seed=0):
+    """One trial through the driver, which keeps the taken paths."""
+    (run,) = run_adaptive_batch(
+        mesh, demands, L, seeds=[seed], num_virtual_channels=B, policy=policy
+    )
+    return run
 
 
 class TestRoutesAreMinimal:
@@ -49,8 +66,7 @@ class TestRoutesAreMinimal:
         demands = [
             (int(rng.integers(16)), int(rng.integers(16))) for _ in range(30)
         ]
-        router = AdaptiveMeshRouter(mesh, 2, policy=policy, seed=1)
-        out = router.run(demands, message_length=4)
+        out = route(mesh, demands, 4, B=2, policy=policy, seed=1)
         assert out.all_delivered
         for (s, d), path in zip(demands, out.taken_paths):
             sx, sy = mesh.coords(s)
@@ -58,8 +74,9 @@ class TestRoutesAreMinimal:
             assert len(path) == abs(dx - sx) + abs(dy - sy)
 
     def test_dimension_policy_is_xy(self, mesh):
-        router = AdaptiveMeshRouter(mesh, policy="dimension", seed=0)
-        out = router.run([(mesh.node((0, 0)), mesh.node((2, 2)))], 3)
+        out = route(
+            mesh, [(mesh.node((0, 0)), mesh.node((2, 2)))], 3, policy="dimension"
+        )
         nodes = [mesh.node((0, 0))]
         for e in out.taken_paths[0]:
             nodes.append(mesh.network.head(e))
@@ -68,8 +85,7 @@ class TestRoutesAreMinimal:
         assert coords == [(0, 0), (1, 0), (2, 0), (2, 1), (2, 2)]
 
     def test_west_first_goes_west_deterministically(self, mesh):
-        router = AdaptiveMeshRouter(mesh, policy="west-first", seed=0)
-        out = router.run([(mesh.node((3, 1)), mesh.node((0, 3)))], 3)
+        out = route(mesh, [(mesh.node((3, 1)), mesh.node((0, 3)))], 3)
         coords = [mesh.coords(mesh.network.tail(out.taken_paths[0][0]))]
         for e in out.taken_paths[0]:
             coords.append(mesh.coords(mesh.network.head(e)))
@@ -85,11 +101,11 @@ class TestDeadlock:
         demands = square_cycle_demands(mesh)
         saw_deadlock = False
         for seed in range(40):
-            router = AdaptiveMeshRouter(
-                mesh, 1, policy="fully-adaptive", seed=seed
+            out = simulate(
+                (mesh, demands), model="adaptive", message_length=4,
+                policy="fully-adaptive", seed=seed,
             )
-            out = router.run(demands, message_length=4)
-            if out.result.deadlocked:
+            if out.deadlocked:
                 saw_deadlock = True
                 break
         assert saw_deadlock
@@ -105,19 +121,21 @@ class TestDeadlock:
         ]
         for seed in range(15):
             for load in (demands, random_demands):
-                router = AdaptiveMeshRouter(mesh, 1, policy=policy, seed=seed)
-                out = router.run(load, message_length=4)
-                assert not out.result.deadlocked
+                out = simulate(
+                    (mesh, load), model="adaptive", message_length=4, policy=policy,
+                    seed=seed,
+                )
+                assert not out.deadlocked
                 assert out.all_delivered
 
     def test_virtual_channels_rescue_fully_adaptive(self, mesh):
         """B = 2 resolves the square cycle even without turn rules."""
         demands = square_cycle_demands(mesh)
         for seed in range(10):
-            router = AdaptiveMeshRouter(
-                mesh, 2, policy="fully-adaptive", seed=seed
+            out = simulate(
+                (mesh, demands), model="adaptive", B=2, message_length=4,
+                policy="fully-adaptive", seed=seed,
             )
-            out = router.run(demands, message_length=4)
             assert out.all_delivered
 
 
@@ -134,35 +152,34 @@ class TestAdaptivityHelps:
         ]
         xy_spans, wf_spans = [], []
         for seed in range(5):
-            xy = AdaptiveMeshRouter(mesh, 1, policy="dimension", seed=seed).run(
-                demands, message_length=6
+            xy = simulate(
+                (mesh, demands), model="adaptive", message_length=6,
+                policy="dimension", seed=seed,
             )
-            wf = AdaptiveMeshRouter(mesh, 1, policy="west-first", seed=seed).run(
-                demands, message_length=6
+            wf = simulate(
+                (mesh, demands), model="adaptive", message_length=6,
+                policy="west-first", seed=seed,
             )
             assert xy.all_delivered and wf.all_delivered
-            xy_spans.append(xy.result.makespan)
-            wf_spans.append(wf.result.makespan)
+            xy_spans.append(xy.makespan)
+            wf_spans.append(wf.makespan)
         assert np.mean(wf_spans) < 0.8 * np.mean(xy_spans)
 
     def test_zero_hop_demand(self, mesh):
-        router = AdaptiveMeshRouter(mesh)
-        out = router.run([(3, 3)], message_length=5)
-        assert out.result.completion_times[0] == 0
+        out = simulate((mesh, [(3, 3)]), model="adaptive", message_length=5)
+        assert out.completion_times[0] == 0
 
     def test_release_times(self, mesh):
-        router = AdaptiveMeshRouter(mesh, policy="dimension")
-        out = router.run(
-            [(0, mesh.node((0, 2)))],
-            message_length=3,
-            release_times=np.array([4]),
+        out = simulate(
+            (mesh, [(0, mesh.node((0, 2)))]), model="adaptive", message_length=3,
+            policy="dimension", release_times=np.array([4]),
         )
-        assert out.result.completion_times[0] == 4 + 3 + 2 - 1
+        assert out.completion_times[0] == 4 + 3 + 2 - 1
 
     def test_reproducible(self, mesh):
         demands = [(0, 15), (3, 12), (5, 10)]
-        a = AdaptiveMeshRouter(mesh, 1, seed=5).run(demands, 4)
-        b = AdaptiveMeshRouter(mesh, 1, seed=5).run(demands, 4)
+        a = route(mesh, demands, 4, seed=5)
+        b = route(mesh, demands, 4, seed=5)
         assert np.array_equal(
             a.result.completion_times, b.result.completion_times
         )

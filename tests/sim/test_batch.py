@@ -1,8 +1,8 @@
 """Batch-vs-serial bit-exactness for :func:`repro.sim.batch.run_wormhole_batch`.
 
 The batch engine's contract is that trial ``i`` of a batch is
-*bit-identical* to the serial ``WormholeSimulator`` run with the same
-``(B, seed)`` — completion times, makespan, executed steps, blocked
+*bit-identical* to the same driver called with that trial alone — one
+seed, the same ``(B, seed)`` — completion times, makespan, executed steps, blocked
 counts, deadlock flags, and step-cap flags.  These tests pin that over
 the golden-case shapes (priority disciplines, staggered releases,
 deadlock rings, VC classes, mixed path lengths) and a randomized
@@ -16,12 +16,15 @@ from hypothesis import strategies as st
 
 from golden_cases import _layered_workload, _ring, _stagger
 from repro.network.graph import Network, NetworkError
-from repro.sim.batch import WormholeSimulator, run_wormhole_batch
+from repro.sim.batch import run_wormhole_batch
 
 
 def _serial(net, paths, L, *, B, seed, priority="random", **kw):
-    sim = WormholeSimulator(net, B, priority=priority, seed=seed)
-    return sim.run(paths, message_length=L, **kw)
+    (res,) = run_wormhole_batch(
+        net, paths, L, seeds=[seed], num_virtual_channels=B, priority=priority,
+        **kw,
+    )
+    return res
 
 
 def _assert_equal(batch_res, serial_res, label=""):

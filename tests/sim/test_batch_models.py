@@ -3,7 +3,7 @@
 Companion to ``test_batch.py`` (which pins ``run_wormhole_batch``):
 every other entry of :data:`repro.sim.batch.LOCKSTEP_MODELS` — cut
 through, store-and-forward, restricted, adaptive — must produce trials
-bit-identical to its serial simulator run with the same ``(B, seed)``.
+bit-identical to its one-seed driver call with the same ``(B, seed)``.
 On top of the per-model suites, the degenerate shapes every kernel must
 survive are covered across models: ``T = 1`` batches, mixed message
 lengths at the padding boundary, all-deadlocked batches, and per-trial
@@ -36,12 +36,7 @@ from repro.network.multibutterfly import Multibutterfly
 from repro.routing.problems import random_permutation
 from repro.sim import batch as batch_module
 from repro.sim.batch import (
-    AdaptiveMeshRouter,
-    CutThroughSimulator,
     LOCKSTEP_MODELS,
-    RestrictedWormholeSimulator,
-    StoreForwardSimulator,
-    WormholeSimulator,
     default_step_cap,
     run_adaptive_batch,
     run_cut_through_batch,
@@ -76,8 +71,8 @@ def _check_cut_through(net, paths, L, trials, priority="random", **kw):
     )
     assert len(batch) == len(trials)
     for res, (B, seed) in zip(batch, trials):
-        serial = CutThroughSimulator(net, B, priority=priority, seed=seed).run(
-            paths, message_length=L, **kw
+        (serial,) = run_cut_through_batch(
+            net, paths, L, seeds=[seed], buffer_flits=B, priority=priority, **kw
         )
         _assert_equal(res, serial, f"cut_through B={B} seed={seed}")
     return batch
@@ -92,9 +87,10 @@ def _check_store_forward(net, paths, L, trials, priority="farthest", **kw):
     )
     assert len(batch) == len(trials)
     for res, (B, seed) in zip(batch, trials):
-        serial = StoreForwardSimulator(
-            net, B, priority=priority, seed=seed
-        ).run(paths, message_length=L, **kw)
+        (serial,) = run_store_forward_batch(
+            net, paths, L, seeds=[seed], bandwidth_flits_per_step=B,
+            priority=priority, **kw,
+        )
         _assert_equal(res, serial, f"store_forward B={B} seed={seed}")
         assert res.extra["max_queue"] == serial.extra["max_queue"]
         assert res.extra["message_step_flits"] == serial.extra[
@@ -112,8 +108,8 @@ def _check_restricted(net, paths, L, trials, **kw):
     )
     assert len(batch) == len(trials)
     for res, (B, seed) in zip(batch, trials):
-        serial = RestrictedWormholeSimulator(net, B, seed=seed).run(
-            paths, message_length=L, **kw
+        (serial,) = run_restricted_batch(
+            net, paths, L, seeds=[seed], num_buffers=B, **kw
         )
         _assert_equal(res, serial, f"restricted B={B} seed={seed}")
     return batch
@@ -128,8 +124,9 @@ def _check_adaptive(cube, demands, L, trials, policy="west-first", **kw):
     )
     assert len(batch) == len(trials)
     for run, (B, seed) in zip(batch, trials):
-        serial = AdaptiveMeshRouter(cube, B, policy=policy, seed=seed).run(
-            demands, message_length=L, **kw
+        (serial,) = run_adaptive_batch(
+            cube, demands, L, seeds=[seed], num_virtual_channels=B,
+            policy=policy, **kw,
         )
         _assert_equal(
             run.result, serial.result, f"adaptive B={B} seed={seed}"
@@ -275,9 +272,10 @@ def test_deadlocked_trial_mixed_with_live_trial():
         num_virtual_channels=[1, 1, 4], policy="fully-adaptive",
     )
     for run, (B, seed) in zip(batch, [(1, 0), (1, 1), (4, 2)]):
-        serial = AdaptiveMeshRouter(
-            cube, B, policy="fully-adaptive", seed=seed
-        ).run(demands, message_length=4)
+        (serial,) = run_adaptive_batch(
+            cube, demands, 4, seeds=[seed], num_virtual_channels=B,
+            policy="fully-adaptive",
+        )
         _assert_equal(run.result, serial.result, f"B={B} seed={seed}")
 
 
@@ -481,13 +479,6 @@ def test_random_adaptive_matches_serial(data):
 # through LOCKSTEP_MODELS and raises the driver's own NetworkError
 # ----------------------------------------------------------------------
 
-FRONT_ENDS = {
-    "wormhole": WormholeSimulator,
-    "cut_through": CutThroughSimulator,
-    "store_forward": StoreForwardSimulator,
-    "restricted": RestrictedWormholeSimulator,
-    "adaptive": AdaptiveMeshRouter,
-}
 MODEL_NAMES = list(LOCKSTEP_MODELS)
 
 
@@ -496,12 +487,6 @@ def _problem(model, layered, mesh):
     if LOCKSTEP_MODELS[model].kind == "mesh":
         return (*mesh, 4)
     return (*layered, 8)
-
-
-def _via_class(model, problem, B=1, message_length=None, **run_kw):
-    first, second, L = problem
-    L = L if message_length is None else message_length
-    return FRONT_ENDS[model](first, B).run(second, L, **run_kw)
 
 
 def _via_driver(model, problem, B=1, message_length=None, seeds=(0,), **kw):
@@ -538,7 +523,7 @@ def _via_sweep(model, B=1, message_length=8):
 def test_validation_is_the_drivers_on_every_path(model, layered, mesh):
     problem = _problem(model, layered, mesh)
     M = len(problem[1])
-    through_run = (_via_class, _via_driver, _via_simulate)
+    through_run = (_via_driver, _via_simulate)
     bad_inputs = [
         ("release times must be >= 0", {"release_times": np.full(M, -1)}),
         ("release_times must have shape", {"release_times": np.zeros(M + 1)}),
@@ -596,16 +581,21 @@ def test_a_fraction_is_rejected_not_truncated_on_every_path(
         else:
             bad, good, same = {field: fraction}, {field: whole}, {field: int(whole)}
         knob = LOCKSTEP_MODELS[model].knob if field == "B" else field
-        for path in (_via_class, _via_driver, _via_simulate):
+        for path in (_via_driver, _via_simulate):
             name = field if path is _via_simulate else knob  # simulate's B
             with pytest.raises(NetworkError, match=f"{name} must be an integer"):
                 path(model, problem, **bad)
             assert _completion(path(model, problem, **good)) == _completion(
                 path(model, problem, **same)
             )
+        if field != "release_times":  # ``B = True`` once ran as ``B = 1``
+            for mode in ("exact", "estimate"):
+                with pytest.raises(NetworkError, match=f"{field} must be an integer"):
+                    _via_simulate(model, problem, mode=mode, **{field: True})
     if field != "release_times":
-        with pytest.raises(NetworkError, match=f"{field} must be an integer"):
-            TrialSpec.make("chain-bundle", model, **{field: fraction})
+        for bad in (fraction, True):
+            with pytest.raises(NetworkError, match=f"{field} must be an integer"):
+                TrialSpec.make("chain-bundle", model, **{field: bad})
         assert TrialSpec.make("chain-bundle", model, **{field: whole}) == (
             TrialSpec.make("chain-bundle", model, **{field: int(whole)})
         )
@@ -627,34 +617,40 @@ def _line_paths(_source, _rng):
 @pytest.mark.parametrize(
     "knob",
     [f"max_steps-{m}" for m in MODEL_NAMES]
-    + ["delay_range", "sample_every", "num_sources"],
+    + ["delay_range", "sample_every", "num_sources", "workers", "batch_size"],
 )
 def test_a_count_is_rejected_not_truncated_on_every_path(knob, layered, mesh):
-    """``max_steps``, store-and-forward's ``delay_range`` and the
+    """``max_steps``, store-and-forward's ``delay_range``, the
     open-loop ``num_sources`` (of :func:`draw_arrivals`) and
-    ``sample_every`` (of ``ContinuousResult.of``) are counts: a
-    fraction, a string, a bool or a negative number is an error naming
-    the knob, never the count it truncates or clips to."""
+    ``sample_every`` (of ``ContinuousResult.of``), and ``run_sweep``'s
+    ``workers`` and ``batch_size`` are counts: a fraction, a string, a
+    bool or a number below the least is an error naming the knob, never
+    the count it truncates or clips to."""
     from repro.sim.continuous import ContinuousResult, draw_arrivals
 
     name, _, model = knob.partition("-")
+    if name in ("workers", "batch_size"):
+        spec = TrialSpec.make("chain-bundle", "wormhole", workload_params=SMALL_CHAIN)
+        least = -3 if name == "workers" else 0  # workers >= 0, batch_size >= 1
+        for value in (2.5, "2", True, least):
+            with pytest.raises(NetworkError, match=f"{name} must be an integer"):
+                run_sweep([spec], **{name: value})
+        return
     if name == "max_steps":
         problem = _problem(model, layered, mesh)
         for value in NOT_A_COUNT:
-            for path in (_via_class, _via_driver, _via_simulate):
+            for path in (_via_driver, _via_simulate):
                 with pytest.raises(NetworkError, match="max_steps must be an integer"):
                     path(model, problem, max_steps=value)
         # A zero cap still means "stop before the first step".
-        res = _via_class(model, problem, max_steps=0)
-        res = getattr(res, "result", res)
+        res = _via_simulate(model, problem, max_steps=0)
         assert res.hit_step_cap and res.steps_executed == 0
         return
     if name == "delay_range":
         problem = _problem("store_forward", layered, mesh)
         for value in (3.7, -2, "3", True):
-            for path in (_via_class, _via_driver):
-                with pytest.raises(NetworkError, match="delay_range must be an integer"):
-                    path("store_forward", problem, delay_range=value)
+            with pytest.raises(NetworkError, match="delay_range must be an integer"):
+                _via_driver("store_forward", problem, delay_range=value)
         return
     rng = np.random.default_rng(0)
     for value in (4.5, "4", True, 0):
@@ -972,35 +968,36 @@ def test_run_meta_announced_at_t1(model, layered, mesh):
 
 
 # ----------------------------------------------------------------------
-# A simulator instance is the T = 1 driver on its own generator
+# A Generator seed passes through: two calls given one continue its stream
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("model", MODEL_NAMES)
 def test_two_runs_on_one_instance_continue_one_rng_stream(model, layered, mesh):
-    first, second, L = _problem(model, layered, mesh)
+    """Two ``simulate`` calls on one problem given one ``Generator``
+    equal two driver calls sharing another: the second run continues
+    the stream the first left, as the hypercube router's two phases do."""
+    problem = _problem(model, layered, mesh)
+    first, second, L = problem
     spec = LOCKSTEP_MODELS[model]
     # An arbitration that draws every step, where the model has one.
     option = {"priority": "random"} if spec.option == "priority" else {}
-    sim = FRONT_ENDS[model](first, 2, seed=5, **option)
-    runs = [sim.run(second, L), sim.run(second, L)]
-    # The same two calls straight on the driver, sharing one generator.
+    stream = np.random.default_rng(5)
+    runs = [_via_simulate(model, problem, B=2, seed=stream, **option)
+            for _ in range(2)]
     rng = np.random.default_rng(5)
     for got in runs:
         (want,) = spec.driver(
             first, second, L, seeds=[rng], **{spec.knob: 2}, **option
         )
-        _assert_equal(
-            getattr(got, "result", got), getattr(want, "result", want), model
-        )
-    state = sim._rng.bit_generator.state
+        _assert_equal(got, getattr(want, "result", want), model)
+    state = stream.bit_generator.state
     assert state == rng.bit_generator.state
     assert state != np.random.default_rng(5).bit_generator.state  # it advanced
     if model != "store_forward":  # identical greedy hops need no second look
-        fresh = FRONT_ENDS[model](first, 2, seed=5, **option).run(second, L)
+        fresh = _via_simulate(model, problem, B=2, seed=5, **option)
         assert not np.array_equal(
-            getattr(runs[1], "result", runs[1]).completion_times,
-            getattr(fresh, "result", fresh).completion_times,
+            runs[1].completion_times, fresh.completion_times
         ), "the second run restarted the stream instead of continuing it"
 
 
@@ -1008,12 +1005,12 @@ def test_single_trial_draws_are_not_block_buffered(layered):
     """``_RandomBlock`` over-draws, so it must stay a ``T > 1`` device:
     one wormhole trial consumes exactly one double per header request."""
     net, paths = layered
-    sim = WormholeSimulator(net, 2, priority="random", seed=11)
-    res = sim.run(paths, 8)
+    stream = np.random.default_rng(11)
+    res = simulate((net, paths), B=2, message_length=8, seed=stream)
     requests = sum(len(p.edges) for p in paths) + res.total_blocked_steps
     rng = np.random.default_rng(11)
     rng.random(requests)
-    assert sim._rng.bit_generator.state == rng.bit_generator.state
+    assert stream.bit_generator.state == rng.bit_generator.state
 
 
 class _Started(Probe):

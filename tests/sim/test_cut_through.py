@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from repro import simulate
 from repro.network.graph import Network, NetworkError
 from repro.network.random_networks import chain_bundle
 from repro.routing.paths import paths_from_node_walks
-from repro.sim.batch import CutThroughSimulator
 
 
 def chain_paths(chains, depth, per_chain):
@@ -19,37 +19,38 @@ class TestBasics:
         """With no contention, cut-through = wormhole = L + D - 1."""
         net, paths = chain_paths(1, 5, 1)
         for buf in (1, 2, 4):
-            res = CutThroughSimulator(net, buffer_flits=buf).run(
-                paths, message_length=6
-            )
+            res = simulate((net, paths), model="cut_through", B=buf, message_length=6)
             assert res.makespan == 6 + 5 - 1
             assert res.total_blocked_steps == 0
 
     def test_single_hop(self):
         net, paths = chain_paths(1, 1, 1)
-        res = CutThroughSimulator(net).run(paths, message_length=4)
+        res = simulate((net, paths), model="cut_through", message_length=4)
         assert res.makespan == 4
 
     def test_zero_length_path(self):
         net, _ = chain_paths(1, 2, 1)
-        res = CutThroughSimulator(net).run([[]], message_length=3)
+        res = simulate((net, [[]]), model="cut_through", message_length=3)
         assert res.completion_times[0] == 0
 
     def test_empty(self):
         net, _ = chain_paths(1, 2, 1)
-        res = CutThroughSimulator(net).run([], message_length=3)
+        res = simulate((net, []), model="cut_through", message_length=3)
         assert res.num_messages == 0
 
     def test_validation(self):
         net, paths = chain_paths(1, 2, 1)
         with pytest.raises(NetworkError):
-            CutThroughSimulator(net, buffer_flits=0)
+            simulate((net, paths), model="cut_through", B=0, message_length=2)
         with pytest.raises(NetworkError):
-            CutThroughSimulator(net, priority="bogus")
+            simulate(
+                (net, paths), model="cut_through", message_length=2,
+                priority="bogus",
+            )
         with pytest.raises(NetworkError):
-            CutThroughSimulator(net).run(paths, message_length=0)
+            simulate((net, paths), model="cut_through", message_length=0)
         with pytest.raises(NetworkError):
-            CutThroughSimulator(net).run([[0, 0]], message_length=2)
+            simulate((net, [[0, 0]]), model="cut_through", message_length=2)
 
 
 class TestCompression:
@@ -62,11 +63,12 @@ class TestCompression:
         """
         net, paths = chain_paths(1, 6, 2)
         L = 8
-        t1 = CutThroughSimulator(net, buffer_flits=1, priority="index").run(
-            paths, L
+        t1 = simulate(
+            (net, paths), model="cut_through", message_length=L, priority="index",
         ).makespan
-        t4 = CutThroughSimulator(net, buffer_flits=4, priority="index").run(
-            paths, L
+        t4 = simulate(
+            (net, paths), model="cut_through", B=4, message_length=L,
+            priority="index",
         ).makespan
         assert t4 <= t1
 
@@ -75,8 +77,8 @@ class TestCompression:
         edge by edge — the second worm still waits about L per conflict."""
         net, paths = chain_paths(1, 3, 2)
         L = 5
-        res = CutThroughSimulator(net, buffer_flits=1, priority="index").run(
-            paths, L
+        res = simulate(
+            (net, paths), model="cut_through", message_length=L, priority="index",
         )
         assert res.all_delivered
         assert res.completion_times[0] == L + 3 - 1
@@ -92,9 +94,10 @@ class TestCompression:
         L = 12
         times = {}
         for buf in (1, 2, 4):
-            times[buf] = CutThroughSimulator(
-                net, buffer_flits=buf, priority="index"
-            ).run(paths, L).makespan
+            times[buf] = simulate(
+                (net, paths), model="cut_through", B=buf, message_length=L,
+                priority="index",
+            ).makespan
         assert times[4] <= times[2] <= times[1]
         # Never better than the contention-free floor.
         assert times[4] >= L + 4 - 1
@@ -106,18 +109,21 @@ class TestDeadlockAndCaps:
         a, b = net.add_nodes("ab")
         e_ab = net.add_edge(a, b)
         e_ba = net.add_edge(b, a)
-        res = CutThroughSimulator(net, buffer_flits=1, priority="index").run(
-            [[e_ab, e_ba], [e_ba, e_ab]], message_length=6
+        res = simulate(
+            (net, [[e_ab, e_ba], [e_ba, e_ab]]), model="cut_through",
+            message_length=6, priority="index",
         )
         assert res.deadlocked
 
     def test_step_cap(self):
         net, paths = chain_paths(1, 3, 3)
-        res = CutThroughSimulator(net).run(paths, message_length=8, max_steps=4)
+        res = simulate(
+            (net, paths), model="cut_through", message_length=8, max_steps=4,
+        )
         assert res.hit_step_cap
 
     def test_reproducible(self):
         net, paths = chain_paths(1, 4, 3)
-        a = CutThroughSimulator(net, seed=9).run(paths, 5)
-        b = CutThroughSimulator(net, seed=9).run(paths, 5)
+        a = simulate((net, paths), model="cut_through", message_length=5, seed=9)
+        b = simulate((net, paths), model="cut_through", message_length=5, seed=9)
         assert np.array_equal(a.completion_times, b.completion_times)

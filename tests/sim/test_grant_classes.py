@@ -33,7 +33,7 @@ from reference_simulator import (  # noqa: E402
     reference_message_run,
 )
 
-from repro.sim.batch import WormholeSimulator, run_wormhole_batch  # noqa: E402
+from repro.sim.batch import run_wormhole_batch
 
 def _problem():
     """Three long worms over a short path, then stragglers behind them.
@@ -99,16 +99,19 @@ def test_a_refused_round_still_consumes_its_draws(B):
     another: the stream position is exact even where no value is used
     (at ``B = 1`` most rounds have no viable contender)."""
     net, paths, L, release = _problem()
-    sim = WormholeSimulator(net, B, priority="random", seed=7)
+    stream = np.random.default_rng(7)
     rng = np.random.default_rng(7)
     seen = set()
     for _ in range(2):
-        got = sim.run(paths, L, release_times=release)
+        (got,) = run_wormhole_batch(
+            net, paths, L, seeds=[stream], num_virtual_channels=B,
+            priority="random", release_times=release,
+        )
         completion, blocked, timeline = reference_message_run(
             paths, L, B, release, rng, "random"
         )
         assert got.completion_times.tolist() == completion
         assert got.blocked_steps.tolist() == blocked
         seen |= set(timeline.values())
-        assert sim._rng.bit_generator.state == rng.bit_generator.state
+        assert stream.bit_generator.state == rng.bit_generator.state
     assert REFUSED in seen and CONTESTED in seen

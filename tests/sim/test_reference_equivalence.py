@@ -19,16 +19,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from reference_simulator import reference_run  # noqa: E402
 
 from golden_cases import _line, _ring, fifo_release  # noqa: E402
+from repro import simulate
 from repro.network.random_networks import chain_bundle, layered_network, random_walk_paths
 from repro.routing.paths import paths_from_node_walks
-from repro.sim.batch import WormholeSimulator, run_wormhole_batch
+from repro.sim.batch import run_wormhole_batch
 
 
 def optimized_run(net, paths, L, B, release=None):
-    sim = WormholeSimulator(net, B, priority="index")
-    res = sim.run(
-        paths,
-        message_length=L,
+    res = simulate(
+        (net, paths), B=B, message_length=L, priority="index",
         release_times=None if release is None else np.asarray(release),
     )
     return res.completion_times

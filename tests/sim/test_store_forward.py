@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from repro import simulate
 from repro.network.graph import NetworkError
 from repro.network.random_networks import chain_bundle
 from repro.routing.paths import paths_from_node_walks
-from repro.sim.batch import StoreForwardSimulator
+from repro.sim.batch import run_store_forward_batch
 
 
 def chain_paths(chains, depth, per_chain):
@@ -18,45 +19,39 @@ class TestBasics:
     def test_single_message_takes_LD_flit_steps(self):
         """Section 1: store-and-forward needs D message steps = L*D."""
         net, paths = chain_paths(1, 4, 1)
-        sim = StoreForwardSimulator(net)
-        res = sim.run(paths, message_length=5)
+        res = simulate((net, paths), model="store_forward", message_length=5)
         assert res.makespan == 5 * 4
         assert res.total_blocked_steps == 0
 
     def test_wormhole_beats_store_forward_unobstructed(self):
         """The paper's headline latency contrast: L+D-1 vs L*D."""
-        from repro.sim.batch import WormholeSimulator
 
         net, paths = chain_paths(1, 6, 1)
         L = 8
-        sf = StoreForwardSimulator(net).run(paths, L).makespan
-        wh = WormholeSimulator(net).run(paths, L).makespan
+        sf = simulate((net, paths), model="store_forward", message_length=L).makespan
+        wh = simulate((net, paths), message_length=L).makespan
         assert wh == L + 6 - 1
         assert sf == L * 6
         assert wh < sf
 
     def test_bandwidth_scales_hop_time(self):
         net, paths = chain_paths(1, 3, 1)
-        res = StoreForwardSimulator(net, bandwidth_flits_per_step=4).run(
-            paths, message_length=8
-        )
+        res = simulate((net, paths), model="store_forward", B=4, message_length=8)
         assert res.makespan == (8 // 4) * 3
 
     def test_ceil_hop_time(self):
         net, paths = chain_paths(1, 3, 1)
-        res = StoreForwardSimulator(net, bandwidth_flits_per_step=3).run(
-            paths, message_length=7
-        )
+        res = simulate((net, paths), model="store_forward", B=3, message_length=7)
         assert res.makespan == 3 * 3  # ceil(7/3) = 3 flit steps per hop
 
     def test_zero_length_path(self):
         net, _ = chain_paths(1, 2, 1)
-        res = StoreForwardSimulator(net).run([[]], message_length=4)
+        res = simulate((net, [[]]), model="store_forward", message_length=4)
         assert res.completion_times[0] == 0
 
     def test_empty(self):
         net, _ = chain_paths(1, 2, 1)
-        res = StoreForwardSimulator(net).run([], message_length=4)
+        res = simulate((net, []), model="store_forward", message_length=4)
         assert res.num_messages == 0
 
 
@@ -64,8 +59,9 @@ class TestContention:
     def test_shared_chain_serializes_per_edge(self):
         """k messages over one chain: edge 0 forwards one per step."""
         net, paths = chain_paths(1, 4, 3)
-        sim = StoreForwardSimulator(net, priority="age", seed=0)
-        res = sim.run(paths, message_length=2)
+        res = simulate(
+            (net, paths), model="store_forward", message_length=2, priority="age",
+        )
         assert res.all_delivered
         # Pipelined: last message starts hop 1 at step 3, finishes at 6.
         assert res.makespan == 2 * (4 + 3 - 1)
@@ -74,48 +70,58 @@ class TestContention:
         """Greedy store-and-forward achieves about (C + D) message steps
         on chains — the [27] optimal shape."""
         net, paths = chain_paths(2, 8, 6)
-        res = StoreForwardSimulator(net, priority="farthest").run(
-            paths, message_length=1
+        res = simulate(
+            (net, paths), model="store_forward", message_length=1,
+            priority="farthest",
         )
         C, D = 6, 8
         assert res.makespan <= 2 * (C + D)
 
     def test_max_queue_reported(self):
         net, paths = chain_paths(1, 3, 5)
-        res = StoreForwardSimulator(net).run(paths, message_length=1)
+        res = simulate((net, paths), model="store_forward", message_length=1)
         assert res.extra["max_queue"] == 5
 
 
 class TestOptions:
     def test_priority_validation(self):
-        net, _ = chain_paths(1, 2, 1)
+        net, paths = chain_paths(1, 2, 1)
         with pytest.raises(NetworkError):
-            StoreForwardSimulator(net, priority="bogus")
+            simulate(
+                (net, paths), model="store_forward", message_length=2,
+                priority="bogus",
+            )
         with pytest.raises(NetworkError):
-            StoreForwardSimulator(net, bandwidth_flits_per_step=0)
+            simulate((net, paths), model="store_forward", B=0, message_length=2)
 
     def test_bad_L(self):
         net, paths = chain_paths(1, 2, 1)
         with pytest.raises(NetworkError):
-            StoreForwardSimulator(net).run(paths, message_length=0)
+            simulate((net, paths), model="store_forward", message_length=0)
 
     def test_random_delay_spreads_starts(self):
         net, paths = chain_paths(1, 4, 4)
-        res = StoreForwardSimulator(net, seed=3).run(
-            paths, message_length=1, delay_range=8
-        )
+        # Injection delays are a store-and-forward driver option.
+        (res,) = run_store_forward_batch(net, paths, 1, seeds=[3], delay_range=8)
         assert res.all_delivered
 
     def test_release_times_rounded_to_message_steps(self):
         net, paths = chain_paths(1, 2, 1)
-        res = StoreForwardSimulator(net).run(
-            paths, message_length=4, release_times=np.array([5])
+        res = simulate(
+            (net, paths), model="store_forward", message_length=4,
+            release_times=np.array([5]),
         )
         # Release 5 flit steps -> message step 2 -> starts at step 2.
         assert res.completion_times[0] == (2 + 2) * 4
 
     def test_reproducible(self):
         net, paths = chain_paths(1, 4, 5)
-        a = StoreForwardSimulator(net, priority="random", seed=7).run(paths, 2)
-        b = StoreForwardSimulator(net, priority="random", seed=7).run(paths, 2)
+        a = simulate(
+            (net, paths), model="store_forward", message_length=2,
+            priority="random", seed=7,
+        )
+        b = simulate(
+            (net, paths), model="store_forward", message_length=2,
+            priority="random", seed=7,
+        )
         assert np.array_equal(a.completion_times, b.completion_times)

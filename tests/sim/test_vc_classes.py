@@ -11,8 +11,8 @@ restrictions (dateline) cannot.
 
 import pytest
 
+from repro import simulate
 from repro.network.graph import Network, NetworkError
-from repro.sim.batch import WormholeSimulator
 
 
 def ring(k):
@@ -44,36 +44,38 @@ def dateline_vcs(paths, k):
 class TestValidation:
     def test_vc_ids_length_mismatch(self):
         net, edges = ring(4)
-        sim = WormholeSimulator(net, 2)
         with pytest.raises(NetworkError, match="match"):
-            sim.run([[edges[0], edges[1]]], 3, vc_ids=[[0]])
+            simulate(
+                (net, [[edges[0], edges[1]]]), B=2, message_length=3, vc_ids=[[0]],
+            )
 
     def test_vc_ids_out_of_range(self):
         net, edges = ring(4)
-        sim = WormholeSimulator(net, 2)
         with pytest.raises(NetworkError, match="vc ids"):
-            sim.run([[edges[0]]], 3, vc_ids=[[2]])
+            simulate((net, [[edges[0]]]), B=2, message_length=3, vc_ids=[[2]])
 
 
 class TestBasicSemantics:
     def test_single_worm_unaffected(self):
         net, edges = ring(5)
-        sim = WormholeSimulator(net, 2)
-        res = sim.run([[edges[0], edges[1], edges[2]]], 4, vc_ids=[[0, 0, 1]])
+        res = simulate(
+            (net, [[edges[0], edges[1], edges[2]]]), B=2, message_length=4,
+            vc_ids=[[0, 0, 1]],
+        )
         assert res.makespan == 4 + 3 - 1
 
     def test_same_class_serializes_different_classes_share(self):
         """Two worms over one edge: same class -> serialize; different
         classes -> both proceed (the classes are the B slots)."""
         net, edges = ring(3)
-        sim = WormholeSimulator(net, 2, priority="index")
-        same = sim.run(
-            [[edges[0]], [edges[0]]], 5, vc_ids=[[0], [0]]
+        same = simulate(
+            (net, [[edges[0]], [edges[0]]]), B=2, message_length=5,
+            priority="index", vc_ids=[[0], [0]],
         )
         assert same.completion_times[1] > same.completion_times[0]
-        sim2 = WormholeSimulator(net, 2, priority="index")
-        diff = sim2.run(
-            [[edges[0]], [edges[0]]], 5, vc_ids=[[0], [1]]
+        diff = simulate(
+            (net, [[edges[0]], [edges[0]]]), B=2, message_length=5,
+            priority="index", vc_ids=[[0], [1]],
         )
         assert diff.completion_times[0] == diff.completion_times[1] == 5
 
@@ -82,9 +84,9 @@ class TestBasicSemantics:
         worms serialize even though B = 2 has a free... no — exactly one
         slot per class."""
         net, edges = ring(3)
-        sim = WormholeSimulator(net, 2, priority="index")
-        res = sim.run(
-            [[edges[0]], [edges[0]], [edges[0]]], 4, vc_ids=[[0], [0], [1]]
+        res = simulate(
+            (net, [[edges[0]], [edges[0]], [edges[0]]]), B=2, message_length=4,
+            priority="index", vc_ids=[[0], [0], [1]],
         )
         assert res.all_delivered
         times = sorted(res.completion_times.tolist())
@@ -101,8 +103,7 @@ class TestDallySeitzRing:
         k = 4
         net, edges = ring(k)
         paths = around_the_ring_paths(edges, k) * 2  # 2 worms per start
-        sim = WormholeSimulator(net, 2, priority="index")
-        res = sim.run(paths, message_length=6)
+        res = simulate((net, paths), B=2, message_length=6, priority="index")
         assert res.deadlocked
 
     def test_dateline_classes_break_the_cycle(self):
@@ -112,8 +113,9 @@ class TestDallySeitzRing:
         net, edges = ring(k)
         paths = around_the_ring_paths(edges, k) * 2
         vcs = dateline_vcs(paths, k)
-        sim = WormholeSimulator(net, 2, priority="index")
-        res = sim.run(paths, message_length=6, vc_ids=vcs)
+        res = simulate(
+            (net, paths), B=2, message_length=6, priority="index", vc_ids=vcs,
+        )
         assert not res.deadlocked
         assert res.all_delivered
 
@@ -123,6 +125,5 @@ class TestDallySeitzRing:
         paths = around_the_ring_paths(edges, k) * 2
         vcs = dateline_vcs(paths, k)
         for seed in range(8):
-            sim = WormholeSimulator(net, 2, seed=seed)
-            res = sim.run(paths, message_length=5, vc_ids=vcs)
+            res = simulate((net, paths), B=2, message_length=5, seed=seed, vc_ids=vcs)
             assert res.all_delivered

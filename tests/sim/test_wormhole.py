@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from repro import simulate
 from repro.network.graph import Network, NetworkError
 from repro.network.random_networks import chain_bundle
 from repro.routing.paths import paths_from_node_walks
 from repro.sim.engine import pad_paths
-from repro.sim.batch import WormholeSimulator
 from repro.telemetry import EdgeContentionCollector
 
 
@@ -35,63 +35,55 @@ class TestSingleWorm:
     def test_unobstructed_latency(self):
         """A never-delayed worm takes exactly D + L - 1 flit steps (Sec. 1)."""
         net = line(6)
-        sim = WormholeSimulator(net, num_virtual_channels=1)
         for L in (1, 3, 8):
-            res = sim.run([[0, 1, 2, 3, 4]], message_length=L)
+            res = simulate((net, [[0, 1, 2, 3, 4]]), message_length=L)
             assert res.makespan == 5 + L - 1
             assert res.total_blocked_steps == 0
 
     def test_release_time_shifts_completion(self):
         net = line(4)
-        sim = WormholeSimulator(net)
-        res = sim.run(
-            [[0, 1, 2]], message_length=2, release_times=np.array([10])
+        res = simulate(
+            (net, [[0, 1, 2]]), message_length=2, release_times=np.array([10]),
         )
         assert res.completion_times[0] == 10 + 3 + 2 - 1
 
     def test_zero_length_path_delivered_at_release(self):
         net = line(2)
-        sim = WormholeSimulator(net)
-        res = sim.run([[]], message_length=5, release_times=np.array([7]))
+        res = simulate((net, [[]]), message_length=5, release_times=np.array([7]))
         assert res.completion_times[0] == 7
 
     def test_single_flit_message(self):
         """L = 1: pure header, one hop per step."""
         net = line(5)
-        sim = WormholeSimulator(net)
-        res = sim.run([[0, 1, 2, 3]], message_length=1)
+        res = simulate((net, [[0, 1, 2, 3]]), message_length=1)
         assert res.makespan == 4
 
 
 class TestValidation:
     def test_rejects_non_edge_simple(self):
         net = line(3)
-        sim = WormholeSimulator(net)
         with pytest.raises(NetworkError, match="edge-simple"):
-            sim.run([[0, 0]], message_length=2)
+            simulate((net, [[0, 0]]), message_length=2)
 
     def test_rejects_bad_L(self):
         net = line(3)
-        sim = WormholeSimulator(net)
         with pytest.raises(NetworkError, match="length"):
-            sim.run([[0]], message_length=0)
+            simulate((net, [[0]]), message_length=0)
 
     def test_rejects_bad_B(self):
         with pytest.raises(NetworkError, match="virtual channel"):
-            WormholeSimulator(line(2), num_virtual_channels=0)
+            simulate((line(2), [[0]]), B=0, message_length=1)
 
     def test_rejects_bad_priority(self):
         with pytest.raises(NetworkError, match="priority"):
-            WormholeSimulator(line(2), priority="fifo")
+            simulate((line(2), [[0]]), message_length=1, priority="fifo")
 
     def test_rejects_negative_release(self):
-        sim = WormholeSimulator(line(3))
         with pytest.raises(NetworkError):
-            sim.run([[0]], message_length=1, release_times=np.array([-1]))
+            simulate((line(3), [[0]]), message_length=1, release_times=np.array([-1]))
 
     def test_empty_run(self):
-        sim = WormholeSimulator(line(2))
-        res = sim.run([], message_length=3)
+        res = simulate((line(2), []), message_length=3)
         assert res.num_messages == 0 and res.makespan == -1
 
 
@@ -105,9 +97,8 @@ class TestContention:
         """
         net, walks = chain_bundle(1, 4, 3)
         paths = paths_from_node_walks(net, walks)
-        sim = WormholeSimulator(net, num_virtual_channels=1, seed=1)
         L = 6
-        res = sim.run(paths, message_length=L)
+        res = simulate((net, paths), message_length=L, seed=1)
         assert res.all_delivered
         # Worm k starts only after the previous worm's tail vacates edge
         # 0's buffer, i.e. L + 1 steps apart.
@@ -118,8 +109,7 @@ class TestContention:
         """With B >= C every worm gets a virtual channel immediately."""
         net, walks = chain_bundle(1, 4, 3)
         paths = paths_from_node_walks(net, walks)
-        sim = WormholeSimulator(net, num_virtual_channels=3)
-        res = sim.run(paths, message_length=6)
+        res = simulate((net, paths), B=3, message_length=6)
         assert res.total_blocked_steps == 0
         assert res.makespan == 6 + 4 - 1
 
@@ -128,8 +118,8 @@ class TestContention:
         net, walks = chain_bundle(1, 4, 4)
         paths = paths_from_node_walks(net, walks)
         L = 6
-        t1 = WormholeSimulator(net, 1, seed=0).run(paths, L).makespan
-        t2 = WormholeSimulator(net, 2, seed=0).run(paths, L).makespan
+        t1 = simulate((net, paths), message_length=L).makespan
+        t2 = simulate((net, paths), B=2, message_length=L).makespan
         assert t2 == (L + 1) + (L + 4 - 1)  # two batches of two
         assert t1 == 3 * (L + 1) + (L + 4 - 1)  # four serialized starts
         assert t2 < t1
@@ -137,7 +127,7 @@ class TestContention:
     def test_blocked_steps_counted(self):
         net, walks = chain_bundle(1, 3, 2)
         paths = paths_from_node_walks(net, walks)
-        res = WormholeSimulator(net, 1, seed=0).run(paths, message_length=4)
+        res = simulate((net, paths), message_length=4)
         # The losing worm waits exactly L + 1 steps at injection (the
         # winner's last flit vacates edge 0's buffer a step after
         # crossing it).
@@ -149,18 +139,17 @@ class TestArbitration:
     def test_index_priority_deterministic(self):
         net, walks = chain_bundle(1, 3, 3)
         paths = paths_from_node_walks(net, walks)
-        sim = WormholeSimulator(net, 1, priority="index")
-        res = sim.run(paths, message_length=3)
+        res = simulate((net, paths), message_length=3, priority="index")
         # Message 0 wins first, then 1, then 2.
         assert list(np.argsort(res.completion_times)) == [0, 1, 2]
 
     def test_age_priority_respects_release(self):
         net, walks = chain_bundle(1, 3, 2)
         paths = paths_from_node_walks(net, walks)
-        sim = WormholeSimulator(net, 1, priority="age")
         # Message 1 released earlier -> wins the contention at edge 0.
-        res = sim.run(
-            paths, message_length=3, release_times=np.array([2, 0])
+        res = simulate(
+            (net, paths), message_length=3, priority="age",
+            release_times=np.array([2, 0]),
         )
         assert res.completion_times[1] < res.completion_times[0]
 
@@ -169,7 +158,7 @@ class TestArbitration:
         contention it enters, so completions follow the rank order."""
         net, walks = chain_bundle(1, 3, 4)
         paths = paths_from_node_walks(net, walks)
-        res = WormholeSimulator(net, 1, priority="rank", seed=5).run(paths, 3)
+        res = simulate((net, paths), message_length=3, priority="rank", seed=5)
         assert res.all_delivered
         # All four serialize; completion times are all distinct.
         assert len(set(res.completion_times.tolist())) == 4
@@ -177,8 +166,8 @@ class TestArbitration:
     def test_random_priority_reproducible_by_seed(self):
         net, walks = chain_bundle(1, 3, 4)
         paths = paths_from_node_walks(net, walks)
-        r1 = WormholeSimulator(net, 1, seed=42).run(paths, 3)
-        r2 = WormholeSimulator(net, 1, seed=42).run(paths, 3)
+        r1 = simulate((net, paths), message_length=3, seed=42)
+        r2 = simulate((net, paths), message_length=3, seed=42)
         assert np.array_equal(r1.completion_times, r2.completion_times)
 
 
@@ -188,9 +177,8 @@ class TestWormSemantics:
         flit has vacated edge 0's head buffer — L + 1 steps after the
         first worm started."""
         net = line(3)
-        sim = WormholeSimulator(net, 1, priority="index")
         L = 5
-        res = sim.run([[0, 1], [0, 1]], message_length=L)
+        res = simulate((net, [[0, 1], [0, 1]]), message_length=L, priority="index")
         assert res.completion_times[0] == L + 1
         assert res.completion_times[1] == (L + 1) + (L + 1)
 
@@ -205,9 +193,8 @@ class TestWormSemantics:
         e_xc = net.add_edge(e, c)
         blocker = [e_xc, e_cd]
         crosser = [e_ab, e_bc, e_cd]
-        sim = WormholeSimulator(net, 1, priority="index")
         L = 6
-        res = sim.run([blocker, crosser], message_length=L)
+        res = simulate((net, [blocker, crosser]), message_length=L, priority="index")
         assert res.all_delivered
         # The crosser reaches c->d at step 3 but the blocker holds it
         # until step 2 + L... verify crosser was actually blocked.
@@ -232,12 +219,9 @@ class TestWormSemantics:
         worm_a = chain  # D = 5, L = 2
         blocker = [e_blk, chain[3]]  # holds edge 3 for its whole length
         worm_b = [chain[1]]  # single hop over edge 1
-        sim = WormholeSimulator(net, 1, priority="index")
-        res = sim.run(
-            [blocker, worm_a, worm_b],
-            message_length=np.array([10, 2, 1]),
-            # B wakes only after A's tail flit is parked in edge 1's buffer.
-            release_times=np.array([0, 0, 4]),
+        res = simulate(
+            (net, [blocker, worm_a, worm_b]), message_length=np.array([10, 2, 1]),
+            priority="index", release_times=np.array([0, 0, 4]),
         )
         assert res.all_delivered
         # Blocker (L=10, D=2) completes at 11 and only then does A resume;
@@ -249,8 +233,7 @@ class TestWormSemantics:
     def test_per_message_lengths(self):
         net, walks = chain_bundle(2, 3, 1)
         paths = paths_from_node_walks(net, walks)
-        sim = WormholeSimulator(net, 1)
-        res = sim.run(paths, message_length=np.array([2, 7]))
+        res = simulate((net, paths), message_length=np.array([2, 7]))
         assert res.completion_times[0] == 2 + 3 - 1
         assert res.completion_times[1] == 7 + 3 - 1
 
@@ -268,8 +251,9 @@ class TestDeadlock:
         a, b = net.add_nodes("ab")
         e_ab = net.add_edge(a, b)
         e_ba = net.add_edge(b, a)
-        sim = WormholeSimulator(net, 1, priority="index")
-        res = sim.run([[e_ab, e_ba], [e_ba, e_ab]], message_length=5)
+        res = simulate(
+            (net, [[e_ab, e_ba], [e_ba, e_ab]]), message_length=5, priority="index",
+        )
         assert res.deadlocked
         assert not res.all_delivered
 
@@ -279,16 +263,17 @@ class TestDeadlock:
         a, b = net.add_nodes("ab")
         e_ab = net.add_edge(a, b)
         e_ba = net.add_edge(b, a)
-        sim = WormholeSimulator(net, 2, priority="index")
-        res = sim.run([[e_ab, e_ba], [e_ba, e_ab]], message_length=5)
+        res = simulate(
+            (net, [[e_ab, e_ba], [e_ba, e_ab]]), B=2, message_length=5,
+            priority="index",
+        )
         assert res.all_delivered
         assert not res.deadlocked
 
     def test_step_cap(self):
         net, walks = chain_bundle(1, 3, 3)
         paths = paths_from_node_walks(net, walks)
-        sim = WormholeSimulator(net, 1)
-        res = sim.run(paths, message_length=10, max_steps=5)
+        res = simulate((net, paths), message_length=10, max_steps=5)
         assert res.hit_step_cap
         assert not res.all_delivered
 
@@ -299,9 +284,7 @@ class TestContentionMap:
         net, walks = chain_bundle(2, 3, 3)
         paths = paths_from_node_walks(net, walks)
         collector = EdgeContentionCollector()
-        res = WormholeSimulator(net, 1, seed=0).run(
-            paths, message_length=4, telemetry=[collector]
-        )
+        res = simulate((net, paths), message_length=4, telemetry=[collector])
         contention = collector.denied
         assert contention.shape == (net.num_edges,)
         # All denials happen at the two chains' first edges (injection).
@@ -313,15 +296,14 @@ class TestContentionMap:
     def test_absent_by_default(self):
         net, walks = chain_bundle(1, 2, 1)
         paths = paths_from_node_walks(net, walks)
-        res = WormholeSimulator(net).run(paths, message_length=2)
+        res = simulate((net, paths), message_length=2)
         assert "edge_contention" not in res.extra
 
 
 class TestLatencies:
     def test_latency_accessor(self):
         net = line(4)
-        sim = WormholeSimulator(net)
         release = np.array([0, 5])
-        res = sim.run([[0, 1], [2]], message_length=3, release_times=release)
+        res = simulate((net, [[0, 1], [2]]), message_length=3, release_times=release)
         lat = res.latencies(release)
         assert list(lat) == [3 + 2 - 1, 3 + 1 - 1]

@@ -9,15 +9,11 @@ every engine.
 import numpy as np
 import pytest
 
+from repro import simulate
 from repro.network.mesh import KAryNCube
 from repro.network.random_networks import chain_bundle
 from repro.routing.paths import paths_from_node_walks
-from repro.sim.batch import (
-    AdaptiveMeshRouter,
-    CutThroughSimulator,
-    StoreForwardSimulator,
-    WormholeSimulator,
-)
+from repro.sim.batch import run_adaptive_batch
 from repro.telemetry import (
     BufferOccupancyCollector,
     ChannelUtilizationCollector,
@@ -32,8 +28,9 @@ from repro.telemetry import (
 def chain_run(B=1, worms=3, depth=4, L=5, probes=None, priority="index"):
     net, walks = chain_bundle(1, depth, worms)
     paths = paths_from_node_walks(net, walks)
-    sim = WormholeSimulator(net, B, priority=priority)
-    res = sim.run(paths, message_length=L, telemetry=probes)
+    res = simulate(
+        (net, paths), B=B, message_length=L, priority=priority, telemetry=probes,
+    )
     return net, paths, res
 
 
@@ -57,7 +54,7 @@ class TestChannelUtilization:
         util = ChannelUtilizationCollector()
         net, walks = chain_bundle(2, 3, 2)
         paths = paths_from_node_walks(net, walks)
-        WormholeSimulator(net, 1).run(paths, 4, telemetry=[util])
+        simulate((net, paths), message_length=4, telemetry=[util])
         hottest = util.hottest(10)
         flits = [f for _, f in hottest]
         assert flits == sorted(flits, reverse=True)
@@ -162,8 +159,9 @@ class TestOtherEngines:
         thr = ThroughputCollector()
         net, walks = chain_bundle(1, 4, 3)
         paths = paths_from_node_walks(net, walks)
-        res = CutThroughSimulator(net, buffer_flits=2, priority="index").run(
-            paths, message_length=5, telemetry=[util, thr]
+        res = simulate(
+            (net, paths), model="cut_through", B=2, message_length=5,
+            priority="index", telemetry=[util, thr],
         )
         assert res.all_delivered
         # Grant-weighted accounting: one edge-ownership claim per edge,
@@ -176,8 +174,9 @@ class TestOtherEngines:
         occ = BufferOccupancyCollector()
         net, walks = chain_bundle(1, 4, 3)
         paths = paths_from_node_walks(net, walks)
-        res = StoreForwardSimulator(net, priority="age").run(
-            paths, message_length=5, telemetry=[util, occ]
+        res = simulate(
+            (net, paths), model="store_forward", message_length=5, priority="age",
+            telemetry=[util, occ],
         )
         assert res.all_delivered
         assert util.total_flits == 3 * 5 * 4
@@ -186,9 +185,10 @@ class TestOtherEngines:
         util = ChannelUtilizationCollector()
         stall = StallAttributionCollector()
         cube = KAryNCube(k=4, n=2, wrap=False)
-        router = AdaptiveMeshRouter(cube, policy="west-first", seed=1)
         demands = [(0, 15), (3, 12), (5, 10), (12, 3)]
-        out = router.run(demands, message_length=4, telemetry=[util, stall])
+        (out,) = run_adaptive_batch(
+            cube, demands, 4, seeds=[1], telemetry=[util, stall]
+        )  # the driver keeps the taken paths
         assert out.all_delivered
         hops = sum(len(p) for p in out.taken_paths)
         assert util.total_flits == 4 * hops

@@ -11,14 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import simulate
 from repro.network.random_networks import chain_bundle
 from repro.routing.paths import paths_from_node_walks
-from repro.sim.batch import (
-    AdaptiveMeshRouter,
-    CutThroughSimulator,
-    StoreForwardSimulator,
-    WormholeSimulator,
-)
+from repro.sim.batch import run_store_forward_batch
 from repro.telemetry import (
     EdgeContentionCollector,
     TraceRecorder,
@@ -63,13 +59,9 @@ class TestWormholeInvariance:
         )
 
         def run(telemetry):
-            sim = WormholeSimulator(
-                net, w["B"], priority=w["priority"], seed=w["seed"]
-            )
-            return sim.run(
-                paths,
-                message_length=w["L"],
-                release_times=release,
+            return simulate(
+                (net, paths), B=w["B"], message_length=w["L"],
+                priority=w["priority"], seed=w["seed"], release_times=release,
                 telemetry=telemetry,
             )
 
@@ -93,8 +85,9 @@ class TestOtherEngineInvariance:
         paths = paths_from_node_walks(net, walks)
 
         def run(telemetry):
-            return CutThroughSimulator(net, 2, seed=5).run(
-                paths, 5, telemetry=telemetry
+            return simulate(
+                (net, paths), model="cut_through", B=2, message_length=5, seed=5,
+                telemetry=telemetry,
             )
 
         assert_results_identical(run(None), run(standard_collectors()))
@@ -104,9 +97,11 @@ class TestOtherEngineInvariance:
         paths = paths_from_node_walks(net, walks)
 
         def run(telemetry):
-            return StoreForwardSimulator(net, priority="random", seed=5).run(
-                paths, 5, delay_range=3, telemetry=telemetry
+            (res,) = run_store_forward_batch(
+                net, paths, 5, seeds=[5], priority="random", delay_range=3,
+                telemetry=telemetry,
             )
+            return res
 
         assert_results_identical(run(None), run(standard_collectors()))
 
@@ -117,14 +112,16 @@ class TestOtherEngineInvariance:
         demands = [(0, 15), (3, 12), (5, 10), (12, 3), (15, 0)]
 
         def run(telemetry):
-            router = AdaptiveMeshRouter(cube, 1, policy="west-first", seed=9)
-            return router.run(demands, 4, telemetry=telemetry).result
+            return simulate(
+                (cube, demands), model="adaptive", message_length=4,
+                policy="west-first", seed=9, telemetry=telemetry,
+            ).result
 
         assert_results_identical(run(None), run(standard_collectors()))
 
 
 class TestDeprecatedShims:
-    """The retired record_* kwargs are gone from ``run()``; the collectors
+    """The retired record_* kwargs are not ``simulate`` options; the collectors
     that replaced them attach without perturbing the run."""
 
     def make(self):
@@ -135,12 +132,10 @@ class TestDeprecatedShims:
     def test_record_trace_shim(self):
         net, paths = self.make()
         with pytest.raises(TypeError, match="record_trace"):
-            WormholeSimulator(net, 1, seed=0).run(paths, 4, record_trace=True)
-        bare = WormholeSimulator(net, 1, seed=0).run(paths, 4)
+            simulate((net, paths), message_length=4, record_trace=True)
+        bare = simulate((net, paths), message_length=4)
         snap = TraceSnapshotCollector()
-        modern = WormholeSimulator(net, 1, seed=0).run(
-            paths, 4, telemetry=[snap]
-        )
+        modern = simulate((net, paths), message_length=4, telemetry=[snap])
         assert_results_identical(bare, modern)
         assert snap.matrix.shape == (modern.steps_executed, len(paths))
         assert np.array_equal(
@@ -150,14 +145,10 @@ class TestDeprecatedShims:
     def test_record_contention_shim(self):
         net, paths = self.make()
         with pytest.raises(TypeError, match="record_contention"):
-            WormholeSimulator(net, 1, seed=0).run(
-                paths, 4, record_contention=True
-            )
-        bare = WormholeSimulator(net, 1, seed=0).run(paths, 4)
+            simulate((net, paths), message_length=4, record_contention=True)
+        bare = simulate((net, paths), message_length=4)
         cont = EdgeContentionCollector()
-        modern = WormholeSimulator(net, 1, seed=0).run(
-            paths, 4, telemetry=[cont]
-        )
+        modern = simulate((net, paths), message_length=4, telemetry=[cont])
         assert_results_identical(bare, modern)
         assert cont.denied.shape == (net.num_edges,)
         assert cont.denied.sum() == modern.total_blocked_steps
@@ -165,9 +156,7 @@ class TestDeprecatedShims:
     def test_shims_compose_with_telemetry(self):
         net, paths = self.make()
         snap, cont = TraceSnapshotCollector(), EdgeContentionCollector()
-        res = WormholeSimulator(net, 1, seed=0).run(
-            paths, 4, telemetry=[snap, cont]
-        )
+        res = simulate((net, paths), message_length=4, telemetry=[snap, cont])
         assert res.extra == {}  # collectors keep their arrays themselves
         assert snap.matrix.shape[0] == res.steps_executed
         assert cont.denied.sum() == res.total_blocked_steps

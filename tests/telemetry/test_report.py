@@ -2,10 +2,10 @@
 
 import numpy as np
 
+from repro import simulate
 from repro.network.graph import Network
 from repro.network.random_networks import chain_bundle
 from repro.routing.paths import paths_from_node_walks
-from repro.sim.batch import WormholeSimulator
 from repro.telemetry import (
     EdgeContentionCollector,
     StallAttributionCollector,
@@ -19,9 +19,7 @@ def profiled_chain(worms=3, depth=4, L=5, extra=()):
     net, walks = chain_bundle(1, depth, worms)
     paths = paths_from_node_walks(net, walks)
     probes = standard_collectors() + list(extra)
-    res = WormholeSimulator(net, 1, priority="index").run(
-        paths, message_length=L, telemetry=probes
-    )
+    res = simulate((net, paths), message_length=L, priority="index", telemetry=probes)
     return probes, res, paths
 
 
@@ -63,7 +61,7 @@ class TestRenderReport:
         net, walks = chain_bundle(1, 3, 3)
         paths = paths_from_node_walks(net, walks)
         cont = EdgeContentionCollector()
-        WormholeSimulator(net, 1).run(paths, 4, telemetry=[cont])
+        simulate((net, paths), message_length=4, telemetry=[cont])
         text = render_report([cont])
         assert "most contended edges" in text
 
@@ -79,8 +77,9 @@ class TestRenderReport:
         net.add_edge(a, b)
         net.add_edge(b, a)
         probes = standard_collectors() + [Watchdog()]
-        res = WormholeSimulator(net, 1, priority="index").run(
-            [[0, 1], [1, 0]], 4, telemetry=probes
+        res = simulate(
+            (net, [[0, 1], [1, 0]]), message_length=4, priority="index",
+            telemetry=probes,
         )
         text = render_report(probes, res)
         assert "DEADLOCKED" in text

@@ -10,11 +10,11 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from reference_simulator import reference_run  # noqa: E402
 
+from repro import simulate
 from repro.network.butterfly import Butterfly
 from repro.network.random_networks import chain_bundle, layered_network, random_walk_paths
 from repro.routing.paths import paths_from_node_walks
 from repro.routing.problems import bit_reversal_permutation
-from repro.sim.batch import StoreForwardSimulator, WormholeSimulator
 from repro.telemetry import (
     TRACE_FORMAT,
     TRACE_VERSION,
@@ -30,8 +30,9 @@ def record_chain(B=1, worms=3, depth=4, L=5, release=None, priority="index"):
     net, walks = chain_bundle(1, depth, worms)
     paths = paths_from_node_walks(net, walks)
     recorder = TraceRecorder()
-    res = WormholeSimulator(net, B, priority=priority).run(
-        paths, message_length=L, release_times=release, telemetry=[recorder]
+    res = simulate(
+        (net, paths), B=B, message_length=L, priority=priority,
+        release_times=release, telemetry=[recorder],
     )
     return recorder, res, paths
 
@@ -120,8 +121,9 @@ class TestReplay:
         inst = bit_reversal_permutation(8)
         paths = [list(r) for r in bf.path_edges_batch(inst.sources, inst.dests)]
         recorder = TraceRecorder()
-        res = WormholeSimulator(bf, 2, priority="index").run(
-            paths, message_length=6, telemetry=[recorder]
+        res = simulate(
+            (bf, paths), B=2, message_length=6, priority="index",
+            telemetry=[recorder],
         )
         derived = replay_check(recorder.to_trace(), res)
         ref = reference_run(paths, L=6, B=2)
@@ -133,8 +135,8 @@ class TestReplay:
         walks = random_walk_paths(net, 6, 6, 30, rng)
         paths = paths_from_node_walks(net, walks)
         recorder = TraceRecorder()
-        res = WormholeSimulator(net, 2, seed=11).run(
-            paths, message_length=5, telemetry=[recorder]
+        res = simulate(
+            (net, paths), B=2, message_length=5, seed=11, telemetry=[recorder],
         )
         replay_check(recorder.to_trace(), res)
 
@@ -142,7 +144,10 @@ class TestReplay:
         net, walks = chain_bundle(1, 3, 2)
         paths = paths_from_node_walks(net, walks)
         recorder = TraceRecorder()
-        StoreForwardSimulator(net).run(paths, 4, telemetry=[recorder])
+        simulate(
+            (net, paths), model="store_forward", message_length=4,
+            telemetry=[recorder],
+        )
         with pytest.raises(TraceError, match="wormhole"):
             replay_check(recorder.to_trace())
 
@@ -158,7 +163,7 @@ class TestReplay:
         net, walks = chain_bundle(1, 3, 1)
         paths = [paths_from_node_walks(net, walks)[0], []]
         recorder = TraceRecorder()
-        res = WormholeSimulator(net, 1).run(paths, 4, telemetry=[recorder])
+        res = simulate((net, paths), message_length=4, telemetry=[recorder])
         trace = recorder.to_trace()
         assert np.array_equal(trace.completion_times(), res.completion_times)
         assert np.array_equal(replay_check(trace, res), res.completion_times)

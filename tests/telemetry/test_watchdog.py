@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import simulate
 from repro.network.random_networks import chain_bundle
 from repro.routing.paths import paths_from_node_walks
-from repro.sim.batch import WormholeSimulator
 from repro.telemetry import Watchdog
 
 
@@ -26,7 +26,7 @@ class TestAnnotations:
     def test_clean_run_reports_no_alerts(self):
         net, paths = chain()
         wd = Watchdog()
-        res = WormholeSimulator(net, 1).run(paths, 4, telemetry=[wd])
+        res = simulate((net, paths), message_length=4, telemetry=[wd])
         assert not wd.tripped
         report = res.extra["watchdog"]
         assert report["tripped"] is False
@@ -54,7 +54,7 @@ class TestAnnotations:
     def test_low_rate_alert(self):
         net, paths = chain(worms=3, depth=4)
         wd = Watchdog(min_rate=1.0, rate_window=5)
-        res = WormholeSimulator(net, 1).run(paths, 6, telemetry=[wd])
+        res = simulate((net, paths), message_length=6, telemetry=[wd])
         assert res.all_delivered
         assert any(a["type"] == "low-rate" for a in wd.alerts)
         # The first window is exempt: no alert at step <= rate_window.
@@ -65,8 +65,8 @@ class TestAnnotations:
         net = _cycle_network()
         paths = [[0, 1], [1, 0]]
         wd = Watchdog()
-        res = WormholeSimulator(net, 1, priority="index").run(
-            paths, 4, telemetry=[wd]
+        res = simulate(
+            (net, paths), message_length=4, priority="index", telemetry=[wd],
         )
         assert res.deadlocked
         dead = [a for a in wd.alerts if a["type"] == "deadlock"]
@@ -81,8 +81,8 @@ class TestAbort:
         # window of the B=1 convoy; abort=True then cuts the run short.
         net, paths = chain(worms=4, depth=6)
         wd = Watchdog(min_rate=1.0, rate_window=5, abort=True)
-        res = WormholeSimulator(net, 1, priority="index").run(
-            paths, 8, telemetry=[wd]
+        res = simulate(
+            (net, paths), message_length=8, priority="index", telemetry=[wd],
         )
         assert not res.all_delivered
         assert "telemetry_abort" in res.extra
@@ -94,8 +94,8 @@ class TestAbort:
     def test_no_abort_by_default(self):
         net, paths = chain(worms=4, depth=6)
         wd = Watchdog(min_rate=1.0, rate_window=5)
-        res = WormholeSimulator(net, 1, priority="index").run(
-            paths, 8, telemetry=[wd]
+        res = simulate(
+            (net, paths), message_length=8, priority="index", telemetry=[wd],
         )
         assert res.all_delivered
         assert wd.tripped

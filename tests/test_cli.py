@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import COMMANDS, build_parser, main
@@ -230,10 +232,18 @@ class TestParser:
 
 class TestCommands:
     def test_info(self, capsys):
+        import repro
+
         assert main(["info"]) == 0
         out = capsys.readouterr().out
         assert "repro" in out
         assert "virtual channels" in out
+        # Every entry point it lists resolves on the package.
+        listed = re.findall(r"^  - repro\.(.+)$", out, re.M)
+        names = [n for entry in listed for n in entry.split(" / ")]
+        assert "simulate" in names
+        for name in names:
+            assert hasattr(repro, name), name
 
     def test_demo(self, capsys):
         assert main(["demo", "--n", "8", "--length", "8"]) == 0

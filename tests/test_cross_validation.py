@@ -17,12 +17,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import (
-    Butterfly,
-    CutThroughSimulator,
-    RestrictedWormholeSimulator,
-    WormholeSimulator,
-)
+from repro import Butterfly, simulate
 from repro.network.random_networks import chain_bundle, layered_network, random_walk_paths
 from repro.routing.paths import paths_from_node_walks
 
@@ -39,8 +34,10 @@ def test_cut_through_buf1_equals_wormhole_b1(chains, depth, per_chain, L):
     index-priority arbitration on chain workloads."""
     net, walks = chain_bundle(chains, depth, per_chain)
     paths = paths_from_node_walks(net, walks)
-    wh = WormholeSimulator(net, 1, priority="index").run(paths, L)
-    ct = CutThroughSimulator(net, 1, priority="index").run(paths, L)
+    wh = simulate((net, paths), message_length=L, priority="index")
+    ct = simulate(
+        (net, paths), model="cut_through", message_length=L, priority="index",
+    )
     assert np.array_equal(wh.completion_times, ct.completion_times)
 
 
@@ -50,8 +47,10 @@ def test_cut_through_buf1_equals_wormhole_b1_layered():
     walks = random_walk_paths(net, 6, 5, 40, rng)
     paths = paths_from_node_walks(net, walks)
     L = 6
-    wh = WormholeSimulator(net, 1, priority="index").run(paths, L)
-    ct = CutThroughSimulator(net, 1, priority="index").run(paths, L)
+    wh = simulate((net, paths), message_length=L, priority="index")
+    ct = simulate(
+        (net, paths), model="cut_through", message_length=L, priority="index",
+    )
     assert wh.all_delivered and ct.all_delivered
     assert np.array_equal(wh.completion_times, ct.completion_times)
 
@@ -63,9 +62,9 @@ def test_all_models_agree_unobstructed(depth, L):
     net, walks = chain_bundle(1, depth, 1)
     paths = paths_from_node_walks(net, walks)
     expected = L + depth - 1
-    assert WormholeSimulator(net, 1).run(paths, L).makespan == expected
-    assert CutThroughSimulator(net, 3).run(paths, L).makespan == expected
-    assert RestrictedWormholeSimulator(net, 2).run(paths, L).makespan == expected
+    for model, B in (("wormhole", 1), ("cut_through", 3), ("restricted", 2)):
+        res = simulate((net, paths), model=model, B=B, message_length=L)
+        assert res.makespan == expected, model
 
 
 def test_restricted_b1_equals_full_b1_on_chains():
@@ -74,8 +73,8 @@ def test_restricted_b1_equals_full_b1_on_chains():
     net, walks = chain_bundle(1, 4, 3)
     paths = paths_from_node_walks(net, walks)
     L = 5
-    full = WormholeSimulator(net, 1, priority="index").run(paths, L)
-    restricted = RestrictedWormholeSimulator(net, 1, seed=0).run(paths, L)
+    full = simulate((net, paths), message_length=L, priority="index")
+    restricted = simulate((net, paths), model="restricted", message_length=L)
     assert full.makespan == restricted.makespan
 
 

@@ -1,8 +1,9 @@
 """Facade tests: ``repro.simulate`` dispatch, bit-identity, deprecations.
 
 The facade's contract is that it adds *nothing* to the models: a
-``simulate(...)`` call with the same seed is bit-identical to building
-the simulator directly, for every model it dispatches to.
+``simulate(...)`` call with the same seed is bit-identical to the
+model's ``run_<model>_batch`` driver called with that one seed, for
+every model it dispatches to.
 """
 
 import numpy as np
@@ -12,13 +13,7 @@ import repro
 from repro import Butterfly, KAryNCube, simulate
 from repro.network.graph import NetworkError
 from repro.routing.problems import bit_reversal_permutation
-from repro.sim.batch import (
-    AdaptiveMeshRouter,
-    CutThroughSimulator,
-    RestrictedWormholeSimulator,
-    StoreForwardSimulator,
-    WormholeSimulator,
-)
+from repro.sim.batch import LOCKSTEP_MODELS
 from repro.sim.sweep import build_workload
 
 L = 8
@@ -47,65 +42,51 @@ def _same(a, b):
     assert a.total_blocked_steps == b.total_blocked_steps
 
 
+def _driver(model, problem, message_length, B, **option):
+    """The model's ``run_<model>_batch`` driver with the one seed."""
+    spec = LOCKSTEP_MODELS[model]
+    (res,) = spec.driver(
+        *problem, message_length, seeds=[SEED], **{spec.knob: B}, **option
+    )
+    return getattr(res, "result", res)
+
+
 class TestBitIdentity:
-    """simulate() == direct constructor call, per model."""
+    """simulate() == the model's driver called with one seed, per model."""
 
     def test_wormhole(self, butterfly_problem):
-        bf, paths = butterfly_problem
-        direct = WormholeSimulator(
-            bf, num_virtual_channels=2, seed=SEED
-        ).run(paths, message_length=L)
-        _same(direct, simulate(
-            (bf, paths), model="wormhole", B=2, seed=SEED, message_length=L
+        _same(_driver("wormhole", butterfly_problem, L, 2), simulate(
+            butterfly_problem, model="wormhole", B=2, seed=SEED, message_length=L
         ))
 
     def test_cut_through(self, butterfly_problem):
-        bf, paths = butterfly_problem
-        direct = CutThroughSimulator(bf, buffer_flits=2, seed=SEED).run(
-            paths, message_length=L
-        )
-        _same(direct, simulate(
-            (bf, paths), model="cut_through", B=2, seed=SEED, message_length=L
+        _same(_driver("cut_through", butterfly_problem, L, 2), simulate(
+            butterfly_problem, model="cut_through", B=2, seed=SEED,
+            message_length=L,
         ))
 
     def test_store_forward(self, butterfly_problem):
-        bf, paths = butterfly_problem
-        direct = StoreForwardSimulator(
-            bf, bandwidth_flits_per_step=2, seed=SEED
-        ).run(paths, message_length=L)
-        _same(direct, simulate(
-            (bf, paths),
-            model="store_forward",
-            B=2,
-            seed=SEED,
+        _same(_driver("store_forward", butterfly_problem, L, 2), simulate(
+            butterfly_problem, model="store_forward", B=2, seed=SEED,
             message_length=L,
         ))
 
     def test_restricted(self, butterfly_problem):
-        bf, paths = butterfly_problem
-        direct = RestrictedWormholeSimulator(
-            bf, num_buffers=2, seed=SEED
-        ).run(paths, message_length=L)
-        _same(direct, simulate(
-            (bf, paths), model="restricted", B=2, seed=SEED, message_length=L
+        _same(_driver("restricted", butterfly_problem, L, 2), simulate(
+            butterfly_problem, model="restricted", B=2, seed=SEED,
+            message_length=L,
         ))
 
     def test_adaptive(self, mesh_problem):
-        cube, demands = mesh_problem
-        direct = AdaptiveMeshRouter(
-            cube, num_virtual_channels=2, policy="west-first", seed=SEED
-        ).run(demands, message_length=5)
-        _same(direct.result, simulate(
-            (cube, demands), model="adaptive", B=2, seed=SEED, message_length=5
+        direct = _driver("adaptive", mesh_problem, 5, 2, policy="west-first")
+        _same(direct, simulate(
+            mesh_problem, model="adaptive", B=2, seed=SEED, message_length=5
         ))
 
     def test_priority_override_forwarded(self, butterfly_problem):
-        bf, paths = butterfly_problem
-        direct = WormholeSimulator(
-            bf, num_virtual_channels=1, priority="index", seed=SEED
-        ).run(paths, message_length=L)
+        direct = _driver("wormhole", butterfly_problem, L, 1, priority="index")
         _same(direct, simulate(
-            (bf, paths),
+            butterfly_problem,
             model="wormhole",
             B=1,
             seed=SEED,

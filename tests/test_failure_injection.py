@@ -9,15 +9,7 @@ releases landing mid-deadlock — and check the invariants hold.
 import numpy as np
 import pytest
 
-from repro import (
-    CutThroughSimulator,
-    Network,
-    RestrictedWormholeSimulator,
-    StoreForwardSimulator,
-    WormholeSimulator,
-    execute_schedule,
-    lll_schedule,
-)
+from repro import Network, execute_schedule, lll_schedule, simulate
 from repro.network.random_networks import chain_bundle
 from repro.routing.paths import paths_from_node_walks
 
@@ -31,20 +23,20 @@ class TestDegenerateWorkloads:
     def test_mixed_zero_hop_and_long_paths(self):
         net, paths = chain(4, per_chain=2)
         mixed = [[], list(paths[0].edges), [], list(paths[1].edges)]
-        res = WormholeSimulator(net, 1, seed=0).run(mixed, message_length=5)
+        res = simulate((net, mixed), message_length=5)
         assert res.all_delivered
         assert res.completion_times[0] == 0
         assert res.completion_times[2] == 0
 
     def test_all_zero_hop(self):
         net, _ = chain(2)
-        res = WormholeSimulator(net).run([[], [], []], message_length=3)
+        res = simulate((net, [[], [], []]), message_length=3)
         assert res.all_delivered
         assert res.makespan == 0
 
     def test_huge_b_is_harmless(self):
         net, paths = chain(3, per_chain=4)
-        res = WormholeSimulator(net, 10_000).run(paths, message_length=4)
+        res = simulate((net, paths), B=10_000, message_length=4)
         assert res.makespan == 4 + 3 - 1
 
     def test_identical_duplicate_paths(self):
@@ -52,13 +44,13 @@ class TestDegenerateWorkloads:
         hard instance — serialize cleanly."""
         net, paths = chain(3)
         dup = [list(paths[0].edges)] * 6
-        res = WormholeSimulator(net, 1, seed=0).run(dup, message_length=4)
+        res = simulate((net, dup), message_length=4)
         assert res.all_delivered
         assert len(set(res.completion_times.tolist())) == 6  # all distinct
 
     def test_single_flit_storm(self):
         net, paths = chain(5, per_chain=8)
-        res = WormholeSimulator(net, 1, seed=0).run(paths, message_length=1)
+        res = simulate((net, paths), message_length=1)
         assert res.all_delivered
         # L = 1 headers pipeline: near (M + D) steps, far below M * D.
         assert res.makespan <= 8 * 2 + 5 + 2
@@ -71,10 +63,9 @@ class TestDegenerateWorkloads:
         e_ab = net.add_edge(a, b)
         e_ba = net.add_edge(b, a)
         e_bc = net.add_edge(b, c)
-        res = WormholeSimulator(net, 1, priority="index").run(
-            [[e_ab, e_ba], [e_ba, e_ab], [e_bc]],
-            message_length=6,
-            release_times=np.array([0, 0, 50]),
+        res = simulate(
+            (net, [[e_ab, e_ba], [e_ba, e_ab], [e_bc]]), message_length=6,
+            priority="index", release_times=np.array([0, 0, 50]),
         )
         # The third message's edge is free, so it IS delivered; the two
         # cyclic worms stay stuck and the run ends via deadlock or cap.
@@ -84,7 +75,7 @@ class TestDegenerateWorkloads:
     def test_extreme_length_ratio(self):
         """L = 1000 on a 2-edge path: makespan exactly L + D - 1."""
         net, paths = chain(2)
-        res = WormholeSimulator(net).run(paths, message_length=1000)
+        res = simulate((net, paths), message_length=1000)
         assert res.makespan == 1001
 
 
@@ -119,19 +110,14 @@ class TestAllSimulatorsAgreeOnInvariants:
         return net, paths
 
     @pytest.mark.parametrize(
-        "factory",
-        [
-            lambda net: WormholeSimulator(net, 2, seed=0),
-            lambda net: CutThroughSimulator(net, 2, seed=0),
-            lambda net: RestrictedWormholeSimulator(net, 2, seed=0),
-            lambda net: StoreForwardSimulator(net, 1, seed=0),
-        ],
+        "model, B",
+        [("wormhole", 2), ("cut_through", 2), ("restricted", 2), ("store_forward", 1)],
         ids=["wormhole", "cut-through", "restricted", "store-forward"],
     )
-    def test_contract(self, setup, factory):
+    def test_contract(self, setup, model, B):
         net, paths = setup
         L = 5
-        res = factory(net).run(paths, message_length=L)
+        res = simulate((net, paths), model=model, B=B, message_length=L)
         assert res.all_delivered
         assert res.makespan >= L + 4 - 1  # physical floor
         assert (res.completion_times[res.delivered] >= 1).all()

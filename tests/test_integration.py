@@ -7,9 +7,6 @@ import pytest
 from repro import (
     Butterfly,
     ButterflyRouter,
-    CutThroughSimulator,
-    StoreForwardSimulator,
-    WormholeSimulator,
     bounds,
     build_hard_instance,
     execute_schedule,
@@ -17,6 +14,7 @@ from repro import (
     lll_schedule,
     naive_coloring_schedule,
     random_q_relation,
+    simulate,
 )
 from repro.network.random_networks import layered_network, random_walk_paths
 from repro.routing.paths import paths_from_node_walks
@@ -52,7 +50,7 @@ class TestSchedulerPipeline:
         blocking entirely versus greedy injection."""
         net, paths = workload
         L = 12
-        greedy = WormholeSimulator(net, 2, seed=0).run(paths, L)
+        greedy = simulate((net, paths), B=2, message_length=L)
         build = lll_schedule(paths, L, B=2, mode="direct")
         scheduled = execute_schedule(net, paths, build.schedule, B=2)
         assert greedy.total_blocked_steps > 0
@@ -93,9 +91,7 @@ class TestSuperlinearSpeedup:
         for B in (1, 2):
             inst = build_hard_instance(C=3 * (B + 1), D=15, B=B)
             L = inst.recommended_length()
-            res = WormholeSimulator(inst.network, B, seed=0).run(
-                inst.paths, message_length=L
-            )
+            res = simulate((inst.network, inst.paths), B=B, message_length=L)
             assert res.all_delivered
             lb = hard_instance_lower_bound(inst, L)
             ub = bounds.general_upper_bound(L, inst.congestion, inst.dilation, B)
@@ -110,9 +106,10 @@ class TestRouterComparison:
         net, walks = chain_bundle(1, 8, 1)
         paths = paths_from_node_walks(net, walks)
         L = 16
-        wh = WormholeSimulator(net, 1).run(paths, L).makespan
-        ct = CutThroughSimulator(net, 4).run(paths, L).makespan
-        sf = StoreForwardSimulator(net, 1).run(paths, L).makespan
+        wh, ct, sf = (
+            simulate((net, paths), model=model, B=B, message_length=L).makespan
+            for model, B in (("wormhole", 1), ("cut_through", 4), ("store_forward", 1))
+        )
         assert wh == ct == L + 8 - 1
         assert sf == L * 8
 
@@ -121,8 +118,10 @@ class TestRouterComparison:
         L(C+D) beats wormhole's LCD behaviour on the hard instance."""
         inst = build_hard_instance(C=8, D=7, B=1)
         L = inst.recommended_length(3.0)
-        wh = WormholeSimulator(inst.network, 1, seed=0).run(inst.paths, L)
-        sf = StoreForwardSimulator(inst.network, 1, seed=0).run(inst.paths, L)
+        wh = simulate((inst.network, inst.paths), message_length=L)
+        sf = simulate(
+            (inst.network, inst.paths), model="store_forward", message_length=L,
+        )
         assert sf.all_delivered and wh.all_delivered
         assert sf.makespan < wh.makespan
 
@@ -201,10 +200,8 @@ class TestButterflyPipeline:
             for row in edges[alive]:
                 all_paths.append(list(row))
                 releases.append(c * (L + 1))
-        sim = WormholeSimulator(bf, B, seed=0)
-        res = sim.run(
-            all_paths,
-            message_length=L,
+        res = simulate(
+            (bf, all_paths), B=B, message_length=L,
             release_times=np.asarray(releases, dtype=np.int64),
         )
         assert res.all_delivered
@@ -227,8 +224,7 @@ class TestButterflyPipeline:
 
         alive = arbitrate_levels(edges, B, rng)
         assert alive.any()
-        sim = WormholeSimulator(bf, B, seed=0)
-        res = sim.run([list(r) for r in edges[alive]], message_length=L)
+        res = simulate((bf, [list(r) for r in edges[alive]]), B=B, message_length=L)
         assert res.all_delivered
         assert res.total_blocked_steps == 0
         assert res.makespan == L + 2 * bf.log_n - 1

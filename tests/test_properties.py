@@ -14,13 +14,13 @@ from repro.core.coloring import (
     multiplex_size,
     reduce_multiplex_size,
 )
+from repro import simulate
 from repro.core.lower_bound import max_m_prime
 from repro.network.benes import Benes, looping_assignment, waksman_paths
 from repro.network.butterfly import Butterfly
 from repro.network.hypercube import bit_fixing_path
 from repro.network.random_networks import chain_bundle
 from repro.routing.paths import paths_from_node_walks
-from repro.sim.batch import WormholeSimulator
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -159,8 +159,7 @@ def test_wormhole_completion_bounds(B, L, per_chain, depth, seed):
     and a leveled workload always delivers."""
     net, walks = chain_bundle(2, depth, per_chain)
     paths = paths_from_node_walks(net, walks)
-    sim = WormholeSimulator(net, num_virtual_channels=B, seed=seed)
-    res = sim.run(paths, message_length=L)
+    res = simulate((net, paths), B=B, message_length=L, seed=seed)
     assert res.all_delivered
     assert (res.completion_times >= L + depth - 1).all()
     # Serialization can not exceed full sequentialization.
@@ -172,7 +171,7 @@ def test_wormhole_completion_bounds(B, L, per_chain, depth, seed):
 def test_wormhole_unobstructed_exact(B, L, depth):
     net, walks = chain_bundle(1, depth, 1)
     paths = paths_from_node_walks(net, walks)
-    res = WormholeSimulator(net, B).run(paths, message_length=L)
+    res = simulate((net, paths), B=B, message_length=L)
     assert res.makespan == L + depth - 1
 
 

@@ -4,11 +4,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import simulate
 from repro.network.mesh import KAryNCube
 from repro.network.multibutterfly import Multibutterfly
 from repro.routing.decompose import decompose_q_relation
 from repro.routing.problems import RoutingInstance, random_q_relation
-from repro.sim.batch import AdaptiveMeshRouter, WormholeSimulator
 
 
 # ---------------------------------------------------------------------------
@@ -29,8 +29,9 @@ def test_restricted_adaptive_policies_always_deliver(policy, k, n_dem, seed):
     rng = np.random.default_rng(seed)
     N = mesh.num_nodes
     demands = [(int(rng.integers(N)), int(rng.integers(N))) for _ in range(n_dem)]
-    out = AdaptiveMeshRouter(mesh, 1, policy=policy, seed=seed).run(
-        demands, message_length=4
+    out = simulate(
+        (mesh, demands), model="adaptive", message_length=4, policy=policy,
+        seed=seed,
     )
     assert out.all_delivered
     assert not out.result.deadlocked
@@ -45,8 +46,9 @@ def test_adaptive_latency_floor(k, seed):
     N = mesh.num_nodes
     L = 3
     demands = [(int(rng.integers(N)), int(rng.integers(N))) for _ in range(8)]
-    out = AdaptiveMeshRouter(mesh, 2, policy="west-first", seed=seed).run(
-        demands, message_length=L
+    out = simulate(
+        (mesh, demands), model="adaptive", B=2, message_length=L,
+        policy="west-first", seed=seed,
     )
     for (s, d), t in zip(demands, out.result.completion_times):
         cs, cd = mesh.coords(s), mesh.coords(d)
@@ -149,7 +151,6 @@ def test_dateline_ring_always_delivers(k, L, seed):
             if e == k - 1:
                 crossed = True
         vcs.append(row)
-    sim = WormholeSimulator(net, 2, seed=seed)
-    res = sim.run(paths, message_length=L, vc_ids=vcs)
+    res = simulate((net, paths), B=2, message_length=L, seed=seed, vc_ids=vcs)
     assert res.all_delivered
     assert not res.deadlocked
