@@ -28,24 +28,28 @@ def build_workload(width, depth, messages, seed):
 
 
 def schedule_specs(width, depth, messages, L):
-    """The E1 grid as sweep trials.
+    """The E1 grid as sweep trials: each ``B`` is a wormhole trial of the
+    ``lll-schedule`` scenario, its workload released on the LLL
+    schedule built for that ``B``.
 
-    ``schedule_seed=B`` and the executor's default ``seed=0`` reproduce
-    the historical per-``B`` loop exactly, so the recorded tables are
-    unchanged by the sweep migration.
+    ``schedule_seed=B`` reproduces the historical per-``B`` loop
+    exactly (a block-free run never consults arbitration), so the
+    recorded tables are unchanged.
     """
     return [
         TrialSpec.make(
-            "layered",
-            "schedule",
+            "scenario:lll-schedule",
+            "wormhole",
             B=B,
             workload_params={
                 "width": width,
                 "depth": depth,
                 "messages": messages,
                 "seed": 7,
+                "length": L,
+                "B": B,
+                "schedule_seed": B,
             },
-            sim_params={"mode": "direct", "schedule_seed": B},
             message_length=L,
         )
         for B in BS
@@ -57,12 +61,12 @@ def sweep_rows(specs, L):
     for trial in run_sweep(specs):
         m = trial.metrics
         bound = bounds.general_upper_bound(
-            L, m["congestion"], m["dilation"], trial.spec.B
+            L, m["workload_congestion"], m["workload_dilation"], trial.spec.B
         )
         rows.append(
             {
                 "B": trial.spec.B,
-                "classes": m["classes"],
+                "classes": m["workload_classes"],
                 "makespan": m["makespan"],
                 "bound": bound,
                 "ratio": m["makespan"] / bound,

@@ -51,8 +51,10 @@ The adaptive mesh router chooses among *minimal* productive directions
 Manhattan distance — but its paths (hence per-edge loads) are chosen
 online, so it gets a conservative **upper** bound only (``lower`` is
 ``None``; the service still uses the unobstructed per-message floor it
-shares with the wormhole model for feasibility).  The ``schedule``
-pipeline is not estimable: :class:`EstimateError`.
+shares with the wormhole model for feasibility).  A Theorem 2.1.6
+schedule is a wormhole workload whose release times are the schedule's
+(:func:`repro.core.scheduler.schedule_workload`), so its envelope is
+the wormhole row's over those releases.
 """
 
 from __future__ import annotations
@@ -87,7 +89,8 @@ ESTIMATABLE_MODELS = tuple(LOCKSTEP_MODELS)
 
 
 class EstimateError(NetworkError):
-    """The request has no analytic envelope (e.g. the schedule pipeline)."""
+    """The request has no analytic envelope (a model without a row, a
+    workload without the routes its model needs)."""
 
 
 @dataclass(frozen=True)
@@ -356,8 +359,7 @@ def estimate_spec(spec: Any) -> DelayEnvelope:
     from ..sim.sweep import build_workload
 
     wl = build_workload(spec.workload, spec.workload_params)
-    if spec.simulator in LOCKSTEP_MODELS:
-        options = {k: v for k, v in spec.sim_params if k != "seed"}
-        resolve_arbitration(spec.simulator, wl, options)
+    options = {k: v for k, v in spec.sim_params if k != "seed"}
+    resolve_arbitration(spec.simulator, wl, options)
     L = wl.default_length if spec.message_length is None else spec.message_length
     return estimate_workload(wl, spec.simulator, B=spec.B, message_length=L)

@@ -9,7 +9,8 @@ Paper pipelines, each a small reproducible demonstration:
 ``butterfly``
     The Section 3.1 randomized q-relation router, round by round.
 ``schedule``
-    The Theorem 2.1.6 LLL schedule pipeline on a random leveled workload.
+    The Theorem 2.1.6 LLL schedule of a random leveled workload, run as
+    a wormhole trial at each ``B`` and checked against its bound.
 ``hard-instance``
     Build and route the Theorem 2.2.1 instance; compare with the bound.
 ``spacetime``
@@ -360,25 +361,28 @@ def _cmd_butterfly(args: argparse.Namespace) -> None:
     "schedule", "Theorem 2.1.6 schedule pipeline", "width depth messages length=10 seed"
 )
 def _cmd_schedule(args: argparse.Namespace) -> None:
-    import numpy as np
-
     from repro import Table
-    from repro.core.scheduler import run_lll_schedule
-    from repro.sim.sweep import build_workload
+    from repro.scenarios import get_scenario
 
-    dests = ("width", "depth", "messages", "seed")
-    wl = build_workload("layered", {dest: getattr(args, dest) for dest in dests})
+    dests = ("width", "depth", "messages", "seed", "length")
+    params = {dest: getattr(args, dest) for dest in dests}
+    scen = get_scenario("lll-schedule")
+    runs = [scen.run(B=B, schedule_seed=B, **params) for B in (1, 2, 4)]
+    info = runs[0].case.workload.info
     table = Table(
-        f"LLL schedules: C={wl.info['congestion']}, D={wl.info['dilation']}, "
+        f"LLL schedules: C={info['congestion']}, D={info['dilation']}, "
         f"L={args.length}, {args.messages} messages",
         ["B", "classes", "makespan", "blocked"],
     )
-    for B in (1, 2, 4):
-        build, res = run_lll_schedule(
-            wl.net, wl.paths, args.length, B, rng=np.random.default_rng(B)
-        )
-        table.add_row([B, build.num_classes, res.makespan, res.total_blocked_steps])
+    for r in runs:
+        classes = r.case.workload.info["classes"]
+        table.add_row([r.B, classes, r.outcome.makespan, r.outcome.total_blocked_steps])
     print(table.render())
+    bad = [v for r in runs for v in r.violations]
+    for v in bad:
+        print(f"VIOLATION [{v.invariant}] {v.detail}")
+    if bad:
+        raise SystemExit(f"repro schedule: {len(bad)} expectation(s) violated")
 
 
 @command(
@@ -429,22 +433,32 @@ def _cmd_spacetime(args: argparse.Namespace) -> None:
     )
 
 
-#: ``profile --workload`` choice -> (registered workload, the flag dest
-#: behind each builder parameter, report title over the workload's info).
+#: ``profile --workload`` choice -> (registered workload, its builder
+#: parameters from the flags, report title over the workload's info).
 _PROFILE_WORKLOADS = {
     "hard-instance": (
         "hard-instance",
-        {"C": "congestion", "D": "dilation", "B": "channels"},
+        lambda a: {"C": a.congestion, "D": a.dilation, "B": a.channels},
         "Theorem 2.2.1 hard instance: C={congestion}, D={dilation}, B={B}, L={L}",
     ),
     "demo": (
         "butterfly-bitrev",
-        {"n": "n"},
+        lambda a: {"n": a.n},
         "Bit-reversal on an {n}-input butterfly: B={B}, L={L}",
     ),
+    # The `layered` builder's default instance, scheduled for --channels
+    # at --length (0: its depth).
     "schedule": (
-        "layered",
-        {"seed": "seed"},
+        "scenario:lll-schedule",
+        lambda a: {
+            "width": 10,
+            "depth": 10,
+            "messages": 120,
+            "seed": a.seed,
+            "B": a.channels,
+            "length": a.length or None,
+            "schedule_seed": a.seed,
+        },
         "Theorem 2.1.6 schedule: {classes} classes, B={B}, L={L}",
     ),
 }
@@ -500,21 +514,12 @@ def _cmd_profile(args: argparse.Namespace) -> None:
 
 def _profile_workload(args: argparse.Namespace, probes):
     """Instrument one ``--workload`` choice, built by the sweep registry."""
-    import numpy as np
-
     from repro import simulate
-    from repro.core.scheduler import run_lll_schedule
     from repro.sim.sweep import build_workload
 
-    name, dests, title = _PROFILE_WORKLOADS[args.workload]
-    wl = build_workload(name, {k: getattr(args, d) for k, d in dests.items()})
+    name, params, title = _PROFILE_WORKLOADS[args.workload]
+    wl = build_workload(name, params(args))
     B, L = args.channels, args.length or wl.default_length
-    if args.workload == "schedule":
-        rng = np.random.default_rng(args.seed)
-        build, result = run_lll_schedule(
-            wl.net, wl.paths, L, B, rng=rng, telemetry=probes
-        )
-        return result, title.format(classes=build.num_classes, B=B, L=L)
     result = simulate(wl, B=B, message_length=L, seed=args.seed, telemetry=probes)
     return result, title.format(**wl.info, B=B, L=L)
 
@@ -550,16 +555,16 @@ def _profile_artifact(args: argparse.Namespace, probes):
     import json
     from pathlib import Path
 
+    from repro import simulate
     from repro.fuzz.fuzzer import case_from_artifact
-    from repro.scenarios.base import execute_case
 
     try:
         payload = json.loads(Path(args.artifact).read_text())
     except (OSError, ValueError) as exc:
         raise SystemExit(f"repro profile: cannot read artifact: {exc}")
     case = case_from_artifact(payload)
-    result = execute_case(
-        case,
+    result = simulate(
+        case.workload,
         model="wormhole",
         B=case.channels[0],
         seed=case.sim_seed,
@@ -805,13 +810,11 @@ def _cmd_scenario_list(args: argparse.Namespace) -> None:
 
     table = Table(
         f"{len(SCENARIOS)} registered scenarios",
-        ["name", "family", "kind", "models", "stresses"],
+        ["name", "family", "models", "stresses"],
     )
     for name in sorted(SCENARIOS):
         s = SCENARIOS[name]
-        table.add_row(
-            [s.name, s.family, s.kind, ",".join(s.models), s.theorem]
-        )
+        table.add_row([s.name, s.family, ",".join(s.models), s.theorem])
     print(table.render())
 
 
@@ -820,7 +823,7 @@ def _cmd_scenario_show(args: argparse.Namespace) -> None:
     from repro.scenarios import get_scenario
 
     scen = get_scenario(args.name)
-    print(f"{scen.name}  [{scen.family} / {scen.kind}]")
+    print(f"{scen.name}  [{scen.family}]")
     print(f"stresses: {scen.theorem}")
     print(f"models:   {', '.join(scen.models)}")
     print()

@@ -47,7 +47,7 @@ from .scheduler import (
     greedy_conflict_coloring,
     lll_schedule,
     naive_coloring_schedule,
-    run_lll_schedule,
+    schedule_workload,
 )
 
 __all__ = [
@@ -88,7 +88,7 @@ __all__ = [
     "route_online_random_delays",
     "route_permutation_benes",
     "route_q_relation_benes",
-    "run_lll_schedule",
+    "schedule_workload",
     "strip_collision_counts",
     "strip_decomposition",
     "subset_collision_rate",

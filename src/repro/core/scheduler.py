@@ -13,16 +13,20 @@ construction beats by a factor of about ``B D^(1 - 1/B)``.
 
 Both produce :class:`~repro.core.schedule.ColorClassSchedule` objects that
 :func:`~repro.core.schedule.execute_schedule` validates on the flit-level
-simulator; :func:`run_lll_schedule` is the two steps as one pipeline.
+simulator.  :func:`schedule_workload` is Theorem 2.1.6 as a workload
+transform: it states the schedule's release times on a
+:class:`~repro.sim.spec.Workload`, which then runs as an ordinary
+wormhole trial through every front door.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ..network.graph import NetworkError
 from ..routing.paths import Path, congestion, dilation
 from .coloring import (
     MessageEdgeIncidence,
@@ -30,14 +34,14 @@ from .coloring import (
     multiplex_size,
     reduce_multiplex_size,
 )
-from .schedule import ColorClassSchedule, execute_schedule
+from .schedule import ColorClassSchedule
 
 __all__ = [
     "ScheduleBuild",
     "lll_schedule",
-    "run_lll_schedule",
     "naive_coloring_schedule",
     "greedy_conflict_coloring",
+    "schedule_workload",
 ]
 
 
@@ -111,26 +115,31 @@ def lll_schedule(
     )
 
 
-def run_lll_schedule(
-    net,
-    paths: Sequence[Path] | Sequence[Sequence[int]],
-    message_length: int,
-    B: int,
-    *,
-    rng: np.random.Generator | None = None,
-    mode: str = "direct",
-    **execute,
-):
-    """The Theorem 2.1.6 pipeline: build the schedule, then execute it.
+def schedule_workload(wl, B: int, *, rng: np.random.Generator | None = None):
+    """Theorem 2.1.6 as a workload transform.
 
-    ``rng`` / ``mode`` go to :func:`lll_schedule` (every pipeline in the
-    repository refines in one ``"direct"`` stage); ``execute`` — ``seed``,
-    ``require_unblocked``, ``telemetry`` — goes to
-    :func:`~repro.core.schedule.execute_schedule`.  Returns ``(build,
-    result)``; :meth:`ScheduleBuild.metrics` names the build's scalars.
+    Colours ``wl.paths`` for ``B`` virtual channels at ``L =
+    wl.default_length`` (:func:`lll_schedule`, one ``"direct"``
+    refinement stage) and returns ``wl`` with the schedule's
+    ``release_times`` and :meth:`ScheduleBuild.metrics` joined to its
+    ``info``.  Run at ``B`` it is an ordinary wormhole trial that a
+    correct schedule finishes unblocked within ``length_bound``.  A
+    workload that states its own release times, injection sources or
+    channel classes is refused: the schedule sets those.
     """
-    build = lll_schedule(paths, message_length, B=B, rng=rng, mode=mode)
-    return build, execute_schedule(net, paths, build.schedule, B=B, **execute)
+    fields = ("release_times", "sources", "vc_ids")
+    stated = [f for f in fields if getattr(wl, f) is not None]
+    if stated:
+        raise NetworkError(
+            "a schedule sets its own release times and channel use; "
+            f"the workload states {', '.join(stated)}"
+        )
+    build = lll_schedule(wl.paths, wl.default_length, B, rng=rng, mode="direct")
+    return replace(
+        wl,
+        release_times=build.schedule.release_times(),
+        info={**wl.info, **build.metrics()},
+    )
 
 
 def greedy_conflict_coloring(

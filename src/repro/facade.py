@@ -14,7 +14,9 @@ list of results, each bit-identical to the ``seed=...`` call.
 ``problem`` may be:
 
 * a ``(net, paths)`` tuple — the network (or cube + demands for the
-  adaptive model) plus the routes;
+  adaptive model) plus the routes, as edge-id lists,
+  :class:`~repro.routing.paths.Path` values or one
+  :class:`~repro.sim.engine.PaddedPaths` pack;
 * a :class:`~repro.sim.sweep.Workload` instance;
 * a registered workload name (see ``repro.sim.sweep.WORKLOADS``), with
   ``workload_params``.  Registered scenarios (``repro.scenarios``)
@@ -46,6 +48,7 @@ import numpy as np
 
 from .network.graph import NetworkError
 from .sim.batch import LOCKSTEP_MODELS, resolve_arbitration, run_model
+from .sim.engine import PaddedPaths
 from .sim.spec import exact_int
 from .sim.sweep import Workload, build_workload
 
@@ -143,6 +146,10 @@ def _as_workload(problem: Any, model: str, workload_params, **given) -> Workload
                 cube=first,
                 demands=list(second),
             )
+        elif isinstance(second, PaddedPaths):
+            # A pre-packed path set: each row's first ``lengths`` cells.
+            rows = zip(second.padded.tolist(), second.lengths.tolist())
+            wl = Workload(net=first, paths=[row[:n] for row, n in rows])
         else:
             wl = Workload(net=first, paths=list(second))
     else:

@@ -17,9 +17,11 @@ carried along.  README *Scenarios & fuzzing* tabulates the rows.
 
 Facts a builder may state: ``acyclic`` (is the channel dependency graph
 acyclic), ``built_B`` and ``dilation`` (the Theorem 2.2.1 instance was
-built for this ``B`` and pads every path to this ``D``),
-``expect_deadlock`` and ``why`` (the deadlock verdict the construction
-forces, and the reason shown in the label).
+built for this ``B`` and pads every path to this ``D``), ``built_B``,
+``built_L`` and ``length_bound`` (the Theorem 2.1.6 schedule the release
+times state was built for this ``B`` and ``L`` and guarantees this
+makespan), ``expect_deadlock`` and ``why`` (the deadlock verdict the
+construction forces, and the reason shown in the label).
 """
 
 from __future__ import annotations
@@ -37,13 +39,10 @@ from .invariants import Violation
 
 __all__ = ["EXPECTATIONS", "Expectation", "evaluate", "expectations"]
 
-#: Models that route a fixed message set (the schedule pipeline executes
-#: on the wormhole simulator), and those among them whose routes are
-#: given rather than chosen online.
-_ROUTED = (*LOCKSTEP_MODELS, "schedule")
-_FIXED_ROUTE = tuple(
-    m for m in _ROUTED if m == "schedule" or LOCKSTEP_MODELS[m].kind == "paths"
-)
+#: Every model, and those whose routes are given rather than chosen
+#: online.
+_MODELS = tuple(LOCKSTEP_MODELS)
+_FIXED_ROUTE = tuple(m for m in _MODELS if LOCKSTEP_MODELS[m].kind == "paths")
 
 
 @dataclass(frozen=True)
@@ -130,7 +129,7 @@ EXPECTATIONS: dict[str, Expectation] = {
                 hit_step_cap=r.hit_step_cap,
                 model=r.model,
             ),
-            models=_ROUTED,
+            models=_MODELS,
         ),
         Expectation(
             "unobstructed",
@@ -185,11 +184,15 @@ EXPECTATIONS: dict[str, Expectation] = {
         ),
         Expectation(
             "schedule",
-            "executed schedule meets its length bound (Theorem 2.1.6)",
+            "scheduled run is unblocked within its length bound (Theorem 2.1.6)",
             lambda r: inv.check_schedule_bound(
-                r.makespan, length_bound=r.length_bound
+                r.makespan, length_bound=r.facts["length_bound"], blocked=r.blocked
             ),
-            models=("schedule",),
+            models=("wormhole",),
+            needs=("built_B", "built_L", "length_bound"),
+            # The releases are the schedule only at the B and L it was
+            # built for (a fuzz shrink may cut L).
+            when=lambda r: r.B == r.facts["built_B"] and r.L == r.facts["built_L"],
         ),
         Expectation(
             "deadlock-free",
@@ -201,7 +204,7 @@ EXPECTATIONS: dict[str, Expectation] = {
             lambda r: inv.check_deadlock_consistency(
                 r.deadlocked, cdg_acyclic=bool(r.facts["acyclic"]), model=r.model
             ),
-            models=_ROUTED,
+            models=_MODELS,
             needs=("acyclic",),
         ),
         Expectation(
@@ -227,20 +230,17 @@ def evaluate(
 ) -> list[tuple[Expectation, Violation | None]]:
     """Judge one run: ``(row, violation or None)`` per applicable row.
 
-    ``outcome`` is whatever the single-case runner returned for ``case``
-    (a :class:`~repro.scenarios.ScenarioCase` or a fuzz case: its
+    ``outcome`` is the result of one trial of ``case`` (a
+    :class:`~repro.scenarios.ScenarioCase` or a fuzz case: its
     ``workload``'s routes, ``L`` and release times and its
-    builder-stated ``facts`` are read)
-    under ``model`` at ``B``; ``rows`` defaults to the whole table.
+    builder-stated ``facts`` are read) under ``model`` at ``B``;
+    ``rows`` defaults to the whole table.
     Rows that do not apply to this run (wrong model, unclean run, a
     missing fact) are skipped, not reported.
     """
-    # A trial's numbers under the sweep runner's metric names (the
-    # schedule pipeline's dict already is that).
-    if not isinstance(outcome, Mapping):
-        outcome = _result_metrics(outcome)
+    # A trial's numbers under the sweep runner's metric names.
     r = SimpleNamespace(
-        **{"deadlocked": False, "hit_step_cap": False, **outcome},
+        **_result_metrics(outcome),
         model=model,
         B=int(B),
         L=int(case.workload.default_length),
@@ -248,9 +248,8 @@ def evaluate(
         release_times=case.workload.release_times,
     )
     r.clean = not (r.deadlocked or r.hit_step_cap)
-    if model in _ROUTED:
-        r.lengths, r.C, _ = route_stats(case.workload, model)
-        r.D = max(r.lengths, default=0)
+    r.lengths, r.C, _ = route_stats(case.workload, model)
+    r.D = max(r.lengths, default=0)
     if rows is None:
         rows = EXPECTATIONS.values()
     return [(row, row.check(r)) for row in rows if row.applies(r)]

@@ -7,8 +7,9 @@ scenario builder's keyword parameters (and ``L`` / the arbitration
 priority where the family varies them), and the built workload — with
 its routes as plain edge-id lists — is the serialisable
 :class:`FuzzCase`.  ``layered`` is the Theorem 2.1.6
-substrate (random leveled network, random-walk paths, the LLL schedule
-pipeline), ``chain`` bundles with exactly dialed congestion and
+substrate (random leveled network, random-walk paths) under the greedy
+models, ``schedule`` the same substrate released on its LLL schedule
+for one ``B``, ``chain`` bundles with exactly dialed congestion and
 dilation, ``gadget`` the Theorem 2.2.1 hard instance run at the ``B`` it
 was built for, ``ring`` cyclic traffic whose deadlock is deterministic
 (``deadlocked iff B < hops`` given ``L > B``), ``arrival`` constant or
@@ -16,9 +17,8 @@ square-wave arrival traces, run as wormhole trials whose releases are
 the arrivals.
 
 Every run — each model the scenario declares, at each of the case's
-``B`` values, through the single-case runner
-:func:`repro.scenarios.base.execute_case` — is judged by every row of
-the expectation table that applies to it
+``B`` values, one :func:`repro.simulate` trial of the case's workload —
+is judged by every row of the expectation table that applies to it
 (:func:`repro.fuzz.expectations.evaluate`).  Only the invariants that
 compare *several* runs live here: ``B``-monotonicity (wormhole and
 store-and-forward), full-vs-restricted dominance, and batched == serial
@@ -89,12 +89,22 @@ def _priority(rng: np.random.Generator) -> str:
     return str(rng.choice(["random", "age"]))
 
 
+#: The ``layered-walks`` builder ranges both layered families draw.
+_LAYERED = dict(
+    width=(4, 7), depth=(3, 6), out_degree=(2, 4), messages=(6, 17), seed=(0, 2**31)
+)
+
+
 def _sample_layered(rng):
-    params = _ints(
-        rng, width=(4, 7), depth=(3, 6), out_degree=(2, 4), messages=(6, 17),
-        seed=(0, 2**31),
-    )
+    params = _ints(rng, **_LAYERED)
     return params, int(rng.integers(4, 13)), _priority(rng)
+
+
+def _sample_schedule(rng):
+    # The schedule is built for L = length: the case keeps its own L.
+    params = _ints(rng, **_LAYERED, length=(4, 13), schedule_seed=(0, 2**31))
+    params["B"] = int(rng.choice([1, 2, 4]))
+    return params, None, None
 
 
 def _sample_chain(rng):
@@ -145,11 +155,12 @@ def _scenario(family: str):
 
 #: The families, in draw order.
 FAMILY_TABLE: dict[str, Family] = {
-    "layered": Family("layered-schedule", _sample_layered, 0.35, structural=True),
+    "layered": Family("layered-walks", _sample_layered, 0.25, structural=True),
     "chain": Family("chain-contention", _sample_chain, 0.25, structural=True),
     "gadget": Family("lower-bound-gadget", _sample_gadget, 0.15),
     "ring": Family("ring-deadlock", _sample_ring, 0.15),
     "arrival": Family("bursty-arrivals", _sample_arrival, 0.10),
+    "schedule": Family("lll-schedule", _sample_schedule, 0.10),
 }
 FAMILIES = tuple(FAMILY_TABLE)
 
@@ -163,8 +174,8 @@ class FuzzCase:
     the arrival family's drawn release times and sources; ``facts`` are
     the built case's (the gadget's ``built_B`` and dilation, the ring's
     forced deadlock verdict, ...).  Like a
-    :class:`~repro.scenarios.ScenarioCase` it runs through
-    :func:`~repro.scenarios.base.execute_case` and is judged by
+    :class:`~repro.scenarios.ScenarioCase` it runs as a
+    :func:`repro.simulate` trial of its workload and is judged by
     :func:`~repro.fuzz.expectations.evaluate`.  A case is fully
     serializable: the network travels as its insertion-ordered edge
     list, so ``Network.add_edge`` replay rebuilds identical edge ids.
@@ -250,7 +261,7 @@ def generate_case(
 def _check_case(case: FuzzCase, telemetry=None) -> list[Violation]:
     """Every declared model at every ``B``, then the cross-run legs."""
     from ..analysis.estimate import route_stats
-    from ..scenarios.base import execute_case
+    from ..facade import simulate
 
     models = _scenario(case.family).models
     out: list[Violation] = []
@@ -259,8 +270,8 @@ def _check_case(case: FuzzCase, telemetry=None) -> list[Violation]:
     def judged(model: str, B: int):
         """The outcome of ``model`` at ``B``, run and judged once."""
         if (model, B) not in runs:
-            runs[model, B] = outcome = execute_case(
-                case,
+            runs[model, B] = outcome = simulate(
+                case.workload,
                 model=model,
                 B=B,
                 seed=case.sim_seed,

@@ -25,7 +25,8 @@ Checker                        Source
 :func:`check_gadget_bound`     Theorem 2.2.1's explicit lower bound
                                ``(L - D) M / B`` on the hard instance
 :func:`check_schedule_bound`   Theorem 2.1.6: executing an LLL schedule
-                               finishes within ``schedule.length_bound``
+                               never blocks and finishes within
+                               ``schedule.length_bound``
 :func:`check_store_forward_envelope`
                                Leighton–Maggs–Rao / Rothvoß
                                ``O(C + D)`` store-and-forward envelope:
@@ -242,8 +243,19 @@ def check_gadget_bound(makespan: int, *, lower_bound: float) -> Violation | None
     )
 
 
-def check_schedule_bound(makespan: int, *, length_bound: int) -> Violation | None:
-    """Theorem 2.1.6: an executed LLL schedule meets its length bound."""
+def check_schedule_bound(
+    makespan: int, *, length_bound: int, blocked: int = 0
+) -> Violation | None:
+    """Theorem 2.1.6: an executed LLL schedule never blocks (at most
+    ``B`` worms of a class share an edge) and meets its length bound."""
+    if blocked:
+        return Violation(
+            "schedule-upper-bound",
+            f"schedule execution blocked for {blocked} message-steps; "
+            "a class must never wait for a channel",
+            observed=int(blocked),
+            bound=0,
+        )
     if makespan <= length_bound:
         return None
     return Violation(

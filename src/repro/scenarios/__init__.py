@@ -19,7 +19,6 @@ from .base import (
     Scenario,
     ScenarioCase,
     ScenarioRun,
-    execute_case,
     get_scenario,
     register_scenario,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "Scenario",
     "ScenarioCase",
     "ScenarioRun",
-    "execute_case",
     "get_scenario",
     "register_scenario",
 ]

@@ -6,8 +6,9 @@ literature around it) packaged three ways at once:
 * a **builder** — ``build(B=..., **params) -> ScenarioCase`` producing a
   concrete :class:`~repro.sim.sweep.Workload` for the requested
   virtual-channel count — the whole trial: routes, ``L``, and any
-  release times (an open-loop arrival trace), injection sources,
-  virtual-channel classes and arbitration — read from the registered
+  release times (an open-loop arrival trace or a Theorem 2.1.6
+  schedule), injection sources, virtual-channel classes and
+  arbitration — read from the registered
   :data:`~repro.sim.sweep.WORKLOADS` builders so an instance is
   constructed in one place;
 * a set of **expectations** — rows of the one table in
@@ -35,11 +36,10 @@ Registration mirrors :func:`repro.sim.sweep.register_workload`::
         checks = expectations(("congestion", "deadlock-free", "envelope"), facts)
         return ScenarioCase(workload=wl, facts=facts, checks=checks)
 
-:func:`execute_case` is the single-case runner: :meth:`Scenario.run`,
-the fuzzer's ``run_case`` and ``repro profile`` all reach a simulator
-through it, and every outcome is judged by
-:func:`repro.fuzz.expectations.evaluate`.  From the CLI: ``repro
-scenario list | show <name> | run <name>``.
+:meth:`Scenario.run`, the fuzzer's ``run_case`` and ``repro profile``
+run a case as one :func:`repro.simulate` trial of its workload, and
+every outcome is judged by :func:`repro.fuzz.expectations.evaluate`.
+From the CLI: ``repro scenario list | show <name> | run <name>``.
 """
 
 from __future__ import annotations
@@ -50,11 +50,9 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
 from ..fuzz.invariants import Violation
 from ..network.graph import NetworkError
-from ..sim.sweep import Workload, call_builder, register_workload, schedule_metrics
+from ..sim.sweep import Workload, call_builder, register_workload
 
 __all__ = [
     "CheckFn",
@@ -62,7 +60,6 @@ __all__ = [
     "ScenarioCase",
     "ScenarioRun",
     "SCENARIOS",
-    "execute_case",
     "get_scenario",
     "register_scenario",
 ]
@@ -70,10 +67,9 @@ __all__ = [
 CheckFn = Callable[[Any, dict[str, Any]], "Violation | list[Violation] | None"]
 """An expectation: ``fn(outcome, ctx)`` returning violation(s) or None.
 
-``outcome`` is the model's result object (a
-:class:`~repro.sim.stats.SimulationResult`, or the schedule pipeline's
-metrics dict); ``ctx`` carries ``model``, ``B``, ``L``,
-``seed`` and the built :class:`ScenarioCase`.
+``outcome`` is the run's :class:`~repro.facade.SimResult`; ``ctx``
+carries ``model``, ``B``, ``L``, ``seed`` and the built
+:class:`ScenarioCase`.
 """
 
 
@@ -113,15 +109,8 @@ class ScenarioRun:
         return not self.violations
 
     def summary(self) -> dict[str, Any]:
-        """Display scalars for tables (model-shape aware)."""
+        """Display scalars for tables."""
         out = self.outcome
-        if isinstance(out, dict):  # schedule pipeline metrics
-            return {
-                "makespan": out["makespan"],
-                "length_bound": out["length_bound"],
-                "classes": out["classes"],
-                "delivered": f"{out['delivered']}/{out['messages']}",
-            }
         return {
             "makespan": int(out.makespan),
             "delivered": f"{out.num_delivered}/{out.num_messages}",
@@ -138,9 +127,6 @@ class Scenario:
     family: str
     theorem: str
     description: str
-    #: ``"trial"`` — the workload runs on the declared lockstep models;
-    #: ``"schedule"`` — the Theorem 2.1.6 pipeline is among them too.
-    kind: str
     models: tuple[str, ...]
     build: Callable[..., ScenarioCase]
 
@@ -167,13 +153,16 @@ class Scenario:
         max_steps: int | None = None,
         **params: Any,
     ) -> ScenarioRun:
-        """Build the case for ``B`` and simulate it under ``model``.
+        """Build the case for ``B`` and simulate it under ``model``: one
+        :func:`repro.simulate` trial of the case's workload.
 
         ``model`` defaults to the scenario's first declared model; any
         declared model is accepted.  ``telemetry`` / ``max_steps``
         forward to :func:`repro.simulate` (telemetry only where the
         model supports probes).
         """
+        from ..facade import simulate
+
         if model is None:
             model = self.models[0]
         if model not in self.models:
@@ -182,8 +171,13 @@ class Scenario:
                 f"declared: {', '.join(self.models)}"
             )
         case = self.build_case(B=B, **params)
-        outcome = execute_case(
-            case, model=model, B=B, seed=seed, telemetry=telemetry, max_steps=max_steps
+        outcome = simulate(
+            case.workload,
+            model=model,
+            B=B,
+            seed=seed,
+            telemetry=telemetry,
+            max_steps=max_steps,
         )
         ctx = {
             "model": model,
@@ -211,40 +205,6 @@ class Scenario:
         )
 
 
-def execute_case(
-    case: ScenarioCase,
-    *,
-    model: str,
-    B: int,
-    seed,
-    telemetry=None,
-    max_steps: int | None = None,
-):
-    """Run one built case once: the single-case runner.
-
-    ``case`` is anything with a ``workload`` (a :class:`ScenarioCase`, a
-    :class:`~repro.fuzz.fuzzer.FuzzCase`).  ``model="schedule"`` runs
-    the Theorem 2.1.6 pipeline (reported as the sweep runner's schedule
-    metrics), any lockstep model one :func:`repro.simulate` trial of the
-    workload, its arbitration included.
-    """
-    from ..facade import simulate
-
-    wl = case.workload
-    if model == "schedule":
-        return schedule_metrics(
-            wl,
-            wl.default_length,
-            B,
-            rng=np.random.default_rng(seed),
-            require_unblocked=False,
-            telemetry=telemetry,
-        )
-    return simulate(
-        wl, model=model, B=B, seed=seed, telemetry=telemetry, max_steps=max_steps
-    )
-
-
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
@@ -257,7 +217,6 @@ def register_scenario(
     *,
     family: str,
     theorem: str,
-    kind: str = "trial",
     models: Sequence[str] = ("wormhole",),
     description: str | None = None,
 ) -> Callable:
@@ -270,9 +229,6 @@ def register_scenario(
     builder's ``B`` rides along as an ordinary workload parameter there
     (gadget instances must be built *for* the ``B`` they run at).
     """
-    if kind not in ("trial", "schedule"):
-        raise NetworkError(f"unknown scenario kind {kind!r}")
-
     def deco(build_fn: Callable[..., ScenarioCase]) -> Scenario:
         scen = Scenario(
             name=name,
@@ -283,7 +239,6 @@ def register_scenario(
                 if description is not None
                 else inspect.getdoc(build_fn) or ""
             ).strip(),
-            kind=kind,
             models=tuple(models),
             build=build_fn,
         )

@@ -12,8 +12,10 @@ Families and the results they stress:
     bundles with exactly dialed ``C`` and ``D``, checked against the
     unobstructed time and the ``ceil(L C / B)`` edge-capacity bound.
 ``schedule``
-    ``layered-schedule`` — the Theorem 2.1.6 LLL pipeline on a random
-    leveled workload; execution must meet the schedule's length bound.
+    ``layered-walks`` — random leveled workloads, the Theorem 2.1.6
+    substrate, under the greedy models; ``lll-schedule`` — the same
+    workload released on its LLL schedule, which must run unblocked
+    within the schedule's length bound.
 ``deadlock``
     ``ring-deadlock`` and ``ring-dateline`` — ring traffic whose channel
     dependency graph is cyclic (deadlocks whenever ``B < hops``) and the
@@ -173,14 +175,24 @@ def _build_chain_contention(
 # ----------------------------------------------------------------------
 
 
+_LAYERED_ROWS = ("unobstructed", "deadlock-free", "delivery", "envelope")
+
+
+def _layered_walks(width, depth, out_degree, messages, seed) -> Workload:
+    wl = WORKLOADS["layered"](
+        width=width, depth=depth, out_degree=out_degree, messages=messages, seed=seed
+    )
+    wl.default_length = int(depth)
+    return wl
+
+
 @register_scenario(
-    "layered-schedule",
+    "layered-walks",
     family="schedule",
     theorem="Theorem 2.1.6",
-    kind="schedule",
-    models=("schedule", "wormhole", "cut_through", "store_forward"),
+    models=("wormhole", "cut_through", "store_forward"),
 )
-def _build_layered_schedule(
+def _build_layered_walks(
     B: int = 1,
     width: int = 8,
     depth: int = 6,
@@ -188,18 +200,48 @@ def _build_layered_schedule(
     messages: int = 60,
     seed: int = 0,
 ) -> ScenarioCase:
-    """A random leveled workload run through the LLL schedule pipeline:
-    the executed schedule must deliver everything, unblocked, within its
-    ``num_classes * phase_length`` bound."""
-    wl = WORKLOADS["layered"](
-        width=width, depth=depth, out_degree=out_degree, messages=messages, seed=seed
-    )
-    wl.default_length = int(depth)
-    return _routed_case(
-        wl,
-        ("schedule", "unobstructed", "deadlock-free", "delivery", "envelope"),
-        facts={"acyclic": True},  # leveled: every edge goes one level down
-    )
+    """A random leveled workload — random-walk routes down a leveled
+    network, the Theorem 2.1.6 substrate — at ``L = depth``, routed
+    greedily by each model."""
+    wl = _layered_walks(width, depth, out_degree, messages, seed)
+    # Leveled: every edge goes one level down, so no dependency cycle.
+    return _routed_case(wl, _LAYERED_ROWS, facts={"acyclic": True})
+
+
+@register_scenario(
+    "lll-schedule",
+    family="schedule",
+    theorem="Theorem 2.1.6",
+    models=("wormhole",),
+)
+def _build_lll_schedule(
+    B: int = 1,
+    width: int = 8,
+    depth: int = 6,
+    out_degree: int = 3,
+    messages: int = 60,
+    seed: int = 0,
+    length: int | None = None,
+    schedule_seed: int = 0,
+) -> ScenarioCase:
+    """``layered-walks`` released on its LLL schedule for ``B``
+    (:func:`~repro.core.scheduler.schedule_workload`, colouring drawn
+    from ``schedule_seed``) at ``L = length`` (``None`` is ``depth``):
+    the wormhole trial must deliver everything, unblocked, within the
+    schedule's ``num_classes * (L + D - 1)`` bound."""
+    from ..core.scheduler import schedule_workload
+
+    wl = _layered_walks(width, depth, out_degree, messages, seed)
+    if length is not None:
+        wl.default_length = length
+    wl = schedule_workload(wl, B, rng=np.random.default_rng(schedule_seed))
+    facts = {
+        "acyclic": True,
+        "built_B": int(B),
+        "built_L": wl.default_length,
+        "length_bound": wl.info["length_bound"],
+    }
+    return _routed_case(wl, ("schedule", *_LAYERED_ROWS), facts=facts)
 
 
 # ----------------------------------------------------------------------

@@ -36,10 +36,9 @@ inference servers use.  One asyncio task loops forever:
    deadline expired while queued (they get ``deadline_exceeded``
    responses — cancellation before compute is wasted on them), and run
    the rest through the configured :mod:`repro.exec` backend: one
-   lockstep ``run_*_batch`` call for trials of any flit-level router
-   (:data:`repro.sim.batch.LOCKSTEP_MODELS` — mixed ``B`` / seeds /
-   root seeds in one grid; a lone request is a batch of one), trial by
-   trial for the ``schedule`` pipeline — the sweep's own
+   lockstep ``run_*_batch`` call (:data:`repro.sim.batch.LOCKSTEP_MODELS`
+   — mixed ``B`` / seeds / root seeds in one grid; a lone request is a
+   batch of one) — the sweep's own
    :func:`repro.sim.sweep.execute_compatible`, re-exported here.
 
 The batcher never blocks the event loop: a single dispatch thread hosts

@@ -137,7 +137,7 @@ class SimulationService(Endpoint):
         try:
             envelope = estimate_spec(request.spec)
         except NetworkError:
-            return None  # not estimable (e.g. schedule): admit normally
+            return None  # not estimable: admit normally
         lower = envelope.lower
         if lower is None:  # adaptive: fall back to the per-message floor
             lower = max(envelope.per_message_lower, default=0)

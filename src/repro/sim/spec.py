@@ -16,7 +16,7 @@ loads the simulator.  The builders import their networks, and NumPy,
 inside their bodies; running a trial is :mod:`repro.sim.sweep`'s job,
 which re-exports everything here (as do :mod:`repro.sim.batch` and
 :mod:`repro.service`), and which checks at import that
-:data:`SIMULATORS` names exactly the model table and its pipelines.
+:data:`SIMULATORS` names exactly the model table.
 """
 
 from __future__ import annotations
@@ -42,16 +42,15 @@ __all__ = [
 ]
 
 #: Every simulator name a :class:`TrialSpec` may carry: the rows of
-#: :data:`repro.sim.batch.LOCKSTEP_MODELS`, then the sweep's
-#: non-lockstep pipelines.  Stated here without importing a kernel;
-#: :mod:`repro.sim.sweep` fails its import if the two ever differ.
+#: :data:`repro.sim.batch.LOCKSTEP_MODELS`, stated here without
+#: importing a kernel; :mod:`repro.sim.sweep` fails its import if the
+#: two ever differ.
 SIMULATORS: tuple[str, ...] = (
     "wormhole",
     "cut_through",
     "store_forward",
     "restricted",
     "adaptive",
-    "schedule",
 )
 
 _Scalar = (str, int, float, bool, type(None))

@@ -82,7 +82,6 @@ __all__ = [
     "plan_sweep",
     "register_workload",
     "run_sweep",
-    "schedule_metrics",
     "sweep_grid",
     "trial_seed",
 ]
@@ -227,61 +226,12 @@ def _sim_seed(sp: dict[str, Any], ss: np.random.SeedSequence):
     return sp["seed"] if "seed" in sp else ss
 
 
-def schedule_metrics(wl: Workload, L: int, B: int, **pipeline) -> dict[str, Any]:
-    """E1's pipeline — build a Theorem 2.1.6 schedule, then execute it —
-    as trial metrics; ``pipeline`` is :func:`~repro.core.scheduler
-    .run_lll_schedule`'s keywords (``rng``, ``mode``, ``seed``, ...)."""
-    from ..core.scheduler import run_lll_schedule
-
-    fields = ("release_times", "sources", "vc_ids")
-    stated = [f for f in fields if getattr(wl, f) is not None]
-    if stated:
-        raise NetworkError(
-            "the schedule pipeline sets its own release times and channel "
-            f"use; the workload states {', '.join(stated)}"
-        )
-    build, res = run_lll_schedule(wl.net, wl.paths, L, B, **pipeline)
-    return {**_result_metrics(res), **build.metrics()}
-
-
-#: The sim params the ``schedule`` pipeline reads; any other is an error.
-_SCHEDULE_PARAMS = ("mode", "schedule_seed", "seed")
-
-
-def _run_schedule(wl: Workload, spec: TrialSpec, ss, L: int) -> dict[str, Any]:
-    sp = dict(spec.sim_params)
-    stray = sorted(set(sp) - set(_SCHEDULE_PARAMS))
-    if stray:
-        raise NetworkError(
-            f"the schedule pipeline does not take {', '.join(map(repr, stray))}; "
-            f"its sim params are {', '.join(_SCHEDULE_PARAMS)}"
-        )
-    sched_seed = sp.get("schedule_seed")
-    return schedule_metrics(
-        wl,
-        L,
-        spec.B,
-        rng=np.random.default_rng(ss if sched_seed is None else sched_seed),
-        mode=sp.get("mode", "direct"),
-        seed=sp.get("seed", 0),
-    )
-
-
-#: Non-lockstep pipelines, each with its own per-trial entry.  Only
-#: ``schedule`` (whose per-trial work is dominated by the LLL scheduler,
-#: not the simulator) lives here; every flit-level router is a row of
-#: :data:`repro.sim.batch.LOCKSTEP_MODELS`.
-_PIPELINES: dict[str, Callable[..., dict[str, Any]]] = {
-    "schedule": _run_schedule,
-}
-
 #: :data:`SIMULATORS` names the models without importing a kernel; a
-#: model row or pipeline it does not name in this order fails the import.
-if SIMULATORS != (*LOCKSTEP_MODELS, *_PIPELINES):
+#: model row it does not name in this order fails the import.
+if SIMULATORS != tuple(LOCKSTEP_MODELS):
     raise ImportError(
-        "repro.sim.spec.SIMULATORS must list the LOCKSTEP_MODELS rows, then "
-        f"the sweep pipelines; got {SIMULATORS}, want "
-        f"{(*LOCKSTEP_MODELS, *_PIPELINES)}"
+        "repro.sim.spec.SIMULATORS must list the LOCKSTEP_MODELS rows; "
+        f"got {SIMULATORS}, want {tuple(LOCKSTEP_MODELS)}"
     )
 
 #: Default trials per lockstep batch when ``batch_size`` is ``None``.
@@ -299,23 +249,17 @@ def execute_compatible(
 
     All items must share :func:`~repro.sim.spec.batch_compat_key`, so
     they share the workload, ``L`` and the sim params; ``B`` and the
-    derived seed vary per trial (mixed root seeds are fine).  A lockstep
-    model runs them as one :func:`~repro.sim.batch.run_model` call — one
-    trial is a batch of one through the same driver — and a pipeline
-    runs them one by one.  Trials are independent inside a batch, so
-    the metrics are bit-identical to running each item alone.  The
+    derived seed vary per trial (mixed root seeds are fine).  They run
+    as one :func:`~repro.sim.batch.run_model` call — one trial is a
+    batch of one through the same driver.  Trials are independent
+    inside a batch, so the metrics are bit-identical to running each
+    item alone.  The
     sweep's work units and the service batcher both execute through
     this function, so offline and online execution cannot drift.
     """
     spec0 = items[0][0]
     wl = build_workload(spec0.workload, spec0.workload_params)
     L = wl.default_length if spec0.message_length is None else spec0.message_length
-    pipeline = _PIPELINES.get(spec0.simulator)
-    if pipeline is not None:
-        return [
-            _finish_metrics(pipeline(wl, spec, trial_seed(spec, root), L), wl, L)
-            for spec, root in items
-        ]
     results = run_model(
         spec0.simulator,
         wl,
@@ -332,15 +276,11 @@ def execute_compatible(
         metrics = _result_metrics(res)
         if "max_queue" in res.extra:
             metrics["max_queue"] = int(res.extra["max_queue"])
-        out.append(_finish_metrics(metrics, wl, L))
+        metrics["message_length"] = int(L)
+        for key, value in wl.info.items():
+            metrics.setdefault(f"workload_{key}", value)
+        out.append(metrics)
     return out
-
-
-def _finish_metrics(metrics: dict[str, Any], wl: Workload, L: int) -> dict[str, Any]:
-    metrics["message_length"] = int(L)
-    for key, value in wl.info.items():
-        metrics.setdefault(f"workload_{key}", value)
-    return metrics
 
 
 def _execute_unit(
@@ -485,11 +425,11 @@ def plan_sweep(
 ) -> SweepPlan:
     """Scan the cache and pack the remaining trials into work units.
 
-    The arguments are :func:`run_sweep`'s.  Lockstep-model trials
-    sharing a :func:`~repro.sim.spec.batch_compat_key` are chunked into
-    units of at most ``batch_size`` trials; everything else (and all
-    trials when ``batch_size == 1``) becomes a one-trial unit, listed
-    after the multi-trial ones.  Planning only reads: a missing
+    The arguments are :func:`run_sweep`'s.  Trials sharing a
+    :func:`~repro.sim.spec.batch_compat_key` are chunked into units of
+    at most ``batch_size`` trials; a chunk of one (every trial when
+    ``batch_size == 1``) is a one-trial unit, listed after the
+    multi-trial ones.  Planning only reads: a missing
     ``cache_dir`` is not created, so ``repro sweep --dry-run`` prints
     exactly the plan a real run then executes.
     """
@@ -507,7 +447,7 @@ def plan_sweep(
             if metrics is not None:
                 cached[i] = metrics
                 continue
-        if batch_size >= 2 and spec.simulator in LOCKSTEP_MODELS:
+        if batch_size >= 2:
             groups.setdefault(batch_compat_key(spec), []).append(i)
         else:
             singles.append(i)

@@ -172,10 +172,19 @@ def test_estimate_spec_deterministic_and_seed_blind():
     json.dumps(ma)  # JSON-safe for the wire
 
 
-def test_estimate_spec_rejects_schedule():
-    spec = TrialSpec.make("chain-bundle", "schedule", B=1)
-    with pytest.raises(EstimateError):
-        estimate_spec(spec)
+def test_estimate_spec_brackets_a_scheduled_trial():
+    """A Theorem 2.1.6 schedule is a wormhole workload with release
+    times: its envelope is over them, the last class released at
+    ``(classes - 1)(L + D - 1)``."""
+    for B in (1, 2):
+        spec = TrialSpec.make(
+            "scenario:lll-schedule", "wormhole", B=B, workload_params={"B": B}
+        )
+        env = estimate_spec(spec)
+        exact = run_sweep([spec]).trials[0].metrics
+        assert env.lower <= exact["makespan"] <= env.upper, (B, env, exact)
+        L, D = exact["message_length"], exact["workload_dilation"]
+        assert env.max_release == (exact["workload_classes"] - 1) * (L + D - 1)
 
 
 def test_to_metrics_digest_tracks_per_message_floors():

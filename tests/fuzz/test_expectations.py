@@ -8,6 +8,7 @@ import pytest
 from repro.fuzz import fuzzer as fz
 from repro.fuzz.expectations import EXPECTATIONS, evaluate, expectations
 from repro.scenarios import SCENARIOS, ScenarioCase
+from repro.sim.stats import SimulationResult
 from repro.sim.sweep import WORKLOADS
 
 #: ``(row, model)`` pairs ``run_fuzz(50, seed=0)`` must evaluate.  The
@@ -16,7 +17,6 @@ from repro.sim.sweep import WORKLOADS
 #: is what running every declared model through the table added.
 REQUIRED_PAIRS = {
     ("delivery", "wormhole"),
-    ("delivery", "schedule"),
     ("unobstructed", "wormhole"),
     ("unobstructed", "store_forward"),
     ("congestion", "wormhole"),
@@ -25,7 +25,7 @@ REQUIRED_PAIRS = {
     ("envelope", "restricted"),
     ("gadget", "wormhole"),
     ("sf-envelope", "store_forward"),
-    ("schedule", "schedule"),
+    ("schedule", "wormhole"),
     ("deadlock-free", "wormhole"),
     ("ring-determinism", "wormhole"),
 } | {
@@ -51,15 +51,17 @@ def test_family_is_a_registered_scenario_plus_a_sampler(family):
         assert set(params) <= accepted, set(params) - accepted
 
 
-def _outcome(makespan, *, deadlocked=False):
+def _outcome(makespan, *, deadlocked=False, blocked=0):
+    """A three-message trial's result: all delivered at ``makespan``, or
+    none if it deadlocked."""
     messages = 3
-    return {
-        "makespan": makespan,
-        "messages": messages,
-        "delivered": 0 if deadlocked else messages,
-        "deadlocked": deadlocked,
-        "hit_step_cap": False,
-    }
+    return SimulationResult(
+        completion_times=np.full(messages, -1 if deadlocked else makespan),
+        makespan=makespan,
+        steps_executed=makespan,
+        blocked_steps=np.full(messages, blocked),
+        deadlocked=deadlocked,
+    )
 
 
 class TestEvaluate:
@@ -95,6 +97,18 @@ class TestEvaluate:
         facts = {"built_B": 1, "dilation": 4}
         assert self.judge(_outcome(11), facts=facts)["gadget"].bound == 12.0
         assert "gadget" not in self.judge(_outcome(11), B=2, facts=facts)
+
+    def test_the_schedule_row_holds_at_the_b_and_l_it_was_built_for(self):
+        facts = {"built_B": 1, "built_L": 8, "length_bound": 30}
+        assert self.judge(_outcome(30), facts=facts)["schedule"] is None
+        assert self.judge(_outcome(31), facts=facts)["schedule"].bound == 30
+        # A schedule never blocks: one blocked step is a violation.
+        blocked = self.judge(_outcome(30, blocked=1), facts=facts)["schedule"]
+        assert blocked.invariant == "schedule-upper-bound"
+        assert "schedule" not in self.judge(_outcome(31), B=2, facts=facts)
+        shrunk = {**facts, "built_L": 9}  # the case runs at L = 8
+        assert "schedule" not in self.judge(_outcome(31), facts=shrunk)
+        assert "schedule" not in self.judge(_outcome(31), model="cut_through", facts=facts)
 
     def test_checks_list_is_the_named_rows_whose_facts_are_stated(self):
         labels = [label for label, _ in expectations(EXPECTATIONS, {"acyclic": False})]

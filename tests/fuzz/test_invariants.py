@@ -123,6 +123,10 @@ class TestScheduleBound:
     def test_meeting_length_bound_passes(self):
         assert inv.check_schedule_bound(66, length_bound=66) is None
 
+    def test_a_blocked_step_is_flagged_within_the_bound(self):
+        v = inv.check_schedule_bound(60, length_bound=66, blocked=2)
+        assert v is not None and (v.observed, v.bound) == (2, 0)
+
 
 class TestStoreForwardEnvelope:
     def test_blowing_the_envelope_flagged(self):

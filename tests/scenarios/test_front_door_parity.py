@@ -15,11 +15,10 @@ from repro.network.graph import NetworkError
 from repro.scenarios import SCENARIOS, get_scenario
 from repro.sim.sweep import TrialSpec, _result_metrics, run_sweep
 
-#: Every trial scenario x declared model x B, at the builder defaults.
+#: Every scenario x declared model x B, at the builder defaults.
 CELLS = [
     (name, model, B)
     for name, scen in sorted(SCENARIOS.items())
-    if scen.kind == "trial"
     for model in scen.models
     for B in (1, 2)
 ]
@@ -106,11 +105,13 @@ def test_an_arrival_scenario_feeds_telemetry(name):
 
 def test_a_model_that_cannot_run_the_trial_refuses_it():
     """Injection queues are wormhole-only: another row refuses the
-    arrival trial in either mode rather than dropping them, and the
-    schedule pipeline, which sets its own releases, refuses it too."""
+    arrival trial in either mode rather than dropping them, and a
+    schedule, which sets its own releases, refuses to be built on it."""
+    from repro.core.scheduler import schedule_workload
+
     for mode in ("exact", "estimate"):
         with pytest.raises(NetworkError, match="sources"):
             simulate("scenario:bursty-arrivals", model="cut_through", mode=mode)
-    spec = TrialSpec.make("scenario:bursty-arrivals", "schedule")
+    arrivals = get_scenario("bursty-arrivals").build_case().workload
     with pytest.raises(NetworkError, match="release_times, sources"):
-        run_sweep([spec])
+        schedule_workload(arrivals, 1)

@@ -6,7 +6,7 @@ import pytest
 from repro.facade import simulate
 from repro.fuzz.expectations import EXPECTATIONS
 from repro.network.graph import NetworkError
-from repro.scenarios import SCENARIOS, get_scenario, register_scenario
+from repro.scenarios import SCENARIOS, get_scenario
 from repro.sim.batch import LOCKSTEP_MODELS
 from repro.sim.sweep import WORKLOADS, TrialSpec, _execute_trial
 
@@ -18,7 +18,8 @@ class TestRegistry:
             "gadget-hotspot",
             "chain-contention",
             "hotspot-mesh",
-            "layered-schedule",
+            "layered-walks",
+            "lll-schedule",
             "ring-deadlock",
             "ring-dateline",
             "bursty-arrivals",
@@ -30,15 +31,8 @@ class TestRegistry:
             get_scenario("zzz")
 
     def test_trial_scenarios_become_sweep_workloads(self):
-        for name, scen in SCENARIOS.items():
-            assert scen.kind in ("trial", "schedule")
+        for name in SCENARIOS:
             assert f"scenario:{name}" in WORKLOADS
-
-    def test_register_rejects_unknown_kind(self):
-        with pytest.raises(NetworkError, match="unknown scenario kind"):
-            register_scenario(
-                "x", family="f", theorem="t", kind="bogus"
-            )
 
     def test_defaults_reflect_builder_signature(self):
         d = get_scenario("lower-bound-gadget").defaults()
@@ -130,14 +124,43 @@ class TestDeadlockFamily:
 
 class TestScheduleFamily:
     def test_schedule_model_meets_length_bound(self):
-        run = get_scenario("layered-schedule").run(B=2, model="schedule")
+        run = get_scenario("lll-schedule").run(B=2)
         assert run.ok
-        assert run.outcome["makespan"] <= run.outcome["length_bound"]
+        assert EXPECTATIONS["schedule"].label in run.checked
+        info = run.case.workload.info
+        assert run.outcome.makespan <= info["length_bound"]
+        assert run.outcome.total_blocked_steps == 0
+
+    @pytest.mark.parametrize(
+        "B, makespan, classes", [(1, 143, 13), (2, 66, 6), (4, 33, 3)]
+    )
+    def test_the_defaults_pin_makespan_and_class_count(self, B, makespan, classes):
+        """Theorem 2.1.6 at the builder defaults: one wormhole trial per
+        ``B`` of the workload scheduled for it, never blocked."""
+        run = get_scenario("lll-schedule").run(B=B)
+        assert run.ok
+        assert run.outcome.makespan == makespan
+        assert run.case.workload.info["classes"] == classes
+        assert run.outcome.total_blocked_steps == 0
+
+    def test_release_times_are_the_class_phases(self):
+        case = get_scenario("lll-schedule").build_case(B=1)
+        wl, info = case.workload, case.workload.info
+        phase = wl.default_length + info["dilation"] - 1
+        assert set(wl.release_times.tolist()) == {
+            c * phase for c in range(info["classes"])
+        }
+        assert case.facts["length_bound"] == info["classes"] * phase
 
     def test_same_case_runs_greedy_models_too(self):
-        run = get_scenario("layered-schedule").run(B=2, model="wormhole")
+        walks = get_scenario("layered-walks")
+        run = walks.run(B=2, model="wormhole")
         assert run.ok
         assert run.outcome.all_delivered
+        # The same routes the schedule releases, without the releases.
+        scheduled = get_scenario("lll-schedule").build_case(B=2).workload
+        assert run.case.workload.paths == scheduled.paths
+        assert run.case.workload.release_times is None
 
 
 class TestArrivalFamily:
@@ -242,8 +265,8 @@ class TestIntegration:
             "blocked",
             "deadlocked",
         }
-        sched = get_scenario("layered-schedule").run(B=1, model="schedule")
-        assert "length_bound" in sched.summary()
+        sched = get_scenario("lll-schedule").run(B=1)
+        assert set(sched.summary()) == set(trial.summary())
         arrivals = get_scenario("bursty-arrivals").run(B=1)
         assert set(arrivals.summary()) == set(trial.summary())
 

@@ -747,9 +747,6 @@ STRAY_OPTIONS = {
     "misspelt-priority": (
         "wormhole", {"prioirty": "index"}, "its one option is 'priority'",
     ),
-    "priority-on-schedule": (
-        "schedule", {"priority": "index"}, "does not take 'priority'",
-    ),
 }
 SMALL_CHAIN = {"chains": 2, "depth": 4, "messages": 3}
 
@@ -789,10 +786,8 @@ def _served(case):
         (path, case)
         for path in ("simulate", "sweep", "endpoint")
         for case in STRAY_OPTIONS
-        # simulate names its options (a misspelling is a TypeError) and
-        # has no schedule model.
-        if path != "simulate"
-        or case not in ("misspelt-priority", "priority-on-schedule")
+        # simulate names its options (a misspelling is a TypeError).
+        if path != "simulate" or case != "misspelt-priority"
     ],
 )
 def test_an_option_the_model_does_not_take_is_an_error(path, case):

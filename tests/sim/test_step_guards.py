@@ -9,6 +9,10 @@ same trial run alone:
   for trials the loop finalized early, under ``num_live < hi``;
 * :class:`~repro.sim.engine.BatchStepLoop` switches, once the clock is
   past the last release, to ``active = ~done`` with no idle scan.
+
+A third guard is on width: cut-through's running maximum runs slab by
+slab when ``hi * M >= 512`` and as one ``accumulate`` below, so a batch
+that crosses the threshold must still equal its trials run alone.
 """
 
 import numpy as np
@@ -19,6 +23,7 @@ from repro.network.mesh import KAryNCube
 from repro.sim.batch import LOCKSTEP_MODELS, run_cut_through_batch
 from repro.sim.engine import BatchStepLoop
 from repro.sim.kernels import CutThroughKernel
+from repro.sim.spec import WORKLOADS
 from repro.telemetry.probe import Probe
 
 MODEL_NAMES = list(LOCKSTEP_MODELS)
@@ -155,3 +160,51 @@ def test_last_release_past_the_step_cap(model):
         assert all(r.hit_step_cap and not r.all_delivered for r in results)
     # Staggered per-message releases on both sides of a reachable cap.
     _batch_equals_single(model, [0, 9, 4, 30], 25)
+
+
+# ----------------------------------------------------------------------
+# (c) the width branch: a batch whose ``hi * M`` crosses 512
+# ----------------------------------------------------------------------
+
+
+def _wide_problem(model):
+    """16 messages, so ``T * M >= 512`` from ``T = 32`` trials."""
+    if LOCKSTEP_MODELS[model].kind == "mesh":
+        cube = KAryNCube(4, 2, wrap=False)
+        return cube, [(s, 15 - s) for s in range(16)], 5
+    wl = WORKLOADS["layered"](width=4, depth=6, out_degree=2, messages=16, seed=3)
+    return wl.net, wl.paths, 6
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_batch_equals_single_as_hi_falls_below_the_width_threshold(model):
+    """34 trials of 16 messages start at ``hi * M = 544``.  Rows are
+    ordered longest run first, so the high rows finish first and ``hi``
+    falls below ``512 / M = 32`` while low rows still run: cut-through's
+    running maximum takes its slab-by-slab branch, then the fused
+    ``accumulate``, within one batch.  Every row must equal the same
+    trial run alone (``hi * M = 16``, the fused branch throughout)."""
+    spec = LOCKSTEP_MODELS[model]
+    first, second, L = _wide_problem(model)
+    unwrap = (lambda run: run.result) if spec.kind == "mesh" else (lambda r: r)
+
+    def run(Bs, seeds):
+        return [
+            unwrap(r)
+            for r in spec.driver(first, second, L, seeds=seeds, **{spec.knob: Bs})
+        ]
+
+    # Ten distinct (B, seed) trials, some rows repeated: a row's batch
+    # mates never change its answer.
+    trials = [(1 + i % 5, 100 + i % 10) for i in range(34)]
+    alone = {t: run([t[0]], [t[1]])[0] for t in set(trials)}
+    trials.sort(key=lambda t: -alone[t].steps_executed)
+    Bs, seeds = zip(*trials)
+    results = run(list(Bs), list(seeds))
+    k = 512 // len(second)
+    assert len(trials) * len(second) >= 512
+    # Rows k-1.. all end before the last of rows ..k-2: hi drops below k.
+    ends = [r.steps_executed for r in results]
+    assert max(ends[: k - 1]) > max(ends[k - 1 :])
+    for t, res in zip(trials, results):
+        _same(res, alone[t], f"{model} B={t[0]} seed={t[1]}")

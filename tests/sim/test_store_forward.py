@@ -125,3 +125,68 @@ class TestOptions:
             priority="random", seed=7,
         )
         assert np.array_equal(a.completion_times, b.completion_times)
+
+
+def _three_way_contention():
+    """Three messages that first meet at edge ``a0`` in the same message
+    step, each with a different age and distance left (MODEL.md §6).
+
+    ``x`` runs ``p0 p1 a0`` from release 0, ``y`` runs ``q0 a0 y1`` from
+    release 1 and ``z`` runs ``a0 z1 z2`` from release 2 (message
+    steps); a message released at ``r`` makes its first hop at ``r + 1``,
+    so all three want ``a0`` at step 3, with 1, 2 and 3 hops left.
+    """
+    from repro.network.graph import Network
+
+    net = Network(name="three-way")
+    net.add_nodes(range(8))
+    edge = {
+        name: net.add_edge(u, v)
+        for name, (u, v) in {
+            "p0": (0, 1), "p1": (1, 2), "q0": (3, 2), "a0": (2, 4),
+            "y1": (4, 5), "z1": (4, 6), "z2": (6, 7),
+        }.items()
+    }
+    paths = [
+        [edge[e] for e in route]
+        for route in (("p0", "p1", "a0"), ("q0", "a0", "y1"), ("a0", "z1", "z2"))
+    ]
+    return net, paths
+
+
+class TestOptionsPinnedByHand:
+    """Each arbitration option on :func:`_three_way_contention` at
+    ``L = 4``, ``B = 2``: one message step is ``ceil(4 / 2) = 2`` flit
+    steps, and releases of 0, 2 and 4 flit steps are message steps 0, 1
+    and 2.  ``a0`` forwards one message a step from step 3; a message
+    served at ``3 + k`` with ``r`` hops left finishes at ``3 + k + r - 1``.
+    """
+
+    def run(self, priority, seed=0):
+        net, paths = _three_way_contention()
+        return simulate(
+            (net, paths), model="store_forward", B=2, message_length=4,
+            priority=priority, seed=seed, release_times=[0, 2, 4],
+        )
+
+    def test_farthest_serves_the_most_hops_left_first(self):
+        # z, y, x: all three finish at message step 5.
+        res = self.run("farthest")
+        assert res.completion_times.tolist() == [10, 10, 10]
+        assert res.makespan == 10
+
+    def test_age_serves_the_earliest_release_first(self):
+        # x, y, z: x at 3, y at 5, z at 7.
+        res = self.run("age")
+        assert res.completion_times.tolist() == [6, 10, 14]
+        assert res.makespan == 14
+
+    def test_random_draws_an_order_each_step(self):
+        # Seed 1 draws y, z, x: y at 4, x at 5, z at 6 — neither the
+        # farthest nor the age order, so a makespan of neither.
+        res = self.run("random", seed=1)
+        assert res.completion_times.tolist() == [10, 8, 12]
+        assert res.makespan == 12
+        # Every order a0 can serve ends at message step 5, 6 or 7.
+        seen = {self.run("random", seed=s).makespan for s in range(8)}
+        assert seen <= {10, 12, 14} and len(seen) >= 2

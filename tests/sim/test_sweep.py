@@ -307,17 +307,17 @@ def test_every_registered_simulator_runs():
     )
     specs.append(
         TrialSpec.make(
-            "layered",
-            "schedule",
+            "scenario:lll-schedule",
+            "wormhole",
             B=2,
-            workload_params={"width": 6, "depth": 4, "messages": 20},
+            workload_params={"B": 2, "width": 6, "depth": 4, "messages": 20},
         )
     )
     out = run_sweep(specs)
     for t in out:
         assert t.metrics["delivered"] == t.metrics["messages"], t.spec.label()
     sched = out.trials[-1].metrics
-    assert sched["blocked"] == 0 and sched["classes"] >= 1
+    assert sched["blocked"] == 0 and sched["workload_classes"] >= 1
 
 
 def test_store_forward_reports_max_queue():
@@ -380,8 +380,9 @@ def test_registries_cover_the_documented_names():
         "store_forward",
         "restricted",
         "adaptive",
-        "schedule",
     } == set(SIMULATORS)
+    with pytest.raises(NetworkError, match="unknown simulator 'schedule'"):
+        TrialSpec.make("layered", "schedule")
 
 
 # ----------------------------------------------------------------------

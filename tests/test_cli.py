@@ -263,6 +263,20 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "LLL schedules" in out
 
+    def test_schedule_exits_non_zero_on_a_violation(self, capsys, monkeypatch):
+        from repro.fuzz import invariants
+        from repro.fuzz.invariants import Violation
+
+        monkeypatch.setattr(
+            invariants,
+            "check_schedule_bound",
+            lambda makespan, **kw: Violation("schedule-upper-bound", "forced"),
+        )
+        argv = ["schedule", "--width", "6", "--depth", "5", "--messages", "40"]
+        with pytest.raises(SystemExit, match="3 expectation"):
+            main(argv)
+        assert "VIOLATION [schedule-upper-bound] forced" in capsys.readouterr().out
+
     def test_hard_instance(self, capsys):
         assert main(["hard-instance", "--congestion", "4", "--dilation", "11"]) == 0
         out = capsys.readouterr().out
@@ -411,18 +425,19 @@ class TestCommands:
                 "--param", "depth=5",
                 "--param", "messages=3",
                 "--length", "8",
-                "--simulators", "restricted,schedule",
-                "--channels", "1,2",
+                "--simulators", "restricted,wormhole",
+                "--channels", "1,2,4",
+                "--batch-size", "2",
                 "--dry-run",
             ]
         ) == 0
         out = capsys.readouterr().out
-        # The schedule pipeline has no lockstep runner: its trials stay
-        # singles while the restricted router's pack into a batch.
-        assert "restricted: 1 lockstep batch(es)" in out
-        assert "schedule: 2 single(s)" in out
+        # Each model's three trials fill one batch of two; the third is
+        # that model's single.
+        assert "restricted: 1 lockstep batch(es) + 1 single(s)" in out
+        assert "wormhole: 1 lockstep batch(es) + 1 single(s)" in out
         assert (
-            "4 trials: 0 cache hits, 4 to execute in 1 lockstep batch(es) "
+            "6 trials: 0 cache hits, 6 to execute in 2 lockstep batch(es) "
             "+ 2 single(s); nothing executed (dry run)" in out
         )
 
@@ -488,6 +503,11 @@ class TestCommands:
                 "repro sweep: unknown simulator 'nope'",
             ),
             (
+                # A Theorem 2.1.6 schedule is a workload, not a simulator.
+                ["sweep", "--simulators", "schedule"],
+                "repro sweep: unknown simulator 'schedule'",
+            ),
+            (
                 ["loadgen", "--param", "oops"],
                 "repro loadgen: error: argument --param: needs KEY=VAL",
             ),
@@ -522,6 +542,7 @@ class TestCommands:
             "sweep-channels-empty",
             "loadgen-lengths-not-int",
             "sweep-unknown-simulator",
+            "sweep-schedule-is-not-a-simulator",
             "loadgen-param-names-its-command",
             "scenario-run-param-names-its-command",
             "sweep-unknown-workload-param",

@@ -134,6 +134,22 @@ class TestProblemForms:
         with pytest.raises(NetworkError, match="already states release_times"):
             simulate(wl, B=2, release_times=wl.release_times)
 
+    @pytest.mark.parametrize("model", ["wormhole", "cut_through", "store_forward"])
+    def test_a_padded_path_pack_is_the_same_problem(self, butterfly_problem, model):
+        """``(net, PaddedPaths)`` — what ``run_<model>_batch`` accepts —
+        runs, and estimates, the trial its edge lists do."""
+        from repro.sim.engine import PaddedPaths
+
+        bf, paths = butterfly_problem
+        packed = PaddedPaths.from_paths(paths)
+        for mode in ("exact", "estimate"):
+            kw = dict(model=model, B=2, message_length=L, seed=SEED, mode=mode)
+            want, got = simulate((bf, paths), **kw), simulate((bf, packed), **kw)
+            if mode == "exact":
+                _same(got, want)
+            else:
+                assert got.envelope == want.envelope
+
     def test_exported_from_top_level(self):
         assert repro.simulate is simulate
         assert "wormhole" in repro.MODELS
