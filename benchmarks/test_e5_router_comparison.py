@@ -20,6 +20,7 @@ from repro import Table, build_hard_instance, simulate
 from repro.network.random_networks import chain_bundle
 from repro.routing.paths import paths_from_node_walks
 from repro.sim.batch import run_cut_through_batch
+from repro.sim.spec import Workload
 from repro.sim.sweep import run_sweep, sweep_grid
 
 
@@ -149,8 +150,8 @@ def test_e5c_cut_through_compression(benchmark, save_table):
     def measure():
         # Wormhole B=1: per-message lengths supported directly.
         wh = simulate(
-            (net, paths), message_length=lengths, priority="index",
-            release_times=release,
+            Workload(net=net, paths=paths, release_times=release),
+            message_length=lengths, priority="index",
         )
         bufs = [1, 2, 4, 8]
         cts = run_cut_through_batch(

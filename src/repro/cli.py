@@ -32,7 +32,7 @@ Simulation tooling:
     ``--dry-run`` prints the batch plan only.
 ``scenario``
     The :mod:`repro.scenarios` library: ``list``, ``show NAME``, and
-    ``run NAME`` (simulate and verify the declared expectations).
+    ``run NAME`` (simulate and judge by every expectation row that applies).
 ``fuzz``
     The :mod:`repro.fuzz` seeded cross-model invariant fuzzer; writes a
     shrunk replayable artifact per violation, ``--replay`` re-runs one.
@@ -230,8 +230,8 @@ _B_LIST = dict(type=_int_list, help="comma-separated B values")
 GROUPS = {
     "cluster": "sharded multi-worker service tier: consistent-hash router "
     "over supervised workers with a shared result cache",
-    "scenario": "adversarial scenario library: curated hard cases with "
-    "declared invariant expectations",
+    "scenario": "adversarial scenario library: curated hard cases judged "
+    "by the invariant expectation table",
 }
 
 
@@ -368,14 +368,14 @@ def _cmd_schedule(args: argparse.Namespace) -> None:
     params = {dest: getattr(args, dest) for dest in dests}
     scen = get_scenario("lll-schedule")
     runs = [scen.run(B=B, schedule_seed=B, **params) for B in (1, 2, 4)]
-    info = runs[0].case.workload.info
+    info = runs[0].workload.info
     table = Table(
         f"LLL schedules: C={info['congestion']}, D={info['dilation']}, "
         f"L={args.length}, {args.messages} messages",
         ["B", "classes", "makespan", "blocked"],
     )
     for r in runs:
-        classes = r.case.workload.info["classes"]
+        classes = r.workload.info["classes"]
         table.add_row([r.B, classes, r.outcome.makespan, r.outcome.total_blocked_steps])
     print(table.render())
     bad = [v for r in runs for v in r.violations]
@@ -820,6 +820,7 @@ def _cmd_scenario_list(args: argparse.Namespace) -> None:
 
 @command("scenario show", "one scenario's parameters and checks", "name")
 def _cmd_scenario_show(args: argparse.Namespace) -> None:
+    from repro.fuzz.expectations import EXPECTATIONS
     from repro.scenarios import get_scenario
 
     scen = get_scenario(args.name)
@@ -832,15 +833,17 @@ def _cmd_scenario_show(args: argparse.Namespace) -> None:
     print("parameters (defaults):")
     for k, v in scen.defaults().items():
         print(f"  {k} = {v}")
-    case = scen.build_case()
+    # The rows a declared model may run under the default build's facts.
+    facts = scen.build_case().facts
     print("expectations:")
-    for label, _ in case.checks:
-        print(f"  - {label}")
+    for row in EXPECTATIONS.values():
+        if set(row.models) & set(scen.models) and set(row.needs) <= set(facts):
+            print(f"  - {row.text(facts)}")
 
 
 @command(
     "scenario run",
-    "build and simulate a scenario; verify its expectations",
+    "build and simulate a scenario; judge it by the expectation table",
     "name model channels=1,2,4 param seed",
     channels=_B_LIST,
     param="builder parameter override (repeatable)",
@@ -882,12 +885,12 @@ def _cmd_scenario_run(args: argparse.Namespace) -> None:
             ]
         )
     print(table.render())
-    info = runs[0].case.info
-    if info:
-        print(
-            "case: "
-            + ", ".join(f"{k}={v}" for k, v in sorted(info.items()))
-        )
+    wl = runs[0].workload
+    info, facts = (
+        ", ".join(f"{k}={v}" for k, v in sorted(d.items())) or "-"
+        for d in (wl.info, wl.facts)
+    )
+    print(f"case: {info}; facts: {facts}")
     bad = [v for r in runs for v in r.violations]
     if bad:
         for v in bad:

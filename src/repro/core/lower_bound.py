@@ -33,6 +33,8 @@ __all__ = ["HardInstance", "build_hard_instance", "max_m_prime", "hard_instance_
 
 def max_m_prime(D: int, B: int) -> int:
     """Largest ``M'`` with ``2 C(M'-1, B) - 1 <= D`` (and ``M' >= B+1``)."""
+    if B < 1:  # C(m, 0) = 1: the search below would never end
+        raise NetworkError(f"need B >= 1 (got B={B})")
     if D < B + 1:
         raise NetworkError(f"need D >= B + 1 (got D={D}, B={B})")
     m = B + 1

@@ -41,7 +41,7 @@ upper makespan bounds) computed in microseconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -49,7 +49,7 @@ import numpy as np
 from .network.graph import NetworkError
 from .sim.batch import LOCKSTEP_MODELS, resolve_arbitration, run_model
 from .sim.engine import PaddedPaths
-from .sim.spec import exact_int
+from .sim.spec import _builder, exact_int, with_trial_B
 from .sim.sweep import Workload, build_workload
 
 __all__ = ["MODELS", "SIMULATE_MODES", "SimResult", "simulate"]
@@ -130,41 +130,32 @@ class SimResult:
 MODELS = tuple(LOCKSTEP_MODELS)
 
 
-def _as_workload(problem: Any, model: str, workload_params, **given) -> Workload:
-    """Coerce any accepted ``problem`` form into a :class:`Workload`,
-    with the ``given`` workload fields (``release_times``, ``vc_ids``)
-    folded in; one the problem already states is an error."""
+def _as_workload(problem: Any, model: str, workload_params, B: int) -> Workload:
+    """Coerce any accepted ``problem`` form into a :class:`Workload`; a
+    name is built for the trial's ``B`` where its builder takes one
+    (:func:`~repro.sim.spec.with_trial_B`)."""
     if isinstance(problem, Workload):
-        wl = problem
-    elif isinstance(problem, str):
-        wl = build_workload(problem, dict(workload_params or {}))
-    elif isinstance(problem, tuple) and len(problem) == 2:
+        return problem
+    if isinstance(problem, str):
+        params = dict(workload_params or {})
+        return build_workload(problem, with_trial_B(_builder(problem), params, B))
+    if isinstance(problem, tuple) and len(problem) == 2:
         first, second = problem
         if LOCKSTEP_MODELS[model].kind == "mesh":
-            wl = Workload(
+            return Workload(
                 net=getattr(first, "network", first),
                 cube=first,
                 demands=list(second),
             )
-        elif isinstance(second, PaddedPaths):
+        if isinstance(second, PaddedPaths):
             # A pre-packed path set: each row's first ``lengths`` cells.
             rows = zip(second.padded.tolist(), second.lengths.tolist())
-            wl = Workload(net=first, paths=[row[:n] for row, n in rows])
-        else:
-            wl = Workload(net=first, paths=list(second))
-    else:
-        raise TypeError(
-            f"problem must be a workload name, a Workload, or a (net, paths) "
-            f"tuple; got {type(problem).__name__}"
-        )
-    given = {k: v for k, v in given.items() if v is not None}
-    stated = sorted(k for k in given if getattr(wl, k) is not None)
-    if stated:
-        raise NetworkError(
-            f"the workload already states {', '.join(stated)}; "
-            "give them once, not again to simulate()"
-        )
-    return replace(wl, **given) if given else wl
+            return Workload(net=first, paths=[row[:n] for row, n in rows])
+        return Workload(net=first, paths=list(second))
+    raise TypeError(
+        f"problem must be a workload name, a Workload, or a (net, paths) "
+        f"tuple; got {type(problem).__name__}"
+    )
 
 
 def _default_length(problem: Any, wl: Workload, message_length):
@@ -187,10 +178,8 @@ def simulate(
     priority: str | None = None,
     policy: str | None = None,
     batch: Any = None,
-    vc_ids: Any = None,
     telemetry: Any = None,
     max_steps: int | None = None,
-    release_times: Any = None,
     workload_params: dict[str, Any] | None = None,
 ):
     """Simulate ``problem`` under ``model`` with ``B`` channel buffers.
@@ -235,18 +224,15 @@ def simulate(
         of results comes back, one per seed, each bit-identical to the
         ``seed=...`` call.  ``seed`` is ignored; ``telemetry``
         is rejected (probes attach to a single trial).
-    vc_ids / release_times:
-        Per-hop virtual-channel class assignment (e.g. a Dally–Seitz
-        dateline; wormhole model only) and per-message release steps,
-        folded into the problem's :class:`Workload`.  Giving one the
-        workload already states is an error, not an override.
     telemetry:
         :mod:`repro.telemetry` probes, for the models that accept them
         (wormhole, cut-through, store-and-forward, adaptive).
     max_steps:
         Forwarded to the model's driver.
     workload_params:
-        Builder parameters when ``problem`` is a workload name.
+        Builder parameters when ``problem`` is a workload name.  A
+        builder that takes a ``B`` is built for this ``B`` unless they
+        name one.
 
     Returns
     -------
@@ -262,9 +248,8 @@ def simulate(
         raise NetworkError(
             f"unknown mode {mode!r}; supported: {', '.join(SIMULATE_MODES)}"
         )
-    wl = _as_workload(
-        problem, model, workload_params, release_times=release_times, vc_ids=vc_ids
-    )
+    B = exact_int(B, "B")
+    wl = _as_workload(problem, model, workload_params, B)
     if mode == "estimate":
         from .analysis.estimate import estimate_workload
 
@@ -278,7 +263,7 @@ def simulate(
         env = estimate_workload(
             wl,
             model,
-            B=exact_int(B, "B"),
+            B=B,
             message_length=_default_length(problem, wl, message_length),
         )
         return SimResult(mode="estimate", provenance="estimate", envelope=env)
@@ -296,7 +281,7 @@ def simulate(
             wl,
             _default_length(problem, wl, message_length),
             seeds=[seed] if batch is None else list(batch),
-            B=exact_int(B, "B"),
+            B=B,
             options={"priority": priority, "policy": policy},
             max_steps=max_steps,
             telemetry=telemetry,

@@ -6,27 +6,29 @@ applies to a run and where its numbers come from: one
 :class:`Expectation` row per per-run invariant, holding its label, the
 ``check_*`` it calls, and its applicability as data (the models it
 covers, whether it needs a clean run, the builder-stated ``facts`` it
-needs).  :func:`evaluate` is the one function that judges a run against
-rows; ``Scenario.run`` (through the ``(label, fn)`` list
-:func:`expectations` makes), the fuzzer's ``run_case`` and ``repro
+needs).  :func:`evaluate` is the one function that judges a run, by the
+whole table: ``Scenario.run``, the fuzzer's ``run_case`` and ``repro
 profile`` all go through it, so a registered scenario, a generated fuzz
-case and a structurally shrunk one are judged by the same code.
+case and a structurally shrunk one are judged by the same rule — every
+row whose models, facts and runs match.
 Congestion, dilation and the path lengths are measured from the routes
 at evaluation time (:func:`repro.analysis.estimate.route_stats`), never
 carried along.  README *Scenarios & fuzzing* tabulates the rows.
 
-Facts a builder may state: ``acyclic`` (is the channel dependency graph
+Facts a builder may state on its :class:`~repro.sim.spec.Workload`
+(``Workload.facts``): ``acyclic`` (is the channel dependency graph
 acyclic), ``built_B`` and ``dilation`` (the Theorem 2.2.1 instance was
 built for this ``B`` and pads every path to this ``D``), ``built_B``,
 ``built_L`` and ``length_bound`` (the Theorem 2.1.6 schedule the release
 times state was built for this ``B`` and ``L`` and guarantees this
 makespan), ``expect_deadlock`` and ``why`` (the deadlock verdict the
-construction forces, and the reason shown in the label).
+construction forces, and the reason shown in the label), ``width`` and
+``depth`` (an arrival trace's leveled network).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Any
@@ -37,7 +39,7 @@ from ..sim.sweep import _result_metrics
 from . import invariants as inv
 from .invariants import Violation
 
-__all__ = ["EXPECTATIONS", "Expectation", "evaluate", "expectations"]
+__all__ = ["EXPECTATIONS", "Expectation", "evaluate"]
 
 #: Every model, and those whose routes are given rather than chosen
 #: online.
@@ -51,7 +53,7 @@ class Expectation:
 
     ``check`` and ``when`` read the run ``r`` :func:`evaluate` assembles:
     the outcome's scalars (``r.makespan``, ``r.delivered``, ...), the
-    ``r.model`` / ``r.B`` / ``r.L`` it ran at, the case's ``r.facts``,
+    ``r.model`` / ``r.B`` / ``r.L`` it ran at, the workload's ``r.facts``,
     and ``r.lengths`` / ``r.C`` / ``r.D`` measured from its routes
     (``C`` is ``None`` where they were chosen online).
     """
@@ -59,7 +61,7 @@ class Expectation:
     #: The row's key in :data:`EXPECTATIONS`.
     name: str
     #: What ``repro scenario show`` prints (a callable words it from the
-    #: case's facts).
+    #: workload's facts; :meth:`text`).
     label: str | Callable[[Mapping[str, Any]], str]
     #: The :mod:`~repro.fuzz.invariants` call.
     check: Callable[[Any], Violation | None]
@@ -67,7 +69,7 @@ class Expectation:
     models: tuple[str, ...]
     #: Only runs that neither deadlocked nor hit their step cap.
     clean_only: bool = False
-    #: Facts the case must state for the row to apply at all.
+    #: Facts the workload must state for the row to apply at all.
     needs: tuple[str, ...] = ()
     #: Any further condition on the run (the ``B`` a bound is stated at).
     when: Callable[[Any], bool] | None = None
@@ -80,12 +82,9 @@ class Expectation:
             and (self.when is None or self.when(r))
         )
 
-    def __call__(self, outcome: Any, ctx: Mapping[str, Any]) -> Violation | None:
-        """The row as a scenario ``CheckFn``, over ``Scenario.run``'s context."""
-        verdicts = evaluate(
-            outcome, ctx["case"], model=ctx["model"], B=ctx["B"], rows=(self,)
-        )
-        return verdicts[0][1] if verdicts else None
+    def text(self, facts: Mapping[str, Any]) -> str:
+        """The label, worded from ``facts`` where it is a callable."""
+        return self.label(facts) if callable(self.label) else self.label
 
 
 def _envelope(r) -> Violation | None:
@@ -221,47 +220,26 @@ EXPECTATIONS: dict[str, Expectation] = {
 
 
 def evaluate(
-    outcome: Any,
-    case: Any,
-    *,
-    model: str,
-    B: int,
-    rows: Iterable[Expectation] | None = None,
+    outcome: Any, wl: Any, *, model: str, B: int
 ) -> list[tuple[Expectation, Violation | None]]:
     """Judge one run: ``(row, violation or None)`` per applicable row.
 
-    ``outcome`` is the result of one trial of ``case`` (a
-    :class:`~repro.scenarios.ScenarioCase` or a fuzz case: its
-    ``workload``'s routes, ``L`` and release times and its
-    builder-stated ``facts`` are read) under ``model`` at ``B``;
-    ``rows`` defaults to the whole table.
-    Rows that do not apply to this run (wrong model, unclean run, a
-    missing fact) are skipped, not reported.
+    ``outcome`` is the result of one trial of the workload ``wl`` (its
+    routes, ``default_length``, ``release_times`` and ``facts`` are
+    read) under ``model`` at ``B``.  Every row of the table is tried;
+    one that does not apply to this run (wrong model, unclean run, a
+    missing fact, a ``when`` guard) is skipped, not reported.
     """
     # A trial's numbers under the sweep runner's metric names.
     r = SimpleNamespace(
         **_result_metrics(outcome),
         model=model,
         B=int(B),
-        L=int(case.workload.default_length),
-        facts=case.facts,
-        release_times=case.workload.release_times,
+        L=int(wl.default_length),
+        facts=wl.facts,
+        release_times=wl.release_times,
     )
     r.clean = not (r.deadlocked or r.hit_step_cap)
-    r.lengths, r.C, _ = route_stats(case.workload, model)
+    r.lengths, r.C, _ = route_stats(wl, model)
     r.D = max(r.lengths, default=0)
-    if rows is None:
-        rows = EXPECTATIONS.values()
-    return [(row, row.check(r)) for row in rows if row.applies(r)]
-
-
-def expectations(names: Iterable[str], facts: Mapping[str, Any]) -> list[tuple[str, Any]]:
-    """The public ``(label, fn)`` list of a case stating ``facts``: the
-    named rows whose needed facts are among them.  A row is its own
-    ``fn(outcome, ctx)`` and reads the facts off ``ctx["case"]``, so the
-    case must carry the same ``facts``."""
-    return [
-        (row.label(facts) if callable(row.label) else row.label, row)
-        for row in (EXPECTATIONS[name] for name in names)
-        if all(fact in facts for fact in row.needs)
-    ]
+    return [(row, row.check(r)) for row in EXPECTATIONS.values() if row.applies(r)]

@@ -70,7 +70,8 @@ class Family(NamedTuple):
     #: The :data:`repro.scenarios.SCENARIOS` entry that builds the case.
     scenario: str
     #: ``sampler(rng) -> (builder params, L, priority)``: ``None`` keeps the
-    #: built case's own; a sampled ``B`` is the one ``B`` the case runs at.
+    #: built case's own; a sampled ``B`` is the one ``B`` the case runs at
+    #: (and is built for, where the builder takes one).
     sampler: Callable[[np.random.Generator], tuple[dict[str, Any], Any, Any]]
     #: Draw weight (biased toward the cheap high-yield families).
     weight: float
@@ -170,12 +171,11 @@ class FuzzCase:
     """One generated case: a built workload and how to run it.
 
     ``workload`` is the whole trial — network, routes as edge-id lists,
-    ``L`` (its ``default_length``), priority (its ``arbitration``) and
-    the arrival family's drawn release times and sources; ``facts`` are
-    the built case's (the gadget's ``built_B`` and dilation, the ring's
-    forced deadlock verdict, ...).  Like a
-    :class:`~repro.scenarios.ScenarioCase` it runs as a
-    :func:`repro.simulate` trial of its workload and is judged by
+    ``L`` (its ``default_length``), priority (its ``arbitration``), the
+    arrival family's drawn release times and sources, and the scenario
+    builder's ``facts`` (the gadget's ``built_B`` and dilation, the
+    ring's forced deadlock verdict, ...).  Like a scenario run it is a
+    :func:`repro.simulate` trial of its workload, judged by
     :func:`~repro.fuzz.expectations.evaluate`.  A case is fully
     serializable: the network travels as its insertion-ordered edge
     list, so ``Network.add_edge`` replay rebuilds identical edge ids.
@@ -183,7 +183,6 @@ class FuzzCase:
 
     family: str
     workload: Workload
-    facts: dict[str, Any]
     sim_seed: int
     channels: tuple[int, ...]
 
@@ -230,15 +229,15 @@ def generate_case(
         weights = np.ones(len(families)) / len(families)
     family = str(rng.choice(list(families), p=weights / weights.sum()))
     params, L, priority = FAMILY_TABLE[family].sampler(rng)
-    built = _scenario(family).build_case(**params)
-    wl = built.workload
+    channels = (params["B"],) if "B" in params else (1, 2, 4)
+    wl = _scenario(family).build_case(**{"B": channels[0], **params})
 
     def ints(values):
         return None if values is None else [int(v) for v in values]
 
     return FuzzCase(
         family=family,
-        # Every other field (``vc_ids``, ``info``, ...) is the scenario's own.
+        # Every other field (``vc_ids``, ``facts``, ...) is the scenario's own.
         workload=replace(
             wl,
             paths=[ints(getattr(p, "edges", p)) for p in wl.paths],
@@ -247,9 +246,8 @@ def generate_case(
             release_times=ints(wl.release_times),
             sources=ints(wl.sources),
         ),
-        facts=dict(built.facts),
         sim_seed=int(rng.integers(0, 2**31)),
-        channels=(params["B"],) if "B" in params else (1, 2, 4),
+        channels=channels,
     )
 
 
@@ -277,7 +275,7 @@ def _check_case(case: FuzzCase, telemetry=None) -> list[Violation]:
                 seed=case.sim_seed,
                 telemetry=telemetry if model == "wormhole" else None,
             )
-            verdicts = evaluate(outcome, case, model=model, B=B)
+            verdicts = evaluate(outcome, case.workload, model=model, B=B)
             out.extend(v for _, v in verdicts if v is not None)
         return runs[model, B]
 
@@ -407,7 +405,7 @@ def shrink_case(case: FuzzCase, invariant: str, max_probes: int = 80) -> FuzzCas
 
     # Reduce L (a case stating its dilation — the gadget — keeps L > D,
     # so its bound stays applicable).
-    L_floor = int(case.facts.get("dilation", 0)) + 1
+    L_floor = int(case.workload.facts.get("dilation", 0)) + 1
     L = best.workload.default_length
     while L > L_floor:
         step = max((L - L_floor) // 2, 1)
@@ -455,7 +453,7 @@ def case_to_artifact(
         "priority": wl.arbitration,
         "sim_seed": int(case.sim_seed),
         "channels": [int(b) for b in case.channels],
-        "extra": case.facts,
+        "extra": wl.facts,
         "release_times": wl.release_times,
         "sources": wl.sources,
         "vc_ids": (
@@ -482,8 +480,8 @@ def case_from_artifact(payload: dict[str, Any]) -> FuzzCase:
             release_times=payload["release_times"],
             sources=payload["sources"],
             vc_ids=payload["vc_ids"],
+            facts=dict(payload.get("extra") or {}),
         ),
-        facts=dict(payload.get("extra") or {}),
         sim_seed=int(payload["sim_seed"]),
         channels=tuple(int(b) for b in payload["channels"]),
     )

@@ -1,23 +1,24 @@
-"""Adversarial scenario library: named hard cases with declared expectations.
+"""Adversarial scenario library: named hard cases, judged by one table.
 
 ``repro.scenarios`` packages the paper's worst-case constructions (and the
-deadlock / open-loop hard cases around them) as registry entries that can
-be built for any virtual-channel count, run through :func:`repro.simulate`
-on any declared model, and judged by the expectation table in
-:mod:`repro.fuzz.expectations` (the theorem-derived invariants of
-:mod:`repro.fuzz.invariants`, each with the runs it applies to).
+deadlock / open-loop hard cases around them) as registry entries whose
+builders return a :class:`~repro.sim.spec.Workload` — built for any
+virtual-channel count, with the facts the builder knows about it — run
+through :func:`repro.simulate` on any declared model, and judged by the
+expectation table in :mod:`repro.fuzz.expectations` (the
+theorem-derived invariants of :mod:`repro.fuzz.invariants`, each with
+the runs and facts it applies to).
 
+>>> from repro.fuzz.expectations import EXPECTATIONS
 >>> from repro.scenarios import get_scenario
 >>> run = get_scenario("lower-bound-gadget").run(B=2)
->>> run.ok, run.summary()["makespan"] >= run.case.info["lower_bound"]
+>>> run.ok, EXPECTATIONS["gadget"].label in run.checked
 (True, True)
 """
 
 from .base import (
     SCENARIOS,
-    CheckFn,
     Scenario,
-    ScenarioCase,
     ScenarioRun,
     get_scenario,
     register_scenario,
@@ -25,10 +26,8 @@ from .base import (
 from . import library  # noqa: F401  (imports register the built-in scenarios)
 
 __all__ = [
-    "CheckFn",
     "SCENARIOS",
     "Scenario",
-    "ScenarioCase",
     "ScenarioRun",
     "get_scenario",
     "register_scenario",

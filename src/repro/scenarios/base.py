@@ -1,22 +1,18 @@
-"""Scenario registry: named adversarial workloads with declared expectations.
+"""Scenario registry: named adversarial workloads, judged by one table.
 
 A *scenario* is a curated hard case from the paper (or the interconnect
-literature around it) packaged three ways at once:
+literature around it) packaged two ways at once:
 
-* a **builder** — ``build(B=..., **params) -> ScenarioCase`` producing a
-  concrete :class:`~repro.sim.sweep.Workload` for the requested
-  virtual-channel count — the whole trial: routes, ``L``, and any
-  release times (an open-loop arrival trace or a Theorem 2.1.6
-  schedule), injection sources, virtual-channel classes and
-  arbitration — read from the registered
-  :data:`~repro.sim.sweep.WORKLOADS` builders so an instance is
-  constructed in one place;
-* a set of **expectations** — rows of the one table in
-  :mod:`repro.fuzz.expectations` (the Theorem 2.2.1 lower bound, the
-  Theorem 2.1.6 length bound, the analytic delay envelope, deadlock
-  determinism, deadlock freedom, ...), named by the builder next to
-  the ``facts`` they need (``acyclic``, ``built_B``, ...);
-* a **sweep workload** — every scenario auto-registers as
+* a **builder** — ``build(**params) -> Workload``, the whole trial but
+  ``B`` and the seed: routes, ``L``, and any release times (an
+  open-loop arrival trace or a Theorem 2.1.6 schedule), injection
+  sources, virtual-channel classes and arbitration — read from the
+  registered :data:`~repro.sim.sweep.WORKLOADS` builders so an instance
+  is constructed in one place — plus the ``facts`` the builder knows
+  about it (``acyclic``, ``built_B``, ...).  A builder with a ``B``
+  parameter builds the instance *for* a ``B``; every door builds it
+  for the trial's (:func:`~repro.sim.spec.with_trial_B`);
+* a **sweep workload** — the builder itself registers as
   ``scenario:<name>`` in :data:`repro.sim.sweep.WORKLOADS`, so scenario
   cells drop into ``repro sweep``, the service loadgen, and the process
   backends unchanged, and run there exactly as :meth:`Scenario.run`
@@ -30,66 +26,39 @@ Registration mirrors :func:`repro.sim.sweep.register_workload`::
         theorem="Theorem 2.1.2",
         models=("wormhole", "cut_through", "store_forward", "restricted"),
     )
-    def _build(B=1, chains=4, depth=12, messages=8):
+    def _build(chains=4, depth=12, messages=8):
         wl = WORKLOADS["chain-bundle"](chains=chains, depth=depth, messages=messages)
-        facts = {"acyclic": True}
-        checks = expectations(("congestion", "deadlock-free", "envelope"), facts)
-        return ScenarioCase(workload=wl, facts=facts, checks=checks)
+        wl.facts = {"acyclic": True}
+        return wl
 
 :meth:`Scenario.run`, the fuzzer's ``run_case`` and ``repro profile``
 run a case as one :func:`repro.simulate` trial of its workload, and
-every outcome is judged by :func:`repro.fuzz.expectations.evaluate`.
+every outcome is judged by :func:`repro.fuzz.expectations.evaluate`
+over the whole expectation table: a row applies where its models, the
+workload's facts and the run match it, and nothing else chooses rows.
 From the CLI: ``repro scenario list | show <name> | run <name>``.
 """
 
 from __future__ import annotations
 
-import functools
 import inspect
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
+from ..fuzz.expectations import evaluate
 from ..fuzz.invariants import Violation
 from ..network.graph import NetworkError
+from ..sim.spec import with_trial_B
 from ..sim.sweep import Workload, call_builder, register_workload
 
 __all__ = [
-    "CheckFn",
     "Scenario",
-    "ScenarioCase",
     "ScenarioRun",
     "SCENARIOS",
     "get_scenario",
     "register_scenario",
 ]
-
-CheckFn = Callable[[Any, dict[str, Any]], "Violation | list[Violation] | None"]
-"""An expectation: ``fn(outcome, ctx)`` returning violation(s) or None.
-
-``outcome`` is the run's :class:`~repro.facade.SimResult`; ``ctx``
-carries ``model``, ``B``, ``L``, ``seed`` and the built
-:class:`ScenarioCase`.
-"""
-
-
-@dataclass
-class ScenarioCase:
-    """One built instance of a scenario, ready to simulate.
-
-    ``workload`` is the whole trial but ``B`` and the seed — routes,
-    ``L`` (its ``default_length``), release times, injection sources,
-    virtual-channel classes and arbitration; the case adds only what a
-    workload is not.
-    """
-
-    workload: Workload
-    #: What the builder knows about the instance that the expectation
-    #: rows need (JSON-safe: a fuzz artifact stores them).
-    facts: dict[str, Any] = field(default_factory=dict)
-    #: Declared expectations (:func:`repro.fuzz.expectations.expectations`).
-    checks: list[tuple[str, CheckFn]] = field(default_factory=list)
-    info: dict[str, Any] = field(default_factory=dict)
 
 
 @dataclass
@@ -99,9 +68,10 @@ class ScenarioRun:
     scenario: str
     model: str
     B: int
-    case: ScenarioCase
+    workload: Workload
     outcome: Any
     violations: list[Violation]
+    #: The labels of the expectation rows that applied to this run.
     checked: list[str]
 
     @property
@@ -121,14 +91,14 @@ class ScenarioRun:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A registered scenario: builder + metadata + expectations."""
+    """A registered scenario: builder + metadata."""
 
     name: str
     family: str
     theorem: str
     description: str
     models: tuple[str, ...]
-    build: Callable[..., ScenarioCase]
+    build: Callable[..., Workload]
 
     def defaults(self) -> dict[str, Any]:
         """The builder's keyword defaults (for ``repro scenario show``)."""
@@ -138,10 +108,12 @@ class Scenario:
             if p.default is not inspect.Parameter.empty
         }
 
-    def build_case(self, *, B: int = 1, **params: Any) -> ScenarioCase:
-        """The case built for ``B`` (a parameter the builder cannot take
-        is a :class:`NetworkError` naming the ones it does)."""
-        return call_builder(f"scenario {self.name!r}", self.build, {"B": B, **params})
+    def build_case(self, *, B: int = 1, **params: Any) -> Workload:
+        """The workload of a trial at ``B`` (a parameter the builder
+        cannot take is a :class:`NetworkError` naming the ones it does)."""
+        return call_builder(
+            f"scenario {self.name!r}", self.build, with_trial_B(self.build, params, B)
+        )
 
     def run(
         self,
@@ -153,8 +125,9 @@ class Scenario:
         max_steps: int | None = None,
         **params: Any,
     ) -> ScenarioRun:
-        """Build the case for ``B`` and simulate it under ``model``: one
-        :func:`repro.simulate` trial of the case's workload.
+        """Build the case for ``B``, simulate it under ``model`` as one
+        :func:`repro.simulate` trial, and judge it by every expectation
+        row that applies.
 
         ``model`` defaults to the scenario's first declared model; any
         declared model is accepted.  ``telemetry`` / ``max_steps``
@@ -170,38 +143,24 @@ class Scenario:
                 f"scenario {self.name!r} does not support model {model!r}; "
                 f"declared: {', '.join(self.models)}"
             )
-        case = self.build_case(B=B, **params)
+        wl = self.build_case(B=B, **params)
         outcome = simulate(
-            case.workload,
+            wl,
             model=model,
             B=B,
             seed=seed,
             telemetry=telemetry,
             max_steps=max_steps,
         )
-        ctx = {
-            "model": model,
-            "B": int(B),
-            "L": case.workload.default_length,
-            "seed": seed,
-            "case": case,
-        }
-        violations: list[Violation] = []
-        checked: list[str] = []
-        for label, check in case.checks:
-            checked.append(label)
-            got = check(outcome, ctx)
-            if got is None:
-                continue
-            violations.extend(got if isinstance(got, list) else [got])
+        verdicts = evaluate(outcome, wl, model=model, B=B)
         return ScenarioRun(
             scenario=self.name,
             model=model,
             B=int(B),
-            case=case,
+            workload=wl,
             outcome=outcome,
-            violations=violations,
-            checked=checked,
+            violations=[v for _, v in verdicts if v is not None],
+            checked=[row.text(wl.facts) for row, _ in verdicts],
         )
 
 
@@ -220,16 +179,18 @@ def register_scenario(
     models: Sequence[str] = ("wormhole",),
     description: str | None = None,
 ) -> Callable:
-    """Register ``build(B=..., **params) -> ScenarioCase`` under ``name``.
+    """Register ``build(**params) -> Workload`` under ``name``.
 
-    Every scenario also registers its workload as ``scenario:<name>``
-    in the sweep registry, so it is addressable
-    from :class:`~repro.sim.sweep.TrialSpec`, ``repro sweep``, the
-    facade's workload-name problem form, and the service loadgen.  The
-    builder's ``B`` rides along as an ordinary workload parameter there
-    (gadget instances must be built *for* the ``B`` they run at).
+    The builder itself also registers as the sweep workload
+    ``scenario:<name>``, so it is addressable from
+    :class:`~repro.sim.sweep.TrialSpec`, ``repro sweep``, the facade's
+    workload-name problem form, and the service loadgen.  A builder
+    that takes a ``B`` is built for the trial's ``B`` on every door
+    unless the caller names one (gadget instances must be built *for*
+    the ``B`` they run at).
     """
-    def deco(build_fn: Callable[..., ScenarioCase]) -> Scenario:
+
+    def deco(build_fn: Callable[..., Workload]) -> Scenario:
         scen = Scenario(
             name=name,
             family=family,
@@ -243,14 +204,7 @@ def register_scenario(
             build=build_fn,
         )
         SCENARIOS[name] = scen
-
-        # wraps: build_workload checks outside parameters against the
-        # signature, which must read as the builder's.
-        @functools.wraps(build_fn)
-        def _workload(**params: Any) -> Workload:
-            return build_fn(**params).workload
-
-        register_workload(f"scenario:{name}")(_workload)
+        register_workload(f"scenario:{name}")(build_fn)
         return scen
 
     return deco

@@ -28,10 +28,11 @@ Families and the results they stress:
     source one injection queue; judged like any routed trial.
 
 Every builder reads its instance from the registered
-:data:`~repro.sim.sweep.WORKLOADS` builder where one exists, and every
-expectation is a row of :mod:`repro.fuzz.expectations` — the table the
-fuzzer judges its generated cases by — so a scenario failure and a
-fuzzer failure mean the same thing.
+:data:`~repro.sim.sweep.WORKLOADS` builder where one exists and states
+the facts it knows about it on ``Workload.facts``; every run is judged
+by the rows of :mod:`repro.fuzz.expectations` those facts and the run
+select — the table and the rule the fuzzer judges its generated cases
+by — so a scenario failure and a fuzzer failure mean the same thing.
 """
 
 from __future__ import annotations
@@ -40,33 +41,14 @@ import math
 
 import numpy as np
 
-from ..fuzz.expectations import expectations
 from ..network.graph import Network, NetworkError
 from ..network.random_networks import random_walk_route
 from ..sim.batch import LOCKSTEP_MODELS
 from ..sim.continuous import draw_arrivals
 from ..sim.sweep import WORKLOADS, Workload
-from .base import ScenarioCase, register_scenario
+from .base import register_scenario
 
 __all__: list[str] = []  # scenarios are reached through the registry
-
-
-def _routed_case(wl: Workload, rows, facts=None, info=None) -> ScenarioCase:
-    """A routed case over ``wl``, expecting the named
-    :data:`~repro.fuzz.expectations.EXPECTATIONS` rows under the builder's
-    ``facts`` (``info`` defaults to the ``C`` / ``D`` / ``L`` line)."""
-    facts = facts or {}
-    return ScenarioCase(
-        workload=wl,
-        facts=facts,
-        checks=expectations(rows, facts),
-        info=info
-        or {
-            "C": wl.info["congestion"],
-            "D": wl.info["dilation"],
-            "L": wl.default_length,
-        },
-    )
 
 
 # ----------------------------------------------------------------------
@@ -74,27 +56,15 @@ def _routed_case(wl: Workload, rows, facts=None, info=None) -> ScenarioCase:
 # ----------------------------------------------------------------------
 
 
-def _gadget_case(wl: Workload, rows, B, length_factor, **info) -> ScenarioCase:
+def _gadget(wl: Workload, B, length_factor) -> Workload:
     """A hard-instance workload at ``L = ceil(length_factor * D)``, with
-    the facts and the explicit ``(L - D) M / B`` figure of the bound."""
-    C, D, M = (wl.info[k] for k in ("congestion", "dilation", "messages"))
-    wl.default_length = L = math.ceil(float(length_factor) * D)
-    return _routed_case(
-        wl,
-        rows,
-        # Every message visits its primary edges in one global
-        # (lexicographic) order, so the dependency graph is acyclic.
-        facts={"built_B": int(B), "dilation": D, "acyclic": True},
-        info={
-            "C": C,
-            "D": D,
-            "M": M,
-            "L": L,
-            "built_B": int(B),
-            "lower_bound": (L - D) * M / int(B),
-            **info,
-        },
-    )
+    the facts of the ``(L - D) M / B`` bound."""
+    D = wl.info["dilation"]
+    wl.default_length = math.ceil(float(length_factor) * D)
+    # Every message visits its primary edges in one global
+    # (lexicographic) order, so the dependency graph is acyclic.
+    wl.facts = {"built_B": int(B), "dilation": D, "acyclic": True}
+    return wl
 
 
 @register_scenario(
@@ -105,13 +75,12 @@ def _gadget_case(wl: Workload, rows, B, length_factor, **info) -> ScenarioCase:
 )
 def _build_lower_bound_gadget(
     B: int = 1, C: int = 8, D: int = 15, length_factor: float = 2.0
-) -> ScenarioCase:
+) -> Workload:
     """The paper's hard instance, built *for* the requested ``B``: every
     ``B+1`` messages share a primary edge, so at most ``B`` make progress
     per flit step and routing needs ``(L-D)M/B`` steps."""
     wl = WORKLOADS["hard-instance"](C=int(C), D=int(D), B=int(B))
-    rows = ("gadget", "congestion", "unobstructed", "delivery", "envelope")
-    return _gadget_case(wl, rows, B, length_factor)
+    return _gadget(wl, B, length_factor)
 
 
 @register_scenario(
@@ -126,7 +95,7 @@ def _build_gadget_hotspot(
     D: int = 15,
     hotspot_extra: int = 6,
     length_factor: float = 2.0,
-) -> ScenarioCase:
+) -> Workload:
     """The hard instance with a hot-spotted replica skew: ``hotspot_extra``
     extra copies of base message 0.  The progress argument survives — any
     ``B+1`` concurrently progressing messages either span ``B+1`` distinct
@@ -141,8 +110,7 @@ def _build_gadget_hotspot(
         "dilation": wl.info["dilation"],
         "messages": len(wl.paths),
     }
-    rows = ("gadget", "unobstructed", "delivery", "envelope")
-    return _gadget_case(wl, rows, B, length_factor, hotspot_extra=int(hotspot_extra))
+    return _gadget(wl, B, length_factor)
 
 
 # ----------------------------------------------------------------------
@@ -157,17 +125,14 @@ def _build_gadget_hotspot(
     models=("wormhole", "cut_through", "store_forward", "restricted"),
 )
 def _build_chain_contention(
-    B: int = 1, chains: int = 4, depth: int = 12, messages: int = 8
-) -> ScenarioCase:
+    chains: int = 4, depth: int = 12, messages: int = 8
+) -> Workload:
     """Disjoint chains with ``messages`` worms each: congestion is exactly
     ``messages`` and dilation exactly ``depth``, the cleanest instance for
     the ``ceil(L C / B)`` capacity bound and the unobstructed time."""
     wl = WORKLOADS["chain-bundle"](chains=chains, depth=depth, messages=messages)
-    return _routed_case(
-        wl,
-        ("congestion", "unobstructed", "sf-envelope", "deadlock-free", "delivery", "envelope"),
-        facts={"acyclic": True},  # disjoint chains
-    )
+    wl.facts = {"acyclic": True}  # disjoint chains
+    return wl
 
 
 # ----------------------------------------------------------------------
@@ -175,14 +140,13 @@ def _build_chain_contention(
 # ----------------------------------------------------------------------
 
 
-_LAYERED_ROWS = ("unobstructed", "deadlock-free", "delivery", "envelope")
-
-
 def _layered_walks(width, depth, out_degree, messages, seed) -> Workload:
     wl = WORKLOADS["layered"](
         width=width, depth=depth, out_degree=out_degree, messages=messages, seed=seed
     )
     wl.default_length = int(depth)
+    # Leveled: every edge goes one level down, so no dependency cycle.
+    wl.facts = {"acyclic": True}
     return wl
 
 
@@ -193,19 +157,16 @@ def _layered_walks(width, depth, out_degree, messages, seed) -> Workload:
     models=("wormhole", "cut_through", "store_forward"),
 )
 def _build_layered_walks(
-    B: int = 1,
     width: int = 8,
     depth: int = 6,
     out_degree: int = 3,
     messages: int = 60,
     seed: int = 0,
-) -> ScenarioCase:
+) -> Workload:
     """A random leveled workload — random-walk routes down a leveled
     network, the Theorem 2.1.6 substrate — at ``L = depth``, routed
     greedily by each model."""
-    wl = _layered_walks(width, depth, out_degree, messages, seed)
-    # Leveled: every edge goes one level down, so no dependency cycle.
-    return _routed_case(wl, _LAYERED_ROWS, facts={"acyclic": True})
+    return _layered_walks(width, depth, out_degree, messages, seed)
 
 
 @register_scenario(
@@ -223,7 +184,7 @@ def _build_lll_schedule(
     seed: int = 0,
     length: int | None = None,
     schedule_seed: int = 0,
-) -> ScenarioCase:
+) -> Workload:
     """``layered-walks`` released on its LLL schedule for ``B``
     (:func:`~repro.core.scheduler.schedule_workload`, colouring drawn
     from ``schedule_seed``) at ``L = length`` (``None`` is ``depth``):
@@ -235,13 +196,13 @@ def _build_lll_schedule(
     if length is not None:
         wl.default_length = length
     wl = schedule_workload(wl, B, rng=np.random.default_rng(schedule_seed))
-    facts = {
+    wl.facts = {
         "acyclic": True,
         "built_B": int(B),
         "built_L": wl.default_length,
         "length_bound": wl.info["length_bound"],
     }
-    return _routed_case(wl, ("schedule", *_LAYERED_ROWS), facts=facts)
+    return wl
 
 
 # ----------------------------------------------------------------------
@@ -249,7 +210,7 @@ def _build_lll_schedule(
 # ----------------------------------------------------------------------
 
 
-def _ring_case(B, n, hops, *, dateline: bool) -> ScenarioCase:
+def _ring(B, n, hops, *, dateline: bool) -> Workload:
     """Ring network, one message per node, each covering ``hops`` edges,
     at ``L = hops + B + 1`` (``L > B``, so worms can wrap the cycle shut).
 
@@ -282,31 +243,22 @@ def _ring_case(B, n, hops, *, dateline: bool) -> ScenarioCase:
         def vc_of(path, hop):
             return vc_ids[index_of[tuple(path.edges)]][hop]
 
-    wl = Workload(
+    facts = {"acyclic": is_deadlock_free(paths, vc_of)}
+    if not dateline:
+        verdict = B < hops
+        facts["why"] = f"B={B} {'<' if verdict else '>='} hops={hops}"
+        facts["expect_deadlock"] = verdict
+    elif vc_ids is not None:  # at B = 1 it is the plain ring: nothing declared
+        facts["why"] = f"dateline VC classes break the cycle at B={B}"
+        facts["expect_deadlock"] = False
+    return Workload(
         net=net,
         paths=paths,
         default_length=hops + B + 1,
         info={"n": n, "hops": hops, "messages": len(paths)},
         vc_ids=vc_ids,
         arbitration="index",
-    )
-    acyclic = is_deadlock_free(paths, vc_of)
-    facts = {"acyclic": acyclic}
-    info = {"n": n, "hops": hops, "L": wl.default_length}
-    if not dateline:
-        verdict = B < hops
-        facts["why"] = f"B={B} {'<' if verdict else '>='} hops={hops}"
-        facts["expect_deadlock"] = info["expect_deadlock"] = verdict
-    else:
-        info.update(dateline=vc_ids is not None, cdg_acyclic=acyclic)
-        if vc_ids is not None:  # at B = 1 it is the plain ring: nothing declared
-            facts["why"] = f"dateline VC classes break the cycle at B={B}"
-            facts["expect_deadlock"] = False
-    return _routed_case(
-        wl,
-        ("ring-determinism", "deadlock-free", "delivery", "envelope"),
         facts=facts,
-        info=info,
     )
 
 
@@ -316,12 +268,12 @@ def _ring_case(B, n, hops, *, dateline: bool) -> ScenarioCase:
     theorem="Section 1.2 / Dally-Seitz",
     models=("wormhole",),
 )
-def _build_ring_deadlock(B: int = 1, n: int = 6, hops: int = 6) -> ScenarioCase:
+def _build_ring_deadlock(B: int = 1, n: int = 6, hops: int = 6) -> Workload:
     """A ring whose channel dependency graph is a single cycle: with one
     worm per node each spanning ``hops`` edges and ``L > B``, the run
     deadlocks exactly when ``B < hops`` — the failure mode virtual
     channels exist to prevent."""
-    return _ring_case(B, n, hops, dateline=False)
+    return _ring(B, n, hops, dateline=False)
 
 
 @register_scenario(
@@ -330,12 +282,12 @@ def _build_ring_deadlock(B: int = 1, n: int = 6, hops: int = 6) -> ScenarioCase:
     theorem="Dally-Seitz dateline construction",
     models=("wormhole",),
 )
-def _build_ring_dateline(B: int = 2, n: int = 6, hops: int = 6) -> ScenarioCase:
+def _build_ring_dateline(B: int = 2, n: int = 6, hops: int = 6) -> Workload:
     """The same cyclic ring traffic with the dateline escape: messages
     switch to VC class 1 after crossing the wrap edge, the CDG becomes
     acyclic, and the run must deliver (needs ``B >= 2``; at ``B = 1``
     the scenario degrades to the deadlocking configuration)."""
-    return _ring_case(B, n, hops, dateline=True)
+    return _ring(B, n, hops, dateline=True)
 
 
 @register_scenario(
@@ -345,14 +297,13 @@ def _build_ring_dateline(B: int = 2, n: int = 6, hops: int = 6) -> ScenarioCase:
     models=("adaptive",),
 )
 def _build_hotspot_mesh(
-    B: int = 1,
     k: int = 6,
     messages_per_node: int = 1,
     fraction: float = 0.3,
     hotspot: int = 0,
     policy: str = "west-first",
     seed: int = 7,
-) -> ScenarioCase:
+) -> Workload:
     """Hot-spot traffic on a ``k x k`` mesh under the adaptive router:
     a ``fraction`` of all messages converge on one node.  West-first
     turn routing must stay deadlock-free; ``policy="fully-adaptive"``
@@ -372,25 +323,13 @@ def _build_hotspot_mesh(
         )
         if s != d
     ]
-    wl = Workload(
+    return Workload(
         net=cube.network,
         demands=demands,
         cube=cube,
         default_length=2 * int(k),
         info={"k": int(k), "messages": len(demands)},
         arbitration=policy,
-    )
-    return _routed_case(
-        wl,
-        ("delivery", "envelope"),
-        info={
-            "k": int(k),
-            "hotspot": int(hotspot),
-            "fraction": float(fraction),
-            "policy": policy,
-            "messages": len(demands),
-            "L": wl.default_length,
-        },
     )
 
 
@@ -399,9 +338,9 @@ def _build_hotspot_mesh(
 # ----------------------------------------------------------------------
 
 
-def _arrival_case(
-    width, depth, out_degree, net_seed, rate: np.ndarray, message_length, **info
-) -> ScenarioCase:
+def _arrivals(
+    width, depth, out_degree, net_seed, rate: np.ndarray, message_length
+) -> Workload:
     """An open-loop trace as a wormhole trial: one injection queue per
     level-0 node of a random leveled network, arrivals following the
     per-step ``rate`` trace, every message on a fresh random walk to the
@@ -415,26 +354,15 @@ def _arrival_case(
     release, sources, paths = draw_arrivals(
         rate, width, random_walk_route(net, depth), rng, rng
     )
-    wl = Workload(
+    return Workload(
         net=net,
         paths=paths,
         default_length=int(message_length),
         info={"width": width, "depth": depth, "messages": len(paths)},
         release_times=release,
         sources=sources,
-    )
-    return _routed_case(
-        wl,
-        ("delivery", "unobstructed", "congestion", "envelope", "deadlock-free"),
         # Leveled: every edge goes one level down.
         facts={"acyclic": True, "width": width, "depth": depth},
-        info={
-            "mean_rate": float(rate.mean()),
-            "horizon": len(rate),
-            "messages": len(paths),
-            "L": int(message_length),
-            **info,
-        },
     )
 
 
@@ -444,7 +372,6 @@ def _arrival_case(
     theorem="Scheideler-Vocking [43] (continuous regime)",
 )
 def _build_bursty_arrivals(
-    B: int = 1,
     width: int = 6,
     depth: int = 5,
     out_degree: int = 2,
@@ -455,7 +382,7 @@ def _build_bursty_arrivals(
     horizon: int = 600,
     message_length: int = 6,
     net_seed: int = 3,
-) -> ScenarioCase:
+) -> Workload:
     """A square-wave arrival trace: ``burst_len`` steps at ``burst_rate``
     then quiet at ``idle_rate``, repeating every ``period`` steps — the
     open-loop analogue of batch bursts, for backlog-drain behaviour."""
@@ -463,10 +390,7 @@ def _build_bursty_arrivals(
     rate = np.where(
         (t % int(period)) < int(burst_len), float(burst_rate), float(idle_rate)
     )
-    return _arrival_case(
-        width, depth, out_degree, net_seed, rate, message_length,
-        burst_rate=float(burst_rate), period=int(period),
-    )
+    return _arrivals(width, depth, out_degree, net_seed, rate, message_length)
 
 
 @register_scenario(
@@ -475,7 +399,6 @@ def _build_bursty_arrivals(
     theorem="Scheideler-Vocking [43] (continuous regime)",
 )
 def _build_heavy_tail_arrivals(
-    B: int = 1,
     width: int = 6,
     depth: int = 5,
     out_degree: int = 2,
@@ -486,7 +409,7 @@ def _build_heavy_tail_arrivals(
     message_length: int = 6,
     net_seed: int = 3,
     trace_seed: int = 11,
-) -> ScenarioCase:
+) -> Workload:
     """A Pareto-modulated arrival trace (``alpha < 2``: infinite-variance
     bursts), seeded and deterministic — heavy-tailed load the uniform
     Bernoulli model never produces."""
@@ -496,7 +419,4 @@ def _build_heavy_tail_arrivals(
         0.0,
         float(cap),
     )
-    return _arrival_case(
-        width, depth, out_degree, net_seed, rate, message_length,
-        max_rate=float(rate.max()), alpha=float(alpha),
-    )
+    return _arrivals(width, depth, out_degree, net_seed, rate, message_length)

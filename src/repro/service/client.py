@@ -257,8 +257,8 @@ class LoadgenConfig:
         from ..scenarios import get_scenario
 
         scen = get_scenario(self.scenario)
-        case = scen.build_case(B=self.channels[0], **self.workload_params)
-        return case.workload.release_times
+        wl = scen.build_case(B=self.channels[0], **self.workload_params)
+        return wl.release_times
 
     def specs(self) -> list[TrialSpec]:
         """One unique spec per request.

@@ -21,7 +21,9 @@ which re-exports everything here (as do :mod:`repro.sim.batch` and
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import inspect
 import json
 import sys
 from collections.abc import Callable
@@ -39,6 +41,7 @@ __all__ = [
     "batch_compat_key",
     "check_root_seed",
     "register_workload",
+    "with_trial_B",
 ]
 
 #: Every simulator name a :class:`TrialSpec` may carry: the rows of
@@ -136,7 +139,7 @@ class TrialSpec:
         message_length: int | None = None,
         repeat: int = 0,
     ) -> "TrialSpec":
-        _builder(workload)
+        builder = _builder(workload)
         if simulator not in SIMULATORS:
             raise NetworkError(
                 f"unknown simulator {simulator!r}; "
@@ -153,7 +156,9 @@ class TrialSpec:
             workload=workload,
             simulator=simulator,
             B=B,
-            workload_params=_check_params(workload_params or {}, "workload"),
+            workload_params=_check_params(
+                with_trial_B(builder, workload_params or {}, B), "workload"
+            ),
             sim_params=_check_params(sim_params or {}, "simulator"),
             message_length=message_length,
             repeat=repeat,
@@ -229,7 +234,9 @@ class Workload:
     choices do not offer it runs the caller's option or its table
     default (:func:`repro.sim.batch.run_model`).  Every front door passes all
     of these to the model, so a trial never depends on which door ran
-    it.
+    it.  ``facts`` (JSON-safe) are what the builder knows about the
+    instance that an expectation row needs (``acyclic``, ``built_B``,
+    ...; :mod:`repro.fuzz.expectations`); no trial metric reads them.
     """
 
     net: Any
@@ -242,6 +249,7 @@ class Workload:
     sources: Any = None
     vc_ids: Any = None
     arbitration: str | None = None
+    facts: dict[str, Any] = field(default_factory=dict)
     # Not an init field, so ``dataclasses.replace`` never carries the
     # pack of the paths it replaces.
     _padded: Any = field(default=None, init=False, repr=False, compare=False)
@@ -282,6 +290,28 @@ def _builder(name: str) -> Callable[..., Workload]:
             f"unknown workload {name!r}; "
             f"registered: {', '.join(sorted(WORKLOADS))}"
         ) from None
+
+
+@functools.cache
+def _takes_B(builder: Callable[..., Workload]) -> bool:
+    return "B" in inspect.signature(builder).parameters
+
+
+def with_trial_B(
+    builder: Callable[..., Workload], params: dict[str, Any], B: int
+) -> dict[str, Any]:
+    """``params`` for ``builder`` in a trial at ``B``: a builder that
+    takes a ``B`` (an instance built *for* a ``B``, such as Theorem
+    2.2.1's) is built for the trial's, unless ``params`` names one
+    (E2b routes the ``B = 1`` instance at other ``B`` on purpose).
+
+    A spec with ``B`` filled in is the spec that names it, so the cache
+    key is the one the explicit form always had.  Whether a builder
+    takes ``B`` is read from its signature once per builder.
+    """
+    if "B" in params or not _takes_B(builder):
+        return params
+    return {**params, "B": B}
 
 
 def register_workload(name: str) -> Callable:

@@ -40,6 +40,14 @@ class TestMaxMPrime:
         with pytest.raises(NetworkError):
             max_m_prime(D=2, B=2)
 
+    def test_requires_a_virtual_channel(self):
+        """``B = 0`` is refused, not searched for ever: a name built for
+        the trial's ``B`` reaches this with whatever ``B`` a caller gave."""
+        with pytest.raises(NetworkError, match="B >= 1"):
+            max_m_prime(D=15, B=0)
+        with pytest.raises(NetworkError, match="B >= 1"):
+            simulate("scenario:lower-bound-gadget", B=0)
+
 
 class TestConstruction:
     @pytest.mark.parametrize("B", [1, 2])

@@ -129,7 +129,7 @@ class TestShrinking:
         monkeypatch.setitem(fz.CASE_CHECKERS, "gadget", checker)
         shrunk = shrink_case(case, "always")
         assert shrunk.workload.paths == original_paths
-        assert shrunk.workload.default_length == int(case.facts["dilation"]) + 1
+        assert shrunk.workload.default_length == int(case.workload.facts["dilation"]) + 1
 
     def test_shrink_preserves_the_violation(self, monkeypatch):
         case = generate_case(0, 0, ("chain",))
@@ -182,7 +182,7 @@ class TestArtifacts:
         monkeypatch.setitem(fz.FAMILY_TABLE, "dateline", family)
         monkeypatch.setitem(fz.CASE_CHECKERS, "dateline", fz._check_case)
         case = generate_case(0, 0, ("dateline",))
-        classes = get_scenario("ring-dateline").build_case(**params).workload.vc_ids
+        classes = get_scenario("ring-dateline").build_case(**params).vc_ids
         assert classes is not None and case.workload.vc_ids == classes
         payload = fz.case_to_artifact(case, [], root_seed=0, round_index=0)
         path = tmp_path / "dateline.json"

@@ -33,21 +33,20 @@ ARRIVALS = sorted(name for name, s in SCENARIOS.items() if s.family == "arrival"
 
 
 def _assert_doors_agree(name, model, B, params):
-    want = _result_metrics(
-        get_scenario(name).run(B=B, model=model, seed=0, **params).outcome
-    )
-    workload_params = {"B": B, **params}
+    run = get_scenario(name).run(B=B, model=model, seed=0, **params)
+    assert run.ok, [v.detail for v in run.violations]
+    want = _result_metrics(run.outcome)
     spec = TrialSpec.make(
         f"scenario:{name}",
         model,
         B=B,
-        workload_params=workload_params,
+        workload_params=params,
         sim_params={"seed": 0},
     )
     swept = run_sweep([spec]).trials[0].metrics
     assert {k: swept[k] for k in want} == want
     by_name = simulate(
-        f"scenario:{name}", model=model, B=B, workload_params=workload_params, seed=0
+        f"scenario:{name}", model=model, B=B, workload_params=params, seed=0
     )
     assert _result_metrics(by_name) == want
 
@@ -112,6 +111,6 @@ def test_a_model_that_cannot_run_the_trial_refuses_it():
     for mode in ("exact", "estimate"):
         with pytest.raises(NetworkError, match="sources"):
             simulate("scenario:bursty-arrivals", model="cut_through", mode=mode)
-    arrivals = get_scenario("bursty-arrivals").build_case().workload
+    arrivals = get_scenario("bursty-arrivals").build_case()
     with pytest.raises(NetworkError, match="release_times, sources"):
         schedule_workload(arrivals, 1)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.facade import simulate
-from repro.fuzz.expectations import EXPECTATIONS
+from repro.fuzz.expectations import EXPECTATIONS, evaluate
 from repro.network.graph import NetworkError
 from repro.scenarios import SCENARIOS, get_scenario
 from repro.sim.batch import LOCKSTEP_MODELS
+from repro.sim.spec import Workload
 from repro.sim.sweep import WORKLOADS, TrialSpec, _execute_trial
 
 
@@ -57,7 +58,7 @@ class TestRunsClean:
     def test_default_run_satisfies_expectations(self, name):
         run = get_scenario(name).run()
         assert run.ok, [v.detail for v in run.violations]
-        assert run.checked  # every scenario declares expectations
+        assert run.checked  # some row applies to every default run
 
     @pytest.mark.parametrize("name, model, B", RUN_GRID)
     def test_every_declared_cell_satisfies_expectations(self, name, model, B):
@@ -68,33 +69,65 @@ class TestRunsClean:
             # No clean lockstep run escapes the analytic envelope.
             assert EXPECTATIONS["envelope"].label in run.checked
 
-    def test_checked_labels_match_case_checks(self):
-        run = get_scenario("chain-contention").run(B=2)
-        assert run.checked == [label for label, _ in run.case.checks]
+    def test_checked_lists_the_rows_that_applied(self):
+        """``checked`` is what ran: the labels of the rows ``evaluate``
+        applied, so a store-and-forward gadget run lists the bound that
+        holds on any instance and none of the wormhole-only rows."""
+        run = get_scenario("lower-bound-gadget").run(B=1, model="store_forward")
+        wl = run.workload
+        applied = evaluate(run.outcome, wl, model="store_forward", B=1)
+        assert run.checked == [row.text(wl.facts) for row, _ in applied]
+        assert EXPECTATIONS["sf-envelope"].label in run.checked
+        for name in ("gadget", "congestion"):
+            assert EXPECTATIONS[name].label not in run.checked
+
+    def test_every_row_applies_to_some_scenario_cell(self):
+        """No builder names rows, so a row that no registered scenario
+        cell at its defaults selects would be dead.  Each row can apply
+        at ``B = 1``, so the cells run there, the costly restricted ones
+        last."""
+        rows = set(EXPECTATIONS)
+        cells = sorted(
+            (model == "restricted", name, model)
+            for name, scen in SCENARIOS.items()
+            for model in scen.models
+        )
+        applied = set()
+        for _, name, model in cells:
+            wl = get_scenario(name).build_case(B=1)
+            outcome = simulate(wl, model=model, B=1)
+            applied |= {row.name for row, _ in evaluate(outcome, wl, model=model, B=1)}
+            if applied == rows:
+                break
+        assert applied == rows, sorted(rows - applied)
 
 
 class TestGadgetLowerBound:
+    @staticmethod
+    def _lower_bound(wl: Workload) -> float:
+        """Theorem 2.2.1's ``(L - D) M / B`` at the ``B`` it was built for."""
+        facts = wl.facts
+        return (wl.default_length - facts["dilation"]) * len(wl.paths) / facts["built_B"]
+
     @pytest.mark.parametrize("B", [1, 2, 4])
     def test_theorem_221_bound_reproduced(self, B):
         run = get_scenario("lower-bound-gadget").run(B=B)
         assert run.ok
-        assert run.summary()["makespan"] >= run.case.info["lower_bound"]
+        assert EXPECTATIONS["gadget"].label in run.checked
+        assert run.summary()["makespan"] >= self._lower_bound(run.workload)
 
     def test_bound_scales_inversely_with_B(self):
         bounds = {
-            B: get_scenario("lower-bound-gadget")
-            .build_case(B=B)
-            .info["lower_bound"]
+            B: self._lower_bound(get_scenario("lower-bound-gadget").build_case(B=B))
             for B in (1, 2)
         }
         assert bounds[1] > bounds[2]
 
     def test_hotspot_variant_inflates_M_and_holds(self):
-        scen = get_scenario("gadget-hotspot")
-        run = run_plain = scen.run(B=1)
+        run = get_scenario("gadget-hotspot").run(B=1)
         assert run.ok
         plain = get_scenario("lower-bound-gadget").build_case(B=1)
-        assert run_plain.case.info["M"] > plain.info["M"]
+        assert run.workload.info["messages"] > plain.info["messages"]
 
 
 class TestDeadlockFamily:
@@ -110,7 +143,7 @@ class TestDeadlockFamily:
         run = get_scenario("ring-dateline").run(B=2)
         assert run.ok
         assert not run.outcome.deadlocked
-        assert run.case.info["cdg_acyclic"] is True
+        assert run.workload.facts["acyclic"] is True
 
     def test_dateline_at_B1_degrades_to_deadlock(self):
         run = get_scenario("ring-dateline").run(B=1)
@@ -127,7 +160,7 @@ class TestScheduleFamily:
         run = get_scenario("lll-schedule").run(B=2)
         assert run.ok
         assert EXPECTATIONS["schedule"].label in run.checked
-        info = run.case.workload.info
+        info = run.workload.info
         assert run.outcome.makespan <= info["length_bound"]
         assert run.outcome.total_blocked_steps == 0
 
@@ -140,17 +173,17 @@ class TestScheduleFamily:
         run = get_scenario("lll-schedule").run(B=B)
         assert run.ok
         assert run.outcome.makespan == makespan
-        assert run.case.workload.info["classes"] == classes
+        assert run.workload.info["classes"] == classes
         assert run.outcome.total_blocked_steps == 0
 
     def test_release_times_are_the_class_phases(self):
-        case = get_scenario("lll-schedule").build_case(B=1)
-        wl, info = case.workload, case.workload.info
+        wl = get_scenario("lll-schedule").build_case(B=1)
+        info = wl.info
         phase = wl.default_length + info["dilation"] - 1
         assert set(wl.release_times.tolist()) == {
             c * phase for c in range(info["classes"])
         }
-        assert case.facts["length_bound"] == info["classes"] * phase
+        assert wl.facts["length_bound"] == info["classes"] * phase
 
     def test_same_case_runs_greedy_models_too(self):
         walks = get_scenario("layered-walks")
@@ -158,19 +191,19 @@ class TestScheduleFamily:
         assert run.ok
         assert run.outcome.all_delivered
         # The same routes the schedule releases, without the releases.
-        scheduled = get_scenario("lll-schedule").build_case(B=2).workload
-        assert run.case.workload.paths == scheduled.paths
-        assert run.case.workload.release_times is None
+        scheduled = get_scenario("lll-schedule").build_case(B=2)
+        assert run.workload.paths == scheduled.paths
+        assert run.workload.release_times is None
 
 
 class TestArrivalFamily:
     def test_bursty_trace_conserves_messages(self):
         run = get_scenario("bursty-arrivals").run(B=2)
         assert run.ok
-        wl = run.case.workload
+        wl = run.workload
         # Every drawn arrival is a message, and a trial delivers them all.
         assert len(wl.paths) == len(wl.release_times) == len(wl.sources)
-        assert run.outcome.num_messages == run.case.info["messages"] > 0
+        assert run.outcome.num_messages == wl.info["messages"] > 0
         assert run.outcome.all_delivered
         # No message completes before its release plus L + D - 1.
         lengths = np.array([len(p) for p in wl.paths])
@@ -180,10 +213,8 @@ class TestArrivalFamily:
     def test_heavy_tail_trace_is_seeded_deterministic(self):
         a = get_scenario("heavy-tail-arrivals").run(B=1)
         b = get_scenario("heavy-tail-arrivals").run(B=1)
-        assert np.array_equal(
-            a.case.workload.release_times, b.case.workload.release_times
-        )
-        assert a.case.workload.paths == b.case.workload.paths
+        assert np.array_equal(a.workload.release_times, b.workload.release_times)
+        assert a.workload.paths == b.workload.paths
         assert np.array_equal(a.outcome.completion_times, b.outcome.completion_times)
 
 
@@ -208,16 +239,27 @@ class TestIntegration:
         assert metrics["delivered"] == metrics["messages"]
 
     def test_scenario_workload_riding_B_param(self):
-        # Gadget instances must be built FOR the B they run at: the
-        # builder's B travels as an ordinary workload parameter.
-        spec = TrialSpec.make(
-            "scenario:lower-bound-gadget",
-            "wormhole",
-            B=2,
-            workload_params={"B": 2, "C": 6, "D": 7},
-        )
-        metrics, _ = _execute_trial((spec, 0))
+        """Gadget instances must be built FOR the B they run at: the
+        trial's ``B`` rides into the builder, so a spec that names no
+        ``B`` is the spec that names the trial's, down to its cache key;
+        one that names a ``B`` keeps it."""
+
+        def spec(B, built_for=None):
+            params = {"C": 6, "D": 7}
+            if built_for is not None:
+                params["B"] = built_for
+            return TrialSpec.make(
+                "scenario:lower-bound-gadget", "wormhole", B=B, workload_params=params
+            )
+
+        assert spec(2) == spec(2, built_for=2)
+        assert spec(2).cache_key(0) == spec(2, built_for=2).cache_key(0)
+        assert ("B", 1) in spec(2, built_for=1).workload_params
+        metrics, _ = _execute_trial((spec(2), 0))
         assert metrics["delivered"] == metrics["messages"]
+        assert metrics["workload_messages"] == len(
+            get_scenario("lower-bound-gadget").build_case(B=2, C=6, D=7).paths
+        )
 
     def test_loadgen_config_substitutes_scenario_workload(self):
         from repro.service import LoadgenConfig
@@ -282,24 +324,21 @@ class TestContinuousArrayRate:
 
 class TestVcIdsFacade:
     def test_vc_ids_rejected_off_wormhole(self):
-        case = get_scenario("ring-dateline").build_case(B=2)
-        assert case.workload.vc_ids is not None
+        wl = get_scenario("ring-dateline").build_case(B=2)
+        assert wl.vc_ids is not None
         with pytest.raises(NetworkError, match="wormhole"):
-            simulate(case.workload, model="store_forward", B=2)
+            simulate(wl, model="store_forward", B=2)
 
     def test_vc_ids_forwarded_to_wormhole(self):
-        case = get_scenario("ring-dateline").build_case(B=2)
+        wl = get_scenario("ring-dateline").build_case(B=2)
         # The ring states its index arbitration with the classes.
-        res = simulate(case.workload, model="wormhole", B=2)
+        res = simulate(wl, model="wormhole", B=2)
         assert res.all_delivered
-        # The same classes given again, or as a tuple's, are one trial.
-        with pytest.raises(NetworkError, match="already states vc_ids"):
-            simulate(case.workload, B=2, vc_ids=case.workload.vc_ids)
+        # The same classes on a workload of the bare routes are one trial.
         again = simulate(
-            (case.workload.net, case.workload.paths),
+            Workload(net=wl.net, paths=wl.paths, vc_ids=wl.vc_ids),
             B=2,
-            message_length=case.workload.default_length,
+            message_length=wl.default_length,
             priority="index",
-            vc_ids=case.workload.vc_ids,
         )
         assert np.array_equal(again.completion_times, res.completion_times)

@@ -27,6 +27,7 @@ import numpy as np
 
 from repro import simulate
 from repro.sim.batch import run_store_forward_batch
+from repro.sim.spec import Workload
 
 GOLDEN_PATH = Path(__file__).parent / "golden.json"
 
@@ -138,8 +139,8 @@ def wormhole_staggered():
     out = {}
     for B in (1, 2):
         res = simulate(
-            (net, paths), B=B, message_length=6, priority="random", seed=4,
-            release_times=release,
+            Workload(net=net, paths=paths, release_times=release),
+            B=B, message_length=6, priority="random", seed=4,
         )
         out[f"B{B}"] = _summarize(res)
     return out
@@ -195,7 +196,8 @@ def wormhole_vc_classes():
         dateline.append(vcs)
     out = {}
     res = simulate(
-        (net, paths), B=2, message_length=4, priority="index", vc_ids=dateline
+        Workload(net=net, paths=paths, vc_ids=dateline),
+        B=2, message_length=4, priority="index",
     )
     out["dateline"] = _summarize(res)
     res = simulate((net, paths), B=2, message_length=4, priority="index")
@@ -227,8 +229,8 @@ def cut_through_suite():
             out[f"{priority}/buf{buf}"] = _summarize(res)
     release = _stagger(len(paths))
     res = simulate(
-        (net, paths), model="cut_through", B=2, message_length=10,
-        priority="random", seed=5, release_times=release,
+        Workload(net=net, paths=paths, release_times=release),
+        model="cut_through", B=2, message_length=10, priority="random", seed=5,
     )
     out["staggered"] = _summarize(res)
     return out
@@ -267,8 +269,8 @@ def store_forward_suite():
     out["delayed"] = _summarize(res)
     release = _stagger(len(paths))
     res = simulate(
-        (net, paths), model="store_forward", message_length=8,
-        priority="farthest", seed=6, release_times=release,
+        Workload(net=net, paths=paths, release_times=release),
+        model="store_forward", message_length=8, priority="farthest", seed=6,
     )
     out["staggered"] = _summarize(res)
     return out
@@ -300,8 +302,8 @@ def restricted_suite():
         out[f"B{B}"] = _summarize(res)
     release = _stagger(len(paths))
     res = simulate(
-        (net, paths), model="restricted", B=2, message_length=5, seed=8,
-        release_times=release,
+        Workload(net=net, paths=paths, release_times=release),
+        model="restricted", B=2, message_length=5, seed=8,
     )
     out["staggered"] = _summarize(res)
     return out
@@ -333,8 +335,8 @@ def adaptive_suite():
             out[f"{policy}/B{B}"] = summary
     release = _stagger(len(demands))
     res = simulate(
-        (cube, demands), model="adaptive", B=2, message_length=4,
-        policy="west-first", seed=11, release_times=release,
+        Workload(net=cube.network, cube=cube, demands=demands, release_times=release),
+        model="adaptive", B=2, message_length=4, policy="west-first", seed=11,
     )
     out["staggered"] = _summarize(res)
     return out

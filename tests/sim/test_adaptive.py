@@ -7,6 +7,7 @@ from repro import simulate
 from repro.network.graph import NetworkError
 from repro.network.mesh import KAryNCube
 from repro.sim.batch import run_adaptive_batch
+from repro.sim.spec import Workload
 
 
 @pytest.fixture
@@ -171,8 +172,13 @@ class TestAdaptivityHelps:
 
     def test_release_times(self, mesh):
         out = simulate(
-            (mesh, [(0, mesh.node((0, 2)))]), model="adaptive", message_length=3,
-            policy="dimension", release_times=np.array([4]),
+            Workload(
+                net=mesh.network,
+                cube=mesh,
+                demands=[(0, mesh.node((0, 2)))],
+                release_times=np.array([4]),
+            ),
+            model="adaptive", message_length=3, policy="dimension",
         )
         assert out.completion_times[0] == 4 + 3 + 2 - 1
 

@@ -44,6 +44,7 @@ from repro.sim.batch import (
     run_store_forward_batch,
 )
 from repro.sim.circuit import circuit_switch_butterfly
+from repro.sim.spec import Workload
 from repro.sim.sweep import SIMULATORS, TrialSpec, run_sweep
 from repro.service.protocol import ProtocolError, parse_run_request
 from repro.telemetry.probe import Probe
@@ -496,10 +497,18 @@ def _via_driver(model, problem, B=1, message_length=None, seeds=(0,), **kw):
     return spec.driver(first, second, L, seeds=list(seeds), **{spec.knob: B}, **kw)
 
 
-def _via_simulate(model, problem, B=1, message_length=None, **kw):
+def _via_simulate(model, problem, B=1, message_length=None, release_times=None, **kw):
+    """The facade on the problem's :class:`Workload` (releases are one of
+    its fields, not a facade option)."""
     first, second, L = problem
     L = L if message_length is None else message_length
-    return simulate((first, second), model=model, B=B, message_length=L, **kw)
+    routes = (
+        {"net": first.network, "cube": first, "demands": list(second)}
+        if LOCKSTEP_MODELS[model].kind == "mesh"
+        else {"net": first, "paths": list(second)}
+    )
+    wl = Workload(**routes, release_times=release_times)
+    return simulate(wl, model=model, B=B, message_length=L, **kw)
 
 
 def _via_sweep(model, B=1, message_length=8):

@@ -187,7 +187,7 @@ class TestFrontEndEqualsTheMovedLoop:
         (releases, one injection queue per source): run to completion,
         it equals the moved loop fed the same trace."""
         scen = get_scenario(name)
-        wl = scen.build_case().workload
+        wl = scen.build_case()
         trace = {}
         for release, source, path in zip(wl.release_times, wl.sources, wl.paths):
             trace.setdefault(int(release), []).append((int(source), path))

@@ -23,12 +23,15 @@ from repro import simulate
 from repro.network.random_networks import chain_bundle, layered_network, random_walk_paths
 from repro.routing.paths import paths_from_node_walks
 from repro.sim.batch import run_wormhole_batch
+from repro.sim.spec import Workload
 
 
 def optimized_run(net, paths, L, B, release=None):
     res = simulate(
-        (net, paths), B=B, message_length=L, priority="index",
-        release_times=None if release is None else np.asarray(release),
+        Workload(
+            net=net, paths=paths, release_times=None if release is None else np.asarray(release),
+        ),
+        B=B, message_length=L, priority="index",
     )
     return res.completion_times
 

@@ -7,6 +7,7 @@ from repro import simulate
 from repro.network.graph import Network, NetworkError
 from repro.network.random_networks import chain_bundle
 from repro.routing.paths import paths_from_node_walks
+from repro.sim.spec import Workload
 
 
 def chain_paths(chains, depth, per_chain):
@@ -121,8 +122,8 @@ class TestSemantics:
     def test_release_times(self):
         net, paths = chain_paths(1, 3, 1)
         res = simulate(
-            (net, paths), model="restricted", message_length=2,
-            release_times=np.array([5]),
+            Workload(net=net, paths=paths, release_times=np.array([5])),
+            model="restricted", message_length=2,
         )
         assert res.completion_times[0] == 5 + 2 + 3 - 1
 

@@ -8,6 +8,7 @@ from repro.network.graph import NetworkError
 from repro.network.random_networks import chain_bundle
 from repro.routing.paths import paths_from_node_walks
 from repro.sim.batch import run_store_forward_batch
+from repro.sim.spec import Workload
 
 
 def chain_paths(chains, depth, per_chain):
@@ -108,8 +109,8 @@ class TestOptions:
     def test_release_times_rounded_to_message_steps(self):
         net, paths = chain_paths(1, 2, 1)
         res = simulate(
-            (net, paths), model="store_forward", message_length=4,
-            release_times=np.array([5]),
+            Workload(net=net, paths=paths, release_times=np.array([5])),
+            model="store_forward", message_length=4,
         )
         # Release 5 flit steps -> message step 2 -> starts at step 2.
         assert res.completion_times[0] == (2 + 2) * 4
@@ -165,8 +166,8 @@ class TestOptionsPinnedByHand:
     def run(self, priority, seed=0):
         net, paths = _three_way_contention()
         return simulate(
-            (net, paths), model="store_forward", B=2, message_length=4,
-            priority=priority, seed=seed, release_times=[0, 2, 4],
+            Workload(net=net, paths=paths, release_times=[0, 2, 4]),
+            model="store_forward", B=2, message_length=4, priority=priority, seed=seed,
         )
 
     def test_farthest_serves_the_most_hops_left_first(self):

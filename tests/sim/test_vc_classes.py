@@ -13,6 +13,7 @@ import pytest
 
 from repro import simulate
 from repro.network.graph import Network, NetworkError
+from repro.sim.spec import Workload
 
 
 def ring(k):
@@ -46,21 +47,27 @@ class TestValidation:
         net, edges = ring(4)
         with pytest.raises(NetworkError, match="match"):
             simulate(
-                (net, [[edges[0], edges[1]]]), B=2, message_length=3, vc_ids=[[0]],
+                Workload(net=net, paths=[[edges[0], edges[1]]], vc_ids=[[0]]),
+                B=2, message_length=3,
             )
 
     def test_vc_ids_out_of_range(self):
         net, edges = ring(4)
         with pytest.raises(NetworkError, match="vc ids"):
-            simulate((net, [[edges[0]]]), B=2, message_length=3, vc_ids=[[2]])
+            simulate(
+                Workload(net=net, paths=[[edges[0]]], vc_ids=[[2]]),
+                B=2, message_length=3,
+            )
 
 
 class TestBasicSemantics:
     def test_single_worm_unaffected(self):
         net, edges = ring(5)
         res = simulate(
-            (net, [[edges[0], edges[1], edges[2]]]), B=2, message_length=4,
-            vc_ids=[[0, 0, 1]],
+            Workload(
+                net=net, paths=[[edges[0], edges[1], edges[2]]], vc_ids=[[0, 0, 1]],
+            ),
+            B=2, message_length=4,
         )
         assert res.makespan == 4 + 3 - 1
 
@@ -69,13 +76,13 @@ class TestBasicSemantics:
         classes -> both proceed (the classes are the B slots)."""
         net, edges = ring(3)
         same = simulate(
-            (net, [[edges[0]], [edges[0]]]), B=2, message_length=5,
-            priority="index", vc_ids=[[0], [0]],
+            Workload(net=net, paths=[[edges[0]], [edges[0]]], vc_ids=[[0], [0]]),
+            B=2, message_length=5, priority="index",
         )
         assert same.completion_times[1] > same.completion_times[0]
         diff = simulate(
-            (net, [[edges[0]], [edges[0]]]), B=2, message_length=5,
-            priority="index", vc_ids=[[0], [1]],
+            Workload(net=net, paths=[[edges[0]], [edges[0]]], vc_ids=[[0], [1]]),
+            B=2, message_length=5, priority="index",
         )
         assert diff.completion_times[0] == diff.completion_times[1] == 5
 
@@ -85,8 +92,12 @@ class TestBasicSemantics:
         slot per class."""
         net, edges = ring(3)
         res = simulate(
-            (net, [[edges[0]], [edges[0]], [edges[0]]]), B=2, message_length=4,
-            priority="index", vc_ids=[[0], [0], [1]],
+            Workload(
+                net=net,
+                paths=[[edges[0]], [edges[0]], [edges[0]]],
+                vc_ids=[[0], [0], [1]],
+            ),
+            B=2, message_length=4, priority="index",
         )
         assert res.all_delivered
         times = sorted(res.completion_times.tolist())
@@ -114,7 +125,8 @@ class TestDallySeitzRing:
         paths = around_the_ring_paths(edges, k) * 2
         vcs = dateline_vcs(paths, k)
         res = simulate(
-            (net, paths), B=2, message_length=6, priority="index", vc_ids=vcs,
+            Workload(net=net, paths=paths, vc_ids=vcs),
+            B=2, message_length=6, priority="index",
         )
         assert not res.deadlocked
         assert res.all_delivered
@@ -125,5 +137,8 @@ class TestDallySeitzRing:
         paths = around_the_ring_paths(edges, k) * 2
         vcs = dateline_vcs(paths, k)
         for seed in range(8):
-            res = simulate((net, paths), B=2, message_length=5, seed=seed, vc_ids=vcs)
+            res = simulate(
+                Workload(net=net, paths=paths, vc_ids=vcs),
+                B=2, message_length=5, seed=seed,
+            )
             assert res.all_delivered

@@ -8,6 +8,7 @@ from repro.network.graph import Network, NetworkError
 from repro.network.random_networks import chain_bundle
 from repro.routing.paths import paths_from_node_walks
 from repro.sim.engine import pad_paths
+from repro.sim.spec import Workload
 from repro.telemetry import EdgeContentionCollector
 
 
@@ -43,13 +44,17 @@ class TestSingleWorm:
     def test_release_time_shifts_completion(self):
         net = line(4)
         res = simulate(
-            (net, [[0, 1, 2]]), message_length=2, release_times=np.array([10]),
+            Workload(net=net, paths=[[0, 1, 2]], release_times=np.array([10])),
+            message_length=2,
         )
         assert res.completion_times[0] == 10 + 3 + 2 - 1
 
     def test_zero_length_path_delivered_at_release(self):
         net = line(2)
-        res = simulate((net, [[]]), message_length=5, release_times=np.array([7]))
+        res = simulate(
+            Workload(net=net, paths=[[]], release_times=np.array([7])),
+            message_length=5,
+        )
         assert res.completion_times[0] == 7
 
     def test_single_flit_message(self):
@@ -80,7 +85,10 @@ class TestValidation:
 
     def test_rejects_negative_release(self):
         with pytest.raises(NetworkError):
-            simulate((line(3), [[0]]), message_length=1, release_times=np.array([-1]))
+            simulate(
+                Workload(net=line(3), paths=[[0]], release_times=np.array([-1])),
+                message_length=1,
+            )
 
     def test_empty_run(self):
         res = simulate((line(2), []), message_length=3)
@@ -148,8 +156,8 @@ class TestArbitration:
         paths = paths_from_node_walks(net, walks)
         # Message 1 released earlier -> wins the contention at edge 0.
         res = simulate(
-            (net, paths), message_length=3, priority="age",
-            release_times=np.array([2, 0]),
+            Workload(net=net, paths=paths, release_times=np.array([2, 0])),
+            message_length=3, priority="age",
         )
         assert res.completion_times[1] < res.completion_times[0]
 
@@ -220,8 +228,12 @@ class TestWormSemantics:
         blocker = [e_blk, chain[3]]  # holds edge 3 for its whole length
         worm_b = [chain[1]]  # single hop over edge 1
         res = simulate(
-            (net, [blocker, worm_a, worm_b]), message_length=np.array([10, 2, 1]),
-            priority="index", release_times=np.array([0, 0, 4]),
+            Workload(
+                net=net,
+                paths=[blocker, worm_a, worm_b],
+                release_times=np.array([0, 0, 4]),
+            ),
+            message_length=np.array([10, 2, 1]), priority="index",
         )
         assert res.all_delivered
         # Blocker (L=10, D=2) completes at 11 and only then does A resume;
@@ -304,6 +316,9 @@ class TestLatencies:
     def test_latency_accessor(self):
         net = line(4)
         release = np.array([0, 5])
-        res = simulate((net, [[0, 1], [2]]), message_length=3, release_times=release)
+        res = simulate(
+            Workload(net=net, paths=[[0, 1], [2]], release_times=release),
+            message_length=3,
+        )
         lat = res.latencies(release)
         assert list(lat) == [3 + 2 - 1, 3 + 1 - 1]

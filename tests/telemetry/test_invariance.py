@@ -15,6 +15,7 @@ from repro import simulate
 from repro.network.random_networks import chain_bundle
 from repro.routing.paths import paths_from_node_walks
 from repro.sim.batch import run_store_forward_batch
+from repro.sim.spec import Workload
 from repro.telemetry import (
     EdgeContentionCollector,
     TraceRecorder,
@@ -60,9 +61,8 @@ class TestWormholeInvariance:
 
         def run(telemetry):
             return simulate(
-                (net, paths), B=w["B"], message_length=w["L"],
-                priority=w["priority"], seed=w["seed"], release_times=release,
-                telemetry=telemetry,
+                Workload(net=net, paths=paths, release_times=release),
+                B=w["B"], message_length=w["L"], priority=w["priority"], seed=w["seed"], telemetry=telemetry,
             )
 
         plain = run(None)

@@ -15,6 +15,7 @@ from repro.network.butterfly import Butterfly
 from repro.network.random_networks import chain_bundle, layered_network, random_walk_paths
 from repro.routing.paths import paths_from_node_walks
 from repro.routing.problems import bit_reversal_permutation
+from repro.sim.spec import Workload
 from repro.telemetry import (
     TRACE_FORMAT,
     TRACE_VERSION,
@@ -31,8 +32,8 @@ def record_chain(B=1, worms=3, depth=4, L=5, release=None, priority="index"):
     paths = paths_from_node_walks(net, walks)
     recorder = TraceRecorder()
     res = simulate(
-        (net, paths), B=B, message_length=L, priority=priority,
-        release_times=release, telemetry=[recorder],
+        Workload(net=net, paths=paths, release_times=release),
+        B=B, message_length=L, priority=priority, telemetry=[recorder],
     )
     return recorder, res, paths
 

@@ -529,8 +529,8 @@ class TestCommands:
             (
                 ["scenario", "run", "chain-contention", "--param", "nosuch=1"],
                 "repro scenario: scenario 'chain-contention' cannot be built "
-                "with B=1, nosuch=1: no parameter named nosuch; parameters: "
-                "B, chains, depth, messages",
+                "with nosuch=1: no parameter named nosuch; parameters: "
+                "chains, depth, messages",
             ),
             (
                 ["scenario", "run", "lower-bound-gadget", "--param", "B=2"],

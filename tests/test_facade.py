@@ -14,7 +14,7 @@ from repro import Butterfly, KAryNCube, simulate
 from repro.network.graph import NetworkError
 from repro.routing.problems import bit_reversal_permutation
 from repro.sim.batch import LOCKSTEP_MODELS
-from repro.sim.sweep import build_workload
+from repro.sim.sweep import Workload, build_workload
 
 L = 8
 SEED = 3
@@ -111,8 +111,8 @@ class TestProblemForms:
 
     def test_arrival_trace_is_a_wormhole_workload(self):
         """An open-loop trace is a wormhole trial whose releases are its
-        arrivals, one injection queue per source: the name, the built
-        workload and its parts as a tuple run the same trial."""
+        arrivals, one injection queue per source: the name and the built
+        workload run the same trial."""
         wl = build_workload("scenario:heavy-tail-arrivals", {"horizon": 120})
         assert "continuous" not in repro.MODELS
         by_name = simulate(
@@ -123,16 +123,13 @@ class TestProblemForms:
         by_workload = simulate(wl, B=2)
         assert by_name.all_delivered and by_name.num_messages == len(wl.paths)
         assert np.array_equal(by_name.completion_times, by_workload.completion_times)
-        # The tuple form takes the releases, not the injection queues.
-        as_tuple = simulate(
-            (wl.net, wl.paths),
+        # The releases without the injection queues are a trial too.
+        unqueued = simulate(
+            Workload(net=wl.net, paths=wl.paths, release_times=wl.release_times),
             B=2,
             message_length=wl.default_length,
-            release_times=wl.release_times,
         )
-        assert (as_tuple.completion_times > wl.release_times).all()
-        with pytest.raises(NetworkError, match="already states release_times"):
-            simulate(wl, B=2, release_times=wl.release_times)
+        assert (unqueued.completion_times > wl.release_times).all()
 
     @pytest.mark.parametrize("model", ["wormhole", "cut_through", "store_forward"])
     def test_a_padded_path_pack_is_the_same_problem(self, butterfly_problem, model):

@@ -12,6 +12,7 @@ import pytest
 from repro import Network, execute_schedule, lll_schedule, simulate
 from repro.network.random_networks import chain_bundle
 from repro.routing.paths import paths_from_node_walks
+from repro.sim.spec import Workload
 
 
 def chain(depth, per_chain=1, chains=1):
@@ -64,8 +65,10 @@ class TestDegenerateWorkloads:
         e_ba = net.add_edge(b, a)
         e_bc = net.add_edge(b, c)
         res = simulate(
-            (net, [[e_ab, e_ba], [e_ba, e_ab], [e_bc]]), message_length=6,
-            priority="index", release_times=np.array([0, 0, 50]),
+            Workload(
+                net=net, paths=[[e_ab, e_ba], [e_ba, e_ab], [e_bc]], release_times=np.array([0, 0, 50]),
+            ),
+            message_length=6, priority="index",
         )
         # The third message's edge is free, so it IS delivered; the two
         # cyclic worms stay stuck and the run ends via deadlock or cap.

@@ -18,6 +18,7 @@ from repro import (
 )
 from repro.network.random_networks import layered_network, random_walk_paths
 from repro.routing.paths import paths_from_node_walks
+from repro.sim.spec import Workload
 
 
 @pytest.fixture(scope="module")
@@ -201,8 +202,12 @@ class TestButterflyPipeline:
                 all_paths.append(list(row))
                 releases.append(c * (L + 1))
         res = simulate(
-            (bf, all_paths), B=B, message_length=L,
-            release_times=np.asarray(releases, dtype=np.int64),
+            Workload(
+                net=bf,
+                paths=all_paths,
+                release_times=np.asarray(releases, dtype=np.int64),
+            ),
+            B=B, message_length=L,
         )
         assert res.all_delivered
         assert res.total_blocked_steps == 0

@@ -9,6 +9,7 @@ from repro.network.mesh import KAryNCube
 from repro.network.multibutterfly import Multibutterfly
 from repro.routing.decompose import decompose_q_relation
 from repro.routing.problems import RoutingInstance, random_q_relation
+from repro.sim.spec import Workload
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +152,9 @@ def test_dateline_ring_always_delivers(k, L, seed):
             if e == k - 1:
                 crossed = True
         vcs.append(row)
-    res = simulate((net, paths), B=2, message_length=L, seed=seed, vc_ids=vcs)
+    res = simulate(
+        Workload(net=net, paths=paths, vc_ids=vcs),
+        B=2, message_length=L, seed=seed,
+    )
     assert res.all_delivered
     assert not res.deadlocked
