@@ -833,8 +833,9 @@ def _cmd_scenario_show(args: argparse.Namespace) -> None:
     print("parameters (defaults):")
     for k, v in scen.defaults().items():
         print(f"  {k} = {v}")
-    # The rows a declared model may run under the default build's facts.
-    facts = scen.build_case().facts
+    # The rows a declared model may run under the default build's facts,
+    # built at the scenario's own default B where its builder names one.
+    facts = scen.build_case(B=scen.defaults().get("B", 1)).facts
     print("expectations:")
     for row in EXPECTATIONS.values():
         if set(row.models) & set(scen.models) and set(row.needs) <= set(facts):

@@ -30,7 +30,8 @@ kernel is built at ``T`` trials over a
 * one vectorized contend/rank/grant arbitration per step over the
   combined ``(trial, slot)`` key space
   (:class:`~repro.sim.engine.BatchSlotArbiter`);
-* one stacked acquire/release/completion update per step;
+* one stacked acquire/release/completion update per step, or per span
+  of forced wormhole steps (DESIGN decision 6);
 * one shared clock with per-trial completion / deadlock / step-cap
   masking, so finished trials drop out of the active set without
   stalling the batch.

@@ -23,10 +23,11 @@ model-agnostic machinery; each router contributes only its advance rule
 :class:`BatchStepLoop`
     The synchronous step protocol for ``T`` independent trials in
     lockstep: one shared clock, release gating, idle-gap skipping,
-    per-trial completion / deadlock / step-cap masking, the telemetry
-    probe lifecycle, and :class:`~repro.sim.stats.SimulationResult`
-    assembly.  A serial run is the ``T = 1`` case of this loop — there
-    is no second step loop and no second slot pool.
+    forced-span coasting, per-trial completion / deadlock / step-cap
+    masking, the telemetry probe lifecycle, and
+    :class:`~repro.sim.stats.SimulationResult` assembly.  A serial run
+    is the ``T = 1`` case of this loop — there is no second step loop
+    and no second slot pool.
 
 Bit-exactness contract
 ----------------------
@@ -180,6 +181,8 @@ class PaddedPaths:
 # ----------------------------------------------------------------------
 # The arbitration kernel.
 # ----------------------------------------------------------------------
+
+_NO_SLOTS = np.zeros(0, dtype=np.int64)
 
 
 def grant_free_slots(
@@ -366,6 +369,24 @@ class BatchSlotArbiter:
     def vacate(self, keys: np.ndarray) -> None:
         np.add.at(self.occupancy, keys, -1)
 
+    def full(self, keys: np.ndarray) -> bool:
+        """Whether every slot in ``keys`` has all its seats held."""
+        capacity = self._uniform
+        if capacity is None:
+            capacity = self._slot_cap.take(keys)
+        return bool((self.occupancy.take(keys) >= capacity).all())
+
+    def refuse(self, rounds: int) -> None:
+        """``rounds`` rounds in which every contender's slot is full.
+
+        Each is the stage-1 refusal of :func:`grant_free_slots`: no
+        seat changes hands, and the round still makes its one empty
+        ``fastpath.segmented_grant`` call.
+        """
+        capacity = _NO_SLOTS if self._uniform is None else self._uniform
+        for _ in range(rounds):
+            fastpath.segmented_grant(_NO_SLOTS, capacity, self.occupancy)
+
 
 # ----------------------------------------------------------------------
 # The synchronous (lockstep) step loop.
@@ -382,7 +403,8 @@ class BatchStepLoop:
     at step ``r + 1``), idle-gap skipping, the step caps, deadlock
     declaration, the telemetry probe lifecycle, and result assembly.
     All trials share one clock and one ``body(t, active)`` call per
-    step; per-trial state lives in stacked ``(T, M)`` arrays:
+    step, or per forced span; per-trial state lives in stacked
+    ``(T, M)`` arrays:
 
     * ``active`` is the ``(T, M)`` mask of released, unfinished
       messages of still-running trials; the body mutates
@@ -405,7 +427,14 @@ class BatchStepLoop:
       consuming work; when *every* live trial is idle the shared clock
       jumps to the earliest next release.  A trial whose next release
       lies at or beyond its step cap is finalized with ``steps`` = that
-      release time and the cap flag set.
+      release time and the cap flag set;
+    * a body may apply the forced steps after its own in the same call
+      and report them in :attr:`coasted` (MODEL.md section 3: the
+      wormhole kernel's rounds that can grant nothing); the clock
+      advances by them before the checks above run, and
+      :meth:`coast_limit` bounds such a span by the next release and
+      the smallest live cap, so the checks see what step-by-step runs
+      would have seen.
 
     Trials are independent: a trial's state evolves only in steps where
     it has active messages, and the steps it merely waits through touch
@@ -488,6 +517,11 @@ class BatchStepLoop:
         self.deadlocked = np.zeros(self.T, dtype=bool)
         self.hit_cap = np.zeros(self.T, dtype=bool)
         self.t = 0
+        #: Forced steps the last ``body`` call applied after its own step
+        #: (:meth:`coast_limit`); the loop advances its clock by them.
+        self.coasted = 0
+        #: A lower bound on every live trial's step cap.
+        self.min_cap = 0
 
     def mark_trivial(self, trivial: np.ndarray, completion: np.ndarray) -> None:
         """Deliver zero-length-path messages at their release time."""
@@ -545,11 +579,12 @@ class BatchStepLoop:
         self._finalize(done.all(axis=1), t)
         self._apply_caps(t)
         # A lower bound on every live trial's cap; refreshed when reached.
-        min_cap = int(self.max_steps[live].min()) if self.num_live else 0
+        self.min_cap = int(self.max_steps[live].min()) if self.num_live else 0
         delivered = int(np.count_nonzero(done))
         # Past the last release no live trial can be idle (class
         # docstring): ``active`` is ``~done`` and the idle scan is moot.
         last_release = int(release.max()) if self.num_live else 0
+        self._releases = np.unique(release)
         active = np.empty((T, self.M), dtype=bool)
         while self.num_live:
             t += 1
@@ -583,6 +618,11 @@ class BatchStepLoop:
                         t = int(minrel[~over].min())
                     continue
             moved = body(t, active)
+            if self.coasted:
+                # The body also applied the forced steps t + 1 ..
+                # t + coasted; the checks below see the last of them.
+                t += self.coasted
+                self.coasted = 0
             if probes is not None and probes.aborted:
                 # Stop at the end of this step (T = 1); messages still
                 # pending mark the run as cut short.
@@ -605,12 +645,29 @@ class BatchStepLoop:
                     self.deadlocked |= dead
                     self._finalize(dead, t)
             # 3) per-trial step caps.
-            if t >= min_cap:
+            if t >= self.min_cap:
                 self._apply_caps(t)
-                min_cap = (
+                self.min_cap = (
                     int(self.max_steps[live].min()) if self.num_live else 0
                 )
         self.t = t
+
+    def coast_limit(self, t: int) -> int:
+        """The last step a body called at step ``t`` may apply at once.
+
+        A body may go on to apply the forced steps ``t + 1 .. t + s`` of
+        a span it can predict (setting :attr:`coasted` to ``s``) if it
+        stops at or before this step: the last before a release makes a
+        message active (a message released at ``r`` first contends at
+        ``r + 1``), and the first at which a live trial may reach its
+        step cap.  A span's only completions fall on its last step, so
+        the loop's checks after the call see every trial as they would
+        have seen it step by step.
+        """
+        releases = self._releases
+        i = releases.searchsorted(t)
+        nxt = int(releases[i]) if i < releases.size else _FAR_FUTURE
+        return min(nxt, self.min_cap)
 
     def results(
         self, extra_factory: Callable[[int], dict] | None = None

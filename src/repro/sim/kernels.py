@@ -228,7 +228,9 @@ class _RandomBlock:
     A round *reserves* its values instead of drawing them, and the
     grant reads only those it compares (DESIGN decision 23): a read
     comes before the next reservation, and only a reservation refills,
-    so it finds exactly the value a full draw would have served.
+    so it finds exactly the value a full draw would have served.  The
+    refused rounds of a coasted forced span (DESIGN decision 6) skip
+    theirs unread (:meth:`skip`).
 
     Only used at ``T > 1``: batch RNGs are created per batch run and
     discarded, so the over-drawn tail is unobservable.  A lone trial
@@ -257,10 +259,12 @@ class _RandomBlock:
         cur = self.cur
         lack = np.flatnonzero(cur + counts > self.block)
         for tr in lack:
-            rem = self.block - cur[tr]
-            if rem:
+            rem, rng = self.block - cur[tr], self.rngs[tr]
+            if rem >= 0:
                 self.buf[tr, :rem] = self.buf[tr, cur[tr] :]
-            self.buf[tr, rem:] = self.rngs[tr].random(self.block - rem)
+                self.buf[tr, rem:] = rng.random(self.block - rem)
+            else:  # skip() went -rem values past the buffer: draw them too
+                self.buf[tr] = _discard(rng, -rem, self.block)
             cur[tr] = 0
         self._base = np.arange(0, self.buf.size, self.block) + cur
         self._base -= np.cumsum(counts) - counts  # each trial's first
@@ -271,6 +275,23 @@ class _RandomBlock:
     def __getitem__(self, idx: np.ndarray) -> np.ndarray:
         cells = self._base.take(self._rows.take(idx)) + idx
         return self.buf.reshape(-1).take(cells)
+
+    def skip(self, counts: np.ndarray) -> None:
+        """Consume ``counts[tr]`` values per trial unread.  A cursor
+        that passes the block owes the values beyond it, which the
+        trial's next refill draws and drops before its new block, so a
+        count beyond the block is as exact as one inside it."""
+        self.cur += counts
+
+
+def _discard(rng, n: int, keep: int = 0) -> np.ndarray:
+    """Advance ``rng`` by ``n`` uniform doubles (split-exact, so the
+    same as ``n`` single draws; a long run a bounded chunk at a time),
+    then draw ``keep`` more and return them."""
+    while n > 1 << 16:
+        rng.random(1 << 16)
+        n -= 1 << 16
+    return rng.random(n + keep)[n:]
 
 
 class _Kernel:
@@ -346,6 +367,16 @@ class _Kernel:
             rows, np.bincount(rows, minlength=self.T)
         )
 
+    def _skip_prio(self, pos: np.ndarray, rounds: int) -> None:
+        """Consume the draws of ``rounds`` more rounds in which the
+        contenders ``pos`` (as for :meth:`_random_prio`) are all refused:
+        no value is read, so none is materialised."""
+        if self.T == 1:
+            _discard(self.rngs[0], pos.size * rounds)
+        else:
+            counts = np.bincount(self._t_of.take(pos), minlength=self.T)
+            self._rand_block.skip(counts * rounds)
+
 
 # ----------------------------------------------------------------------
 # Wormhole: per-edge capacity-B slots (or (edge, class) capacity-1).
@@ -363,7 +394,9 @@ class WormholeKernel(_Kernel):
     reached an event) are dense ``(T, M)`` ``out=`` ops; index lists
     are built only in a phase whose mask counts non-zero, as flat
     positions ``p = t * M + m``, and every arbiter key they need is one
-    ``take`` from the flat ``(T, M, maxD)`` key table ``_keys``.
+    ``take`` from the flat ``(T, M, maxD)`` key table ``_keys``.  After
+    a step that granted and delivered nothing, :meth:`_coast` applies
+    the forced steps that follow in the same call (MODEL.md section 3).
     """
 
     @classmethod
@@ -420,8 +453,8 @@ class WormholeKernel(_Kernel):
         # One arbiter key per (trial, message, hop) cell, position p's
         # row starting at _row[p]: a contender's key is cell _row[p] +
         # k[p], a vacated hop's _row[p] + k[p] - L - 1, the final edge's
-        # _row[p] + D - 1 (the last two offsets tabulated; padding cells
-        # are never read).
+        # _row[p] + D - 1 (the last two offsets tabulated; a padding
+        # cell's key is read only by the coast, under a mask that drops it).
         maxD = self.padded.shape[1]
         tr = np.arange(T)[:, None, None]
         self._keys = self.arbiter.keys(
@@ -431,6 +464,20 @@ class WormholeKernel(_Kernel):
         self._rel_row = self._row - np.tile(self.L + 1, T)
         self._last_cell = self._row + np.tile(self.D - 1, T)
         self._k_flat = self.k.reshape(-1)
+        # For the forced-span coast (_coast): each position's move total;
+        # the move after which its tail frees each interior hop, h + L +
+        # 1 (_FAR on the final hop and the padding, which it frees at
+        # completion or never holds); and a mask over the arbiter's keys.
+        self._total_flat = np.tile(self.total_moves, T)
+        hop = np.arange(maxD)
+        self._frees_at = np.tile(
+            np.where(
+                hop < self.D[:, None] - 1, hop + self.L[:, None] + 1, _FAR
+            ),
+            (T, 1),
+        )
+        self._keys2d = self._keys.reshape(T * M, maxD)
+        self._req = np.zeros(self.arbiter.occupancy.size, dtype=bool)
         self._needs_flat = self._needs.reshape(-1)
         self._mov_flat = self._mov.reshape(-1)
         self._ev_flat = self._ev.reshape(-1)
@@ -474,6 +521,8 @@ class WormholeKernel(_Kernel):
         np.logical_and(needs, active, out=needs)
         np.greater(active, needs, out=mov)  # draining worms always move
 
+        cp = ckeys = None
+        won = 0
         if np.count_nonzero(needs):
             # Ascending flat positions: per trial, ascending message —
             # the serial draw order.
@@ -512,7 +561,8 @@ class WormholeKernel(_Kernel):
                 probes.on_release(t, vp, self.padded.reshape(-1)[cell])
         np.equal(k, self.total_moves, out=ev)
         np.logical_and(ev, mov, out=ev)
-        if np.count_nonzero(ev):
+        finished = np.count_nonzero(ev)
+        if finished:
             fp = self._ev_flat.nonzero()[0]
             self._completion[fp] = t
             self._done[fp] = True
@@ -522,7 +572,66 @@ class WormholeKernel(_Kernel):
                 probes.on_complete(t, fp)
         if probes is not None:
             probes.on_step(t, np.flatnonzero(mov[0]), k[0])
-        return np.logical_or.reduce(mov, axis=1, out=self._moved)
+        moved = np.logical_or.reduce(mov, axis=1, out=self._moved)
+        # A worm that completed here would end any span at once (it has
+        # no move left): `finished` only spares _coast the finding out.
+        if not (won or finished or probes is not None):
+            self._coast(t, cp, ckeys)
+        return moved
+
+    def _coast(self, t: int, cp, ckeys) -> None:
+        """Apply the forced steps after step ``t`` in one update.
+
+        Step ``t`` granted nothing and delivered nothing, so until a
+        drainer's window frees a requested slot (usable the step after),
+        a drainer completes, a message is released or a cap falls due
+        (:meth:`BatchStepLoop.coast_limit`), every following step is the
+        same: the contenders ``cp`` (requesting ``ckeys``) are refused,
+        each drainer moves once, and nothing else changes.  A trial with
+        contenders but no drainer is left to the loop's deadlock rule.
+        """
+        loop, arbiter = self.state, self.arbiter
+        # Every trial with a contender must have moved (a drainer), and
+        # no vacate of this step may have freed a requested seat.
+        if cp is not None and not (
+            self._moved.take(self._t_of.take(cp)).all() and arbiter.full(ckeys)
+        ):
+            return
+        dp = self._mov_flat.nonzero()[0]  # the drainers: nobody was granted
+        kd = self._k_flat.take(dp)
+        # Steps until the first completion, the last a span may include.
+        left = self._total_flat.take(dp) - kd
+        span = min(int(left.min()), loop.coast_limit(t) - t)
+        if span <= 0:
+            return
+        # Each drainer's hops by the step, after t, at which its tail
+        # frees them; a hop it no longer holds reads <= 0.
+        gone = self._frees_at.take(dp, axis=0)
+        gone -= kd[:, None]
+        vkeys = self._keys2d.take(dp, axis=0)
+        held = gone > 0
+        if cp is not None:
+            req = self._req
+            req[ckeys] = True
+            frees = held & req.take(vkeys, mode="clip")
+            req[ckeys] = False
+            if frees.any():
+                span = min(span, int(gone[frees].min()))
+        np.logical_and(held, gone <= span, out=held)
+        arbiter.vacate(vkeys[held])
+        kd += span
+        self._k_flat[dp] = kd
+        fp = dp[left == span]
+        if fp.size:
+            self._completion[fp] = t + span
+            self._done[fp] = True
+            arbiter.vacate(self._keys.take(self._last_cell.take(fp)))
+        if cp is not None:
+            self._blocked[cp] += span
+            if self.option == "random":
+                self._skip_prio(cp, span)
+            arbiter.refuse(span)
+        loop.coasted = span
 
     def audit(self, t: int) -> None:
         """Recount what the body maintains, after step ``t``: the

@@ -1007,14 +1007,17 @@ def test_two_runs_on_one_instance_continue_one_rng_stream(model, layered, mesh):
 
 def test_single_trial_draws_are_not_block_buffered(layered):
     """``_RandomBlock`` over-draws, so it must stay a ``T > 1`` device:
-    one wormhole trial consumes exactly one double per header request."""
+    one wormhole trial consumes exactly one double per header request —
+    also at ``L = 64``, where most refused requests fall in forced spans
+    that are coasted, not drawn one round at a time."""
     net, paths = layered
-    stream = np.random.default_rng(11)
-    res = simulate((net, paths), B=2, message_length=8, seed=stream)
-    requests = sum(len(p.edges) for p in paths) + res.total_blocked_steps
-    rng = np.random.default_rng(11)
-    rng.random(requests)
-    assert stream.bit_generator.state == rng.bit_generator.state
+    for L in (8, 64):
+        stream = np.random.default_rng(11)
+        res = simulate((net, paths), B=2, message_length=L, seed=stream)
+        requests = sum(len(p.edges) for p in paths) + res.total_blocked_steps
+        rng = np.random.default_rng(11)
+        rng.random(requests)
+        assert stream.bit_generator.state == rng.bit_generator.state, L
 
 
 class _Started(Probe):

@@ -25,7 +25,10 @@ This suite wraps ``body`` for every :data:`~repro.sim.batch.LOCKSTEP_MODELS`
 row whose kernel defines ``audit`` and runs hypothesis-drawn problems —
 line and ring paths, or mesh demands for a ``"mesh"`` row, and
 multibutterfly demands for the adaptive row — with the audit after
-every step.
+every step.  A kernel that coasts through forced steps inside ``body``
+(``WormholeKernel._coast``) is audited before and after every coast as
+well, and its ``L`` reaches past twice the longest path, where most
+steps are forced.
 """
 
 import numpy as np
@@ -103,7 +106,7 @@ def _problem(draw, spec):
         # Injection queues: FIFO in index order, releases to match.
         kw["sources"] = draw(st.lists(st.integers(0, 2), min_size=M, max_size=M))
         kw["release_times"] = fifo_release(kw["sources"], kw["release_times"])
-    L = np.asarray(draw(st.lists(st.integers(1, 5), min_size=M, max_size=M)))
+    L = np.asarray(draw(st.lists(st.integers(1, 14), min_size=M, max_size=M)))
     seed = draw(st.integers(0, 2**16))
     return net, paths, L, [seed + i for i in range(T)], kw
 
@@ -112,6 +115,7 @@ def _run_audited(spec, net, paths, L, seeds, kw) -> list[int]:
     """Run ``spec``'s driver with the audit after every step; the steps."""
     steps = []
     original = spec.kernel.body
+    coast = getattr(spec.kernel, "_coast", None)
 
     def audited(self, t, active):
         moved = original(self, t, active)
@@ -119,11 +123,20 @@ def _run_audited(spec, net, paths, L, seeds, kw) -> list[int]:
         steps.append(t)
         return moved
 
+    def audited_coast(self, t, *args):
+        self.audit(t)
+        coast(self, t, *args)
+        self.audit(t + self.state.coasted)
+
     spec.kernel.body = audited
+    if coast is not None:
+        spec.kernel._coast = audited_coast
     try:
         results = spec.driver(net, paths, L, seeds=seeds, **kw)
     finally:
         spec.kernel.body = original
+        if coast is not None:
+            spec.kernel._coast = coast
     assert len(results) == len(seeds)
     return steps
 

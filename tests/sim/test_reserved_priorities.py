@@ -10,7 +10,9 @@ refills, so the cells a read finds are untouched until the next one.
 
 The first test holds ``reserve`` + any read pattern against the full
 draw it replaced (kept here as the oracle) and against each trial's
-plain ``Generator.random`` stream; the second runs a mixed-``B`` wormhole
+plain ``Generator.random`` stream; the second holds ``skip``, which a
+forced span uses to consume its refused rounds' values unread, against
+the plain stream; the third runs a mixed-``B`` wormhole
 batch in which some rounds read every reserved value, some a few, and
 some none, and holds every row to its single run.
 """
@@ -96,6 +98,45 @@ def test_reserve_then_any_reads_serves_what_the_draw_served(data):
         assert np.array_equal(reserved.buf, drawn.buf)
         for a, b in zip(reserved.rngs, drawn.rngs):
             assert a.bit_generator.state == b.bit_generator.state
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_skip_consumes_what_a_draw_would_have_served(data):
+    """``skip`` (the refused rounds of a forced span) against each
+    trial's plain stream: counts beyond the block included, every later
+    reserved value is the stream's value at its position, and each
+    generator has produced exactly what was served or skipped plus the
+    buffered tail."""
+    T = data.draw(st.integers(1, 4), label="T")
+    block = data.draw(st.integers(1, 6), label="block")
+    seeds = [data.draw(st.integers(0, 2**16)) for _ in range(T)]
+    rb = kernels._RandomBlock([np.random.default_rng(s) for s in seeds], block)
+    streams = [np.random.default_rng(s).random(64 * block) for s in seeds]
+    served = np.zeros(T, dtype=np.int64)
+    for _ in range(data.draw(st.integers(1, 12), label="rounds")):
+        skip = data.draw(st.booleans())
+        counts = np.asarray(
+            data.draw(st.lists(st.integers(0, 3 * block if skip else block),
+                               min_size=T, max_size=T)),
+            dtype=np.int64,
+        )
+        if skip:
+            rb.skip(counts)
+        else:
+            rows = np.repeat(np.arange(T), counts)
+            got = rb.reserve(rows, counts)[np.arange(rows.size)]
+            starts = np.cumsum(counts) - counts
+            want = [
+                streams[tr][served[tr] + j - starts[tr]]
+                for j, tr in enumerate(rows)
+            ]
+            assert np.array_equal(got, np.asarray(want, dtype=np.float64))
+        served += counts
+    for tr, seed in enumerate(seeds):
+        plain = np.random.default_rng(seed)
+        plain.random(int(served[tr] + block - rb.cur[tr]))
+        assert rb.rngs[tr].bit_generator.state == plain.bit_generator.state
 
 
 def test_rounds_that_read_no_priority_leave_every_row_its_single_run(monkeypatch):

@@ -611,6 +611,17 @@ class TestScenarioCommand:
         assert "C" in out and "D" in out
         assert "expect" in out.lower()
 
+    def test_show_lists_the_rows_of_the_default_B_build(self, capsys):
+        """ring-dateline defaults to B = 2, where its dateline classes
+        make the channel dependency graph acyclic: its listing holds the
+        dateline rows, not the B = 1 build's deadlock row."""
+        assert main(["scenario", "show", "ring-dateline"]) == 0
+        out = capsys.readouterr().out
+        assert "B = 2" in out
+        assert "acyclic channel dependency graph forbids deadlock" in out
+        assert "dateline VC classes break the cycle at B=2" in out
+        assert "deadlock is permitted" not in out
+
     def test_run_gadget_across_channels(self, capsys):
         assert main(
             [
