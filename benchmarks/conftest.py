@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.sim.spec import Workload
+
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
@@ -33,3 +35,24 @@ def save_table(results_dir):
         return text
 
     return _save
+
+
+@pytest.fixture
+def run_schedule():
+    """``run(net, paths, build, B)``: the schedule ``build`` released on
+    ``(net, paths)`` (:meth:`~repro.core.scheduler.ScheduleBuild.apply`)
+    as one wormhole trial at ``B``.  The expectation table judges the
+    run and must find no violation; its ``schedule`` row (Theorem 2.1.6:
+    unblocked, within ``length_bound``) must be among the rows applied."""
+    from repro import simulate
+    from repro.fuzz.expectations import evaluate
+
+    def run(net, paths, build, B):
+        wl = build.apply(Workload(net, paths), B)
+        result = simulate(wl, B=B)
+        verdicts = evaluate(result, wl, model="wormhole", B=B)
+        assert "schedule" in {row.name for row, _ in verdicts}
+        assert [v for _, v in verdicts if v] == []
+        return result
+
+    return run

@@ -13,12 +13,10 @@
 """
 
 import numpy as np
-import pytest
 
 from repro import (
     ButterflyRouter,
     Table,
-    lll_schedule,
     random_q_relation,
     simulate,
 )

@@ -11,7 +11,6 @@ relative gain from B=1 to B=2 exceeds the gain from B=2 to B=4
 """
 
 import numpy as np
-import pytest
 
 from repro import Butterfly, Table
 from repro.sim.batch import run_model

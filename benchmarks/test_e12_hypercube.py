@@ -8,7 +8,6 @@ and growing L by dL grows time by about dL (not dL * log n).
 """
 
 import numpy as np
-import pytest
 
 from repro import Table
 from repro.core.hypercube_routing import route_hypercube_permutation

@@ -9,16 +9,12 @@ with C, and show the random-delay smoothing trick cutting blocking.
 """
 
 import numpy as np
-import pytest
 
-from repro import Table
-from repro.core.leveled import (
-    leveled_bound,
-    random_delay_release,
-    route_leveled_greedy,
-)
+from repro import Table, simulate
+from repro.core.leveled import leveled_bound, random_delay_release
 from repro.network.random_networks import layered_network, random_walk_paths
 from repro.routing.paths import congestion, dilation, paths_from_node_walks
+from repro.sim.spec import Workload
 
 WIDTH, DEPTH, L = 10, 10, 12
 
@@ -27,6 +23,8 @@ def build(messages, seed):
     rng = np.random.default_rng(seed)
     net = layered_network(WIDTH, DEPTH, 3, rng)
     walks = random_walk_paths(net, WIDTH, DEPTH, messages, rng)
+    # Leveledness is what the O(LCD) bound and deadlock freedom rest on.
+    assert net.is_leveled()
     return net, paths_from_node_walks(net, walks)
 
 
@@ -36,7 +34,7 @@ def test_e13_lcd_bound(benchmark, save_table):
         for messages in (40, 120, 360):
             net, paths = build(messages, seed=2)
             C, D = congestion(paths), dilation(paths)
-            res = route_leveled_greedy(net, paths, L, B=1, seed=0)
+            res = simulate((net, paths), message_length=L)
             assert res.all_delivered
             rows.append(
                 {
@@ -70,11 +68,9 @@ def test_e13_random_delay_smoothing(benchmark, save_table):
     C = congestion(paths)
 
     def measure():
-        plain = route_leveled_greedy(net, paths, L, B=1, seed=0)
+        plain = simulate((net, paths), message_length=L)
         rel = random_delay_release(len(paths), L, C, np.random.default_rng(1))
-        smoothed = route_leveled_greedy(
-            net, paths, L, B=1, release_times=rel, seed=0
-        )
+        smoothed = simulate(Workload(net, paths, release_times=rel), message_length=L)
         return plain, smoothed
 
     plain, smoothed = benchmark.pedantic(measure, iterations=1, rounds=1)

@@ -9,7 +9,6 @@ fixes it — virtual channels buying *correctness*, not just speed.
 """
 
 import numpy as np
-import pytest
 
 from repro import Table
 from repro.network.mesh import KAryNCube

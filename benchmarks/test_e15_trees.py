@@ -10,7 +10,6 @@ and check the measured makespan stays within a small constant of
 """
 
 import numpy as np
-import pytest
 
 from repro import Table, simulate
 from repro.network.tree import CompleteTree, tree_path

@@ -13,9 +13,8 @@ coordination levels on matched workloads:
 """
 
 import numpy as np
-import pytest
 
-from repro import Table, execute_schedule, lll_schedule
+from repro import Table, lll_schedule
 from repro.core.benes_routing import route_permutation_benes
 from repro.core.online_routing import route_online_random_delays
 from repro.network.random_networks import layered_network, random_walk_paths
@@ -23,7 +22,7 @@ from repro.routing.paths import congestion, dilation, paths_from_node_walks
 from repro.sim.batch import run_wormhole_batch
 
 
-def test_e16_coordination_ladder(benchmark, save_table):
+def test_e16_coordination_ladder(benchmark, save_table, run_schedule):
     rng = np.random.default_rng(21)
     net = layered_network(12, 12, 3, rng)
     walks = random_walk_paths(net, 12, 12, 180, rng)
@@ -45,7 +44,7 @@ def test_e16_coordination_ladder(benchmark, save_table):
             build = lll_schedule(
                 paths, L, B=B, rng=np.random.default_rng(2), mode="direct"
             )
-            offline = execute_schedule(net, paths, build.schedule, B=B)
+            offline = run_schedule(net, paths, build, B)
             rows.append(
                 {
                     "B": B,

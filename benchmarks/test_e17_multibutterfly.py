@@ -9,12 +9,19 @@ buys the bound.
 """
 
 import numpy as np
-import pytest
 
 from repro import Butterfly, Table, simulate
-from repro.core.multibutterfly_routing import MultibutterflyRouter
 from repro.network.multibutterfly import Multibutterfly
 from repro.routing.problems import transpose_permutation
+
+
+def route(mbf, inst, L):
+    """``inst``'s demands through the adaptive router at B = 1, seed 0."""
+    demands = np.stack([inst.sources, inst.dests], axis=1)
+    return simulate(
+        (mbf, demands), model="adaptive", policy="fully-adaptive",
+        message_length=L, seed=0,
+    )
 
 
 def test_e17_diversity_vs_unique_paths(benchmark, save_table):
@@ -35,7 +42,7 @@ def test_e17_diversity_vs_unique_paths(benchmark, save_table):
         )
         for d in (1, 2, 3):
             mbf = Multibutterfly(n, d=d, rng=np.random.default_rng(7))
-            out = MultibutterflyRouter(mbf, 1, seed=0).run(inst, L)
+            out = route(mbf, inst, L)
             assert out.all_delivered
             rows.append(
                 {
@@ -70,7 +77,7 @@ def test_e17_l_plus_logn_scaling(benchmark, save_table):
         for n in (16, 64, 256, 1024):
             mbf = Multibutterfly(n, d=2, rng=np.random.default_rng(n))
             inst = random_permutation(n, np.random.default_rng(n + 1))
-            res = MultibutterflyRouter(mbf, 1, seed=0).run(inst, L)
+            res = route(mbf, inst, L)
             assert res.all_delivered
             rows.append(
                 {

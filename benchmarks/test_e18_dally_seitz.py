@@ -13,7 +13,6 @@ We reproduce the full story on a torus:
 """
 
 import numpy as np
-import pytest
 
 from repro import Table, dateline_vc_assignment, dimension_order_path
 from repro.network.mesh import KAryNCube

@@ -12,7 +12,7 @@ band across the sweep.
 import numpy as np
 import pytest
 
-from repro import Table, bounds, execute_schedule, lll_schedule
+from repro import Table, bounds, lll_schedule
 from repro.network.random_networks import layered_network, random_walk_paths
 from repro.routing.paths import congestion, dilation, paths_from_node_walks
 from repro.sim.sweep import TrialSpec, run_sweep
@@ -109,7 +109,7 @@ def test_e1_schedule_length_vs_b(benchmark, save_table, width, depth, messages):
     assert all(r["ratio"] <= 1.5 for r in rows)
 
 
-def test_e1c_verbatim_construction(benchmark, save_table):
+def test_e1c_verbatim_construction(benchmark, save_table, run_schedule):
     """The paper's construction with its *verbatim* stage parameters
     (3e, 32e, 15 ln^3): class counts stay within the theorem's
     C (D log D)^(1/B) / B form, and the executed schedule still verifies
@@ -126,7 +126,7 @@ def test_e1c_verbatim_construction(benchmark, save_table):
             build = lll_schedule(
                 paths, L, B=B, rng=np.random.default_rng(B), mode="theory"
             )
-            res = execute_schedule(net, paths, build.schedule, B=B)
+            res = run_schedule(net, paths, build, B)
             kappa_bound = bnd.color_classes_bound(C, D, B)
             rows.append(
                 {
@@ -153,7 +153,7 @@ def test_e1c_verbatim_construction(benchmark, save_table):
         assert r["classes (verbatim + merge)"] <= 3 * r["kappa bound C(DlogD)^(1/B)/B"]
 
 
-def test_e1_speedup_scaling_with_depth(benchmark, save_table):
+def test_e1_speedup_scaling_with_depth(benchmark, save_table, run_schedule):
     """The B = 1 -> 2 speedup grows with D on congested workloads —
     the D^(1-1/B) flavor of the theorem's gap."""
 
@@ -167,9 +167,7 @@ def test_e1_speedup_scaling_with_depth(benchmark, save_table):
                 build = lll_schedule(
                     paths, L, B=B, rng=np.random.default_rng(0), mode="direct"
                 )
-                spans[B] = execute_schedule(
-                    net, paths, build.schedule, B=B
-                ).makespan
+                spans[B] = run_schedule(net, paths, build, B).makespan
             out.append(
                 {
                     "depth": depth,

@@ -8,7 +8,6 @@ in a constant band across the whole sweep.
 """
 
 import numpy as np
-import pytest
 
 from repro import ButterflyRouter, Table, bounds, random_q_relation
 

@@ -13,7 +13,6 @@ Three reproductions:
 """
 
 import numpy as np
-import pytest
 
 from repro import Table, bounds, one_pass_route, random_destinations, subset_collision_rate, truncated_paths
 from repro.analysis.balls_bins import lemma_3_2_3_bound, prob_no_bin_exceeds

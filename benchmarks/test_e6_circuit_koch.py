@@ -9,7 +9,6 @@ against the closed form.
 """
 
 import numpy as np
-import pytest
 
 from repro import Butterfly, Table, bounds, circuit_switch_butterfly
 

@@ -8,7 +8,6 @@ touching level log n in the middle).
 """
 
 import numpy as np
-import pytest
 
 from repro import Butterfly, Table
 from repro.analysis.render import render_butterfly

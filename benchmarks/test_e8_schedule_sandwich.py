@@ -8,12 +8,10 @@ construction reaps the virtual-channel gain.
 """
 
 import numpy as np
-import pytest
 
 from repro import (
     Table,
     bounds,
-    execute_schedule,
     lll_schedule,
     naive_coloring_schedule,
 )
@@ -21,7 +19,7 @@ from repro.network.random_networks import layered_network, random_walk_paths
 from repro.routing.paths import congestion, dilation, paths_from_node_walks
 
 
-def test_e8_sandwich(benchmark, save_table):
+def test_e8_sandwich(benchmark, save_table, run_schedule):
     rng = np.random.default_rng(11)
     net = layered_network(width=12, depth=14, out_degree=3, rng=rng)
     walks = random_walk_paths(net, 12, 14, 200, rng)
@@ -32,12 +30,12 @@ def test_e8_sandwich(benchmark, save_table):
     def measure():
         rows = []
         naive = naive_coloring_schedule(paths, L)
-        naive_span = execute_schedule(net, paths, naive.schedule, B=1).makespan
+        naive_span = run_schedule(net, paths, naive, 1).makespan
         for B in (1, 2, 4):
             build = lll_schedule(
                 paths, L, B=B, rng=np.random.default_rng(B), mode="direct"
             )
-            span = execute_schedule(net, paths, build.schedule, B=B).makespan
+            span = run_schedule(net, paths, build, B).makespan
             rows.append(
                 {
                     "B": B,

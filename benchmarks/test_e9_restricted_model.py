@@ -9,7 +9,6 @@ instance and on chain workloads.
 """
 
 import numpy as np
-import pytest
 
 from repro import Table, build_hard_instance
 from repro.network.random_networks import chain_bundle

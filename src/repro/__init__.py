@@ -43,7 +43,6 @@ _EXPORTS = {
     "MODELS": ".facade",
     "MessageEdgeIncidence": ".core.coloring",
     "Multibutterfly": ".network.multibutterfly",
-    "MultibutterflyRouter": ".core.multibutterfly_routing",
     "Network": ".network.graph",
     "NetworkError": ".network.errors",
     "OnePassOutcome": ".core.butterfly_lower_bound",
@@ -56,7 +55,7 @@ _EXPORTS = {
     "SimResult": ".facade",
     "SimulationResult": ".sim.stats",
     "Table": ".analysis.tables",
-    "arbitrate_levels": ".core.butterfly_routing",
+    "arbitrate_levels": ".sim.circuit",
     "bfs_path": ".routing.shortest",
     "bit_fixing_path": ".network.hypercube",
     "bit_reversal_permutation": ".routing.problems",
@@ -74,7 +73,6 @@ _EXPORTS = {
     "dilation": ".routing.paths",
     "dimension_order_path": ".network.mesh",
     "exec": ".exec",
-    "execute_schedule": ".core.schedule",
     "fit_power_law": ".analysis.fitting",
     "fuzz": ".fuzz",
     "hard_instance_lower_bound": ".core.lower_bound",
@@ -103,7 +101,6 @@ _EXPORTS = {
     "render_route": ".analysis.render",
     "render_spacetime": ".analysis.render",
     "route_hypercube_permutation": ".core.hypercube_routing",
-    "route_leveled_greedy": ".core.leveled",
     "route_online_random_delays": ".core.online_routing",
     "route_permutation_benes": ".core.benes_routing",
     "route_q_relation_benes": ".core.benes_routing",

@@ -302,7 +302,7 @@ def _cmd_info(args: argparse.Namespace) -> None:
     print("Main entry points:")
     for name in (
         "simulate",
-        "lll_schedule / execute_schedule",
+        "lll_schedule",
         "build_hard_instance",
         "ButterflyRouter",
         "circuit_switch_butterfly",

@@ -12,12 +12,7 @@ from .butterfly_lower_bound import (
     truncated_paths,
 )
 from .benes_routing import route_permutation_benes, route_q_relation_benes
-from .butterfly_routing import (
-    ButterflyRouter,
-    ButterflyRoutingResult,
-    RoundStats,
-    arbitrate_levels,
-)
+from .butterfly_routing import ButterflyRouter, ButterflyRoutingResult, RoundStats
 from .coloring import (
     MessageEdgeIncidence,
     RefinementStage,
@@ -32,8 +27,7 @@ from .hypercube_routing import (
     HypercubeRoutingResult,
     route_hypercube_permutation,
 )
-from .leveled import leveled_bound, random_delay_release, route_leveled_greedy
-from .multibutterfly_routing import MultibutterflyRouter
+from .leveled import leveled_bound, random_delay_release
 from .online_routing import online_window, route_online_random_delays
 from .lower_bound import (
     HardInstance,
@@ -41,7 +35,7 @@ from .lower_bound import (
     hard_instance_lower_bound,
     max_m_prime,
 )
-from .schedule import ColorClassSchedule, execute_schedule
+from .schedule import ColorClassSchedule
 from .scheduler import (
     ScheduleBuild,
     greedy_conflict_coloring,
@@ -57,17 +51,14 @@ __all__ = [
     "HardInstance",
     "HypercubeRoutingResult",
     "MessageEdgeIncidence",
-    "MultibutterflyRouter",
     "OnePassOutcome",
     "RefinementStage",
     "RefinementTrace",
     "RoundStats",
     "ScheduleBuild",
-    "arbitrate_levels",
     "bounds",
     "build_hard_instance",
     "collides",
-    "execute_schedule",
     "greedy_conflict_coloring",
     "hard_instance_lower_bound",
     "lemma_2_1_5_parameters",
@@ -84,7 +75,6 @@ __all__ = [
     "reduce_multiplex_size",
     "refine_colors",
     "route_hypercube_permutation",
-    "route_leveled_greedy",
     "route_online_random_delays",
     "route_permutation_benes",
     "route_q_relation_benes",

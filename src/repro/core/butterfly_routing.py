@@ -23,9 +23,10 @@ dynamics reduce to per-edge arbitration at each of the ``2 log n``
 levels: where more than ``B`` same-subround worms want an edge, ``B``
 random winners survive (those that would have gotten the ``B`` virtual
 channels) and the rest are discarded.  That reduction is exact for this
-discard-on-delay discipline and lets the whole subround run as a few
-vectorized NumPy passes; tests cross-validate it against the generic
-flit-level simulator.
+discard-on-delay discipline: the subround is Koch's circuit-switching
+sweep, :func:`~repro.sim.circuit.arbitrate_levels`, one grant-kernel
+round per level; tests cross-validate it against the generic flit-level
+simulator.
 
 Timing follows the proof of Theorem 3.1.1: each round costs
 ``L * Delta + 2 * (2 log n)`` flit steps (pipelined subrounds, path
@@ -42,57 +43,11 @@ import numpy as np
 from ..network.butterfly import Butterfly
 from ..network.graph import NetworkError
 from ..routing.problems import RoutingInstance
+from ..sim.circuit import arbitrate_levels
 from ..sim.kernels import exact_count
 from .bounds import log2c, num_colors, num_rounds
 
-__all__ = [
-    "ButterflyRouter",
-    "RoundStats",
-    "ButterflyRoutingResult",
-    "arbitrate_levels",
-]
-
-
-def arbitrate_levels(
-    edges: np.ndarray, B: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Run the level-synchronized discard dynamics for one subround.
-
-    Parameters
-    ----------
-    edges:
-        ``(m, depth)`` edge ids — row ``i`` is message ``i``'s path.
-    B:
-        Virtual channels per edge: survivors per edge per level.
-    rng:
-        Random arbitration among contenders.
-
-    Returns
-    -------
-    Boolean survivor mask of shape ``(m,)``: True iff the message was
-    never delayed (it won a virtual channel at every level).
-    """
-    m = edges.shape[0]
-    alive = np.ones(m, dtype=bool)
-    for level in range(edges.shape[1]):
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
-            break
-        lvl = edges[idx, level]
-        prio = rng.random(idx.size)
-        order = np.lexsort((prio, lvl))
-        sorted_edges = lvl[order]
-        new_group = np.empty(order.size, dtype=bool)
-        new_group[0] = True
-        new_group[1:] = sorted_edges[1:] != sorted_edges[:-1]
-        group_start = np.maximum.accumulate(
-            np.where(new_group, np.arange(order.size), 0)
-        )
-        rank = np.arange(order.size) - group_start
-        keep = np.empty(order.size, dtype=bool)
-        keep[order] = rank < B
-        alive[idx[~keep]] = False
-    return alive
+__all__ = ["ButterflyRouter", "RoundStats", "ButterflyRoutingResult"]
 
 
 @dataclass(frozen=True)

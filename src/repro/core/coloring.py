@@ -103,6 +103,13 @@ class MessageEdgeIncidence:
             num_edges=max_edge + 1,
         )
 
+    def congestion_dilation(self) -> tuple[int, int]:
+        """``(C, D)``: the most messages crossing one edge, and the most
+        edges one message crosses (``0`` each for no edges)."""
+        C = multiplex_size(self, np.zeros(self.num_messages, dtype=np.int64))
+        lengths = np.bincount(self.message_ids, minlength=self.num_messages)
+        return C, int(lengths.max()) if lengths.size else 0
+
 
 def multiplex_size(inc: MessageEdgeIncidence, colors: np.ndarray) -> int:
     """Definition 2.1.4: max over (edge, color) of messages crossing.

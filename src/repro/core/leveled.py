@@ -8,11 +8,12 @@ naive ``O((L+D) C D)`` and, per their matching construction, tight for
 for free: the channel dependency graph follows the level order, so it is
 acyclic and greedy injection always finishes.
 
-This module provides:
+Greedy injection (the algorithm class [41] analyzes) is an ordinary
+wormhole trial, :func:`repro.simulate`, and
+:meth:`~repro.network.graph.Network.is_leveled` says whether a network is
+leveled.  This module provides:
 
-* :func:`route_leveled_greedy` — greedy injection on a verified leveled
-  network (the algorithm class [41] analyzes), returning the flit-level
-  result for comparison with the ``L C D`` form;
+* :func:`leveled_bound` — the ``L C D`` form to compare a run against;
 * :func:`random_delay_release` — the classic smoothing trick: delay each
   message by a uniform multiple of ``L`` in ``[0, C)`` message-slots,
   which spreads contention and empirically tightens the constant.
@@ -20,16 +21,11 @@ This module provides:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
-from ..network.graph import Network, NetworkError
-from ..routing.paths import Path
-from ..sim.stats import SimulationResult
-from ..sim.batch import run_wormhole_batch
+from ..sim.kernels import exact_count
 
-__all__ = ["route_leveled_greedy", "random_delay_release", "leveled_bound"]
+__all__ = ["random_delay_release", "leveled_bound"]
 
 
 def leveled_bound(L: int, C: int, D: int) -> float:
@@ -52,34 +48,6 @@ def random_delay_release(
     one of them was already delayed in the network — the smoothing idea
     behind the randomized online algorithms of [26, 27].
     """
-    if message_length < 1 or C < 1:
-        raise NetworkError("need message_length >= 1 and C >= 1")
-    return (
-        rng.integers(0, C, size=num_messages).astype(np.int64) * message_length
-    )
-
-
-def route_leveled_greedy(
-    net: Network,
-    paths: Sequence[Path] | Sequence[Sequence[int]],
-    message_length: int,
-    B: int = 1,
-    release_times: np.ndarray | None = None,
-    seed: int | None = 0,
-    check_leveled: bool = True,
-) -> SimulationResult:
-    """Greedy wormhole routing on a leveled network.
-
-    Raises if ``net`` is not leveled (unless ``check_leveled=False``);
-    leveledness is what guarantees deadlock freedom here, so the check is
-    on by default.  The run is asserted deadlock-free.
-    """
-    if check_leveled and not net.is_leveled():
-        raise NetworkError("network is not leveled")
-    result = run_wormhole_batch(
-        net, paths, message_length, seeds=[seed], num_virtual_channels=B,
-        release_times=release_times,
-    )[0]
-    if result.deadlocked:  # pragma: no cover - leveledness forbids this
-        raise NetworkError("leveled run deadlocked; model invariant broken")
-    return result
+    L = exact_count(message_length, "message_length", 1)
+    C = exact_count(C, "C", 1)
+    return rng.integers(0, C, size=num_messages).astype(np.int64) * L

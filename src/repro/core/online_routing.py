@@ -28,11 +28,12 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..network.graph import Network
-from ..routing.paths import Path, congestion, dilation
+from ..network.graph import Network, NetworkError
+from ..routing.paths import Path
 from ..sim.stats import SimulationResult
 from ..sim.batch import run_wormhole_batch
 from ..sim.kernels import exact_count
+from .coloring import MessageEdgeIncidence
 
 __all__ = ["online_window", "route_online_random_delays"]
 
@@ -40,7 +41,7 @@ __all__ = ["online_window", "route_online_random_delays"]
 def online_window(C: int, D: int, B: int, alpha: float = 1.0) -> int:
     """Delay-window size in ``L``-slots: ``ceil(alpha * C * D^(1/B) / B)``."""
     if C < 1 or D < 1 or B < 1 or alpha <= 0:
-        raise ValueError("need C, D, B >= 1 and alpha > 0")
+        raise NetworkError("need C, D, B >= 1 and alpha > 0")
     return max(1, int(math.ceil(alpha * C * (D ** (1.0 / B)) / B)))
 
 
@@ -70,21 +71,10 @@ def route_online_random_delays(
     """
     L = exact_count(message_length, "message_length", 1)
     path_list = list(paths)
-    as_paths = [
-        p if isinstance(p, Path) else None for p in path_list
-    ]
-    if all(p is not None for p in as_paths):
-        C = congestion(as_paths)  # type: ignore[arg-type]
-        D = dilation(as_paths)  # type: ignore[arg-type]
-    else:
-        from .coloring import MessageEdgeIncidence, multiplex_size
-
-        inc = MessageEdgeIncidence.from_paths(path_list)
-        C = multiplex_size(inc, np.zeros(inc.num_messages, dtype=np.int64))
-        lengths = np.bincount(inc.message_ids, minlength=inc.num_messages)
-        D = int(lengths.max()) if lengths.size else 1
     if window is None:
+        C, D = MessageEdgeIncidence.from_paths(path_list).congestion_dilation()
         window = online_window(max(C, 1), max(D, 1), B, alpha)
+    window = exact_count(window, "window", 1)
     if rng is None:
         rng = np.random.default_rng(seed)
     release = rng.integers(0, window, size=len(path_list)).astype(np.int64) * L

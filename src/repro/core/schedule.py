@@ -6,23 +6,23 @@ have a special structure: messages are partitioned into color classes of
 multiplex size at most ``B``, and class ``i`` is released at
 ``(i - 1)(L + D - 1)`` — within a class no worm is ever blocked (at most
 ``B`` same-class worms share any edge, one per virtual channel), so every
-class finishes before the next is released.
+class finishes before the next is released.  A schedule runs as the
+release times of an ordinary wormhole trial
+(:meth:`~repro.core.scheduler.ScheduleBuild.apply`), and the
+expectation table's ``schedule`` row holds that trial to the guarantee
+(:mod:`repro.fuzz.expectations`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..network.graph import Network, NetworkError
-from ..routing.paths import Path
-from ..sim.stats import SimulationResult
-from ..sim.batch import run_wormhole_batch
+from ..network.graph import NetworkError
 from ..sim.kernels import exact_count
 
-__all__ = ["ColorClassSchedule", "execute_schedule"]
+__all__ = ["ColorClassSchedule"]
 
 
 @dataclass(frozen=True)
@@ -80,43 +80,3 @@ class ColorClassSchedule:
     def release_times(self) -> np.ndarray:
         """Per-message release flit steps (class ``i`` at ``i * phase``)."""
         return self.colors * self.phase_length
-
-
-def execute_schedule(
-    net: Network,
-    paths: Sequence[Path] | Sequence[Sequence[int]],
-    schedule: ColorClassSchedule,
-    B: int,
-    require_unblocked: bool = True,
-    seed: int | None = 0,
-    telemetry=None,
-) -> SimulationResult:
-    """Run a schedule through the flit-level simulator and validate it.
-
-    With ``require_unblocked`` (the Theorem 2.1.6 guarantee) the run must
-    deliver every message with **zero** blocked steps and finish within
-    ``schedule.length_bound``; violations raise :class:`NetworkError`.
-
-    ``telemetry`` is forwarded to :func:`~repro.sim.batch.run_wormhole_batch`
-    so :mod:`repro.telemetry` probes can observe scheduler-driven runs.
-    """
-    result = run_wormhole_batch(
-        net, paths, schedule.message_length,
-        seeds=[seed], num_virtual_channels=B,
-        release_times=schedule.release_times(), telemetry=telemetry,
-    )[0]
-    if require_unblocked:
-        if not result.all_delivered:
-            raise NetworkError("schedule failed to deliver every message")
-        if result.total_blocked_steps != 0:
-            raise NetworkError(
-                f"schedule blocked for {result.total_blocked_steps} "
-                "message-steps; multiplex size must exceed B"
-            )
-        if result.makespan > schedule.length_bound:
-            raise NetworkError(
-                f"schedule overran its bound: {result.makespan} > "
-                f"{schedule.length_bound}"
-            )
-    return result
-

@@ -11,12 +11,13 @@ color it with at most ``D(C - 1) + 1`` colors, and route one color class
 at a time — ``O((L + D) C D)`` flit steps, the bound the paper's
 construction beats by a factor of about ``B D^(1 - 1/B)``.
 
-Both produce :class:`~repro.core.schedule.ColorClassSchedule` objects that
-:func:`~repro.core.schedule.execute_schedule` validates on the flit-level
-simulator.  :func:`schedule_workload` is Theorem 2.1.6 as a workload
-transform: it states the schedule's release times on a
-:class:`~repro.sim.spec.Workload`, which then runs as an ordinary
-wormhole trial through every front door.
+Both produce a :class:`ScheduleBuild`, whose :meth:`ScheduleBuild.apply`
+states the schedule on a :class:`~repro.sim.spec.Workload`: its release
+times, and the facts by which :func:`repro.fuzz.expectations.evaluate`
+holds the run to the Theorem 2.1.6 guarantee (unblocked, within
+``length_bound``).  The workload then runs as an ordinary wormhole trial
+through every front door.  :func:`schedule_workload` is the
+``lll-schedule`` scenario's transform: one ``"direct"`` build, applied.
 """
 
 from __future__ import annotations
@@ -27,13 +28,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..network.graph import NetworkError
-from ..routing.paths import Path, congestion, dilation
-from .coloring import (
-    MessageEdgeIncidence,
-    RefinementTrace,
-    multiplex_size,
-    reduce_multiplex_size,
-)
+from ..routing.paths import Path
+from ..sim.kernels import exact_count
+from .coloring import MessageEdgeIncidence, RefinementTrace, reduce_multiplex_size
 from .schedule import ColorClassSchedule
 
 __all__ = [
@@ -68,6 +65,39 @@ class ScheduleBuild:
             "length_bound": int(self.length_bound),
         }
 
+    def apply(self, wl, B: int):
+        """``wl`` released on this schedule, built for ``B`` channels.
+
+        Returns ``wl`` with the schedule's ``release_times`` and ``L``,
+        :meth:`metrics` joined to its ``info``, and the facts the
+        expectation table's ``schedule`` row reads (``built_B``,
+        ``built_L``, ``length_bound``).  Run at ``B`` it is an ordinary
+        wormhole trial that a correct schedule finishes unblocked within
+        ``length_bound``.  A workload that states its own release times,
+        injection sources or channel classes is refused: the schedule
+        sets those.
+        """
+        fields = ("release_times", "sources", "vc_ids")
+        stated = [f for f in fields if getattr(wl, f) is not None]
+        if stated:
+            raise NetworkError(
+                "a schedule sets its own release times and channel use; "
+                f"the workload states {', '.join(stated)}"
+            )
+        L = self.schedule.message_length
+        return replace(
+            wl,
+            default_length=L,
+            release_times=self.schedule.release_times(),
+            info={**wl.info, **self.metrics()},
+            facts={
+                **wl.facts,
+                "built_B": exact_count(B, "B", 1),
+                "built_L": L,
+                "length_bound": int(self.length_bound),
+            },
+        )
+
 
 def lll_schedule(
     paths: Sequence[Path] | Sequence[Sequence[int]],
@@ -96,9 +126,7 @@ def lll_schedule(
         refinement straight to ``B`` (see :mod:`repro.core.coloring`).
     """
     inc = MessageEdgeIncidence.from_paths(paths)
-    C = multiplex_size(inc, np.zeros(inc.num_messages, dtype=np.int64))
-    lengths = np.bincount(inc.message_ids, minlength=inc.num_messages)
-    D = int(lengths.max()) if lengths.size else 0
+    C, D = inc.congestion_dilation()
     if C <= B:
         colors = np.zeros(inc.num_messages, dtype=np.int64)
         trace = None
@@ -116,30 +144,11 @@ def lll_schedule(
 
 
 def schedule_workload(wl, B: int, *, rng: np.random.Generator | None = None):
-    """Theorem 2.1.6 as a workload transform.
-
-    Colours ``wl.paths`` for ``B`` virtual channels at ``L =
-    wl.default_length`` (:func:`lll_schedule`, one ``"direct"``
-    refinement stage) and returns ``wl`` with the schedule's
-    ``release_times`` and :meth:`ScheduleBuild.metrics` joined to its
-    ``info``.  Run at ``B`` it is an ordinary wormhole trial that a
-    correct schedule finishes unblocked within ``length_bound``.  A
-    workload that states its own release times, injection sources or
-    channel classes is refused: the schedule sets those.
-    """
-    fields = ("release_times", "sources", "vc_ids")
-    stated = [f for f in fields if getattr(wl, f) is not None]
-    if stated:
-        raise NetworkError(
-            "a schedule sets its own release times and channel use; "
-            f"the workload states {', '.join(stated)}"
-        )
+    """Theorem 2.1.6 as a workload transform: ``wl.paths`` coloured for
+    ``B`` virtual channels at ``L = wl.default_length`` (one ``"direct"``
+    refinement stage), then :meth:`ScheduleBuild.apply`."""
     build = lll_schedule(wl.paths, wl.default_length, B, rng=rng, mode="direct")
-    return replace(
-        wl,
-        release_times=build.schedule.release_times(),
-        info={**wl.info, **build.metrics()},
-    )
+    return build.apply(wl, B)
 
 
 def greedy_conflict_coloring(
@@ -219,15 +228,7 @@ def naive_coloring_schedule(
     """
     paths = list(paths)
     colors = greedy_conflict_coloring(paths)
-    as_paths = [p if isinstance(p, Path) else None for p in paths]
-    if all(p is not None for p in as_paths):
-        C = congestion(as_paths)  # type: ignore[arg-type]
-        D = dilation(as_paths)  # type: ignore[arg-type]
-    else:
-        inc = MessageEdgeIncidence.from_paths(paths)
-        C = multiplex_size(inc, np.zeros(inc.num_messages, dtype=np.int64))
-        lengths = np.bincount(inc.message_ids, minlength=inc.num_messages)
-        D = int(lengths.max()) if lengths.size else 0
+    C, D = MessageEdgeIncidence.from_paths(paths).congestion_dilation()
     schedule = ColorClassSchedule.from_colors(colors, message_length, D)
     return ScheduleBuild(
         schedule=schedule,

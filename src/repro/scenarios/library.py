@@ -195,14 +195,7 @@ def _build_lll_schedule(
     wl = _layered_walks(width, depth, out_degree, messages, seed)
     if length is not None:
         wl.default_length = length
-    wl = schedule_workload(wl, B, rng=np.random.default_rng(schedule_seed))
-    wl.facts = {
-        "acyclic": True,
-        "built_B": int(B),
-        "built_L": wl.default_length,
-        "length_bound": wl.info["length_bound"],
-    }
-    return wl
+    return schedule_workload(wl, B, rng=np.random.default_rng(schedule_seed))
 
 
 # ----------------------------------------------------------------------

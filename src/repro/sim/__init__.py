@@ -14,6 +14,7 @@ _EXPORTS = {
     "SweepResult": ".sweep",
     "TrialResult": ".sweep",
     "TrialSpec": ".spec",
+    "arbitrate_levels": ".circuit",
     "channel_dependency_graph": ".deadlock",
     "check_edge_simple": ".engine",
     "circuit_switch_butterfly": ".circuit",

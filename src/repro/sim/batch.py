@@ -62,10 +62,8 @@ same taken paths).  The load-bearing facts:
 * each trial keeps its **own** RNG (``np.random.default_rng(seeds[i])``;
   a ``Generator`` passes through, which is how two calls continue one
   stream — the two phases of
-  :func:`~repro.core.hypercube_routing.route_hypercube_permutation`, and
-  :class:`~repro.core.multibutterfly_routing.MultibutterflyRouter`'s
-  successive runs) and draws from it
-  in a fixed order — per-step draws happen only in steps where that
+  :func:`~repro.core.hypercube_routing.route_hypercube_permutation`)
+  and draws from it in a fixed order — per-step draws happen only in steps where that
   trial acts, setup-time draws (rank permutations, rotating-service
   offsets, injection delays) happen once per trial at startup;
 * the shared clock visits every step at which any trial acts; a trial's
@@ -743,10 +741,11 @@ def run_adaptive_batch(
     ``demands`` are ``(source, destination)`` node ids; ``policy`` is
     ``"dimension"`` (XY), ``"west-first"`` (the Glass–Ni turn model) or
     ``"fully-adaptive"``, which can deadlock at ``B = 1``) or a
-    :class:`~repro.network.multibutterfly.Multibutterfly`
-    (:class:`~repro.core.multibutterfly_routing.MultibutterflyRouter`;
-    ``demands`` are ``(input column, output column)`` pairs, and the
-    policy must be ``"fully-adaptive"``).  Returns
+    :class:`~repro.network.multibutterfly.Multibutterfly` (Arora,
+    Leighton and Maggs' ``O(L + log n)`` router: a blocked head takes
+    another of its ``d`` destination-correct edges; ``demands`` are
+    ``(input column, output column)`` pairs, and the policy must be
+    ``"fully-adaptive"``).  Returns
     :class:`~repro.sim.stats.AdaptiveRunResult` objects so each trial's
     adaptively chosen routes stay inspectable.  Because routes are
     chosen online, probes see ``meta.paths = None``; a blocked head

@@ -13,7 +13,13 @@ edge admits at most ``capacity`` circuits; surplus messages are dropped on
 the spot and release nothing (the classic "kill on blocked" analysis
 model used by Kruskal-Snir and Koch).  The whole sweep is vectorized: a
 message's path is determined by its (input, output) pair via greedy
-bit-fixing, so level ``i`` only needs a bincount over edge ids.
+bit-fixing, so level ``i`` is one round of the engine's grant kernel
+over edge ids.
+
+The same level sweep is Section 3.1's discard-on-delay subround
+(:class:`~repro.core.butterfly_routing.ButterflyRouter`): worms enter a
+leveled network together, and at each edge ``B`` random winners
+survive.  :func:`arbitrate_levels` is that sweep, once, for both.
 """
 
 from __future__ import annotations
@@ -27,7 +33,38 @@ from ..network.graph import NetworkError
 from .engine import grant_free_slots
 from .kernels import exact_count
 
-__all__ = ["CircuitSwitchResult", "circuit_switch_butterfly"]
+__all__ = ["CircuitSwitchResult", "arbitrate_levels", "circuit_switch_butterfly"]
+
+
+def _levels_won(
+    edges: np.ndarray, B: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Per message, the levels it won before it was dropped (``depth``
+    for a survivor).  Each level draws one ``rng.random`` per message
+    still alive, and the engine's grant kernel keeps the ``B`` smallest
+    draws at every edge."""
+    won = np.zeros(edges.shape[0], dtype=np.int64)
+    alive = np.arange(edges.shape[0])
+    for level in range(edges.shape[1]):
+        if alive.size == 0:
+            break
+        keep = grant_free_slots(edges[alive, level], rng.random(alive.size), B)
+        alive = alive[keep]
+        won[alive] += 1
+    return won
+
+
+def arbitrate_levels(
+    edges: np.ndarray, B: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Run the level-synchronized discard dynamics for one subround.
+
+    ``edges`` is ``(m, depth)`` edge ids (row ``i`` is message ``i``'s
+    path); at each level, ``B`` random contenders per edge survive and
+    the rest are discarded.  Returns the boolean survivor mask: True iff
+    the message won a slot at every level.
+    """
+    return _levels_won(edges, B, rng) == edges.shape[1]
 
 
 @dataclass(frozen=True)
@@ -86,19 +123,7 @@ def circuit_switch_butterfly(
         sources = np.arange(bf.n, dtype=np.int64)
     else:
         sources = np.asarray(sources, dtype=np.int64)
-    edges = bf.path_edges_batch(sources, dests)  # (M, depth)
-    M = edges.shape[0]
-    alive = np.ones(M, dtype=bool)
-    dropped = np.zeros(bf.depth, dtype=np.int64)
-    for level in range(bf.depth):
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
-            break
-        lvl_edges = edges[idx, level]
-        # Random arbitration: shuffle, then keep the first `capacity`
-        # contenders per edge (the engine's shared grant kernel).
-        prio = rng.random(idx.size)
-        keep = grant_free_slots(lvl_edges, prio, capacity)
-        dropped[level] = int((~keep).sum())
-        alive[idx[~keep]] = False
-    return CircuitSwitchResult(survived=alive, dropped_per_level=dropped)
+    won = _levels_won(bf.path_edges_batch(sources, dests), capacity, rng)
+    survived = won == bf.depth
+    dropped = np.bincount(won[~survived], minlength=bf.depth)
+    return CircuitSwitchResult(survived=survived, dropped_per_level=dropped)

@@ -43,6 +43,27 @@ def layered_workload(rng):
     return net, paths_from_node_walks(net, walks)
 
 
+@pytest.fixture
+def run_schedule():
+    """``run(net, paths, build, B)``: the schedule ``build`` released on
+    ``(net, paths)`` (:meth:`~repro.core.scheduler.ScheduleBuild.apply`)
+    as one wormhole trial at ``B``.  The expectation table judges the
+    run and must find no violation; its ``schedule`` row (Theorem 2.1.6:
+    unblocked, within ``length_bound``) must be among the rows applied."""
+    from repro import simulate
+    from repro.fuzz.expectations import evaluate
+
+    def run(net, paths, build, B):
+        wl = build.apply(Workload(net, paths), B)
+        result = simulate(wl, B=B)
+        verdicts = evaluate(result, wl, model="wormhole", B=B)
+        assert "schedule" in {row.name for row, _ in verdicts}
+        assert [v for _, v in verdicts if v] == []
+        return result
+
+    return run
+
+
 @pytest.fixture(scope="session")
 def open_loop():
     """``run(net, num_sources, Bs, rate, L, path_of, horizon, seed,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.butterfly_routing import ButterflyRouter, arbitrate_levels
+from repro.core.butterfly_routing import ButterflyRouter
 from repro.network.butterfly import Butterfly
 from repro.network.graph import NetworkError
 from repro.routing.problems import (
@@ -11,6 +11,7 @@ from repro.routing.problems import (
     random_permutation,
     random_q_relation,
 )
+from repro.sim.circuit import arbitrate_levels
 from repro import simulate
 
 

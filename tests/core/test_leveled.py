@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.leveled import (
-    leveled_bound,
-    random_delay_release,
-    route_leveled_greedy,
-)
-from repro.network.graph import Network, NetworkError
+from repro import simulate
+from repro.core.leveled import leveled_bound, random_delay_release
+from repro.network.graph import NetworkError
 from repro.network.random_networks import layered_network, random_walk_paths
 from repro.routing.paths import congestion, dilation, paths_from_node_walks
+from repro.sim.spec import Workload
 
 
 @pytest.fixture
@@ -45,35 +43,18 @@ class TestGreedyRouting:
         net, paths = workload
         L = 8
         C, D = congestion(paths), dilation(paths)
-        res = route_leveled_greedy(net, paths, L, B=1, seed=0)
+        assert net.is_leveled()
+        res = simulate((net, paths), message_length=L)
         assert res.all_delivered
         assert not res.deadlocked
         assert res.makespan <= leveled_bound(L, C, D)
-
-    def test_rejects_non_leveled(self):
-        net = Network()
-        a, b, c = net.add_nodes("abc")
-        net.add_edge(a, b)
-        net.add_edge(b, c)
-        net.add_edge(a, c)  # skips a level
-        with pytest.raises(NetworkError, match="not leveled"):
-            route_leveled_greedy(net, [[0, 1]], 2)
-
-    def test_check_can_be_skipped(self):
-        net = Network()
-        a, b, c = net.add_nodes("abc")
-        e1 = net.add_edge(a, b)
-        net.add_edge(b, c)
-        net.add_edge(a, c)
-        res = route_leveled_greedy(net, [[e1]], 2, check_leveled=False)
-        assert res.all_delivered
 
     def test_random_delays_do_not_break_delivery(self, workload, rng):
         net, paths = workload
         L = 8
         C = congestion(paths)
         rel = random_delay_release(len(paths), L, C, rng)
-        res = route_leveled_greedy(net, paths, L, B=1, release_times=rel, seed=0)
+        res = simulate(Workload(net, paths, release_times=rel), message_length=L)
         assert res.all_delivered
 
     def test_random_delays_reduce_blocking(self, workload):
@@ -81,11 +62,11 @@ class TestGreedyRouting:
         net, paths = workload
         L = 8
         C = congestion(paths)
-        plain = route_leveled_greedy(net, paths, L, B=1, seed=0)
+        plain = simulate((net, paths), message_length=L)
         rel = random_delay_release(
             len(paths), L, C, np.random.default_rng(4)
         )
-        smoothed = route_leveled_greedy(
-            net, paths, L, B=1, release_times=rel, seed=0
+        smoothed = simulate(
+            Workload(net, paths, release_times=rel), message_length=L
         )
         assert smoothed.total_blocked_steps < plain.total_blocked_steps

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import bounds
-from repro.core.schedule import execute_schedule
 from repro.core.scheduler import (
     greedy_conflict_coloring,
     lll_schedule,
@@ -35,10 +34,10 @@ class TestGreedyConflictColoring:
 
 
 class TestNaiveSchedule:
-    def test_executes_validly_at_b1(self, layered_workload):
+    def test_executes_validly_at_b1(self, layered_workload, run_schedule):
         net, paths = layered_workload
         build = naive_coloring_schedule(paths, message_length=8)
-        res = execute_schedule(net, paths, build.schedule, B=1)
+        res = run_schedule(net, paths, build, 1)
         assert res.all_delivered
         assert res.total_blocked_steps == 0
 
@@ -51,10 +50,10 @@ class TestNaiveSchedule:
 
 class TestLllSchedule:
     @pytest.mark.parametrize("B", [1, 2, 3])
-    def test_schedule_validates_on_simulator(self, B, layered_workload):
+    def test_schedule_validates_on_simulator(self, B, layered_workload, run_schedule):
         net, paths = layered_workload
         build = lll_schedule(paths, message_length=8, B=B, mode="direct")
-        res = execute_schedule(net, paths, build.schedule, B=B)
+        res = run_schedule(net, paths, build, B)
         assert res.all_delivered
         assert res.total_blocked_steps == 0
         assert res.makespan <= build.length_bound
@@ -93,14 +92,14 @@ class TestLllSchedule:
             )
             assert build.num_classes <= 8 * bounds.color_classes_bound(C, D, B)
 
-    def test_theory_mode_also_validates(self):
+    def test_theory_mode_also_validates(self, run_schedule):
         net, walks = chain_bundle(1, 4, 3)
         paths = paths_from_node_walks(net, walks)
         build = lll_schedule(
             paths, message_length=5, B=1,
             rng=np.random.default_rng(2), mode="theory",
         )
-        res = execute_schedule(net, paths, build.schedule, B=1)
+        res = run_schedule(net, paths, build, 1)
         assert res.all_delivered and res.total_blocked_steps == 0
 
     def test_provenance_fields(self, layered_workload):

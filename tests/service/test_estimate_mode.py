@@ -10,8 +10,6 @@ supported modes.
 import asyncio
 import contextlib
 
-import pytest
-
 from repro.analysis.estimate import estimate_spec
 from repro.service import (
     STATUS_OK,

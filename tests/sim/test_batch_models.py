@@ -24,7 +24,7 @@ from repro import simulate
 from repro.core import (
     ButterflyRouter,
     ColorClassSchedule,
-    MultibutterflyRouter,
+    random_delay_release,
     route_online_random_delays,
     route_permutation_benes,
     route_q_relation_benes,
@@ -671,23 +671,48 @@ def test_a_count_is_rejected_not_truncated_on_every_path(knob, layered, mesh):
 
 
 def _multibutterfly_run(B=1, message_length=4, **run):
-    """A 16-input multibutterfly permutation through its router."""
+    """A 16-input multibutterfly permutation through the adaptive driver."""
     mbf = Multibutterfly(16, d=2, rng=np.random.default_rng(0))
     inst = random_permutation(16, np.random.default_rng(1))
-    return MultibutterflyRouter(mbf, B).run(inst, message_length, **run)
+    demands = np.stack([inst.sources, inst.dests], axis=1)
+    return run_adaptive_batch(
+        mbf, demands, message_length, seeds=[0], num_virtual_channels=B,
+        policy="fully-adaptive", **run,
+    )[0]
 
 
 _PERM8 = np.random.default_rng(2).permutation(8)
 _L_ERROR = "message_length must be an integer"
 
-#: A ``core/`` entry point given a value it once truncated (L = 4.9 ran
-#: as 4), accepted (B = 1.5 ran a model that does not exist; a release
-#: of -3 ran) or let escape as a bare ValueError, and the error it owes.
+#: A ``core/`` entry point (or the driver a removed one called) given a
+#: value it once truncated (L = 4.9 ran as 4), accepted (B = 1.5 ran a
+#: model that does not exist; a release of -3 ran) or let escape as a
+#: bare ValueError, and the error it owes.
 TRUNCATED_BY_CORE = {
     "benes-L": (lambda: route_permutation_benes(_PERM8, 4.9), _L_ERROR),
     "benes-q-L": (lambda: route_q_relation_benes([_PERM8] * 2, 4.6), _L_ERROR),
     "delays-L": (
         lambda: route_online_random_delays(*_layered_workload(), 4.8), _L_ERROR
+    ),
+    "delays-window": (
+        lambda: route_online_random_delays(*_layered_workload(), 4, window=2.5),
+        "window must be an integer",
+    ),
+    "delays-window-zero": (
+        lambda: route_online_random_delays(*_layered_workload(), 4, window=0),
+        "window must be an integer",
+    ),
+    "delays-B-zero": (
+        lambda: route_online_random_delays(*_layered_workload(), 4, B=0),
+        "need C, D, B >= 1",
+    ),
+    "delay-release-C": (
+        lambda: random_delay_release(6, 4, 2.5, np.random.default_rng(0)),
+        "C must be an integer",
+    ),
+    "delay-release-C-bool": (
+        lambda: random_delay_release(6, 4, True, np.random.default_rng(0)),
+        "C must be an integer",
     ),
     "butterfly-L": (lambda: ButterflyRouter(16, message_length=3.9), _L_ERROR),
     "butterfly-B": (lambda: ButterflyRouter(16, B=1.5), "B must be an integer"),

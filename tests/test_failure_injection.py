@@ -9,7 +9,7 @@ releases landing mid-deadlock — and check the invariants hold.
 import numpy as np
 import pytest
 
-from repro import Network, execute_schedule, lll_schedule, simulate
+from repro import Network, lll_schedule, simulate
 from repro.network.random_networks import chain_bundle
 from repro.routing.paths import paths_from_node_walks
 from repro.sim.spec import Workload
@@ -83,24 +83,24 @@ class TestDegenerateWorkloads:
 
 
 class TestSchedulerRobustness:
-    def test_schedule_on_workload_with_empty_paths(self):
+    def test_schedule_on_workload_with_empty_paths(self, run_schedule):
         net, paths = chain(3, per_chain=3)
         mixed = [list(p.edges) for p in paths] + [[]]
         build = lll_schedule(mixed, message_length=4, B=1)
-        res = execute_schedule(net, mixed, build.schedule, B=1)
+        res = run_schedule(net, mixed, build, 1)
         assert res.all_delivered
 
-    def test_schedule_single_message(self):
+    def test_schedule_single_message(self, run_schedule):
         net, paths = chain(3)
         build = lll_schedule(paths, message_length=4, B=2)
         assert build.num_classes == 1
-        res = execute_schedule(net, paths, build.schedule, B=2)
+        res = run_schedule(net, paths, build, 2)
         assert res.makespan == 4 + 3 - 1
 
-    def test_schedule_empty_workload(self):
+    def test_schedule_empty_workload(self, run_schedule):
         net, _ = chain(2)
         build = lll_schedule([], message_length=4, B=1)
-        res = execute_schedule(net, [], build.schedule, B=1)
+        res = run_schedule(net, [], build, 1)
         assert res.num_messages == 0
 
 

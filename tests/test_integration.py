@@ -9,7 +9,6 @@ from repro import (
     ButterflyRouter,
     bounds,
     build_hard_instance,
-    execute_schedule,
     hard_instance_lower_bound,
     lll_schedule,
     naive_coloring_schedule,
@@ -31,7 +30,7 @@ def workload():
 
 
 class TestSchedulerPipeline:
-    def test_lll_schedule_end_to_end(self, workload):
+    def test_lll_schedule_end_to_end(self, workload, run_schedule):
         """Build the Theorem 2.1.6 schedule, execute it on the exact flit
         model, verify zero blocking and the length bound."""
         net, paths = workload
@@ -41,19 +40,19 @@ class TestSchedulerPipeline:
                 paths, message_length=L, B=B,
                 rng=np.random.default_rng(B), mode="direct",
             )
-            res = execute_schedule(net, paths, build.schedule, B=B)
+            res = run_schedule(net, paths, build, B)
             assert res.all_delivered
             assert res.total_blocked_steps == 0
             assert res.makespan <= build.length_bound
 
-    def test_schedule_beats_greedy_blocking(self, workload):
+    def test_schedule_beats_greedy_blocking(self, workload, run_schedule):
         """The schedule's guarantee costs makespan but eliminates
         blocking entirely versus greedy injection."""
         net, paths = workload
         L = 12
         greedy = simulate((net, paths), B=2, message_length=L)
         build = lll_schedule(paths, L, B=2, mode="direct")
-        scheduled = execute_schedule(net, paths, build.schedule, B=2)
+        scheduled = run_schedule(net, paths, build, 2)
         assert greedy.total_blocked_steps > 0
         assert scheduled.total_blocked_steps == 0
 
@@ -70,7 +69,7 @@ class TestSchedulerPipeline:
 
 
 class TestSuperlinearSpeedup:
-    def test_hard_instance_speedup_exceeds_b(self):
+    def test_hard_instance_speedup_exceeds_b(self, run_schedule):
         """Section 1.4's headline on the Theorem 2.2.1 instance: going
         from B = 1 to B = 2 speeds the *schedule bound* up by more than
         2x (the measured factor B D^(1-1/B) shape)."""
@@ -81,7 +80,7 @@ class TestSuperlinearSpeedup:
             build = lll_schedule(
                 inst.paths, L, B=B, rng=np.random.default_rng(1), mode="direct"
             )
-            res = execute_schedule(inst.network, inst.paths, build.schedule, B=B)
+            res = run_schedule(inst.network, inst.paths, build, B)
             assert res.all_delivered
             lengths[B] = res.makespan
         assert lengths[1] / lengths[2] > 2.0
@@ -128,7 +127,7 @@ class TestRouterComparison:
 
 
 class TestSection2MeetsSection3:
-    def test_offline_scheduler_on_butterfly_workloads(self):
+    def test_offline_scheduler_on_butterfly_workloads(self, run_schedule):
         """Bridge the paper's two halves: apply the Theorem 2.1.6
         offline scheduler to a butterfly q-relation's two-pass paths and
         compare with the specialized Section 3.1 algorithm.
@@ -148,7 +147,7 @@ class TestSection2MeetsSection3:
         paths = [list(r) for r in edges]
 
         build = lll_schedule(paths, L, B=B, rng=np.random.default_rng(2), mode="direct")
-        offline = execute_schedule(bf, paths, build.schedule, B=B)
+        offline = run_schedule(bf, paths, build, B)
         assert offline.all_delivered
         assert offline.total_blocked_steps == 0
 
@@ -185,7 +184,7 @@ class TestButterflyPipeline:
         conservative synchronous reading validated against Waksman
         pipelining in the Benes tests.)
         """
-        from repro.core.butterfly_routing import arbitrate_levels
+        from repro import arbitrate_levels
 
         n, B, L = 16, 2, 5
         bf = Butterfly(n, passes=2)
@@ -225,7 +224,7 @@ class TestButterflyPipeline:
         mid = rng.integers(0, n, 40)
         dst = rng.integers(0, n, 40)
         edges = bf.two_pass_path_edges_batch(src, mid, dst)
-        from repro.core.butterfly_routing import arbitrate_levels
+        from repro import arbitrate_levels
 
         alive = arbitrate_levels(edges, B, rng)
         assert alive.any()
