@@ -119,6 +119,8 @@ class ButterflyRouter:
         self.n = n
         self.log_n = self.bf.log_n
         self.beta = float(beta)
+        if not 0 < self.beta < math.inf:
+            raise NetworkError(f"beta must be a finite number > 0, got {beta!r}")
         self._rng = np.random.default_rng(seed)
         llln = log2c(log2c(n))
         lllln = max(log2c(llln), 1.0)

@@ -30,9 +30,9 @@ __all__ = ["random_delay_release", "leveled_bound"]
 
 def leveled_bound(L: int, C: int, D: int) -> float:
     """[41]'s leveled-network bound ``L C D`` (flit steps, ``B = 1``)."""
-    if L < 1 or C < 1 or D < 1:
-        raise ValueError("need L, C, D >= 1")
-    return float(L) * C * D
+    return float(
+        exact_count(L, "L", 1) * exact_count(C, "C", 1) * exact_count(D, "D", 1)
+    )
 
 
 def random_delay_release(

@@ -40,8 +40,8 @@ __all__ = ["online_window", "route_online_random_delays"]
 
 def online_window(C: int, D: int, B: int, alpha: float = 1.0) -> int:
     """Delay-window size in ``L``-slots: ``ceil(alpha * C * D^(1/B) / B)``."""
-    if C < 1 or D < 1 or B < 1 or alpha <= 0:
-        raise NetworkError("need C, D, B >= 1 and alpha > 0")
+    if not (C >= 1 and D >= 1 and B >= 1 and 0 < alpha < math.inf):
+        raise NetworkError("need C, D, B >= 1 and a finite alpha > 0")
     return max(1, int(math.ceil(alpha * C * (D ** (1.0 / B)) / B)))
 
 

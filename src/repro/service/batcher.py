@@ -63,7 +63,6 @@ import asyncio
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
-from ..sim.spec import batch_compat_key
 from ..sim.sweep import execute_compatible
 from .admission import AdmissionQueue, PendingRequest
 from .config import BatchPolicy

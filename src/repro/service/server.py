@@ -24,9 +24,10 @@ import os
 from typing import Any
 
 from ..network.errors import NetworkError
+from ..sim.spec import batch_compat_key
 from ..telemetry.metrics import DepthGauge, EventCounter, SizeHistogram
 from .admission import AdmissionQueue, PendingRequest, QueueFullError
-from .batcher import CLOSED_BY, DynamicBatcher, batch_compat_key
+from .batcher import CLOSED_BY, DynamicBatcher
 from .config import ServiceConfig
 from .endpoint import Endpoint
 from .protocol import RunRequest, reject_response

@@ -428,10 +428,11 @@ class BatchStepLoop:
       jumps to the earliest next release.  A trial whose next release
       lies at or beyond its step cap is finalized with ``steps`` = that
       release time and the cap flag set;
-    * a body may apply the forced steps after its own in the same call
-      and report them in :attr:`coasted` (MODEL.md section 3: the
-      wormhole kernel's rounds that can grant nothing); the clock
-      advances by them before the checks above run, and
+    * a body may apply the steps after its own that it can predict in
+      the same call and report them in :attr:`coasted` (MODEL.md
+      sections 3 and 8: a wormhole round that can grant nothing, a
+      cut-through step in which nothing is claimed or delivered); the
+      clock advances by them before the checks above run, and
       :meth:`coast_limit` bounds such a span by the next release and
       the smallest live cap, so the checks see what step-by-step runs
       would have seen.
@@ -660,9 +661,10 @@ class BatchStepLoop:
         stops at or before this step: the last before a release makes a
         message active (a message released at ``r`` first contends at
         ``r + 1``), and the first at which a live trial may reach its
-        step cap.  A span's only completions fall on its last step, so
-        the loop's checks after the call see every trial as they would
-        have seen it step by step.
+        step cap.  A span's only completions, and the only step in which
+        a trial stops moving, fall on its last step, so the loop's checks
+        after the call see every trial as they would have seen it step
+        by step.
         """
         releases = self._releases
         i = releases.searchsorted(t)

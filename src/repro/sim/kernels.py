@@ -715,6 +715,10 @@ class CutThroughKernel(_Kernel):
     the loop finalized early (step cap, deadlock): they are masked
     under the scalar guard ``num_live < hi``, so a finalized trial's
     state is frozen.
+
+    After a step that claimed and delivered nothing, :meth:`_coast`
+    applies the quiet steps that follow in the same call (MODEL.md
+    section 8, "Quiet spans").
     """
 
     @classmethod
@@ -805,6 +809,16 @@ class CutThroughKernel(_Kernel):
         self._ret = np.zeros(T, dtype=bool)
         self._hi = -1
         self._views = None
+        # For the quiet-span coast (_coast): per-position D, L and B, the
+        # crossed offset of each path index, and a mask over owner keys.
+        self._msg = np.stack(
+            [np.tile(self.D, T), np.tile(self.L, T), np.repeat(B, M)]
+        ).astype(np.int64)
+        self._lane = idx[:, None]
+        self._xrow = (maxD - 1 - np.arange(maxD + 1)) * self._TM
+        self._xcol = self._xrow[:maxD, None]
+        self._h_flat = self._h.reshape(-1)
+        self._req = np.zeros(self.owner.size, dtype=bool)
 
     def _slice(self, hi: int) -> None:
         """Re-cut every per-step operand to the rows that can still act.
@@ -853,7 +867,8 @@ class CutThroughKernel(_Kernel):
         owner.take(want, out=own, mode="clip")
         np.less(own, 0, out=claim)
         np.logical_and(claim, act, out=claim)
-        if np.count_nonzero(claim):
+        quiet = not np.count_nonzero(claim)
+        if not quiet:
             cp = claim_flat.nonzero()[0]
             keys = self._want_flat.take(cp)  # (trial, edge), stride E + 1
             msgs = self._m_of.take(cp)
@@ -942,7 +957,8 @@ class CutThroughKernel(_Kernel):
         newly = claim  # reused
         np.equal(tail, L32, out=newly)
         np.logical_and(newly, act, out=newly)
-        if np.count_nonzero(newly):
+        freed = np.count_nonzero(newly)
+        if freed:
             owned_all, okey = self._owned_flat, self._okey
             ep = claim_flat.nonzero()[0]
             f = self._f_flat.take(ep)
@@ -975,6 +991,7 @@ class CutThroughKernel(_Kernel):
                 self._completion[lp] = t
                 self._done[lp] = True
                 delivered_m = em[last]
+                quiet = False
                 if probes is not None:
                     rel_events.extend(
                         (1, int(m), int(e)) for m, e in zip(delivered_m, lk)
@@ -988,7 +1005,103 @@ class CutThroughKernel(_Kernel):
         if probes is not None:
             self._emit_step_events(t, stalled, progressed, rel_events, delivered_m)
         np.logical_or.reduce(progressed, axis=1, out=ret)
+        # A step that claimed and delivered nothing may start a span.
+        if quiet and probes is None:
+            self._coast(t, act, freed)
         return self._ret
+
+    def _coast(self, t: int, act: np.ndarray, freed: int) -> None:
+        """Apply the quiet steps after step ``t`` in one update.
+
+        Step ``t`` claimed and delivered nothing, so every active header
+        waits on an edge another message owns or has crossed its path.
+        Until a wanted edge is freed, a message is delivered, a release
+        or cap falls due (:meth:`BatchStepLoop.coast_limit`) or a trial
+        stops moving, each message's flits follow the closed form of
+        MODEL.md section 8 ("Quiet spans") on its own edges.  ``act`` is
+        the step's ``(hi, M)`` active mask; ``freed`` says whether step
+        ``t`` released an edge.  Arrays are ``(maxD, n)``: path index
+        first, one column per message with flits in the network.
+        """
+        loop, owner, hi, ret = self.state, self._owner_flat, self._hi, self._ret
+        # Every trial that acted must have moved, else the deadlock rule
+        # may fire at t (a lone trial acted, or body was not called); and
+        # no edge a header waits on may have been freed.
+        if self.T == 1:
+            if not ret[0]:
+                return
+        elif (np.logical_or.reduce(act, axis=1) > ret[:hi]).any():
+            return
+        if freed and np.count_nonzero((owner.take(self._want[:hi]) < 0) & act):
+            return
+        net = self._h[:hi] > 0  # messages with flits in the network
+        net &= act
+        p = net.reshape(-1).nonzero()[0]
+        h = self._h_flat.take(p)
+        D, L, B = self._msg.take(p, axis=1)
+        cells = self._xcol + p
+        x = self._crossed_flat.take(cells)
+        lane = self._lane
+        drain = h == D
+        # Each edge gains a flit a step until it reaches tau = min(L,
+        # B (h - i)), where a waiting worm stops (MODEL.md section 8).
+        # A drainer's buffers never hold it back: its tau is L on the
+        # path, B = L there.
+        tau = np.minimum(L, np.where(drain, L, B) * (h - lane))
+        # Progress steps P: the first s at which x(s) = tau; a drainer's
+        # is the step of its delivery.
+        P = np.maximum.reduce(tau - x, axis=0)
+        span = loop.coast_limit(t) - t
+        if np.count_nonzero(drain):  # the first delivery
+            span = min(span, int(np.minimum.reduce(P[drain])))
+        if self.T == 1:  # the first step a trial would not move
+            most = int(np.maximum.reduce(P))
+            span = min(span, most + 1)
+        else:
+            most = np.zeros(hi * self.M, dtype=np.int64)
+            most[p] = P
+            most = np.maximum.reduce(most.reshape(hi, -1), axis=1)
+            span = min(span, int(np.minimum.reduce(most[ret[:hi]])) + 1)
+        # The first step that frees an owned edge a header waits on:
+        # edge j - 1 is freed when x_j reaches L, after L - x_j steps,
+        # or never if the worm compresses below L there.  (Its last edge
+        # is freed by its delivery.)
+        req = self._req
+        keys = self._want[:hi][act]  # a drainer's is the sentinel's
+        req[keys] = True
+        okeys = self._okey.take(self._obase_flat.take(p) + lane)
+        owned = self._owned_flat.take(cells)
+        wanted = req.take(okeys[:-1])
+        req[keys] = False
+        wanted &= owned[:-1]
+        if np.count_nonzero(wanted):  # rows j = 1 .. maxD - 1
+            rel = L - x[1:]
+            rel[tau[1:] < L] = _FAR
+            span = min(span, int(np.minimum.reduce(rel[wanted])))
+        if span <= 0:
+            return
+        # x(s): each count s flits on, up to tau (<= 0 beyond the header).
+        w = np.minimum(np.add(x, span, dtype=np.int64), tau)
+        np.maximum(w, 0, out=w)
+        self._crossed_flat.put(cells, w)
+        # The releases inside the span, and a delivery on its last step:
+        # the new tail watch f is the run of edges at L.
+        f = np.add.reduce(w == L, axis=0)
+        fin = f == D
+        owned &= lane < f - 1 + fin
+        owner[okeys[owned]] = -1
+        self._owned_flat[cells[owned]] = False
+        self._fi_flat[p] = self._xrow.take(f) + p
+        self._f_flat[p] = f
+        fin = p[fin]
+        self._completion[fin] = t + span
+        self._done[fin] = True
+        # A message progresses on a prefix of the span: min(P, s) steps.
+        blocked = loop.blocked[:hi]
+        blocked += act * span
+        self._blocked[p] -= np.minimum(P, span)
+        ret[:hi] = most >= span
+        loop.coasted = span
 
     def _emit_step_events(self, t, stalled, progressed, rel_events, finished):
         """Reproduce the serial per-step event stream (T = 1 only)."""
@@ -1029,6 +1142,11 @@ class CutThroughKernel(_Kernel):
         at_L = (crossed == self.L[None, :, None]) & on_path
         f = np.cumprod(at_L, axis=2).sum(axis=2)
         assert np.array_equal(self._f, f)
+        # No buffer inside a worm is empty (MODEL.md section 8, what
+        # the quiet-span coast rests on): counts fall from f to h - 1.
+        lane = np.arange(maxD - 1)
+        inside = (lane >= f[..., None]) & (lane < h[..., None] - 1)
+        assert (np.diff(crossed, axis=2)[inside] < 0).all(), "a gap in a worm"
         # ... and their flat indices are affine in them.
         assert np.array_equal(self._hv, (maxD - h) * T * M + pos)
         assert np.array_equal(self._fi, (maxD - 1 - f) * T * M + pos)

@@ -115,6 +115,11 @@ class TestButterflyRouter:
         with pytest.raises(NetworkError):
             ButterflyRouter(16, message_length=0)
 
+    @pytest.mark.parametrize("beta", [0, -1, float("nan"), float("inf")])
+    def test_a_bad_beta_fails_at_construction(self, beta):
+        with pytest.raises(NetworkError):
+            ButterflyRouter(16, beta=beta)
+
     def test_theorem_b_range_flag(self):
         assert ButterflyRouter(1 << 16, B=1).b_within_theorem
         assert not ButterflyRouter(16, B=5).b_within_theorem

@@ -26,6 +26,11 @@ class TestBound:
         with pytest.raises(ValueError):
             leveled_bound(0, 1, 1)
 
+    @pytest.mark.parametrize("args", [(0, 1, 1), (2.5, 1, 1), (4, 3, 0.5)])
+    def test_inputs_are_counts(self, args):
+        with pytest.raises(NetworkError):
+            leveled_bound(*args)
+
 
 class TestRandomDelay:
     def test_multiples_of_l(self, rng):

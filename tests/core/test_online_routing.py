@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.online_routing import online_window, route_online_random_delays
+from repro.network.graph import NetworkError
 from repro.network.random_networks import chain_bundle, layered_network, random_walk_paths
 from repro.routing.paths import congestion, dilation, paths_from_node_walks
 
@@ -23,6 +24,11 @@ class TestWindow:
             online_window(0, 1, 1)
         with pytest.raises(ValueError):
             online_window(1, 1, 1, alpha=0)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -1.0])
+    def test_a_bad_alpha_is_a_network_error(self, alpha):
+        with pytest.raises(NetworkError):
+            online_window(3, 4, 1, alpha=alpha)
 
 
 class TestProtocol:

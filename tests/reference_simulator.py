@@ -4,7 +4,8 @@ per-head adaptive router for meshes and multibutterflies
 wormhole loop (:func:`reference_open_loop` over Bernoulli arrivals,
 :func:`reference_queued_run` over any arrival trace) and a per-message
 wormhole loop with random or rank priorities, classed channels and any
-``B`` (:func:`reference_message_run`).  None of them imports ``repro.sim``.
+``B`` (:func:`reference_message_run`), plus a per-flit cut-through router
+(:func:`reference_cut_through_run`).  None of them imports ``repro.sim``.
 
 The wormhole reference implements the Section 1.1 model with *explicit
 flit state* — one position per flit, edge occupancy computed by
@@ -61,6 +62,7 @@ __all__ = [
     "reference_open_loop",
     "reference_queued_run",
     "reference_message_run",
+    "reference_cut_through_run",
     "DONE",
     "REFUSED",
     "UNCONTESTED",
@@ -440,3 +442,82 @@ def reference_message_run(
                 held[slot(m, D[m] - 1)] -= 1
                 completion[m] = t
     return completion, blocked, classes
+
+
+def reference_cut_through_run(
+    paths, L, B, release, rng, priority="random", max_steps=500
+):
+    """Per-flit cut-through run: ``(completion, blocked, deadlocked)``.
+
+    MODEL.md sections 6 and 8, one flit at a time.  ``pos[m][k]`` is
+    the number of path edges flit ``k`` of message ``m`` has crossed (it
+    waits in the buffer at the head of the last of them, or at its
+    source; ``D`` is delivered); ``L`` is one length for all messages
+    or one per message.  Each step:
+
+    * every released, undelivered header whose next edge nobody owns
+      claims it; in ascending message order each draws a priority
+      (``rng.random`` per claimer, or its index for ``"index"``), and
+      of the claimers of one edge the smallest priority wins it;
+    * the message's owned edges are served head-first (descending path
+      index): the first flit waiting to cross an edge crosses it if the
+      buffer at its head holds fewer than ``B`` of the message's flits
+      (the destination takes any number), so a slot vacated this step
+      refills this step;
+    * an edge whose head buffer the last flit has left for good is
+      released: edge ``i - 1`` once flit ``L - 1`` crossed edge ``i``,
+      and the last edge with delivery;
+    * an active message that moved no flit counts a blocked step.
+
+    A step in which no active message moved while every pending message
+    was already released ends the run deadlocked.
+    """
+    M = len(paths)
+    D = [len(p) for p in paths]
+    L = [int(v) for v in np.broadcast_to(L, (M,))]
+    release = [int(r) for r in release]
+    pos = [[0] * L[m] for m in range(M)]
+    owner: dict = {}
+    completion = [release[m] if D[m] == 0 else -1 for m in range(M)]
+    blocked = [0] * M
+    for t in range(1, max_steps + 1):
+        pending = [m for m in range(M) if completion[m] < 0]
+        if not pending:
+            break
+        active = [m for m in pending if release[m] < t]
+        claimers = [
+            m for m in active
+            if pos[m][0] < D[m] and paths[m][pos[m][0]] not in owner
+        ]
+        if claimers:
+            prio = (
+                rng.random(len(claimers)) if priority == "random" else claimers
+            )
+            for j in sorted(range(len(claimers)), key=lambda j: prio[j]):
+                m = claimers[j]
+                owner.setdefault(paths[m][pos[m][0]], m)
+        moved = set()
+        for m in active:
+            last = pos[m][-1]
+            for i in range(D[m] - 1, -1, -1):
+                if owner.get(paths[m][i]) != m:
+                    continue
+                waiting = [k for k in range(L[m]) if pos[m][k] == i]
+                ahead = sum(1 for q in pos[m] if q == i + 1)
+                if waiting and (i == D[m] - 1 or ahead < B):
+                    pos[m][waiting[0]] = i + 1
+                    moved.add(m)
+            if pos[m][-1] != last:  # the last flit crossed edge pos - 1
+                i = pos[m][-1] - 1
+                if i > 0:
+                    del owner[paths[m][i - 1]]
+                if i == D[m] - 1:
+                    del owner[paths[m][i]]
+                    completion[m] = t
+        for m in active:
+            if m not in moved:
+                blocked[m] += 1
+        if active and not moved and all(release[m] < t for m in pending):
+            return completion, blocked, True
+    return completion, blocked, False
+

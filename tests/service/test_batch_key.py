@@ -7,9 +7,9 @@ batcher — must use that exact function, so the two can never drift
 apart on what is batchable.
 """
 
-from repro.sim import batch, sweep
+from repro.sim import batch, spec, sweep
 from repro.sim.sweep import TrialSpec
-from repro.service import batcher as service_batcher
+from repro.service import server as service_server
 
 
 def _spec(**overrides):
@@ -30,7 +30,8 @@ def test_sweep_uses_the_shared_helper():
 
 
 def test_service_uses_the_shared_helper():
-    assert service_batcher.batch_compat_key is batch.batch_compat_key
+    assert service_server.batch_compat_key is spec.batch_compat_key
+    assert batch.batch_compat_key is spec.batch_compat_key
 
 
 def test_key_ignores_B_and_repeat_but_not_workload():

@@ -25,10 +25,10 @@ This suite wraps ``body`` for every :data:`~repro.sim.batch.LOCKSTEP_MODELS`
 row whose kernel defines ``audit`` and runs hypothesis-drawn problems —
 line and ring paths, or mesh demands for a ``"mesh"`` row, and
 multibutterfly demands for the adaptive row — with the audit after
-every step.  A kernel that coasts through forced steps inside ``body``
-(``WormholeKernel._coast``) is audited before and after every coast as
-well, and its ``L`` reaches past twice the longest path, where most
-steps are forced.
+every step.  A kernel that coasts through forced or quiet steps inside
+``body`` (``WormholeKernel._coast``, ``CutThroughKernel._coast``) is
+audited before and after every coast as well, and its ``L`` reaches
+past twice the longest path, where most steps coast.
 """
 
 import numpy as np
