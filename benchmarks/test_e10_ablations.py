@@ -20,7 +20,7 @@ from repro import (
     random_q_relation,
     simulate,
 )
-from repro.core.butterfly_lower_bound import one_pass_route
+from repro.core.butterfly_lower_bound import one_pass_workload
 from repro.network.random_networks import layered_network, random_walk_paths
 from repro.routing.paths import paths_from_node_walks
 from repro.routing.problems import transpose_permutation
@@ -162,12 +162,9 @@ def test_e10_one_vs_two_passes(benchmark, save_table):
 
     def measure():
         out = {}
-        out["one-pass transpose"] = one_pass_route(
-            n, structured, B=1, L=8, seed=0
-        ).measured_time
-        out["one-pass random perm"] = one_pass_route(
-            n, random_inst, B=1, L=8, seed=0
-        ).measured_time
+        for name, inst in (("transpose", structured), ("random perm", random_inst)):
+            res = simulate(one_pass_workload(n, inst, 8), B=1, seed=0)
+            out[f"one-pass {name}"] = res.makespan
         two_s = ButterflyRouter(n, B=1, message_length=8, seed=0).route(structured)
         two_r = ButterflyRouter(n, B=1, message_length=8, seed=0).route(random_inst)
         assert two_s.all_delivered and two_r.all_delivered

@@ -14,21 +14,29 @@ coordination levels on matched workloads:
 
 import numpy as np
 
-from repro import Table, lll_schedule
-from repro.core.benes_routing import route_permutation_benes
-from repro.core.online_routing import route_online_random_delays
-from repro.network.random_networks import layered_network, random_walk_paths
-from repro.routing.paths import congestion, dilation, paths_from_node_walks
+from repro import Table, lll_schedule, simulate
+from repro.fuzz.expectations import evaluate
+from repro.scenarios import get_scenario
 from repro.sim.batch import run_wormhole_batch
+
+#: The leveled workload every rung routes: ``layered-walks`` at these
+#: parameters (random walks down a 12 x 12 leveled network, L = 12).
+LADDER = {"width": 12, "depth": 12, "out_degree": 3, "messages": 180, "seed": 21}
+
+
+def judged(name, B, **params):
+    """One wormhole trial of scenario ``name`` built with ``params`` at
+    ``B`` and simulation seed 0, held to the whole expectation table."""
+    wl = get_scenario(name).build_case(B=B, **params)
+    result = simulate(wl, B=B, seed=0)
+    assert [v for _, v in evaluate(result, wl, model="wormhole", B=B) if v] == []
+    return result
 
 
 def test_e16_coordination_ladder(benchmark, save_table, run_schedule):
-    rng = np.random.default_rng(21)
-    net = layered_network(12, 12, 3, rng)
-    walks = random_walk_paths(net, 12, 12, 180, rng)
-    paths = paths_from_node_walks(net, walks)
-    C, D = congestion(paths), dilation(paths)
-    L = 12
+    ladder = get_scenario("layered-walks").build_case(**LADDER)
+    net, paths, L = ladder.net, ladder.paths, ladder.default_length
+    C, D = ladder.info["congestion"], ladder.info["dilation"]
 
     def measure():
         rows = []
@@ -38,9 +46,7 @@ def test_e16_coordination_ladder(benchmark, save_table, run_schedule):
             net, paths, L, seeds=[0] * len(Bs), num_virtual_channels=Bs
         )
         for B, greedy in zip(Bs, greedies):
-            online = route_online_random_delays(
-                net, paths, L, B=B, rng=np.random.default_rng(1), seed=0
-            )
+            online = judged("online-delays", B, delay_seed=1, **LADDER)
             build = lll_schedule(
                 paths, L, B=B, rng=np.random.default_rng(2), mode="direct"
             )
@@ -77,11 +83,11 @@ def test_e16_waksman_is_optimal_for_permutations(benchmark, save_table):
     """On a Benes network Waksman's globally-set switches reach the
     absolute floor L + D - 1 that no online algorithm can beat."""
     n, L = 32, 10
-    rng = np.random.default_rng(4)
-    perm = rng.permutation(n)
 
     def measure():
-        res = route_permutation_benes(perm, message_length=L)
+        # The permutation is drawn from seed 4; the schedule row holds
+        # the run unblocked within L + D - 1.
+        res = judged("benes-permutation", 1, n=n, seed=4, length=L)
         return int(res.makespan)
 
     span = benchmark.pedantic(measure, iterations=1, rounds=1)

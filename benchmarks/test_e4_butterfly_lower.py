@@ -14,7 +14,7 @@ Three reproductions:
 
 import numpy as np
 
-from repro import Table, bounds, one_pass_route, random_destinations, subset_collision_rate, truncated_paths
+from repro import Table, bounds, one_pass_workload, random_destinations, simulate, subset_collision_rate, truncated_paths
 from repro.analysis.balls_bins import lemma_3_2_3_bound, prob_no_bin_exceeds
 
 
@@ -117,13 +117,14 @@ def test_e4_one_pass_floor(benchmark, save_table):
         rows = []
         for B in (1, 2, 3):
             inst = random_destinations(n, q, np.random.default_rng(4))
-            out = one_pass_route(n, inst, B=B, L=L, seed=0)
-            assert out.result.all_delivered
+            res = simulate(one_pass_workload(n, inst, L), B=B, seed=0)
+            assert res.all_delivered
+            s = bounds.butterfly_subset_size(n, q, L, B)
             rows.append(
                 {
                     "B": B,
-                    "measured": out.measured_time,
-                    "phase floor nqL/s": out.time_lower_bound,
+                    "measured": res.makespan,
+                    "phase floor nqL/s": n * q * L / max(s, 1.0),
                     "theorem form": bounds.butterfly_lower_bound(L, q, n, B),
                 }
             )

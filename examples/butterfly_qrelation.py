@@ -23,8 +23,9 @@ from repro import (
     Table,
     bounds,
     circuit_switch_butterfly,
-    one_pass_route,
+    one_pass_workload,
     random_q_relation,
+    simulate,
 )
 
 N, Q, L = 256, 8, 16
@@ -59,9 +60,9 @@ def main() -> None:
         "Reference points at B = 2",
         ["system", "outcome"],
     )
-    one = one_pass_route(N, inst, B=2, L=L, seed=0)
+    one = simulate(one_pass_workload(N, inst, L), B=2, seed=0)
     table2.add_row(
-        ["greedy one-pass wormhole", f"{one.measured_time} flit steps (all delivered)"]
+        ["greedy one-pass wormhole", f"{one.makespan} flit steps (all delivered)"]
     )
     bf = Butterfly(N)
     circuit = circuit_switch_butterfly(

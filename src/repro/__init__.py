@@ -32,20 +32,17 @@ _EXPORTS = {
     "ButterflyRouter": ".core.butterfly_routing",
     "ButterflyRoutingResult": ".core.butterfly_routing",
     "CircuitSwitchResult": ".sim.circuit",
-    "ColorClassSchedule": ".core.schedule",
     "CompleteTree": ".network.tree",
     "ContinuousResult": ".sim.continuous",
     "DeBruijn": ".network.debruijn",
     "HardInstance": ".core.lower_bound",
     "Hypercube": ".network.hypercube",
-    "HypercubeRoutingResult": ".core.hypercube_routing",
     "KAryNCube": ".network.mesh",
     "MODELS": ".facade",
     "MessageEdgeIncidence": ".core.coloring",
     "Multibutterfly": ".network.multibutterfly",
     "Network": ".network.graph",
     "NetworkError": ".network.errors",
-    "OnePassOutcome": ".core.butterfly_lower_bound",
     "Path": ".routing.paths",
     "PowerLawFit": ".analysis.fitting",
     "RoutingInstance": ".routing.problems",
@@ -86,7 +83,7 @@ _EXPORTS = {
     "max_m_prime": ".core.lower_bound",
     "multiplex_size": ".core.coloring",
     "naive_coloring_schedule": ".core.scheduler",
-    "one_pass_route": ".core.butterfly_lower_bound",
+    "one_pass_workload": ".core.butterfly_lower_bound",
     "online_window": ".core.online_routing",
     "path_set_stats": ".routing.paths",
     "phase_partition": ".core.butterfly_lower_bound",
@@ -100,10 +97,6 @@ _EXPORTS = {
     "render_butterfly": ".analysis.render",
     "render_route": ".analysis.render",
     "render_spacetime": ".analysis.render",
-    "route_hypercube_permutation": ".core.hypercube_routing",
-    "route_online_random_delays": ".core.online_routing",
-    "route_permutation_benes": ".core.benes_routing",
-    "route_q_relation_benes": ".core.benes_routing",
     "scenarios": ".scenarios",
     "select_paths": ".routing.select",
     "shortest_paths": ".routing.shortest",
@@ -115,7 +108,9 @@ _EXPORTS = {
     "truncated_paths": ".core.butterfly_lower_bound",
     "valiant_path": ".routing.valiant",
     "valiant_paths": ".routing.valiant",
+    "valiant_phase_workloads": ".core.online_routing",
     "waksman_paths": ".network.benes",
+    "waksman_workload": ".core.scheduler",
     "wrapped_butterfly": ".network.butterfly",
 }
 __getattr__, __dir__ = attach(__name__, _EXPORTS)

@@ -15,34 +15,31 @@ has two halves, both implemented here:
   ``n q L / T`` messages arrive in one phase and must be collision-free;
   hence ``T >= n q L / s``.
 
-:func:`one_pass_route` runs an actual greedy one-pass wormhole algorithm
-(the class the bound covers) through the flit-level simulator so
-experiment E4 can compare measured times against the bound.
+:func:`one_pass_workload` is an actual greedy one-pass wormhole
+algorithm (the class the bound covers) as a workload, so experiment E4
+can run it through :func:`repro.simulate` and compare measured times
+against the bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..network.butterfly import Butterfly
 from ..network.graph import NetworkError
 from ..routing.problems import RoutingInstance
-from ..sim.stats import SimulationResult
-from ..sim.batch import run_wormhole_batch
-from .bounds import butterfly_subset_size
+from ..sim.kernels import exact_count
 
 __all__ = [
     "truncated_paths",
     "collides",
     "subset_collision_rate",
     "phase_partition",
-    "one_pass_route",
+    "one_pass_workload",
     "strip_decomposition",
     "strip_collision_counts",
-    "OnePassOutcome",
 ]
 
 
@@ -166,46 +163,24 @@ def strip_collision_counts(
     return out
 
 
-@dataclass(frozen=True)
-class OnePassOutcome:
-    """A one-pass run plus the quantities Theorem 3.2.1 relates."""
-
-    result: SimulationResult
-    bf: Butterfly
-    l: int
-    s_bound: float
-    time_lower_bound: float  # n q L / s
-
-    @property
-    def measured_time(self) -> int:
-        return self.result.makespan
-
-
-def one_pass_route(
-    n: int,
-    instance: RoutingInstance,
-    B: int,
-    L: int,
-    seed: int | None = 0,
-) -> OnePassOutcome:
-    """Run a greedy one-pass wormhole algorithm on the truncated butterfly.
+def one_pass_workload(n: int, instance: RoutingInstance, L: int):
+    """A greedy one-pass wormhole algorithm on the truncated butterfly,
+    as a workload at ``L`` flits.
 
     All messages are injected at time 0 and contend for virtual channels
     under random arbitration — a representative member of the one-pass
-    class Theorem 3.2.1 lower-bounds.  Header arrival at the last level
-    is ``completion - (L - 1)``.
+    class Theorem 3.2.1 lower-bounds, whose phase floor ``n q L / s``
+    (:func:`~repro.core.bounds.butterfly_subset_size`) a run is set
+    against.  Header arrival at the last level is
+    ``completion - (L - 1)``.
     """
+    from ..sim.spec import Workload
+
+    L = exact_count(L, "L", 1)
     bf, edges = truncated_paths(n, instance, L)
-    result = run_wormhole_batch(
-        bf, [list(row) for row in edges], L, seeds=[seed], num_virtual_channels=B
-    )[0]
-    q = max(instance.max_per_source(), 1)
-    s = butterfly_subset_size(n, q, L, B)
-    nq = instance.num_messages
-    return OnePassOutcome(
-        result=result,
-        bf=bf,
-        l=bf.depth,
-        s_bound=s,
-        time_lower_bound=nq * L / max(s, 1.0),
+    return Workload(
+        bf,
+        [list(row) for row in edges],
+        default_length=L,
+        info={"n": n, "l": bf.depth, "messages": instance.num_messages},
     )

@@ -1,4 +1,8 @@
-"""Offline wormhole schedulers (Theorem 2.1.6 and the footnote-5 baseline).
+"""Offline wormhole schedulers (Theorem 2.1.6, footnote 5, Waksman).
+
+A schedule assigns each message a *release time*; the router injects a
+message as soon as possible after it.  Every schedule here partitions
+the messages into classes and releases class ``i`` at ``i * phase``.
 
 :func:`lll_schedule` is the paper's construction: reduce the multiplex
 size from ``C`` to ``B`` with the Lemma 2.1.5 cascade, then release one
@@ -11,7 +15,13 @@ color it with at most ``D(C - 1) + 1`` colors, and route one color class
 at a time — ``O((L + D) C D)`` flit steps, the bound the paper's
 construction beats by a factor of about ``B D^(1 - 1/B)``.
 
-Both produce a :class:`ScheduleBuild`, whose :meth:`ScheduleBuild.apply`
+:func:`waksman_workload` is Section 1.3.3's global alternative on a
+Benes network: Waksman's switch setting [48] routes each permutation
+batch on edge-disjoint paths, and batch ``i`` is released at
+``i (L + 1)`` (MODEL.md section 4), so ``q`` batches finish unblocked in
+exactly ``(q - 1)(L + 1) + L + 2 log n - 1`` flit steps.
+
+All produce a :class:`ScheduleBuild`, whose :meth:`ScheduleBuild.apply`
 states the schedule on a :class:`~repro.sim.spec.Workload`: its release
 times, and the facts by which :func:`repro.fuzz.expectations.evaluate`
 holds the run to the Theorem 2.1.6 guarantee (unblocked, within
@@ -31,7 +41,6 @@ from ..network.graph import NetworkError
 from ..routing.paths import Path
 from ..sim.kernels import exact_count
 from .coloring import MessageEdgeIncidence, RefinementTrace, reduce_multiplex_size
-from .schedule import ColorClassSchedule
 
 __all__ = [
     "ScheduleBuild",
@@ -39,30 +48,87 @@ __all__ = [
     "naive_coloring_schedule",
     "greedy_conflict_coloring",
     "schedule_workload",
+    "waksman_workload",
 ]
 
 
 @dataclass(frozen=True)
 class ScheduleBuild:
-    """A constructed schedule plus its provenance."""
+    """A release schedule built from a message colouring, plus its
+    provenance.
 
-    schedule: ColorClassSchedule
+    Class ``i`` (``colors``, dense ids ``0 .. num_classes - 1``) is
+    released at ``i * phase``.  The canonical phase is the unobstructed
+    completion time ``L + D - 1`` (``L`` when ``D = 0``), after which a
+    class that never blocks has finished; Waksman's pipelined batches
+    use ``L + 1`` (MODEL.md section 4).  ``trace`` is the Lemma 2.1.5
+    refinement that produced the colours, where one ran.
+    """
+
+    colors: np.ndarray
+    message_length: int
     congestion: int
     dilation: int
-    num_classes: int
+    phase: int
     trace: RefinementTrace | None = None
+
+    def __post_init__(self) -> None:
+        colors = np.asarray(self.colors)
+        if colors.size and colors.min() < 0:
+            raise NetworkError("colors must be nonnegative")
+        if self.phase < 1:
+            raise NetworkError("phase must be >= 1")
+
+    @classmethod
+    def from_colors(
+        cls,
+        colors: np.ndarray,
+        message_length: int,
+        C: int,
+        D: int,
+        *,
+        phase: int | None = None,
+        trace: RefinementTrace | None = None,
+    ) -> "ScheduleBuild":
+        """The schedule of ``colors`` for ``L = message_length`` on a
+        path set of congestion ``C`` and dilation ``D``, one class every
+        ``phase`` steps (``None`` is the canonical ``L + D - 1``)."""
+        L = exact_count(message_length, "message_length", 1)
+        D = exact_count(D, "D")
+        return cls(
+            colors=np.asarray(colors, dtype=np.int64),
+            message_length=L,
+            congestion=exact_count(C, "C"),
+            dilation=D,
+            phase=L + max(D, 1) - 1 if phase is None else exact_count(phase, "phase", 1),
+            trace=trace,
+        )
+
+    @property
+    def num_classes(self) -> int:
+        return int(self.colors.max()) + 1 if self.colors.size else 0
 
     @property
     def length_bound(self) -> int:
-        return self.schedule.length_bound
+        """Guaranteed completion time: the last class's release plus
+        the unobstructed time (``num_classes * phase`` at the canonical
+        phase)."""
+        if not self.num_classes:
+            return 0
+        last = (self.num_classes - 1) * self.phase
+        return last + self.message_length + max(self.dilation, 1) - 1
+
+    def release_times(self) -> np.ndarray:
+        """Per-message release flit steps (class ``i`` at ``i * phase``)."""
+        return self.colors * self.phase
 
     def metrics(self) -> dict[str, int]:
         """The build's scalars, under the names trial metrics report."""
         return {
-            "classes": int(self.num_classes),
+            "classes": self.num_classes,
             "congestion": int(self.congestion),
             "dilation": int(self.dilation),
-            "length_bound": int(self.length_bound),
+            "length_bound": self.length_bound,
         }
 
     def apply(self, wl, B: int):
@@ -84,17 +150,17 @@ class ScheduleBuild:
                 "a schedule sets its own release times and channel use; "
                 f"the workload states {', '.join(stated)}"
             )
-        L = self.schedule.message_length
+        L = self.message_length
         return replace(
             wl,
             default_length=L,
-            release_times=self.schedule.release_times(),
+            release_times=self.release_times(),
             info={**wl.info, **self.metrics()},
             facts={
                 **wl.facts,
                 "built_B": exact_count(B, "B", 1),
                 "built_L": L,
-                "length_bound": int(self.length_bound),
+                "length_bound": self.length_bound,
             },
         )
 
@@ -133,14 +199,7 @@ def lll_schedule(
     else:
         trace = reduce_multiplex_size(paths, B=B, D=D, rng=rng, mode=mode)
         colors = trace.colors
-    schedule = ColorClassSchedule.from_colors(colors, message_length, D)
-    return ScheduleBuild(
-        schedule=schedule,
-        congestion=C,
-        dilation=D,
-        num_classes=schedule.num_classes,
-        trace=trace,
-    )
+    return ScheduleBuild.from_colors(colors, message_length, C, D, trace=trace)
 
 
 def schedule_workload(wl, B: int, *, rng: np.random.Generator | None = None):
@@ -148,6 +207,43 @@ def schedule_workload(wl, B: int, *, rng: np.random.Generator | None = None):
     ``B`` virtual channels at ``L = wl.default_length`` (one ``"direct"``
     refinement stage), then :meth:`ScheduleBuild.apply`."""
     build = lll_schedule(wl.paths, wl.default_length, B, rng=rng, mode="direct")
+    return build.apply(wl, B)
+
+
+def waksman_workload(perms: Sequence[np.ndarray], L: int, B: int = 1):
+    """Waksman's routing of ``q = len(perms)`` permutation batches on an
+    ``n``-input Benes network, as a workload built for ``B`` channels.
+
+    Each batch's paths are edge-disjoint (:func:`~repro.network.benes.waksman_paths`),
+    so a batch never blocks at any ``B``; batch ``i`` is the schedule's
+    class ``i``, released ``L + 1`` steps after the one before.  The
+    expectation table's ``schedule`` row then holds the run to zero
+    blocking within ``(q - 1)(L + 1) + L + 2 log n - 1`` steps.
+    """
+    from ..network.benes import Benes, waksman_paths
+    from ..sim.spec import Workload
+
+    perms = [np.asarray(p, dtype=np.int64) for p in perms]
+    if not perms:
+        raise NetworkError("need at least one permutation batch")
+    n = perms[0].size
+    if any(p.size != n for p in perms):
+        raise NetworkError("all batches must be over the same n")
+    L = exact_count(L, "L", 1)
+    benes = Benes(n)
+    edges = np.concatenate([benes.columns_to_edges(waksman_paths(p)) for p in perms])
+    build = ScheduleBuild.from_colors(
+        np.repeat(np.arange(len(perms)), n),
+        L,
+        C=int(np.bincount(edges.ravel()).max()),
+        D=benes.depth,
+        phase=L + 1,
+    )
+    wl = Workload(
+        benes.to_network(),
+        [list(row) for row in edges],
+        info={"n": n, "q": len(perms), "messages": len(edges)},
+    )
     return build.apply(wl, B)
 
 
@@ -229,11 +325,4 @@ def naive_coloring_schedule(
     paths = list(paths)
     colors = greedy_conflict_coloring(paths)
     C, D = MessageEdgeIncidence.from_paths(paths).congestion_dilation()
-    schedule = ColorClassSchedule.from_colors(colors, message_length, D)
-    return ScheduleBuild(
-        schedule=schedule,
-        congestion=C,
-        dilation=D,
-        num_classes=schedule.num_classes,
-        trace=None,
-    )
+    return ScheduleBuild.from_colors(colors, message_length, C, D)

@@ -139,6 +139,7 @@ EXPECTATIONS: dict[str, Expectation] = {
                 path_lengths=r.lengths,
                 B=r.B,
                 model=r.model,
+                release_times=r.release_times,
             ),
             models=_FIXED_ROUTE,
             clean_only=True,
@@ -177,7 +178,11 @@ EXPECTATIONS: dict[str, Expectation] = {
             "sf-envelope",
             "store-and-forward stays O(L(C+D)) (Rothvoss et al.)",
             lambda r: inv.check_store_forward_envelope(
-                r.makespan, message_length=r.L, congestion=r.C, dilation=r.D
+                r.makespan,
+                message_length=r.L,
+                congestion=r.C,
+                dilation=r.D,
+                release_times=r.release_times,
             ),
             models=("store_forward",),
             clean_only=True,

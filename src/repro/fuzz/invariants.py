@@ -31,6 +31,7 @@ Checker                        Source
                                Leighton–Maggs–Rao / Rothvoß
                                ``O(C + D)`` store-and-forward envelope:
                                greedy stays within ``slack * L (C + D)``
+                               of the last release
 :func:`check_b_monotonicity`   model dominance: more virtual channels
                                (or store-and-forward bandwidth) never
                                slows a workload down under one seed
@@ -274,16 +275,20 @@ def check_store_forward_envelope(
     congestion: int,
     dilation: int,
     slack: float = STORE_FORWARD_SLACK,
+    release_times: Sequence[int] | np.ndarray | None = None,
 ) -> Violation | None:
     """Rothvoß / Leighton–Maggs–Rao sanity: greedy store-and-forward at
-    ``B = 1`` stays within ``slack * L * (C + D)`` flit steps."""
-    bound = slack * int(message_length) * (int(congestion) + int(dilation))
+    ``B = 1`` stays within ``slack * L * (C + D)`` flit steps of the last
+    release."""
+    start = 0 if release_times is None else int(np.max(release_times, initial=0))
+    bound = start + slack * int(message_length) * (int(congestion) + int(dilation))
     if makespan <= bound:
         return None
+    since = f"{start} + " if start else ""
     return Violation(
         "store-forward-envelope",
         f"store-and-forward took {makespan} flit steps, above "
-        f"{slack:g} * L(C+D) = {bound:g} "
+        f"{since}{slack:g} * L(C+D) = {bound:g} "
         f"(L={message_length}, C={congestion}, D={dilation})",
         observed=int(makespan),
         bound=float(bound),

@@ -10,12 +10,17 @@ Families and the results they stress:
 ``contention``
     ``chain-contention`` — :func:`~repro.network.random_networks.chain_bundle`
     bundles with exactly dialed ``C`` and ``D``, checked against the
-    unobstructed time and the ``ceil(L C / B)`` edge-capacity bound.
+    unobstructed time and the ``ceil(L C / B)`` edge-capacity bound;
+    ``hypercube-valiant`` — one phase of Aiello et al.'s two-phase
+    hypercube permutation routing (Section 1.3.4).
 ``schedule``
     ``layered-walks`` — random leveled workloads, the Theorem 2.1.6
     substrate, under the greedy models; ``lll-schedule`` — the same
     workload released on its LLL schedule, which must run unblocked
-    within the schedule's length bound.
+    within the schedule's length bound; ``online-delays`` — the same
+    workload released on the [13]-style random initial delays;
+    ``benes-permutation`` — Waksman batches on a Benes network, a
+    schedule held to ``(q - 1)(L + 1) + L + 2 log n - 1`` exactly.
 ``deadlock``
     ``ring-deadlock`` and ``ring-dateline`` — ring traffic whose channel
     dependency graph is cyclic (deadlocks whenever ``B < hops``) and the
@@ -45,6 +50,7 @@ from ..network.graph import Network, NetworkError
 from ..network.random_networks import random_walk_route
 from ..sim.batch import LOCKSTEP_MODELS
 from ..sim.continuous import draw_arrivals
+from ..sim.kernels import exact_count
 from ..sim.sweep import WORKLOADS, Workload
 from .base import register_scenario
 
@@ -196,6 +202,91 @@ def _build_lll_schedule(
     if length is not None:
         wl.default_length = length
     return schedule_workload(wl, B, rng=np.random.default_rng(schedule_seed))
+
+
+@register_scenario(
+    "online-delays",
+    family="schedule",
+    theorem="Cypher et al. [13] (Section 1.3.1 contrast)",
+    models=("wormhole",),
+)
+def _build_online_delays(
+    B: int = 1,
+    width: int = 8,
+    depth: int = 6,
+    out_degree: int = 3,
+    messages: int = 60,
+    seed: int = 0,
+    delay_seed: int = 0,
+) -> Workload:
+    """``layered-walks`` under the online random-delay protocol: each
+    message waits a uniform number of ``L``-slots drawn from
+    ``delay_seed`` in a window of ``online_window(C, D, B)`` slots
+    (:func:`~repro.core.leveled.random_delay_release`), then injects
+    greedily, with no further coordination."""
+    from ..core.leveled import random_delay_release
+    from ..core.online_routing import online_window
+
+    wl = _layered_walks(width, depth, out_degree, messages, seed)
+    C, D = wl.info["congestion"], wl.info["dilation"]
+    window = online_window(max(C, 1), max(D, 1), exact_count(B, "B", 1))
+    wl.release_times = random_delay_release(
+        len(wl.paths), wl.default_length, window, np.random.default_rng(delay_seed)
+    )
+    return wl
+
+
+@register_scenario(
+    "benes-permutation",
+    family="schedule",
+    theorem="Section 1.3.3 (Waksman [48])",
+    models=("wormhole",),
+)
+def _build_benes_permutation(
+    B: int = 1, n: int = 16, q: int = 1, seed: int = 0, length: int = 8
+) -> Workload:
+    """``q`` random permutations of ``n`` inputs drawn from ``seed``,
+    each a Waksman batch on a Benes network, released ``L + 1`` apart at
+    ``L = length`` (:func:`~repro.core.scheduler.waksman_workload`): the
+    wormhole trial must finish unblocked within
+    ``(q - 1)(L + 1) + L + 2 log n - 1`` steps, which is also its
+    unobstructed time."""
+    from ..core.scheduler import waksman_workload
+
+    rng = np.random.default_rng(seed)
+    n = exact_count(n, "n", 2)
+    perms = [rng.permutation(n) for _ in range(exact_count(q, "q", 1))]
+    return waksman_workload(perms, length, B)
+
+
+# ----------------------------------------------------------------------
+# Section 1.3.4: two-phase hypercube routing
+# ----------------------------------------------------------------------
+
+
+@register_scenario(
+    "hypercube-valiant",
+    family="contention",
+    theorem="Section 1.3.4 (Aiello et al. [1])",
+    models=("wormhole",),
+)
+def _build_hypercube_valiant(
+    n: int = 16, seed: int = 0, mid_seed: int = 0, phase: int = 1
+) -> Workload:
+    """Phase ``phase`` (1 or 2) of routing a random permutation of an
+    ``n``-node hypercube (drawn from ``seed``) by bit-fixing through
+    random intermediates (drawn from ``mid_seed``), at ``L = 8``
+    (:func:`~repro.core.online_routing.valiant_phase_workloads`)."""
+    from ..core.online_routing import valiant_phase_workloads
+    from ..network.hypercube import Hypercube
+    from ..routing.problems import random_permutation
+
+    if phase not in (1, 2):
+        raise NetworkError(f"phase must be 1 or 2, got {phase!r}")
+    cube = Hypercube(exact_count(n, "n", 2))
+    inst = random_permutation(cube.n, np.random.default_rng(seed))
+    phases = valiant_phase_workloads(cube, inst, 8, np.random.default_rng(mid_seed))
+    return phases[phase - 1]
 
 
 # ----------------------------------------------------------------------

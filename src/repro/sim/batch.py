@@ -17,8 +17,9 @@ typed entry point                model (paper section)
 :func:`run_adaptive_batch`       adaptive mesh / multibutterfly (1.3.4)
 ===============================  =====================================
 
-Outside ``repro.sim`` and ``repro.core`` a trial is one
-:func:`repro.simulate` call, which reaches the same driver.
+Outside ``repro.sim`` a trial is one :func:`repro.simulate` call,
+which reaches the same :func:`_drive`; ``repro.core`` runs none, its algorithms
+build workloads.
 
 Each ``run_<model>_batch`` is a signature, a docstring and one call of
 :func:`_drive`, the single driver body: the shared prologue
@@ -61,8 +62,8 @@ same taken paths).  The load-bearing facts:
   key space keeps slot groups of different trials disjoint;
 * each trial keeps its **own** RNG (``np.random.default_rng(seeds[i])``;
   a ``Generator`` passes through, which is how two calls continue one
-  stream — the two phases of
-  :func:`~repro.core.hypercube_routing.route_hypercube_permutation`)
+  stream — E12 runs the two phases of
+  :func:`~repro.core.online_routing.valiant_phase_workloads` on one)
   and draws from it in a fixed order — per-step draws happen only in steps where that
   trial acts, setup-time draws (rank permutations, rotating-service
   offsets, injection delays) happen once per trial at startup;

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.bounds import butterfly_subset_size
+from repro import simulate
 from repro.core.butterfly_lower_bound import (
     collides,
-    one_pass_route,
+    one_pass_workload,
     phase_partition,
     subset_collision_rate,
     truncated_paths,
@@ -137,20 +137,20 @@ class TestPhasePartition:
 class TestOnePassRoute:
     def test_runs_and_delivers(self):
         inst = random_destinations(16, 2, np.random.default_rng(1))
-        out = one_pass_route(16, inst, B=1, L=6, seed=0)
-        assert out.result.all_delivered
-        assert out.l == 4
-        assert out.s_bound == butterfly_subset_size(16, 2, 6, 1)
+        wl = one_pass_workload(16, inst, 6)
+        assert simulate(wl, B=1, seed=0).all_delivered
+        assert wl.info["l"] == wl.net.depth == 4
+        assert wl.default_length == 6 and len(wl.paths) == inst.num_messages
 
     def test_measured_time_exceeds_serial_floor(self):
         """Random destinations at q = 4 congest heavily; the one-pass
         time must exceed the unobstructed L + l - 1."""
         inst = random_destinations(16, 4, np.random.default_rng(2))
-        out = one_pass_route(16, inst, B=1, L=6, seed=0)
-        assert out.measured_time > 6 + out.l - 1
+        wl = one_pass_workload(16, inst, 6)
+        assert simulate(wl, B=1, seed=0).makespan > 6 + wl.info["l"] - 1
 
     def test_more_channels_faster(self):
-        inst = random_destinations(32, 4, np.random.default_rng(3))
-        t1 = one_pass_route(32, inst, B=1, L=8, seed=0).measured_time
-        t3 = one_pass_route(32, inst, B=3, L=8, seed=0).measured_time
+        wl = one_pass_workload(32, random_destinations(32, 4, np.random.default_rng(3)), 8)
+        t1 = simulate(wl, B=1, seed=0).makespan
+        t3 = simulate(wl, B=3, seed=0).makespan
         assert t3 < t1

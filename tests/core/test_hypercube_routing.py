@@ -1,20 +1,45 @@
-"""Unit tests for randomized two-phase hypercube routing ([1]-style)."""
+"""Randomized two-phase hypercube routing ([1]-style) as two workloads.
+
+:func:`~repro.core.online_routing.valiant_phase_workloads` builds the
+Valiant phases; a route is both phases run one after the other, their
+arbitration drawn from one continuing stream, as E12 runs them.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.hypercube_routing import route_hypercube_permutation
+from repro import simulate
+from repro.core.online_routing import valiant_phase_workloads
+from repro.fuzz.expectations import evaluate
 from repro.network.graph import NetworkError
 from repro.network.hypercube import Hypercube
 from repro.routing.problems import random_permutation, transpose_permutation
+from repro.scenarios import get_scenario
+
+
+def two_phase(cube, inst, L, B, rng=None, seed=0):
+    """``(phase workloads, phase results)``: intermediates from ``rng``
+    (default ``seed``), arbitration from one stream seeded ``seed``."""
+    if rng is None:
+        rng = np.random.default_rng(seed)
+    phases = valiant_phase_workloads(cube, inst, L, rng)
+    arbitration = np.random.default_rng(seed)
+    runs = [simulate(wl, B=B, seed=arbitration) for wl in phases]
+    for wl, res in zip(phases, runs):
+        assert not [v for _, v in evaluate(res, wl, model="wormhole", B=B) if v]
+    return phases, runs
+
+
+def total_flit_steps(runs):
+    return sum(max(int(res.makespan), 0) for res in runs)
 
 
 class TestRouting:
     def test_permutation_delivered(self):
         cube = Hypercube(32)
         inst = random_permutation(32, np.random.default_rng(0))
-        out = route_hypercube_permutation(cube, inst, message_length=6, B=2)
-        assert out.all_delivered
+        _, runs = two_phase(cube, inst, 6, B=2)
+        assert all(res.all_delivered for res in runs)
 
     def test_identity_is_fast(self):
         """Identity permutation: phase 2 retraces phase 1; both phases
@@ -23,8 +48,8 @@ class TestRouting:
         inst = random_permutation(16, np.random.default_rng(1))
         # Replace with identity.
         inst = type(inst)(16, inst.sources, inst.sources.copy())
-        out = route_hypercube_permutation(cube, inst, message_length=4, B=2)
-        assert out.all_delivered
+        _, runs = two_phase(cube, inst, 4, B=2)
+        assert all(res.all_delivered for res in runs)
 
     def test_time_scales_like_l_plus_logn(self):
         """Total time stays within a constant of L + 2 log n across n."""
@@ -33,9 +58,9 @@ class TestRouting:
         for n in (16, 64, 256):
             cube = Hypercube(n)
             inst = random_permutation(n, np.random.default_rng(n))
-            out = route_hypercube_permutation(cube, inst, L, B=2, seed=3)
-            assert out.all_delivered
-            ratios.append(out.total_flit_steps / (L + 2 * cube.dimension))
+            _, runs = two_phase(cube, inst, L, B=2, seed=3)
+            assert all(res.all_delivered for res in runs)
+            ratios.append(total_flit_steps(runs) / (L + 2 * cube.dimension))
         assert max(ratios) / min(ratios) < 3.0
         assert max(ratios) < 8.0
 
@@ -45,38 +70,52 @@ class TestRouting:
         n = 256
         cube = Hypercube(n)
         inst = transpose_permutation(n)
-        out = route_hypercube_permutation(
-            cube, inst, message_length=4, B=2, rng=np.random.default_rng(5)
-        )
-        assert out.all_delivered
+        phases, runs = two_phase(cube, inst, 4, B=2, rng=np.random.default_rng(5))
+        assert all(res.all_delivered for res in runs)
         # One-phase transpose congestion is sqrt(n) = 16 on some edge;
         # each random phase stays well below that.
-        assert out.congestion_phase1 < 12
-        assert out.congestion_phase2 < 12
+        assert all(wl.info["congestion"] < 12 for wl in phases)
 
     def test_more_channels_never_slower(self):
         cube = Hypercube(64)
         inst = random_permutation(64, np.random.default_rng(7))
-        t2 = route_hypercube_permutation(cube, inst, 8, B=2, seed=0).total_flit_steps
-        t4 = route_hypercube_permutation(cube, inst, 8, B=4, seed=0).total_flit_steps
+        t2 = total_flit_steps(two_phase(cube, inst, 8, B=2)[1])
+        t4 = total_flit_steps(two_phase(cube, inst, 8, B=4)[1])
         assert t4 <= t2
 
     def test_validation(self):
         cube = Hypercube(16)
-        inst = random_permutation(8, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        inst = random_permutation(8, rng)
         with pytest.raises(NetworkError):
-            route_hypercube_permutation(cube, inst, 4)
-        inst16 = random_permutation(16, np.random.default_rng(0))
+            valiant_phase_workloads(cube, inst, 4, rng)
+        inst16 = random_permutation(16, rng)
         with pytest.raises(NetworkError):
-            route_hypercube_permutation(cube, inst16, 0)
+            valiant_phase_workloads(cube, inst16, 0, rng)
 
     def test_reproducible(self):
         cube = Hypercube(32)
         inst = random_permutation(32, np.random.default_rng(2))
-        a = route_hypercube_permutation(
-            cube, inst, 6, B=2, rng=np.random.default_rng(9), seed=1
-        )
-        b = route_hypercube_permutation(
-            cube, inst, 6, B=2, rng=np.random.default_rng(9), seed=1
-        )
-        assert a.total_flit_steps == b.total_flit_steps
+        a = two_phase(cube, inst, 6, B=2, rng=np.random.default_rng(9), seed=1)[1]
+        b = two_phase(cube, inst, 6, B=2, rng=np.random.default_rng(9), seed=1)[1]
+        assert total_flit_steps(a) == total_flit_steps(b)
+
+
+class TestScenario:
+    def test_a_phase_is_the_workload_function_s(self):
+        """``hypercube-valiant`` builds one of the two phase workloads:
+        the permutation from ``seed``, the intermediates from
+        ``mid_seed``."""
+        cube = Hypercube(16)
+        inst = random_permutation(16, np.random.default_rng(3))
+        phases = valiant_phase_workloads(cube, inst, 8, np.random.default_rng(4))
+        for phase, want in enumerate(phases, start=1):
+            got = get_scenario("hypercube-valiant").build_case(
+                seed=3, mid_seed=4, phase=phase
+            )
+            assert [p.edges for p in got.paths] == [p.edges for p in want.paths]
+            assert got.info == want.info
+
+    def test_phase_is_one_or_two(self):
+        with pytest.raises(NetworkError, match="phase must be 1 or 2"):
+            get_scenario("hypercube-valiant").build_case(phase=3)

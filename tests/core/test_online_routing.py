@@ -1,12 +1,18 @@
 """Unit tests for the online random-delay protocol ([13] contrast)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.core.online_routing import online_window, route_online_random_delays
+from repro import simulate
+from repro.core.leveled import random_delay_release
+from repro.core.online_routing import online_window
 from repro.network.graph import NetworkError
-from repro.network.random_networks import chain_bundle, layered_network, random_walk_paths
+from repro.network.random_networks import chain_bundle
 from repro.routing.paths import congestion, dilation, paths_from_node_walks
+from repro.scenarios import get_scenario
+from repro.sim.spec import Workload
 
 
 class TestWindow:
@@ -31,63 +37,62 @@ class TestWindow:
             online_window(3, 4, 1, alpha=alpha)
 
 
+def delayed(wl, window, rng):
+    """``wl`` released on random initial delays: ``L``-slots drawn
+    uniformly from ``[0, window)``."""
+    release = random_delay_release(len(wl.paths), wl.default_length, window, rng)
+    return replace(wl, release_times=release)
+
+
 class TestProtocol:
+    """The online protocol is the ``online-delays`` scenario: a
+    ``layered-walks`` workload released on the [13]-shaped window."""
+
     @pytest.fixture
-    def workload(self, rng):
-        net = layered_network(8, 8, 2, rng)
-        walks = random_walk_paths(net, 8, 8, 90, rng)
-        return net, paths_from_node_walks(net, walks)
+    def workload(self):
+        return get_scenario("online-delays").build_case
 
     def test_delivers_everything(self, workload):
-        net, paths = workload
-        res = route_online_random_delays(net, paths, message_length=6, B=2)
+        wl = workload(B=2)
+        res = simulate(wl, B=2)
         assert res.all_delivered
 
     def test_within_window_plus_routing_bound(self, workload):
-        net, paths = workload
-        L = 6
-        C, D = congestion(paths), dilation(paths)
         for B in (1, 2):
-            res = route_online_random_delays(net, paths, L, B=B, seed=0)
+            wl = workload(B=B)
+            res = simulate(wl, B=B, seed=0)
+            L, C, D = wl.default_length, wl.info["congestion"], wl.info["dilation"]
             W = online_window(C, D, B)
+            assert wl.release_times.max() < W * L
             # Start delay <= W*L; then routing finishes in O(LCD) worst case.
             assert res.makespan <= W * L + L * C * D
 
     def test_explicit_window(self, workload):
-        net, paths = workload
-        res = route_online_random_delays(
-            net, paths, message_length=4, window=1, seed=0
-        )
+        wl = workload()
+        res = simulate(delayed(wl, 1, np.random.default_rng(0)))
         # Window 1 means no delays at all: equals greedy injection.
-        from repro import simulate
-
-        greedy = simulate((net, paths), message_length=4)
+        greedy = simulate(replace(wl, release_times=None))
         assert res.makespan == greedy.makespan
 
     def test_smoothing_reduces_blocking(self):
         net, walks = chain_bundle(2, 6, 10)
         paths = paths_from_node_walks(net, walks)
-        plain = route_online_random_delays(
-            net, paths, 6, window=1, seed=0
-        )
-        smoothed = route_online_random_delays(
-            net, paths, 6, alpha=1.0, rng=np.random.default_rng(3), seed=0
-        )
+        wl = Workload(net, paths, default_length=6)
+        window = online_window(congestion(paths), dilation(paths), 1)
+        plain = simulate(wl, seed=0)
+        smoothed = simulate(delayed(wl, window, np.random.default_rng(3)), seed=0)
         assert smoothed.total_blocked_steps < plain.total_blocked_steps
 
     def test_raw_edge_lists(self):
         net, walks = chain_bundle(1, 3, 4)
-        raw = [[e for e in p] for p in
-               (pp.edges for pp in paths_from_node_walks(net, walks))]
-        res = route_online_random_delays(net, raw, message_length=3, B=2)
-        assert res.all_delivered
+        raw = [list(p.edges) for p in paths_from_node_walks(net, walks)]
+        wl = delayed(Workload(net, raw, default_length=3), 2, np.random.default_rng(0))
+        assert simulate(wl, B=2).all_delivered
 
     def test_reproducible(self, workload):
-        net, paths = workload
-        a = route_online_random_delays(
-            net, paths, 5, rng=np.random.default_rng(1), seed=2
-        )
-        b = route_online_random_delays(
-            net, paths, 5, rng=np.random.default_rng(1), seed=2
-        )
+        a = simulate(workload(delay_seed=1), seed=2)
+        b = simulate(workload(delay_seed=1), seed=2)
         assert np.array_equal(a.completion_times, b.completion_times)
+        assert not np.array_equal(
+            workload(delay_seed=1).release_times, workload(delay_seed=2).release_times
+        )

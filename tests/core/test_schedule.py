@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro import simulate
-from repro.core.schedule import ColorClassSchedule
 from repro.core.scheduler import ScheduleBuild
 from repro.fuzz.expectations import evaluate
 from repro.network.graph import NetworkError
@@ -20,32 +19,41 @@ def chain_setup(per_chain, depth=4):
 
 def hand_built(colors, L, D, C):
     """A :class:`ScheduleBuild` around a hand-coloured schedule."""
-    s = ColorClassSchedule.from_colors(np.array(colors), L, D)
-    return ScheduleBuild(s, congestion=C, dilation=D, num_classes=s.num_classes)
+    return ScheduleBuild.from_colors(np.array(colors), L, C, D)
 
 
-class TestColorClassSchedule:
+class TestScheduleBuild:
     def test_canonical_phase(self):
-        s = ColorClassSchedule.from_colors(np.array([0, 1, 2]), 5, 4)
-        assert s.phase_length == 5 + 4 - 1
+        s = ScheduleBuild.from_colors(np.array([0, 1, 2]), 5, 1, 4)
+        assert s.phase == 5 + 4 - 1
         assert s.num_classes == 3
         assert s.length_bound == 24
         assert list(s.release_times()) == [0, 8, 16]
 
     def test_zero_dilation(self):
-        s = ColorClassSchedule.from_colors(np.array([0]), 5, 0)
-        assert s.phase_length == 5
+        s = ScheduleBuild.from_colors(np.array([0, 1]), 5, 1, 0)
+        assert s.phase == 5
+        assert s.length_bound == 10
 
     def test_validation(self):
         with pytest.raises(NetworkError):
-            ColorClassSchedule(np.array([-1]), 3, 2, 4)
+            ScheduleBuild(np.array([-1]), 3, 1, 2, 4)
         with pytest.raises(NetworkError):
-            ColorClassSchedule(np.array([0]), 3, 2, 0)
+            ScheduleBuild(np.array([0]), 3, 1, 2, 0)
+        with pytest.raises(NetworkError, match="phase must be an integer"):
+            ScheduleBuild.from_colors(np.array([0]), 3, 1, 2, phase=0)
 
     def test_empty(self):
-        s = ColorClassSchedule.from_colors(np.zeros(0, np.int64), 3, 2)
+        s = ScheduleBuild.from_colors(np.zeros(0, np.int64), 3, 0, 2)
         assert s.num_classes == 0
         assert s.length_bound == 0
+
+    def test_a_longer_phase_spaces_the_classes(self):
+        """Waksman batches run one step apart more than ``L``: the bound
+        is the last release plus the unobstructed ``L + D - 1``."""
+        s = ScheduleBuild.from_colors(np.array([0, 1, 2]), 5, 3, 4, phase=6)
+        assert list(s.release_times()) == [0, 6, 12]
+        assert s.length_bound == 12 + 5 + 4 - 1
 
 
 class TestScheduleRun:

@@ -108,7 +108,8 @@ class TestLllSchedule:
         assert build.congestion == congestion(paths)
         assert build.dilation == dilation(paths)
         assert build.trace is not None
-        assert build.num_classes == build.schedule.num_classes
+        assert np.array_equal(build.colors, build.trace.colors)
+        assert build.num_classes == len(np.unique(build.colors))  # dense ids
 
     def test_raw_edge_lists_accepted(self):
         build = lll_schedule([[0, 1], [0, 1], [2, 3]], message_length=4, B=1)

@@ -92,6 +92,47 @@ class TestEvaluate:
         assert got["delivery"] is None  # a deadlocked run owes no delivery
         assert got["deadlock-free"].invariant == "deadlock-freedom"
 
+    def test_the_sf_envelope_counts_from_the_last_release(self):
+        """Two packets down a 3-edge chain at L = 2, the second released
+        at step 500: store-and-forward finishes at 506, inside the
+        budget 500 + 4 L (C + D) = 540, not 4 L (C + D) = 40 from step 0."""
+        from repro import simulate
+        from repro.sim.spec import Workload
+
+        chain = WORKLOADS["chain-bundle"](chains=1, depth=3, messages=2)
+        wl = Workload(chain.net, chain.paths, default_length=2, release_times=[0, 500])
+        res = simulate(wl, model="store_forward")
+        assert res.makespan == 506
+        got = {row.name: v for row, v in evaluate(res, wl, model="store_forward", B=1)}
+        assert "sf-envelope" in got and not any(got.values())
+        late = SimulationResult(
+            completion_times=np.array([6, 541]),
+            makespan=541,
+            steps_executed=541,
+            blocked_steps=np.zeros(2, dtype=np.int64),
+            deadlocked=False,
+        )
+        got = {row.name: v for row, v in evaluate(late, wl, model="store_forward", B=1)}
+        assert got["sf-envelope"].bound == 540.0
+
+    def test_the_unobstructed_time_counts_from_each_release(self):
+        """A packet released at step 500 on a 3-edge chain cannot arrive
+        before 500 + 3 ceil(L/B) = 506: a run reading 505 is a violation
+        even though 505 is far above the release-blind 6."""
+        from repro.sim.spec import Workload
+
+        chain = WORKLOADS["chain-bundle"](chains=1, depth=3, messages=2)
+        wl = Workload(chain.net, chain.paths, default_length=2, release_times=[0, 500])
+        early = SimulationResult(
+            completion_times=np.array([6, 505]),
+            makespan=505,
+            steps_executed=505,
+            blocked_steps=np.zeros(2, dtype=np.int64),
+            deadlocked=False,
+        )
+        got = {row.name: v for row, v in evaluate(early, wl, model="store_forward", B=1)}
+        assert got["unobstructed"].bound == 506
+
     def test_a_row_needs_its_facts(self):
         assert "deadlock-free" not in self.judge(_outcome(24))
         assert "gadget" not in self.judge(_outcome(24), facts={"built_B": 1})

@@ -85,13 +85,19 @@ class TestDecompose:
 class TestEndToEndWithBenes:
     def test_route_decomposed_relation(self, rng):
         """Full pipeline: q-relation -> permutation batches -> pipelined
-        Waksman routing, O(qL + log n) with zero blocking."""
-        from repro.core.benes_routing import route_q_relation_benes
+        Waksman routing, O(qL + log n) with zero blocking, judged by the
+        expectation table's ``schedule`` row."""
+        from repro import simulate
+        from repro.core.scheduler import waksman_workload
+        from repro.fuzz.expectations import evaluate
 
         n, q, L = 16, 3, 6
         inst = random_q_relation(n, q, rng)
         batches = decompose_q_relation(inst)
-        res = route_q_relation_benes(batches, message_length=L)
+        wl = waksman_workload(batches, L)
+        res = simulate(wl)
+        verdicts = {row.name: v for row, v in evaluate(res, wl, model="wormhole", B=1)}
+        assert "schedule" in verdicts and not any(verdicts.values())
         assert res.all_delivered
         assert res.total_blocked_steps == 0
         log_n = n.bit_length() - 1

@@ -25,6 +25,9 @@ class TestRegistry:
             "ring-dateline",
             "bursty-arrivals",
             "heavy-tail-arrivals",
+            "online-delays",
+            "benes-permutation",
+            "hypercube-valiant",
         } <= set(SCENARIOS)
 
     def test_unknown_name_lists_registered(self):

@@ -23,17 +23,18 @@ from golden_cases import _layered_workload, _ring, _stagger
 from repro import simulate
 from repro.core import (
     ButterflyRouter,
-    ColorClassSchedule,
+    ScheduleBuild,
+    bounds,
+    online_window,
     random_delay_release,
-    route_online_random_delays,
-    route_permutation_benes,
-    route_q_relation_benes,
+    waksman_workload,
 )
 from repro.network.butterfly import Butterfly
 from repro.network.graph import Network, NetworkError
 from repro.network.mesh import KAryNCube
 from repro.network.multibutterfly import Multibutterfly
 from repro.routing.problems import random_permutation
+from repro.scenarios import get_scenario
 from repro.sim import batch as batch_module
 from repro.sim.batch import (
     LOCKSTEP_MODELS,
@@ -686,26 +687,25 @@ _L_ERROR = "message_length must be an integer"
 
 #: A ``core/`` entry point (or the driver a removed one called) given a
 #: value it once truncated (L = 4.9 ran as 4), accepted (B = 1.5 ran a
-#: model that does not exist; a release of -3 ran) or let escape as a
-#: bare ValueError, and the error it owes.
+#: model that does not exist; a release of -3 ran; a bound of L = 2.5
+#: or D = nan evaluated) or let escape as a bare ValueError, and the
+#: error it owes.
 TRUNCATED_BY_CORE = {
-    "benes-L": (lambda: route_permutation_benes(_PERM8, 4.9), _L_ERROR),
-    "benes-q-L": (lambda: route_q_relation_benes([_PERM8] * 2, 4.6), _L_ERROR),
+    "benes-L": (lambda: waksman_workload([_PERM8], 4.9), "L must be an integer"),
+    "benes-q-L": (
+        lambda: waksman_workload([_PERM8] * 2, 4.6), "L must be an integer"
+    ),
     "delays-L": (
-        lambda: route_online_random_delays(*_layered_workload(), 4.8), _L_ERROR
+        lambda: random_delay_release(6, 4.8, 2, np.random.default_rng(0)), _L_ERROR
     ),
     "delays-window": (
-        lambda: route_online_random_delays(*_layered_workload(), 4, window=2.5),
-        "window must be an integer",
+        lambda: get_scenario("online-delays").build(B=2.5), "B must be an integer"
     ),
     "delays-window-zero": (
-        lambda: route_online_random_delays(*_layered_workload(), 4, window=0),
-        "window must be an integer",
+        lambda: random_delay_release(6, 4, 0, np.random.default_rng(0)),
+        "C must be an integer",
     ),
-    "delays-B-zero": (
-        lambda: route_online_random_delays(*_layered_workload(), 4, B=0),
-        "need C, D, B >= 1",
-    ),
+    "delays-B-zero": (lambda: online_window(3, 4, 0), "need C, D, B >= 1"),
     "delay-release-C": (
         lambda: random_delay_release(6, 4, 2.5, np.random.default_rng(0)),
         "C must be an integer",
@@ -717,11 +717,24 @@ TRUNCATED_BY_CORE = {
     "butterfly-L": (lambda: ButterflyRouter(16, message_length=3.9), _L_ERROR),
     "butterfly-B": (lambda: ButterflyRouter(16, B=1.5), "B must be an integer"),
     "schedule-L": (
-        lambda: ColorClassSchedule.from_colors(np.arange(4), 4.9, 3), _L_ERROR
+        lambda: ScheduleBuild.from_colors(np.arange(4), 4.9, 1, 3), _L_ERROR
     ),
     "schedule-D": (
-        lambda: ColorClassSchedule.from_colors(np.arange(4), 4, 3.5),
+        lambda: ScheduleBuild.from_colors(np.arange(4), 4, 1, 3.5),
         "D must be an integer",
+    ),
+    "bound-L-fraction": (
+        lambda: bounds.general_upper_bound(2.5, 1, 1, 1), "L must be an integer"
+    ),
+    "bound-L-zero": (
+        lambda: bounds.general_upper_bound(0, 1, 1, 1), "L must be an integer >= 1"
+    ),
+    "speedup-D-nan": (
+        lambda: bounds.virtual_channel_speedup(float("nan"), 1),
+        "D must be an integer",
+    ),
+    "colors-beta-nan": (
+        lambda: bounds.num_colors(16, 2, 1, float("nan")), "beta must be finite"
     ),
     "circuit-capacity": (
         lambda: circuit_switch_butterfly(
