@@ -9,18 +9,22 @@ and growing L by dL grows time by about dL (not dL * log n).
 
 import numpy as np
 
-from repro import Table, simulate, valiant_phase_workloads
+from repro import Table, simulate
 from repro.network.hypercube import Hypercube
-from repro.routing.problems import random_permutation
+from repro.scenarios import get_scenario
 
 
-def two_phase(cube, inst, L, B):
-    """Both Valiant phases, intermediates and arbitration each drawn
-    from seed 0, the second phase continuing the first's arbitration
-    stream: ``(total flit steps, max phase congestion)``."""
-    phases = valiant_phase_workloads(cube, inst, L, np.random.default_rng(0))
+def two_phase(n, seed, L, B):
+    """Both phases of ``scenario:hypercube-valiant`` (the permutation
+    drawn from ``seed``, the intermediates and the arbitration each from
+    seed 0) at ``L`` flits, the second phase continuing the first's
+    arbitration stream: ``(total flit steps, max phase congestion)``."""
+    build = get_scenario("hypercube-valiant").build_case
+    phases = [build(n=n, seed=seed, phase=phase) for phase in (1, 2)]
     arbitration = np.random.default_rng(0)
-    runs = [simulate(wl, B=B, seed=arbitration) for wl in phases]
+    runs = [
+        simulate(wl, B=B, message_length=L, seed=arbitration) for wl in phases
+    ]
     assert all(res.all_delivered for res in runs)
     total = sum(max(int(res.makespan), 0) for res in runs)
     return total, max(wl.info["congestion"] for wl in phases)
@@ -30,11 +34,10 @@ def test_e12_additive_shape(benchmark, save_table):
     def sweep():
         rows = []
         for n in (16, 64, 256):
-            cube = Hypercube(n)
+            log_n = Hypercube(n).dimension
             for L in (4, 16, 64):
-                inst = random_permutation(n, np.random.default_rng(n + L))
-                total, phase_congestion = two_phase(cube, inst, L, B=2)
-                floor = L + 2 * cube.dimension
+                total, phase_congestion = two_phase(n, n + L, L, B=2)
+                floor = L + 2 * log_n
                 rows.append(
                     {
                         "n": n,
@@ -70,18 +73,16 @@ def test_e12_virtual_channels_tame_congestion(benchmark, save_table):
     """At B = 1 phases serialize on conflicts; a couple of channels
     recover the additive behaviour — [1]'s 'small constant' claim."""
     n, L = 128, 16
-    cube = Hypercube(n)
-    inst = random_permutation(n, np.random.default_rng(5))
 
     def sweep():
-        return {B: two_phase(cube, inst, L, B)[0] for B in (1, 2, 3, 4)}
+        return {B: two_phase(n, 5, L, B)[0] for B in (1, 2, 3, 4)}
 
     data = benchmark.pedantic(sweep, iterations=1, rounds=1)
     table = Table(
         f"E12b: hypercube routing time vs B (n={n}, L={L})",
         ["B", "flit steps", "vs floor L + 2 log n"],
     )
-    floor = L + 2 * cube.dimension
+    floor = L + 2 * Hypercube(n).dimension
     for B, t in data.items():
         table.add_row([B, t, t / floor])
     save_table("e12b_channels", table)

@@ -45,11 +45,11 @@ from ..sim.kernels import exact_count
 __all__ = ["online_window", "valiant_phase_workloads"]
 
 
-def online_window(C: int, D: int, B: int, alpha: float = 1.0) -> int:
-    """Delay-window size in ``L``-slots: ``ceil(alpha * C * D^(1/B) / B)``."""
-    if not (C >= 1 and D >= 1 and B >= 1 and 0 < alpha < math.inf):
-        raise NetworkError("need C, D, B >= 1 and a finite alpha > 0")
-    return max(1, int(math.ceil(alpha * C * (D ** (1.0 / B)) / B)))
+def online_window(C: int, D: int, B: int) -> int:
+    """Delay-window size in ``L``-slots: ``ceil(C * D^(1/B) / B)``."""
+    if not (C >= 1 and D >= 1 and B >= 1):
+        raise NetworkError("need C, D, B >= 1")
+    return max(1, int(math.ceil(C * (D ** (1.0 / B)) / B)))
 
 
 def valiant_phase_workloads(cube, instance, L: int, rng: np.random.Generator):

@@ -20,6 +20,7 @@ from repro.fuzz.expectations import evaluate
 from repro.network.benes import Benes
 from repro.network.graph import NetworkError
 from repro.routing.problems import bit_reversal_permutation
+from repro.scenarios import get_scenario
 
 
 def judge(wl, B=1):
@@ -58,9 +59,11 @@ class TestPermutation:
 
 
 class TestQRelation:
-    def test_batches_pipeline(self, rng):
+    """``q`` batches, built through ``scenario:benes-permutation``."""
+
+    def test_batches_pipeline(self):
         n, q, L = 8, 3, 5
-        wl = waksman_workload([rng.permutation(n) for _ in range(q)], L)
+        wl = get_scenario("benes-permutation").build_case(n=n, q=q, length=L)
         assert wl.facts["length_bound"] == exact_time(n, q, L)
         res, verdicts = judge(wl)
         assert res.num_messages == q * n
@@ -69,8 +72,8 @@ class TestQRelation:
         assert res.makespan == exact_time(n, q, L)
         assert not any(verdicts.values())
 
-    def test_pipelined_batches_never_block(self, rng):
-        wl = waksman_workload([rng.permutation(16) for _ in range(4)], 6)
+    def test_pipelined_batches_never_block(self):
+        wl = get_scenario("benes-permutation").build_case(n=16, q=4, length=6)
         res, verdicts = judge(wl)
         assert res.total_blocked_steps == 0
         assert verdicts["schedule"] is None

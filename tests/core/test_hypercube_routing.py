@@ -1,8 +1,9 @@
 """Randomized two-phase hypercube routing ([1]-style) as two workloads.
 
 :func:`~repro.core.online_routing.valiant_phase_workloads` builds the
-Valiant phases; a route is both phases run one after the other, their
-arbitration drawn from one continuing stream, as E12 runs them.
+Valiant phases and ``scenario:hypercube-valiant`` builds one of them.
+Each phase is an ordinary wormhole trial, judged here on its own; E12
+runs the two one after the other and adds their times.
 """
 
 import numpy as np
@@ -17,29 +18,25 @@ from repro.routing.problems import random_permutation, transpose_permutation
 from repro.scenarios import get_scenario
 
 
-def two_phase(cube, inst, L, B, rng=None, seed=0):
-    """``(phase workloads, phase results)``: intermediates from ``rng``
-    (default ``seed``), arbitration from one stream seeded ``seed``."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    phases = valiant_phase_workloads(cube, inst, L, rng)
-    arbitration = np.random.default_rng(seed)
-    runs = [simulate(wl, B=B, seed=arbitration) for wl in phases]
-    for wl, res in zip(phases, runs):
-        assert not [v for _, v in evaluate(res, wl, model="wormhole", B=B) if v]
-    return phases, runs
+def scenario_phases(n, seed, mid_seed=0):
+    """Both phases of ``hypercube-valiant`` at its ``L = 8``."""
+    build = get_scenario("hypercube-valiant").build_case
+    return [build(n=n, seed=seed, mid_seed=mid_seed, phase=p) for p in (1, 2)]
 
 
-def total_flit_steps(runs):
-    return sum(max(int(res.makespan), 0) for res in runs)
+def judged(wl, B, seed=0):
+    """One phase run at ``B``: delivered, and the expectation table
+    finds no violation."""
+    res = simulate(wl, B=B, seed=seed)
+    assert res.all_delivered
+    assert not [v for _, v in evaluate(res, wl, model="wormhole", B=B) if v]
+    return res
 
 
 class TestRouting:
     def test_permutation_delivered(self):
-        cube = Hypercube(32)
-        inst = random_permutation(32, np.random.default_rng(0))
-        _, runs = two_phase(cube, inst, 6, B=2)
-        assert all(res.all_delivered for res in runs)
+        for wl in scenario_phases(32, 0):
+            judged(wl, B=2)
 
     def test_identity_is_fast(self):
         """Identity permutation: phase 2 retraces phase 1; both phases
@@ -48,21 +45,18 @@ class TestRouting:
         inst = random_permutation(16, np.random.default_rng(1))
         # Replace with identity.
         inst = type(inst)(16, inst.sources, inst.sources.copy())
-        _, runs = two_phase(cube, inst, 4, B=2)
-        assert all(res.all_delivered for res in runs)
+        for wl in valiant_phase_workloads(cube, inst, 4, np.random.default_rng(1)):
+            judged(wl, B=2)
 
     def test_time_scales_like_l_plus_logn(self):
-        """Total time stays within a constant of L + 2 log n across n."""
-        L = 8
+        """Each phase stays within a constant of L + log n across n."""
         ratios = []
         for n in (16, 64, 256):
-            cube = Hypercube(n)
-            inst = random_permutation(n, np.random.default_rng(n))
-            _, runs = two_phase(cube, inst, L, B=2, seed=3)
-            assert all(res.all_delivered for res in runs)
-            ratios.append(total_flit_steps(runs) / (L + 2 * cube.dimension))
+            for wl in scenario_phases(n, n, mid_seed=3):
+                res = judged(wl, B=2, seed=3)
+                ratios.append(res.makespan / (8 + Hypercube(n).dimension))
         assert max(ratios) / min(ratios) < 3.0
-        assert max(ratios) < 8.0
+        assert max(ratios) < 4.0
 
     def test_adversarial_transpose_tamed(self):
         """Transpose is adversarial for one-phase bit-fixing (congestion
@@ -70,18 +64,16 @@ class TestRouting:
         n = 256
         cube = Hypercube(n)
         inst = transpose_permutation(n)
-        phases, runs = two_phase(cube, inst, 4, B=2, rng=np.random.default_rng(5))
-        assert all(res.all_delivered for res in runs)
+        phases = valiant_phase_workloads(cube, inst, 4, np.random.default_rng(5))
+        for wl in phases:
+            judged(wl, B=2)
         # One-phase transpose congestion is sqrt(n) = 16 on some edge;
         # each random phase stays well below that.
         assert all(wl.info["congestion"] < 12 for wl in phases)
 
     def test_more_channels_never_slower(self):
-        cube = Hypercube(64)
-        inst = random_permutation(64, np.random.default_rng(7))
-        t2 = total_flit_steps(two_phase(cube, inst, 8, B=2)[1])
-        t4 = total_flit_steps(two_phase(cube, inst, 8, B=4)[1])
-        assert t4 <= t2
+        for wl in scenario_phases(64, 7):
+            assert judged(wl, B=4).makespan <= judged(wl, B=2).makespan
 
     def test_validation(self):
         cube = Hypercube(16)
@@ -94,11 +86,10 @@ class TestRouting:
             valiant_phase_workloads(cube, inst16, 0, rng)
 
     def test_reproducible(self):
-        cube = Hypercube(32)
-        inst = random_permutation(32, np.random.default_rng(2))
-        a = two_phase(cube, inst, 6, B=2, rng=np.random.default_rng(9), seed=1)[1]
-        b = two_phase(cube, inst, 6, B=2, rng=np.random.default_rng(9), seed=1)[1]
-        assert total_flit_steps(a) == total_flit_steps(b)
+        a, b = scenario_phases(32, 2, mid_seed=9), scenario_phases(32, 2, mid_seed=9)
+        for wa, wb in zip(a, b):
+            assert [p.edges for p in wa.paths] == [p.edges for p in wb.paths]
+            assert judged(wa, B=2, seed=1).makespan == judged(wb, B=2, seed=1).makespan
 
 
 class TestScenario:
