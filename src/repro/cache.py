@@ -42,13 +42,7 @@ from typing import Any
 
 from .telemetry.metrics import EventCounter
 
-__all__ = [
-    "CACHE_VERSION",
-    "ResultCache",
-    "entry_path",
-    "load_entry",
-    "store_entry",
-]
+__all__ = ["CACHE_VERSION", "ResultCache"]
 
 #: On-disk entry format version.  Bumping it invalidates every existing
 #: entry (they fail the version check and are recomputed), which is the
@@ -56,11 +50,6 @@ __all__ = [
 #: the metrics digest; version 3 drops the numbers of scenario trials
 #: that ran without their workload's VC classes or arbitration.
 CACHE_VERSION = 3
-
-
-def entry_path(root: Path, key: str) -> Path:
-    """The file holding the entry for ``key`` under cache directory ``root``."""
-    return root / f"{key}.json"
 
 
 def _metrics_digest(metrics: dict[str, Any]) -> str:
@@ -89,71 +78,39 @@ def _read_entry(
     return metrics, False
 
 
-def load_entry(path: Path, identity: dict[str, Any]) -> dict[str, Any] | None:
-    """Read one cache file; ``None`` unless it verifiably matches.
-
-    ``identity`` is the trial's canonical identity dict (see
-    :meth:`~repro.sim.sweep.TrialSpec.key`).  A missing or unreadable
-    file, a stale format version, a stored identity differing from the
-    requested one (a hash collision), or metrics that fail the stored
-    digest all return ``None`` — the caller recomputes, it never serves
-    a wrong answer.  So does a file whose JSON is not an object (``[]``,
-    ``null``, a number, a string).
-    """
-    return _read_entry(path, identity)[0]
-
-
-def store_entry(
-    path: Path,
-    identity: dict[str, Any],
-    metrics: dict[str, Any],
-    root_seed: int,
-) -> None:
-    """Atomically write one cache file (temp + rename, racer-safe).
-
-    On an ``OSError`` the temp file is removed before the error is
-    re-raised, so a refused write leaves the directory as it was.
-    """
-    payload = {
-        "v": CACHE_VERSION,
-        "root_seed": int(root_seed),
-        "spec": identity,
-        "metrics": metrics,
-        "digest": _metrics_digest(metrics),
-    }
-    tmp = path.with_suffix(f".tmp{os.getpid()}")
-    try:
-        tmp.write_text(json.dumps(payload, sort_keys=True, indent=1))
-        os.replace(tmp, path)
-    except OSError:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 class ResultCache:
     """A directory of per-trial JSON results with hit/miss accounting.
 
     Parameters
     ----------
     root:
-        Cache directory (created if missing).  Safe to share between
-        processes; entries are written atomically.
+        Cache directory, created by the first :meth:`store` (so a cache
+        that is only read leaves the disk as it found it).  Safe to
+        share between processes; entries are written atomically.
     """
 
     def __init__(self, root: str | os.PathLike) -> None:
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        self._made = False
         self.counters = EventCounter(
             "hits", "misses", "stores", "store_errors", "corrupt"
         )
 
+    def _path(self, key: str) -> Path:
+        return self.root / f"{key}.json"
+
     def load(self, key: str, identity: dict[str, Any]) -> dict[str, Any] | None:
         """Metrics for ``key`` if present and verified, else ``None``.
 
-        An entry whose metrics fail their digest is a miss that also
-        counts as ``corrupt``.
+        ``identity`` is the trial's canonical identity dict (see
+        :meth:`~repro.sim.sweep.TrialSpec.key`).  A missing or unreadable
+        file, a stale format version, a stored identity differing from
+        the requested one (a hash collision), a file whose JSON is not
+        an object, or metrics that fail the stored digest all return
+        ``None`` — the caller recomputes, it never serves a wrong
+        answer.  The last also counts as ``corrupt``.
         """
-        metrics, corrupt = _read_entry(entry_path(self.root, key), identity)
+        metrics, corrupt = _read_entry(self._path(key), identity)
         self.counters.bump("hits" if metrics is not None else "misses")
         if corrupt:
             self.counters.bump("corrupt")
@@ -169,12 +126,27 @@ class ResultCache:
         """Record ``metrics`` under ``key`` (atomic, last writer wins).
 
         Never raises ``OSError``: a write the disk refuses (e.g. a full
-        cache directory) is counted as a ``store_error`` and the entry
-        is simply absent — the caller already holds the answer.
+        cache directory) is counted as a ``store_error``, its temp file
+        is removed, and the entry is simply absent — the caller already
+        holds the answer.
         """
+        payload = {
+            "v": CACHE_VERSION,
+            "root_seed": int(root_seed),
+            "spec": identity,
+            "metrics": metrics,
+            "digest": _metrics_digest(metrics),
+        }
+        path = self._path(key)
+        tmp = path.with_suffix(f".tmp{os.getpid()}")
         try:
-            store_entry(entry_path(self.root, key), identity, metrics, root_seed)
+            if not self._made:
+                self.root.mkdir(parents=True, exist_ok=True)
+                self._made = True
+            tmp.write_text(json.dumps(payload, sort_keys=True, indent=1))
+            os.replace(tmp, path)
         except OSError:
+            tmp.unlink(missing_ok=True)
             self.counters.bump("store_errors")
             return
         self.counters.bump("stores")

@@ -183,11 +183,6 @@ FLAGS: dict[str, dict] = {
         "worker processes in each worker's backend pool (process backend only)",
     ),
     "--runtime-dir": _arg(str, None, "port files + worker logs (default: tempdir)"),
-    "--lengths": _arg(
-        _int_list, None,
-        "comma-separated message lengths to cycle (multi-key traffic; overrides "
-        "--length)",
-    ),
     "--requests": _arg(int, 32, "total requests"),
     "--concurrency": _arg(int, 8, "concurrent connections"),
     "--rate": _arg(
@@ -727,24 +722,35 @@ def _cmd_serve(args: argparse.Namespace) -> None:
     backend="execution backend inside each worker process",
 )
 def _cmd_cluster_serve(args: argparse.Namespace) -> None:
-    from repro.cluster import ClusterConfig, ClusterRouter
+    from repro.cluster import ClusterRouter
+
+    _serve(ClusterRouter(_cluster_config(args)))
+
+
+def _cluster_config(args: argparse.Namespace):
+    """The router's config, its worker template built from the same flags."""
+    from repro.cluster import ClusterConfig
     from repro.service import ServiceConfig
 
     worker = _config(ServiceConfig, args, workers=args.backend_workers)
-    _serve(ClusterRouter(_config(ClusterConfig, args, worker=worker)))
+    return _config(ClusterConfig, args, worker=worker)
 
 
 @command(
     "loadgen",
     "drive a running trial server; verify bit-exactness against "
     "serial replays",
-    "host port workload scenario param channels=1,2,4 length=0 simulators lengths "
+    "host port workload scenario param channels=1,2,4 length=0 simulators "
     "requests concurrency rate deadline_ms mode no_verify shutdown output seed",
     port=dict(help=None),
     scenario="replay a registered adversarial scenario instead of --workload "
     "(arrival-trace scenarios also pace the request stream)",
     channels={**_B_LIST, "help": "comma-separated B values to cycle"},
-    length=_AUTO_LENGTH,
+    length=dict(
+        type=_int_list,
+        help="comma-separated message lengths to cycle (multi-key traffic; "
+        "0 = auto)",
+    ),
     seed="root seed",
 )
 def _cmd_loadgen(args: argparse.Namespace) -> None:
@@ -752,18 +758,9 @@ def _cmd_loadgen(args: argparse.Namespace) -> None:
     import json
     from pathlib import Path
 
-    from repro.service import LoadgenConfig, run_loadgen
+    from repro.service import run_loadgen
 
-    config = _config(
-        LoadgenConfig,
-        args,
-        workload_params=dict(args.param),
-        simulators=_names(args.simulators),
-        lengths=args.lengths or (),
-        message_length=args.length or None,
-        root_seed=args.seed,
-        verify=not args.no_verify,
-    )
+    config = _loadgen_config(args)
     try:
         report = asyncio.run(run_loadgen(args.host, args.port, config))
     except OSError as exc:
@@ -801,6 +798,21 @@ def _cmd_loadgen(args: argparse.Namespace) -> None:
         for line in report["mismatches"][:5]:
             print(f"  MISMATCH: {line}")
         raise SystemExit(f"repro loadgen: responses diverged from {oracle}")
+
+
+def _loadgen_config(args: argparse.Namespace):
+    """The load generator's config; an unset list flag keeps its default."""
+    from repro.service import LoadgenConfig
+
+    return _config(
+        LoadgenConfig,
+        args,
+        workload_params=dict(args.param),
+        simulators=_names(args.simulators) or ("wormhole",),
+        lengths=tuple(length or None for length in args.length),
+        root_seed=args.seed,
+        verify=not args.no_verify,
+    )
 
 
 @command("scenario list", "registered scenarios, one line each")

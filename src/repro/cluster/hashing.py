@@ -46,16 +46,10 @@ class HashRing:
 
     Nodes are arbitrary hashable, stringable identifiers (the cluster
     uses worker slot indices).  Deterministic: the mapping depends only
-    on the member set and ``replicas``, never on insertion order or
-    process state.
+    on the member set, never on insertion order or process state.
     """
 
-    def __init__(
-        self, nodes: Iterable[int | str] = (), *, replicas: int = DEFAULT_REPLICAS
-    ) -> None:
-        if replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {replicas}")
-        self.replicas = replicas
+    def __init__(self, nodes: Iterable[int | str] = ()) -> None:
         self._nodes: set[int | str] = set()
         #: Sorted vnode positions, parallel to ``_owners``.
         self._ring: list[int] = []
@@ -77,7 +71,7 @@ class HashRing:
         pairs = sorted(
             (_position(f"node:{node}:{replica}"), node)
             for node in self._nodes
-            for replica in range(self.replicas)
+            for replica in range(DEFAULT_REPLICAS)
         )
         self._ring = [pos for pos, _ in pairs]
         self._owners = [node for _, node in pairs]

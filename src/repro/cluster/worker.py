@@ -51,6 +51,11 @@ SPAWN_POLL_S = 0.01
 MAX_RESPAWNS = 5
 #: Base of the respawn backoff (doubles per consecutive failure).
 BACKOFF_BASE_S = 0.25
+#: Seconds between liveness sweeps of :meth:`WorkerSupervisor.monitor`.
+MONITOR_POLL_S = 0.1
+#: Seconds :meth:`WorkerSupervisor.stop` gives a worker to drain before
+#: it escalates to terminate.
+STOP_GRACE_S = 10.0
 
 
 @dataclass
@@ -196,7 +201,7 @@ class WorkerSupervisor:
     def live_slots(self) -> list[int]:
         return [h.slot for h in self.handles if h.alive]
 
-    async def monitor(self, poll_s: float = 0.1) -> None:
+    async def monitor(self) -> None:
         """Respawn dead slots until :meth:`stop`; run as a task."""
         while not self._stopping:
             for handle in self.handles:
@@ -222,10 +227,10 @@ class WorkerSupervisor:
                 except RuntimeError:
                     continue  # next pass backs off harder
                 self.changed.set()
-            await asyncio.sleep(poll_s)
+            await asyncio.sleep(MONITOR_POLL_S)
 
     # -- shutdown ------------------------------------------------------
-    async def stop(self, *, grace_s: float = 10.0) -> None:
+    async def stop(self) -> None:
         """Drain the tier: shutdown op, then terminate, then kill."""
         self._stopping = True
 
@@ -239,13 +244,13 @@ class WorkerSupervisor:
                     ) as client:
                         await client.request(
                             {"op": "shutdown", "id": "cluster-drain"},
-                            timeout_s=grace_s,
+                            timeout_s=STOP_GRACE_S,
                         )
                 except (OSError, ServiceConnectionError, ValueError):
                     pass  # already dying; escalate below
             try:
                 await asyncio.wait_for(
-                    asyncio.to_thread(handle.process.wait), grace_s
+                    asyncio.to_thread(handle.process.wait), STOP_GRACE_S
                 )
             except (asyncio.TimeoutError, TimeoutError):
                 handle.process.terminate()

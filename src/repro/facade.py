@@ -67,10 +67,6 @@ class SimResult:
     mode:
         The execution mode that produced it: ``"exact"`` (a simulation
         ran) or ``"estimate"`` (analytic envelope, no simulation).
-    provenance:
-        Where the numbers came from: ``"exact"`` | ``"estimate"`` |
-        ``"cache"`` (an exact result served from a result cache, e.g.
-        by :func:`repro.sim.sweep.run_sweep` or the cluster tier).
     result:
         The wrapped :class:`~repro.sim.stats.SimulationResult` (exact
         runs only).  Every attribute of it — ``makespan``,
@@ -85,7 +81,6 @@ class SimResult:
     """
 
     mode: str
-    provenance: str
     result: Any = None
     envelope: Any = None
 
@@ -107,12 +102,7 @@ class SimResult:
         # here and are forwarded to the wrapped result / envelope.  The
         # field names themselves must never recurse (unpickling probes
         # attributes before __dict__ is populated).
-        if name.startswith("_") or name in (
-            "mode",
-            "provenance",
-            "result",
-            "envelope",
-        ):
+        if name.startswith("_") or name in ("mode", "result", "envelope"):
             raise AttributeError(name)
         target = self.result if self.result is not None else self.envelope
         if target is not None:
@@ -266,7 +256,7 @@ def simulate(
             B=B,
             message_length=_default_length(problem, wl, message_length),
         )
-        return SimResult(mode="estimate", provenance="estimate", envelope=env)
+        return SimResult(mode="estimate", envelope=env)
     if batch is not None and telemetry is not None:
         raise NetworkError(
             "telemetry probes attach to a single trial; run batches "
@@ -275,7 +265,7 @@ def simulate(
     # Every model — one seed or a ``batch=`` of them — is one
     # repro.sim.batch.run_model call.
     results = [
-        SimResult(mode="exact", provenance="exact", result=raw)
+        SimResult(mode="exact", result=raw)
         for raw in run_model(
             model,
             wl,

@@ -62,6 +62,8 @@ __all__ = [
 ]
 
 ARTIFACT_VERSION = 4
+#: Most candidate cases :func:`shrink_case` runs for one failure.
+SHRINK_PROBES = 80
 
 
 class Family(NamedTuple):
@@ -256,7 +258,7 @@ def generate_case(
 # ----------------------------------------------------------------------
 
 
-def _check_case(case: FuzzCase, telemetry=None) -> list[Violation]:
+def _check_case(case: FuzzCase) -> list[Violation]:
     """Every declared model at every ``B``, then the cross-run legs."""
     from ..analysis.estimate import route_stats
     from ..facade import simulate
@@ -269,11 +271,7 @@ def _check_case(case: FuzzCase, telemetry=None) -> list[Violation]:
         """The outcome of ``model`` at ``B``, run and judged once."""
         if (model, B) not in runs:
             runs[model, B] = outcome = simulate(
-                case.workload,
-                model=model,
-                B=B,
-                seed=case.sim_seed,
-                telemetry=telemetry if model == "wormhole" else None,
+                case.workload, model=model, B=B, seed=case.sim_seed
             )
             verdicts = evaluate(outcome, case.workload, model=model, B=B)
             out.extend(v for _, v in verdicts if v is not None)
@@ -346,9 +344,9 @@ def _check_batch_serial(case: FuzzCase, B: int) -> list[Violation]:
 CASE_CHECKERS: dict[str, Any] = dict.fromkeys(FAMILIES, _check_case)
 
 
-def run_case(case: FuzzCase, telemetry: Any = None) -> list[Violation]:
+def run_case(case: FuzzCase) -> list[Violation]:
     """All applicable invariant checks for one case (empty == clean)."""
-    return CASE_CHECKERS[case.family](case, telemetry=telemetry)
+    return CASE_CHECKERS[case.family](case)
 
 
 # ----------------------------------------------------------------------
@@ -363,7 +361,7 @@ def _still_fails(case: FuzzCase, invariant: str) -> bool:
         return False  # a shrink that breaks preconditions is not smaller
 
 
-def shrink_case(case: FuzzCase, invariant: str, max_probes: int = 80) -> FuzzCase:
+def shrink_case(case: FuzzCase, invariant: str) -> FuzzCase:
     """Greedy delta-debugging: smallest case still violating ``invariant``.
 
     Alternates dropping path chunks (halves, then quarters, then single
@@ -372,13 +370,14 @@ def shrink_case(case: FuzzCase, invariant: str, max_probes: int = 80) -> FuzzCas
     satisfies "every ``B + 1`` messages share a primary edge" (the
     recomputed bound would be unsound), and a partial ring breaks the
     deadlock-determinism rule — so those families shrink ``L`` only.
+    At most :data:`SHRINK_PROBES` candidates are run.
     """
     probes = 0
     structural = FAMILY_TABLE[case.family].structural
 
     def fails(c: FuzzCase) -> bool:
         nonlocal probes
-        if probes >= max_probes:
+        if probes >= SHRINK_PROBES:
             return False
         probes += 1
         return _still_fails(c, invariant)
@@ -406,19 +405,18 @@ def shrink_case(case: FuzzCase, invariant: str, max_probes: int = 80) -> FuzzCas
     # Reduce L (a case stating its dilation — the gadget — keeps L > D,
     # so its bound stays applicable).
     L_floor = int(case.workload.facts.get("dilation", 0)) + 1
+    # Each pass lowers L or halves the cut, so the loop ends even once
+    # the probe budget is spent and every candidate reads as passing.
     L = best.workload.default_length
-    while L > L_floor:
-        step = max((L - L_floor) // 2, 1)
+    step = max((L - L_floor) // 2, 1)
+    while step >= 1 and L - step >= L_floor:
         cand = with_workload(best, default_length=L - step)
         if fails(cand):
             best = cand
-            L = best.workload.default_length
-        elif step == 1:
-            break
+            L -= step
+            step = max((L - L_floor) // 2, 1)
         else:
-            L = L - step + step // 2 + 1  # probe a gentler cut next loop
-            if L >= best.workload.default_length:
-                break
+            step //= 2  # probe a gentler cut next pass
     return best
 
 
@@ -509,16 +507,8 @@ def run_fuzz(
     *,
     families: tuple[str, ...] | None = None,
     artifact_dir: str = "fuzz-artifacts",
-    telemetry: Any = None,
-    progress: Any = None,
 ) -> FuzzReport:
-    """Fuzz ``rounds`` cases from ``seed``; shrink + serialize failures.
-
-    ``telemetry`` (a :mod:`repro.telemetry` probe set) attaches to every
-    wormhole run of the routed families, so ``repro profile``-style
-    collectors see fuzz traffic unchanged.  ``progress`` is an optional
-    ``fn(round_index, case, violations)`` hook for live reporting.
-    """
+    """Fuzz ``rounds`` cases from ``seed``; shrink + serialize failures."""
     fams = FAMILIES if families is None else tuple(families)
     unknown = set(fams) - set(FAMILIES)
     if unknown:
@@ -534,10 +524,8 @@ def run_fuzz(
     for i in range(int(rounds)):
         case = generate_case(int(seed), i, fams)
         by_family[case.family] += 1
-        violations = run_case(case, telemetry=telemetry)
+        violations = run_case(case)
         checks += 1
-        if progress is not None:
-            progress(i, case, violations)
         if not violations:
             continue
         shrunk = shrink_case(case, violations[0].invariant)

@@ -274,13 +274,13 @@ def check_store_forward_envelope(
     message_length: int,
     congestion: int,
     dilation: int,
-    slack: float = STORE_FORWARD_SLACK,
     release_times: Sequence[int] | np.ndarray | None = None,
 ) -> Violation | None:
     """Rothvoß / Leighton–Maggs–Rao sanity: greedy store-and-forward at
-    ``B = 1`` stays within ``slack * L * (C + D)`` flit steps of the last
-    release."""
+    ``B = 1`` stays within :data:`STORE_FORWARD_SLACK` ``* L * (C + D)``
+    flit steps of the last release."""
     start = 0 if release_times is None else int(np.max(release_times, initial=0))
+    slack = STORE_FORWARD_SLACK
     bound = start + slack * int(message_length) * (int(congestion) + int(dilation))
     if makespan <= bound:
         return None

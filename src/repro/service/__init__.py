@@ -16,8 +16,8 @@ generator:
 * :mod:`~repro.service.endpoint` — the one v1 endpoint both tiers
   subclass: acceptor, op table, estimate fast path, graceful draining
   shutdown, and the :func:`serve` signal/banner scaffold;
-* :mod:`~repro.service.config` — :class:`ServiceConfig` and
-  :class:`BatchPolicy`, the tier's tunables as pure data;
+* :mod:`~repro.service.config` — :class:`ServiceConfig`, the tier's
+  tunables as pure data;
 * :mod:`~repro.service.server` — :class:`SimulationService`, the
   endpoint whose ``dispatch`` admits into the batcher, plus its
   ``health`` / ``stats`` bodies;
@@ -48,7 +48,6 @@ from .._lazy import attach
 
 _EXPORTS = {
     "AdmissionQueue": ".admission",
-    "BatchPolicy": ".config",
     "DynamicBatcher": ".batcher",
     "Endpoint": ".endpoint",
     "LoadgenConfig": ".client",

@@ -26,6 +26,12 @@ from .protocol import RunRequest
 
 __all__ = ["AdmissionQueue", "PendingRequest", "QueueFullError"]
 
+#: Per-request service time (ms) the retry hint assumes before the
+#: first batch has been timed.
+DEFAULT_SERVICE_MS = 50.0
+#: Weight of the newest batch in the per-request service-time average.
+EWMA_ALPHA = 0.2
+
 
 class QueueFullError(Exception):
     """Admission denied: the queue is at its depth limit."""
@@ -59,20 +65,13 @@ class AdmissionQueue:
     locking — the event loop serializes everything.
     """
 
-    def __init__(
-        self,
-        limit: int,
-        *,
-        default_service_ms: float = 50.0,
-        ewma_alpha: float = 0.2,
-    ) -> None:
+    def __init__(self, limit: int) -> None:
         if limit < 1:
             raise ValueError(f"queue limit must be >= 1, got {limit}")
         self.limit = int(limit)
         self._items: deque[PendingRequest] = deque()
         self._arrival = asyncio.Event()
-        self._service_ms = float(default_service_ms)
-        self._alpha = float(ewma_alpha)
+        self._service_ms = DEFAULT_SERVICE_MS
 
     def __len__(self) -> int:
         return len(self._items)
@@ -90,7 +89,7 @@ class AdmissionQueue:
         if requests < 1:
             return
         per_request_ms = seconds * 1000.0 / requests
-        self._service_ms += self._alpha * (per_request_ms - self._service_ms)
+        self._service_ms += EWMA_ALPHA * (per_request_ms - self._service_ms)
 
     # -- producer side -------------------------------------------------
     def admit(self, pending: PendingRequest) -> None:

@@ -65,10 +65,9 @@ from typing import Any
 
 from ..sim.sweep import execute_compatible
 from .admission import AdmissionQueue, PendingRequest
-from .config import BatchPolicy
 from .protocol import error_response, expired_response, ok_response
 
-__all__ = ["BatchPolicy", "CLOSED_BY", "DynamicBatcher", "execute_compatible"]
+__all__ = ["CLOSED_BY", "DynamicBatcher", "execute_compatible"]
 
 #: Why a coalescing window closed, in the order the conditions are
 #: checked (``drain``: shutdown flushed it without waiting).
@@ -81,14 +80,16 @@ class DynamicBatcher:
     def __init__(
         self,
         queue: AdmissionQueue,
-        policy: BatchPolicy,
         *,
+        max_batch: int,
+        max_wait_ms: float,
         idle_peers,
         stats,
         backend,
     ) -> None:
         self._queue = queue
-        self._policy = policy
+        self._max_batch = max_batch
+        self._max_wait_s = max_wait_ms / 1000.0
         self._stats = stats
         #: ``() -> int``: open connections with no run queued, i.e. how
         #: many requests could still join a window.
@@ -141,9 +142,9 @@ class DynamicBatcher:
         is already queued.
         """
         first = self._queue.peek()
-        window_closes = first.enqueued_at + self._policy.max_wait_ms / 1000.0
+        window_closes = first.enqueued_at + self._max_wait_s
         while not self._draining:
-            if self._queue.count_compatible(first.key) >= self._policy.max_batch:
+            if self._queue.count_compatible(first.key) >= self._max_batch:
                 return "full"
             if self._idle_peers() <= 0:
                 return "idle"
@@ -156,7 +157,7 @@ class DynamicBatcher:
     def _take_batch(self, loop) -> list[PendingRequest]:
         """Pull the dispatchable batch; expire stale requests in passing."""
         first = self._queue.peek()
-        taken = self._queue.take_compatible(first.key, self._policy.max_batch)
+        taken = self._queue.take_compatible(first.key, self._max_batch)
         now = loop.time()
         live: list[PendingRequest] = []
         for p in taken:
@@ -209,9 +210,7 @@ class DynamicBatcher:
                     queue_ms=queued_for * 1000.0,
                 ),
             )
-            self._stats.note_completed(
-                latency_s=now - p.enqueued_at, batch_size=len(batch)
-            )
+            self._stats.note_completed(now - p.enqueued_at)
         self._stats.note_batch(len(batch), closed_by)
 
     @staticmethod

@@ -44,6 +44,10 @@ __all__ = [
     "run_loadgen",
 ]
 
+#: Seconds a load-generator connection keeps retrying a server that is
+#: not (yet) accepting.
+CONNECT_TIMEOUT_S = 5.0
+
 
 class ServiceConnectionError(ConnectionError):
     """The server went away mid-request (reset, EOF, refused).
@@ -162,7 +166,6 @@ class ServiceClient:
         root_seed: int = 0,
         deadline_ms: float | None = None,
         req_id: str | None = None,
-        timeout_s: float | None = None,
         mode: str = MODE_EXACT,
     ) -> dict[str, Any]:
         rid = req_id if req_id is not None else f"c{next(self._ids)}"
@@ -175,7 +178,6 @@ class ServiceClient:
                 root_seed=int(root_seed),
                 deadline_ms=deadline_ms,
                 mode=mode,
-                timeout_s=timeout_s,
             ).to_wire()
         else:
             msg = {
@@ -187,9 +189,7 @@ class ServiceClient:
             }
             if deadline_ms is not None:
                 msg["deadline_ms"] = deadline_ms
-            if timeout_s is not None:
-                msg["timeout_s"] = timeout_s
-        return await self.request(msg, timeout_s=timeout_s)
+        return await self.request(msg)
 
     async def health(self) -> dict[str, Any]:
         return await self.request({"op": "health", "id": "health"})
@@ -212,16 +212,14 @@ class LoadgenConfig:
 
     workload: str = "chain-bundle"
     workload_params: dict[str, Any] = field(default_factory=dict)
-    simulator: str = "wormhole"
     channels: tuple[int, ...] = (1, 2, 4)
-    message_length: int | None = None
-    #: Cycle several simulators / message lengths across the request
-    #: stream (empty = just ``simulator`` / ``message_length``).  Each
-    #: distinct (simulator, length) pair is its own batch-compat key,
-    #: so this is how loadgen produces *multi-key* traffic — the kind a
-    #: sharded cluster can actually spread across workers.
-    simulators: tuple[str, ...] = ()
-    lengths: tuple[int | None, ...] = ()
+    #: The simulators and message lengths (``None``: the workload's
+    #: default) the request stream cycles.  Each distinct (simulator,
+    #: length) pair is its own batch-compat key, so several of either
+    #: is how loadgen produces *multi-key* traffic — the kind a sharded
+    #: cluster can actually spread across workers.
+    simulators: tuple[str, ...] = ("wormhole",)
+    lengths: tuple[int | None, ...] = (None,)
     requests: int = 32
     concurrency: int = 8
     #: Aggregate request rate in req/s; 0 = as fast as possible.
@@ -245,7 +243,6 @@ class LoadgenConfig:
     verify: bool = True
     #: Send a ``shutdown`` op once the run (and verification) is done.
     shutdown: bool = False
-    connect_timeout_s: float = 5.0
 
     def effective_workload(self) -> str:
         if self.scenario is not None and self._arrivals() is None:
@@ -264,15 +261,13 @@ class LoadgenConfig:
         """One unique spec per request.
 
         Channels cycle fastest, then (simulator, length) pairs, then
-        the repeat counter advances — so with the default single
-        simulator/length the stream is exactly the classic
+        the repeat counter advances — so with one simulator and one
+        length the stream is exactly the classic
         channels-cycle/repeats-advance order, and with several pairs
         every compat key sees the full channel rotation.
         """
         workload = self.effective_workload()
-        sims = self.simulators or (self.simulator,)
-        lens = self.lengths or (self.message_length,)
-        pairs = [(sim, length) for sim in sims for length in lens]
+        pairs = [(sim, length) for sim in self.simulators for length in self.lengths]
         specs = []
         for i in range(self.requests):
             sim, length = pairs[(i // len(self.channels)) % len(pairs)]
@@ -342,7 +337,7 @@ async def run_loadgen(
 
     async def worker() -> None:
         client = await ServiceClient.connect(
-            host, port, retry_for_s=config.connect_timeout_s
+            host, port, retry_for_s=CONNECT_TIMEOUT_S
         )
         try:
             while True:
@@ -373,7 +368,7 @@ async def run_loadgen(
                     }
                     await client.close()
                     client = await ServiceClient.connect(
-                        host, port, retry_for_s=config.connect_timeout_s
+                        host, port, retry_for_s=CONNECT_TIMEOUT_S
                     )
                 latencies.append(time.monotonic() - t0)
         finally:
@@ -441,11 +436,9 @@ async def run_loadgen(
             "workload": config.effective_workload(),
             "scenario": config.scenario,
             "workload_params": dict(config.workload_params),
-            "simulator": config.simulator,
             "simulators": list(config.simulators),
             "lengths": list(config.lengths),
             "channels": list(config.channels),
-            "message_length": config.message_length,
             "requests": config.requests,
             "concurrency": config.concurrency,
             "rate_rps": config.rate,

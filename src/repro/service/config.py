@@ -9,32 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["BatchPolicy", "ServiceConfig"]
-
-
-@dataclass(frozen=True)
-class BatchPolicy:
-    """When a coalescing window closes.
-
-    Three conditions, first one wins: ``max_batch`` compatible requests
-    are queued (caps trials per lockstep call); every open connection
-    already has a run queued, so nobody is left who could join (no
-    knob — exact, because the endpoint reads a connection's next line
-    only after answering its last); or ``max_wait_ms`` has passed since
-    the *oldest* queued request was admitted — the cap on how long it
-    waits for company while some connected peer sits idle.
-    """
-
-    max_batch: int = 32
-    max_wait_ms: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_wait_ms < 0:
-            raise ValueError(
-                f"max_wait_ms must be >= 0, got {self.max_wait_ms}"
-            )
+__all__ = ["ServiceConfig"]
 
 
 @dataclass(frozen=True)
@@ -44,7 +19,8 @@ class ServiceConfig:
     This is the one config schema shared by the server, the ``repro
     serve`` CLI, and embedding tests: execution substrate
     (``backend``/``workers``/``batch_timeout_s``) rides next to
-    batching policy (``max_batch``/``max_wait_ms``) and admission
+    batching (``max_batch``/``max_wait_ms``, the batcher's window; see
+    :mod:`repro.service.batcher`) and admission
     (``queue_limit``), so the two axes are configured together but
     vary independently.
     """
@@ -79,8 +55,13 @@ class ServiceConfig:
     #: the trial's message count, over 1e6).
     step_cost_ms: float | None = None
 
-    def policy(self) -> BatchPolicy:
-        return BatchPolicy(max_batch=self.max_batch, max_wait_ms=self.max_wait_ms)
+    def __post_init__(self) -> None:
+        if self.max_batch < 1:
+            raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
+        if self.max_wait_ms < 0:
+            raise ValueError(
+                f"max_wait_ms must be >= 0, got {self.max_wait_ms}"
+            )
 
     def make_backend(self):
         """Build the configured :mod:`repro.exec` backend instance."""

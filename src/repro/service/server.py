@@ -58,7 +58,8 @@ class SimulationService(Endpoint):
         self.backend = self.config.make_backend()
         self.batcher = DynamicBatcher(
             self.queue,
-            self.config.policy(),
+            max_batch=self.config.max_batch,
+            max_wait_ms=self.config.max_wait_ms,
             idle_peers=self.idle_peers,
             stats=self,
             backend=self.backend,
@@ -106,7 +107,7 @@ class SimulationService(Endpoint):
         """
         return self.open_connections - len(self.queue)
 
-    def note_completed(self, *, latency_s: float, batch_size: int) -> None:
+    def note_completed(self, latency_s: float) -> None:
         self._completed(latency_s)
 
     def note_batch(self, size: int, closed_by: str) -> None:

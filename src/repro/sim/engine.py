@@ -444,12 +444,9 @@ class BatchStepLoop:
 
     Probes (``probes=``, a :class:`~repro.telemetry.probe.ProbeSet`) are
     a ``T = 1`` contract: a multi-trial event stream would interleave
-    trials.  With probes attached the loop stops at the end of the step
-    in which one requests an abort (``hit_step_cap`` then reports
-    whether messages were still pending, and
-    ``extra["telemetry_abort"]`` carries the reason), and dispatches
-    ``on_deadlock`` before ``on_run_end`` so kernels cannot drift apart
-    in their lifecycle behaviour.
+    trials.  They observe only: the step loop never reads them, and
+    :meth:`run` dispatches ``on_deadlock`` before ``on_run_end`` so
+    kernels cannot drift apart in their lifecycle behaviour.
 
     The per-step mask work is guarded by scalars the loop maintains
     itself (the live-trial count :attr:`num_live`, the count of
@@ -564,15 +561,11 @@ class BatchStepLoop:
                 probes.on_deadlock(
                     int(self.steps[0]), np.flatnonzero(~self.done[0])
                 )
-            elif probes.aborted:
-                results[0].extra["telemetry_abort"] = probes.abort_reason
             probes.on_run_end(results[0])
         return results
 
     def _advance(self, body: Callable[[int, np.ndarray], np.ndarray]) -> None:
-        release, done, live, probes = (
-            self.release, self.done, self.live, self.probes
-        )
+        release, done, live = self.release, self.done, self.live
         T, detect_deadlock = self.T, self.detect_deadlock
         t = self.t
         # Trials with nothing to do (all paths trivial) end at step 0, as
@@ -624,12 +617,6 @@ class BatchStepLoop:
                 # t + coasted; the checks below see the last of them.
                 t += self.coasted
                 self.coasted = 0
-            if probes is not None and probes.aborted:
-                # Stop at the end of this step (T = 1); messages still
-                # pending mark the run as cut short.
-                self.hit_cap[live] = ~done[live].all(axis=1)
-                self._finalize(live.copy(), t)
-                break
             # 1) trials whose last message finished this step
             now_delivered = int(np.count_nonzero(done))
             if now_delivered != delivered:

@@ -47,12 +47,11 @@ import os
 import time
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, NamedTuple
 
 import numpy as np
 
-from ..cache import ResultCache, entry_path, load_entry
+from ..cache import ResultCache
 from ..network.errors import NetworkError
 from .batch import LOCKSTEP_MODELS, run_model
 from .kernels import exact_count
@@ -436,14 +435,13 @@ def plan_sweep(
     batch_size = exact_count(
         DEFAULT_BATCH_SIZE if batch_size is None else batch_size, "batch_size", 1
     )
-    root = Path(cache_dir) if cache_dir is not None and not force else None
+    cache = ResultCache(cache_dir) if cache_dir is not None and not force else None
     cached: dict[int, dict[str, Any]] = {}
     groups: dict[tuple, list[int]] = {}
     singles: list[int] = []
     for i, spec in enumerate(specs):
-        if root is not None:
-            entry = entry_path(root, spec.cache_key(root_seed))
-            metrics = load_entry(entry, spec.key())
+        if cache is not None:
+            metrics = cache.load(spec.cache_key(root_seed), spec.key())
             if metrics is not None:
                 cached[i] = metrics
                 continue
@@ -466,23 +464,6 @@ def plan_sweep(
     return SweepPlan(batch_size, cached, units)
 
 
-def _resolve_backend(backend, workers: int):
-    """Map ``run_sweep``'s (backend, workers) surface to an exec backend.
-
-    Returns ``(backend, owned)``; an instance created here is closed by
-    the caller, a caller-supplied instance is left alone.  ``backend=
-    None`` keeps the historical contract: ``workers >= 2`` fans out
-    over worker processes, anything else runs inline.
-    """
-    from ..exec import create_backend
-
-    if backend is None:
-        backend = "process" if workers >= 2 else "inline"
-    if not isinstance(backend, str):
-        return backend, False  # a ready ExecutionBackend instance
-    return create_backend(backend, workers=max(workers, 2)), True
-
-
 def run_sweep(
     specs: Sequence[TrialSpec],
     *,
@@ -491,7 +472,7 @@ def run_sweep(
     cache_dir: str | os.PathLike | None = None,
     force: bool = False,
     batch_size: int | None = None,
-    backend=None,
+    backend: str | None = None,
 ) -> SweepResult:
     """Execute a list of trial specs; returns results in input order.
 
@@ -524,11 +505,9 @@ def run_sweep(
         every setting.
     backend:
         Execution substrate: ``None`` (derive from ``workers`` as
-        above), an :mod:`repro.exec` backend name (``"inline"``,
-        ``"thread"``, ``"process"``), or a ready
-        :class:`~repro.exec.ExecutionBackend` instance (useful to share
-        one pre-warmed pool across sweeps; the caller keeps ownership).
-        The substrate never changes any trial's metrics.
+        above) or an :mod:`repro.exec` backend name (``"inline"``,
+        ``"thread"``, ``"process"``).  The substrate never changes any
+        trial's metrics.
     """
     specs = list(specs)
     root_seed = check_root_seed(root_seed)
@@ -546,15 +525,18 @@ def run_sweep(
         results[i] = TrialResult(specs[i], metrics, cached=True)
 
     if plan.units:
+        from ..exec import create_backend
+
         cache = ResultCache(cache_dir) if cache_dir is not None else None
-        exec_backend, owned = _resolve_backend(backend, workers)
+        if backend is None:
+            backend = "process" if workers >= 2 else "inline"
+        exec_backend = create_backend(backend, workers=max(workers, 2))
         try:
             outcomes = exec_backend.map(
                 _execute_unit, [unit for unit, _ in plan.units]
             )
         finally:
-            if owned:
-                exec_backend.close()
+            exec_backend.close()
         for (_, idxs), unit_results in zip(plan.units, outcomes):
             for i, (metrics, elapsed) in zip(idxs, unit_results):
                 results[i] = TrialResult(

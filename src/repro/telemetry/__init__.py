@@ -6,14 +6,14 @@ A pluggable observability layer for every simulator in the package:
   the :class:`ProbeSet` dispatcher (a guaranteed no-op when empty);
 * :mod:`~repro.telemetry.collectors` — channel utilization, buffer
   occupancy, stall attribution (head-of-line blame), throughput /
-  backlog, plus trace-snapshot and edge-contention maps;
+  backlog, plus trace snapshots;
 * :mod:`~repro.telemetry.metrics` — generic cross-request service
   metrics (counters, depth gauges, occupancy histograms, latency
   quantiles) backing the :mod:`repro.service` ``stats`` endpoint;
 * :mod:`~repro.telemetry.trace` — versioned JSONL event traces
   with a bit-exact :func:`replay_check`;
-* :mod:`~repro.telemetry.watchdog` — stall / low-delivery-rate alerts
-  that annotate (or abort) a run;
+* :mod:`~repro.telemetry.watchdog` — stall / deadlock alerts that
+  annotate a run;
 * :mod:`~repro.telemetry.report` — text/markdown rendering of a
   collected run.
 
@@ -33,7 +33,6 @@ _EXPORTS = {
     "BufferOccupancyCollector": ".collectors",
     "ChannelUtilizationCollector": ".collectors",
     "DepthGauge": ".metrics",
-    "EdgeContentionCollector": ".collectors",
     "EventCounter": ".metrics",
     "LatencyRecorder": ".metrics",
     "Probe": ".probe",

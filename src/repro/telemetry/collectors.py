@@ -20,7 +20,6 @@ from .probe import Probe, RunMeta
 __all__ = [
     "BufferOccupancyCollector",
     "ChannelUtilizationCollector",
-    "EdgeContentionCollector",
     "StallAttributionCollector",
     "ThroughputCollector",
     "TraceSnapshotCollector",
@@ -39,7 +38,7 @@ def standard_collectors() -> list[Probe]:
 
 
 class ChannelUtilizationCollector(Probe):
-    """Per-edge flits-crossed totals and an optional sampled time series.
+    """Per-edge flits-crossed totals and per-step network throughput.
 
     For the wormhole engine the count is *exact*: in the lock-step
     reduction, a worm that makes move ``k`` transports its flits
@@ -56,23 +55,15 @@ class ChannelUtilizationCollector(Probe):
     flits_per_step:
         List of ``(t, flits)`` — network-wide flits moved each step
         (wormhole engine only).
-    samples:
-        When ``sample_every > 0``, ``(t, flits_crossed.copy())``
-        snapshots every ``sample_every`` steps — a per-edge time series
-        at sampling resolution.
     """
 
-    def __init__(self, sample_every: int = 0) -> None:
-        super().__init__()
-        self.sample_every = int(sample_every)
+    def __init__(self) -> None:
         self.flits_crossed: np.ndarray = np.zeros(0, dtype=np.int64)
         self.flits_per_step: list[tuple[int, int]] = []
-        self.samples: list[tuple[int, np.ndarray]] = []
 
     def on_run_start(self, meta: RunMeta) -> None:
         self.flits_crossed = np.zeros(meta.num_edges, dtype=np.int64)
         self.flits_per_step = []
-        self.samples = []
         self._exact = meta.simulator == "wormhole" and meta.paths is not None
         self._paths = meta.paths
         self._L = meta.message_length
@@ -107,8 +98,6 @@ class ChannelUtilizationCollector(Probe):
             self.flits_per_step.append((t, total))
         elif self._exact:
             self.flits_per_step.append((t, 0))
-        if self.sample_every and t % self.sample_every == 0:
-            self.samples.append((t, self.flits_crossed.copy()))
 
     # ------------------------------------------------------------------
     @property
@@ -137,7 +126,6 @@ class BufferOccupancyCollector(Probe):
     """
 
     def __init__(self) -> None:
-        super().__init__()
         self.hist: np.ndarray = np.zeros((0, 1), dtype=np.int64)
         self.occupancy: np.ndarray = np.zeros(0, dtype=np.int64)
         self.max_occupancy: np.ndarray = np.zeros(0, dtype=np.int64)
@@ -189,7 +177,6 @@ class StallAttributionCollector(Probe):
     """
 
     def __init__(self) -> None:
-        super().__init__()
         self.blame: Counter[tuple[int, int]] = Counter()
         self.blocked_at_edge: Counter[int] = Counter()
         self.blocked_steps: Counter[int] = Counter()
@@ -262,7 +249,6 @@ class ThroughputCollector(Probe):
     """
 
     def __init__(self) -> None:
-        super().__init__()
         self.steps: list[int] = []
         self.backlog: list[int] = []
         self.delivered_at: Counter[int] = Counter()
@@ -304,32 +290,6 @@ class ThroughputCollector(Probe):
         return self.delivered_total / len(self.steps) if self.steps else 0.0
 
 
-class EdgeContentionCollector(Probe):
-    """Per-edge count of denied header requests (a hotspot map).
-
-    This reproduces the array previously returned by the wormhole
-    simulator's ``record_contention=True`` in
-    ``result.extra["edge_contention"]``.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.denied: np.ndarray = np.zeros(0, dtype=np.int64)
-
-    def on_run_start(self, meta: RunMeta) -> None:
-        self.denied = np.zeros(meta.num_edges, dtype=np.int64)
-
-    def on_block(self, t: int, messages: np.ndarray, edges: np.ndarray) -> None:
-        valid = edges >= 0
-        np.add.at(self.denied, edges[valid], 1)
-
-    def hottest(self, n: int = 5) -> list[tuple[int, int]]:
-        if self.denied.size == 0:
-            return []
-        order = np.argsort(self.denied, kind="stable")[::-1][:n]
-        return [(int(e), int(self.denied[e])) for e in order if self.denied[e] > 0]
-
-
 class TraceSnapshotCollector(Probe):
     """Per-step completed-move snapshots — the spacetime-diagram input.
 
@@ -339,7 +299,6 @@ class TraceSnapshotCollector(Probe):
     """
 
     def __init__(self) -> None:
-        super().__init__()
         self._rows: list[np.ndarray] = []
         self._release: np.ndarray | None = None
 

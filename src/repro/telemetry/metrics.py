@@ -140,17 +140,20 @@ class SizeHistogram:
         }
 
 
+#: Most recent observations a :class:`LatencyRecorder` keeps.
+LATENCY_WINDOW = 4096
+
+
 class LatencyRecorder:
     """A latency sample with mean / p50 / p95 / p99 / max summaries.
 
-    Keeps at most ``max_samples`` of the most recent observations (a
-    simple bounded window, not a reservoir) so a long-running service
+    Keeps at most :data:`LATENCY_WINDOW` of the most recent observations
+    (a simple bounded window, not a reservoir) so a long-running service
     cannot grow without bound; the running count and mean cover the full
     history.
     """
 
-    def __init__(self, max_samples: int = 4096) -> None:
-        self.max_samples = int(max_samples)
+    def __init__(self) -> None:
         self._window: list[float] = []
         self._count = 0
         self._sum = 0.0
@@ -159,8 +162,8 @@ class LatencyRecorder:
         self._count += 1
         self._sum += seconds
         self._window.append(seconds)
-        if len(self._window) > self.max_samples:
-            del self._window[: len(self._window) - self.max_samples]
+        if len(self._window) > LATENCY_WINDOW:
+            del self._window[: len(self._window) - LATENCY_WINDOW]
 
     @property
     def count(self) -> int:

@@ -37,11 +37,9 @@ Event vocabulary (all optional; a probe overrides what it needs):
     Once after the run with the :class:`~repro.sim.stats
     .SimulationResult`; probes may annotate ``result.extra``.
 
-A probe may also call :meth:`Probe.request_abort` (typically from
-``on_step``); the simulator then stops at the end of the current step
-and annotates ``result.extra["telemetry_abort"]`` — this is how the
-:class:`~repro.telemetry.watchdog.Watchdog` turns a livelock into a
-diagnosed early return instead of a silent crawl to ``max_steps``.
+Probes observe and never steer: no callback can change a run's control
+flow, its state or its random stream, so a run with probes attached is
+step for step the run without them.
 """
 
 from __future__ import annotations
@@ -100,13 +98,6 @@ class Probe:
     dispatches each event exclusively to the probes that override it, so
     unused callbacks cost nothing even when other probes are attached.
     """
-
-    def __init__(self) -> None:
-        self.abort_reason: str | None = None
-
-    def request_abort(self, reason: str) -> None:
-        """Ask the simulator to stop at the end of the current step."""
-        self.abort_reason = reason
 
     # -- lifecycle -----------------------------------------------------
     def on_run_start(self, meta: RunMeta) -> None:  # pragma: no cover
@@ -218,19 +209,6 @@ class ProbeSet:
             if isinstance(p, probe_type):
                 return p
         return None
-
-    # -- abort plumbing ------------------------------------------------
-    @property
-    def abort_reason(self) -> str | None:
-        for p in self._probes:
-            reason = getattr(p, "abort_reason", None)
-            if reason is not None:
-                return reason
-        return None
-
-    @property
-    def aborted(self) -> bool:
-        return self.abort_reason is not None
 
     # -- dispatchers ---------------------------------------------------
     def on_run_start(self, meta: RunMeta) -> None:

@@ -15,7 +15,6 @@ from ..analysis.tables import Table
 from .collectors import (
     BufferOccupancyCollector,
     ChannelUtilizationCollector,
-    EdgeContentionCollector,
     StallAttributionCollector,
     ThroughputCollector,
 )
@@ -56,9 +55,8 @@ def render_report(
         sections.append(_occupancy_section(occ, top))
 
     stall = _find(plist, StallAttributionCollector)
-    contention = _find(plist, EdgeContentionCollector)
-    if stall is not None or contention is not None:
-        sections.append(_stall_section(stall, contention, top))
+    if stall is not None:
+        sections.append(_stall_section(stall, top))
 
     thr = _find(plist, ThroughputCollector)
     if thr is not None:
@@ -79,8 +77,6 @@ def _summary_section(result) -> str:
         flags.append("DEADLOCKED")
     if result.hit_step_cap:
         flags.append("HIT STEP CAP")
-    if result.extra.get("telemetry_abort"):
-        flags.append(f"ABORTED ({result.extra['telemetry_abort']})")
     if flags:
         lines.append("flags: " + ", ".join(flags))
     wd = result.extra.get("watchdog")
@@ -134,40 +130,27 @@ def _occupancy_section(occ: BufferOccupancyCollector, top: int) -> str:
     return "\n".join(lines)
 
 
-def _stall_section(
-    stall: StallAttributionCollector | None,
-    contention: EdgeContentionCollector | None,
-    top: int,
-) -> str:
+def _stall_section(stall: StallAttributionCollector, top: int) -> str:
     lines = ["## Stall attribution"]
-    if stall is not None:
-        total_blocked = sum(stall.blocked_steps.values())
-        lines.append(f"blocked header-steps: {total_blocked}")
-        if stall.blocked_at_edge:
-            table = Table("", ["edge", "denied requests"])
-            for e, c in stall.blocked_at_edge.most_common(top):
-                table.add_row([e, c])
-            lines.append("most contended edges:")
-            lines.append(table.render().lstrip("\n"))
-        if stall.blame:
-            table = Table("", ["blocked", "behind", "steps"])
-            for m, h, c in stall.top_blame(top):
-                table.add_row([f"m{m}", f"m{h}", c])
-            lines.append("worst blame pairs (head-of-line blocking):")
-            lines.append(table.render().lstrip("\n"))
-            chain = stall.blame_chain()
-            if len(chain) > 1:
-                lines.append(
-                    "worst blame chain: " + " -> ".join(f"m{m}" for m in chain)
-                )
-    elif contention is not None and contention.denied.any():
+    total_blocked = sum(stall.blocked_steps.values())
+    lines.append(f"blocked header-steps: {total_blocked}")
+    if stall.blocked_at_edge:
         table = Table("", ["edge", "denied requests"])
-        for e, c in contention.hottest(top):
+        for e, c in stall.blocked_at_edge.most_common(top):
             table.add_row([e, c])
         lines.append("most contended edges:")
         lines.append(table.render().lstrip("\n"))
-    else:
-        lines.append("no blocking observed")
+    if stall.blame:
+        table = Table("", ["blocked", "behind", "steps"])
+        for m, h, c in stall.top_blame(top):
+            table.add_row([f"m{m}", f"m{h}", c])
+        lines.append("worst blame pairs (head-of-line blocking):")
+        lines.append(table.render().lstrip("\n"))
+        chain = stall.blame_chain()
+        if len(chain) > 1:
+            lines.append(
+                "worst blame chain: " + " -> ".join(f"m{m}" for m in chain)
+            )
     return "\n".join(lines)
 
 

@@ -97,7 +97,6 @@ class TraceRecorder(Probe):
     """A probe that records the event stream for saving / replay."""
 
     def __init__(self) -> None:
-        super().__init__()
         self._meta: dict = {}
         self._batches: dict[str, list[tuple]] = {
             ev: [] for ev in _EDGE_EVENTS + _MSG_EVENTS

@@ -1,20 +1,14 @@
-"""Slow-progress / livelock watchdog.
+"""Stall / deadlock watchdog.
 
 The simulators already *detect deadlock* (no mover while every pending
-message is released) — but two pathologies slip through and silently
-burn steps until ``max_steps``:
-
-* **stall**: nothing moves for many consecutive steps while the run
-  waits on far-future releases (a mis-built schedule, a starved phase);
-* **low delivery rate**: movement continues but deliveries crawl — the
-  classic head-of-line convoy, where one blocked worm serializes
-  everything behind it.
+message is released).  One more pathology slips through: a **stall**,
+where nothing moves for many consecutive steps while the run waits on
+far-future releases (a mis-built schedule, a starved phase).
 
 The watchdog observes the step stream, records timestamped alerts, and
-annotates ``result.extra["watchdog"]`` so a finished (or aborted) run
-explains itself.  With ``abort=True`` it asks the simulator to stop at
-the first alert instead of crawling to ``max_steps``; the partial
-result is annotated with ``extra["telemetry_abort"]``.
+annotates ``result.extra["watchdog"]`` so a finished run explains
+itself.  Like every probe it only observes: it never stops or steers a
+run.
 """
 
 from __future__ import annotations
@@ -23,52 +17,25 @@ import numpy as np
 
 from .probe import Probe, RunMeta
 
-__all__ = ["Watchdog"]
+__all__ = ["STALL_STEPS", "Watchdog"]
+
+#: Consecutive steps without a mover that make one stall alert.
+STALL_STEPS = 200
 
 
 class Watchdog(Probe):
-    """Annotate (or abort) runs that stall or deliver too slowly.
+    """Annotate runs that stall (:data:`STALL_STEPS` quiet steps) or
+    deadlock."""
 
-    Parameters
-    ----------
-    stall_steps:
-        Alert when no message moves for this many consecutive steps.
-    min_rate:
-        Optional delivered-messages-per-step floor; checked over
-        trailing windows of ``rate_window`` steps (the first window is
-        exempt — pipelines need time to fill).
-    rate_window:
-        Window length (steps) for the rate check.
-    abort:
-        Request a simulator abort at the first alert.
-    """
-
-    def __init__(
-        self,
-        stall_steps: int = 200,
-        min_rate: float | None = None,
-        rate_window: int = 500,
-        abort: bool = False,
-    ) -> None:
-        super().__init__()
-        if stall_steps < 1:
-            raise ValueError("stall_steps must be >= 1")
-        if rate_window < 1:
-            raise ValueError("rate_window must be >= 1")
-        self.stall_steps = int(stall_steps)
-        self.min_rate = min_rate
-        self.rate_window = int(rate_window)
-        self.abort = bool(abort)
-        self.alerts: list[dict] = []
+    def __init__(self) -> None:
         self._reset()
 
     def _reset(self) -> None:
-        self.alerts = []
+        self.alerts: list[dict] = []
         self.delivered = 0
         self._no_mover_run = 0
         self._last_progress: int | None = None
         self._steps_seen = 0
-        self._delivered_at_window_start = 0
         self._stall_alerted = False
 
     # ------------------------------------------------------------------
@@ -86,8 +53,8 @@ class Watchdog(Probe):
             self._stall_alerted = False
         else:
             self._no_mover_run += 1
-            if self._no_mover_run >= self.stall_steps and not self._stall_alerted:
-                self._alert(
+            if self._no_mover_run >= STALL_STEPS and not self._stall_alerted:
+                self.alerts.append(
                     {
                         "type": "stall",
                         "step": t,
@@ -99,31 +66,6 @@ class Watchdog(Probe):
                     }
                 )
                 self._stall_alerted = True
-        if (
-            self.min_rate is not None
-            and self._steps_seen % self.rate_window == 0
-            and self._steps_seen > self.rate_window  # first window exempt
-        ):
-            window_delivered = self.delivered - self._delivered_at_window_start
-            rate = window_delivered / self.rate_window
-            if rate < self.min_rate:
-                self._alert(
-                    {
-                        "type": "low-rate",
-                        "step": t,
-                        "rate": rate,
-                        "detail": (
-                            f"delivered {window_delivered} messages in the "
-                            f"last {self.rate_window} steps "
-                            f"({rate:.4f}/step < floor {self.min_rate})"
-                        ),
-                    }
-                )
-        if (
-            self.min_rate is not None
-            and self._steps_seen % self.rate_window == 0
-        ):
-            self._delivered_at_window_start = self.delivered
 
     def on_deadlock(self, t: int, pending: np.ndarray) -> None:
         self.alerts.append(
@@ -149,7 +91,3 @@ class Watchdog(Probe):
     def tripped(self) -> bool:
         return bool(self.alerts)
 
-    def _alert(self, alert: dict) -> None:
-        self.alerts.append(alert)
-        if self.abort:
-            self.request_abort(f"watchdog: {alert['detail']}")

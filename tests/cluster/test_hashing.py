@@ -7,11 +7,6 @@ from repro.cluster.hashing import DEFAULT_REPLICAS, HashRing
 KEYS = [f"('chain-bundle', 'wormhole', {i})" for i in range(400)]
 
 
-def test_replicas_must_be_positive():
-    with pytest.raises(ValueError, match="replicas"):
-        HashRing(replicas=0)
-
-
 def test_deterministic_across_instances_and_insertion_order():
     """Placement depends only on the member set, never process state."""
     a = HashRing([0, 1, 2, 3])
@@ -23,9 +18,22 @@ def test_deterministic_across_instances_and_insertion_order():
 
 def test_every_node_owns_a_share():
     """64 vnodes/node spread 400 keys over all 4 members."""
-    ring = HashRing(range(4), replicas=DEFAULT_REPLICAS)
+    ring = HashRing(range(4))
+    assert len(ring._ring) == 4 * DEFAULT_REPLICAS
     owners = {ring.node_for(key) for key in KEYS}
     assert owners == {0, 1, 2, 3}
+
+
+def test_vnode_count_follows_membership():
+    """Every member holds exactly ``DEFAULT_REPLICAS`` ring positions,
+    through joins and leaves alike."""
+    ring = HashRing()
+    for node in range(5):
+        ring.add(node)
+        assert len(ring._ring) == len(ring) * DEFAULT_REPLICAS
+    ring.remove(3)
+    assert len(ring._ring) == 4 * DEFAULT_REPLICAS
+    assert 3 not in set(ring._owners)
 
 
 def test_removal_remaps_only_the_removed_nodes_keys():

@@ -45,7 +45,7 @@ def _loadcfg(requests=18, root_seed=3):
         workload="chain-bundle",
         workload_params=WORKLOAD_PARAMS,
         channels=(1, 2),
-        message_length=8,
+        lengths=(8,),
         simulators=("wormhole", "cut_through", "store_forward"),
         requests=requests,
         concurrency=6,

@@ -122,7 +122,46 @@ class TestBitEquivalence:
         out = run_sweep(grid, root_seed=42, workers=2, backend=name)
         assert [t.metrics for t in out] == serial_metrics
 
-    def test_backend_instance_accepted(self, grid, serial_metrics):
-        with ThreadBackend(workers=2) as backend:
-            out = run_sweep(grid, root_seed=42, backend=backend)
-        assert [t.metrics for t in out] == serial_metrics
+
+class TestSweepOwnsItsBackend:
+    """``run_sweep`` builds its backend from a name and always closes it."""
+
+    @pytest.fixture()
+    def created(self, monkeypatch):
+        import repro.exec as exec_pkg
+
+        made = []
+
+        def spy(name, **kwargs):
+            backend = create_backend(name, **kwargs)
+            made.append(backend)
+            return backend
+
+        monkeypatch.setattr(exec_pkg, "create_backend", spy)
+        return made
+
+    @pytest.fixture()
+    def specs(self):
+        return sweep_grid(
+            "chain-bundle",
+            ["wormhole"],
+            (1,),
+            workload_params={"chains": 1, "depth": 3, "messages": 2},
+            message_length=4,
+        )
+
+    def test_closed_after_the_sweep(self, created, specs):
+        (trial,) = run_sweep(specs, root_seed=1, backend="thread")
+        assert trial.metrics
+        (backend,) = created
+        assert isinstance(backend, ThreadBackend) and backend._closed
+
+    def test_closed_when_a_unit_fails(self, created, specs, monkeypatch):
+        def broken_map(self, fn, items):
+            raise RuntimeError("unit failed")
+
+        monkeypatch.setattr(ThreadBackend, "map", broken_map)
+        with pytest.raises(RuntimeError, match="unit failed"):
+            run_sweep(specs, root_seed=1, backend="thread")
+        (backend,) = created
+        assert backend._closed

@@ -66,8 +66,8 @@ def _sabotage(monkeypatch, family="layered"):
     """
     real = fz.CASE_CHECKERS[family]
 
-    def checker(case, telemetry=None):
-        out = list(real(case, telemetry=telemetry))
+    def checker(case):
+        out = list(real(case))
         wl = case.workload
         if len(wl.paths) >= 2 and wl.default_length >= 2:
             out.append(
@@ -123,7 +123,7 @@ class TestShrinking:
         )
         original_paths = [list(p) for p in case.workload.paths]
 
-        def checker(c, telemetry=None):
+        def checker(c):
             return [Violation("always", "x")]
 
         monkeypatch.setitem(fz.CASE_CHECKERS, "gadget", checker)
@@ -134,7 +134,7 @@ class TestShrinking:
     def test_shrink_preserves_the_violation(self, monkeypatch):
         case = generate_case(0, 0, ("chain",))
 
-        def checker(c, telemetry=None):
+        def checker(c):
             if len(c.workload.paths) >= 3:
                 return [Violation("needs-three", "x")]
             return []
@@ -143,6 +143,44 @@ class TestShrinking:
         shrunk = shrink_case(case, "needs-three")
         assert len(shrunk.workload.paths) == 3
         assert run_case(shrunk) != []
+
+    def test_shrink_runs_at_most_SHRINK_PROBES_candidates(self, monkeypatch):
+        # 96 paths offer far more single-path drops than the budget; a
+        # violation no candidate keeps makes the shrinker try them all.
+        from dataclasses import replace
+
+        case = generate_case(0, 0, ("chain",))
+        many = [list(p) for p in case.workload.paths] * 96
+        case = replace(case, workload=replace(case.workload, paths=many[:96]))
+        tried = []
+
+        def still_fails(c, invariant):
+            tried.append(len(c.workload.paths))
+            return False
+
+        monkeypatch.setattr(fz, "_still_fails", still_fails)
+        shrunk = shrink_case(case, "never-reproduced")
+        assert len(tried) == fz.SHRINK_PROBES
+        assert shrunk is case  # nothing smaller reproduced it
+
+    def test_length_search_ends_when_no_shorter_length_fails(self, monkeypatch):
+        # One path skips the path phase; with L = 10 and nothing shorter
+        # reproducing, the search halves its cut (4, 2, 1) and stops.  It
+        # once re-probed L = 4 until the budget ran out, then spun.
+        from dataclasses import replace
+
+        case = generate_case(0, 0, ("chain",))
+        wl = replace(case.workload, paths=case.workload.paths[:1], default_length=10)
+        case = replace(case, workload=wl)
+        tried = []
+
+        def still_fails(c, invariant):
+            tried.append(c.workload.default_length)
+            return False
+
+        monkeypatch.setattr(fz, "_still_fails", still_fails)
+        assert shrink_case(case, "never-reproduced") is case
+        assert tried == [6, 8, 9]
 
 
 class TestArtifacts:
@@ -214,20 +252,3 @@ class TestArtifacts:
         path.write_text(json.dumps({"version": 99}))
         with pytest.raises(NetworkError, match="artifact version"):
             replay_artifact(str(path))
-
-
-class TestTelemetry:
-    def test_probes_see_fuzz_traffic(self, tmp_path):
-        from repro.telemetry import standard_collectors
-
-        probes = standard_collectors()
-        report = run_fuzz(
-            3,
-            seed=0,
-            families=("chain",),
-            artifact_dir=str(tmp_path),
-            telemetry=probes,
-        )
-        assert report.ok
-        # The utilization collector observed the (last) fuzz run's flits.
-        assert any(getattr(p, "total_flits", 0) > 0 for p in probes)

@@ -4,7 +4,13 @@ import asyncio
 
 import pytest
 
-from repro.service.admission import AdmissionQueue, PendingRequest, QueueFullError
+from repro.service.admission import (
+    DEFAULT_SERVICE_MS,
+    EWMA_ALPHA,
+    AdmissionQueue,
+    PendingRequest,
+    QueueFullError,
+)
 
 
 def _pending(key=("k",), enqueued_at=0.0, expires_at=None):
@@ -24,14 +30,14 @@ def test_limit_must_be_positive():
 
 def test_admit_until_full_then_structured_reject():
     async def drive():
-        q = AdmissionQueue(2, default_service_ms=40.0)
+        q = AdmissionQueue(2)
         q.admit(_pending())
         q.admit(_pending())
         assert len(q) == 2 and q.full
         with pytest.raises(QueueFullError) as exc_info:
             q.admit(_pending())
-        # Drain estimate: depth (2) x EWMA service time (40 ms).
-        assert exc_info.value.retry_after_ms == pytest.approx(80.0)
+        # Drain estimate: depth (2) x EWMA service time (the default).
+        assert exc_info.value.retry_after_ms == pytest.approx(2 * DEFAULT_SERVICE_MS)
         assert "retry after" in str(exc_info.value)
         assert len(q) == 2  # the rejected request was never queued
 
@@ -40,23 +46,24 @@ def test_admit_until_full_then_structured_reject():
 
 def test_retry_hint_tracks_ewma_service_time():
     async def drive():
-        q = AdmissionQueue(8, default_service_ms=50.0, ewma_alpha=0.5)
+        q = AdmissionQueue(8)
         q.admit(_pending())
-        assert q.retry_after_ms() == pytest.approx(50.0)
+        assert q.retry_after_ms() == pytest.approx(DEFAULT_SERVICE_MS)
         # One batch of 4 requests took 0.8 s -> 200 ms/request observed;
-        # EWMA with alpha=0.5 moves 50 -> 125.
+        # the EWMA moves a share alpha of the way there.
         q.note_service_time(0.8, requests=4)
-        assert q.retry_after_ms() == pytest.approx(125.0)
+        moved = DEFAULT_SERVICE_MS + EWMA_ALPHA * (200.0 - DEFAULT_SERVICE_MS)
+        assert q.retry_after_ms() == pytest.approx(moved)
         q.note_service_time(0.0, requests=0)  # no-op guard
-        assert q.retry_after_ms() == pytest.approx(125.0)
+        assert q.retry_after_ms() == pytest.approx(moved)
 
     asyncio.run(drive())
 
 
 def test_retry_hint_floor_is_one_ms():
     async def drive():
-        q = AdmissionQueue(4, default_service_ms=0.0)
-        assert q.retry_after_ms() >= 1.0
+        q = AdmissionQueue(4)  # empty: the drain estimate is 0 ms
+        assert q.retry_after_ms() == 1.0
 
     asyncio.run(drive())
 
@@ -129,7 +136,7 @@ def test_ewma_tracks_bursty_arrivals_and_recovers():
     """
 
     async def drive():
-        q = AdmissionQueue(64, default_service_ms=50.0, ewma_alpha=0.2)
+        q = AdmissionQueue(64)
         q.admit(_pending())  # depth 1: retry hint == EWMA directly
 
         # Burst: 12 batches, each 4 requests in 1.6 s -> 400 ms/request.
@@ -138,11 +145,11 @@ def test_ewma_tracks_bursty_arrivals_and_recovers():
             q.note_service_time(1.6, requests=4)
             burst_hints.append(q.retry_after_ms())
         assert burst_hints == sorted(burst_hints)  # monotone rise
-        assert burst_hints[0] > 50.0
+        assert burst_hints[0] > DEFAULT_SERVICE_MS
         assert burst_hints[-1] <= 400.0
-        # alpha=0.2 over 12 observations closes >90% of the 50->400 gap.
+        # Each observation closes a share alpha of the remaining gap.
         assert burst_hints[-1] == pytest.approx(
-            400.0 - (400.0 - 50.0) * 0.8**12
+            400.0 - (400.0 - DEFAULT_SERVICE_MS) * (1 - EWMA_ALPHA) ** 12
         )
 
         # Recovery: fast 5 ms/request batches pull the estimate down.

@@ -110,12 +110,12 @@ def test_no_timeout_means_unbounded_wait():
 
 
 def test_default_spec_stream_is_unchanged():
-    """Without simulators/lengths the classic ordering holds: channels
+    """With one simulator and one length the classic ordering holds: channels
     cycle fastest, the repeat counter advances."""
     config = LoadgenConfig(
         workload_params=WORKLOAD_PARAMS,
         channels=(1, 2),
-        message_length=8,
+        lengths=(8,),
         requests=6,
     )
     specs = config.specs()

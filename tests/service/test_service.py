@@ -80,7 +80,7 @@ def test_golden_equivalence_under_concurrent_load():
                 workload="chain-bundle",
                 workload_params=WORKLOAD_PARAMS,
                 channels=(1, 2, 4),
-                message_length=8,
+                lengths=(8,),
                 requests=24,
                 concurrency=8,
                 root_seed=3,
@@ -283,7 +283,7 @@ def test_non_wormhole_trials_served_via_per_trial_path():
 @pytest.mark.parametrize("field, value", [("max_batch", 0), ("max_wait_ms", -1)])
 def test_bad_policy_rejected(field, value):
     with pytest.raises(ValueError, match=field):
-        ServiceConfig(**{field: value}).policy()
+        ServiceConfig(**{field: value})
 
 
 def test_responses_carry_protocol_version():
@@ -512,7 +512,7 @@ class TestProcessBackendService:
                     workload="chain-bundle",
                     workload_params=WORKLOAD_PARAMS,
                     channels=(1, 2),
-                    message_length=8,
+                    lengths=(8,),
                     requests=8,
                     concurrency=4,
                     root_seed=9,

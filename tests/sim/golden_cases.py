@@ -164,17 +164,21 @@ def wormhole_probes():
 
 def wormhole_legacy_kwargs():
     """The arrays the retired ``record_trace`` / ``record_contention``
-    kwargs used to put in ``result.extra``, now read off their collectors
-    (the golden entry predates the removal and is unchanged)."""
-    from repro.telemetry import EdgeContentionCollector, TraceSnapshotCollector
+    kwargs used to put in ``result.extra``, now read off collectors (the
+    golden entry predates the removal and is unchanged): the per-edge
+    denial counts are the stall collector's, laid out densely."""
+    from repro.telemetry import StallAttributionCollector, TraceSnapshotCollector
 
     net, paths = _chain_workload()
-    snapshots, contention = TraceSnapshotCollector(), EdgeContentionCollector()
+    snapshots, stall = TraceSnapshotCollector(), StallAttributionCollector()
     res = simulate(
         (net, paths), B=2, message_length=12, priority="random", seed=1,
-        telemetry=[snapshots, contention],
+        telemetry=[snapshots, stall],
     )
-    extra = {"trace": snapshots.matrix, "edge_contention": contention.denied}
+    denied = np.zeros(net.num_edges, dtype=np.int64)
+    for edge, count in stall.blocked_at_edge.items():
+        denied[edge] = count
+    extra = {"trace": snapshots.matrix, "edge_contention": denied}
     out = _summarize(res)
     out["extra_keys"] = sorted(extra)
     out["trace_matrix_digest"] = _digest(extra["trace"])

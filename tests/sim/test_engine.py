@@ -1,5 +1,9 @@
 """Unit tests for the shared simulator engine (:mod:`repro.sim.engine`)."""
 
+import ast
+import inspect
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -284,14 +288,8 @@ def test_steploop_spent_cap_executes_no_step(cap, steps):
 class _Lifecycle(Probe):
     """Records the lifecycle events the loop (not the kernel) dispatches."""
 
-    def __init__(self, abort_at=None):
-        super().__init__()
+    def __init__(self):
         self.events = []
-        self.abort_at = abort_at
-
-    def on_step(self, t, movers, k):
-        if t == self.abort_at:
-            self.request_abort("enough")
 
     def on_deadlock(self, t, pending):
         self.events.append(("deadlock", t, pending.tolist()))
@@ -308,30 +306,18 @@ def test_steploop_dispatches_deadlock_then_run_end():
     (result,) = loop.run(lambda t, active: np.zeros(1, dtype=bool))
     assert result.deadlocked
     assert probe.events == [("deadlock", 1, [1]), ("run_end", 1)]
-    assert "telemetry_abort" not in result.extra
 
 
-@pytest.mark.parametrize("finish_at, pending", [(None, True), (3, False)])
-def test_steploop_telemetry_abort_stops_at_end_of_step(finish_at, pending):
-    probe = _Lifecycle(abort_at=3)
-    probes = ProbeSet([probe])
-    release = np.zeros(1, dtype=np.int64)
-    loop = BatchStepLoop(1, 1, release, 100, probes=probes)
-
-    def body(t, active):
-        if t == finish_at:
-            loop.completion[:] = t
-            loop.done[:] = True
-        probes.on_step(t, np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
-        return np.ones(1, dtype=bool)
-
-    (result,) = loop.run(body)
-    # The abort is honoured after the body call, before any deadlock or
-    # cap bookkeeping; the cap flag says whether work was left behind.
-    assert result.steps_executed == 3
-    assert result.hit_step_cap is pending and not result.deadlocked
-    assert result.extra["telemetry_abort"] == "enough"
-    assert probe.events == [("run_end", 3)]
+def test_probes_never_steer_the_step_loop():
+    """Probes observe only: the loop that steps the trials never reads
+    them, so no probe can stop, skip or reorder a step."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(BatchStepLoop._advance)))
+    names = {
+        node.attr if isinstance(node, ast.Attribute) else node.id
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Attribute, ast.Name))
+    }
+    assert "probes" not in names
 
 
 def test_steploop_rejects_probes_on_a_batch():

@@ -10,7 +10,7 @@ included.
 import numpy as np
 
 from repro.network import errors, graph
-from repro.service import batcher, config, server
+from repro.service import config, server
 from repro.sim import batch, spec, sweep
 from repro.sim.spec import TrialSpec
 
@@ -71,7 +71,6 @@ def test_re_exports_are_the_same_objects():
     assert batch.batch_compat_key is spec.batch_compat_key
     assert graph.NetworkError is errors.NetworkError is spec.NetworkError
     assert server.ServiceConfig is config.ServiceConfig
-    assert batcher.BatchPolicy is config.BatchPolicy
 
 
 def test_replacing_the_paths_never_keeps_the_old_pack():

@@ -9,7 +9,7 @@ from repro.network.random_networks import chain_bundle
 from repro.routing.paths import paths_from_node_walks
 from repro.sim.engine import pad_paths
 from repro.sim.spec import Workload
-from repro.telemetry import EdgeContentionCollector
+from repro.telemetry import StallAttributionCollector
 
 
 def line(n):
@@ -295,15 +295,14 @@ class TestContentionMap:
         """Denied requests pile up on the chain entrance, nowhere else."""
         net, walks = chain_bundle(2, 3, 3)
         paths = paths_from_node_walks(net, walks)
-        collector = EdgeContentionCollector()
-        res = simulate((net, paths), message_length=4, telemetry=[collector])
-        contention = collector.denied
-        assert contention.shape == (net.num_edges,)
+        stall = StallAttributionCollector()
+        res = simulate((net, paths), message_length=4, telemetry=[stall])
+        contention = stall.blocked_at_edge
         # All denials happen at the two chains' first edges (injection).
         first_edges = {paths[0].edges[0], paths[3].edges[0]}
-        hot = set(np.flatnonzero(contention).tolist())
-        assert hot <= first_edges
-        assert contention.sum() == res.total_blocked_steps
+        hot = {e for e, c in contention.items() if c}
+        assert hot and hot <= first_edges
+        assert sum(contention.values()) == res.total_blocked_steps
 
     def test_absent_by_default(self):
         net, walks = chain_bundle(1, 2, 1)

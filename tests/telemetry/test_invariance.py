@@ -17,7 +17,7 @@ from repro.routing.paths import paths_from_node_walks
 from repro.sim.batch import run_store_forward_batch
 from repro.sim.spec import Workload
 from repro.telemetry import (
-    EdgeContentionCollector,
+    StallAttributionCollector,
     TraceRecorder,
     TraceSnapshotCollector,
     Watchdog,
@@ -67,7 +67,6 @@ class TestWormholeInvariance:
 
         plain = run(None)
         probes = standard_collectors() + [
-            EdgeContentionCollector(),
             TraceSnapshotCollector(),
             TraceRecorder(),
             Watchdog(),
@@ -147,16 +146,15 @@ class TestDeprecatedShims:
         with pytest.raises(TypeError, match="record_contention"):
             simulate((net, paths), message_length=4, record_contention=True)
         bare = simulate((net, paths), message_length=4)
-        cont = EdgeContentionCollector()
-        modern = simulate((net, paths), message_length=4, telemetry=[cont])
+        stall = StallAttributionCollector()
+        modern = simulate((net, paths), message_length=4, telemetry=[stall])
         assert_results_identical(bare, modern)
-        assert cont.denied.shape == (net.num_edges,)
-        assert cont.denied.sum() == modern.total_blocked_steps
+        assert sum(stall.blocked_at_edge.values()) == modern.total_blocked_steps
 
     def test_shims_compose_with_telemetry(self):
         net, paths = self.make()
-        snap, cont = TraceSnapshotCollector(), EdgeContentionCollector()
-        res = simulate((net, paths), message_length=4, telemetry=[snap, cont])
+        snap, stall = TraceSnapshotCollector(), StallAttributionCollector()
+        res = simulate((net, paths), message_length=4, telemetry=[snap, stall])
         assert res.extra == {}  # collectors keep their arrays themselves
         assert snap.matrix.shape[0] == res.steps_executed
-        assert cont.denied.sum() == res.total_blocked_steps
+        assert sum(stall.blocked_at_edge.values()) == res.total_blocked_steps

@@ -12,6 +12,7 @@ from repro.telemetry import (
     SizeHistogram,
     quantile,
 )
+from repro.telemetry.metrics import LATENCY_WINDOW
 
 
 class TestQuantile:
@@ -100,17 +101,27 @@ class TestLatencyRecorder:
         assert summary["p50"] == pytest.approx(25.0)
         assert summary["max"] == pytest.approx(40.0)
 
+    def test_window_drops_the_oldest_past_LATENCY_WINDOW(self):
+        r = LatencyRecorder()
+        for i in range(LATENCY_WINDOW):
+            r.record(float(i))
+        assert r._window[0] == 0.0 and len(r._window) == LATENCY_WINDOW
+        r.record(float(LATENCY_WINDOW))
+        assert r._window[0] == 1.0 and len(r._window) == LATENCY_WINDOW
+        assert r._window[-1] == float(LATENCY_WINDOW)
+
     def test_window_is_bounded_but_count_is_not(self):
-        r = LatencyRecorder(max_samples=10)
-        for i in range(100):
-            r.record(i / 1000.0)  # 0..99 ms
-        assert r.count == 100
-        assert len(r._window) == 10
+        r = LatencyRecorder()
+        n = LATENCY_WINDOW + 90
+        for i in range(n):
+            r.record(i / 1000.0)  # 0 .. n - 1 ms
+        assert r.count == n
+        assert len(r._window) == LATENCY_WINDOW
         summary = r.summary()
-        # Quantiles see only the newest 10 samples (90..99 ms) ...
-        assert summary["p50"] >= 90.0
+        # Quantiles see only the newest samples (from 90 ms on) ...
+        assert summary["p50"] >= 90.0 + LATENCY_WINDOW / 2 - 1
         # ... while the mean covers the full history.
-        assert summary["mean"] == pytest.approx(49.5)
+        assert summary["mean"] == pytest.approx((n - 1) / 2)
 
     def test_empty_summary(self):
         summary = LatencyRecorder().summary()

@@ -89,16 +89,3 @@ class TestDispatch:
         assert ps.find(GrantCounter) is granter
         assert ps.find(StepCounter) is stepper
         assert ProbeSet([stepper]).find(GrantCounter) is None
-
-
-class TestAbort:
-    def test_no_abort_by_default(self):
-        ps = ProbeSet([StepCounter()])
-        assert not ps.aborted and ps.abort_reason is None
-
-    def test_request_abort_surfaces(self):
-        p = StepCounter()
-        ps = ProbeSet([p, GrantCounter()])
-        p.request_abort("too slow")
-        assert ps.aborted
-        assert ps.abort_reason == "too slow"

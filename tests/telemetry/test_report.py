@@ -1,13 +1,10 @@
 """Rendering the collected run into the text report."""
 
-import numpy as np
-
 from repro import simulate
 from repro.network.graph import Network
 from repro.network.random_networks import chain_bundle
 from repro.routing.paths import paths_from_node_walks
 from repro.telemetry import (
-    EdgeContentionCollector,
     StallAttributionCollector,
     Watchdog,
     render_report,
@@ -57,19 +54,26 @@ class TestRenderReport:
         assert "## Throughput" not in text
         assert "## Run summary" not in text
 
-    def test_contention_only_fallback(self):
-        net, walks = chain_bundle(1, 3, 3)
-        paths = paths_from_node_walks(net, walks)
-        cont = EdgeContentionCollector()
-        simulate((net, paths), message_length=4, telemetry=[cont])
-        text = render_report([cont])
-        assert "most contended edges" in text
-
     def test_single_probe_accepted(self):
-        cont = EdgeContentionCollector()
-        cont.denied = np.zeros(3, dtype=np.int64)
-        text = render_report(cont)
-        assert "no blocking observed" in text
+        text = render_report(StallAttributionCollector())
+        assert "## Stall attribution" in text
+        assert "blocked header-steps: 0" in text
+
+    def test_stall_section_names_the_contended_edge(self):
+        stall = StallAttributionCollector()
+        profiled_chain(extra=[stall])
+        text = render_report([stall], top=1)
+        assert "most contended edges:" in text
+        ((edge, denied),) = stall.blocked_at_edge.most_common(1)
+        rows = [[c.strip() for c in ln.split("|")] for ln in text.splitlines()]
+        assert [str(edge), str(denied)] in rows
+        assert denied == sum(stall.blocked_steps.values())  # one hot edge
+
+    def test_clean_run_raises_no_flags(self):
+        probes, res, _ = profiled_chain(worms=1, extra=[Watchdog()])
+        text = render_report(probes, res)
+        assert "flags:" not in text
+        assert "watchdog: no alerts" in text
 
     def test_deadlock_flagged_in_summary(self):
         net = Network(name="2cycle")

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cache import CACHE_VERSION, ResultCache, load_entry, store_entry
+from repro.cache import CACHE_VERSION, ResultCache
 from repro.sim.sweep import TrialSpec, run_sweep
 
 WORKLOAD_PARAMS = {"chains": 2, "depth": 4, "messages": 3}
@@ -64,8 +64,9 @@ def test_stale_version_and_corrupt_files_are_misses(tmp_path):
     spec = _spec()
     key = spec.cache_key(root_seed=0)
     path = tmp_path / f"{key}.json"
+    cache = ResultCache(tmp_path)
 
-    store_entry(path, spec.key(), {"makespan": 3}, root_seed=0)
+    cache.store(key, spec.key(), {"makespan": 3}, root_seed=0)
     payload = json.loads(path.read_text())
     assert payload["v"] == CACHE_VERSION == 3
     # 1: written before the digest; 2: before scenario trials ran their
@@ -73,22 +74,33 @@ def test_stale_version_and_corrupt_files_are_misses(tmp_path):
     for stale in (1, 2, CACHE_VERSION + 1):
         payload["v"] = stale
         path.write_text(json.dumps(payload))
-        assert load_entry(path, spec.key()) is None  # stale format
+        assert cache.load(key, spec.key()) is None  # stale format
 
     path.write_text("{not json")
-    assert load_entry(path, spec.key()) is None  # corrupt
+    assert cache.load(key, spec.key()) is None  # corrupt
 
     path.write_text(json.dumps({"v": CACHE_VERSION, "spec": spec.key()}))
-    assert load_entry(path, spec.key()) is None  # metrics missing
+    assert cache.load(key, spec.key()) is None  # metrics missing
 
-    assert load_entry(tmp_path / "absent.json", spec.key()) is None
+    assert cache.load("absent", spec.key()) is None
+    assert cache.snapshot()["cache_misses"] == 6
+
+
+def test_a_cache_only_read_creates_nothing(tmp_path):
+    """The directory appears with the first store, not before."""
+    spec = _spec()
+    cache = ResultCache(tmp_path / "cache")
+    assert cache.load(spec.cache_key(0), spec.key()) is None
+    assert len(cache) == 0 and not cache.root.exists()
+    cache.store(spec.cache_key(0), spec.key(), {"makespan": 3}, root_seed=0)
+    assert len(cache) == 1
 
 
 @pytest.mark.parametrize("body", ["[]", "null", "42", '"x"', None])
 def test_a_file_that_is_not_a_json_object_is_a_miss_and_a_recompute(
     tmp_path, body
 ):
-    """``load_entry`` used to call ``.get`` on whatever parsed, raising
+    """The entry reader used to call ``.get`` on whatever parsed, raising
     ``AttributeError`` into the caller's request (``None``: truncated)."""
     spec = _spec()
     (fresh,) = run_sweep([spec], root_seed=3)

@@ -8,8 +8,9 @@ from repro.cli import COMMANDS, build_parser, main
 
 #: ``vars(build_parser().parse_args([*command]))`` for every bare command
 #: (``x`` for a positional), as recorded before the parser became a table.
-#: The one intended difference since: ``backend`` on ``serve`` / ``cluster
-#: serve`` was ``"thread"``.
+#: The intended differences since: ``backend`` on ``serve`` / ``cluster
+#: serve`` was ``"thread"``, and loadgen's ``--length`` is a comma list
+#: (it absorbed ``--lengths``).
 SURFACE = {
     "info": {"command": "info"},
     "demo": {"command": "demo", "n": 8, "length": 16, "seed": 0},
@@ -107,9 +108,8 @@ SURFACE = {
         "scenario": None,
         "param": [],
         "channels": (1, 2, 4),
-        "length": 0,
+        "length": (0,),
         "simulators": None,
-        "lengths": None,
         "requests": 32,
         "concurrency": 8,
         "rate": 0.0,
@@ -228,6 +228,25 @@ class TestParser:
         )
         # An unset field stays off the argv instead of rendering "None".
         assert "--batch-timeout-s" not in argv and "None" not in argv
+
+    def test_flag_defaults_are_the_config_defaults(self):
+        """A tier command run with no flags builds its config class's
+        defaults: every flag whose dest is a field of ``ServiceConfig``,
+        ``ClusterConfig`` (its worker template included) or
+        ``LoadgenConfig`` defaults to that field's default."""
+        from dataclasses import replace
+
+        from repro import cli
+        from repro.cluster import ClusterConfig
+        from repro.service import LoadgenConfig, ServiceConfig
+
+        parse = build_parser().parse_args
+        assert cli._config(ServiceConfig, parse(["serve"])) == ServiceConfig()
+        assert cli._loadgen_config(parse(["loadgen"])) == LoadgenConfig()
+        built, default = cli._cluster_config(parse(["cluster", "serve"])), ClusterConfig()
+        # The supervisor sets each worker's host, port and port file.
+        per_slot = {f: getattr(default.worker, f) for f in ("host", "port", "port_file")}
+        assert replace(built, worker=replace(built.worker, **per_slot)) == default
 
 
 class TestCommands:
@@ -470,7 +489,7 @@ class TestCommands:
         args = build_parser().parse_args(["loadgen"])
         assert args.requests == 32 and args.concurrency == 8
         assert args.channels == (1, 2, 4) and args.rate == 0.0
-        assert args.output is None and args.lengths is None
+        assert args.output is None and args.length == (0,)
         assert not args.no_verify and not args.shutdown
 
     def test_loadgen_rejects_empty_channels(self, capsys):
@@ -494,8 +513,8 @@ class TestCommands:
                 "least one integer",
             ),
             (
-                ["loadgen", "--lengths", "8,x"],
-                "repro loadgen: error: argument --lengths: expected "
+                ["loadgen", "--length", "8,x"],
+                "repro loadgen: error: argument --length: expected "
                 "comma-separated integers",
             ),
             (
@@ -540,7 +559,7 @@ class TestCommands:
         ids=[
             "sweep-channels-not-int",
             "sweep-channels-empty",
-            "loadgen-lengths-not-int",
+            "loadgen-length-not-int",
             "sweep-unknown-simulator",
             "sweep-schedule-is-not-a-simulator",
             "loadgen-param-names-its-command",

@@ -226,7 +226,7 @@ class TestSimResultAndModes:
         res = simulate(butterfly_problem, model="wormhole", B=2,
                        message_length=L, seed=SEED)
         assert isinstance(res, repro.SimResult)
-        assert res.mode == "exact" and res.provenance == "exact"
+        assert res.mode == "exact"
         assert res.steps == res.result.steps_executed
         assert np.array_equal(res.delays, res.result.completion_times)
         # Delegation: every SimulationResult attribute still reads.
@@ -240,7 +240,6 @@ class TestSimResultAndModes:
         bounds = simulate(butterfly_problem, model="wormhole", B=2,
                           message_length=L, mode="estimate")
         assert bounds.mode == "estimate"
-        assert bounds.provenance == "estimate"
         assert bounds.steps == 0  # no simulation ran
         assert bounds.lower <= exact.makespan <= bounds.upper
         assert tuple(bounds.delays) == bounds.envelope.per_message_lower
